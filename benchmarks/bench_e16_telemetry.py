@@ -7,8 +7,8 @@ PR 6's observability claim, measured in two arms:
   the E10/E13 flood shape) at three depth-scaled group sizes (depth 14 /
   17 / 20 ≈ 10k / 100k / 1M member capacity — proof and tree costs are
   depth-governed, the E1 observation, so depth *is* the scale knob).
-  Every bundle carries a :class:`~repro.telemetry.tracing.TraceContext`
-  from relay ingress to verdict resolve; the per-stage simulated-time
+  Every bundle carries a :class:`~repro.telemetry.disttrace.DistTracer`
+  span from relay ingress to verdict resolve; the per-stage simulated-time
   histograms print exact p50/p99 from retained samples — the real
   queueing/service decomposition, not modeled guesses;
 * **disabled-telemetry overhead** — the same run with ``telemetry=None``

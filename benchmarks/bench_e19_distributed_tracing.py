@@ -20,13 +20,15 @@ under honest+flood load:
   (exact per-trace figures, not bucket estimates), and the assembled
   trees are dropped as JSON artifacts (``reports/E19-*.traces.json``).
 * **sampling off is free** — ``trace_sample=0.0`` (the default) mints
-  nothing: zero span records exported anywhere, and every relay-side
-  figure (per-peer gossipsub traffic, total relay bytes, deliveries)
+  no cross-peer span: every record stays a local root (the per-peer
+  waterfall exemplars), none reaches the assembler, and every relay-side
+  figure (per-peer gossipsub traffic, total relay bytes, deliveries) is
   bit-identical to a collector-less run — the context is simply absent
   from the wire, not an empty placeholder.
 
 The silent-arm guard is written to ``reports/E19-guard.json`` so CI can
-fail the build if span bytes ever leak into an untraced deployment.
+fail the build if a cross-peer span or a context byte ever leaks into an
+untraced deployment.
 """
 
 import json
@@ -223,24 +225,30 @@ def test_every_delivery_assembles_into_one_rooted_tree(members, report_sink):
 
 
 def test_sample_zero_is_wire_silent_and_bit_identical(report_sink):
-    """The default-off arm: no spans anywhere, relay untouched."""
+    """The default-off arm: no cross-peer span anywhere, relay untouched."""
     plain = build(10_000, collector=False)
     silent = build(10_000, collector=True, trace_sample=0.0)
     drive(plain)
     drive(silent)
     silent.flush_telemetry()
 
-    # Zero span records minted, exported, or assembled.
+    # Zero cross-peer spans minted, exported, or assembled: every record
+    # is a local root (the per-peer waterfall exemplars), no publish was
+    # sampled and no message carried a context for a child to hang from.
     collector = silent.collector
     assert collector is not None
     assert collector.assembler.span_count == 0
-    spans_exported = sum(
-        exporter.stats.spans_exported for exporter in silent.exporters.values()
-    )
+    spans_exported = collector.stats.spans
     assert spans_exported == 0
     assert all(
-        not telemetry.disttracer(peer_id).recent()
+        record.local
         for peer_id, telemetry in silent.telemetries.items()
+        for record in telemetry.disttracer(peer_id).recent()
+    )
+    assert all(
+        message.trace is None
+        for peer in silent.peers.values()
+        for message in peer.received
     )
 
     # Relay figures bit-identical: the SpanContext is absent from the
@@ -276,14 +284,14 @@ def test_sample_zero_is_wire_silent_and_bit_identical(report_sink):
 
     report = ExperimentReport(
         experiment="E19-overhead",
-        claim="trace_sample=0.0 is free: zero span wire bytes, relay "
-        "bit-identical to an untraced deployment",
-        headers=("arm", "relay bytes", "span records"),
+        claim="trace_sample=0.0 is free: no context on the wire, no "
+        "cross-peer span, relay bit-identical to an untraced deployment",
+        headers=("arm", "relay bytes", "cross-peer span records"),
     )
     report.add_row("collector=None (seed)", relay_plain, 0)
     report.add_row("trace_sample=0.0", relay_silent, spans_exported)
     report.add_note(
-        "guard artifact reports/E19-guard.json: CI fails if span records "
-        "ever leak at sample 0.0 or relay bytes diverge"
+        "guard artifact reports/E19-guard.json: CI fails if cross-peer "
+        "span records ever leak at sample 0.0 or relay bytes diverge"
     )
     report_sink(report)

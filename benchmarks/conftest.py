@@ -1,8 +1,8 @@
 """Shared benchmark utilities.
 
 Every benchmark prints an :class:`ExperimentReport` reproducing the
-corresponding rows of the paper's evaluation (EXPERIMENTS.md records
-paper-vs-measured).  Reports are also appended to
+corresponding rows of the paper's evaluation (the README's experiment
+paragraphs record paper-vs-measured).  Reports are also appended to
 ``benchmarks/reports/<experiment>.txt`` so the tables survive pytest's
 output capture.  Benchmarks that run with telemetry enabled additionally
 drop a JSON :class:`~repro.telemetry.export.TelemetrySnapshot` next to

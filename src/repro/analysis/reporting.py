@@ -1,8 +1,8 @@
 """Plain-text table/report rendering for the benchmark harness.
 
 Every benchmark prints the rows/series the corresponding part of the
-paper's evaluation reports (EXPERIMENTS.md records paper-vs-measured).
-Rendering is dependency-free ASCII so output survives any terminal or CI
+paper's evaluation reports (the README's experiment paragraphs record
+paper-vs-measured).  Rendering is dependency-free ASCII so output survives any terminal or CI
 log.
 """
 

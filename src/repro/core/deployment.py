@@ -191,7 +191,6 @@ class RLNDeployment:
                     queue_limit=collector.queue_limit,
                     timeout=collector.timeout,
                     rounds=collector.rounds,
-                    max_traces_per_batch=collector.max_traces_per_batch,
                     max_spans_per_batch=collector.max_spans_per_batch,
                     # Alerting turns the push stream into the liveness
                     # heartbeat: idle ticks still send (empty) batches, so

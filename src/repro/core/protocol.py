@@ -11,8 +11,9 @@ Figure 1 of the paper composes the system:
   :class:`~repro.pipeline.pipeline.ValidationPipeline` (prefilter gates,
   ingress token buckets, verdict cache, batched Groth16 verification)
   installed as the relay's message validator,
-* a :class:`~repro.core.slashing.Slasher` running commit-reveal slashing
-  when the validator produces spam evidence.
+* a :class:`~repro.revocation.coordinator.SlashingCoordinator` (over the
+  peer's own :class:`~repro.core.slashing.Slasher`) racing commit-reveal
+  slashing when the validator produces spam evidence (``auto_slash``).
 
 With the default ``PipelineConfig()`` (``batch_size=1``, ``workers=0``)
 validation is synchronous and observationally identical to the seed's
@@ -116,7 +117,6 @@ class WakuRLNRelayPeer:
             raise ProtocolError("prover depth does not match config tree depth")
         self.clock = clock or PeerClock(genesis_unix=self.config.genesis_unix)
         self.identity = identity
-        self.auto_slash = auto_slash
         self.stats = PeerProtocolStats()
 
         self.relay = WakuRelay(
@@ -149,14 +149,14 @@ class WakuRLNRelayPeer:
         )
         self.slasher = Slasher(peer_id, chain, contract.address)
         self.relay.set_validator(self._validate)
-        # Distributed tracing (PR 9): the pipeline above already minted
-        # this peer's DistTracer (simulator-clocked) through the hub.
-        # The rewrite hook goes in whenever telemetry is live — inbound
-        # contexts are honoured regardless of the *local* sampling rate
-        # (head sampling: the root decides once) — and its first branch
-        # returns untraced messages unchanged, so trace_sample=0.0 keeps
-        # the relay path allocation-free and bit-identical.
-        self.disttracer = self.telemetry.disttracer(peer_id)
+        # The pipeline above already minted this peer's tracer
+        # (simulator-clocked) through the hub.  The rewrite hook goes in
+        # whenever telemetry is live — inbound contexts are honoured
+        # regardless of the *local* sampling rate (head sampling: the
+        # root decides once) — and its first branch returns untraced
+        # messages unchanged, so trace_sample=0.0 keeps the relay path
+        # allocation-free and bit-identical.
+        self.disttracer = self.pipeline.tracer
         if self.telemetry.enabled:
             self.relay.set_trace_rewriter(self._rewrite_trace)
 
@@ -164,12 +164,13 @@ class WakuRLNRelayPeer:
         self.relay.subscribe(self.received.append)
         self._spam_callbacks: list[Callable[[SpamEvidence], None]] = []
         self._published_epochs: dict[int, int] = {}
-        self._slashed_cases: set[tuple[int, int]] = set()
         self._registration_tx: int | None = None
         self._stop_bucket_prune: Callable[[], None] | None = None
         self._witness_service = None
         self._slashing_coordinator = None
         self._telemetry_exporter = None
+        if auto_slash:
+            self.slashing_coordinator()
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -282,10 +283,10 @@ class WakuRLNRelayPeer:
                 f"(one message per {self.config.epoch_length}s epoch)"
             )
         message = self._build_message(payload, content_topic, epoch)
-        # Distributed tracing (PR 9): head-sample at the root.  A minted
-        # publish span rides the message as its SpanContext; every relay
-        # hop then becomes a child span on the receiving peer.  At
-        # trace_sample=0.0 ``span`` is None and the message is untouched.
+        # Head-sample at the root.  A minted publish span rides the
+        # message as its SpanContext; every relay hop then becomes a
+        # child span on the receiving peer.  At trace_sample=0.0 ``span``
+        # is None and the message is untouched.
         span = self.disttracer.begin_publish()
         if span is not None:
             span.mark("proof")
@@ -294,7 +295,7 @@ class WakuRLNRelayPeer:
         self.stats.published += 1
         self.relay.publish(message)
         if span is not None:
-            span.finish()
+            self.disttracer.finish(span)
         return message
 
     def _build_message(
@@ -390,30 +391,31 @@ class WakuRLNRelayPeer:
         """Run the spam side effects of a pipeline verdict; return the action."""
         if verdict.outcome is ValidationOutcome.SPAM:
             assert verdict.evidence is not None
-            self.stats.spam_detected += 1
-            evidence = verdict.evidence
-            # Link the evidence hand-off into the propagation tree: a
-            # child of this peer's validation span for the convicting
-            # message, and the context the revocation coordinator's
-            # commit-reveal span will chain from.
-            parent = (
-                self.disttracer.outbound_context(msg_id)
-                if msg_id is not None
-                else None
-            )
-            if parent is not None:
-                now = self.simulator.now
-                ectx = self.disttracer.link(
-                    parent, kind="evidence", start=now, end=now
-                )
-                self.disttracer.set_revocation_context(
-                    (evidence.internal_nullifier.value, evidence.epoch), ectx
-                )
-            for callback in list(self._spam_callbacks):
-                callback(evidence)
-            if self.auto_slash:
-                self._begin_slash(evidence)
+            self.report_spam(verdict.evidence, msg_id=msg_id)
         return verdict.action
+
+    def report_spam(
+        self, evidence: SpamEvidence, *, msg_id: bytes | None = None
+    ) -> None:
+        """Count one conviction and feed it to every ``on_spam`` subscriber.
+
+        ``msg_id`` names the convicting message: if its validation span
+        was traced, the evidence hand-off joins the propagation tree as a
+        child of that span, and its context is what the slashing
+        coordinator's revocation span hangs from.
+        """
+        self.stats.spam_detected += 1
+        parent = (
+            self.disttracer.outbound_context(msg_id) if msg_id is not None else None
+        )
+        if parent is not None:
+            now = self.simulator.now
+            ectx = self.disttracer.link(parent, kind="evidence", start=now, end=now)
+            self.disttracer.set_revocation_context(
+                (evidence.internal_nullifier.value, evidence.epoch), ectx
+            )
+        for callback in list(self._spam_callbacks):
+            callback(evidence)
 
     def _on_rate_limit_overflow(self, sender: str) -> None:
         """Token-bucket overflow: penalise the forwarder, and once the
@@ -430,27 +432,6 @@ class WakuRLNRelayPeer:
         if self.pipeline.ratelimiter.peer_overflows(sender) >= threshold:
             self.pipeline.ratelimiter.reset_peer_overflows(sender)
             self.relay.router.prune_peer(self.relay.pubsub_topic, sender)
-
-    # -- slashing ----------------------------------------------------------------------------------
-
-    def _begin_slash(self, evidence: SpamEvidence) -> None:
-        case = (evidence.internal_nullifier.value, evidence.epoch)
-        if case in self._slashed_cases:
-            return
-        self._slashed_cases.add(case)
-        self.stats.slash_attempts += 1
-        self.slasher.begin(evidence)
-        self._pump_slashing()
-
-    def _pump_slashing(self) -> None:
-        """Drive pending commit-reveal attempts across the next blocks."""
-
-        def pump() -> None:
-            self.slasher.settle()
-            if self.slasher.pending():
-                self.simulator.schedule(self.chain.block_interval, pump)
-
-        self.simulator.schedule(self.chain.block_interval * 1.05, pump)
 
     # -- convenience ---------------------------------------------------------------------------------
 
@@ -491,15 +472,13 @@ class WakuRLNRelayPeer:
         """Run the distributed-revocation role: race detected spam to
         on-chain removal.
 
-        Creating the coordinator supersedes the built-in ``auto_slash``
-        path (which fires a bare :class:`~repro.core.slashing.Slasher`
-        with no race accounting): spam evidence from this peer's
-        validation pipeline flows to
-        :meth:`~repro.revocation.coordinator.SlashingCoordinator.observe`
-        instead, which dedups cases, races commit-reveal, pumps
-        settlement on the simulator, and stamps the ``MemberRemoved``
-        timeline.  One coordinator per peer: repeat calls return the same
-        instance (its stats stay live).
+        Spam evidence from this peer's validation pipeline flows to
+        :meth:`~repro.revocation.coordinator.SlashingCoordinator.observe`,
+        which dedups cases, races commit-reveal through this peer's
+        :attr:`slasher`, pumps settlement on the simulator, and stamps
+        the ``MemberRemoved`` timeline.  ``auto_slash=True`` calls this at
+        construction.  One coordinator per peer: repeat calls return the
+        same instance (its stats stay live).
         """
         from repro.revocation.coordinator import SlashingCoordinator
 
@@ -509,10 +488,10 @@ class WakuRLNRelayPeer:
                 self.chain,
                 self.contract,
                 self.simulator,
+                slasher=self.slasher,
                 telemetry=self.telemetry,
             )
             self._slashing_coordinator = coordinator
-            self.auto_slash = False
 
             def observe(evidence: SpamEvidence) -> None:
                 if coordinator.observe(evidence) is not None:
@@ -521,29 +500,18 @@ class WakuRLNRelayPeer:
             self.on_spam(observe)
         return self._slashing_coordinator
 
-    def telemetry_exporter(
-        self,
-        collectors: list[str],
-        *,
-        role: str = "full",
-        shard: int = -1,
-        interval: float = 1.0,
-        queue_limit: int = 16,
-        timeout: float = 0.5,
-        rounds: int = 2,
-        max_traces_per_batch: int = 32,
-        max_spans_per_batch: int = 64,
-        heartbeat: bool = False,
-    ):
+    def telemetry_exporter(self, collectors: list[str], **options):
         """Run the fleet-telemetry push role: delta batches to a collector.
 
         Requires this peer to have been built with an *enabled* (and, for
         meaningful per-peer resource attribution, per-peer) telemetry hub
-        — the OTLP-style exporter snapshots that hub's registry on
+        — the OTLP-style exporter snapshots that hub's registry on its
         ``interval`` and pushes the diff over the ``telemetry`` protocol
-        channel, failing over across ``collectors``.  One exporter per
-        peer: repeat calls return the same instance (its stats stay
-        live); :meth:`stop` closes it.
+        channel, failing over across ``collectors``.  ``options`` are
+        :class:`~repro.telemetry.exporter.TelemetryExporter`'s keywords
+        (``role``, ``shard``, ``interval``, ``heartbeat``, …).  One
+        exporter per peer: repeat calls return the same instance (its
+        stats stay live); :meth:`stop` closes it.
         """
         from repro.telemetry.exporter import TelemetryExporter
 
@@ -559,15 +527,7 @@ class WakuRLNRelayPeer:
                 self.relay.router.network,
                 self.simulator,
                 collectors=collectors,
-                role=role,
-                shard=shard,
-                interval=interval,
-                queue_limit=queue_limit,
-                timeout=timeout,
-                rounds=rounds,
-                max_traces_per_batch=max_traces_per_batch,
-                max_spans_per_batch=max_spans_per_batch,
-                heartbeat=heartbeat,
+                **options,
             )
         return self._telemetry_exporter
 

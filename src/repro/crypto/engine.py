@@ -698,9 +698,9 @@ def publish_engine_telemetry(registry) -> None:
 
     Writes ``crypto_hashes_total{backend=}``,
     ``crypto_permutations_total{backend=}`` and
-    ``crypto_hash_seconds{backend=}`` as idempotent sets (the
-    ``mirror_stats`` idiom), so benchmark snapshots (E16/E18) expose the
-    hot path without the engines holding per-peer registry handles —
+    ``crypto_hash_seconds{backend=}`` as idempotent sets, so benchmark
+    snapshots (E16/E18) expose the hot path without the engines holding
+    per-peer registry handles —
     engines are process-global, so per-peer *export* attribution would
     multi-count; publish only into report-time registries.
     """

@@ -181,6 +181,38 @@ class CryptoExecutor(Protocol):
         """Undo :meth:`pin_synchronous` (peer restart)."""
 
 
+def _run_inline(
+    stats: ExecutorStats,
+    metrics: _ExecutorMetrics,
+    work: Callable[[], Any],
+    on_done: Callable[[Any], None],
+    priority: Priority,
+    *,
+    counter: PairingCounter | None = None,
+    cost_model: CryptoCostModel | None = None,
+) -> None:
+    """Run ``work`` in the caller's stack; deliver before returning.
+
+    The one inline body: ``workers=0`` and every pinned (stopped-peer)
+    executor.  The job waited zero seconds and its modeled pairing time
+    is charged to the caller; no lane busy time is attributed — a
+    stopped peer's occupancy over simulated time is not meaningful.
+    """
+    stats._record_submit(priority)
+    before = counter.evaluations if counter is not None else 0
+    try:
+        result = work()
+    finally:
+        if counter is not None and cost_model is not None:
+            modeled = cost_model.seconds_for_pairings(counter.evaluations - before)
+            stats.inline_seconds += modeled
+            stats.service_seconds += modeled
+            metrics.service[priority].observe(modeled)
+        metrics.wait[priority].observe(0.0)
+        stats._record_complete(priority, 0.0)
+    on_done(result)
+
+
 class SynchronousCryptoExecutor:
     """``workers=0``: crypto inline in the caller, exactly like the seed.
 
@@ -212,21 +244,10 @@ class SynchronousCryptoExecutor:
         *,
         priority: Priority = Priority.RELAY,
     ) -> None:
-        self.stats._record_submit(priority)
-        before = self.counter.evaluations if self.counter is not None else 0
-        try:
-            result = work()
-        finally:
-            if self.counter is not None:
-                modeled = self.cost_model.seconds_for_pairings(
-                    self.counter.evaluations - before
-                )
-                self.stats.inline_seconds += modeled
-                self.stats.service_seconds += modeled
-                self.metrics.service[priority].observe(modeled)
-            self.metrics.wait[priority].observe(0.0)
-            self.stats._record_complete(priority, 0.0)
-        on_done(result)
+        _run_inline(
+            self.stats, self.metrics, work, on_done, priority,
+            counter=self.counter, cost_model=self.cost_model,
+        )
 
     def drain(self) -> None:  # nothing is ever outstanding
         return None
@@ -299,7 +320,10 @@ class SimulatedCryptoExecutor:
         priority: Priority = Priority.RELAY,
     ) -> None:
         if self._pinned:
-            self._submit_inline(work, on_done, priority)
+            _run_inline(
+                self.stats, self.metrics, work, on_done, priority,
+                counter=self.counter, cost_model=self.cost_model,
+            )
             return
         self.stats._record_submit(priority)
         self.stats.inline_seconds += self.cost_model.submit_overhead_seconds
@@ -308,31 +332,6 @@ class SimulatedCryptoExecutor:
         if self.metrics.enabled:
             self.metrics.queue_depth.set(self.queued_jobs)
         self._dispatch_idle_lanes()
-
-    def _submit_inline(
-        self,
-        work: Callable[[], Any],
-        on_done: Callable[[Any], None],
-        priority: Priority,
-    ) -> None:
-        """The pinned path: verify in the caller, exactly like ``workers=0``.
-
-        No lane busy time is attributed — the peer is stopped, so
-        occupancy over simulated time is no longer meaningful.
-        """
-        self.stats._record_submit(priority)
-        before = self.counter.evaluations if self.counter is not None else 0
-        try:
-            result = work()
-        finally:
-            if self.counter is not None:
-                modeled = self.cost_model.seconds_for_pairings(
-                    self.counter.evaluations - before
-                )
-                self.stats.inline_seconds += modeled
-                self.stats.service_seconds += modeled
-            self.stats._record_complete(priority, 0.0)
-        on_done(result)
 
     @property
     def queued_jobs(self) -> int:
@@ -469,11 +468,8 @@ class ThreadPoolCryptoExecutor:
         priority: Priority = Priority.RELAY,
     ) -> None:
         if self._pinned:
-            self.stats._record_submit(priority)
-            try:
-                on_done(work())
-            finally:
-                self.stats._record_complete(priority, 0.0)
+            # Wall-clock pool: no pairing counter models its service time.
+            _run_inline(self.stats, self.metrics, work, on_done, priority)
             return
         with self._lock:
             self.stats._record_submit(priority)

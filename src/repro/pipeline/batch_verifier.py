@@ -33,14 +33,8 @@ from repro.exec.executor import (
 )
 from repro.net.simulator import EventHandle, Simulator
 from repro.telemetry.registry import MetricsRegistry, NullRegistry, NULL_REGISTRY
-from repro.telemetry.tracing import (
-    BATCH_FLUSH,
-    LANE_DISPATCH,
-    NULL_TRACE,
-    PAIRING,
-    NullTrace,
-    TraceContext,
-)
+from repro.telemetry.disttrace import NULL_TRACE, ActiveSpan, NullTrace
+from repro.telemetry.tracing import BATCH_FLUSH, LANE_DISPATCH, PAIRING
 from repro.zksnark.groth16 import Proof
 from repro.zksnark.prover import RLNProver
 from repro.zksnark.rln_circuit import RLNPublicInputs
@@ -56,9 +50,9 @@ class VerificationJob:
     public: RLNPublicInputs
     proof: Proof
     callback: Callable[[bool], None]
-    #: The bundle's trace, riding along so flush/dispatch/pairing marks
+    #: The bundle's span, riding along so flush/dispatch/pairing marks
     #: land on the right waterfall (the shared no-op when telemetry is off).
-    trace: "TraceContext | NullTrace" = NULL_TRACE
+    trace: "ActiveSpan | NullTrace" = NULL_TRACE
 
 
 @dataclass(frozen=True)
@@ -188,7 +182,7 @@ class BatchVerifier:
         proof: Proof,
         callback: Callable[[bool], None],
         *,
-        trace: "TraceContext | NullTrace" = NULL_TRACE,
+        trace: "ActiveSpan | NullTrace" = NULL_TRACE,
     ) -> None:
         """Queue one job; may flush synchronously on the size trigger."""
         self._pending.append(VerificationJob(public, proof, callback, trace))

@@ -201,7 +201,7 @@ class ValidationPipeline:
         self.telemetry = resolve_telemetry(telemetry)
         self.peer_id = peer_id
         clock = (lambda: simulator.now) if simulator is not None else None
-        self.tracer = self.telemetry.tracer(peer_id or "pipeline", clock=clock)
+        self.tracer = self.telemetry.disttracer(peer_id or "pipeline", clock=clock)
         registry = self.telemetry.registry
         self._m_admitted = registry.counter("pipeline_admitted_total", peer=peer_id)
         self._m_deferred = registry.counter("pipeline_deferred_total", peer=peer_id)
@@ -280,11 +280,11 @@ class ValidationPipeline:
     ) -> "Verdict | PendingVerdict":
         """Run one bundle through the stages; sync verdict or a promise.
 
-        ``trace_parent`` is the inbound message's distributed
-        :class:`~repro.telemetry.disttrace.SpanContext` (PR 9), if any:
-        the whole validation trace becomes a child span of the sender's
-        hop, keyed by ``msg_id`` so the relay layer can re-stamp the
-        forwarded copy with this peer's own span.
+        ``trace_parent`` is the inbound message's
+        :class:`~repro.telemetry.disttrace.SpanContext`, if any: the
+        validation span becomes a child of the sender's hop, keyed by
+        ``msg_id`` so the relay layer can re-stamp the forwarded copy
+        with this peer's own span.  Untraced, it is a local root.
         """
         trace = self.tracer.begin(parent=trace_parent, key=msg_id)
         # Stage 1 — stateless gates and dedup (no field arithmetic).

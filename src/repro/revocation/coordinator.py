@@ -43,6 +43,7 @@ from repro.core.slashing import SlashAttempt, SlashState, Slasher
 from repro.crypto.field import FieldElement
 from repro.net.simulator import Simulator
 from repro.telemetry import resolve as resolve_telemetry
+from repro.telemetry.disttrace import ActiveSpan, NullTrace
 from repro.telemetry.tracing import COMMIT_REVEAL, MEMBER_REMOVED
 
 
@@ -107,11 +108,10 @@ class CoordinatorStats:
 class SlashingCoordinator:
     """Drives the evidence → recovery → commit-reveal race for one peer.
 
-    ``auto_pump=True`` (the default) schedules settlement on the event
-    simulator after every observed case, one block interval at a time,
-    until no attempt is pending — the unattended mode a routing peer
-    runs.  Tests driving :meth:`repro.chain.blockchain.Blockchain.mine_block`
-    directly can pass ``auto_pump=False`` and call :meth:`settle`.
+    Settlement is scheduled on the event simulator after every observed
+    case, one block interval at a time, until no attempt is pending —
+    the unattended mode a routing peer runs.  A relay peer hands in the
+    ``slasher`` it already owns; standalone, the coordinator mints one.
     """
 
     def __init__(
@@ -121,15 +121,14 @@ class SlashingCoordinator:
         contract: RLNMembershipContract,
         simulator: Simulator,
         *,
-        auto_pump: bool = True,
+        slasher: Slasher | None = None,
         telemetry=None,
     ) -> None:
         self.account = account
         self.chain = chain
         self.contract = contract
         self.simulator = simulator
-        self.auto_pump = auto_pump
-        self.slasher = Slasher(account, chain, contract.address)
+        self.slasher = slasher or Slasher(account, chain, contract.address)
         self.stats = CoordinatorStats()
         self.telemetry = resolve_telemetry(telemetry)
         registry = self.telemetry.registry
@@ -142,13 +141,14 @@ class SlashingCoordinator:
         }
         self._m_gas = registry.counter("slashing_gas_spent_wei_total", peer=account)
         self._m_rewards = registry.counter("slashing_rewards_wei_total", peer=account)
-        self._tracer = self.telemetry.tracer(account, clock=lambda: simulator.now)
-        #: Distributed tracing (PR 9): shared with the peer's protocol
-        #: (same hub, same peer id), so evidence contexts it registered
-        #: under (nullifier, epoch) are visible here and the commit-reveal
-        #: race joins the spam message's propagation tree.
-        self._dist = self.telemetry.disttracer(account)
-        self._case_traces: dict[tuple[int, int], object] = {}
+        #: Shared with the peer's protocol (same hub, same peer id), so
+        #: the evidence context it registered under (nullifier, epoch) is
+        #: visible here and the race joins the spam message's propagation
+        #: tree.
+        self._tracer = self.telemetry.disttracer(
+            account, clock=lambda: simulator.now
+        )
+        self._case_spans: dict[tuple[int, int], ActiveSpan | NullTrace] = {}
         self.cases: list[RevocationCase] = []
         self._case_by_key: dict[tuple[int, int], RevocationCase] = {}
         self._accounted: set[int] = set()
@@ -172,23 +172,15 @@ class SlashingCoordinator:
         key = (evidence.internal_nullifier.value, evidence.epoch)
         if key in self._case_by_key:
             return None
-        trace = self._tracer.begin(kind="revocation")
-        observed_at = self.simulator.now
+        # One span per case, evidence → commit-reveal → member-removed,
+        # hung under the evidence span the validation path registered for
+        # it (a local root if the convicting verdict was untraced).
+        span = self._tracer.begin(
+            "revocation", parent=self._tracer.revocation_context(key)
+        )
         attempt = self.slasher.begin(evidence)  # Shamir recovery + commit
-        trace.mark(COMMIT_REVEAL)
-        self._case_traces[key] = trace
-        # Chain the commit-reveal span off the evidence span the
-        # validation path registered for this case (if the verdict that
-        # produced the evidence was traced).
-        ectx = self._dist.revocation_context(key)
-        if ectx is not None:
-            cctx = self._dist.link(
-                ectx,
-                kind="commit-reveal",
-                start=observed_at,
-                end=self.simulator.now,
-            )
-            self._dist.set_revocation_context(key, cctx)
+        span.mark(COMMIT_REVEAL)
+        self._case_spans[key] = span
         case = RevocationCase(
             nullifier=key[0],
             epoch=key[1],
@@ -200,8 +192,7 @@ class SlashingCoordinator:
         self.cases.append(case)
         self.stats.cases += 1
         self._m_cases.inc()
-        if self.auto_pump:
-            self._pump()
+        self._pump()
         return case
 
     def on_removed(self, callback: Callable[[RevocationCase], None]) -> None:
@@ -271,25 +262,9 @@ class SlashingCoordinator:
             if case.removed_at is None and case.spammer_pk.value == pk:
                 case.removed_at = self.simulator.now
                 case.removed_index = event.data["index"]
-                key = (case.nullifier, case.epoch)
-                trace = self._case_traces.pop(key, None)
-                if trace is not None:
-                    trace.mark(MEMBER_REMOVED)
-                    self._tracer.finish(trace)
-                # Close the distributed chain: the removal span covers
-                # evidence → on-chain deletion, and its context is re-keyed
-                # by leaf index so tree-sync observers (window collapse)
-                # can link exclusion spans without knowing the nullifier.
-                cctx = self._dist.revocation_context(key)
-                if cctx is not None:
-                    rctx = self._dist.link(
-                        cctx,
-                        kind="member-removed",
-                        start=case.evidence_at,
-                        end=self.simulator.now,
-                    )
-                    self._dist.set_revocation_context(
-                        ("index", case.removed_index), rctx
-                    )
+                span = self._case_spans.pop((case.nullifier, case.epoch), None)
+                if span is not None:
+                    span.mark(MEMBER_REMOVED)
+                    self._tracer.finish(span)
                 for callback in list(self._removed_callbacks):
                     callback(case)

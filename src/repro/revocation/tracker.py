@@ -29,8 +29,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.crypto.field import FieldElement
 from repro.net.simulator import Simulator
 from repro.telemetry import resolve as resolve_telemetry
-from repro.telemetry.disttrace import NULL_DISTTRACER
-from repro.telemetry.tracing import MEMBER_REMOVED, NULL_TRACE, WINDOW_COLLAPSE
+from repro.telemetry.tracing import MEMBER_REMOVED, WINDOW_COLLAPSE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.validator import RootAcceptor
@@ -47,21 +46,16 @@ class RevocationTracker:
         poll_interval: float = 0.05,
         telemetry=None,
         name: str = "revocation-tracker",
-        disttracer=None,
     ) -> None:
         if poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
         self.simulator = simulator
         self.poll_interval = poll_interval
         self.telemetry = resolve_telemetry(telemetry)
-        self._tracer = self.telemetry.tracer(name, clock=lambda: simulator.now)
-        self._trace = None
-        #: Distributed tracing (PR 9): pass the *coordinator peer's*
-        #: tracer (``telemetry.disttracer(peer_id)``) so the final
-        #: window-collapse span chains off that peer's member-removed
-        #: span — the tracker itself owns no spans of the case.
-        self.disttracer = NULL_DISTTRACER if disttracer is None else disttracer
-        self._dist_parent = None
+        self._tracer = self.telemetry.disttracer(name, clock=lambda: simulator.now)
+        #: The one span of the timeline this tracker clocks: evidence →
+        #: member-removed → window-collapse.
+        self._span = None
         self.spam_detected_at: float | None = None
         self.removed_on_chain_at: float | None = None
         #: View name -> simulated time its window stopped accepting the
@@ -75,18 +69,14 @@ class RevocationTracker:
         """First detection wins: wire to every routing peer's ``on_spam``."""
         if self.spam_detected_at is None:
             self.spam_detected_at = self.simulator.now
-            self._trace = self._tracer.begin(kind="revocation-network")
+            self._span = self._tracer.begin("revocation-network")
 
-    def removed_on_chain(self, case: "RevocationCase | None" = None) -> None:
+    def removed_on_chain(self, _case: "RevocationCase | None" = None) -> None:
         """Wire to a :class:`SlashingCoordinator`'s ``on_removed``."""
         if self.removed_on_chain_at is None:
             self.removed_on_chain_at = self.simulator.now
-            if self._trace is not None:
-                self._trace.mark(MEMBER_REMOVED)
-            if case is not None and case.removed_index is not None:
-                self._dist_parent = self.disttracer.revocation_context(
-                    ("index", case.removed_index)
-                )
+            if self._span is not None:
+                self._span.mark(MEMBER_REMOVED)
 
     # -- per-view exclusion ------------------------------------------------------
 
@@ -118,29 +108,17 @@ class RevocationTracker:
         self._watching[name] = self.simulator.every(self.poll_interval, check)
 
     def _maybe_finish_trace(self) -> None:
-        """Close the revocation trace once the *last* watched view folds.
+        """Close the revocation span once the *last* watched view folds.
 
-        The window-collapse span then measures on-chain removal to
+        The window-collapse stage then measures on-chain removal to
         network-wide exclusion — the tracker's ``propagation_latency`` —
         on the shared stage histograms.
         """
-        if self._trace is None or self._trace is NULL_TRACE:
+        if self._span is None or self._watching or not self.exclusions:
             return
-        if self._watching or not self.exclusions:
-            return
-        trace, self._trace = self._trace, None
-        trace.mark(WINDOW_COLLAPSE)
-        self._tracer.finish(trace)
-        if self._dist_parent is not None and self.removed_on_chain_at is not None:
-            # The off-chain half — tree sync fanning out the removal until
-            # every view's window collapsed — as the trace's last span.
-            self.disttracer.link(
-                self._dist_parent,
-                kind="window-collapse",
-                start=self.removed_on_chain_at,
-                end=self.simulator.now,
-            )
-            self._dist_parent = None
+        span, self._span = self._span, None
+        span.mark(WINDOW_COLLAPSE)
+        self._tracer.finish(span)
 
     @property
     def watching(self) -> tuple[str, ...]:

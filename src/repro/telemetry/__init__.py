@@ -5,10 +5,11 @@ surfaces the subsystems share:
 
 * a :class:`~repro.telemetry.registry.MetricsRegistry` of interned
   Counter/Gauge/Histogram handles (``name{label=value}`` keys);
-* per-peer :class:`~repro.telemetry.tracing.Tracer` ring buffers minting
-  :class:`~repro.telemetry.tracing.TraceContext` objects that ride a
-  bundle from relay ingress to verdict (and evidence to network-wide
-  exclusion) stamping the *simulated* clock;
+* per-peer :class:`~repro.telemetry.disttrace.DistTracer` ring buffers
+  minting spans that ride a bundle from relay ingress to verdict (and
+  evidence to network-wide exclusion) stamping the *simulated* clock —
+  local to the peer, or hung under the upstream hop when the publisher
+  sampled the bundle;
 * a :class:`~repro.telemetry.export.TelemetrySnapshot` exporter (JSON
   artifact + Prometheus text).
 
@@ -34,7 +35,6 @@ from typing import Callable
 
 from repro.telemetry.export import (
     TelemetrySnapshot,
-    mirror_stats,
     render_prometheus,
     write_snapshot,
 )
@@ -52,19 +52,12 @@ from repro.telemetry.registry import (
     NullRegistry,
     metric_key,
 )
-from repro.telemetry.tracing import (
-    NULL_TRACE,
-    NULL_TRACER,
-    NullTrace,
-    NullTracer,
-    Span,
-    TraceContext,
-    Tracer,
-)
 from repro.telemetry.disttrace import (
     DistTracer,
     NULL_DISTTRACER,
+    NULL_TRACE,
     NullDistTracer,
+    NullTrace,
     PropagationTree,
     SpanContext,
     SpanRecord,
@@ -110,40 +103,23 @@ class Telemetry:
     ) -> None:
         self.registry = MetricsRegistry()
         self.trace_capacity = trace_capacity
-        #: Head-sampling probability for *distributed* traces (PR 9).
-        #: 0.0 (default) mints no span contexts: zero wire overhead and
-        #: bit-identical relay behaviour; the sampling RNG is per-peer
-        #: and dedicated, so any rate perturbs nothing outside tracing.
+        #: Head-sampling probability for cross-peer traces.  0.0 (default)
+        #: mints no span contexts: zero wire overhead and bit-identical
+        #: relay behaviour; the sampling RNG is per-peer and dedicated, so
+        #: any rate perturbs nothing outside tracing.
         self.trace_sample = trace_sample
-        self._tracers: dict[str, Tracer] = {}
         self._disttracers: dict[str, DistTracer] = {}
-
-    def tracer(
-        self, peer_id: str, *, clock: Callable[[], float] | None = None
-    ) -> Tracer:
-        """The (cached) tracer for ``peer_id``; first caller sets the clock."""
-        tracer = self._tracers.get(peer_id)
-        if tracer is None:
-            tracer = self._tracers[peer_id] = Tracer(
-                peer_id, self.registry, clock=clock, capacity=self.trace_capacity
-            )
-            tracer.dist = self.disttracer(peer_id, clock=clock)
-        elif clock is not None:
-            tracer.clock = clock
-            tracer.dist.clock = tracer.clock
-        return tracer
-
-    def tracers(self) -> dict[str, Tracer]:
-        return dict(self._tracers)
 
     def disttracer(
         self, peer_id: str, *, clock: Callable[[], float] | None = None
     ) -> DistTracer:
-        """The (cached) distributed-span tracer for ``peer_id``."""
+        """The (cached) tracer for ``peer_id``; a later caller may supply
+        the clock."""
         dist = self._disttracers.get(peer_id)
         if dist is None:
             dist = self._disttracers[peer_id] = DistTracer(
                 peer_id,
+                registry=self.registry,
                 sample=self.trace_sample,
                 clock=clock,
                 capacity=self.trace_capacity,
@@ -168,14 +144,6 @@ class NullTelemetry:
     enabled = False
     registry = NULL_REGISTRY
     trace_sample = 0.0
-
-    def tracer(
-        self, peer_id: str, *, clock: Callable[[], float] | None = None
-    ) -> NullTracer:
-        return NULL_TRACER
-
-    def tracers(self) -> dict[str, Tracer]:
-        return {}
 
     def disttracer(
         self, peer_id: str, *, clock: Callable[[], float] | None = None
@@ -244,18 +212,12 @@ __all__ = [
     "NULL_REGISTRY",
     "NULL_TELEMETRY",
     "NULL_TRACE",
-    "NULL_TRACER",
     "NullRegistry",
     "NullTelemetry",
     "NullTrace",
-    "NullTracer",
-    "Span",
     "Telemetry",
     "TelemetrySnapshot",
-    "TraceContext",
-    "Tracer",
     "metric_key",
-    "mirror_stats",
     "render_prometheus",
     "resolve",
     "write_snapshot",

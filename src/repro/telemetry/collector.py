@@ -24,9 +24,11 @@ up as sequence gaps the collector counts instead of silently absorbing.
 The collector answers fleet questions the process-local registries
 cannot: :meth:`render_prometheus` re-renders the whole deployment's
 metrics as one text exposition, and :meth:`waterfall` rebuilds the
-per-stage trace waterfall (p50/p99 bucket estimates) network-wide, with
-recent :class:`~repro.telemetry.otlp.TraceRecord` exemplars in a bounded
-ring.
+per-stage trace waterfall (p50/p99 bucket estimates) network-wide.  The
+one exported span stream is routed by content: a marked
+:class:`~repro.telemetry.disttrace.SpanRecord` is a waterfall exemplar
+(bounded ring), a ``publish`` root or parented one a node of the
+:class:`~repro.telemetry.disttrace.TraceAssembler`'s propagation trees.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.telemetry import tracing
 from repro.telemetry.alerts import AlertRule, RuleEngine, SLO
-from repro.telemetry.disttrace import TraceAssembler
+from repro.telemetry.disttrace import SpanRecord, TraceAssembler
 from repro.telemetry.export import TelemetrySnapshot, render_prometheus
 from repro.telemetry.health import HealthMonitor
 from repro.telemetry.registry import metric_key
@@ -52,7 +54,6 @@ from repro.telemetry.otlp import (
     MetricDelta,
     TELEMETRY_PROTOCOL,
     TELEMETRY_REPLY_PROTOCOL,
-    TraceRecord,
 )
 
 
@@ -69,15 +70,13 @@ class CollectorOptions:
     rounds: int = 2
     #: Stand up a second collector the exporters fail over to.
     backup: bool = False
-    #: Waterfall-exemplar bound per batch.
-    max_traces_per_batch: int = 32
     #: Fleet exemplar ring capacity on each collector.
     trace_capacity: int = 1024
-    #: Distributed-tracing head-sampling probability (PR 9).  0.0 keeps
-    #: the wire span-free and relay behaviour bit-identical; 1.0 traces
+    #: Cross-peer head-sampling probability.  0.0 keeps every relayed
+    #: message context-free and relay behaviour bit-identical; 1.0 traces
     #: every publish into a collector-assembled propagation tree.
     trace_sample: float = 0.0
-    #: Span bound per exported batch (cursor discipline like traces).
+    #: Span bound per exported batch (the cursor still advances past it).
     max_spans_per_batch: int = 64
     #: Alert rules / SLO burn-rate rules the collector evaluates on the
     #: simulated clock (PR 10).  Both default empty: no rule engine is
@@ -99,8 +98,9 @@ class CollectorStats:
 
     batches: int = 0
     metrics_applied: int = 0
+    #: Marked spans kept as waterfall exemplars.
     traces: int = 0
-    #: Distributed-tracing spans folded into the assembler.
+    #: Publish roots and parented spans handed to the assembler.
     spans: int = 0
     #: Retransmissions (seq already folded) — acked, not re-applied.
     duplicates: int = 0
@@ -198,11 +198,11 @@ class CollectorPeer:
         #: Exemplar ring entries are (collector_seq, peer, record): the
         #: monotone seq lets pollers resume where they left off instead
         #: of re-reading the whole deque (see :meth:`recent_traces`).
-        self._traces: deque[tuple[int, str, TraceRecord]] = deque(
+        self._traces: deque[tuple[int, str, SpanRecord]] = deque(
             maxlen=trace_capacity
         )
         self._next_trace_seq = 1
-        #: Propagation-tree assembly from exported spans (PR 9).
+        #: Propagation-tree assembly from exported spans.
         self.assembler = TraceAssembler()
         network.register(peer_id, self._on_export, protocol=TELEMETRY_PROTOCOL)
 
@@ -258,13 +258,14 @@ class CollectorPeer:
         for delta in batch.metrics:
             fold_delta(state, delta)
         self.stats.metrics_applied += len(batch.metrics)
-        for trace in batch.traces:
-            self._traces.append((self._next_trace_seq, batch.peer, trace))
-            self._next_trace_seq += 1
-        self.stats.traces += len(batch.traces)
         for span in batch.spans:
-            self.assembler.add(span)
-        self.stats.spans += len(batch.spans)
+            if span.marks:
+                self._traces.append((self._next_trace_seq, batch.peer, span))
+                self._next_trace_seq += 1
+                self.stats.traces += 1
+            if not span.local:
+                self.assembler.add(span)
+                self.stats.spans += 1
 
     # -- fleet views -----------------------------------------------------------
 
@@ -383,7 +384,7 @@ class CollectorPeer:
 
     def recent_traces(
         self, kind: str | None = None, *, since_seq: int = 0
-    ) -> tuple[tuple[int, str, TraceRecord], ...]:
+    ) -> tuple[tuple[int, str, SpanRecord], ...]:
         """Recent (seq, peer, trace) exemplars, oldest first.
 
         ``since_seq`` returns only exemplars newer than a previously seen
@@ -392,7 +393,7 @@ class CollectorPeer:
         monotone across the ring's evictions: a poller that fell behind
         sees the gap in the numbering.
         """
-        items: "tuple[tuple[int, str, TraceRecord], ...]" = tuple(self._traces)
+        items: "tuple[tuple[int, str, SpanRecord], ...]" = tuple(self._traces)
         if since_seq > 0:
             items = tuple(item for item in items if item[0] > since_seq)
         if kind is not None:
@@ -429,11 +430,11 @@ class CollectorPeer:
         stage_exemplars: dict[str, deque[float]] = {}
         if exemplars > 0:
             for _seq, _peer, record in self.recent_traces(kind, since_seq=since_seq):
-                for (_, prev_t), (stage, t) in zip(record.marks, record.marks[1:]):
+                for stage, duration in record.stages():
                     durations = stage_exemplars.get(stage)
                     if durations is None:
                         durations = stage_exemplars[stage] = deque(maxlen=exemplars)
-                    durations.append(t - prev_t)
+                    durations.append(duration)
         fleet = self.fleet_snapshot()
         rows: list[dict] = []
         for stage in stages:

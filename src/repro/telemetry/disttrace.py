@@ -1,10 +1,11 @@
-"""Cross-peer distributed tracing: causal propagation trees on the wire.
+"""Span tracing on the simulated clock, local and cross-peer: one model.
 
-PR 6's :class:`~repro.telemetry.tracing.TraceContext` measures one peer's
-stage waterfall; PR 7's collector merges those waterfalls — but nothing
-connects *this* peer's verdict to the upstream hop that forwarded the
-bundle.  This module is the W3C-traceparent analogue for the simulated
-fleet:
+Every traced activity — a bundle's trip through the §III-F pipeline, a
+publish, a witness fetch, a slashing case — is a *span*: ids, a kind, a
+start/end and a trail of (stage, simulated-time) marks.  Marks stamp the
+*simulated* clock, so stage durations measure exactly the queueing and
+service delays the discrete-event model charges (batch deadlines, lane
+waits, pairing service time), not Python wall time.
 
 * :class:`SpanContext` — the compact wire extension (128-bit trace id,
   the sender's 64-bit span id, the sender's hop count, the origin peer)
@@ -14,15 +15,19 @@ fleet:
   forwarding, so the receiver's span always points at the true causal
   parent (including mcache/IWANT re-serves, which serve the re-stamped
   copy).
-* :class:`DistTracer` — one peer's span mint.  ``begin_publish`` decides
-  **head sampling** once, at the root (probability ``sample``; the
-  decision rides the wire, downstream peers honour it regardless of
-  their own rate).  ``child`` hangs the peer's existing pipeline
-  ``TraceContext`` under the inbound hop; ``link`` attaches leaf spans
-  (witness fetches, the revocation evidence path) to any live context.
-  Sampling draws from a **dedicated** per-peer RNG — never the router's
-  — so enabling tracing perturbs no mesh shuffle, and ``sample=0.0``
-  mints nothing: zero wire bytes, bit-identical seed behaviour.
+* :class:`DistTracer` — one peer's span mint and ring buffer.
+  ``begin_publish`` decides **head sampling** once, at the root
+  (probability ``sample``; the decision rides the wire, downstream peers
+  honour it regardless of their own rate).  ``begin`` opens a markable
+  span — the child of an inbound context, or a *local* root when the
+  bundle arrived untraced — and ``finish`` archives it and folds its
+  stage deltas into the registry's ``trace_stage_seconds{kind,stage}``
+  histograms, which is where the E-benches read an exact stage-latency
+  waterfall from.  ``link`` attaches unmarked leaf spans (witness
+  fetches, spam evidence) to any live context.  Sampling draws from a
+  **dedicated** per-peer RNG — never the router's — so enabling tracing
+  perturbs no mesh shuffle, and ``sample=0.0`` puts no context on any
+  message: zero wire bytes, bit-identical seed behaviour.
 * :class:`SpanRecord` — the finished-span wire type shipped in
   :class:`~repro.telemetry.otlp.TelemetryBatch` (bounded per tick,
   drop-oldest, per-tracer cursor — the same discipline as metric
@@ -33,9 +38,9 @@ fleet:
   deliveries, the end-to-end critical path, and fleet p50/p99
   publish→verdict latency *per assembled trace*.
 
-Everything is self-contained (no imports from the rest of the telemetry
-package) so the wire layer in :mod:`repro.telemetry.otlp` can embed
-:class:`SpanRecord` without an import cycle.
+Like the registry, the tracer has a no-op twin
+(:data:`NULL_DISTTRACER` / :data:`NULL_TRACE`) so instrumentation is
+unconditional and a disabled run does no work and allocates nothing.
 """
 
 from __future__ import annotations
@@ -46,31 +51,38 @@ import random
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterator
 
 from repro.errors import ProtocolError
+from repro.telemetry.registry import MetricsRegistry, NullRegistry, NULL_REGISTRY
+from repro.telemetry.tracing import EVIDENCE, INGRESS
 
-#: Parent sentinel of a root span (a real span id is never 0: it is a
-#: 64-bit truncated SHA-256 of a unique mint string).
+#: The head-sampled root span's kind.
+PUBLISH = "publish"
+
+#: Parent sentinel of a root span (a real span id is never 0).
 NO_PARENT = 0
 
 Marks = tuple[tuple[str, float], ...]
 
 
-def _encode_str(value: str) -> bytes:
+def encode_str(value: str) -> bytes:
     data = value.encode("utf-8")
     if len(data) > 0xFFFF:
         raise ProtocolError(f"string too long for wire ({len(data)} bytes)")
     return struct.pack(">H", len(data)) + data
 
 
-def _decode_str(data: bytes, offset: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from(">H", data, offset)
-    offset += 2
-    end = offset + length
-    if end > len(data):
-        raise ProtocolError("truncated string")
-    return data[offset:end].decode("utf-8"), end
+def decode_str(data: bytes, offset: int) -> tuple[str, int]:
+    try:
+        (length,) = struct.unpack_from(">H", data, offset)
+        offset += 2
+        end = offset + length
+        if end > len(data):
+            raise ProtocolError("truncated string")
+        return data[offset:end].decode("utf-8"), end
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"malformed string: {exc}") from exc
 
 
 # -- wire types ---------------------------------------------------------------
@@ -97,7 +109,7 @@ class SpanContext:
         return (
             self.trace_id.to_bytes(16, "big")
             + struct.pack(">QH", self.span_id, self.hop)
-            + _encode_str(self.origin)
+            + encode_str(self.origin)
         )
 
     @classmethod
@@ -106,7 +118,7 @@ class SpanContext:
             raise ProtocolError("truncated SpanContext")
         trace_id = int.from_bytes(data[offset : offset + 16], "big")
         span_id, hop = struct.unpack_from(">QH", data, offset + 16)
-        origin, offset = _decode_str(data, offset + 26)
+        origin, offset = decode_str(data, offset + 26)
         return cls(trace_id=trace_id, span_id=span_id, hop=hop, origin=origin), offset
 
     @classmethod
@@ -125,9 +137,9 @@ class SpanRecord:
     """One finished span as exported to the collector.
 
     ``seq`` is the minting peer's local monotone counter (the exporter's
-    cursor key — ring eviction shows up as a ``seq`` gap, exactly like
-    :class:`~repro.telemetry.otlp.TraceRecord` ids); ``parent_id`` is
-    :data:`NO_PARENT` for a root publish span.
+    cursor key — ring eviction shows up as a ``seq`` gap); ``parent_id``
+    is :data:`NO_PARENT` for a root: a sampled ``publish``, or a local
+    span whose bundle arrived untraced.
     """
 
     trace_id: int
@@ -146,18 +158,29 @@ class SpanRecord:
     def duration(self) -> float:
         return self.end - self.start
 
+    @property
+    def local(self) -> bool:
+        """A local root: its bundle arrived untraced, so it belongs to no
+        propagation tree (a sampled ``publish`` root does)."""
+        return self.parent_id == NO_PARENT and self.kind != PUBLISH
+
+    def stages(self) -> Iterator[tuple[str, float]]:
+        """Consecutive-mark deltas: this span's (stage, seconds) waterfall."""
+        for (_, prev), (stage, stamp) in itertools.pairwise(self.marks):
+            yield stage, stamp - prev
+
     def to_bytes(self) -> bytes:
         out = [
             self.trace_id.to_bytes(16, "big"),
             struct.pack(">QQQHdd", self.span_id, self.parent_id, self.seq,
                         self.hop, self.start, self.end),
-            _encode_str(self.peer),
-            _encode_str(self.origin),
-            _encode_str(self.kind),
+            encode_str(self.peer),
+            encode_str(self.origin),
+            encode_str(self.kind),
             struct.pack(">H", len(self.marks)),
         ]
         for stage, stamp in self.marks:
-            out.append(_encode_str(stage))
+            out.append(encode_str(stage))
             out.append(struct.pack(">d", stamp))
         return b"".join(out)
 
@@ -170,17 +193,20 @@ class SpanRecord:
             ">QQQHdd", data, offset + 16
         )
         offset += 58
-        peer, offset = _decode_str(data, offset)
-        origin, offset = _decode_str(data, offset)
-        kind, offset = _decode_str(data, offset)
-        (n_marks,) = struct.unpack_from(">H", data, offset)
-        offset += 2
+        peer, offset = decode_str(data, offset)
+        origin, offset = decode_str(data, offset)
+        kind, offset = decode_str(data, offset)
         marks = []
-        for _ in range(n_marks):
-            stage, offset = _decode_str(data, offset)
-            (stamp,) = struct.unpack_from(">d", data, offset)
-            offset += 8
-            marks.append((stage, stamp))
+        try:
+            (n_marks,) = struct.unpack_from(">H", data, offset)
+            offset += 2
+            for _ in range(n_marks):
+                stage, offset = decode_str(data, offset)
+                (stamp,) = struct.unpack_from(">d", data, offset)
+                offset += 8
+                marks.append((stage, stamp))
+        except struct.error as exc:
+            raise ProtocolError(f"truncated SpanRecord marks: {exc}") from exc
         return (
             cls(
                 trace_id=trace_id,
@@ -209,66 +235,69 @@ class SpanRecord:
         return len(self.to_bytes())
 
 
-@dataclass(frozen=True)
-class DistLink:
-    """A child span opened at relay ingress, closed by ``Tracer.finish``."""
+class ActiveSpan:
+    """A live span: ids fixed at :meth:`DistTracer.begin`, marks stamped since.
 
-    trace_id: int
-    span_id: int
-    parent_id: int
-    hop: int
-    origin: str
-
-
-class PublishSpan:
-    """The root span handle: covers publish intent to mesh injection.
-
-    For a light member this spans the witness fetch too (the fetch rides
-    as a linked child), so the root's duration is the member-observed
-    publish cost.
+    ``marks`` is the (stage, simulated-time) trail; a span minted by
+    ``begin`` carries its start as the first mark, so stage durations are
+    always deltas between *consecutive* marks and a verdict that
+    short-circuits (gate drop, cache hit) simply has fewer of them.
     """
 
-    __slots__ = ("_tracer", "trace_id", "span_id", "start", "marks", "_done")
+    __slots__ = (
+        "kind", "trace_id", "span_id", "parent_id", "hop", "origin",
+        "start", "marks", "_clock",
+    )
 
-    def __init__(self, tracer: "DistTracer", trace_id: int, span_id: int) -> None:
-        self._tracer = tracer
+    def __init__(
+        self,
+        kind: str,
+        trace_id: int,
+        span_id: int,
+        parent_id: int,
+        hop: int,
+        origin: str,
+        clock: Callable[[], float],
+    ) -> None:
+        self.kind = kind
         self.trace_id = trace_id
         self.span_id = span_id
-        self.start = tracer.clock()
+        self.parent_id = parent_id
+        self.hop = hop
+        self.origin = origin
+        self._clock = clock
+        self.start = clock()
         self.marks: list[tuple[str, float]] = []
-        self._done = False
 
     @property
     def context(self) -> SpanContext:
+        """What a message (or request) carries to hang work under this span."""
         return SpanContext(
             trace_id=self.trace_id,
             span_id=self.span_id,
-            hop=0,
-            origin=self._tracer.peer_id,
+            hop=self.hop,
+            origin=self.origin,
         )
 
     def mark(self, stage: str) -> None:
-        self.marks.append((stage, self._tracer.clock()))
+        """Stamp ``stage`` as completed now (simulated clock)."""
+        self.marks.append((stage, self._clock()))
 
-    def finish(self) -> None:
-        if self._done:
-            return
-        self._done = True
-        self._tracer.record(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            parent_id=NO_PARENT,
-            kind="publish",
-            hop=0,
-            origin=self._tracer.peer_id,
-            start=self.start,
-            end=self._tracer.clock(),
-            marks=tuple(self.marks),
-        )
+
+class NullTrace:
+    """Shared do-nothing span for the disabled path."""
+
+    __slots__ = ()
+
+    def mark(self, stage: str) -> None:
+        return None
+
+
+NULL_TRACE = NullTrace()
 
 
 class DistTracer:
-    """One peer's distributed-span mint, ring buffer, and route table."""
+    """One peer's span mint, ring buffer, and route table."""
 
     enabled = True
 
@@ -276,6 +305,7 @@ class DistTracer:
         self,
         peer_id: str,
         *,
+        registry: "MetricsRegistry | NullRegistry" = NULL_REGISTRY,
         sample: float = 0.0,
         clock: Callable[[], float] | None = None,
         capacity: int = 256,
@@ -284,14 +314,19 @@ class DistTracer:
         if not 0.0 <= sample <= 1.0:
             raise ProtocolError(f"trace_sample must be in [0, 1], got {sample}")
         self.peer_id = peer_id
+        self.registry = registry
         self.sample = sample
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
+        seed = int.from_bytes(hashlib.sha256(peer_id.encode()).digest()[:8], "big")
         # Dedicated sampling RNG: drawing from a shared router RNG would
         # perturb mesh shuffles and break every bit-identity comparison.
-        self._rng = random.Random(
-            int.from_bytes(hashlib.sha256(peer_id.encode()).digest()[:8], "big")
-        )
+        self._rng = random.Random(seed)
         self._mint = itertools.count()
+        #: Local roots take their ids from a counter under this peer's
+        #: 64-bit prefix: unique fleet-wide without hashing per bundle,
+        #: and sampled traces keep the ids they would have had alone.
+        self._local_prefix = seed << 64
+        self._local = itertools.count(1)
         self._seq = itertools.count()
         self._ring: deque[SpanRecord] = deque(maxlen=capacity)
         #: msg_id -> the context *this* peer forwards (its own span as
@@ -300,7 +335,7 @@ class DistTracer:
         self._outbound_order: deque[bytes] = deque()
         self._route_capacity = route_capacity
         #: Live revocation-case contexts, keyed by whatever the caller
-        #: uses to correlate (evidence case tuples, leaf indices).
+        #: uses to correlate (the evidence's (nullifier, epoch) case).
         self._revocations: dict[object, SpanContext] = {}
         self._revocation_order: deque[object] = deque()
         #: Contexts the rewriter could not resolve (route table evicted):
@@ -315,58 +350,86 @@ class DistTracer:
 
     # -- span lifecycle ---------------------------------------------------------
 
-    def begin_publish(self) -> PublishSpan | None:
-        """Head-sampling decision + root span mint (None: not sampled)."""
+    def begin_publish(self) -> ActiveSpan | None:
+        """Head-sampling decision + root span mint (None: not sampled).
+
+        The root covers publish intent to mesh injection — for a light
+        member the witness fetch too (it rides as a linked child), so the
+        root's duration is the member-observed publish cost.
+        """
         if self.sample <= 0.0:
             return None
         if self.sample < 1.0 and self._rng.random() >= self.sample:
             return None
-        return PublishSpan(self, self._mint_id(16), self._mint_id(8))
+        return ActiveSpan(
+            PUBLISH, self._mint_id(16), self._mint_id(8), NO_PARENT, 0,
+            self.peer_id, self.clock,
+        )
 
-    def child(self, parent: SpanContext, key: bytes | None = None) -> DistLink:
-        """Open the relay-hop child span and register the outbound route.
+    def begin(
+        self,
+        kind: str = "bundle",
+        *,
+        parent: SpanContext | None = None,
+        key: bytes | None = None,
+    ) -> ActiveSpan:
+        """Open a span at the current simulated instant.
 
-        ``key`` (the pubsub msg id) is what the router's trace rewriter
-        resolves when forwarding: the stored context carries *this*
-        peer's new span id, so downstream spans attach to the true
-        causal parent.
+        With an inbound ``parent`` the span is that hop's child, and
+        ``key`` (the pubsub msg id) registers the context the router's
+        trace rewriter forwards: it carries *this* peer's new span id, so
+        downstream spans attach to the true causal parent.  Without one
+        the span is a *local* root — never in the route table, never on
+        a relayed message — so an unsampled bundle costs no wire bytes.
         """
-        span_id = self._mint_id(8)
-        link = DistLink(
-            trace_id=parent.trace_id,
-            span_id=span_id,
-            parent_id=parent.span_id,
-            hop=parent.child_hop(),
-            origin=parent.origin,
-        )
-        if key is not None:
-            if key not in self._outbound:
-                self._outbound_order.append(key)
-                if len(self._outbound_order) > self._route_capacity:
-                    self._outbound.pop(self._outbound_order.popleft(), None)
-            self._outbound[key] = SpanContext(
-                trace_id=link.trace_id,
-                span_id=span_id,
-                hop=link.hop,
-                origin=link.origin,
+        if parent is None:
+            number = next(self._local)
+            span = ActiveSpan(
+                kind, self._local_prefix | number, number, NO_PARENT, 0,
+                self.peer_id, self.clock,
             )
-        return link
+        else:
+            span = ActiveSpan(
+                kind, parent.trace_id, self._mint_id(8), parent.span_id,
+                parent.child_hop(), parent.origin, self.clock,
+            )
+            if key is not None:
+                if key not in self._outbound:
+                    self._outbound_order.append(key)
+                    if len(self._outbound_order) > self._route_capacity:
+                        self._outbound.pop(self._outbound_order.popleft(), None)
+                self._outbound[key] = span.context
+        span.marks.append((INGRESS if kind == "bundle" else EVIDENCE, span.start))
+        return span
 
-    def finish_child(self, link: DistLink, *, kind: str, marks: Iterable[tuple[str, float]]) -> None:
-        """Close a hop span from its pipeline trace's mark trail."""
-        marks = tuple(marks)
-        now = self.clock()
-        self.record(
-            trace_id=link.trace_id,
-            span_id=link.span_id,
-            parent_id=link.parent_id,
-            kind=kind,
-            hop=link.hop,
-            origin=link.origin,
-            start=marks[0][1] if marks else now,
-            end=marks[-1][1] if marks else now,
-            marks=marks,
+    def finish(self, span: ActiveSpan) -> SpanRecord:
+        """Close ``span`` now: archive its record, fold its stage deltas.
+
+        Publish roots are head-sampled, so they are archived but never
+        folded — the stage histograms count every bundle, not a sample.
+        """
+        record = self.record(
+            trace_id=span.trace_id,
+            span_id=span.span_id,
+            parent_id=span.parent_id,
+            kind=span.kind,
+            hop=span.hop,
+            origin=span.origin,
+            start=span.start,
+            end=self.clock(),
+            marks=tuple(span.marks),
         )
+        if span.kind != PUBLISH:
+            registry = self.registry
+            for stage, duration in record.stages():
+                registry.histogram(
+                    "trace_stage_seconds", kind=span.kind, stage=stage
+                ).observe(duration)
+            registry.histogram("trace_total_seconds", kind=span.kind).observe(
+                record.duration
+            )
+            registry.counter("traces_finished_total", kind=span.kind).inc()
+        return record
 
     def link(
         self,
@@ -375,10 +438,9 @@ class DistTracer:
         kind: str,
         start: float,
         end: float,
-        marks: Marks = (),
     ) -> SpanContext:
         """Record a linked leaf span (witness fetch, evidence, …) and
-        return its context so follow-up work can chain further spans."""
+        return its context so follow-up work can hang further spans."""
         span_id = self._mint_id(8)
         self.record(
             trace_id=parent.trace_id,
@@ -389,7 +451,6 @@ class DistTracer:
             origin=parent.origin,
             start=start,
             end=end,
-            marks=marks,
         )
         return SpanContext(
             trace_id=parent.trace_id,
@@ -446,9 +507,11 @@ class DistTracer:
 
     # -- export -----------------------------------------------------------------
 
-    def recent(self) -> tuple[SpanRecord, ...]:
-        """The ring's contents, oldest first (the exporter's read path)."""
-        return tuple(self._ring)
+    def recent(self, kind: str | None = None) -> tuple[SpanRecord, ...]:
+        """The ring's contents, oldest first (optionally one kind only)."""
+        if kind is None:
+            return tuple(self._ring)
+        return tuple(record for record in self._ring if record.kind == kind)
 
 
 class NullDistTracer:
@@ -463,10 +526,10 @@ class NullDistTracer:
     def begin_publish(self) -> None:
         return None
 
-    def child(self, parent: object, key: object = None) -> None:
-        return None
+    def begin(self, kind: str = "bundle", *, parent=None, key=None) -> NullTrace:
+        return NULL_TRACE
 
-    def finish_child(self, link: object, *, kind: str = "", marks: object = ()) -> None:
+    def finish(self, span: object) -> None:
         return None
 
     def link(self, parent: object, **kwargs: object) -> None:
@@ -481,7 +544,7 @@ class NullDistTracer:
     def revocation_context(self, key: object) -> None:
         return None
 
-    def recent(self) -> tuple[SpanRecord, ...]:
+    def recent(self, kind: str | None = None) -> tuple[SpanRecord, ...]:
         return ()
 
 
@@ -511,7 +574,7 @@ class PropagationTree:
     @property
     def hops(self) -> int:
         """Deepest relay hop in the tree (root is hop 0)."""
-        return max(span.hop for span in self.spans.values())
+        return max((span.hop for span in self.relay_spans()), default=0)
 
     @property
     def peers(self) -> frozenset[str]:
@@ -641,14 +704,7 @@ class PropagationTree:
 #: Span kinds that are linked leaves, not relay hops (they never widen
 #: the propagation tree's fan-out or delivery accounting).
 LINKED_KINDS = frozenset(
-    {
-        "witness-fetch",
-        "witness-serve",
-        "evidence",
-        "commit-reveal",
-        "member-removed",
-        "window-collapse",
-    }
+    {"witness-fetch", "witness-serve", "evidence", "revocation"}
 )
 
 

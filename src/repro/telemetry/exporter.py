@@ -27,10 +27,11 @@ reports:
   A batch that exhausts every collector stays queued for the next tick;
   sustained outage turns into drop-oldest, not memory growth.
 
-Finished traces are exported as bounded waterfall *exemplars*
-(:class:`~repro.telemetry.otlp.TraceRecord`); the aggregated per-stage
-histograms already ride the metric path, so the collector never
-double-counts spans.
+Finished spans (:class:`~repro.telemetry.disttrace.SpanRecord`) are
+exported once each, bounded per batch: marked ones are the collector's
+waterfall *exemplars*, parented ones its propagation-tree nodes.  The
+aggregated per-stage histograms already ride the metric path, so the
+collector never double-counts a span.
 """
 
 from __future__ import annotations
@@ -41,16 +42,15 @@ from typing import Any, Sequence
 
 from repro.errors import ProtocolError
 from repro.net.request import RequestDispatcher, RequestFailure
-from repro.telemetry.disttrace import SpanRecord
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
+from repro.telemetry.disttrace import SpanRecord
 from repro.telemetry.otlp import (
     ExportAck,
     ExportRequest,
     TELEMETRY_PROTOCOL,
     TELEMETRY_REPLY_PROTOCOL,
     TelemetryBatch,
-    TraceRecord,
     compute_deltas,
 )
 
@@ -76,21 +76,16 @@ class ExporterStats:
     #: Requests that exhausted every collector (batch requeued).
     push_failures: int = 0
     metrics_exported: int = 0
-    traces_exported: int = 0
-    #: Traces over ``max_traces_per_batch`` in one tick (cursor still
-    #: advances — bounded batches, no silent stall).
-    traces_truncated: int = 0
-    #: Traces evicted from a tracer ring before a tick saw them.
-    traces_missed: int = 0
-    #: Distributed-tracing spans (PR 9), same cursor discipline.
     spans_exported: int = 0
+    #: Spans over ``max_spans_per_batch`` in one tick (cursor still
+    #: advances — bounded batches, no silent stall).
     spans_truncated: int = 0
+    #: Spans evicted from a tracer ring before a tick saw them.
     spans_missed: int = 0
     #: ``close()``'s final drain: batches built at close time and the
-    #: traces/spans they rescued from behind the per-tracer cursors —
-    #: proof the last partial tick strands nothing.
+    #: spans they rescued from behind the per-tracer cursors — proof the
+    #: last partial tick strands nothing.
     close_flush_batches: int = 0
-    close_flush_traces: int = 0
     close_flush_spans: int = 0
 
 
@@ -111,7 +106,6 @@ class TelemetryExporter:
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         timeout: float = 0.5,
         rounds: int = 2,
-        max_traces_per_batch: int = 32,
         max_spans_per_batch: int = 64,
         heartbeat: bool = False,
         start: bool = True,
@@ -135,7 +129,6 @@ class TelemetryExporter:
         self.shard = shard
         self.interval = interval
         self.queue_limit = queue_limit
-        self.max_traces_per_batch = max_traces_per_batch
         self.max_spans_per_batch = max_spans_per_batch
         #: With ``heartbeat=True`` an idle tick still sends an *empty*
         #: batch (seq advancing, no deltas), so the collector's liveness
@@ -163,7 +156,6 @@ class TelemetryExporter:
             "telemetry_dropped_batches_total", peer=peer_id
         )
         self._last: dict[str, dict] = {}
-        self._trace_cursor: dict[str, int] = {}
         self._span_cursor: dict[str, int] = {}
         self._next_seq = 1
         self._queue: deque[TelemetryBatch] = deque()
@@ -202,7 +194,7 @@ class TelemetryExporter:
         """Stop the ticker and drain what the last tick never saw.
 
         A peer shutting down mid-interval would otherwise strand finished
-        traces/spans behind the per-tracer cursors forever; the final
+        spans behind the per-tracer cursors forever; the final
         build rescues them into one last (queued, droppable) batch, and
         ``stats.close_flush_*`` proves exactly what it rescued.
         """
@@ -212,7 +204,6 @@ class TelemetryExporter:
         batch = self._build_batch()
         if batch is not None:
             self.stats.close_flush_batches += 1
-            self.stats.close_flush_traces += len(batch.traces)
             self.stats.close_flush_spans += len(batch.spans)
             self._enqueue(batch)
         self._pump()
@@ -223,9 +214,8 @@ class TelemetryExporter:
         current = self.telemetry.registry.collect()
         metrics = compute_deltas(current, self._last)
         self._last = current
-        traces = self._drain_traces()
         spans = self._drain_spans()
-        if not metrics and not traces and not spans:
+        if not metrics and not spans:
             if not force:
                 return None
             self.stats.heartbeats += 1
@@ -237,49 +227,21 @@ class TelemetryExporter:
             time=self.simulator.now,
             dropped_batches=self.stats.batches_dropped,
             metrics=metrics,
-            traces=traces,
             spans=spans,
         )
         self._next_seq += 1
         self.stats.batches_built += 1
         self.stats.metrics_exported += len(metrics)
-        self.stats.traces_exported += len(traces)
         self.stats.spans_exported += len(spans)
         return batch
 
-    def _drain_traces(self) -> tuple[TraceRecord, ...]:
-        records: list[TraceRecord] = []
-        for tracer_id, tracer in sorted(self.telemetry.tracers().items()):
-            cursor = self._trace_cursor.get(tracer_id, -1)
-            recent = tracer.recent()
-            if recent and recent[0].trace_id > cursor + 1:
-                # The ring evicted traces this tick never saw.
-                self.stats.traces_missed += recent[0].trace_id - cursor - 1
-            for trace in recent:
-                if trace.trace_id <= cursor:
-                    continue
-                cursor = trace.trace_id
-                if len(records) >= self.max_traces_per_batch:
-                    self.stats.traces_truncated += 1
-                    continue
-                records.append(
-                    TraceRecord(
-                        kind=trace.kind,
-                        origin=trace.origin,
-                        trace_id=trace.trace_id,
-                        marks=tuple(trace.marks),
-                    )
-                )
-            self._trace_cursor[tracer_id] = cursor
-        return tuple(records)
+    def _drain_spans(self) -> tuple[SpanRecord, ...]:
+        """Finished spans past each tracer's cursor.
 
-    def _drain_spans(self) -> tuple["SpanRecord", ...]:
-        """Distributed-tracing spans past each peer-tracer's cursor.
-
-        Mirrors :meth:`_drain_traces`: the cursor keys on the per-peer
-        monotone ``seq``, ring eviction shows up as a gap counted in
-        ``spans_missed``, and ``max_spans_per_batch`` bounds the batch
-        while the cursor still advances (no silent stall).
+        The cursor keys on the per-tracer monotone ``seq``, ring eviction
+        shows up as a gap counted in ``spans_missed``, and
+        ``max_spans_per_batch`` bounds the batch while the cursor still
+        advances (no silent stall).
         """
         records: list[SpanRecord] = []
         for tracer_id, dist in sorted(self.telemetry.disttracers().items()):

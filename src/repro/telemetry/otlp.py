@@ -9,7 +9,10 @@ simulated network's ``telemetry`` protocol channel and a
 snapshot:
 
 * :class:`TelemetryBatch` — one export interval's worth of metric deltas
-  and finished trace records, stamped with the peer's **resource
+  and finished :class:`~repro.telemetry.disttrace.SpanRecord` spans
+  (waterfall exemplars and propagation-tree nodes in one list — the
+  aggregated per-stage histograms ride the metric path, so the collector
+  never double-counts a span), stamped with the peer's **resource
   attributes** (peer id, role ``full``/``light``/``witness-provider``,
   shard id) and a per-peer monotone ``seq`` so the collector can dedup
   retransmissions and *see* drop-oldest losses as sequence gaps;
@@ -21,10 +24,6 @@ snapshot:
   (replace-on-fold) so the collector's per-peer state reconstructs the
   peer's live snapshot *exactly* — the E17 fleet-equals-offline-merge
   assertion rests on this;
-* :class:`TraceRecord` — a finished :class:`~repro.telemetry.tracing
-  .TraceContext`'s mark trail, exported as waterfall exemplars (the
-  aggregated per-stage histograms ride the metric path, so the collector
-  never double-counts spans);
 * :class:`ExportRequest` / :class:`ExportAck` — the
   :class:`~repro.net.request.RequestDispatcher` envelope (request id for
   attempt matching, seq echo in the ack).
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import ProtocolError
-from repro.telemetry.disttrace import SpanRecord
+from repro.telemetry.disttrace import SpanRecord, decode_str, encode_str
 from repro.telemetry.registry import DEFAULT_BUCKETS, metric_key
 
 #: Protocol channel export requests travel on (peer -> collector).
@@ -66,29 +65,13 @@ def labels_of(mapping: Mapping[str, str]) -> Labels:
 # -- primitive codecs ---------------------------------------------------------
 
 
-def _encode_str(value: str) -> bytes:
-    data = value.encode("utf-8")
-    if len(data) > 0xFFFF:
-        raise ProtocolError(f"string too long for wire ({len(data)} bytes)")
-    return struct.pack(">H", len(data)) + data
-
-
-def _decode_str(data: bytes, offset: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from(">H", data, offset)
-    offset += 2
-    end = offset + length
-    if end > len(data):
-        raise ProtocolError("truncated string")
-    return data[offset:end].decode("utf-8"), end
-
-
 def _encode_labels(labels: Labels) -> bytes:
     if len(labels) > 0xFF:
         raise ProtocolError("too many labels")
     out = [struct.pack(">B", len(labels))]
     for key, value in labels:
-        out.append(_encode_str(key))
-        out.append(_encode_str(value))
+        out.append(encode_str(key))
+        out.append(encode_str(value))
     return b"".join(out)
 
 
@@ -97,8 +80,8 @@ def _decode_labels(data: bytes, offset: int) -> tuple[Labels, int]:
     offset += 1
     labels = []
     for _ in range(count):
-        key, offset = _decode_str(data, offset)
-        value, offset = _decode_str(data, offset)
+        key, offset = decode_str(data, offset)
+        value, offset = decode_str(data, offset)
         labels.append((key, value))
     return tuple(labels), offset
 
@@ -143,14 +126,14 @@ class CounterDelta:
     def to_bytes(self) -> bytes:
         return (
             self.tag
-            + _encode_str(self.name)
+            + encode_str(self.name)
             + _encode_labels(self.labels)
             + _encode_number(self.delta)
         )
 
     @classmethod
     def decode(cls, data: bytes, offset: int) -> tuple["CounterDelta", int]:
-        name, offset = _decode_str(data, offset)
+        name, offset = decode_str(data, offset)
         labels, offset = _decode_labels(data, offset)
         delta, offset = _decode_number(data, offset)
         return cls(name=name, labels=labels, delta=delta), offset
@@ -174,14 +157,14 @@ class GaugeValue:
     def to_bytes(self) -> bytes:
         return (
             self.tag
-            + _encode_str(self.name)
+            + encode_str(self.name)
             + _encode_labels(self.labels)
             + _encode_number(self.value)
         )
 
     @classmethod
     def decode(cls, data: bytes, offset: int) -> tuple["GaugeValue", int]:
-        name, offset = _decode_str(data, offset)
+        name, offset = decode_str(data, offset)
         labels, offset = _decode_labels(data, offset)
         value, offset = _decode_number(data, offset)
         return cls(name=name, labels=labels, value=value), offset
@@ -218,7 +201,7 @@ class HistogramDelta:
         return DEFAULT_BUCKETS if self.le is None else self.le
 
     def to_bytes(self) -> bytes:
-        out = [self.tag, _encode_str(self.name), _encode_labels(self.labels)]
+        out = [self.tag, encode_str(self.name), _encode_labels(self.labels)]
         if self.le is None:
             out.append(struct.pack(">B", 0))
         else:
@@ -240,7 +223,7 @@ class HistogramDelta:
 
     @classmethod
     def decode(cls, data: bytes, offset: int) -> tuple["HistogramDelta", int]:
-        name, offset = _decode_str(data, offset)
+        name, offset = decode_str(data, offset)
         labels, offset = _decode_labels(data, offset)
         (explicit,) = struct.unpack_from(">B", data, offset)
         offset += 1
@@ -333,50 +316,12 @@ def compute_deltas(
     return tuple(deltas)
 
 
-# -- trace records ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One finished trace's mark trail (waterfall exemplar)."""
-
-    kind: str
-    origin: str
-    trace_id: int
-    marks: tuple[tuple[str, float], ...]
-
-    def to_bytes(self) -> bytes:
-        out = [
-            _encode_str(self.kind),
-            _encode_str(self.origin),
-            struct.pack(">QH", self.trace_id, len(self.marks)),
-        ]
-        for stage, stamp in self.marks:
-            out.append(_encode_str(stage))
-            out.append(struct.pack(">d", stamp))
-        return b"".join(out)
-
-    @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["TraceRecord", int]:
-        kind, offset = _decode_str(data, offset)
-        origin, offset = _decode_str(data, offset)
-        trace_id, n_marks = struct.unpack_from(">QH", data, offset)
-        offset += 10
-        marks = []
-        for _ in range(n_marks):
-            stage, offset = _decode_str(data, offset)
-            (stamp,) = struct.unpack_from(">d", data, offset)
-            offset += 8
-            marks.append((stage, stamp))
-        return cls(kind=kind, origin=origin, trace_id=trace_id, marks=tuple(marks)), offset
-
-
 # -- batches ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TelemetryBatch:
-    """One export interval: resource attributes + metric deltas + traces.
+    """One export interval: resource attributes + metric deltas + spans.
 
     ``seq`` is per-peer monotone from 1; ``dropped_batches`` is the
     exporter's cumulative drop-oldest count at build time (loss
@@ -391,16 +336,14 @@ class TelemetryBatch:
     time: float
     dropped_batches: int
     metrics: tuple[MetricDelta, ...]
-    traces: tuple[TraceRecord, ...] = ()
-    #: Finished distributed-tracing spans (PR 9): bounded per tick and
-    #: cursor-drained exactly like ``traces``; empty (2 wire bytes) when
-    #: sampling is off.
+    #: Finished spans, bounded per tick and cursor-drained; empty is 2
+    #: wire bytes.
     spans: tuple[SpanRecord, ...] = ()
 
     def to_bytes(self) -> bytes:
         out = [
-            _encode_str(self.peer),
-            _encode_str(self.role),
+            encode_str(self.peer),
+            encode_str(self.role),
             struct.pack(
                 ">iQdQ", self.shard, self.seq, self.time, self.dropped_batches
             ),
@@ -408,9 +351,6 @@ class TelemetryBatch:
         ]
         for metric in self.metrics:
             out.append(metric.to_bytes())
-        out.append(struct.pack(">I", len(self.traces)))
-        for trace in self.traces:
-            out.append(trace.to_bytes())
         out.append(struct.pack(">H", len(self.spans)))
         for span in self.spans:
             out.append(span.to_bytes())
@@ -419,8 +359,8 @@ class TelemetryBatch:
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["TelemetryBatch", int]:
         try:
-            peer, offset = _decode_str(data, offset)
-            role, offset = _decode_str(data, offset)
+            peer, offset = decode_str(data, offset)
+            role, offset = decode_str(data, offset)
             shard, seq, time, dropped = struct.unpack_from(">iQdQ", data, offset)
             offset += 28
             (n_metrics,) = struct.unpack_from(">I", data, offset)
@@ -433,12 +373,6 @@ class TelemetryBatch:
                     raise ProtocolError(f"unknown metric tag {tag!r}")
                 metric, offset = decoder(data, offset + 1)
                 metrics.append(metric)
-            (n_traces,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            traces = []
-            for _ in range(n_traces):
-                trace, offset = TraceRecord.decode(data, offset)
-                traces.append(trace)
             (n_spans,) = struct.unpack_from(">H", data, offset)
             offset += 2
             spans = []
@@ -456,7 +390,6 @@ class TelemetryBatch:
                 time=time,
                 dropped_batches=dropped,
                 metrics=tuple(metrics),
-                traces=tuple(traces),
                 spans=tuple(spans),
             ),
             offset,

@@ -1,33 +1,13 @@
-"""Span tracing on the simulated clock: one trace per bundle lifecycle.
+"""Stage names for span marks (see :mod:`repro.telemetry.disttrace`).
 
-A :class:`TraceContext` is minted at relay ingress and carried through
-the bundle's whole path — prefilter → dedup/ratelimit → cheap checks →
-batch enqueue → flush → executor lane dispatch → pairing verdict →
-resolve — and, on the revocation path, evidence → commit-reveal →
-``MemberRemoved`` → accepted-window collapse.  Each :meth:`TraceContext.mark`
-stamps the *simulated* clock, so spans measure exactly the queueing and
-service delays the discrete-event model charges (batch deadlines, lane
-waits, pairing service time), not Python wall time.
-
-Finished traces land in a per-peer **ring buffer** (recent individual
-waterfalls, bounded memory) and fold their per-stage durations into the
-shared registry's ``trace_stage_seconds{stage=…}`` histograms — which is
-where the E-benches read a true stage-latency waterfall with exact
-p50/p99 from.
-
-Like the registry, the whole surface has a no-op twin
-(:data:`NULL_TRACER` / :data:`NULL_TRACE`) so instrumentation is
-unconditional and a disabled run does no work and allocates nothing.
+A bundle's span is marked at relay ingress and through its whole path —
+prefilter → dedup/ratelimit → cheap checks → batch enqueue → flush →
+executor lane dispatch → pairing verdict → resolve — and a revocation
+span from evidence → commit-reveal → ``MemberRemoved`` → accepted-window
+collapse.
 """
 
 from __future__ import annotations
-
-import itertools
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable
-
-from repro.telemetry.registry import MetricsRegistry, NullRegistry
 
 #: Canonical bundle-lifecycle stage names, in path order.  A verdict that
 #: short-circuits (gate drop, cache hit) simply has fewer marks; span
@@ -63,164 +43,3 @@ BUNDLE_STAGE_ORDER = (
 )
 
 REVOCATION_STAGE_ORDER = (COMMIT_REVEAL, MEMBER_REMOVED, WINDOW_COLLAPSE)
-
-
-@dataclass(frozen=True)
-class Span:
-    """One stage's share of a trace: ``stage`` ran from ``start`` to ``end``."""
-
-    stage: str
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-class TraceContext:
-    """The per-bundle trail of (stage, simulated-time) marks."""
-
-    __slots__ = ("trace_id", "kind", "origin", "marks", "dist", "_clock")
-
-    def __init__(
-        self, trace_id: int, kind: str, origin: str, clock: Callable[[], float]
-    ) -> None:
-        self.trace_id = trace_id
-        self.kind = kind
-        self.origin = origin
-        self._clock = clock
-        #: Distributed-trace link (a :class:`~repro.telemetry.disttrace
-        #: .DistLink`) when this trace is a child span of an inbound
-        #: relay hop; ``None`` for process-local traces.
-        self.dist = None
-        self.marks: list[tuple[str, float]] = [(INGRESS if kind == "bundle" else EVIDENCE, clock())]
-
-    def mark(self, stage: str) -> None:
-        """Stamp ``stage`` as completed now (simulated clock)."""
-        self.marks.append((stage, self._clock()))
-
-    @property
-    def started_at(self) -> float:
-        return self.marks[0][1]
-
-    @property
-    def ended_at(self) -> float:
-        return self.marks[-1][1]
-
-    @property
-    def total(self) -> float:
-        return self.ended_at - self.started_at
-
-    def spans(self) -> tuple[Span, ...]:
-        """Consecutive-mark deltas: the stage waterfall of this trace."""
-        return tuple(
-            Span(stage=stage, start=prev_t, end=t)
-            for (_, prev_t), (stage, t) in itertools.pairwise(self.marks)
-        )
-
-
-class NullTrace:
-    """Shared do-nothing trace for the disabled path."""
-
-    __slots__ = ()
-    trace_id = -1
-    kind = "null"
-    origin = ""
-    dist = None
-    marks: list[tuple[str, float]] = []
-    started_at = 0.0
-    ended_at = 0.0
-    total = 0.0
-
-    def mark(self, stage: str) -> None:
-        return None
-
-    def spans(self) -> tuple[Span, ...]:
-        return ()
-
-
-NULL_TRACE = NullTrace()
-
-
-class Tracer:
-    """One peer's trace mint and ring buffer over the shared registry."""
-
-    def __init__(
-        self,
-        peer_id: str,
-        registry: MetricsRegistry | NullRegistry,
-        *,
-        clock: Callable[[], float] | None = None,
-        capacity: int = 256,
-    ) -> None:
-        self.peer_id = peer_id
-        self.registry = registry
-        self.clock: Callable[[], float] = clock or (lambda: 0.0)
-        self._ids = itertools.count()
-        self._ring: deque[TraceContext] = deque(maxlen=capacity)
-        #: This peer's :class:`~repro.telemetry.disttrace.DistTracer`,
-        #: attached by the hub: when an inbound span context rides a
-        #: ``begin(parent=…)``, the minted trace doubles as the child
-        #: span of that relay hop and is exported as a ``SpanRecord``.
-        self.dist = None
-
-    def begin(
-        self, kind: str = "bundle", *, parent=None, key: bytes | None = None
-    ) -> TraceContext:
-        """Mint a trace at the current simulated instant (relay ingress).
-
-        ``parent`` is an inbound :class:`~repro.telemetry.disttrace
-        .SpanContext`: the trace becomes that hop's child span, and
-        ``key`` (the pubsub msg id) registers the re-stamped outbound
-        context the router's trace rewriter forwards.
-        """
-        trace = TraceContext(next(self._ids), kind, self.peer_id, self.clock)
-        if parent is not None and self.dist is not None:
-            trace.dist = self.dist.child(parent, key)
-        return trace
-
-    def finish(self, trace: TraceContext | NullTrace) -> None:
-        """Archive a completed trace and fold its spans into histograms."""
-        if trace is NULL_TRACE:
-            return
-        assert isinstance(trace, TraceContext)
-        if trace.dist is not None and self.dist is not None:
-            self.dist.finish_child(trace.dist, kind=trace.kind, marks=trace.marks)
-        self._ring.append(trace)
-        for span in trace.spans():
-            self.registry.histogram(
-                "trace_stage_seconds", kind=trace.kind, stage=span.stage
-            ).observe(span.duration)
-        self.registry.histogram("trace_total_seconds", kind=trace.kind).observe(
-            trace.total
-        )
-        self.registry.counter("traces_finished_total", kind=trace.kind).inc()
-
-    def recent(self, kind: str | None = None) -> tuple[TraceContext, ...]:
-        """The ring's contents, oldest first (optionally one kind only)."""
-        traces: Iterable[TraceContext] = self._ring
-        if kind is not None:
-            traces = (t for t in traces if t.kind == kind)
-        return tuple(traces)
-
-
-class NullTracer:
-    """The disabled tracer: mints the shared no-op trace, keeps nothing."""
-
-    peer_id = ""
-    dist = None
-
-    def begin(
-        self, kind: str = "bundle", *, parent=None, key: bytes | None = None
-    ) -> NullTrace:
-        return NULL_TRACE
-
-    def finish(self, trace: object) -> None:
-        return None
-
-    def recent(self, kind: str | None = None) -> tuple[TraceContext, ...]:
-        return ()
-
-
-NULL_TRACER = NullTracer()

@@ -94,14 +94,14 @@ class LightMember:
                 message = message.with_trace(span.context)
             publish(message)
             if span is not None:
-                span.finish()
+                self.client.disttracer.finish(span)
             self.published += 1
             if on_published is not None:
                 on_published(message)
 
         def failed(failure: RequestFailure) -> None:
             if span is not None:
-                span.finish()
+                self.client.disttracer.finish(span)
             self.publish_failures += 1
             if on_error is not None:
                 on_error(failure)

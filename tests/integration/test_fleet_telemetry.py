@@ -9,7 +9,10 @@ cost-of-observability benchmark rests on:
   float tolerance on the ``sum`` accumulators);
 * default-off means *zero* telemetry bytes on the wire, and enabling the
   collector leaves the relay's own behaviour untouched (the telemetry
-  channel shares the transport but consumes no relay randomness).
+  channel shares the transport but consumes no relay randomness);
+* one span model at every sampling rate: each validation is exactly one
+  finished ``bundle`` span, local roots stay off the wire, and every
+  exported record survives its codec.
 """
 
 import math
@@ -19,6 +22,7 @@ import pytest
 from repro.core.deployment import RLNDeployment
 from repro.errors import ProtocolError
 from repro.telemetry import CollectorOptions, Telemetry, TelemetrySnapshot
+from repro.telemetry.disttrace import SpanRecord
 
 
 def drive(deployment: RLNDeployment) -> None:
@@ -89,6 +93,65 @@ def test_enabling_collector_does_not_perturb_relay_behaviour():
         assert (
             plain.peers[peer_id].relay.traffic()
             == observed.peers[peer_id].relay.traffic()
+        )
+
+
+@pytest.mark.parametrize("trace_sample", [0.0, 0.25, 1.0])
+def test_one_span_per_validation_at_every_sampling_rate(trace_sample):
+    def fleet(**kwargs) -> RLNDeployment:
+        deployment = RLNDeployment.create(peer_count=8, degree=4, seed=12, **kwargs)
+        deployment.register_all()
+        deployment.form_meshes()
+        for peer_id, peer in deployment.peers.items():
+            peer.publish(peer_id.encode())
+            deployment.run(1.0)
+        deployment.run(4.0)
+        return deployment
+
+    traced = fleet(collector=CollectorOptions(trace_sample=trace_sample))
+    traced.flush_telemetry()
+    collector = traced.collector
+    validations = sum(p.router_stats.validations for p in traced.peers.values())
+    assert validations > 0
+    finished = collector.fleet_snapshot().value("traces_finished_total", kind="bundle")
+    assert finished == validations
+
+    records = [
+        record
+        for telemetry in traced.telemetries.values()
+        for tracer in telemetry.disttracers().values()
+        for record in tracer.recent()
+    ]
+    exported = sum(e.stats.spans_exported for e in traced.exporters.values())
+    assert exported == len(records) and collector.stats.lost_batches == 0
+    for record in records:
+        assert SpanRecord.from_bytes(record.to_bytes()) == record
+
+    # Local roots never leave their peer: every context a peer forwarded
+    # belongs to a sampled trace the collector can root at a publish span.
+    local = {r.trace_id for r in records if r.local}
+    forwarded = {
+        message.trace.trace_id
+        for peer in traced.peers.values()
+        for message in peer.received
+        if message.trace is not None
+    }
+    assert forwarded.isdisjoint(local)
+    assert forwarded <= set(collector.assembler.trace_ids())
+    assert collector.assembler.span_count == len(records) - len(
+        [r for r in records if r.trace_id in local]
+    )
+    sampled = {r.peer for r in records if r.kind == "publish"}
+    if trace_sample == 0.25:
+        assert 0 < len(sampled) < len(traced.peers)  # both kinds of bundle span
+    if trace_sample == 1.0:
+        assert len(sampled) == len(traced.peers) and not local
+    if trace_sample == 0.0:
+        assert not forwarded and collector.assembler.span_count == 0
+        plain = fleet()
+        assert (
+            plain.network.protocol_bytes()["gossipsub"]
+            == traced.network.protocol_bytes()["gossipsub"]
         )
 
 

@@ -37,8 +37,9 @@ def install_seed_validator(peer) -> None:
 
     Replicates the pre-pipeline `WakuRLNRelayPeer._validate` exactly:
     synchronous `BundleValidator.validate`, seed outcome -> action mapping,
-    and the spam side effects — the baseline the batch_size=1 pipeline
-    must be observationally identical to.
+    and the spam side effects (through the peer's `on_spam` feed, where
+    its slashing coordinator listens) — the baseline the batch_size=1
+    pipeline must be observationally identical to.
     """
 
     def validate(sender, pubsub_message):
@@ -54,9 +55,7 @@ def install_seed_validator(peer) -> None:
             return ValidationResult.IGNORE
         if outcome is ValidationOutcome.SPAM:
             assert evidence is not None
-            peer.stats.spam_detected += 1
-            if peer.auto_slash:
-                peer._begin_slash(evidence)
+            peer.report_spam(evidence)
         return ValidationResult.REJECT
 
     peer.relay.set_validator(validate)

@@ -205,3 +205,48 @@ class TestRevocationEndToEnd:
         client.witness(index, got.append, failures.append)
         assert failures and "revoked" in failures[0].reason
         assert client.dispatcher.stats.attempts == attempts_before
+
+
+def test_traced_conviction_hangs_one_revocation_span_per_racing_coordinator():
+    """One timeline, one span: evidence → commit-reveal → member-removed
+    rides the spam message's propagation tree under the evidence leaf."""
+    from repro.telemetry import CollectorOptions
+
+    config = RLNConfig(epoch_length=30.0, max_epoch_gap=2, tree_depth=DEPTH)
+    dep = RLNDeployment.create(
+        peer_count=8, degree=4, seed=7, config=config,
+        collector=CollectorOptions(trace_sample=1.0),
+    )
+    dep.register_all()
+    dep.form_meshes(5.0)
+    spammer = dep.peer("peer-007")
+    spammer.publish(b"first", force=True)
+    dep.run(2.0)
+    spammer.publish(b"second", force=True)
+    dep.run(6 * dep.chain.block_interval)
+    dep.flush_telemetry()
+    assert not dep.contract.is_member(spammer.identity.pk)
+
+    racers = [p for p in dep.peers.values() if p.stats.slash_attempts]
+    trees = [
+        tree
+        for tree in dep.collector.assembler.trees()
+        if any(span.kind == "evidence" for span in tree.spans.values())
+    ]
+    assert len(trees) == 1 and trees[0].complete
+    tree = trees[0]
+    revocations = [s for s in tree.spans.values() if s.kind == "revocation"]
+    assert sorted(s.peer for s in revocations) == sorted(p.peer_id for p in racers)
+    for span in revocations:
+        assert tree.spans[span.parent_id].kind == "evidence"
+        assert tree.spans[span.parent_id].peer == span.peer
+        assert [stage for stage, _ in span.marks] == [
+            "evidence", "commit-reveal", "member-removed",
+        ]
+        assert span.duration > dep.chain.block_interval  # commit, then reveal
+    # Linked spans widen neither the relay accounting nor the hop depth.
+    assert set(revocations).isdisjoint(tree.relay_spans())
+    assert tree.hops == max(s.hop for s in tree.relay_spans())
+    # The same spans fold into the per-peer revocation histograms.
+    fleet = dep.collector.fleet_snapshot()
+    assert fleet.value("traces_finished_total", kind="revocation") == len(racers)

@@ -1,11 +1,16 @@
 """Property-based tests for the fleet-telemetry wire path.
 
-Three algebraic claims the collector architecture rests on:
+Four claims the collector architecture rests on:
 
 * **Wire identity** — every :class:`TelemetryBatch` built from valid
-  metric deltas and trace records survives ``to_bytes``/``from_bytes``
+  metric deltas and span records survives ``to_bytes``/``from_bytes``
   exactly, number types included (int deltas must stay ints or the
-  collector's folds stop being exact integer arithmetic).
+  collector's folds stop being exact integer arithmetic) — and so does
+  every span a live tracer mints, local roots included.
+* **Hostile bytes** — truncating or mutating an encoded
+  :class:`SpanContext`, :class:`SpanRecord` or :class:`TelemetryBatch`
+  anywhere either decodes or raises :class:`ProtocolError`; no
+  ``struct.error`` or ``UnicodeDecodeError`` escapes a decoder.
 * **Fold exactness** — cutting one peer's event stream at arbitrary
   points, diffing consecutive ``collect()`` passes
   (:func:`compute_deltas`) and folding the deltas
@@ -17,19 +22,20 @@ Three algebraic claims the collector architecture rests on:
   yields the same fleet snapshot.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ProtocolError
 from repro.telemetry import MetricsRegistry, TelemetrySnapshot
 from repro.telemetry.collector import fold_delta
-from repro.telemetry.disttrace import SpanRecord
+from repro.telemetry.disttrace import NO_PARENT, DistTracer, SpanContext, SpanRecord
 from repro.telemetry.export import TelemetrySnapshot as Snapshot
 from repro.telemetry.otlp import (
     CounterDelta,
     GaugeValue,
     HistogramDelta,
     TelemetryBatch,
-    TraceRecord,
     compute_deltas,
 )
 
@@ -74,16 +80,6 @@ histogram_deltas = st.builds(
         lambda bounds: tuple(sorted(bounds))
     ),
 )
-trace_records = st.builds(
-    TraceRecord,
-    kind=st.sampled_from(("bundle", "revocation")),
-    origin=label_text,
-    trace_id=st.integers(min_value=0, max_value=2**50),
-    marks=st.lists(
-        st.tuples(st.sampled_from(("ingress", "verdict", "pairing")), finite),
-        max_size=4,
-    ).map(tuple),
-)
 span_records = st.builds(
     SpanRecord,
     trace_id=st.integers(min_value=0, max_value=2**128 - 1),
@@ -93,7 +89,8 @@ span_records = st.builds(
     peer=label_text,
     origin=label_text,
     kind=st.sampled_from(
-        ("publish", "bundle", "witness-fetch", "witness-serve", "evidence")
+        ("publish", "bundle", "revocation", "witness-fetch", "witness-serve",
+         "evidence")
     ),
     hop=st.integers(min_value=0, max_value=2**16 - 1),
     start=finite,
@@ -114,7 +111,6 @@ batches = st.builds(
     metrics=st.lists(
         counter_deltas | gauge_values | histogram_deltas, max_size=6
     ).map(tuple),
-    traces=st.lists(trace_records, max_size=3).map(tuple),
     spans=st.lists(span_records, max_size=3).map(tuple),
 )
 
@@ -139,6 +135,60 @@ def test_span_record_wire_round_trip_identity(record):
     # the same representation Python floats use).
     assert decoded.start == record.start and decoded.end == record.end
     assert decoded.byte_size() == record.byte_size()
+
+
+@settings(max_examples=100)
+@given(
+    label_text,
+    st.sampled_from(("bundle", "revocation", "revocation-network")),
+    st.lists(
+        st.tuples(st.sampled_from(("prefilter", "pairing", "resolve")), finite),
+        max_size=4,
+    ),
+)
+def test_local_root_span_wire_round_trip_identity(peer, kind, marks):
+    # What a live tracer mints for an untraced bundle, not a hand-built
+    # record: a clock replaying the generated stamps drives begin → finish.
+    stamps = iter([0.0] + [stamp for _, stamp in marks] + [0.0])
+    tracer = DistTracer(peer, clock=lambda: next(stamps))
+    span = tracer.begin(kind)
+    for stage, _ in marks:
+        span.mark(stage)
+    record = tracer.finish(span)
+    assert record.parent_id == NO_PARENT and record.peer == record.origin == peer
+    assert len(record.marks) == len(marks) + 1
+    assert SpanRecord.from_bytes(record.to_bytes()) == record
+    assert record.byte_size() == len(record.to_bytes())
+
+
+# -- hostile bytes ------------------------------------------------------------
+
+span_contexts = st.builds(
+    SpanContext,
+    trace_id=st.integers(min_value=0, max_value=2**128 - 1),
+    span_id=st.integers(min_value=0, max_value=2**64 - 1),
+    hop=st.integers(min_value=0, max_value=2**16 - 1),
+    origin=label_text,
+)
+
+
+@settings(max_examples=150)
+@given(
+    span_contexts | span_records | batches,
+    st.data(),
+)
+def test_truncated_or_mutated_bytes_raise_only_protocol_error(message, data):
+    encoded = message.to_bytes()
+    cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+    position = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+    flipped = bytearray(encoded)
+    flipped[position] ^= data.draw(st.integers(min_value=1, max_value=255))
+    with pytest.raises(ProtocolError):
+        type(message).from_bytes(encoded[:cut])
+    try:
+        type(message).from_bytes(bytes(flipped))
+    except ProtocolError:
+        pass
 
 
 # -- fold exactness at arbitrary cut points -----------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for cross-peer distributed tracing (PR 9).
+"""Unit tests for the span model: local and cross-peer tracing.
 
 The load-bearing guarantees:
 
@@ -11,11 +11,13 @@ The load-bearing guarantees:
 * the relay rewrite hook re-stamps contexts with the forwarding peer's
   own span, strips (never misattributes) when the route table lost the
   entry, and leaves untraced messages untouched;
-* the exporter drains spans with the same cursor discipline as traces —
-  ring eviction racing the cursor surfaces as ``spans_missed`` /
-  ``traces_missed``, bounded batches as ``spans_truncated`` — and
-  ``close()`` rescues cursor-stranded traces/spans with
-  ``close_flush_*`` accounting (satellite: shutdown strands nothing);
+* an untraced bundle's span is a *local* root: recorded, folded and
+  exported like any other, but never in the route table and never in a
+  propagation tree;
+* the exporter drains spans behind one per-tracer cursor — ring eviction
+  racing the cursor surfaces as ``spans_missed``, bounded batches as
+  ``spans_truncated`` — and ``close()`` rescues cursor-stranded spans
+  with ``close_flush_*`` accounting (shutdown strands nothing);
 * the collector's :class:`TraceAssembler` stitches rooted trees, flags
   incompleteness, dedups retransmissions, and answers fan-out /
   duplicate-delivery / critical-path / quantile questions;
@@ -32,7 +34,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
-from repro.telemetry import Telemetry
+from repro.telemetry import MetricsRegistry, Telemetry
 from repro.telemetry.collector import CollectorPeer
 from repro.telemetry.disttrace import (
     NO_PARENT,
@@ -122,31 +124,58 @@ def test_downstream_child_ignores_local_sample_rate():
     # Head sampling: the root's decision rides the wire; a peer whose own
     # rate is 0.0 still opens child spans for inbound traced messages.
     dist = DistTracer("peer-001", sample=0.0)
-    link = dist.child(make_context(hop=0), key=b"m1")
-    dist.finish_child(link, kind="bundle", marks=[("verdict", 1.0)])
-    assert len(dist.recent()) == 1
-    assert dist.recent()[0].hop == 1
+    parent = make_context(hop=0)
+    span = dist.begin(parent=parent, key=b"m1")
+    span.mark("verdict")
+    dist.finish(span)
+    (record,) = dist.recent()
+    assert record.hop == 1 and record.parent_id == parent.span_id
+    assert record.trace_id == parent.trace_id and record.origin == parent.origin
+    assert [stage for stage, _ in record.marks] == ["ingress", "verdict"]
 
 
-# -- child spans & the route table --------------------------------------------
+# -- child spans, local roots & the route table ---------------------------------
 
 
 def test_child_registers_outbound_context_with_own_span_id():
     dist = DistTracer("peer-001", sample=0.0)
     parent = make_context(hop=0, span_id=99)
-    link = dist.child(parent, key=b"m1")
+    span = dist.begin(parent=parent, key=b"m1")
     outbound = dist.outbound_context(b"m1")
-    assert outbound is not None
-    assert outbound.span_id == link.span_id != parent.span_id
+    assert outbound is not None and outbound == span.context
+    assert outbound.span_id == span.span_id != parent.span_id
     assert outbound.hop == 1 and outbound.trace_id == parent.trace_id
     assert dist.outbound_context(b"other") is None
+
+
+def test_untraced_begin_is_a_local_root_outside_the_route_table():
+    registry = MetricsRegistry()
+    dist = DistTracer("peer-001", registry=registry, sample=1.0)
+    first = dist.finish(dist.begin(key=b"m1"))
+    second = dist.finish(dist.begin("revocation", key=b"m2"))
+    # Never forwarded: the rewriter finds nothing to stamp on the message.
+    assert dist.outbound_context(b"m1") is None
+    assert dist.outbound_context(b"m2") is None
+    for record in (first, second):
+        assert record.parent_id == NO_PARENT and record.hop == 0
+        assert record.peer == record.origin == "peer-001"
+    assert first.trace_id != second.trace_id
+    assert first.marks[0][0] == "ingress" and second.marks[0][0] == "evidence"
+    # Another peer's local ids never collide with this one's.
+    neighbour = DistTracer("peer-002")
+    assert neighbour.finish(neighbour.begin()).trace_id != first.trace_id
+    # Local roots fold like every span; sampled publish roots do not.
+    assert registry.counter("traces_finished_total", kind="bundle").value == 1
+    assert registry.counter("traces_finished_total", kind="revocation").value == 1
+    dist.finish(dist.begin_publish())
+    assert not any("publish" in key for key in registry.collect())
 
 
 def test_route_table_is_bounded_drop_oldest():
     dist = DistTracer("peer-001", route_capacity=2)
     parent = make_context(hop=0)
     for key in (b"a", b"b", b"c"):
-        dist.child(parent, key=key)
+        dist.begin(parent=parent, key=key)
     assert dist.outbound_context(b"a") is None
     assert dist.outbound_context(b"c") is not None
 
@@ -173,8 +202,7 @@ def build_fleet(**telemetry_kwargs):
 def test_exporter_drains_spans_once_each():
     sim, telemetry, exporter, collector = build_fleet(trace_sample=1.0)
     dist = telemetry.disttracer("peer-000", clock=lambda: sim.now)
-    span = dist.begin_publish()
-    span.finish()
+    dist.finish(dist.begin_publish())
     exporter.export()
     sim.run_until_idle()
     assert exporter.stats.spans_exported == 1
@@ -187,14 +215,17 @@ def test_exporter_drains_spans_once_each():
 
 
 def test_span_ring_eviction_racing_cursor_counts_spans_missed():
-    # Satellite: a tracer ring smaller than the burst between two ticks
-    # loses spans; the cursor sees the seq gap and owns up to it.
+    # A tracer ring smaller than the burst between two ticks loses
+    # spans — local roots and sampled ones share it; the cursor sees the
+    # seq gap and owns up to it.
     sim, telemetry, exporter, collector = build_fleet(
         trace_sample=1.0, trace_capacity=2
     )
     dist = telemetry.disttracer("peer-000", clock=lambda: sim.now)
-    for _ in range(5):
-        dist.begin_publish().finish()
+    for _ in range(3):
+        dist.finish(dist.begin("bundle"))
+    for _ in range(2):
+        dist.finish(dist.begin_publish())
     exporter.export()
     sim.run_until_idle()
     assert exporter.stats.spans_missed == 3  # seqs 0-2 evicted unseen
@@ -202,23 +233,12 @@ def test_span_ring_eviction_racing_cursor_counts_spans_missed():
     assert collector.assembler.span_count == 2
 
 
-def test_trace_ring_eviction_racing_cursor_counts_traces_missed():
-    sim, telemetry, exporter, _ = build_fleet(trace_capacity=2)
-    tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
-    for _ in range(5):
-        tracer.finish(tracer.begin("bundle"))
-    exporter.export()
-    sim.run_until_idle()
-    assert exporter.stats.traces_missed == 3
-    assert exporter.stats.traces_exported == 2
-
-
 def test_spans_over_batch_bound_truncate_but_cursor_advances():
     sim, telemetry, exporter, _ = build_fleet(trace_sample=1.0)
     exporter.max_spans_per_batch = 2
     dist = telemetry.disttracer("peer-000", clock=lambda: sim.now)
     for _ in range(5):
-        dist.begin_publish().finish()
+        dist.finish(dist.begin_publish())
     exporter.export()
     sim.run_until_idle()
     assert exporter.stats.spans_exported == 2
@@ -231,22 +251,23 @@ def test_spans_over_batch_bound_truncate_but_cursor_advances():
 
 
 def test_close_flushes_cursor_stranded_traces_and_spans():
-    # Satellite 1: a peer shutting down mid-interval must not strand
-    # finished traces/spans behind the cursors; close() proves the
-    # rescue in close_flush_* and the collector actually receives them.
+    # A peer shutting down mid-interval must not strand finished spans
+    # behind the cursor; close() proves the rescue in close_flush_* and
+    # the collector actually receives them — the local bundle span as a
+    # waterfall exemplar, the publish root as a tree node.
     sim, telemetry, exporter, collector = build_fleet(trace_sample=1.0)
-    tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
     dist = telemetry.disttracer("peer-000", clock=lambda: sim.now)
     exporter.export()  # a normal tick first (baseline cursors)
     sim.run_until_idle()
-    tracer.finish(tracer.begin("bundle"))
-    dist.begin_publish().finish()
+    dist.finish(dist.begin("bundle"))
+    dist.finish(dist.begin_publish())
     exporter.close()
     sim.run_until_idle()
     assert exporter.stats.close_flush_batches == 1
-    assert exporter.stats.close_flush_traces == 1
-    assert exporter.stats.close_flush_spans == 1
+    assert exporter.stats.close_flush_spans == 2
     assert collector.stats.traces == 1 and collector.stats.spans == 1
+    assert len(collector.recent_traces("bundle")) == 1
+    assert collector.assembler.span_count == 1
     # Idempotent: nothing new, nothing rescued twice.
     exporter.close()
     sim.run_until_idle()
@@ -260,13 +281,13 @@ def test_batch_spans_field_round_trips_and_is_two_bytes_when_empty():
     spans = (make_span(), make_span(span_id=3, parent_id=2, seq=1, hop=1))
     with_spans = TelemetryBatch(
         peer="p", role="full", shard=-1, seq=1, time=0.0,
-        dropped_batches=0, metrics=(), traces=(), spans=spans,
+        dropped_batches=0, metrics=(), spans=spans,
     )
     decoded = TelemetryBatch.from_bytes(with_spans.to_bytes())
     assert decoded.spans == spans
     without = TelemetryBatch(
         peer="p", role="full", shard=-1, seq=1, time=0.0,
-        dropped_batches=0, metrics=(), traces=(),
+        dropped_batches=0, metrics=(),
     )
     span_bytes = len(with_spans.to_bytes()) - len(without.to_bytes())
     assert span_bytes == sum(s.byte_size() for s in spans)
@@ -361,7 +382,7 @@ def test_duplicate_delivery_detection():
 
 def test_recent_traces_since_seq_resumes_from_cursor():
     sim, telemetry, exporter, collector = build_fleet()
-    tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
+    tracer = telemetry.disttracer("peer-000", clock=lambda: sim.now)
     tracer.finish(tracer.begin("bundle"))
     exporter.export()
     sim.run_until_idle()
@@ -378,7 +399,7 @@ def test_recent_traces_since_seq_resumes_from_cursor():
 
 def test_waterfall_exemplars_honour_since_seq():
     sim, telemetry, exporter, collector = build_fleet()
-    tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
+    tracer = telemetry.disttracer("peer-000", clock=lambda: sim.now)
     trace = tracer.begin("bundle")
     sim.run(sim.now + 0.002)
     trace.mark("verdict")

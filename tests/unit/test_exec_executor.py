@@ -19,6 +19,7 @@ from repro.exec.executor import (
     ThreadPoolCryptoExecutor,
 )
 from repro.net.simulator import Simulator
+from repro.telemetry import MetricsRegistry
 from repro.zksnark.groth16 import PAIRINGS_PER_VERIFY, PairingCounter
 
 
@@ -181,6 +182,34 @@ class TestSimulatedExecutor:
         assert seen == ["inline"]
         sim.run_until_idle()
         assert seen == ["inline", "lane"]
+
+    def test_pinned_inline_jobs_are_observed_like_the_sync_executor(self):
+        # A stopped peer's inline jobs must not vanish from the exposition:
+        # pinned lanes and workers=0 share one inline body, observations
+        # included.
+        def observed(executor, registry, counter):
+            executor.submit(pairing_work(counter, 4), lambda _: None)
+            return {
+                name: registry.histogram(name, peer="p", priority="relay").count
+                for name in ("executor_queue_wait_seconds", "executor_service_seconds")
+            }
+
+        counter, sync_registry, pinned_registry = (
+            PairingCounter(), MetricsRegistry(), MetricsRegistry(),
+        )
+        sync = SynchronousCryptoExecutor(
+            counter=counter, registry=sync_registry, peer="p"
+        )
+        pinned = SimulatedCryptoExecutor(
+            Simulator(), 2, counter=counter, registry=pinned_registry, peer="p"
+        )
+        pinned.pin_synchronous()
+        assert (
+            observed(pinned, pinned_registry, counter)
+            == observed(sync, sync_registry, counter)
+            == {"executor_queue_wait_seconds": 1, "executor_service_seconds": 1}
+        )
+        assert pinned.stats.lane_busy_seconds == [0.0, 0.0]
 
     def test_zero_cost_job_still_delivers_asynchronously(self):
         sim, counter, executor = self.make(1)

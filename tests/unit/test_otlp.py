@@ -31,6 +31,7 @@ from repro.net.topology import full_mesh
 from repro.net.transport import Network
 from repro.telemetry import Telemetry
 from repro.telemetry.collector import CollectorPeer, fold_delta
+from repro.telemetry.disttrace import NO_PARENT, SpanRecord
 from repro.telemetry.exporter import TelemetryExporter
 from repro.telemetry.otlp import (
     CounterDelta,
@@ -39,7 +40,6 @@ from repro.telemetry.otlp import (
     GaugeValue,
     HistogramDelta,
     TelemetryBatch,
-    TraceRecord,
     compute_deltas,
 )
 
@@ -48,7 +48,7 @@ def round_trip(batch: TelemetryBatch) -> TelemetryBatch:
     return TelemetryBatch.from_bytes(batch.to_bytes())
 
 
-def make_batch(metrics=(), traces=(), seq=1) -> TelemetryBatch:
+def make_batch(metrics=(), spans=(), seq=1) -> TelemetryBatch:
     return TelemetryBatch(
         peer="peer-000",
         role="full",
@@ -57,7 +57,7 @@ def make_batch(metrics=(), traces=(), seq=1) -> TelemetryBatch:
         time=12.5,
         dropped_batches=0,
         metrics=tuple(metrics),
-        traces=tuple(traces),
+        spans=tuple(spans),
     )
 
 
@@ -79,11 +79,11 @@ def test_batch_round_trip_all_metric_kinds():
                 bucket_deltas=((0, 3), (33, 1)),
             ),
         ],
-        traces=[
-            TraceRecord(
-                kind="bundle",
-                origin="peer-000",
-                trace_id=9,
+        spans=[
+            SpanRecord(
+                trace_id=9, span_id=9, parent_id=NO_PARENT, seq=0,
+                peer="peer-000", origin="peer-000", kind="bundle", hop=0,
+                start=1.0, end=1.5,
                 marks=(("ingress", 1.0), ("verdict", 1.5)),
             )
         ],
@@ -307,24 +307,26 @@ def test_push_fails_over_to_backup_collector():
 
 def test_exporter_drains_traces_once_each():
     sim, _, telemetry, exporter, (collector,) = build()
-    tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
+    tracer = telemetry.disttracer("peer-000", clock=lambda: sim.now)
     trace = tracer.begin("bundle")
     trace.mark("verdict")
     tracer.finish(trace)
     exporter.export()
     sim.run_until_idle()
-    assert exporter.stats.traces_exported == 1
+    assert exporter.stats.spans_exported == 1
     assert len(collector.recent_traces("bundle")) == 1
+    # A local root is an exemplar only: it belongs to no propagation tree.
+    assert collector.stats.traces == 1 and collector.stats.spans == 0
     # The same finished trace is not re-exported next tick.
     telemetry.registry.counter("events_total").inc()
     exporter.export()
     sim.run_until_idle()
-    assert exporter.stats.traces_exported == 1
+    assert exporter.stats.spans_exported == 1
 
 
 def test_collector_waterfall_reports_fleet_stages():
     sim, _, telemetry, exporter, (collector,) = build()
-    tracer = telemetry.tracer("peer-000", clock=lambda: sim.now)
+    tracer = telemetry.disttracer("peer-000", clock=lambda: sim.now)
     trace = tracer.begin("bundle")
     sim.run(sim.now + 0.002)
     trace.mark("verdict")

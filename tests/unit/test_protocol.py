@@ -119,6 +119,46 @@ class TestSpamHandling:
         assert len(rewarded) == 1
         assert rewarded[0].reward == deployment.contract.deposit
 
+    def test_auto_slash_is_the_coordinator_over_the_peers_slasher(self):
+        from repro.telemetry import Telemetry
+
+        config = RLNConfig(epoch_length=30.0, max_epoch_gap=2, tree_depth=DEPTH)
+        attempts = {}
+        for auto_slash in (True, False):
+            telemetry = Telemetry()
+            dep = RLNDeployment.create(
+                peer_count=6, degree=3, seed=11, config=config,
+                auto_slash=auto_slash, telemetry=telemetry,
+            )
+            dep.register_all()
+            dep.form_meshes(4.0)
+            spammer = dep.peer("peer-004")
+            spammer.publish(b"x", force=True)
+            dep.run(2.0)
+            spammer.publish(b"y", force=True)
+            dep.run(6 * dep.chain.block_interval)
+            assert dep.total_spam_detected() >= 1
+            attempts[auto_slash] = sum(
+                len(peer.slasher.attempts) for peer in dep.peers.values()
+            )
+            assert attempts[auto_slash] == sum(
+                peer.stats.slash_attempts for peer in dep.peers.values()
+            )
+            slashing_metrics = [
+                key for key in telemetry.registry.collect() if key.startswith("slashing_")
+            ]
+            if auto_slash:
+                for peer in dep.peers.values():
+                    coordinator = peer.slashing_coordinator()
+                    assert coordinator.slasher is peer.slasher
+                    assert coordinator.stats.cases == peer.stats.slash_attempts
+                assert slashing_metrics
+            else:
+                # No coordinator was built: nothing raced, nothing registered.
+                assert not slashing_metrics
+                assert dep.contract.is_member(spammer.identity.pk)
+        assert attempts[True] >= 1 and attempts[False] == 0
+
     def test_supply_conserved_through_slashing(self, deployment):
         supply_before = deployment.chain.total_supply()
         spammer = deployment.peer("peer-004")

@@ -19,22 +19,20 @@ import math
 import pytest
 
 from repro.analysis.reporting import percentile as exact_percentile
-from repro.core.validator import ValidationOutcome, ValidatorStats
 from repro.telemetry import (
     DEFAULT_BUCKETS,
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_REGISTRY,
+    NULL_DISTTRACER,
     NULL_TELEMETRY,
     NULL_TRACE,
-    NULL_TRACER,
+    DistTracer,
     MetricsRegistry,
     Telemetry,
     TelemetrySnapshot,
-    Tracer,
     metric_key,
-    mirror_stats,
     render_prometheus,
     resolve,
 )
@@ -143,11 +141,12 @@ def test_resolve_defaults_to_the_null_hub():
     assert resolve(None) is NULL_TELEMETRY
     telemetry = Telemetry()
     assert resolve(telemetry) is telemetry
-    assert NULL_TELEMETRY.tracer("anyone") is NULL_TRACER
+    assert NULL_TELEMETRY.disttracer("anyone") is NULL_DISTTRACER
     assert NULL_TELEMETRY.snapshot().data == {}
-    assert NULL_TRACER.begin() is NULL_TRACE
+    assert NULL_DISTTRACER.begin() is NULL_TRACE
     NULL_TRACE.mark("anything")
-    assert NULL_TRACE.spans() == ()
+    assert NULL_DISTTRACER.finish(NULL_TRACE) is None
+    assert NULL_DISTTRACER.recent() == ()
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,7 @@ class ManualClock:
 def test_trace_spans_are_consecutive_mark_deltas():
     clock = ManualClock()
     registry = MetricsRegistry()
-    tracer = Tracer("p1", registry, clock=clock)
+    tracer = DistTracer("p1", registry=registry, clock=clock)
     trace = tracer.begin()
     clock.now = 0.010
     trace.mark(tracing.PREFILTER)
@@ -175,40 +174,39 @@ def test_trace_spans_are_consecutive_mark_deltas():
     trace.mark(tracing.PAIRING)
     clock.now = 0.031
     trace.mark(tracing.RESOLVE)
-    tracer.finish(trace)
+    record = tracer.finish(trace)
 
-    spans = {span.stage: span.duration for span in trace.spans()}
-    assert spans == {
+    assert dict(record.stages()) == {
         tracing.PREFILTER: pytest.approx(0.010),
         tracing.PAIRING: pytest.approx(0.020),
         tracing.RESOLVE: pytest.approx(0.001),
     }
-    assert trace.total == pytest.approx(0.031)
+    assert record.duration == pytest.approx(0.031)
     stage = registry.histogram(
         "trace_stage_seconds", kind="bundle", stage=tracing.PAIRING
     )
     assert stage.count == 1 and stage.p50 == pytest.approx(0.020)
     assert registry.histogram("trace_total_seconds", kind="bundle").count == 1
     assert registry.counter("traces_finished_total", kind="bundle").value == 1
-    assert tracer.recent() == (trace,)
+    assert tracer.recent() == (record,)
 
 
 def test_tracer_ring_is_bounded():
-    tracer = Tracer("p1", MetricsRegistry(), clock=lambda: 0.0, capacity=4)
-    traces = [tracer.begin() for _ in range(6)]
-    for trace in traces:
-        tracer.finish(trace)
-    assert tracer.recent() == tuple(traces[2:])
+    tracer = DistTracer("p1", registry=MetricsRegistry(), capacity=4)
+    records = [tracer.finish(tracer.begin()) for _ in range(6)]
+    assert tracer.recent() == tuple(records[2:])
+    assert tracer.recent("revocation") == ()
 
 
 def test_telemetry_caches_tracers_per_peer():
     telemetry = Telemetry()
     clock = ManualClock()
-    first = telemetry.tracer("p1")
-    again = telemetry.tracer("p1", clock=clock)
+    first = telemetry.disttracer("p1")
+    again = telemetry.disttracer("p1", clock=clock)
     assert first is again
     assert again.clock is clock  # a later caller can supply the clock
-    assert telemetry.tracer("p2") is not first
+    assert first.registry is telemetry.registry  # spans fold into the hub
+    assert telemetry.disttracer("p2") is not first
 
 
 # ---------------------------------------------------------------------------
@@ -260,28 +258,6 @@ def test_render_prometheus_text_format():
     assert 'latency_seconds_bucket{peer="p1",le="+Inf"} 4' in lines
     assert 'latency_seconds_count{peer="p1"} 4' in lines
     assert any(line.startswith('latency_seconds_sum{peer="p1"}') for line in lines)
-
-
-def test_mirror_stats_fans_out_dataclass_fields():
-    registry = MetricsRegistry()
-    stats = ValidatorStats()
-    stats.record(ValidationOutcome.VALID)
-    stats.record(ValidationOutcome.VALID)
-    stats.record(ValidationOutcome.SPAM)
-    stats.proofs_verified = 5
-    mirror_stats(registry, "validator", stats, peer="p1")
-    snapshot = TelemetrySnapshot.of(registry)
-    assert snapshot.value("validator_proofs_verified", peer="p1") == 5
-    assert snapshot.value("validator_outcomes", peer="p1", key="valid") == 2
-    assert snapshot.value("validator_outcomes", peer="p1", key="spam") == 1
-    # Idempotent: re-mirroring is a set, never a double count.
-    mirror_stats(registry, "validator", stats, peer="p1")
-    assert (
-        TelemetrySnapshot.of(registry).value("validator_proofs_verified", peer="p1")
-        == 5
-    )
-    with pytest.raises(TypeError):
-        mirror_stats(registry, "x", object())
 
 
 def test_render_prometheus_escapes_label_values():
