@@ -68,10 +68,10 @@ def test_sharded_vs_flat(report_sink, members):
     for shard_id, root in forest.shard_roots().items():
         if shard_id != 0:
             peer._pending[shard_id] = root
-    home = forest._shards.get(0)
-    if home is not None:
-        peer.shard = home
-        peer._pending[0] = home.root
+    peer.shard = MerkleTree.from_leaves(
+        leaves[: forest.shard_capacity], depth=SHARD_DEPTH, hasher=cheap_hash
+    )
+    peer._pending[0] = peer.shard.root
     peer.seq = members
     peer.commit()
     assert peer.root == flat.root

@@ -91,10 +91,10 @@ def test_light_member_storage_and_latency(report_sink, members):
     for shard_id, root in forest.shard_roots().items():
         shard_peer._pending[shard_id] = root
         light_view._pending[shard_id] = root
-    home = forest._shards.get(0)
-    if home is not None:
-        shard_peer.shard = home
-        shard_peer._pending[0] = home.root
+    shard_peer.shard = MerkleTree.from_leaves(
+        leaves[: forest.shard_capacity], depth=SHARD_DEPTH, hasher=cheap_hash
+    )
+    shard_peer._pending[0] = shard_peer.shard.root
     shard_peer.seq = light_view.seq = members
     shard_peer.commit()
     light_view.commit()
@@ -226,7 +226,6 @@ def test_late_joiner_bootstrap_arm(report_sink):
             chain,
             contract,
             tree_depth=depth,
-            tree_backend="sharded",
             shard_depth=shard_depth,
         )
         names = sorted(relays)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from repro.chain.blockchain import WEI
 from repro.crypto.merkle import DEFAULT_DEPTH
-from repro.errors import ProtocolError
+from repro.errors import MerkleError, ProtocolError
+from repro.treesync.forest import resolve_shard_depth
 
 
 def compute_max_epoch_gap(
@@ -45,12 +46,15 @@ class RLNConfig:
     max_epoch_gap: int = 1
     #: Identity-commitment tree depth (§IV analyses depth 20).
     tree_depth: int = DEFAULT_DEPTH
-    #: Tree backend: "flat" (the seed's monolithic tree) or "sharded"
-    #: (the repro.treesync forest — identical root, per-shard storage).
+    #: Frozen and unread.  Every replica holds the one MerkleTree and the
+    #: "sharded forest" is a view of its levels, so both values build the
+    #: same deployment bit for bit.  The field stays accepted and validated
+    #: only because ``benchmarks/e2e`` passes it; that harness drops it in
+    #: a ``benchmark`` PR, which may then delete the field.
     tree_backend: str = "flat"
-    #: Depth of one shard subtree (members per shard = 2^shard_depth).
-    #: ``None`` resolves to min(10, tree_depth - 1); also used by the flat
-    #: backend to tag announcements with shard ids.
+    #: Depth of one shard subtree (members per shard = 2^shard_depth), the
+    #: geometry membership announcements are tagged with.  ``None``
+    #: resolves to min(10, tree_depth - 1).
     shard_depth: int | None = None
     #: Membership deposit in wei (the paper's ``v`` Ether).
     deposit: int = 1 * WEI
@@ -75,12 +79,10 @@ class RLNConfig:
             raise ProtocolError(
                 f"tree_backend must be 'flat' or 'sharded', got {self.tree_backend!r}"
             )
-        if self.shard_depth is not None and not 1 <= self.shard_depth < self.tree_depth:
-            raise ProtocolError(
-                f"shard_depth must be in [1, tree_depth - 1], got {self.shard_depth}"
-            )
-        if self.tree_backend == "sharded" and self.tree_depth < 2:
-            raise ProtocolError("sharded backend needs tree_depth >= 2")
+        try:
+            resolve_shard_depth(self.tree_depth, self.shard_depth)
+        except MerkleError as exc:
+            raise ProtocolError(str(exc)) from None
         if self.deposit <= 0:
             raise ProtocolError("deposit must be positive")
         if self.root_window < 1:

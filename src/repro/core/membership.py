@@ -25,14 +25,14 @@ The manager also implements the hybrid architecture of §IV-A: it produces
 storage-limited peers running :class:`OptimizedMerkleView` consume instead
 of holding the tree.
 
-Two tree backends exist behind the ``tree_backend`` switch: ``"flat"``
-(the seed's monolithic :class:`~repro.crypto.merkle.MerkleTree`, default)
-and ``"sharded"`` (the :class:`~repro.treesync.forest.ShardedMerkleForest`,
-same root, per-shard storage).  Either way every announcement is tagged
-with its shard id and sequence number as a
-:class:`~repro.treesync.messages.ShardUpdate`, so shard-scoped peers
-(:class:`~repro.treesync.sync.ShardSyncManager`) can consume the O(1)
-digest for foreign shards.
+The manager is a full replica: it holds the whole
+:class:`~repro.crypto.merkle.MerkleTree`.  Shards are levels of that tree
+(shard ``s`` is its node ``(shard_depth, s)``, see
+:mod:`repro.treesync.forest`), so every announcement is tagged with its
+shard id, shard root and sequence number as a
+:class:`~repro.treesync.messages.ShardUpdate` at no extra hashing, and
+shard-scoped peers (:class:`~repro.treesync.sync.ShardSyncManager`) can
+consume the O(1) digest for foreign shards.
 """
 
 from __future__ import annotations
@@ -46,12 +46,7 @@ from repro.crypto.field import FieldElement, ZERO
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.optimized_merkle import TreeUpdate
 from repro.errors import NotRegistered, SyncError
-from repro.treesync.forest import (
-    ShardedMerkleForest,
-    default_shard_depth,
-    make_membership_tree,
-    membership_tree_from_leaves,
-)
+from repro.treesync.forest import allocated_shard_roots, resolve_shard_depth
 from repro.treesync.messages import ShardRemoval, ShardUpdate, TreeCheckpoint
 
 
@@ -65,19 +60,14 @@ class GroupManager:
         *,
         tree_depth: int = 20,
         root_window: int = 5,
-        tree_backend: str = "flat",
         shard_depth: int | None = None,
     ) -> None:
         self.chain = chain
         self.contract = contract
-        self.tree_backend = tree_backend
-        #: Shard geometry used to *tag* announcements; the flat backend tags
-        #: too (reading the shard root off its own level-``shard_depth`` node),
-        #: so shard-scoped consumers work against either backend.
-        self.shard_depth = self._resolve_shard_depth(tree_depth, shard_depth)
-        self.tree = make_membership_tree(
-            tree_depth, backend=tree_backend, shard_depth=self.shard_depth
-        )
+        self.tree = MerkleTree(depth=tree_depth)
+        #: Shard geometry used to *tag* announcements (0 on a depth-1 tree,
+        #: which has no level to split at: every leaf is its own "shard").
+        self.shard_depth = resolve_shard_depth(tree_depth, shard_depth)
         self._recent_roots: deque[FieldElement] = deque(maxlen=root_window)
         self._recent_roots.append(self.tree.root)
         self._index_of_pk: dict[int, int] = {}
@@ -90,20 +80,6 @@ class GroupManager:
         self.event_seq = 0
         self._bootstrap()
         self._unsubscribe = chain.subscribe(self._on_event)
-
-    @staticmethod
-    def _resolve_shard_depth(tree_depth: int, shard_depth: int | None) -> int:
-        if shard_depth is None:
-            if tree_depth == 1:
-                # A depth-1 tree has no level to split at: every leaf is
-                # its own "shard" (tagging degenerates, nothing breaks).
-                return 0
-            shard_depth = default_shard_depth(tree_depth)
-        if not 1 <= shard_depth < tree_depth:
-            raise SyncError(
-                f"shard_depth must be in [1, {tree_depth - 1}], got {shard_depth}"
-            )
-        return shard_depth
 
     def close(self) -> None:
         self._unsubscribe()
@@ -119,12 +95,7 @@ class GroupManager:
         leaves = [FieldElement(pk) for pk in self.contract.commitment_list()]
         if not leaves:
             return
-        self.tree = membership_tree_from_leaves(
-            leaves,
-            self.tree.depth,
-            backend=self.tree_backend,
-            shard_depth=self.shard_depth,
-        )
+        self.tree = MerkleTree.from_leaves(leaves, depth=self.tree.depth)
         for index, leaf in enumerate(leaves):
             if leaf != ZERO:
                 self._index_of_pk[leaf.value] = index
@@ -220,33 +191,19 @@ class GroupManager:
         return index >> self.shard_depth
 
     def shard_root(self, shard_id: int) -> FieldElement:
-        """Root of one shard, regardless of backend.
-
-        The sharded forest stores it; the flat tree reads it straight off
-        its own node at level ``shard_depth`` — no extra hashing either way.
-        """
-        if isinstance(self.tree, ShardedMerkleForest):
-            return self.tree.shard_root(shard_id)
+        """Root of one shard: the tree's own node at level ``shard_depth``."""
         return self.tree.subtree_root(self.shard_depth, shard_id)
 
     def checkpoint(self) -> TreeCheckpoint:
-        """Snapshot of every non-empty shard root (the store-archived state)."""
-        if isinstance(self.tree, ShardedMerkleForest):
-            roots = self.tree.shard_roots()
-        else:
-            shard_count = (
-                self.tree.leaf_count + (1 << self.shard_depth) - 1
-            ) >> self.shard_depth
-            roots = {
-                sid: self.tree.subtree_root(self.shard_depth, sid)
-                for sid in range(shard_count)
-            }
+        """Snapshot of every allocated shard's root (the store-archived state)."""
         return TreeCheckpoint(
             seq=self.event_seq,
             depth=self.tree.depth,
             shard_depth=self.shard_depth,
             leaf_count=self.tree.leaf_count,
-            shard_roots=tuple(sorted(roots.items())),
+            shard_roots=tuple(
+                allocated_shard_roots(self.tree, self.shard_depth).items()
+            ),
             global_root=self.tree.root,
         )
 
@@ -321,8 +278,8 @@ class GroupManager:
     def assert_synced(self) -> None:
         """Raise :class:`SyncError` if the local tree diverged from the contract.
 
-        Always rebuilds *flat*: the forest root is pinned equal to the flat
-        root, so this doubles as a cross-backend consistency check.
+        The rebuild is the bottom-up bulk build, an independent route to
+        the root the event-by-event replay arrived at.
         """
         rebuilt = MerkleTree.from_leaves(
             [FieldElement(pk) for pk in self.contract.commitment_list()],

@@ -134,7 +134,6 @@ class WakuRLNRelayPeer:
             contract,
             tree_depth=self.config.tree_depth,
             root_window=self.config.root_window,
-            tree_backend=self.config.tree_backend,
             shard_depth=self.config.shard_depth,
         )
         self.validator = BundleValidator(self.config, self.prover, self.group)

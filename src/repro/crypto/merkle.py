@@ -87,9 +87,13 @@ class MerkleProof:
     def depth(self) -> int:
         return len(self.siblings)
 
-    def compute_root(self) -> FieldElement:
-        """Fold the path upward and return the implied root."""
-        hash2 = default_engine().hash2
+    def compute_root(self, hasher: NodeHasher | None = None) -> FieldElement:
+        """Fold the path upward and return the implied root.
+
+        ``hasher=None`` folds with Poseidon; a custom hasher folds paths of
+        the accounting-only trees the benchmarks build over a cheap hash.
+        """
+        hash2 = hasher or default_engine().hash2
         node = self.leaf
         for bit, sibling in zip(self.path_bits, self.siblings):
             if bit:
@@ -113,6 +117,12 @@ class MerkleTree:
     Nodes are stored in a dict keyed by (level, index); absent keys fall back
     to the zero hash of that level, so an empty tree costs O(depth) memory.
 
+    ``zeros`` overrides the zero ladder (``depth + 1`` rungs, rung 0 being
+    the *empty leaf*): the upper ``d`` levels of a deeper tree are
+    themselves a depth-``d`` tree whose empty leaf is the empty-subtree
+    root of the level they start at — the "top tree" over shard roots a
+    :class:`~repro.treesync.sync.ShardSyncManager` keeps is exactly that.
+
     >>> tree = MerkleTree(depth=3)
     >>> i = tree.insert(FieldElement(42))
     >>> proof = tree.proof(i)
@@ -120,15 +130,25 @@ class MerkleTree:
     True
     """
 
-    def __init__(self, depth: int = DEFAULT_DEPTH, *, hasher: NodeHasher | None = None) -> None:
+    def __init__(
+        self,
+        depth: int = DEFAULT_DEPTH,
+        *,
+        hasher: NodeHasher | None = None,
+        zeros: Sequence[FieldElement] | None = None,
+    ) -> None:
         if not 1 <= depth <= 32:
             raise MerkleError(f"depth must be in [1, 32], got {depth}")
         self.depth = depth
         self.capacity = 1 << depth
         self._nodes: dict[tuple[int, int], FieldElement] = {}
-        self._hasher = hasher
         self._hash: NodeHasher = hasher or default_engine().hash2
-        self._zeros = zero_hashes(depth, hasher)
+        self._zeros = zero_hashes(depth, hasher) if zeros is None else tuple(zeros)
+        if len(self._zeros) != depth + 1:
+            raise MerkleError("zero ladder length must be depth + 1")
+        #: The value an unoccupied leaf slot holds (``ZERO`` unless a
+        #: ladder was injected).
+        self._empty = self._zeros[0]
         self._next_index = 0
         #: Indices freed by deletion, reused before extending the frontier.
         self._free: list[int] = []
@@ -174,7 +194,7 @@ class MerkleTree:
 
     def insert(self, leaf: FieldElement) -> int:
         """Insert a leaf into the lowest free slot and return its index."""
-        if leaf == ZERO:
+        if leaf == self._empty:
             raise MerkleError("cannot insert the zero leaf (reserved for empty)")
         if self._free:
             index = min(self._free)
@@ -194,7 +214,7 @@ class MerkleTree:
         only ever appends; deleted slots stay zero so every member's index
         is stable for the lifetime of the group.
         """
-        if leaf == ZERO:
+        if leaf == self._empty:
             raise MerkleError("cannot insert the zero leaf (reserved for empty)")
         if self._next_index >= self.capacity:
             raise TreeFullError(f"tree of depth {self.depth} is full")
@@ -206,21 +226,22 @@ class MerkleTree:
     def delete(self, index: int) -> None:
         """Zero out a leaf (member removal after slashing/withdrawal)."""
         self._check_index(index)
-        if self._get(0, index) == ZERO:
+        if self._get(0, index) == self._empty:
             raise MerkleError(f"leaf {index} is already empty")
-        self._update_leaf(index, ZERO)
+        self._update_leaf(index, self._empty)
         self._free.append(index)
 
     def update(self, index: int, leaf: FieldElement) -> None:
         """Overwrite an occupied leaf in place."""
         self._check_index(index)
-        if leaf == ZERO:
+        if leaf == self._empty:
             raise MerkleError("use delete() to clear a leaf")
-        if self._get(0, index) == ZERO:
+        if self._get(0, index) == self._empty:
             raise MerkleError(f"leaf {index} is empty; use insert()")
         self._update_leaf(index, leaf)
 
     def _update_leaf(self, index: int, leaf: FieldElement) -> None:
+        """The one leaf-write/rehash loop: every mutation ends here."""
         self._set(0, index, leaf)
         node_index = index
         for level in range(self.depth):
@@ -238,11 +259,12 @@ class MerkleTree:
     def write_leaf(self, index: int, leaf: FieldElement) -> None:
         """Low-level slot write: allocate through ``index``, then set it.
 
-        The sharded forest addresses shard-local slots directly with this:
-        slots skipped over by the allocation stay empty (and reusable), and
-        writing ``ZERO`` clears an occupied slot.  Bookkeeping ends up
-        exactly as the equivalent ``append``/``insert``/``delete`` sequence
-        would have left it.
+        Shard-scoped peers replay announced writes with this — a home
+        shard addressed by shard-local slot, a top tree addressed by shard
+        id: slots skipped over by the allocation stay empty (and
+        reusable), and writing the empty leaf clears an occupied slot.
+        Bookkeeping ends up exactly as the equivalent
+        ``append``/``insert``/``delete`` sequence would have left it.
         """
         self._check_index(index)
         if index >= self._next_index:
@@ -250,10 +272,10 @@ class MerkleTree:
             self._next_index = index + 1
             currently_free = False
         else:
-            currently_free = self._get(0, index) == ZERO
-        if leaf == ZERO and not currently_free:
+            currently_free = self._get(0, index) == self._empty
+        if leaf == self._empty and not currently_free:
             self._free.append(index)
-        elif leaf != ZERO and currently_free:
+        elif leaf != self._empty and currently_free:
             self._free.remove(index)
         self._update_leaf(index, leaf)
 
@@ -261,17 +283,32 @@ class MerkleTree:
 
     def proof(self, index: int) -> MerkleProof:
         """Authentication path for the leaf at ``index``."""
-        self._check_index(index)
+        return self.path(0, index, self.depth)
+
+    def path(self, level: int, index: int, height: int) -> MerkleProof:
+        """Authentication path from node ``(level, index)`` up ``height`` levels.
+
+        The proof's ``leaf`` is the node itself and its ``index`` the
+        node's position inside the height-``height`` subtree the walk stays
+        within, so it folds to :meth:`subtree_root` at
+        ``(level + height, index >> height)``.  ``path(0, i, depth)`` is the
+        §II-B ``auth`` of leaf ``i``; split at a level boundary the two
+        halves are a shard-local path and a top-tree path (see
+        :mod:`repro.treesync.forest`).
+        """
+        leaf = self.subtree_root(level, index)
+        if not 0 <= height <= self.depth - level:
+            raise MerkleError(f"height {height} out of range above level {level}")
         siblings: list[FieldElement] = []
         bits: list[int] = []
         node_index = index
-        for level in range(self.depth):
-            siblings.append(self._get(level, node_index ^ 1))
+        for at in range(level, level + height):
+            siblings.append(self._get(at, node_index ^ 1))
             bits.append(node_index & 1)
             node_index >>= 1
         return MerkleProof(
-            leaf=self._get(0, index),
-            index=index,
+            leaf=leaf,
+            index=index & ((1 << height) - 1),
             siblings=tuple(siblings),
             path_bits=tuple(bits),
         )
@@ -280,9 +317,8 @@ class MerkleTree:
         """Root of the subtree of height ``level`` over leaves
         ``[index * 2^level, (index + 1) * 2^level)``.
 
-        At ``level = shard_depth`` this is exactly the shard root the
-        sharded forest commits into its top tree, so a flat tree can tag
-        membership announcements with shard roots without re-hashing.
+        At ``level = shard_depth`` this is exactly a shard root, which is
+        how membership announcements get tagged without re-hashing.
         """
         if not 0 <= level <= self.depth:
             raise MerkleError(f"level {level} out of range for depth {self.depth}")
@@ -340,27 +376,32 @@ class MerkleTree:
         million-member rows of experiment E12) tractable.
         """
         tree = cls(depth=depth, hasher=hasher)
-        if len(leaves) > tree.capacity:
-            raise TreeFullError(f"{len(leaves)} leaves exceed capacity {tree.capacity}")
+        tree._load(leaves)
+        return tree
+
+    def _load(self, leaves: Sequence[FieldElement]) -> None:
+        """Bulk-fill a freshly constructed tree (:meth:`from_leaves`' body)."""
+        if len(leaves) > self.capacity:
+            raise TreeFullError(f"{len(leaves)} leaves exceed capacity {self.capacity}")
         current: list[FieldElement] = []
         for index, leaf in enumerate(leaves):
             # Allocate strictly sequentially so index alignment with the
             # contract's ordered list is preserved even across deleted slots.
-            if leaf == ZERO:
-                tree._free.append(index)
+            if leaf == self._empty:
+                self._free.append(index)
             else:
-                tree._nodes[(0, index)] = leaf
+                self._nodes[(0, index)] = leaf
             current.append(leaf)
-        tree._next_index = len(leaves)
+        self._next_index = len(leaves)
         # Engine-backed hashers batch whole levels through hash_many, which
         # amortises the per-call parameter lookup and wrapper overhead.
-        engine = getattr(tree._hash, "engine", None)
+        engine = getattr(self._hash, "engine", None)
         width = len(current)
-        for level in range(depth):
+        for level in range(self.depth):
             if width == 0:
                 break
             width = (width + 1) // 2
-            zero = tree._zeros[level]
+            zero = self._zeros[level]
             pairs = [
                 (
                     current[2 * i],
@@ -371,12 +412,11 @@ class MerkleTree:
             if engine is not None:
                 above = engine.hash_many(pairs)
             else:
-                above = [tree._hash(left, right) for left, right in pairs]
-            tree.hash_ops += width
+                above = [self._hash(left, right) for left, right in pairs]
+            self.hash_ops += width
             for i, parent in enumerate(above):
-                tree._set(level + 1, i, parent)
+                self._set(level + 1, i, parent)
             current = above
-        return tree
 
 
 def verify_proof(root: FieldElement, proof: MerkleProof) -> None:

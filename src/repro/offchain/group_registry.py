@@ -39,7 +39,6 @@ from repro.crypto.identity import derive_commitment
 from repro.crypto.merkle import MerkleTree
 from repro.errors import ProtocolError
 from repro.offchain.kademlia import KademliaNode
-from repro.treesync.forest import ShardedMerkleForest, make_membership_tree
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,6 @@ class DistributedGroupManager:
         *,
         group_id: str = "waku-rln-relay/default",
         tree_depth: int = 20,
-        tree_backend: str = "flat",
-        shard_depth: int | None = None,
         member_mode: str = "full",
     ) -> None:
         if member_mode not in ("full", "light"):
@@ -125,8 +122,6 @@ class DistributedGroupManager:
         self.dht = dht
         self.group_key = b"group:" + group_id.encode("utf-8")
         self.tree_depth = tree_depth
-        self.tree_backend = tree_backend
-        self.shard_depth = shard_depth
         self.member_mode = member_mode
         self.snapshot = EMPTY_SNAPSHOT
         self._lamport = itertools.count(1)
@@ -202,24 +197,18 @@ class DistributedGroupManager:
 
     # -- tree construction ---------------------------------------------------------
 
-    def build_tree(self) -> "MerkleTree | ShardedMerkleForest":
+    def build_tree(self) -> MerkleTree:
         """Deterministic tree every converged replica agrees on.
 
         Registration order is (lamport, pk); removed members' leaves are
-        zeroed in place, exactly like the contract's ordered list.  The
-        backend switch changes storage layout only — both backends produce
-        the identical root, so replicas on different backends still agree.
+        zeroed in place, exactly like the contract's ordered list.
         """
         if self.member_mode == "light":
             raise ProtocolError(
                 "light member holds no tree; fetch witnesses from a "
                 "witness service (merkle_proof_via)"
             )
-        tree = make_membership_tree(
-            self.tree_depth,
-            backend=self.tree_backend,
-            shard_depth=self.shard_depth,
-        )
+        tree = MerkleTree(depth=self.tree_depth)
         removed = self.snapshot.removed_pks()
         seen: set[int] = set()
         for record in self.snapshot.ordered_registrations():

@@ -1,19 +1,16 @@
-"""Sharded identity-tree subsystem for million-member groups.
+"""Shard-scoped sync of the identity tree for million-member groups.
 
-The seed replays every membership event onto one monolithic Merkle tree;
-this package partitions the identity tree into fixed-capacity shards under
-a small top tree, so a peer materialises only its own shard plus the shard
-roots.  See ``README.md``'s architecture section for the shard layout,
-sync flow, and witness splicing.
+A full replica replays every membership event onto the one
+:class:`~repro.crypto.merkle.MerkleTree`.  This package reads that tree's
+levels as fixed-capacity shards under a small top tree (``forest``: a
+view, nothing stored twice), so that a peer which does *not* want the whole
+tree can hold only its own shard plus the shard roots (``sync``), fed by
+shard-tagged announcements (``messages``) and still able to produce the
+standard authentication path (``witness``).  See ``README.md``'s
+architecture section for the shard layout, sync flow, and witness splicing.
 """
 
-from repro.treesync.forest import (
-    DEFAULT_SHARD_DEPTH,
-    ShardedMerkleForest,
-    TopTree,
-    make_membership_tree,
-    membership_tree_from_leaves,
-)
+from repro.treesync.forest import DEFAULT_SHARD_DEPTH, ShardedMerkleForest
 from repro.treesync.messages import (
     CHECKPOINT_TOPIC,
     DIGEST_TOPIC,
@@ -41,13 +38,10 @@ __all__ = [
     "ShardUpdate",
     "ShardedMerkleForest",
     "SnapshotFetch",
-    "TopTree",
     "TreeCheckpoint",
     "TreeSyncPublisher",
     "TreeSyncStats",
     "WitnessProvider",
-    "make_membership_tree",
-    "membership_tree_from_leaves",
     "shard_topic",
     "splice",
 ]

@@ -1,131 +1,67 @@
-"""Sharded Merkle forest — the identity tree partitioned for million-member groups.
+"""Shard geometry over the identity tree — the forest is a *view*.
 
-The seed's :class:`~repro.crypto.merkle.MerkleTree` makes every peer pay
-O(group) storage and ``depth`` compressions per membership event, for
-members it will never interact with.  This module splits the tree at level
-``shard_depth``: members live in fixed-capacity *shards* (subtrees of depth
-``shard_depth`` over leaf ranges ``[s * 2^shard_depth, (s+1) * 2^shard_depth)``),
-and a small *top tree* of depth ``depth - shard_depth`` commits to the
-shard roots.
+Splitting the depth-``depth`` identity tree at level ``shard_depth`` gives
+fixed-capacity *shards* (subtrees over leaf ranges
+``[s * 2^shard_depth, (s+1) * 2^shard_depth)``) under a small *top tree* of
+depth ``depth - shard_depth`` that commits to the shard roots.  The split
+is a relabeling of the tree's own levels — shard ``s`` is node
+``(shard_depth, s)``, the top tree is the levels above it — so nothing is
+stored or hashed twice: :class:`ShardedMerkleForest` is a
+:class:`~repro.crypto.merkle.MerkleTree` that also answers shard-shaped
+questions, with the same root, paths and compression count.
 
-Because the split is a relabeling of the flat tree's own levels — the top
-tree's leaf ``s`` is exactly the flat tree's node ``(shard_depth, s)`` —
-the forest root equals the flat root for identical membership (pinned by
-tests), and a shard proof spliced with a top proof is byte-identical to
-the flat authentication path, so the RLN circuit and the validators need
-no changes.
-
-Shards are materialised lazily: an untouched shard is represented by the
-precomputed empty-shard constant ``zero_hashes(depth)[shard_depth]`` and
-never allocated.
+A full replica therefore gains nothing from the split.  The peers that
+store and hash less are the ones that hold only *part* of the tree: a
+:class:`~repro.treesync.sync.ShardSyncManager` keeps one shard plus the top
+tree (two small ``MerkleTree``s) and consumes foreign shards as O(1) root
+digests, and a shard path spliced with a top path
+(:func:`repro.treesync.witness.splice`) is byte-identical to the full
+authentication path, so the RLN circuit and the validators never know.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from repro.crypto.field import FIELD_BYTES, FieldElement, ZERO
-from repro.crypto.merkle import (
-    DEFAULT_DEPTH,
-    MerkleProof,
-    MerkleTree,
-    NodeHasher,
-    zero_hashes,
-)
-from repro.crypto.engine import default_engine
-from repro.errors import MerkleError, TreeFullError
+from repro.crypto.field import FIELD_BYTES, FieldElement
+from repro.crypto.merkle import DEFAULT_DEPTH, MerkleProof, MerkleTree, NodeHasher
+from repro.errors import MerkleError
 
 #: Shard depth used by the paper-scale deployments: 2^10-member shards
 #: under a depth-20 tree leave a 2^10-leaf top tree.
 DEFAULT_SHARD_DEPTH = 10
 
 
-class TopTree:
-    """The small tree committing to shard roots.
+def default_shard_depth(depth: int) -> int:
+    """The geometry ``shard_depth=None`` means: ``min(10, depth - 1)``, so
+    small (test-sized) trees split validly.  A depth-1 tree has no level
+    to split at and gets 0 — every leaf its own "shard": announcements are
+    still tagged, there is just no shard to snapshot."""
+    return min(DEFAULT_SHARD_DEPTH, depth - 1)
 
-    Structurally the upper ``depth - shard_depth`` levels of the flat tree:
-    its level-0 "zero" is the empty-shard root, not the zero leaf, so its
-    zero ladder is the tail of the flat tree's ladder.
+
+def resolve_shard_depth(depth: int, shard_depth: int | None = None) -> int:
+    """Default or range-check a shard geometry — the one place that does."""
+    if shard_depth is None:
+        return default_shard_depth(depth)
+    if not 1 <= shard_depth < depth:
+        raise MerkleError(f"shard_depth must be in [1, {depth - 1}], got {shard_depth}")
+    return shard_depth
+
+
+def allocated_shard_roots(tree: MerkleTree, shard_depth: int) -> dict[int, FieldElement]:
+    """Root of every shard ever allocated (the checkpoint payload).
+
+    Emptied shards are listed too, with the empty-shard root: a consumer
+    restoring from the checkpoint must overwrite whatever stale root it
+    holds for them.
     """
-
-    def __init__(
-        self, depth: int, zeros: Sequence[FieldElement], hasher: NodeHasher
-    ) -> None:
-        if len(zeros) != depth + 1:
-            raise MerkleError("zero ladder length must be depth + 1")
-        self.depth = depth
-        self._zeros = tuple(zeros)
-        self._hash = hasher
-        self._nodes: dict[tuple[int, int], FieldElement] = {}
-        self.hash_ops = 0
-
-    def _get(self, level: int, index: int) -> FieldElement:
-        return self._nodes.get((level, index), self._zeros[level])
-
-    def _set(self, level: int, index: int, value: FieldElement) -> None:
-        if value == self._zeros[level]:
-            self._nodes.pop((level, index), None)
-        else:
-            self._nodes[(level, index)] = value
-
-    @property
-    def root(self) -> FieldElement:
-        return self._get(self.depth, 0)
-
-    def leaf(self, index: int) -> FieldElement:
-        return self._get(0, index)
-
-    def set_leaf(self, index: int, value: FieldElement) -> None:
-        """Write one shard root and rehash its path to the top root."""
-        if not 0 <= index < (1 << self.depth):
-            raise MerkleError(f"shard index {index} out of range")
-        self._set(0, index, value)
-        node_index = index
-        for level in range(self.depth):
-            sibling = self._get(level, node_index ^ 1)
-            node = self._get(level, node_index)
-            if node_index & 1:
-                parent = self._hash(sibling, node)
-            else:
-                parent = self._hash(node, sibling)
-            self.hash_ops += 1
-            node_index >>= 1
-            self._set(level + 1, node_index, parent)
-
-    def siblings(self, index: int) -> tuple[FieldElement, ...]:
-        """Authentication-path siblings for shard ``index``, bottom up."""
-        out: list[FieldElement] = []
-        node_index = index
-        for level in range(self.depth):
-            out.append(self._get(level, node_index ^ 1))
-            node_index >>= 1
-        return tuple(out)
-
-    def proof(self, index: int) -> MerkleProof:
-        """Top-tree authentication path (its "leaf" is a shard root)."""
-        bits = tuple((index >> level) & 1 for level in range(self.depth))
-        return MerkleProof(
-            leaf=self.leaf(index),
-            index=index,
-            siblings=self.siblings(index),
-            path_bits=bits,
-        )
-
-    def stored_node_count(self) -> int:
-        return len(self._nodes)
-
-    def storage_bytes(self) -> int:
-        return len(self._nodes) * (FIELD_BYTES + 8)
+    count = (tree.leaf_count + (1 << shard_depth) - 1) >> shard_depth
+    return {sid: tree.subtree_root(shard_depth, sid) for sid in range(count)}
 
 
-class ShardedMerkleForest:
-    """Drop-in membership tree with per-shard storage and lazy shards.
-
-    Mirrors the :class:`MerkleTree` mutation/query API (append, insert,
-    delete, update, proof, leaf accounting) so the group managers switch
-    backends without touching callers; the root is bit-identical to the
-    flat tree's for the same membership.
-    """
+class ShardedMerkleForest(MerkleTree):
+    """A :class:`MerkleTree` that knows where its shards are."""
 
     def __init__(
         self,
@@ -134,220 +70,12 @@ class ShardedMerkleForest:
         *,
         hasher: NodeHasher | None = None,
     ) -> None:
-        if not 2 <= depth <= 32:
-            raise MerkleError(f"forest depth must be in [2, 32], got {depth}")
-        if not 1 <= shard_depth < depth:
-            raise MerkleError(
-                f"shard_depth must be in [1, {depth - 1}], got {shard_depth}"
-            )
-        self.depth = depth
-        self.shard_depth = shard_depth
+        super().__init__(depth, hasher=hasher)
+        self.shard_depth = resolve_shard_depth(depth, shard_depth)
         self.top_depth = depth - shard_depth
-        self.capacity = 1 << depth
         self.shard_capacity = 1 << shard_depth
-        self.num_shards = 1 << self.top_depth
-        self._hasher = hasher
-        self._hash: NodeHasher = hasher or default_engine().hash2
-        self._zeros = zero_hashes(depth, hasher)
-        #: Root of a fully-empty shard — the lazy-materialisation constant.
+        #: Root of a fully-empty shard (what an untouched shard reads as).
         self.empty_shard_root = self._zeros[shard_depth]
-        self._shards: dict[int, MerkleTree] = {}
-        self.top = TopTree(self.top_depth, self._zeros[shard_depth:], self._hash)
-        self._next_index = 0
-        self._free: list[int] = []
-
-    # -- node/shard access ---------------------------------------------------
-
-    @property
-    def node_hasher(self) -> NodeHasher:
-        """The two-to-one compression this forest folds with (Poseidon
-        unless an accounting hasher was injected)."""
-        return self._hash
-
-    def shard_of(self, index: int) -> int:
-        return index >> self.shard_depth
-
-    def _split(self, index: int) -> tuple[int, int]:
-        return index >> self.shard_depth, index & (self.shard_capacity - 1)
-
-    def _materialize(self, shard_id: int) -> MerkleTree:
-        shard = self._shards.get(shard_id)
-        if shard is None:
-            shard = MerkleTree(depth=self.shard_depth, hasher=self._hasher)
-            self._shards[shard_id] = shard
-        return shard
-
-    def shard_root(self, shard_id: int) -> FieldElement:
-        if not 0 <= shard_id < self.num_shards:
-            raise MerkleError(f"shard id {shard_id} out of range")
-        shard = self._shards.get(shard_id)
-        return self.empty_shard_root if shard is None else shard.root
-
-    def shard_roots(self) -> dict[int, FieldElement]:
-        """Roots of every materialised shard (checkpoint payload)."""
-        return {sid: shard.root for sid, shard in self._shards.items()}
-
-    def materialized_shard_count(self) -> int:
-        return len(self._shards)
-
-    @property
-    def root(self) -> FieldElement:
-        return self.top.root
-
-    @property
-    def leaf_count(self) -> int:
-        """Number of leaf slots ever allocated (including deleted ones)."""
-        return self._next_index
-
-    @property
-    def member_count(self) -> int:
-        """Number of currently occupied (non-deleted) leaves."""
-        return self._next_index - len(self._free)
-
-    @property
-    def hash_ops(self) -> int:
-        """Total compressions across every shard and the top tree."""
-        return self.top.hash_ops + sum(s.hash_ops for s in self._shards.values())
-
-    def leaf(self, index: int) -> FieldElement:
-        self._check_index(index)
-        shard_id, local = self._split(index)
-        shard = self._shards.get(shard_id)
-        return ZERO if shard is None else shard.leaf(local)
-
-    def leaves(self) -> Iterator[FieldElement]:
-        """All allocated leaf values in index order (zero where deleted)."""
-        for index in range(self._next_index):
-            yield self.leaf(index)
-
-    # -- mutation -------------------------------------------------------------
-
-    def insert(self, leaf: FieldElement) -> int:
-        """Insert a leaf into the lowest free slot and return its index."""
-        if leaf == ZERO:
-            raise MerkleError("cannot insert the zero leaf (reserved for empty)")
-        if self._free:
-            index = min(self._free)
-            self._free.remove(index)
-        elif self._next_index < self.capacity:
-            index = self._next_index
-            self._next_index += 1
-        else:
-            raise TreeFullError(f"forest of depth {self.depth} is full")
-        self._write(index, leaf)
-        return index
-
-    def append(self, leaf: FieldElement) -> int:
-        """Insert at the frontier, never reusing deleted slots (§III-A)."""
-        if leaf == ZERO:
-            raise MerkleError("cannot insert the zero leaf (reserved for empty)")
-        if self._next_index >= self.capacity:
-            raise TreeFullError(f"forest of depth {self.depth} is full")
-        index = self._next_index
-        self._next_index += 1
-        self._write(index, leaf)
-        return index
-
-    def delete(self, index: int) -> None:
-        """Zero out a leaf (member removal after slashing/withdrawal)."""
-        self._check_index(index)
-        if self.leaf(index) == ZERO:
-            raise MerkleError(f"leaf {index} is already empty")
-        self._write(index, ZERO)
-        self._free.append(index)
-
-    def update(self, index: int, leaf: FieldElement) -> None:
-        """Overwrite an occupied leaf in place."""
-        self._check_index(index)
-        if leaf == ZERO:
-            raise MerkleError("use delete() to clear a leaf")
-        if self.leaf(index) == ZERO:
-            raise MerkleError(f"leaf {index} is empty; use insert()")
-        self._write(index, leaf)
-
-    def _write(self, index: int, leaf: FieldElement) -> None:
-        shard_id, local = self._split(index)
-        shard = self._materialize(shard_id)
-        shard.write_leaf(local, leaf)
-        self.top.set_leaf(shard_id, shard.root)
-
-    # -- proofs ---------------------------------------------------------------
-
-    def proof(self, index: int) -> MerkleProof:
-        """Full-depth authentication path: shard siblings ∥ top siblings.
-
-        Identical, node for node, to the flat tree's path — the splice is
-        what :mod:`repro.treesync.witness` re-assembles from distributed
-        shard and top proofs.
-        """
-        self._check_index(index)
-        shard_id, local = self._split(index)
-        shard = self._shards.get(shard_id)
-        if shard is not None:
-            inner = shard.proof(local)
-            leaf, shard_siblings = inner.leaf, inner.siblings
-        else:
-            leaf = ZERO
-            shard_siblings = tuple(
-                self._zeros[level] for level in range(self.shard_depth)
-            )
-        siblings = shard_siblings + self.top.siblings(shard_id)
-        bits = tuple((index >> level) & 1 for level in range(self.depth))
-        return MerkleProof(leaf=leaf, index=index, siblings=siblings, path_bits=bits)
-
-    def shard_proof(self, index: int) -> MerkleProof:
-        """Authentication path of a leaf *within its shard* (depth ``shard_depth``)."""
-        self._check_index(index)
-        shard_id, local = self._split(index)
-        shard = self._shards.get(shard_id)
-        if shard is None:
-            bits = tuple((local >> level) & 1 for level in range(self.shard_depth))
-            return MerkleProof(
-                leaf=ZERO,
-                index=local,
-                siblings=tuple(self._zeros[level] for level in range(self.shard_depth)),
-                path_bits=bits,
-            )
-        return shard.proof(local)
-
-    def top_proof(self, shard_id: int) -> MerkleProof:
-        """Authentication path of a shard root within the top tree."""
-        if not 0 <= shard_id < self.num_shards:
-            raise MerkleError(f"shard id {shard_id} out of range")
-        return self.top.proof(shard_id)
-
-    def find(self, leaf: FieldElement) -> int:
-        """Index of the first occurrence of ``leaf``; raises if absent."""
-        for index in range(self._next_index):
-            if self.leaf(index) == leaf:
-                return index
-        raise MerkleError("leaf not present in forest")
-
-    # -- accounting (experiments E4/E12) ---------------------------------------
-
-    def stored_node_count(self) -> int:
-        return self.top.stored_node_count() + sum(
-            s.stored_node_count() for s in self._shards.values()
-        )
-
-    def storage_bytes(self) -> int:
-        return self.top.storage_bytes() + sum(
-            s.storage_bytes() for s in self._shards.values()
-        )
-
-    def peer_storage_bytes(self, shard_id: int) -> int:
-        """What a shard-scoped peer persists: its own shard + the top tree."""
-        shard = self._shards.get(shard_id)
-        own = 0 if shard is None else shard.storage_bytes()
-        return own + self.top.storage_bytes()
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.capacity:
-            raise MerkleError(
-                f"leaf index {index} out of range for depth {self.depth}"
-            )
 
     @classmethod
     def from_leaves(
@@ -358,72 +86,57 @@ class ShardedMerkleForest:
         *,
         hasher: NodeHasher | None = None,
     ) -> "ShardedMerkleForest":
-        """Build a forest over ``leaves`` in order, one bulk build per shard."""
-        forest = cls(depth=depth, shard_depth=shard_depth, hasher=hasher)
-        if len(leaves) > forest.capacity:
-            raise TreeFullError(
-                f"{len(leaves)} leaves exceed capacity {forest.capacity}"
-            )
-        for start in range(0, len(leaves), forest.shard_capacity):
-            chunk = leaves[start : start + forest.shard_capacity]
-            shard_id = start >> shard_depth
-            if any(leaf != ZERO for leaf in chunk):
-                shard = MerkleTree.from_leaves(
-                    chunk, depth=shard_depth, hasher=hasher
-                )
-                forest._shards[shard_id] = shard
-                forest.top.set_leaf(shard_id, shard.root)
-        forest._next_index = len(leaves)
-        forest._free = [i for i, leaf in enumerate(leaves) if leaf == ZERO]
+        forest = cls(depth, shard_depth, hasher=hasher)
+        forest._load(leaves)
         return forest
 
+    @property
+    def node_hasher(self) -> NodeHasher:
+        """The two-to-one compression this forest folds with (Poseidon
+        unless an accounting hasher was injected)."""
+        return self._hash
 
-def default_shard_depth(depth: int) -> int:
-    """``shard_depth=None`` resolution shared by every entry point:
-    ``min(DEFAULT_SHARD_DEPTH, depth - 1)``, so small (test-sized) trees
-    get a valid geometry automatically."""
-    return min(DEFAULT_SHARD_DEPTH, max(1, depth - 1))
+    # ``benchmarks/e2e/trace.py`` wraps and restores these three per class;
+    # inherited, the restore would pin MerkleTree's *wrapper* onto this
+    # class.  They must stay attributes this class defines itself.
 
+    def append(self, leaf: FieldElement) -> int:
+        return super().append(leaf)
 
-def make_membership_tree(
-    depth: int,
-    *,
-    backend: str = "flat",
-    shard_depth: int | None = None,
-    hasher: NodeHasher | None = None,
-) -> "MerkleTree | ShardedMerkleForest":
-    """Tree-backend factory shared by the group managers.
+    def delete(self, index: int) -> None:
+        super().delete(index)
 
-    ``"flat"`` preserves the seed's monolithic tree exactly; ``"sharded"``
-    returns a forest whose root is pinned equal to the flat tree's.
-    """
-    if backend == "flat":
-        return MerkleTree(depth=depth, hasher=hasher)
-    if backend == "sharded":
-        return ShardedMerkleForest(
-            depth=depth,
-            shard_depth=shard_depth if shard_depth is not None else default_shard_depth(depth),
-            hasher=hasher,
+    def proof(self, index: int) -> MerkleProof:
+        return super().proof(index)
+
+    # -- shard geometry ---------------------------------------------------------
+
+    def shard_of(self, index: int) -> int:
+        return index >> self.shard_depth
+
+    def shard_root(self, shard_id: int) -> FieldElement:
+        return self.subtree_root(self.shard_depth, shard_id)
+
+    def shard_roots(self) -> dict[int, FieldElement]:
+        return allocated_shard_roots(self, self.shard_depth)
+
+    def shard_proof(self, index: int) -> MerkleProof:
+        """Authentication path of a leaf *within its shard* (the lower
+        ``shard_depth`` levels of :meth:`proof`)."""
+        return self.path(0, index, self.shard_depth)
+
+    def top_proof(self, shard_id: int) -> MerkleProof:
+        """Authentication path of a shard root within the top tree (the
+        upper ``top_depth`` levels of :meth:`proof`)."""
+        return self.path(self.shard_depth, shard_id, self.top_depth)
+
+    def peer_storage_bytes(self, shard_id: int) -> int:
+        """Bytes of the nodes a shard-scoped peer needs: its own shard's
+        subtree plus every level from the shard roots up."""
+        split = self.shard_depth
+        held = sum(
+            1
+            for level, index in self._nodes
+            if level >= split or index >> (split - level) == shard_id
         )
-    raise MerkleError(f"unknown tree backend {backend!r}")
-
-
-def membership_tree_from_leaves(
-    leaves: Sequence[FieldElement],
-    depth: int,
-    *,
-    backend: str = "flat",
-    shard_depth: int | None = None,
-    hasher: NodeHasher | None = None,
-) -> "MerkleTree | ShardedMerkleForest":
-    """Bulk-build counterpart of :func:`make_membership_tree`."""
-    if backend == "flat":
-        return MerkleTree.from_leaves(leaves, depth=depth, hasher=hasher)
-    if backend == "sharded":
-        return ShardedMerkleForest.from_leaves(
-            leaves,
-            depth=depth,
-            shard_depth=shard_depth if shard_depth is not None else default_shard_depth(depth),
-            hasher=hasher,
-        )
-    raise MerkleError(f"unknown tree backend {backend!r}")
+        return held * (FIELD_BYTES + 8)

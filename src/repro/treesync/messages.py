@@ -260,11 +260,15 @@ class ShardUpdate:
 
 @dataclass(frozen=True)
 class TreeCheckpoint:
-    """Snapshot of the forest's commitment state at event ``seq``.
+    """Snapshot of the tree's shard-root commitments at event ``seq``.
 
-    Lists only non-empty shards; absent shards are the empty-shard
-    constant.  A consumer restores foreign-shard state from this and
-    replays only the deltas after ``seq``.
+    Lists every shard ever allocated — one that was since emptied
+    included, carrying the empty-shard root, which
+    :meth:`~repro.treesync.sync.ShardSyncManager.restore` relies on to
+    overwrite the stale root it may hold for it.  Only shards past the
+    frontier are absent (they are the empty-shard constant).  A consumer
+    restores foreign-shard state from this and replays only the deltas
+    after ``seq``.
     """
 
     seq: int

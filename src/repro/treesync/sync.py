@@ -39,7 +39,7 @@ from repro.errors import (
     SyncError,
     TreeSyncGap,
 )
-from repro.treesync.forest import DEFAULT_SHARD_DEPTH, TopTree
+from repro.treesync.forest import DEFAULT_SHARD_DEPTH, resolve_shard_depth
 from repro.treesync.messages import (
     CHECKPOINT_TOPIC,
     DIGEST_TOPIC,
@@ -105,26 +105,24 @@ class ShardSyncManager:
         telemetry=None,
         peer_id: str = "",
     ) -> None:
-        if not 1 <= shard_depth < depth:
-            raise MerkleError(
-                f"shard_depth must be in [1, {depth - 1}], got {shard_depth}"
-            )
         self.depth = depth
-        self.shard_depth = shard_depth
+        self.shard_depth = shard_depth = resolve_shard_depth(depth, shard_depth)
         self.top_depth = depth - shard_depth
         if home_shard is not None and not 0 <= home_shard < (1 << self.top_depth):
             raise MerkleError(f"home shard {home_shard} out of range")
         self.home_shard = home_shard
         self.shard_capacity = 1 << shard_depth
         self._hash: NodeHasher = hasher or default_engine().hash2
-        self._zeros = zero_hashes(depth, hasher)
-        self.empty_shard_root = self._zeros[shard_depth]
+        zeros = zero_hashes(depth, hasher)
+        self.empty_shard_root = zeros[shard_depth]
         #: Fully materialised home shard (``None`` for the light view).
         self.shard: MerkleTree | None = (
             None if home_shard is None else MerkleTree(depth=shard_depth, hasher=hasher)
         )
-        #: Top tree over shard roots (the only cross-shard state held).
-        self.top = TopTree(self.top_depth, self._zeros[shard_depth:], self._hash)
+        #: Top tree over shard roots (the only cross-shard state held):
+        #: the identity tree's upper levels, so its empty leaf is the
+        #: empty-shard root.
+        self.top = MerkleTree(self.top_depth, hasher=hasher, zeros=zeros[shard_depth:])
         #: Shard roots recorded since the last commit — O(1) per event.
         self._pending: dict[int, FieldElement] = {}
         #: Last applied global event sequence number (0 = genesis).
@@ -340,11 +338,11 @@ class ShardSyncManager:
             shard_id: self.top.leaf(shard_id) for shard_id in self._pending
         }
         for shard_id in sorted(self._pending):
-            self.top.set_leaf(shard_id, self._pending[shard_id])
+            self.top.write_leaf(shard_id, self._pending[shard_id])
         root = self.top.root
         if self._announced_root is not None and root != self._announced_root:
             for shard_id, value in previous.items():
-                self.top.set_leaf(shard_id, value)
+                self.top.write_leaf(shard_id, value)
             # _pending is kept: a genuine later recording can supersede it.
             # _collapse_window is kept too: the removal still awaits its
             # successful commit.

@@ -16,20 +16,6 @@ from repro.errors import MerkleError
 from repro.treesync.forest import ShardedMerkleForest
 
 
-def fold_path(proof: MerkleProof, hasher: NodeHasher | None = None) -> FieldElement:
-    """Fold an authentication path to its implied root.
-
-    ``hasher=None`` is :meth:`MerkleProof.compute_root` (Poseidon); a
-    custom hasher folds accounting-only trees the benchmarks build.
-    """
-    if hasher is None:
-        return proof.compute_root()
-    node = proof.leaf
-    for bit, sibling in zip(proof.path_bits, proof.siblings):
-        node = hasher(sibling, node) if bit else hasher(node, sibling)
-    return node
-
-
 def splice(
     shard_proof: MerkleProof,
     top_proof: MerkleProof,
@@ -44,7 +30,7 @@ def splice(
     must fold to exactly the shard root the top proof commits to
     (``hasher`` selects the fold for trees built over an injected hash).
     """
-    shard_root = fold_path(shard_proof, hasher)
+    shard_root = shard_proof.compute_root(hasher)
     if top_proof.leaf != shard_root:
         raise MerkleError(
             "shard proof folds to a different shard root than the top proof commits to"
@@ -58,12 +44,14 @@ def splice(
 
 
 class WitnessProvider:
-    """Serves full-depth RLN witnesses from a sharded forest.
+    """Re-assembles full-depth RLN witnesses from their two halves.
 
-    The hybrid architecture of §IV-A, shard-scoped: a resourceful peer
-    holding the forest answers witness requests by splicing the member's
-    shard-local path with the top-tree path, producing the standard
-    ``auth`` input of the circuit.
+    The hybrid architecture of §IV-A, shard-scoped: the member's
+    shard-local path spliced with the top-tree path is the standard
+    ``auth`` input of the circuit.  On a full replica the result is
+    ``forest.proof(index)`` byte for byte (which is what
+    :class:`~repro.witness.service.WitnessService` serves); the splice is
+    what a peer holding only a shard and the top tree has to do.
     """
 
     def __init__(self, forest: ShardedMerkleForest) -> None:

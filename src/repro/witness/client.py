@@ -37,7 +37,6 @@ from repro.net.transport import Network
 from repro.telemetry import resolve as resolve_telemetry
 from repro.crypto.field import FieldElement, ZERO
 from repro.treesync.messages import ShardRemoval, ShardUpdate
-from repro.treesync.witness import fold_path
 from repro.witness.messages import (
     WITNESS_PROTOCOL,
     WITNESS_REPLY_PROTOCOL,
@@ -94,7 +93,7 @@ def checked_fold(
     expected_bits = tuple((index >> level) & 1 for level in range(depth))
     if proof.path_bits != expected_bits:
         return None
-    return fold_path(proof, hasher)
+    return proof.compute_root(hasher)
 
 
 @dataclass

@@ -4,10 +4,10 @@ The hybrid architecture of §IV-A gives resourceful peers the full
 membership tree and lets light members fetch their Merkle authentication
 paths on demand.  :class:`WitnessService` is that role as a
 request/response protocol: it owns the ``witness`` channel of one peer,
-extracts spliced (shard ∥ top) paths or shard-leaf snapshots from the
-peer's group manager, and replies.
+extracts authentication paths or shard-leaf snapshots from the peer's
+group manager, and replies.
 
-Extraction is hash work over the forest, and on a relay peer it competes
+Extraction is work over the tree, and on a relay peer it competes
 with §III-F validation for the same modeled CPU.  When the service is
 given the pipeline's crypto executor it submits every extraction at
 :attr:`~repro.exec.executor.Priority.SERVICE` — witness traffic queues
@@ -22,12 +22,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.crypto.field import ZERO
-from repro.errors import ProtocolError
 from repro.exec.executor import CryptoExecutor, Priority
 from repro.net.transport import Network
 from repro.telemetry import resolve as resolve_telemetry
-from repro.treesync.forest import ShardedMerkleForest
-from repro.treesync.witness import WitnessProvider
 from repro.witness.messages import (
     WITNESS_PROTOCOL,
     WITNESS_REPLY_PROTOCOL,
@@ -61,10 +58,9 @@ class WitnessServiceStats:
 class WitnessService:
     """One resourceful peer serving witnesses and snapshots from its tree.
 
-    ``manager`` is the peer's :class:`~repro.core.membership.GroupManager`
-    (either backend: the sharded forest splices through
-    :class:`~repro.treesync.witness.WitnessProvider`; the flat tree's own
-    paths are node-identical, so the answer is the same bytes either way).
+    ``manager`` is the peer's :class:`~repro.core.membership.GroupManager`:
+    a full replica, whose ``tree.proof(i)`` is byte for byte the path a
+    shard-scoped peer would splice from its shard and top halves.
 
     ``validator_stats`` optionally mirrors the service-load counters into
     the peer's :class:`~repro.core.validator.ValidatorStats`, so benchmark
@@ -104,13 +100,6 @@ class WitnessService:
             )
             for kind in ("witness", "snapshot")
         }
-        #: Splicing provider over the forest (sharded backend only; the
-        #: flat tree serves its native paths).
-        self.provider: WitnessProvider | None = (
-            WitnessProvider(manager.tree)
-            if isinstance(manager.tree, ShardedMerkleForest)
-            else None
-        )
         network.register(peer_id, self._on_request, protocol=WITNESS_PROTOCOL)
 
     # -- request handling ----------------------------------------------------
@@ -160,10 +149,7 @@ class WitnessService:
             self.stats.witness_misses += 1
             self._m_misses["witness"].inc()
             return WitnessResponse(request_id=request.request_id, found=False)
-        if self.provider is not None:
-            proof = self.provider.witness(request.index)
-        else:
-            proof = tree.proof(request.index)
+        proof = tree.proof(request.index)
         self.stats.witnesses_served += 1
         self._m_served["witness"].inc()
         if self.validator_stats is not None:
@@ -179,12 +165,11 @@ class WitnessService:
         self.stats.snapshot_requests += 1
         tree = self.manager.tree
         shard_depth = self.manager.shard_depth
-        if shard_depth < 1:
-            raise ProtocolError(
-                "snapshot service needs a shard geometry (tree_depth >= 2)"
-            )
         num_shards = 1 << (tree.depth - shard_depth)
-        if not 0 <= request.shard_id < num_shards:
+        # A depth-1 tree has no shard geometry (shard_depth 0), and this
+        # runs inside a network handler: a request it cannot serve is a
+        # miss answered on the wire, never an exception into the simulator.
+        if shard_depth < 1 or not 0 <= request.shard_id < num_shards:
             self.stats.snapshot_misses += 1
             self._m_misses["snapshot"].inc()
             return SnapshotResponse(request_id=request.request_id, found=False)

@@ -20,7 +20,7 @@ from repro.core.config import RLNConfig
 from repro.core.membership import GroupManager
 from repro.core.validator import BundleValidator
 from repro.crypto.identity import Identity
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import MerkleTree, zero_hashes
 from repro.waku.message import WakuMessage
 from repro.zksnark.prover import Groth16Prover, NativeProver
 
@@ -39,6 +39,24 @@ hypothesis_settings.register_profile(
 #: an arbitrary-but-realistic epoch number (re-exported from the shared
 #: test-support module so benchmarks use the same value).
 RLN_TEST_EPOCH = testing.RLN_TEST_EPOCH
+
+
+def two_level_reference(leaves, depth, shard_depth):
+    """Independent rebuild of a sharded identity tree, for pinning the
+    shard view against: one from-scratch depth-``shard_depth`` tree per
+    allocated shard, bulk-built from that shard's leaves alone, and a top
+    tree (its empty leaf the empty-shard root) written with their roots.
+    Shares no node with the tree under test.  Returns ``(shards, top)``.
+    """
+    capacity = 1 << shard_depth
+    shards = [
+        MerkleTree.from_leaves(leaves[start : start + capacity], depth=shard_depth)
+        for start in range(0, len(leaves), capacity)
+    ]
+    top = MerkleTree(depth - shard_depth, zeros=zero_hashes(depth)[shard_depth:])
+    for shard_id, shard in enumerate(shards):
+        top.write_leaf(shard_id, shard.root)
+    return shards, top
 
 
 @pytest.fixture(scope="session")

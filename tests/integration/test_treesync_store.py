@@ -56,7 +56,6 @@ def group():
         chain,
         contract,
         tree_depth=DEPTH,
-        tree_backend="sharded",
         shard_depth=SHARD_DEPTH,
     )
     return chain, contract, manager
@@ -168,21 +167,24 @@ class TestShardedDeployment:
         assert any(m.payload == b"over the forest" for m in receiver.received)
 
     def test_flat_and_sharded_managers_share_roots(self):
-        """Both backends watching one contract agree on every root."""
-        config = RLNConfig(epoch_length=30.0, tree_depth=DEPTH, shard_depth=SHARD_DEPTH)
-        dep = RLNDeployment.create(peer_count=4, degree=3, seed=9, config=config)
-        sharded = GroupManager(
-            dep.chain,
-            dep.contract,
+        """Whatever the frozen ``tree_backend`` field carries, managers
+        watching one contract agree on every root and checkpoint byte."""
+        config = RLNConfig(
+            epoch_length=30.0,
             tree_depth=DEPTH,
             tree_backend="sharded",
             shard_depth=SHARD_DEPTH,
         )
+        dep = RLNDeployment.create(peer_count=4, degree=3, seed=9, config=config)
+        standalone = GroupManager(
+            dep.chain, dep.contract, tree_depth=DEPTH, shard_depth=SHARD_DEPTH
+        )
         dep.register_all()
-        flat_manager = dep.peer("peer-000").group
-        assert flat_manager.root == sharded.root
-        assert flat_manager.recent_roots()[-1] == sharded.recent_roots()[-1]
-        sharded.close()
+        deployed = dep.peer("peer-000").group
+        assert deployed.root == standalone.root
+        assert deployed.recent_roots()[-1] == standalone.recent_roots()[-1]
+        assert deployed.checkpoint().to_bytes() == standalone.checkpoint().to_bytes()
+        standalone.close()
 
 
 class TestBoundedCatchUp:

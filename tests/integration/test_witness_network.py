@@ -200,7 +200,6 @@ def publisher_group():
         chain,
         contract,
         tree_depth=DEPTH,
-        tree_backend="sharded",
         shard_depth=SHARD_DEPTH,
     )
     return chain, contract, manager

@@ -1,16 +1,28 @@
-"""Property tests: forest/flat equivalence under arbitrary interleavings.
+"""Property tests: the shard view against an independent two-level rebuild.
 
-The tentpole invariant of the treesync subsystem — for any interleaving of
-inserts and deletes, the sharded forest and the flat tree produce the same
-global root, the same proofs, and proofs that verify under either root.
+The forest is a ``MerkleTree`` read at a level boundary, so flat-vs-forest
+alone would be a tautology.  The reference here shares nothing with the
+tree under test: per-shard trees bulk-built from each shard's leaves and a
+top tree over their roots (``two_level_reference``).  For any interleaving
+of inserts, appends and deletes the shard roots, the global root and both
+path halves must agree with it, and a shard-scoped peer fed the
+announcements must commit to the same root.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.field import FieldElement
+from repro.crypto.field import FieldElement, ZERO
 from repro.crypto.merkle import MerkleTree
-from repro.treesync import ShardedMerkleForest
+from repro.crypto.optimized_merkle import TreeUpdate
+from repro.treesync import (
+    ShardRemoval,
+    ShardSyncManager,
+    ShardUpdate,
+    ShardedMerkleForest,
+    splice,
+)
+from tests.conftest import two_level_reference
 
 DEPTH = 6
 SHARD_DEPTH = 2
@@ -54,15 +66,26 @@ def apply_ops(ops, tree_a, tree_b):
         yield live
 
 
+def reference_of(forest):
+    return two_level_reference(
+        list(forest.leaves()), forest.depth, forest.shard_depth
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops=ops_strategy)
 def test_roots_equal_under_any_interleaving(ops):
     flat = MerkleTree(depth=DEPTH)
     forest = ShardedMerkleForest(depth=DEPTH, shard_depth=SHARD_DEPTH)
     for _ in apply_ops(ops, flat, forest):
-        assert forest.root == flat.root
+        shards, top = reference_of(forest)
+        assert forest.shard_roots() == {
+            shard_id: shard.root for shard_id, shard in enumerate(shards)
+        }
+        assert forest.root == top.root == flat.root
     assert forest.member_count == flat.member_count
     assert forest.leaf_count == flat.leaf_count
+    assert forest.hash_ops == flat.hash_ops
 
 
 @settings(max_examples=30, deadline=None)
@@ -73,12 +96,15 @@ def test_proofs_identical_and_verify_under_both(ops):
     live: list[int] = []
     for live in apply_ops(ops, flat, forest):
         pass
+    shards, top = reference_of(forest)
     for index in live:
-        flat_proof = flat.proof(index)
-        forest_proof = forest.proof(index)
-        assert forest_proof == flat_proof
-        assert flat_proof.verify(forest.root)
-        assert forest_proof.verify(flat.root)
+        shard_id, local = divmod(index, forest.shard_capacity)
+        shard_half = forest.shard_proof(index)
+        top_half = forest.top_proof(shard_id)
+        assert shard_half == shards[shard_id].proof(local)
+        assert top_half == top.proof(shard_id)
+        assert splice(shard_half, top_half) == forest.proof(index) == flat.proof(index)
+        assert forest.proof(index).verify(top.root)
 
 
 @settings(max_examples=30, deadline=None)
@@ -92,5 +118,62 @@ def test_bulk_build_matches_flat_for_any_geometry(leaves, shard_depth):
     forest = ShardedMerkleForest.from_leaves(
         field_leaves, depth=DEPTH, shard_depth=shard_depth
     )
-    assert forest.root == flat.root
+    shards, top = two_level_reference(field_leaves, DEPTH, shard_depth)
+    assert forest.root == top.root == flat.root
+    assert forest.shard_roots() == {
+        shard_id: shard.root for shard_id, shard in enumerate(shards)
+    }
     assert forest.member_count == flat.member_count
+    assert forest.hash_ops == flat.hash_ops
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=ops_strategy, home=st.sampled_from([None, 0, 1, 3]))
+def test_sync_manager_fed_the_announcements_commits_to_the_same_root(ops, home):
+    """A home-shard peer replays its shard's writes, everyone else's
+    arrive as O(1) digests; its two small trees must land on the root of
+    the full tree — and its witnesses on the full tree's paths."""
+    forest = ShardedMerkleForest(depth=DEPTH, shard_depth=SHARD_DEPTH)
+    view = ShardSyncManager(home, depth=DEPTH, shard_depth=SHARD_DEPTH)
+    before = [ZERO] * forest.capacity
+    live: list[int] = []
+    seq = 0
+    for live in apply_ops(ops, forest, MerkleTree(depth=DEPTH)):
+        after = list(forest.leaves())
+        after += [ZERO] * (forest.capacity - len(after))
+        changed = [i for i in range(forest.capacity) if after[i] != before[i]]
+        if not changed:
+            continue  # op skipped (tree full)
+        (index,) = changed
+        seq += 1
+        shard_id = forest.shard_of(index)
+        if after[index] == ZERO:
+            item = ShardRemoval(
+                seq=seq,
+                shard_id=shard_id,
+                index=index,
+                removed_leaf=before[index],
+                new_shard_root=forest.shard_root(shard_id),
+                new_global_root=forest.root,
+            )
+        else:
+            item = ShardUpdate(
+                seq=seq,
+                shard_id=shard_id,
+                # The path is dead weight to a shard-scoped consumer.
+                update=TreeUpdate(
+                    index=index,
+                    new_leaf=after[index],
+                    path=forest.proof(index),
+                    new_root=forest.root,
+                ),
+                new_shard_root=forest.shard_root(shard_id),
+                new_global_root=forest.root,
+            )
+        view.apply(item if shard_id == home else item.digest())
+        before = after
+        assert view.root == forest.root
+    if home is not None:
+        for index in live:
+            if forest.shard_of(index) == home:
+                assert view.witness(index) == forest.proof(index)

@@ -77,6 +77,9 @@ class TestConfig:
             {"tree_depth": 33},
             {"deposit": 0},
             {"root_window": 0},
+            {"tree_backend": "bogus"},
+            {"shard_depth": 0},
+            {"tree_depth": 8, "shard_depth": 8},
         ],
     )
     def test_validation(self, kwargs):

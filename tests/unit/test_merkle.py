@@ -199,6 +199,69 @@ class TestProofs:
             tree.find(FieldElement(44))
 
 
+class TestLevels:
+    """``path`` and the injectable zero ladder: a tree's upper levels are
+    themselves a tree."""
+
+    def build(self):
+        tree = MerkleTree(depth=5)
+        for value in range(1, 20):
+            tree.append(FieldElement(value))
+        tree.delete(9)
+        return tree
+
+    def test_path_halves_concatenate_to_the_proof(self):
+        tree = self.build()
+        for index in (0, 9, 18, 31):
+            low = tree.path(0, index, 2)
+            high = tree.path(2, index >> 2, 3)
+            whole = tree.proof(index)
+            assert low.siblings + high.siblings == whole.siblings
+            assert low.path_bits + high.path_bits == whole.path_bits
+            assert (high.index << 2) | low.index == index
+            assert low.compute_root() == high.leaf == tree.subtree_root(2, index >> 2)
+            assert high.verify(tree.root)
+
+    def test_path_range_checked(self):
+        tree = self.build()
+        with pytest.raises(MerkleError):
+            tree.path(2, 8, 3)  # only 8 nodes at level 2
+        with pytest.raises(MerkleError):
+            tree.path(2, 0, 4)  # walks past the root
+        assert tree.path(5, 0, 0).leaf == tree.root
+
+    def test_zero_ladder_tree_is_the_upper_levels(self):
+        tree = self.build()
+        top = MerkleTree(depth=3, zeros=zero_hashes(5)[2:])
+        assert top.root == MerkleTree(depth=5).root  # empty = all-empty shards
+        for node in range(5):  # the five allocated level-2 nodes
+            top.write_leaf(node, tree.subtree_root(2, node))
+        assert top.root == tree.root
+        assert top.proof(4) == tree.path(2, 4, 3)
+        # Writing the empty leaf (an emptied subtree) frees the slot again.
+        top.write_leaf(4, zero_hashes(5)[2])
+        assert top.member_count == 4
+        trimmed = MerkleTree.from_leaves(list(tree.leaves())[:16], depth=5)
+        assert top.root == trimmed.root
+        with pytest.raises(MerkleError):
+            top.append(zero_hashes(5)[2])
+
+    def test_zero_ladder_length_checked(self):
+        with pytest.raises(MerkleError):
+            MerkleTree(depth=3, zeros=zero_hashes(5)[1:])
+
+    def test_compute_root_folds_with_an_injected_hasher(self):
+        def cheap(left, right):
+            return FieldElement(left.value * 3 + right.value * 5 + 7)
+
+        tree = MerkleTree(depth=4, hasher=cheap)
+        for value in range(1, 8):
+            tree.append(FieldElement(value))
+        proof = tree.proof(5)
+        assert proof.compute_root(cheap) == tree.root
+        assert proof.compute_root() != tree.root
+
+
 class TestStorageAccounting:
     def test_empty_tree_stores_nothing(self):
         assert MerkleTree(depth=20).stored_node_count() == 0

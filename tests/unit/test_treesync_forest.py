@@ -1,17 +1,18 @@
-"""Unit tests for the sharded Merkle forest (repro.treesync.forest)."""
+"""Unit tests for the shard view of the identity tree (repro.treesync.forest).
+
+The forest *is* a ``MerkleTree``, so comparing it to a flat tree alone
+would be a tautology: every equivalence case is also pinned against
+``two_level_reference`` — per-shard trees built from scratch plus a top
+tree over their roots, sharing no node with the tree under test.
+"""
 
 import pytest
 
 from repro.crypto.field import FieldElement, ZERO
 from repro.crypto.merkle import MerkleTree
 from repro.errors import MerkleError, TreeFullError
-from repro.treesync import (
-    ShardedMerkleForest,
-    WitnessProvider,
-    make_membership_tree,
-    membership_tree_from_leaves,
-    splice,
-)
+from repro.treesync import ShardedMerkleForest, WitnessProvider, splice
+from tests.conftest import two_level_reference
 
 DEPTH = 6
 SHARD_DEPTH = 2
@@ -23,10 +24,26 @@ def build_pair(depth=DEPTH, shard_depth=SHARD_DEPTH):
     )
 
 
+def assert_matches_reference(forest):
+    """Every shard root, the shard-root listing and the global root agree
+    with the independent two-level rebuild; returns it."""
+    shards, top = two_level_reference(
+        list(forest.leaves()), forest.depth, forest.shard_depth
+    )
+    assert forest.shard_roots() == {
+        shard_id: shard.root for shard_id, shard in enumerate(shards)
+    }
+    for shard_id, shard in enumerate(shards):
+        assert forest.shard_root(shard_id) == shard.root
+    assert forest.root == top.root
+    return shards, top
+
+
 class TestRootEquivalence:
     def test_empty_roots_equal(self):
         flat, forest = build_pair()
         assert forest.root == flat.root
+        assert_matches_reference(forest)
 
     def test_append_sequence(self):
         flat, forest = build_pair()
@@ -35,6 +52,7 @@ class TestRootEquivalence:
                 FieldElement(value)
             )
             assert forest.root == flat.root
+            assert_matches_reference(forest)
 
     def test_delete_and_reuse(self):
         flat, forest = build_pair()
@@ -45,9 +63,11 @@ class TestRootEquivalence:
             flat.delete(index)
             forest.delete(index)
             assert forest.root == flat.root
-        # insert() reuses the lowest freed slot on both backends.
+            assert_matches_reference(forest)
+        # insert() reuses the lowest freed slot.
         assert flat.insert(FieldElement(99)) == forest.insert(FieldElement(99)) == 2
         assert forest.root == flat.root
+        assert_matches_reference(forest)
 
     def test_update_in_place(self):
         flat, forest = build_pair()
@@ -57,6 +77,7 @@ class TestRootEquivalence:
         flat.update(3, FieldElement(1234))
         forest.update(3, FieldElement(1234))
         assert forest.root == flat.root
+        assert_matches_reference(forest)
 
     def test_from_leaves_matches_flat(self):
         leaves = [FieldElement(v) if v % 4 else ZERO for v in range(1, 40)]
@@ -67,6 +88,8 @@ class TestRootEquivalence:
         assert forest.root == flat.root
         assert forest.member_count == flat.member_count
         assert forest.leaf_count == flat.leaf_count
+        assert forest.hash_ops == flat.hash_ops
+        assert_matches_reference(forest)
 
     def test_member_and_leaf_counts_track_flat(self):
         flat, forest = build_pair()
@@ -78,6 +101,17 @@ class TestRootEquivalence:
         assert forest.member_count == flat.member_count == 10
         assert forest.leaf_count == flat.leaf_count == 11
         assert list(forest.leaves()) == list(flat.leaves())
+        assert forest.hash_ops == flat.hash_ops
+
+    def test_emptied_shard_stays_listed_with_the_empty_root(self):
+        """What ShardSyncManager.restore relies on to overwrite a stale root."""
+        _, forest = build_pair()
+        for value in range(1, 7):  # shard 0 full, shard 1 half
+            forest.append(FieldElement(value))
+        for index in (4, 5):
+            forest.delete(index)
+        assert forest.shard_roots()[1] == forest.empty_shard_root
+        assert_matches_reference(forest)
 
 
 class TestProofs:
@@ -86,16 +120,24 @@ class TestProofs:
         for value in range(1, 25):
             flat.append(FieldElement(value))
             forest.append(FieldElement(value))
+        shards, top = assert_matches_reference(forest)
         for index in range(flat.leaf_count):
             assert forest.proof(index) == flat.proof(index)
+            shard_id, local = divmod(index, forest.shard_capacity)
+            # The halves are the reference trees' own paths, node for node.
+            assert forest.shard_proof(index) == shards[shard_id].proof(local)
+            assert forest.top_proof(shard_id) == top.proof(shard_id)
 
     def test_proof_verifies_in_absent_shard(self):
         _, forest = build_pair()
         forest.append(FieldElement(7))
-        # Highest leaf lives in a shard that was never materialised.
+        # Highest leaf lives in a shard nothing was ever written to.
         proof = forest.proof(forest.capacity - 1)
         assert proof.leaf == ZERO
         assert proof.verify(forest.root)
+        assert forest.shard_proof(forest.capacity - 1).compute_root() == (
+            forest.empty_shard_root
+        )
 
     def test_splice_equals_direct_proof(self):
         _, forest = build_pair()
@@ -129,16 +171,16 @@ class TestProofs:
 class TestLazyMaterialization:
     def test_empty_forest_allocates_nothing(self):
         _, forest = build_pair()
-        assert forest.materialized_shard_count() == 0
+        assert forest.shard_roots() == {}
         assert forest.stored_node_count() == 0
 
     def test_only_touched_shards_materialize(self):
         _, forest = build_pair()
         for value in range(1, 5):  # fills shard 0 exactly (capacity 4)
             forest.append(FieldElement(value))
-        assert forest.materialized_shard_count() == 1
+        assert list(forest.shard_roots()) == [0]
         forest.append(FieldElement(5))
-        assert forest.materialized_shard_count() == 2
+        assert list(forest.shard_roots()) == [0, 1]
 
     def test_empty_shard_root_is_constant(self):
         _, forest = build_pair()
@@ -149,6 +191,12 @@ class TestLazyMaterialization:
         for value in range(1, 200):
             forest.append(FieldElement(value))
         assert forest.peer_storage_bytes(0) < forest.storage_bytes()
+        # One shard plus the top tree, the shard root counted once.
+        shards, top = assert_matches_reference(forest)
+        per_node = forest.storage_bytes() // forest.stored_node_count()
+        assert forest.peer_storage_bytes(0) == (
+            shards[0].storage_bytes() + top.storage_bytes() - per_node
+        )
 
 
 class TestValidation:
@@ -187,30 +235,8 @@ class TestValidation:
             forest.find(FieldElement(33))
 
 
-class TestFactory:
-    def test_flat_backend(self):
-        tree = make_membership_tree(DEPTH, backend="flat")
-        assert isinstance(tree, MerkleTree)
-
-    def test_sharded_backend(self):
-        tree = make_membership_tree(DEPTH, backend="sharded", shard_depth=2)
-        assert isinstance(tree, ShardedMerkleForest)
-
-    def test_unknown_backend(self):
-        with pytest.raises(MerkleError):
-            make_membership_tree(DEPTH, backend="bogus")
-
-    def test_from_leaves_backends_agree(self):
-        leaves = [FieldElement(v) for v in range(1, 30)]
-        flat = membership_tree_from_leaves(leaves, DEPTH, backend="flat")
-        forest = membership_tree_from_leaves(
-            leaves, DEPTH, backend="sharded", shard_depth=3
-        )
-        assert flat.root == forest.root
-
-
 class TestWriteLeaf:
-    """The low-level MerkleTree primitive the forest drives shards with."""
+    """The low-level MerkleTree primitive shard-scoped peers replay with."""
 
     def test_skip_allocation_marks_intermediates_free(self):
         tree = MerkleTree(depth=4)

@@ -18,7 +18,8 @@ from repro.errors import (
     TreeSyncGap,
 )
 from repro.treesync import ShardRemoval, ShardSyncManager, ShardUpdate
-from tests.conftest import TEST_DEPTH
+from repro.treesync.forest import resolve_shard_depth
+from tests.conftest import TEST_DEPTH, two_level_reference
 
 SHARD_DEPTH = 3  # 8-member shards under the 8-level test tree
 
@@ -33,7 +34,6 @@ def group():
         chain,
         contract,
         tree_depth=TEST_DEPTH,
-        tree_backend="sharded",
         shard_depth=SHARD_DEPTH,
     )
     return chain, contract, manager
@@ -223,17 +223,26 @@ class TestWitnessAndValidation:
 
 class TestCheckpoint:
     def test_checkpoint_equivalence_across_backends(self, group):
+        """The checkpoint lists exactly the roots of per-shard trees built
+        from scratch over the contract's list — an emptied shard included,
+        under the empty-shard root — whichever manager cut it."""
         chain, contract, manager = group
-        flat_manager = GroupManager(
+        defaulted = GroupManager(
             chain, contract, tree_depth=TEST_DEPTH, shard_depth=SHARD_DEPTH
         )
-        for i in range(20):
-            register(chain, contract, 0x1100 + i)
-        sharded_ckpt = manager.checkpoint()
-        flat_ckpt = flat_manager.checkpoint()
-        assert sharded_ckpt.global_root == flat_ckpt.global_root
-        assert dict(sharded_ckpt.shard_roots) == dict(flat_ckpt.shard_roots)
-        flat_manager.close()
+        members = [register(chain, contract, 0x1100 + i) for i in range(20)]
+        for member in members[16:]:  # empties shard 2 (indices 16-19)
+            slash(chain, contract, member)
+        checkpoint = manager.checkpoint()
+        leaves = [FieldElement(pk) for pk in contract.commitment_list()]
+        shards, top = two_level_reference(leaves, TEST_DEPTH, SHARD_DEPTH)
+        assert checkpoint.shard_roots == tuple(
+            (shard_id, shard.root) for shard_id, shard in enumerate(shards)
+        )
+        assert checkpoint.shard_roots[2][1] == top.leaf(3)  # the empty-shard root
+        assert checkpoint.global_root == top.root
+        assert checkpoint.to_bytes() == defaulted.checkpoint().to_bytes()
+        defaulted.close()
 
     def test_restore_from_checkpoint(self, group):
         chain, contract, manager = group
@@ -269,24 +278,31 @@ class TestCheckpoint:
 
 
 class TestGeometryDefaults:
-    def test_distributed_manager_sharded_small_depth(self):
-        """shard_depth=None resolves to min(10, depth-1) in every entry
-        point, including the DHT-backed manager (regression)."""
-        from repro.offchain.group_registry import DistributedGroupManager
+    def test_default_geometry_at_small_depth(self):
+        """shard_depth=None resolves to min(10, depth-1) at every entry
+        point, through the one resolver (regression)."""
+        chain = Blockchain()
+        contract = RLNMembershipContract(deposit=1 * WEI)
+        chain.deploy(contract)
+        manager = GroupManager(chain, contract, tree_depth=8)
+        assert manager.shard_depth == 7
+        manager.close()
+        assert resolve_shard_depth(8) == 7
+        assert resolve_shard_depth(20) == 10
 
-        class _NullDHT:
-            def get(self, key, cb):
-                cb(None, 0)
-
-            def put(self, key, value, version, on_done=None):
-                if on_done:
-                    on_done(1)
-
-        manager = DistributedGroupManager(
-            "p", _NullDHT(), tree_depth=8, tree_backend="sharded"
-        )
-        tree = manager.build_tree()
-        assert tree.shard_depth == 7
+    def test_config_and_manager_reject_the_same_geometries(self):
+        """One range check: what RLNConfig refuses, the manager refuses."""
+        chain = Blockchain()
+        contract = RLNMembershipContract(deposit=1 * WEI)
+        chain.deploy(contract)
+        for depth, shard_depth in ((8, 0), (8, 8), (8, 9), (1, 1)):
+            with pytest.raises(ProtocolError):
+                RLNConfig(tree_depth=depth, shard_depth=shard_depth)
+            with pytest.raises(MerkleError):
+                GroupManager(chain, contract, tree_depth=depth, shard_depth=shard_depth)
+        # ... and a depth-1 deployment is valid whatever the frozen
+        # tree_backend field says: nothing reads it.
+        assert RLNConfig(tree_depth=1, tree_backend="sharded").shard_depth is None
 
     def test_flat_depth_one_tree_still_constructs(self):
         """The seed-valid tree_depth=1 flat configuration (regression)."""
@@ -347,7 +363,6 @@ class TestCommitRecovery:
             chain,
             contract,
             tree_depth=TEST_DEPTH,
-            tree_backend="sharded",
             shard_depth=SHARD_DEPTH,
         )
         assert late.event_seq == manager.event_seq

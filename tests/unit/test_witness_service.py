@@ -7,6 +7,8 @@ import pytest
 from repro import testing
 from repro.chain.blockchain import Blockchain, WEI
 from repro.chain.rln_contract import RLNMembershipContract
+from repro.core.config import RLNConfig
+from repro.core.deployment import RLNDeployment
 from repro.core.membership import GroupManager
 from repro.core.validator import ValidatorStats
 from repro.crypto.field import FieldElement
@@ -18,6 +20,8 @@ from repro.net.request import RequestFailure
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
+from repro.treesync import splice
+from repro.witness.messages import WITNESS_PROTOCOL, WITNESS_REPLY_PROTOCOL
 from repro.witness import (
     SnapshotRequest,
     SnapshotResponse,
@@ -27,6 +31,8 @@ from repro.witness import (
     WitnessService,
     verify_witness,
 )
+
+from tests.conftest import two_level_reference
 
 DEPTH = 8
 SHARD_DEPTH = 3
@@ -50,7 +56,6 @@ def env():
         chain,
         contract,
         tree_depth=DEPTH,
-        tree_backend="sharded",
         shard_depth=SHARD_DEPTH,
     )
     members = [
@@ -118,23 +123,24 @@ class TestWitnessFetch:
         assert got and got[0] == manager.merkle_proof_at(5)
         assert got[0].verify(manager.root)
         assert service.stats.witnesses_served == 1
-        # The sharded backend answered through the splicing provider.
-        assert service.provider is not None and service.provider.served == 1
+        # The served bytes are the path a shard-scoped peer would splice
+        # from independently built shard and top trees.
+        leaves = [FieldElement(pk) for pk in manager.contract.commitment_list()]
+        shards, top = two_level_reference(leaves, DEPTH, SHARD_DEPTH)
+        assert got[0] == splice(shards[0].proof(5), top.proof(0))
 
     def test_flat_backend_serves_identical_paths(self, env):
-        sim, network, names, _, _ = env
-        _, _, _, manager, _ = env
-        flat = GroupManager(
-            manager.chain, manager.contract, tree_depth=DEPTH, tree_backend="flat"
-        )
-        service = WitnessService(names[2], flat, network)
+        """A second replica, on the default geometry, serves the same path."""
+        sim, network, names, manager, _ = env
+        other = GroupManager(manager.chain, manager.contract, tree_depth=DEPTH)
+        service = WitnessService(names[2], other, network)
         client = make_client(env, providers=(names[2],))
         got = []
         client.witness(5, got.append)
         sim.run(2.0)
         assert got and got[0] == manager.merkle_proof_at(5)
-        assert service.provider is None
-        flat.close()
+        assert service.stats.witnesses_served == 1
+        other.close()
 
     def test_cache_hit_is_local_and_counted(self, env):
         sim, network, names, manager, _ = env
@@ -366,6 +372,28 @@ class TestSnapshots:
         sim.run(3.0)
         assert got == [None]
         assert service.stats.snapshot_misses >= 1
+
+    def test_snapshot_request_to_a_depth_one_tree_is_a_miss_not_a_crash(self):
+        """Regression: the handler used to raise ProtocolError out of
+        Simulator.run — one remote request aborted the whole fleet."""
+        dep = RLNDeployment.create(
+            peer_count=4, degree=3, seed=3, config=RLNConfig(tree_depth=1)
+        )
+        server, neighbour = sorted(dep.peers)[:2]
+        service = dep.peer(server).witness_service()
+        replies = []
+        dep.network.register(
+            neighbour,
+            lambda _sender, reply: replies.append(reply),
+            protocol=WITNESS_REPLY_PROTOCOL,
+        )
+        dep.network.send(
+            neighbour, server, SnapshotRequest(1, 0), protocol=WITNESS_PROTOCOL
+        )
+        dep.run(1.0)
+        assert replies == [SnapshotResponse(request_id=1, found=False)]
+        assert service.stats.snapshot_misses == 1
+        assert service.stats.snapshots_served == 0
 
 
 class TestVerifyWitness:
