@@ -26,12 +26,10 @@ import random
 import pytest
 
 from repro import testing
-from repro.analysis.metrics import witness_service_load
 from repro.analysis.reporting import ExperimentReport, format_bytes, format_seconds
 from repro.chain.blockchain import Blockchain, WEI
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.membership import GroupManager
-from repro.core.validator import ValidatorStats
 from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.merkle import MerkleTree
 from repro.errors import InconsistentTreeUpdate
@@ -114,13 +112,7 @@ def test_light_member_storage_and_latency(report_sink, members):
         rng=random.Random(3),
     )
     server, light = sorted(graph.nodes)
-    # One ValidatorStats per role: the witness counters live next to the
-    # proof counters, aggregated below via analysis.witness_service_load.
-    server_stats = ValidatorStats()
-    client_stats = ValidatorStats()
-    service = WitnessService(
-        server, StubManager(forest, members), network, validator_stats=server_stats
-    )
+    service = WitnessService(server, StubManager(forest, members), network)
     client = WitnessClient(
         light,
         network,
@@ -130,7 +122,6 @@ def test_light_member_storage_and_latency(report_sink, members):
         tree_depth=DEPTH,
         timeout=5.0,
         hasher=cheap_hash,
-        validator_stats=client_stats,
     )
     member_index = 5
 
@@ -178,16 +169,16 @@ def test_light_member_storage_and_latency(report_sink, members):
         f"cold {format_bytes(witness_bytes)} / warm 0 B",
     )
     report.add_row("members", members, members, members)
-    load = witness_service_load([server_stats, client_stats])
+    cache = client.cache.stats
     report.add_note(
         f"cold fetch = request/response over a {LINK_LATENCY * 1e3:.0f} ms "
         "link through the SERVICE executor class; warm = cache hit; "
-        f"service load: {load.witnesses_served} served, "
-        f"{load.acquisitions} acquisitions at {load.hit_rate:.0%} hit rate"
+        f"service load: {service.stats.served} served, "
+        f"{cache.hits + cache.misses} acquisitions at {cache.hit_ratio:.0%} hit rate"
     )
     report_sink(report)
-    assert load.witnesses_served == service.stats.witnesses_served == 1
-    assert load.acquisitions == 2 and load.hit_rate == 0.5
+    assert service.stats.served == service.stats.witnesses_served == 1
+    assert (cache.hits, cache.misses) == (1, 1)
 
     # Acceptance: the light member's state is a strict subset — no shard —
     # and the cold fetch costs exactly the round trip, not tree work.

@@ -294,14 +294,8 @@ def test_revocation_propagation_at_scale(report_sink, members):
     per_entry = log.storage_bytes() / sample
     window_epochs = 2
     map_bytes_at_scale = per_entry * members * window_epochs
-    # Mirror exactly like BundleValidator.collect(): the log's counters
-    # are authoritative, the stats object is a report-time view.
-    stats = ValidatorStats(
-        nullifiers_pruned=log.pruned_total,
-        nullifier_entries=log.entry_count(),
-        nullifier_peak_entries=log.peak_entries,
-    )
-    load = nullifier_map_load([stats])
+    # As in BundleValidator: the stats object reads the log through.
+    load = nullifier_map_load([ValidatorStats(log=log)])
     assert load.peak_entries == sample
 
     # --- the latency model: chain-bound, not size-bound -------------------

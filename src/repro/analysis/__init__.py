@@ -5,11 +5,9 @@ from repro.analysis.metrics import (
     LatencySummary,
     NullifierMapLoad,
     SpamContainment,
-    WitnessServiceLoad,
     mean,
     nullifier_map_load,
     spam_containment,
-    witness_service_load,
 )
 from repro.analysis.reporting import (
     ExperimentReport,
@@ -23,11 +21,9 @@ __all__ = [
     "LatencySummary",
     "NullifierMapLoad",
     "SpamContainment",
-    "WitnessServiceLoad",
     "mean",
     "nullifier_map_load",
     "spam_containment",
-    "witness_service_load",
     "ExperimentReport",
     "format_bytes",
     "format_seconds",

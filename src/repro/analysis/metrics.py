@@ -144,49 +144,6 @@ def mean(values: Iterable[float]) -> float:
 
 
 @dataclass(frozen=True)
-class WitnessServiceLoad:
-    """Aggregated witness-subsystem load across a set of peers.
-
-    Built from :class:`~repro.core.validator.ValidatorStats` objects (the
-    witness counters live there next to the proof counters, so E14 can
-    print service load alongside verification work from one surface).
-    """
-
-    witnesses_served: int
-    cache_hits: int
-    cache_misses: int
-    refreshes: int
-
-    @property
-    def acquisitions(self) -> int:
-        """Publish-path witness acquisitions (hit or miss)."""
-        return self.cache_hits + self.cache_misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of acquisitions served locally in O(1)."""
-        if self.acquisitions == 0:
-            return 0.0
-        return self.cache_hits / self.acquisitions
-
-
-def witness_service_load(stats: Iterable[object]) -> WitnessServiceLoad:
-    """Sum the witness counters over any iterable of ``ValidatorStats``."""
-    served = hits = misses = refreshes = 0
-    for entry in stats:
-        served += getattr(entry, "witnesses_served", 0)
-        hits += getattr(entry, "witness_cache_hits", 0)
-        misses += getattr(entry, "witness_cache_misses", 0)
-        refreshes += getattr(entry, "witness_refreshes", 0)
-    return WitnessServiceLoad(
-        witnesses_served=served,
-        cache_hits=hits,
-        cache_misses=misses,
-        refreshes=refreshes,
-    )
-
-
-@dataclass(frozen=True)
 class NullifierMapLoad:
     """Aggregated §III-F nullifier-map telemetry across a set of peers.
 

@@ -65,9 +65,9 @@ class NullifierLog:
     incremental counter), ``peak_entries`` (the high-water mark — the
     §III-F "does not have to capture the entire history" claim made
     measurable), and ``pruned_total`` (entries the epoch-window pruning
-    reclaimed).  The validator mirrors these into
-    :class:`~repro.core.validator.ValidatorStats` so the analysis layer
-    can aggregate the map's memory story across a network.
+    reclaimed).  :class:`~repro.core.validator.ValidatorStats` reads them
+    through, so the analysis layer can aggregate the map's memory story
+    across a network.
     """
 
     def __init__(self) -> None:

@@ -47,7 +47,9 @@ from repro.core.messages import RateLimitProof
 from repro.core.nullifier_log import SpamEvidence
 from repro.core.slashing import Slasher
 from repro.core.validator import BundleValidator, ValidationOutcome
+from repro.crypto.field import FieldElement
 from repro.crypto.identity import Identity
+from repro.crypto.merkle import MerkleProof
 from repro.errors import ProtocolError, RegistrationError
 from repro.gossipsub.messages import PubSubMessage
 from repro.gossipsub.router import DeferredValidation, GossipSubParams, ValidationResult
@@ -79,6 +81,43 @@ class PeerProtocolStats:
     publish_rate_limited: int = 0
     spam_detected: int = 0
     slash_attempts: int = 0
+
+
+def build_message(
+    identity: Identity,
+    payload: bytes,
+    epoch: int,
+    merkle_proof: MerkleProof,
+    root: FieldElement,
+    *,
+    prover: RLNProver,
+    content_topic: str,
+    timestamp: float = 0.0,
+) -> WakuMessage:
+    """§III-E: public inputs → witness → proof → bundle → message.
+
+    The one assembly, for a peer publishing from its own tree and for a
+    light member publishing with a fetched path; ``root`` is the root
+    ``merkle_proof`` folds to (the caller already holds it).
+    """
+    public = RLNPublicInputs.for_message(
+        identity, payload, external_nullifier(epoch), root
+    )
+    witness = RLNWitness(identity=identity, merkle_proof=merkle_proof)
+    bundle = RateLimitProof(
+        share_x=public.x,
+        share_y=public.y,
+        internal_nullifier=public.internal_nullifier,
+        epoch=epoch,
+        root=root,
+        proof=prover.prove(public, witness),
+    )
+    return WakuMessage(
+        payload=payload,
+        content_topic=content_topic,
+        timestamp=timestamp,
+        rate_limit_proof=bundle,
+    )
 
 
 class WakuRLNRelayPeer:
@@ -301,27 +340,15 @@ class WakuRLNRelayPeer:
         self, payload: bytes, content_topic: str, epoch: int
     ) -> WakuMessage:
         assert self.identity is not None
-        ext = external_nullifier(epoch)
-        root = self.group.root
-        public = RLNPublicInputs.for_message(self.identity, payload, ext, root)
-        witness = RLNWitness(
-            identity=self.identity,
-            merkle_proof=self.group.merkle_proof(self.identity.pk),
-        )
-        proof = self.prover.prove(public, witness)
-        bundle = RateLimitProof(
-            share_x=public.x,
-            share_y=public.y,
-            internal_nullifier=public.internal_nullifier,
-            epoch=epoch,
-            root=root,
-            proof=proof,
-        )
-        return WakuMessage(
-            payload=payload,
+        return build_message(
+            self.identity,
+            payload,
+            epoch,
+            self.group.merkle_proof(self.identity.pk),
+            self.group.root,
+            prover=self.prover,
             content_topic=content_topic,
             timestamp=self.unix_now(),
-            rate_limit_proof=bundle,
         )
 
     # -- routing validation (§III-F) ----------------------------------------------------------
@@ -449,10 +476,8 @@ class WakuRLNRelayPeer:
         group manager's tree, and its extraction work rides the relay
         pipeline's crypto executor at SERVICE priority — witness traffic
         queues behind relay verdicts, exactly like store/filter/lightpush
-        re-validation.  Served counts are mirrored into this peer's
-        :class:`~repro.core.validator.ValidatorStats` so benchmarks see
-        service load next to proof load.  One service per peer: repeat
-        calls return the same instance (its stats stay live).
+        re-validation.  One service per peer: repeat calls return the
+        same instance (its stats stay live).
         """
         from repro.witness.service import WitnessService
 
@@ -462,7 +487,6 @@ class WakuRLNRelayPeer:
                 self.group,
                 self.relay.router.network,
                 executor=self.pipeline.executor,
-                validator_stats=self.validator.stats,
                 telemetry=self.telemetry,
             )
         return self._witness_service
@@ -541,9 +565,7 @@ class WakuRLNRelayPeer:
 
     @property
     def validator_stats(self):
-        # collect() refreshes the log-mirrored nullifier gauges, so report
-        # readers always see the log's authoritative counters.
-        return self.validator.collect()
+        return self.validator.stats
 
     @property
     def pipeline_stats(self):

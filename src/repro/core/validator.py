@@ -67,13 +67,10 @@ class ValidatorStats:
     pairing evaluation; the seed's conflation of the two hid exactly the
     saving experiment E10/E11 measures.
 
-    The witness counters record the §IV-A hybrid-role work next to the
-    proof work, so one stats object captures a peer's whole load:
-    ``witnesses_served`` on the resourceful side (mirrored from the
-    :class:`~repro.witness.service.WitnessService`), the cache hit/miss/
-    refresh triple on the light side (mirrored from the
-    :class:`~repro.witness.client.WitnessClient`).  Experiment E14 reports
-    them alongside the proof stats.
+    The ``nullifier_*`` figures are read straight from the validator's
+    :class:`~repro.core.nullifier_log.NullifierLog` — the §III-F argument
+    that the map "does not have to capture the entire history" as numbers
+    the analysis layer aggregates at 1M members (E15's memory table).
     """
 
     outcomes: dict[ValidationOutcome, int] = field(
@@ -81,24 +78,19 @@ class ValidatorStats:
     )
     proofs_verified: int = 0
     proofs_cached: int = 0
-    #: Witness/snapshot responses this peer served (resourceful role).
-    witnesses_served: int = 0
-    #: Publish-path witness acquisitions answered from the local cache.
-    witness_cache_hits: int = 0
-    #: Publish-path acquisitions that had to fetch from a provider.
-    witness_cache_misses: int = 0
-    #: Background witness re-fetches triggered by tree updates.
-    witness_refreshes: int = 0
-    #: Nullifier-map telemetry, refreshed from the validator's
-    #: :class:`~repro.core.nullifier_log.NullifierLog` by
-    #: :meth:`BundleValidator.collect` — the *only* mirror point (the
-    #: log's own counters are the source of truth; two earlier report-time
-    #: copies drifted).  The §III-F argument that the map "does not have
-    #: to capture the entire history" becomes a number the analysis layer
-    #: aggregates at 1M members (E15's memory table).
-    nullifiers_pruned: int = 0
-    nullifier_entries: int = 0
-    nullifier_peak_entries: int = 0
+    log: NullifierLog = field(default_factory=NullifierLog, repr=False)
+
+    @property
+    def nullifiers_pruned(self) -> int:
+        return self.log.pruned_total
+
+    @property
+    def nullifier_entries(self) -> int:
+        return self.log.entry_count()
+
+    @property
+    def nullifier_peak_entries(self) -> int:
+        return self.log.peak_entries
 
     def record(self, outcome: ValidationOutcome) -> None:
         self.outcomes[outcome] += 1
@@ -120,7 +112,7 @@ class BundleValidator:
         self.prover = prover
         self.group = group
         self.log = NullifierLog()
-        self.stats = ValidatorStats()
+        self.stats = ValidatorStats(log=self.log)
 
     def validate(
         self, message: WakuMessage, local_epoch: int, msg_id: bytes
@@ -194,17 +186,3 @@ class BundleValidator:
     def _prune(self, local_epoch: int) -> None:
         """Forget nullifiers older than the accepted window (§III-F)."""
         self.log.prune_before(local_epoch - self.config.max_epoch_gap)
-
-    def collect(self) -> ValidatorStats:
-        """Refresh the log-mirrored gauges and return the stats object.
-
-        The single mirror point for the nullifier-map fields: the
-        :class:`~repro.core.nullifier_log.NullifierLog` keeps the
-        authoritative counters, and every reader (peer accessors, the
-        analysis aggregators, benchmark tables) goes through here instead
-        of copying them at its own report time.
-        """
-        self.stats.nullifier_entries = self.log.entry_count()
-        self.stats.nullifier_peak_entries = self.log.peak_entries
-        self.stats.nullifiers_pruned = self.log.pruned_total
-        return self.stats

@@ -52,6 +52,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from repro.crypto.field import FIELD_MODULUS, FieldElement
@@ -85,8 +86,8 @@ def _to_int(value: FieldElement | int) -> int:
 
 @dataclass
 class EngineStats:
-    """Cumulative work counters (mirrored into telemetry as
-    ``crypto_hashes_total`` / ``crypto_hash_seconds``).
+    """Cumulative work counters (what :func:`publish_engine_telemetry`
+    binds ``crypto_hashes_total`` / ``crypto_hash_seconds`` to).
 
     Plain attribute bumps: under ``ThreadPoolCryptoExecutor`` concurrent
     increments may race and undercount slightly — acceptable for
@@ -694,24 +695,21 @@ def engine_stats() -> dict[str, EngineStats]:
 
 
 def publish_engine_telemetry(registry) -> None:
-    """Mirror engine work counters into a metrics registry.
+    """Bind engine work counters into a metrics registry.
 
-    Writes ``crypto_hashes_total{backend=}``,
+    Binds ``crypto_hashes_total{backend=}``,
     ``crypto_permutations_total{backend=}`` and
-    ``crypto_hash_seconds{backend=}`` as idempotent sets, so benchmark
-    snapshots (E16/E18) expose the hot path without the engines holding
-    per-peer registry handles —
+    ``crypto_hash_seconds{backend=}`` to the :class:`EngineStats` of every
+    engine that has done work, so benchmark snapshots (E16/E18) expose
+    the hot path without the engines holding per-peer registry handles —
     engines are process-global, so per-peer *export* attribution would
-    multi-count; publish only into report-time registries.
+    multi-count; bind only into report-time registries.
     """
-    if not getattr(registry, "enabled", False):
-        return
     for name, engine in _ENGINES.items():
         stats = engine.stats
         if stats.permutations == 0:
             continue
-        registry.counter("crypto_hashes_total", backend=name).value = stats.hashes
-        registry.counter(
-            "crypto_permutations_total", backend=name
-        ).value = stats.permutations
-        registry.counter("crypto_hash_seconds", backend=name).value = stats.seconds
+        bind = partial(registry.bind, backend=name)
+        bind("crypto_hashes_total", lambda stats=stats: stats.hashes)
+        bind("crypto_permutations_total", lambda stats=stats: stats.permutations)
+        bind("crypto_hash_seconds", lambda stats=stats: stats.seconds)

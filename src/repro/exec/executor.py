@@ -119,22 +119,25 @@ class ExecutorStats:
 
 
 class _ExecutorMetrics:
-    """Cached registry handles, interned once so lanes pay one call per event.
+    """The executor's series, shared by all three flavours.
 
-    Shared by all three executor flavours; with telemetry disabled every
-    handle is a shared no-op singleton and ``enabled`` gates the few reads
-    (queue sums) that would otherwise compute a value nobody stores.
+    Queue depth and busy lanes are gauges bound to ``queued`` / ``busy``
+    (an executor that models no queue reads 0); the wait and service
+    histograms are handles interned once — a no-op with telemetry off.
     """
 
-    __slots__ = ("enabled", "queue_depth", "busy_lanes", "wait", "service")
+    __slots__ = ("wait", "service")
 
     def __init__(
-        self, registry: "MetricsRegistry | NullRegistry | None", peer: str
+        self,
+        registry: "MetricsRegistry | NullRegistry | None",
+        peer: str,
+        queued: Callable[[], int] = lambda: 0,
+        busy: Callable[[], int] = lambda: 0,
     ) -> None:
         reg = NULL_REGISTRY if registry is None else registry
-        self.enabled = reg.enabled
-        self.queue_depth = reg.gauge("executor_queue_depth", peer=peer)
-        self.busy_lanes = reg.gauge("executor_busy_lanes", peer=peer)
+        reg.bind("executor_queue_depth", queued, "gauge", peer=peer)
+        reg.bind("executor_busy_lanes", busy, "gauge", peer=peer)
         self.wait = {
             p: reg.histogram(
                 "executor_queue_wait_seconds", peer=peer, priority=p.name.lower()
@@ -303,7 +306,9 @@ class SimulatedCryptoExecutor:
         self.cost_model = cost_model or CryptoCostModel()
         self.stats = ExecutorStats()
         self.stats.lane_busy_seconds = [0.0] * workers
-        self.metrics = _ExecutorMetrics(registry, peer)
+        self.metrics = _ExecutorMetrics(
+            registry, peer, lambda: self.queued_jobs, lambda: self.busy_lanes
+        )
         self._queues: dict[Priority, deque[_SimJob]] = {p: deque() for p in Priority}
         self._idle_lanes: list[int] = list(range(workers))
         #: lane -> (completion event handle, deliver closure) while busy.
@@ -329,8 +334,6 @@ class SimulatedCryptoExecutor:
         self.stats.inline_seconds += self.cost_model.submit_overhead_seconds
         job = _SimJob(priority, work, on_done, self.simulator.now)
         self._queues[priority].append(job)
-        if self.metrics.enabled:
-            self.metrics.queue_depth.set(self.queued_jobs)
         self._dispatch_idle_lanes()
 
     @property
@@ -380,8 +383,6 @@ class SimulatedCryptoExecutor:
             delivered = True
             self._in_flight.pop(lane, None)
             self.stats._record_complete(job.priority, queue_delay)
-            if self.metrics.enabled:
-                self.metrics.busy_lanes.set(len(self._in_flight))
             try:
                 job.on_done(result)
             finally:
@@ -390,9 +391,6 @@ class SimulatedCryptoExecutor:
 
         handle = self.simulator.schedule(service, deliver)
         self._in_flight[lane] = (handle, deliver)
-        if self.metrics.enabled:
-            self.metrics.queue_depth.set(self.queued_jobs)
-            self.metrics.busy_lanes.set(len(self._in_flight))
 
     # -- shutdown ------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Any, Callable
 
 from repro.errors import NetworkError
@@ -114,6 +115,14 @@ class RouterStats:
     pruned_peers: int = 0
     #: GRAFT attempts refused because the sender was in prune backoff.
     backoff_grafts_rejected: int = 0
+    #: Peers added to a mesh (inbound GRAFT accepted, or mesh filling).
+    grafts: int = 0
+    #: Scoring penalties handed out, by P7 (behaviour) and P4 (invalid
+    #: message); both stay 0 with scoring off.
+    behaviour_penalties: int = 0
+    invalid_penalties: int = 0
+    #: Mesh size per topic as of the last heartbeat.
+    mesh_size: dict[str, int] = field(default_factory=dict)
 
 
 class GossipSubRouter:
@@ -141,17 +150,18 @@ class GossipSubRouter:
         )
         self.stats = RouterStats()
         self.telemetry = resolve_telemetry(telemetry)
-        registry = self.telemetry.registry
-        self._m_prunes = registry.counter("gossipsub_prunes_total", peer=peer_id)
-        self._m_grafts = registry.counter("gossipsub_grafts_total", peer=peer_id)
-        self._m_backoff_rejects = registry.counter(
-            "gossipsub_backoff_grafts_rejected_total", peer=peer_id
+        stats, bind = self.stats, partial(self.telemetry.registry.bind, peer=peer_id)
+        bind("gossipsub_prunes_total", lambda: stats.pruned_peers)
+        bind("gossipsub_grafts_total", lambda: stats.grafts)
+        bind(
+            "gossipsub_backoff_grafts_rejected_total",
+            lambda: stats.backoff_grafts_rejected,
         )
-        self._m_behaviour_penalties = registry.counter(
-            "gossipsub_penalties_total", peer=peer_id, kind="behaviour"
-        )
-        self._m_invalid_penalties = registry.counter(
-            "gossipsub_penalties_total", peer=peer_id, kind="invalid-message"
+        bind("gossipsub_penalties_total", lambda: stats.behaviour_penalties, kind="behaviour")
+        bind(
+            "gossipsub_penalties_total",
+            lambda: stats.invalid_penalties,
+            kind="invalid-message",
         )
 
         self._topics: set[str] = set()
@@ -276,7 +286,6 @@ class GossipSubRouter:
         )
         self._graft_backoff.setdefault(topic, {})[peer] = until
         self.stats.pruned_peers += 1
-        self._m_prunes.inc()
         mesh = self._mesh.get(topic)
         if mesh and peer in mesh:
             mesh.remove(peer)
@@ -366,22 +375,21 @@ class GossipSubRouter:
         if self.in_graft_backoff(topic, sender):
             # Backoff violation (v1.1 semantics): refuse and penalise.
             self.stats.backoff_grafts_rejected += 1
-            self._m_backoff_rejects.inc()
             self._send(sender, RPC(prune=(Prune(topic=topic),)))
             if self.scoring:
                 self.scoring.on_behaviour_penalty(sender)
-                self._m_behaviour_penalties.inc()
+                self.stats.behaviour_penalties += 1
             return
         if self.scoring and not self.scoring.mesh_eligible(sender, self.simulator.now):
             self._send(sender, RPC(prune=(Prune(topic=topic),)))
             if self.scoring:
                 self.scoring.on_behaviour_penalty(sender)
-                self._m_behaviour_penalties.inc()
+                self.stats.behaviour_penalties += 1
             return
         mesh = self._mesh.setdefault(topic, set())
         if sender not in mesh:
             mesh.add(sender)
-            self._m_grafts.inc()
+            self.stats.grafts += 1
             if self.scoring:
                 self.scoring.on_join_mesh(sender, self.simulator.now)
 
@@ -413,7 +421,7 @@ class GossipSubRouter:
             self.stats.rejected += 1
             if self.scoring:
                 self.scoring.on_invalid_message(sender)
-                self._m_invalid_penalties.inc()
+                self.stats.invalid_penalties += 1
             return
         if result is ValidationResult.IGNORE:
             self.stats.ignored += 1
@@ -503,10 +511,15 @@ class GossipSubRouter:
                 self._fill_mesh(topic)
             elif len(mesh) > self.params.d_hi:
                 self._shrink_mesh(topic)
-            if self.telemetry.enabled:
-                self.telemetry.registry.gauge(
-                    "gossipsub_mesh_size", peer=self.peer_id, topic=topic
-                ).set(len(mesh))
+            if topic not in self.stats.mesh_size:
+                self.telemetry.registry.bind(
+                    "gossipsub_mesh_size",
+                    lambda topic=topic: self.stats.mesh_size[topic],
+                    "gauge",
+                    peer=self.peer_id,
+                    topic=topic,
+                )
+            self.stats.mesh_size[topic] = len(mesh)
             self._emit_gossip(topic)
         self._mcache.shift()
 
@@ -524,7 +537,7 @@ class GossipSubRouter:
         while len(mesh) < self.params.d and candidates:
             peer = candidates.pop()
             mesh.add(peer)
-            self._m_grafts.inc()
+            self.stats.grafts += 1
             if self.scoring:
                 self.scoring.on_join_mesh(peer, now)
             self._send(peer, RPC(graft=(Graft(topic=topic),)))

@@ -29,6 +29,7 @@ in :class:`PipelineStats` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.core.nullifier_log import SpamEvidence
@@ -171,6 +172,9 @@ class PipelineStats:
 
     admitted: int = 0
     deferred: int = 0
+    #: Bundles not accepted, by the stage that turned them away (a key
+    #: appears with its first drop).
+    drops: dict[str, int] = field(default_factory=dict)
     #: The limiter's own stats object; set by the owning pipeline so
     #: ``rate_limited`` is always the single source of truth.
     ratelimit: RateLimitStats | None = None
@@ -203,9 +207,8 @@ class ValidationPipeline:
         clock = (lambda: simulator.now) if simulator is not None else None
         self.tracer = self.telemetry.disttracer(peer_id or "pipeline", clock=clock)
         registry = self.telemetry.registry
-        self._m_admitted = registry.counter("pipeline_admitted_total", peer=peer_id)
-        self._m_deferred = registry.counter("pipeline_deferred_total", peer=peer_id)
-        self._m_drops: dict[str, object] = {}
+        registry.bind("pipeline_admitted_total", lambda: self.stats.admitted, peer=peer_id)
+        registry.bind("pipeline_deferred_total", lambda: self.stats.deferred, peer=peer_id)
         # A verdict resolves against the local epoch captured at submit
         # time; a deadline spanning epochs would accept bundles the rest of
         # the network is already rejecting as out-of-window.
@@ -374,7 +377,6 @@ class ValidationPipeline:
             # synchronously — indistinguishable from the seed path.
             return pending.verdict
         self.stats.deferred += 1
-        self._m_deferred.inc()
         return pending
 
     def flush(self) -> None:
@@ -398,29 +400,14 @@ class ValidationPipeline:
         self.batch_verifier.flush()
         self.executor.drain()
         self.executor.pin_synchronous()
-        self._flush_final_gauges()
-
-    def _flush_final_gauges(self) -> None:
-        """Pin the executor gauges to their settled post-drain values.
-
-        Without this, a snapshot taken after ``close()`` would still show
-        the queue depth / busy lanes from the last live dispatch — state
-        the drain just discarded.  The final lane-occupancy fraction and
-        total modeled service time are recorded too, so shutdown
-        snapshots carry the run's utilisation summary.
-        """
-        registry = self.telemetry.registry
-        if not registry.enabled:
-            return
-        registry.gauge("executor_queue_depth", peer=self.peer_id).set(0)
-        registry.gauge("executor_busy_lanes", peer=self.peer_id).set(0)
+        # From shutdown on, snapshots carry the run's utilisation summary
+        # (queue depth and busy lanes read 0 by themselves: the drain
+        # emptied what they are bound to).
+        stats = self.executor.stats
         elapsed = self.simulator.now if self.simulator is not None else 0.0
-        registry.gauge("executor_lane_occupancy", peer=self.peer_id).set(
-            self.executor.stats.occupancy(elapsed)
-        )
-        registry.gauge("executor_service_seconds_total", peer=self.peer_id).set(
-            self.executor.stats.service_seconds
-        )
+        bind = partial(self.telemetry.registry.bind, peer=self.peer_id)
+        bind("executor_lane_occupancy", lambda: stats.occupancy(elapsed), "gauge")
+        bind("executor_service_seconds_total", lambda: stats.service_seconds, "gauge")
 
     def reopen(self) -> None:
         """Re-enable batching and worker lanes after :meth:`close`."""
@@ -446,12 +433,16 @@ class ValidationPipeline:
     # -- helpers ----------------------------------------------------------------
 
     def _count_drop(self, stage: str) -> None:
-        counter = self._m_drops.get(stage)
-        if counter is None:
-            counter = self._m_drops[stage] = self.telemetry.registry.counter(
-                "pipeline_drops_total", peer=self.peer_id, stage=stage
+        drops = self.stats.drops
+        if stage not in drops:
+            drops[stage] = 0
+            self.telemetry.registry.bind(
+                "pipeline_drops_total",
+                lambda: drops[stage],
+                peer=self.peer_id,
+                stage=stage,
             )
-        counter.inc()  # type: ignore[union-attr]
+        drops[stage] += 1
 
     _GATE_OUTCOMES: dict[PrefilterOutcome, ValidationOutcome] = {
         PrefilterOutcome.MISSING_PROOF: ValidationOutcome.MISSING_PROOF,
@@ -497,7 +488,6 @@ class ValidationPipeline:
         self.validator.stats.record(outcome)
         if outcome is ValidationOutcome.VALID:
             self.stats.admitted += 1
-            self._m_admitted.inc()
             action = ValidationResult.ACCEPT
         elif outcome is ValidationOutcome.DUPLICATE:
             action = ValidationResult.IGNORE

@@ -34,6 +34,7 @@ measures when each view actually excludes the spammer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.chain.blockchain import Blockchain, Event
@@ -131,16 +132,12 @@ class SlashingCoordinator:
         self.slasher = slasher or Slasher(account, chain, contract.address)
         self.stats = CoordinatorStats()
         self.telemetry = resolve_telemetry(telemetry)
-        registry = self.telemetry.registry
-        self._m_cases = registry.counter("slashing_cases_total", peer=account)
-        self._m_races = {
-            outcome: registry.counter(
-                "slashing_races_total", peer=account, outcome=outcome
-            )
-            for outcome in ("won", "lost")
-        }
-        self._m_gas = registry.counter("slashing_gas_spent_wei_total", peer=account)
-        self._m_rewards = registry.counter("slashing_rewards_wei_total", peer=account)
+        stats, bind = self.stats, partial(self.telemetry.registry.bind, peer=account)
+        bind("slashing_cases_total", lambda: stats.cases)
+        bind("slashing_races_total", lambda: stats.races_won, outcome="won")
+        bind("slashing_races_total", lambda: stats.races_lost, outcome="lost")
+        bind("slashing_gas_spent_wei_total", lambda: stats.gas_spent_wei)
+        bind("slashing_rewards_wei_total", lambda: stats.rewards_wei)
         #: Shared with the peer's protocol (same hub, same peer id), so
         #: the evidence context it registered under (nullifier, epoch) is
         #: visible here and the race joins the spam message's propagation
@@ -191,7 +188,6 @@ class SlashingCoordinator:
         self._case_by_key[key] = case
         self.cases.append(case)
         self.stats.cases += 1
-        self._m_cases.inc()
         self._pump()
         return case
 
@@ -212,15 +208,11 @@ class SlashingCoordinator:
             self._accounted.add(attempt.attempt_id)
             gas = self._fee_of(attempt.commit_tx) + self._fee_of(attempt.reveal_tx)
             self.stats.gas_spent_wei += gas
-            self._m_gas.inc(gas)
             if attempt.state is SlashState.REWARDED:
                 self.stats.races_won += 1
                 self.stats.rewards_wei += attempt.reward
-                self._m_races["won"].inc()
-                self._m_rewards.inc(attempt.reward)
             else:
                 self.stats.races_lost += 1
-                self._m_races["lost"].inc()
 
     def pending(self) -> list[RevocationCase]:
         return [case for case in self.cases if not case.settled]

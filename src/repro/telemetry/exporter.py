@@ -71,7 +71,7 @@ class ExporterStats:
     #: Empty liveness batches (``heartbeat=True`` ticks with no deltas).
     heartbeats: int = 0
     batches_sent: int = 0
-    #: Drop-oldest sheds; mirrored as ``telemetry_dropped_batches_total``.
+    #: Drop-oldest sheds; the ``telemetry_dropped_batches_total`` series.
     batches_dropped: int = 0
     #: Requests that exhausted every collector (batch requeued).
     push_failures: int = 0
@@ -150,10 +150,13 @@ class TelemetryExporter:
             # so GossipSub never sees them and relay behaviour is untouched.
             require_edge=False,
         )
-        #: Self-reported loss: lives in the peer's own registry, so it
-        #: travels (and merges fleet-wide) like any other metric delta.
-        self._m_dropped = telemetry.registry.counter(
-            "telemetry_dropped_batches_total", peer=peer_id
+        #: Self-reported loss: a series of the peer's own registry, so it
+        #: travels in the *next* batch's counter delta (and merges
+        #: fleet-wide) like any other metric.
+        telemetry.registry.bind(
+            "telemetry_dropped_batches_total",
+            lambda: self.stats.batches_dropped,
+            peer=peer_id,
         )
         self._last: dict[str, dict] = {}
         self._span_cursor: dict[str, int] = {}
@@ -266,9 +269,6 @@ class TelemetryExporter:
         if len(self._queue) >= self.queue_limit:
             self._queue.popleft()
             self.stats.batches_dropped += 1
-            # Self-reported into the registry: the loss travels in the
-            # *next* batch's counter delta, so the fleet snapshot owns it.
-            self._m_dropped.inc()
         self._queue.append(batch)
 
     def _pump(self) -> None:

@@ -1,14 +1,17 @@
 """The metrics registry: Counter / Gauge / Histogram keyed by name{labels}.
 
-Every subsystem of the reproduction grew its own ad-hoc counter dataclass
-(``ValidatorStats``, ``TreeSyncStats``, ``CoordinatorStats``, …) and every
-benchmark hand-rolled its own latency math.  This module is the one home
-for *live* instrumentation, in the idiom of production p2p metrics
-registries:
+Every subsystem counts its events in its own ``*Stats`` object
+(``ValidatorStats``, ``TreeSyncStats``, ``CoordinatorStats``, …) — one
+plain ``stats.x += 1`` per event, the only place the count lives.  This
+module is how those counts become series, in the idiom of production
+p2p metrics registries:
 
 * metrics are interned by canonical key ``name{label=value,…}`` — asking
-  twice returns the same object, so hot paths cache the handle once at
-  construction time and pay only an attribute call per event;
+  twice returns the same object;
+* :meth:`MetricsRegistry.bind` interns a counter or gauge whose ``value``
+  is *read* from its owner (``lambda: stats.x``) whenever anyone looks:
+  no second store that could disagree with the figure a benchmark
+  prints.  Only histograms are written to directly;
 * :class:`Histogram` keeps **fixed log-spaced buckets** (for the
   Prometheus/snapshot export, where merging across peers must stay
   additive) *and* the raw sample stream (for exact p50/p90/p99/max in
@@ -16,8 +19,9 @@ registries:
   what the paper-facing tables print);
 * the whole surface has a **zero-cost disabled mode**:
   :data:`NULL_REGISTRY` hands out shared no-op singletons whose methods
-  do nothing, so code instruments unconditionally and a disabled run
-  stays bit-identical to the seed (the E16 overhead arm pins this).
+  do nothing and its ``bind`` registers nothing, so code instruments
+  unconditionally and a disabled run stays bit-identical to the seed
+  (the E16 overhead arm pins this).
 
 Telemetry is *off by default* everywhere: every constructor takes
 ``telemetry=None`` and falls back to the null objects.
@@ -28,7 +32,7 @@ from __future__ import annotations
 import random
 import zlib
 from bisect import bisect_left
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.analysis.reporting import percentile
 
@@ -88,6 +92,25 @@ class Gauge:
 
     def add(self, delta: float) -> None:
         self.value += delta
+
+
+class BoundMetric:
+    """A counter or gauge whose value is read from its owner on demand
+    (what :meth:`MetricsRegistry.bind` interns; nothing to increment)."""
+
+    __slots__ = ("name", "labels", "kind", "_read")
+
+    def __init__(
+        self, name: str, labels: Mapping[str, str], kind: str, read: Callable[[], float]
+    ) -> None:
+        self.name = name
+        self.labels = dict(labels)
+        self.kind = kind
+        self._read = read
+
+    @property
+    def value(self) -> int | float:
+        return self._read()
 
 
 class Histogram:
@@ -208,13 +231,11 @@ class Histogram:
         return self.percentile(0.99)
 
 
-Metric = Counter | Gauge | Histogram
+Metric = Counter | Gauge | BoundMetric | Histogram
 
 
 class MetricsRegistry:
     """Interned metrics by canonical key; the enabled half of the seam."""
-
-    enabled = True
 
     def __init__(self, *, buckets: Iterable[float] | None = None) -> None:
         self._default_buckets = (
@@ -227,11 +248,30 @@ class MetricsRegistry:
         metric = self._metrics.get(key)
         if metric is None:
             metric = self._metrics[key] = cls(name, labels, **kwargs)
-        elif not isinstance(metric, cls):
+        elif metric.kind != cls.kind:
             raise TypeError(
-                f"metric {key!r} is a {metric.kind}, requested {cls.__name__.lower()}"
+                f"metric {key!r} is a {metric.kind}, requested {cls.kind}"
             )
         return metric
+
+    def bind(
+        self, name: str, read: Callable[[], float], kind: str = "counter", /, **labels: str
+    ) -> None:
+        """Intern ``name{labels}`` as a series whose value is ``read()``.
+
+        The owner keeps counting in its own ``*Stats`` object; the series
+        is looked up like any other (``counter(name, **labels).value``).
+        Binding a key again replaces the reader and keeps its place.
+        ``kind`` (``"counter"`` or ``"gauge"``) is positional-only because
+        ``kind=`` is also a label several series carry.
+        """
+        if kind not in ("counter", "gauge"):
+            raise ValueError(f"cannot bind a {kind}")
+        key = metric_key(name, labels)
+        existing = self._metrics.get(key)
+        if existing is not None and existing.kind != kind:
+            raise TypeError(f"metric {key!r} is a {existing.kind}, bound as {kind}")
+        self._metrics[key] = BoundMetric(name, labels, kind, read)
 
     def counter(self, name: str, **labels: str) -> Counter:
         return self._intern(Counter, name, labels)
@@ -264,9 +304,9 @@ class MetricsRegistry:
     def collect(self) -> "dict[str, dict]":
         """One atomic read of every metric into plain JSON-able dicts.
 
-        This is *the* read path (the snapshot exporter and the mirrored
-        ``*Stats`` views both go through it), so a consumer can never see
-        a metric half-updated across two different report-time copies.
+        This is *the* read path (the snapshot exporter and the push
+        exporter both go through it): bound series are read from their
+        owners here, in the same pass as the histograms.
         """
         out: dict[str, dict] = {}
         for key, metric in self._metrics.items():
@@ -345,12 +385,11 @@ NULL_HISTOGRAM = NullHistogram()
 class NullRegistry:
     """The disabled registry: every request returns a shared no-op.
 
-    No keys are formatted, nothing is stored — a disabled run pays one
-    attribute lookup and an empty method call per instrumentation site,
-    which the E16 overhead arm shows is within noise of the seed.
+    No keys are formatted, nothing is stored, ``bind`` drops its reader
+    — a disabled run pays the owner's plain ``stats.x += 1`` per event
+    and an empty method call per histogram observation, which the E16
+    overhead arm shows is within noise of the seed.
     """
-
-    enabled = False
 
     def counter(self, name: str, **labels: str) -> NullCounter:
         return NULL_COUNTER
@@ -360,6 +399,9 @@ class NullRegistry:
 
     def histogram(self, name: str, **labels: str) -> NullHistogram:
         return NULL_HISTOGRAM
+
+    def bind(self, name: str, read, kind: str = "counter", /, **labels: str) -> None:
+        return None
 
     def metrics(self) -> dict[str, Metric]:
         return {}

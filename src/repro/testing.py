@@ -2,22 +2,20 @@
 
 The unit-test fixtures (``tests/conftest.py``) and the experiment
 harnesses (``benchmarks/``) both need a registered member that can mint
-honest proof bundles; keeping the registration transaction and the
-prove-and-assemble sequence here means the bundle shape exists in
-exactly one place.
+honest proof bundles: the registration transaction lives here, and
+:func:`mint_bundle` is :func:`repro.core.protocol.build_message` fed
+from a group manager.
 """
 
 from __future__ import annotations
 
 from repro.chain.blockchain import Blockchain
 from repro.chain.rln_contract import RLNMembershipContract
-from repro.core.epoch import external_nullifier
 from repro.core.membership import GroupManager
-from repro.core.messages import RateLimitProof
+from repro.core.protocol import build_message
 from repro.crypto.identity import Identity
 from repro.waku.message import WakuMessage
 from repro.zksnark.prover import RLNProver
-from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness
 
 #: The paper's worked example epoch (§III-D), reused wherever a test or
 #: benchmark needs an arbitrary-but-realistic epoch number.
@@ -58,21 +56,12 @@ def mint_bundle(
     content_topic: str = "t",
 ) -> WakuMessage:
     """Publish-side §III-E: derive the statement, prove it, attach the bundle."""
-    public = RLNPublicInputs.for_message(
-        member, payload, external_nullifier(epoch), manager.root
-    )
-    witness = RLNWitness(
-        identity=member, merkle_proof=manager.merkle_proof(member.pk)
-    )
-    proof = prover.prove(public, witness)
-    bundle = RateLimitProof(
-        share_x=public.x,
-        share_y=public.y,
-        internal_nullifier=public.internal_nullifier,
-        epoch=epoch,
-        root=manager.root,
-        proof=proof,
-    )
-    return WakuMessage(
-        payload=payload, content_topic=content_topic, rate_limit_proof=bundle
+    return build_message(
+        member,
+        payload,
+        epoch,
+        manager.merkle_proof(member.pk),
+        manager.root,
+        prover=prover,
+        content_topic=content_topic,
     )

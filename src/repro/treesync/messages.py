@@ -27,18 +27,20 @@ Four artefacts flow between peers (§III-C, sharded):
 
 Each type serialises to bytes so it can travel as a
 :class:`~repro.waku.message.WakuMessage` payload on the tree-sync content
-topics and be archived/queried like any other Waku traffic.  Types
-sharing a topic (:class:`ShardUpdate`/:class:`ShardRemoval` on the shard
-topics, :class:`ShardRootDigest`/:class:`ShardRemoval` on the digest
-topic) are discriminated by their fixed wire sizes —
-:meth:`ShardRemoval.from_bytes` is strict about length, so decoding is
-unambiguous.
+topics and be archived/queried like any other Waku traffic.  Every
+``from_bytes`` rejects bytes past the end of its value, so types sharing
+a topic (:class:`ShardUpdate`/:class:`ShardRemoval` on the shard topics,
+:class:`ShardRootDigest`/:class:`ShardRemoval` on the digest topic) are
+discriminated by their wire sizes: no payload decodes as two of them,
+whichever is tried first.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.crypto.field import FIELD_BYTES, FieldElement
 from repro.crypto.merkle import MerkleProof
@@ -66,6 +68,21 @@ def decode_field(data: bytes, offset: int) -> tuple[FieldElement, int]:
     if end > len(data):
         raise ProtocolError("truncated field element")
     return FieldElement(int.from_bytes(data[offset:end], "big")), end
+
+
+@contextmanager
+def decoding(what: str) -> Iterator[None]:
+    """Whatever goes wrong while decoding ``what`` is one ProtocolError."""
+    try:
+        yield
+    except (struct.error, IndexError, ProtocolError) as exc:
+        raise ProtocolError(f"malformed {what}: {exc}") from exc
+
+
+def expect_end(data: bytes, offset: int) -> None:
+    """A value ends where its bytes do; anything after it is malformed."""
+    if offset != len(data):
+        raise ProtocolError(f"{len(data) - offset} trailing bytes")
 
 
 def encode_proof(proof: MerkleProof) -> bytes:
@@ -109,23 +126,17 @@ class ShardRootDigest:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ShardRootDigest":
-        try:
+        with decoding("ShardRootDigest"):
             seq, shard_id = struct.unpack_from(">QI", data, 0)
             shard_root, offset = decode_field(data, 12)
-            global_root, _ = decode_field(data, offset)
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed ShardRootDigest: {exc}") from exc
+            global_root, offset = decode_field(data, offset)
+            expect_end(data, offset)
         return cls(
             seq=seq,
             shard_id=shard_id,
             new_shard_root=shard_root,
             new_global_root=global_root,
         )
-
-
-#: Fixed wire size of a :class:`ShardRemoval` (seq + shard + index header,
-#: removed leaf, shard root, global root).
-_REMOVAL_WIRE_BYTES = 20 + 3 * FIELD_BYTES
 
 
 @dataclass(frozen=True)
@@ -160,7 +171,8 @@ class ShardRemoval:
         return self
 
     def byte_size(self) -> int:
-        return _REMOVAL_WIRE_BYTES
+        # (seq, shard, index) header, removed leaf, shard root, global root.
+        return 20 + 3 * FIELD_BYTES
 
     def to_bytes(self) -> bytes:
         return (
@@ -172,20 +184,12 @@ class ShardRemoval:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ShardRemoval":
-        # Strict length: ShardUpdate and ShardRootDigest share topics with
-        # this type, so an exact size check keeps decoding unambiguous.
-        if len(data) != _REMOVAL_WIRE_BYTES:
-            raise ProtocolError(
-                f"malformed ShardRemoval: expected {_REMOVAL_WIRE_BYTES} "
-                f"bytes, got {len(data)}"
-            )
-        try:
+        with decoding("ShardRemoval"):
             seq, shard_id, index = struct.unpack_from(">QIQ", data, 0)
             removed_leaf, offset = decode_field(data, 20)
             shard_root, offset = decode_field(data, offset)
-            global_root, _ = decode_field(data, offset)
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed ShardRemoval: {exc}") from exc
+            global_root, offset = decode_field(data, offset)
+            expect_end(data, offset)
         return cls(
             seq=seq,
             shard_id=shard_id,
@@ -238,15 +242,14 @@ class ShardUpdate:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ShardUpdate":
-        try:
+        with decoding("ShardUpdate"):
             seq, shard_id, index = struct.unpack_from(">QIQ", data, 0)
             offset = 20
             new_leaf, offset = decode_field(data, offset)
             shard_root, offset = decode_field(data, offset)
             global_root, offset = decode_field(data, offset)
-            path, _ = decode_proof(data, offset)
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed ShardUpdate: {exc}") from exc
+            path, offset = decode_proof(data, offset)
+            expect_end(data, offset)
         return cls(
             seq=seq,
             shard_id=shard_id,
@@ -299,7 +302,7 @@ class TreeCheckpoint:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TreeCheckpoint":
-        try:
+        with decoding("TreeCheckpoint"):
             seq, depth, shard_depth, leaf_count, count = struct.unpack_from(
                 ">QBBQI", data, 0
             )
@@ -310,9 +313,8 @@ class TreeCheckpoint:
                 offset += 4
                 root, offset = decode_field(data, offset)
                 roots.append((shard_id, root))
-            global_root, _ = decode_field(data, offset)
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed TreeCheckpoint: {exc}") from exc
+            global_root, offset = decode_field(data, offset)
+            expect_end(data, offset)
         return cls(
             seq=seq,
             depth=depth,

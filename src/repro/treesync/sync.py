@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.crypto.field import FieldElement, ZERO
@@ -81,6 +82,9 @@ class TreeSyncStats:
     #: Member deletions folded into this view (home replay or foreign
     #: digest recording) — the E15 revocation-propagation surface.
     removals_applied: int = 0
+    #: Writes undone after a failed cross-check: a home-shard replay, a
+    #: commit fold, or a whole snapshot adoption.
+    rollbacks: int = 0
 
 
 class ShardSyncManager:
@@ -145,22 +149,15 @@ class ShardSyncManager:
         self.stats = TreeSyncStats()
         self.telemetry = resolve_telemetry(telemetry)
         registry = self.telemetry.registry
-        self._m_home_events = registry.counter(
-            "treesync_events_total", peer=peer_id, kind="home"
-        )
-        self._m_foreign_events = registry.counter(
-            "treesync_events_total", peer=peer_id, kind="foreign"
-        )
-        self._m_commits = registry.counter("treesync_commits_total", peer=peer_id)
-        self._m_rollbacks = registry.counter("treesync_rollbacks_total", peer=peer_id)
-        self._m_checkpoints = registry.counter(
-            "treesync_checkpoints_restored_total", peer=peer_id
-        )
-        self._m_snapshots = registry.counter(
-            "treesync_snapshots_restored_total", peer=peer_id
-        )
-        self._m_removals = registry.counter("treesync_removals_total", peer=peer_id)
-        self._m_bytes = registry.counter("treesync_bytes_consumed_total", peer=peer_id)
+        stats, bind = self.stats, partial(registry.bind, peer=peer_id)
+        bind("treesync_events_total", lambda: stats.home_events, kind="home")
+        bind("treesync_events_total", lambda: stats.foreign_events, kind="foreign")
+        bind("treesync_commits_total", lambda: stats.commits)
+        bind("treesync_rollbacks_total", lambda: stats.rollbacks)
+        bind("treesync_checkpoints_restored_total", lambda: stats.checkpoints_restored)
+        bind("treesync_snapshots_restored_total", lambda: stats.snapshots_restored)
+        bind("treesync_removals_total", lambda: stats.removals_applied)
+        bind("treesync_bytes_consumed_total", lambda: stats.bytes_consumed)
         #: Wall-clock (not simulated) seconds: checkpoint replay is real
         #: local hash work, the one place wall time is the honest measure.
         self._m_replay_seconds = registry.histogram(
@@ -224,15 +221,11 @@ class ShardSyncManager:
                 )
             self._pending[digest.shard_id] = digest.new_shard_root
             self.stats.foreign_events += 1
-            self._m_foreign_events.inc()
             if isinstance(item, ShardRemoval):
                 self.stats.removals_applied += 1
-                self._m_removals.inc()
         if isinstance(item, ShardRemoval):
             self._collapse_window = True
-        size = item.byte_size()
-        self.stats.bytes_consumed += size
-        self._m_bytes.inc(size)
+        self.stats.bytes_consumed += item.byte_size()
         self.seq = item.seq
         self._announced_root = item.new_global_root
 
@@ -260,12 +253,11 @@ class ShardSyncManager:
             # must not poison the shard (the genuine update for this seq
             # still has to apply cleanly).
             self.shard.write_leaf(local, old_leaf)
-            self._m_rollbacks.inc()
+            self.stats.rollbacks += 1
             raise InconsistentTreeUpdate(
                 "announced shard root does not match the locally replayed shard"
             )
         self.stats.home_events += 1
-        self._m_home_events.inc()
 
     def _remove_home(self, item: ShardRemoval) -> None:
         """Replay one home-shard deletion (a zero write, no path needed).
@@ -296,14 +288,12 @@ class ShardSyncManager:
         if self.shard.root != item.new_shard_root:
             # Roll back before rejecting, as for a forged registration.
             self.shard.write_leaf(local, old_leaf)
-            self._m_rollbacks.inc()
+            self.stats.rollbacks += 1
             raise InconsistentTreeUpdate(
                 "announced shard root does not match the locally replayed shard"
             )
         self.stats.home_events += 1
         self.stats.removals_applied += 1
-        self._m_home_events.inc()
-        self._m_removals.inc()
         # Local to the replay, not just to apply(): a removal replayed
         # from the store archive must collapse the window too.
         self._collapse_window = True
@@ -346,7 +336,7 @@ class ShardSyncManager:
             # _pending is kept: a genuine later recording can supersede it.
             # _collapse_window is kept too: the removal still awaits its
             # successful commit.
-            self._m_rollbacks.inc()
+            self.stats.rollbacks += 1
             raise InconsistentTreeUpdate(
                 "committed top-tree root does not match the announced global root"
             )
@@ -357,7 +347,6 @@ class ShardSyncManager:
         if not self._recent_roots or self._recent_roots[-1] != root:
             self._recent_roots.append(root)
         self.stats.commits += 1
-        self._m_commits.inc()
         return root
 
     @property
@@ -448,7 +437,6 @@ class ShardSyncManager:
         self.seq = checkpoint.seq
         self._announced_root = checkpoint.global_root
         self.stats.checkpoints_restored += 1
-        self._m_checkpoints.inc()
 
     def sync_from_store(
         self,
@@ -504,16 +492,25 @@ class ShardSyncManager:
 
             return check
 
+        def decode_each(messages: list[WakuMessage], *types: type) -> list:
+            """Every payload one of ``types`` decodes (strict decoders: at
+            most one does); undecodable payloads are skipped."""
+            decoded = []
+            for message in messages:
+                for cls in types:
+                    try:
+                        decoded.append(cls.from_bytes(message.payload))
+                    except ProtocolError:
+                        continue
+                    break
+            return decoded
+
         def have_checkpoint(messages: list[WakuMessage]) -> None:
-            checkpoint = None
-            for message in messages:  # newest first (descending query)
-                try:
-                    candidate = TreeCheckpoint.from_bytes(message.payload)
-                except ProtocolError:
-                    continue
-                if checkpoint is None or candidate.seq > checkpoint.seq:
-                    checkpoint = candidate
-            state["checkpoint"] = checkpoint
+            state["checkpoint"] = max(
+                decode_each(messages, TreeCheckpoint),
+                key=lambda candidate: candidate.seq,
+                default=None,
+            )
             if self.home_shard is None:
                 # Light view: no shard to replay, straight to the digests.
                 have_home([])
@@ -528,20 +525,8 @@ class ShardSyncManager:
             )
 
         def have_home(messages: list[WakuMessage]) -> None:
-            updates: list[ShardUpdate | ShardRemoval] = []
-            for message in messages:
-                # The shard topic carries registrations (ShardUpdate) and
-                # deletions (ShardRemoval); the removal's strict length
-                # check keeps the two decodes unambiguous.
-                try:
-                    updates.append(ShardUpdate.from_bytes(message.payload))
-                    continue
-                except ProtocolError:
-                    pass
-                try:
-                    updates.append(ShardRemoval.from_bytes(message.payload))
-                except ProtocolError:
-                    continue
+            # The shard topic carries registrations and deletions.
+            updates = decode_each(messages, ShardUpdate, ShardRemoval)
             state["home"] = sorted(updates, key=lambda u: u.seq)
             checkpoint = state["checkpoint"]
             floor = max(
@@ -558,22 +543,9 @@ class ShardSyncManager:
             )
 
         def have_digests(messages: list[WakuMessage]) -> None:
-            digests: list[ShardRootDigest | ShardRemoval] = []
-            for message in messages:
-                # Removals travel the digest feed as themselves (their
-                # window-collapse semantics must survive projection); try
-                # the strict-length removal decode first — a removal
-                # payload would otherwise *mis*-decode as a digest, since
-                # ShardRootDigest ignores trailing bytes.
-                try:
-                    digests.append(ShardRemoval.from_bytes(message.payload))
-                    continue
-                except ProtocolError:
-                    pass
-                try:
-                    digests.append(ShardRootDigest.from_bytes(message.payload))
-                except ProtocolError:
-                    continue
+            # Removals travel the digest feed as themselves (their
+            # window-collapse semantics must survive projection).
+            digests = decode_each(messages, ShardRootDigest, ShardRemoval)
             checkpoint = state["checkpoint"]
             home_updates = state["home"]
             ordered = sorted(digests, key=lambda d: d.seq)
@@ -680,9 +652,11 @@ class ShardSyncManager:
                         self._pending.update(pending)
                         # The replayed deltas' event/byte counters must
                         # roll back too, or a failed-over adoption
-                        # double-counts the window in E12/E14 traffic.
-                        vars(self.stats).update(prior_stats)
-                        self._m_rollbacks.inc()
+                        # double-counts the window in E12/E14 traffic —
+                        # all but the rollbacks themselves.
+                        vars(self.stats).update(
+                            prior_stats, rollbacks=self.stats.rollbacks + 1
+                        )
                         rejection.append(error)
                         return False
                     if on_done is not None:
@@ -873,13 +847,9 @@ class ShardSyncManager:
         # cross-check — a rolled-back attempt is not a restore.
         self.stats.checkpoints_restored += 1
         self.stats.snapshots_restored += 1
-        self._m_checkpoints.inc()
-        self._m_snapshots.inc()
         byte_size = getattr(snapshot, "byte_size", None)
         if callable(byte_size):
-            size = int(byte_size())
-            self.stats.bytes_consumed += size
-            self._m_bytes.inc(size)
+            self.stats.bytes_consumed += int(byte_size())
         return root
 
     # -- accounting -------------------------------------------------------------

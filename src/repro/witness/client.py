@@ -26,6 +26,7 @@ local.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.crypto.merkle import MerkleProof, NodeHasher
@@ -47,7 +48,7 @@ from repro.witness.messages import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.validator import RootAcceptor, ValidatorStats
+    from repro.core.validator import RootAcceptor
 
 
 def verify_witness(
@@ -115,6 +116,14 @@ class WitnessCacheStats:
     #: Witness acquisitions refused locally because the slot was revoked
     #: — no provider round trips are spent on a leaf known to be dead.
     revoked_fast_fails: int = 0
+    #: Fetches that exhausted every provider without a verified path.
+    fetch_failures: int = 0
+
+    @property
+    def hit_ratio(self) -> float:
+        """Fraction of publish-path acquisitions served from the cache."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
 
 @dataclass
@@ -125,8 +134,7 @@ class WitnessCache:
     freshness-checked against the accepted-root window without any
     hashing.  ``get`` is a pure lookup — the hit/miss accounting lives in
     :meth:`WitnessClient.witness`, the one place an *acquisition* is
-    decided, so the cache-level and :class:`ValidatorStats`-level
-    counters can never disagree.
+    decided.
     """
 
     stats: WitnessCacheStats = field(default_factory=WitnessCacheStats)
@@ -184,7 +192,6 @@ class WitnessClient:
         timeout: float = 0.5,
         rounds: int = 2,
         hasher: NodeHasher | None = None,
-        validator_stats: "ValidatorStats | None" = None,
         telemetry=None,
     ) -> None:
         if not providers:
@@ -196,7 +203,6 @@ class WitnessClient:
         self.tree_depth = tree_depth
         self.executor = executor
         self.hasher = hasher
-        self.validator_stats = validator_stats
         self.cache = WitnessCache()
         #: Expected leaf per index (a member's own commitment), re-applied
         #: on background refreshes of that index.
@@ -230,28 +236,21 @@ class WitnessClient:
         self._m_fetch_rtt = registry.histogram(
             "witness_fetch_rtt_seconds", peer=peer_id
         )
-        self._m_fetch_failures = registry.counter(
-            "witness_fetch_failures_total", peer=peer_id
-        )
-        self._m_hits = registry.counter("witness_cache_hits_total", peer=peer_id)
-        self._m_misses = registry.counter("witness_cache_misses_total", peer=peer_id)
-        self._m_refreshes = registry.counter("witness_refreshes_total", peer=peer_id)
-        self._m_hit_ratio = registry.gauge("witness_cache_hit_ratio", peer=peer_id)
+        cache, dispatch = self.cache.stats, self.dispatcher.stats
+        bind = partial(registry.bind, peer=peer_id)
+        bind("witness_fetch_failures_total", lambda: cache.fetch_failures)
+        bind("witness_cache_hits_total", lambda: cache.hits)
+        bind("witness_cache_misses_total", lambda: cache.misses)
+        bind("witness_refreshes_total", lambda: cache.refreshes)
+        bind("witness_cache_hit_ratio", lambda: cache.hit_ratio, "gauge")
         # Failovers are exact from dispatcher accounting: every attempt
         # beyond a request's first one is, by construction, a failover
         # (timeout, unreachable, or a tampered/rejected response).
-        self._m_failovers = registry.gauge("witness_failovers", peer=peer_id)
-
-    # -- telemetry ---------------------------------------------------------------
-
-    def _update_derived_gauges(self) -> None:
-        if not self.telemetry.enabled:
-            return
-        cache = self.cache.stats
-        total = cache.hits + cache.misses
-        self._m_hit_ratio.set(cache.hits / total if total else 0.0)
-        dispatch = self.dispatcher.stats
-        self._m_failovers.set(float(dispatch.attempts - dispatch.requests))
+        bind(
+            "witness_failovers",
+            lambda: float(dispatch.attempts - dispatch.requests),
+            "gauge",
+        )
 
     # -- witnesses -------------------------------------------------------------
 
@@ -310,17 +309,9 @@ class WitnessClient:
                 cached = None  # the slot moved under us: force a re-fetch
         if cached is not None:
             self.cache.stats.hits += 1
-            self._m_hits.inc()
-            if self.validator_stats is not None:
-                self.validator_stats.witness_cache_hits += 1
-            self._update_derived_gauges()
             on_done(cached)
             return
         self.cache.stats.misses += 1
-        self._m_misses.inc()
-        if self.validator_stats is not None:
-            self.validator_stats.witness_cache_misses += 1
-        self._update_derived_gauges()
         self._fetch(
             index, on_done, on_error, expected_leaf=expected_leaf, trace=trace
         )
@@ -382,9 +373,8 @@ class WitnessClient:
         started_at = self.simulator.now
 
         def settled(result: object) -> None:
-            self._update_derived_gauges()
             if isinstance(result, RequestFailure):
-                self._m_fetch_failures.inc()
+                self.cache.stats.fetch_failures += 1
                 if on_error is not None:
                     on_error(result)
                 return
@@ -493,9 +483,6 @@ class WitnessClient:
 
         def refresh(_result: object = None) -> None:
             self.cache.stats.refreshes += 1
-            self._m_refreshes.inc()
-            if self.validator_stats is not None:
-                self.validator_stats.witness_refreshes += 1
             self._fetch(index, lambda proof: None, None)
 
         if self.executor is None:

@@ -20,16 +20,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.epoch import external_nullifier
-from repro.core.messages import RateLimitProof
-from repro.core.protocol import DEFAULT_CONTENT_TOPIC
+from repro.core.protocol import DEFAULT_CONTENT_TOPIC, build_message
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleProof
 from repro.net.request import RequestFailure
 from repro.waku.message import WakuMessage
 from repro.witness.client import WitnessClient
 from repro.zksnark.prover import RLNProver
-from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness
 
 
 class LightMember:
@@ -88,7 +85,19 @@ class LightMember:
         def have_witness(proof: MerkleProof) -> None:
             if span is not None:
                 span.mark("witness")
-            message = self._build(payload, epoch, proof, content_topic)
+            # The statement's root is whatever the (verified) witness
+            # folds to — by construction a root the client's acceptor
+            # recognises, hence one the network's validators recognise too.
+            message = build_message(
+                self.identity,
+                payload,
+                epoch,
+                proof,
+                proof.compute_root(),
+                prover=self.prover,
+                content_topic=content_topic,
+                timestamp=self._timestamp(),
+            )
             if span is not None:
                 span.mark("proof")
                 message = message.with_trace(span.context)
@@ -115,31 +124,4 @@ class LightMember:
             failed,
             expected_leaf=self.identity.pk,
             trace=None if span is None else span.context,
-        )
-
-    def _build(
-        self, payload: bytes, epoch: int, proof: MerkleProof, content_topic: str
-    ) -> WakuMessage:
-        # The statement's root is whatever the (verified) witness folds
-        # to — by construction a root the client's acceptor recognises,
-        # hence one the network's validators recognise too.
-        root = proof.compute_root()
-        public = RLNPublicInputs.for_message(
-            self.identity, payload, external_nullifier(epoch), root
-        )
-        witness = RLNWitness(identity=self.identity, merkle_proof=proof)
-        zk_proof = self.prover.prove(public, witness)
-        bundle = RateLimitProof(
-            share_x=public.x,
-            share_y=public.y,
-            internal_nullifier=public.internal_nullifier,
-            epoch=epoch,
-            root=root,
-            proof=zk_proof,
-        )
-        return WakuMessage(
-            payload=payload,
-            content_topic=content_topic,
-            timestamp=self._timestamp(),
-            rate_limit_proof=bundle,
         )

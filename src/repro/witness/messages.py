@@ -27,9 +27,14 @@ from dataclasses import dataclass
 
 from repro.crypto.field import FIELD_BYTES, FieldElement
 from repro.crypto.merkle import MerkleProof
-from repro.errors import ProtocolError
 from repro.telemetry.disttrace import SpanContext
-from repro.treesync.messages import decode_field, decode_proof, encode_proof
+from repro.treesync.messages import (
+    decode_field,
+    decode_proof,
+    decoding,
+    encode_proof,
+    expect_end,
+)
 
 #: Protocol channel witness and snapshot *requests* travel on.
 WITNESS_PROTOCOL = "witness"
@@ -68,11 +73,9 @@ class WitnessRequest:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "WitnessRequest":
-        try:
+        with decoding("WitnessRequest"):
             request_id, index = struct.unpack_from(">QQ", data, 0)
             trace = SpanContext.decode(data, 16)[0] if len(data) > 16 else None
-        except struct.error as exc:
-            raise ProtocolError(f"malformed WitnessRequest: {exc}") from exc
         return cls(request_id=request_id, index=index, trace=trace)
 
 
@@ -104,12 +107,11 @@ class WitnessResponse:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "WitnessResponse":
-        try:
+        with decoding("WitnessResponse"):
             request_id, found, seq = struct.unpack_from(">QBQ", data, 0)
             (has_proof,) = struct.unpack_from(">B", data, 17)
-            proof = decode_proof(data, 18)[0] if has_proof else None
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed WitnessResponse: {exc}") from exc
+            proof, offset = decode_proof(data, 18) if has_proof else (None, 18)
+            expect_end(data, offset)
         return cls(request_id=request_id, found=bool(found), seq=seq, proof=proof)
 
 
@@ -128,10 +130,9 @@ class SnapshotRequest:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SnapshotRequest":
-        try:
+        with decoding("SnapshotRequest"):
             request_id, shard_id = struct.unpack_from(">QI", data, 0)
-        except struct.error as exc:
-            raise ProtocolError(f"malformed SnapshotRequest: {exc}") from exc
+            expect_end(data, 12)
         return cls(request_id=request_id, shard_id=shard_id)
 
 
@@ -174,7 +175,7 @@ class SnapshotResponse:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SnapshotResponse":
-        try:
+        with decoding("SnapshotResponse"):
             request_id, found, shard_id, shard_depth, seq, count = struct.unpack_from(
                 ">QBIBQI", data, 0
             )
@@ -185,8 +186,7 @@ class SnapshotResponse:
                 offset += 4
                 leaf, offset = decode_field(data, offset)
                 leaves.append((local, leaf))
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed SnapshotResponse: {exc}") from exc
+            expect_end(data, offset)
         return cls(
             request_id=request_id,
             found=bool(found),

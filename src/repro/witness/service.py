@@ -19,6 +19,7 @@ flood once could.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.crypto.field import ZERO
@@ -36,7 +37,6 @@ from repro.witness.messages import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.membership import GroupManager
-    from repro.core.validator import ValidatorStats
 
 
 @dataclass
@@ -61,10 +61,6 @@ class WitnessService:
     ``manager`` is the peer's :class:`~repro.core.membership.GroupManager`:
     a full replica, whose ``tree.proof(i)`` is byte for byte the path a
     shard-scoped peer would splice from its shard and top halves.
-
-    ``validator_stats`` optionally mirrors the service-load counters into
-    the peer's :class:`~repro.core.validator.ValidatorStats`, so benchmark
-    tables report witness load alongside proof-verification work.
     """
 
     def __init__(
@@ -75,7 +71,6 @@ class WitnessService:
         *,
         executor: CryptoExecutor | None = None,
         priority: Priority = Priority.SERVICE,
-        validator_stats: "ValidatorStats | None" = None,
         telemetry=None,
     ) -> None:
         self.peer_id = peer_id
@@ -83,23 +78,18 @@ class WitnessService:
         self.network = network
         self.executor = executor
         self.priority = priority
-        self.validator_stats = validator_stats
         self.stats = WitnessServiceStats()
         self.telemetry = resolve_telemetry(telemetry)
         #: Distributed tracing (PR 9): traced witness requests get a
         #: "witness-serve" span linked into the requester's trace.
         self.disttracer = self.telemetry.disttracer(peer_id)
-        registry = self.telemetry.registry
-        self._m_served = {
-            kind: registry.counter("witness_served_total", peer=peer_id, kind=kind)
-            for kind in ("witness", "snapshot")
-        }
-        self._m_misses = {
-            kind: registry.counter(
-                "witness_service_misses_total", peer=peer_id, kind=kind
-            )
-            for kind in ("witness", "snapshot")
-        }
+        stats, bind = self.stats, partial(self.telemetry.registry.bind, peer=peer_id)
+        bind("witness_served_total", lambda: stats.witnesses_served, kind="witness")
+        bind("witness_served_total", lambda: stats.snapshots_served, kind="snapshot")
+        bind("witness_service_misses_total", lambda: stats.witness_misses, kind="witness")
+        bind(
+            "witness_service_misses_total", lambda: stats.snapshot_misses, kind="snapshot"
+        )
         network.register(peer_id, self._on_request, protocol=WITNESS_PROTOCOL)
 
     # -- request handling ----------------------------------------------------
@@ -147,13 +137,9 @@ class WitnessService:
         tree = self.manager.tree
         if not 0 <= request.index < tree.leaf_count:
             self.stats.witness_misses += 1
-            self._m_misses["witness"].inc()
             return WitnessResponse(request_id=request.request_id, found=False)
         proof = tree.proof(request.index)
         self.stats.witnesses_served += 1
-        self._m_served["witness"].inc()
-        if self.validator_stats is not None:
-            self.validator_stats.witnesses_served += 1
         return WitnessResponse(
             request_id=request.request_id,
             found=True,
@@ -171,7 +157,6 @@ class WitnessService:
         # miss answered on the wire, never an exception into the simulator.
         if shard_depth < 1 or not 0 <= request.shard_id < num_shards:
             self.stats.snapshot_misses += 1
-            self._m_misses["snapshot"].inc()
             return SnapshotResponse(request_id=request.request_id, found=False)
         capacity = 1 << shard_depth
         start = request.shard_id * capacity
@@ -182,9 +167,6 @@ class WitnessService:
             if (leaf := tree.leaf(index)) != ZERO
         )
         self.stats.snapshots_served += 1
-        self._m_served["snapshot"].inc()
-        if self.validator_stats is not None:
-            self.validator_stats.witnesses_served += 1
         return SnapshotResponse(
             request_id=request.request_id,
             found=True,

@@ -28,6 +28,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
+from repro.telemetry import Telemetry
 from repro.treesync import ShardSyncManager, TreeSyncPublisher
 from repro.waku.relay import WakuRelay
 from repro.waku.store import StoreClient, StoreNode
@@ -75,7 +76,6 @@ class TestLightMemberPublishes:
             ("peer-000",),
             view,
             tree_depth=DEPTH,
-            validator_stats=serving.validator.stats,
         )
         serving.group.on_shard_update(client.on_tree_update)
         member = LightMember(
@@ -113,9 +113,7 @@ class TestLightMemberPublishes:
             for p in dep.peers.values()
         )
         assert invalid_counts == 0
-        # Service-side load is visible next to the proof stats.
         assert service.stats.witnesses_served == 1
-        assert serving.validator.stats.witnesses_served == 1
 
     def test_warm_cache_publish_needs_no_fetch(self):
         config = RLNConfig(
@@ -402,6 +400,28 @@ class TestLateJoinerSnapshotBootstrap:
         assert late.seq == manager.event_seq  # includes the racing event
         assert late.stats.snapshots_restored == 1
 
+    @staticmethod
+    def _assert_series_equal_stats(telemetry, view, peer):
+        """Every ``treesync_*`` counter series equals its TreeSyncStats field."""
+        counter = telemetry.registry.counter
+        stats = view.stats
+        assert {
+            "home_events": counter("treesync_events_total", peer=peer, kind="home").value,
+            "foreign_events": counter(
+                "treesync_events_total", peer=peer, kind="foreign"
+            ).value,
+            "commits": counter("treesync_commits_total", peer=peer).value,
+            "rollbacks": counter("treesync_rollbacks_total", peer=peer).value,
+            "checkpoints_restored": counter(
+                "treesync_checkpoints_restored_total", peer=peer
+            ).value,
+            "snapshots_restored": counter(
+                "treesync_snapshots_restored_total", peer=peer
+            ).value,
+            "removals_applied": counter("treesync_removals_total", peer=peer).value,
+            "bytes_consumed": counter("treesync_bytes_consumed_total", peer=peer).value,
+        } == vars(stats)
+
     def test_failed_adoption_rolls_back_for_the_next_provider(
         self, store_net, publisher_group
     ):
@@ -430,7 +450,14 @@ class TestLateJoinerSnapshotBootstrap:
                 if manager.tree.leaf(i) != ZERO
             ),
         )
-        late = ShardSyncManager(home_shard=0, depth=DEPTH, shard_depth=SHARD_DEPTH)
+        telemetry = Telemetry()
+        late = ShardSyncManager(
+            home_shard=0,
+            depth=DEPTH,
+            shard_depth=SHARD_DEPTH,
+            telemetry=telemetry,
+            peer_id="late",
+        )
         # Inject a commit-stage failure on the first adoption only.
         original = late._replay_deltas
         injected = []
@@ -461,7 +488,9 @@ class TestLateJoinerSnapshotBootstrap:
         assert verdicts == [False, True]
         assert roots and roots[0] == manager.root
         assert late.stats.snapshots_restored == 1  # the rolled-back try is not counted
+        assert late.stats.rollbacks == 1
         assert late.witness(0) == manager.tree.proof(0)
+        self._assert_series_equal_stats(telemetry, late, "late")
 
     def test_rolled_back_adoption_does_not_double_count_stats(
         self, store_net, publisher_group
@@ -505,7 +534,14 @@ class TestLateJoinerSnapshotBootstrap:
         # counters) and only then fails, as a colluding forged digest would
         # at the commit cross-check; the second adoption must start from
         # counters rolled back to their pre-attempt values.
-        late = ShardSyncManager(home_shard=0, depth=DEPTH, shard_depth=SHARD_DEPTH)
+        telemetry = Telemetry()
+        late = ShardSyncManager(
+            home_shard=0,
+            depth=DEPTH,
+            shard_depth=SHARD_DEPTH,
+            telemetry=telemetry,
+            peer_id="late",
+        )
         original = late._replay_deltas
         injected = []
 
@@ -528,7 +564,12 @@ class TestLateJoinerSnapshotBootstrap:
         sim.run(10.0)
         assert injected  # the failure really was injected
         assert late.root == control.root == manager.root
-        assert vars(late.stats) == vars(control.stats)
+        # Only the rollback itself tells the two bootstraps apart.
+        assert vars(late.stats) == {**vars(control.stats), "rollbacks": 1}
+        # The registry reads the same object, so the rollback reached every
+        # series too — home-replay bytes from _replay_archive included.
+        assert late.stats.bytes_consumed > 0 and late.stats.foreign_events > 0
+        self._assert_series_equal_stats(telemetry, late, "late")
 
     def test_race_rejection_masked_by_later_provider_still_retries(
         self, store_net, publisher_group

@@ -125,28 +125,3 @@ class TestReporting:
     def test_mean_helper(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
         assert mean([]) == 0.0
-
-
-class TestWitnessServiceLoad:
-    def test_aggregates_validator_stats(self):
-        from repro.analysis.metrics import witness_service_load
-        from repro.core.validator import ValidatorStats
-
-        server = ValidatorStats()
-        server.witnesses_served = 7
-        client = ValidatorStats()
-        client.witness_cache_hits = 3
-        client.witness_cache_misses = 1
-        client.witness_refreshes = 2
-        load = witness_service_load([server, client])
-        assert load.witnesses_served == 7
-        assert load.acquisitions == 4
-        assert load.hit_rate == 0.75
-        assert load.refreshes == 2
-
-    def test_empty_is_all_zero(self):
-        from repro.analysis.metrics import witness_service_load
-
-        load = witness_service_load([])
-        assert load.acquisitions == 0
-        assert load.hit_rate == 0.0

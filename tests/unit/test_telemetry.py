@@ -67,6 +67,47 @@ def test_registry_rejects_kind_collisions():
         registry.gauge("thing")
 
 
+def test_bound_series_read_their_owner_at_read_time():
+    registry = MetricsRegistry()
+    registry.counter("first")
+    stats = {"events": 0, "depth": 2}
+    registry.bind("events_total", lambda: stats["events"], peer="p1", kind="home")
+    registry.bind("depth", lambda: stats["depth"], "gauge", peer="p1")
+    stats["events"] += 3
+    # Looked up, collected and exported like any interned metric; the
+    # ``kind`` label does not collide with the positional metric kind.
+    assert registry.counter("events_total", peer="p1", kind="home").value == 3
+    assert registry.gauge("depth", peer="p1").value == 2
+    collected = registry.collect()
+    assert list(collected) == ["first", "events_total{kind=home,peer=p1}", "depth{peer=p1}"]
+    assert collected["events_total{kind=home,peer=p1}"] == {
+        "name": "events_total",
+        "kind": "counter",
+        "labels": {"peer": "p1", "kind": "home"},
+        "value": 3,
+    }
+    assert collected["depth{peer=p1}"]["kind"] == "gauge"
+    stats["events"] -= 1  # a rollback in the owner is a rollback in the series
+    assert registry.collect()["events_total{kind=home,peer=p1}"]["value"] == 2
+
+
+def test_rebinding_replaces_the_reader_in_place_and_checks_the_kind():
+    registry = MetricsRegistry()
+    registry.bind("a_total", lambda: 1)
+    registry.bind("b_total", lambda: 2)
+    registry.bind("a_total", lambda: 10)
+    assert [(k, e["value"]) for k, e in registry.collect().items()] == [
+        ("a_total", 10),
+        ("b_total", 2),
+    ]
+    with pytest.raises(TypeError):
+        registry.bind("a_total", lambda: 0, "gauge")
+    with pytest.raises(TypeError):
+        registry.gauge("a_total")
+    with pytest.raises(ValueError):
+        registry.bind("h", lambda: 0, "histogram")
+
+
 def test_gauge_set_and_add():
     gauge = MetricsRegistry().gauge("depth")
     gauge.set(7.0)
@@ -133,8 +174,8 @@ def test_null_registry_hands_out_shared_singletons():
     assert NULL_COUNTER.value == 0
     assert NULL_GAUGE.value == 0.0
     assert NULL_HISTOGRAM.count == 0 and NULL_HISTOGRAM.p99 == 0.0
-    assert NULL_REGISTRY.collect() == {}
-    assert not NULL_REGISTRY.enabled
+    assert NULL_REGISTRY.bind("e_total", lambda: 1, peer="p") is None
+    assert NULL_REGISTRY.collect() == {} and NULL_REGISTRY.metrics() == {}
 
 
 def test_resolve_defaults_to_the_null_hub():

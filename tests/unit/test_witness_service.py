@@ -10,7 +10,7 @@ from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.core.membership import GroupManager
-from repro.core.validator import ValidatorStats
+from repro.telemetry import Telemetry
 from repro.crypto.field import FieldElement
 from repro.crypto.merkle import MerkleTree
 from repro.errors import InconsistentTreeUpdate, ProtocolError
@@ -66,7 +66,7 @@ def env():
 
 
 def make_client(env, *, executor=None, providers=None, timeout=0.2, rounds=2,
-                validator_stats=None):
+                telemetry=None):
     sim, network, names, manager, _ = env
     return WitnessClient(
         names[1],
@@ -78,7 +78,7 @@ def make_client(env, *, executor=None, providers=None, timeout=0.2, rounds=2,
         executor=executor,
         timeout=timeout,
         rounds=rounds,
-        validator_stats=validator_stats,
+        telemetry=telemetry,
     )
 
 
@@ -145,8 +145,8 @@ class TestWitnessFetch:
     def test_cache_hit_is_local_and_counted(self, env):
         sim, network, names, manager, _ = env
         WitnessService(names[0], manager, network)
-        stats = ValidatorStats()
-        client = make_client(env, validator_stats=stats)
+        telemetry = Telemetry()
+        client = make_client(env, telemetry=telemetry)
         client.witness(5, lambda proof: None)
         sim.run(2.0)
         attempts = client.dispatcher.stats.attempts
@@ -155,8 +155,11 @@ class TestWitnessFetch:
         assert got
         assert client.dispatcher.stats.attempts == attempts  # no new fetch
         assert client.cache.stats.hits == 1
-        assert stats.witness_cache_hits == 1
-        assert stats.witness_cache_misses == 1
+        # The registry reads the same stats object: no second store.
+        registry = telemetry.registry
+        assert registry.counter("witness_cache_hits_total", peer=names[1]).value == 1
+        assert registry.counter("witness_cache_misses_total", peer=names[1]).value == 1
+        assert registry.gauge("witness_cache_hit_ratio", peer=names[1]).value == 0.5
 
     def test_out_of_range_index_fails_over_to_failure(self, env):
         sim, network, names, manager, _ = env
@@ -264,8 +267,8 @@ class TestInvalidationAndBackgroundRefresh:
         sim, network, names, manager, _ = env
         WitnessService(names[0], manager, network)
         executor = SimulatedCryptoExecutor(sim, 1)
-        stats = ValidatorStats()
-        client = make_client(env, executor=executor, validator_stats=stats)
+        telemetry = Telemetry()
+        client = make_client(env, executor=executor, telemetry=telemetry)
         manager.on_shard_update(client.on_tree_update)
         client.witness(5, lambda proof: None)
         sim.run(2.0)
@@ -282,7 +285,10 @@ class TestInvalidationAndBackgroundRefresh:
         assert fresh != old
         assert executor.stats.classes[Priority.BACKGROUND].submitted >= 1
         assert client.cache.stats.refreshes >= 1
-        assert stats.witness_refreshes >= 1
+        assert (
+            telemetry.registry.counter("witness_refreshes_total", peer=names[1]).value
+            == client.cache.stats.refreshes
+        )
 
     def test_in_flight_fetch_does_not_repopulate_invalidated_cache(self, env):
         """A response that was in flight when the tree moved must not
