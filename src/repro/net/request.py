@@ -1,13 +1,20 @@
 """Generic request/response with timeout, bounded retry, and failover.
 
-Every Waku request/response protocol in the reproduction (13/WAKU2-STORE,
-19/WAKU2-LIGHTPUSH, the witness service) faces the same reliability
-problem: a provider may be slow, dead, or lying, and a light client must
-not hang on any single one.  :class:`RequestDispatcher` packages the
-answer once — send to one provider, arm a timeout on the event simulator,
-retry down an ordered provider list, and ignore responses that arrive
-after their attempt was abandoned — on top of the shared
-:class:`~repro.net.promise.Promise` primitive.
+Every request/response protocol in the reproduction faces the same
+reliability problem: a provider may be slow, dead, or lying, and a light
+client must not hang on any single one.  :class:`RequestDispatcher`
+packages the answer once — send to one provider, arm a timeout on the
+event simulator, retry down an ordered provider list, accept the answer
+only from the provider asked, and ignore responses that arrive after
+their attempt was abandoned — on top of the shared
+:class:`~repro.net.promise.Promise` primitive.  It is the only request-id
+allocator and the only ``request id -> waiter`` table in ``src/``; its
+callers are :class:`~repro.waku.store.StoreClient` (13/WAKU2-STORE, one
+request per page), :class:`~repro.waku.lightpush.LightPushClient`
+(19/WAKU2-LIGHTPUSH, one attempt),
+:class:`~repro.offchain.kademlia.KademliaNode` (``FindNode`` /
+``FindValue``), :class:`~repro.witness.client.WitnessClient` and
+:class:`~repro.telemetry.exporter.TelemetryExporter`.
 
 The dispatcher is payload-agnostic: callers supply ``make_request`` (a
 factory embedding the dispatcher-issued request id into their own wire
@@ -84,12 +91,11 @@ class PendingRequest(Promise[Any]):
 class RequestDispatcher:
     """One peer's outbound request/response machinery for one protocol.
 
-    Owns the (peer, protocol) inbound channel on the transport, so at most
-    one dispatcher exists per protocol per peer — exactly like the store
-    and lightpush clients it generalises.  Enforced at construction: a
-    second dispatcher would silently displace the first's response
-    handler, stranding its in-flight requests to time out through every
-    provider with nothing pointing at the cause.
+    Owns the (peer, reply channel) inbound handler on the transport, so at
+    most one dispatcher exists per protocol per peer.  Enforced at
+    construction: a second dispatcher would silently displace the first's
+    response handler, stranding its in-flight requests to time out through
+    every provider with nothing pointing at the cause.
     """
 
     def __init__(

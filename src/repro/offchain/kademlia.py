@@ -16,21 +16,30 @@ DHT traffic uses the transport's ``dht`` protocol channel and dials peers
 directly (overlay semantics), so lookups cost real simulated round trips —
 the latency comparison against on-chain registration in experiment A1 is
 honest.
+
+Failure contract: a ``FindNode``/``FindValue`` query is one single-attempt
+:class:`~repro.net.request.RequestDispatcher` request, answered within
+``DHTConfig.lookup_timeout`` by the peer that was asked (on the
+``kademlia-reply`` channel: every node is both client and server) or
+failed; either way its concurrency slot frees and the lookup moves on, so
+``put``/``get`` always call back and leave no waiter or timer behind.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.crypto.hashing import tagged_sha256
 from repro.errors import NetworkError
+from repro.net.request import RequestDispatcher, RequestFailure
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 
 PROTOCOL = "dht"
+REPLY_PROTOCOL = "kademlia-reply"
 
 #: Bits of the key space.
 ID_BITS = 64
@@ -137,8 +146,15 @@ class KademliaNode:
         self.rng = rng or random.Random(self.node_id & 0xFFFF)
         self._contacts: set[str] = set()
         self._storage: dict[bytes, tuple[Any, int]] = {}
-        self._request_ids = itertools.count(1)
-        self._pending: dict[int, Callable[[Any], None]] = {}
+        self.dispatcher = RequestDispatcher(
+            peer_id,
+            network,
+            simulator,
+            protocol=PROTOCOL,
+            reply_protocol=REPLY_PROTOCOL,
+            timeout=self.config.lookup_timeout,
+            require_edge=False,
+        )
         network.register(peer_id, self._on_message, protocol=PROTOCOL)
 
     # -- bootstrap / contacts ----------------------------------------------
@@ -148,8 +164,11 @@ class KademliaNode:
         for seed in seeds:
             if seed != self.peer_id:
                 self._learn(seed)
-                # A FIND_NODE for our own id doubles as the announcement.
-                self._send(seed, FindNode(request_id=next(self._request_ids), target=self.node_id))
+                # A FIND_NODE for our own id doubles as the announcement;
+                # the answer is not waited for.
+                self.dispatcher.request(
+                    (seed,), partial(FindNode, target=self.node_id)
+                )
 
     def _learn(self, peer: str) -> None:
         if peer == self.peer_id:
@@ -189,35 +208,24 @@ class KademliaNode:
 
     def get(self, key: bytes, on_result: Callable[[Any | None, int], None]) -> None:
         """Look up ``key``; ``on_result(value, version)`` (None if absent)."""
-        local = self._storage.get(key)
-        best: dict[str, Any] = {"value": local[0] if local else None,
-                                "version": local[1] if local else -1}
-
-        def query(peer: str, on_reply: Callable[[Any], None]) -> None:
-            request_id = next(self._request_ids)
-            self._pending[request_id] = on_reply
-            self._send(peer, FindValue(request_id=request_id, key=key))
+        best = list(self._storage.get(key, (None, -1)))  # [value, version]
 
         def on_reply(reply: Any) -> list[str]:
             if isinstance(reply, FoundValue):
-                if reply.value is not None and reply.version > best["version"]:
-                    best["value"] = reply.value
-                    best["version"] = reply.version
+                if reply.value is not None and reply.version > best[1]:
+                    best[:] = reply.value, reply.version
                 return list(reply.contacts)
             return []
 
         def finished(_nodes: list[str]) -> None:
-            on_result(best["value"], best["version"])
+            on_result(*best)
 
-        self._iterative_lookup(key_id(key), query, on_reply, finished)
+        self._iterative_lookup(
+            key_id(key), partial(FindValue, key=key), on_reply, finished
+        )
 
     def iterative_find_node(self, target: int, on_done: Callable[[list[str]], None]) -> None:
         """Find the closest known nodes to ``target`` (including ourselves)."""
-
-        def query(peer: str, on_reply: Callable[[Any], None]) -> None:
-            request_id = next(self._request_ids)
-            self._pending[request_id] = on_reply
-            self._send(peer, FindNode(request_id=request_id, target=target))
 
         def on_reply(reply: Any) -> list[str]:
             if isinstance(reply, FoundNodes):
@@ -231,72 +239,57 @@ class KademliaNode:
             )
             on_done(merged[: self.config.replication])
 
-        self._iterative_lookup(target, query, on_reply, finished)
+        self._iterative_lookup(
+            target, partial(FindNode, target=target), on_reply, finished
+        )
 
     # -- the iterative lookup engine ------------------------------------------------
 
     def _iterative_lookup(
         self,
         target: int,
-        query: Callable[[str, Callable[[Any], None]], None],
+        make_query: Callable[[int], Any],
         on_reply: Callable[[Any], list[str]],
         finished: Callable[[list[str]], None],
     ) -> None:
-        shortlist = self.closest_contacts(target, self.config.replication * 2)
+        """Query ever-closer peers (``make_query(request_id)`` is the wire
+        message) until the closest known ones have all answered or failed."""
         state = {
             "queried": set(),
             "in_flight": 0,
-            "done": False,
-            "best": sorted(shortlist, key=lambda p: distance(node_id(p), target)),
+            "best": self.closest_contacts(target, self.config.replication * 2),
         }
 
-        def maybe_finish() -> None:
-            if state["done"]:
-                return
+        def advance() -> None:
             candidates = [p for p in state["best"] if p not in state["queried"]]
             if state["in_flight"] == 0 and not candidates:
-                state["done"] = True
                 finished(state["best"][: self.config.replication])
                 return
-            launch(candidates)
-
-        def launch(candidates: list[str]) -> None:
             while state["in_flight"] < self.config.concurrency and candidates:
                 peer = candidates.pop(0)
                 if peer in state["queried"]:
+                    # An unreachable peer fails inside request(), and the
+                    # nested advance() may have queried this one.
                     continue
                 state["queried"].add(peer)
                 state["in_flight"] += 1
-                expected_reply = {"received": False}
+                self.dispatcher.request((peer,), make_query).subscribe(
+                    partial(handle, peer)
+                )
 
-                def handle(reply: Any, expected_reply=expected_reply) -> None:
-                    if expected_reply["received"] or state["done"]:
-                        return
-                    expected_reply["received"] = True
-                    state["in_flight"] -= 1
-                    for contact in on_reply(reply):
-                        self._learn(contact)
-                        if contact not in state["best"]:
-                            state["best"].append(contact)
-                    state["best"].sort(key=lambda p: distance(node_id(p), target))
-                    del state["best"][self.config.replication * 3 :]
-                    maybe_finish()
+        def handle(peer: str, reply: Any) -> None:
+            state["in_flight"] -= 1
+            if not isinstance(reply, RequestFailure):
+                self._learn(peer)  # it answered: a live contact
+                for contact in on_reply(reply):
+                    self._learn(contact)
+                    if contact not in state["best"]:
+                        state["best"].append(contact)
+                state["best"].sort(key=lambda p: distance(node_id(p), target))
+                del state["best"][self.config.replication * 3 :]
+            advance()
 
-                def timeout(expected_reply=expected_reply) -> None:
-                    if expected_reply["received"] or state["done"]:
-                        return
-                    expected_reply["received"] = True
-                    state["in_flight"] -= 1
-                    maybe_finish()
-
-                query(peer, handle)
-                self.simulator.schedule(self.config.lookup_timeout, timeout)
-
-        if not shortlist:
-            state["done"] = True
-            finished([self.peer_id])
-            return
-        maybe_finish()
+        advance()
 
     # -- message handling ------------------------------------------------------------
 
@@ -307,7 +300,11 @@ class KademliaNode:
                 p for p in self.closest_contacts(message.target, self.config.replication * 2)
                 if p != sender
             )
-            self._send(sender, FoundNodes(request_id=message.request_id, contacts=contacts))
+            self._send(
+                sender,
+                FoundNodes(request_id=message.request_id, contacts=contacts),
+                REPLY_PROTOCOL,
+            )
         elif isinstance(message, FindValue):
             stored = self._storage.get(message.key)
             contacts = tuple(
@@ -323,13 +320,10 @@ class KademliaNode:
                     version=stored[1] if stored else -1,
                     contacts=contacts,
                 ),
+                REPLY_PROTOCOL,
             )
         elif isinstance(message, StoreValue):
             self._store_local(message.key, message.value, message.version)
-        elif isinstance(message, (FoundNodes, FoundValue)):
-            handler = self._pending.pop(message.request_id, None)
-            if handler is not None:
-                handler(message)
 
     def _store_local(self, key: bytes, value: Any, version: int) -> None:
         existing = self._storage.get(key)
@@ -351,12 +345,10 @@ class KademliaNode:
     def stored_keys(self) -> list[bytes]:
         return list(self._storage)
 
-    def _send(self, peer: str, message: Any) -> None:
-        if peer == self.peer_id:
-            return
+    def _send(self, peer: str, message: Any, protocol: str = PROTOCOL) -> None:
         try:
             self.network.send(
-                self.peer_id, peer, message, protocol=PROTOCOL, require_edge=False
+                self.peer_id, peer, message, protocol=protocol, require_edge=False
             )
         except NetworkError:
-            pass  # peer left; the lookup timeout handles it
+            pass  # peer left; its own timeout handles a reply it never gets

@@ -103,24 +103,6 @@ class SharedProofChecker:
         #: same proof into two identical pairing jobs.
         self._in_flight: dict[bytes, Promise[bool]] = {}
 
-    def check(self, bundle: RateLimitProof) -> bool:
-        """True iff the bundle's proof verifies (cached or fresh), inline.
-
-        The synchronous escape hatch: callers that cannot defer (legacy
-        call sites, tests) bypass the executor's queue.  Service nodes use
-        :meth:`check_deferred` so their load lands in the SERVICE class.
-        """
-        public = bundle.public_inputs()
-        key = VerdictCache.key(bundle, public)
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        ok = self.prover.verify(public, bundle.proof)
-        self.verified += 1
-        self.cache.put(key, ok)
-        return ok
-
     def check_deferred(self, bundle: RateLimitProof) -> Promise[bool]:
         """Verdict promise for one bundle; pairing work rides the executor.
 
@@ -160,20 +142,13 @@ class SharedProofChecker:
         )
         return promise
 
-    def check_message(self, message: WakuMessage) -> bool | None:
-        """Inline verdict for a message's attached proof; ``None`` when absent.
+    def check_message_deferred(self, message: WakuMessage) -> Promise[bool] | None:
+        """Verdict promise for a message's attached proof; ``None`` when absent.
 
         ``None`` (no bundle attached) lets proof-less system traffic —
         e.g. tree-sync announcements — pass through paths that archive or
         forward arbitrary Waku messages.
         """
-        bundle = message.rate_limit_proof
-        if not isinstance(bundle, RateLimitProof):
-            return None
-        return self.check(bundle)
-
-    def check_message_deferred(self, message: WakuMessage) -> Promise[bool] | None:
-        """Deferred twin of :meth:`check_message`; ``None`` when proof-less."""
         bundle = message.rate_limit_proof
         if not isinstance(bundle, RateLimitProof):
             return None

@@ -40,6 +40,7 @@ from repro.errors import (
     SyncError,
     TreeSyncGap,
 )
+from repro.net.request import RequestFailure
 from repro.treesync.forest import DEFAULT_SHARD_DEPTH, resolve_shard_depth
 from repro.treesync.messages import (
     CHECKPOINT_TOPIC,
@@ -472,9 +473,20 @@ class ShardSyncManager:
         exactly as before.
 
         A light view (``home_shard=None``) skips the home topic entirely.
+
+        A store query that goes unanswered (:mod:`repro.waku.store`'s
+        failure contract) raises :class:`~repro.errors.SyncError` out of
+        the simulator step that noticed, like every other failure here.
         """
         state: dict[str, object] = {}
         initial_seq = self.seq
+
+        def store_failed(failure: RequestFailure) -> None:
+            raise SyncError(
+                f"store node {store_peer!r} did not answer: {failure.reason}"
+            )
+
+        query = partial(client.query, store_peer, on_error=store_failed)
 
         def seq_floor_reached(floor: int):
             """Stop paginating once a page reaches an already-covered seq."""
@@ -515,8 +527,7 @@ class ShardSyncManager:
                 # Light view: no shard to replay, straight to the digests.
                 have_home([])
                 return
-            client.query(
-                store_peer,
+            query(
                 content_topics=(shard_topic(self.home_shard),),
                 page_size=page_size,
                 descending=True,
@@ -533,8 +544,7 @@ class ShardSyncManager:
                 self.seq,
                 checkpoint.seq if isinstance(checkpoint, TreeCheckpoint) else 0,
             )
-            client.query(
-                store_peer,
+            query(
                 content_topics=(DIGEST_TOPIC,),
                 page_size=page_size,
                 descending=True,
@@ -668,8 +678,7 @@ class ShardSyncManager:
             if on_done is not None:
                 on_done(root)
 
-        client.query(
-            store_peer,
+        query(
             content_topics=(CHECKPOINT_TOPIC,),
             page_size=1,
             descending=True,

@@ -10,17 +10,19 @@ Two roles:
 * :class:`FilterNode` — a full (relay) peer serving subscriptions;
 * :class:`FilterClient` — a light peer that subscribes and receives pushes.
 
-Traffic flows over the transport's ``filter`` protocol channel.
+Traffic flows over the transport's ``filter`` protocol channel.  A light
+node cannot verify RLN proofs, so the full node's re-validation is the
+only proof check its messages get: the client accepts a push only from a
+full node it subscribed to.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.net.transport import Network
-from repro.waku.message import WakuMessage
+from repro.waku.message import WakuMessage, proof_verdict
 from repro.waku.relay import WakuRelay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -31,9 +33,8 @@ PROTOCOL = "filter"
 
 @dataclass(frozen=True)
 class FilterSubscribeRequest:
-    """Register (or remove) a light node's content filter."""
+    """Register (or remove) a light node's content filter (unacknowledged)."""
 
-    request_id: int
     content_topics: tuple[str, ...]
     subscribe: bool
 
@@ -90,23 +91,17 @@ class FilterNode:
                     del self._filters[sender]
 
     def _on_relayed_message(self, message: WakuMessage) -> None:
-        if self.proof_checker is not None:
-            # Fresh pairing work rides the pipeline's executor at SERVICE
-            # priority; the push happens at (simulated) verdict time.  A
-            # synchronous executor resolves inline — the seed behaviour.
-            verdict = self.proof_checker.check_message_deferred(message)
-            if verdict is not None:
-                verdict.subscribe(lambda ok: self._push_if_valid(message, ok))
-                return
-        self._push(message)
+        # Fresh pairing work rides the pipeline's executor at SERVICE
+        # priority; the push happens at (simulated) verdict time.  A
+        # synchronous executor resolves inline — the seed behaviour.
+        proof_verdict(self.proof_checker, message).subscribe(
+            lambda ok: self._push(message, ok)
+        )
 
-    def _push_if_valid(self, message: WakuMessage, ok: bool) -> None:
-        if not ok:
+    def _push(self, message: WakuMessage, proof_ok: bool) -> None:
+        if not proof_ok:
             self.rejected_proofs += 1
             return
-        self._push(message)
-
-    def _push(self, message: WakuMessage) -> None:
         for subscriber, topics in self._filters.items():
             if message.content_topic in topics:
                 if self.network.connected(self.relay.peer_id, subscriber):
@@ -124,8 +119,10 @@ class FilterClient:
     def __init__(self, peer_id: str, network: Network) -> None:
         self.peer_id = peer_id
         self.network = network
-        self._request_ids = itertools.count(1)
         self._callbacks: dict[str, list[Callable[[WakuMessage], None]]] = {}
+        #: full node -> content topics subscribed there; the only senders
+        #: a push is accepted from.
+        self._subscriptions: dict[str, set[str]] = {}
         self.received: list[WakuMessage] = []
         network.register(peer_id, self._on_push, protocol=PROTOCOL)
 
@@ -138,23 +135,21 @@ class FilterClient:
         for topic in content_topics:
             if callback is not None:
                 self._callbacks.setdefault(topic, []).append(callback)
-        request = FilterSubscribeRequest(
-            request_id=next(self._request_ids),
-            content_topics=content_topics,
-            subscribe=True,
-        )
+        request = FilterSubscribeRequest(content_topics=content_topics, subscribe=True)
         self.network.send(self.peer_id, full_node, request, protocol=PROTOCOL)
+        self._subscriptions.setdefault(full_node, set()).update(content_topics)
 
     def unsubscribe(self, full_node: str, content_topics: tuple[str, ...]) -> None:
-        request = FilterSubscribeRequest(
-            request_id=next(self._request_ids),
-            content_topics=content_topics,
-            subscribe=False,
-        )
+        request = FilterSubscribeRequest(content_topics=content_topics, subscribe=False)
         self.network.send(self.peer_id, full_node, request, protocol=PROTOCOL)
+        topics = self._subscriptions.get(full_node)
+        if topics is not None:
+            topics.difference_update(content_topics)
+            if not topics:
+                del self._subscriptions[full_node]
 
     def _on_push(self, sender: str, push: MessagePush) -> None:
-        if not isinstance(push, MessagePush):
+        if sender not in self._subscriptions or not isinstance(push, MessagePush):
             return
         self.received.append(push.message)
         for callback in self._callbacks.get(push.message.content_topic, []):

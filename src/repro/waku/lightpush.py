@@ -11,23 +11,35 @@ key), so the message arrives at the service node already carrying its
 §III-E bundle.  The service node relays it like any other traffic — its
 own validator checks the proof before the mesh sees it, so a light client
 cannot use lightpush to bypass spam protection.
+
+Failure contract: a push is one
+:class:`~repro.net.request.RequestDispatcher` request of exactly one
+attempt — a lost acknowledgement looks like a lost request, so a retry
+could publish twice.  No acknowledgement from the service node asked
+within :data:`REQUEST_TIMEOUT` hands ``on_error`` a
+:class:`~repro.net.request.RequestFailure`; the message may or may not
+have reached the mesh.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.gossipsub.router import ValidationResult
+from repro.net.request import RequestDispatcher, RequestFailure
 from repro.net.transport import Network
-from repro.waku.message import WakuMessage
+from repro.waku.message import WakuMessage, proof_verdict
 from repro.waku.relay import WakuRelay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.pipeline.verdicts import SharedProofChecker
 
 PROTOCOL = "lightpush"
+#: Acknowledgement timeout (simulated seconds).  Generous on purpose: the
+#: service node acknowledges only after its SERVICE-class proof check,
+#: which queues behind relay verdicts on a busy executor.
+REQUEST_TIMEOUT = 5.0
 
 
 @dataclass(frozen=True)
@@ -84,58 +96,32 @@ class LightPushNode:
     def _on_request(self, sender: str, request: PushRequest) -> None:
         if not isinstance(request, PushRequest):
             return
-        if self.proof_checker is not None:
-            # The pairing check rides the pipeline's executor at SERVICE
-            # priority; the publish + acknowledgement happen at verdict
-            # time.  A synchronous executor resolves inline (seed path).
-            verdict = self.proof_checker.check_message_deferred(request.message)
-            if verdict is not None:
-                verdict.subscribe(
-                    lambda ok: self._after_proof_check(sender, request, ok)
-                )
-                return
-        self._finish_request(sender, request)
+        # The pairing check rides the pipeline's executor at SERVICE
+        # priority; the publish + acknowledgement happen at verdict
+        # time.  A synchronous executor resolves inline (seed path).
+        proof_verdict(self.proof_checker, request.message).subscribe(
+            lambda ok: self._serve(sender, request, ok)
+        )
 
-    def _after_proof_check(
-        self, sender: str, request: PushRequest, proof_ok: bool
-    ) -> None:
+    def _serve(self, sender: str, request: PushRequest, proof_ok: bool) -> None:
+        reason = ""
         if not proof_ok:
-            self.rejected += 1
-            self.network.send(
-                self.relay.peer_id,
-                sender,
-                PushResponse(
-                    request_id=request.request_id,
-                    accepted=False,
-                    reason="validation failed: invalid proof",
-                ),
-                protocol=PROTOCOL,
-            )
-            return
-        self._finish_request(sender, request)
-
-    def _finish_request(self, sender: str, request: PushRequest) -> None:
-        if self.validator is not None:
+            reason = "validation failed: invalid proof"
+        elif self.validator is not None:
             result = self.validator(request.message)
             if result is not ValidationResult.ACCEPT:
-                self.rejected += 1
-                self.network.send(
-                    self.relay.peer_id,
-                    sender,
-                    PushResponse(
-                        request_id=request.request_id,
-                        accepted=False,
-                        reason=f"validation failed: {result.value}",
-                    ),
-                    protocol=PROTOCOL,
-                )
-                return
-        self.served += 1
-        self.relay.publish(request.message)
+                reason = f"validation failed: {result.value}"
+        if reason:
+            self.rejected += 1
+        else:
+            self.served += 1
+            self.relay.publish(request.message)
         self.network.send(
             self.relay.peer_id,
             sender,
-            PushResponse(request_id=request.request_id, accepted=True),
+            PushResponse(
+                request_id=request.request_id, accepted=not reason, reason=reason
+            ),
             protocol=PROTOCOL,
         )
 
@@ -144,32 +130,29 @@ class LightPushClient:
     """Light-client side: push messages through a service node."""
 
     def __init__(self, peer_id: str, network: Network) -> None:
-        self.peer_id = peer_id
-        self.network = network
-        self._request_ids = itertools.count(1)
-        self._pending: dict[int, Callable[[PushResponse], None]] = {}
-        network.register(peer_id, self._on_response, protocol=PROTOCOL)
+        self.dispatcher = RequestDispatcher(
+            peer_id,
+            network,
+            network.simulator,
+            protocol=PROTOCOL,
+            timeout=REQUEST_TIMEOUT,
+            rounds=1,  # never retried: a second attempt could publish twice
+        )
 
     def push(
         self,
         service_node: str,
         message: WakuMessage,
         on_response: Callable[[PushResponse], None] | None = None,
-    ) -> int:
-        request_id = next(self._request_ids)
-        if on_response is not None:
-            self._pending[request_id] = on_response
-        self.network.send(
-            self.peer_id,
-            service_node,
-            PushRequest(request_id=request_id, message=message),
-            protocol=PROTOCOL,
-        )
-        return request_id
+        on_error: Callable[[RequestFailure], None] | None = None,
+    ) -> None:
+        def settled(result: PushResponse | RequestFailure) -> None:
+            handler = on_error if isinstance(result, RequestFailure) else on_response
+            if handler is not None:
+                handler(result)
 
-    def _on_response(self, sender: str, response: PushResponse) -> None:
-        if not isinstance(response, PushResponse):
-            return
-        handler = self._pending.pop(response.request_id, None)
-        if handler is not None:
-            handler(response)
+        self.dispatcher.request(
+            (service_node,),
+            lambda request_id: PushRequest(request_id=request_id, message=message),
+            accept=lambda response: isinstance(response, PushResponse),
+        ).subscribe(settled)

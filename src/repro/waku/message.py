@@ -15,8 +15,10 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.crypto.hashing import message_id
+from repro.net.promise import Promise
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.pipeline.verdicts import SharedProofChecker
     from repro.telemetry.disttrace import SpanContext
 
 #: The default pubsub topic of Waku v2 networks.
@@ -62,3 +64,21 @@ class WakuMessage:
     def with_trace(self, trace: "SpanContext | None") -> "WakuMessage":
         """Copy of this message carrying (or stripped of) a span context."""
         return replace(self, trace=trace)
+
+
+def proof_verdict(
+    checker: "SharedProofChecker | None", message: WakuMessage
+) -> Promise[bool]:
+    """The verdict a service path (store, filter, lightpush) waits on.
+
+    Already resolved ``True`` when there is nothing to check (no checker
+    configured, or a proof-less message).  Lives here, not beside the
+    checker: :mod:`repro.pipeline` is a layer above and imports this one.
+    """
+    verdict = None if checker is None else checker.check_message_deferred(message)
+    return _NOTHING_TO_CHECK if verdict is None else verdict
+
+
+#: Shared by every unchecked message: a settled promise holds no callbacks.
+_NOTHING_TO_CHECK: Promise[bool] = Promise()
+_NOTHING_TO_CHECK.resolve(True)

@@ -10,6 +10,12 @@ implements both roles:
 
 Queries travel over the transport's ``store`` protocol channel, so they
 incur real simulated latency and appear in bandwidth accounting.
+
+Failure contract: every page is one single-attempt
+:class:`~repro.net.request.RequestDispatcher` request.  If the store node
+asked does not answer a page within :data:`REQUEST_TIMEOUT`, the query
+ends: ``on_error`` gets the :class:`~repro.net.request.RequestFailure`,
+``on_complete`` never fires, and the pages collected so far are dropped.
 """
 
 from __future__ import annotations
@@ -20,19 +26,25 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import NetworkError
+from repro.net.request import RequestDispatcher, RequestFailure
 from repro.net.transport import Network
-from repro.waku.message import WakuMessage
+from repro.waku.message import WakuMessage, proof_verdict
 from repro.waku.relay import WakuRelay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.pipeline.verdicts import SharedProofChecker
 
 PROTOCOL = "store"
+#: Per-page timeout (simulated seconds): a store node answers from memory,
+#: so this only has to cover one round trip on the slowest modelled link.
+REQUEST_TIMEOUT = 2.0
 
 #: Default archive capacity (messages).
 DEFAULT_CAPACITY = 10_000
 #: Default query page size.
 DEFAULT_PAGE_SIZE = 20
+#: Largest page a store node serves, whatever the query asks for.
+MAX_PAGE_SIZE = 1_000
 
 
 @dataclass(frozen=True)
@@ -121,27 +133,19 @@ class StoreNode:
         """
         if message.ephemeral:
             return False  # ephemeral messages opt out of storage (Waku semantics)
-        if self.proof_checker is not None:
-            verdict = self.proof_checker.check_message_deferred(message)
-            if verdict is not None:
-                if not verdict.resolved:
-                    self.pending_validations += 1
-                    verdict.subscribe(
-                        lambda ok: self._finish_deferred_archive(message, ok)
-                    )
-                    return None
-                if verdict.value is False:
-                    self.rejected_proofs += 1
-                    return False
-        self._commit(message)
-        return True
+        verdict = proof_verdict(self.proof_checker, message)
+        deferred = not verdict.resolved
+        self.pending_validations += deferred
 
-    def _finish_deferred_archive(self, message: WakuMessage, ok: bool) -> None:
-        self.pending_validations -= 1
-        if ok:
-            self._commit(message)
-        else:
-            self.rejected_proofs += 1
+        def settle(ok: bool) -> None:
+            self.pending_validations -= deferred
+            if ok:
+                self._commit(message)
+            else:
+                self.rejected_proofs += 1
+
+        verdict.subscribe(settle)
+        return None if deferred else verdict.value
 
     def _commit(self, message: WakuMessage) -> None:
         self._archive.append(
@@ -174,8 +178,11 @@ class StoreNode:
                 for entry in self._archive
                 if self._matches(entry, query) and entry.sequence >= query.cursor
             ]
-        page = matches[: query.page_size]
-        if len(matches) > query.page_size:
+        # The query is remote input: an empty or unbounded page must not
+        # be something a peer can ask for.
+        page_size = min(max(query.page_size, 1), MAX_PAGE_SIZE)
+        page = matches[:page_size]
+        if len(matches) > page_size:
             cursor = page[-1].sequence if query.descending else page[-1].sequence + 1
             if query.descending and cursor == 0:
                 cursor = None  # sequence 0 was just served; nothing below it
@@ -211,11 +218,13 @@ class StoreClient:
     """Issues history queries to store nodes; collates paginated results."""
 
     def __init__(self, peer_id: str, network: Network) -> None:
-        self.peer_id = peer_id
-        self.network = network
-        self._request_ids = itertools.count(1)
-        self._pending: dict[int, Callable[[HistoryResponse], None]] = {}
-        network.register(peer_id, self._on_response, protocol=PROTOCOL)
+        self.dispatcher = RequestDispatcher(
+            peer_id,
+            network,
+            network.simulator,
+            protocol=PROTOCOL,
+            timeout=REQUEST_TIMEOUT,
+        )
 
     def query(
         self,
@@ -229,6 +238,7 @@ class StoreClient:
         limit: int | None = None,
         stop_when: Callable[[tuple[WakuMessage, ...]], bool] | None = None,
         on_complete: Callable[[list[WakuMessage]], None],
+        on_error: Callable[[RequestFailure], None] | None = None,
     ) -> None:
         """Fetch the (multi-page) history matching the filters.
 
@@ -240,25 +250,31 @@ class StoreClient:
         ``stop_when`` is called with each page; returning True stops the
         pagination after that page (tree-sync delta queries walk
         newest-first and stop at the first already-known event instead of
-        draining the whole archive).
+        draining the whole archive).  ``on_error`` fires instead when a
+        page goes unanswered (the module docstring's failure contract).
         """
         collected: list[WakuMessage] = []
 
         def request_page(cursor: int) -> None:
-            request_id = next(self._request_ids)
-            query = HistoryQuery(
-                request_id=request_id,
-                content_topics=content_topics,
-                start_time=start_time,
-                end_time=end_time,
-                cursor=cursor,
-                page_size=page_size,
-                descending=descending,
-            )
-            self._pending[request_id] = handle_page
-            self.network.send(self.peer_id, store_peer, query, protocol=PROTOCOL)
+            self.dispatcher.request(
+                (store_peer,),
+                lambda request_id: HistoryQuery(
+                    request_id=request_id,
+                    content_topics=content_topics,
+                    start_time=start_time,
+                    end_time=end_time,
+                    cursor=cursor,
+                    page_size=page_size,
+                    descending=descending,
+                ),
+                accept=lambda response: isinstance(response, HistoryResponse),
+            ).subscribe(handle_page)
 
-        def handle_page(response: HistoryResponse) -> None:
+        def handle_page(response: HistoryResponse | RequestFailure) -> None:
+            if isinstance(response, RequestFailure):
+                if on_error is not None:
+                    on_error(response)
+                return
             collected.extend(response.messages)
             done = (
                 response.cursor is None
@@ -271,10 +287,3 @@ class StoreClient:
                 request_page(response.cursor)
 
         request_page(0)
-
-    def _on_response(self, sender: str, response: HistoryResponse) -> None:
-        if not isinstance(response, HistoryResponse):
-            return
-        handler = self._pending.pop(response.request_id, None)
-        if handler is not None:
-            handler(response)

@@ -16,6 +16,7 @@ from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.core.membership import GroupManager
+from repro.errors import SyncError
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
@@ -83,6 +84,37 @@ class TestStoreFallback:
         assert lagger.stats.checkpoints_restored == 1
         # The home topic replay covered shard 0's 8 members.
         assert lagger.stats.home_events == 8
+
+    def test_recovery_on_a_lossy_network_always_terminates(self, net, group):
+        """Every recovery ends in the contract's root or a SyncError —
+        never an idle simulator with ``on_done`` uncalled, which is what
+        one dropped store reply used to cause."""
+        sim, network, relays = net
+        chain, contract, manager = group
+        names = sorted(relays)
+        store = StoreNode(relays[names[0]], network, capacity=1000)
+        TreeSyncPublisher(manager, store.archive, checkpoint_interval=8)
+        for i in range(37):
+            testing.register_member(chain, contract, 0x2000 + i)
+        client = StoreClient(names[1], network)
+        network.drop_probability = 0.15
+        outcomes = set()
+        for seed in range(8):
+            network.rng = random.Random(seed)
+            lagger = ShardSyncManager(
+                home_shard=0, depth=DEPTH, shard_depth=SHARD_DEPTH
+            )
+            roots = []
+            lagger.sync_from_store(client, names[0], page_size=8, on_done=roots.append)
+            try:
+                sim.run(sim.now + 30.0)
+            except SyncError:
+                assert roots == []
+                outcomes.add("error")
+            else:
+                assert roots == [manager.root]
+                outcomes.add("root")
+        assert outcomes == {"root", "error"}  # the seeds exercise both endings
 
     def test_catch_up_without_checkpoint(self, net, group):
         """With no checkpoint archived yet, the digest feed alone suffices."""

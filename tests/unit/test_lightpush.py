@@ -69,7 +69,7 @@ class TestLightPush:
         sim, _, _, service, client = build()
         got = {}
         for i in range(3):
-            request_id = client.push(
+            client.push(
                 "peer-000",
                 WakuMessage(payload=b"m%d" % i, content_topic="t"),
                 on_response=lambda r: got.update({r.request_id: r.accepted}),

@@ -84,7 +84,8 @@ class TestAsyncStore:
         sim, network, relays, names, _, checker = env
         store = StoreNode(relays[names[0]], network, capacity=64, proof_checker=checker)
         message = rln_env.make_message(b"warm")
-        checker.check_message(message)  # warm the shared cache inline
+        checker.check_message_deferred(message)  # warm the shared cache
+        sim.run(sim.now + 5.0)
         assert store.archive(message) is True  # no executor round trip
         assert store.archived_count() == 1
 

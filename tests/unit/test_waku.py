@@ -9,10 +9,16 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
-from repro.waku.filter import FilterClient, FilterNode
+from repro.waku.filter import FilterClient, FilterNode, MessagePush
 from repro.waku.message import DEFAULT_PUBSUB_TOPIC, WakuMessage
 from repro.waku.relay import WakuRelay
-from repro.waku.store import HistoryQuery, StoreClient, StoreNode
+from repro.waku.store import (
+    MAX_PAGE_SIZE,
+    HistoryQuery,
+    HistoryResponse,
+    StoreClient,
+    StoreNode,
+)
 
 
 def build(count=5, seed=4):
@@ -152,6 +158,55 @@ class TestStore:
         sim.run(sim.now + 3.0)
         assert sorted(m.payload for m in results) == [f"h{i}".encode() for i in range(7)]
 
+    @pytest.mark.parametrize("page_size", [0, -3])
+    def test_remote_query_cannot_ask_for_an_empty_page(self, page_size):
+        """A non-positive page size used to index an empty page and raise
+        out of Simulator.run — one message crashed the store node."""
+        sim, network, relays = build(count=3)
+        store = StoreNode(relays["peer-000"], network)
+        for i in range(3):
+            store.archive(WakuMessage(payload=f"m{i}".encode(), content_topic="t"))
+        answers = []
+        network.register("peer-002", lambda _s, r: answers.append(r), protocol="store")
+        network.send(
+            "peer-002",
+            "peer-000",
+            HistoryQuery(request_id=1, page_size=page_size),
+            protocol="store",
+        )
+        sim.run(sim.now + 1.0)
+        assert [m.payload for m in answers[0].messages] == [b"m0"]
+        assert answers[0].cursor == 1
+
+    def test_page_size_is_capped_server_side(self):
+        sim, network, relays = build(count=3)
+        store = StoreNode(relays["peer-000"], network)
+        for i in range(MAX_PAGE_SIZE + 5):
+            store.archive(WakuMessage(payload=b"%d" % i, content_topic="t"))
+        response = store.query_local(HistoryQuery(request_id=1, page_size=10**9))
+        assert len(response.messages) == MAX_PAGE_SIZE
+        assert response.cursor == MAX_PAGE_SIZE
+
+    def test_forged_response_is_not_the_stores_answer(self):
+        """A third peer guessing the (sequential) request id must not have
+        its page collated as history."""
+        sim, network, relays = build(count=4)
+        store = StoreNode(relays["peer-000"], network)
+        store.archive(WakuMessage(payload=b"real", content_topic="t"))
+        client = StoreClient("peer-003", network)
+        results = []
+        client.query("peer-000", on_complete=results.append)
+        forged = WakuMessage(payload=b"forged", content_topic="t")
+        # Sent at the same instant: lands one hop before the real answer.
+        network.send(
+            "peer-002",
+            "peer-003",
+            HistoryResponse(request_id=1, messages=(forged,), cursor=None),
+            protocol="store",
+        )
+        sim.run(sim.now + 1.0)
+        assert [[m.payload for m in page] for page in results] == [[b"real"]]
+
     def test_store_capacity_validated(self):
         sim, network, relays = build(count=3)
         from repro.errors import NetworkError
@@ -188,3 +243,24 @@ class TestFilter:
         relays["peer-001"].publish(WakuMessage(payload=b"late", content_topic="t"))
         sim.run(sim.now + 2.0)
         assert client.received == []
+
+    def test_push_from_a_node_never_subscribed_to_is_ignored(self):
+        """The full node's RLN re-validation is the only proof check a
+        light node gets, so only full nodes it chose may push to it."""
+        sim, network, relays = build(count=4)
+        FilterNode(relays["peer-000"], network)
+        client = FilterClient("peer-003", network)
+        got = []
+        client.subscribe("peer-000", ("t",), got.append)
+        sim.run(sim.now + 1.0)
+        unvalidated = MessagePush(WakuMessage(payload=b"unvalidated", content_topic="t"))
+        network.send("peer-001", "peer-003", unvalidated, protocol="filter")
+        relays["peer-001"].publish(WakuMessage(payload=b"relayed", content_topic="t"))
+        sim.run(sim.now + 2.0)
+        assert [m.payload for m in client.received] == [b"relayed"]
+        assert [m.payload for m in got] == [b"relayed"]
+        # Unsubscribing the last topic forgets the node altogether.
+        client.unsubscribe("peer-000", ("t",))
+        network.send("peer-000", "peer-003", unvalidated, protocol="filter")
+        sim.run(sim.now + 1.0)
+        assert len(client.received) == 1
