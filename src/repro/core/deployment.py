@@ -23,6 +23,7 @@ from repro.chain.blockchain import Blockchain, DEFAULT_BLOCK_INTERVAL, WEI
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
 from repro.core.protocol import WakuRLNRelayPeer
+from repro.crypto.merkle import MemoHasher
 from repro.errors import ProtocolError, RegistrationError
 from repro.gossipsub.router import GossipSubParams
 from repro.gossipsub.scoring import ScoreParams
@@ -51,6 +52,9 @@ class RLNDeployment:
     config: RLNConfig
     prover: RLNProver
     rng: random.Random = field(default_factory=lambda: random.Random(0))
+    #: The one node-digest memo under every peer's identity tree (see
+    #: :meth:`create`); ``None`` for a deployment assembled by hand.
+    tree_hasher: MemoHasher | None = None
     #: Fleet-telemetry wiring (populated only with ``create(collector=…)``):
     #: one enabled :class:`~repro.telemetry.Telemetry` hub per peer, that
     #: peer's push exporter, and the collector node(s) (primary first).
@@ -93,6 +97,14 @@ class RLNDeployment:
         seed behaviour stays bit-identical, with zero telemetry bytes on
         the wire.  Mutually exclusive with ``telemetry=`` (a shared hub
         cannot attribute per-peer resources).
+
+        The peers are replicas: each applies every contract event to its
+        own depth-``d`` tree.  ``create`` builds one
+        :class:`~repro.crypto.merkle.MemoHasher` and hands it to all of
+        them, so the fleet computes each node digest once, not once per
+        peer.  The deployment owns the memo — it is reachable only through
+        :attr:`tree_hasher` and the peers' trees and is freed with them;
+        a second deployment in the same process starts from an empty one.
         """
         config = config or RLNConfig()
         if collector is True:
@@ -125,6 +137,7 @@ class RLNDeployment:
         )
         prover = shared_prover(config.tree_depth, config.prover_backend)
         drift = drift or DriftModel(0.0)
+        tree_hasher = MemoHasher()
         peers: dict[str, WakuRLNRelayPeer] = {}
         telemetries: dict[str, Telemetry] = {}
         for peer_id in sorted(graph.nodes):
@@ -153,6 +166,7 @@ class RLNDeployment:
                 pipeline_config=pipeline_config,
                 rng=random.Random(seed + 2 + len(peers)),
                 telemetry=peer_telemetry,
+                tree_hasher=tree_hasher,
             )
         collectors: dict[str, CollectorPeer] = {}
         exporters: dict[str, TelemetryExporter] = {}
@@ -207,6 +221,7 @@ class RLNDeployment:
             config=config,
             prover=prover,
             rng=rng,
+            tree_hasher=tree_hasher,
             telemetries=telemetries,
             exporters=exporters,
             collectors=collectors,

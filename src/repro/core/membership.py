@@ -33,6 +33,15 @@ shard id, shard root and sequence number as a
 :class:`~repro.treesync.messages.ShardUpdate` at no extra hashing, and
 shard-scoped peers (:class:`~repro.treesync.sync.ShardSyncManager`) can
 consume the O(1) digest for foreign shards.
+
+Two things keep N in-process replicas from repeating each other's (and
+their own) hashing without sharing any state that could mask a divergence:
+``hasher=`` is the tree's two-to-one compression, which a deployment fills
+with one :class:`~repro.crypto.merkle.MemoHasher` for all its managers (the
+manager neither builds nor owns it; ``None`` is plain Poseidon); and
+:meth:`GroupManager.merkle_proof` hands back the path object it built last
+for as long as ``(index, root)`` is what it was built against — any
+registration, removal or slash moves the root and so drops it.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from typing import Callable
 from repro.chain.blockchain import Blockchain, Event
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.crypto.field import FieldElement, ZERO
-from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.crypto.merkle import MerkleProof, MerkleTree, NodeHasher
 from repro.crypto.optimized_merkle import TreeUpdate
 from repro.errors import NotRegistered, SyncError
 from repro.treesync.forest import allocated_shard_roots, resolve_shard_depth
@@ -61,10 +70,15 @@ class GroupManager:
         tree_depth: int = 20,
         root_window: int = 5,
         shard_depth: int | None = None,
+        hasher: NodeHasher | None = None,
     ) -> None:
         self.chain = chain
         self.contract = contract
-        self.tree = MerkleTree(depth=tree_depth)
+        self._hasher = hasher
+        self.tree = MerkleTree(depth=tree_depth, hasher=hasher)
+        #: The last path :meth:`merkle_proof` built and the root it was
+        #: built under.
+        self._witness: tuple[FieldElement, MerkleProof] | None = None
         #: Shard geometry used to *tag* announcements (0 on a depth-1 tree,
         #: which has no level to split at: every leaf is its own "shard").
         self.shard_depth = resolve_shard_depth(tree_depth, shard_depth)
@@ -95,7 +109,9 @@ class GroupManager:
         leaves = [FieldElement(pk) for pk in self.contract.commitment_list()]
         if not leaves:
             return
-        self.tree = MerkleTree.from_leaves(leaves, depth=self.tree.depth)
+        self.tree = MerkleTree.from_leaves(
+            leaves, depth=self.tree.depth, hasher=self._hasher
+        )
         for index, leaf in enumerate(leaves):
             if leaf != ZERO:
                 self._index_of_pk[leaf.value] = index
@@ -179,8 +195,16 @@ class GroupManager:
             raise NotRegistered(f"commitment {pk.value} not in local tree") from None
 
     def merkle_proof(self, pk: FieldElement) -> MerkleProof:
-        """Current authentication path for a member's commitment (§II-B auth)."""
-        return self.tree.proof(self.index_of(pk))
+        """Current authentication path for a member's commitment (§II-B auth).
+
+        The same object while ``(index, root)`` is unchanged, so a fold the
+        prover already did (:meth:`MerkleProof.compute_root`) is not redone.
+        """
+        index, root = self.index_of(pk), self.tree.root
+        witness = self._witness
+        if witness is None or witness[0] != root or witness[1].index != index:
+            witness = self._witness = (root, self.tree.proof(index))
+        return witness[1]
 
     def merkle_proof_at(self, index: int) -> MerkleProof:
         return self.tree.proof(index)

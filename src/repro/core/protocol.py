@@ -49,7 +49,7 @@ from repro.core.slashing import Slasher
 from repro.core.validator import BundleValidator, ValidationOutcome
 from repro.crypto.field import FieldElement
 from repro.crypto.identity import Identity
-from repro.crypto.merkle import MerkleProof
+from repro.crypto.merkle import MerkleProof, NodeHasher
 from repro.errors import ProtocolError, RegistrationError
 from repro.gossipsub.messages import PubSubMessage
 from repro.gossipsub.router import DeferredValidation, GossipSubParams, ValidationResult
@@ -142,6 +142,7 @@ class WakuRLNRelayPeer:
         pipeline_config: PipelineConfig | None = None,
         rng: random.Random | None = None,
         telemetry=None,
+        tree_hasher: NodeHasher | None = None,
     ) -> None:
         self.peer_id = peer_id
         self.simulator = simulator
@@ -174,6 +175,7 @@ class WakuRLNRelayPeer:
             tree_depth=self.config.tree_depth,
             root_window=self.config.root_window,
             shard_depth=self.config.shard_depth,
+            hasher=tree_hasher,
         )
         self.validator = BundleValidator(self.config, self.prover, self.group)
         self.pipeline = ValidationPipeline(

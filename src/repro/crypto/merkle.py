@@ -15,6 +15,13 @@ events.  This module implements that tree:
 The tree is sparse-aware: untouched subtrees are represented by precomputed
 "zero hashes", so memory grows with the number of occupied leaves, not with
 2^depth.
+
+Work is counted twice, on purpose.  :attr:`MerkleTree.hash_ops` is the
+*logical* per-replica count — every two-to-one compression the tree asked
+for.  ``EngineStats.hashes`` is the *physical* count — what the process
+computed.  They agree for a standalone tree; replicas that share a
+:class:`MemoHasher` (one per :class:`~repro.core.deployment.RLNDeployment`,
+owned by it and never by this module) ask N times and compute once.
 """
 
 from __future__ import annotations
@@ -31,6 +38,38 @@ DEFAULT_DEPTH = 20
 
 #: Two-to-one compression function type for tree nodes.
 NodeHasher = Callable[[FieldElement, FieldElement], FieldElement]
+
+#: Entries a :class:`MemoHasher` holds before it is cleared (≈ 250 B each).
+_MEMO_LIMIT = 1 << 16
+
+
+class MemoHasher:
+    """Content-addressed ``(left, right) → digest`` memo over Poseidon.
+
+    The in-process replicas of one deployment replay the same contract
+    event through their own trees and would each compute the same ``depth``
+    digests; sharing one of these as their ``hasher=`` computes each node
+    once.  Nothing but digests is shared — every tree keeps its own nodes,
+    its own rehash walk and its own :attr:`MerkleTree.hash_ops`, so a
+    replica can still diverge.  Bounded: cleared when full.  Whoever
+    builds it owns it; no module-level table holds it (it resolves to the
+    canonical zero ladder), so it is freed with its last tree.
+    """
+
+    __slots__ = ("_memo", "__weakref__")
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple[int, int], FieldElement] = {}
+
+    def __call__(self, left: FieldElement, right: FieldElement) -> FieldElement:
+        key = (left.value, right.value)
+        digest = self._memo.get(key)
+        if digest is None:
+            if len(self._memo) >= _MEMO_LIMIT:
+                self._memo.clear()
+            digest = self._memo[key] = default_engine().hash2(left, right)
+        return digest
+
 
 #: Zero-subtree ladders, one growing list per hasher (``None`` keys the
 #: canonical Poseidon ladder, shared by every engine backend — they are
@@ -51,8 +90,11 @@ def zero_hashes(
 
     ``zero_hashes(d)[i]`` is the root of a fully-empty subtree of height i.
     A non-default ``hasher`` yields the ladder for trees built over that
-    hash (accounting-only trees in the benchmarks inject a cheap one).
+    hash (accounting-only trees in the benchmarks inject a cheap one); a
+    :class:`MemoHasher` *is* Poseidon and shares the canonical ladder.
     """
+    if isinstance(hasher, MemoHasher):
+        hasher = None
     ladder = _ZERO_LADDERS.get(hasher)
     if ladder is None:
         if len(_ZERO_LADDERS) >= _ZERO_LADDER_LIMIT:
@@ -88,12 +130,23 @@ class MerkleProof:
         return len(self.siblings)
 
     def compute_root(self, hasher: NodeHasher | None = None) -> FieldElement:
-        """Fold the path upward and return the implied root.
+        """The root this path implies.
 
-        ``hasher=None`` folds with Poseidon; a custom hasher folds paths of
-        the accounting-only trees the benchmarks build over a cheap hash.
+        ``hasher=None`` folds with Poseidon and remembers the result on
+        the (frozen) instance — a publisher proving again on an unchanged
+        tree holds the same path object and does not re-fold it; a custom
+        hasher folds paths of the accounting-only trees the benchmarks
+        build over a cheap hash, every time.
         """
-        hash2 = hasher or default_engine().hash2
+        if hasher is not None:
+            return self._fold(hasher)
+        root = self.__dict__.get("_root")
+        if root is None:
+            root = self._fold(default_engine().hash2)
+            object.__setattr__(self, "_root", root)
+        return root
+
+    def _fold(self, hash2: NodeHasher) -> FieldElement:
         node = self.leaf
         for bit, sibling in zip(self.path_bits, self.siblings):
             if bit:
@@ -103,8 +156,12 @@ class MerkleProof:
         return node
 
     def verify(self, root: FieldElement) -> bool:
-        """True iff this path proves membership under ``root``."""
-        return self.compute_root() == root
+        """True iff this path proves membership under ``root``.
+
+        The checker's operation: always folds, never trusts a remembered
+        root (experiment E5 times exactly this).
+        """
+        return self._fold(default_engine().hash2) == root
 
     def byte_size(self) -> int:
         """Serialized size: leaf + index + one field element per level."""

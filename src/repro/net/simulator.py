@@ -14,38 +14,42 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.errors import NetworkError
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Returned by :meth:`Simulator.schedule`; allows cancellation."""
+    """One scheduled callback; returned by :meth:`Simulator.schedule`.
 
-    __slots__ = ("_event",)
+    The queue holds ``(time, sequence, handle)`` tuples: ``sequence`` is
+    unique, so the heap orders on the first two fields in C and never
+    compares handles.
+    """
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    __slots__ = ("_time", "_cancelled", "_callback", "_simulator")
+
+    def __init__(
+        self, time: float, callback: Callable[[], None], simulator: "Simulator"
+    ) -> None:
+        self._time = time
+        self._cancelled = False
+        #: ``None`` once the event has run.
+        self._callback: Callable[[], None] | None = callback
+        self._simulator = simulator
 
     def cancel(self) -> None:
-        self._event.cancelled = True
+        if not self._cancelled and self._callback is not None:
+            self._simulator._pending -= 1
+        self._cancelled = True
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._cancelled
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self._time
 
 
 class Simulator:
@@ -61,9 +65,11 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._sequence = itertools.count()
         self._processed = 0
+        #: Queued events neither run nor cancelled (``pending_events``).
+        self._pending = 0
 
     # -- scheduling ------------------------------------------------------------
 
@@ -77,9 +83,10 @@ class Simulator:
         """Run ``callback`` at absolute simulated time ``when``."""
         if when < self.now:
             raise NetworkError(f"cannot schedule at {when} < now {self.now}")
-        event = _ScheduledEvent(time=when, sequence=next(self._sequence), callback=callback)
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        handle = EventHandle(when, callback, self)
+        heapq.heappush(self._queue, (when, next(self._sequence), handle))
+        self._pending += 1
+        return handle
 
     def every(
         self,
@@ -116,13 +123,15 @@ class Simulator:
     def step(self) -> bool:
         """Process the next event; False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+            when, _, event = heapq.heappop(self._queue)
+            if event._cancelled:
                 continue
-            if event.time < self.now:
+            if when < self.now:
                 raise NetworkError("event queue went backwards in time")
-            self.now = event.time
-            event.callback()
+            self.now = when
+            callback, event._callback = event._callback, None
+            self._pending -= 1
+            callback()
             self._processed += 1
             return True
         return False
@@ -132,11 +141,11 @@ class Simulator:
         if until < self.now:
             raise NetworkError(f"cannot run until {until} < now {self.now}")
         while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
+            when, _, head = self._queue[0]
+            if head._cancelled:
                 heapq.heappop(self._queue)
                 continue
-            if head.time > until:
+            if when > until:
                 break
             self.step()
         self.now = until
@@ -145,11 +154,11 @@ class Simulator:
         """Drain the queue (bounded by ``max_time`` / ``max_events``)."""
         events = 0
         while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
+            when, _, head = self._queue[0]
+            if head._cancelled:
                 heapq.heappop(self._queue)
                 continue
-            if head.time > max_time:
+            if when > max_time:
                 break
             self.step()
             events += 1
@@ -158,7 +167,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
+        return self._pending
 
     @property
     def processed_events(self) -> int:

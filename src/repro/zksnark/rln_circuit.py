@@ -30,6 +30,7 @@ from repro.crypto.field import FieldElement
 from repro.crypto.hashing import hash_message_to_field
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleProof
+from repro.crypto.shamir import rln_share
 from repro.errors import ProvingError, SnarkError
 from repro.zksnark.gadgets import (
     merkle_path_gadget,
@@ -77,11 +78,10 @@ class RLNPublicInputs:
         """Derive the honest public inputs for a payload (native fast path)."""
         x = hash_message_to_field(payload)
         secrets = identity.epoch_secrets(external_nullifier)
-        share = identity.share_for(external_nullifier, x)
         return cls(
             x=x,
             external_nullifier=external_nullifier,
-            y=share.y,
+            y=rln_share(identity.sk, secrets.slope, x).y,
             internal_nullifier=secrets.internal_nullifier,
             root=root,
         )

@@ -1,0 +1,128 @@
+"""One deployment, one node-digest memo: the replicas' identity trees ask
+for every digest (``hash_ops``) and the process computes each once
+(``EngineStats.hashes``) — without a stale witness, a cross-deployment
+replay or a leaked memo."""
+
+import dataclasses
+import gc
+import weakref
+
+import pytest
+
+from repro.core.config import RLNConfig
+from repro.core.deployment import RLNDeployment
+from repro.core.epoch import external_nullifier
+from repro.crypto.engine import default_engine
+from repro.crypto.field import FieldElement
+from repro.errors import ProvingError
+from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness
+
+PEERS = 8
+DEPTH = 20
+
+
+def deployment(seed: int = 3, depth: int = DEPTH) -> RLNDeployment:
+    config = RLNConfig(tree_depth=depth, epoch_length=1.0)
+    return RLNDeployment.create(peer_count=PEERS, degree=4, seed=seed, config=config)
+
+
+def engine_hashes(action) -> int:
+    stats = default_engine().stats
+    before = stats.hashes
+    action()
+    return stats.hashes - before
+
+
+class TestHashBudget:
+    def test_register_all_hashes_each_node_once_for_the_fleet(self):
+        first = deployment()
+        spent = engine_hashes(first.register_all)
+        # N events x d levels for the whole fleet (N^2 x d = 1280 without
+        # the memo), plus two commitment hashes per generated identity.
+        assert spent <= PEERS * DEPTH + 2 * PEERS
+        # ... while every replica walked every event through its own tree.
+        assert {p.group.tree.hash_ops for p in first.peers.values()} == {PEERS * DEPTH}
+        assert len({p.group.root for p in first.peers.values()}) == 1
+
+        # A second fleet in the same process pays its own way: nothing is
+        # replayed from the first one's memo.
+        second = deployment()
+        assert second.tree_hasher is not first.tree_hasher
+        assert engine_hashes(second.register_all) == spent
+
+    def test_a_publisher_on_an_unchanged_tree_keeps_its_witness(self):
+        dep = deployment()
+        dep.register_all()
+        dep.form_meshes()
+        peer = dep.peers["peer-000"]
+        first = engine_hashes(lambda: peer.publish(b"one"))
+        dep.run(1.0)  # next epoch; no membership event in between
+        witness = peer.group.merkle_proof(peer.identity.pk)
+        second = engine_hashes(lambda: peer.publish(b"two"))
+        assert peer.group.merkle_proof(peer.identity.pk) is witness
+        assert first >= DEPTH  # the fold happened once ...
+        assert second <= 6  # ... and only the per-message derivations recur
+        dep.run(1.0)
+        assert dep.delivery_count(b"two") == PEERS
+
+    def test_a_dropped_deployment_frees_its_memo(self):
+        dep = deployment(depth=8)
+        dep.register_all()
+        memo = weakref.ref(dep.tree_hasher)
+        assert len(memo()._memo) > 0
+        del dep
+        gc.collect()
+        assert memo() is None
+
+
+class TestStaleWitnessSafety:
+    def test_a_root_change_yields_a_fresh_path(self):
+        dep = deployment(depth=8)
+        ids = dep.peer_ids()
+        dep.register_all(ids[:-1])
+        dep.form_meshes()
+        peer = dep.peers[ids[0]]
+        peer.publish(b"before")
+        dep.run(1.0)
+        stale = peer.group.merkle_proof(peer.identity.pk)
+
+        def publishes_on_the_current_root(payload: bytes) -> None:
+            message = peer.publish(payload)
+            assert message.rate_limit_proof.root == peer.group.root
+            fresh = peer.group.merkle_proof(peer.identity.pk)
+            assert fresh is not stale and fresh.compute_root() == peer.group.root
+            dep.run(1.0)
+            assert dep.delivery_count(payload) == PEERS
+
+        dep.register_all(ids[-1:])  # MemberRegistered
+        assert stale.compute_root() != peer.group.root
+        publishes_on_the_current_root(b"after registration")
+
+        stale = peer.group.merkle_proof(peer.identity.pk)
+        leaver = dep.peers[ids[1]]
+        dep.chain.send_transaction(
+            leaver.peer_id,
+            dep.contract.address,
+            "withdraw",
+            {"pk": leaver.identity.pk.value},
+        )
+        dep.run(dep.chain.block_interval * 1.5)  # MemberRemoved
+        assert not leaver.registered
+        assert peer.group.recent_roots() == [peer.group.root]  # window collapsed
+        publishes_on_the_current_root(b"after removal")
+
+    def test_a_tampered_sibling_still_fails_the_membership_check(self):
+        dep = deployment(depth=8)
+        dep.register_all()
+        peer = dep.peers["peer-003"]
+        peer.publish(b"warm")  # the honest path is folded and remembered
+        honest = peer.group.merkle_proof(peer.identity.pk)
+        siblings = (honest.siblings[0] + FieldElement(1),) + honest.siblings[1:]
+        forged = dataclasses.replace(honest, siblings=siblings)
+        public = RLNPublicInputs.for_message(
+            peer.identity, b"x", external_nullifier(7), peer.group.root
+        )
+        with pytest.raises(ProvingError):
+            dep.prover.prove(public, RLNWitness(peer.identity, forged))
+        assert not forged.verify(peer.group.root)
+        assert honest.verify(peer.group.root)

@@ -1,10 +1,12 @@
 """Property-based tests for the Merkle tree and the optimized view."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import merkle
 from repro.crypto.field import FIELD_MODULUS, FieldElement, ZERO
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import MemoHasher, MerkleTree
 from repro.crypto.optimized_merkle import OptimizedMerkleView, TreeUpdate
 
 DEPTH = 6
@@ -99,3 +101,66 @@ def test_optimized_view_tracks_arbitrary_update_sequences(leaves, data):
         view.apply_update(update)
         assert view.root == tree.root
         assert view.proof().verify(tree.root)
+
+
+# One step of a random tree history: (operation, slot choice, leaf).
+tree_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "delete", "write", "clear"]),
+        st.integers(min_value=0, max_value=CAPACITY - 1),
+        leaf_values,
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _apply(tree: MerkleTree, op: str, slot: int, leaf: FieldElement) -> None:
+    if op == "append":
+        if tree.leaf_count < tree.capacity:
+            tree.append(leaf)
+    elif op == "delete":
+        if tree.leaf_count and tree.leaf(slot % tree.leaf_count) != ZERO:
+            tree.delete(slot % tree.leaf_count)
+    else:
+        tree.write_leaf(slot, ZERO if op == "clear" else leaf)
+
+
+@pytest.mark.parametrize("memo_limit", [None, 4])
+@given(tree_ops, st.integers(min_value=0, max_value=3))
+@settings(max_examples=30, deadline=None)
+def test_trees_sharing_a_memo_hasher_equal_independent_trees(
+    memo_limit, operations, laggard
+):
+    """K replicas over one MemoHasher are K independent trees, digest for
+    digest — with the bound forced to 4, eviction fires mid-sequence."""
+    with pytest.MonkeyPatch.context() as patch:
+        if memo_limit is not None:
+            patch.setattr(merkle, "_MEMO_LIMIT", memo_limit)
+        shared = MemoHasher()
+        replicas = [MerkleTree(depth=DEPTH, hasher=shared) for _ in range(3)]
+        reference = MerkleTree(depth=DEPTH)
+        # Every replica sees the whole history, but replica ``laggard``
+        # (if any) applies it one event behind the others, as a peer whose
+        # chain events land late does.
+        for step, (op, slot, leaf) in enumerate(operations):
+            _apply(reference, op, slot, leaf)
+            for k, replica in enumerate(replicas):
+                if k == laggard:
+                    if step:
+                        _apply(replica, *operations[step - 1])
+                else:
+                    _apply(replica, op, slot, leaf)
+        if laggard < len(replicas):
+            _apply(replicas[laggard], *operations[-1])
+        if memo_limit is not None:
+            assert len(shared._memo) <= memo_limit
+    for replica in replicas:
+        assert replica.root == reference.root
+        assert replica.hash_ops == reference.hash_ops
+        assert replica.stored_node_count() == reference.stored_node_count()
+        assert list(replica.leaves()) == list(reference.leaves())
+        for index in range(reference.leaf_count):
+            assert replica.proof(index) == reference.proof(index)
+    bulk = MerkleTree.from_leaves(list(reference.leaves()), depth=DEPTH, hasher=shared)
+    assert bulk.root == reference.root

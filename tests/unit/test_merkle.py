@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.crypto import merkle
+from repro.crypto.engine import default_engine
 from repro.crypto.field import FieldElement, ZERO
 from repro.crypto.merkle import (
     DEFAULT_DEPTH,
+    MemoHasher,
     MerkleProof,
     MerkleTree,
     verify_proof,
@@ -26,6 +29,35 @@ class TestZeroHashes:
         zh = zero_hashes(4)
         for level in range(4):
             assert zh[level + 1] == poseidon2(zh[level], zh[level])
+
+
+    def test_a_memo_hasher_shares_the_canonical_ladder(self):
+        # It *is* Poseidon: no private ladder, and no strong reference to
+        # it (and the memo behind it) left in the module's ladder table.
+        shared = MemoHasher()
+        tree = MerkleTree(depth=4, hasher=shared)
+        assert tree.root == zero_hashes(4)[4]
+        assert zero_hashes(4, shared) == zero_hashes(4)
+        assert shared not in merkle._ZERO_LADDERS
+
+
+class TestMemoHasher:
+    def test_computes_each_pair_once(self):
+        shared = MemoHasher()
+        stats = default_engine().stats
+        before = stats.hashes
+        first = shared(FieldElement(3), FieldElement(4))
+        assert shared(FieldElement(3), FieldElement(4)) is first
+        assert first == poseidon2(FieldElement(3), FieldElement(4))
+        assert shared(FieldElement(4), FieldElement(3)) != first
+        assert stats.hashes - before == 2
+
+    def test_is_cleared_when_full(self, monkeypatch):
+        monkeypatch.setattr(merkle, "_MEMO_LIMIT", 2)
+        shared = MemoHasher()
+        for value in range(1, 6):
+            assert shared(FieldElement(value), ZERO) == poseidon2(FieldElement(value), ZERO)
+            assert len(shared._memo) <= 2
 
 
 class TestEmptyTree:
@@ -197,6 +229,30 @@ class TestProofs:
         assert tree.find(FieldElement(43)) == 1
         with pytest.raises(MerkleError):
             tree.find(FieldElement(44))
+
+
+class TestRememberedRoot:
+    def test_compute_root_folds_once_and_verify_always_folds(self):
+        tree = MerkleTree.from_leaves(leaves(1, 2, 3), depth=5)
+        proof = tree.proof(1)
+        stats = default_engine().stats
+        before = stats.hashes
+        assert proof.compute_root() == tree.root
+        assert proof.compute_root() == tree.root
+        assert stats.hashes - before == 5
+        assert proof.verify(tree.root)
+        assert stats.hashes - before == 10
+        assert proof == tree.proof(1)  # the remembered root is not a field
+
+    def test_a_custom_hasher_is_never_remembered(self):
+        def cheap(left, right):
+            return left + right + FieldElement(1)
+
+        tree = MerkleTree.from_leaves(leaves(1, 2, 3), depth=5, hasher=cheap)
+        proof = tree.proof(2)
+        assert proof.compute_root(cheap) == tree.root
+        assert proof.compute_root() != tree.root
+        assert proof.compute_root(cheap) == tree.root
 
 
 class TestLevels:

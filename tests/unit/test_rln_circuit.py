@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.crypto.engine import default_engine
 from repro.crypto.field import FieldElement
+from repro.crypto.hashing import hash_message_to_field
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleTree
 from repro.errors import ProvingError
@@ -49,6 +51,30 @@ class TestPublicInputs:
         share = identity.share_for(public.external_nullifier, public.x)
         assert public.y == share.y
         assert public.root == tree.root
+
+
+    @pytest.mark.parametrize(
+        "secret, payload, epoch",
+        [(777, b"payload", 54827003), (1, b"", 0), (2**200 + 9, b"\x00" * 300, 2**63)],
+        ids=["typical", "empty-payload-epoch-0", "large"],
+    )
+    def test_for_message_derives_the_slope_once(self, secret, payload, epoch):
+        # Two Poseidon calls — slope, nullifier (x is SHA-256) — and the
+        # same public inputs the two separate derivations produce.
+        identity = Identity.from_secret(secret)
+        ext, root = FieldElement(epoch), FieldElement(12345)
+        stats = default_engine().stats
+        before = stats.hashes
+        public = RLNPublicInputs.for_message(identity, payload, ext, root)
+        assert stats.hashes - before == 2
+        x = hash_message_to_field(payload)
+        assert public == RLNPublicInputs(
+            x=x,
+            external_nullifier=ext,
+            y=identity.share_for(ext, x).y,
+            internal_nullifier=identity.epoch_secrets(ext).internal_nullifier,
+            root=root,
+        )
 
 
 class TestWitness:

@@ -68,6 +68,49 @@ class TestCancellation:
         assert sim.pending_events == 1
 
 
+    def test_pending_events_is_a_live_count(self):
+        # Maintained by schedule / cancel / step, not a walk of the queue:
+        # it must agree with the walk at every point of an event's life.
+        sim = Simulator()
+        seen = []
+        first = sim.schedule(1.0, lambda: seen.append(sim.pending_events))
+        second = sim.schedule(2.0, lambda: None)
+        third = sim.schedule(3.0, lambda: None)
+        assert sim.pending_events == 3
+        second.cancel()
+        second.cancel()  # cancelling twice counts once
+        assert sim.pending_events == 2
+        assert sim.step()
+        assert seen == [1]  # the running event is no longer pending
+        first.cancel()  # cancelling after the fact changes nothing ...
+        assert first.cancelled  # ... but is still recorded on the handle
+        assert sim.pending_events == 1
+        sim.run_until_idle()
+        assert sim.pending_events == 0
+        assert sim.processed_events == 2
+        assert third.time == 3.0 and not third.cancelled
+
+    def test_handle_is_read_only(self):
+        handle = Simulator().schedule(1.0, lambda: None)
+        with pytest.raises(AttributeError):
+            handle.cancelled = True
+        with pytest.raises(AttributeError):
+            handle.time = 0.0
+
+    def test_ties_never_compare_the_events(self):
+        # Queue entries are (time, sequence, handle) with a unique
+        # sequence, so ordering is decided before the handle is reached —
+        # which defines no ordering at all.
+        sim = Simulator()
+        fired = []
+        handles = [sim.schedule(1.0, lambda i=i: fired.append(i)) for i in range(50)]
+        with pytest.raises(TypeError):
+            handles[0] < handles[1]
+        handles[7].cancel()
+        sim.run_until_idle()
+        assert fired == [i for i in range(50) if i != 7]
+
+
 class TestRun:
     def test_run_stops_at_until(self):
         sim = Simulator()
