@@ -227,11 +227,14 @@ class _RuleState:
 class RuleEngine:
     """Evaluates every rule against the collector's state on a cadence.
 
-    Driven by the owner (normally :class:`CollectorPeer`) with
-    :meth:`sample` at every fold and :meth:`evaluate` every
-    ``evaluation_interval`` of simulated time; both are cheap and pure
-    functions of ``(now, states)``, so unit tests drive the engine
-    standalone with hand-built state mappings.
+    Driven by the owner with :meth:`sample` and :meth:`evaluate`; both
+    are eager, pure functions of ``(now, states)``, so unit tests drive
+    the engine standalone with hand-built state mappings, sampling as
+    often as they like (points at one instant coalesce).  The
+    :class:`~repro.telemetry.collector.CollectorPeer` samples once per
+    simulated instant that folded something, when that instant is over
+    (its module docstring states the discipline), and evaluates every
+    ``evaluation_interval`` of simulated time.
     """
 
     def __init__(
@@ -260,7 +263,8 @@ class RuleEngine:
     def sample(
         self, now: float, states: "CollectedState | Iterable[CollectedState]"
     ) -> None:
-        """Record one ring point per windowed series (call at each fold)."""
+        """Record one ring point per windowed series at ``now`` — the
+        eager primitive; a same-instant call replaces the point."""
         self.querier.sample(now, states)
 
     def evaluate(
@@ -275,6 +279,7 @@ class RuleEngine:
         Samples first (idempotent at equal simulated time — ring points
         coalesce), so standalone callers need no separate fold hook.
         """
+        states = self.querier.grouped(states)
         self.querier.sample(now, states)
         view = self.querier.view(now, states, health=health)
         transitions: list[AlertEvent] = []

@@ -21,6 +21,21 @@ states — equals the offline merge of per-peer snapshots field for field
 ``seq`` (acked but not re-folded), and drop-oldest losses upstream show
 up as sequence gaps the collector counts instead of silently absorbing.
 
+Alerting (when rules are configured) follows one sampling discipline:
+**one ring point per series per simulated instant, taken when the
+instant is over**.  A fold only notes that a sample is due at its
+instant; the collector takes it, stamped with that instant, before
+anything of a later instant is counted and before a later evaluation.
+Readers of alert state (:meth:`firing`, :meth:`alert_events`,
+:meth:`render_prometheus`) take it early, so they see every fold so far,
+and leave it due.  Because ring points at one instant replace each
+other, the final point is exactly the one the instant's last fold would
+have left, and it sees *everything* delivered at that instant — later
+retransmissions and malformed requests included — in whatever order the
+network dispatched them.  So alerting costs one pass per distinct fold
+instant plus one per evaluation, however many peers folded.
+:meth:`RuleEngine.sample` stays the eager primitive underneath.
+
 The collector answers fleet questions the process-local registries
 cannot: :meth:`render_prometheus` re-renders the whole deployment's
 metrics as one text exposition, and :meth:`waterfall` rebuilds the
@@ -189,6 +204,9 @@ class CollectorPeer:
         #: stays event-for-event identical to the PR 7 collector.
         self.engine: RuleEngine | None = None
         self._stop_evaluation: Callable[[], None] | None = None
+        #: The simulated instant whose ring points are still owed: set by
+        #: a fold, settled by :meth:`_take_due_sample`.
+        self._sample_due: float | None = None
         if rules or slos:
             self.engine = RuleEngine(rules, slos)
             self.evaluation_interval = evaluation_interval
@@ -209,6 +227,9 @@ class CollectorPeer:
     # -- inbound ---------------------------------------------------------------
 
     def _on_export(self, sender: str, request: Any) -> None:
+        # First, before any counter below moves: an earlier instant is
+        # over, so its sample must not see this one's loss or duplicates.
+        self._take_due_sample()
         if not isinstance(request, ExportRequest):
             self.stats.malformed += 1
             return
@@ -232,10 +253,9 @@ class CollectorPeer:
                 reported_drops=batch.dropped_batches,
             )
             if self.engine is not None:
-                # One ring point per windowed series at every fold; points
-                # at the same simulated instant coalesce, so the sampled
-                # series is independent of same-time fold order.
-                self.engine.sample(self.simulator.now, self._alert_states())
+                # Only a note: more may land at this instant, and the
+                # one point it gets is taken when it is over.
+                self._sample_due = self.simulator.now
         self.stats.acks_sent += 1
         self.network.send(
             self.peer_id,
@@ -337,6 +357,7 @@ class CollectorPeer:
         ``ALERTS{alertname,severity,alertstate}`` gauge for every
         pending/firing alert, so alert state is itself scrapeable.
         """
+        self._take_due_sample(even_now=True)
         extra = self.self_metrics()
         if self.engine is not None:
             extra.update(self.engine.alerts_entries())
@@ -353,24 +374,48 @@ class CollectorPeer:
         states.append(self.self_metrics())
         return states
 
+    def _take_due_sample(self, *, even_now: bool = False) -> None:
+        """Write the ring points a fold left owing, at that fold's instant.
+
+        A sample due at an instant that is over is that instant's final
+        point.  One due *now* is left alone — more may still land at this
+        instant — unless a reader wants the folds so far (``even_now``);
+        it then stays due, so the instant still gets its final point.
+        Nothing the sample reads has changed since the due instant: every
+        mutation of the states and the stats happens in
+        :meth:`_on_export`, which settles first.
+        """
+        due = self._sample_due
+        if due is None:
+            return
+        if due < self.simulator.now:
+            self._sample_due = None
+        elif not even_now:
+            return
+        self.engine.sample(due, self._alert_states())
+
     def _evaluate(self) -> None:
         assert self.engine is not None
+        self._take_due_sample()
         self.engine.evaluate(
             self.simulator.now, self._alert_states(), health=self.health
         )
 
     def stop_alerting(self) -> None:
         """Cancel the evaluation ticker (lets a drained simulator idle)."""
+        self._take_due_sample(even_now=True)
         if self._stop_evaluation is not None:
             self._stop_evaluation()
             self._stop_evaluation = None
 
     def firing(self) -> list[str]:
         """Names of currently firing alerts (empty without an engine)."""
+        self._take_due_sample(even_now=True)
         return self.engine.firing() if self.engine is not None else []
 
     def alert_events(self) -> list[dict]:
         """The bounded alert-transition log as plain dicts."""
+        self._take_due_sample(even_now=True)
         return self.engine.event_log() if self.engine is not None else []
 
     def health_report(self) -> dict:

@@ -54,7 +54,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.errors import ProtocolError
-from repro.telemetry.registry import MetricsRegistry, NullRegistry, NULL_REGISTRY
+from repro.telemetry.registry import (
+    Counter,
+    Histogram,
+    MetricsRegistry,
+    NullRegistry,
+    NULL_REGISTRY,
+)
 from repro.telemetry.tracing import EVIDENCE, INGRESS
 
 #: The head-sampled root span's kind.
@@ -341,6 +347,11 @@ class DistTracer:
         #: Contexts the rewriter could not resolve (route table evicted):
         #: the trace is truncated rather than misattributed.
         self.rewrites_missed = 0
+        #: The series :meth:`finish` folds into, resolved once per
+        #: ``(kind, stage)`` / ``kind``.  Safe to keep: ``registry`` is
+        #: fixed at construction and a registry never drops a series.
+        self._stage_series: dict[tuple[str, str], Histogram] = {}
+        self._kind_series: dict[str, tuple[Histogram, Counter]] = {}
 
     # -- id minting ------------------------------------------------------------
 
@@ -419,16 +430,25 @@ class DistTracer:
             end=self.clock(),
             marks=tuple(span.marks),
         )
-        if span.kind != PUBLISH:
-            registry = self.registry
+        kind = span.kind
+        if kind != PUBLISH:
+            stage_series = self._stage_series
             for stage, duration in record.stages():
-                registry.histogram(
-                    "trace_stage_seconds", kind=span.kind, stage=stage
-                ).observe(duration)
-            registry.histogram("trace_total_seconds", kind=span.kind).observe(
-                record.duration
-            )
-            registry.counter("traces_finished_total", kind=span.kind).inc()
+                series = stage_series.get((kind, stage))
+                if series is None:
+                    series = stage_series[kind, stage] = self.registry.histogram(
+                        "trace_stage_seconds", kind=kind, stage=stage
+                    )
+                series.observe(duration)
+            series = self._kind_series.get(kind)
+            if series is None:
+                series = self._kind_series[kind] = (
+                    self.registry.histogram("trace_total_seconds", kind=kind),
+                    self.registry.counter("traces_finished_total", kind=kind),
+                )
+            total, finished = series
+            total.observe(record.duration)
+            finished.inc()
         return record
 
     def link(

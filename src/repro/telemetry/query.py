@@ -15,11 +15,11 @@ This module is that query layer, deliberately tiny and deterministic:
   functions of the current state (sum/max/min/avg/count by selector,
   bucket-estimate quantiles over merged histograms);
 * :class:`Rate` / :class:`BadFraction` — windowed expressions over a
-  bounded :class:`SeriesRing` of ``(sim_time, value)`` points the
-  :class:`FleetQuerier` samples at every collector fold.  Points at the
-  same simulated instant **coalesce** (last write wins), which is what
-  makes evaluation independent of the order same-time batches folded in
-  — the property suite pins this;
+  bounded :class:`SeriesRing` of ``(sim_time, value)`` points, written by
+  :meth:`FleetQuerier.sample`.  Points at the same simulated instant
+  **coalesce** (last write wins), which is what makes evaluation
+  independent of the order same-time batches folded in — the property
+  suite pins this;
 * :class:`HealthCount` / :class:`HealthScore` — bridges into the
   liveness classifier (:mod:`repro.telemetry.health`), so "a peer went
   silent" is an alert expression like any other.
@@ -27,6 +27,17 @@ This module is that query layer, deliberately tiny and deterministic:
 Everything evaluates on the *simulated* clock and touches no RNG: two
 runs folding the same batches at the same times produce bit-identical
 query results, which is what lets E20 assert exact detection latencies.
+
+Sampling: :meth:`FleetQuerier.sample` (reached through
+:meth:`~repro.telemetry.alerts.RuleEngine.sample`) is the eager
+primitive — it writes the points of the ``now`` it is handed, from the
+states it is handed.  *When* it is called is the collector's discipline,
+stated in :mod:`repro.telemetry.collector`: one ring point per series
+per simulated instant, taken when the instant is over.  A pass walks the
+states **once**, into a :class:`GroupedStates` bucketed by the metric
+names registered expressions select, and every selection then reads its
+bucket through :func:`select_many` — so a pass costs the stored entries
+once plus the few each rule matches, not rules × peers × entries.
 """
 
 from __future__ import annotations
@@ -85,15 +96,49 @@ def select(
     *not* merged — they all appear, which is exactly what additive
     aggregation wants.
     """
-    if isinstance(states, Mapping):
-        states = (states,)
-    frozen = _freeze(matchers)
-    out: list[dict] = []
-    for state in states:
-        for entry in state.values():
-            if _matches(entry, name, frozen):
-                out.append(entry)
-    return out
+    return select_many(_as_states(states), name, _freeze(matchers))
+
+
+class GroupedStates(tuple):
+    """A states tuple that also carries its entries bucketed by name.
+
+    Built once per sampling / evaluation pass by
+    :meth:`FleetQuerier.grouped`; ``by_name`` holds a bucket for exactly
+    the metric names it was asked for (an empty list when no state has
+    the name), so a missing key means "not grouped — scan".
+    """
+
+    by_name: dict[str, list[dict]]
+
+    def __new__(
+        cls, states: Iterable[CollectedState], names: Iterable[str]
+    ) -> "GroupedStates":
+        self = super().__new__(cls, states)
+        by_name: dict[str, list[dict]] = {name: [] for name in names}
+        if by_name:
+            for state in self:
+                for entry in state.values():
+                    bucket = by_name.get(entry["name"])
+                    if bucket is not None:
+                        bucket.append(entry)
+        self.by_name = by_name
+        return self
+
+
+def select_many(
+    states: tuple[CollectedState, ...],
+    name: str,
+    matchers: "tuple[tuple[str, object], ...]",
+) -> list[dict]:
+    """Pre-frozen-matcher :func:`select` — the one scan every selection
+    goes through.  Reads the ``name`` bucket of a :class:`GroupedStates`;
+    any other tuple of states (or an ungrouped name) is walked whole."""
+    candidates: "Iterable[dict] | None" = None
+    if isinstance(states, GroupedStates):
+        candidates = states.by_name.get(name)
+    if candidates is None:
+        candidates = (entry for state in states for entry in state.values())
+    return [entry for entry in candidates if _matches(entry, name, matchers)]
 
 
 # -- scalar aggregation over selections ---------------------------------------
@@ -212,26 +257,41 @@ class SeriesRing:
         else:
             self.points.append((time, value))
 
-    def _window(self, window: float, now: float) -> list[tuple[float, float]]:
+    def _ends(
+        self, window: float, now: float
+    ) -> "tuple[tuple[float, float], tuple[float, float]] | None":
+        """The oldest and newest point inside the window, or ``None`` when
+        fewer than two are.  The ring is time-ordered, so this walks back
+        from the newest point and stops at the cutoff."""
         cutoff = now - window
-        return [p for p in self.points if p[0] >= cutoff]
+        oldest = None
+        inside = 0
+        for point in reversed(self.points):
+            if point[0] < cutoff:
+                break
+            oldest = point
+            inside += 1
+        if inside < 2:
+            return None
+        return oldest, self.points[-1]
 
     def delta(self, window: float, now: float) -> float:
         """Increase over the window (clamped at 0 for monotone series)."""
-        points = self._window(window, now)
-        if len(points) < 2:
+        ends = self._ends(window, now)
+        if ends is None:
             return 0.0
-        return max(0.0, points[-1][1] - points[0][1])
+        return max(0.0, ends[1][1] - ends[0][1])
 
     def rate(self, window: float, now: float) -> float:
         """Per-second increase over the window's observed span."""
-        points = self._window(window, now)
-        if len(points) < 2:
+        ends = self._ends(window, now)
+        if ends is None:
             return 0.0
-        elapsed = points[-1][0] - points[0][0]
+        oldest, newest = ends
+        elapsed = newest[0] - oldest[0]
         if elapsed <= 0:
             return 0.0
-        return max(0.0, points[-1][1] - points[0][1]) / elapsed
+        return max(0.0, newest[1] - oldest[1]) / elapsed
 
     @property
     def latest(self) -> tuple[float, float] | None:
@@ -298,17 +358,18 @@ class Instant(Expr):
         self.key = f"{agg}({name}{{{inner}}}.{field})"
 
     def over_states(self, states: tuple[CollectedState, ...]) -> float:
-        entries = []
-        for state in states:
-            for entry in state.values():
-                if _matches(entry, self.name, self.matchers):
-                    entries.append(entry)
         return aggregate(
-            entries, self.agg, field_name=self.field, default=self.default
+            select_many(states, self.name, self.matchers),
+            self.agg,
+            field_name=self.field,
+            default=self.default,
         )
 
     def instant(self, view: FleetView) -> float:
         return self.over_states(view.states)
+
+    def register(self, querier: "FleetQuerier") -> None:
+        querier.group_by(self.name)
 
 
 class Combined(Expr):
@@ -354,13 +415,16 @@ class Quantile(Expr):
     def instant(self, view: FleetView) -> float:
         return self.over_states(view.states)
 
+    def register(self, querier: "FleetQuerier") -> None:
+        querier.group_by(self.name)
+
 
 class Rate(Expr):
     """``rate(source[window])``: per-second increase of a sampled series.
 
     The source must be a pure expression (:class:`Instant` /
     :class:`Combined`); its value is sampled into a :class:`SeriesRing`
-    at every collector fold, and the rate reads the ring.
+    by every :meth:`FleetQuerier.sample`, and the rate reads the ring.
     """
 
     def __init__(self, source: Expr, window: float) -> None:
@@ -371,6 +435,7 @@ class Rate(Expr):
         self.key = f"rate({source.key},{window:g}s)"
 
     def register(self, querier: "FleetQuerier") -> None:
+        self.source.register(querier)
         querier.add_sampler(self.source.key, self.source.over_states)
 
     def instant(self, view: FleetView) -> float:
@@ -384,9 +449,9 @@ class BadFraction(Expr):
     """Fraction of histogram observations above ``objective`` in a window.
 
     The SLO burn-rate primitive: two rings (bad count, total count) are
-    sampled at every fold from the merged selected histograms; the
-    instant value is ``Δbad / Δtotal`` over the window — 0.0 with no
-    traffic, so an idle fleet never burns budget.
+    fed by one sampler from the selected histograms; the instant value
+    is ``Δbad / Δtotal`` over the window — 0.0 with no traffic, so an
+    idle fleet never burns budget.
     """
 
     def __init__(
@@ -408,8 +473,8 @@ class BadFraction(Expr):
         return count_over(select_many(states, self.name, self.matchers), self.objective)
 
     def register(self, querier: "FleetQuerier") -> None:
-        querier.add_sampler(self._bad_key, lambda states: self._counts(states)[0])
-        querier.add_sampler(self._total_key, lambda states: self._counts(states)[1])
+        querier.group_by(self.name)
+        querier.add_sampler((self._bad_key, self._total_key), self._counts)
 
     def instant(self, view: FleetView) -> float:
         bad_ring = view.rings.get(self._bad_key)
@@ -446,55 +511,70 @@ class HealthScore(Expr):
         return view.health.score(view.now)
 
 
-def select_many(
-    states: tuple[CollectedState, ...],
-    name: str,
-    matchers: "tuple[tuple[str, object], ...]",
-) -> list[dict]:
-    """Pre-frozen-matcher :func:`select` (the expression hot path)."""
-    out: list[dict] = []
-    for state in states:
-        for entry in state.values():
-            if _matches(entry, name, matchers):
-                out.append(entry)
-    return out
-
-
 # -- the querier --------------------------------------------------------------
 
 
 class FleetQuerier:
     """Rings + samplers for every registered windowed expression.
 
-    The owner (the rule engine, via the collector) calls
-    :meth:`sample` at each fold and :meth:`view` at each evaluation;
-    samplers are interned by series key, so two rules watching the same
-    series share one ring.
+    The owner (the rule engine, for the collector) calls :meth:`sample`
+    once per simulated instant that folded something and :meth:`view`
+    at each evaluation; samplers are interned by series key, so two
+    rules watching the same series share one ring.
     """
 
     def __init__(self, *, ring_capacity: int = 512) -> None:
         self.ring_capacity = ring_capacity
         self._rings: dict[str, SeriesRing] = {}
-        self._samplers: dict[str, Callable[[tuple[CollectedState, ...]], float]] = {}
+        self._samplers: dict["str | tuple[str, ...]", Callable] = {}
+        #: Metric names some registered expression selects — what a
+        #: pass buckets the states by.
+        self._names: set[str] = set()
 
     def register(self, expr: Expr) -> None:
         expr.register(self)
 
+    def group_by(self, name: str) -> None:
+        """Bucket entries named ``name`` in every pass's grouping."""
+        self._names.add(name)
+
     def add_sampler(
-        self, key: str, fn: Callable[[tuple[CollectedState, ...]], float]
+        self,
+        key: "str | tuple[str, ...]",
+        fn: "Callable[[tuple[CollectedState, ...]], float | tuple[float, ...]]",
     ) -> None:
+        """``fn(states)`` feeds the ring named ``key``; with a tuple of
+        keys it returns one value per key — one selection, several
+        series."""
         if key in self._samplers:
             return
         self._samplers[key] = fn
-        self._rings[key] = SeriesRing(self.ring_capacity)
+        for ring_key in key if isinstance(key, tuple) else (key,):
+            self._rings[ring_key] = SeriesRing(self.ring_capacity)
+
+    def grouped(
+        self, states: "CollectedState | Iterable[CollectedState]"
+    ) -> GroupedStates:
+        """``states`` bucketed by the registered names (as is if it
+        already went through here): one walk that every selection of
+        the pass then shares."""
+        if isinstance(states, GroupedStates):
+            return states
+        return GroupedStates(_as_states(states), self._names)
 
     def sample(
         self, now: float, states: "CollectedState | Iterable[CollectedState]"
     ) -> None:
-        """One ``(sim_time, value)`` point per registered series."""
-        states = _as_states(states)
+        """One ``(sim_time, value)`` point per registered series, now."""
+        states = self.grouped(states)
+        rings = self._rings
         for key, sampler in self._samplers.items():
-            self._rings[key].note(now, sampler(states))
+            value = sampler(states)
+            if isinstance(key, tuple):
+                for ring_key, part in zip(key, value):
+                    rings[ring_key].note(now, part)
+            else:
+                rings[key].note(now, value)
 
     def ring(self, key: str) -> SeriesRing | None:
         return self._rings.get(key)
@@ -507,7 +587,7 @@ class FleetQuerier:
         health: "HealthMonitor | None" = None,
     ) -> FleetView:
         return FleetView(
-            now=now, states=_as_states(states), rings=self._rings, health=health
+            now=now, states=self.grouped(states), rings=self._rings, health=health
         )
 
 

@@ -232,6 +232,56 @@ def test_trace_spans_are_consecutive_mark_deltas():
     assert tracer.recent() == (record,)
 
 
+def test_finish_resolves_each_series_once_per_tracer():
+    class CountingRegistry(MetricsRegistry):
+        def __init__(self):
+            super().__init__()
+            self.lookups = []
+
+        def histogram(self, name, **kwargs):
+            self.lookups.append((name, kwargs.get("kind"), kwargs.get("stage")))
+            return super().histogram(name, **kwargs)
+
+        def counter(self, name, **labels):
+            self.lookups.append((name, labels.get("kind"), None))
+            return super().counter(name, **labels)
+
+    clock = ManualClock()
+    registry = CountingRegistry()
+    tracer = DistTracer("p1", registry=registry, clock=clock)
+
+    def span(kind, stages):
+        trace = tracer.begin(kind)
+        for stage in stages:
+            clock.now += 0.01
+            trace.mark(stage)
+        tracer.finish(trace)
+
+    span("bundle", (tracing.PREFILTER, tracing.PAIRING))
+    once = sorted(registry.lookups)
+    assert once == sorted(
+        [
+            ("trace_stage_seconds", "bundle", tracing.PREFILTER),
+            ("trace_stage_seconds", "bundle", tracing.PAIRING),
+            ("trace_total_seconds", "bundle", None),
+            ("traces_finished_total", "bundle", None),
+        ]
+    )
+    span("bundle", (tracing.PREFILTER, tracing.PAIRING))
+    assert sorted(registry.lookups) == once  # the handles were reused
+    span("revocation", (tracing.PAIRING,))  # same stage, its own series
+    assert sorted(registry.lookups[len(once):]) == [
+        ("trace_stage_seconds", "revocation", tracing.PAIRING),
+        ("trace_total_seconds", "revocation", None),
+        ("traces_finished_total", "revocation", None),
+    ]
+    plain = MetricsRegistry.histogram
+    assert plain(registry, "trace_stage_seconds", kind="bundle", stage=tracing.PAIRING).count == 2
+    assert plain(registry, "trace_stage_seconds", kind="revocation", stage=tracing.PAIRING).count == 1
+    assert plain(registry, "trace_total_seconds", kind="revocation").count == 1
+    assert MetricsRegistry.counter(registry, "traces_finished_total", kind="bundle").value == 2
+
+
 def test_tracer_ring_is_bounded():
     tracer = DistTracer("p1", registry=MetricsRegistry(), capacity=4)
     records = [tracer.finish(tracer.begin()) for _ in range(6)]
