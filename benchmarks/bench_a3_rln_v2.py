@@ -1,8 +1,9 @@
 """A3 — extension: RLN-v2 multi-message rate limiting.
 
-How the generalised circuit scales with the message limit, and the
-throughput/containment behaviour: a member sends up to N messages per
-epoch with unlinkable nullifiers; message N+1 (an id reuse) convicts it.
+How the one circuit builder's ``message_limit`` arm scales with the
+limit, and the throughput/containment behaviour: a member sends up to N
+messages per epoch with unlinkable nullifiers; message N+1 (an id reuse)
+convicts it.
 """
 
 import time
@@ -14,14 +15,10 @@ from repro.core.nullifier_log import NullifierLog, NullifierOutcome
 from repro.crypto.field import FieldElement
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.shamir import recover_secret
-from repro.zksnark.prover_v2 import Groth16ProverV2, NativeProverV2
-from repro.zksnark.rln_circuit import circuit_shape
-from repro.zksnark.rln_v2_circuit import (
-    RLNv2PublicInputs,
-    RLNv2Witness,
-    circuit_shape_v2,
-)
+from repro.crypto.shamir import Share, recover_secret
+from repro.zksnark.groth16 import Groth16
+from repro.zksnark.prover import NativeProver
+from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness, circuit_shape
 
 DEPTH = 8
 EPOCH = FieldElement(54_827_003)
@@ -45,12 +42,12 @@ def test_v2_circuit_scaling_table(member, report_sink, benchmark):
     )
     v1_constraints = circuit_shape(DEPTH).num_constraints
     for limit in LIMITS:
-        shape = circuit_shape_v2(DEPTH, limit)
-        prover = Groth16ProverV2(DEPTH, limit)
-        public = RLNv2PublicInputs.for_message(
+        shape = circuit_shape(DEPTH, limit)
+        prover = Groth16(DEPTH, limit)
+        public = RLNPublicInputs.for_message(
             identity, b"bench", EPOCH, tree.root, message_id=0, message_limit=limit
         )
-        witness = RLNv2Witness(identity=identity, merkle_proof=proof, message_id=0)
+        witness = RLNWitness(identity=identity, merkle_proof=proof, message_id=0)
         start = time.perf_counter()
         zkp = prover.prove(public, witness)
         elapsed = time.perf_counter() - start
@@ -67,16 +64,16 @@ def test_v2_circuit_scaling_table(member, report_sink, benchmark):
     )
     report_sink(report)
 
-    shapes = {limit: circuit_shape_v2(DEPTH, limit).num_constraints for limit in LIMITS}
+    shapes = {limit: circuit_shape(DEPTH, limit).num_constraints for limit in LIMITS}
     assert len(set(shapes.values())) == 1  # cost independent of N
 
-    prover = NativeProverV2(DEPTH, 16)
+    prover = NativeProver(DEPTH, 16)
 
     def prove_once():
-        public = RLNv2PublicInputs.for_message(
+        public = RLNPublicInputs.for_message(
             identity, b"b", EPOCH, tree.root, message_id=3, message_limit=16
         )
-        witness = RLNv2Witness(identity=identity, merkle_proof=proof, message_id=3)
+        witness = RLNWitness(identity=identity, merkle_proof=proof, message_id=3)
         return prover.prove(public, witness)
 
     benchmark.pedantic(prove_once, rounds=3, iterations=1)
@@ -85,11 +82,11 @@ def test_v2_circuit_scaling_table(member, report_sink, benchmark):
 def test_v2_throughput_and_conviction(member, report_sink, benchmark):
     identity, tree, proof = member
     limit = 8
-    prover = NativeProverV2(DEPTH, limit)
+    prover = NativeProver(DEPTH, limit)
     log = NullifierLog()
     accepted = 0
     for message_id in range(limit):
-        public = RLNv2PublicInputs.for_message(
+        public = RLNPublicInputs.for_message(
             identity,
             b"within-quota-%d" % message_id,
             EPOCH,
@@ -97,22 +94,22 @@ def test_v2_throughput_and_conviction(member, report_sink, benchmark):
             message_id=message_id,
             message_limit=limit,
         )
-        witness = RLNv2Witness(
+        witness = RLNWitness(
             identity=identity, merkle_proof=proof, message_id=message_id
         )
         assert prover.verify(public, prover.prove(public, witness))
         outcome, _ = log.observe(
-            54_827_003, public.internal_nullifier, public.share, b"id"
+            54_827_003, public.internal_nullifier, Share(public.x, public.y), b"id"
         )
         accepted += outcome is NullifierOutcome.FRESH
     assert accepted == limit
 
     # The (limit+1)-th message must reuse an id -> conviction.
-    public = RLNv2PublicInputs.for_message(
+    public = RLNPublicInputs.for_message(
         identity, b"over quota", EPOCH, tree.root, message_id=0, message_limit=limit
     )
     outcome, evidence = log.observe(
-        54_827_003, public.internal_nullifier, public.share, b"id2"
+        54_827_003, public.internal_nullifier, Share(public.x, public.y), b"id2"
     )
     assert outcome is NullifierOutcome.SPAM
     assert recover_secret(evidence.share_a, evidence.share_b) == identity.sk

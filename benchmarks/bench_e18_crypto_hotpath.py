@@ -40,9 +40,8 @@ from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleTree
 from repro.telemetry import Telemetry
 from repro.treesync.forest import ShardedMerkleForest
-from repro.treesync.witness import WitnessProvider
-from repro.zksnark.groth16 import _pairing_tag
-from repro.zksnark.prover import Groth16Prover
+from repro.treesync.witness import splice
+from repro.zksnark.groth16 import Groth16, _pairing_tag
 from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness, synthesize
 
 ARTIFACT = pathlib.Path(__file__).parent / "reports" / "E18-crypto.json"
@@ -99,7 +98,7 @@ def test_e18_crypto_hotpath(report_sink, snapshot_sink):
     identity = Identity.from_secret(0xE18)
     # One trusted setup shared by every arm: all peers of one deployment
     # share an SRS, and the transcript gate needs a common secret_tau.
-    prover = Groth16Prover(PROVER_DEPTH)
+    prover = Groth16(PROVER_DEPTH)
     for name in backends:
         with use_backend(name):
             start = time.perf_counter()
@@ -112,7 +111,11 @@ def test_e18_crypto_hotpath(report_sink, snapshot_sink):
             for leaf in leaves[:24]:
                 forest.append(leaf)
             forest_roots[name] = forest.root
-            proof = WitnessProvider(forest).witness(13)
+            proof = splice(
+                forest.shard_proof(13),
+                forest.top_proof(forest.shard_of(13)),
+                hasher=forest.node_hasher,
+            )
             spliced[name] = (proof.siblings, proof.path_bits, proof.leaf)
 
             # Full Groth16 pipeline: one prove, plus deterministic
@@ -135,7 +138,7 @@ def test_e18_crypto_hotpath(report_sink, snapshot_sink):
             witness_vectors[name] = tuple(w.value for w in cs.full_witness())
             statements[name] = public.serialize()
             transcripts[name] = _pairing_tag(
-                prover._inner.proving_key.params,
+                prover.proving_key.params,
                 public.serialize(),
                 b"\x11" * 32,
                 b"\x22" * 64,

@@ -468,6 +468,8 @@ class WakuRLNRelayPeer:
 
         Backed by the relay pipeline's verdict cache, so service-path
         re-validation and relay validation share pairing work both ways.
+        One checker per peer: repeat calls return the same instance, so
+        the roles also share its in-flight table.
         """
         return self.pipeline.shared_checker()
 

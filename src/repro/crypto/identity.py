@@ -32,9 +32,18 @@ def derive_commitment(sk: FieldElement) -> FieldElement:
     return default_engine().hash([sk])
 
 
-def derive_slope(sk: FieldElement, external_nullifier: FieldElement) -> FieldElement:
-    """a1 = H(sk, external_nullifier) — the epoch-bound line slope."""
-    return default_engine().hash([sk, external_nullifier])
+def derive_slope(
+    sk: FieldElement, external_nullifier: FieldElement, message_id: int | None = None
+) -> FieldElement:
+    """a1 = H(sk, external_nullifier) — the epoch-bound line slope.
+
+    RLN-v2 binds a private ``message_id`` in as a third input,
+    a1 = H(sk, external_nullifier, message_id): distinct ids give
+    unlinkable slopes (and nullifiers), a reused id is the same line.
+    """
+    if message_id is None:
+        return default_engine().hash([sk, external_nullifier])
+    return default_engine().hash([sk, external_nullifier, FieldElement(message_id)])
 
 
 def derive_internal_nullifier(slope: FieldElement) -> FieldElement:
@@ -80,8 +89,10 @@ class Identity:
 
     # -- per-epoch derivations ------------------------------------------------
 
-    def epoch_secrets(self, external_nullifier: FieldElement) -> EpochSecrets:
-        slope = derive_slope(self.sk, external_nullifier)
+    def epoch_secrets(
+        self, external_nullifier: FieldElement, message_id: int | None = None
+    ) -> EpochSecrets:
+        slope = derive_slope(self.sk, external_nullifier, message_id)
         return EpochSecrets(
             external_nullifier=external_nullifier,
             slope=slope,

@@ -264,6 +264,7 @@ class ValidationPipeline:
         )
         self.verdict_cache = VerdictCache(self.config.verdict_cache_capacity)
         self._prover = prover
+        self._shared_checker: SharedProofChecker | None = None
         self.stats = PipelineStats(ratelimit=self.ratelimiter.stats)
         self._on_rate_limit_penalty = on_rate_limit_penalty
         self._closed = False
@@ -421,14 +422,19 @@ class ValidationPipeline:
         on those paths shares verdicts with the relay path in both
         directions (ROADMAP: verdict-cache sharing), and any fresh pairing
         work it needs is submitted through the same executor at SERVICE
-        priority — heavy query load cannot starve relay verdicts.
+        priority — heavy query load cannot starve relay verdicts.  One
+        checker per pipeline: repeat calls return the same instance, so
+        all of a peer's service paths share one in-flight table and the
+        same proof arriving on two of them costs one pairing job.
         """
-        return SharedProofChecker(
-            self._prover,
-            self.verdict_cache,
-            executor=self.executor,
-            priority=Priority.SERVICE,
-        )
+        if self._shared_checker is None:
+            self._shared_checker = SharedProofChecker(
+                self._prover,
+                self.verdict_cache,
+                executor=self.executor,
+                priority=Priority.SERVICE,
+            )
+        return self._shared_checker
 
     # -- helpers ----------------------------------------------------------------
 

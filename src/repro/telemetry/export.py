@@ -62,6 +62,27 @@ def _bucket_quantile(le: list[float], buckets: list[int], count: int, q: float) 
     return le[-1] if le else 0.0
 
 
+def merge_histogram_into(mine: dict, entry: dict) -> None:
+    """Add histogram ``entry``'s additive fields into ``mine``, in place.
+
+    The one histogram merge (snapshot merge and fleet queries both fold
+    with it).  An empty side's ``min``/``max`` are the exporter's 0.0
+    placeholders, not observations — every eagerly interned series on a
+    peer that recorded nothing has them — so they never enter the result.
+    """
+    if list(mine["le"]) != list(entry["le"]):
+        raise ValueError(f"cannot merge {entry['name']!r}: different bucket bounds")
+    if entry["count"]:
+        if mine["count"]:
+            mine["min"] = min(mine["min"], entry["min"])
+            mine["max"] = max(mine["max"], entry["max"])
+        else:
+            mine["min"], mine["max"] = entry["min"], entry["max"]
+    mine["count"] += entry["count"]
+    mine["sum"] += entry["sum"]
+    mine["buckets"] = [a + b for a, b in zip(mine["buckets"], entry["buckets"])]
+
+
 class TelemetrySnapshot:
     """A frozen, JSON-serializable view of one registry collect pass."""
 
@@ -127,19 +148,7 @@ class TelemetrySnapshot:
             if mine["kind"] != entry["kind"]:
                 raise ValueError(f"cannot merge {key!r}: {mine['kind']} vs {entry['kind']}")
             if mine["kind"] == "histogram":
-                if mine["le"] != entry["le"]:
-                    raise ValueError(f"cannot merge {key!r}: different bucket bounds")
-                mine["count"] += entry["count"]
-                mine["sum"] += entry["sum"]
-                mine["max"] = max(mine["max"], entry["max"])
-                mine["min"] = (
-                    min(mine["min"], entry["min"])
-                    if mine["count"] and entry["count"]
-                    else mine["min"] or entry["min"]
-                )
-                mine["buckets"] = [
-                    a + b for a, b in zip(mine["buckets"], entry["buckets"])
-                ]
+                merge_histogram_into(mine, entry)
                 mine["quantiles"] = {
                     f"p{int(q * 100)}": _bucket_quantile(
                         mine["le"], mine["buckets"], mine["count"], q

@@ -47,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from repro.telemetry.export import _bucket_quantile
+from repro.telemetry.export import _bucket_quantile, merge_histogram_into
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.health import HealthMonitor
@@ -197,22 +197,13 @@ def merge_histograms(entries: Sequence[dict]) -> dict | None:
         if merged is None:
             merged = {
                 "le": list(entry["le"]),
-                "buckets": list(entry["buckets"]),
-                "count": entry["count"],
-                "sum": entry["sum"],
-                "min": entry["min"],
-                "max": entry["max"],
+                "buckets": [0] * len(entry["buckets"]),
+                "count": 0,
+                "sum": 0.0,
+                "min": 0.0,
+                "max": 0.0,
             }
-            continue
-        if merged["le"] != list(entry["le"]):
-            raise ValueError("cannot merge histograms with different bounds")
-        merged["buckets"] = [a + b for a, b in zip(merged["buckets"], entry["buckets"])]
-        merged["count"] += entry["count"]
-        merged["sum"] += entry["sum"]
-        merged["max"] = max(merged["max"], entry["max"])
-        merged["min"] = (
-            min(merged["min"], entry["min"]) if merged["count"] else entry["min"]
-        )
+        merge_histogram_into(merged, entry)
     return merged
 
 

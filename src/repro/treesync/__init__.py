@@ -26,7 +26,7 @@ from repro.treesync.sync import (
     TreeSyncPublisher,
     TreeSyncStats,
 )
-from repro.treesync.witness import WitnessProvider, splice
+from repro.treesync.witness import splice
 
 __all__ = [
     "CHECKPOINT_TOPIC",
@@ -41,7 +41,6 @@ __all__ = [
     "TreeCheckpoint",
     "TreeSyncPublisher",
     "TreeSyncStats",
-    "WitnessProvider",
     "shard_topic",
     "splice",
 ]

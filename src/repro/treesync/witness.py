@@ -10,10 +10,8 @@ yields a :class:`~repro.crypto.merkle.MerkleProof` the unchanged
 
 from __future__ import annotations
 
-from repro.crypto.field import FieldElement
 from repro.crypto.merkle import MerkleProof, NodeHasher
 from repro.errors import MerkleError
-from repro.treesync.forest import ShardedMerkleForest
 
 
 def splice(
@@ -41,33 +39,3 @@ def splice(
     return MerkleProof(
         leaf=shard_proof.leaf, index=index, siblings=siblings, path_bits=bits
     )
-
-
-class WitnessProvider:
-    """Re-assembles full-depth RLN witnesses from their two halves.
-
-    The hybrid architecture of §IV-A, shard-scoped: the member's
-    shard-local path spliced with the top-tree path is the standard
-    ``auth`` input of the circuit.  On a full replica the result is
-    ``forest.proof(index)`` byte for byte (which is what
-    :class:`~repro.witness.service.WitnessService` serves); the splice is
-    what a peer holding only a shard and the top tree has to do.
-    """
-
-    def __init__(self, forest: ShardedMerkleForest) -> None:
-        self.forest = forest
-        self.served = 0
-
-    def witness(self, index: int) -> MerkleProof:
-        """Spliced authentication path for the leaf at global ``index``."""
-        spliced = splice(
-            self.forest.shard_proof(index),
-            self.forest.top_proof(self.forest.shard_of(index)),
-            hasher=self.forest.node_hasher,
-        )
-        self.served += 1
-        return spliced
-
-    def witness_for(self, leaf: FieldElement) -> MerkleProof:
-        """Spliced path for the first occurrence of ``leaf``."""
-        return self.witness(self.forest.find(leaf))

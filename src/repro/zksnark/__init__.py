@@ -17,15 +17,14 @@ from repro.zksnark.groth16 import (
     PairingCounter,
     Proof,
     ProvingKey,
+    RLNProver,
     VerifyingKey,
     batch_pairing_check,
     setup,
     single_pairing_check,
 )
 from repro.zksnark.prover import (
-    Groth16Prover,
     NativeProver,
-    RLNProver,
     reset_shared_provers,
     shared_prover,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "batch_pairing_check",
     "setup",
     "single_pairing_check",
-    "Groth16Prover",
     "NativeProver",
     "RLNProver",
     "reset_shared_provers",

@@ -152,9 +152,11 @@ class VerifyingKey:
         return _VK_FIXED_BYTES + self.shape.num_public * FIELD_BYTES
 
 
-def setup(depth: int, *, ceremony_participants: int = 3) -> tuple[ProvingKey, VerifyingKey]:
-    """Run the (simulated) MPC ceremony and derive the key pair for ``depth``."""
-    shape = circuit_shape(depth)
+def setup(
+    depth: int, message_limit: int | None = None, *, ceremony_participants: int = 3
+) -> tuple[ProvingKey, VerifyingKey]:
+    """Run the (simulated) MPC ceremony and derive the key pair for one circuit."""
+    shape = circuit_shape(depth, message_limit)
     params = run_default_ceremony(shape, participants=ceremony_participants)
     return ProvingKey(shape=shape, params=params), VerifyingKey(shape=shape, params=params)
 
@@ -233,8 +235,76 @@ def batch_pairing_check(
     return accumulator == 0
 
 
-class Groth16:
-    """Prover/verifier pair for one circuit depth.
+class RLNProver:
+    """The one prove/verify skeleton over one trusted set-up.
+
+    A proof system for the depth-``depth`` circuit, with ``message_limit``
+    the circuit's RLN-v2 parameter (``None`` = the paper's statement).
+    Backends differ only in :meth:`_check_statement` — how they convince
+    themselves the witness satisfies the statement before the public
+    inputs are bound with the SRS secret.  All peers of one deployment
+    must share one instance's set-up, otherwise proofs produced by one
+    peer would not verify at another
+    (:func:`repro.zksnark.prover.shared_prover`).
+    """
+
+    def __init__(
+        self,
+        depth: int,
+        message_limit: int | None = None,
+        *,
+        params: SetupParameters | None = None,
+    ) -> None:
+        self.depth = depth
+        self.message_limit = message_limit
+        self._params = params or setup(depth, message_limit)[0].params
+        #: Wall-clock seconds spent in the last prove() / verify() call;
+        #: exposed for the performance benchmarks (experiments E1/E2).
+        self.last_prove_seconds = 0.0
+        self.last_verify_seconds = 0.0
+        #: Pairing-evaluation accounting for the batching benchmarks (E11).
+        self.pairing_counter = PairingCounter()
+
+    def _check_statement(self, public: RLNPublicInputs, witness: RLNWitness) -> None:
+        """Raise :class:`ProvingError` unless the witness satisfies the statement."""
+        raise NotImplementedError
+
+    def prove(self, public: RLNPublicInputs, witness: RLNWitness) -> Proof:
+        """Generate a proof; raises :class:`ProvingError` on a false statement."""
+        start = time.perf_counter()
+        self._check_statement(public, witness)
+        statement = public.serialize()
+        a = secrets.token_bytes(32)  # simulated randomised G1 element (r)
+        b = secrets.token_bytes(64)  # simulated randomised G2 element (s)
+        c = _pairing_tag(self._params, statement, a, b)
+        self.last_prove_seconds = time.perf_counter() - start
+        return Proof(a=a, b=b, c=c)
+
+    def _timed_check(self, check, *args) -> bool:
+        start = time.perf_counter()
+        ok = check(self._params, *args, self.pairing_counter)
+        self.last_verify_seconds = time.perf_counter() - start
+        return ok
+
+    def verify(self, public: RLNPublicInputs, proof: Proof) -> bool:
+        """Constant-time verification of a proof against a statement."""
+        return self._timed_check(single_pairing_check, public, proof)
+
+    def verify_batch(self, jobs: Sequence[tuple[RLNPublicInputs, Proof]]) -> bool:
+        """Verify N proofs with one RLC multi-pairing (N + 3 evaluations).
+
+        Returns True iff *every* proof in the batch verifies; a False batch
+        says nothing about which member is forged (callers fall back to
+        per-proof checks to isolate the culprit).
+        """
+        return self._timed_check(batch_pairing_check, jobs)
+
+
+class Groth16(RLNProver):
+    """The full pipeline: compile the R1CS, generate the witness, check
+    satisfaction — the computational core of real proving, whose cost
+    scales with circuit size exactly as the paper's prover does
+    (experiments E1/E2) — then emit the proof.
 
     >>> prover = Groth16(depth=4)          # doctest: +SKIP
     >>> proof = prover.prove(public, witness)
@@ -245,6 +315,7 @@ class Groth16:
     def __init__(
         self,
         depth: int,
+        message_limit: int | None = None,
         *,
         proving_key: ProvingKey | None = None,
         verifying_key: VerifyingKey | None = None,
@@ -252,65 +323,22 @@ class Groth16:
         if (proving_key is None) != (verifying_key is None):
             raise SetupError("provide both keys or neither")
         if proving_key is None:
-            proving_key, verifying_key = setup(depth)
-        if proving_key.shape.depth != depth or verifying_key.shape.depth != depth:
-            raise SetupError("key depth does not match requested depth")
+            proving_key, verifying_key = setup(depth, message_limit)
+        shape = circuit_shape(depth, message_limit)
+        if proving_key.shape != shape or verifying_key.shape != shape:
+            raise SetupError("keys were not generated for the requested circuit")
         if proving_key.params.secret_tau != verifying_key.params.secret_tau:
             raise SetupError("proving and verifying keys come from different setups")
-        self.depth = depth
+        super().__init__(depth, message_limit, params=verifying_key.params)
         self.proving_key = proving_key
         self.verifying_key = verifying_key
-        #: Wall-clock seconds spent in the last prove() / verify() call;
-        #: exposed for the performance benchmarks (experiments E1/E2).
-        self.last_prove_seconds = 0.0
-        self.last_verify_seconds = 0.0
-        #: Pairing-evaluation accounting for the batching benchmarks (E11).
-        self.pairing_counter = PairingCounter()
 
-    # -- proving ---------------------------------------------------------------
-
-    def prove(self, public: RLNPublicInputs, witness: RLNWitness) -> Proof:
-        """Generate a proof; raises :class:`ProvingError` on a false statement.
-
-        Performs full witness generation over the compiled R1CS and checks
-        satisfaction — the computational core of real proving — then binds
-        the public inputs with the SRS secret.
-        """
-        start = time.perf_counter()
-        cs = synthesize(self.depth, public=public, witness=witness)
+    def _check_statement(self, public: RLNPublicInputs, witness: RLNWitness) -> None:
+        cs = synthesize(self.depth, public, witness, message_limit=self.message_limit)
         try:
             cs.check_satisfied()
         except SnarkError as exc:
             raise ProvingError(f"witness does not satisfy the RLN circuit: {exc}") from exc
-        statement = public.serialize()
-        a = secrets.token_bytes(32)  # simulated randomised G1 element (r)
-        b = secrets.token_bytes(64)  # simulated randomised G2 element (s)
-        c = _pairing_tag(self.proving_key.params, statement, a, b)
-        self.last_prove_seconds = time.perf_counter() - start
-        return Proof(a=a, b=b, c=c)
-
-    # -- verification --------------------------------------------------------------
-
-    def verify(self, public: RLNPublicInputs, proof: Proof) -> bool:
-        """Constant-time verification of a proof against a statement."""
-        start = time.perf_counter()
-        ok = single_pairing_check(
-            self.verifying_key.params, public, proof, self.pairing_counter
-        )
-        self.last_verify_seconds = time.perf_counter() - start
-        return ok
-
-    def verify_batch(self, jobs: Sequence[tuple[RLNPublicInputs, Proof]]) -> bool:
-        """Verify N proofs with one RLC multi-pairing (N + 3 evaluations).
-
-        Returns True iff *every* proof in the batch verifies; a False batch
-        says nothing about which member is forged (callers fall back to
-        per-proof checks to isolate the culprit).
-        """
-        start = time.perf_counter()
-        ok = batch_pairing_check(self.verifying_key.params, jobs, self.pairing_counter)
-        self.last_verify_seconds = time.perf_counter() - start
-        return ok
 
     def verify_or_raise(self, public: RLNPublicInputs, proof: Proof) -> None:
         if not self.verify(public, proof):

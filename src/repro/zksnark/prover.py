@@ -1,18 +1,20 @@
 """Prover backends and the shared proof-system registry.
 
-Two interchangeable backends implement the same :class:`RLNProver` interface:
+Two interchangeable backends fill in the one
+:class:`~repro.zksnark.groth16.RLNProver` skeleton:
 
-* :class:`Groth16Prover` — the full pipeline: compile the R1CS, generate the
-  witness, check satisfaction, emit the proof.  This is what the
-  cryptographic benchmarks (experiments E1/E2) measure; its cost scales
-  with circuit size exactly as the paper's prover does.
+* :class:`~repro.zksnark.groth16.Groth16` — the full pipeline: compile the
+  R1CS, generate the witness, check satisfaction, emit the proof.  This is
+  what the cryptographic benchmarks (experiments E1/E2) measure; its cost
+  scales with circuit size exactly as the paper's prover does.
 * :class:`NativeProver` — checks the identical statement (membership, share
-  validity, nullifier correctness) by direct field arithmetic instead of
-  through the constraint system, then emits the same MAC-bound proof
-  object.  Accepts and rejects *exactly* the same (statement, witness)
-  pairs as the circuit — the tests cross-validate this — but runs three
-  orders of magnitude faster, which makes the 100-peer network simulations
-  (experiments E7–E10) tractable in pure Python.
+  validity, nullifier correctness, and under a message limit the limit
+  binding and id range) by direct field arithmetic instead of through the
+  constraint system, then emits the same MAC-bound proof object.  Accepts
+  and rejects *exactly* the same (statement, witness) pairs as the circuit
+  — the tests cross-validate this — but runs three orders of magnitude
+  faster, which makes the 100-peer network simulations (experiments
+  E7–E10) tractable in pure Python.
 
 All peers in one deployment must share a trusted setup, otherwise proofs
 produced by one peer would not verify at another; :func:`shared_prover`
@@ -21,121 +23,41 @@ provides a per-(depth, backend) singleton for that purpose.
 
 from __future__ import annotations
 
-import secrets
-import time
-from typing import Protocol, Sequence
-
 from repro.crypto.identity import derive_commitment, derive_internal_nullifier, derive_slope
 from repro.errors import ProvingError
-from repro.zksnark.groth16 import (
-    Groth16,
-    PairingCounter,
-    Proof,
-    _pairing_tag,
-    batch_pairing_check,
-    setup,
-    single_pairing_check,
-)
-from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness
+from repro.zksnark.groth16 import Groth16, RLNProver
+from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness, message_id_in_range
 
 
-class RLNProver(Protocol):
-    """Interface every proof backend implements."""
-
-    depth: int
-    pairing_counter: PairingCounter
-
-    def prove(self, public: RLNPublicInputs, witness: RLNWitness) -> Proof:
-        """Produce a proof, raising :class:`ProvingError` on a false statement."""
-
-    def verify(self, public: RLNPublicInputs, proof: Proof) -> bool:
-        """Check a proof against a statement."""
-
-    def verify_batch(self, jobs: Sequence[tuple[RLNPublicInputs, Proof]]) -> bool:
-        """Check N proofs with one RLC multi-pairing; True iff all valid."""
-
-
-class Groth16Prover:
-    """Full R1CS-backed prover (see :class:`repro.zksnark.groth16.Groth16`)."""
-
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
-        self._inner = Groth16(depth)
-
-    def prove(self, public: RLNPublicInputs, witness: RLNWitness) -> Proof:
-        return self._inner.prove(public, witness)
-
-    def verify(self, public: RLNPublicInputs, proof: Proof) -> bool:
-        return self._inner.verify(public, proof)
-
-    def verify_batch(self, jobs: Sequence[tuple[RLNPublicInputs, Proof]]) -> bool:
-        return self._inner.verify_batch(jobs)
-
-    @property
-    def pairing_counter(self) -> PairingCounter:
-        return self._inner.pairing_counter
-
-    @property
-    def last_prove_seconds(self) -> float:
-        return self._inner.last_prove_seconds
-
-    @property
-    def last_verify_seconds(self) -> float:
-        return self._inner.last_verify_seconds
-
-
-class NativeProver:
+class NativeProver(RLNProver):
     """Statement-equivalent fast prover for large-scale simulations."""
 
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
-        proving_key, verifying_key = setup(depth)
-        self._params = proving_key.params
-        del verifying_key
-        self.last_prove_seconds = 0.0
-        self.last_verify_seconds = 0.0
-        self.pairing_counter = PairingCounter()
-
-    def prove(self, public: RLNPublicInputs, witness: RLNWitness) -> Proof:
-        start = time.perf_counter()
-        self._check_statement(public, witness)
-        statement = public.serialize()
-        a = secrets.token_bytes(32)
-        b = secrets.token_bytes(64)
-        c = _pairing_tag(self._params, statement, a, b)
-        self.last_prove_seconds = time.perf_counter() - start
-        return Proof(a=a, b=b, c=c)
-
-    def verify(self, public: RLNPublicInputs, proof: Proof) -> bool:
-        start = time.perf_counter()
-        ok = single_pairing_check(self._params, public, proof, self.pairing_counter)
-        self.last_verify_seconds = time.perf_counter() - start
-        return ok
-
-    def verify_batch(self, jobs: Sequence[tuple[RLNPublicInputs, Proof]]) -> bool:
-        start = time.perf_counter()
-        ok = batch_pairing_check(self._params, jobs, self.pairing_counter)
-        self.last_verify_seconds = time.perf_counter() - start
-        return ok
-
     def _check_statement(self, public: RLNPublicInputs, witness: RLNWitness) -> None:
-        """Native re-derivation of the three circuit constraints."""
+        """Native re-derivation of the circuit's constraints."""
         sk = witness.identity.sk
+        message_id = witness.message_id
         if witness.merkle_proof.depth != self.depth:
             raise ProvingError(
                 f"witness path depth {witness.merkle_proof.depth} != {self.depth}"
+            )
+        if public.message_limit != self.message_limit:
+            raise ProvingError("limit binding: public message_limit is not the circuit's")
+        if not message_id_in_range(message_id, self.message_limit):
+            raise ProvingError(
+                f"message-id range: {message_id} not spendable under {self.message_limit}"
             )
         if derive_commitment(sk) != witness.merkle_proof.leaf:
             raise ProvingError("membership: leaf is not the commitment of sk")
         if witness.merkle_proof.compute_root() != public.root:
             raise ProvingError("membership: authentication path does not reach root")
-        slope = derive_slope(sk, public.external_nullifier)
+        slope = derive_slope(sk, public.external_nullifier, message_id)
         if sk + slope * public.x != public.y:
-            raise ProvingError("share validity: y != sk + H(sk, epoch) * x")
+            raise ProvingError("share validity: y != sk + a1 * x")
         if derive_internal_nullifier(slope) != public.internal_nullifier:
             raise ProvingError("nullifier correctness: phi mismatch")
 
 
+_BACKENDS: dict[str, type[RLNProver]] = {"native": NativeProver, "groth16": Groth16}
 _SHARED: dict[tuple[int, str], RLNProver] = {}
 
 
@@ -146,12 +68,9 @@ def shared_prover(depth: int, backend: str = "native") -> RLNProver:
     """
     key = (depth, backend)
     if key not in _SHARED:
-        if backend == "native":
-            _SHARED[key] = NativeProver(depth)
-        elif backend == "groth16":
-            _SHARED[key] = Groth16Prover(depth)
-        else:
+        if backend not in _BACKENDS:
             raise ProvingError(f"unknown prover backend {backend!r}")
+        _SHARED[key] = _BACKENDS[backend](depth)
     return _SHARED[key]
 
 

@@ -22,7 +22,8 @@ from repro.core.validator import BundleValidator
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleTree, zero_hashes
 from repro.waku.message import WakuMessage
-from repro.zksnark.prover import Groth16Prover, NativeProver
+from repro.zksnark.groth16 import Groth16
+from repro.zksnark.prover import NativeProver
 
 #: Small depth used by most protocol-level tests (fast, still exercises
 #: multi-level paths).
@@ -65,9 +66,9 @@ def native_prover() -> NativeProver:
 
 
 @pytest.fixture(scope="session")
-def groth16_prover() -> Groth16Prover:
+def groth16_prover() -> Groth16:
     # Depth 4 keeps the R1CS small enough for sub-second proving.
-    return Groth16Prover(4)
+    return Groth16(4)
 
 
 @pytest.fixture()

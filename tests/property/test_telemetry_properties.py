@@ -12,8 +12,9 @@ stream, so merging the snapshots of two disjoint streams must
   addition-reordering rounding for the ``sum``/``value`` accumulators.
 
 Event vocabulary: counter increments, gauge deltas (``add``, the
-mergeable gauge operation), histogram observations — the operations the
-instrumented subsystems actually perform.
+mergeable gauge operation), histogram observations and histograms
+interned without an observation — the operations the instrumented
+subsystems actually perform.
 """
 
 import math
@@ -47,8 +48,16 @@ histogram_events = st.tuples(
     st.sampled_from(LABELS),
     st.floats(min_value=0.0, max_value=20.0, allow_nan=False, allow_infinity=False),
 )
+#: A series interned but never observed — what every eagerly bound
+#: histogram looks like on a peer that recorded nothing.  Its exported
+#: ``min``/``max`` placeholders must not leak into a merge.
+empty_histograms = st.tuples(
+    st.just("intern"), st.sampled_from(NAMES[3:]), st.sampled_from(LABELS), st.none()
+)
 events = st.lists(
-    counter_events | gauge_events | histogram_events, min_size=0, max_size=40
+    counter_events | gauge_events | histogram_events | empty_histograms,
+    min_size=0,
+    max_size=40,
 )
 
 
@@ -58,8 +67,10 @@ def record(registry: MetricsRegistry, stream) -> None:
             registry.counter(name, **labels).inc(value)
         elif kind == "gauge":
             registry.gauge(name, **labels).add(float(value))
-        else:
+        elif kind == "histogram":
             registry.histogram(name, buckets=BUCKETS, **labels).observe(value)
+        else:
+            registry.histogram(name, buckets=BUCKETS, **labels)
 
 
 def snap(stream) -> TelemetrySnapshot:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.field import FieldElement
 from repro.crypto.merkle import MerkleProof, MerkleTree
-from repro.treesync import ShardedMerkleForest, WitnessProvider
+from repro.treesync import ShardedMerkleForest, splice
 from repro.witness import verify_witness
 
 DEPTH = 6
@@ -38,6 +38,15 @@ class OneRootWindow:
         return root == self.root
 
 
+def spliced_witness(forest, index):
+    """What a peer holding only a shard and the top tree assembles."""
+    return splice(
+        forest.shard_proof(index),
+        forest.top_proof(forest.shard_of(index)),
+        hasher=forest.node_hasher,
+    )
+
+
 def build(values):
     leaves = [FieldElement(v) for v in values]
     flat = MerkleTree.from_leaves(leaves, depth=DEPTH)
@@ -51,9 +60,8 @@ def build(values):
 @given(values=leaves_strategy, data=st.data())
 def test_served_witness_is_node_identical_to_flat_proof(values, data):
     flat, forest = build(values)
-    provider = WitnessProvider(forest)
     index = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
-    served = provider.witness(index)
+    served = spliced_witness(forest, index)
     assert served == flat.proof(index)
     assert verify_witness(
         served,
@@ -67,9 +75,8 @@ def test_served_witness_is_node_identical_to_flat_proof(values, data):
 @given(values=leaves_strategy, data=st.data())
 def test_tampered_sibling_is_always_rejected(values, data):
     flat, forest = build(values)
-    provider = WitnessProvider(forest)
     index = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
-    served = provider.witness(index)
+    served = spliced_witness(forest, index)
     level = data.draw(st.integers(min_value=0, max_value=DEPTH - 1))
     delta = data.draw(st.integers(min_value=1, max_value=2**32))
     siblings = list(served.siblings)
@@ -95,7 +102,6 @@ def test_substituted_index_is_always_rejected(values, data):
     """A server answering with *another member's* perfectly valid witness
     must still be rejected: the path is bound to the requested slot."""
     flat, forest = build(values)
-    provider = WitnessProvider(forest)
     index = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
     other = data.draw(
         st.integers(min_value=0, max_value=len(values) - 1).filter(
@@ -106,7 +112,7 @@ def test_substituted_index_is_always_rejected(values, data):
     )
     if other is None:
         return  # single-member tree has no other slot to substitute
-    substituted = provider.witness(other)
+    substituted = spliced_witness(forest, other)
     assert not verify_witness(
         substituted,
         index=index,
@@ -123,9 +129,8 @@ def test_stale_root_is_always_rejected(values, extra, data):
     if extra in values:
         extra += 2**64
     flat, forest = build(values)
-    provider = WitnessProvider(forest)
     index = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
-    stale = provider.witness(index)
+    stale = spliced_witness(forest, index)
     # The tree moves on: a registration lands after the witness was cut.
     flat.append(FieldElement(extra))
     forest.append(FieldElement(extra))

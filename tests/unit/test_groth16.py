@@ -49,6 +49,13 @@ class TestSetup:
         with pytest.raises(SetupError):
             Groth16(DEPTH, proving_key=pk1, verifying_key=vk2)
 
+    def test_keys_of_another_circuit_rejected(self):
+        pk, vk = setup(DEPTH)
+        for depth, limit in ((DEPTH + 1, None), (DEPTH, 4)):
+            with pytest.raises(SetupError):
+                Groth16(depth, limit, proving_key=pk, verifying_key=vk)
+        assert Groth16(DEPTH, proving_key=pk, verifying_key=vk).depth == DEPTH
+
     def test_partial_keys_rejected(self):
         pk, _ = setup(DEPTH)
         with pytest.raises(SetupError):

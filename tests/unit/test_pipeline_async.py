@@ -151,6 +151,26 @@ class TestPriorityClasses:
         simulator.run_until_idle()
         assert order == ["relay-1", "relay-2", "service"]
 
+    def test_two_service_paths_share_one_in_flight_table(self, rln_env):
+        # A peer's store, filter and lightpush nodes each ask the pipeline
+        # for "the" checker; the same proof arriving on two of them before
+        # the first verdict lands must cost one pairing job, not two.
+        pipeline, simulator = make_pipeline(rln_env, workers=1)
+        store_path, lightpush_path = pipeline.shared_checker(), pipeline.shared_checker()
+        assert store_path is lightpush_path
+        bundle = rln_env.make_message(b"raced").rate_limit_proof
+        counter = rln_env.prover.pairing_counter
+        counter.reset()
+        submitted = pipeline.executor.stats.jobs_submitted
+        first = store_path.check_deferred(bundle)
+        second = lightpush_path.check_deferred(bundle)
+        assert not first.resolved and not second.resolved
+        simulator.run_until_idle()
+        assert first.value is True and second.value is True
+        assert pipeline.executor.stats.jobs_submitted - submitted == 1
+        assert counter.evaluations == 4
+        assert store_path.joined_in_flight == 1 and store_path.verified == 1
+
     def test_service_cache_hit_skips_the_queue(self, rln_env):
         pipeline, simulator = make_pipeline(rln_env, workers=1)
         checker = pipeline.shared_checker()

@@ -2,49 +2,114 @@
 
 DESIGN.md's substitution 1 claims the native backend accepts and rejects
 exactly the same (statement, witness) pairs as the full R1CS pipeline.
-These tests check that claim case by case.
+These tests check that claim case by case, under both parameterisations
+of the one statement: the paper's (``message_limit=None``) and RLN-v2's.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.crypto.field import FieldElement
-from repro.crypto.identity import Identity
+from repro.crypto.identity import Identity, derive_internal_nullifier, derive_slope
 from repro.crypto.merkle import MerkleTree
 from repro.errors import ProvingError
-from repro.zksnark.prover import (
-    Groth16Prover,
-    NativeProver,
-    reset_shared_provers,
-    shared_prover,
-)
-from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness
+from repro.net.simulator import Simulator
+from repro.pipeline.batch_verifier import BatchVerifier
+from repro.zksnark.groth16 import Groth16, Proof, setup
+from repro.zksnark.prover import NativeProver, reset_shared_provers, shared_prover
+from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness, circuit_shape
 
 DEPTH = 4
+LIMITS = (None, 4)
+EPOCH = FieldElement(42)
 
 
 @pytest.fixture(scope="module")
-def provers():
-    return Groth16Prover(DEPTH), NativeProver(DEPTH)
+def systems():
+    """Both backends under each parameterisation of the one statement."""
+    return {limit: (Groth16(DEPTH, limit), NativeProver(DEPTH, limit)) for limit in LIMITS}
 
 
-@pytest.fixture()
-def case():
+@pytest.fixture(scope="module")
+def provers(systems):
+    return systems[None]
+
+
+def make_case(limit, *, message_id=None, payload=b"msg"):
+    """An honest (statement, witness) pair; id 1 of ``limit`` unless given."""
+    if limit is not None and message_id is None:
+        message_id = 1
     identity = Identity.from_secret(2024)
     tree = MerkleTree(depth=DEPTH)
     tree.insert(FieldElement(5))
     index = tree.insert(identity.pk)
-    witness = RLNWitness(identity=identity, merkle_proof=tree.proof(index))
-    public = RLNPublicInputs.for_message(identity, b"msg", FieldElement(42), tree.root)
+    witness = RLNWitness(
+        identity=identity, merkle_proof=tree.proof(index), message_id=message_id
+    )
+    public = RLNPublicInputs.for_message(
+        identity, payload, EPOCH, tree.root, message_id=message_id, message_limit=limit
+    )
     return public, witness
 
 
+@pytest.fixture()
+def case():
+    return make_case(None)
+
+
 def tamper(public: RLNPublicInputs, field: str) -> RLNPublicInputs:
-    kwargs = {
-        name: getattr(public, name)
-        for name in ("x", "external_nullifier", "y", "internal_nullifier", "root")
-    }
-    kwargs[field] = kwargs[field] + 1
-    return RLNPublicInputs(**kwargs)
+    return dataclasses.replace(public, **{field: getattr(public, field) + 1})
+
+
+def accepts(prover, public, witness) -> bool:
+    try:
+        proof = prover.prove(public, witness)
+    except ProvingError:
+        return False
+    return prover.verify(public, proof)
+
+
+def wrong_leaf(public, witness):
+    # The path of the *other* member's leaf, under this member's key.
+    # (RLNWitness refuses to be built that way, hence the setattr.)
+    tree = MerkleTree(depth=DEPTH)
+    other = tree.insert(FieldElement(5))
+    tree.insert(witness.identity.pk)
+    forged = dataclasses.replace(witness)
+    object.__setattr__(forged, "merkle_proof", tree.proof(other))
+    return public, forged
+
+
+def id_at_limit(public, witness):
+    # Publics derived honestly for id = limit: only the range check can object.
+    limit = public.message_limit
+    sk = witness.identity.sk
+    slope = derive_slope(sk, public.external_nullifier, limit)
+    spent = dataclasses.replace(
+        public,
+        y=sk + slope * public.x,
+        internal_nullifier=derive_internal_nullifier(slope),
+    )
+    return spent, dataclasses.replace(witness, message_id=limit)
+
+
+#: fault name -> (applies to v1?, (public, witness) -> (public, witness))
+FAULTS = {
+    "honest": (True, lambda public, witness: (public, witness)),
+    "wrong-leaf": (True, wrong_leaf),
+    "wrong-root": (True, lambda public, witness: (tamper(public, "root"), witness)),
+    "wrong-share": (True, lambda public, witness: (tamper(public, "y"), witness)),
+    "wrong-nullifier": (
+        True,
+        lambda public, witness: (tamper(public, "internal_nullifier"), witness),
+    ),
+    "id-at-limit": (False, id_at_limit),
+    "wrong-limit": (
+        False,
+        lambda public, witness: (tamper(public, "message_limit"), witness),
+    ),
+}
 
 
 class TestEquivalence:
@@ -53,6 +118,23 @@ class TestEquivalence:
         for prover in provers:
             proof = prover.prove(public, witness)
             assert prover.verify(public, proof)
+
+    @pytest.mark.parametrize(
+        "message_limit, fault",
+        [
+            (limit, fault)
+            for limit in LIMITS
+            for fault, (applies_to_v1, _) in FAULTS.items()
+            if applies_to_v1 or limit is not None
+        ],
+    )
+    def test_same_accept_reject_set(self, systems, message_limit, fault):
+        _, corrupt = FAULTS[fault]
+        public, witness = corrupt(*make_case(message_limit))
+        circuit, native = systems[message_limit]
+        expected = fault == "honest"
+        assert accepts(circuit, public, witness) is expected
+        assert accepts(native, public, witness) is expected
 
     @pytest.mark.parametrize(
         "field", ["x", "external_nullifier", "y", "internal_nullifier", "root"]
@@ -95,6 +177,109 @@ class TestEquivalence:
             for field in ("x", "external_nullifier", "y", "internal_nullifier", "root"):
                 assert not prover.verify(tamper(public, field), proof)
 
+    def test_id_and_limit_come_together(self, systems):
+        # A v1 witness under a limit, and a message id without one, are not
+        # statements of either circuit.
+        v1_public, v1_witness = make_case(None)
+        v2_public, v2_witness = make_case(4)
+        for limit, public, witness in (
+            (4, v2_public, v1_witness),
+            (None, v1_public, v2_witness),
+        ):
+            for prover in systems[limit]:
+                with pytest.raises(ProvingError):
+                    prover.prove(public, witness)
+
+    @pytest.mark.parametrize("backend", [Groth16, NativeProver])
+    def test_proofs_do_not_cross_parameterisations(self, backend):
+        # Different set-up (the circuit tag differs) and different
+        # serialisation: neither proof means anything to the other verifier.
+        v1, v2 = backend(DEPTH), backend(DEPTH, 4)
+        v1_public, v1_witness = make_case(None)
+        v2_public, v2_witness = make_case(4)
+        v1_proof = v1.prove(v1_public, v1_witness)
+        v2_proof = v2.prove(v2_public, v2_witness)
+        assert v1.verify(v1_public, v1_proof) and v2.verify(v2_public, v2_proof)
+        assert not v2.verify(v1_public, v1_proof)
+        assert not v2.verify(dataclasses.replace(v1_public, message_limit=4), v1_proof)
+        assert not v1.verify(v2_public, v2_proof)
+        assert not v1.verify(dataclasses.replace(v2_public, message_limit=None), v2_proof)
+
+
+class TestPinnedArtefacts:
+    """The merge moved no bit of what a deployment's keys are derived from."""
+
+    @pytest.mark.parametrize(
+        "depth, expected",
+        [(4, (1659, 1667, 5)), (8, (2639, 2651, 5)), (20, (5579, 5603, 5))],
+    )
+    def test_v1_shape(self, depth, expected):
+        shape = circuit_shape(depth)
+        assert (shape.num_constraints, shape.num_variables, shape.num_public) == expected
+
+    @pytest.mark.parametrize("limit", [1, 4, 256])
+    def test_v2_shape_is_the_same_for_every_limit(self, limit):
+        shape = circuit_shape(8, limit)
+        assert (shape.num_constraints, shape.num_variables, shape.num_public) == (
+            2695,
+            2706,
+            6,
+        )
+
+    def test_circuit_tags(self):
+        assert setup(8)[0].params.circuit_tag == b"rln-depth8-c2639-v2651-p5"
+        assert setup(8, 4)[0].params.circuit_tag == b"rln-depth8-c2695-v2706-p6"
+
+    def test_serialisation_bytes(self):
+        fields = [FieldElement(n) for n in (1, 2, 3, 4, 5)]
+        v1 = b"".join(n.to_bytes(32, "big") for n in (1, 2, 3, 4, 5))
+        assert RLNPublicInputs(*fields).serialize() == v1
+        assert RLNPublicInputs(*fields, message_limit=6).serialize() == (
+            b"v2" + v1 + (6).to_bytes(32, "big")
+        )
+
+
+class TestSkeleton:
+    """What every backend gets from the shared prove/verify body."""
+
+    @pytest.mark.parametrize("message_limit", LIMITS)
+    def test_timing_counters_update(self, systems, message_limit):
+        public, witness = make_case(message_limit)
+        for prover in systems[message_limit]:
+            prover.last_prove_seconds = prover.last_verify_seconds = 0.0
+            proof = prover.prove(public, witness)
+            assert prover.last_prove_seconds > 0
+            assert prover.verify(public, proof)
+            assert prover.last_verify_seconds > 0
+            prover.last_verify_seconds = 0.0
+            assert prover.verify_batch([(public, proof)] * 2)
+            assert prover.last_verify_seconds > 0
+
+    def test_limited_prover_enters_the_batch_verifier(self, systems):
+        _, prover = systems[4]
+        jobs = []
+        for message_id in range(4):
+            public, witness = make_case(
+                4, message_id=message_id, payload=b"msg-%d" % message_id
+            )
+            jobs.append((public, prover.prove(public, witness)))
+        forged_at = 2
+        jobs[forged_at] = (jobs[forged_at][0], Proof(a=bytes(32), b=bytes(64), c=bytes(32)))
+        prover.pairing_counter.reset()
+        assert not prover.verify_batch(jobs)
+        assert prover.pairing_counter.evaluations == 4 + 3
+
+        prover.pairing_counter.reset()
+        verifier = BatchVerifier(prover, Simulator(), batch_size=4)
+        verdicts: dict[int, bool] = {}
+        for index, (public, proof) in enumerate(jobs):
+            verifier.submit(
+                public, proof, lambda ok, index=index: verdicts.__setitem__(index, ok)
+            )
+        assert verdicts == {0: True, 1: True, 2: False, 3: True}
+        assert verifier.stats.forged_indices == [forged_at]
+        assert prover.pairing_counter.evaluations == 4 + 3 + 4 * 4
+
 
 class TestSharedRegistry:
     def test_singleton_per_depth_and_backend(self):
@@ -104,6 +289,11 @@ class TestSharedRegistry:
         assert a is b
         c = shared_prover(DEPTH + 1, "native")
         assert c is not a
+
+    def test_groth16_backend_is_the_circuit_prover(self):
+        reset_shared_provers()
+        assert type(shared_prover(DEPTH, "groth16")) is Groth16
+        reset_shared_provers()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ProvingError):

@@ -15,8 +15,11 @@ The guarantees the alerting stack leans on:
   watching one series share one ring).
 """
 
+import itertools
+
 import pytest
 
+from repro.telemetry.export import TelemetrySnapshot
 from repro.telemetry.query import (
     ANY,
     BadFraction,
@@ -139,6 +142,23 @@ def test_merge_histograms_adds_buckets():
     assert merged["count"] == 7
     assert merged["max"] == 9.0
     assert merged["min"] == 0.1
+
+
+def test_an_empty_side_contributes_neither_min_nor_max():
+    # An eagerly interned series that observed nothing exports min = max
+    # = 0.0; those are placeholders, not observations, whichever side of
+    # whichever merge entry point they arrive on.
+    key = metric_key("lat", {})
+    empty = histogram("lat", [1.0, 5.0], [0, 0, 0])
+    busy = histogram("lat", [1.0, 5.0], [2, 1, 0], sum_=2.1, mn=0.3, mx=1.5)
+    for order in itertools.permutations([empty, busy, empty]):
+        merged = merge_histograms(order)
+        assert (merged["min"], merged["max"], merged["count"]) == (0.3, 1.5, 3)
+    snap_empty = TelemetrySnapshot.from_collected({key: empty})
+    snap_busy = TelemetrySnapshot.from_collected({key: busy})
+    assert snap_empty.merge(snap_busy) == snap_busy.merge(snap_empty) == snap_busy
+    both_empty = snap_empty.merge(snap_empty).data[key]
+    assert (both_empty["min"], both_empty["max"], both_empty["count"]) == (0.0, 0.0, 0)
 
 
 def test_merge_histograms_rejects_mismatched_bounds():

@@ -5,19 +5,18 @@ import pytest
 from repro.core.nullifier_log import NullifierLog, NullifierOutcome
 from repro.crypto.field import FieldElement
 from repro.crypto.hashing import hash_message_to_field
-from repro.crypto.identity import Identity
+from repro.crypto.identity import Identity, derive_internal_nullifier, derive_slope
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.shamir import recover_secret
+from repro.crypto.shamir import Share, recover_secret
 from repro.errors import ProvingError, SnarkError
-from repro.zksnark.prover_v2 import Groth16ProverV2, NativeProverV2
-from repro.zksnark.rln_v2_circuit import (
-    RLNv2PublicInputs,
-    RLNv2Witness,
-    circuit_shape_v2,
-    derive_slope_v2,
-    synthesize_v2,
+from repro.zksnark.groth16 import Groth16
+from repro.zksnark.prover import NativeProver
+from repro.zksnark.rln_circuit import (
+    RLNPublicInputs,
+    RLNWitness,
+    circuit_shape,
+    synthesize,
 )
-from repro.zksnark.rln_circuit import circuit_shape
 
 DEPTH = 4
 LIMIT = 3
@@ -33,7 +32,7 @@ def member():
 
 
 def publics_for(identity, tree, payload, message_id, limit=LIMIT):
-    return RLNv2PublicInputs.for_message(
+    return RLNPublicInputs.for_message(
         identity, payload, EPOCH, tree.root, message_id=message_id, message_limit=limit
     )
 
@@ -41,12 +40,12 @@ def publics_for(identity, tree, payload, message_id, limit=LIMIT):
 class TestDerivations:
     def test_distinct_ids_give_distinct_slopes(self):
         sk = FieldElement(5)
-        slopes = {derive_slope_v2(sk, EPOCH, i).value for i in range(4)}
+        slopes = {derive_slope(sk, EPOCH, i).value for i in range(4)}
         assert len(slopes) == 4
 
     def test_slope_depends_on_epoch(self):
         sk = FieldElement(5)
-        assert derive_slope_v2(sk, EPOCH, 0) != derive_slope_v2(sk, EPOCH + 1, 0)
+        assert derive_slope(sk, EPOCH, 0) != derive_slope(sk, EPOCH + 1, 0)
 
     def test_message_id_out_of_range_rejected(self, member):
         identity, tree, _ = member
@@ -58,33 +57,31 @@ class TestCircuit:
     def test_honest_witness_satisfies(self, member):
         identity, tree, proof = member
         public = publics_for(identity, tree, b"hello", message_id=1)
-        witness = RLNv2Witness(identity=identity, merkle_proof=proof, message_id=1)
-        cs = synthesize_v2(DEPTH, LIMIT, public=public, witness=witness)
+        witness = RLNWitness(identity=identity, merkle_proof=proof, message_id=1)
+        cs = synthesize(DEPTH, public, witness, message_limit=LIMIT)
         cs.check_satisfied()
 
     def test_message_id_at_limit_violates(self, member):
         identity, tree, proof = member
         # Build publics as if the id were legal, witness uses id = LIMIT.
-        slope = derive_slope_v2(identity.sk, EPOCH, LIMIT)
+        slope = derive_slope(identity.sk, EPOCH, LIMIT)
         x = hash_message_to_field(b"m")
-        from repro.zksnark.rln_v2_circuit import derive_nullifier_v2
-
-        public = RLNv2PublicInputs(
+        public = RLNPublicInputs(
             x=x,
             external_nullifier=EPOCH,
             y=identity.sk + slope * x,
-            internal_nullifier=derive_nullifier_v2(slope),
+            internal_nullifier=derive_internal_nullifier(slope),
             root=tree.root,
             message_limit=LIMIT,
         )
-        witness = RLNv2Witness(identity=identity, merkle_proof=proof, message_id=LIMIT)
-        cs = synthesize_v2(DEPTH, LIMIT, public=public, witness=witness)
+        witness = RLNWitness(identity=identity, merkle_proof=proof, message_id=LIMIT)
+        cs = synthesize(DEPTH, public, witness, message_limit=LIMIT)
         assert not cs.is_satisfied()
 
     def test_wrong_limit_public_input_violates(self, member):
         identity, tree, proof = member
         public = publics_for(identity, tree, b"m", message_id=0)
-        lax = RLNv2PublicInputs(
+        lax = RLNPublicInputs(
             x=public.x,
             external_nullifier=public.external_nullifier,
             y=public.y,
@@ -92,31 +89,35 @@ class TestCircuit:
             root=public.root,
             message_limit=LIMIT + 5,
         )
-        witness = RLNv2Witness(identity=identity, merkle_proof=proof, message_id=0)
+        witness = RLNWitness(identity=identity, merkle_proof=proof, message_id=0)
         with pytest.raises(ProvingError):
-            synthesize_v2(DEPTH, LIMIT, public=lax, witness=witness)
+            synthesize(DEPTH, lax, witness, message_limit=LIMIT)
 
     def test_shape_larger_than_v1(self):
         # Range check + 3-input Poseidon cost extra constraints.
         assert (
-            circuit_shape_v2(DEPTH, LIMIT).num_constraints
+            circuit_shape(DEPTH, LIMIT).num_constraints
             > circuit_shape(DEPTH).num_constraints
         )
 
     def test_invalid_limit_rejected(self):
         with pytest.raises(SnarkError):
-            synthesize_v2(DEPTH, 0)
+            synthesize(DEPTH, message_limit=0)
         with pytest.raises(SnarkError):
-            synthesize_v2(DEPTH, 1 << 20)
+            synthesize(DEPTH, message_limit=1 << 20)
 
 
-@pytest.mark.parametrize("backend", [NativeProverV2, Groth16ProverV2])
+# Explicit ids: the bare class names are test_prover_backends' ids for the
+# paper's statement; these name the same two backends *under a limit*.
+@pytest.mark.parametrize(
+    "backend", [NativeProver, Groth16], ids=["NativeProverV2", "Groth16ProverV2"]
+)
 class TestProvers:
     @pytest.fixture(scope="class")
     def provers(self):
         return {
-            NativeProverV2: NativeProverV2(DEPTH, LIMIT),
-            Groth16ProverV2: Groth16ProverV2(DEPTH, LIMIT),
+            NativeProver: NativeProver(DEPTH, LIMIT),
+            Groth16: Groth16(DEPTH, LIMIT),
         }
 
     def test_n_messages_per_epoch_all_verify(self, backend, provers, member):
@@ -126,7 +127,7 @@ class TestProvers:
         for message_id in range(LIMIT):
             payload = b"msg-%d" % message_id
             public = publics_for(identity, tree, payload, message_id)
-            witness = RLNv2Witness(
+            witness = RLNWitness(
                 identity=identity, merkle_proof=proof, message_id=message_id
             )
             zkp = prover.prove(public, witness)
@@ -138,19 +139,17 @@ class TestProvers:
     def test_overspending_id_unprovable(self, backend, provers, member):
         identity, tree, proof = member
         prover = provers[backend]
-        slope = derive_slope_v2(identity.sk, EPOCH, LIMIT + 1)
+        slope = derive_slope(identity.sk, EPOCH, LIMIT + 1)
         x = hash_message_to_field(b"over")
-        from repro.zksnark.rln_v2_circuit import derive_nullifier_v2
-
-        public = RLNv2PublicInputs(
+        public = RLNPublicInputs(
             x=x,
             external_nullifier=EPOCH,
             y=identity.sk + slope * x,
-            internal_nullifier=derive_nullifier_v2(slope),
+            internal_nullifier=derive_internal_nullifier(slope),
             root=tree.root,
             message_limit=LIMIT,
         )
-        witness = RLNv2Witness(
+        witness = RLNWitness(
             identity=identity, merkle_proof=proof, message_id=LIMIT + 1
         )
         with pytest.raises(ProvingError):
@@ -161,15 +160,16 @@ class TestProvers:
         prover = provers[backend]
         log = NullifierLog()
         epoch_number = 54_827_003
-        shares = []
         for payload in (b"first", b"second"):
             public = publics_for(identity, tree, payload, message_id=1)
-            witness = RLNv2Witness(identity=identity, merkle_proof=proof, message_id=1)
+            witness = RLNWitness(identity=identity, merkle_proof=proof, message_id=1)
             assert prover.verify(public, prover.prove(public, witness))
             outcome, evidence = log.observe(
-                epoch_number, public.internal_nullifier, public.share, payload
+                epoch_number,
+                public.internal_nullifier,
+                Share(x=public.x, y=public.y),
+                payload,
             )
-            shares.append(public.share)
         assert outcome is NullifierOutcome.SPAM
         assert recover_secret(evidence.share_a, evidence.share_b) == identity.sk
 
@@ -177,9 +177,9 @@ class TestProvers:
         identity, tree, proof = member
         prover = provers[backend]
         public = publics_for(identity, tree, b"m", message_id=0)
-        witness = RLNv2Witness(identity=identity, merkle_proof=proof, message_id=0)
+        witness = RLNWitness(identity=identity, merkle_proof=proof, message_id=0)
         zkp = prover.prove(public, witness)
-        forged = RLNv2PublicInputs(
+        forged = RLNPublicInputs(
             x=public.x,
             external_nullifier=public.external_nullifier,
             y=public.y,

@@ -11,7 +11,7 @@ import pytest
 from repro.crypto.field import FieldElement, ZERO
 from repro.crypto.merkle import MerkleTree
 from repro.errors import MerkleError, TreeFullError
-from repro.treesync import ShardedMerkleForest, WitnessProvider, splice
+from repro.treesync import ShardedMerkleForest, splice
 from tests.conftest import two_level_reference
 
 DEPTH = 6
@@ -162,10 +162,25 @@ class TestProofs:
         _, forest = build_pair()
         for value in range(1, 10):
             forest.append(FieldElement(value))
-        provider = WitnessProvider(forest)
-        witness = provider.witness_for(FieldElement(5))
+        index = forest.find(FieldElement(5))
+        witness = splice(
+            forest.shard_proof(index),
+            forest.top_proof(forest.shard_of(index)),
+            hasher=forest.node_hasher,
+        )
         assert witness.verify(forest.root)
-        assert provider.served == 1
+
+    def test_splice_folds_with_the_forest_hasher(self):
+        def cheap(left, right):
+            return FieldElement(left.value * 3 + right.value * 5 + 1)
+
+        forest = ShardedMerkleForest(depth=6, shard_depth=2, hasher=cheap)
+        for value in range(1, 10):
+            forest.append(FieldElement(value))
+        halves = forest.shard_proof(6), forest.top_proof(forest.shard_of(6))
+        assert splice(*halves, hasher=forest.node_hasher) == forest.proof(6)
+        with pytest.raises(MerkleError):
+            splice(*halves)  # the default fold reaches another shard root
 
 
 class TestLazyMaterialization:
