@@ -24,14 +24,16 @@ offset  size  field
 ...     32    tree root tau
 ...     128   proof pi (A || B || C)
 ```
+
+Written and read through :mod:`repro.codec`: field elements must be
+canonical, unknown flag bits and trailing bytes are refused, and every
+malformed input is one :class:`~repro.errors.ProtocolError`.
 """
 
 from __future__ import annotations
 
-import struct
-
+from repro.codec import Reader, Writer
 from repro.core.messages import RateLimitProof
-from repro.crypto.field import FieldElement
 from repro.errors import ProtocolError
 from repro.waku.message import WakuMessage
 from repro.zksnark.groth16 import PROOF_SIZE, Proof
@@ -48,11 +50,8 @@ PROOF_SECTION_SIZE = 32 * 4 + 8 + PROOF_SIZE
 def encode_message(message: WakuMessage) -> bytes:
     """Serialize a WakuMessage (with optional rate-limit proof) to bytes."""
     payload = message.payload
-    topic = message.content_topic.encode("utf-8")
     if len(payload) > 0xFFFFFFFF:
         raise ProtocolError("payload too large for wire format")
-    if len(topic) > 0xFFFF:
-        raise ProtocolError("content topic too long for wire format")
     flags = 0
     if message.ephemeral:
         flags |= _FLAG_EPHEMERAL
@@ -61,77 +60,43 @@ def encode_message(message: WakuMessage) -> bytes:
         raise ProtocolError("wire format only carries RateLimitProof bundles")
     if proof is not None:
         flags |= _FLAG_PROOF
-    timestamp_ms = max(0, int(message.timestamp * 1000))
-    head = struct.pack(
-        f">HI{len(payload)}sH{len(topic)}sQB",
-        WIRE_VERSION,
-        len(payload),
-        payload,
-        len(topic),
-        topic,
-        timestamp_ms,
-        flags,
-    )
-    if proof is None:
-        return head
-    body = (
-        proof.share_x.to_bytes()
-        + proof.share_y.to_bytes()
-        + proof.internal_nullifier.to_bytes()
-        + struct.pack(">Q", proof.epoch)
-        + proof.root.to_bytes()
-        + proof.proof.serialize()
-    )
-    return head + body
+    w = Writer()
+    w.pack(">HI", WIRE_VERSION, len(payload))
+    w.raw(payload)
+    w.str(message.content_topic)
+    w.pack(">QB", max(0, int(message.timestamp * 1000)), flags)
+    if proof is not None:
+        w.field(proof.share_x)
+        w.field(proof.share_y)
+        w.field(proof.internal_nullifier)
+        w.pack(">Q", proof.epoch)
+        w.field(proof.root)
+        w.raw(proof.proof.serialize())
+    return w.getvalue()
 
 
 def decode_message(data: bytes) -> WakuMessage:
     """Parse bytes produced by :func:`encode_message`."""
-    try:
-        (version, payload_length) = struct.unpack_from(">HI", data, 0)
-        if version != WIRE_VERSION:
-            raise ProtocolError(f"unsupported wire version {version}")
-        offset = 6
-        payload = data[offset : offset + payload_length]
-        if len(payload) != payload_length:
-            raise ProtocolError("truncated payload")
-        offset += payload_length
-        (topic_length,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        topic_bytes = data[offset : offset + topic_length]
-        if len(topic_bytes) != topic_length:
-            raise ProtocolError("truncated content topic")
-        try:
-            topic = topic_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"content topic is not valid utf-8: {exc}") from exc
-        offset += topic_length
-        (timestamp_ms, flags) = struct.unpack_from(">QB", data, offset)
-        offset += 9
-    except struct.error as exc:
-        raise ProtocolError(f"malformed wire message: {exc}") from exc
-
+    r = Reader(data)
+    version, payload_length = r.unpack(">HI")
+    if version != WIRE_VERSION:
+        raise ProtocolError(f"unsupported wire version {version}")
+    payload = r.raw(payload_length)
+    topic = r.str()
+    timestamp_ms, flags = r.unpack(">QB")
+    if flags & ~(_FLAG_EPHEMERAL | _FLAG_PROOF):
+        raise ProtocolError(f"unknown flag bits {flags:#04x}")
     proof = None
     if flags & _FLAG_PROOF:
-        section = data[offset : offset + PROOF_SECTION_SIZE]
-        if len(section) != PROOF_SECTION_SIZE:
-            raise ProtocolError("truncated proof section")
-        share_x = FieldElement.from_bytes(section[0:32])
-        share_y = FieldElement.from_bytes(section[32:64])
-        nullifier = FieldElement.from_bytes(section[64:96])
-        (epoch,) = struct.unpack_from(">Q", section, 96)
-        root = FieldElement.from_bytes(section[104:136])
         proof = RateLimitProof(
-            share_x=share_x,
-            share_y=share_y,
-            internal_nullifier=nullifier,
-            epoch=epoch,
-            root=root,
-            proof=Proof.deserialize(section[136:]),
+            share_x=r.field(),
+            share_y=r.field(),
+            internal_nullifier=r.field(),
+            epoch=r.unpack(">Q")[0],
+            root=r.field(),
+            proof=Proof.deserialize(r.raw(PROOF_SIZE)),
         )
-        offset += PROOF_SECTION_SIZE
-    if offset != len(data):
-        raise ProtocolError(f"{len(data) - offset} trailing bytes after message")
+    r.end()
     return WakuMessage(
         payload=payload,
         content_topic=topic,

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.codec import size_of
+
 _ENVELOPE_OVERHEAD = 16
 _ID_SIZE = 32
 
@@ -34,11 +36,7 @@ class PubSubMessage:
     payload: Any
 
     def byte_size(self) -> int:
-        inner = getattr(self.payload, "byte_size", None)
-        if callable(inner):
-            size = int(inner())
-        else:
-            size = len(self.payload)
+        size = size_of(self.payload, 64)
         return _ENVELOPE_OVERHEAD + _ID_SIZE + len(self.topic) + size
 
 

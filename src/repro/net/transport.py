@@ -15,6 +15,7 @@ from typing import Any, Callable
 
 import networkx as nx
 
+from repro.codec import size_of
 from repro.errors import NotConnected, UnknownPeer
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.simulator import Simulator
@@ -161,7 +162,7 @@ class Network:
             raise UnknownPeer(f"unknown endpoint in {src!r} -> {dst!r}")
         if require_edge and not self.graph.has_edge(src, dst):
             raise NotConnected(f"{src!r} and {dst!r} are not neighbors")
-        size = _payload_size(payload)
+        size = size_of(payload, 64)  # 64: flat control-message overhead
         self.stats[src].record_send(size, protocol=protocol)
         if self.drop_probability and self.rng.random() < self.drop_probability:
             return
@@ -214,13 +215,3 @@ class Network:
             for protocol, traffic in stats.per_protocol.items():
                 out[protocol] = out.get(protocol, 0) + traffic.bytes_sent
         return dict(sorted(out.items()))
-
-
-def _payload_size(payload: Any) -> int:
-    byte_size = getattr(payload, "byte_size", None)
-    if callable(byte_size):
-        return int(byte_size())
-    try:
-        return len(payload)
-    except TypeError:
-        return 64  # flat control-message overhead

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
+from repro.codec import size_of
 from repro.crypto.hashing import tagged_sha256
 from repro.errors import NetworkError
 from repro.net.request import RequestDispatcher, RequestFailure
@@ -88,9 +89,7 @@ class StoreValue:
     version: int
 
     def byte_size(self) -> int:
-        inner = getattr(self.value, "byte_size", None)
-        size = int(inner()) if callable(inner) else 64
-        return 48 + len(self.key) + size
+        return 48 + len(self.key) + size_of(self.value, 64)
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,7 @@ class FoundValue:
     contacts: tuple[str, ...]
 
     def byte_size(self) -> int:
-        inner = getattr(self.value, "byte_size", None)
-        size = int(inner()) if callable(inner) else 64
+        size = size_of(self.value, 64)
         return 48 + len(self.key) + size + sum(len(c) for c in self.contacts)
 
 

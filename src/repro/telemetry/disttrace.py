@@ -38,6 +38,9 @@ waits, pairing service time), not Python wall time.
   deliveries, the end-to-end critical path, and fleet p50/p99
   publish→verdict latency *per assembled trace*.
 
+The two wire types declare their byte layouts on :mod:`repro.codec`
+(``_write`` / ``_read``), like every other encoded artefact.
+
 Like the registry, the tracer has a no-op twin
 (:data:`NULL_DISTTRACER` / :data:`NULL_TRACE`) so instrumentation is
 unconditional and a disabled run does no work and allocates nothing.
@@ -48,11 +51,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-import struct
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from repro.codec import Reader, Wire, Writer
 from repro.errors import ProtocolError
 from repro.telemetry.registry import (
     Counter,
@@ -72,30 +75,11 @@ NO_PARENT = 0
 Marks = tuple[tuple[str, float], ...]
 
 
-def encode_str(value: str) -> bytes:
-    data = value.encode("utf-8")
-    if len(data) > 0xFFFF:
-        raise ProtocolError(f"string too long for wire ({len(data)} bytes)")
-    return struct.pack(">H", len(data)) + data
-
-
-def decode_str(data: bytes, offset: int) -> tuple[str, int]:
-    try:
-        (length,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        end = offset + length
-        if end > len(data):
-            raise ProtocolError("truncated string")
-        return data[offset:end].decode("utf-8"), end
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"malformed string: {exc}") from exc
-
-
 # -- wire types ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SpanContext:
+class SpanContext(Wire):
     """The on-the-wire trace context: who to hang the next span under.
 
     ``span_id`` is the *sender's* span (the causal parent of whatever the
@@ -111,35 +95,24 @@ class SpanContext:
     def child_hop(self) -> int:
         return self.hop + 1
 
-    def to_bytes(self) -> bytes:
-        return (
-            self.trace_id.to_bytes(16, "big")
-            + struct.pack(">QH", self.span_id, self.hop)
-            + encode_str(self.origin)
-        )
+    def _write(self, w: Writer) -> None:
+        w.raw(self.trace_id.to_bytes(16, "big"))
+        w.pack(">QH", self.span_id, self.hop)
+        w.str(self.origin)
 
     @classmethod
-    def decode(cls, data: bytes, offset: int = 0) -> tuple["SpanContext", int]:
-        if offset + 26 > len(data):
-            raise ProtocolError("truncated SpanContext")
-        trace_id = int.from_bytes(data[offset : offset + 16], "big")
-        span_id, hop = struct.unpack_from(">QH", data, offset + 16)
-        origin, offset = decode_str(data, offset + 26)
-        return cls(trace_id=trace_id, span_id=span_id, hop=hop, origin=origin), offset
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SpanContext":
-        ctx, offset = cls.decode(data, 0)
-        if offset != len(data):
-            raise ProtocolError("trailing bytes after SpanContext")
-        return ctx
+    def _read(cls, r: Reader) -> "SpanContext":
+        trace_id = int.from_bytes(r.raw(16), "big")
+        span_id, hop = r.unpack(">QH")
+        return cls(trace_id=trace_id, span_id=span_id, hop=hop, origin=r.str())
 
     def byte_size(self) -> int:
+        # Every traced hop bills this: arithmetic, not an encode.
         return 26 + 2 + len(self.origin.encode("utf-8"))
 
 
 @dataclass(frozen=True)
-class SpanRecord:
+class SpanRecord(Wire):
     """One finished span as exported to the collector.
 
     ``seq`` is the minting peer's local monotone counter (the exporter's
@@ -175,70 +148,37 @@ class SpanRecord:
         for (_, prev), (stage, stamp) in itertools.pairwise(self.marks):
             yield stage, stamp - prev
 
-    def to_bytes(self) -> bytes:
-        out = [
-            self.trace_id.to_bytes(16, "big"),
-            struct.pack(">QQQHdd", self.span_id, self.parent_id, self.seq,
-                        self.hop, self.start, self.end),
-            encode_str(self.peer),
-            encode_str(self.origin),
-            encode_str(self.kind),
-            struct.pack(">H", len(self.marks)),
-        ]
+    def _write(self, w: Writer) -> None:
+        w.raw(self.trace_id.to_bytes(16, "big"))
+        w.pack(">QQQHdd", self.span_id, self.parent_id, self.seq,
+               self.hop, self.start, self.end)
+        w.str(self.peer)
+        w.str(self.origin)
+        w.str(self.kind)
+        w.pack(">H", len(self.marks))
         for stage, stamp in self.marks:
-            out.append(encode_str(stage))
-            out.append(struct.pack(">d", stamp))
-        return b"".join(out)
+            w.str(stage)
+            w.pack(">d", stamp)
 
     @classmethod
-    def decode(cls, data: bytes, offset: int = 0) -> tuple["SpanRecord", int]:
-        if offset + 58 > len(data):
-            raise ProtocolError("truncated SpanRecord")
-        trace_id = int.from_bytes(data[offset : offset + 16], "big")
-        span_id, parent_id, seq, hop, start, end = struct.unpack_from(
-            ">QQQHdd", data, offset + 16
+    def _read(cls, r: Reader) -> "SpanRecord":
+        trace_id = int.from_bytes(r.raw(16), "big")
+        span_id, parent_id, seq, hop, start, end = r.unpack(">QQQHdd")
+        peer, origin, kind = r.str(), r.str(), r.str()
+        (n_marks,) = r.unpack(">H")
+        return cls(
+            trace_id=trace_id,
+            span_id=span_id,
+            parent_id=parent_id,
+            seq=seq,
+            peer=peer,
+            origin=origin,
+            kind=kind,
+            hop=hop,
+            start=start,
+            end=end,
+            marks=tuple((r.str(), r.unpack(">d")[0]) for _ in range(n_marks)),
         )
-        offset += 58
-        peer, offset = decode_str(data, offset)
-        origin, offset = decode_str(data, offset)
-        kind, offset = decode_str(data, offset)
-        marks = []
-        try:
-            (n_marks,) = struct.unpack_from(">H", data, offset)
-            offset += 2
-            for _ in range(n_marks):
-                stage, offset = decode_str(data, offset)
-                (stamp,) = struct.unpack_from(">d", data, offset)
-                offset += 8
-                marks.append((stage, stamp))
-        except struct.error as exc:
-            raise ProtocolError(f"truncated SpanRecord marks: {exc}") from exc
-        return (
-            cls(
-                trace_id=trace_id,
-                span_id=span_id,
-                parent_id=parent_id,
-                seq=seq,
-                peer=peer,
-                origin=origin,
-                kind=kind,
-                hop=hop,
-                start=start,
-                end=end,
-                marks=tuple(marks),
-            ),
-            offset,
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SpanRecord":
-        record, offset = cls.decode(data, 0)
-        if offset != len(data):
-            raise ProtocolError("trailing bytes after SpanRecord")
-        return record
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
 
 
 class ActiveSpan:

@@ -28,22 +28,22 @@ snapshot:
   :class:`~repro.net.request.RequestDispatcher` envelope (request id for
   attempt matching, seq echo in the ack).
 
-Every type serialises to bytes with the same conventions as the tree-sync
-and witness wire artefacts; the simulated network carries the dataclasses
-and bills ``byte_size() == len(to_bytes())``, so the E17 telemetry/relay
-byte ratio reflects honest wire cost (including re-sending the 33 default
+Every type serialises to bytes through :mod:`repro.codec`; the simulated
+network carries the dataclasses and bills ``byte_size() ==
+len(to_bytes())``, so the E17 telemetry/relay byte ratio reflects honest
+wire cost (including re-sending the 33 default
 bucket bounds only when a histogram uses *non*-default buckets — the
 default set travels as a one-byte flag).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.codec import Reader, Wire, Writer, flag
 from repro.errors import ProtocolError
-from repro.telemetry.disttrace import SpanRecord, decode_str, encode_str
+from repro.telemetry.disttrace import SpanRecord
 from repro.telemetry.registry import DEFAULT_BUCKETS, metric_key
 
 #: Protocol channel export requests travel on (peer -> collector).
@@ -62,54 +62,64 @@ def labels_of(mapping: Mapping[str, str]) -> Labels:
     return tuple(sorted(mapping.items()))
 
 
-# -- primitive codecs ---------------------------------------------------------
+# -- metric deltas ------------------------------------------------------------
 
 
-def _encode_labels(labels: Labels) -> bytes:
-    if len(labels) > 0xFF:
-        raise ProtocolError("too many labels")
-    out = [struct.pack(">B", len(labels))]
-    for key, value in labels:
-        out.append(encode_str(key))
-        out.append(encode_str(value))
-    return b"".join(out)
-
-
-def _decode_labels(data: bytes, offset: int) -> tuple[Labels, int]:
-    (count,) = struct.unpack_from(">B", data, offset)
-    offset += 1
-    labels = []
-    for _ in range(count):
-        key, offset = decode_str(data, offset)
-        value, offset = decode_str(data, offset)
-        labels.append((key, value))
-    return tuple(labels), offset
-
-
-def _encode_number(value: int | float) -> bytes:
+def _write_number(w: Writer, value: int | float) -> None:
     """Type-preserving scalar: ints stay ints through the round trip."""
     if isinstance(value, bool):
         raise ProtocolError("bool is not a wire scalar")
     if isinstance(value, int):
-        return struct.pack(">Bq", 0, value)
-    return struct.pack(">Bd", 1, value)
+        w.pack(">Bq", 0, value)
+    else:
+        w.pack(">Bd", 1, value)
 
 
-def _decode_number(data: bytes, offset: int) -> tuple[int | float, int]:
-    (flag,) = struct.unpack_from(">B", data, offset)
-    offset += 1
-    if flag == 0:
-        (value,) = struct.unpack_from(">q", data, offset)
-        return value, offset + 8
-    (value,) = struct.unpack_from(">d", data, offset)
-    return value, offset + 8
+def _read_number(r: Reader) -> int | float:
+    (is_float,) = r.unpack(">B")
+    return r.unpack(">d" if flag(is_float) else ">q")[0]
 
 
-# -- metric deltas ------------------------------------------------------------
+class _Metric(Wire):
+    """What the three instruments share: the series key, and the head of
+    the layout — a tag byte saying which instrument follows, the name and
+    the labels."""
+
+    __slots__ = ()
+
+    tag: bytes
+
+    @property
+    def key(self) -> str:
+        return metric_key(self.name, dict(self.labels))
+
+    def _write_head(self, w: Writer) -> None:
+        labels = self.labels
+        if len(labels) > 0xFF:
+            raise ProtocolError("too many labels")
+        w.raw(self.tag)
+        w.str(self.name)
+        w.pack(">B", len(labels))
+        for key, value in labels:
+            w.str(key)
+            w.str(value)
+
+    @classmethod
+    def _read(cls, r: Reader) -> "MetricDelta":
+        """The instrument the tag byte announces, which must be a ``cls``
+        (a batch reads ``_Metric``: any of the three)."""
+        tag = r.raw(1)
+        instrument = _METRIC_TYPES.get(tag)
+        if instrument is None or not issubclass(instrument, cls):
+            raise ProtocolError(f"unexpected metric tag {tag!r}")
+        name = r.str()
+        (count,) = r.unpack(">B")
+        labels = tuple((r.str(), r.str()) for _ in range(count))
+        return instrument._read_body(r, name, labels)
 
 
 @dataclass(frozen=True)
-class CounterDelta:
+class CounterDelta(_Metric):
     """Counter increment since the previous exported batch."""
 
     name: str
@@ -119,28 +129,17 @@ class CounterDelta:
     kind = "counter"
     tag = b"C"
 
-    @property
-    def key(self) -> str:
-        return metric_key(self.name, dict(self.labels))
-
-    def to_bytes(self) -> bytes:
-        return (
-            self.tag
-            + encode_str(self.name)
-            + _encode_labels(self.labels)
-            + _encode_number(self.delta)
-        )
+    def _write(self, w: Writer) -> None:
+        self._write_head(w)
+        _write_number(w, self.delta)
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["CounterDelta", int]:
-        name, offset = decode_str(data, offset)
-        labels, offset = _decode_labels(data, offset)
-        delta, offset = _decode_number(data, offset)
-        return cls(name=name, labels=labels, delta=delta), offset
+    def _read_body(cls, r: Reader, name: str, labels: Labels) -> "CounterDelta":
+        return cls(name=name, labels=labels, delta=_read_number(r))
 
 
 @dataclass(frozen=True)
-class GaugeValue:
+class GaugeValue(_Metric):
     """Gauge last-value (OTLP gauges are not additive; fold = replace)."""
 
     name: str
@@ -150,28 +149,17 @@ class GaugeValue:
     kind = "gauge"
     tag = b"G"
 
-    @property
-    def key(self) -> str:
-        return metric_key(self.name, dict(self.labels))
-
-    def to_bytes(self) -> bytes:
-        return (
-            self.tag
-            + encode_str(self.name)
-            + _encode_labels(self.labels)
-            + _encode_number(self.value)
-        )
+    def _write(self, w: Writer) -> None:
+        self._write_head(w)
+        _write_number(w, self.value)
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["GaugeValue", int]:
-        name, offset = decode_str(data, offset)
-        labels, offset = _decode_labels(data, offset)
-        value, offset = _decode_number(data, offset)
-        return cls(name=name, labels=labels, value=value), offset
+    def _read_body(cls, r: Reader, name: str, labels: Labels) -> "GaugeValue":
+        return cls(name=name, labels=labels, value=_read_number(r))
 
 
 @dataclass(frozen=True)
-class HistogramDelta:
+class HistogramDelta(_Metric):
     """Histogram window: delta buckets/count, cumulative sum/min/max.
 
     ``bucket_deltas`` is sparse — only buckets that moved travel, as
@@ -193,79 +181,39 @@ class HistogramDelta:
     tag = b"H"
 
     @property
-    def key(self) -> str:
-        return metric_key(self.name, dict(self.labels))
-
-    @property
     def bounds(self) -> tuple[float, ...]:
         return DEFAULT_BUCKETS if self.le is None else self.le
 
-    def to_bytes(self) -> bytes:
-        out = [self.tag, encode_str(self.name), _encode_labels(self.labels)]
+    def _write(self, w: Writer) -> None:
+        self._write_head(w)
         if self.le is None:
-            out.append(struct.pack(">B", 0))
+            w.pack(">B", 0)
         else:
-            out.append(struct.pack(">BH", 1, len(self.le)))
-            out.append(struct.pack(f">{len(self.le)}d", *self.le))
-        out.append(
-            struct.pack(
-                ">Qddd",
-                self.count_delta,
-                self.sum_total,
-                self.min_total,
-                self.max_total,
-            )
-        )
-        out.append(struct.pack(">H", len(self.bucket_deltas)))
+            w.pack(f">BH{len(self.le)}d", 1, len(self.le), *self.le)
+        totals = (self.count_delta, self.sum_total, self.min_total, self.max_total)
+        w.pack(">QdddH", *totals, len(self.bucket_deltas))
         for index, delta in self.bucket_deltas:
-            out.append(struct.pack(">HQ", index, delta))
-        return b"".join(out)
+            w.pack(">HQ", index, delta)
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["HistogramDelta", int]:
-        name, offset = decode_str(data, offset)
-        labels, offset = _decode_labels(data, offset)
-        (explicit,) = struct.unpack_from(">B", data, offset)
-        offset += 1
+    def _read_body(cls, r: Reader, name: str, labels: Labels) -> "HistogramDelta":
         le: tuple[float, ...] | None = None
-        if explicit:
-            (n_bounds,) = struct.unpack_from(">H", data, offset)
-            offset += 2
-            le = struct.unpack_from(f">{n_bounds}d", data, offset)
-            offset += 8 * n_bounds
-        count_delta, sum_total, min_total, max_total = struct.unpack_from(
-            ">Qddd", data, offset
-        )
-        offset += 32
-        (n_pairs,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        pairs = []
-        for _ in range(n_pairs):
-            index, delta = struct.unpack_from(">HQ", data, offset)
-            offset += 10
-            pairs.append((index, delta))
-        return (
-            cls(
-                name=name,
-                labels=labels,
-                count_delta=count_delta,
-                sum_total=sum_total,
-                min_total=min_total,
-                max_total=max_total,
-                bucket_deltas=tuple(pairs),
-                le=le,
-            ),
-            offset,
-        )
+        if flag(r.unpack(">B")[0]):
+            (n_bounds,) = r.unpack(">H")
+            le = r.unpack(f">{n_bounds}d")
+        *totals, n_pairs = r.unpack(">QdddH")
+        pairs = tuple(r.unpack(">HQ") for _ in range(n_pairs))
+        # The collector folds a pair with ``buckets[index] += delta``; an
+        # index past the +Inf overflow bucket has nowhere to land.
+        overflow = len(DEFAULT_BUCKETS if le is None else le)
+        if any(index > overflow for index, _ in pairs):
+            raise ProtocolError(f"bucket index past the overflow bucket {overflow}")
+        return cls(name, labels, *totals, bucket_deltas=pairs, le=le)
 
 
 MetricDelta = CounterDelta | GaugeValue | HistogramDelta
 
-_METRIC_DECODERS = {
-    CounterDelta.tag: CounterDelta.decode,
-    GaugeValue.tag: GaugeValue.decode,
-    HistogramDelta.tag: HistogramDelta.decode,
-}
+_METRIC_TYPES = {cls.tag: cls for cls in (CounterDelta, GaugeValue, HistogramDelta)}
 
 
 def compute_deltas(
@@ -320,7 +268,7 @@ def compute_deltas(
 
 
 @dataclass(frozen=True)
-class TelemetryBatch:
+class TelemetryBatch(Wire):
     """One export interval: resource attributes + metric deltas + spans.
 
     ``seq`` is per-peer monotone from 1; ``dropped_batches`` is the
@@ -340,114 +288,56 @@ class TelemetryBatch:
     #: wire bytes.
     spans: tuple[SpanRecord, ...] = ()
 
-    def to_bytes(self) -> bytes:
-        out = [
-            encode_str(self.peer),
-            encode_str(self.role),
-            struct.pack(
-                ">iQdQ", self.shard, self.seq, self.time, self.dropped_batches
-            ),
-            struct.pack(">I", len(self.metrics)),
-        ]
+    def _write(self, w: Writer) -> None:
+        w.str(self.peer)
+        w.str(self.role)
+        head = (self.shard, self.seq, self.time, self.dropped_batches)
+        w.pack(">iQdQI", *head, len(self.metrics))
         for metric in self.metrics:
-            out.append(metric.to_bytes())
-        out.append(struct.pack(">H", len(self.spans)))
+            metric._write(w)
+        w.pack(">H", len(self.spans))
         for span in self.spans:
-            out.append(span.to_bytes())
-        return b"".join(out)
+            span._write(w)
 
     @classmethod
-    def decode(cls, data: bytes, offset: int = 0) -> tuple["TelemetryBatch", int]:
-        try:
-            peer, offset = decode_str(data, offset)
-            role, offset = decode_str(data, offset)
-            shard, seq, time, dropped = struct.unpack_from(">iQdQ", data, offset)
-            offset += 28
-            (n_metrics,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            metrics = []
-            for _ in range(n_metrics):
-                tag = data[offset : offset + 1]
-                decoder = _METRIC_DECODERS.get(tag)
-                if decoder is None:
-                    raise ProtocolError(f"unknown metric tag {tag!r}")
-                metric, offset = decoder(data, offset + 1)
-                metrics.append(metric)
-            (n_spans,) = struct.unpack_from(">H", data, offset)
-            offset += 2
-            spans = []
-            for _ in range(n_spans):
-                span, offset = SpanRecord.decode(data, offset)
-                spans.append(span)
-        except (struct.error, IndexError) as exc:
-            raise ProtocolError(f"malformed TelemetryBatch: {exc}") from exc
-        return (
-            cls(
-                peer=peer,
-                role=role,
-                shard=shard,
-                seq=seq,
-                time=time,
-                dropped_batches=dropped,
-                metrics=tuple(metrics),
-                spans=tuple(spans),
-            ),
-            offset,
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TelemetryBatch":
-        batch, offset = cls.decode(data, 0)
-        if offset != len(data):
-            raise ProtocolError("trailing bytes after TelemetryBatch")
-        return batch
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
+    def _read(cls, r: Reader) -> "TelemetryBatch":
+        peer, role = r.str(), r.str()
+        *head, n_metrics = r.unpack(">iQdQI")
+        metrics = tuple(_Metric._read(r) for _ in range(n_metrics))
+        (n_spans,) = r.unpack(">H")
+        spans = tuple(SpanRecord._read(r) for _ in range(n_spans))
+        return cls(peer, role, *head, metrics, spans)
 
 
 @dataclass(frozen=True)
-class ExportRequest:
+class ExportRequest(Wire):
     """Dispatcher envelope: the batch plus the attempt's request id."""
 
     request_id: int
     batch: TelemetryBatch
 
-    def to_bytes(self) -> bytes:
-        return struct.pack(">Q", self.request_id) + self.batch.to_bytes()
+    def _write(self, w: Writer) -> None:
+        w.pack(">Q", self.request_id)
+        self.batch._write(w)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "ExportRequest":
-        try:
-            (request_id,) = struct.unpack_from(">Q", data, 0)
-        except struct.error as exc:
-            raise ProtocolError(f"malformed ExportRequest: {exc}") from exc
-        batch, offset = TelemetryBatch.decode(data, 8)
-        if offset != len(data):
-            raise ProtocolError("trailing bytes after ExportRequest")
-        return cls(request_id=request_id, batch=batch)
-
-    def byte_size(self) -> int:
-        return 8 + self.batch.byte_size()
+    def _read(cls, r: Reader) -> "ExportRequest":
+        (request_id,) = r.unpack(">Q")
+        return cls(request_id=request_id, batch=TelemetryBatch._read(r))
 
 
 @dataclass(frozen=True)
-class ExportAck:
+class ExportAck(Wire):
     """Collector acknowledgement: echoes the request id and batch seq."""
 
     request_id: int
     seq: int
     accepted: bool = True
 
-    def to_bytes(self) -> bytes:
-        return struct.pack(">QQB", self.request_id, self.seq, int(self.accepted))
+    def _write(self, w: Writer) -> None:
+        w.pack(">QQB", self.request_id, self.seq, self.accepted)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "ExportAck":
-        if len(data) != 17:
-            raise ProtocolError(f"malformed ExportAck: {len(data)} bytes")
-        request_id, seq, accepted = struct.unpack(">QQB", data)
-        return cls(request_id=request_id, seq=seq, accepted=bool(accepted))
-
-    def byte_size(self) -> int:
-        return 17
+    def _read(cls, r: Reader) -> "ExportAck":
+        request_id, seq, accepted = r.unpack(">QQB")
+        return cls(request_id=request_id, seq=seq, accepted=flag(accepted))

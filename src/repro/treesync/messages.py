@@ -25,7 +25,8 @@ Four artefacts flow between peers (§III-C, sharded):
   root, archived by Waku store nodes so a peer that missed events can
   restore foreign-shard state without replaying history.
 
-Each type serialises to bytes so it can travel as a
+Each type serialises to bytes through :mod:`repro.codec` (it declares its
+layout once to write and once to read) so it can travel as a
 :class:`~repro.waku.message.WakuMessage` payload on the tree-sync content
 topics and be archived/queried like any other Waku traffic.  Every
 ``from_bytes`` rejects bytes past the end of its value, so types sharing
@@ -37,15 +38,11 @@ whichever is tried first.
 
 from __future__ import annotations
 
-import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
-from repro.crypto.field import FIELD_BYTES, FieldElement
-from repro.crypto.merkle import MerkleProof
+from repro.codec import Reader, Wire, Writer
+from repro.crypto.field import FieldElement
 from repro.crypto.optimized_merkle import TreeUpdate
-from repro.errors import ProtocolError
 
 #: Content topic carrying full :class:`ShardUpdate`s for one shard.
 def shard_topic(shard_id: int) -> str:
@@ -59,54 +56,8 @@ DIGEST_TOPIC = "/treesync/1/roots/proto"
 CHECKPOINT_TOPIC = "/treesync/1/checkpoint/proto"
 
 
-def encode_field(value: FieldElement) -> bytes:
-    return value.to_bytes()
-
-
-def decode_field(data: bytes, offset: int) -> tuple[FieldElement, int]:
-    end = offset + FIELD_BYTES
-    if end > len(data):
-        raise ProtocolError("truncated field element")
-    return FieldElement(int.from_bytes(data[offset:end], "big")), end
-
-
-@contextmanager
-def decoding(what: str) -> Iterator[None]:
-    """Whatever goes wrong while decoding ``what`` is one ProtocolError."""
-    try:
-        yield
-    except (struct.error, IndexError, ProtocolError) as exc:
-        raise ProtocolError(f"malformed {what}: {exc}") from exc
-
-
-def expect_end(data: bytes, offset: int) -> None:
-    """A value ends where its bytes do; anything after it is malformed."""
-    if offset != len(data):
-        raise ProtocolError(f"{len(data) - offset} trailing bytes")
-
-
-def encode_proof(proof: MerkleProof) -> bytes:
-    head = struct.pack(">QH", proof.index, proof.depth)
-    return head + proof.leaf.to_bytes() + b"".join(s.to_bytes() for s in proof.siblings)
-
-
-def decode_proof(data: bytes, offset: int) -> tuple[MerkleProof, int]:
-    index, depth = struct.unpack_from(">QH", data, offset)
-    offset += 10
-    leaf, offset = decode_field(data, offset)
-    siblings = []
-    for _ in range(depth):
-        sibling, offset = decode_field(data, offset)
-        siblings.append(sibling)
-    bits = tuple((index >> level) & 1 for level in range(depth))
-    return (
-        MerkleProof(leaf=leaf, index=index, siblings=tuple(siblings), path_bits=bits),
-        offset,
-    )
-
-
 @dataclass(frozen=True)
-class ShardRootDigest:
+class ShardRootDigest(Wire):
     """What a foreign-shard peer needs from one membership event: the roots."""
 
     seq: int
@@ -114,33 +65,19 @@ class ShardRootDigest:
     new_shard_root: FieldElement
     new_global_root: FieldElement
 
-    def byte_size(self) -> int:
-        return 8 + 4 + 2 * FIELD_BYTES
-
-    def to_bytes(self) -> bytes:
-        return (
-            struct.pack(">QI", self.seq, self.shard_id)
-            + self.new_shard_root.to_bytes()
-            + self.new_global_root.to_bytes()
-        )
+    def _write(self, w: Writer) -> None:
+        w.pack(">QI", self.seq, self.shard_id)
+        w.field(self.new_shard_root)
+        w.field(self.new_global_root)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "ShardRootDigest":
-        with decoding("ShardRootDigest"):
-            seq, shard_id = struct.unpack_from(">QI", data, 0)
-            shard_root, offset = decode_field(data, 12)
-            global_root, offset = decode_field(data, offset)
-            expect_end(data, offset)
-        return cls(
-            seq=seq,
-            shard_id=shard_id,
-            new_shard_root=shard_root,
-            new_global_root=global_root,
-        )
+    def _read(cls, r: Reader) -> "ShardRootDigest":
+        seq, shard_id = r.unpack(">QI")
+        return cls(seq, shard_id, new_shard_root=r.field(), new_global_root=r.field())
 
 
 @dataclass(frozen=True)
-class ShardRemoval:
+class ShardRemoval(Wire):
     """One member deletion, scoped to its shard — the revocation artefact.
 
     ``index`` is the *global* leaf index whose slot was zeroed;
@@ -170,38 +107,21 @@ class ShardRemoval:
         """
         return self
 
-    def byte_size(self) -> int:
-        # (seq, shard, index) header, removed leaf, shard root, global root.
-        return 20 + 3 * FIELD_BYTES
-
-    def to_bytes(self) -> bytes:
-        return (
-            struct.pack(">QIQ", self.seq, self.shard_id, self.index)
-            + self.removed_leaf.to_bytes()
-            + self.new_shard_root.to_bytes()
-            + self.new_global_root.to_bytes()
-        )
+    def _write(self, w: Writer) -> None:
+        w.pack(">QIQ", self.seq, self.shard_id, self.index)
+        w.field(self.removed_leaf)
+        w.field(self.new_shard_root)
+        w.field(self.new_global_root)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "ShardRemoval":
-        with decoding("ShardRemoval"):
-            seq, shard_id, index = struct.unpack_from(">QIQ", data, 0)
-            removed_leaf, offset = decode_field(data, 20)
-            shard_root, offset = decode_field(data, offset)
-            global_root, offset = decode_field(data, offset)
-            expect_end(data, offset)
-        return cls(
-            seq=seq,
-            shard_id=shard_id,
-            index=index,
-            removed_leaf=removed_leaf,
-            new_shard_root=shard_root,
-            new_global_root=global_root,
-        )
+    def _read(cls, r: Reader) -> "ShardRemoval":
+        seq, shard_id, index = r.unpack(">QIQ")
+        removed_leaf, shard_root, global_root = r.field(), r.field(), r.field()
+        return cls(seq, shard_id, index, removed_leaf, shard_root, global_root)
 
 
 @dataclass(frozen=True)
-class ShardUpdate:
+class ShardUpdate(Wire):
     """One membership event scoped to its shard.
 
     ``update`` carries the *global*-index pre-change path (the flat-tree
@@ -225,36 +145,24 @@ class ShardUpdate:
             new_global_root=self.new_global_root,
         )
 
-    def byte_size(self) -> int:
-        # Mirrors to_bytes() exactly: (seq, shard, index) header, the new
-        # leaf, both roots (the global root is stored once — it doubles as
-        # the TreeUpdate's new_root on decode), and the encoded path.
-        return 20 + 3 * FIELD_BYTES + 10 + (1 + self.update.path.depth) * FIELD_BYTES
-
-    def to_bytes(self) -> bytes:
-        return (
-            struct.pack(">QIQ", self.seq, self.shard_id, self.update.index)
-            + self.update.new_leaf.to_bytes()
-            + self.new_shard_root.to_bytes()
-            + self.new_global_root.to_bytes()
-            + encode_proof(self.update.path)
-        )
+    def _write(self, w: Writer) -> None:
+        # The global root is stored once — it doubles as the TreeUpdate's
+        # new_root on decode.
+        w.pack(">QIQ", self.seq, self.shard_id, self.update.index)
+        w.field(self.update.new_leaf)
+        w.field(self.new_shard_root)
+        w.field(self.new_global_root)
+        w.proof(self.update.path)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "ShardUpdate":
-        with decoding("ShardUpdate"):
-            seq, shard_id, index = struct.unpack_from(">QIQ", data, 0)
-            offset = 20
-            new_leaf, offset = decode_field(data, offset)
-            shard_root, offset = decode_field(data, offset)
-            global_root, offset = decode_field(data, offset)
-            path, offset = decode_proof(data, offset)
-            expect_end(data, offset)
+    def _read(cls, r: Reader) -> "ShardUpdate":
+        seq, shard_id, index = r.unpack(">QIQ")
+        new_leaf, shard_root, global_root = r.field(), r.field(), r.field()
         return cls(
             seq=seq,
             shard_id=shard_id,
             update=TreeUpdate(
-                index=index, new_leaf=new_leaf, path=path, new_root=global_root
+                index=index, new_leaf=new_leaf, path=r.proof(), new_root=global_root
             ),
             new_shard_root=shard_root,
             new_global_root=global_root,
@@ -262,7 +170,7 @@ class ShardUpdate:
 
 
 @dataclass(frozen=True)
-class TreeCheckpoint:
+class TreeCheckpoint(Wire):
     """Snapshot of the tree's shard-root commitments at event ``seq``.
 
     Lists every shard ever allocated — one that was since emptied
@@ -281,45 +189,16 @@ class TreeCheckpoint:
     shard_roots: tuple[tuple[int, FieldElement], ...]
     global_root: FieldElement
 
-    def byte_size(self) -> int:
-        return 8 + 1 + 1 + 8 + 4 + len(self.shard_roots) * (4 + FIELD_BYTES) + FIELD_BYTES
-
-    def to_bytes(self) -> bytes:
-        out = [
-            struct.pack(
-                ">QBBQI",
-                self.seq,
-                self.depth,
-                self.shard_depth,
-                self.leaf_count,
-                len(self.shard_roots),
-            )
-        ]
+    def _write(self, w: Writer) -> None:
+        head = (self.seq, self.depth, self.shard_depth, self.leaf_count)
+        w.pack(">QBBQI", *head, len(self.shard_roots))
         for shard_id, root in self.shard_roots:
-            out.append(struct.pack(">I", shard_id) + root.to_bytes())
-        out.append(self.global_root.to_bytes())
-        return b"".join(out)
+            w.pack(">I", shard_id)
+            w.field(root)
+        w.field(self.global_root)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "TreeCheckpoint":
-        with decoding("TreeCheckpoint"):
-            seq, depth, shard_depth, leaf_count, count = struct.unpack_from(
-                ">QBBQI", data, 0
-            )
-            offset = 22
-            roots = []
-            for _ in range(count):
-                (shard_id,) = struct.unpack_from(">I", data, offset)
-                offset += 4
-                root, offset = decode_field(data, offset)
-                roots.append((shard_id, root))
-            global_root, offset = decode_field(data, offset)
-            expect_end(data, offset)
-        return cls(
-            seq=seq,
-            depth=depth,
-            shard_depth=shard_depth,
-            leaf_count=leaf_count,
-            shard_roots=tuple(roots),
-            global_root=global_root,
-        )
+    def _read(cls, r: Reader) -> "TreeCheckpoint":
+        *head, count = r.unpack(">QBBQI")
+        roots = tuple((r.unpack(">I")[0], r.field()) for _ in range(count))
+        return cls(*head, shard_roots=roots, global_root=r.field())

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.codec import size_of
 from repro.crypto.field import FieldElement, ZERO
 from repro.crypto.engine import default_engine
 from repro.crypto.merkle import MerkleProof, MerkleTree, NodeHasher, zero_hashes
@@ -856,9 +857,7 @@ class ShardSyncManager:
         # cross-check — a rolled-back attempt is not a restore.
         self.stats.checkpoints_restored += 1
         self.stats.snapshots_restored += 1
-        byte_size = getattr(snapshot, "byte_size", None)
-        if callable(byte_size):
-            self.stats.bytes_consumed += int(byte_size())
+        self.stats.bytes_consumed += size_of(snapshot, 0)
         return root
 
     # -- accounting -------------------------------------------------------------

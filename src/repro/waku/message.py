@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
+from repro.codec import size_of
 from repro.crypto.hashing import message_id
 from repro.net.promise import Promise
 
@@ -51,8 +52,7 @@ class WakuMessage:
         size = len(self.payload) + len(self.content_topic) + 8 + 1
         proof = self.rate_limit_proof
         if proof is not None:
-            inner = getattr(proof, "byte_size", None)
-            size += int(inner()) if callable(inner) else 128
+            size += size_of(proof, 128)
         if self.trace is not None:
             size += self.trace.byte_size()
         return size

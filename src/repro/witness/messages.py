@@ -15,26 +15,19 @@ Two request/response pairs travel on the ``witness`` protocol channel
   rebuilds the shard tree locally and compares against the root its own
   accepted checkpoint+digest stream commits to.
 
-Every type serialises to bytes (the same conventions as the tree-sync
-artefacts) so the protocol could ride real transport frames; the
-simulated network carries the dataclasses and bills ``byte_size()``.
+Every type serialises to bytes through :mod:`repro.codec` so the
+protocol could ride real transport frames; the simulated network carries
+the dataclasses and bills ``byte_size()``.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
-from repro.crypto.field import FIELD_BYTES, FieldElement
+from repro.codec import Reader, Wire, Writer, flag
+from repro.crypto.field import FieldElement
 from repro.crypto.merkle import MerkleProof
 from repro.telemetry.disttrace import SpanContext
-from repro.treesync.messages import (
-    decode_field,
-    decode_proof,
-    decoding,
-    encode_proof,
-    expect_end,
-)
 
 #: Protocol channel witness and snapshot *requests* travel on.
 WITNESS_PROTOCOL = "witness"
@@ -47,40 +40,35 @@ WITNESS_REPLY_PROTOCOL = "witness-reply"
 
 
 @dataclass(frozen=True)
-class WitnessRequest:
+class WitnessRequest(Wire):
     """Ask for the authentication path of the leaf at global ``index``.
 
     ``trace`` is an optional distributed-tracing span context (PR 9):
     when a traced publish needs a witness fetch first, the request
     carries the publish span so the server's serve span joins the same
     propagation tree.  It rides as *trailing* bytes — an untraced
-    request encodes exactly the 16 bytes it always did, and old decoders
-    (``unpack_from``) simply ignore the extension.
+    request encodes exactly the 16 bytes it always did; whatever follows
+    them must be exactly one span context.
     """
 
     request_id: int
     index: int
     trace: "SpanContext | None" = None
 
-    def byte_size(self) -> int:
-        return 16 + (0 if self.trace is None else self.trace.byte_size())
-
-    def to_bytes(self) -> bytes:
-        head = struct.pack(">QQ", self.request_id, self.index)
-        if self.trace is None:
-            return head
-        return head + self.trace.to_bytes()
+    def _write(self, w: Writer) -> None:
+        w.pack(">QQ", self.request_id, self.index)
+        if self.trace is not None:
+            self.trace._write(w)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "WitnessRequest":
-        with decoding("WitnessRequest"):
-            request_id, index = struct.unpack_from(">QQ", data, 0)
-            trace = SpanContext.decode(data, 16)[0] if len(data) > 16 else None
+    def _read(cls, r: Reader) -> "WitnessRequest":
+        request_id, index = r.unpack(">QQ")
+        trace = SpanContext._read(r) if r.remaining else None
         return cls(request_id=request_id, index=index, trace=trace)
 
 
 @dataclass(frozen=True)
-class WitnessResponse:
+class WitnessResponse(Wire):
     """The spliced full-depth path, or a miss (``found=False``).
 
     ``seq`` is the server's membership-event frontier when the path was
@@ -93,51 +81,36 @@ class WitnessResponse:
     seq: int = 0
     proof: MerkleProof | None = None
 
-    def byte_size(self) -> int:
-        proof_bytes = (
-            0 if self.proof is None else 10 + (1 + self.proof.depth) * FIELD_BYTES
-        )
-        return 18 + proof_bytes
-
-    def to_bytes(self) -> bytes:
-        head = struct.pack(">QBQ", self.request_id, int(self.found), self.seq)
-        if self.proof is None:
-            return head + struct.pack(">B", 0)
-        return head + struct.pack(">B", 1) + encode_proof(self.proof)
+    def _write(self, w: Writer) -> None:
+        w.pack(">QBQB", self.request_id, self.found, self.seq, self.proof is not None)
+        if self.proof is not None:
+            w.proof(self.proof)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "WitnessResponse":
-        with decoding("WitnessResponse"):
-            request_id, found, seq = struct.unpack_from(">QBQ", data, 0)
-            (has_proof,) = struct.unpack_from(">B", data, 17)
-            proof, offset = decode_proof(data, 18) if has_proof else (None, 18)
-            expect_end(data, offset)
-        return cls(request_id=request_id, found=bool(found), seq=seq, proof=proof)
+    def _read(cls, r: Reader) -> "WitnessResponse":
+        request_id, found, seq, has_proof = r.unpack(">QBQB")
+        proof = r.proof() if flag(has_proof) else None
+        return cls(request_id=request_id, found=flag(found), seq=seq, proof=proof)
 
 
 @dataclass(frozen=True)
-class SnapshotRequest:
+class SnapshotRequest(Wire):
     """Ask for the leaf content of one shard (late-joiner bootstrap)."""
 
     request_id: int
     shard_id: int
 
-    def byte_size(self) -> int:
-        return 12
-
-    def to_bytes(self) -> bytes:
-        return struct.pack(">QI", self.request_id, self.shard_id)
+    def _write(self, w: Writer) -> None:
+        w.pack(">QI", self.request_id, self.shard_id)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "SnapshotRequest":
-        with decoding("SnapshotRequest"):
-            request_id, shard_id = struct.unpack_from(">QI", data, 0)
-            expect_end(data, 12)
-        return cls(request_id=request_id, shard_id=shard_id)
+    def _read(cls, r: Reader) -> "SnapshotRequest":
+        request_id, shard_id = r.unpack(">QI")
+        return cls(request_id, shard_id)
 
 
 @dataclass(frozen=True)
-class SnapshotResponse:
+class SnapshotResponse(Wire):
     """Sparse leaf content of one shard at the server's event ``seq``.
 
     ``leaves`` lists only occupied slots as ``(local_index, leaf)`` pairs;
@@ -154,44 +127,15 @@ class SnapshotResponse:
     seq: int = 0
     leaves: tuple[tuple[int, FieldElement], ...] = ()
 
-    def byte_size(self) -> int:
-        return 26 + len(self.leaves) * (4 + FIELD_BYTES)
-
-    def to_bytes(self) -> bytes:
-        out = [
-            struct.pack(
-                ">QBIBQI",
-                self.request_id,
-                int(self.found),
-                self.shard_id,
-                self.shard_depth,
-                self.seq,
-                len(self.leaves),
-            )
-        ]
+    def _write(self, w: Writer) -> None:
+        head = (self.request_id, self.found, self.shard_id, self.shard_depth, self.seq)
+        w.pack(">QBIBQI", *head, len(self.leaves))
         for local, leaf in self.leaves:
-            out.append(struct.pack(">I", local) + leaf.to_bytes())
-        return b"".join(out)
+            w.pack(">I", local)
+            w.field(leaf)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "SnapshotResponse":
-        with decoding("SnapshotResponse"):
-            request_id, found, shard_id, shard_depth, seq, count = struct.unpack_from(
-                ">QBIBQI", data, 0
-            )
-            offset = 26
-            leaves = []
-            for _ in range(count):
-                (local,) = struct.unpack_from(">I", data, offset)
-                offset += 4
-                leaf, offset = decode_field(data, offset)
-                leaves.append((local, leaf))
-            expect_end(data, offset)
-        return cls(
-            request_id=request_id,
-            found=bool(found),
-            shard_id=shard_id,
-            shard_depth=shard_depth,
-            seq=seq,
-            leaves=tuple(leaves),
-        )
+    def _read(cls, r: Reader) -> "SnapshotResponse":
+        request_id, found, *rest, count = r.unpack(">QBIBQI")
+        leaves = tuple((r.unpack(">I")[0], r.field()) for _ in range(count))
+        return cls(request_id, flag(found), *rest, leaves)

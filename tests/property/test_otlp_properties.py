@@ -1,16 +1,14 @@
 """Property-based tests for the fleet-telemetry wire path.
 
-Four claims the collector architecture rests on:
+Three claims the collector architecture rests on (the fourth — every
+decoder survives truncated, mutated and extended bytes — is held for all
+wire types at once by the matrix in ``test_wire_properties.py``):
 
 * **Wire identity** — every :class:`TelemetryBatch` built from valid
   metric deltas and span records survives ``to_bytes``/``from_bytes``
   exactly, number types included (int deltas must stay ints or the
   collector's folds stop being exact integer arithmetic) — and so does
   every span a live tracer mints, local roots included.
-* **Hostile bytes** — truncating or mutating an encoded
-  :class:`SpanContext`, :class:`SpanRecord` or :class:`TelemetryBatch`
-  anywhere either decodes or raises :class:`ProtocolError`; no
-  ``struct.error`` or ``UnicodeDecodeError`` escapes a decoder.
 * **Fold exactness** — cutting one peer's event stream at arbitrary
   points, diffing consecutive ``collect()`` passes
   (:func:`compute_deltas`) and folding the deltas
@@ -22,97 +20,15 @@ Four claims the collector architecture rests on:
   yields the same fleet snapshot.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProtocolError
 from repro.telemetry import MetricsRegistry, TelemetrySnapshot
 from repro.telemetry.collector import fold_delta
-from repro.telemetry.disttrace import NO_PARENT, DistTracer, SpanContext, SpanRecord
+from repro.telemetry.disttrace import NO_PARENT, DistTracer, SpanRecord
 from repro.telemetry.export import TelemetrySnapshot as Snapshot
-from repro.telemetry.otlp import (
-    CounterDelta,
-    GaugeValue,
-    HistogramDelta,
-    TelemetryBatch,
-    compute_deltas,
-)
-
-label_text = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)),
-    min_size=0,
-    max_size=12,
-)
-labels = st.lists(
-    st.tuples(st.sampled_from(("peer", "stage", "kind", "x")), label_text),
-    min_size=0,
-    max_size=3,
-    unique_by=lambda pair: pair[0],
-).map(lambda pairs: tuple(sorted(pairs)))
-names = st.sampled_from(("events_total", "wait_seconds", "depth", "weird_name"))
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-counter_deltas = st.builds(
-    CounterDelta,
-    name=names,
-    labels=labels,
-    delta=st.integers(min_value=-(2**62), max_value=2**62) | finite,
-)
-gauge_values = st.builds(GaugeValue, name=names, labels=labels, value=finite)
-histogram_deltas = st.builds(
-    HistogramDelta,
-    name=names,
-    labels=labels,
-    count_delta=st.integers(min_value=0, max_value=2**40),
-    sum_total=finite,
-    min_total=finite,
-    max_total=finite,
-    bucket_deltas=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=33),
-            st.integers(min_value=0, max_value=2**40),
-        ),
-        max_size=5,
-    ).map(tuple),
-    le=st.none()
-    | st.lists(finite, min_size=1, max_size=6, unique=True).map(
-        lambda bounds: tuple(sorted(bounds))
-    ),
-)
-span_records = st.builds(
-    SpanRecord,
-    trace_id=st.integers(min_value=0, max_value=2**128 - 1),
-    span_id=st.integers(min_value=0, max_value=2**64 - 1),
-    parent_id=st.integers(min_value=0, max_value=2**64 - 1),
-    seq=st.integers(min_value=0, max_value=2**50),
-    peer=label_text,
-    origin=label_text,
-    kind=st.sampled_from(
-        ("publish", "bundle", "revocation", "witness-fetch", "witness-serve",
-         "evidence")
-    ),
-    hop=st.integers(min_value=0, max_value=2**16 - 1),
-    start=finite,
-    end=finite,
-    marks=st.lists(
-        st.tuples(st.sampled_from(("ingress", "verdict", "pairing")), finite),
-        max_size=4,
-    ).map(tuple),
-)
-batches = st.builds(
-    TelemetryBatch,
-    peer=label_text,
-    role=st.sampled_from(("full", "light", "witness-provider")),
-    shard=st.integers(min_value=-1, max_value=2**31 - 1),
-    seq=st.integers(min_value=1, max_value=2**50),
-    time=finite,
-    dropped_batches=st.integers(min_value=0, max_value=2**50),
-    metrics=st.lists(
-        counter_deltas | gauge_values | histogram_deltas, max_size=6
-    ).map(tuple),
-    spans=st.lists(span_records, max_size=3).map(tuple),
-)
+from repro.telemetry.otlp import TelemetryBatch, compute_deltas
+from tests.property.wire_strategies import batches, finite, label_text, span_records
 
 
 @settings(max_examples=200)
@@ -159,36 +75,6 @@ def test_local_root_span_wire_round_trip_identity(peer, kind, marks):
     assert len(record.marks) == len(marks) + 1
     assert SpanRecord.from_bytes(record.to_bytes()) == record
     assert record.byte_size() == len(record.to_bytes())
-
-
-# -- hostile bytes ------------------------------------------------------------
-
-span_contexts = st.builds(
-    SpanContext,
-    trace_id=st.integers(min_value=0, max_value=2**128 - 1),
-    span_id=st.integers(min_value=0, max_value=2**64 - 1),
-    hop=st.integers(min_value=0, max_value=2**16 - 1),
-    origin=label_text,
-)
-
-
-@settings(max_examples=150)
-@given(
-    span_contexts | span_records | batches,
-    st.data(),
-)
-def test_truncated_or_mutated_bytes_raise_only_protocol_error(message, data):
-    encoded = message.to_bytes()
-    cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
-    position = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
-    flipped = bytearray(encoded)
-    flipped[position] ^= data.draw(st.integers(min_value=1, max_value=255))
-    with pytest.raises(ProtocolError):
-        type(message).from_bytes(encoded[:cut])
-    try:
-        type(message).from_bytes(bytes(flipped))
-    except ProtocolError:
-        pass
 
 
 # -- fold exactness at arbitrary cut points -----------------------------------

@@ -94,6 +94,10 @@ def test_witness_request_trace_rides_as_trailing_bytes():
     decoded = WitnessRequest.from_bytes(traced.to_bytes())
     assert decoded == traced and decoded.trace == traced.trace
     assert traced.byte_size() == 16 + traced.trace.byte_size()
+    # One extension, not "anything after the head": bytes past the span
+    # context used to be ignored here and nowhere else.
+    with pytest.raises(ProtocolError):
+        WitnessRequest.from_bytes(traced.to_bytes() + b"junk")
 
 
 # -- head sampling ------------------------------------------------------------

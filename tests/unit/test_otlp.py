@@ -123,6 +123,27 @@ def test_batch_rejects_trailing_and_truncated_bytes():
         TelemetryBatch.from_bytes(data[:-3])
 
 
+def test_bucket_index_past_the_overflow_bucket_dies_in_the_decoder():
+    """An out-of-range index used to decode, and then crash the collector's
+    ``buckets[index] += delta`` fold with IndexError inside its handler."""
+
+    def hostile(index, le=None):
+        delta = HistogramDelta(
+            name="h", labels=(), count_delta=1, sum_total=1.0,
+            min_total=1.0, max_total=1.0, bucket_deltas=((index, 1),), le=le,
+        )
+        return make_batch([delta]).to_bytes()
+
+    for data in (hostile(60000), hostile(34), hostile(3, le=(0.1, 0.2))):
+        with pytest.raises(ProtocolError):
+            TelemetryBatch.from_bytes(data)
+    # The +Inf overflow bucket itself (index == len(bounds)) is legal.
+    for data in (hostile(33), hostile(2, le=(0.1, 0.2))):
+        state: dict[str, dict] = {}
+        fold_delta(state, TelemetryBatch.from_bytes(data).metrics[0])
+        assert state["h"]["buckets"][-1] == 1
+
+
 def test_export_envelope_round_trips():
     request = ExportRequest(request_id=42, batch=make_batch())
     assert ExportRequest.from_bytes(request.to_bytes()) == request

@@ -9,7 +9,7 @@ from repro.core.config import RLNConfig
 from repro.core.membership import GroupManager
 from repro.core.validator import BundleValidator, ValidationOutcome
 from repro.crypto.commitments import commit
-from repro.crypto.field import FieldElement
+from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.errors import (
     InconsistentTreeUpdate,
     MerkleError,
@@ -17,7 +17,7 @@ from repro.errors import (
     SyncError,
     TreeSyncGap,
 )
-from repro.treesync import ShardRemoval, ShardSyncManager, ShardUpdate
+from repro.treesync import ShardRemoval, ShardRootDigest, ShardSyncManager, ShardUpdate
 from repro.treesync.forest import resolve_shard_depth
 from tests.conftest import TEST_DEPTH, two_level_reference
 
@@ -325,6 +325,20 @@ class TestWireSizes:
         assert update.digest().byte_size() == len(update.digest().to_bytes())
         checkpoint = manager.checkpoint()
         assert checkpoint.byte_size() == len(checkpoint.to_bytes())
+
+    def test_a_root_has_one_encoding(self, group):
+        chain, contract, manager = group
+        updates: list[ShardUpdate] = []
+        manager.on_shard_update(updates.append)
+        register(chain, contract, 0x1500)
+        digest = updates[0].digest()
+        encoded = digest.to_bytes()
+        # ``root + p`` fits in 32 bytes and used to decode, reduced, to
+        # the same digest: two byte strings for one announcement.
+        aliased = (digest.new_global_root.value + FIELD_MODULUS).to_bytes(32, "big")
+        with pytest.raises(ProtocolError):
+            ShardRootDigest.from_bytes(encoded[:-32] + aliased)
+        assert ShardRootDigest.from_bytes(encoded) == digest
 
 
 class TestCommitRecovery:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.messages import RateLimitProof
 from repro.core.wire import PROOF_SECTION_SIZE, decode_message, encode_message
-from repro.crypto.field import FieldElement
+from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleTree
 from repro.errors import ProtocolError
@@ -109,6 +109,18 @@ class TestMalformedInput:
         encoded = encode_message(WakuMessage(payload=b"x", content_topic="t"))
         with pytest.raises(ProtocolError):
             decode_message(encoded + b"!!")
+
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["share_x", "share_y", "nullifier"])
+    def test_non_canonical_field_element(self, proved_message, slot):
+        """``value + p`` is not a second spelling of ``value``: it used to
+        decode, silently reduced, to the same bundle (2p < 2**256, so the
+        alias always fits the 32 bytes)."""
+        encoded = encode_message(proved_message)
+        start = len(encoded) - PROOF_SECTION_SIZE + 32 * slot
+        value = int.from_bytes(encoded[start : start + 32], "big")
+        aliased = (value + FIELD_MODULUS).to_bytes(32, "big")
+        with pytest.raises(ProtocolError):
+            decode_message(encoded[:start] + aliased + encoded[start + 32 :])
 
     def test_bad_version(self):
         encoded = bytearray(encode_message(WakuMessage(payload=b"x", content_topic="t")))
