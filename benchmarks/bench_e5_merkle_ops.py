@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.analysis.reporting import ExperimentReport, format_seconds
+from repro.crypto.engine import default_engine
 from repro.crypto.field import FieldElement
 from repro.crypto.merkle import MerkleTree
 
@@ -63,11 +64,15 @@ def test_merkle_ops_table(trees, report_sink, benchmark):
         headers=("members", "insert", "delete", "auth path", "path verify"),
     )
 
-    def timed(fn, repeats=20):
+    repeats = 20
+
+    def timed(fn):
         start = time.perf_counter()
         for _ in range(repeats):
             fn()
         return (time.perf_counter() - start) / repeats
+
+    stats = default_engine().stats
 
     for members, tree in trees.items():
         insert_times = []
@@ -81,12 +86,18 @@ def test_merkle_ops_table(trees, report_sink, benchmark):
             delete_times.append(time.perf_counter() - start)
         proof = tree.proof(members // 2)
         root = tree.root
+        computed = stats.hashes
+        verify_seconds = timed(lambda: proof.verify(root))
+        # The checker's figure is real work: every timed fold computed all
+        # DEPTH levels (a remembered root or a memo hit would leave the
+        # engine's physical count behind).
+        assert stats.hashes - computed == repeats * DEPTH
         report.add_row(
             members,
             format_seconds(sum(insert_times) / len(insert_times)),
             format_seconds(sum(delete_times) / len(delete_times)),
             format_seconds(timed(lambda: tree.proof(members // 2))),
-            format_seconds(timed(lambda: proof.verify(root))),
+            format_seconds(verify_seconds),
         )
     report.add_note(
         "all ops are O(depth) Poseidon calls; flat across group size at fixed depth 20"

@@ -40,8 +40,9 @@ their own) hashing without sharing any state that could mask a divergence:
 with one :class:`~repro.crypto.merkle.MemoHasher` for all its managers (the
 manager neither builds nor owns it; ``None`` is plain Poseidon); and
 :meth:`GroupManager.merkle_proof` hands back the path object it built last
-for as long as ``(index, root)`` is what it was built against — any
-registration, removal or slash moves the root and so drops it.
+(and folded through that hasher) for as long as ``(index, root)`` is what it
+was built against — any registration, removal or slash moves the root and so
+drops it.
 """
 
 from __future__ import annotations
@@ -197,13 +198,18 @@ class GroupManager:
     def merkle_proof(self, pk: FieldElement) -> MerkleProof:
         """Current authentication path for a member's commitment (§II-B auth).
 
-        The same object while ``(index, root)`` is unchanged, so a fold the
-        prover already did (:meth:`MerkleProof.compute_root`) is not redone.
+        A new path is folded here, through the manager's own ``hasher`` —
+        in a deployment the memo the tree update just filled with exactly
+        these ``(left, right)`` pairs — and is the same object while
+        ``(index, root)`` is unchanged, so the prover's
+        :meth:`MerkleProof.compute_root` finds the fold done.
         """
         index, root = self.index_of(pk), self.tree.root
         witness = self._witness
         if witness is None or witness[0] != root or witness[1].index != index:
-            witness = self._witness = (root, self.tree.proof(index))
+            proof = self.tree.proof(index)
+            proof.compute_root(self._hasher)
+            witness = self._witness = (root, proof)
         return witness[1]
 
     def merkle_proof_at(self, index: int) -> MerkleProof:

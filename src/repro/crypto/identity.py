@@ -65,7 +65,9 @@ class Identity:
     """An RLN member identity: secret key plus cached commitment.
 
     Construct with :meth:`generate` (random) or :meth:`from_secret`
-    (deterministic, for tests).
+    (deterministic, for tests).  ``H(sk)`` is computed once and kept as
+    ``_commitment``: what ``pk`` was checked against and what the prover
+    compares a leaf with (``object.__setattr__`` can overwrite a field).
     """
 
     sk: FieldElement
@@ -73,36 +75,50 @@ class Identity:
 
     @classmethod
     def generate(cls) -> "Identity":
-        sk = FieldElement.random()
-        return cls(sk=sk, pk=derive_commitment(sk))
+        return cls.from_secret(FieldElement.random())
 
     @classmethod
     def from_secret(cls, sk: FieldElement | int) -> "Identity":
         sk = FieldElement(sk)
         if not sk:
             raise IdentityError("secret key must be nonzero")
-        return cls(sk=sk, pk=derive_commitment(sk))
+        # ``pk`` *is* the derivation here: nothing for ``__post_init__`` to
+        # check, so the instance is built around the one hash.
+        pk = derive_commitment(sk)
+        identity = object.__new__(cls)
+        identity.__dict__.update(sk=sk, pk=pk, _commitment=pk)
+        return identity
 
     def __post_init__(self) -> None:
-        if derive_commitment(self.sk) != self.pk:
+        commitment = derive_commitment(self.sk)
+        if commitment != self.pk:
             raise IdentityError("commitment does not match secret key")
+        object.__setattr__(self, "_commitment", commitment)
 
     # -- per-epoch derivations ------------------------------------------------
 
     def epoch_secrets(
         self, external_nullifier: FieldElement, message_id: int | None = None
     ) -> EpochSecrets:
-        slope = derive_slope(self.sk, external_nullifier, message_id)
-        return EpochSecrets(
-            external_nullifier=external_nullifier,
-            slope=slope,
-            internal_nullifier=derive_internal_nullifier(slope),
-        )
+        """The last answer is remembered on the (frozen) instance: a publish
+        derives it for the bundle, the prover asks again to check the
+        statement, and a double-signal asks for the same line."""
+        key = (external_nullifier.value, message_id)
+        last = self.__dict__.get("_last_secrets")
+        if last is None or last[0] != key:
+            slope = derive_slope(self.sk, external_nullifier, message_id)
+            secrets = EpochSecrets(
+                external_nullifier=external_nullifier,
+                slope=slope,
+                internal_nullifier=derive_internal_nullifier(slope),
+            )
+            last = (key, secrets)
+            object.__setattr__(self, "_last_secrets", last)
+        return last[1]
 
     def share_for(self, external_nullifier: FieldElement, x: FieldElement) -> Share:
         """The share (x, y) attached to a message with hash ``x`` (§II-B)."""
-        slope = derive_slope(self.sk, external_nullifier)
-        return rln_share(self.sk, slope, x)
+        return rln_share(self.sk, self.epoch_secrets(external_nullifier).slope, x)
 
     # -- serialization ----------------------------------------------------------
 

@@ -132,17 +132,18 @@ class MerkleProof:
     def compute_root(self, hasher: NodeHasher | None = None) -> FieldElement:
         """The root this path implies.
 
-        ``hasher=None`` folds with Poseidon and remembers the result on
-        the (frozen) instance — a publisher proving again on an unchanged
-        tree holds the same path object and does not re-fold it; a custom
-        hasher folds paths of the accounting-only trees the benchmarks
-        build over a cheap hash, every time.
+        Folded with Poseidon — ``hasher=None``, or a :class:`MemoHasher`,
+        which *is* Poseidon: every level is still walked, a node the memo
+        lacks is hashed for real — the result is remembered on the (frozen)
+        instance, so a path is folded at most once.  Any other hasher folds
+        paths of the accounting-only trees the benchmarks build over a
+        cheap hash, every time.
         """
-        if hasher is not None:
+        if hasher is not None and not isinstance(hasher, MemoHasher):
             return self._fold(hasher)
         root = self.__dict__.get("_root")
         if root is None:
-            root = self._fold(default_engine().hash2)
+            root = self._fold(hasher or default_engine().hash2)
             object.__setattr__(self, "_root", root)
         return root
 

@@ -36,8 +36,13 @@ class PubSubMessage:
     payload: Any
 
     def byte_size(self) -> int:
-        size = size_of(self.payload, 64)
-        return _ENVELOPE_OVERHEAD + _ID_SIZE + len(self.topic) + size
+        # Remembered: the one (frozen) object is relayed by every peer.
+        size = self.__dict__.get("_size")
+        if size is None:
+            size = _ENVELOPE_OVERHEAD + _ID_SIZE + len(self.topic)
+            size += size_of(self.payload, 64)
+            object.__setattr__(self, "_size", size)
+        return size
 
 
 @dataclass(frozen=True)
@@ -104,17 +109,20 @@ class RPC:
     subscriptions: tuple[Subscribe, ...] = ()
 
     def byte_size(self) -> int:
-        total = _ENVELOPE_OVERHEAD
-        for group in (
-            self.messages,
-            self.ihave,
-            self.iwant,
-            self.graft,
-            self.prune,
-            self.subscriptions,
-        ):
-            for item in group:
-                total += item.byte_size()
+        total = self.__dict__.get("_size")
+        if total is None:
+            total = _ENVELOPE_OVERHEAD
+            for group in (
+                self.messages,
+                self.ihave,
+                self.iwant,
+                self.graft,
+                self.prune,
+                self.subscriptions,
+            ):
+                for item in group:
+                    total += item.byte_size()
+            object.__setattr__(self, "_size", total)
         return total
 
     def is_empty(self) -> bool:

@@ -480,11 +480,12 @@ class GossipSubRouter:
         if len(targets - exclude) == 0:
             targets = self.topic_peers(message.topic)
         now = self.simulator.now
+        rpc = RPC(messages=(message,))  # one immutable envelope, sized once
         for peer in sorted(targets - exclude):
             if self.scoring and not self.scoring.accepts_publish(peer, now):
                 continue
             self.stats.forwarded += 1
-            self._send(peer, RPC(messages=(message,)))
+            self._send(peer, rpc)
 
     # -- heartbeat ---------------------------------------------------------------------------
 

@@ -177,17 +177,6 @@ class Network:
 
         self.simulator.schedule(delay, deliver)
 
-    def broadcast(self, src: str, payload: Any, *, exclude: set[str] | None = None) -> int:
-        """Send to every neighbor except ``exclude``; returns the fan-out."""
-        exclude = exclude or set()
-        count = 0
-        for neighbor in self.neighbors(src):
-            if neighbor in exclude:
-                continue
-            self.send(src, neighbor, payload)
-            count += 1
-        return count
-
     # -- accounting ----------------------------------------------------------------
 
     def total_bytes(self, *, protocol: str | None = None) -> int:

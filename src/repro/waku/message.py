@@ -49,12 +49,15 @@ class WakuMessage:
         )
 
     def byte_size(self) -> int:
-        size = len(self.payload) + len(self.content_topic) + 8 + 1
-        proof = self.rate_limit_proof
-        if proof is not None:
-            size += size_of(proof, 128)
-        if self.trace is not None:
-            size += self.trace.byte_size()
+        size = self.__dict__.get("_size")
+        if size is None:
+            size = len(self.payload) + len(self.content_topic) + 8 + 1
+            proof = self.rate_limit_proof
+            if proof is not None:
+                size += size_of(proof, 128)
+            if self.trace is not None:
+                size += self.trace.byte_size()
+            object.__setattr__(self, "_size", size)
         return size
 
     def with_proof(self, proof: Any) -> "WakuMessage":

@@ -23,7 +23,6 @@ provides a per-(depth, backend) singleton for that purpose.
 
 from __future__ import annotations
 
-from repro.crypto.identity import derive_commitment, derive_internal_nullifier, derive_slope
 from repro.errors import ProvingError
 from repro.zksnark.groth16 import Groth16, RLNProver
 from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness, message_id_in_range
@@ -33,8 +32,14 @@ class NativeProver(RLNProver):
     """Statement-equivalent fast prover for large-scale simulations."""
 
     def _check_statement(self, public: RLNPublicInputs, witness: RLNWitness) -> None:
-        """Native re-derivation of the circuit's constraints."""
-        sk = witness.identity.sk
+        """Native re-derivation of the circuit's constraints.
+
+        Everything is derived from the *witness's* key and the *statement's*
+        nullifier and compared with the statement; what the identity holds
+        from that key already — ``H(sk)``, the epoch secrets of the bundle
+        being proved — is asked for, not hashed again.
+        """
+        identity = witness.identity
         message_id = witness.message_id
         if witness.merkle_proof.depth != self.depth:
             raise ProvingError(
@@ -46,14 +51,14 @@ class NativeProver(RLNProver):
             raise ProvingError(
                 f"message-id range: {message_id} not spendable under {self.message_limit}"
             )
-        if derive_commitment(sk) != witness.merkle_proof.leaf:
+        if identity._commitment != witness.merkle_proof.leaf:
             raise ProvingError("membership: leaf is not the commitment of sk")
         if witness.merkle_proof.compute_root() != public.root:
             raise ProvingError("membership: authentication path does not reach root")
-        slope = derive_slope(sk, public.external_nullifier, message_id)
-        if sk + slope * public.x != public.y:
+        secrets = identity.epoch_secrets(public.external_nullifier, message_id)
+        if identity.sk + secrets.slope * public.x != public.y:
             raise ProvingError("share validity: y != sk + a1 * x")
-        if derive_internal_nullifier(slope) != public.internal_nullifier:
+        if secrets.internal_nullifier != public.internal_nullifier:
             raise ProvingError("nullifier correctness: phi mismatch")
 
 

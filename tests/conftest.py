@@ -19,6 +19,7 @@ from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
 from repro.core.membership import GroupManager
 from repro.core.validator import BundleValidator
+from repro.crypto.engine import default_engine
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleTree, zero_hashes
 from repro.waku.message import WakuMessage
@@ -69,6 +70,20 @@ def native_prover() -> NativeProver:
 def groth16_prover() -> Groth16:
     # Depth 4 keeps the R1CS small enough for sub-second proving.
     return Groth16(4)
+
+
+@pytest.fixture()
+def engine_hashes():
+    """``engine_hashes(action)``: Poseidon hashes the process really
+    computed (``EngineStats.hashes``) while ``action()`` ran."""
+
+    def spent(action) -> int:
+        stats = default_engine().stats
+        before = stats.hashes
+        action()
+        return stats.hashes - before
+
+    return spent
 
 
 @pytest.fixture()

@@ -12,9 +12,11 @@ import pytest
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.core.epoch import external_nullifier
-from repro.crypto.engine import default_engine
+from repro.core.membership import GroupManager
+from repro.crypto import merkle
 from repro.crypto.field import FieldElement
 from repro.errors import ProvingError
+from repro.testing import mint_bundle
 from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness
 
 PEERS = 8
@@ -26,15 +28,8 @@ def deployment(seed: int = 3, depth: int = DEPTH) -> RLNDeployment:
     return RLNDeployment.create(peer_count=PEERS, degree=4, seed=seed, config=config)
 
 
-def engine_hashes(action) -> int:
-    stats = default_engine().stats
-    before = stats.hashes
-    action()
-    return stats.hashes - before
-
-
 class TestHashBudget:
-    def test_register_all_hashes_each_node_once_for_the_fleet(self):
+    def test_register_all_hashes_each_node_once_for_the_fleet(self, engine_hashes):
         first = deployment()
         spent = engine_hashes(first.register_all)
         # N events x d levels for the whole fleet (N^2 x d = 1280 without
@@ -50,20 +45,105 @@ class TestHashBudget:
         assert second.tree_hasher is not first.tree_hasher
         assert engine_hashes(second.register_all) == spent
 
-    def test_a_publisher_on_an_unchanged_tree_keeps_its_witness(self):
+    def test_a_publisher_on_an_unchanged_tree_keeps_its_witness(self, engine_hashes):
         dep = deployment()
         dep.register_all()
         dep.form_meshes()
         peer = dep.peers["peer-000"]
-        first = engine_hashes(lambda: peer.publish(b"one"))
+        # a1 = H(sk, epoch) and phi = H(a1), nothing else: the fresh path
+        # folds through the memo register_all filled, the prover asks the
+        # identity for what it derived a line earlier.
+        assert engine_hashes(lambda: peer.publish(b"one")) == 2
         dep.run(1.0)  # next epoch; no membership event in between
         witness = peer.group.merkle_proof(peer.identity.pk)
-        second = engine_hashes(lambda: peer.publish(b"two"))
+        assert engine_hashes(lambda: peer.publish(b"two")) == 2
         assert peer.group.merkle_proof(peer.identity.pk) is witness
-        assert first >= DEPTH  # the fold happened once ...
-        assert second <= 6  # ... and only the per-message derivations recur
+        # A double-signal is a second point on the line just derived.
+        assert engine_hashes(lambda: peer.publish(b"two too", force=True)) == 0
         dep.run(1.0)
         assert dep.delivery_count(b"two") == PEERS
+        assert dep.total_spam_detected() > 0
+
+    def test_a_root_change_inside_a_deployment_costs_a_publisher_nothing(self, engine_hashes):
+        dep = deployment()
+        ids = dep.peer_ids()
+        dep.register_all(ids[:-1])
+        dep.form_meshes()
+        peer, leaver = dep.peers[ids[0]], dep.peers[ids[1]]
+        peer.publish(b"before")
+        dep.run(1.0)
+
+        dep.register_all(ids[-1:])  # MemberRegistered
+        assert engine_hashes(lambda: peer.publish(b"after registration")) == 2
+        dep.run(1.0)
+        assert dep.delivery_count(b"after registration") == PEERS
+
+        dep.chain.send_transaction(
+            leaver.peer_id,
+            dep.contract.address,
+            "withdraw",
+            {"pk": leaver.identity.pk.value},
+        )
+        dep.run(dep.chain.block_interval * 1.5)  # MemberRemoved
+        assert not leaver.registered
+        assert engine_hashes(lambda: peer.publish(b"after removal")) == 2
+        dep.run(1.0)
+        assert dep.delivery_count(b"after removal") == PEERS
+
+    def test_a_manager_outside_a_deployment_folds_its_path_for_real(self, engine_hashes):
+        dep = deployment()
+        dep.register_all()
+        member = dep.peers["peer-000"].identity
+        loner = GroupManager(dep.chain, dep.contract, tree_depth=DEPTH)  # no hasher=
+
+        def mint(payload: bytes, epoch: int) -> None:
+            mint_bundle(member, payload, epoch, loner, dep.prover)
+
+        assert engine_hashes(lambda: mint(b"one", 7)) == DEPTH + 2
+        assert engine_hashes(lambda: mint(b"two", 8)) == 2  # same path object
+
+    def test_after_a_memo_overflow_the_fold_is_real_and_the_proof_still_verifies(
+        self, monkeypatch, engine_hashes
+    ):
+        dep = deployment()
+        ids = dep.peer_ids()
+        dep.register_all(ids[:-1])
+        dep.form_meshes()
+        peer = dep.peers[ids[0]]
+        dep.register_all(ids[-1:])  # a root change: the next path is fresh
+        # Overflow through the real code path: the memo is at its limit,
+        # so the next miss clears it.
+        monkeypatch.setattr(merkle, "_MEMO_LIMIT", len(dep.tree_hasher._memo))
+        dep.tree_hasher(FieldElement(1), FieldElement(2))
+        assert len(dep.tree_hasher._memo) == 1
+        assert engine_hashes(lambda: peer.publish(b"cold")) == DEPTH + 2
+        dep.run(1.0)
+        assert dep.delivery_count(b"cold") == PEERS
+
+    def test_a_tampered_fresh_path_is_hashed_for_real_and_refused(
+        self, monkeypatch, engine_hashes
+    ):
+        dep = deployment()
+        dep.register_all()
+        peer = dep.peers["peer-003"]
+        honest = peer.group.tree.proof
+
+        def tampered(index: int):
+            path = honest(index)
+            siblings = (path.siblings[0] + FieldElement(1),) + path.siblings[1:]
+            return dataclasses.replace(path, siblings=siblings)
+
+        monkeypatch.setattr(peer.group.tree, "proof", tampered)
+
+        def refused_publish() -> None:
+            with pytest.raises(
+                ProvingError, match="membership: authentication path does not reach root"
+            ):
+                peer.publish(b"forged")
+
+        # No node above the forged sibling is in the memo: all DEPTH levels
+        # were computed, and the fold they gave is not the root.
+        assert engine_hashes(refused_publish) == DEPTH + 2
 
     def test_a_dropped_deployment_frees_its_memo(self):
         dep = deployment(depth=8)

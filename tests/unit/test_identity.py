@@ -30,6 +30,14 @@ class TestIdentity:
         with pytest.raises(IdentityError):
             Identity(sk=FieldElement(1), pk=FieldElement(2))
 
+    def test_the_key_is_hashed_once_however_it_is_built(self, engine_hashes):
+        assert engine_hashes(lambda: Identity.from_secret(77)) == 1
+        assert engine_hashes(Identity.generate) == 1
+        derived = Identity.from_secret(77)
+        checked = Identity(sk=derived.sk, pk=derived.pk)  # the checking route
+        assert checked == derived and hash(checked) == hash(derived)
+        assert checked._commitment == derived._commitment == derived.pk
+
     def test_secret_bytes_roundtrip(self):
         identity = Identity.from_secret(0xDEADBEEF)
         restored = Identity.from_secret_bytes(identity.export_secret())
@@ -66,6 +74,21 @@ class TestEpochDerivations:
             identity.epoch_secrets(ext).internal_nullifier
             == identity.epoch_secrets(ext).internal_nullifier
         )
+
+    def test_the_last_epoch_secrets_are_remembered_not_the_one_before(
+        self, engine_hashes
+    ):
+        identity = Identity.from_secret(42)
+        one, two = FieldElement(1), FieldElement(2)
+        assert engine_hashes(lambda: identity.epoch_secrets(one)) == 2
+        first = identity.epoch_secrets(one)
+        assert engine_hashes(lambda: identity.epoch_secrets(one)) == 0
+        assert engine_hashes(lambda: identity.share_for(one, FieldElement(9))) == 0
+        assert engine_hashes(lambda: identity.epoch_secrets(one, 0)) == 2  # an id
+        assert engine_hashes(lambda: identity.epoch_secrets(two)) == 2
+        assert engine_hashes(lambda: identity.epoch_secrets(one)) == 2
+        assert identity.epoch_secrets(one) == first
+        assert first.slope == derive_slope(identity.sk, one)
 
     def test_nullifier_unlinkable_across_epochs(self):
         identity = Identity.from_secret(42)

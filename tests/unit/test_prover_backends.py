@@ -94,6 +94,44 @@ def id_at_limit(public, witness):
     return spent, dataclasses.replace(witness, message_id=limit)
 
 
+def forged_pk(public, witness):
+    # An outsider's key under a member's leaf: ``pk`` is overwritten after
+    # construction (the constructor refuses the pair) and the path really
+    # opens to that leaf under the statement's root — every check that
+    # reads the field passes, only H(sk) itself can object.
+    tree = MerkleTree(depth=DEPTH)
+    member = tree.insert(FieldElement(5))
+    tree.insert(witness.identity.pk)
+    outsider = Identity.from_secret(999)
+    object.__setattr__(outsider, "pk", tree.leaf(member))
+    statement = RLNPublicInputs.for_message(
+        outsider,
+        b"msg",
+        public.external_nullifier,
+        tree.root,
+        message_id=witness.message_id,
+        message_limit=public.message_limit,
+    )
+    assert statement.root == public.root
+    return statement, RLNWitness(outsider, tree.proof(member), witness.message_id)
+
+
+def on_the_remembered_line(public, witness, external_nullifier, message_id):
+    # A statement for (epoch, id) whose y and phi lie on another line of the
+    # same key — the one the identity derived last and still remembers when
+    # the prover asks.  (Neither backend's check touches the memo before
+    # the native one reads it: the circuit works from sk.)
+    stale = witness.identity.epoch_secrets(external_nullifier, message_id)
+    return (
+        dataclasses.replace(
+            public,
+            y=witness.identity.sk + stale.slope * public.x,
+            internal_nullifier=stale.internal_nullifier,
+        ),
+        witness,
+    )
+
+
 #: fault name -> (applies to v1?, (public, witness) -> (public, witness))
 FAULTS = {
     "honest": (True, lambda public, witness: (public, witness)),
@@ -103,6 +141,19 @@ FAULTS = {
     "wrong-nullifier": (
         True,
         lambda public, witness: (tamper(public, "internal_nullifier"), witness),
+    ),
+    "forged-pk": (True, forged_pk),
+    "memo-primed-other-epoch": (
+        True,
+        lambda public, witness: on_the_remembered_line(
+            public, witness, public.external_nullifier - 1, witness.message_id
+        ),
+    ),
+    "memo-primed-other-message-id": (
+        False,
+        lambda public, witness: on_the_remembered_line(
+            public, witness, public.external_nullifier, witness.message_id + 1
+        ),
     ),
     "id-at-limit": (False, id_at_limit),
     "wrong-limit": (

@@ -65,11 +65,6 @@ class TestDelivery:
         sim.run_until_idle()
         assert gossip == [b"g"] and store == [b"s"]
 
-    def test_broadcast_excludes(self, net):
-        sim, network = net
-        count = network.broadcast("peer-000", b"x", exclude={"peer-001"})
-        assert count == 2
-
     def test_drop_probability(self):
         sim = Simulator()
         network = Network(
