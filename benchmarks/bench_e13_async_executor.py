@@ -19,12 +19,8 @@ per verify):
   queueing; reported with CPU occupancy across 1/2/4/8 workers.
 * **verdict totals** — accepted/rejected counts must not move at all:
   concurrency relocates latency, never verdicts.
-* a wall-clock arm on the :class:`ThreadPoolCryptoExecutor` showing the
-  same shape on real threads.
 """
 
-import threading
-import time
 from dataclasses import replace
 
 import pytest
@@ -36,10 +32,8 @@ from repro.core.config import RLNConfig
 from repro.core.membership import GroupManager
 from repro.core.validator import BundleValidator
 from repro.exec.costs import DEFAULT_COST_MODEL
-from repro.exec.executor import ThreadPoolCryptoExecutor
 from repro.gossipsub.router import ValidationResult
 from repro.net.simulator import Simulator
-from repro.pipeline.batch_verifier import BatchVerifier
 from repro.pipeline.pipeline import PipelineConfig, ValidationPipeline
 from repro.telemetry import Telemetry
 from repro.testing import RLN_TEST_EPOCH, mint_bundle, register_member
@@ -243,60 +237,3 @@ def test_worker_lanes_unstall_the_relay_callback(env, report_sink, snapshot_sink
     assert timed.totals() == sync.totals()
     report_sink(report)
 
-
-def test_thread_pool_arm_matches_the_shape(env, report_sink, benchmark):
-    """Wall-clock sanity on real threads: submits return fast, verdicts match."""
-    report = ExperimentReport(
-        experiment="E13-threads",
-        claim="concurrent.futures arm: constant-cost submits, identical verdicts "
-        "(wall-clock; the HMAC stand-in verify is itself microseconds here)",
-        headers=("arm", "mean submit/verify wall time", "accepted/rejected"),
-    )
-    jobs = [
-        (message.rate_limit_proof.public_inputs(), message.rate_limit_proof.proof)
-        for _, message in env.flood
-    ]
-
-    # Baseline: inline verification in the caller (the seed path).
-    start = time.perf_counter()
-    inline_verdicts = [env.prover.verify(public, proof) for public, proof in jobs]
-    inline_per_job = (time.perf_counter() - start) / len(jobs)
-    report.add_row(
-        "inline verify (seed)",
-        format_seconds(inline_per_job),
-        f"{sum(inline_verdicts)}/{len(jobs) - sum(inline_verdicts)}",
-    )
-
-    executor = ThreadPoolCryptoExecutor(workers=4)
-    lock = threading.Lock()
-    threaded_verdicts: dict[int, bool] = {}
-    verifier = BatchVerifier(env.prover, Simulator(), batch_size=1, executor=executor)
-
-    def on_verdict(index: int):
-        def record(ok: bool) -> None:
-            with lock:
-                threaded_verdicts[index] = ok
-
-        return record
-
-    try:
-        start = time.perf_counter()
-        for index, (public, proof) in enumerate(jobs):
-            verifier.submit(public, proof, on_verdict(index))
-        submit_per_job = (time.perf_counter() - start) / len(jobs)
-        executor.drain()
-    finally:
-        executor.shutdown()
-    report.add_row(
-        "threaded submit (workers=4)",
-        format_seconds(submit_per_job),
-        f"{sum(threaded_verdicts.values())}"
-        f"/{len(jobs) - sum(threaded_verdicts.values())}",
-    )
-    assert [threaded_verdicts[i] for i in range(len(jobs))] == inline_verdicts
-    report.add_note(
-        "wall-clock figures are HMAC-simulation times, not pairing times; "
-        "the modeled arms above carry the paper-calibrated costs"
-    )
-    report_sink(report)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -21,10 +21,10 @@ direct ``BundleValidator`` hook for traffic below the ingress
 token-bucket rates (under a flood the buckets shed load the seed would
 have verified); larger batch sizes defer verdicts through the router's
 :class:`~repro.gossipsub.router.DeferredValidation` until the batch
-flushes on its size-or-deadline trigger, and ``workers >= 1`` moves the
-pairing work itself onto the pipeline's
-:class:`~repro.exec.executor.SimulatedCryptoExecutor` worker lanes so
-relay callbacks return immediately even when a flush fires.
+flushes on its size-or-deadline trigger, and ``workers >= 1`` gives the
+pipeline's :class:`~repro.exec.executor.SimulatedCryptoExecutor` that
+many worker lanes (zero is the same class running inline) so relay
+callbacks return immediately even when a flush fires.
 
 Publishing (§III-E) derives the epoch from the peer's own (possibly
 drifting) clock, enforces the local one-message-per-epoch discipline, and
@@ -466,10 +466,9 @@ class WakuRLNRelayPeer:
     def proof_checker(self):
         """Shared proof checker for this peer's store/filter/lightpush roles.
 
-        Backed by the relay pipeline's verdict cache, so service-path
-        re-validation and relay validation share pairing work both ways.
-        One checker per peer: repeat calls return the same instance, so
-        the roles also share its in-flight table.
+        The same object the relay pipeline asks at stage 4, so
+        service-path re-validation and relay validation share pairing
+        work both ways — verdicts already cached and checks still pending.
         """
         return self.pipeline.shared_checker()
 

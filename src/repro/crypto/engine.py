@@ -1,8 +1,8 @@
 """Batched, allocation-free Poseidon engines — the wall-clock crypto hot path.
 
 The simulated cost model (:mod:`repro.exec.costs`) prices pairings honestly,
-but every *wall-clock* figure — ``ThreadPoolCryptoExecutor`` runs, the
-E1/E5/E12 benchmarks, prover witness generation — pays pure-python Poseidon
+but every *wall-clock* figure — the end-to-end benchmark, the E1/E5/E12
+benchmarks, prover witness generation — pays pure-python Poseidon
 where each ``poseidon_permutation`` call allocates hundreds of
 :class:`~repro.crypto.field.FieldElement` objects (t lanes × ~64 rounds ×
 add/S-box/MDS).  This module removes that interpreter overhead without
@@ -89,9 +89,8 @@ class EngineStats:
     """Cumulative work counters (what :func:`publish_engine_telemetry`
     binds ``crypto_hashes_total`` / ``crypto_hash_seconds`` to).
 
-    Plain attribute bumps: under ``ThreadPoolCryptoExecutor`` concurrent
-    increments may race and undercount slightly — acceptable for
-    telemetry, never consulted for correctness.
+    Plain attribute bumps — the whole process is one thread; telemetry
+    only, never consulted for correctness.
     """
 
     hashes: int = 0

@@ -17,7 +17,6 @@ from repro.exec.executor import (
     PriorityClassStats,
     SimulatedCryptoExecutor,
     SynchronousCryptoExecutor,
-    ThreadPoolCryptoExecutor,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "SECONDS_PER_VERIFY",
     "SimulatedCryptoExecutor",
     "SynchronousCryptoExecutor",
-    "ThreadPoolCryptoExecutor",
 ]

@@ -8,23 +8,23 @@ when a flood made batching most valuable.  Production gossip stacks
 decouple the two with worker pools; this module models that decoupling so
 queueing delay and CPU occupancy become first-class simulated quantities.
 
-Three implementations of one interface (:class:`CryptoExecutor`):
+One class, :class:`SimulatedCryptoExecutor`, whatever the lane count:
 
-* :class:`SynchronousCryptoExecutor` — ``workers=0``: runs the work inline
-  at submit time and delivers the result before ``submit`` returns.  This
-  is the pinned default; with it, every verdict, stat, and event ordering
-  is bit-identical to the pre-executor code.
-* :class:`SimulatedCryptoExecutor` — N simulated worker lanes over the
-  discrete-event :class:`~repro.net.simulator.Simulator`.  Jobs wait in
-  per-priority FIFO queues (relay verdicts ahead of service-path
-  re-validation ahead of background witness work), a free lane runs the
-  job's crypto immediately but *delivers the result at simulated
-  completion time* — start + pairings × per-pairing cost, read from the
-  shared :class:`~repro.zksnark.groth16.PairingCounter` and the
+* ``workers >= 1`` — N simulated worker lanes over the discrete-event
+  :class:`~repro.net.simulator.Simulator`.  Jobs wait in per-priority
+  FIFO queues (relay verdicts ahead of service-path re-validation ahead
+  of background witness work), a free lane runs the job's crypto
+  immediately but *delivers the result at simulated completion time* —
+  start + pairings × per-pairing cost, read from the shared
+  :class:`~repro.zksnark.groth16.PairingCounter` and the
   :class:`~repro.exec.costs.CryptoCostModel`.
-* :class:`ThreadPoolCryptoExecutor` — a real
-  :mod:`concurrent.futures`-backed pool with the same priority-class
-  admission, for wall-clock benchmark runs (E13's threaded arm).
+* ``workers=0`` — no lanes: every submit runs inline and delivers the
+  result before ``submit`` returns.  This is the pinned default; with it,
+  every verdict, stat, and event ordering is bit-identical to the
+  pre-executor code.  It is also the state a stopped peer's executor is
+  pinned to (:meth:`SimulatedCryptoExecutor.pin_synchronous`).
+  :class:`SynchronousCryptoExecutor` is the zero-lane constructor, for
+  callers that have no simulator.
 
 Priority is a *class*, not a number to tune: :attr:`Priority.RELAY` for
 verdicts the mesh is waiting on, :attr:`Priority.SERVICE` for
@@ -34,12 +34,7 @@ witness precomputation.  Within a class, jobs run in submission order.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import threading
-import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Callable, Protocol, runtime_checkable
@@ -71,10 +66,6 @@ class PriorityClassStats:
     queue_delay_total: float = 0.0
     queue_delay_max: float = 0.0
 
-    @property
-    def mean_queue_delay(self) -> float:
-        return self.queue_delay_total / self.completed if self.completed else 0.0
-
 
 @dataclass
 class ExecutorStats:
@@ -97,7 +88,7 @@ class ExecutorStats:
     inline_seconds: float = 0.0
     #: Modeled seconds of lane service time (queue wait excluded).
     service_seconds: float = 0.0
-    #: Busy seconds accumulated per lane (empty for the sync executor).
+    #: Busy seconds accumulated per lane (empty with zero lanes).
     lane_busy_seconds: list[float] = field(default_factory=list)
 
     def occupancy(self, elapsed: float) -> float:
@@ -116,40 +107,6 @@ class ExecutorStats:
         cls.completed += 1
         cls.queue_delay_total += queue_delay
         cls.queue_delay_max = max(cls.queue_delay_max, queue_delay)
-
-
-class _ExecutorMetrics:
-    """The executor's series, shared by all three flavours.
-
-    Queue depth and busy lanes are gauges bound to ``queued`` / ``busy``
-    (an executor that models no queue reads 0); the wait and service
-    histograms are handles interned once — a no-op with telemetry off.
-    """
-
-    __slots__ = ("wait", "service")
-
-    def __init__(
-        self,
-        registry: "MetricsRegistry | NullRegistry | None",
-        peer: str,
-        queued: Callable[[], int] = lambda: 0,
-        busy: Callable[[], int] = lambda: 0,
-    ) -> None:
-        reg = NULL_REGISTRY if registry is None else registry
-        reg.bind("executor_queue_depth", queued, "gauge", peer=peer)
-        reg.bind("executor_busy_lanes", busy, "gauge", peer=peer)
-        self.wait = {
-            p: reg.histogram(
-                "executor_queue_wait_seconds", peer=peer, priority=p.name.lower()
-            )
-            for p in Priority
-        }
-        self.service = {
-            p: reg.histogram(
-                "executor_service_seconds", peer=peer, priority=p.name.lower()
-            )
-            for p in Priority
-        }
 
 
 @runtime_checkable
@@ -175,91 +132,13 @@ class CryptoExecutor(Protocol):
         """Run every subsequent submit inline in the caller (peer stopped).
 
         Every holder of this executor — the batch verifier *and* the
-        shared proof checkers handed to store/filter/lightpush — degrades
-        to inline verification at once: a stopped peer never schedules
+        proof checker handed to store/filter/lightpush — degrades to
+        inline verification at once: a stopped peer never schedules
         crypto to fire at a later simulated time.
         """
 
     def unpin(self) -> None:
         """Undo :meth:`pin_synchronous` (peer restart)."""
-
-
-def _run_inline(
-    stats: ExecutorStats,
-    metrics: _ExecutorMetrics,
-    work: Callable[[], Any],
-    on_done: Callable[[Any], None],
-    priority: Priority,
-    *,
-    counter: PairingCounter | None = None,
-    cost_model: CryptoCostModel | None = None,
-) -> None:
-    """Run ``work`` in the caller's stack; deliver before returning.
-
-    The one inline body: ``workers=0`` and every pinned (stopped-peer)
-    executor.  The job waited zero seconds and its modeled pairing time
-    is charged to the caller; no lane busy time is attributed — a
-    stopped peer's occupancy over simulated time is not meaningful.
-    """
-    stats._record_submit(priority)
-    before = counter.evaluations if counter is not None else 0
-    try:
-        result = work()
-    finally:
-        if counter is not None and cost_model is not None:
-            modeled = cost_model.seconds_for_pairings(counter.evaluations - before)
-            stats.inline_seconds += modeled
-            stats.service_seconds += modeled
-            metrics.service[priority].observe(modeled)
-        metrics.wait[priority].observe(0.0)
-        stats._record_complete(priority, 0.0)
-    on_done(result)
-
-
-class SynchronousCryptoExecutor:
-    """``workers=0``: crypto inline in the caller, exactly like the seed.
-
-    ``submit`` runs the work and delivers the result before returning, so
-    callers built against the async interface degrade to the pre-executor
-    behaviour with zero extra simulator events — the property the
-    equivalence suites pin down.
-    """
-
-    workers = 0
-
-    def __init__(
-        self,
-        *,
-        counter: PairingCounter | None = None,
-        cost_model: CryptoCostModel | None = None,
-        registry: "MetricsRegistry | NullRegistry | None" = None,
-        peer: str = "",
-    ) -> None:
-        self.counter = counter
-        self.cost_model = cost_model or CryptoCostModel()
-        self.stats = ExecutorStats()
-        self.metrics = _ExecutorMetrics(registry, peer)
-
-    def submit(
-        self,
-        work: Callable[[], Any],
-        on_done: Callable[[Any], None],
-        *,
-        priority: Priority = Priority.RELAY,
-    ) -> None:
-        _run_inline(
-            self.stats, self.metrics, work, on_done, priority,
-            counter=self.counter, cost_model=self.cost_model,
-        )
-
-    def drain(self) -> None:  # nothing is ever outstanding
-        return None
-
-    def pin_synchronous(self) -> None:  # already inline
-        return None
-
-    def unpin(self) -> None:
-        return None
 
 
 @dataclass
@@ -271,23 +150,28 @@ class _SimJob:
 
 
 class SimulatedCryptoExecutor:
-    """N worker lanes on the discrete-event simulator.
+    """The one :class:`CryptoExecutor`: ``workers`` lanes on the simulator.
 
     A free lane takes the oldest job of the strongest non-empty priority
     class, executes its crypto immediately (the pairing checks are cheap
-    HMACs here), and *delivers the result at simulated completion time*:
-    dispatch + pairings-executed × ``cost_model.seconds_per_pairing``.
-    The pairing count is read as a delta on the shared ``counter``, so
-    whatever the job actually did — one classical check, an RLC batch, a
-    full fallback sweep — is what occupies the lane.
+    HMACs here), and
+    *delivers the result at simulated completion time*: dispatch +
+    pairings-executed × ``cost_model.seconds_per_pairing``.  The pairing
+    count is read as a delta on the shared ``counter``, so whatever the
+    job actually did — one classical check, an RLC batch, a full fallback
+    sweep — is what occupies the lane.  The caller's stack is only
+    charged ``submit_overhead_seconds`` of modeled inline time per job:
+    relay callbacks return immediately.
 
-    The caller's stack is only charged ``submit_overhead_seconds`` of
-    modeled inline time per job: relay callbacks return immediately.
+    ``workers=0`` (no simulator needed) is crypto inline in the caller,
+    exactly like the seed: ``submit`` runs the work and delivers the
+    result before returning, with zero simulator events — the property
+    the equivalence suites pin down.
     """
 
     def __init__(
         self,
-        simulator: Simulator,
+        simulator: Simulator | None,
         workers: int,
         *,
         counter: PairingCounter | None = None,
@@ -295,25 +179,41 @@ class SimulatedCryptoExecutor:
         registry: "MetricsRegistry | NullRegistry | None" = None,
         peer: str = "",
     ) -> None:
-        if workers < 1:
-            raise ProtocolError(
-                "SimulatedCryptoExecutor needs workers >= 1 "
-                "(use SynchronousCryptoExecutor for workers=0)"
-            )
+        if workers < 0:
+            raise ProtocolError("workers must be >= 0")
+        if workers and simulator is None:
+            raise ProtocolError("workers >= 1 needs a simulator")
         self.simulator = simulator
         self.workers = workers
         self.counter = counter
         self.cost_model = cost_model or CryptoCostModel()
         self.stats = ExecutorStats()
         self.stats.lane_busy_seconds = [0.0] * workers
-        self.metrics = _ExecutorMetrics(
-            registry, peer, lambda: self.queued_jobs, lambda: self.busy_lanes
-        )
+        # Queue depth and busy lanes are bound gauges (both read 0 with
+        # zero lanes); the wait and service histograms are handles interned
+        # once per class — no-ops with telemetry off.
+        reg = NULL_REGISTRY if registry is None else registry
+        reg.bind("executor_queue_depth", lambda: self.queued_jobs, "gauge", peer=peer)
+        reg.bind("executor_busy_lanes", lambda: self.busy_lanes, "gauge", peer=peer)
+        self._wait = {
+            p: reg.histogram(
+                "executor_queue_wait_seconds", peer=peer, priority=p.name.lower()
+            )
+            for p in Priority
+        }
+        self._service = {
+            p: reg.histogram(
+                "executor_service_seconds", peer=peer, priority=p.name.lower()
+            )
+            for p in Priority
+        }
         self._queues: dict[Priority, deque[_SimJob]] = {p: deque() for p in Priority}
         self._idle_lanes: list[int] = list(range(workers))
         #: lane -> (completion event handle, deliver closure) while busy.
         self._in_flight: dict[int, tuple[EventHandle, Callable[[], None]]] = {}
-        self._pinned = False
+        #: Submits run in the caller's stack: always with zero lanes, and
+        #: while pinned (peer stopped) with any.
+        self._inline = workers == 0
 
     # -- submission ----------------------------------------------------------
 
@@ -324,17 +224,43 @@ class SimulatedCryptoExecutor:
         *,
         priority: Priority = Priority.RELAY,
     ) -> None:
-        if self._pinned:
-            _run_inline(
-                self.stats, self.metrics, work, on_done, priority,
-                counter=self.counter, cost_model=self.cost_model,
-            )
+        if self._inline:
+            self._run_inline(work, on_done, priority)
             return
         self.stats._record_submit(priority)
         self.stats.inline_seconds += self.cost_model.submit_overhead_seconds
         job = _SimJob(priority, work, on_done, self.simulator.now)
         self._queues[priority].append(job)
         self._dispatch_idle_lanes()
+
+    def _run_inline(
+        self,
+        work: Callable[[], Any],
+        on_done: Callable[[Any], None],
+        priority: Priority,
+    ) -> None:
+        """Run ``work`` in the caller's stack; deliver before returning.
+
+        The job waited zero seconds and its modeled pairing time is
+        charged to the caller; no lane busy time is attributed — a
+        stopped peer's occupancy over simulated time is not meaningful.
+        """
+        stats, counter = self.stats, self.counter
+        stats._record_submit(priority)
+        before = counter.evaluations if counter is not None else 0
+        try:
+            result = work()
+        finally:
+            if counter is not None:
+                modeled = self.cost_model.seconds_for_pairings(
+                    counter.evaluations - before
+                )
+                stats.inline_seconds += modeled
+                stats.service_seconds += modeled
+                self._service[priority].observe(modeled)
+            self._wait[priority].observe(0.0)
+            stats._record_complete(priority, 0.0)
+        on_done(result)
 
     @property
     def queued_jobs(self) -> int:
@@ -372,8 +298,8 @@ class SimulatedCryptoExecutor:
         service = self.cost_model.seconds_for_pairings(evaluations)
         self.stats.service_seconds += service
         self.stats.lane_busy_seconds[lane] += service
-        self.metrics.wait[job.priority].observe(queue_delay)
-        self.metrics.service[job.priority].observe(service)
+        self._wait[job.priority].observe(queue_delay)
+        self._service[job.priority].observe(service)
         delivered = False
 
         def deliver() -> None:
@@ -400,7 +326,8 @@ class SimulatedCryptoExecutor:
         Used by a stopping peer: parked verdicts must land *now*, not at a
         simulated time the peer will never reach.  In-flight completions
         are delivered early (their events cancelled); queued jobs run
-        inline in priority order.
+        inline in priority order.  Nothing is ever outstanding with zero
+        lanes.
         """
         while self._in_flight or self.queued_jobs:
             in_flight = sorted(self._in_flight.items())
@@ -412,120 +339,28 @@ class SimulatedCryptoExecutor:
             # (lanes freed), so the loop terminates once queues are empty.
 
     def pin_synchronous(self) -> None:
-        self._pinned = True
+        self._inline = True
 
     def unpin(self) -> None:
-        self._pinned = False
+        self._inline = self.workers == 0
 
 
-class ThreadPoolCryptoExecutor:
-    """Real worker threads behind the same interface, for wall-clock runs.
+class SynchronousCryptoExecutor(SimulatedCryptoExecutor):
+    """The zero-lane executor, for holders without a simulator.
 
-    A :class:`concurrent.futures.ThreadPoolExecutor` does the running; a
-    small admission layer in front of it keeps the priority-class
-    semantics (at most ``workers`` jobs in flight, the strongest class
-    admitted first as slots free up) that a bare pool's internal FIFO
-    queue cannot express.
-
-    ``on_done`` fires on a worker thread — callers (the E13 threaded arm)
-    must make their callbacks thread-safe.  The simulation never uses this
-    class; it exists so the benchmark can compare the modeled latencies
-    against a real pool on real hardware.
+    A constructor only: ``submit`` and everything else is inherited, so
+    there is one inline body and one class for tracing to wrap.
     """
 
     def __init__(
         self,
-        workers: int,
         *,
+        counter: PairingCounter | None = None,
+        cost_model: CryptoCostModel | None = None,
         registry: "MetricsRegistry | NullRegistry | None" = None,
         peer: str = "",
     ) -> None:
-        if workers < 1:
-            raise ProtocolError("ThreadPoolCryptoExecutor needs workers >= 1")
-        self.workers = workers
-        self.stats = ExecutorStats()
-        self.metrics = _ExecutorMetrics(registry, peer)
-        self._pool = ThreadPoolExecutor(max_workers=workers)
-        self._lock = threading.Lock()
-        self._sequence = itertools.count()
-        #: heap of (priority, sequence, work, on_done, submitted_at)
-        self._heap: list[tuple[int, int, Callable[[], Any], Callable[[Any], None], float]] = []
-        self._in_flight = 0
-        self._idle = threading.Condition(self._lock)
-        self._pinned = False
-        #: Exceptions that escaped a job on a worker thread; re-raised (the
-        #: first of them) by :meth:`drain` so failures cannot vanish into a
-        #: discarded future.
-        self._errors: list[Exception] = []
-
-    def submit(
-        self,
-        work: Callable[[], Any],
-        on_done: Callable[[Any], None],
-        *,
-        priority: Priority = Priority.RELAY,
-    ) -> None:
-        if self._pinned:
-            # Wall-clock pool: no pairing counter models its service time.
-            _run_inline(self.stats, self.metrics, work, on_done, priority)
-            return
-        with self._lock:
-            self.stats._record_submit(priority)
-            heapq.heappush(
-                self._heap,
-                (int(priority), next(self._sequence), work, on_done, time.perf_counter()),
-            )
-            self._admit_locked()
-
-    def _admit_locked(self) -> None:
-        while self._in_flight < self.workers and self._heap:
-            entry = heapq.heappop(self._heap)
-            self._in_flight += 1
-            self._pool.submit(self._run, entry)
-
-    def _run(
-        self,
-        entry: tuple[int, int, Callable[[], Any], Callable[[Any], None], float],
-    ) -> None:
-        priority, _, work, on_done, submitted_at = entry
-        started = time.perf_counter()
-        try:
-            # on_done runs while the slot is still held, so drain() cannot
-            # return before the last callback has finished.
-            on_done(work())
-        except Exception as exc:
-            # The pool's future is discarded, so an escaping exception
-            # would otherwise vanish silently (with the verdict).
-            with self._lock:
-                self._errors.append(exc)
-        finally:
-            with self._lock:
-                self._in_flight -= 1
-                self.stats._record_complete(Priority(priority), started - submitted_at)
-                self.stats.service_seconds += time.perf_counter() - started
-                self.metrics.wait[Priority(priority)].observe(started - submitted_at)
-                self.metrics.service[Priority(priority)].observe(
-                    time.perf_counter() - started
-                )
-                self._admit_locked()
-                if self._in_flight == 0 and not self._heap:
-                    self._idle.notify_all()
-
-    def drain(self) -> None:
-        """Block until every submitted job has run; re-raise the first
-        exception any of them leaked on its worker thread."""
-        with self._idle:
-            self._idle.wait_for(lambda: self._in_flight == 0 and not self._heap)
-            if self._errors:
-                errors, self._errors = self._errors, []
-                raise errors[0]
-
-    def pin_synchronous(self) -> None:
-        self._pinned = True
-
-    def unpin(self) -> None:
-        self._pinned = False
-
-    def shutdown(self) -> None:
-        self.drain()
-        self._pool.shutdown(wait=True)
+        super().__init__(
+            None, 0, counter=counter, cost_model=cost_model,
+            registry=registry, peer=peer,
+        )

@@ -95,12 +95,12 @@ EMPTY_SNAPSHOT = GroupSnapshot(records=frozenset())
 class DistributedGroupManager:
     """One peer's replica of the DHT-managed membership group.
 
-    ``member_mode`` selects the §IV-A role.  ``"full"`` (the default,
-    pinned seed behaviour) builds and proves from a local tree.
-    ``"light"`` holds **no** tree: any operation that would materialise
-    one raises, the member's index is still derivable from the replicated
-    snapshot (pure ordering, zero hashing), and authentication paths come
-    from a :class:`~repro.witness.client.WitnessClient` via
+    Either §IV-A role is the same object: a resourceful member builds
+    and proves from a local tree (:meth:`build_tree`,
+    :meth:`merkle_proof`); a light member never calls those — its index
+    is derivable from the replicated snapshot (:meth:`member_index`: pure
+    ordering, zero hashing) and its authentication path comes from a
+    :class:`~repro.witness.client.WitnessClient` via
     :meth:`merkle_proof_via` — fetched from resourceful peers and
     verified against an accepted root, never trusted.
     """
@@ -112,17 +112,11 @@ class DistributedGroupManager:
         *,
         group_id: str = "waku-rln-relay/default",
         tree_depth: int = 20,
-        member_mode: str = "full",
     ) -> None:
-        if member_mode not in ("full", "light"):
-            raise ProtocolError(
-                f"member_mode must be 'full' or 'light', got {member_mode!r}"
-            )
         self.peer_id = peer_id
         self.dht = dht
         self.group_key = b"group:" + group_id.encode("utf-8")
         self.tree_depth = tree_depth
-        self.member_mode = member_mode
         self.snapshot = EMPTY_SNAPSHOT
         self._lamport = itertools.count(1)
 
@@ -203,11 +197,6 @@ class DistributedGroupManager:
         Registration order is (lamport, pk); removed members' leaves are
         zeroed in place, exactly like the contract's ordered list.
         """
-        if self.member_mode == "light":
-            raise ProtocolError(
-                "light member holds no tree; fetch witnesses from a "
-                "witness service (merkle_proof_via)"
-            )
         tree = MerkleTree(depth=self.tree_depth)
         removed = self.snapshot.removed_pks()
         seen: set[int] = set()
@@ -256,16 +245,15 @@ class DistributedGroupManager:
         on_done: Callable[[object], None],
         on_error: Callable[[object], None] | None = None,
     ) -> None:
-        """Light-mode authentication path: fetched, verified, delivered.
+        """A light member's authentication path: fetched, verified, delivered.
 
         ``client`` is a :class:`~repro.witness.client.WitnessClient`
         (duck-typed to keep this module free of a witness dependency);
         the client verifies the fetched path against its accepted-root
         window — and against ``pk`` itself, so a path for a stale or
         re-occupied slot fails over instead of reaching the prover —
-        before ``on_done`` ever sees it.  Works in either mode — a full
-        replica may still prefer fetching over an O(group) local tree
-        build.
+        before ``on_done`` ever sees it.  A full replica may still prefer
+        fetching over an O(group) local tree build.
         """
         client.witness(
             self.member_index(pk), on_done, on_error, expected_leaf=pk

@@ -115,7 +115,6 @@ class BatchVerifier:
         deadline: float = 0.05,
         adaptive: AdaptiveBatchPolicy | None = None,
         executor: CryptoExecutor | None = None,
-        flush_priority: Priority = Priority.RELAY,
         registry: "MetricsRegistry | NullRegistry | None" = None,
         peer: str = "",
     ) -> None:
@@ -134,12 +133,12 @@ class BatchVerifier:
         self.deadline = deadline
         self.adaptive = adaptive
         # Size- and deadline-triggered flushes alike route through the
-        # executor; the inline default keeps the pre-executor behaviour
-        # (verdicts land before flush() returns) bit-identical.
+        # executor (at RELAY class: the mesh is waiting on them); the
+        # inline default keeps the pre-executor behaviour (verdicts land
+        # before flush() returns) bit-identical.
         self.executor: CryptoExecutor = executor or SynchronousCryptoExecutor(
             counter=prover.pairing_counter
         )
-        self.flush_priority = flush_priority
         reg = NULL_REGISTRY if registry is None else registry
         self._m_batch_size = reg.histogram(
             "batch_flush_size", peer=peer, buckets=_BATCH_SIZE_BUCKETS
@@ -217,7 +216,7 @@ class BatchVerifier:
     def flush(self) -> None:
         """Hand the pending batch to the executor; verdicts land on completion.
 
-        With the default synchronous executor the pairing work runs inline
+        With the default zero-lane executor the pairing work runs inline
         and every verdict is delivered before this method returns — the
         seed behaviour.  With worker lanes, flush() only *enqueues* the
         batch (the relay callback returns immediately) and the callbacks
@@ -253,9 +252,7 @@ class BatchVerifier:
             if first_error is not None:
                 raise first_error
 
-        self.executor.submit(
-            lambda: self._verify(jobs), deliver, priority=self.flush_priority
-        )
+        self.executor.submit(lambda: self._verify(jobs), deliver, priority=Priority.RELAY)
 
     def _verify(self, jobs: Sequence[VerificationJob]) -> list[bool]:
         # Runs when a lane picks the batch up: the flush→dispatch delta is

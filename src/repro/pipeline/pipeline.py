@@ -10,9 +10,12 @@ layer ingress validation — cheap gates first, expensive ones batched:
    penalties on overflow;
 3. the existing :class:`~repro.core.validator.BundleValidator` cheap checks
    — root recognition and payload binding (§III-F items 2-3);
-4. a shared **proof-verdict cache** keyed by (statement, proof) hash — a
-   re-broadcast of an already-judged bundle (e.g. after root churn or
-   seen-cache expiry) never re-verifies;
+4. the peer's one :class:`~repro.pipeline.verdicts.SharedProofChecker`,
+   shared with its store/filter/lightpush roles — a **proof-verdict
+   cache** keyed by (statement, proof) hash, so a re-broadcast of an
+   already-judged bundle (e.g. after root churn or seen-cache expiry)
+   never re-verifies, and a table of the checks still pending, so one
+   that is being judged right now is joined;
 5. :class:`~repro.pipeline.batch_verifier.BatchVerifier` — batched Groth16
    verification with per-proof fallback, flushing on size-or-deadline;
 6. the nullifier-map rate check (§III-F item 3) once the verdict lands.
@@ -36,12 +39,7 @@ from repro.core.nullifier_log import SpamEvidence
 from repro.core.validator import BundleValidator, ValidationOutcome
 from repro.errors import ProtocolError
 from repro.exec.costs import CryptoCostModel
-from repro.exec.executor import (
-    CryptoExecutor,
-    Priority,
-    SimulatedCryptoExecutor,
-    SynchronousCryptoExecutor,
-)
+from repro.exec.executor import Priority, SimulatedCryptoExecutor
 from repro.gossipsub.router import ValidationResult
 from repro.net.promise import Promise
 from repro.net.simulator import Simulator
@@ -75,8 +73,6 @@ class PipelineConfig:
     batch_size: int = 1
     batch_deadline: float = 0.05
     max_payload_bytes: int = 1 << 20
-    dedup_capacity: int = 4096
-    verdict_cache_capacity: int = 8192
     peer_bucket: BucketSpec | None = field(
         default_factory=lambda: BucketSpec(capacity=256.0, refill_per_second=64.0)
     )
@@ -95,10 +91,10 @@ class PipelineConfig:
     #: EWMA smoothing factor for inter-arrival times (0 < alpha <= 1).
     arrival_smoothing: float = 0.2
     #: Crypto worker lanes.  0 (the default) verifies inline in the relay
-    #: callback, bit-identical to the pre-executor path; >= 1 moves every
-    #: flush onto a :class:`~repro.exec.executor.SimulatedCryptoExecutor`
-    #: so relay callbacks return immediately and verdicts resolve at
-    #: simulated completion time.
+    #: callback, bit-identical to the pre-executor path; >= 1 gives the
+    #: :class:`~repro.exec.executor.SimulatedCryptoExecutor` that many
+    #: lanes, so relay callbacks return immediately and verdicts resolve
+    #: at simulated completion time.
     workers: int = 0
     #: Pairings -> modeled seconds, shared by the executor's service-time
     #: model and the benchmark reports (one source of truth for the
@@ -115,8 +111,6 @@ class PipelineConfig:
             raise ProtocolError("batch_size must be >= 1")
         if self.batch_deadline <= 0:
             raise ProtocolError("batch_deadline must be positive")
-        if self.verdict_cache_capacity < 1:
-            raise ProtocolError("verdict_cache_capacity must be >= 1")
         if self.workers < 0:
             raise ProtocolError("workers must be >= 0")
         if (
@@ -220,7 +214,6 @@ class ValidationPipeline:
         self.prefilter = Prefilter(
             max_epoch_gap=validator.config.max_epoch_gap,
             max_payload_bytes=self.config.max_payload_bytes,
-            dedup_capacity=self.config.dedup_capacity,
         )
         self.ratelimiter = IngressRateLimiter(
             peer_spec=self.config.peer_bucket,
@@ -229,28 +222,17 @@ class ValidationPipeline:
         # The pipeline owns the crypto executor: workers=0 is the inline
         # (seed-pinned) path, workers>=1 models that many worker lanes on
         # the simulator.  The same executor serves the relay flushes (at
-        # RELAY priority, below) and the store/filter/lightpush
-        # re-validation handed out by shared_checker() (at SERVICE
-        # priority), so heavy query load queues behind relay verdicts
-        # rather than competing with them.
-        if self.config.workers >= 1:
-            if simulator is None:
-                raise ProtocolError("workers >= 1 needs a simulator")
-            self.executor: CryptoExecutor = SimulatedCryptoExecutor(
-                simulator,
-                self.config.workers,
-                counter=prover.pairing_counter,
-                cost_model=self.config.cost_model,
-                registry=registry,
-                peer=peer_id,
-            )
-        else:
-            self.executor = SynchronousCryptoExecutor(
-                counter=prover.pairing_counter,
-                cost_model=self.config.cost_model,
-                registry=registry,
-                peer=peer_id,
-            )
+        # RELAY priority) and the store/filter/lightpush re-validation (at
+        # SERVICE priority), so heavy query load queues behind relay
+        # verdicts rather than competing with them.
+        self.executor = SimulatedCryptoExecutor(
+            simulator,
+            self.config.workers,
+            counter=prover.pairing_counter,
+            cost_model=self.config.cost_model,
+            registry=registry,
+            peer=peer_id,
+        )
         self.batch_verifier = BatchVerifier(
             prover,
             simulator,
@@ -258,13 +240,13 @@ class ValidationPipeline:
             deadline=self.config.batch_deadline,
             adaptive=self.config.adaptive_policy(),
             executor=self.executor,
-            flush_priority=Priority.RELAY,
             registry=registry,
             peer=peer_id,
         )
-        self.verdict_cache = VerdictCache(self.config.verdict_cache_capacity)
-        self._prover = prover
-        self._shared_checker: SharedProofChecker | None = None
+        self.verdict_cache = VerdictCache()
+        self._checker = SharedProofChecker(
+            prover, self.verdict_cache, self.batch_verifier
+        )
         self.stats = PipelineStats(ratelimit=self.ratelimiter.stats)
         self._on_rate_limit_penalty = on_rate_limit_penalty
         self._closed = False
@@ -334,49 +316,44 @@ class ValidationPipeline:
             self.tracer.finish(trace)
             return verdict
 
-        # Stage 4 — verdict cache, then batched verification.
-        public = bundle.public_inputs()
-        key = VerdictCache.key(bundle, public)
-        cached = self.verdict_cache.get(key)
-        if cached is not None:
+        # Stage 4 — the verdict's one front door: cache, then whatever is
+        # already pending for this (statement, proof) on any of the peer's
+        # paths, then the batch window.  A straight re-broadcast does not
+        # reach this point (an identical wire message has an identical
+        # msg_id, which the router's seen-cache and the stage-1 dedup LRU
+        # suppress); the same proof rewrapped under a different
+        # content_topic does, and joins.  Whoever paid, the nullifier log
+        # still runs on the verdict, so a second copy lands as DUPLICATE.
+        proof_verdict, fresh = self._checker.check(
+            bundle, priority=Priority.RELAY, trace=trace
+        )
+        if fresh:
+            self.validator.stats.proofs_verified += 1
+            if self._closed:
+                # A closed pipeline (peer shut down) must never re-arm the
+                # batch deadline: late arrivals verify synchronously, like
+                # the seed.
+                self.batch_verifier.flush()
+        else:
             self.validator.stats.proofs_cached += 1
-            trace.mark(tracing.VERDICT_CACHE)
+
+        def settle(proof_ok: bool) -> Verdict:
             verdict = self._after_proof(
-                message, local_epoch, msg_id, cached, stage="verdict-cache", cached=True
+                message, local_epoch, msg_id, proof_ok,
+                stage="verify" if fresh else "verdict-cache", cached=not fresh,
             )
+            if fresh:
+                trace.mark(tracing.RESOLVE)
             self.tracer.finish(trace)
             return verdict
 
-        # A straight re-broadcast of a proof already inside the open batch
-        # window does not reach this point: an identical wire message has
-        # an identical msg_id, which the router's seen-cache and the
-        # stage-1 dedup LRU suppress.  (The same (statement, proof)
-        # rewrapped under a different content_topic does get a fresh
-        # msg_id and becomes a second job in the batch — one redundant
-        # pairing share; its verdict still lands as DUPLICATE via the
-        # nullifier log, so no in-window dedup is maintained for it.)
+        if proof_verdict.resolved:
+            # A cache hit, batch_size=1 or a size-triggered flush: the
+            # verdict landed synchronously — indistinguishable from the
+            # seed path.
+            return settle(proof_verdict.value)
         pending = PendingVerdict()
-        self.validator.stats.proofs_verified += 1
-        trace.mark(tracing.BATCH_ENQUEUE)
-
-        def on_proof_verdict(proof_ok: bool) -> None:
-            self.verdict_cache.put(key, proof_ok)
-            verdict = self._after_proof(
-                message, local_epoch, msg_id, proof_ok, stage="verify"
-            )
-            trace.mark(tracing.RESOLVE)
-            self.tracer.finish(trace)
-            pending.resolve(verdict)
-
-        self.batch_verifier.submit(public, bundle.proof, on_proof_verdict, trace=trace)
-        if self._closed:
-            # A closed pipeline (peer shut down) must never re-arm the batch
-            # deadline: late arrivals verify synchronously, like the seed.
-            self.batch_verifier.flush()
-        if pending.resolved:
-            # batch_size=1 (or a size-triggered flush): the verdict landed
-            # synchronously — indistinguishable from the seed path.
-            return pending.verdict
+        proof_verdict.subscribe(lambda proof_ok: pending.resolve(settle(proof_ok)))
         self.stats.deferred += 1
         return pending
 
@@ -394,8 +371,8 @@ class ValidationPipeline:
         instead of re-arming the batch deadline or waking worker lanes —
         a stopped peer never wakes up later to do crypto.  Pinning the
         executor itself (rather than swapping the verifier's reference)
-        covers every holder at once: the shared proof checkers handed to
-        store/filter/lightpush degrade to inline verification too.
+        covers every holder at once: the proof checker handed to
+        store/filter/lightpush degrades to inline verification too.
         """
         self._closed = True
         self.batch_verifier.flush()
@@ -416,25 +393,15 @@ class ValidationPipeline:
         self.executor.unpin()
 
     def shared_checker(self) -> SharedProofChecker:
-        """A proof checker over *this* pipeline's verdict cache and executor.
+        """The proof checker the relay path above asks at stage 4.
 
-        Hand it to the peer's store/filter/lightpush nodes: re-validation
-        on those paths shares verdicts with the relay path in both
-        directions (ROADMAP: verdict-cache sharing), and any fresh pairing
-        work it needs is submitted through the same executor at SERVICE
-        priority — heavy query load cannot starve relay verdicts.  One
-        checker per pipeline: repeat calls return the same instance, so
-        all of a peer's service paths share one in-flight table and the
-        same proof arriving on two of them costs one pairing job.
+        Hand it to the peer's store/filter/lightpush nodes: they share
+        verdicts — landed and still pending — with the relay path in both
+        directions, and any fresh pairing work they need goes through the
+        same executor at SERVICE priority, so heavy query load cannot
+        starve relay verdicts.
         """
-        if self._shared_checker is None:
-            self._shared_checker = SharedProofChecker(
-                self._prover,
-                self.verdict_cache,
-                executor=self.executor,
-                priority=Priority.SERVICE,
-            )
-        return self._shared_checker
+        return self._checker
 
     # -- helpers ----------------------------------------------------------------
 

@@ -30,6 +30,10 @@ from repro.errors import ProtocolError
 from repro.pipeline.lru import BoundedLRU
 from repro.waku.message import WakuMessage
 
+#: Message ids the dedup LRU remembers per topic; a pipeline's prefilter
+#: is this size.
+DEDUP_CAPACITY = 4096
+
 
 class PrefilterOutcome(Enum):
     """Verdict of the stateless gates, in the order they are applied."""
@@ -112,7 +116,7 @@ class Prefilter:
         *,
         max_epoch_gap: int,
         max_payload_bytes: int,
-        dedup_capacity: int,
+        dedup_capacity: int = DEDUP_CAPACITY,
     ) -> None:
         if max_epoch_gap < 1:
             raise ProtocolError("max_epoch_gap must be >= 1")

@@ -1,12 +1,11 @@
-"""The shared proof-verdict cache and its cross-protocol checker.
+"""The proof-verdict cache and the one front door to a proof's verdict.
 
-The relay pipeline caches every Groth16 verdict keyed by (statement,
-proof) hash; this module makes the same cache reachable from the other
-Waku protocol paths — store archival, filter pushes, and lightpush
-service (ROADMAP: "verdict-cache sharing across protocols").  A bundle
-the relay already judged is re-validated on those paths by one cache
-lookup instead of a fresh pairing evaluation, and a verdict first
-computed on a service path warms the cache for the relay in turn.
+A peer is asked for the verdict of a ``(statement, proof)`` pair on four
+paths — the relay pipeline's stage 4, store archival, filter pushes and
+lightpush service — and all four ask :meth:`SharedProofChecker.check`.
+A bundle any path already judged costs one cache lookup; a bundle any
+path is *still judging* (parked in the relay's batch window, queued or
+running on an executor lane) is joined, never verified a second time.
 """
 
 from __future__ import annotations
@@ -14,21 +13,25 @@ from __future__ import annotations
 import hashlib
 
 from repro.core.messages import RateLimitProof
-from repro.errors import ProtocolError
-from repro.exec.executor import CryptoExecutor, Priority, SynchronousCryptoExecutor
+from repro.exec.executor import Priority
 from repro.net.promise import Promise
+from repro.pipeline.batch_verifier import BatchVerifier
 from repro.pipeline.lru import BoundedLRU
+from repro.telemetry.disttrace import NULL_TRACE, ActiveSpan, NullTrace
+from repro.telemetry.tracing import BATCH_ENQUEUE, VERDICT_CACHE
 from repro.waku.message import WakuMessage
 from repro.zksnark.prover import RLNProver
 from repro.zksnark.rln_circuit import RLNPublicInputs
 
 
+#: Verdicts a peer remembers; a pipeline's cache is this size.
+VERDICT_CACHE_CAPACITY = 8192
+
+
 class VerdictCache:
     """Bounded LRU of proof verdicts keyed by (statement, proof) hash."""
 
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ProtocolError("verdict cache capacity must be >= 1")
+    def __init__(self, capacity: int = VERDICT_CACHE_CAPACITY) -> None:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
@@ -63,12 +66,13 @@ class VerdictCache:
 
 
 class SharedProofChecker:
-    """Proof re-validation backed by a (usually shared) verdict cache.
+    """Who runs a pairing check, when, and who remembers the verdict.
 
-    Constructed from a peer's pipeline
-    (:meth:`~repro.pipeline.pipeline.ValidationPipeline.shared_checker`)
-    and handed to :class:`~repro.waku.store.StoreNode`,
-    :class:`~repro.waku.filter.FilterNode`, and
+    One per peer, built by its pipeline
+    (:meth:`~repro.pipeline.pipeline.ValidationPipeline.shared_checker`),
+    which asks it on the relay path and hands it to the peer's
+    :class:`~repro.waku.store.StoreNode`,
+    :class:`~repro.waku.filter.FilterNode` and
     :class:`~repro.waku.lightpush.LightPushNode`.  Only the pairing check
     is shared — epoch windows, root recognition, and the nullifier rate
     check stay with each path's own validator.
@@ -78,56 +82,66 @@ class SharedProofChecker:
         self,
         prover: RLNProver,
         cache: VerdictCache,
-        *,
-        executor: CryptoExecutor | None = None,
-        priority: Priority = Priority.SERVICE,
+        batch_verifier: BatchVerifier | None = None,
     ) -> None:
         self.prover = prover
         self.cache = cache
-        #: Fresh pairing work goes through this executor at ``priority``
-        #: (SERVICE by default — behind the relay's RELAY-class flushes).
-        #: The inline default keeps stand-alone checkers synchronous.
-        self.executor: CryptoExecutor = executor or SynchronousCryptoExecutor(
-            counter=prover.pairing_counter
-        )
-        self.priority = priority
-        #: Verdicts served from the shared cache (no pairing work).
+        #: Relay-class work waits in this verifier's size-or-deadline
+        #: window; the stand-alone default (a window of one, no lanes)
+        #: keeps a checker built without a pipeline synchronous.
+        self.batch_verifier = batch_verifier or BatchVerifier(prover)
+        #: Service-class work goes straight to the executor the window
+        #: flushes into, so the two classes queue against each other.
+        self.executor = self.batch_verifier.executor
+        #: Verdicts served from the cache (no pairing work).
         self.cache_hits = 0
-        #: Verdicts that required a real pairing evaluation here.
+        #: Verdicts that required a real pairing evaluation.
         self.verified = 0
-        #: Deferred checks that joined a check of the same proof already
-        #: in the executor's queue (no pairing work, no extra job).
+        #: Requests that joined a check of the same proof already pending
+        #: on this peer (no pairing work, no extra job).
         self.joined_in_flight = 0
-        #: key -> in-flight verdict promise; the cache only fills at
-        #: completion, so this is what stops two service paths racing the
-        #: same proof into two identical pairing jobs.
+        #: key -> verdict promise of every check enqueued and not yet
+        #: landed, whichever path asked; the cache only fills at
+        #: completion, so this is what stops two paths racing the same
+        #: proof into two identical pairing jobs.
         self._in_flight: dict[bytes, Promise[bool]] = {}
 
-    def check_deferred(self, bundle: RateLimitProof) -> Promise[bool]:
-        """Verdict promise for one bundle; pairing work rides the executor.
+    def check(
+        self,
+        bundle: RateLimitProof,
+        *,
+        priority: Priority = Priority.SERVICE,
+        trace: "ActiveSpan | NullTrace" = NULL_TRACE,
+    ) -> tuple[Promise[bool], bool]:
+        """The verdict promise for one bundle, and whether it is *fresh*.
 
-        A cache hit resolves immediately without touching the executor; a
-        check of the same proof already queued hands back that check's
-        promise instead of submitting a second identical job; a true miss
-        submits the pairing check at this checker's priority class and
-        resolves at (simulated) completion.  With a synchronous executor
-        the promise is always resolved on return, which is how the
-        ``workers=0`` default stays pinned to the old inline path.
+        Cache lookup, then the in-flight table, then enqueue: a
+        ``Priority.RELAY`` request into the batch verifier's window, any
+        other class straight to the executor.  ``fresh`` is true only for
+        the request that enqueued the pairing work — a cache hit (resolved
+        on return) and a join of someone else's pending check (resolved
+        when that check lands, at *its* priority) are not.  The cache is
+        written here, once, when the work completes.  With zero lanes and
+        ``batch_size=1`` the promise is always resolved on return, which
+        is how the default stays pinned to the old inline path.  ``trace``
+        is the bundle's span, marked ``verdict-cache`` or
+        ``batch-enqueue`` by what happened.
         """
         public = bundle.public_inputs()
         key = VerdictCache.key(bundle, public)
         cached = self.cache.get(key)
         if cached is not None:
             self.cache_hits += 1
+            trace.mark(VERDICT_CACHE)
             promise: Promise[bool] = Promise()
             promise.resolve(cached)
-            return promise
+            return promise, False
         pending = self._in_flight.get(key)
         if pending is not None:
             self.joined_in_flight += 1
-            return pending
-        promise = Promise()
-        self._in_flight[key] = promise
+            trace.mark(VERDICT_CACHE)
+            return pending, False
+        promise = self._in_flight[key] = Promise()
 
         def finish(ok: bool) -> None:
             del self._in_flight[key]
@@ -135,12 +149,20 @@ class SharedProofChecker:
             self.cache.put(key, ok)
             promise.resolve(ok)
 
-        self.executor.submit(
-            lambda: self.prover.verify(public, bundle.proof),
-            finish,
-            priority=self.priority,
-        )
-        return promise
+        trace.mark(BATCH_ENQUEUE)
+        if priority is Priority.RELAY:
+            self.batch_verifier.submit(public, bundle.proof, finish, trace=trace)
+        else:
+            self.executor.submit(
+                lambda: self.prover.verify(public, bundle.proof),
+                finish,
+                priority=priority,
+            )
+        return promise, True
+
+    def check_deferred(self, bundle: RateLimitProof) -> Promise[bool]:
+        """Service-path verdict promise for one bundle (see :meth:`check`)."""
+        return self.check(bundle)[0]
 
     def check_message_deferred(self, message: WakuMessage) -> Promise[bool] | None:
         """Verdict promise for a message's attached proof; ``None`` when absent.

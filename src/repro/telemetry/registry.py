@@ -344,6 +344,8 @@ class NullCounter:
 
 
 class NullGauge:
+    """Shared do-nothing gauge for the disabled path."""
+
     __slots__ = ()
     kind = "gauge"
     name = ""
@@ -358,6 +360,8 @@ class NullGauge:
 
 
 class NullHistogram:
+    """Shared do-nothing histogram (every quantile reads 0) for the disabled path."""
+
     __slots__ = ()
     kind = "histogram"
     name = ""

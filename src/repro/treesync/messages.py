@@ -44,8 +44,8 @@ from repro.codec import Reader, Wire, Writer
 from repro.crypto.field import FieldElement
 from repro.crypto.optimized_merkle import TreeUpdate
 
-#: Content topic carrying full :class:`ShardUpdate`s for one shard.
 def shard_topic(shard_id: int) -> str:
+    """Content topic carrying full :class:`ShardUpdate`s for one shard."""
     return f"/treesync/1/shard-{shard_id}/proto"
 
 

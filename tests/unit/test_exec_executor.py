@@ -1,8 +1,5 @@
 """Unit tests for the crypto executor lanes, priorities, and cost model."""
 
-import threading
-import time
-
 import pytest
 
 from repro.errors import ProtocolError
@@ -16,7 +13,6 @@ from repro.exec.executor import (
     Priority,
     SimulatedCryptoExecutor,
     SynchronousCryptoExecutor,
-    ThreadPoolCryptoExecutor,
 )
 from repro.net.simulator import Simulator
 from repro.telemetry import MetricsRegistry
@@ -67,6 +63,12 @@ class TestSynchronousExecutor:
     def test_drain_is_a_no_op(self):
         SynchronousCryptoExecutor().drain()
 
+    def test_is_the_one_class_with_zero_lanes(self):
+        # A constructor only: tracing wraps ``submit`` on both names, so
+        # the subclass must inherit it rather than define its own.
+        assert issubclass(SynchronousCryptoExecutor, SimulatedCryptoExecutor)
+        assert SynchronousCryptoExecutor.submit is SimulatedCryptoExecutor.submit
+
 
 class TestSimulatedExecutor:
     def make(self, workers: int, sim=None, counter=None):
@@ -74,9 +76,26 @@ class TestSimulatedExecutor:
         counter = counter or PairingCounter()
         return sim, counter, SimulatedCryptoExecutor(sim, workers, counter=counter)
 
-    def test_rejects_zero_workers(self):
+    def test_zero_workers_is_the_inline_executor(self):
+        sim, counter, executor = self.make(0)
+        seen = []
+        executor.submit(pairing_work(counter, 4, "inline"), seen.append)
+        assert seen == ["inline"]  # delivered before submit returned
+        assert sim.pending_events == 0 and sim.processed_events == 0
+        assert executor.stats.lane_busy_seconds == []
+        assert executor.stats.inline_seconds == pytest.approx(4 * SECONDS_PER_PAIRING)
+        executor.pin_synchronous()
+        executor.unpin()  # nothing to go back to: still inline
+        executor.submit(pairing_work(counter, 4, "again"), seen.append)
+        assert seen == ["inline", "again"]
+        executor.drain()
+        assert sim.pending_events == 0
+
+    def test_rejects_negative_workers_and_lanes_without_a_simulator(self):
         with pytest.raises(ProtocolError):
-            SimulatedCryptoExecutor(Simulator(), 0)
+            SimulatedCryptoExecutor(Simulator(), -1)
+        with pytest.raises(ProtocolError, match="simulator"):
+            SimulatedCryptoExecutor(None, 2)
 
     def test_single_lane_serializes_service_times(self):
         sim, counter, executor = self.make(1)
@@ -219,44 +238,3 @@ class TestSimulatedExecutor:
         sim.run_until_idle()
         assert seen == ["free"]
 
-
-class TestThreadPoolExecutor:
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ProtocolError):
-            ThreadPoolCryptoExecutor(0)
-
-    def test_runs_every_job_and_drain_blocks_until_done(self):
-        executor = ThreadPoolCryptoExecutor(2)
-        lock = threading.Lock()
-        results = []
-
-        def record(value):
-            with lock:
-                results.append(value)
-
-        try:
-            for i in range(10):
-                executor.submit(
-                    (lambda i=i: (time.sleep(0.001), i)[1]),
-                    record,
-                    priority=Priority.SERVICE if i % 2 else Priority.RELAY,
-                )
-            executor.drain()
-            assert sorted(results) == list(range(10))
-            assert executor.stats.jobs_completed == 10
-        finally:
-            executor.shutdown()
-
-    def test_drain_reraises_exceptions_from_worker_threads(self):
-        executor = ThreadPoolCryptoExecutor(1)
-
-        def boom():
-            raise ValueError("pairing exploded")
-
-        try:
-            executor.submit(boom, lambda r: None)
-            with pytest.raises(ValueError, match="pairing exploded"):
-                executor.drain()
-            executor.drain()  # the error was consumed; the pool still works
-        finally:
-            executor.shutdown()

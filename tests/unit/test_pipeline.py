@@ -12,6 +12,11 @@ from repro.pipeline.pipeline import (
     Verdict,
 )
 from repro.pipeline.ratelimit import BucketSpec
+from repro.pipeline.verdicts import (
+    VERDICT_CACHE_CAPACITY,
+    SharedProofChecker,
+    VerdictCache,
+)
 from repro.testing import RLN_TEST_EPOCH as EPOCH
 from repro.waku.message import WakuMessage
 
@@ -111,13 +116,12 @@ class TestVerdictCache:
         assert pipeline.validator.stats.proofs_verified == 1
 
     def test_cache_bounded_lru(self, rln_env):
-        config = PipelineConfig(verdict_cache_capacity=2)
-        pipeline = make_pipeline(rln_env, config)
+        checker = SharedProofChecker(rln_env.prover, VerdictCache(2))
         for i in range(4):
-            pipeline.validate(
-                "p", rln_env.make_message(b"m%d" % i, epoch=EPOCH + i), EPOCH + i, b"%d" % i
-            )
-        assert len(pipeline.verdict_cache) == 2
+            message = rln_env.make_message(b"m%d" % i, epoch=EPOCH + i)
+            assert checker.check_message_deferred(message).value is True
+        assert checker.verified == 4 and len(checker.cache) == 2
+        assert make_pipeline(rln_env).verdict_cache.capacity == VERDICT_CACHE_CAPACITY
 
 
 class TestRateLimit:

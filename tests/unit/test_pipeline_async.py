@@ -133,7 +133,6 @@ class TestPriorityClasses:
     def test_relay_flushes_overtake_queued_service_checks(self, rln_env):
         pipeline, simulator = make_pipeline(rln_env, workers=1)
         checker = pipeline.shared_checker()
-        assert checker.priority is Priority.SERVICE
         order = []
 
         # Occupy the single lane with a relay verdict...
@@ -150,6 +149,9 @@ class TestPriorityClasses:
 
         simulator.run_until_idle()
         assert order == ["relay-1", "relay-2", "service"]
+        classes = pipeline.executor.stats.classes
+        assert classes[Priority.RELAY].completed == 2
+        assert classes[Priority.SERVICE].completed == 1
 
     def test_two_service_paths_share_one_in_flight_table(self, rln_env):
         # A peer's store, filter and lightpush nodes each ask the pipeline
@@ -170,6 +172,49 @@ class TestPriorityClasses:
         assert pipeline.executor.stats.jobs_submitted - submitted == 1
         assert counter.evaluations == 4
         assert store_path.joined_in_flight == 1 and store_path.verified == 1
+
+    def test_service_check_joins_a_proof_parked_in_the_batch_window(self, rln_env):
+        # The relay path parked the bundle in an open batch window; the
+        # same bundle asked for on the store/lightpush path must wait for
+        # that verdict, not pay for its own (8 evaluations before the
+        # relay and service paths shared one front door).
+        pipeline, simulator = make_pipeline(rln_env, batch_size=8, workers=0)
+        checker = pipeline.shared_checker()
+        message = rln_env.make_message(b"parked")
+        counter = rln_env.prover.pairing_counter
+        counter.reset()
+        relay = pipeline.validate("p", message, EPOCH, b"a")
+        assert isinstance(relay, PendingVerdict) and not relay.resolved
+        service = checker.check_deferred(message.rate_limit_proof)
+        joined_unresolved = not service.resolved
+        simulator.run_until_idle()
+        assert counter.evaluations == 4
+        assert joined_unresolved  # it waited for the window's verdict
+        assert relay.verdict.action is ValidationResult.ACCEPT
+        assert service.value is True
+        assert checker.joined_in_flight == 1 and checker.verified == 1
+
+    def test_relay_copy_joins_a_service_check_in_flight(self, rln_env):
+        # The other direction: the proof is on a lane for the store path
+        # when its relay copy arrives.
+        pipeline, simulator = make_pipeline(rln_env, workers=1, batch_size=1)
+        checker = pipeline.shared_checker()
+        message = rln_env.make_message(b"in-flight")
+        counter = rln_env.prover.pairing_counter
+        counter.reset()
+        service = checker.check_deferred(message.rate_limit_proof)
+        relay = pipeline.validate("p", message, EPOCH, b"a")
+        assert not service.resolved
+        assert isinstance(relay, PendingVerdict) and not relay.resolved
+        simulator.run_until_idle()
+        assert counter.evaluations == 4
+        assert pipeline.executor.stats.jobs_submitted == 1
+        assert service.value is True
+        assert relay.verdict.outcome is ValidationOutcome.VALID
+        # The relay copy paid no pairing work: accounted like a cache hit.
+        stats = pipeline.validator.stats
+        assert (stats.proofs_verified, stats.proofs_cached) == (0, 1)
+        assert relay.verdict.cached and pipeline.stats.deferred == 1
 
     def test_service_cache_hit_skips_the_queue(self, rln_env):
         pipeline, simulator = make_pipeline(rln_env, workers=1)

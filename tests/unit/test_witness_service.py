@@ -421,21 +421,53 @@ class TestVerifyWitness:
 
 
 class TestLightDistributedManager:
-    def test_light_mode_holds_no_tree(self):
-        from repro.offchain.group_registry import DistributedGroupManager
-
-        class FakeDHT:
-            pass
-
-        light = DistributedGroupManager(
-            "p", FakeDHT(), tree_depth=DEPTH, member_mode="light"
+    def test_merkle_proof_via_asks_the_client_for_the_members_own_slot(
+        self, monkeypatch
+    ):
+        from repro.crypto.field import FieldElement
+        from repro.crypto.identity import derive_commitment
+        from repro.offchain.group_registry import (
+            DistributedGroupManager,
+            GroupSnapshot,
+            MembershipRecord,
         )
-        with pytest.raises(ProtocolError, match="light member holds no tree"):
-            light.build_tree()
-        with pytest.raises(ProtocolError, match="light member holds no tree"):
-            light.root
-        with pytest.raises(ProtocolError):
-            DistributedGroupManager("p", FakeDHT(), member_mode="bogus")
+
+        class StubClient:
+            def __init__(self):
+                self.calls = []
+
+            def witness(self, index, on_done, on_error, *, expected_leaf):
+                self.calls.append((index, expected_leaf))
+                on_done(("path-for", index))
+
+        sks = [FieldElement(v) for v in (11, 22, 33)]
+        pks = [derive_commitment(sk) for sk in sks]
+        manager = DistributedGroupManager("p", dht=None, tree_depth=DEPTH)
+        monkeypatch.setattr(
+            manager, "build_tree", lambda: pytest.fail("a light member built a tree")
+        )
+        manager.snapshot = GroupSnapshot(
+            records=frozenset(
+                MembershipRecord(pk=int(pk), owner="o", lamport=i + 1)
+                for i, pk in enumerate(pks)
+            )
+        )
+        client, delivered = StubClient(), []
+        manager.merkle_proof_via(client, pks[2], delivered.append)
+        assert client.calls == [(2, pks[2])]
+        assert delivered == [("path-for", 2)]
+        # A removed member has no slot to ask for; nothing reaches the client.
+        manager.snapshot = manager.snapshot.merge(
+            GroupSnapshot(
+                records=frozenset(
+                    {MembershipRecord(int(pks[2]), "o", 9, removal_sk=int(sks[2]))}
+                )
+            )
+        )
+        with pytest.raises(ProtocolError, match="removed"):
+            manager.merkle_proof_via(client, pks[2], delivered.append)
+        manager.merkle_proof_via(client, pks[1], delivered.append)
+        assert client.calls == [(2, pks[2]), (1, pks[1])]
 
 
 class TestRevocationHandling:
