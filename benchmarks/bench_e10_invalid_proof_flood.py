@@ -31,15 +31,14 @@ def corrupted_copy(message: WakuMessage) -> WakuMessage:
     )
 
 
-def run_flood(*, enable_scoring: bool, seed: int):
+def run_flood(*, scoring: bool, seed: int):
     config = RLNConfig(epoch_length=600.0, max_epoch_gap=2, tree_depth=8)
     dep = RLNDeployment.create(
         peer_count=PEERS,
         degree=4,
         seed=seed,
         config=config,
-        enable_scoring=enable_scoring,
-        score_params=ScoreParams() if enable_scoring else None,
+        score_params=ScoreParams() if scoring else None,
     )
     dep.register_all()
     dep.form_meshes(5.0)
@@ -54,9 +53,7 @@ def run_flood(*, enable_scoring: bool, seed: int):
 
 @pytest.fixture(scope="module")
 def flooded():
-    return run_flood(enable_scoring=False, seed=101), run_flood(
-        enable_scoring=True, seed=102
-    )
+    return run_flood(scoring=False, seed=101), run_flood(scoring=True, seed=102)
 
 
 def test_flood_limited_to_direct_connections(flooded, report_sink, benchmark):

@@ -5,7 +5,7 @@ ejects the spammer *everywhere*: on the contract, in every full tree, in
 every shard-scoped and light view, and out of every witness cache.  This
 harness measures that pipeline in three arms:
 
-* **end-to-end (small network, real stack, both backends)** — a botnet
+* **end-to-end (small network, real stack)** — a botnet
   double-signal on a live deployment; coordinators race commit-reveal;
   the tracker stamps detection → on-chain removal → network-wide
   exclusion, and the slashed member's fresh proof (stale witness, current
@@ -72,13 +72,11 @@ def cheap_hash(left: FieldElement, right: FieldElement) -> FieldElement:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ("flat", "sharded"))
-def test_end_to_end_exclusion(report_sink, snapshot_sink, backend):
+def test_end_to_end_exclusion(report_sink, snapshot_sink):
     config = RLNConfig(
         epoch_length=30.0,
         max_epoch_gap=2,
         tree_depth=8,
-        tree_backend=backend,
         shard_depth=3,
     )
     telemetry = Telemetry()
@@ -165,7 +163,7 @@ def test_end_to_end_exclusion(report_sink, snapshot_sink, backend):
     assert winner.stats.rewards_wei == dep.contract.deposit
 
     report = ExperimentReport(
-        experiment=f"E15-e2e-{backend}",
+        experiment="E15-e2e",
         claim="a double-signal ejects the spammer from every peer class (§III-F)",
         headers=("stage", "value"),
     )
@@ -198,7 +196,7 @@ def test_end_to_end_exclusion(report_sink, snapshot_sink, backend):
         ", ".join(f"{k}:{v.value}" for k, v in rejections.items()),
     )
     report.add_note(
-        f"backend={backend}; 10 peers; window collapse means exclusion "
+        "10 peers; window collapse means exclusion "
         "needs no further membership events — stale roots die with the member"
     )
     report_sink(report)
@@ -210,7 +208,7 @@ def test_end_to_end_exclusion(report_sink, snapshot_sink, backend):
     snapshot = telemetry.snapshot()
     assert snapshot.value("slashing_races_total", peer=winner.account, outcome="won") == 1
     assert snapshot.value("traces_finished_total", kind="revocation-network") == 1
-    snapshot_sink(f"E15-{backend}", snapshot)
+    snapshot_sink("E15", snapshot)
 
 
 # ---------------------------------------------------------------------------

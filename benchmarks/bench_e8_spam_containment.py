@@ -26,6 +26,7 @@ from repro.baselines.pow import PoWRelayPeer, expected_mint_seconds
 from repro.chain.blockchain import WEI
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
+from repro.gossipsub.scoring import ScoreParams
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import random_regular
@@ -101,7 +102,7 @@ def arm_scoring() -> dict:
     classifier = lambda m: m.payload.startswith(SPAM_PREFIX) and rng.random() < 0.6
     peers = {
         n: PlainRelayPeer(
-            n, network, sim, enable_scoring=True, classifier=classifier, rng=random.Random(83 + i)
+            n, network, sim, score_params=ScoreParams(), classifier=classifier, rng=random.Random(83 + i)
         )
         for i, n in enumerate(sorted(graph.nodes))
     }

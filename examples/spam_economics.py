@@ -21,6 +21,7 @@ from repro.baselines.plain_peer import PlainRelayPeer
 from repro.baselines.pow import PoWRelayPeer, expected_mint_seconds
 from repro.chain.blockchain import WEI
 from repro.core import RLNConfig, RLNDeployment
+from repro.gossipsub.scoring import ScoreParams
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import random_regular
@@ -42,7 +43,7 @@ def plain_network(seed, scoring=False, classifier=None):
     graph = random_regular(PEERS, 4, seed=seed)
     net = Network(simulator=sim, graph=graph, latency=ConstantLatency(0.03), rng=random.Random(seed))
     peers = {
-        n: PlainRelayPeer(n, net, sim, enable_scoring=scoring, classifier=classifier,
+        n: PlainRelayPeer(n, net, sim, score_params=ScoreParams() if scoring else None, classifier=classifier,
                           rng=random.Random(seed + i))
         for i, n in enumerate(sorted(graph.nodes))
     }

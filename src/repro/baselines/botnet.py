@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass, field
 
 from repro.baselines.plain_peer import PlainRelayPeer
-from repro.gossipsub.router import GossipSubParams
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 
@@ -84,8 +83,6 @@ class BotArmy:
             bot_id,
             self.network,
             self.simulator,
-            # Bots keep the default mesh parameters; they just flood.
-            gossip_params=GossipSubParams(),
             rng=random.Random(self.rng.random()),
         )
         bot.start()

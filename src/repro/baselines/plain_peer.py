@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.gossipsub.messages import PubSubMessage
-from repro.gossipsub.router import GossipSubParams, ValidationResult
+from repro.gossipsub.router import ValidationResult
 from repro.gossipsub.scoring import ScoreParams
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
@@ -46,10 +46,8 @@ class PlainRelayPeer:
         network: Network,
         simulator: Simulator,
         *,
-        enable_scoring: bool = False,
         score_params: ScoreParams | None = None,
         classifier: SpamClassifier | None = None,
-        gossip_params: GossipSubParams | None = None,
         rng: random.Random | None = None,
     ) -> None:
         self.peer_id = peer_id
@@ -60,9 +58,7 @@ class PlainRelayPeer:
             peer_id,
             network,
             simulator,
-            params=gossip_params,
             score_params=score_params,
-            enable_scoring=enable_scoring,
             rng=rng,
         )
         if classifier is not None:

@@ -27,7 +27,7 @@ from typing import Callable
 
 from repro.errors import ProtocolError, ValidationError
 from repro.gossipsub.messages import PubSubMessage
-from repro.gossipsub.router import GossipSubParams, ValidationResult
+from repro.gossipsub.router import ValidationResult
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.waku.message import WakuMessage
@@ -119,7 +119,6 @@ class PoWRelayPeer:
         *,
         difficulty: int = 20,
         hash_rate: float = 1e5,
-        gossip_params: GossipSubParams | None = None,
         rng: random.Random | None = None,
     ) -> None:
         if hash_rate <= 0:
@@ -130,9 +129,7 @@ class PoWRelayPeer:
         self.hash_rate = hash_rate
         self.rng = rng or random.Random(hash(peer_id) & 0xFFFFFFFF)
         self.stats = PoWPeerStats()
-        self.relay = WakuRelay(
-            peer_id, network, simulator, params=gossip_params, rng=self.rng
-        )
+        self.relay = WakuRelay(peer_id, network, simulator, rng=self.rng)
         self.relay.set_validator(self._validate)
         self.received: list[WakuMessage] = []
         self.relay.subscribe(self.received.append)

@@ -25,7 +25,6 @@ from repro.core.config import RLNConfig
 from repro.core.protocol import WakuRLNRelayPeer
 from repro.crypto.merkle import MemoHasher
 from repro.errors import ProtocolError, RegistrationError
-from repro.gossipsub.router import GossipSubParams
 from repro.gossipsub.scoring import ScoreParams
 from repro.net.clock import DriftModel, PeerClock
 from repro.net.latency import ConstantLatency, LatencyModel
@@ -75,9 +74,7 @@ class RLNDeployment:
         graph: nx.Graph | None = None,
         latency: LatencyModel | None = None,
         drift: DriftModel | None = None,
-        gossip_params: GossipSubParams | None = None,
         score_params: ScoreParams | None = None,
-        enable_scoring: bool = False,
         block_interval: float = DEFAULT_BLOCK_INTERVAL,
         funding_wei: int = 100 * WEI,
         auto_slash: bool = True,
@@ -159,9 +156,7 @@ class RLNDeployment:
                 config=config,
                 prover=prover,
                 clock=clock,
-                gossip_params=gossip_params,
                 score_params=score_params,
-                enable_scoring=enable_scoring,
                 auto_slash=auto_slash,
                 pipeline_config=pipeline_config,
                 rng=random.Random(seed + 2 + len(peers)),
@@ -176,13 +171,11 @@ class RLNDeployment:
             # never counts them as neighbors and relay behaviour stays
             # bit-identical — while the telemetry channel still rides the
             # same Network, its bytes billed and separable per protocol.
-            rules, slos = list(collector.rules), list(collector.slos)
+            rules, slos = (), ()
             if collector.alerting:
-                pack_rules, pack_slos = default_rule_pack(
+                rules, slos = default_rule_pack(
                     evaluation_interval=collector.evaluation_interval
                 )
-                rules += pack_rules
-                slos += pack_slos
             names = ["collector-0"] + (["collector-1"] if collector.backup else [])
             for name in names:
                 network.add_peer(name, [])
@@ -190,7 +183,6 @@ class RLNDeployment:
                     name,
                     network,
                     simulator,
-                    trace_capacity=collector.trace_capacity,
                     rules=rules,
                     slos=slos,
                     evaluation_interval=collector.evaluation_interval,
@@ -202,14 +194,10 @@ class RLNDeployment:
                     role="full",
                     shard=-1,
                     interval=collector.interval,
-                    queue_limit=collector.queue_limit,
-                    timeout=collector.timeout,
-                    rounds=collector.rounds,
-                    max_spans_per_batch=collector.max_spans_per_batch,
                     # Alerting turns the push stream into the liveness
                     # heartbeat: idle ticks still send (empty) batches, so
                     # a quiet peer is distinguishable from a dead one.
-                    heartbeat=bool(rules or slos),
+                    heartbeat=collector.alerting,
                 )
         deployment = cls(
             simulator=simulator,

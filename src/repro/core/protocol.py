@@ -52,7 +52,7 @@ from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleProof, NodeHasher
 from repro.errors import ProtocolError, RegistrationError
 from repro.gossipsub.messages import PubSubMessage
-from repro.gossipsub.router import DeferredValidation, GossipSubParams, ValidationResult
+from repro.gossipsub.router import DeferredValidation, ValidationResult
 from repro.gossipsub.scoring import ScoreParams
 from repro.net.clock import PeerClock
 from repro.net.simulator import Simulator
@@ -135,9 +135,7 @@ class WakuRLNRelayPeer:
         prover: RLNProver | None = None,
         clock: PeerClock | None = None,
         identity: Identity | None = None,
-        gossip_params: GossipSubParams | None = None,
         score_params: ScoreParams | None = None,
-        enable_scoring: bool = False,
         auto_slash: bool = True,
         pipeline_config: PipelineConfig | None = None,
         rng: random.Random | None = None,
@@ -163,9 +161,7 @@ class WakuRLNRelayPeer:
             peer_id,
             network,
             simulator,
-            params=gossip_params,
             score_params=score_params,
-            enable_scoring=enable_scoring,
             rng=rng,
             telemetry=self.telemetry,
         )
@@ -332,6 +328,11 @@ class WakuRLNRelayPeer:
             span.mark("proof")
             message = message.with_trace(span.context)
         self._published_epochs[epoch] = count + 1
+        # Keep the window the nullifier log keeps: an older epoch can
+        # neither be published in again nor routed.
+        oldest_kept = epoch - self.config.max_epoch_gap
+        for stale in [e for e in self._published_epochs if e < oldest_kept]:
+            del self._published_epochs[stale]
         self.stats.published += 1
         self.relay.publish(message)
         if span is not None:

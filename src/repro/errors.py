@@ -134,26 +134,6 @@ class ValidationError(ProtocolError):
     """A message bundle failed routing validation."""
 
 
-class EpochGapError(ValidationError):
-    """Message epoch is more than Thr epochs away from local epoch."""
-
-
-class InvalidProofError(ValidationError):
-    """Message carried an invalid rate-limit proof."""
-
-
-class DuplicateMessageError(ValidationError):
-    """Identical message bundle seen before (same nullifier and share)."""
-
-
-class SpamDetected(ProtocolError):
-    """Rate violation detected: two distinct shares for one nullifier."""
-
-    def __init__(self, message: str, *, nullifier: int | None = None) -> None:
-        super().__init__(message)
-        self.nullifier = nullifier
-
-
 class RegistrationError(ProtocolError):
     """Peer registration with the membership contract failed."""
 

@@ -136,7 +136,6 @@ class GossipSubRouter:
         *,
         params: GossipSubParams | None = None,
         score_params: ScoreParams | None = None,
-        enable_scoring: bool = False,
         rng: random.Random | None = None,
         telemetry=None,
     ) -> None:
@@ -146,7 +145,7 @@ class GossipSubRouter:
         self.params = params or GossipSubParams()
         self.rng = rng or random.Random(hash(peer_id) & 0xFFFFFFFF)
         self.scoring = (
-            PeerScoreKeeper(score_params) if (enable_scoring or score_params) else None
+            PeerScoreKeeper(score_params) if score_params is not None else None
         )
         self.stats = RouterStats()
         self.telemetry = resolve_telemetry(telemetry)

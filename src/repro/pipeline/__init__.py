@@ -18,7 +18,6 @@ from repro.exec.executor import (
     SynchronousCryptoExecutor,
 )
 from repro.pipeline.batch_verifier import (
-    AdaptiveBatchPolicy,
     BatchVerifier,
     BatchVerifierStats,
     VerificationJob,
@@ -46,7 +45,6 @@ from repro.pipeline.ratelimit import (
 )
 
 __all__ = [
-    "AdaptiveBatchPolicy",
     "BatchVerifier",
     "CryptoCostModel",
     "CryptoExecutor",

@@ -55,34 +55,6 @@ class VerificationJob:
     trace: "ActiveSpan | NullTrace" = NULL_TRACE
 
 
-@dataclass(frozen=True)
-class AdaptiveBatchPolicy:
-    """Arrival-rate-driven batch sizing (ROADMAP: adaptive batch sizing).
-
-    The verifier keeps an EWMA of bundle inter-arrival times and targets
-    the number of arrivals expected within one flush deadline — small
-    batches under light load (verdict latency stays near zero), large
-    batches under a flood (pairing work amortises toward the N + 3 RLC
-    bound).  The target is clamped to ``[min_batch_size, max_batch_size]``.
-    """
-
-    min_batch_size: int = 1
-    max_batch_size: int = 64
-    #: EWMA smoothing factor for inter-arrival times (0 < alpha <= 1).
-    alpha: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.min_batch_size <= self.max_batch_size:
-            raise ProtocolError(
-                "need 1 <= min_batch_size <= max_batch_size for adaptation"
-            )
-        if not 0.0 < self.alpha <= 1.0:
-            raise ProtocolError("alpha must be in (0, 1]")
-
-    def clamp(self, target: int) -> int:
-        return max(self.min_batch_size, min(self.max_batch_size, target))
-
-
 @dataclass
 class BatchVerifierStats:
     """Flush/fallback accounting for the E11 benchmark."""
@@ -93,10 +65,6 @@ class BatchVerifierStats:
     deadline_flushes: int = 0
     fallback_verifications: int = 0
     forged_proofs_isolated: int = 0
-    #: Latest adaptive size target (equals ``batch_size`` when static).
-    current_target: int = 0
-    #: Times the adaptive target changed value.
-    target_adjustments: int = 0
     #: Indices of the forged members within the *most recently failed*
     #: batch (reset on each fallback, so the list stays bounded by the
     #: batch size and unambiguous).
@@ -113,7 +81,6 @@ class BatchVerifier:
         *,
         batch_size: int = 1,
         deadline: float = 0.05,
-        adaptive: AdaptiveBatchPolicy | None = None,
         executor: CryptoExecutor | None = None,
         registry: "MetricsRegistry | NullRegistry | None" = None,
         peer: str = "",
@@ -122,16 +89,15 @@ class BatchVerifier:
             raise ProtocolError("batch_size must be >= 1")
         if deadline <= 0:
             raise ProtocolError("batch deadline must be positive")
-        if (batch_size > 1 or adaptive is not None) and simulator is None:
+        if batch_size > 1 and simulator is None:
             raise ProtocolError(
-                "batching (batch_size > 1 or adaptive sizing) needs a "
-                "simulator for the deadline trigger"
+                "batching (batch_size > 1) needs a simulator for the "
+                "deadline trigger"
             )
         self.prover = prover
         self.simulator = simulator
         self.batch_size = batch_size
         self.deadline = deadline
-        self.adaptive = adaptive
         # Size- and deadline-triggered flushes alike route through the
         # executor (at RELAY class: the mesh is waiting on them); the
         # inline default keeps the pre-executor behaviour (verdicts land
@@ -144,36 +110,10 @@ class BatchVerifier:
             "batch_flush_size", peer=peer, buckets=_BATCH_SIZE_BUCKETS
         )
         self.stats = BatchVerifierStats()
-        self.stats.current_target = batch_size
         self._pending: list[VerificationJob] = []
         self._deadline_handle: EventHandle | None = None
-        self._ewma_interval: float | None = None
-        self._last_arrival: float | None = None
 
     # -- submission -------------------------------------------------------------
-
-    def _size_target(self) -> int:
-        """Flush threshold for the current load (static without a policy)."""
-        if self.adaptive is None:
-            return self.batch_size
-        if self._ewma_interval is None:
-            # No inter-arrival sample yet: stay at the configured seed.
-            return self.adaptive.clamp(self.batch_size)
-        if self._ewma_interval <= 1e-9:
-            # Burst arrivals within one instant: effectively infinite rate.
-            return self.adaptive.max_batch_size
-        expected_arrivals = int(self.deadline / self._ewma_interval)
-        return self.adaptive.clamp(expected_arrivals)
-
-    def _observe_arrival(self, now: float) -> None:
-        if self._last_arrival is not None:
-            interval = max(0.0, now - self._last_arrival)
-            if self._ewma_interval is None:
-                self._ewma_interval = interval
-            else:
-                alpha = self.adaptive.alpha  # type: ignore[union-attr]
-                self._ewma_interval += alpha * (interval - self._ewma_interval)
-        self._last_arrival = now
 
     def submit(
         self,
@@ -186,14 +126,7 @@ class BatchVerifier:
         """Queue one job; may flush synchronously on the size trigger."""
         self._pending.append(VerificationJob(public, proof, callback, trace))
         self.stats.jobs_submitted += 1
-        if self.adaptive is not None:
-            assert self.simulator is not None
-            self._observe_arrival(self.simulator.now)
-        target = self._size_target()
-        if target != self.stats.current_target:
-            self.stats.target_adjustments += 1
-            self.stats.current_target = target
-        if len(self._pending) >= target:
+        if len(self._pending) >= self.batch_size:
             self.stats.size_flushes += 1
             self.flush()
         elif self._deadline_handle is None and self.simulator is not None:

@@ -38,12 +38,11 @@ from typing import Callable
 from repro.core.nullifier_log import SpamEvidence
 from repro.core.validator import BundleValidator, ValidationOutcome
 from repro.errors import ProtocolError
-from repro.exec.costs import CryptoCostModel
 from repro.exec.executor import Priority, SimulatedCryptoExecutor
 from repro.gossipsub.router import ValidationResult
 from repro.net.promise import Promise
 from repro.net.simulator import Simulator
-from repro.pipeline.batch_verifier import AdaptiveBatchPolicy, BatchVerifier
+from repro.pipeline.batch_verifier import BatchVerifier
 from repro.pipeline.prefilter import Prefilter, PrefilterOutcome
 from repro.pipeline.ratelimit import (
     BucketSpec,
@@ -72,34 +71,18 @@ class PipelineConfig:
 
     batch_size: int = 1
     batch_deadline: float = 0.05
-    max_payload_bytes: int = 1 << 20
     peer_bucket: BucketSpec | None = field(
         default_factory=lambda: BucketSpec(capacity=256.0, refill_per_second=64.0)
     )
     topic_bucket: BucketSpec | None = field(
         default_factory=lambda: BucketSpec(capacity=1024.0, refill_per_second=256.0)
     )
-    #: When True, the batch verifier sizes flushes from an EWMA of the
-    #: bundle arrival rate between ``min_batch_size`` and
-    #: ``max_batch_size`` (small under light load for latency, large under
-    #: floods for throughput); ``batch_size`` then only seeds the verifier
-    #: before the first arrivals.  Off (the default) preserves the pinned
-    #: static-``batch_size`` behaviour exactly.
-    adaptive_batching: bool = False
-    min_batch_size: int = 1
-    max_batch_size: int = 64
-    #: EWMA smoothing factor for inter-arrival times (0 < alpha <= 1).
-    arrival_smoothing: float = 0.2
     #: Crypto worker lanes.  0 (the default) verifies inline in the relay
     #: callback, bit-identical to the pre-executor path; >= 1 gives the
     #: :class:`~repro.exec.executor.SimulatedCryptoExecutor` that many
     #: lanes, so relay callbacks return immediately and verdicts resolve
     #: at simulated completion time.
     workers: int = 0
-    #: Pairings -> modeled seconds, shared by the executor's service-time
-    #: model and the benchmark reports (one source of truth for the
-    #: paper's ~7.5 ms-per-pairing figure).
-    cost_model: CryptoCostModel = field(default_factory=CryptoCostModel)
     #: PRUNE a peer from the mesh once its token bucket has overflowed
     #: this many times (ROADMAP: rate-limit feedback into mesh
     #: management); ``None`` keeps the seed behaviour of only feeding
@@ -118,22 +101,6 @@ class PipelineConfig:
             and self.prune_overflow_threshold < 1
         ):
             raise ProtocolError("prune_overflow_threshold must be >= 1 (or None)")
-        if self.adaptive_batching:
-            if not 1 <= self.min_batch_size <= self.max_batch_size:
-                raise ProtocolError(
-                    "need 1 <= min_batch_size <= max_batch_size for adaptation"
-                )
-            if not 0.0 < self.arrival_smoothing <= 1.0:
-                raise ProtocolError("arrival_smoothing must be in (0, 1]")
-
-    def adaptive_policy(self) -> AdaptiveBatchPolicy | None:
-        if not self.adaptive_batching:
-            return None
-        return AdaptiveBatchPolicy(
-            min_batch_size=self.min_batch_size,
-            max_batch_size=self.max_batch_size,
-            alpha=self.arrival_smoothing,
-        )
 
 
 @dataclass(frozen=True)
@@ -211,10 +178,7 @@ class ValidationPipeline:
                 f"batch_deadline ({self.config.batch_deadline}s) must be "
                 f"shorter than the epoch length ({validator.config.epoch_length}s)"
             )
-        self.prefilter = Prefilter(
-            max_epoch_gap=validator.config.max_epoch_gap,
-            max_payload_bytes=self.config.max_payload_bytes,
-        )
+        self.prefilter = Prefilter(max_epoch_gap=validator.config.max_epoch_gap)
         self.ratelimiter = IngressRateLimiter(
             peer_spec=self.config.peer_bucket,
             topic_spec=self.config.topic_bucket,
@@ -229,7 +193,6 @@ class ValidationPipeline:
             simulator,
             self.config.workers,
             counter=prover.pairing_counter,
-            cost_model=self.config.cost_model,
             registry=registry,
             peer=peer_id,
         )
@@ -238,7 +201,6 @@ class ValidationPipeline:
             simulator,
             batch_size=self.config.batch_size,
             deadline=self.config.batch_deadline,
-            adaptive=self.config.adaptive_policy(),
             executor=self.executor,
             registry=registry,
             peer=peer_id,

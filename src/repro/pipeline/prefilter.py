@@ -34,6 +34,10 @@ from repro.waku.message import WakuMessage
 #: is this size.
 DEDUP_CAPACITY = 4096
 
+#: Largest payload a relayed bundle may carry (1 MiB); a pipeline's
+#: prefilter drops anything bigger before any field arithmetic.
+MAX_PAYLOAD_BYTES = 1 << 20
+
 
 class PrefilterOutcome(Enum):
     """Verdict of the stateless gates, in the order they are applied."""
@@ -115,7 +119,7 @@ class Prefilter:
         self,
         *,
         max_epoch_gap: int,
-        max_payload_bytes: int,
+        max_payload_bytes: int = MAX_PAYLOAD_BYTES,
         dedup_capacity: int = DEDUP_CAPACITY,
     ) -> None:
         if max_epoch_gap < 1:

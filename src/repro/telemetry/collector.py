@@ -78,30 +78,18 @@ class CollectorOptions:
 
     #: Export interval every peer's exporter ticks on (simulated seconds).
     interval: float = 1.0
-    #: Outbound batch queue bound per exporter (drop-oldest beyond).
-    queue_limit: int = 16
-    #: Per-attempt push timeout / failover rounds (dispatcher knobs).
-    timeout: float = 0.5
-    rounds: int = 2
     #: Stand up a second collector the exporters fail over to.
     backup: bool = False
-    #: Fleet exemplar ring capacity on each collector.
-    trace_capacity: int = 1024
     #: Cross-peer head-sampling probability.  0.0 keeps every relayed
     #: message context-free and relay behaviour bit-identical; 1.0 traces
     #: every publish into a collector-assembled propagation tree.
     trace_sample: float = 0.0
-    #: Span bound per exported batch (the cursor still advances past it).
-    max_spans_per_batch: int = 64
-    #: Alert rules / SLO burn-rate rules the collector evaluates on the
-    #: simulated clock (PR 10).  Both default empty: no rule engine is
-    #: constructed, no evaluation ticker is scheduled, and the seed
-    #: behaviour stays bit-identical.
-    rules: "tuple[AlertRule, ...]" = ()
-    slos: "tuple[SLO, ...]" = ()
-    #: Shortcut: also install the built-in RLN pack
+    #: Install the built-in RLN alert pack
     #: (:func:`~repro.telemetry.alerts.default_rule_pack`) scaled to
-    #: ``evaluation_interval``, on top of any explicit rules/slos.
+    #: ``evaluation_interval``, and turn the push stream into the
+    #: liveness heartbeat.  Off: no rule engine is constructed, no
+    #: evaluation ticker is scheduled, and the seed behaviour stays
+    #: bit-identical.
     alerting: bool = False
     #: Simulated seconds between rule-engine evaluation passes.
     evaluation_interval: float = 0.5

@@ -249,17 +249,7 @@ class ShardSyncManager:
                 "update does not change the leaf; every membership event "
                 "changes its slot"
             )
-        self.shard.write_leaf(local, item.update.new_leaf)
-        if self.shard.root != item.new_shard_root:
-            # Roll the write back before rejecting: a forged announcement
-            # must not poison the shard (the genuine update for this seq
-            # still has to apply cleanly).
-            self.shard.write_leaf(local, old_leaf)
-            self.stats.rollbacks += 1
-            raise InconsistentTreeUpdate(
-                "announced shard root does not match the locally replayed shard"
-            )
-        self.stats.home_events += 1
+        self._replay_home(local, old_leaf, item.update.new_leaf, item.new_shard_root)
 
     def _remove_home(self, item: ShardRemoval) -> None:
         """Replay one home-shard deletion (a zero write, no path needed).
@@ -286,19 +276,33 @@ class ShardSyncManager:
             raise InconsistentTreeUpdate(
                 "removal names a different commitment than the slot holds"
             )
-        self.shard.write_leaf(local, ZERO)
-        if self.shard.root != item.new_shard_root:
-            # Roll back before rejecting, as for a forged registration.
+        self._replay_home(local, old_leaf, ZERO, item.new_shard_root)
+        self.stats.removals_applied += 1
+        # Local to the replay, not just to apply(): a removal replayed
+        # from the store archive must collapse the window too.
+        self._collapse_window = True
+
+    def _replay_home(
+        self,
+        local: int,
+        old_leaf: FieldElement,
+        new_leaf: FieldElement,
+        announced_root: FieldElement,
+    ) -> None:
+        """Write one home-shard leaf; keep it only if the shard then folds
+        to the announced shard root."""
+        assert self.shard is not None
+        self.shard.write_leaf(local, new_leaf)
+        if self.shard.root != announced_root:
+            # Roll the write back before rejecting: a forged announcement
+            # must not poison the shard (the genuine event for this seq
+            # still has to apply cleanly).
             self.shard.write_leaf(local, old_leaf)
             self.stats.rollbacks += 1
             raise InconsistentTreeUpdate(
                 "announced shard root does not match the locally replayed shard"
             )
         self.stats.home_events += 1
-        self.stats.removals_applied += 1
-        # Local to the replay, not just to apply(): a removal replayed
-        # from the store archive must collapse the window too.
-        self._collapse_window = True
 
     # -- committing ------------------------------------------------------------
 
@@ -422,11 +426,17 @@ class ShardSyncManager:
                 raise InconsistentTreeUpdate(
                     "home shard replay does not match the checkpoint's shard root"
                 )
-        for shard_id, root in roots.items():
-            if shard_id != self.home_shard:
-                self._pending[shard_id] = root
-        if self.home_shard is not None and self.shard is not None:
-            self._pending[self.home_shard] = self.shard.root
+        self._install_checkpoint(checkpoint)
+        self.stats.checkpoints_restored += 1
+
+    def _install_checkpoint(self, checkpoint: TreeCheckpoint) -> None:
+        """Record the checkpoint's shard roots as pending and move the
+        frontier to the checkpoint.  The caller has already checked (or
+        rebuilt) the home shard against the checkpoint's entry for it."""
+        roots = dict(checkpoint.shard_roots)
+        if self.home_shard is not None:
+            roots.setdefault(self.home_shard, self.empty_shard_root)
+        self._pending.update(roots)
         if checkpoint.seq > self.seq:
             # The checkpoint covers events this view never saw one by
             # one, so it cannot rule out removals inside the gap — and a
@@ -438,7 +448,6 @@ class ShardSyncManager:
             self._collapse_window = True
         self.seq = checkpoint.seq
         self._announced_root = checkpoint.global_root
-        self.stats.checkpoints_restored += 1
 
     def sync_from_store(
         self,
@@ -835,21 +844,8 @@ class ShardSyncManager:
         self._snapshot_floor = int(getattr(snapshot, "seq"))
         # A clean restore: pending state from before the failed replay (or
         # from a partial one) is superseded by the checkpoint wholesale.
-        roots = dict(checkpoint.shard_roots)
         self._pending.clear()
-        for sid, root in roots.items():
-            if sid != self.home_shard:
-                self._pending[sid] = root
-        self._pending[self.home_shard] = roots.get(
-            self.home_shard, self.empty_shard_root
-        )
-        # Same conservative rule as restore(): the snapshot+checkpoint
-        # span was not observed event by event, so the pre-adoption
-        # window cannot be vouched removal-free.
-        if checkpoint.seq > self.seq:
-            self._collapse_window = True
-        self.seq = checkpoint.seq
-        self._announced_root = checkpoint.global_root
+        self._install_checkpoint(checkpoint)
         # Post-checkpoint events replay as usual; home events at or below
         # the snapshot floor are consumed as digests (apply() knows).
         root = self._replay_deltas(home_updates, digests)

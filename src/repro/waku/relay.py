@@ -20,7 +20,6 @@ from typing import Callable
 from repro.gossipsub.messages import PubSubMessage
 from repro.gossipsub.router import (
     DeferredValidation,
-    GossipSubParams,
     GossipSubRouter,
     ValidationResult,
 )
@@ -42,9 +41,7 @@ class WakuRelay:
         simulator: Simulator,
         *,
         pubsub_topic: str = DEFAULT_PUBSUB_TOPIC,
-        params: GossipSubParams | None = None,
         score_params: ScoreParams | None = None,
-        enable_scoring: bool = False,
         rng: random.Random | None = None,
         telemetry=None,
     ) -> None:
@@ -54,9 +51,7 @@ class WakuRelay:
             peer_id,
             network,
             simulator,
-            params=params,
             score_params=score_params,
-            enable_scoring=enable_scoring,
             rng=rng,
             telemetry=telemetry,
         )

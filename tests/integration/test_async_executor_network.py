@@ -8,6 +8,7 @@ Also covers the rate-limit -> mesh-management feedback end to end.
 
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
+from repro.gossipsub.scoring import ScoreParams
 from repro.pipeline.pipeline import PipelineConfig
 from repro.pipeline.ratelimit import BucketSpec
 
@@ -24,7 +25,7 @@ def make_deployment(
         seed=seed,
         config=config,
         pipeline_config=pipeline_config,
-        enable_scoring=scoring,
+        score_params=ScoreParams() if scoring else None,
         auto_slash=auto_slash,
     )
     dep.register_all()

@@ -13,6 +13,7 @@ from repro.baselines.plain_peer import PlainRelayPeer
 from repro.baselines.pow import PoWRelayPeer, expected_mint_seconds
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
+from repro.gossipsub.scoring import ScoreParams
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import random_regular
@@ -116,7 +117,7 @@ class TestScoringArm:
         classifier = lambda m: m.payload.startswith(SPAM_PREFIX) and rng.random() < 0.6
         victims = {
             name: PlainRelayPeer(
-                name, network, sim, enable_scoring=True, classifier=classifier,
+                name, network, sim, score_params=ScoreParams(), classifier=classifier,
                 rng=random.Random(64 + i),
             )
             for i, name in enumerate(sorted(graph.nodes))

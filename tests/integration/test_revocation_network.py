@@ -1,7 +1,7 @@
 """End-to-end distributed revocation over a real deployment.
 
 Botnet double-signal -> multi-observer slash race -> unified
-``MemberRemoved`` -> both tree backends zero the leaf -> ShardRemoval
+``MemberRemoved`` -> every replica zeroes the leaf -> ShardRemoval
 flows to shard-scoped and light views -> every peer class rejects the
 slashed member's *fresh* proofs against its locally-accepted roots.
 """
@@ -23,13 +23,12 @@ SHARD_DEPTH = 3
 OBSERVERS = ("peer-001", "peer-002", "peer-003")
 
 
-@pytest.fixture(params=["flat", "sharded"])
-def deployment(request):
+@pytest.fixture()
+def deployment():
     config = RLNConfig(
         epoch_length=30.0,
         max_epoch_gap=2,
         tree_depth=DEPTH,
-        tree_backend=request.param,
         shard_depth=SHARD_DEPTH,
     )
     # Registration happens inside the tests: the shard-scoped views must

@@ -3,7 +3,7 @@
 Covers the checkpoint+delta fallback end to end — a publisher archives
 shard updates, digests, and checkpoints; a lagging shard-scoped peer
 catches up through real store queries over the simulated network — and a
-full WAKU-RLN-RELAY deployment running the ``"sharded"`` tree backend.
+full WAKU-RLN-RELAY deployment announcing a shard geometry.
 """
 
 import random
@@ -186,7 +186,6 @@ class TestShardedDeployment:
             epoch_length=30.0,
             max_epoch_gap=2,
             tree_depth=DEPTH,
-            tree_backend="sharded",
             shard_depth=SHARD_DEPTH,
         )
         dep = RLNDeployment.create(peer_count=6, degree=3, seed=12, config=config)

@@ -46,7 +46,6 @@ class TestLightMemberPublishes:
             epoch_length=30.0,
             max_epoch_gap=2,
             tree_depth=DEPTH,
-            tree_backend="sharded",
             shard_depth=SHARD_DEPTH,
         )
         dep = RLNDeployment.create(peer_count=6, degree=3, seed=21, config=config)
@@ -120,7 +119,6 @@ class TestLightMemberPublishes:
             epoch_length=30.0,
             max_epoch_gap=2,
             tree_depth=DEPTH,
-            tree_backend="sharded",
             shard_depth=SHARD_DEPTH,
         )
         dep = RLNDeployment.create(peer_count=4, degree=3, seed=22, config=config)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.botnet import SPAM_PREFIX, BotArmy
 from repro.baselines.plain_peer import PlainRelayPeer
+from repro.gossipsub.scoring import ScoreParams
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import random_regular
@@ -23,7 +24,7 @@ def build_victims(count=8, scoring=False, classifier=None, seed=21):
             p,
             network,
             sim,
-            enable_scoring=scoring,
+            score_params=ScoreParams() if scoring else None,
             classifier=classifier,
             rng=random.Random(seed + i),
         )

@@ -33,10 +33,6 @@ class TestHierarchy:
             (errors.UnknownPeer, errors.NetworkError),
             (errors.NotConnected, errors.NetworkError),
             (errors.ValidationError, errors.ProtocolError),
-            (errors.EpochGapError, errors.ValidationError),
-            (errors.InvalidProofError, errors.ValidationError),
-            (errors.DuplicateMessageError, errors.ValidationError),
-            (errors.SpamDetected, errors.ProtocolError),
             (errors.RegistrationError, errors.ProtocolError),
             (errors.SyncError, errors.ProtocolError),
         ],
@@ -49,14 +45,6 @@ class TestHierarchy:
         assert not issubclass(errors.CryptoError, errors.ChainError)
         assert not issubclass(errors.NetworkError, errors.ProtocolError)
         assert not issubclass(errors.SnarkError, errors.CryptoError)
-
-    def test_spam_detected_carries_nullifier(self):
-        exc = errors.SpamDetected("double signal", nullifier=42)
-        assert exc.nullifier == 42
-        assert "double signal" in str(exc)
-
-    def test_spam_detected_nullifier_optional(self):
-        assert errors.SpamDetected("x").nullifier is None
 
     def test_catching_the_root_catches_everything(self):
         for exc_type in (

@@ -11,6 +11,7 @@ from repro.pipeline.pipeline import (
     ValidationPipeline,
     Verdict,
 )
+from repro.pipeline.prefilter import MAX_PAYLOAD_BYTES
 from repro.pipeline.ratelimit import BucketSpec
 from repro.pipeline.verdicts import (
     VERDICT_CACHE_CAPACITY,
@@ -209,10 +210,9 @@ class TestPrefilterIntegration:
         assert stats.count(ValidationOutcome.INVALID_EPOCH_GAP) == 1
 
     def test_pipeline_only_gates_do_not_touch_validator_stats(self, rln_env):
-        config = PipelineConfig(max_payload_bytes=8)
-        pipeline = make_pipeline(rln_env, config)
+        pipeline = make_pipeline(rln_env)
         verdict = pipeline.validate(
-            "p", rln_env.make_message(b"way too large"), EPOCH, b"1"
+            "p", rln_env.make_message(bytes(MAX_PAYLOAD_BYTES + 1)), EPOCH, b"1"
         )
         assert verdict.action is ValidationResult.REJECT
         assert verdict.outcome is None

@@ -175,108 +175,3 @@ class TestCallbackIsolation:
             verifier.submit(*jobs[2], lambda ok: delivered.append(("c", ok)))
         assert delivered == [("a", True), ("boom", True), ("c", True)]
         assert verifier.pending_jobs == 0
-
-
-class TestAdaptiveBatchSizing:
-    """ROADMAP satellite: EWMA arrival-rate batch sizing."""
-
-    def adaptive(self, rln_env, simulator, **kwargs):
-        from repro.pipeline.batch_verifier import AdaptiveBatchPolicy
-
-        policy = AdaptiveBatchPolicy(**kwargs)
-        return BatchVerifier(
-            rln_env.prover, simulator, batch_size=1, deadline=0.05, adaptive=policy
-        )
-
-    def test_policy_validation(self):
-        from repro.pipeline.batch_verifier import AdaptiveBatchPolicy
-
-        with pytest.raises(ProtocolError):
-            AdaptiveBatchPolicy(min_batch_size=0)
-        with pytest.raises(ProtocolError):
-            AdaptiveBatchPolicy(min_batch_size=8, max_batch_size=4)
-        with pytest.raises(ProtocolError):
-            AdaptiveBatchPolicy(alpha=0.0)
-
-    def test_adaptive_needs_simulator(self, rln_env):
-        from repro.pipeline.batch_verifier import AdaptiveBatchPolicy
-
-        with pytest.raises(ProtocolError):
-            BatchVerifier(
-                rln_env.prover, None, batch_size=1, adaptive=AdaptiveBatchPolicy()
-            )
-
-    def test_light_load_stays_small(self, rln_env):
-        """Sparse arrivals (rate << 1/deadline) verify immediately."""
-        simulator = Simulator()
-        verifier = self.adaptive(rln_env, simulator, max_batch_size=64)
-        verdicts = []
-        for public, proof in make_jobs(rln_env, 4):
-            verifier.submit(public, proof, verdicts.append)
-            simulator.run(until=simulator.now + 1.0)  # 1s apart: light load
-        assert verdicts == [True] * 4
-        assert verifier.stats.current_target == 1
-
-    def test_burst_grows_target_to_max(self, rln_env):
-        """Same-instant arrivals drive the target to max_batch_size."""
-        simulator = Simulator()
-        verifier = self.adaptive(rln_env, simulator, max_batch_size=8)
-        verdicts = []
-        jobs = make_jobs(rln_env, 9)
-        for public, proof in jobs:
-            verifier.submit(public, proof, verdicts.append)  # all at t=0
-        # The first arrival flushes alone (no interval sample yet); from
-        # the second on the EWMA sees zero intervals and the target jumps
-        # to max, so jobs 2..9 flush as one full batch of 8.
-        assert verifier.stats.current_target == 8
-        assert verifier.stats.size_flushes == 2
-        assert len(verdicts) == 9
-        assert verifier.stats.target_adjustments >= 1
-
-    def test_target_tracks_measured_rate(self, rln_env):
-        """Steady arrivals every 10 ms with a 50 ms deadline -> target ~5."""
-        simulator = Simulator()
-        verifier = self.adaptive(rln_env, simulator, max_batch_size=64)
-        jobs = make_jobs(rln_env, 24)
-        verdicts = []
-        for public, proof in jobs:
-            verifier.submit(public, proof, verdicts.append)
-            simulator.run(until=simulator.now + 0.01)
-        assert 3 <= verifier.stats.current_target <= 6
-        verifier.flush()
-        assert len(verdicts) == 24
-
-    def test_static_behaviour_unchanged_when_off(self, rln_env):
-        """No policy: the seed-pinned batch_size=1 path is untouched."""
-        verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=1)
-        verdicts = []
-        for public, proof in make_jobs(rln_env, 3):
-            verifier.submit(public, proof, verdicts.append)
-        assert verdicts == [True] * 3
-        assert verifier.stats.current_target == 1
-        assert verifier.stats.target_adjustments == 0
-
-    def test_pipeline_config_builds_policy(self, rln_env):
-        from repro.core.validator import BundleValidator
-        from repro.pipeline.pipeline import PipelineConfig, ValidationPipeline
-
-        config = PipelineConfig(
-            adaptive_batching=True, min_batch_size=2, max_batch_size=16
-        )
-        validator = rln_env.make_validator()
-        pipeline = ValidationPipeline(
-            validator, rln_env.prover, Simulator(), config
-        )
-        assert pipeline.batch_verifier.adaptive is not None
-        assert pipeline.batch_verifier.adaptive.max_batch_size == 16
-
-    def test_pipeline_config_validation(self):
-        from repro.pipeline.pipeline import PipelineConfig
-
-        with pytest.raises(ProtocolError):
-            PipelineConfig(adaptive_batching=True, min_batch_size=9, max_batch_size=4)
-        with pytest.raises(ProtocolError):
-            PipelineConfig(adaptive_batching=True, arrival_smoothing=0.0)
-        # Off: the adaptive knobs are inert and unvalidated combinations
-        # cannot reject a seed-shaped config.
-        PipelineConfig()

@@ -71,6 +71,22 @@ class TestPublish:
         peer.publish(b"spam", force=True)  # no exception locally
         assert peer.stats.published == 2
 
+    def test_published_epochs_stay_within_the_epoch_window(self):
+        config = RLNConfig(epoch_length=1.0, max_epoch_gap=2, tree_depth=DEPTH)
+        dep = RLNDeployment.create(peer_count=4, degree=2, seed=14, config=config)
+        dep.register_all()
+        peer = dep.peer("peer-000")
+        for i in range(50):
+            peer.publish(b"epoch %d" % i)
+            dep.run(config.epoch_length)
+        assert len(peer._published_epochs) <= config.max_epoch_gap + 1
+        # The discipline itself is untouched by the pruning.
+        peer.publish(b"one more")
+        with pytest.raises(ProtocolError, match="rate limit"):
+            peer.publish(b"refused")
+        peer.publish(b"forced", force=True)
+        assert peer._published_epochs[peer.current_epoch()] == 2
+
 
 class TestSpamHandling:
     def test_spam_contained_and_slashed(self, deployment):

@@ -12,6 +12,7 @@ from repro.gossipsub.router import (
     GossipSubRouter,
     ValidationResult,
 )
+from repro.gossipsub.scoring import ScoreParams
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh, random_regular
@@ -33,7 +34,7 @@ def build(count=6, degree=None, seed=1, scoring=False, params=None):
             network,
             sim,
             params=params,
-            enable_scoring=scoring,
+            score_params=ScoreParams() if scoring else None,
             rng=random.Random(seed + i),
         )
     return sim, network, routers

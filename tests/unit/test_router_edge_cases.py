@@ -26,7 +26,7 @@ def build(count=5, seed=51, scoring=False):
     routers = {}
     for i, peer in enumerate(sorted(graph.nodes)):
         routers[peer] = GossipSubRouter(
-            peer, network, sim, enable_scoring=scoring, rng=random.Random(seed + i)
+            peer, network, sim, score_params=ScoreParams() if scoring else None, rng=random.Random(seed + i)
         )
         routers[peer].subscribe(TOPIC)
         routers[peer].start()

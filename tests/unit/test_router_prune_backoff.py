@@ -14,6 +14,7 @@ import pytest
 from repro.errors import NetworkError
 from repro.gossipsub.messages import RPC, Graft
 from repro.gossipsub.router import GossipSubParams, GossipSubRouter
+from repro.gossipsub.scoring import ScoreParams
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
@@ -37,7 +38,7 @@ def build(count=5, seed=3, scoring=False, params=None):
             network,
             sim,
             params=params,
-            enable_scoring=scoring,
+            score_params=ScoreParams() if scoring else None,
             rng=random.Random(seed + i),
         )
     for router in routers.values():
