@@ -27,7 +27,16 @@ from repro.core.epoch import external_nullifier
 
 @dataclass(frozen=True)
 class RateLimitProof:
-    """§III-E metadata: share, nullifier, epoch, root, and the proof."""
+    """§III-E metadata: share, nullifier, epoch, root, and the proof.
+
+    One bundle object is judged by every peer it reaches, so it remembers
+    what it derives — ``share``, ``public_inputs()``, the last
+    ``matches_payload`` answer and (see
+    :meth:`~repro.pipeline.verdicts.VerdictCache.key`) its verdict-cache
+    key — in the frozen instance's ``__dict__``.  The memos are not
+    fields: ``==`` and ``hash`` ignore them and ``dataclasses.replace``
+    (so :meth:`forged_copy`) starts clean.
+    """
 
     share_x: FieldElement
     share_y: FieldElement
@@ -38,25 +47,41 @@ class RateLimitProof:
 
     @property
     def share(self) -> Share:
-        return Share(x=self.share_x, y=self.share_y)
+        share = self.__dict__.get("_share")
+        if share is None:
+            share = Share(x=self.share_x, y=self.share_y)
+            object.__setattr__(self, "_share", share)
+        return share
 
     def public_inputs(self) -> RLNPublicInputs:
         """Reassemble the zkSNARK statement this bundle claims."""
-        return RLNPublicInputs(
-            x=self.share_x,
-            external_nullifier=external_nullifier(self.epoch),
-            y=self.share_y,
-            internal_nullifier=self.internal_nullifier,
-            root=self.root,
-        )
+        public = self.__dict__.get("_public")
+        if public is None:
+            public = RLNPublicInputs(
+                x=self.share_x,
+                external_nullifier=external_nullifier(self.epoch),
+                y=self.share_y,
+                internal_nullifier=self.internal_nullifier,
+                root=self.root,
+            )
+            object.__setattr__(self, "_public", public)
+        return public
 
     def matches_payload(self, payload: bytes) -> bool:
         """True iff ``x`` really is the hash of ``payload``.
 
         Binding the proof to the payload is what stops an adversary from
-        replaying someone else's valid proof on a different message.
+        replaying someone else's valid proof on a different message.  The
+        last ``(payload, answer)`` pair is remembered: a relayed bundle is
+        asked about the same payload by every receiver.
         """
-        return hash_message_to_field(payload) == self.share_x
+        last = self.__dict__.get("_payload_match")
+        if last is not None and last[0] == payload:
+            return last[1]
+        matches = hash_message_to_field(payload) == self.share_x
+        # A copy, so a bytearray changed after the call cannot match stale.
+        object.__setattr__(self, "_payload_match", (bytes(payload), matches))
+        return matches
 
     def byte_size(self) -> int:
         """Wire size: 4 field elements + 8-byte epoch + 128-byte proof."""

@@ -19,12 +19,17 @@ class SeenCache:
     def __init__(self, ttl: float = 120.0) -> None:
         self.ttl = ttl
         self._entries: OrderedDict[bytes, float] = OrderedDict()
+        #: Timestamp of the oldest (first) entry; infinity when empty.
+        self._oldest = float("inf")
 
     def witness(self, msg_id: bytes, now: float) -> bool:
         """Record ``msg_id``; True if it was *already* seen (a duplicate)."""
-        self._expire(now)
+        if self._oldest < now - self.ttl:
+            self._expire(now)
         if msg_id in self._entries:
             return True
+        if not self._entries:
+            self._oldest = now
         self._entries[msg_id] = now
         return False
 
@@ -33,7 +38,8 @@ class SeenCache:
 
     def forget(self, msg_id: bytes) -> None:
         """Drop an id witnessed for a message that was never actually judged."""
-        self._entries.pop(msg_id, None)
+        if self._entries.pop(msg_id, None) == self._oldest:
+            self._reset_oldest()
 
     def _expire(self, now: float) -> None:
         cutoff = now - self.ttl
@@ -42,6 +48,10 @@ class SeenCache:
             if oldest_time >= cutoff:
                 break
             del self._entries[oldest_id]
+        self._reset_oldest()
+
+    def _reset_oldest(self) -> None:
+        self._oldest = next(iter(self._entries.values()), float("inf"))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -25,7 +25,7 @@ from enum import Enum
 from functools import partial
 from typing import Any, Callable
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, NotConnected, UnknownPeer
 from repro.gossipsub.mcache import MessageCache, SeenCache
 from repro.gossipsub.messages import (
     Graft,
@@ -327,18 +327,22 @@ class GossipSubRouter:
     def _on_rpc(self, sender: str, rpc: RPC) -> None:
         if self.scoring and self.scoring.graylisted(sender, self.simulator.now):
             return
-        for subscription in rpc.subscriptions:
-            self._handle_subscription(sender, subscription)
-        for graft in rpc.graft:
-            self._handle_graft(sender, graft)
-        for prune in rpc.prune:
-            self._handle_prune(sender, prune)
+        # A relayed copy carries messages and nothing else: it skips the
+        # empty control sections without looping over them.
+        if rpc.subscriptions or rpc.graft or rpc.prune:
+            for subscription in rpc.subscriptions:
+                self._handle_subscription(sender, subscription)
+            for graft in rpc.graft:
+                self._handle_graft(sender, graft)
+            for prune in rpc.prune:
+                self._handle_prune(sender, prune)
         for message in rpc.messages:
             self._handle_message(sender, message)
-        for ihave in rpc.ihave:
-            self._handle_ihave(sender, ihave)
-        for iwant in rpc.iwant:
-            self._handle_iwant(sender, iwant)
+        if rpc.ihave or rpc.iwant:
+            for ihave in rpc.ihave:
+                self._handle_ihave(sender, ihave)
+            for iwant in rpc.iwant:
+                self._handle_iwant(sender, iwant)
 
     def _handle_subscription(self, sender: str, subscription: Subscribe) -> None:
         # Late joiners (connections established after start) learn our
@@ -475,16 +479,17 @@ class GossipSubRouter:
 
     def _forward(self, message: PubSubMessage, *, exclude: set[str]) -> None:
         """Relay to mesh peers (or all topic peers while the mesh is thin)."""
-        targets = set(self._mesh.get(message.topic, set()))
-        if len(targets - exclude) == 0:
-            targets = self.topic_peers(message.topic)
-        now = self.simulator.now
-        rpc = RPC(messages=(message,))  # one immutable envelope, sized once
-        for peer in sorted(targets - exclude):
-            if self.scoring and not self.scoring.accepts_publish(peer, now):
-                continue
-            self.stats.forwarded += 1
-            self._send(peer, rpc)
+        targets = self._mesh.get(message.topic, set()) - exclude
+        if not targets:
+            targets = self.topic_peers(message.topic) - exclude
+        peers = sorted(targets)
+        if self.scoring:
+            now = self.simulator.now
+            peers = [peer for peer in peers if self.scoring.accepts_publish(peer, now)]
+        if peers:
+            self.stats.forwarded += len(peers)
+            # One immutable envelope, sized once, handed over in one send.
+            self._send_all(peers, RPC(messages=(message,)))
 
     # -- heartbeat ---------------------------------------------------------------------------
 
@@ -583,8 +588,17 @@ class GossipSubRouter:
             self._send(neighbor, RPC(subscriptions=subs))
 
     def _send(self, peer: str, rpc: RPC) -> None:
-        if rpc.is_empty():
-            return
-        if not self.network.connected(self.peer_id, peer):
-            return
-        self.network.send(self.peer_id, peer, rpc)
+        if not rpc.is_empty():
+            self._send_all([peer], rpc)
+
+    def _send_all(self, peers: list[str], rpc: RPC) -> None:
+        """Send ``rpc`` to every one of ``peers`` still linked to us."""
+        try:
+            self.network.send(self.peer_id, peers, rpc)
+        except (NotConnected, UnknownPeer):
+            # A peer left or lost its link since our mesh view last
+            # changed.  The transport refused before billing anything, so
+            # the rest still get their copy.
+            linked = [p for p in peers if self.network.connected(self.peer_id, p)]
+            if linked:
+                self.network.send(self.peer_id, linked, rpc)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import networkx as nx
 
@@ -37,37 +37,36 @@ class ProtocolTraffic:
 class TrafficStats:
     """Per-peer bandwidth accounting, split by protocol channel.
 
-    The totals answer "what does this peer spend"; ``per_protocol``
-    answers "on what" — the split that lets the cost-of-observability
-    benchmark separate telemetry-channel bytes from relay (gossipsub)
-    bytes instead of reporting one opaque sum.
+    ``per_protocol`` answers "on what" — the split that lets the
+    cost-of-observability benchmark separate telemetry-channel bytes from
+    relay (gossipsub) bytes — and is the only place a copy is counted; the
+    totals ("what does this peer spend") are sums over it.
     """
 
-    messages_sent: int = 0
-    messages_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
     per_protocol: dict[str, ProtocolTraffic] = field(default_factory=dict)
 
-    def _channel(self, protocol: str) -> ProtocolTraffic:
+    def channel(self, protocol: str) -> ProtocolTraffic:
+        """The counters of one protocol channel (created on first use)."""
         traffic = self.per_protocol.get(protocol)
         if traffic is None:
             traffic = self.per_protocol[protocol] = ProtocolTraffic()
         return traffic
 
-    def record_send(self, size: int, protocol: str = "gossipsub") -> None:
-        self.messages_sent += 1
-        self.bytes_sent += size
-        channel = self._channel(protocol)
-        channel.messages_sent += 1
-        channel.bytes_sent += size
+    @property
+    def messages_sent(self) -> int:
+        return sum(t.messages_sent for t in self.per_protocol.values())
 
-    def record_receive(self, size: int, protocol: str = "gossipsub") -> None:
-        self.messages_received += 1
-        self.bytes_received += size
-        channel = self._channel(protocol)
-        channel.messages_received += 1
-        channel.bytes_received += size
+    @property
+    def messages_received(self) -> int:
+        return sum(t.messages_received for t in self.per_protocol.values())
+
+    @property
+    def bytes_sent(self) -> int:
+        return sum(t.bytes_sent for t in self.per_protocol.values())
+
+    @property
+    def bytes_received(self) -> int:
+        return sum(t.bytes_received for t in self.per_protocol.values())
 
 
 @dataclass
@@ -147,33 +146,94 @@ class Network:
     def send(
         self,
         src: str,
-        dst: str,
+        dst: str | Sequence[str],
         payload: Any,
         *,
         protocol: str = "gossipsub",
         require_edge: bool = True,
     ) -> None:
-        """Deliver ``payload`` from ``src`` to ``dst`` after link latency.
+        """Deliver ``payload`` from ``src`` to each ``dst`` after link latency.
+
+        ``dst`` is one peer id (a ``str``) or a sequence of them — a
+        gossip forward hands its whole target list to one call.  Every
+        target is checked first: an unknown id raises
+        :class:`UnknownPeer` and a non-neighbour :class:`NotConnected`
+        before anything is billed or scheduled.  Then each copy is billed
+        to the sender and gets its own drop and latency draw, in target
+        order — the draws a loop of single sends makes.
+
+        Consecutive targets whose sampled delays are equal share one
+        simulator event that delivers to each in order.  That is the
+        order separate events would run in: sends issued back to back
+        take consecutive ``(time, seq)`` heap slots and nothing can be
+        scheduled between them.  The event looks each target's handler
+        up as it reaches it (a handler may unregister a later member),
+        and a raising handler does not strand the rest: all are
+        delivered, then the first error is re-raised.  So
+        ``Simulator.processed_events`` counts delivery events, not
+        copies; ``total_messages()`` counts copies.
 
         ``require_edge=False`` models overlay protocols (e.g. a DHT) that
         dial any reachable peer directly instead of using mesh links.
         """
-        if src not in self.graph or dst not in self.graph:
+        targets = (dst,) if isinstance(dst, str) else dst
+        peers = self.graph._adj  # networkx's adjacency dict: one probe per copy
+        links = peers.get(src)
+        if links is None:
             raise UnknownPeer(f"unknown endpoint in {src!r} -> {dst!r}")
-        if require_edge and not self.graph.has_edge(src, dst):
-            raise NotConnected(f"{src!r} and {dst!r} are not neighbors")
+        for target in targets:
+            if target not in links:
+                if target not in peers:
+                    raise UnknownPeer(f"unknown endpoint in {src!r} -> {target!r}")
+                if require_edge:
+                    raise NotConnected(f"{src!r} and {target!r} are not neighbors")
         size = size_of(payload, 64)  # 64: flat control-message overhead
-        self.stats[src].record_send(size, protocol=protocol)
-        if self.drop_probability and self.rng.random() < self.drop_probability:
-            return
-        delay = self.latency.sample(src, dst, self.rng)
+        sent = self.stats[src].channel(protocol)
+        sent.messages_sent += len(targets)
+        sent.bytes_sent += size * len(targets)
+        rng, drop, sample = self.rng, self.drop_probability, self.latency.sample
+        group: list[str] = []
+        group_delay = 0.0
+        for target in targets:
+            if drop and rng.random() < drop:
+                continue
+            delay = sample(src, target, rng)
+            if group and delay != group_delay:
+                self._schedule_delivery(group_delay, src, group, payload, size, protocol)
+                group = []
+            group.append(target)
+            group_delay = delay
+        if group:
+            self._schedule_delivery(group_delay, src, group, payload, size, protocol)
+
+    def _schedule_delivery(
+        self,
+        delay: float,
+        src: str,
+        group: list[str],
+        payload: Any,
+        size: int,
+        protocol: str,
+    ) -> None:
+        """One simulator event delivering ``payload`` to every peer of ``group``."""
+        handlers, stats = self._handlers, self.stats
 
         def deliver() -> None:
-            handler = self._handlers.get((dst, protocol))
-            if handler is None:
-                return  # peer went offline before delivery
-            self.stats[dst].record_receive(size, protocol=protocol)
-            handler(src, payload)
+            error: Exception | None = None
+            for dst in group:
+                handler = handlers.get((dst, protocol))
+                if handler is None:
+                    continue  # peer went offline before delivery
+                received = stats[dst].channel(protocol)
+                received.messages_received += 1
+                received.bytes_received += size
+                try:
+                    handler(src, payload)
+                except Exception as exc:  # deliver the rest, then re-raise
+                    if error is None:
+                        error = exc
+            if error is not None:
+                raise error
 
         self.simulator.schedule(delay, deliver)
 

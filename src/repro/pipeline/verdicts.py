@@ -21,7 +21,6 @@ from repro.telemetry.disttrace import NULL_TRACE, ActiveSpan, NullTrace
 from repro.telemetry.tracing import BATCH_ENQUEUE, VERDICT_CACHE
 from repro.waku.message import WakuMessage
 from repro.zksnark.prover import RLNProver
-from repro.zksnark.rln_circuit import RLNPublicInputs
 
 
 #: Verdicts a peer remembers; a pipeline's cache is this size.
@@ -38,17 +37,19 @@ class VerdictCache:
         self._entries: BoundedLRU[bytes, bool] = BoundedLRU(capacity)
 
     @staticmethod
-    def key(bundle: RateLimitProof, public: RLNPublicInputs | None = None) -> bytes:
+    def key(bundle: RateLimitProof) -> bytes:
         """Hash binding the proof to the exact statement it claims.
 
-        ``public`` lets callers that already reassembled the statement
-        avoid a second ``public_inputs()`` derivation on the hot path.
+        Remembered on the frozen bundle, which every receiver shares (a
+        ``replace`` of any field, the proof included, starts clean).
         """
-        if public is None:
-            public = bundle.public_inputs()
-        return hashlib.sha256(
-            public.serialize() + bundle.proof.serialize()
-        ).digest()
+        key = bundle.__dict__.get("_verdict_key")
+        if key is None:
+            key = hashlib.sha256(
+                bundle.public_inputs().serialize() + bundle.proof.serialize()
+            ).digest()
+            object.__setattr__(bundle, "_verdict_key", key)
+        return key
 
     def get(self, key: bytes) -> bool | None:
         verdict = self._entries.get(key)  # values are bool, never None
@@ -127,8 +128,7 @@ class SharedProofChecker:
         is the bundle's span, marked ``verdict-cache`` or
         ``batch-enqueue`` by what happened.
         """
-        public = bundle.public_inputs()
-        key = VerdictCache.key(bundle, public)
+        key = VerdictCache.key(bundle)
         cached = self.cache.get(key)
         if cached is not None:
             self.cache_hits += 1
@@ -150,6 +150,7 @@ class SharedProofChecker:
             promise.resolve(ok)
 
         trace.mark(BATCH_ENQUEUE)
+        public = bundle.public_inputs()
         if priority is Priority.RELAY:
             self.batch_verifier.submit(public, bundle.proof, finish, trace=trace)
         else:

@@ -65,7 +65,7 @@ def test_a_derived_frame_weighs_what_a_fresh_equal_frame_weighs(
 
 def fleet_run(monkeypatch, telemetry):
     """8 peers, 3 rounds, everyone publishes once a round; every payload
-    handed to ``Network.send`` is kept."""
+    handed to ``Network.send`` is kept, once per destination."""
     config = RLNConfig(tree_depth=20, epoch_length=1.0)
     dep = RLNDeployment.create(
         peer_count=8, degree=4, seed=3, config=config, telemetry=telemetry, start=False
@@ -74,7 +74,8 @@ def fleet_run(monkeypatch, telemetry):
     send = dep.network.send
 
     def recording_send(src, dst, payload, **kwargs):
-        sent.append(payload)
+        copies = 1 if isinstance(dst, str) else len(dst)
+        sent.extend([payload] * copies)
         send(src, dst, payload, **kwargs)
 
     monkeypatch.setattr(dep.network, "send", recording_send)

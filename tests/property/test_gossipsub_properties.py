@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.hashing import message_id
+from repro.gossipsub.mcache import SeenCache
 from repro.gossipsub.router import GossipSubRouter
 from repro.net.latency import UniformLatency
 from repro.net.simulator import Simulator
@@ -96,3 +97,49 @@ def test_message_ids_never_delivered_twice(seed):
     others = [r for n, r in routers.items() if n not in (names[0], names[1])]
     for router in others:
         assert router.stats.delivered == 1
+
+
+class ScanningSeenCache:
+    """The seen-cache that scans for expired ids on every witness."""
+
+    def __init__(self, ttl: float) -> None:
+        self.ttl = ttl
+        self.entries: dict[bytes, float] = {}
+
+    def witness(self, msg_id: bytes, now: float) -> bool:
+        for old_id, when in list(self.entries.items()):
+            if when >= now - self.ttl:
+                break
+            del self.entries[old_id]
+        if msg_id in self.entries:
+            return True
+        self.entries[msg_id] = now
+        return False
+
+
+@given(
+    ttl=st.sampled_from([0.0, 1.0, 5.0]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["witness", "forget"]),
+            st.sampled_from([bytes([i]) * 4 for i in range(6)]),
+            st.floats(min_value=0.0, max_value=3.0),
+        ),
+        max_size=60,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_seen_cache_expires_exactly_what_a_full_scan_expires(ttl, ops):
+    # The cache only walks its entries when its oldest timestamp says one
+    # can have expired; it must answer as a scan on every call would.
+    cache, reference = SeenCache(ttl=ttl), ScanningSeenCache(ttl)
+    now = 0.0
+    for op, msg_id, step in ops:
+        now += step
+        if op == "witness":
+            assert cache.witness(msg_id, now) == reference.witness(msg_id, now)
+        else:
+            cache.forget(msg_id)
+            reference.entries.pop(msg_id, None)
+        assert len(cache) == len(reference.entries)
+        assert all((m in cache) == (m in reference.entries) for m, _, _ in ops)

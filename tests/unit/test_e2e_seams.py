@@ -28,6 +28,34 @@ def test_every_traced_seam_exists_and_uninstall_leaves_no_wrapper():
     assert trace.installed_wrappers() == []
 
 
+def test_a_delivery_event_reaches_the_schedule_at_seam_as_a_net_callable():
+    # The tracer wraps only schedule_at and files a scheduled callable
+    # under the layer of its defining module: an inlined
+    # Simulator.schedule would hide every delivery event from it, and a
+    # functools.partial as the delivery callable (``__module__`` is
+    # functools) would file all delivery time under ``harness``.
+    import random
+
+    from repro.net.latency import ConstantLatency
+    from repro.net.simulator import Simulator
+    from repro.net.topology import full_mesh
+    from repro.net.transport import Network
+
+    scheduled = []
+    sim = Simulator()
+    schedule_at = sim.schedule_at
+
+    def recording_schedule_at(when, callback):
+        scheduled.append(callback)
+        return schedule_at(when, callback)
+
+    sim.schedule_at = recording_schedule_at
+    net = Network(sim, full_mesh(3), ConstantLatency(0.05), random.Random(1))
+    net.send("peer-000", ["peer-001", "peer-002"], b"x")
+    assert len(scheduled) == 1  # one event for two equal-delay copies
+    assert trace.layer_of(scheduled[0]) == "net"
+
+
 def test_both_executor_names_trace_one_submit_body():
     # SynchronousCryptoExecutor inherits submit; it is listed in SEAMS
     # *before* the class it inherits from, so install() wraps the plain
