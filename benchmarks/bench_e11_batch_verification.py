@@ -85,7 +85,8 @@ def run_jobs(env: Env, jobs, batch_size: int) -> tuple[int, float]:
     verifier = BatchVerifier(env.prover, Simulator(), batch_size=batch_size)
     start = time.perf_counter()
     for public, proof in jobs:
-        verifier.submit(public, proof, lambda ok: None)
+        verifier.submit(public, proof)
+        verifier.flush_if_full()
     verifier.flush()
     return counter.evaluations, time.perf_counter() - start
 

@@ -84,7 +84,7 @@ class GroupManager:
         #: which has no level to split at: every leaf is its own "shard").
         self.shard_depth = resolve_shard_depth(tree_depth, shard_depth)
         self._recent_roots: deque[FieldElement] = deque(maxlen=root_window)
-        self._recent_roots.append(self.tree.root)
+        self._push_root()
         self._index_of_pk: dict[int, int] = {}
         self._update_listeners: list[Callable[[TreeUpdate], None]] = []
         self._shard_listeners: list[
@@ -121,8 +121,7 @@ class GroupManager:
         # so a zero slot means registered-then-removed) — a bootstrapped
         # manager must agree on seq with peers that watched from genesis.
         self.event_seq = len(leaves) + sum(1 for leaf in leaves if leaf == ZERO)
-        self._recent_roots.clear()
-        self._recent_roots.append(self.tree.root)
+        self._push_root(collapse=True)
 
     def _on_event(self, event: Event) -> None:
         if event.contract != self.contract.address:
@@ -172,6 +171,8 @@ class GroupManager:
         if collapse:
             self._recent_roots.clear()
         self._recent_roots.append(self.tree.root)
+        #: The window's root values, rebuilt on every change: one probe.
+        self._root_values = {root.value for root in self._recent_roots}
 
     # -- queries --------------------------------------------------------------------
 
@@ -184,7 +185,7 @@ class GroupManager:
         return list(self._recent_roots)
 
     def is_acceptable_root(self, root: FieldElement) -> bool:
-        return root in self._recent_roots
+        return root.value in self._root_values
 
     def member_count(self) -> int:
         return self.tree.member_count

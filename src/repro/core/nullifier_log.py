@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.crypto.field import FieldElement
 from repro.crypto.shamir import Share
@@ -33,9 +34,8 @@ class NullifierOutcome(Enum):
     SPAM = "spam"
 
 
-@dataclass(frozen=True)
-class NullifierRecord:
-    """One remembered message bundle."""
+class NullifierRecord(NamedTuple):
+    """One remembered message bundle (a tuple: one is built per receipt)."""
 
     share: Share
     epoch: int
@@ -72,6 +72,8 @@ class NullifierLog:
 
     def __init__(self) -> None:
         self._by_epoch: dict[int, dict[int, NullifierRecord]] = {}
+        #: Oldest epoch held (``None`` if empty): most prunes are one compare.
+        self._oldest: int | None = None
         self._entries = 0
         self.peak_entries = 0
         self.pruned_total = 0
@@ -85,10 +87,12 @@ class NullifierLog:
     ) -> tuple[NullifierOutcome, SpamEvidence | None]:
         """Record a bundle and classify it against the §III-F rules."""
         epoch_map = self._by_epoch.setdefault(epoch, {})
+        if self._oldest is None or epoch < self._oldest:
+            self._oldest = epoch
         key = internal_nullifier.value
         existing = epoch_map.get(key)
         if existing is None:
-            epoch_map[key] = NullifierRecord(share=share, epoch=epoch, msg_id=msg_id)
+            epoch_map[key] = NullifierRecord(share, epoch, msg_id)
             self._entries += 1
             if self._entries > self.peak_entries:
                 self.peak_entries = self._entries
@@ -108,10 +112,13 @@ class NullifierLog:
 
     def prune_before(self, oldest_kept_epoch: int) -> int:
         """Drop all epochs older than ``oldest_kept_epoch``; returns count."""
+        if self._oldest is None or self._oldest >= oldest_kept_epoch:
+            return 0
         stale = [e for e in self._by_epoch if e < oldest_kept_epoch]
         removed = 0
         for epoch in stale:
             removed += len(self._by_epoch.pop(epoch))
+        self._oldest = min(self._by_epoch, default=None)
         self._entries -= removed
         self.pruned_total += removed
         return removed

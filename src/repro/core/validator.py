@@ -173,7 +173,8 @@ class BundleValidator:
         proof = message.rate_limit_proof
         if not proof_ok:
             return ValidationOutcome.INVALID_PROOF, None
-        self._prune(local_epoch)
+        # Forget nullifiers older than the accepted window (§III-F).
+        self.log.prune_before(local_epoch - self.config.max_epoch_gap)
         outcome, evidence = self.log.observe(
             proof.epoch, proof.internal_nullifier, proof.share, msg_id
         )
@@ -182,7 +183,3 @@ class BundleValidator:
         if outcome is NullifierOutcome.DUPLICATE:
             return ValidationOutcome.DUPLICATE, None
         return ValidationOutcome.SPAM, evidence
-
-    def _prune(self, local_epoch: int) -> None:
-        """Forget nullifiers older than the accepted window (§III-F)."""
-        self.log.prune_before(local_epoch - self.config.max_epoch_gap)

@@ -18,11 +18,11 @@ One class, :class:`SimulatedCryptoExecutor`, whatever the lane count:
   start + pairings × per-pairing cost, read from the shared
   :class:`~repro.zksnark.groth16.PairingCounter` and the
   :class:`~repro.exec.costs.CryptoCostModel`.
-* ``workers=0`` — no lanes: every submit runs inline and delivers the
-  result before ``submit`` returns.  This is the pinned default; with it,
-  every verdict, stat, and event ordering is bit-identical to the
-  pre-executor code.  It is also the state a stopped peer's executor is
-  pinned to (:meth:`SimulatedCryptoExecutor.pin_synchronous`).
+* ``workers=0`` — no lanes: every submit runs inline and returns the
+  result itself (a lane job returns a promise of it).  This is the pinned
+  default; with it, every verdict, stat, and event ordering is
+  bit-identical to the pre-executor code.  It is also the state a stopped
+  peer's executor is pinned to (:meth:`SimulatedCryptoExecutor.pin_synchronous`).
   :class:`SynchronousCryptoExecutor` is the zero-lane constructor, for
   callers that have no simulator.
 
@@ -41,6 +41,7 @@ from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.errors import ProtocolError
 from repro.exec.costs import CryptoCostModel
+from repro.net.promise import Promise
 from repro.net.simulator import EventHandle, Simulator
 from repro.telemetry.registry import MetricsRegistry, NullRegistry, NULL_REGISTRY
 from repro.zksnark.groth16 import PairingCounter
@@ -80,8 +81,6 @@ class ExecutorStats:
     classes: dict[Priority, PriorityClassStats] = field(
         default_factory=lambda: {p: PriorityClassStats() for p in Priority}
     )
-    jobs_submitted: int = 0
-    jobs_completed: int = 0
     #: Jobs whose result was delivered early by :meth:`CryptoExecutor.drain`.
     jobs_drained: int = 0
     #: Modeled crypto seconds executed in the caller's stack (see above).
@@ -97,16 +96,9 @@ class ExecutorStats:
             return 0.0
         return sum(self.lane_busy_seconds) / (elapsed * len(self.lane_busy_seconds))
 
-    def _record_submit(self, priority: Priority) -> None:
-        self.jobs_submitted += 1
-        self.classes[priority].submitted += 1
-
-    def _record_complete(self, priority: Priority, queue_delay: float) -> None:
-        self.jobs_completed += 1
-        cls = self.classes[priority]
-        cls.completed += 1
-        cls.queue_delay_total += queue_delay
-        cls.queue_delay_max = max(cls.queue_delay_max, queue_delay)
+    @property
+    def jobs_submitted(self) -> int:
+        return sum(cls.submitted for cls in self.classes.values())
 
 
 @runtime_checkable
@@ -115,15 +107,18 @@ class CryptoExecutor(Protocol):
 
     stats: ExecutorStats
     workers: int
+    inline: bool  # a submit runs in the caller's stack right now
 
     def submit(
         self,
-        work: Callable[[], Any],
-        on_done: Callable[[Any], None],
+        work: Callable[..., Any],
+        on_done: Callable[..., None] | None = None,
         *,
         priority: Priority = Priority.RELAY,
-    ) -> None:
-        """Queue ``work``; ``on_done(result)`` fires when the job completes."""
+        args: tuple[Any, ...] = (),
+    ) -> Any:
+        """Run ``work(*args)``: its result if it ran inline, else a promise
+        of it; ``on_done(*args, result)``, if given, fires on completion."""
 
     def drain(self) -> None:
         """Deliver every outstanding result now (peer shutdown path)."""
@@ -144,8 +139,9 @@ class CryptoExecutor(Protocol):
 @dataclass
 class _SimJob:
     priority: Priority
-    work: Callable[[], Any]
-    on_done: Callable[[Any], None]
+    work: Callable[..., Any]
+    args: tuple[Any, ...]
+    landed: Promise[Any]
     submitted_at: float
 
 
@@ -164,9 +160,9 @@ class SimulatedCryptoExecutor:
     relay callbacks return immediately.
 
     ``workers=0`` (no simulator needed) is crypto inline in the caller,
-    exactly like the seed: ``submit`` runs the work and delivers the
-    result before returning, with zero simulator events — the property
-    the equivalence suites pin down.
+    exactly like the seed: ``submit`` runs the work and returns its
+    result, with zero simulator events — the property the equivalence
+    suites pin down.
     """
 
     def __init__(
@@ -213,43 +209,45 @@ class SimulatedCryptoExecutor:
         self._in_flight: dict[int, tuple[EventHandle, Callable[[], None]]] = {}
         #: Submits run in the caller's stack: always with zero lanes, and
         #: while pinned (peer stopped) with any.
-        self._inline = workers == 0
+        self.inline = workers == 0
 
     # -- submission ----------------------------------------------------------
 
     def submit(
         self,
-        work: Callable[[], Any],
-        on_done: Callable[[Any], None],
+        work: Callable[..., Any],
+        on_done: Callable[..., None] | None = None,
         *,
         priority: Priority = Priority.RELAY,
-    ) -> None:
-        if self._inline:
-            self._run_inline(work, on_done, priority)
-            return
-        self.stats._record_submit(priority)
+        args: tuple[Any, ...] = (),
+    ) -> Any:
+        if self.inline:
+            return self._run_inline(work, args, on_done, priority)
+        self.stats.classes[priority].submitted += 1
         self.stats.inline_seconds += self.cost_model.submit_overhead_seconds
-        job = _SimJob(priority, work, on_done, self.simulator.now)
-        self._queues[priority].append(job)
+        landed: Promise[Any] = Promise()
+        if on_done is not None:
+            landed.subscribe(lambda result: on_done(*args, result))
+        self._queues[priority].append(_SimJob(priority, work, args, landed, self.simulator.now))
         self._dispatch_idle_lanes()
+        return landed
 
     def _run_inline(
         self,
-        work: Callable[[], Any],
-        on_done: Callable[[Any], None],
+        work: Callable[..., Any],
+        args: tuple[Any, ...],
+        on_done: Callable[..., None] | None,
         priority: Priority,
-    ) -> None:
-        """Run ``work`` in the caller's stack; deliver before returning.
-
-        The job waited zero seconds and its modeled pairing time is
-        charged to the caller; no lane busy time is attributed — a
-        stopped peer's occupancy over simulated time is not meaningful.
-        """
+    ) -> Any:
+        """Run ``work(*args)`` in the caller's stack and return its result,
+        leaving a lane job's stats: zero wait, modeled pairing time charged
+        to the caller (no lane busy time: a stopped peer has no occupancy)."""
         stats, counter = self.stats, self.counter
-        stats._record_submit(priority)
+        cls = stats.classes[priority]
+        cls.submitted += 1
         before = counter.evaluations if counter is not None else 0
         try:
-            result = work()
+            result = work(*args)
         finally:
             if counter is not None:
                 modeled = self.cost_model.seconds_for_pairings(
@@ -259,8 +257,10 @@ class SimulatedCryptoExecutor:
                 stats.service_seconds += modeled
                 self._service[priority].observe(modeled)
             self._wait[priority].observe(0.0)
-            stats._record_complete(priority, 0.0)
-        on_done(result)
+            cls.completed += 1
+        if on_done is not None:
+            on_done(*args, result)
+        return result
 
     @property
     def queued_jobs(self) -> int:
@@ -291,7 +291,7 @@ class SimulatedCryptoExecutor:
         now = self.simulator.now
         queue_delay = now - job.submitted_at
         before = self.counter.evaluations if self.counter is not None else 0
-        result = job.work()
+        result = job.work(*job.args)
         evaluations = (
             self.counter.evaluations - before if self.counter is not None else 0
         )
@@ -308,9 +308,12 @@ class SimulatedCryptoExecutor:
                 return
             delivered = True
             self._in_flight.pop(lane, None)
-            self.stats._record_complete(job.priority, queue_delay)
+            cls = self.stats.classes[job.priority]
+            cls.completed += 1
+            cls.queue_delay_total += queue_delay
+            cls.queue_delay_max = max(cls.queue_delay_max, queue_delay)
             try:
-                job.on_done(result)
+                job.landed.resolve(result)
             finally:
                 self._idle_lanes.append(lane)
                 self._dispatch_idle_lanes()
@@ -339,10 +342,10 @@ class SimulatedCryptoExecutor:
             # (lanes freed), so the loop terminates once queues are empty.
 
     def pin_synchronous(self) -> None:
-        self._inline = True
+        self.inline = True
 
     def unpin(self) -> None:
-        self._inline = self.workers == 0
+        self.inline = self.workers == 0
 
 
 class SynchronousCryptoExecutor(SimulatedCryptoExecutor):

@@ -7,8 +7,8 @@ with a single random-linear-combination multi-pairing
 (:meth:`repro.zksnark.groth16.Groth16.verify_batch`): N + 3 pairing
 evaluations instead of 4N, the saving experiment E11 measures.
 
-Batches flush on a **size-or-deadline** trigger: the size trigger fires
-synchronously when the pending queue reaches ``batch_size``; the deadline
+Batches flush on a **size-or-deadline** trigger: the size trigger (pulled
+by the caller after a submit) fires synchronously at ``batch_size``; the deadline
 trigger is an event on the net simulator so a lone job is never stranded
 waiting for company.  ``batch_size=1`` degenerates to the seed's immediate
 per-proof verification — same verdicts, same pairing count, zero latency —
@@ -23,7 +23,7 @@ verdicts are still delivered as accepts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.errors import ProtocolError
 from repro.exec.executor import (
@@ -31,6 +31,7 @@ from repro.exec.executor import (
     Priority,
     SynchronousCryptoExecutor,
 )
+from repro.net.promise import Promise
 from repro.net.simulator import EventHandle, Simulator
 from repro.telemetry.registry import MetricsRegistry, NullRegistry, NULL_REGISTRY
 from repro.telemetry.disttrace import NULL_TRACE, ActiveSpan, NullTrace
@@ -43,13 +44,13 @@ from repro.zksnark.rln_circuit import RLNPublicInputs
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
-@dataclass(frozen=True)
-class VerificationJob:
-    """One queued proof check; ``callback(ok)`` fires when the verdict lands."""
+class VerificationJob(NamedTuple):
+    """One queued proof check."""
 
     public: RLNPublicInputs
     proof: Proof
-    callback: Callable[[bool], None]
+    #: Resolved when the verdict lands (``None``: ``submit`` returns it).
+    verdict: Promise[bool] | None
     #: The bundle's span, riding along so flush/dispatch/pairing marks
     #: land on the right waterfall (the shared no-op when telemetry is off).
     trace: "ActiveSpan | NullTrace" = NULL_TRACE
@@ -119,20 +120,30 @@ class BatchVerifier:
         self,
         public: RLNPublicInputs,
         proof: Proof,
-        callback: Callable[[bool], None],
         *,
         trace: "ActiveSpan | NullTrace" = NULL_TRACE,
-    ) -> None:
-        """Queue one job; may flush synchronously on the size trigger."""
-        self._pending.append(VerificationJob(public, proof, callback, trace))
+    ) -> "bool | Promise[bool]":
+        """Queue one job: its verdict if it ran straight through (a batch of
+        one, inline executor), else a promise of it, resolved on landing —
+        the caller subscribes, *then* pulls :meth:`flush_if_full`."""
         self.stats.jobs_submitted += 1
+        if self.batch_size == 1 and self.executor.inline:
+            self.stats.size_flushes += 1
+            self._pending.append(VerificationJob(public, proof, None, trace))
+            return self.flush()[0]
+        verdict: Promise[bool] = Promise()
+        self._pending.append(VerificationJob(public, proof, verdict, trace))
+        # batch_size > 1 here whenever the window stays open: a simulator exists.
+        if self._deadline_handle is None and len(self._pending) < self.batch_size:
+            self._deadline_handle = self.simulator.schedule(self.deadline, self._on_deadline)
+        return verdict
+
+    def flush_if_full(self) -> None:
+        """The size trigger: flush once ``batch_size`` jobs are waiting (a
+        subscriber added before it hears its verdict if another raises)."""
         if len(self._pending) >= self.batch_size:
             self.stats.size_flushes += 1
             self.flush()
-        elif self._deadline_handle is None and self.simulator is not None:
-            self._deadline_handle = self.simulator.schedule(
-                self.deadline, self._on_deadline
-            )
 
     @property
     def pending_jobs(self) -> int:
@@ -146,46 +157,50 @@ class BatchVerifier:
             self.stats.deadline_flushes += 1
             self.flush()
 
-    def flush(self) -> None:
+    def flush(self) -> "list[bool] | Promise[list[bool]] | None":
         """Hand the pending batch to the executor; verdicts land on completion.
 
-        With the default zero-lane executor the pairing work runs inline
-        and every verdict is delivered before this method returns — the
-        seed behaviour.  With worker lanes, flush() only *enqueues* the
-        batch (the relay callback returns immediately) and the callbacks
-        fire at simulated completion time.
+        Zero lanes: the pairing work runs inline and every verdict is
+        delivered (and returned) before this returns — the seed behaviour.
+        Worker lanes: the batch is only *enqueued* and the job promises
+        resolve at simulated completion time.
         """
         if self._deadline_handle is not None:
             self._deadline_handle.cancel()
             self._deadline_handle = None
         jobs = self._pending
         if not jobs:
-            return
+            return None
         self._pending = []
         self.stats.batches_verified += 1
         self._m_batch_size.observe(float(len(jobs)))
         for job in jobs:
             job.trace.mark(BATCH_FLUSH)
+        return self.executor.submit(
+            self._verify, self._deliver, priority=Priority.RELAY, args=(jobs,)
+        )
 
-        def deliver(verdicts: list[bool]) -> None:
-            # The pairing span closes at simulated completion time, when
-            # the executor hands the verdicts back.
-            for job in jobs:
-                job.trace.mark(PAIRING)
-            # One job's callback raising (e.g. a user on_spam hook) must not
-            # strand the other jobs of the batch with unresolved promises:
-            # deliver every verdict, then surface the first failure.
-            first_error: Exception | None = None
-            for job, ok in zip(jobs, verdicts):
-                try:
-                    job.callback(ok)
-                except Exception as exc:
-                    if first_error is None:
-                        first_error = exc
-            if first_error is not None:
-                raise first_error
-
-        self.executor.submit(lambda: self._verify(jobs), deliver, priority=Priority.RELAY)
+    def _deliver(self, jobs: Sequence[VerificationJob], verdicts: list[bool]) -> None:
+        # The pairing span closes at simulated completion time, when the
+        # executor hands the verdicts back.
+        for job in jobs:
+            job.trace.mark(PAIRING)
+        if len(jobs) == 1:
+            if jobs[0].verdict is not None:
+                jobs[0].verdict.resolve(verdicts[0])
+            return
+        # One job's subscriber raising (e.g. a user on_spam hook) must not
+        # strand the other jobs of the batch with unresolved promises:
+        # deliver every verdict, then surface the first failure.
+        first_error: Exception | None = None
+        for job, ok in zip(jobs, verdicts):
+            try:
+                job.verdict.resolve(ok)
+            except Exception as exc:
+                if first_error is None:
+                    first_error = exc
+        if first_error is not None:
+            raise first_error
 
     def _verify(self, jobs: Sequence[VerificationJob]) -> list[bool]:
         # Runs when a lane picks the batch up: the flush→dispatch delta is

@@ -35,13 +35,16 @@ class BoundedLRU(Generic[K, V]):
         self._entries.move_to_end(key)
         return self._entries[key]
 
-    def put(self, key: K, value: V) -> None:
-        """Insert ``key`` as most recent, evicting the oldest past capacity."""
+    def put(self, key: K, value: V) -> bool:
+        """Insert ``key`` as most recent, evicting the oldest past capacity;
+        True if it was already present."""
+        present = key in self._entries
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
+        return present
 
     def discard(self, key: K) -> None:
         """Remove ``key`` if present."""

@@ -53,6 +53,7 @@ from repro.pipeline.ratelimit import (
 from repro.pipeline.verdicts import SharedProofChecker, VerdictCache
 from repro.telemetry import NullTelemetry, Telemetry, resolve as resolve_telemetry
 from repro.telemetry import tracing
+from repro.telemetry.disttrace import ActiveSpan, NullTrace
 from repro.waku.message import WakuMessage
 from repro.zksnark.prover import RLNProver
 
@@ -115,6 +116,26 @@ class Verdict:
     #: The bundle was shed unjudged (rate limiting): callers should also
     #: un-witness its id from their own dedup layers so a retry can land.
     retryable: bool = False
+
+
+#: The router action per §III-F outcome (the rest are rejected).
+_ACTIONS = {
+    ValidationOutcome.VALID: ValidationResult.ACCEPT,
+    ValidationOutcome.DUPLICATE: ValidationResult.IGNORE,
+}
+#: Every evidence-free verdict is a shared frozen instance (the pipeline-only
+#: drops are named below); only one carrying spam evidence is built per bundle.
+_SHARED_VERDICTS = {
+    (outcome, stage, cached): Verdict(
+        _ACTIONS.get(outcome, ValidationResult.REJECT), outcome, stage=stage, cached=cached
+    )
+    for outcome in ValidationOutcome
+    for stage in ("prefilter", "cheap-checks", "verify", "verdict-cache")
+    for cached in (False, True)
+}
+_RATE_LIMITED = Verdict(ValidationResult.IGNORE, None, stage="ratelimit", retryable=True)
+_DUPLICATE_ID = Verdict(ValidationResult.IGNORE, None, stage="prefilter")
+_GATE_REJECT = Verdict(ValidationResult.REJECT, None, stage="prefilter")
 
 
 class PendingVerdict(Promise[Verdict]):
@@ -226,7 +247,9 @@ class ValidationPipeline:
         now: float = 0.0,
         trace_parent=None,
     ) -> "Verdict | PendingVerdict":
-        """Run one bundle through the stages; sync verdict or a promise.
+        """Run one bundle through the stages to its verdict: settled inline
+        once the proof verdict has landed, a :class:`PendingVerdict` only
+        while the check is in flight (an open batch window, or a lane).
 
         ``trace_parent`` is the inbound message's
         :class:`~repro.telemetry.disttrace.SpanContext`, if any: the
@@ -264,9 +287,7 @@ class ValidationPipeline:
             # IGNORE, not REJECT — the router must not stack an
             # invalid-message penalty on content whose validity was never
             # checked.
-            return Verdict(
-                ValidationResult.IGNORE, None, stage="ratelimit", retryable=True
-            )
+            return _RATE_LIMITED
 
         assert isinstance(message, WakuMessage)
         bundle = message.rate_limit_proof
@@ -298,30 +319,20 @@ class ValidationPipeline:
                 self.batch_verifier.flush()
         else:
             self.validator.stats.proofs_cached += 1
-
-        def settle(proof_ok: bool) -> Verdict:
-            verdict = self._after_proof(
-                message, local_epoch, msg_id, proof_ok,
-                stage="verify" if fresh else "verdict-cache", cached=not fresh,
-            )
-            if fresh:
-                trace.mark(tracing.RESOLVE)
-            self.tracer.finish(trace)
-            return verdict
-
-        if proof_verdict.resolved:
-            # A cache hit, batch_size=1 or a size-triggered flush: the
-            # verdict landed synchronously — indistinguishable from the
-            # seed path.
-            return settle(proof_verdict.value)
-        pending = PendingVerdict()
-        proof_verdict.subscribe(lambda proof_ok: pending.resolve(settle(proof_ok)))
-        self.stats.deferred += 1
-        return pending
-
-    def flush(self) -> None:
-        """Force any pending batch through (test convenience)."""
-        self.batch_verifier.flush()
+        if isinstance(proof_verdict, Promise):
+            if not proof_verdict.resolved:
+                pending = PendingVerdict()
+                proof_verdict.subscribe(
+                    lambda ok: pending.resolve(
+                        self._settle(message, local_epoch, msg_id, ok, fresh, trace)
+                    )
+                )
+                self.stats.deferred += 1
+                return pending
+            # A size-triggered (or a closed pipeline's) flush ran inline.
+            proof_verdict = proof_verdict.value
+        # Landed (a cache hit, or batch_size=1 on zero lanes): seed path.
+        return self._settle(message, local_epoch, msg_id, proof_verdict, fresh, trace)
 
     def close(self) -> None:
         """Drain pending crypto and pin the pipeline to synchronous mode.
@@ -389,28 +400,28 @@ class ValidationPipeline:
         if outcome is not None:
             # Gates that exist in the seed vocabulary keep its accounting.
             return self._finish(outcome, None, stage="prefilter")
-        action = (
-            ValidationResult.IGNORE
-            if gate is PrefilterOutcome.DUPLICATE_ID
-            else ValidationResult.REJECT
-        )
         self._count_drop("prefilter")
-        return Verdict(action, None, stage="prefilter")
+        return _DUPLICATE_ID if gate is PrefilterOutcome.DUPLICATE_ID else _GATE_REJECT
 
-    def _after_proof(
+    def _settle(
         self,
         message: WakuMessage,
         local_epoch: int,
         msg_id: bytes,
         proof_ok: bool,
-        *,
-        stage: str,
-        cached: bool = False,
+        fresh: bool,
+        trace: ActiveSpan | NullTrace,
     ) -> Verdict:
+        """Stage 5 on a landed proof verdict, and the bundle's span closed."""
         outcome, evidence = self.validator.classify_after_proof(
             message, local_epoch, msg_id, proof_ok
         )
-        return self._finish(outcome, evidence, stage=stage, cached=cached)
+        stage = "verify" if fresh else "verdict-cache"
+        verdict = self._finish(outcome, evidence, stage=stage, cached=not fresh)
+        if fresh:
+            trace.mark(tracing.RESOLVE)
+        self.tracer.finish(trace)
+        return verdict
 
     def _finish(
         self,
@@ -423,11 +434,9 @@ class ValidationPipeline:
         self.validator.stats.record(outcome)
         if outcome is ValidationOutcome.VALID:
             self.stats.admitted += 1
-            action = ValidationResult.ACCEPT
-        elif outcome is ValidationOutcome.DUPLICATE:
-            action = ValidationResult.IGNORE
-            self._count_drop(stage)
         else:
-            action = ValidationResult.REJECT
             self._count_drop(stage)
+        if evidence is None:
+            return _SHARED_VERDICTS[outcome, stage, cached]
+        action = _ACTIONS.get(outcome, ValidationResult.REJECT)
         return Verdict(action, outcome, evidence, stage=stage, cached=cached)

@@ -85,11 +85,7 @@ class DedupLRU:
         lru = self._topics.get(topic)
         if lru is None:
             lru = self._topics[topic] = BoundedLRU(self.capacity)
-        if msg_id in lru:
-            lru.get(msg_id)  # refresh recency
-            return True
-        lru.put(msg_id, None)
-        return False
+        return lru.put(msg_id, None)  # a seen id is refreshed to most recent
 
     def forget(self, topic: str, msg_id: bytes) -> None:
         """Drop an id (a message witnessed but never actually judged)."""

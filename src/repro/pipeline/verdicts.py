@@ -113,57 +113,61 @@ class SharedProofChecker:
         *,
         priority: Priority = Priority.SERVICE,
         trace: "ActiveSpan | NullTrace" = NULL_TRACE,
-    ) -> tuple[Promise[bool], bool]:
-        """The verdict promise for one bundle, and whether it is *fresh*.
+    ) -> "tuple[bool | Promise[bool], bool]":
+        """The verdict for one bundle, and whether it is *fresh*.
 
         Cache lookup, then the in-flight table, then enqueue: a
         ``Priority.RELAY`` request into the batch verifier's window, any
-        other class straight to the executor.  ``fresh`` is true only for
-        the request that enqueued the pairing work — a cache hit (resolved
-        on return) and a join of someone else's pending check (resolved
-        when that check lands, at *its* priority) are not.  The cache is
-        written here, once, when the work completes.  With zero lanes and
-        ``batch_size=1`` the promise is always resolved on return, which
-        is how the default stays pinned to the old inline path.  ``trace``
-        is the bundle's span, marked ``verdict-cache`` or
-        ``batch-enqueue`` by what happened.
+        other class straight to the executor.  A verdict that has landed
+        — a cache hit, or a job run inline (every one at ``batch_size=1``
+        with zero lanes) — is returned as the plain ``bool``; only work
+        left in flight is a promise, entered in the in-flight table for
+        the next request of the same proof to join (resolved on return if
+        it filled the window and the flush ran inline).  ``fresh`` is true
+        only for the request that enqueued the pairing work.  The cache
+        is written here, once, when the work completes.  ``trace`` is the
+        bundle's span, marked ``verdict-cache`` or ``batch-enqueue``.
         """
         key = VerdictCache.key(bundle)
         cached = self.cache.get(key)
         if cached is not None:
             self.cache_hits += 1
             trace.mark(VERDICT_CACHE)
-            promise: Promise[bool] = Promise()
-            promise.resolve(cached)
-            return promise, False
+            return cached, False
         pending = self._in_flight.get(key)
         if pending is not None:
             self.joined_in_flight += 1
             trace.mark(VERDICT_CACHE)
             return pending, False
-        promise = self._in_flight[key] = Promise()
-
-        def finish(ok: bool) -> None:
-            del self._in_flight[key]
-            self.verified += 1
-            self.cache.put(key, ok)
-            promise.resolve(ok)
-
         trace.mark(BATCH_ENQUEUE)
         public = bundle.public_inputs()
         if priority is Priority.RELAY:
-            self.batch_verifier.submit(public, bundle.proof, finish, trace=trace)
+            verdict = self.batch_verifier.submit(public, bundle.proof, trace=trace)
         else:
-            self.executor.submit(
-                lambda: self.prover.verify(public, bundle.proof),
-                finish,
-                priority=priority,
+            verdict = self.executor.submit(
+                self.prover.verify, priority=priority, args=(public, bundle.proof)
             )
-        return promise, True
+        if isinstance(verdict, Promise):
+            self._in_flight[key] = verdict
+            # Subscribed first, then the size trigger: see flush_if_full.
+            verdict.subscribe(lambda ok: self._landed(key, ok))
+            self.batch_verifier.flush_if_full()
+        else:
+            self._landed(key, verdict)
+        return verdict, True
+
+    def _landed(self, key: bytes, ok: bool) -> None:
+        self._in_flight.pop(key, None)
+        self.verified += 1
+        self.cache.put(key, ok)
 
     def check_deferred(self, bundle: RateLimitProof) -> Promise[bool]:
         """Service-path verdict promise for one bundle (see :meth:`check`)."""
-        return self.check(bundle)[0]
+        verdict = self.check(bundle)[0]
+        if not isinstance(verdict, Promise):
+            verdict, landed = Promise(), verdict
+            verdict.resolve(landed)
+        return verdict
 
     def check_message_deferred(self, message: WakuMessage) -> Promise[bool] | None:
         """Verdict promise for a message's attached proof; ``None`` when absent.

@@ -144,6 +144,7 @@ class ShardSyncManager:
         self._announced_root: FieldElement | None = None
         self._recent_roots: deque[FieldElement] = deque(maxlen=root_window)
         self._recent_roots.append(self.top.root)
+        self._root_values: set[int] = {self.top.root.value}
         #: A removal was folded since the last successful commit: the
         #: accepted-root window must collapse to the post-removal root
         #: (stale witnesses crossing the dead leaf stop validating now).
@@ -352,6 +353,7 @@ class ShardSyncManager:
             self._collapse_window = False
         if not self._recent_roots or self._recent_roots[-1] != root:
             self._recent_roots.append(root)
+            self._root_values = {value.value for value in self._recent_roots}
         self.stats.commits += 1
         return root
 
@@ -378,7 +380,7 @@ class ShardSyncManager:
                 self.commit()
             except InconsistentTreeUpdate:
                 return False
-        return root in self._recent_roots
+        return root.value in self._root_values
 
     # -- witnesses -------------------------------------------------------------
 

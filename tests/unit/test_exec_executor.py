@@ -54,7 +54,7 @@ class TestSynchronousExecutor:
         executor.submit(pairing_work(counter, 4, "a"), results.append)
         assert results == ["a"]  # delivered before submit returned
         assert executor.workers == 0
-        assert executor.stats.jobs_completed == 1
+        assert executor.stats.jobs_submitted == 1
         assert executor.stats.inline_seconds == pytest.approx(
             4 * SECONDS_PER_PAIRING
         )

@@ -1,5 +1,8 @@
 """Unit tests for the nullifier map (§III-F)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.nullifier_log import NullifierLog, NullifierOutcome
 from repro.crypto.field import FieldElement
 from repro.crypto.shamir import Share
@@ -100,3 +103,63 @@ class TestLookupPrune:
         log.prune_before(2)
         outcome, _ = log.observe(1, PHI, share(3, 4), b"b")
         assert outcome is NullifierOutcome.FRESH
+
+
+class NaiveLog:
+    """The §III-F map without the oldest-epoch shortcut: every prune scans."""
+
+    def __init__(self) -> None:
+        self.by_epoch: dict[int, dict[int, Share]] = {}
+        self.pruned_total = self.peak = 0
+
+    def entries(self) -> int:
+        return sum(len(m) for m in self.by_epoch.values())
+
+    def observe(self, epoch: int, phi: int, s: Share) -> NullifierOutcome:
+        epoch_map = self.by_epoch.setdefault(epoch, {})
+        if phi not in epoch_map:
+            epoch_map[phi] = s
+            self.peak = max(self.peak, self.entries())
+            return NullifierOutcome.FRESH
+        if epoch_map[phi] == s:
+            return NullifierOutcome.DUPLICATE
+        return NullifierOutcome.SPAM
+
+    def prune_before(self, cutoff: int) -> int:
+        stale = [e for e in self.by_epoch if e < cutoff]
+        removed = sum(len(self.by_epoch.pop(e)) for e in stale)
+        self.pruned_total += removed
+        return removed
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("observe"),
+                st.integers(0, 12),
+                st.integers(0, 3),
+                st.integers(0, 1),
+            ),
+            st.tuples(st.just("prune"), st.integers(-2, 14)),
+        ),
+        max_size=60,
+    )
+)
+def test_prune_shortcut_matches_a_naive_log(ops):
+    log, naive = NullifierLog(), NaiveLog()
+    for op in ops:
+        if op[0] == "observe":
+            _, epoch, phi, y = op
+            outcome, _ = log.observe(epoch, FieldElement(phi), share(phi, y), b"m")
+            assert outcome is naive.observe(epoch, phi, share(phi, y))
+        else:
+            assert log.prune_before(op[1]) == naive.prune_before(op[1])
+        assert log.entry_count() == naive.entries()
+        assert log.peak_entries == naive.peak
+        assert log.pruned_total == naive.pruned_total
+        assert log.epochs_tracked() == sorted(naive.by_epoch)
+        # The shortcut's bookkeeping: a no-op prune is one comparison only
+        # while this is exactly the oldest epoch held.
+        assert log._oldest == min(naive.by_epoch, default=None)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import ProtocolError
+from repro.exec.executor import Priority
 from repro.net.simulator import Simulator
 from repro.pipeline.batch_verifier import BatchVerifier
+from repro.pipeline.verdicts import SharedProofChecker, VerdictCache
 from repro.zksnark.groth16 import (
     BATCH_FIXED_PAIRINGS,
     PAIRINGS_PER_VERIFY,
@@ -20,6 +22,15 @@ def make_jobs(rln_env, count: int):
         bundle = rln_env.make_message(b"bundle-%d" % i).rate_limit_proof
         jobs.append((bundle.public_inputs(), bundle.proof))
     return jobs
+
+
+def submit_all(verifier, jobs):
+    """Submit each job, pulling the size trigger after it (as the checker does)."""
+    verdicts = []
+    for public, proof in jobs:
+        verdicts.append(verifier.submit(public, proof))
+        verifier.flush_if_full()
+    return verdicts
 
 
 def forged(job):
@@ -79,10 +90,9 @@ class TestBatchVerifier:
 
     def test_size_trigger_flushes_synchronously(self, rln_env):
         verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=4)
-        verdicts = []
-        for public, proof in make_jobs(rln_env, 4):
-            verifier.submit(public, proof, verdicts.append)
-        assert verdicts == [True] * 4
+        verdicts = submit_all(verifier, make_jobs(rln_env, 4))
+        # The fourth trigger flushed: every promise landed before it returned.
+        assert [verdict.value for verdict in verdicts] == [True] * 4
         assert verifier.pending_jobs == 0
         assert verifier.stats.size_flushes == 1
         assert verifier.stats.deadline_flushes == 0
@@ -92,12 +102,10 @@ class TestBatchVerifier:
         verifier = BatchVerifier(
             rln_env.prover, simulator, batch_size=8, deadline=0.05
         )
-        verdicts = []
-        for public, proof in make_jobs(rln_env, 3):
-            verifier.submit(public, proof, verdicts.append)
-        assert verdicts == []  # parked, waiting for company
+        verdicts = [verifier.submit(*job) for job in make_jobs(rln_env, 3)]
+        assert not any(verdict.resolved for verdict in verdicts)  # parked
         simulator.run(until=0.1)
-        assert verdicts == [True] * 3
+        assert [verdict.value for verdict in verdicts] == [True] * 3
         assert verifier.stats.deadline_flushes == 1
         assert verifier.stats.size_flushes == 0
 
@@ -105,11 +113,9 @@ class TestBatchVerifier:
         verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=8)
         jobs = make_jobs(rln_env, 8)
         jobs[5] = forged(jobs[5])
-        verdicts = []
-        for public, proof in jobs:
-            verifier.submit(public, proof, verdicts.append)
+        verdicts = submit_all(verifier, jobs)
         # The honest seven are accepted; only index 5 is rejected.
-        assert verdicts == [True] * 5 + [False] + [True] * 2
+        assert [v.value for v in verdicts] == [True] * 5 + [False] + [True] * 2
         assert verifier.stats.forged_indices == [5]
         assert verifier.stats.forged_proofs_isolated == 1
         assert verifier.stats.fallback_verifications == 8
@@ -117,8 +123,7 @@ class TestBatchVerifier:
         # an ever-growing log); the totals keep accumulating.
         second = make_jobs(rln_env, 8)
         second[2] = forged(second[2])
-        for public, proof in second:
-            verifier.submit(public, proof, lambda ok: None)
+        submit_all(verifier, second)
         assert verifier.stats.forged_indices == [2]
         assert verifier.stats.forged_proofs_isolated == 2
 
@@ -126,8 +131,7 @@ class TestBatchVerifier:
         counter = rln_env.prover.pairing_counter
         verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=8)
         counter.reset()
-        for public, proof in make_jobs(rln_env, 8):
-            verifier.submit(public, proof, lambda ok: None)
+        submit_all(verifier, make_jobs(rln_env, 8))
         # Honest batch: one RLC check, no fallback.
         assert counter.evaluations == 8 + BATCH_FIXED_PAIRINGS
         assert verifier.stats.fallback_verifications == 0
@@ -136,20 +140,18 @@ class TestBatchVerifier:
         counter = rln_env.prover.pairing_counter
         verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=1)
         counter.reset()
-        verdicts = []
-        for public, proof in make_jobs(rln_env, 3):
-            verifier.submit(public, proof, verdicts.append)
+        # Straight through an inline executor: the verdicts themselves.
+        verdicts = [verifier.submit(*job) for job in make_jobs(rln_env, 3)]
         assert verdicts == [True] * 3
         assert counter.evaluations == 3 * PAIRINGS_PER_VERIFY
         assert counter.batch_checks == 0
 
     def test_manual_flush_drains_pending(self, rln_env):
         verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=8)
-        verdicts = []
         public, proof = make_jobs(rln_env, 1)[0]
-        verifier.submit(public, proof, verdicts.append)
+        verdict = verifier.submit(public, proof)
         verifier.flush()
-        assert verdicts == [True]
+        assert verdict.value is True
         verifier.flush()  # idempotent on empty queue
         assert verifier.pending_jobs == 0
 
@@ -169,9 +171,37 @@ class TestCallbackIsolation:
             delivered.append(("boom", ok))
             raise RuntimeError("user hook failed")
 
-        verifier.submit(*jobs[0], lambda ok: delivered.append(("a", ok)))
-        verifier.submit(*jobs[1], exploding)
+        verifier.submit(*jobs[0]).subscribe(exploding)
+        verifier.submit(*jobs[1]).subscribe(lambda ok: delivered.append(("b", ok)))
+        # The job that fills the window is subscribed before the trigger.
+        verifier.submit(*jobs[2]).subscribe(lambda ok: delivered.append(("c", ok)))
         with pytest.raises(RuntimeError):
-            verifier.submit(*jobs[2], lambda ok: delivered.append(("c", ok)))
-        assert delivered == [("a", True), ("boom", True), ("c", True)]
+            verifier.flush_if_full()
+        assert delivered == [("boom", True), ("b", True), ("c", True)]
         assert verifier.pending_jobs == 0
+        assert verifier.stats.size_flushes == 1
+
+    def test_the_checker_caches_the_flushing_job_when_a_hook_raises(self, rln_env):
+        # The size-triggered flush raises out of the third check, but that
+        # check's verdict has landed: cached, counted, nothing in flight.
+        verifier = BatchVerifier(
+            rln_env.prover, Simulator(), batch_size=3, deadline=0.05
+        )
+        checker = SharedProofChecker(rln_env.prover, VerdictCache(), verifier)
+        bundles = [
+            rln_env.make_message(b"hooked-%d" % i).rate_limit_proof for i in range(3)
+        ]
+
+        def exploding(ok):
+            raise RuntimeError("user hook failed")
+
+        first, _ = checker.check(bundles[0], priority=Priority.RELAY)
+        first.subscribe(exploding)
+        checker.check(bundles[1], priority=Priority.RELAY)
+        with pytest.raises(RuntimeError):
+            checker.check(bundles[2], priority=Priority.RELAY)
+        assert checker.verified == 3 and not checker._in_flight
+        assert checker.cache.get(VerdictCache.key(bundles[2])) is True
+        # A later copy of the flushing job's proof is a cache hit.
+        assert checker.check(bundles[2], priority=Priority.RELAY) == (True, False)
+        assert checker.verified == 3 and verifier.stats.jobs_submitted == 3

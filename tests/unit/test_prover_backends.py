@@ -322,12 +322,9 @@ class TestSkeleton:
 
         prover.pairing_counter.reset()
         verifier = BatchVerifier(prover, Simulator(), batch_size=4)
-        verdicts: dict[int, bool] = {}
-        for index, (public, proof) in enumerate(jobs):
-            verifier.submit(
-                public, proof, lambda ok, index=index: verdicts.__setitem__(index, ok)
-            )
-        assert verdicts == {0: True, 1: True, 2: False, 3: True}
+        verdicts = [verifier.submit(public, proof) for public, proof in jobs]
+        verifier.flush_if_full()
+        assert [verdict.value for verdict in verdicts] == [True, True, False, True]
         assert verifier.stats.forged_indices == [forged_at]
         assert prover.pairing_counter.evaluations == 4 + 3 + 4 * 4
 
