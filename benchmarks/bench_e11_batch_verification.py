@@ -25,12 +25,13 @@ from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
 from repro.core.membership import GroupManager
 from repro.core.validator import BundleValidator
+from repro.exec.executor import Priority
 from repro.net.simulator import Simulator
 from repro.pipeline.batch_verifier import BatchVerifier
 from repro.pipeline.pipeline import PipelineConfig, ValidationPipeline
 from repro.testing import RLN_TEST_EPOCH, mint_bundle, register_member
 from repro.waku.message import WakuMessage
-from repro.zksnark.groth16 import BATCH_FIXED_PAIRINGS, PAIRINGS_PER_VERIFY, Proof
+from repro.zksnark.groth16 import BATCH_FIXED_PAIRINGS, PAIRINGS_PER_VERIFY
 from repro.zksnark.prover import NativeProver
 
 DEPTH = 8
@@ -62,10 +63,9 @@ class Env:
         jobs = []
         for i in range(count):
             bundle = self.message(b"job-%d" % i).rate_limit_proof
-            proof = bundle.proof
             if forge_every is not None and i % forge_every == 0:
-                proof = Proof(a=bytes(32), b=bytes(64), c=bytes(32))
-            jobs.append((bundle.public_inputs(), proof))
+                bundle = bundle.forged_copy()
+            jobs.append(bundle)
         return jobs
 
     def pipeline(self, config: PipelineConfig) -> ValidationPipeline:
@@ -84,9 +84,8 @@ def run_jobs(env: Env, jobs, batch_size: int) -> tuple[int, float]:
     counter.reset()
     verifier = BatchVerifier(env.prover, Simulator(), batch_size=batch_size)
     start = time.perf_counter()
-    for public, proof in jobs:
-        verifier.submit(public, proof)
-        verifier.flush_if_full()
+    for bundle in jobs:
+        verifier.check(bundle, priority=Priority.RELAY)
     verifier.flush()
     return counter.evaluations, time.perf_counter() - start
 

@@ -33,6 +33,7 @@ from repro.core.membership import GroupManager
 from repro.core.validator import BundleValidator
 from repro.exec.costs import DEFAULT_COST_MODEL
 from repro.gossipsub.router import ValidationResult
+from repro.net.promise import Promise
 from repro.net.simulator import Simulator
 from repro.pipeline.pipeline import PipelineConfig, ValidationPipeline
 from repro.telemetry import Telemetry
@@ -145,7 +146,7 @@ def run_arm(env: Env, workers: int, telemetry=None) -> ArmResult:
         result.callback_inline.append(
             pipeline.executor.stats.inline_seconds - inline_before
         )
-        if hasattr(verdict, "subscribe") and not verdict.resolved:
+        if isinstance(verdict, Promise):
 
             def record(v, index=index, submitted=submitted):
                 slots[index] = v.action
@@ -153,8 +154,7 @@ def run_arm(env: Env, workers: int, telemetry=None) -> ArmResult:
 
             verdict.subscribe(record)
         else:
-            final = verdict if not hasattr(verdict, "verdict") else verdict.verdict
-            slots[index] = final.action
+            slots[index] = verdict.action
             result.verdict_latency.append(simulator.now - submitted)
 
     for index, message in env.flood:

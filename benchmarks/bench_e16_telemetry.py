@@ -30,6 +30,7 @@ from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
 from repro.core.membership import GroupManager
 from repro.core.validator import BundleValidator
+from repro.net.promise import Promise
 from repro.net.simulator import Simulator
 from repro.pipeline.pipeline import PipelineConfig, ValidationPipeline
 from repro.telemetry import Telemetry, tracing
@@ -135,7 +136,7 @@ def run_arm(env: Env, telemetry=None) -> ArmResult:
         verdict = pipeline.validate(
             "sender", message, EPOCH + index, b"e16-%d" % index
         )
-        if hasattr(verdict, "subscribe") and not verdict.resolved:
+        if isinstance(verdict, Promise):
 
             def record(v, index=index, submitted=submitted):
                 slots[index] = v.action
@@ -143,8 +144,7 @@ def run_arm(env: Env, telemetry=None) -> ArmResult:
 
             verdict.subscribe(record)
         else:
-            final = verdict if not hasattr(verdict, "verdict") else verdict.verdict
-            slots[index] = final.action
+            slots[index] = verdict.action
             result.verdict_latency.append(simulator.now - submitted)
 
     for index, message in env.load:

@@ -32,7 +32,7 @@ class RateLimitProof:
     One bundle object is judged by every peer it reaches, so it remembers
     what it derives — ``share``, ``public_inputs()``, the last
     ``matches_payload`` answer and (see
-    :meth:`~repro.pipeline.verdicts.VerdictCache.key`) its verdict-cache
+    :func:`~repro.pipeline.batch_verifier.verdict_key`) its verdict-cache
     key — in the frozen instance's ``__dict__``.  The memos are not
     fields: ``==`` and ``hash`` ignore them and ``dataclasses.replace``
     (so :meth:`forged_copy`) starts clean.

@@ -55,14 +55,10 @@ from repro.gossipsub.messages import PubSubMessage
 from repro.gossipsub.router import DeferredValidation, ValidationResult
 from repro.gossipsub.scoring import ScoreParams
 from repro.net.clock import PeerClock
+from repro.net.promise import Promise
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
-from repro.pipeline.pipeline import (
-    PendingVerdict,
-    PipelineConfig,
-    ValidationPipeline,
-    Verdict,
-)
+from repro.pipeline.pipeline import PipelineConfig, ValidationPipeline, Verdict
 from repro.telemetry import resolve as resolve_telemetry
 from repro.waku.message import WakuMessage
 from repro.waku.relay import WakuRelay
@@ -376,7 +372,7 @@ class WakuRLNRelayPeer:
             now=self.simulator.now,
             trace_parent=trace_parent,
         )
-        if isinstance(result, PendingVerdict):
+        if isinstance(result, Promise):
             deferred = DeferredValidation()
             result.subscribe(
                 lambda verdict: deferred.resolve(

@@ -23,13 +23,11 @@ from repro.pipeline.batch_verifier import (
     VerificationJob,
 )
 from repro.pipeline.pipeline import (
-    PendingVerdict,
     PipelineConfig,
     PipelineStats,
     ValidationPipeline,
     Verdict,
 )
-from repro.pipeline.verdicts import SharedProofChecker, VerdictCache
 from repro.pipeline.prefilter import (
     DedupLRU,
     Prefilter,
@@ -52,14 +50,11 @@ __all__ = [
     "SimulatedCryptoExecutor",
     "SynchronousCryptoExecutor",
     "BatchVerifierStats",
-    "SharedProofChecker",
     "VerificationJob",
-    "PendingVerdict",
     "PipelineConfig",
     "PipelineStats",
     "ValidationPipeline",
     "Verdict",
-    "VerdictCache",
     "DedupLRU",
     "Prefilter",
     "PrefilterOutcome",

@@ -1,18 +1,23 @@
-"""Pipeline stage 4 — batched Groth16 verification (§III-F item 2, batched).
+"""A peer's one proof verifier: verdict cache, in-flight joins, batched checks.
 
-The seed implementation verified every surviving proof synchronously, one
-4-pairing check at a time, inside the relay callback.  This stage
-accumulates pending ``(public_inputs, proof)`` jobs and verifies N of them
-with a single random-linear-combination multi-pairing
+A peer is asked for the verdict of a ``(statement, proof)`` pair on four
+paths — the relay pipeline's stage 4 (§III-F item 2), store archival,
+filter pushes and lightpush service — and all four ask
+:meth:`BatchVerifier.check` on the peer's one verifier.  A bundle any path
+already judged costs one cache lookup; a bundle any path is *still
+judging* (parked in the relay window, queued or running on an executor
+lane) is joined, never verified a second time.
+
+Relay-class work accumulates in a window and is verified N proofs at a
+time with a single random-linear-combination multi-pairing
 (:meth:`repro.zksnark.groth16.Groth16.verify_batch`): N + 3 pairing
-evaluations instead of 4N, the saving experiment E11 measures.
-
-Batches flush on a **size-or-deadline** trigger: the size trigger (pulled
-by the caller after a submit) fires synchronously at ``batch_size``; the deadline
-trigger is an event on the net simulator so a lone job is never stranded
-waiting for company.  ``batch_size=1`` degenerates to the seed's immediate
-per-proof verification — same verdicts, same pairing count, zero latency —
-which is what the equivalence tests pin down.
+evaluations instead of 4N, the saving experiment E11 measures.  The
+window flushes on a **size-or-deadline** trigger: at ``batch_size`` jobs,
+synchronously inside the check that filled it, or when the deadline event
+on the net simulator fires, so a lone job is never stranded waiting for
+company.  ``batch_size=1`` degenerates to the seed's immediate per-proof
+verification — same verdicts, same pairing count, zero latency — which is
+what the equivalence tests pin down.
 
 When a batch fails, the RLC check only says "at least one forged proof is
 present"; the verifier falls back to per-proof checks over the batch and
@@ -22,20 +27,22 @@ verdicts are still delivered as accepts).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
+from repro.core.messages import RateLimitProof
 from repro.errors import ProtocolError
-from repro.exec.executor import (
-    CryptoExecutor,
-    Priority,
-    SynchronousCryptoExecutor,
-)
+from repro.exec.executor import CryptoExecutor, Priority, SynchronousCryptoExecutor
 from repro.net.promise import Promise
 from repro.net.simulator import EventHandle, Simulator
+from repro.pipeline.lru import BoundedLRU
 from repro.telemetry.registry import MetricsRegistry, NullRegistry, NULL_REGISTRY
 from repro.telemetry.disttrace import NULL_TRACE, ActiveSpan, NullTrace
-from repro.telemetry.tracing import BATCH_FLUSH, LANE_DISPATCH, PAIRING
+from repro.telemetry.tracing import (
+    BATCH_ENQUEUE, BATCH_FLUSH, LANE_DISPATCH, PAIRING, VERDICT_CACHE,
+)
+from repro.waku.message import WakuMessage
 from repro.zksnark.groth16 import Proof
 from repro.zksnark.prover import RLNProver
 from repro.zksnark.rln_circuit import RLNPublicInputs
@@ -43,13 +50,32 @@ from repro.zksnark.rln_circuit import RLNPublicInputs
 #: Bucket bounds for the batch-size histogram (jobs per flush, not time).
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
+#: Verdicts a peer remembers; a verifier's default cache is this size.
+VERDICT_CACHE_CAPACITY = 8192
+
+
+def verdict_key(bundle: RateLimitProof) -> bytes:
+    """Hash binding the proof to the exact statement it claims.
+
+    Remembered on the frozen bundle, which every receiver shares (a
+    ``replace`` of any field, the proof included, starts clean).
+    """
+    key = bundle.__dict__.get("_verdict_key")
+    if key is None:
+        key = hashlib.sha256(
+            bundle.public_inputs().serialize() + bundle.proof.serialize()
+        ).digest()
+        object.__setattr__(bundle, "_verdict_key", key)
+    return key
+
 
 class VerificationJob(NamedTuple):
     """One queued proof check."""
 
+    key: bytes
     public: RLNPublicInputs
     proof: Proof
-    #: Resolved when the verdict lands (``None``: ``submit`` returns it).
+    #: Resolved when the verdict lands (``None``: the check returns it).
     verdict: Promise[bool] | None
     #: The bundle's span, riding along so flush/dispatch/pairing marks
     #: land on the right waterfall (the shared no-op when telemetry is off).
@@ -73,7 +99,17 @@ class BatchVerifierStats:
 
 
 class BatchVerifier:
-    """Accumulates verification jobs and flushes them as one RLC check."""
+    """Who runs a pairing check, when, and who remembers the verdict.
+
+    One per peer, built by its pipeline
+    (:meth:`~repro.pipeline.pipeline.ValidationPipeline.shared_checker`),
+    which asks it on the relay path and hands it to the peer's
+    :class:`~repro.waku.store.StoreNode`,
+    :class:`~repro.waku.filter.FilterNode` and
+    :class:`~repro.waku.lightpush.LightPushNode`.  Only the pairing check
+    is shared — epoch windows, root recognition, and the nullifier rate
+    check stay with each path's own validator.
+    """
 
     def __init__(
         self,
@@ -83,6 +119,7 @@ class BatchVerifier:
         batch_size: int = 1,
         deadline: float = 0.05,
         executor: CryptoExecutor | None = None,
+        cache: BoundedLRU[bytes, bool] | None = None,
         registry: "MetricsRegistry | NullRegistry | None" = None,
         peer: str = "",
     ) -> None:
@@ -99,51 +136,114 @@ class BatchVerifier:
         self.simulator = simulator
         self.batch_size = batch_size
         self.deadline = deadline
-        # Size- and deadline-triggered flushes alike route through the
-        # executor (at RELAY class: the mesh is waiting on them); the
-        # inline default keeps the pre-executor behaviour (verdicts land
-        # before flush() returns) bit-identical.
+        # Window flushes run at RELAY class (the mesh is waiting on them),
+        # service checks at their own, both on this one executor so the
+        # classes queue against each other; the inline default keeps the
+        # pre-executor behaviour (verdicts land before flush() returns).
         self.executor: CryptoExecutor = executor or SynchronousCryptoExecutor(
             counter=prover.pairing_counter
         )
+        self.cache = BoundedLRU(VERDICT_CACHE_CAPACITY) if cache is None else cache
         reg = NULL_REGISTRY if registry is None else registry
         self._m_batch_size = reg.histogram(
             "batch_flush_size", peer=peer, buckets=_BATCH_SIZE_BUCKETS
         )
         self.stats = BatchVerifierStats()
+        #: Verdicts served from the cache (no pairing work).
+        self.cache_hits = 0
+        #: Verdicts that required a real pairing evaluation.
+        self.verified = 0
+        #: Requests that joined a check of the same proof already pending
+        #: on this peer (no pairing work, no extra job).
+        self.joined_in_flight = 0
+        #: key -> verdict promise of every check enqueued and not yet
+        #: landed, whichever path asked; the cache only fills at
+        #: completion, so this is what stops two paths racing the same
+        #: proof into two identical pairing jobs.
+        self._in_flight: dict[bytes, Promise[bool]] = {}
         self._pending: list[VerificationJob] = []
         self._deadline_handle: EventHandle | None = None
+        self._closed = False
 
-    # -- submission -------------------------------------------------------------
+    # -- the one way in ---------------------------------------------------------
 
-    def submit(
+    def check(
         self,
-        public: RLNPublicInputs,
-        proof: Proof,
+        bundle: RateLimitProof,
         *,
+        priority: Priority = Priority.SERVICE,
         trace: "ActiveSpan | NullTrace" = NULL_TRACE,
-    ) -> "bool | Promise[bool]":
-        """Queue one job: its verdict if it ran straight through (a batch of
-        one, inline executor), else a promise of it, resolved on landing —
-        the caller subscribes, *then* pulls :meth:`flush_if_full`."""
-        self.stats.jobs_submitted += 1
-        if self.batch_size == 1 and self.executor.inline:
-            self.stats.size_flushes += 1
-            self._pending.append(VerificationJob(public, proof, None, trace))
-            return self.flush()[0]
-        verdict: Promise[bool] = Promise()
-        self._pending.append(VerificationJob(public, proof, verdict, trace))
-        # batch_size > 1 here whenever the window stays open: a simulator exists.
-        if self._deadline_handle is None and len(self._pending) < self.batch_size:
-            self._deadline_handle = self.simulator.schedule(self.deadline, self._on_deadline)
-        return verdict
+    ) -> "tuple[bool | Promise[bool], bool]":
+        """The verdict for one bundle, and whether it is *fresh*.
 
-    def flush_if_full(self) -> None:
-        """The size trigger: flush once ``batch_size`` jobs are waiting (a
-        subscriber added before it hears its verdict if another raises)."""
-        if len(self._pending) >= self.batch_size:
-            self.stats.size_flushes += 1
-            self.flush()
+        Cache lookup, then the in-flight table, then enqueue: a
+        ``Priority.RELAY`` request into the window, any other class
+        straight to the executor.  A verdict that has landed — a cache
+        hit, or a job run inline (every one at ``batch_size=1`` with zero
+        lanes, and every one once :meth:`close` has run) — is returned as
+        the plain ``bool``; only work left in flight is a promise, entered
+        in the in-flight table for the next request of the same proof to
+        join (resolved on return if it filled the window and the flush ran
+        inline).  ``fresh`` is true only for the request that enqueued the
+        pairing work.  ``trace`` is the bundle's span, marked
+        ``verdict-cache`` or ``batch-enqueue``.
+        """
+        key = verdict_key(bundle)
+        cached = self.cache.get(key)
+        if cached is not None:
+            self.cache_hits += 1
+            trace.mark(VERDICT_CACHE)
+            return cached, False
+        pending = self._in_flight.get(key)
+        if pending is not None:
+            self.joined_in_flight += 1
+            trace.mark(VERDICT_CACHE)
+            return pending, False
+        trace.mark(BATCH_ENQUEUE)
+        relay = priority is Priority.RELAY
+        # Straight through: the verdict lands before this returns (a relay
+        # job is then a batch of one, the window being empty).
+        straight = self.executor.inline and (
+            not relay or self.batch_size == 1 or self._closed
+        )
+        verdict: Promise[bool] | None = None
+        if not straight:
+            verdict = self._in_flight[key] = Promise()
+        job = VerificationJob(key, bundle.public_inputs(), bundle.proof, verdict, trace)
+        landed = None
+        if not relay:
+            landed = self.executor.submit(
+                self._verify, self._deliver, priority=priority, args=((job,),)
+            )
+        else:
+            self.stats.jobs_submitted += 1
+            self._pending.append(job)
+            if len(self._pending) >= self.batch_size:
+                self.stats.size_flushes += 1
+                landed = self.flush()
+            elif straight:  # closed: a late arrival arms no deadline
+                landed = self.flush()
+            elif self._deadline_handle is None:
+                self._deadline_handle = self.simulator.schedule(
+                    self.deadline, self._on_deadline
+                )
+        return (landed[0] if verdict is None else verdict), True
+
+    def check_deferred(self, message: WakuMessage) -> Promise[bool] | None:
+        """Service-path verdict promise for a message's attached proof.
+
+        ``None`` (no bundle attached) lets proof-less system traffic —
+        e.g. tree-sync announcements — pass through paths that archive or
+        forward arbitrary Waku messages.
+        """
+        bundle = message.rate_limit_proof
+        if not isinstance(bundle, RateLimitProof):
+            return None
+        verdict = self.check(bundle)[0]
+        if not isinstance(verdict, Promise):
+            verdict, landed = Promise(), verdict
+            verdict.resolve(landed)
+        return verdict
 
     @property
     def pending_jobs(self) -> int:
@@ -180,20 +280,43 @@ class BatchVerifier:
             self._verify, self._deliver, priority=Priority.RELAY, args=(jobs,)
         )
 
+    def close(self) -> None:
+        """Drain pending crypto and pin the verifier to inline checks.
+
+        Called when the owning peer stops: the window is flushed, every
+        queued/in-flight executor job delivers its verdict *now*, and any
+        check that still trickles in afterwards (the network keeps
+        delivering in-flight RPCs) is verified inline instead of arming
+        the batch deadline or waking worker lanes — a stopped peer never
+        wakes up later to do crypto.  Pinning the executor itself covers
+        the service paths too, which hold this same verifier.
+        """
+        self._closed = True
+        self.flush()
+        self.executor.drain()
+        self.executor.pin_synchronous()
+
+    def reopen(self) -> None:
+        """Re-enable the window and worker lanes after :meth:`close`."""
+        self._closed = False
+        self.executor.unpin()
+
+    # -- verification -----------------------------------------------------------
+
     def _deliver(self, jobs: Sequence[VerificationJob], verdicts: list[bool]) -> None:
-        # The pairing span closes at simulated completion time, when the
-        # executor hands the verdicts back.
-        for job in jobs:
-            job.trace.mark(PAIRING)
-        if len(jobs) == 1:
-            if jobs[0].verdict is not None:
-                jobs[0].verdict.resolve(verdicts[0])
-            return
-        # One job's subscriber raising (e.g. a user on_spam hook) must not
-        # strand the other jobs of the batch with unresolved promises:
-        # deliver every verdict, then surface the first failure.
+        # Runs at simulated completion time.  Each job's verdict is cached
+        # before its waiter hears it, so a waiter's hook raising (e.g. a
+        # user on_spam) can neither lose a verdict nor strand the rest of
+        # the batch: every verdict is delivered, then the first failure
+        # surfaces.
         first_error: Exception | None = None
         for job, ok in zip(jobs, verdicts):
+            job.trace.mark(PAIRING)
+            self.cache.put(job.key, ok)
+            self.verified += 1
+            if job.verdict is None:
+                continue
+            del self._in_flight[job.key]
             try:
                 job.verdict.resolve(ok)
             except Exception as exc:

@@ -10,15 +10,14 @@ layer ingress validation — cheap gates first, expensive ones batched:
    penalties on overflow;
 3. the existing :class:`~repro.core.validator.BundleValidator` cheap checks
    — root recognition and payload binding (§III-F items 2-3);
-4. the peer's one :class:`~repro.pipeline.verdicts.SharedProofChecker`,
+4. the peer's one :class:`~repro.pipeline.batch_verifier.BatchVerifier`,
    shared with its store/filter/lightpush roles — a **proof-verdict
    cache** keyed by (statement, proof) hash, so a re-broadcast of an
    already-judged bundle (e.g. after root churn or seen-cache expiry)
-   never re-verifies, and a table of the checks still pending, so one
-   that is being judged right now is joined;
-5. :class:`~repro.pipeline.batch_verifier.BatchVerifier` — batched Groth16
-   verification with per-proof fallback, flushing on size-or-deadline;
-6. the nullifier-map rate check (§III-F item 3) once the verdict lands.
+   never re-verifies; a table of the checks still pending, so one that is
+   being judged right now is joined; and batched Groth16 verification
+   with per-proof fallback, flushing on size-or-deadline;
+5. the nullifier-map rate check (§III-F item 3) once the verdict lands.
 
 Outcomes that exist in the seed's :class:`ValidationOutcome` vocabulary are
 recorded in the wrapped validator's stats, so ``batch_size=1`` (the
@@ -50,7 +49,6 @@ from repro.pipeline.ratelimit import (
     RateLimitStats,
     RateLimitVerdict,
 )
-from repro.pipeline.verdicts import SharedProofChecker, VerdictCache
 from repro.telemetry import NullTelemetry, Telemetry, resolve as resolve_telemetry
 from repro.telemetry import tracing
 from repro.telemetry.disttrace import ActiveSpan, NullTrace
@@ -138,16 +136,6 @@ _DUPLICATE_ID = Verdict(ValidationResult.IGNORE, None, stage="prefilter")
 _GATE_REJECT = Verdict(ValidationResult.REJECT, None, stage="prefilter")
 
 
-class PendingVerdict(Promise[Verdict]):
-    """A verdict promised once the batched proof check flushes."""
-
-    __slots__ = ()
-
-    @property
-    def verdict(self) -> Verdict:
-        return self.value
-
-
 @dataclass
 class PipelineStats:
     """Stage-level accounting on top of the sub-stage stats objects."""
@@ -226,13 +214,8 @@ class ValidationPipeline:
             registry=registry,
             peer=peer_id,
         )
-        self.verdict_cache = VerdictCache()
-        self._checker = SharedProofChecker(
-            prover, self.verdict_cache, self.batch_verifier
-        )
         self.stats = PipelineStats(ratelimit=self.ratelimiter.stats)
         self._on_rate_limit_penalty = on_rate_limit_penalty
-        self._closed = False
 
     # -- the decision -----------------------------------------------------------
 
@@ -246,10 +229,10 @@ class ValidationPipeline:
         topic: str = "",
         now: float = 0.0,
         trace_parent=None,
-    ) -> "Verdict | PendingVerdict":
+    ) -> "Verdict | Promise[Verdict]":
         """Run one bundle through the stages to its verdict: settled inline
-        once the proof verdict has landed, a :class:`PendingVerdict` only
-        while the check is in flight (an open batch window, or a lane).
+        once the proof verdict has landed, a promise of it only while the
+        check is in flight (an open batch window, or a lane).
 
         ``trace_parent`` is the inbound message's
         :class:`~repro.telemetry.disttrace.SpanContext`, if any: the
@@ -307,21 +290,16 @@ class ValidationPipeline:
         # suppress); the same proof rewrapped under a different
         # content_topic does, and joins.  Whoever paid, the nullifier log
         # still runs on the verdict, so a second copy lands as DUPLICATE.
-        proof_verdict, fresh = self._checker.check(
+        proof_verdict, fresh = self.batch_verifier.check(
             bundle, priority=Priority.RELAY, trace=trace
         )
         if fresh:
             self.validator.stats.proofs_verified += 1
-            if self._closed:
-                # A closed pipeline (peer shut down) must never re-arm the
-                # batch deadline: late arrivals verify synchronously, like
-                # the seed.
-                self.batch_verifier.flush()
         else:
             self.validator.stats.proofs_cached += 1
         if isinstance(proof_verdict, Promise):
             if not proof_verdict.resolved:
-                pending = PendingVerdict()
+                pending: Promise[Verdict] = Promise()
                 proof_verdict.subscribe(
                     lambda ok: pending.resolve(
                         self._settle(message, local_epoch, msg_id, ok, fresh, trace)
@@ -329,28 +307,19 @@ class ValidationPipeline:
                 )
                 self.stats.deferred += 1
                 return pending
-            # A size-triggered (or a closed pipeline's) flush ran inline.
+            # A size-triggered flush ran inline.
             proof_verdict = proof_verdict.value
-        # Landed (a cache hit, or batch_size=1 on zero lanes): seed path.
+        # Landed (a cache hit, or a job run inline): the seed path.
         return self._settle(message, local_epoch, msg_id, proof_verdict, fresh, trace)
 
     def close(self) -> None:
         """Drain pending crypto and pin the pipeline to synchronous mode.
 
-        Called from the owning peer's ``stop()``: the pending batch is
-        flushed, every queued/in-flight executor job delivers its verdict
-        *now*, and any message that still trickles in afterwards (the
-        network keeps delivering in-flight RPCs) is verified inline
-        instead of re-arming the batch deadline or waking worker lanes —
-        a stopped peer never wakes up later to do crypto.  Pinning the
-        executor itself (rather than swapping the verifier's reference)
-        covers every holder at once: the proof checker handed to
-        store/filter/lightpush degrades to inline verification too.
+        Called from the owning peer's ``stop()``; see
+        :meth:`BatchVerifier.close` — late arrivals on the relay and
+        service paths alike are verified inline from here on.
         """
-        self._closed = True
-        self.batch_verifier.flush()
-        self.executor.drain()
-        self.executor.pin_synchronous()
+        self.batch_verifier.close()
         # From shutdown on, snapshots carry the run's utilisation summary
         # (queue depth and busy lanes read 0 by themselves: the drain
         # emptied what they are bound to).
@@ -362,11 +331,10 @@ class ValidationPipeline:
 
     def reopen(self) -> None:
         """Re-enable batching and worker lanes after :meth:`close`."""
-        self._closed = False
-        self.executor.unpin()
+        self.batch_verifier.reopen()
 
-    def shared_checker(self) -> SharedProofChecker:
-        """The proof checker the relay path above asks at stage 4.
+    def shared_checker(self) -> BatchVerifier:
+        """The proof verifier the relay path above asks at stage 4.
 
         Hand it to the peer's store/filter/lightpush nodes: they share
         verdicts — landed and still pending — with the relay path in both
@@ -374,7 +342,7 @@ class ValidationPipeline:
         same executor at SERVICE priority, so heavy query load cannot
         starve relay verdicts.
         """
-        return self._checker
+        return self.batch_verifier
 
     # -- helpers ----------------------------------------------------------------
 

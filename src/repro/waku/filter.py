@@ -26,7 +26,7 @@ from repro.waku.message import WakuMessage, proof_verdict
 from repro.waku.relay import WakuRelay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.pipeline.verdicts import SharedProofChecker
+    from repro.pipeline.batch_verifier import BatchVerifier
 
 PROTOCOL = "filter"
 
@@ -60,7 +60,7 @@ class FilterNode:
         relay: WakuRelay,
         network: Network,
         *,
-        proof_checker: "SharedProofChecker | None" = None,
+        proof_checker: "BatchVerifier | None" = None,
     ) -> None:
         self.relay = relay
         self.network = network

@@ -33,7 +33,7 @@ from repro.waku.message import WakuMessage, proof_verdict
 from repro.waku.relay import WakuRelay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.pipeline.verdicts import SharedProofChecker
+    from repro.pipeline.batch_verifier import BatchVerifier
 
 PROTOCOL = "lightpush"
 #: Acknowledgement timeout (simulated seconds).  Generous on purpose: the
@@ -79,7 +79,7 @@ class LightPushNode:
         network: Network,
         *,
         validator: Callable[[WakuMessage], ValidationResult] | None = None,
-        proof_checker: "SharedProofChecker | None" = None,
+        proof_checker: "BatchVerifier | None" = None,
     ) -> None:
         self.relay = relay
         self.network = network

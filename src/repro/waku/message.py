@@ -19,7 +19,7 @@ from repro.crypto.hashing import message_id
 from repro.net.promise import Promise
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.pipeline.verdicts import SharedProofChecker
+    from repro.pipeline.batch_verifier import BatchVerifier
     from repro.telemetry.disttrace import SpanContext
 
 #: The default pubsub topic of Waku v2 networks.
@@ -70,7 +70,7 @@ class WakuMessage:
 
 
 def proof_verdict(
-    checker: "SharedProofChecker | None", message: WakuMessage
+    checker: "BatchVerifier | None", message: WakuMessage
 ) -> Promise[bool]:
     """The verdict a service path (store, filter, lightpush) waits on.
 
@@ -78,7 +78,7 @@ def proof_verdict(
     configured, or a proof-less message).  Lives here, not beside the
     checker: :mod:`repro.pipeline` is a layer above and imports this one.
     """
-    verdict = None if checker is None else checker.check_message_deferred(message)
+    verdict = None if checker is None else checker.check_deferred(message)
     return _NOTHING_TO_CHECK if verdict is None else verdict
 
 

@@ -32,7 +32,7 @@ from repro.waku.message import WakuMessage, proof_verdict
 from repro.waku.relay import WakuRelay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.pipeline.verdicts import SharedProofChecker
+    from repro.pipeline.batch_verifier import BatchVerifier
 
 PROTOCOL = "store"
 #: Per-page timeout (simulated seconds): a store node answers from memory,
@@ -99,7 +99,7 @@ class StoreNode:
         network: Network,
         *,
         capacity: int = DEFAULT_CAPACITY,
-        proof_checker: "SharedProofChecker | None" = None,
+        proof_checker: "BatchVerifier | None" = None,
     ) -> None:
         if capacity <= 0:
             raise NetworkError("store capacity must be positive")

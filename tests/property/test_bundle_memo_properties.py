@@ -15,7 +15,7 @@ from repro.core.epoch import external_nullifier
 from repro.core.messages import RateLimitProof
 from repro.crypto.hashing import hash_message_to_field
 from repro.crypto.shamir import Share
-from repro.pipeline.verdicts import VerdictCache
+from repro.pipeline.batch_verifier import verdict_key
 from repro.waku.message import WakuMessage
 from repro.zksnark.rln_circuit import RLNPublicInputs
 from tests.property import wire_strategies as ws
@@ -47,7 +47,7 @@ def warm(bundle: RateLimitProof, payloads) -> None:
     """Fill every memo (the last payload asked about is remembered)."""
     bundle.share
     bundle.public_inputs().serialize()
-    VerdictCache.key(bundle)
+    verdict_key(bundle)
     for payload in payloads:
         bundle.matches_payload(payload)
 
@@ -57,7 +57,7 @@ def assert_fresh(bundle: RateLimitProof, payloads) -> None:
         assert bundle.share == Share(x=bundle.share_x, y=bundle.share_y)
         assert bundle.public_inputs() == fresh_public(bundle)
         assert bundle.public_inputs().serialize() == fresh_public(bundle).serialize()
-        assert VerdictCache.key(bundle) == fresh_key(bundle)
+        assert verdict_key(bundle) == fresh_key(bundle)
         for payload in payloads:
             expected = hash_message_to_field(payload) == bundle.share_x
             assert bundle.matches_payload(payload) is expected

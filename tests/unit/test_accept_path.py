@@ -1,7 +1,7 @@
 """The accept path's degenerate parameterisation, and its shared verdicts.
 
 At ``batch_size=1`` with zero lanes every proof check runs inline, so the
-one front door (``SharedProofChecker.check`` → ``BatchVerifier`` →
+one front door (``BatchVerifier.check`` →
 ``SimulatedCryptoExecutor.submit``) hands back a plain ``bool``: no
 promise, no in-flight entry, one executor job and one batch per fresh
 receipt.  A batch window or a lane keeps the promise-and-join path.
@@ -48,7 +48,7 @@ class SpyDict(dict):
 
 @pytest.fixture()
 def promises_made(monkeypatch) -> Counter:
-    """Promises constructed during the test, by class (PendingVerdict too)."""
+    """Promises constructed during the test, by class."""
     made: Counter = Counter()
     original = Promise.__init__
 
@@ -101,7 +101,7 @@ class TestStraightThrough:
             verdict, fresh_check = checker.check(bundle, priority=priority)
             assert verdict is True and fresh_check
         assert spy.writes == 0
-        assert not promises_made  # neither a Promise nor a PendingVerdict
+        assert not promises_made
 
     @pytest.mark.parametrize("config", [{"batch_size": 8}, {"workers": 1}])
     def test_a_window_or_a_lane_keeps_the_promise_and_join_path(

@@ -5,19 +5,12 @@ import pytest
 from repro.core.validator import ValidationOutcome
 from repro.gossipsub.router import ValidationResult
 from repro.net.simulator import Simulator
-from repro.pipeline.pipeline import (
-    PendingVerdict,
-    PipelineConfig,
-    ValidationPipeline,
-    Verdict,
-)
+from repro.net.promise import Promise
+from repro.pipeline.batch_verifier import VERDICT_CACHE_CAPACITY, BatchVerifier
+from repro.pipeline.lru import BoundedLRU
+from repro.pipeline.pipeline import PipelineConfig, ValidationPipeline, Verdict
 from repro.pipeline.prefilter import MAX_PAYLOAD_BYTES
 from repro.pipeline.ratelimit import BucketSpec
-from repro.pipeline.verdicts import (
-    VERDICT_CACHE_CAPACITY,
-    SharedProofChecker,
-    VerdictCache,
-)
 from repro.testing import RLN_TEST_EPOCH as EPOCH
 from repro.waku.message import WakuMessage
 
@@ -117,12 +110,12 @@ class TestVerdictCache:
         assert pipeline.validator.stats.proofs_verified == 1
 
     def test_cache_bounded_lru(self, rln_env):
-        checker = SharedProofChecker(rln_env.prover, VerdictCache(2))
+        checker = BatchVerifier(rln_env.prover, cache=BoundedLRU(2))
         for i in range(4):
             message = rln_env.make_message(b"m%d" % i, epoch=EPOCH + i)
-            assert checker.check_message_deferred(message).value is True
+            assert checker.check_deferred(message).value is True
         assert checker.verified == 4 and len(checker.cache) == 2
-        assert make_pipeline(rln_env).verdict_cache.capacity == VERDICT_CACHE_CAPACITY
+        assert make_pipeline(rln_env).batch_verifier.cache.capacity == VERDICT_CACHE_CAPACITY
 
 
 class TestRateLimit:
@@ -237,12 +230,12 @@ class TestDeferredPath:
             PipelineConfig(batch_size=4, batch_deadline=0.05),
         )
         result = pipeline.validate("p", rln_env.make_message(b"solo"), EPOCH, b"1")
-        assert isinstance(result, PendingVerdict)
+        assert isinstance(result, Promise)
         assert not result.resolved
         assert pipeline.stats.deferred == 1
         simulator.run(until=0.1)
         assert result.resolved
-        assert result.verdict.outcome is ValidationOutcome.VALID
+        assert result.value.outcome is ValidationOutcome.VALID
 
     def test_full_batch_resolves_synchronously(self, rln_env):
         pipeline = ValidationPipeline(
@@ -252,7 +245,7 @@ class TestDeferredPath:
             PipelineConfig(batch_size=2, batch_deadline=0.05),
         )
         first = pipeline.validate("p", rln_env.make_message(b"a"), EPOCH, b"1")
-        assert isinstance(first, PendingVerdict)
+        assert isinstance(first, Promise)
         # The second job fills the batch: its verdict (and the first's)
         # lands inside the validate() call.
         second = pipeline.validate(
@@ -260,7 +253,7 @@ class TestDeferredPath:
         )
         assert isinstance(second, Verdict)
         assert first.resolved
-        assert first.verdict.outcome is ValidationOutcome.VALID
+        assert first.value.outcome is ValidationOutcome.VALID
         assert second.outcome is ValidationOutcome.VALID
 
     def test_duplicate_inside_batch_window_classifies_as_duplicate(self, rln_env):
@@ -279,8 +272,8 @@ class TestDeferredPath:
         first = pipeline.validate("p", message, EPOCH, b"id-a")
         second = pipeline.validate("p", message, EPOCH, b"id-b")
         simulator.run(until=0.1)
-        assert first.verdict.outcome is ValidationOutcome.VALID
-        assert second.verdict.outcome is ValidationOutcome.DUPLICATE
+        assert first.value.outcome is ValidationOutcome.VALID
+        assert second.value.outcome is ValidationOutcome.DUPLICATE
 
     def test_batch_deadline_spanning_epochs_rejected(self, rln_env):
         # epoch_length is 30s in the test config: a 60s deadline would

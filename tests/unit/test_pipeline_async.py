@@ -3,7 +3,7 @@
 The tentpole invariant: ``workers=0`` (the default) is bit-identical to
 the inline path, while ``workers >= 1`` moves the pairing work onto the
 :class:`~repro.exec.executor.SimulatedCryptoExecutor` — relay validate
-calls return a :class:`PendingVerdict` immediately and the verdicts land
+calls return a promise of the verdict immediately and the verdicts land
 at simulated completion time with *identical* contents.
 """
 
@@ -13,13 +13,9 @@ from repro.core.validator import ValidationOutcome
 from repro.errors import ProtocolError
 from repro.exec.executor import Priority
 from repro.gossipsub.router import ValidationResult
+from repro.net.promise import Promise
 from repro.net.simulator import Simulator
-from repro.pipeline.pipeline import (
-    PendingVerdict,
-    PipelineConfig,
-    ValidationPipeline,
-    Verdict,
-)
+from repro.pipeline.pipeline import PipelineConfig, ValidationPipeline, Verdict
 from repro.testing import RLN_TEST_EPOCH as EPOCH
 from repro.waku.message import WakuMessage
 
@@ -64,7 +60,7 @@ def run_stream(rln_env, messages, **config_kwargs):
     slots: list = [None] * len(messages)
     for index, message in enumerate(messages):
         result = pipeline.validate("peer", message, EPOCH, b"id-%d" % index)
-        if isinstance(result, PendingVerdict):
+        if isinstance(result, Promise):
             result.subscribe(lambda v, i=index: slots.__setitem__(i, v))
         else:
             slots[index] = result
@@ -108,12 +104,12 @@ class TestWorkerLaneEquivalence:
     def test_worker_lane_verdicts_are_deferred(self, rln_env):
         pipeline, simulator = make_pipeline(rln_env, workers=1)
         result = pipeline.validate("p", rln_env.make_message(b"m"), EPOCH, b"i")
-        assert isinstance(result, PendingVerdict)
+        assert isinstance(result, Promise)
         assert not result.resolved
         assert pipeline.stats.deferred == 1
         simulator.run_until_idle()
         assert result.resolved
-        assert result.verdict.action is ValidationResult.ACCEPT
+        assert result.value.action is ValidationResult.ACCEPT
         # The lane was occupied for the modeled pairing time.
         assert pipeline.executor.stats.service_seconds > 0
         assert simulator.now == pytest.approx(
@@ -139,9 +135,7 @@ class TestPriorityClasses:
         first = pipeline.validate("p", rln_env.make_message(b"one"), EPOCH, b"a")
         first.subscribe(lambda v: order.append("relay-1"))
         # ...queue a service-path re-validation...
-        service = checker.check_deferred(
-            rln_env.make_message(b"svc").rate_limit_proof
-        )
+        service = checker.check_deferred(rln_env.make_message(b"svc"))
         service.subscribe(lambda ok: order.append("service"))
         # ...then a second relay verdict, submitted *after* the service job.
         second = pipeline.validate("p", rln_env.make_message(b"two"), EPOCH, b"b")
@@ -160,12 +154,12 @@ class TestPriorityClasses:
         pipeline, simulator = make_pipeline(rln_env, workers=1)
         store_path, lightpush_path = pipeline.shared_checker(), pipeline.shared_checker()
         assert store_path is lightpush_path
-        bundle = rln_env.make_message(b"raced").rate_limit_proof
+        message = rln_env.make_message(b"raced")
         counter = rln_env.prover.pairing_counter
         counter.reset()
         submitted = pipeline.executor.stats.jobs_submitted
-        first = store_path.check_deferred(bundle)
-        second = lightpush_path.check_deferred(bundle)
+        first = store_path.check_deferred(message)
+        second = lightpush_path.check_deferred(message)
         assert not first.resolved and not second.resolved
         simulator.run_until_idle()
         assert first.value is True and second.value is True
@@ -184,13 +178,13 @@ class TestPriorityClasses:
         counter = rln_env.prover.pairing_counter
         counter.reset()
         relay = pipeline.validate("p", message, EPOCH, b"a")
-        assert isinstance(relay, PendingVerdict) and not relay.resolved
-        service = checker.check_deferred(message.rate_limit_proof)
+        assert isinstance(relay, Promise) and not relay.resolved
+        service = checker.check_deferred(message)
         joined_unresolved = not service.resolved
         simulator.run_until_idle()
         assert counter.evaluations == 4
         assert joined_unresolved  # it waited for the window's verdict
-        assert relay.verdict.action is ValidationResult.ACCEPT
+        assert relay.value.action is ValidationResult.ACCEPT
         assert service.value is True
         assert checker.joined_in_flight == 1 and checker.verified == 1
 
@@ -202,19 +196,19 @@ class TestPriorityClasses:
         message = rln_env.make_message(b"in-flight")
         counter = rln_env.prover.pairing_counter
         counter.reset()
-        service = checker.check_deferred(message.rate_limit_proof)
+        service = checker.check_deferred(message)
         relay = pipeline.validate("p", message, EPOCH, b"a")
         assert not service.resolved
-        assert isinstance(relay, PendingVerdict) and not relay.resolved
+        assert isinstance(relay, Promise) and not relay.resolved
         simulator.run_until_idle()
         assert counter.evaluations == 4
         assert pipeline.executor.stats.jobs_submitted == 1
         assert service.value is True
-        assert relay.verdict.outcome is ValidationOutcome.VALID
+        assert relay.value.outcome is ValidationOutcome.VALID
         # The relay copy paid no pairing work: accounted like a cache hit.
         stats = pipeline.validator.stats
         assert (stats.proofs_verified, stats.proofs_cached) == (0, 1)
-        assert relay.verdict.cached and pipeline.stats.deferred == 1
+        assert relay.value.cached and pipeline.stats.deferred == 1
 
     def test_service_cache_hit_skips_the_queue(self, rln_env):
         pipeline, simulator = make_pipeline(rln_env, workers=1)
@@ -222,10 +216,10 @@ class TestPriorityClasses:
         message = rln_env.make_message(b"warm")
         pending = pipeline.validate("p", message, EPOCH, b"a")
         simulator.run_until_idle()
-        assert pending.verdict.action is ValidationResult.ACCEPT
+        assert pending.value.action is ValidationResult.ACCEPT
         # Same bundle on the service path: resolved without a lane trip.
         submitted = pipeline.executor.stats.jobs_submitted
-        verdict = checker.check_deferred(message.rate_limit_proof)
+        verdict = checker.check_deferred(message)
         assert verdict.resolved and verdict.value is True
         assert pipeline.executor.stats.jobs_submitted == submitted
 
@@ -240,15 +234,29 @@ class TestCloseAndReopen:
             )
             for i in range(3)
         ]
-        assert all(isinstance(p, PendingVerdict) and not p.resolved for p in pending)
+        assert all(isinstance(p, Promise) and not p.resolved for p in pending)
         pipeline.close()
         assert all(p.resolved for p in pending)
-        assert all(p.verdict.outcome is ValidationOutcome.VALID for p in pending)
+        assert all(p.value.outcome is ValidationOutcome.VALID for p in pending)
         # A stopped peer never wakes later to do crypto: late arrivals are
         # verified inline, with no executor events left behind.
         late = pipeline.validate("p", rln_env.make_message(b"late"), EPOCH, b"z")
         assert isinstance(late, Verdict)
         simulator.run_until_idle()  # nothing should fire twice / crash
+
+    def test_a_closed_batching_pipeline_schedules_nothing(self, rln_env, monkeypatch):
+        # A late arrival at a stopped peer is verified inline: it must not
+        # arm (and then cancel) a batch deadline on the simulator.
+        pipeline, simulator = make_pipeline(rln_env, batch_size=8)
+        pipeline.close()
+        scheduled = []
+        schedule = simulator.schedule
+        monkeypatch.setattr(
+            simulator, "schedule", lambda *a: scheduled.append(a) or schedule(*a)
+        )
+        late = pipeline.validate("p", rln_env.make_message(b"late"), EPOCH, b"z")
+        assert late.outcome is ValidationOutcome.VALID
+        assert scheduled == []
 
     def test_close_pins_shared_checkers_inline_too(self, rln_env):
         pipeline, simulator = make_pipeline(rln_env, workers=1)
@@ -257,16 +265,12 @@ class TestCloseAndReopen:
         # A service-path check landing after stop() must resolve inline —
         # the checker holds the same (now pinned) executor, so no lane
         # event may fire at a later simulated time.
-        verdict = checker.check_deferred(
-            rln_env.make_message(b"late").rate_limit_proof
-        )
+        verdict = checker.check_deferred(rln_env.make_message(b"late"))
         assert verdict.resolved and verdict.value is True
         assert pipeline.executor.busy_lanes == 0
         assert pipeline.executor.queued_jobs == 0
         pipeline.reopen()
-        verdict = checker.check_deferred(
-            rln_env.make_message(b"fresh").rate_limit_proof
-        )
+        verdict = checker.check_deferred(rln_env.make_message(b"fresh"))
         assert not verdict.resolved  # lanes are back
         simulator.run_until_idle()
         assert verdict.value is True
@@ -276,6 +280,6 @@ class TestCloseAndReopen:
         pipeline.close()
         pipeline.reopen()
         result = pipeline.validate("p", rln_env.make_message(b"m"), EPOCH, b"i")
-        assert isinstance(result, PendingVerdict)
+        assert isinstance(result, Promise)
         simulator.run_until_idle()
-        assert result.verdict.outcome is ValidationOutcome.VALID
+        assert result.value.outcome is ValidationOutcome.VALID

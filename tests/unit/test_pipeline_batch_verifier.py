@@ -5,8 +5,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.exec.executor import Priority
 from repro.net.simulator import Simulator
-from repro.pipeline.batch_verifier import BatchVerifier
-from repro.pipeline.verdicts import SharedProofChecker, VerdictCache
+from repro.pipeline.batch_verifier import BatchVerifier, verdict_key
 from repro.zksnark.groth16 import (
     BATCH_FIXED_PAIRINGS,
     PAIRINGS_PER_VERIFY,
@@ -15,22 +14,25 @@ from repro.zksnark.groth16 import (
 )
 
 
+def make_bundles(rln_env, count: int, tag: bytes = b"bundle"):
+    """Distinct honest bundles."""
+    return [
+        rln_env.make_message(tag + b"-%d" % i).rate_limit_proof for i in range(count)
+    ]
+
+
 def make_jobs(rln_env, count: int):
     """(public_inputs, proof) pairs from distinct honest bundles."""
-    jobs = []
-    for i in range(count):
-        bundle = rln_env.make_message(b"bundle-%d" % i).rate_limit_proof
-        jobs.append((bundle.public_inputs(), bundle.proof))
-    return jobs
+    return [(b.public_inputs(), b.proof) for b in make_bundles(rln_env, count)]
 
 
-def submit_all(verifier, jobs):
-    """Submit each job, pulling the size trigger after it (as the checker does)."""
-    verdicts = []
-    for public, proof in jobs:
-        verdicts.append(verifier.submit(public, proof))
-        verifier.flush_if_full()
-    return verdicts
+def relay(verifier, bundle):
+    """One relay-class check's verdict (a bool, or a promise of one)."""
+    return verifier.check(bundle, priority=Priority.RELAY)[0]
+
+
+def check_all(verifier, bundles):
+    return [relay(verifier, bundle) for bundle in bundles]
 
 
 def forged(job):
@@ -90,8 +92,8 @@ class TestBatchVerifier:
 
     def test_size_trigger_flushes_synchronously(self, rln_env):
         verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=4)
-        verdicts = submit_all(verifier, make_jobs(rln_env, 4))
-        # The fourth trigger flushed: every promise landed before it returned.
+        verdicts = check_all(verifier, make_bundles(rln_env, 4))
+        # The fourth check flushed: every promise landed before it returned.
         assert [verdict.value for verdict in verdicts] == [True] * 4
         assert verifier.pending_jobs == 0
         assert verifier.stats.size_flushes == 1
@@ -102,7 +104,7 @@ class TestBatchVerifier:
         verifier = BatchVerifier(
             rln_env.prover, simulator, batch_size=8, deadline=0.05
         )
-        verdicts = [verifier.submit(*job) for job in make_jobs(rln_env, 3)]
+        verdicts = check_all(verifier, make_bundles(rln_env, 3))
         assert not any(verdict.resolved for verdict in verdicts)  # parked
         simulator.run(until=0.1)
         assert [verdict.value for verdict in verdicts] == [True] * 3
@@ -111,9 +113,9 @@ class TestBatchVerifier:
 
     def test_fallback_fingerprints_exactly_the_forged_index(self, rln_env):
         verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=8)
-        jobs = make_jobs(rln_env, 8)
-        jobs[5] = forged(jobs[5])
-        verdicts = submit_all(verifier, jobs)
+        bundles = make_bundles(rln_env, 8)
+        bundles[5] = bundles[5].forged_copy()
+        verdicts = check_all(verifier, bundles)
         # The honest seven are accepted; only index 5 is rejected.
         assert [v.value for v in verdicts] == [True] * 5 + [False] + [True] * 2
         assert verifier.stats.forged_indices == [5]
@@ -121,17 +123,18 @@ class TestBatchVerifier:
         assert verifier.stats.fallback_verifications == 8
         # The fingerprint names the latest failed batch only (bounded, not
         # an ever-growing log); the totals keep accumulating.
-        second = make_jobs(rln_env, 8)
-        second[2] = forged(second[2])
-        submit_all(verifier, second)
+        second = make_bundles(rln_env, 8, b"second")
+        second[2] = second[2].forged_copy()
+        check_all(verifier, second)
         assert verifier.stats.forged_indices == [2]
         assert verifier.stats.forged_proofs_isolated == 2
 
     def test_fallback_costs_only_on_failure(self, rln_env):
         counter = rln_env.prover.pairing_counter
         verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=8)
+        bundles = make_bundles(rln_env, 8)
         counter.reset()
-        submit_all(verifier, make_jobs(rln_env, 8))
+        check_all(verifier, bundles)
         # Honest batch: one RLC check, no fallback.
         assert counter.evaluations == 8 + BATCH_FIXED_PAIRINGS
         assert verifier.stats.fallback_verifications == 0
@@ -139,17 +142,17 @@ class TestBatchVerifier:
     def test_batch_size_one_uses_classical_checks(self, rln_env):
         counter = rln_env.prover.pairing_counter
         verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=1)
+        bundles = make_bundles(rln_env, 3)
         counter.reset()
         # Straight through an inline executor: the verdicts themselves.
-        verdicts = [verifier.submit(*job) for job in make_jobs(rln_env, 3)]
+        verdicts = check_all(verifier, bundles)
         assert verdicts == [True] * 3
         assert counter.evaluations == 3 * PAIRINGS_PER_VERIFY
         assert counter.batch_checks == 0
 
     def test_manual_flush_drains_pending(self, rln_env):
         verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=8)
-        public, proof = make_jobs(rln_env, 1)[0]
-        verdict = verifier.submit(public, proof)
+        verdict = relay(verifier, make_bundles(rln_env, 1)[0])
         verifier.flush()
         assert verdict.value is True
         verifier.flush()  # idempotent on empty queue
@@ -165,18 +168,19 @@ class TestCallbackIsolation:
             rln_env.prover, Simulator(), batch_size=3, deadline=0.05
         )
         delivered = []
-        jobs = make_jobs(rln_env, 3)
+        bundles = make_bundles(rln_env, 3)
 
         def exploding(ok):
             delivered.append(("boom", ok))
             raise RuntimeError("user hook failed")
 
-        verifier.submit(*jobs[0]).subscribe(exploding)
-        verifier.submit(*jobs[1]).subscribe(lambda ok: delivered.append(("b", ok)))
-        # The job that fills the window is subscribed before the trigger.
-        verifier.submit(*jobs[2]).subscribe(lambda ok: delivered.append(("c", ok)))
+        relay(verifier, bundles[0]).subscribe(exploding)
+        relay(verifier, bundles[1]).subscribe(lambda ok: delivered.append(("b", ok)))
+        # The job that fills the window flushes it, and the hook's error
+        # surfaces from that check; its own verdict landed all the same.
         with pytest.raises(RuntimeError):
-            verifier.flush_if_full()
+            relay(verifier, bundles[2])
+        delivered.append(("c", relay(verifier, bundles[2])))
         assert delivered == [("boom", True), ("b", True), ("c", True)]
         assert verifier.pending_jobs == 0
         assert verifier.stats.size_flushes == 1
@@ -187,7 +191,6 @@ class TestCallbackIsolation:
         verifier = BatchVerifier(
             rln_env.prover, Simulator(), batch_size=3, deadline=0.05
         )
-        checker = SharedProofChecker(rln_env.prover, VerdictCache(), verifier)
         bundles = [
             rln_env.make_message(b"hooked-%d" % i).rate_limit_proof for i in range(3)
         ]
@@ -195,13 +198,13 @@ class TestCallbackIsolation:
         def exploding(ok):
             raise RuntimeError("user hook failed")
 
-        first, _ = checker.check(bundles[0], priority=Priority.RELAY)
+        first, _ = verifier.check(bundles[0], priority=Priority.RELAY)
         first.subscribe(exploding)
-        checker.check(bundles[1], priority=Priority.RELAY)
+        verifier.check(bundles[1], priority=Priority.RELAY)
         with pytest.raises(RuntimeError):
-            checker.check(bundles[2], priority=Priority.RELAY)
-        assert checker.verified == 3 and not checker._in_flight
-        assert checker.cache.get(VerdictCache.key(bundles[2])) is True
+            verifier.check(bundles[2], priority=Priority.RELAY)
+        assert verifier.verified == 3 and not verifier._in_flight
+        assert verifier.cache.get(verdict_key(bundles[2])) is True
         # A later copy of the flushing job's proof is a cache hit.
-        assert checker.check(bundles[2], priority=Priority.RELAY) == (True, False)
-        assert checker.verified == 3 and verifier.stats.jobs_submitted == 3
+        assert verifier.check(bundles[2], priority=Priority.RELAY) == (True, False)
+        assert verifier.verified == 3 and verifier.stats.jobs_submitted == 3

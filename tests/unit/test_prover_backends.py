@@ -14,6 +14,7 @@ from repro.crypto.field import FieldElement
 from repro.crypto.identity import Identity, derive_internal_nullifier, derive_slope
 from repro.crypto.merkle import MerkleTree
 from repro.errors import ProvingError
+from repro.exec.executor import Priority
 from repro.net.simulator import Simulator
 from repro.pipeline.batch_verifier import BatchVerifier
 from repro.zksnark.groth16 import Groth16, Proof, setup
@@ -51,6 +52,18 @@ def make_case(limit, *, message_id=None, payload=b"msg"):
         identity, payload, EPOCH, tree.root, message_id=message_id, message_limit=limit
     )
     return public, witness
+
+
+@dataclasses.dataclass(frozen=True)
+class Claim:
+    """What the batch verifier reads of a bundle (an RLN-v2 statement has
+    no ``RateLimitProof`` to carry it)."""
+
+    public: RLNPublicInputs
+    proof: Proof
+
+    def public_inputs(self) -> RLNPublicInputs:
+        return self.public
 
 
 @pytest.fixture()
@@ -322,8 +335,10 @@ class TestSkeleton:
 
         prover.pairing_counter.reset()
         verifier = BatchVerifier(prover, Simulator(), batch_size=4)
-        verdicts = [verifier.submit(public, proof) for public, proof in jobs]
-        verifier.flush_if_full()
+        verdicts = [
+            verifier.check(Claim(public, proof), priority=Priority.RELAY)[0]
+            for public, proof in jobs
+        ]
         assert [verdict.value for verdict in verdicts] == [True, True, False, True]
         assert verifier.stats.forged_indices == [forged_at]
         assert prover.pairing_counter.evaluations == 4 + 3 + 4 * 4

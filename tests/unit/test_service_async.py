@@ -84,7 +84,7 @@ class TestAsyncStore:
         sim, network, relays, names, _, checker = env
         store = StoreNode(relays[names[0]], network, capacity=64, proof_checker=checker)
         message = rln_env.make_message(b"warm")
-        checker.check_message_deferred(message)  # warm the shared cache
+        checker.check_deferred(message)  # warm the shared cache
         sim.run(sim.now + 5.0)
         assert store.archive(message) is True  # no executor round trip
         assert store.archived_count() == 1
@@ -143,12 +143,12 @@ class TestAsyncLightPush:
 class TestInFlightDedup:
     def test_concurrent_deferred_checks_share_one_job(self, rln_env, env):
         sim, network, relays, names, pipeline, checker = env
-        bundle = rln_env.make_message(b"both-paths").rate_limit_proof
+        message = rln_env.make_message(b"both-paths")
         # Store and filter racing the same proof (the cache only fills at
         # completion) must not cost two identical pairing jobs.
-        first = checker.check_deferred(bundle)
+        first = checker.check_deferred(message)
         submitted = pipeline.executor.stats.jobs_submitted
-        second = checker.check_deferred(bundle)
+        second = checker.check_deferred(message)
         assert second is first  # joined the in-flight check
         assert pipeline.executor.stats.jobs_submitted == submitted
         assert checker.joined_in_flight == 1
@@ -156,7 +156,7 @@ class TestInFlightDedup:
         assert first.resolved and first.value is True
         assert checker.verified == 1
         # Settled now: a third check is a plain cache hit.
-        third = checker.check_deferred(bundle)
+        third = checker.check_deferred(message)
         assert third.resolved and third.value is True
         assert checker.cache_hits == 1
 

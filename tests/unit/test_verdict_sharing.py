@@ -1,8 +1,9 @@
 """Unit tests for verdict-cache sharing across protocol paths (ROADMAP).
 
 The pipeline's proof-verdict cache, reached from store archival, filter
-pushes, and lightpush service via :class:`SharedProofChecker`: re-validation
-on those paths must hit the cache instead of re-pairing.
+pushes, and lightpush service via the peer's one
+:class:`~repro.pipeline.batch_verifier.BatchVerifier`: re-validation on
+those paths must hit the cache instead of re-pairing.
 """
 
 import random
@@ -14,8 +15,9 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
+from repro.pipeline.batch_verifier import BatchVerifier
+from repro.pipeline.lru import BoundedLRU
 from repro.pipeline.pipeline import ValidationPipeline
-from repro.pipeline.verdicts import SharedProofChecker, VerdictCache
 from repro.waku.filter import FilterClient, FilterNode
 from repro.waku.lightpush import LightPushClient, LightPushNode
 from repro.waku.message import WakuMessage
@@ -35,7 +37,7 @@ def forged_message(message: WakuMessage) -> WakuMessage:
 
 @pytest.fixture()
 def checker(rln_env):
-    return SharedProofChecker(rln_env.prover, VerdictCache(64))
+    return BatchVerifier(rln_env.prover, cache=BoundedLRU(64))
 
 
 class TestSharedProofChecker:
@@ -43,23 +45,23 @@ class TestSharedProofChecker:
         message = rln_env.make_message(b"hello")
         counter = rln_env.prover.pairing_counter
         counter.reset()
-        assert checker.check_message_deferred(message).value is True
+        assert checker.check_deferred(message).value is True
         paid = counter.evaluations
         assert paid > 0 and checker.verified == 1
-        assert checker.check_message_deferred(message).value is True
+        assert checker.check_deferred(message).value is True
         assert counter.evaluations == paid  # no new pairing work
         assert checker.cache_hits == 1
 
     def test_invalid_proof_cached_too(self, rln_env, checker):
         message = forged_message(rln_env.make_message(b"hello"))
-        assert checker.check_message_deferred(message).value is False
+        assert checker.check_deferred(message).value is False
         counter = rln_env.prover.pairing_counter
         counter.reset()
-        assert checker.check_message_deferred(message).value is False
+        assert checker.check_deferred(message).value is False
         assert counter.evaluations == 0
 
     def test_proofless_message_is_none(self, rln_env, checker):
-        assert checker.check_message_deferred(WakuMessage(payload=b"x", content_topic="t")) is None
+        assert checker.check_deferred(WakuMessage(payload=b"x", content_topic="t")) is None
         assert checker.verified == 0
 
     def test_pipeline_warms_the_shared_cache(self, rln_env):
@@ -77,7 +79,7 @@ class TestSharedProofChecker:
         shared = pipeline.shared_checker()
         counter = rln_env.prover.pairing_counter
         counter.reset()
-        assert shared.check_message_deferred(message).value is True
+        assert shared.check_deferred(message).value is True
         assert counter.evaluations == 0  # served from the relay's cache
         assert shared.cache_hits == 1
 
@@ -87,7 +89,7 @@ class TestSharedProofChecker:
         validator = rln_env.make_validator()
         pipeline = ValidationPipeline(validator, rln_env.prover, Simulator())
         message = rln_env.make_message(b"hello")
-        assert pipeline.shared_checker().check_message_deferred(message).value is True
+        assert pipeline.shared_checker().check_deferred(message).value is True
         from tests.conftest import RLN_TEST_EPOCH
 
         counter = rln_env.prover.pairing_counter
@@ -137,7 +139,7 @@ class TestStorePath:
             relays[names[0]], network, capacity=100, proof_checker=checker
         )
         message = rln_env.make_message(b"seen before")
-        checker.check_message_deferred(message)  # the relay path already judged it
+        checker.check_deferred(message)  # the relay path already judged it
         counter = rln_env.prover.pairing_counter
         counter.reset()
         assert store.archive(message)
@@ -172,7 +174,7 @@ class TestFilterPath:
         names = sorted(relays)
         node = FilterNode(relays[names[0]], network, proof_checker=checker)
         message = rln_env.make_message(b"cached")
-        checker.check_message_deferred(message)
+        checker.check_deferred(message)
         counter = rln_env.prover.pairing_counter
         counter.reset()
         node._on_relayed_message(message)
@@ -205,5 +207,5 @@ class TestLightpushPath:
         # The verdict now lives in the shared cache.
         counter = rln_env.prover.pairing_counter
         counter.reset()
-        assert checker.check_message_deferred(message).value is True
+        assert checker.check_deferred(message).value is True
         assert counter.evaluations == 0
