@@ -35,7 +35,7 @@ experiments can *be* the spammer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field, replace as dataclass_replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 from repro.chain.blockchain import Blockchain
@@ -406,8 +406,8 @@ class WakuRLNRelayPeer:
         outbound = self.disttracer.outbound_context(pubsub_message.msg_id)
         if outbound is None:
             self.disttracer.rewrites_missed += 1
-        return dataclass_replace(
-            pubsub_message, payload=payload.with_trace(outbound)
+        return PubSubMessage(
+            pubsub_message.msg_id, pubsub_message.topic, payload.with_trace(outbound)
         )
 
     def _apply_verdict(

@@ -172,10 +172,20 @@ class RequestDispatcher:
         ]
         attempted: list[str] = []
 
+        def settle(result: Any) -> None:
+            # ``attempt`` reaches itself through its closure; dropping that
+            # reference once the request is over lets reference counting
+            # free the request's state — and whatever ``make_request``
+            # holds, such as the batch an exporter pushes — instead of
+            # leaving one cycle per request for the cyclic collector.
+            nonlocal attempt
+            attempt = None
+            pending.resolve(result)
+
         def attempt(cursor: int) -> None:
             if cursor >= len(plan):
                 self.stats.failures += 1
-                pending.resolve(
+                settle(
                     RequestFailure(
                         reason=(
                             f"no provider answered acceptably after "
@@ -207,7 +217,7 @@ class RequestDispatcher:
                     self.stats.rejected += 1
                     attempt(cursor + 1)
                     return
-                pending.resolve(response)
+                settle(response)
 
             self._pending[request_id] = (provider, deliver)
             try:

@@ -48,6 +48,7 @@ one exported span stream is routed by content: a marked
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -118,10 +119,11 @@ class CollectorStats:
 
 def fold_delta(state: dict[str, dict], delta: MetricDelta) -> None:
     """Apply one wire delta to a peer's cumulative collected-shape state."""
-    entry = state.get(delta.key)
+    key = delta.key
+    entry = state.get(key)
     if isinstance(delta, CounterDelta):
         if entry is None:
-            entry = state[delta.key] = {
+            entry = state[key] = {
                 "name": delta.name,
                 "kind": "counter",
                 "labels": dict(delta.labels),
@@ -130,7 +132,7 @@ def fold_delta(state: dict[str, dict], delta: MetricDelta) -> None:
         entry["value"] += delta.delta
     elif isinstance(delta, GaugeValue):
         if entry is None:
-            entry = state[delta.key] = {
+            entry = state[key] = {
                 "name": delta.name,
                 "kind": "gauge",
                 "labels": dict(delta.labels),
@@ -138,9 +140,9 @@ def fold_delta(state: dict[str, dict], delta: MetricDelta) -> None:
         entry["value"] = delta.value
     else:
         assert isinstance(delta, HistogramDelta)
-        bounds = list(delta.bounds)
         if entry is None:
-            entry = state[delta.key] = {
+            bounds = list(delta.bounds)
+            entry = state[key] = {
                 "name": delta.name,
                 "kind": "histogram",
                 "labels": dict(delta.labels),
@@ -149,8 +151,9 @@ def fold_delta(state: dict[str, dict], delta: MetricDelta) -> None:
                 "buckets": [0] * (len(bounds) + 1),
             }
         entry["count"] += delta.count_delta
+        buckets = entry["buckets"]
         for index, bucket_delta in delta.bucket_deltas:
-            entry["buckets"][index] += bucket_delta
+            buckets[index] += bucket_delta
         # Cumulative absolutes: replace, never accumulate — exact
         # regardless of float rounding or missed windows.
         entry["sum"] = delta.sum_total
@@ -201,12 +204,13 @@ class CollectorPeer:
             self._stop_evaluation = simulator.every(
                 evaluation_interval, self._evaluate
             )
-        #: Exemplar ring entries are (collector_seq, peer, record): the
-        #: monotone seq lets pollers resume where they left off instead
-        #: of re-reading the whole deque (see :meth:`recent_traces`).
-        self._traces: deque[tuple[int, str, SpanRecord]] = deque(
-            maxlen=trace_capacity
-        )
+        #: The exemplar ring: each record beside the peer whose batch
+        #: carried it.  An entry's collector seq is its place counted back
+        #: from the newest (``_next_trace_seq - 1``); the monotone seq lets
+        #: pollers resume where they left off instead of re-reading the
+        #: whole ring (see :meth:`recent_traces`).
+        self._exemplars: deque[SpanRecord] = deque(maxlen=trace_capacity)
+        self._exemplar_peers: deque[str] = deque(maxlen=trace_capacity)
         self._next_trace_seq = 1
         #: Propagation-tree assembly from exported spans.
         self.assembler = TraceAssembler()
@@ -267,8 +271,9 @@ class CollectorPeer:
             fold_delta(state, delta)
         self.stats.metrics_applied += len(batch.metrics)
         for span in batch.spans:
-            if span.marks:
-                self._traces.append((self._next_trace_seq, batch.peer, span))
+            if span.stamps:
+                self._exemplars.append(span)
+                self._exemplar_peers.append(batch.peer)
                 self._next_trace_seq += 1
                 self.stats.traces += 1
             if not span.local:
@@ -426,7 +431,10 @@ class CollectorPeer:
         monotone across the ring's evictions: a poller that fell behind
         sees the gap in the numbering.
         """
-        items: "tuple[tuple[int, str, SpanRecord], ...]" = tuple(self._traces)
+        first = self._next_trace_seq - len(self._exemplars)
+        items: "tuple[tuple[int, str, SpanRecord], ...]" = tuple(
+            zip(itertools.count(first), self._exemplar_peers, self._exemplars)
+        )
         if since_seq > 0:
             items = tuple(item for item in items if item[0] > since_seq)
         if kind is not None:

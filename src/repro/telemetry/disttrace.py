@@ -53,7 +53,9 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from operator import itemgetter, sub
+from struct import Struct
+from typing import Callable, Iterator, NamedTuple
 
 from repro.codec import Reader, Wire, Writer
 from repro.errors import ProtocolError
@@ -74,30 +76,40 @@ NO_PARENT = 0
 
 Marks = tuple[tuple[str, float], ...]
 
+_CONTEXT_HEAD = Struct(">QH")
+_SPAN_HEAD = Struct(">QQQHdd")
+_MARK_COUNT = Struct(">H")
+_STAMP = Struct(">d")
+
 
 # -- wire types ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpanContext(Wire):
-    """The on-the-wire trace context: who to hang the next span under.
-
-    ``span_id`` is the *sender's* span (the causal parent of whatever the
-    receiver mints); ``hop`` is the sender's hop count (the receiver's
-    span sits at ``hop + 1``); ``origin`` is the publishing peer.
-    """
-
+class _ContextFields(NamedTuple):
     trace_id: int
     span_id: int
     hop: int
     origin: str
+
+
+class SpanContext(_ContextFields, Wire):
+    """The on-the-wire trace context: who to hang the next span under.
+
+    ``span_id`` is the *sender's* span (the causal parent of whatever the
+    receiver mints); ``hop`` is the sender's hop count (the receiver's
+    span sits at ``hop + 1``); ``origin`` is the publishing peer.  An
+    immutable slotted record, like :class:`SpanRecord`: every traced
+    receipt mints one for the copy it forwards.
+    """
+
+    __slots__ = ()
 
     def child_hop(self) -> int:
         return self.hop + 1
 
     def _write(self, w: Writer) -> None:
         w.raw(self.trace_id.to_bytes(16, "big"))
-        w.pack(">QH", self.span_id, self.hop)
+        w.raw(_CONTEXT_HEAD.pack(self.span_id, self.hop))
         w.str(self.origin)
 
     @classmethod
@@ -111,27 +123,72 @@ class SpanContext(Wire):
         return 26 + 2 + len(self.origin.encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class SpanRecord(Wire):
+class SpanRecord(tuple, Wire):
     """One finished span as exported to the collector.
 
     ``seq`` is the minting peer's local monotone counter (the exporter's
     cursor key — ring eviction shows up as a ``seq`` gap); ``parent_id``
     is :data:`NO_PARENT` for a root: a sampled ``publish``, or a local
     span whose bundle arrived untraced.
+
+    Fields: ``trace_id``, ``span_id``, ``parent_id``, ``seq`` and
+    ``hop`` (ints); ``peer``, ``origin`` and ``kind`` (strs); ``start``
+    and ``end`` (simulated seconds); ``stage_path`` and ``stamps``.  An
+    immutable slotted record (a tuple, fields by name) with no
+    per-instance ``__dict__``: every span a peer finishes is one, and the
+    rings and the collector keep thousands.  Its marks are built with
+    ``marks=`` and read back as :attr:`marks` — ``(stage,
+    simulated-time)`` pairs — but held as two tuples: ``stage_path``,
+    the stage names in order (one object per distinct path, shared by
+    every span that took it), and ``stamps``, the times.  So a finished
+    span is two objects, not one per mark.
     """
 
-    trace_id: int
-    span_id: int
-    parent_id: int
-    seq: int
-    peer: str
-    origin: str
-    kind: str
-    hop: int
-    start: float
-    end: float
-    marks: Marks = ()
+    __slots__ = ()
+
+    trace_id = property(itemgetter(0))
+    span_id = property(itemgetter(1))
+    parent_id = property(itemgetter(2))
+    seq = property(itemgetter(3))
+    peer = property(itemgetter(4))
+    origin = property(itemgetter(5))
+    kind = property(itemgetter(6))
+    hop = property(itemgetter(7))
+    start = property(itemgetter(8))
+    end = property(itemgetter(9))
+    stage_path = property(itemgetter(10))
+    stamps = property(itemgetter(11))
+
+    def __new__(
+        cls,
+        trace_id: int,
+        span_id: int,
+        parent_id: int,
+        seq: int,
+        peer: str,
+        origin: str,
+        kind: str,
+        hop: int,
+        start: float,
+        end: float,
+        marks: Marks = (),
+    ) -> "SpanRecord":
+        path = tuple(stage for stage, _ in marks)
+        stamps = tuple(stamp for _, stamp in marks)
+        fields = (trace_id, span_id, parent_id, seq, peer, origin, kind, hop, start, end)
+        return tuple.__new__(cls, (*fields, path, stamps))
+
+    def __getnewargs__(self) -> tuple:
+        return (*self[:10], self.marks)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_SPAN_FIELDS, self))
+        return f"SpanRecord({fields})"
+
+    @property
+    def marks(self) -> Marks:
+        """The ``(stage, simulated-time)`` trail, in mark order."""
+        return tuple(zip(self.stage_path, self.stamps))
 
     @property
     def duration(self) -> float:
@@ -145,20 +202,23 @@ class SpanRecord(Wire):
 
     def stages(self) -> Iterator[tuple[str, float]]:
         """Consecutive-mark deltas: this span's (stage, seconds) waterfall."""
-        for (_, prev), (stage, stamp) in itertools.pairwise(self.marks):
-            yield stage, stamp - prev
+        stamps = self.stamps
+        return zip(
+            itertools.islice(self.stage_path, 1, None),
+            map(sub, itertools.islice(stamps, 1, None), stamps),
+        )
 
     def _write(self, w: Writer) -> None:
-        w.raw(self.trace_id.to_bytes(16, "big"))
-        w.pack(">QQQHdd", self.span_id, self.parent_id, self.seq,
-               self.hop, self.start, self.end)
-        w.str(self.peer)
-        w.str(self.origin)
-        w.str(self.kind)
-        w.pack(">H", len(self.marks))
-        for stage, stamp in self.marks:
+        trace_id, span_id, parent_id, seq, peer, origin, kind, hop, start, end, path, stamps = self
+        w.raw(trace_id.to_bytes(16, "big"))
+        w.raw(_SPAN_HEAD.pack(span_id, parent_id, seq, hop, start, end))
+        w.str(peer)
+        w.str(origin)
+        w.str(kind)
+        w.raw(_MARK_COUNT.pack(len(stamps)))
+        for stage, stamp in zip(path, stamps):
             w.str(stage)
-            w.pack(">d", stamp)
+            w.raw(_STAMP.pack(stamp))
 
     @classmethod
     def _read(cls, r: Reader) -> "SpanRecord":
@@ -181,18 +241,28 @@ class SpanRecord(Wire):
         )
 
 
+_SPAN_FIELDS = (
+    "trace_id", "span_id", "parent_id", "seq", "peer", "origin", "kind", "hop",
+    "start", "end", "stage_path", "stamps",
+)
+
+#: A stage path and the histograms its consecutive-mark deltas fold into.
+_Path = tuple[tuple[str, ...], tuple[Histogram, ...]]
+
+
 class ActiveSpan:
     """A live span: ids fixed at :meth:`DistTracer.begin`, marks stamped since.
 
-    ``marks`` is the (stage, simulated-time) trail; a span minted by
-    ``begin`` carries its start as the first mark, so stage durations are
-    always deltas between *consecutive* marks and a verdict that
-    short-circuits (gate drop, cache hit) simply has fewer of them.
+    ``stages`` and ``stamps`` are the (stage, simulated-time) trail; a
+    span minted by ``begin`` carries its start as the first mark, so
+    stage durations are always deltas between *consecutive* marks and a
+    verdict that short-circuits (gate drop, cache hit) simply has fewer
+    of them.
     """
 
     __slots__ = (
         "kind", "trace_id", "span_id", "parent_id", "hop", "origin",
-        "start", "marks", "_clock",
+        "start", "stages", "stamps", "_clock",
     )
 
     def __init__(
@@ -213,21 +283,18 @@ class ActiveSpan:
         self.origin = origin
         self._clock = clock
         self.start = clock()
-        self.marks: list[tuple[str, float]] = []
+        self.stages: list[str] = []
+        self.stamps: list[float] = []
 
     @property
     def context(self) -> SpanContext:
         """What a message (or request) carries to hang work under this span."""
-        return SpanContext(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            hop=self.hop,
-            origin=self.origin,
-        )
+        return SpanContext(self.trace_id, self.span_id, self.hop, self.origin)
 
     def mark(self, stage: str) -> None:
         """Stamp ``stage`` as completed now (simulated clock)."""
-        self.marks.append((stage, self._clock()))
+        self.stages.append(stage)
+        self.stamps.append(self._clock())
 
 
 class NullTrace:
@@ -287,10 +354,12 @@ class DistTracer:
         #: Contexts the rewriter could not resolve (route table evicted):
         #: the trace is truncated rather than misattributed.
         self.rewrites_missed = 0
-        #: The series :meth:`finish` folds into, resolved once per
-        #: ``(kind, stage)`` / ``kind``.  Safe to keep: ``registry`` is
-        #: fixed at construction and a registry never drops a series.
-        self._stage_series: dict[tuple[str, str], Histogram] = {}
+        #: What :meth:`finish` needs per kind: for each stage path a span
+        #: took, the path itself (one shared tuple) and the histograms its
+        #: consecutive-mark deltas fold into, in order; and the kind's
+        #: total and count.  Safe to keep: ``registry`` is fixed at
+        #: construction and a registry never drops a series.
+        self._paths: dict[str, dict[tuple[str, ...], _Path]] = {}
         self._kind_series: dict[str, tuple[Histogram, Counter]] = {}
 
     # -- id minting ------------------------------------------------------------
@@ -350,7 +419,8 @@ class DistTracer:
                     if len(self._outbound_order) > self._route_capacity:
                         self._outbound.pop(self._outbound_order.popleft(), None)
                 self._outbound[key] = span.context
-        span.marks.append((INGRESS if kind == "bundle" else EVIDENCE, span.start))
+        span.stages.append(INGRESS if kind == "bundle" else EVIDENCE)
+        span.stamps.append(span.start)
         return span
 
     def finish(self, span: ActiveSpan) -> SpanRecord:
@@ -358,38 +428,51 @@ class DistTracer:
 
         Publish roots are head-sampled, so they are archived but never
         folded — the stage histograms count every bundle, not a sample.
+        The fold is one pass over the marks, in mark order: each
+        consecutive-mark delta goes to its stage's histogram.
         """
-        record = self.record(
-            trace_id=span.trace_id,
-            span_id=span.span_id,
-            parent_id=span.parent_id,
-            kind=span.kind,
-            hop=span.hop,
-            origin=span.origin,
-            start=span.start,
-            end=self.clock(),
-            marks=tuple(span.marks),
-        )
-        kind = span.kind
-        if kind != PUBLISH:
-            stage_series = self._stage_series
-            for stage, duration in record.stages():
-                series = stage_series.get((kind, stage))
-                if series is None:
-                    series = stage_series[kind, stage] = self.registry.histogram(
-                        "trace_stage_seconds", kind=kind, stage=stage
-                    )
-                series.observe(duration)
-            series = self._kind_series.get(kind)
-            if series is None:
-                series = self._kind_series[kind] = (
-                    self.registry.histogram("trace_total_seconds", kind=kind),
-                    self.registry.counter("traces_finished_total", kind=kind),
-                )
-            total, finished = series
-            total.observe(record.duration)
-            finished.inc()
+        kind, start, end, stamps = span.kind, span.start, self.clock(), tuple(span.stamps)
+        path, series = self._path(kind, tuple(span.stages))
+        # Stored fields as they are: there are no ``marks`` pairs to split.
+        record = tuple.__new__(SpanRecord, (
+            span.trace_id, span.span_id, span.parent_id, next(self._seq),
+            self.peer_id, span.origin, kind, span.hop, start, end, path, stamps,
+        ))
+        self._ring.append(record)
+        if kind == PUBLISH:
+            return record
+        if stamps:
+            previous = stamps[0]
+            for histogram, stamp in zip(series, itertools.islice(stamps, 1, None)):
+                histogram.observe(stamp - previous)
+                previous = stamp
+        totals = self._kind_series.get(kind)
+        if totals is None:
+            totals = self._kind_series[kind] = (
+                self.registry.histogram("trace_total_seconds", kind=kind),
+                self.registry.counter("traces_finished_total", kind=kind),
+            )
+        total, finished = totals
+        total.observe(end - start)
+        finished.inc()
         return record
+
+    def _path(self, kind: str, stages: tuple[str, ...]) -> "_Path":
+        """The shared copy of ``stages`` and the stage histograms a span
+        of ``kind`` that took it folds into (none for a publish root)."""
+        paths = self._paths.get(kind)
+        if paths is None:
+            paths = self._paths[kind] = {}
+        known = paths.get(stages)
+        if known is None:
+            series: tuple[Histogram, ...] = ()
+            if kind != PUBLISH:
+                series = tuple(
+                    self.registry.histogram("trace_stage_seconds", kind=kind, stage=stage)
+                    for stage in stages[1:]
+                )
+            known = paths[stages] = (stages, series)
+        return known
 
     def link(
         self,
@@ -402,51 +485,21 @@ class DistTracer:
         """Record a linked leaf span (witness fetch, evidence, …) and
         return its context so follow-up work can hang further spans."""
         span_id = self._mint_id(8)
-        self.record(
-            trace_id=parent.trace_id,
-            span_id=span_id,
-            parent_id=parent.span_id,
-            kind=kind,
-            hop=parent.hop,
-            origin=parent.origin,
-            start=start,
-            end=end,
+        self._ring.append(
+            SpanRecord(
+                trace_id=parent.trace_id,
+                span_id=span_id,
+                parent_id=parent.span_id,
+                seq=next(self._seq),
+                peer=self.peer_id,
+                origin=parent.origin,
+                kind=kind,
+                hop=parent.hop,
+                start=start,
+                end=end,
+            )
         )
-        return SpanContext(
-            trace_id=parent.trace_id,
-            span_id=span_id,
-            hop=parent.hop,
-            origin=parent.origin,
-        )
-
-    def record(
-        self,
-        *,
-        trace_id: int,
-        span_id: int,
-        parent_id: int,
-        kind: str,
-        hop: int,
-        origin: str,
-        start: float,
-        end: float,
-        marks: Marks = (),
-    ) -> SpanRecord:
-        record = SpanRecord(
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_id=parent_id,
-            seq=next(self._seq),
-            peer=self.peer_id,
-            origin=origin,
-            kind=kind,
-            hop=hop,
-            start=start,
-            end=end,
-            marks=marks,
-        )
-        self._ring.append(record)
-        return record
+        return SpanContext(parent.trace_id, span_id, parent.hop, parent.origin)
 
     # -- routing ----------------------------------------------------------------
 
@@ -472,6 +525,21 @@ class DistTracer:
         if kind is None:
             return tuple(self._ring)
         return tuple(record for record in self._ring if record.kind == kind)
+
+    def finished_since(self, seq: int) -> list[SpanRecord]:
+        """The ring's records newer than ``seq``, oldest first.
+
+        Read from the newest end back, so a caller that keeps a cursor
+        pays for what is new, not for the ring.  The first record's
+        ``seq`` shows how many were evicted unread.
+        """
+        fresh: list[SpanRecord] = []
+        for record in reversed(self._ring):
+            if record.seq <= seq:
+                break
+            fresh.append(record)
+        fresh.reverse()
+        return fresh
 
 
 class NullDistTracer:
@@ -677,7 +745,9 @@ class TraceAssembler:
         self.duplicates = 0
 
     def add(self, record: SpanRecord) -> None:
-        spans = self._spans.setdefault(record.trace_id, {})
+        spans = self._spans.get(record.trace_id)
+        if spans is None:
+            spans = self._spans[record.trace_id] = {}
         if record.span_id in spans:
             self.duplicates += 1
             return

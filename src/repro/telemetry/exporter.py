@@ -1,4 +1,4 @@
-"""The push half of fleet telemetry: snapshot-diff, batch, send, never block.
+"""The push half of fleet telemetry: diff, batch, send, never block.
 
 A :class:`TelemetryExporter` runs beside one peer's
 :class:`~repro.telemetry.Telemetry` hub and periodically turns the live
@@ -6,15 +6,17 @@ registry into :class:`~repro.telemetry.otlp.TelemetryBatch` deltas pushed
 to a collector peer.  Three properties matter more than anything it
 reports:
 
-* **It never backpressures the relay hot path.**  The exporter's only
-  touch on the instrumented subsystems is the registry read it shares
-  with the pull path; its outbound queue is bounded and sheds
+* **It never backpressures the relay hot path** (on the simulated
+  clock; its host cost is the tick's CPU).  The exporter's only touch on
+  the instrumented subsystems is reading the registry's series; its
+  outbound queue is bounded and sheds
   *oldest-first* when the collector is slow or dead, counting the loss in
   a self-reported ``telemetry_dropped_batches_total`` counter that rides
   the next batch like any other metric.
-* **Delta temporality with exact reconstruction.**  Each tick diffs one
-  atomic ``collect()`` pass against the previous one
-  (:func:`~repro.telemetry.otlp.compute_deltas`); the additive fields
+* **Delta temporality with exact reconstruction.**  Each tick diffs the
+  live registry against what the previous ticks exported, series by
+  series (:class:`~repro.telemetry.otlp.DeltaTracker`: an idle histogram
+  costs one comparison); the additive fields
   travel as integer deltas and the non-additive ones as absolutes, so a
   collector that receives every batch holds the peer's snapshot
   *exactly* — and one that missed a dropped batch is wrong only by that
@@ -50,8 +52,8 @@ from repro.telemetry.otlp import (
     ExportRequest,
     TELEMETRY_PROTOCOL,
     TELEMETRY_REPLY_PROTOCOL,
+    DeltaTracker,
     TelemetryBatch,
-    compute_deltas,
 )
 
 #: Default export interval (simulated seconds).
@@ -158,7 +160,7 @@ class TelemetryExporter:
             lambda: self.stats.batches_dropped,
             peer=peer_id,
         )
-        self._last: dict[str, dict] = {}
+        self._deltas = DeltaTracker()
         self._span_cursor: dict[str, int] = {}
         self._next_seq = 1
         self._queue: deque[TelemetryBatch] = deque()
@@ -214,9 +216,7 @@ class TelemetryExporter:
     # -- building --------------------------------------------------------------
 
     def _build_batch(self, *, force: bool = False) -> TelemetryBatch | None:
-        current = self.telemetry.registry.collect()
-        metrics = compute_deltas(current, self._last)
-        self._last = current
+        metrics = self._deltas.deltas(self.telemetry.registry.metrics())
         spans = self._drain_spans()
         if not metrics and not spans:
             if not force:
@@ -244,23 +244,22 @@ class TelemetryExporter:
         The cursor keys on the per-tracer monotone ``seq``, ring eviction
         shows up as a gap counted in ``spans_missed``, and
         ``max_spans_per_batch`` bounds the batch while the cursor still
-        advances (no silent stall).
+        advances (no silent stall).  Only the spans past the cursor are
+        read, not the whole ring.
         """
         records: list[SpanRecord] = []
+        room = self.max_spans_per_batch
+        stats = self.stats
         for tracer_id, dist in sorted(self.telemetry.disttracers().items()):
             cursor = self._span_cursor.get(tracer_id, -1)
-            recent = dist.recent()
-            if recent and recent[0].seq > cursor + 1:
-                self.stats.spans_missed += recent[0].seq - cursor - 1
-            for span in recent:
-                if span.seq <= cursor:
-                    continue
-                cursor = span.seq
-                if len(records) >= self.max_spans_per_batch:
-                    self.stats.spans_truncated += 1
-                    continue
-                records.append(span)
-            self._span_cursor[tracer_id] = cursor
+            fresh = dist.finished_since(cursor)
+            if not fresh:
+                continue
+            stats.spans_missed += fresh[0].seq - cursor - 1
+            self._span_cursor[tracer_id] = fresh[-1].seq
+            taken = fresh[: max(0, room - len(records))]
+            stats.spans_truncated += len(fresh) - len(taken)
+            records.extend(taken)
         return tuple(records)
 
     # -- queueing / sending ----------------------------------------------------

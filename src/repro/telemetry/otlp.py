@@ -39,12 +39,16 @@ default set travels as a one-byte flag).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, starmap
+from operator import ne
+from struct import Struct
 from typing import Mapping
 
 from repro.codec import Reader, Wire, Writer, flag
 from repro.errors import ProtocolError
 from repro.telemetry.disttrace import SpanRecord
-from repro.telemetry.registry import DEFAULT_BUCKETS, metric_key
+from repro.telemetry.registry import DEFAULT_BUCKETS, Metric, metric_key
 
 #: Protocol channel export requests travel on (peer -> collector).
 TELEMETRY_PROTOCOL = "telemetry"
@@ -65,14 +69,23 @@ def labels_of(mapping: Mapping[str, str]) -> Labels:
 # -- metric deltas ------------------------------------------------------------
 
 
+_INT = Struct(">Bq")
+_FLOAT = Struct(">Bd")
+_HISTOGRAM_TOTALS = Struct(">QdddH")
+_BUCKET = Struct(">HQ")
+_BATCH_HEAD = Struct(">iQdQI")
+_COUNT16 = Struct(">H")
+_REQUEST_ID = Struct(">Q")
+
+
 def _write_number(w: Writer, value: int | float) -> None:
     """Type-preserving scalar: ints stay ints through the round trip."""
     if isinstance(value, bool):
         raise ProtocolError("bool is not a wire scalar")
     if isinstance(value, int):
-        w.pack(">Bq", 0, value)
+        w.raw(_INT.pack(0, value))
     else:
-        w.pack(">Bd", 1, value)
+        w.raw(_FLOAT.pack(1, value))
 
 
 def _read_number(r: Reader) -> int | float:
@@ -91,18 +104,10 @@ class _Metric(Wire):
 
     @property
     def key(self) -> str:
-        return metric_key(self.name, dict(self.labels))
+        return _series_key(self.name, self.labels)
 
     def _write_head(self, w: Writer) -> None:
-        labels = self.labels
-        if len(labels) > 0xFF:
-            raise ProtocolError("too many labels")
-        w.raw(self.tag)
-        w.str(self.name)
-        w.pack(">B", len(labels))
-        for key, value in labels:
-            w.str(key)
-            w.str(value)
+        w.raw(_head(self.tag, self.name, self.labels))
 
     @classmethod
     def _read(cls, r: Reader) -> "MetricDelta":
@@ -118,7 +123,30 @@ class _Metric(Wire):
         return instrument._read_body(r, name, labels)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=4096)
+def _series_key(name: str, labels: Labels) -> str:
+    """The registry key a series folds under (remembered: the collector
+    asks once per delta of every batch)."""
+    return metric_key(name, dict(labels))
+
+
+@lru_cache(maxsize=1024)
+def _head(tag: bytes, name: str, labels: Labels) -> bytes:
+    """The head of one series' layout.  Remembered: a peer exports the
+    same few dozen series tick after tick."""
+    if len(labels) > 0xFF:
+        raise ProtocolError("too many labels")
+    w = Writer()
+    w.raw(tag)
+    w.str(name)
+    w.pack(">B", len(labels))
+    for key, value in labels:
+        w.str(key)
+        w.str(value)
+    return w.getvalue()
+
+
+@dataclass(frozen=True, slots=True)
 class CounterDelta(_Metric):
     """Counter increment since the previous exported batch."""
 
@@ -138,7 +166,7 @@ class CounterDelta(_Metric):
         return cls(name=name, labels=labels, delta=_read_number(r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaugeValue(_Metric):
     """Gauge last-value (OTLP gauges are not additive; fold = replace)."""
 
@@ -158,7 +186,7 @@ class GaugeValue(_Metric):
         return cls(name=name, labels=labels, value=_read_number(r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistogramDelta(_Metric):
     """Histogram window: delta buckets/count, cumulative sum/min/max.
 
@@ -187,13 +215,12 @@ class HistogramDelta(_Metric):
     def _write(self, w: Writer) -> None:
         self._write_head(w)
         if self.le is None:
-            w.pack(">B", 0)
+            w.raw(b"\x00")
         else:
             w.pack(f">BH{len(self.le)}d", 1, len(self.le), *self.le)
         totals = (self.count_delta, self.sum_total, self.min_total, self.max_total)
-        w.pack(">QdddH", *totals, len(self.bucket_deltas))
-        for index, delta in self.bucket_deltas:
-            w.pack(">HQ", index, delta)
+        w.raw(_HISTOGRAM_TOTALS.pack(*totals, len(self.bucket_deltas)))
+        w.extend(starmap(_BUCKET.pack, self.bucket_deltas))
 
     @classmethod
     def _read_body(cls, r: Reader, name: str, labels: Labels) -> "HistogramDelta":
@@ -216,58 +243,90 @@ MetricDelta = CounterDelta | GaugeValue | HistogramDelta
 _METRIC_TYPES = {cls.tag: cls for cls in (CounterDelta, GaugeValue, HistogramDelta)}
 
 
-def compute_deltas(
-    current: Mapping[str, dict], previous: Mapping[str, dict]
-) -> tuple[MetricDelta, ...]:
-    """Diff two registry ``collect()`` passes into wire deltas.
+class _Exported:
+    """One series as its last export left it."""
 
-    A metric appears in the output when it changed since ``previous`` —
-    or on **first sight** (even at zero), so the collector's key set
-    matches the peer's registry exactly and the fleet snapshot can equal
-    the offline merge field-for-field.  Registries never remove metrics,
-    so keys only ever appear.
+    __slots__ = ("labels", "value", "buckets", "le")
+
+    def __init__(self, metric: Metric) -> None:
+        self.labels = labels_of(metric.labels)
+        #: The value (counter, gauge) or count (histogram) last exported.
+        self.value: int | float = 0
+        #: A histogram's bucket counts as last exported, and its bounds
+        #: as the wire carries them (``None``: the default set).
+        self.buckets: list[int] | None = None
+        self.le: tuple[float, ...] | None = None
+        if metric.kind == "histogram":
+            self.buckets = [0] * len(metric.bucket_counts)
+            if metric.bounds != DEFAULT_BUCKETS:
+                self.le = metric.bounds
+
+
+class DeltaTracker:
+    """Delta temporality against the live registry: one exporter's memory
+    of what it last sent, per series.
+
+    :meth:`deltas` walks the live metric objects and emits a series when
+    it changed since its last export — or on **first sight** (even at
+    zero), so the collector's key set matches the peer's registry exactly
+    and the fleet snapshot can equal the offline merge field for field.
+    Registries never remove metrics, so keys only ever appear.  A
+    histogram whose ``count`` did not move is skipped without looking at
+    its buckets; one that moved diffs only its buckets, sparsely.
     """
-    deltas: list[MetricDelta] = []
-    for key, entry in current.items():
-        prev = previous.get(key)
-        labels = labels_of(entry["labels"])
-        if entry["kind"] == "counter":
-            delta = entry["value"] - (prev["value"] if prev else 0)
-            if prev is None or delta != 0:
-                deltas.append(CounterDelta(entry["name"], labels, delta))
-        elif entry["kind"] == "gauge":
-            if prev is None or entry["value"] != prev["value"]:
-                deltas.append(GaugeValue(entry["name"], labels, entry["value"]))
-        else:
-            count_delta = entry["count"] - (prev["count"] if prev else 0)
-            if prev is not None and count_delta == 0:
-                continue
-            prev_buckets = prev["buckets"] if prev else None
-            sparse = tuple(
-                (index, count - (prev_buckets[index] if prev_buckets else 0))
-                for index, count in enumerate(entry["buckets"])
-                if count != (prev_buckets[index] if prev_buckets else 0)
-            )
-            le = tuple(entry["le"])
-            deltas.append(
-                HistogramDelta(
-                    name=entry["name"],
-                    labels=labels,
-                    count_delta=count_delta,
-                    sum_total=entry["sum"],
-                    min_total=entry["min"],
-                    max_total=entry["max"],
-                    bucket_deltas=sparse,
-                    le=None if le == DEFAULT_BUCKETS else le,
+
+    __slots__ = ("_exported",)
+
+    def __init__(self) -> None:
+        self._exported: dict[str, _Exported] = {}
+
+    def deltas(self, metrics: Mapping[str, Metric]) -> tuple[MetricDelta, ...]:
+        """The wire deltas since the previous call, in ``metrics`` order."""
+        out: list[MetricDelta] = []
+        exported = self._exported
+        for key, metric in metrics.items():
+            series = exported.get(key)
+            first = series is None
+            if first:
+                series = exported[key] = _Exported(metric)
+            kind = metric.kind
+            if kind == "counter":
+                value = metric.value
+                delta = value - series.value
+                series.value = value
+                if first or delta != 0:
+                    out.append(CounterDelta(metric.name, series.labels, delta))
+            elif kind == "gauge":
+                value = metric.value
+                changed = first or value != series.value
+                series.value = value
+                if changed:
+                    out.append(GaugeValue(metric.name, series.labels, value))
+            else:
+                count = metric.count
+                if not first and count == series.value:
+                    continue
+                buckets, last = metric.bucket_counts, series.buckets
+                moved = tuple(
+                    (index, buckets[index] - last[index])
+                    for index in compress(range(len(buckets)), map(ne, buckets, last))
                 )
-            )
-    return tuple(deltas)
+                last[:] = buckets
+                low, high = metric.extremes()
+                out.append(
+                    HistogramDelta(
+                        metric.name, series.labels, count - series.value,
+                        metric.total, low, high, moved, series.le,
+                    )
+                )
+                series.value = count
+        return tuple(out)
 
 
 # -- batches ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TelemetryBatch(Wire):
     """One export interval: resource attributes + metric deltas + spans.
 
@@ -292,10 +351,10 @@ class TelemetryBatch(Wire):
         w.str(self.peer)
         w.str(self.role)
         head = (self.shard, self.seq, self.time, self.dropped_batches)
-        w.pack(">iQdQI", *head, len(self.metrics))
+        w.raw(_BATCH_HEAD.pack(*head, len(self.metrics)))
         for metric in self.metrics:
             metric._write(w)
-        w.pack(">H", len(self.spans))
+        w.raw(_COUNT16.pack(len(self.spans)))
         for span in self.spans:
             span._write(w)
 
@@ -309,7 +368,7 @@ class TelemetryBatch(Wire):
         return cls(peer, role, *head, metrics, spans)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExportRequest(Wire):
     """Dispatcher envelope: the batch plus the attempt's request id."""
 
@@ -317,7 +376,7 @@ class ExportRequest(Wire):
     batch: TelemetryBatch
 
     def _write(self, w: Writer) -> None:
-        w.pack(">Q", self.request_id)
+        w.raw(_REQUEST_ID.pack(self.request_id))
         self.batch._write(w)
 
     @classmethod
@@ -326,7 +385,7 @@ class ExportRequest(Wire):
         return cls(request_id=request_id, batch=TelemetryBatch._read(r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExportAck(Wire):
     """Collector acknowledgement: echoes the request id and batch seq."""
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from array import array
 from bisect import bisect_left
 from typing import Callable, Iterable, Mapping
 
@@ -117,8 +118,8 @@ class Histogram:
     """Log-spaced bucket counts plus a bounded exact-sample reservoir.
 
     ``observe`` is the hot path: one bisect over the fixed bounds, a few
-    integer/float updates, one list append — no per-sample object
-    allocation, sorting deferred to the first percentile read.  The first
+    integer/float updates, one append to a ``array('d')`` — no per-sample
+    object kept, sorting deferred to the first percentile read.  The first
     ``sample_capacity`` samples are retained verbatim, so
     :meth:`percentile` is *exact* for every benchmark-sized stream;
     beyond that the retained set degrades gracefully into a uniform
@@ -143,7 +144,7 @@ class Histogram:
         "maximum",
         "sample_capacity",
         "_samples",
-        "_dirty",
+        "_sorted_at",
         "_reservoir_rng",
     )
 
@@ -167,26 +168,31 @@ class Histogram:
         self.bucket_counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
+        #: ``±inf`` until the first observation; an export reads them
+        #: through :meth:`extremes`, which says 0.0 for an empty one.
         self.minimum = float("inf")
-        self.maximum = 0.0
+        self.maximum = float("-inf")
         if sample_capacity < 1:
             raise ValueError("sample_capacity must be >= 1")
         self.sample_capacity = sample_capacity
-        self._samples: list[float] = []
-        self._dirty = False
+        #: Raw doubles, not a list of float objects: the collector walks
+        #: no per-sample pointer, and a retained sample costs 8 bytes.
+        self._samples = array("d")
+        #: ``count`` when the samples were last sorted: any later
+        #: observation may have changed them.
+        self._sorted_at = 0
         self._reservoir_rng: random.Random | None = None
 
     def observe(self, value: float) -> None:
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
+        count = self.count = self.count + 1
         self.total += value
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-        if len(self._samples) < self.sample_capacity:
+        if count <= self.sample_capacity:
             self._samples.append(value)
-            self._dirty = True
         else:
             # Algorithm R: sample i (1-based == self.count) replaces a
             # random slot with probability capacity/i, keeping the
@@ -195,10 +201,15 @@ class Histogram:
                 self._reservoir_rng = random.Random(
                     zlib.crc32(metric_key(self.name, self.labels).encode("utf-8"))
                 )
-            slot = self._reservoir_rng.randrange(self.count)
+            slot = self._reservoir_rng.randrange(count)
             if slot < self.sample_capacity:
                 self._samples[slot] = value
-                self._dirty = True
+
+    def extremes(self) -> tuple[float, float]:
+        """``(min, max)`` as exports carry them: ``(0.0, 0.0)`` when empty."""
+        if self.count:
+            return self.minimum, self.maximum
+        return 0.0, 0.0
 
     # -- exact readouts (benchmark waterfalls) ------------------------------
 
@@ -213,9 +224,9 @@ class Histogram:
         beyond that, a uniform-reservoir estimate whose rank drift the
         property suite bounds.
         """
-        if self._dirty:
-            self._samples.sort()
-            self._dirty = False
+        if self._sorted_at != self.count:
+            self._samples = array("d", sorted(self._samples))
+            self._sorted_at = self.count
         return percentile(self._samples, q, presorted=True)
 
     @property
@@ -304,9 +315,10 @@ class MetricsRegistry:
     def collect(self) -> "dict[str, dict]":
         """One atomic read of every metric into plain JSON-able dicts.
 
-        This is *the* read path (the snapshot exporter and the push
-        exporter both go through it): bound series are read from their
-        owners here, in the same pass as the histograms.
+        The snapshot path's read: bound series are read from their owners
+        here, in the same pass as the histograms.  (The push exporter
+        diffs the live objects of :meth:`metrics` instead, so an idle
+        series costs it no copy.)
         """
         out: dict[str, dict] = {}
         for key, metric in self._metrics.items():
@@ -316,11 +328,12 @@ class MetricsRegistry:
                 "labels": dict(metric.labels),
             }
             if isinstance(metric, Histogram):
+                low, high = metric.extremes()
                 entry.update(
                     count=metric.count,
                     sum=metric.total,
-                    min=metric.minimum if metric.count else 0.0,
-                    max=metric.maximum,
+                    min=low,
+                    max=high,
                     le=list(metric.bounds),
                     buckets=list(metric.bucket_counts),
                 )

@@ -65,8 +65,19 @@ class WakuMessage:
         return replace(self, rate_limit_proof=proof)
 
     def with_trace(self, trace: "SpanContext | None") -> "WakuMessage":
-        """Copy of this message carrying (or stripped of) a span context."""
-        return replace(self, trace=trace)
+        """Copy of this message carrying (or stripped of) a span context.
+
+        Every relay hop of a traced message re-stamps it, so the copy is
+        built field by field rather than through ``dataclasses.replace``.
+        """
+        return type(self)(
+            self.payload,
+            self.content_topic,
+            self.timestamp,
+            self.ephemeral,
+            self.rate_limit_proof,
+            trace,
+        )
 
 
 def proof_verdict(

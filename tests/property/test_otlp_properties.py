@@ -18,16 +18,29 @@ wire types at once by the matrix in ``test_wire_properties.py``):
   streams into a collector (each peer's own stream in order, streams
   arbitrarily merged — exactly what concurrent exporters produce)
   yields the same fleet snapshot.
+* **The live export path is the oracle's** — an exporter diffs the live
+  metric objects against what it last sent; tick for tick its deltas
+  equal :func:`compute_deltas` over two whole ``collect()`` passes,
+  whatever mix of counters, gauges, bound readers, default- and
+  custom-bucket histograms, idle ticks and first-sight zero series ran.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry import MetricsRegistry, TelemetrySnapshot
-from repro.telemetry.collector import fold_delta
+from repro.net.latency import ConstantLatency
+from repro.net.simulator import Simulator
+from repro.net.topology import full_mesh
+from repro.net.transport import Network
+from repro.telemetry import MetricsRegistry, Telemetry, TelemetrySnapshot
+from repro.telemetry.collector import CollectorPeer, fold_delta
 from repro.telemetry.disttrace import NO_PARENT, DistTracer, SpanRecord
 from repro.telemetry.export import TelemetrySnapshot as Snapshot
-from repro.telemetry.otlp import TelemetryBatch, compute_deltas
+from repro.telemetry.exporter import TelemetryExporter
+from repro.telemetry.otlp import TelemetryBatch
+from tests.delta_oracle import compute_deltas
 from tests.property.wire_strategies import batches, finite, label_text, span_records
 
 
@@ -175,3 +188,79 @@ def test_any_interleaving_of_peer_streams_folds_to_the_same_fleet(
             if not queues[peer]:
                 del queues[peer]
         assert fold_interleaving(interleaved) == baseline
+
+
+# -- the exporter's live deltas against the collect()-diff oracle -----------
+
+series_label = st.sampled_from(("a", "b"))
+export_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("inc"), series_label, st.integers(min_value=0, max_value=5)),
+        st.tuples(st.just("set"), series_label, st.integers(-3, 3) | finite),
+        # A bound reader whose owner's count moves by 0 (unchanged) or more.
+        st.tuples(st.just("bound"), series_label, st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("observe"), st.sampled_from(("default", "custom")), finite),
+        # A series interned mid-stream and never written: first sight at zero.
+        st.tuples(
+            st.just("intern"),
+            st.sampled_from(("counter", "gauge", "histogram")),
+            st.sampled_from(("x", "y")),
+        ),
+        st.just(("tick",)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(export_steps)
+def test_exporter_ticks_equal_the_collect_diff_oracle(steps):
+    sim = Simulator()
+    graph = full_mesh(2)
+    network = Network(
+        simulator=sim, graph=graph, latency=ConstantLatency(0.01), rng=random.Random(0)
+    )
+    peer, collector_id = sorted(graph.nodes)
+    telemetry = Telemetry()
+    registry = telemetry.registry
+    exporter = TelemetryExporter(
+        peer, telemetry, network, sim, collectors=[collector_id], start=False
+    )
+    collector = CollectorPeer(collector_id, network, sim)
+    owned = {"a": 0, "b": 0}
+    for label in owned:
+        registry.bind("owned_total", lambda label=label: owned[label], peer=label)
+    histograms = {
+        "default": registry.histogram("wait_seconds"),
+        "custom": registry.histogram("spread", buckets=(-1.0, 0.0, 0.5, 4.0)),
+    }
+    previous: dict[str, dict] = {}
+    ticks = 0
+    for step in [*steps, ("tick",)]:
+        kind = step[0]
+        if kind == "inc":
+            registry.counter("events_total", peer=step[1]).inc(step[2])
+        elif kind == "set":
+            registry.gauge("depth", peer=step[1]).set(step[2])
+        elif kind == "bound":
+            owned[step[1]] += step[2]
+        elif kind == "observe":
+            histograms[step[1]].observe(step[2])
+        elif kind == "intern":
+            getattr(registry, step[1])(f"idle_{step[1]}", peer=step[2])
+        else:
+            current = registry.collect()
+            expected = compute_deltas(current, previous)
+            previous = current
+            batch = exporter.export()
+            sim.run_until_idle()
+            sent = () if batch is None else batch.metrics
+            assert sent == expected
+            for live, oracle in zip(sent, expected):
+                for field in ("delta", "value", "count_delta"):
+                    assert type(getattr(live, field, None)) is type(getattr(oracle, field, None))
+            ticks += 1
+    assert ticks >= 1
+    # Every tick's batch landed: the collector holds the registry exactly.
+    assert collector.stats.lost_batches == 0
+    assert collector.peer_snapshot(peer) == TelemetrySnapshot.of(registry)

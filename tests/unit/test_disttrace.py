@@ -25,6 +25,8 @@ The load-bearing guarantees:
   resume from a cursor instead of re-reading the ring.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -84,6 +86,61 @@ def test_span_record_round_trip_with_marks():
     assert SpanRecord.from_bytes(record.to_bytes()) == record
     with pytest.raises(ProtocolError):
         SpanRecord.from_bytes(record.to_bytes() + b"!")
+
+
+def test_span_records_are_slotted_and_share_their_stage_path():
+    """A finished span is two objects — the record and its stamps — with
+    no ``__dict__``; spans that took one path share its stage names."""
+    now = [0.0]
+    tracer = DistTracer("peer-000", clock=lambda: now[0])
+    records = []
+    for _ in range(2):
+        span = tracer.begin("bundle")
+        for stage in ("prefilter", "pairing"):
+            now[0] += 0.5
+            span.mark(stage)
+        records.append(tracer.finish(span))
+    first, second = records
+    assert not hasattr(first, "__dict__")
+    assert first.stage_path is second.stage_path
+    assert first.marks == (("ingress", 0.0), ("prefilter", 0.5), ("pairing", 1.0))
+    assert first.stamps == (0.0, 0.5, 1.0)
+    # Built from marks, it is the record the tracer built.
+    rebuilt = SpanRecord(*first[:10], marks=first.marks)
+    assert rebuilt == first and SpanRecord.from_bytes(first.to_bytes()) == first
+    assert copy.copy(first) == first and pickle.loads(pickle.dumps(first)) == first
+    assert repr(first).startswith("SpanRecord(trace_id=")
+
+
+def test_finish_folds_each_delta_into_its_stage_in_mark_order():
+    now = [0.0]
+    registry = MetricsRegistry()
+    tracer = DistTracer("peer-000", registry=registry, clock=lambda: now[0])
+    span = tracer.begin("bundle")
+    for stage, stamp in (("pairing", 0.25), ("resolve", 1.0), ("pairing", 3.0)):
+        now[0] = stamp
+        span.mark(stage)
+    tracer.finish(span)
+    pairing = registry.histogram("trace_stage_seconds", kind="bundle", stage="pairing")
+    resolve = registry.histogram("trace_stage_seconds", kind="bundle", stage="resolve")
+    assert pairing.count == 2 and pairing.total == 0.25 + 2.0
+    assert resolve.count == 1 and resolve.total == 0.75
+    total = registry.histogram("trace_total_seconds", kind="bundle")
+    assert total.count == 1 and total.total == 3.0
+    assert registry.counter("traces_finished_total", kind="bundle").value == 1
+    # A publish root is archived, never folded.
+    tracer.finish(DistTracer("peer-000", sample=1.0).begin_publish())
+    assert registry.counter("traces_finished_total", kind="bundle").value == 1
+
+
+def test_finished_since_reads_back_from_the_newest_to_a_cursor():
+    tracer = DistTracer("peer-000", capacity=4)
+    for _ in range(6):
+        tracer.finish(tracer.begin("bundle"))
+    # seqs 2..5 are in the ring; 0 and 1 were evicted.
+    assert [r.seq for r in tracer.finished_since(3)] == [4, 5]
+    assert [r.seq for r in tracer.finished_since(5)] == []
+    assert [r.seq for r in tracer.finished_since(-1)] == [2, 3, 4, 5]
 
 
 def test_witness_request_trace_rides_as_trailing_bytes():

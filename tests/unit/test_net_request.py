@@ -1,6 +1,8 @@
 """Unit tests for the generic request/response dispatcher (repro.net.request)."""
 
+import gc
 import random
+import weakref
 from dataclasses import dataclass
 
 import pytest
@@ -291,3 +293,51 @@ class TestUnreachableProviders:
         assert results and isinstance(results[0], RequestFailure)
         assert results[0].attempts == (names[1], names[2])
         assert dispatcher.stats.unreachable == 2
+
+
+class TestSettledRequestIsFreed:
+    """A request that has settled is freed by reference counting.
+
+    Its attempt chain used to reach itself through a closure, so every
+    request — with whatever its ``make_request`` holds, a whole telemetry
+    batch for an exporter — waited for the cyclic collector, which by
+    then had promoted it to the oldest generation.
+    """
+
+    @pytest.mark.parametrize("answered", [True, False])
+    def test_what_make_request_holds_is_freed_without_the_cyclic_collector(
+        self, answered
+    ):
+        sim, network, names = build()
+
+        def handler(sender, request):
+            if answered:
+                response = EchoResponse(request_id=request.request_id)
+                network.send(names[1], sender, response, protocol=PROTOCOL)
+
+        network.register(names[1], handler, protocol=PROTOCOL)
+        dispatcher = RequestDispatcher(
+            names[0], network, sim, protocol=PROTOCOL, timeout=0.5, rounds=2
+        )
+
+        class Batch:
+            label = "batch"
+
+        def push() -> tuple[PendingRequest, weakref.ref]:
+            # The exporter's shape: the request maker closes over the batch.
+            batch = Batch()
+            pending = dispatcher.request(
+                [names[1]],
+                lambda request_id: EchoRequest(request_id=request_id, payload=batch.label),
+            )
+            return pending, weakref.ref(batch)
+
+        gc.disable()
+        try:
+            pending, held = push()
+            sim.run_until_idle()
+            assert pending.resolved
+            assert isinstance(pending.value, RequestFailure) is not answered
+            assert held() is None
+        finally:
+            gc.enable()

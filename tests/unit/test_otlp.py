@@ -5,11 +5,12 @@ The load-bearing guarantees:
 * every wire type round-trips ``to_bytes``/``from_bytes`` exactly,
   preserving number types (counter int deltas stay ints — fold must be
   exact integer addition) and rejecting trailing/truncated bytes;
-* ``compute_deltas`` follows OTLP delta temporality: counters and
-  histogram bucket/count fields diff, gauges and histogram
-  ``sum``/``min``/``max`` travel as absolutes, unchanged metrics are
-  skipped, and first sight exports even a zero (key-set parity with the
-  offline snapshot);
+* ``compute_deltas`` (the reference in ``tests/delta_oracle.py`` that
+  the exporter's live :class:`DeltaTracker` is held to) follows OTLP
+  delta temporality: counters and histogram bucket/count fields diff,
+  gauges and histogram ``sum``/``min``/``max`` travel as absolutes,
+  unchanged metrics are skipped, and first sight exports even a zero
+  (key-set parity with the offline snapshot);
 * ``fold_delta`` reconstructs a peer's live ``collect()`` state exactly
   from its delta stream;
 * the exporter never backpressures: the outbound queue is bounded
@@ -35,13 +36,14 @@ from repro.telemetry.disttrace import NO_PARENT, SpanRecord
 from repro.telemetry.exporter import TelemetryExporter
 from repro.telemetry.otlp import (
     CounterDelta,
+    DeltaTracker,
     ExportAck,
     ExportRequest,
     GaugeValue,
     HistogramDelta,
     TelemetryBatch,
-    compute_deltas,
 )
+from tests.delta_oracle import compute_deltas
 
 
 def round_trip(batch: TelemetryBatch) -> TelemetryBatch:
@@ -194,6 +196,21 @@ def test_histogram_delta_is_sparse_with_cumulative_absolutes():
     assert delta.sum_total == pytest.approx(201.0)  # absolute, not delta
     assert delta.min_total == 0.5
     assert delta.max_total == 200.0
+
+
+def test_delta_tracker_skips_idle_series_and_sends_moved_buckets_only():
+    registry = Telemetry().registry
+    histogram = registry.histogram("wait_seconds")
+    registry.counter("events_total")
+    tracker = DeltaTracker()
+    first = tracker.deltas(registry.metrics())
+    assert {d.key for d in first} == {"wait_seconds", "events_total"}
+    assert tracker.deltas(registry.metrics()) == ()  # an idle tick sends nothing
+    histogram.observe(0.5)
+    histogram.observe(0.5)
+    (delta,) = tracker.deltas(registry.metrics())
+    assert delta.count_delta == 2 and len(delta.bucket_deltas) == 1
+    assert (delta.min_total, delta.max_total) == (0.5, 0.5)
 
 
 def test_fold_reconstructs_collect_state_exactly():

@@ -156,6 +156,30 @@ def test_empty_histogram_reads_zero():
     assert histogram.p50 == 0.0 and histogram.p99 == 0.0
     assert histogram.mean == 0.0
     assert math.isinf(histogram.minimum)
+    assert histogram.extremes() == (0.0, 0.0)
+    registry = MetricsRegistry()
+    registry.histogram("h")
+    entry = registry.collect()["h"]
+    assert entry["min"] == 0.0 and entry["max"] == 0.0
+
+
+def test_negative_only_histogram_reports_its_own_maximum():
+    """``maximum`` used to start at 0.0, so a stream of negative values
+    (clock skew, a signed drift) reported a max above every sample, and
+    the fleet merge carried it."""
+    peers = []
+    for samples in ((-0.5, -0.25, -2.0), (-3.0, -1.5)):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("skew_seconds", buckets=(-1.0, 0.0, 1.0))
+        for value in samples:
+            histogram.observe(value)
+        assert histogram.maximum == max(samples)
+        assert histogram.extremes() == (min(samples), max(samples))
+        peers.append(TelemetrySnapshot.of(registry))
+    entry = peers[0].histogram("skew_seconds")
+    assert entry["min"] == -2.0 and entry["max"] == -0.25
+    merged = peers[0].merge(peers[1]).histogram("skew_seconds")
+    assert merged["min"] == -3.0 and merged["max"] == -0.25
 
 
 # ---------------------------------------------------------------------------
