@@ -41,7 +41,7 @@ from typing import Callable
 from repro.chain.blockchain import Blockchain
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
-from repro.core.epoch import epoch_of, external_nullifier
+from repro.core.epoch import external_nullifier
 from repro.core.membership import GroupManager
 from repro.core.messages import RateLimitProof
 from repro.core.nullifier_log import SpamEvidence
@@ -286,7 +286,13 @@ class WakuRLNRelayPeer:
         return self.clock.unix_time(self.simulator.now)
 
     def current_epoch(self) -> int:
-        return epoch_of(self.unix_now(), self.config.epoch_length)
+        # core.epoch.epoch_of(unix_now()) in one frame, run per receipt; not
+        # cached on the simulated time, as the clock's offset may change.
+        clock = self.clock
+        unix_time = clock.genesis_unix + self.simulator.now + clock.offset
+        if unix_time < 0:
+            raise ProtocolError("unix time must be non-negative")
+        return int(unix_time // self.config.epoch_length)
 
     # -- publishing (§III-E) ---------------------------------------------------------------
 
@@ -386,6 +392,8 @@ class WakuRLNRelayPeer:
             # is validated once the bucket refills instead of being
             # suppressed as a duplicate for the whole seen TTL.
             self.relay.router.forget_seen(msg_id)
+        if result.outcome is not ValidationOutcome.SPAM:
+            return result.action
         return self._apply_verdict(result, msg_id=msg_id)
 
     def _rewrite_trace(self, pubsub_message: PubSubMessage) -> PubSubMessage:

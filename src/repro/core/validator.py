@@ -56,6 +56,11 @@ class ValidationOutcome(Enum):
     DUPLICATE = "duplicate"
     SPAM = "spam"
 
+    def __init__(self, value: str) -> None:
+        #: This outcome's index into per-outcome tables.  Hot paths count
+        #: and look up by it: hashing a member is a Python-level call.
+        self.slot = len(type(self)._member_names_)
+
 
 @dataclass
 class ValidatorStats:
@@ -73,12 +78,16 @@ class ValidatorStats:
     the analysis layer aggregates at 1M members (E15's memory table).
     """
 
-    outcomes: dict[ValidationOutcome, int] = field(
-        default_factory=lambda: {outcome: 0 for outcome in ValidationOutcome}
-    )
+    #: Count per outcome, indexed by :attr:`ValidationOutcome.slot`.
+    counts: list[int] = field(default_factory=lambda: [0] * len(ValidationOutcome))
     proofs_verified: int = 0
     proofs_cached: int = 0
     log: NullifierLog = field(default_factory=NullifierLog, repr=False)
+
+    @property
+    def outcomes(self) -> dict[ValidationOutcome, int]:
+        """Count per outcome, every outcome present."""
+        return {outcome: self.counts[outcome.slot] for outcome in ValidationOutcome}
 
     @property
     def nullifiers_pruned(self) -> int:
@@ -93,10 +102,10 @@ class ValidatorStats:
         return self.log.peak_entries
 
     def record(self, outcome: ValidationOutcome) -> None:
-        self.outcomes[outcome] += 1
+        self.counts[outcome.slot] += 1
 
     def count(self, outcome: ValidationOutcome) -> int:
-        return self.outcomes[outcome]
+        return self.counts[outcome.slot]
 
 
 class BundleValidator:

@@ -187,8 +187,9 @@ class SimulatedCryptoExecutor:
         self.stats.lane_busy_seconds = [0.0] * workers
         # Queue depth and busy lanes are bound gauges (both read 0 with
         # zero lanes); the wait and service histograms are handles interned
-        # once per class — no-ops with telemetry off.
+        # once per class — no-ops with telemetry off (an inline job skips them).
         reg = NULL_REGISTRY if registry is None else registry
+        self._observed = not isinstance(reg, NullRegistry)
         reg.bind("executor_queue_depth", lambda: self.queued_jobs, "gauge", peer=peer)
         reg.bind("executor_busy_lanes", lambda: self.busy_lanes, "gauge", peer=peer)
         self._wait = {
@@ -255,8 +256,10 @@ class SimulatedCryptoExecutor:
                 )
                 stats.inline_seconds += modeled
                 stats.service_seconds += modeled
-                self._service[priority].observe(modeled)
-            self._wait[priority].observe(0.0)
+                if self._observed:
+                    self._service[priority].observe(modeled)
+            if self._observed:
+                self._wait[priority].observe(0.0)
             cls.completed += 1
         if on_done is not None:
             on_done(*args, result)

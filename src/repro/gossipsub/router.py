@@ -407,7 +407,12 @@ class GossipSubRouter:
         if self._seen.witness(message.msg_id, self.simulator.now):
             self.stats.duplicates += 1
             return
-        result = self._validate(sender, message)
+        validator = self._validators.get(message.topic)
+        if validator is None:
+            result = ValidationResult.ACCEPT
+        else:
+            self.stats.validations += 1
+            result = validator(sender, message)
         if isinstance(result, DeferredValidation):
             self.stats.deferred += 1
             result.subscribe(
@@ -460,15 +465,6 @@ class GossipSubRouter:
             self._send(sender, RPC(messages=tuple(found)))
 
     # -- validation & delivery ------------------------------------------------------------
-
-    def _validate(
-        self, sender: str, message: PubSubMessage
-    ) -> "ValidationResult | DeferredValidation":
-        validator = self._validators.get(message.topic)
-        if validator is None:
-            return ValidationResult.ACCEPT
-        self.stats.validations += 1
-        return validator(sender, message)
 
     def _deliver_locally(self, message: PubSubMessage) -> None:
         if message.topic not in self._topics:

@@ -81,7 +81,7 @@ class Simulator:
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at absolute simulated time ``when``."""
-        if when < self.now:
+        if not when >= self.now:  # also refuses NaN
             raise NetworkError(f"cannot schedule at {when} < now {self.now}")
         handle = EventHandle(when, callback, self)
         heapq.heappush(self._queue, (when, next(self._sequence), handle))
@@ -99,7 +99,7 @@ class Simulator:
 
         Used for GossipSub heartbeats, block mining, and epoch advancement.
         """
-        if interval <= 0:
+        if not interval > 0:  # also refuses NaN
             raise NetworkError("ticker interval must be positive")
         stopped = False
 

@@ -188,7 +188,8 @@ class Network:
                 if require_edge:
                     raise NotConnected(f"{src!r} and {target!r} are not neighbors")
         size = size_of(payload, 64)  # 64: flat control-message overhead
-        sent = self.stats[src].channel(protocol)
+        src_stats = self.stats[src]
+        sent = src_stats.per_protocol.get(protocol) or src_stats.channel(protocol)
         sent.messages_sent += len(targets)
         sent.bytes_sent += size * len(targets)
         rng, drop, sample = self.rng, self.drop_probability, self.latency.sample
@@ -224,7 +225,8 @@ class Network:
                 handler = handlers.get((dst, protocol))
                 if handler is None:
                     continue  # peer went offline before delivery
-                received = stats[dst].channel(protocol)
+                traffic = stats[dst]
+                received = traffic.per_protocol.get(protocol) or traffic.channel(protocol)
                 received.messages_received += 1
                 received.bytes_received += size
                 try:

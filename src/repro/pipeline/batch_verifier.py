@@ -75,8 +75,8 @@ class VerificationJob(NamedTuple):
     key: bytes
     public: RLNPublicInputs
     proof: Proof
-    #: Resolved when the verdict lands (``None``: the check returns it).
-    verdict: Promise[bool] | None
+    #: Resolved when the verdict lands.
+    verdict: Promise[bool]
     #: The bundle's span, riding along so flush/dispatch/pairing marks
     #: land on the right waterfall (the shared no-op when telemetry is off).
     trace: "ActiveSpan | NullTrace" = NULL_TRACE
@@ -148,6 +148,8 @@ class BatchVerifier:
         self._m_batch_size = reg.histogram(
             "batch_flush_size", peer=peer, buckets=_BATCH_SIZE_BUCKETS
         )
+        #: With telemetry off, a check that lands now calls no histogram.
+        self._observed = not isinstance(reg, NullRegistry)
         self.stats = BatchVerifierStats()
         #: Verdicts served from the cache (no pairing work).
         self.cache_hits = 0
@@ -176,17 +178,19 @@ class BatchVerifier:
     ) -> "tuple[bool | Promise[bool], bool]":
         """The verdict for one bundle, and whether it is *fresh*.
 
-        Cache lookup, then the in-flight table, then enqueue: a
-        ``Priority.RELAY`` request into the window, any other class
-        straight to the executor.  A verdict that has landed — a cache
-        hit, or a job run inline (every one at ``batch_size=1`` with zero
-        lanes, and every one once :meth:`close` has run) — is returned as
-        the plain ``bool``; only work left in flight is a promise, entered
-        in the in-flight table for the next request of the same proof to
-        join (resolved on return if it filled the window and the flush ran
-        inline).  ``fresh`` is true only for the request that enqueued the
-        pairing work.  ``trace`` is the bundle's span, marked
-        ``verdict-cache`` or ``batch-enqueue``.
+        Cache lookup, then the in-flight table, then the pairing check.
+        A cache hit, and a check that lands now (an inline executor, but
+        not a relay check while the window is open), is the plain
+        ``bool``: the latter hands one ``(public, proof)`` to the
+        executor, builds no job and skips the window — a relay one counts
+        as a flushed batch of one.  Otherwise a ``Priority.RELAY`` job
+        joins the window, any other class goes to a lane, and the verdict
+        is a promise in the in-flight table for the next request of the
+        same proof to join (resolved on return if the job filled the
+        window and the flush ran inline).  ``fresh`` is true only for the
+        request that enqueued the pairing work.  ``trace`` is the
+        bundle's span, marked ``verdict-cache``, or ``batch-enqueue`` and
+        what follows.
         """
         key = verdict_key(bundle)
         cached = self.cache.get(key)
@@ -201,18 +205,28 @@ class BatchVerifier:
             return pending, False
         trace.mark(BATCH_ENQUEUE)
         relay = priority is Priority.RELAY
-        # Straight through: the verdict lands before this returns (a relay
-        # job is then a batch of one, the window being empty).
-        straight = self.executor.inline and (
-            not relay or self.batch_size == 1 or self._closed
-        )
-        verdict: Promise[bool] | None = None
-        if not straight:
-            verdict = self._in_flight[key] = Promise()
+        if self.executor.inline and (not relay or self.batch_size == 1 or self._closed):
+            if relay:
+                stats = self.stats
+                stats.jobs_submitted += 1
+                stats.batches_verified += 1
+                if self.batch_size == 1:  # not a closed window's late arrival
+                    stats.size_flushes += 1
+                if self._observed:
+                    self._m_batch_size.observe(1.0)
+                trace.mark(BATCH_FLUSH)
+            trace.mark(LANE_DISPATCH)
+            public = bundle.public_inputs()
+            ok = self.executor.submit(
+                self.prover.verify, priority=priority, args=(public, bundle.proof)
+            )
+            self._land(key, ok, trace)
+            return ok, True
+        verdict: Promise[bool] = Promise()
+        self._in_flight[key] = verdict
         job = VerificationJob(key, bundle.public_inputs(), bundle.proof, verdict, trace)
-        landed = None
         if not relay:
-            landed = self.executor.submit(
+            self.executor.submit(
                 self._verify, self._deliver, priority=priority, args=((job,),)
             )
         else:
@@ -220,14 +234,12 @@ class BatchVerifier:
             self._pending.append(job)
             if len(self._pending) >= self.batch_size:
                 self.stats.size_flushes += 1
-                landed = self.flush()
-            elif straight:  # closed: a late arrival arms no deadline
-                landed = self.flush()
+                self.flush()
             elif self._deadline_handle is None:
                 self._deadline_handle = self.simulator.schedule(
                     self.deadline, self._on_deadline
                 )
-        return (landed[0] if verdict is None else verdict), True
+        return verdict, True
 
     def check_deferred(self, message: WakuMessage) -> Promise[bool] | None:
         """Service-path verdict promise for a message's attached proof.
@@ -257,26 +269,26 @@ class BatchVerifier:
             self.stats.deadline_flushes += 1
             self.flush()
 
-    def flush(self) -> "list[bool] | Promise[list[bool]] | None":
+    def flush(self) -> None:
         """Hand the pending batch to the executor; verdicts land on completion.
 
         Zero lanes: the pairing work runs inline and every verdict is
-        delivered (and returned) before this returns — the seed behaviour.
-        Worker lanes: the batch is only *enqueued* and the job promises
-        resolve at simulated completion time.
+        delivered before this returns — the seed behaviour.  Worker
+        lanes: the batch is only *enqueued* and the job promises resolve
+        at simulated completion time.
         """
         if self._deadline_handle is not None:
             self._deadline_handle.cancel()
             self._deadline_handle = None
         jobs = self._pending
         if not jobs:
-            return None
+            return
         self._pending = []
         self.stats.batches_verified += 1
         self._m_batch_size.observe(float(len(jobs)))
         for job in jobs:
             job.trace.mark(BATCH_FLUSH)
-        return self.executor.submit(
+        self.executor.submit(
             self._verify, self._deliver, priority=Priority.RELAY, args=(jobs,)
         )
 
@@ -303,6 +315,12 @@ class BatchVerifier:
 
     # -- verification -----------------------------------------------------------
 
+    def _land(self, key: bytes, ok: bool, trace: "ActiveSpan | NullTrace") -> None:
+        """Book one verdict that just came out of a pairing check."""
+        trace.mark(PAIRING)
+        self.cache.put(key, ok)
+        self.verified += 1
+
     def _deliver(self, jobs: Sequence[VerificationJob], verdicts: list[bool]) -> None:
         # Runs at simulated completion time.  Each job's verdict is cached
         # before its waiter hears it, so a waiter's hook raising (e.g. a
@@ -311,11 +329,7 @@ class BatchVerifier:
         # surfaces.
         first_error: Exception | None = None
         for job, ok in zip(jobs, verdicts):
-            job.trace.mark(PAIRING)
-            self.cache.put(job.key, ok)
-            self.verified += 1
-            if job.verdict is None:
-                continue
+            self._land(job.key, ok, job.trace)
             del self._in_flight[job.key]
             try:
                 job.verdict.resolve(ok)

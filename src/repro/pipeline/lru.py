@@ -29,22 +29,28 @@ class BoundedLRU(Generic[K, V]):
         self._entries: OrderedDict[K, V] = OrderedDict()
 
     def get(self, key: K) -> V | None:
-        """Return the value for ``key`` (refreshing its recency), else None."""
-        if key not in self._entries:
-            return None
-        self._entries.move_to_end(key)
-        return self._entries[key]
+        """Return the value for ``key`` (refreshing its recency), else None.
+
+        A ``None`` value reads as absent and is not refreshed.
+        """
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
 
     def put(self, key: K, value: V) -> bool:
         """Insert ``key`` as most recent, evicting the oldest past capacity;
         True if it was already present."""
-        present = key in self._entries
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        if key in entries:
+            entries[key] = value
+            entries.move_to_end(key)
+            return True
+        entries[key] = value  # a new key goes in last
+        if len(entries) > self.capacity:
+            entries.popitem(last=False)
             self.evictions += 1
-        return present
+        return False
 
     def discard(self, key: K) -> None:
         """Remove ``key`` if present."""

@@ -121,19 +121,31 @@ _ACTIONS = {
     ValidationOutcome.VALID: ValidationResult.ACCEPT,
     ValidationOutcome.DUPLICATE: ValidationResult.IGNORE,
 }
-#: Every evidence-free verdict is a shared frozen instance (the pipeline-only
-#: drops are named below); only one carrying spam evidence is built per bundle.
-_SHARED_VERDICTS = {
-    (outcome, stage, cached): Verdict(
-        _ACTIONS.get(outcome, ValidationResult.REJECT), outcome, stage=stage, cached=cached
-    )
+#: Every evidence-free verdict is a shared frozen instance, found by outcome
+#: slot, then stage (only a verdict the cache served is ``cached``); the
+#: pipeline-only drops are named below.  Only a verdict carrying spam
+#: evidence is built per bundle.
+_SHARED_VERDICTS = [
+    {
+        stage: Verdict(
+            _ACTIONS.get(outcome, ValidationResult.REJECT), outcome, stage=stage,
+            cached=stage == "verdict-cache",
+        )
+        for stage in ("prefilter", "cheap-checks", "verify", "verdict-cache")
+    }
     for outcome in ValidationOutcome
-    for stage in ("prefilter", "cheap-checks", "verify", "verdict-cache")
-    for cached in (False, True)
-}
+]
 _RATE_LIMITED = Verdict(ValidationResult.IGNORE, None, stage="ratelimit", retryable=True)
 _DUPLICATE_ID = Verdict(ValidationResult.IGNORE, None, stage="prefilter")
 _GATE_REJECT = Verdict(ValidationResult.REJECT, None, stage="prefilter")
+#: The seed outcome per prefilter gate slot (``None``: a pipeline-only drop).
+_GATE_OUTCOMES = [
+    {
+        PrefilterOutcome.MISSING_PROOF: ValidationOutcome.MISSING_PROOF,
+        PrefilterOutcome.STALE_EPOCH: ValidationOutcome.INVALID_EPOCH_GAP,
+    }.get(gate)
+    for gate in PrefilterOutcome
+]
 
 
 @dataclass
@@ -273,44 +285,61 @@ class ValidationPipeline:
             return _RATE_LIMITED
 
         assert isinstance(message, WakuMessage)
-        bundle = message.rate_limit_proof
+        validator = self.validator
+        evidence = None
         # Stage 3 — root recognition and payload binding (§III-F items 2-3).
-        cheap = self.validator.classify_cheap(message)
+        outcome = validator.classify_cheap(message)
         trace.mark(tracing.CHEAP_CHECKS)
-        if cheap is not None:
-            verdict = self._finish(cheap, None, stage="cheap-checks")
-            self.tracer.finish(trace)
-            return verdict
-
-        # Stage 4 — the verdict's one front door: cache, then whatever is
-        # already pending for this (statement, proof) on any of the peer's
-        # paths, then the batch window.  A straight re-broadcast does not
-        # reach this point (an identical wire message has an identical
-        # msg_id, which the router's seen-cache and the stage-1 dedup LRU
-        # suppress); the same proof rewrapped under a different
-        # content_topic does, and joins.  Whoever paid, the nullifier log
-        # still runs on the verdict, so a second copy lands as DUPLICATE.
-        proof_verdict, fresh = self.batch_verifier.check(
-            bundle, priority=Priority.RELAY, trace=trace
-        )
-        if fresh:
-            self.validator.stats.proofs_verified += 1
+        if outcome is not None:
+            stage = "cheap-checks"
         else:
-            self.validator.stats.proofs_cached += 1
-        if isinstance(proof_verdict, Promise):
-            if not proof_verdict.resolved:
-                pending: Promise[Verdict] = Promise()
-                proof_verdict.subscribe(
-                    lambda ok: pending.resolve(
-                        self._settle(message, local_epoch, msg_id, ok, fresh, trace)
+            # Stage 4 — the verdict's one front door: cache, then whatever
+            # is already pending for this (statement, proof) on any of the
+            # peer's paths, then the pairing check.  A straight re-broadcast
+            # does not reach this point (an identical wire message has an
+            # identical msg_id, which the router's seen-cache and the
+            # stage-1 dedup LRU suppress); the same proof rewrapped under a
+            # different content_topic does, and joins.  Whoever paid, the
+            # nullifier log still runs on the verdict, so a second copy
+            # lands as DUPLICATE.
+            proof_verdict, fresh = self.batch_verifier.check(
+                message.rate_limit_proof, priority=Priority.RELAY, trace=trace
+            )
+            if fresh:
+                validator.stats.proofs_verified += 1
+            else:
+                validator.stats.proofs_cached += 1
+            if isinstance(proof_verdict, Promise):
+                if not proof_verdict.resolved:
+                    pending: Promise[Verdict] = Promise()
+                    proof_verdict.subscribe(
+                        lambda ok: pending.resolve(
+                            self._settle(message, local_epoch, msg_id, ok, fresh, trace)
+                        )
                     )
-                )
-                self.stats.deferred += 1
-                return pending
-            # A size-triggered flush ran inline.
-            proof_verdict = proof_verdict.value
-        # Landed (a cache hit, or a job run inline): the seed path.
-        return self._settle(message, local_epoch, msg_id, proof_verdict, fresh, trace)
+                    self.stats.deferred += 1
+                    return pending
+                # A size-triggered flush ran inline.
+                proof_verdict = proof_verdict.value
+            # Stage 5 on the landed verdict (a cache hit, or a check run
+            # inline): the nullifier-map rate check (§III-F item 3).
+            outcome, evidence = validator.classify_after_proof(
+                message, local_epoch, msg_id, proof_verdict
+            )
+            stage = "verify" if fresh else "verdict-cache"
+            if fresh:
+                trace.mark(tracing.RESOLVE)
+        if evidence is None:  # _finish, spelled out for what settles here
+            validator.stats.counts[outcome.slot] += 1
+            if outcome is ValidationOutcome.VALID:
+                self.stats.admitted += 1
+            else:
+                self._count_drop(stage)
+            verdict = _SHARED_VERDICTS[outcome.slot][stage]
+        else:
+            verdict = self._finish(outcome, evidence, stage)
+        self.tracer.finish(trace)
+        return verdict
 
     def close(self) -> None:
         """Drain pending crypto and pin the pipeline to synchronous mode.
@@ -358,16 +387,11 @@ class ValidationPipeline:
             )
         drops[stage] += 1
 
-    _GATE_OUTCOMES: dict[PrefilterOutcome, ValidationOutcome] = {
-        PrefilterOutcome.MISSING_PROOF: ValidationOutcome.MISSING_PROOF,
-        PrefilterOutcome.STALE_EPOCH: ValidationOutcome.INVALID_EPOCH_GAP,
-    }
-
     def _gate_verdict(self, gate: PrefilterOutcome) -> Verdict:
-        outcome = self._GATE_OUTCOMES.get(gate)
+        outcome = _GATE_OUTCOMES[gate.slot]
         if outcome is not None:
             # Gates that exist in the seed vocabulary keep its accounting.
-            return self._finish(outcome, None, stage="prefilter")
+            return self._finish(outcome, None, "prefilter")
         self._count_drop("prefilter")
         return _DUPLICATE_ID if gate is PrefilterOutcome.DUPLICATE_ID else _GATE_REJECT
 
@@ -380,31 +404,28 @@ class ValidationPipeline:
         fresh: bool,
         trace: ActiveSpan | NullTrace,
     ) -> Verdict:
-        """Stage 5 on a landed proof verdict, and the bundle's span closed."""
+        """Stage 5 on a proof verdict that landed after :meth:`validate`
+        returned, and the bundle's span closed."""
         outcome, evidence = self.validator.classify_after_proof(
             message, local_epoch, msg_id, proof_ok
         )
-        stage = "verify" if fresh else "verdict-cache"
-        verdict = self._finish(outcome, evidence, stage=stage, cached=not fresh)
+        verdict = self._finish(outcome, evidence, "verify" if fresh else "verdict-cache")
         if fresh:
             trace.mark(tracing.RESOLVE)
         self.tracer.finish(trace)
         return verdict
 
     def _finish(
-        self,
-        outcome: ValidationOutcome,
-        evidence: SpamEvidence | None,
-        *,
-        stage: str,
-        cached: bool = False,
+        self, outcome: ValidationOutcome, evidence: SpamEvidence | None, stage: str
     ) -> Verdict:
-        self.validator.stats.record(outcome)
+        self.validator.stats.counts[outcome.slot] += 1
         if outcome is ValidationOutcome.VALID:
             self.stats.admitted += 1
         else:
             self._count_drop(stage)
         if evidence is None:
-            return _SHARED_VERDICTS[outcome, stage, cached]
+            return _SHARED_VERDICTS[outcome.slot][stage]
         action = _ACTIONS.get(outcome, ValidationResult.REJECT)
-        return Verdict(action, outcome, evidence, stage=stage, cached=cached)
+        return Verdict(
+            action, outcome, evidence, stage=stage, cached=stage == "verdict-cache"
+        )

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.core.epoch import epoch_gap
 from repro.core.messages import RateLimitProof
 from repro.errors import ProtocolError
 from repro.pipeline.lru import BoundedLRU
@@ -49,20 +48,30 @@ class PrefilterOutcome(Enum):
     STALE_EPOCH = "stale-epoch"
     DUPLICATE_ID = "duplicate-id"
 
+    def __init__(self, value: str) -> None:
+        #: Index into per-gate tables (see ``ValidationOutcome.slot``).
+        self.slot = len(type(self)._member_names_)
+
 
 @dataclass
 class PrefilterStats:
     """Per-gate drop counters (all drops here cost zero field operations)."""
 
     passed: int = 0
-    dropped: dict[PrefilterOutcome, int] = field(
-        default_factory=lambda: {
-            outcome: 0 for outcome in PrefilterOutcome if outcome is not PrefilterOutcome.PASS
+    #: Drops per gate, indexed by :attr:`PrefilterOutcome.slot` (PASS stays 0).
+    counts: list[int] = field(default_factory=lambda: [0] * len(PrefilterOutcome))
+
+    @property
+    def dropped(self) -> dict[PrefilterOutcome, int]:
+        """Drops per gate, every gate but PASS present."""
+        return {
+            outcome: self.counts[outcome.slot]
+            for outcome in PrefilterOutcome
+            if outcome is not PrefilterOutcome.PASS
         }
-    )
 
     def total_dropped(self) -> int:
-        return sum(self.dropped.values())
+        return sum(self.counts)
 
 
 class DedupLRU:
@@ -131,27 +140,21 @@ class Prefilter:
         self, message: object, local_epoch: int, msg_id: bytes, topic: str
     ) -> PrefilterOutcome:
         """Classify one incoming bundle against the cheap gates."""
-        outcome = self._classify(message, local_epoch, msg_id, topic)
-        if outcome is PrefilterOutcome.PASS:
-            self.stats.passed += 1
-        else:
-            self.stats.dropped[outcome] += 1
-        return outcome
-
-    def _classify(
-        self, message: object, local_epoch: int, msg_id: bytes, topic: str
-    ) -> PrefilterOutcome:
         if not isinstance(message, WakuMessage) or not isinstance(
             message.payload, (bytes, bytearray)
         ):
-            return PrefilterOutcome.MALFORMED
-        proof = message.rate_limit_proof
-        if not isinstance(proof, RateLimitProof):
-            return PrefilterOutcome.MISSING_PROOF
-        if len(message.payload) > self.max_payload_bytes:
-            return PrefilterOutcome.TOO_LARGE
-        if epoch_gap(local_epoch, proof.epoch) > self.max_epoch_gap:
-            return PrefilterOutcome.STALE_EPOCH
-        if self.dedup.witness(topic, msg_id):
-            return PrefilterOutcome.DUPLICATE_ID
-        return PrefilterOutcome.PASS
+            outcome = PrefilterOutcome.MALFORMED
+        elif not isinstance(proof := message.rate_limit_proof, RateLimitProof):
+            outcome = PrefilterOutcome.MISSING_PROOF
+        elif len(message.payload) > self.max_payload_bytes:
+            outcome = PrefilterOutcome.TOO_LARGE
+        # §III-F item 1's core.epoch.epoch_gap, spelled out on the hot path.
+        elif abs(local_epoch - proof.epoch) > self.max_epoch_gap:
+            outcome = PrefilterOutcome.STALE_EPOCH
+        elif self.dedup.witness(topic, msg_id):
+            outcome = PrefilterOutcome.DUPLICATE_ID
+        else:
+            self.stats.passed += 1
+            return PrefilterOutcome.PASS
+        self.stats.counts[outcome.slot] += 1
+        return outcome

@@ -59,21 +59,16 @@ class TokenBucket:
         self.tokens = spec.capacity
         self.updated_at = now
 
-    def refill(self, now: float) -> None:
-        """Accrue tokens for the time elapsed since the last touch."""
-        if now <= self.updated_at:
-            return
-        self.tokens = min(
-            self.capacity,
-            self.tokens + (now - self.updated_at) * self.refill_per_second,
-        )
-        self.updated_at = now
-
     def allow(self, now: float, cost: float = 1.0) -> bool:
-        """Consume ``cost`` tokens if available; False (no consumption) otherwise."""
-        if cost <= 0:
-            return True
-        self.refill(now)
+        """Accrue tokens for the time elapsed since the last touch, then
+        consume ``cost`` of them if available; False (no consumption)
+        otherwise."""
+        if now > self.updated_at:
+            self.tokens = min(
+                self.capacity,
+                self.tokens + (now - self.updated_at) * self.refill_per_second,
+            )
+            self.updated_at = now
         if self.tokens >= cost:
             self.tokens -= cost
             return True
@@ -81,7 +76,7 @@ class TokenBucket:
 
     def level(self, now: float) -> float:
         """Current token level after refill (observability only)."""
-        self.refill(now)
+        self.allow(now, 0.0)
         return self.tokens
 
 

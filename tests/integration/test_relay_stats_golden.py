@@ -1,0 +1,181 @@
+"""Integration: every relay-path counter of a small fleet under attack, pinned.
+
+An 8-peer fleet runs honest rounds while one attacker injects three kinds
+of forged bundle — a garbage proof over a consistent statement (costs a
+pairing check at hop 1), a proof bound to another payload (a cheap-check
+reject) and a bundle ten epochs stale (a prefilter drop) — fast enough to
+overflow its neighbours' per-peer token buckets; then a member signals
+twice in one epoch and is slashed.  It runs in two shapes: inline
+(``batch_size=1``, zero crypto lanes, every verdict landing in the relay
+callback) and batched (``batch_size=4`` over two lanes).
+
+One SHA-256 per shape covers what every peer counted on the relay path:
+
+* ``ValidatorStats`` outcomes, ``proofs_verified`` and ``proofs_cached``;
+* ``PipelineStats`` (admitted, deferred, drops), ``PrefilterStats`` and
+  ``RateLimitStats``;
+* ``BatchVerifierStats`` plus the verifier's ``cache_hits``, ``verified``
+  and ``joined_in_flight``;
+* ``ExecutorStats`` per priority class and in total;
+* router and protocol stats;
+
+and, fleet-wide, the pairing work done, the bytes billed per protocol and
+the simulator's processed-event count.  A change to how a receipt is
+checked, batched, executed or counted must leave both digests alone.
+They do not depend on ``PYTHONHASHSEED``.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from repro.core import DEFAULT_CONTENT_TOPIC, RateLimitProof, ValidationOutcome
+from repro.core.config import RLNConfig
+from repro.core.deployment import RLNDeployment
+from repro.core.epoch import external_nullifier
+from repro.pipeline import PipelineConfig
+from repro.pipeline.ratelimit import BucketSpec
+from repro.waku.message import WakuMessage
+from repro.zksnark.groth16 import Proof
+from repro.zksnark.rln_circuit import RLNPublicInputs
+
+#: Small enough that a burst of forgeries overflows it, large enough that
+#: honest forwarding mostly does not.
+BUCKET = BucketSpec(capacity=12.0, refill_per_second=6.0)
+
+SHAPES = {
+    "inline": PipelineConfig(batch_size=1, workers=0, peer_bucket=BUCKET),
+    "batched": PipelineConfig(
+        batch_size=4, workers=2, batch_deadline=0.05, peer_bucket=BUCKET
+    ),
+}
+
+GOLDEN = {
+    "inline": "f352f2b1151e056dbcd0e2d1bdfab1f654e8c69d31479d1045dfb68765eb5227",
+    "batched": "313dd5fefe987b860a402ff5b0ede55cd67b194fc637d22cecf1e9a03cc4fc86",
+}
+
+KINDS = ("garbage-proof", "unbound", "stale")
+
+
+def forge(peer, payload: bytes, kind: str) -> WakuMessage:
+    """A hostile bundle over ``peer``'s identity, built without proving."""
+    epoch = peer.current_epoch() - (10 if kind == "stale" else 0)
+    bound = payload + b"|other" if kind == "unbound" else payload
+    root = peer.group.root
+    public = RLNPublicInputs.for_message(
+        peer.identity, bound, external_nullifier(epoch), root
+    )
+    seed = hashlib.sha256(payload).digest()
+    bundle = RateLimitProof(
+        share_x=public.x,
+        share_y=public.y,
+        internal_nullifier=public.internal_nullifier,
+        epoch=epoch,
+        root=root,
+        proof=Proof(a=seed, b=seed + seed, c=seed[::-1]),
+    )
+    return WakuMessage(
+        payload=payload,
+        content_topic=DEFAULT_CONTENT_TOPIC,
+        timestamp=peer.unix_now(),
+        rate_limit_proof=bundle,
+    )
+
+
+def run_fleet(pipeline_config: PipelineConfig) -> tuple[RLNDeployment, dict]:
+    deployment = RLNDeployment.create(
+        peer_count=8,
+        degree=3,
+        seed=29,
+        config=RLNConfig(epoch_length=1.0, max_epoch_gap=2),
+        pipeline_config=pipeline_config,
+    )
+    counter = deployment.prover.pairing_counter  # shared per process: take deltas
+    before = dataclasses.asdict(counter)
+    deployment.register_all()
+    deployment.form_meshes()
+    ids = deployment.peer_ids()
+    attacker, spammer = deployment.peers[ids[0]], deployment.peers[ids[5]]
+    for number in range(4):
+        for index, peer_id in enumerate(ids):
+            deployment.peers[peer_id].publish(b"guard|%d|%d" % (number, index))
+        if number in (1, 2):
+            for serial in range(30):
+                kind = KINDS[serial % 3] if serial % 10 else KINDS[0]
+                payload = b"hostile|%d|%d" % (number, serial)
+                attacker.relay.publish(forge(attacker, payload, kind))
+        deployment.run(1.0)
+    spammer.publish(b"signal|1", force=True)
+    spammer.publish(b"signal|2", force=True)
+    deployment.run(30.0)  # commit and reveal each need a block
+    pairings = {
+        name: value - before[name] for name, value in dataclasses.asdict(counter).items()
+    }
+    return deployment, pairings
+
+
+def relay_record(deployment: RLNDeployment, pairings: dict) -> dict:
+    """Every relay-path counter of the fleet, as JSON-ready values."""
+    peers = {}
+    for peer_id in deployment.peer_ids():
+        peer = deployment.peers[peer_id]
+        pipeline = peer.pipeline
+        validator = peer.validator.stats
+        verifier = pipeline.batch_verifier
+        executor = pipeline.executor.stats
+        peers[peer_id] = {
+            "outcomes": {o.name: n for o, n in validator.outcomes.items()},
+            "proofs_verified": validator.proofs_verified,
+            "proofs_cached": validator.proofs_cached,
+            "admitted": pipeline.stats.admitted,
+            "deferred": pipeline.stats.deferred,
+            "drops": pipeline.stats.drops,
+            "prefilter_passed": pipeline.prefilter.stats.passed,
+            "prefilter_dropped": {
+                o.name: n for o, n in pipeline.prefilter.stats.dropped.items()
+            },
+            "ratelimit": dataclasses.asdict(pipeline.ratelimiter.stats),
+            "batches": dataclasses.asdict(verifier.stats),
+            "cache_hits": verifier.cache_hits,
+            "verified": verifier.verified,
+            "joined_in_flight": verifier.joined_in_flight,
+            "executor_classes": {
+                p.name: dataclasses.asdict(c) for p, c in executor.classes.items()
+            },
+            "executor": {
+                "jobs_drained": executor.jobs_drained,
+                "inline_seconds": executor.inline_seconds,
+                "service_seconds": executor.service_seconds,
+                "lane_busy_seconds": executor.lane_busy_seconds,
+            },
+            "router": dataclasses.asdict(peer.router_stats),
+            "protocol": dataclasses.asdict(peer.stats),
+        }
+    return {
+        "peers": peers,
+        "pairings": pairings,
+        "bytes": deployment.network.protocol_bytes(),
+        "events": deployment.simulator.processed_events,
+    }
+
+
+def relay_digest(record: dict) -> str:
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_relay_path_counters_are_pinned(shape):
+    deployment, pairings = run_fleet(SHAPES[shape])
+    record = relay_record(deployment, pairings)
+    peers = record["peers"].values()
+    # The run is the one the digest was taken from: every attack landed.
+    outcomes = ValidationOutcome
+    assert sum(p["outcomes"][outcomes.INVALID_PROOF.name] for p in peers) > 0
+    assert sum(p["outcomes"][outcomes.PAYLOAD_MISMATCH.name] for p in peers) > 0
+    assert sum(p["outcomes"][outcomes.INVALID_EPOCH_GAP.name] for p in peers) > 0
+    assert sum(p["ratelimit"]["limited_by_peer"] for p in peers) > 0
+    assert deployment.total_spam_detected() > 0
+    assert relay_digest(record) == GOLDEN[shape]

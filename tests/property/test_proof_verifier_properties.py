@@ -6,7 +6,11 @@ bundles, interleaved with simulator advances and ``close()`` /
 builds.  After quiescence every verdict equals the prover's own, nothing
 is left pending, every check is accounted exactly once (a cache hit, a
 join, or a verification), and no bundle is paid for twice: only its first
-check does pairing work.
+check does pairing work.  Every check carries a recording span, and its
+marks trail the path it took: a cache hit or a join is one
+``verdict-cache`` mark; a fresh check is enqueued, flushed (relay class
+only), dispatched and paired — all of it before ``check`` returns when
+the verdict lands now.
 """
 
 from __future__ import annotations
@@ -27,9 +31,25 @@ from repro.exec.executor import Priority
 from repro.net.promise import Promise
 from repro.net.simulator import Simulator
 from repro.pipeline.pipeline import PipelineConfig, ValidationPipeline
+from repro.telemetry.tracing import (
+    BATCH_ENQUEUE, BATCH_FLUSH, LANE_DISPATCH, PAIRING, VERDICT_CACHE,
+)
 
 EPOCH = testing.RLN_TEST_EPOCH
 POOL = 9
+
+#: A fresh check's whole trail, by class.
+FRESH_TRAIL = {
+    "relay": [BATCH_ENQUEUE, BATCH_FLUSH, LANE_DISPATCH, PAIRING],
+    "service": [BATCH_ENQUEUE, LANE_DISPATCH, PAIRING],
+}
+
+
+class Trail(list):
+    """A span that records the marks it is given, in order."""
+
+    def mark(self, name: str) -> None:
+        self.append(name)
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +120,7 @@ def test_every_check_lands_once_with_the_provers_verdict(
         PipelineConfig(batch_size=batch_size, workers=workers),
     )
     checker = pipeline.shared_checker()
-    answers = []  # (pool index, bool | Promise, fresh)
+    answers = []  # (pool index, bool | Promise, fresh, class, trail)
     seen: set[tuple[bytes, bytes]] = set()
     for op, arg in ops:
         if op == "advance":
@@ -111,20 +131,26 @@ def test_every_check_lands_once_with_the_provers_verdict(
             pipeline.reopen()
         else:
             priority = Priority.RELAY if op == "relay" else Priority.SERVICE
-            verdict, fresh = checker.check(pool[arg], priority=priority)
+            trail = Trail()
+            verdict, fresh = checker.check(pool[arg], priority=priority, trace=trail)
             # Paid for on a bundle's first check only: every later one is a
             # cache hit or joins the check still in flight.
             key = statement(pool[arg])
             assert fresh is (key not in seen)
             seen.add(key)
-            answers.append((arg, verdict, fresh))
+            if not fresh:
+                assert trail == [VERDICT_CACHE]
+            elif not isinstance(verdict, Promise) or verdict.resolved:
+                assert trail == FRESH_TRAIL[op]  # landed now: the whole trail
+            answers.append((arg, verdict, fresh, op, trail))
     simulator.run_until_idle()
 
-    for index, verdict, _ in answers:
+    for index, verdict, fresh, op, trail in answers:
         if isinstance(verdict, Promise):
             assert verdict.resolved
             verdict = verdict.value
         assert verdict is expected[index]
+        assert trail == (FRESH_TRAIL[op] if fresh else [VERDICT_CACHE])
     assert not checker._in_flight
     assert checker.cache_hits + checker.joined_in_flight + checker.verified == len(answers)
-    assert checker.verified == len(seen) == sum(fresh for *_, fresh in answers)
+    assert checker.verified == len(seen) == sum(answer[2] for answer in answers)

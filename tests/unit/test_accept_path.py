@@ -130,10 +130,15 @@ def expected_action(outcome: ValidationOutcome) -> ValidationResult:
 
 class TestSharedVerdicts:
     def test_every_shared_verdict_equals_a_freshly_built_one(self):
-        for (outcome, stage, cached), shared in _SHARED_VERDICTS.items():
-            assert shared == Verdict(
-                expected_action(outcome), outcome, stage=stage, cached=cached
-            )
+        assert len(_SHARED_VERDICTS) == len(ValidationOutcome)
+        for outcome in ValidationOutcome:
+            for stage, shared in _SHARED_VERDICTS[outcome.slot].items():
+                assert shared == Verdict(
+                    expected_action(outcome),
+                    outcome,
+                    stage=stage,
+                    cached=stage == "verdict-cache",
+                )
 
     def test_the_pipeline_hands_out_the_shared_instances(self, rln_env):
         pipeline = make_pipeline(rln_env)
@@ -155,14 +160,13 @@ class TestSharedVerdicts:
         emitted = set()
         for index, message in enumerate(stream):
             verdict = pipeline.validate("p", message, EPOCH, b"id-%d" % index)
-            key = (verdict.outcome, verdict.stage, verdict.cached)
             assert verdict == Verdict(
                 expected_action(verdict.outcome),
                 verdict.outcome,
                 stage=verdict.stage,
                 cached=verdict.cached,
             )
-            assert verdict is _SHARED_VERDICTS[key]
+            assert verdict is _SHARED_VERDICTS[verdict.outcome.slot][verdict.stage]
             emitted.add(verdict.outcome)
         assert emitted == set(ValidationOutcome) - {ValidationOutcome.SPAM}
 
@@ -178,7 +182,7 @@ class TestSharedVerdicts:
         ]
         assert verdicts[0].outcome is ValidationOutcome.VALID
         first, second = verdicts[1:]
-        shared = {id(verdict) for verdict in _SHARED_VERDICTS.values()}
+        shared = {id(verdict) for row in _SHARED_VERDICTS for verdict in row.values()}
         for verdict, message in zip((first, second), signals[1:]):
             assert verdict.outcome is ValidationOutcome.SPAM
             assert id(verdict) not in shared

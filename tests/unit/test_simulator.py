@@ -42,6 +42,14 @@ class TestScheduling:
         with pytest.raises(NetworkError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(NetworkError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(NetworkError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
     def test_nested_scheduling(self):
         sim = Simulator()
         fired = []
@@ -172,6 +180,12 @@ class TestTicker:
     def test_invalid_interval(self):
         with pytest.raises(NetworkError):
             Simulator().every(0, lambda: None)
+
+    def test_nan_interval_rejected(self):
+        sim = Simulator()
+        with pytest.raises(NetworkError):
+            sim.every(float("nan"), lambda: None)
+        assert sim.pending_events == 0
 
     def test_processed_counter(self):
         sim = Simulator()
