@@ -21,7 +21,10 @@ occupancy, governs cost) under honest+flood load:
 
 The disabled-arm guard is also written to ``reports/E17-guard.json`` so
 CI can fail the build if telemetry bytes ever leak into a default-off
-deployment.
+deployment — and, beside it, the enabled arm's telemetry/relay byte
+ratio, asserted at most :data:`RATIO_BOUND` so the bytes a batch saves
+by not repeating itself (symbol tables, varints, id-free local roots,
+one-bit repeated stamps) cannot silently grow back.
 """
 
 import json
@@ -42,6 +45,9 @@ SCALES = {10_000: 14, 100_000: 17, 1_000_000: 20}
 PEERS = 8
 DEGREE = 4
 GUARD_PATH = pathlib.Path(__file__).parent / "reports" / "E17-guard.json"
+#: Ceiling on telemetry bytes per relay byte at these settings (0.79 with
+#: the compact batch layout; 1.48 when every batch repeated its strings).
+RATIO_BOUND = 0.9
 
 
 def build(members: int, *, collector: bool) -> RLNDeployment:
@@ -177,9 +183,10 @@ def test_disabled_collector_keeps_the_wire_clean(report_sink):
             plain.peers[peer_id].relay.traffic()
             == observed.peers[peer_id].relay.traffic()
         ), peer_id
-    assert plain.network.protocol_bytes()["gossipsub"] == (
-        observed.network.protocol_bytes()["gossipsub"]
-    )
+    relay_bytes = observed.network.protocol_bytes()["gossipsub"]
+    assert plain.network.protocol_bytes()["gossipsub"] == relay_bytes
+    ratio = telemetry_bytes(observed) / relay_bytes
+    assert ratio <= RATIO_BOUND, f"telemetry/relay byte ratio {ratio:.2f} > {RATIO_BOUND}"
 
     GUARD_PATH.parent.mkdir(exist_ok=True)
     GUARD_PATH.write_text(
@@ -188,7 +195,9 @@ def test_disabled_collector_keeps_the_wire_clean(report_sink):
                 "experiment": "E17-guard",
                 "telemetry_bytes_when_disabled": leaked,
                 "relay_bytes_plain": plain.network.protocol_bytes()["gossipsub"],
-                "relay_bytes_observed": observed.network.protocol_bytes()["gossipsub"],
+                "relay_bytes_observed": relay_bytes,
+                "telemetry_relay_ratio": round(ratio, 4),
+                "telemetry_relay_ratio_bound": RATIO_BOUND,
             },
             indent=2,
         )
@@ -207,14 +216,11 @@ def test_disabled_collector_keeps_the_wire_clean(report_sink):
         plain.network.protocol_bytes()["gossipsub"],
         0,
     )
-    report.add_row(
-        "collector=True",
-        observed.network.protocol_bytes()["gossipsub"],
-        telemetry_bytes(observed),
-    )
+    report.add_row("collector=True", relay_bytes, telemetry_bytes(observed))
     report.add_note(
         "guard artifact reports/E17-guard.json: CI fails if "
-        "telemetry_bytes_when_disabled is ever nonzero"
+        "telemetry_bytes_when_disabled is ever nonzero, or if the "
+        f"telemetry/relay byte ratio ({ratio:.2f}) exceeds {RATIO_BOUND}"
     )
     report_sink(report)
 

@@ -39,7 +39,7 @@ waits, pairing service time), not Python wall time.
   publish→verdict latency *per assembled trace*.
 
 The two wire types declare their byte layouts on :mod:`repro.codec`
-(``_write`` / ``_read``), like every other encoded artefact.
+(``SpanRecord``'s as a symbol-table ``Framed`` body), like every other.
 
 Like the registry, the tracer has a no-op twin
 (:data:`NULL_DISTTRACER` / :data:`NULL_TRACE`) so instrumentation is
@@ -53,11 +53,12 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter, sub
 from struct import Struct
 from typing import Callable, Iterator, NamedTuple
 
-from repro.codec import Reader, Wire, Writer
+from repro.codec import Framed, Reader, Symbol, Symbols, Wire, Writer, varint
 from repro.errors import ProtocolError
 from repro.telemetry.registry import (
     Counter,
@@ -77,9 +78,22 @@ NO_PARENT = 0
 Marks = tuple[tuple[str, float], ...]
 
 _CONTEXT_HEAD = Struct(">QH")
-_SPAN_HEAD = Struct(">QQQHdd")
-_MARK_COUNT = Struct(">H")
 _STAMP = Struct(">d")
+
+
+@lru_cache(maxsize=4096)
+def local_prefix(peer_id: str) -> int:
+    """High 64 bits of every local-root trace id ``peer_id`` mints (its
+    sampling seed): the wire recomputes it rather than carry the id."""
+    return int.from_bytes(hashlib.sha256(peer_id.encode()).digest()[:8], "big") << 64
+
+
+def _is_local_root(ids: tuple) -> bool:
+    """Whether a span's ids are what :meth:`DistTracer.begin` gives an untraced bundle."""
+    trace_id, span_id, parent_id, _, peer, origin, kind, hop = ids
+    return parent_id == NO_PARENT and kind != PUBLISH and hop == 0 and origin == peer and (
+        trace_id == local_prefix(peer) | span_id
+    )
 
 
 # -- wire types ---------------------------------------------------------------
@@ -123,7 +137,7 @@ class SpanContext(_ContextFields, Wire):
         return 26 + 2 + len(self.origin.encode("utf-8"))
 
 
-class SpanRecord(tuple, Wire):
+class SpanRecord(tuple, Framed):
     """One finished span as exported to the collector.
 
     ``seq`` is the minting peer's local monotone counter (the exporter's
@@ -208,37 +222,56 @@ class SpanRecord(tuple, Wire):
             map(sub, itertools.islice(stamps, 1, None), stamps),
         )
 
-    def _write(self, w: Writer) -> None:
+    def _write_body(self, w: Writer, refs: Symbols) -> None:
+        """Flags (local root 1, end repeats 2), seq, span id, peer, kind;
+        unless a local root, trace id (16 bytes), parent (8), hop, origin;
+        start; the stages, counted; a mask with bit i set when stamp i's bytes
+        equal the one before (start, for the first); the stamps not masked."""
         trace_id, span_id, parent_id, seq, peer, origin, kind, hop, start, end, path, stamps = self
-        w.raw(trace_id.to_bytes(16, "big"))
-        w.raw(_SPAN_HEAD.pack(span_id, parent_id, seq, hop, start, end))
-        w.str(peer)
-        w.str(origin)
-        w.str(kind)
-        w.raw(_MARK_COUNT.pack(len(stamps)))
-        for stage, stamp in zip(path, stamps):
-            w.str(stage)
-            w.raw(_STAMP.pack(stamp))
+        pack = _STAMP.pack
+        previous = first = pack(start)
+        value, mask, bit, kept = start, 0, 1, []
+        for stamp in (*stamps, end):
+            # Equal non-zero floats have equal bytes; zeros and NaNs compare bytes.
+            if stamp == value and stamp or (packed := pack(stamp)) == previous:
+                mask |= bit
+            else:
+                kept.append(packed)
+                previous, value = packed, stamp
+            bit <<= 1
+        local, count = parent_id == NO_PARENT and _is_local_root(self[:8]), len(stamps)
+        w += bytes((local | (mask >> count) << 1,)), varint(seq), varint(span_id), refs[peer]
+        w.raw(refs[kind])
+        if not local:
+            w += trace_id.to_bytes(16, "big") + parent_id.to_bytes(8, "big"), varint(hop)
+            w.raw(refs[origin])
+        w += first, varint(count)
+        w.extend(map(refs.__getitem__, path))
+        w.raw(varint(mask & ~(1 << count), count))
+        w.extend(kept)
 
     @classmethod
-    def _read(cls, r: Reader) -> "SpanRecord":
-        trace_id = int.from_bytes(r.raw(16), "big")
-        span_id, parent_id, seq, hop, start, end = r.unpack(">QQQHdd")
-        peer, origin, kind = r.str(), r.str(), r.str()
-        (n_marks,) = r.unpack(">H")
-        return cls(
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_id=parent_id,
-            seq=seq,
-            peer=peer,
-            origin=origin,
-            kind=kind,
-            hop=hop,
-            start=start,
-            end=end,
-            marks=tuple((r.str(), r.unpack(">d")[0]) for _ in range(n_marks)),
-        )
+    def _read_body(cls, r: Reader, symbol: Symbol) -> "SpanRecord":
+        (flags,) = r.raw(1)
+        seq, span_id, peer, kind = r.varint(), r.varint(), symbol(), symbol()
+        if flags & 1:
+            trace_id, parent_id, hop, origin = local_prefix(peer) | span_id, NO_PARENT, 0, peer
+        else:
+            trace_id, parent_id = int.from_bytes(r.raw(16), "big"), int.from_bytes(r.raw(8), "big")
+            hop, origin = r.varint(), symbol()
+        fields = (trace_id, span_id, parent_id, seq, peer, origin, kind, hop)
+        if flags >> 2 or (flags & 1) != _is_local_root(fields):
+            raise ProtocolError(f"span flags {flags:#04x} are not the ones its ids call for")
+        times = [r.raw(8)]
+        path = tuple(symbol() for _ in range(r.varint()))
+        mask = r.varint(len(path)) | (flags >> 1) << len(path)
+        for bit in range(len(path) + 1):
+            written = not mask >> bit & 1
+            times.append(r.raw(8) if written else times[-1])
+            if written and times[-1] == times[-2]:
+                raise ProtocolError("a repeated stamp written in full")
+        start, *stamps, end = (value for (value,) in _STAMP.iter_unpack(b"".join(times)))
+        return tuple.__new__(cls, (*fields, start, end, path, tuple(stamps)))
 
 
 _SPAN_FIELDS = (
@@ -330,15 +363,14 @@ class DistTracer:
         self.registry = registry
         self.sample = sample
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
-        seed = int.from_bytes(hashlib.sha256(peer_id.encode()).digest()[:8], "big")
-        # Dedicated sampling RNG: drawing from a shared router RNG would
-        # perturb mesh shuffles and break every bit-identity comparison.
-        self._rng = random.Random(seed)
-        self._mint = itertools.count()
         #: Local roots take their ids from a counter under this peer's
         #: 64-bit prefix: unique fleet-wide without hashing per bundle,
         #: and sampled traces keep the ids they would have had alone.
-        self._local_prefix = seed << 64
+        self._local_prefix = local_prefix(peer_id)
+        # Dedicated sampling RNG: drawing from a shared router RNG would
+        # perturb mesh shuffles and break every bit-identity comparison.
+        self._rng = random.Random(self._local_prefix >> 64)
+        self._mint = itertools.count()
         self._local = itertools.count(1)
         self._seq = itertools.count()
         self._ring: deque[SpanRecord] = deque(maxlen=capacity)

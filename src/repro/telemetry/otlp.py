@@ -31,21 +31,23 @@ snapshot:
 Every type serialises to bytes through :mod:`repro.codec`; the simulated
 network carries the dataclasses and bills ``byte_size() ==
 len(to_bytes())``, so the E17 telemetry/relay byte ratio reflects honest
-wire cost (including re-sending the 33 default
-bucket bounds only when a histogram uses *non*-default buckets — the
-default set travels as a one-byte flag).
+wire cost.  A batch does not repeat itself: each of its strings sits once
+in its symbol table, counts, ids and integer deltas are varints, a local
+root carries no trace id, a repeated span stamp is one bit, and the 33
+default bucket bounds are a one-byte flag.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, starmap
-from operator import ne
+from itertools import compress
+from operator import gt, ne
 from struct import Struct
 from typing import Mapping
 
-from repro.codec import Reader, Wire, Writer, flag
+from repro.codec import Framed, Reader, Symbol, Symbols, Wire, Writer, flag, svarint, varint
 from repro.errors import ProtocolError
 from repro.telemetry.disttrace import SpanRecord
 from repro.telemetry.registry import DEFAULT_BUCKETS, Metric, metric_key
@@ -69,13 +71,9 @@ def labels_of(mapping: Mapping[str, str]) -> Labels:
 # -- metric deltas ------------------------------------------------------------
 
 
-_INT = Struct(">Bq")
 _FLOAT = Struct(">Bd")
-_HISTOGRAM_TOTALS = Struct(">QdddH")
-_BUCKET = Struct(">HQ")
-_BATCH_HEAD = Struct(">iQdQI")
-_COUNT16 = Struct(">H")
-_REQUEST_ID = Struct(">Q")
+_DOUBLE = Struct(">d")
+_HISTOGRAM_TOTALS = Struct(">ddd")
 
 
 def _write_number(w: Writer, value: int | float) -> None:
@@ -83,20 +81,20 @@ def _write_number(w: Writer, value: int | float) -> None:
     if isinstance(value, bool):
         raise ProtocolError("bool is not a wire scalar")
     if isinstance(value, int):
-        w.raw(_INT.pack(0, value))
+        w.raw(b"\x00" + svarint(value))
     else:
         w.raw(_FLOAT.pack(1, value))
 
 
 def _read_number(r: Reader) -> int | float:
     (is_float,) = r.unpack(">B")
-    return r.unpack(">d" if flag(is_float) else ">q")[0]
+    return r.unpack(">d")[0] if flag(is_float) else r.svarint()
 
 
-class _Metric(Wire):
+class _Metric(Framed):
     """What the three instruments share: the series key, and the head of
     the layout — a tag byte saying which instrument follows, the name and
-    the labels."""
+    the labels, symbols of the frame (a standalone delta is its own)."""
 
     __slots__ = ()
 
@@ -106,21 +104,23 @@ class _Metric(Wire):
     def key(self) -> str:
         return _series_key(self.name, self.labels)
 
-    def _write_head(self, w: Writer) -> None:
-        w.raw(_head(self.tag, self.name, self.labels))
+    def _write_body(self, w: Writer, refs: Symbols) -> None:
+        w += self.tag, refs[self.name], varint(len(self.labels))
+        for key, value in self.labels:
+            w += refs[key], refs[value]
+        self._write_value(w)
 
     @classmethod
-    def _read(cls, r: Reader) -> "MetricDelta":
+    def _read_body(cls, r: Reader, symbol: Symbol) -> "MetricDelta":
         """The instrument the tag byte announces, which must be a ``cls``
         (a batch reads ``_Metric``: any of the three)."""
         tag = r.raw(1)
         instrument = _METRIC_TYPES.get(tag)
         if instrument is None or not issubclass(instrument, cls):
             raise ProtocolError(f"unexpected metric tag {tag!r}")
-        name = r.str()
-        (count,) = r.unpack(">B")
-        labels = tuple((r.str(), r.str()) for _ in range(count))
-        return instrument._read_body(r, name, labels)
+        name = symbol()
+        labels = tuple((symbol(), symbol()) for _ in range(r.varint()))
+        return instrument._read_value(r, name, labels)
 
 
 @lru_cache(maxsize=4096)
@@ -128,22 +128,6 @@ def _series_key(name: str, labels: Labels) -> str:
     """The registry key a series folds under (remembered: the collector
     asks once per delta of every batch)."""
     return metric_key(name, dict(labels))
-
-
-@lru_cache(maxsize=1024)
-def _head(tag: bytes, name: str, labels: Labels) -> bytes:
-    """The head of one series' layout.  Remembered: a peer exports the
-    same few dozen series tick after tick."""
-    if len(labels) > 0xFF:
-        raise ProtocolError("too many labels")
-    w = Writer()
-    w.raw(tag)
-    w.str(name)
-    w.pack(">B", len(labels))
-    for key, value in labels:
-        w.str(key)
-        w.str(value)
-    return w.getvalue()
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,12 +141,11 @@ class CounterDelta(_Metric):
     kind = "counter"
     tag = b"C"
 
-    def _write(self, w: Writer) -> None:
-        self._write_head(w)
+    def _write_value(self, w: Writer) -> None:
         _write_number(w, self.delta)
 
     @classmethod
-    def _read_body(cls, r: Reader, name: str, labels: Labels) -> "CounterDelta":
+    def _read_value(cls, r: Reader, name: str, labels: Labels) -> "CounterDelta":
         return cls(name=name, labels=labels, delta=_read_number(r))
 
 
@@ -177,12 +160,11 @@ class GaugeValue(_Metric):
     kind = "gauge"
     tag = b"G"
 
-    def _write(self, w: Writer) -> None:
-        self._write_head(w)
+    def _write_value(self, w: Writer) -> None:
         _write_number(w, self.value)
 
     @classmethod
-    def _read_body(cls, r: Reader, name: str, labels: Labels) -> "GaugeValue":
+    def _read_value(cls, r: Reader, name: str, labels: Labels) -> "GaugeValue":
         return cls(name=name, labels=labels, value=_read_number(r))
 
 
@@ -212,30 +194,34 @@ class HistogramDelta(_Metric):
     def bounds(self) -> tuple[float, ...]:
         return DEFAULT_BUCKETS if self.le is None else self.le
 
-    def _write(self, w: Writer) -> None:
-        self._write_head(w)
+    def _write_value(self, w: Writer) -> None:
         if self.le is None:
             w.raw(b"\x00")
         else:
-            w.pack(f">BH{len(self.le)}d", 1, len(self.le), *self.le)
-        totals = (self.count_delta, self.sum_total, self.min_total, self.max_total)
-        w.raw(_HISTOGRAM_TOTALS.pack(*totals, len(self.bucket_deltas)))
-        w.extend(starmap(_BUCKET.pack, self.bucket_deltas))
+            w += b"\x01", varint(len(self.le)), *map(_DOUBLE.pack, self.le)
+        totals = _HISTOGRAM_TOTALS.pack(self.sum_total, self.min_total, self.max_total)
+        w += varint(self.count_delta), totals, varint(len(self.bucket_deltas))
+        for index, delta in self.bucket_deltas:
+            w += varint(index), varint(delta)
 
     @classmethod
-    def _read_body(cls, r: Reader, name: str, labels: Labels) -> "HistogramDelta":
+    def _read_value(cls, r: Reader, name: str, labels: Labels) -> "HistogramDelta":
         le: tuple[float, ...] | None = None
         if flag(r.unpack(">B")[0]):
-            (n_bounds,) = r.unpack(">H")
-            le = r.unpack(f">{n_bounds}d")
-        *totals, n_pairs = r.unpack(">QdddH")
-        pairs = tuple(r.unpack(">HQ") for _ in range(n_pairs))
+            le = tuple(r.unpack(">d")[0] for _ in range(r.varint()))
+            # A registry only ever holds sorted finite bounds; anything
+            # else folds into a state whose quantiles are garbage.
+            if not all(map(math.isfinite, le)) or any(map(gt, le, le[1:])):
+                raise ProtocolError("histogram bounds must be finite and non-decreasing")
+        count_delta = r.varint()
+        totals = r.unpack(">ddd")
+        pairs = tuple((r.varint(), r.varint()) for _ in range(r.varint()))
         # The collector folds a pair with ``buckets[index] += delta``; an
         # index past the +Inf overflow bucket has nowhere to land.
         overflow = len(DEFAULT_BUCKETS if le is None else le)
         if any(index > overflow for index, _ in pairs):
             raise ProtocolError(f"bucket index past the overflow bucket {overflow}")
-        return cls(name, labels, *totals, bucket_deltas=pairs, le=le)
+        return cls(name, labels, count_delta, *totals, bucket_deltas=pairs, le=le)
 
 
 MetricDelta = CounterDelta | GaugeValue | HistogramDelta
@@ -327,7 +313,7 @@ class DeltaTracker:
 
 
 @dataclass(frozen=True, slots=True)
-class TelemetryBatch(Wire):
+class TelemetryBatch(Framed):
     """One export interval: resource attributes + metric deltas + spans.
 
     ``seq`` is per-peer monotone from 1; ``dropped_batches`` is the
@@ -343,29 +329,28 @@ class TelemetryBatch(Wire):
     time: float
     dropped_batches: int
     metrics: tuple[MetricDelta, ...]
-    #: Finished spans, bounded per tick and cursor-drained; empty is 2
-    #: wire bytes.
+    #: Finished spans, bounded per tick and cursor-drained; empty is one
+    #: wire byte.
     spans: tuple[SpanRecord, ...] = ()
 
-    def _write(self, w: Writer) -> None:
-        w.str(self.peer)
-        w.str(self.role)
-        head = (self.shard, self.seq, self.time, self.dropped_batches)
-        w.raw(_BATCH_HEAD.pack(*head, len(self.metrics)))
+    def _write_body(self, w: Writer, refs: Symbols) -> None:
+        """Peer and role (symbols), shard (zigzag), seq, time (f64), dropped
+        batches, then the metrics and the spans, each list counted first."""
+        w += refs[self.peer], refs[self.role], svarint(self.shard), varint(self.seq)
+        w += _DOUBLE.pack(self.time), varint(self.dropped_batches), varint(len(self.metrics))
         for metric in self.metrics:
-            metric._write(w)
-        w.raw(_COUNT16.pack(len(self.spans)))
+            metric._write_body(w, refs)
+        w.raw(varint(len(self.spans)))
         for span in self.spans:
-            span._write(w)
+            span._write_body(w, refs)
 
     @classmethod
-    def _read(cls, r: Reader) -> "TelemetryBatch":
-        peer, role = r.str(), r.str()
-        *head, n_metrics = r.unpack(">iQdQI")
-        metrics = tuple(_Metric._read(r) for _ in range(n_metrics))
-        (n_spans,) = r.unpack(">H")
-        spans = tuple(SpanRecord._read(r) for _ in range(n_spans))
-        return cls(peer, role, *head, metrics, spans)
+    def _read_body(cls, r: Reader, symbol: Symbol) -> "TelemetryBatch":
+        peer, role = symbol(), symbol()
+        shard, seq, (time,), dropped = r.svarint(), r.varint(), r.unpack(">d"), r.varint()
+        metrics = tuple(_Metric._read_body(r, symbol) for _ in range(r.varint()))
+        spans = tuple(SpanRecord._read_body(r, symbol) for _ in range(r.varint()))
+        return cls(peer, role, shard, seq, time, dropped, metrics, spans)
 
 
 @dataclass(frozen=True, slots=True)
@@ -376,13 +361,12 @@ class ExportRequest(Wire):
     batch: TelemetryBatch
 
     def _write(self, w: Writer) -> None:
-        w.raw(_REQUEST_ID.pack(self.request_id))
+        w.raw(varint(self.request_id))
         self.batch._write(w)
 
     @classmethod
     def _read(cls, r: Reader) -> "ExportRequest":
-        (request_id,) = r.unpack(">Q")
-        return cls(request_id=request_id, batch=TelemetryBatch._read(r))
+        return cls(request_id=r.varint(), batch=TelemetryBatch._read(r))
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,33 +2,40 @@
 
 An 8-peer fleet under the production profile — crypto lanes, batching,
 a collector with head-sampled traces and the alert pack — runs four
-honest rounds and drains its exporters.  One SHA-256 covers everything
-the telemetry path lets an operator see:
+honest rounds and drains its exporters.  Two SHA-256 digests cover
+everything the telemetry path lets an operator see, split by what a
+change may move:
 
-* the collector's merged fleet snapshot (``to_json``);
-* every exemplar span the collector kept, as its wire bytes;
-* every assembled propagation tree (``to_json``);
-* the bytes the network billed per protocol (telemetry included);
-* every exporter's and the collector's own accounting;
-* the alert-transition log.
+* the **content** digest — what the collector folded and what the fleet
+  did: the merged fleet snapshot (``to_json``), every exemplar span's
+  fields beside its collector seq and peer, every assembled propagation
+  tree, every exporter's and the collector's own accounting, the
+  alert-transition log, the messages sent per protocol and the gossipsub
+  byte total.  A change to how spans are recorded, folded, drained or
+  encoded, or to how metric deltas are computed and folded, must leave
+  it alone;
+* the **wire** digest — how those objects are laid down in bytes: every
+  exemplar's ``to_bytes()`` and the ``telemetry`` / ``telemetry-reply``
+  byte totals.  Only a layout change moves it.
 
-A change to how spans are recorded, folded, drained or encoded, or to
-how metric deltas are computed and folded, must leave this digest alone.
-It does not depend on ``PYTHONHASHSEED``.
+Neither depends on ``PYTHONHASHSEED``.
 """
 
 import dataclasses
 import hashlib
 import json
+from functools import lru_cache
 
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.pipeline import PipelineConfig
 from repro.telemetry import CollectorOptions
 
-GOLDEN = "132d7f3f88df01246725cd64942bebda5e9be56f55d1f65e0bf1e25b96aa4796"
+CONTENT = "62e9bda224c1d7adfdbbf6fa825e2cb0509c7e9f4cac4967d823dcfa6e6602e6"
+WIRE = "1c630167fe33cd6e170c6d47bc939a4041f2fa1dcd440acb3fb56c419c7138c7"
 
 
+@lru_cache(maxsize=1)
 def run_fleet() -> RLNDeployment:
     deployment = RLNDeployment.create(
         peer_count=8,
@@ -48,33 +55,63 @@ def run_fleet() -> RLNDeployment:
     return deployment
 
 
-def telemetry_digest(deployment: RLNDeployment) -> str:
-    collector = deployment.collector
-    digest = hashlib.sha256()
+class Digest:
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
 
-    def feed(label: str, data: bytes) -> None:
-        digest.update(label.encode() + b"\0" + len(data).to_bytes(8, "big") + data)
+    def feed(self, label: str, data: bytes | object) -> None:
+        if not isinstance(data, bytes):
+            data = json.dumps(data, sort_keys=True).encode()
+        self._hash.update(label.encode() + b"\0" + len(data).to_bytes(8, "big") + data)
 
-    feed("fleet", collector.fleet_snapshot().to_json().encode())
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def content_digest(deployment: RLNDeployment) -> str:
+    collector, network = deployment.collector, deployment.network
+    digest = Digest()
+    digest.feed("fleet", collector.fleet_snapshot().to_json().encode())
     for seq, peer, record in collector.recent_traces():
-        feed(f"exemplar {seq} {peer}", record.to_bytes())
+        # Fields by value: ``repr`` keeps every float exact (and -0.0).
+        digest.feed(f"exemplar {seq} {peer}", repr(tuple(record)).encode())
     for tree in collector.assembler.trees():
-        feed("tree", json.dumps(tree.to_json(), sort_keys=True).encode())
-    feed("bytes", json.dumps(deployment.network.protocol_bytes(), sort_keys=True).encode())
+        digest.feed("tree", tree.to_json())
     for peer_id in sorted(deployment.exporters):
-        stats = dataclasses.asdict(deployment.exporters[peer_id].stats)
-        feed(f"exporter {peer_id}", json.dumps(stats, sort_keys=True).encode())
-    feed("collector", json.dumps(dataclasses.asdict(collector.stats), sort_keys=True).encode())
-    feed("alerts", json.dumps(collector.alert_events(), sort_keys=True).encode())
+        digest.feed(f"exporter {peer_id}", dataclasses.asdict(deployment.exporters[peer_id].stats))
+    digest.feed("collector", dataclasses.asdict(collector.stats))
+    digest.feed("alerts", collector.alert_events())
+    messages = {p: network.total_messages(protocol=p) for p in network.protocol_bytes()}
+    digest.feed("messages", messages)
+    digest.feed("gossipsub bytes", network.protocol_bytes()["gossipsub"])
     return digest.hexdigest()
 
 
-def test_production_fleet_telemetry_is_byte_identical():
+def wire_digest(deployment: RLNDeployment) -> str:
+    digest = Digest()
+    for seq, peer, record in deployment.collector.recent_traces():
+        digest.feed(f"exemplar {seq} {peer}", record.to_bytes())
+    protocol_bytes = deployment.network.protocol_bytes()
+    for protocol in ("telemetry", "telemetry-reply"):
+        digest.feed(f"{protocol} bytes", protocol_bytes[protocol])
+    return digest.hexdigest()
+
+
+def test_production_fleet_telemetry_content_is_unchanged():
     deployment = run_fleet()
     collector = deployment.collector
-    # The run is the one the digest was taken from: traces were sampled,
-    # exemplars and trees reached the collector, nothing was lost.
+    # The run is the one the digests were taken from: traces were
+    # sampled, exemplars and trees reached the collector, nothing was lost.
     assert collector.stats.lost_batches == 0
     assert collector.recent_traces() and collector.assembler.trees()
     assert collector.firing() == []
-    assert telemetry_digest(deployment) == GOLDEN
+    assert content_digest(deployment) == CONTENT
+
+
+def test_production_fleet_telemetry_is_byte_identical():
+    assert wire_digest(run_fleet()) == WIRE
+
+
+if __name__ == "__main__":  # pragma: no cover - reprints the two pins
+    fleet = run_fleet()
+    print(f'CONTENT = "{content_digest(fleet)}"\nWIRE = "{wire_digest(fleet)}"')

@@ -13,7 +13,7 @@ from repro.core.messages import RateLimitProof
 from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.merkle import MerkleProof
 from repro.crypto.optimized_merkle import TreeUpdate
-from repro.telemetry.disttrace import SpanContext, SpanRecord
+from repro.telemetry.disttrace import NO_PARENT, SpanContext, SpanRecord, local_prefix
 from repro.telemetry.otlp import (
     CounterDelta,
     ExportAck,
@@ -121,12 +121,18 @@ label_text = st.text(
     min_size=0,
     max_size=12,
 )
-labels = st.lists(
-    st.tuples(st.sampled_from(("peer", "stage", "kind", "x")), label_text),
-    min_size=0,
-    max_size=3,
-    unique_by=lambda pair: pair[0],
-).map(lambda pairs: tuple(sorted(pairs)))
+
+
+def _labels(text):
+    return st.lists(
+        st.tuples(st.sampled_from(("peer", "stage", "kind", "x")), text),
+        min_size=0,
+        max_size=3,
+        unique_by=lambda pair: pair[0],
+    ).map(lambda pairs: tuple(sorted(pairs)))
+
+
+labels = _labels(label_text)
 names = st.sampled_from(("events_total", "wait_seconds", "depth", "weird_name"))
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -141,17 +147,25 @@ witness_requests = st.builds(
     WitnessRequest, request_id=u64, index=u64, trace=st.none() | span_contexts
 )
 
-counter_deltas = st.builds(
-    CounterDelta,
-    name=names,
-    labels=labels,
-    delta=st.integers(min_value=-(2**62), max_value=2**62) | finite,
-)
-gauge_values = st.builds(GaugeValue, name=names, labels=labels, value=finite)
+def _counter_deltas(text=label_text):
+    return st.builds(
+        CounterDelta,
+        name=names | text,
+        labels=_labels(text),
+        delta=st.integers(min_value=-(2**63), max_value=2**63 - 1) | finite,
+    )
+
+
+def _gauge_values(text=label_text):
+    return st.builds(GaugeValue, name=names | text, labels=_labels(text), value=finite)
+
+
+counter_deltas = _counter_deltas()
+gauge_values = _gauge_values()
 
 
 @st.composite
-def _histogram_deltas(draw):
+def _histogram_deltas(draw, text=label_text):
     le = draw(
         st.none()
         | st.lists(finite, min_size=1, max_size=6, unique=True).map(
@@ -161,19 +175,16 @@ def _histogram_deltas(draw):
     # Index ``len(bounds)`` is the +Inf overflow bucket, the last there is.
     overflow = len(DEFAULT_BUCKETS if le is None else le)
     return HistogramDelta(
-        name=draw(names),
-        labels=draw(labels),
-        count_delta=draw(st.integers(min_value=0, max_value=2**40)),
+        name=draw(names | text),
+        labels=draw(_labels(text)),
+        count_delta=draw(u64),
         sum_total=draw(finite),
         min_total=draw(finite),
         max_total=draw(finite),
         bucket_deltas=tuple(
             draw(
                 st.lists(
-                    st.tuples(
-                        st.integers(min_value=0, max_value=overflow),
-                        st.integers(min_value=0, max_value=2**40),
-                    ),
+                    st.tuples(st.integers(min_value=0, max_value=overflow), u64),
                     max_size=5,
                 )
             )
@@ -183,39 +194,65 @@ def _histogram_deltas(draw):
 
 
 histogram_deltas = _histogram_deltas()
-span_records = st.builds(
-    SpanRecord,
-    trace_id=st.integers(min_value=0, max_value=2**128 - 1),
-    span_id=u64,
-    parent_id=u64,
-    seq=st.integers(min_value=0, max_value=2**50),
-    peer=label_text,
-    origin=label_text,
-    kind=st.sampled_from(
-        ("publish", "bundle", "revocation", "witness-fetch", "witness-serve",
-         "evidence")
-    ),
-    hop=st.integers(min_value=0, max_value=2**16 - 1),
-    start=finite,
-    end=finite,
-    marks=st.lists(
-        st.tuples(st.sampled_from(("ingress", "verdict", "pairing")), finite),
-        max_size=4,
-    ).map(tuple),
+span_kinds = st.sampled_from(
+    ("publish", "bundle", "revocation", "witness-fetch", "witness-serve", "evidence")
 )
-batches = st.builds(
-    TelemetryBatch,
-    peer=label_text,
-    role=st.sampled_from(("full", "light", "witness-provider")),
-    shard=st.integers(min_value=-1, max_value=2**31 - 1),
-    seq=st.integers(min_value=1, max_value=2**50),
-    time=finite,
-    dropped_batches=st.integers(min_value=0, max_value=2**50),
-    metrics=st.lists(
-        counter_deltas | gauge_values | histogram_deltas, max_size=6
-    ).map(tuple),
-    spans=st.lists(span_records, max_size=3).map(tuple),
-)
+
+
+@st.composite
+def _span_records(draw, text=label_text):
+    """Any span — and, drawn on purpose rather than by chance, the shapes
+    the wire writes short: a local root (ids implied by its peer; a
+    ``publish`` kind keeps the long form), runs of repeated stamps with
+    0.0 beside -0.0 (equal, but not the same bytes), and an end that
+    repeats the last stamp."""
+    peer, span_id, kind = draw(text), draw(u64), draw(span_kinds)
+    if draw(st.booleans()):
+        trace_id, parent_id, origin, hop = local_prefix(peer) | span_id, NO_PARENT, peer, 0
+    else:
+        trace_id = draw(st.integers(min_value=0, max_value=2**128 - 1))
+        parent_id, origin = draw(u64), draw(text)
+        hop = draw(st.integers(min_value=0, max_value=2**16 - 1))
+    start = draw(finite)
+    stamp = st.sampled_from((start, 0.0, -0.0, draw(finite))) | finite
+    marks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(("ingress", "verdict", "pairing")) | text, stamp),
+            max_size=9,
+        )
+    )
+    end = draw(st.just(marks[-1][1] if marks else start) | finite)
+    return SpanRecord(
+        trace_id=trace_id, span_id=span_id, parent_id=parent_id, seq=draw(u64),
+        peer=peer, origin=origin, kind=kind, hop=hop, start=start, end=end,
+        marks=tuple(marks),
+    )
+
+
+span_records = _span_records()
+
+
+@st.composite
+def _batches(draw):
+    """A batch whose spans and metrics draw their strings from one small
+    vocabulary (the batch's peer, label values, metric and stage names),
+    the way a real batch repeats itself, so its symbol table is shared."""
+    vocabulary = draw(st.lists(label_text, min_size=1, max_size=4))
+    text = st.sampled_from(vocabulary) | label_text
+    metric = _counter_deltas(text) | _gauge_values(text) | _histogram_deltas(text)
+    return TelemetryBatch(
+        peer=draw(text),
+        role=draw(st.sampled_from(("full", "light", "witness-provider")) | text),
+        shard=draw(st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+        seq=draw(u64),
+        time=draw(finite),
+        dropped_batches=draw(u64),
+        metrics=tuple(draw(st.lists(metric, max_size=6))),
+        spans=tuple(draw(st.lists(_span_records(text), max_size=3))),
+    )
+
+
+batches = _batches()
 export_requests = st.builds(ExportRequest, request_id=u64, batch=batches)
 export_acks = st.builds(ExportAck, request_id=u64, seq=u64, accepted=st.booleans())
 

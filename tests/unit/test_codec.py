@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import pytest
 
 import repro
-from repro.codec import Reader, Wire, Writer, flag, size_of
+from repro.codec import Reader, Wire, Writer, flag, size_of, svarint, varint
 from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.merkle import MerkleTree
 from repro.errors import ProtocolError
@@ -93,6 +93,93 @@ class TestCursor:
         reader.raw(1)
         with pytest.raises(ProtocolError):
             reader.end()
+
+
+class TestVarints:
+    @pytest.mark.parametrize(
+        "value, encoded",
+        [(0, "00"), (1, "01"), (127, "7f"), (128, "8001"), (300, "ac02"),
+         (16383, "ff7f"), (16384, "808001"), (2**64 - 1, "ffffffffffffffffff01")],
+    )
+    def test_unsigned_leb128(self, value, encoded):
+        assert varint(value).hex() == encoded
+        reader = Reader(bytes.fromhex(encoded))
+        assert reader.varint() == value
+        reader.end()
+
+    @pytest.mark.parametrize("value", [0, -1, 1, -2, 2**63 - 1, -(2**63)])
+    def test_signed_values_zigzag(self, value):
+        data = svarint(value)
+        assert Reader(data).svarint() == value
+        assert len(data) == (1 if -64 <= value < 64 else 10)
+
+    def test_out_of_range_values_are_refused_at_the_writer(self):
+        for encode in (
+            lambda: varint(-1),
+            lambda: varint(2**64),
+            lambda: varint(8, bits=3),
+            lambda: svarint(2**63),
+            lambda: svarint(-(2**63) - 1),
+        ):
+            with pytest.raises(ProtocolError):
+                encode()
+
+    @pytest.mark.parametrize(
+        "data, bits",
+        [
+            ("80", 64),  # runs out mid-value
+            ("8000", 64),  # a high zero group: 0 spelled in two bytes
+            ("ff00", 64),
+            ("ffffffffffffffffff02", 64),  # 2**64: eleven groups' worth
+            ("8080808080808080808001", 64),  # longer than ten bytes
+            ("08", 3),  # past the bound the reader was given
+            ("8001", 7),  # too long for seven bits
+        ],
+    )
+    def test_non_canonical_varints_are_refused(self, data, bits):
+        with pytest.raises(ProtocolError):
+            Reader(bytes.fromhex(data)).varint(bits)
+
+
+def symbol_frame(strings, refs) -> bytes:
+    """A hand-built frame: ``strings`` as the table, ``refs`` as the body."""
+    data = bytes([len(strings)])
+    for text in strings:
+        data += bytes([len(text.encode())]) + text.encode()
+    return data + bytes(refs)
+
+
+def read_refs(data: bytes, count: int) -> list[str]:
+    reader = Reader(data)
+    strings = reader.frame(lambda r, symbol: [symbol() for _ in range(count)])
+    reader.end()
+    return strings
+
+
+class TestSymbolTables:
+    def test_each_string_once_in_first_use_order(self):
+        words = ["peer-1", "stage", "peer-1", "x", "stage"]
+        data = written(lambda w: w.frame(lambda body, refs: body.extend(map(refs.__getitem__, words))))
+        assert data == symbol_frame(["peer-1", "stage", "x"], [0, 1, 0, 2, 1])
+        assert read_refs(data, len(words)) == words
+
+    @pytest.mark.parametrize(
+        "strings, refs",
+        [
+            (["a", "b"], [1, 0]),  # not in first-use order
+            (["a", "b"], [0, 0]),  # "b" never used
+            (["a"], [0, 1]),  # a reference past the table
+            (["a", "a"], [0, 1]),  # the same string twice
+        ],
+        ids=["order", "unused", "range", "duplicate"],
+    )
+    def test_a_table_is_canonical(self, strings, refs):
+        with pytest.raises(ProtocolError):
+            read_refs(symbol_frame(strings, refs), len(refs))
+
+    def test_a_hostile_table_count_costs_only_the_bytes_present(self):
+        with pytest.raises(ProtocolError):
+            read_refs(bytes.fromhex("ffffffffffffffff7f") + b"\x01a", 1)
 
 
 @dataclass(frozen=True)

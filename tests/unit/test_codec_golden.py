@@ -6,6 +6,11 @@ is bit-identical" is a test, not a claim: any change to a layout — a
 reordered field, a widened count, a different string prefix — fails
 here with the type's name.  ``byte_size()`` is pinned through the same
 vectors (it must equal the encoded length for every ``Wire`` type).
+
+The six telemetry vectors (``SpanRecord`` to ``ExportRequest``) were
+re-pinned when their layout moved to per-frame symbol tables, varints,
+id-free local roots and one-bit repeated stamps; the local-root span and
+the production-shaped batch were added then.
 """
 
 import pytest
@@ -15,7 +20,7 @@ from repro.core.wire import decode_message, encode_message
 from repro.crypto.field import FieldElement
 from repro.crypto.merkle import MerkleProof
 from repro.crypto.optimized_merkle import TreeUpdate
-from repro.telemetry.disttrace import SpanContext, SpanRecord
+from repro.telemetry.disttrace import SpanContext, SpanRecord, local_prefix
 from repro.telemetry.otlp import (
     CounterDelta,
     ExportAck,
@@ -66,6 +71,32 @@ BATCH = TelemetryBatch(
     ),
     spans=(SPAN,),
 )
+#: What a production batch mostly carries: a local root (its ids implied
+#: by its peer, two of three stamps repeats, the end a repeat too), a
+#: sampled relay span, a stage histogram and an integer counter, sharing
+#: one symbol table.
+LOCAL_ROOT = SpanRecord(
+    trace_id=local_prefix("peer-001") | 300, span_id=300, parent_id=0, seq=8,
+    peer="peer-001", origin="peer-001", kind="bundle", hop=0, start=3.0, end=3.25,
+    marks=(("ingress", 3.0), ("prefilter", 3.0), ("verdict", 3.25)),
+)
+SAMPLED = SpanRecord(
+    trace_id=0x0123456789ABCDEF0011223344556677, span_id=2**63 + 1,
+    parent_id=0x1122334455667788, seq=9, peer="peer-001", origin="peer-000",
+    kind="bundle", hop=1, start=3.5, end=4.0,
+    marks=(("ingress", 3.5), ("verdict", 3.75)),
+)
+PRODUCTION_BATCH = TelemetryBatch(
+    peer="peer-001", role="full", shard=-1, seq=200, time=13.0, dropped_batches=0,
+    metrics=(
+        CounterDelta("traces_finished_total", (("kind", "bundle"), ("peer", "peer-001")), -3),
+        HistogramDelta(
+            "trace_stage_seconds", (("kind", "bundle"), ("stage", "verdict")), 2,
+            0.5, 0.25, 0.25, ((10, 2),),
+        ),
+    ),
+    spans=(LOCAL_ROOT, SAMPLED),
+)
 BUNDLE = RateLimitProof(
     share_x=F(10), share_y=F(11), internal_nullifier=F(12), epoch=54321, root=F(13),
     proof=Proof(a=bytes(range(32)), b=bytes(range(32, 96)), c=bytes(range(96, 128))),
@@ -101,7 +132,9 @@ VALUES = {
     "CounterDelta": COUNTER,
     "GaugeValue": GAUGE,
     "HistogramDelta": HISTOGRAM,
+    "SpanRecord-local-root": LOCAL_ROOT,
     "TelemetryBatch": BATCH,
+    "TelemetryBatch-production": PRODUCTION_BATCH,
     "ExportRequest": ExportRequest(request_id=2**40, batch=BATCH),
     "ExportAck": ExportAck(request_id=2**40, seq=4, accepted=True),
     "WakuMessage": WakuMessage(
@@ -126,12 +159,14 @@ GOLDEN: dict[str, str] = {
     "SnapshotRequest": "000000000000000500000006",
     "SnapshotResponse": "000000000000000501000000060a000000000000004d00000002000000000000000000000000000000000000000000000000000000000000000000000015000000090000000000000000000000000000000000000000000000000000000000000016",
     "SpanContext": "0123456789abcdef0011223344556677000000000000006300030008706565722d303037",
-    "SpanRecord": "80000000000000000000000000000005000000000000000b0000000000000000000000000000000700023ff800000000000040020000000000000008706565722d3030310008706565722d303030000662756e646c6500020007696e67726573733ff80000000000000007766572646963744002000000000000",
-    "CounterDelta": "43000c6576656e74735f746f74616c0200046b696e640002c3a9000470656572000170000000000000000007",
-    "GaugeValue": "47000564657074680001c004000000000000",
-    "HistogramDelta": "48000c776169745f7365636f6e6473010004706565720001700100023fd00000000000003fe000000000000000000000000000033fe80000000000003fc00000000000003fe000000000000000020000000000000000000100020000000000000002",
-    "TelemetryBatch": "0008706565722d303031000466756c6cffffffff0000000000000004402900000000000000000000000000010000000543000c6576656e74735f746f74616c0200046b696e640002c3a900047065657200017000000000000000000747000564657074680001c00400000000000048000c776169745f7365636f6e6473010004706565720001700100023fd00000000000003fe000000000000000000000000000033fe80000000000003fc00000000000003fe00000000000000002000000000000000000010002000000000000000248000168000000000000000000013ff00000000000003ff00000000000003ff000000000000000010021000000000000000143000b666c6f61745f746f74616c00013fe0000000000000000180000000000000000000000000000005000000000000000b0000000000000000000000000000000700023ff800000000000040020000000000000008706565722d3030310008706565722d303030000662756e646c6500020007696e67726573733ff80000000000000007766572646963744002000000000000",
-    "ExportRequest": "00000100000000000008706565722d303031000466756c6cffffffff0000000000000004402900000000000000000000000000010000000543000c6576656e74735f746f74616c0200046b696e640002c3a900047065657200017000000000000000000747000564657074680001c00400000000000048000c776169745f7365636f6e6473010004706565720001700100023fd00000000000003fe000000000000000000000000000033fe80000000000003fc00000000000003fe00000000000000002000000000000000000010002000000000000000248000168000000000000000000013ff00000000000003ff00000000000003ff000000000000000010021000000000000000143000b666c6f61745f746f74616c00013fe0000000000000000180000000000000000000000000000005000000000000000b0000000000000000000000000000000700023ff800000000000040020000000000000008706565722d3030310008706565722d303030000662756e646c6500020007696e67726573733ff80000000000000007766572646963744002000000000000",
+    "SpanRecord": "0508706565722d3030310662756e646c6508706565722d30303007696e6772657373077665726469637402070b000180000000000000000000000000000005000000000000000002023ff8000000000000020304014002000000000000",
+    "CounterDelta": "050c6576656e74735f746f74616c046b696e6402c3a90470656572017043000201020304000e",
+    "GaugeValue": "0105646570746847000001c004000000000000",
+    "HistogramDelta": "030c776169745f7365636f6e647304706565720170480001010201023fd00000000000003fe0000000000000033fe80000000000003fc00000000000003fe00000000000000200010202",
+    "SpanRecord-local-root": "0508706565722d3030310662756e646c6507696e67726573730970726566696c74657207766572646963740308ac02000140080000000000000302030403400a000000000000",
+    "TelemetryBatch": "0f08706565722d3030310466756c6c0c6576656e74735f746f74616c046b696e6402c3a9047065657201700564657074680c776169745f7365636f6e647301680b666c6f61745f746f74616c0662756e646c6508706565722d30303007696e67726573730776657264696374000101044029000000000000010543020203040506000e47070001c004000000000000480801050601023fd00000000000003fe0000000000000033fe80000000000003fc00000000000003fe0000000000000020001020248090000013ff00000000000003ff00000000000003ff0000000000000012101430a00013fe00000000000000102070b000b800000000000000000000000000000050000000000000000020c3ff8000000000000020d0e014002000000000000",
+    "TelemetryBatch-production": "0c08706565722d3030310466756c6c157472616365735f66696e69736865645f746f74616c046b696e640662756e646c6504706565721374726163655f73746167655f7365636f6e6473057374616765077665726469637407696e67726573730970726566696c74657208706565722d303030000101c801402a00000000000000024302020304050000054806020304070800023fe00000000000003fd00000000000003fd0000000000000010a02020308ac020004400800000000000003090a0803400a00000000000000098180808080808080800100040123456789abcdef00112233445566771122334455667788010b400c00000000000002090801400e0000000000004010000000000000",
+    "ExportRequest": "8080808080200f08706565722d3030310466756c6c0c6576656e74735f746f74616c046b696e6402c3a9047065657201700564657074680c776169745f7365636f6e647301680b666c6f61745f746f74616c0662756e646c6508706565722d30303007696e67726573730776657264696374000101044029000000000000010543020203040506000e47070001c004000000000000480801050601023fd00000000000003fe0000000000000033fe80000000000003fc00000000000003fe0000000000000020001020248090000013ff00000000000003ff00000000000003ff0000000000000012101430a00013fe00000000000000102070b000b800000000000000000000000000000050000000000000000020c3ff8000000000000020d0e014002000000000000",
     "ExportAck": "0000010000000000000000000000000401",
     "WakuMessage": "00010000000568656c6c6f00112f726c6e2f312f636861742f70726f746f000000000001e24001",
     "WakuMessage-proved": "00010000000200ff00112fd0bad0bed0bcd0bdd0b0d182d0b02f3100000000000003e802000000000000000000000000000000000000000000000000000000000000000a000000000000000000000000000000000000000000000000000000000000000b000000000000000000000000000000000000000000000000000000000000000c000000000000d431000000000000000000000000000000000000000000000000000000000000000d000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f",

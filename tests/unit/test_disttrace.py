@@ -3,7 +3,9 @@
 The load-bearing guarantees:
 
 * :class:`SpanContext` / :class:`SpanRecord` round-trip the wire exactly
-  and reject trailing bytes;
+  and reject trailing bytes; a local root travels as a flag and its peer,
+  a repeated stamp as one mask bit (bytes compared, so -0.0 survives),
+  and every other spelling of those is refused;
 * head sampling is decided once at the root: ``sample=0.0`` mints
   nothing (and costs nothing on the message), downstream peers honour an
   inbound context regardless of their own rate, and the sampling RNG is
@@ -26,11 +28,14 @@ The load-bearing guarantees:
 """
 
 import copy
+import math
 import pickle
 import random
+import struct
 
 import pytest
 
+from repro.codec import Writer, varint
 from repro.errors import ProtocolError
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
@@ -44,6 +49,7 @@ from repro.telemetry.disttrace import (
     SpanContext,
     SpanRecord,
     TraceAssembler,
+    local_prefix,
 )
 from repro.telemetry.exporter import TelemetryExporter
 from repro.telemetry.otlp import TelemetryBatch
@@ -86,6 +92,84 @@ def test_span_record_round_trip_with_marks():
     assert SpanRecord.from_bytes(record.to_bytes()) == record
     with pytest.raises(ProtocolError):
         SpanRecord.from_bytes(record.to_bytes() + b"!")
+
+
+def span_frame(*, flags, kind="bundle", full=None, marks=0, mask=0, kept=(), end=2.0):
+    """A standalone span frame built field by field — peer "p", seq 1, span
+    id 5, start 1.0 — so a test can write what the encoder never does.
+    ``full`` is (trace id, parent, hop) for the long form; ``kept`` are
+    the stamps written out, ``end`` is None when flagged as repeating."""
+
+    def body(w, refs):
+        w.raw(bytes([flags]))
+        w.raw(varint(1))
+        w.raw(varint(5))
+        w.raw(refs["p"])
+        w.raw(refs[kind])
+        if full is not None:
+            trace_id, parent_id, hop = full
+            w.raw(trace_id.to_bytes(16, "big"))
+            w.pack(">Q", parent_id)
+            w.raw(varint(hop))
+            w.raw(refs["p"])
+        w.pack(">d", 1.0)
+        w.raw(varint(marks))
+        w.extend(refs["verdict"] for _ in range(marks))
+        w.raw(varint(mask))
+        w.extend(struct.pack(">d", stamp) for stamp in kept)
+        if end is not None:
+            w.pack(">d", end)
+
+    writer = Writer()
+    writer.frame(body)
+    return writer.getvalue()
+
+
+def test_a_local_root_travels_as_a_flag_and_its_peer():
+    local = DistTracer("p").finish(DistTracer("p").begin())
+    # The tracer's own local root: no trace id, parent, hop or origin.
+    assert local.trace_id == local_prefix("p") | local.span_id
+    assert len(local.to_bytes()) < 40
+    record = SpanRecord(
+        trace_id=local_prefix("p") | 5, span_id=5, parent_id=NO_PARENT, seq=1,
+        peer="p", origin="p", kind="bundle", hop=0, start=1.0, end=2.0,
+    )
+    assert record.to_bytes() == span_frame(flags=1)
+    # A sampled span (or a publish root) keeps the long form.
+    sampled = SpanRecord(*record[:2], 9, *record[3:10])
+    assert sampled.to_bytes() == span_frame(flags=0, full=(record.trace_id, 9, 0))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        span_frame(flags=0, full=(local_prefix("p") | 5, NO_PARENT, 0)),
+        span_frame(flags=1, kind="publish"),
+        span_frame(flags=1 | 4),
+        span_frame(flags=1, marks=1, kept=(1.0,)),
+        span_frame(flags=1, end=1.0),
+        span_frame(flags=1, marks=1, mask=2, kept=()),
+    ],
+    ids=[
+        "local-root-in-full", "publish-as-local-root", "reserved-flag",
+        "repeated-stamp-in-full", "repeated-end-in-full", "mask-past-the-marks",
+    ],
+)
+def test_span_decoding_refuses_what_the_encoder_never_writes(data):
+    with pytest.raises(ProtocolError):
+        SpanRecord.from_bytes(data)
+
+
+def test_repeated_stamps_compare_bytes_so_negative_zero_survives():
+    record = make_span(start=0.0, end=-0.0, marks=(("a", -0.0), ("b", -0.0), ("c", 0.0)))
+    decoded = SpanRecord.from_bytes(record.to_bytes())
+    signs = [math.copysign(1.0, stamp) for stamp in (*decoded.stamps, decoded.end)]
+    assert signs == [-1.0, -1.0, 1.0, -1.0]
+    # -0.0 after 0.0 is kept, the second -0.0 is one mask bit; 0.0 is kept
+    # again and the end (-0.0 after 0.0) is written out too.
+    assert record.to_bytes() == SpanRecord.from_bytes(record.to_bytes()).to_bytes()
+    repeats = make_span(start=1.0, end=1.0, marks=(("a", 1.0), ("b", 1.0), ("c", 1.0)))
+    assert len(repeats.to_bytes()) == len(record.to_bytes()) - 3 * 8
 
 
 def test_span_records_are_slotted_and_share_their_stage_path():
@@ -338,8 +422,9 @@ def test_close_flushes_cursor_stranded_traces_and_spans():
 # -- batch wire carriage -------------------------------------------------------
 
 
-def test_batch_spans_field_round_trips_and_is_two_bytes_when_empty():
-    spans = (make_span(), make_span(span_id=3, parent_id=2, seq=1, hop=1))
+def test_batch_spans_field_round_trips_and_is_small_when_empty():
+    local = DistTracer("peer-000").finish(DistTracer("peer-000").begin())
+    spans = (make_span(), make_span(span_id=3, parent_id=2, seq=1, hop=1), local)
     with_spans = TelemetryBatch(
         peer="p", role="full", shard=-1, seq=1, time=0.0,
         dropped_batches=0, metrics=(), spans=spans,
@@ -350,8 +435,13 @@ def test_batch_spans_field_round_trips_and_is_two_bytes_when_empty():
         peer="p", role="full", shard=-1, seq=1, time=0.0,
         dropped_batches=0, metrics=(),
     )
+    # In a batch, spans share its symbol table: never dearer than alone.
     span_bytes = len(with_spans.to_bytes()) - len(without.to_bytes())
-    assert span_bytes == sum(s.byte_size() for s in spans)
+    assert span_bytes <= sum(s.byte_size() for s in spans)
+    # No spans is one byte, the zero count that ends the frame, and a
+    # batch with nothing in it is a couple of dozen bytes.
+    assert without.to_bytes()[-1] == 0
+    assert len(without.to_bytes()) <= 24
 
 
 # -- assembly ------------------------------------------------------------------

@@ -4,7 +4,8 @@ The load-bearing guarantees:
 
 * every wire type round-trips ``to_bytes``/``from_bytes`` exactly,
   preserving number types (counter int deltas stay ints — fold must be
-  exact integer addition) and rejecting trailing/truncated bytes;
+  exact integer addition) and rejecting trailing/truncated bytes, bucket
+  indices past the overflow bucket and bounds no registry can hold;
 * ``compute_deltas`` (the reference in ``tests/delta_oracle.py`` that
   the exporter's live :class:`DeltaTracker` is held to) follows OTLP
   delta temporality: counters and histogram bucket/count fields diff,
@@ -144,6 +145,28 @@ def test_bucket_index_past_the_overflow_bucket_dies_in_the_decoder():
         state: dict[str, dict] = {}
         fold_delta(state, TelemetryBatch.from_bytes(data).metrics[0])
         assert state["h"]["buckets"][-1] == 1
+
+
+@pytest.mark.parametrize(
+    "le",
+    [(5.0, 1.0), (0.1, float("inf")), (float("-inf"), 0.1), (float("nan"),), (0.1, 0.3, 0.2)],
+    ids=["descending", "inf", "minus-inf", "nan", "unsorted"],
+)
+def test_histogram_bounds_no_registry_can_hold_die_in_the_decoder(le):
+    """Explicit ``le=(5.0, 1.0)`` used to decode, fold into the collector's
+    state and answer garbage quantiles; a ``Histogram`` only ever holds
+    sorted, finite bounds."""
+    delta = HistogramDelta(
+        name="h", labels=(), count_delta=1, sum_total=1.0,
+        min_total=1.0, max_total=1.0, bucket_deltas=((0, 1),), le=le,
+    )
+    with pytest.raises(ProtocolError):
+        TelemetryBatch.from_bytes(make_batch([delta]).to_bytes())
+    with pytest.raises(ProtocolError):
+        HistogramDelta.from_bytes(delta.to_bytes())
+    # Equal neighbours are non-decreasing: still a legal layout.
+    legal = HistogramDelta("h", (), 1, 1.0, 1.0, 1.0, ((0, 1),), le=(0.5, 0.5, 2.0))
+    assert HistogramDelta.from_bytes(legal.to_bytes()) == legal
 
 
 def test_export_envelope_round_trips():
