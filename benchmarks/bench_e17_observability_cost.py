@@ -21,10 +21,12 @@ occupancy, governs cost) under honest+flood load:
 
 The disabled-arm guard is also written to ``reports/E17-guard.json`` so
 CI can fail the build if telemetry bytes ever leak into a default-off
-deployment — and, beside it, the enabled arm's telemetry/relay byte
-ratio, asserted at most :data:`RATIO_BOUND` so the bytes a batch saves
-by not repeating itself (symbol tables, varints, id-free local roots,
-one-bit repeated stamps) cannot silently grow back.
+deployment — and, beside it, the enabled arm's telemetry bytes per
+delivered message, asserted at most :data:`BYTES_PER_DELIVERY_BOUND` so
+the bytes a batch saves by not repeating itself (symbol tables, varints,
+id-free local roots, one-bit repeated stamps) cannot silently grow back.
+The telemetry/relay byte ratio is written too, but not asserted: relay
+bytes move with routing (IDONTWANT cut E17's by 29 %), telemetry's do not.
 """
 
 import json
@@ -45,9 +47,10 @@ SCALES = {10_000: 14, 100_000: 17, 1_000_000: 20}
 PEERS = 8
 DEGREE = 4
 GUARD_PATH = pathlib.Path(__file__).parent / "reports" / "E17-guard.json"
-#: Ceiling on telemetry bytes per relay byte at these settings (0.79 with
-#: the compact batch layout; 1.48 when every batch repeated its strings).
-RATIO_BOUND = 0.9
+#: Ceiling on telemetry bytes per delivery at these settings: 34 512 B
+#: over 33 deliveries with the compact batch layout (about 1 960 B when
+#: every batch repeated its strings).
+BYTES_PER_DELIVERY_BOUND = 34_512 / 33
 
 
 def build(members: int, *, collector: bool) -> RLNDeployment:
@@ -186,7 +189,11 @@ def test_disabled_collector_keeps_the_wire_clean(report_sink):
     relay_bytes = observed.network.protocol_bytes()["gossipsub"]
     assert plain.network.protocol_bytes()["gossipsub"] == relay_bytes
     ratio = telemetry_bytes(observed) / relay_bytes
-    assert ratio <= RATIO_BOUND, f"telemetry/relay byte ratio {ratio:.2f} > {RATIO_BOUND}"
+    deliveries = sum(len(peer.received) for peer in observed.peers.values())
+    per_delivery = telemetry_bytes(observed) / deliveries
+    assert per_delivery <= BYTES_PER_DELIVERY_BOUND, (
+        f"telemetry bytes per delivery {per_delivery:.1f} > {BYTES_PER_DELIVERY_BOUND:.1f}"
+    )
 
     GUARD_PATH.parent.mkdir(exist_ok=True)
     GUARD_PATH.write_text(
@@ -196,8 +203,10 @@ def test_disabled_collector_keeps_the_wire_clean(report_sink):
                 "telemetry_bytes_when_disabled": leaked,
                 "relay_bytes_plain": plain.network.protocol_bytes()["gossipsub"],
                 "relay_bytes_observed": relay_bytes,
+                "deliveries": deliveries,
+                "telemetry_bytes_per_delivery": round(per_delivery, 2),
+                "telemetry_bytes_per_delivery_bound": round(BYTES_PER_DELIVERY_BOUND, 2),
                 "telemetry_relay_ratio": round(ratio, 4),
-                "telemetry_relay_ratio_bound": RATIO_BOUND,
             },
             indent=2,
         )
@@ -219,8 +228,9 @@ def test_disabled_collector_keeps_the_wire_clean(report_sink):
     report.add_row("collector=True", relay_bytes, telemetry_bytes(observed))
     report.add_note(
         "guard artifact reports/E17-guard.json: CI fails if "
-        "telemetry_bytes_when_disabled is ever nonzero, or if the "
-        f"telemetry/relay byte ratio ({ratio:.2f}) exceeds {RATIO_BOUND}"
+        "telemetry_bytes_when_disabled is ever nonzero, or if telemetry "
+        f"bytes per delivery ({per_delivery:.1f}) exceed "
+        f"{BYTES_PER_DELIVERY_BOUND:.1f}; telemetry/relay byte ratio {ratio:.2f}"
     )
     report_sink(report)
 

@@ -29,6 +29,16 @@ under honest+flood load:
 The silent-arm guard is written to ``reports/E19-guard.json`` so CI can
 fail the build if a cross-peer span or a context byte ever leaks into an
 untraced deployment.
+
+A third arm is the fan-out table for the router's holder rule: a
+24-peer batched fleet at topology degree 6 / 8 / 12 must still deliver
+every honest bundle to every peer exactly once while peers with a
+pending verdict announce what they hold (IDONTWANT) and are spared those
+copies.  Gossipsub bytes and sends per delivery, copies suppressed,
+IDONTWANT frames sent and mean first-delivery time per degree go to
+``reports/E19-fanout.json``.  Above degree 6 the mesh a peer keeps
+follows the interpreter's string-hash order (mesh filling shuffles a
+list read out of a set), so those rows are exact per ``PYTHONHASHSEED``.
 """
 
 import json
@@ -47,6 +57,9 @@ SCALES = {10_000: 14, 100_000: 17}
 PEERS = 8
 DEGREE = 4
 GUARD_PATH = pathlib.Path(__file__).parent / "reports" / "E19-guard.json"
+FANOUT_PATH = pathlib.Path(__file__).parent / "reports" / "E19-fanout.json"
+FANOUT_PEERS = 24
+FANOUT_DEGREES = (6, 8, 12)
 TRACES_PATH = pathlib.Path(__file__).parent / "reports"
 
 #: The honest half of the load: one publish per peer, distinct epochs.
@@ -293,5 +306,106 @@ def test_sample_zero_is_wire_silent_and_bit_identical(report_sink):
     report.add_note(
         "guard artifact reports/E19-guard.json: CI fails if cross-peer "
         "span records ever leak at sample 0.0 or relay bytes diverge"
+    )
+    report_sink(report)
+
+
+def fanout_row(degree: int) -> dict:
+    """One batched fleet at ``degree``: rounds of four honest publishes."""
+    deployment = RLNDeployment.create(
+        peer_count=FANOUT_PEERS,
+        degree=degree,
+        seed=19,
+        config=RLNConfig(tree_depth=SCALES[10_000], epoch_length=2.0),
+        pipeline_config=PipelineConfig(workers=2, batch_size=4, batch_deadline=0.04),
+    )
+    deployment.register_all()
+    deployment.form_meshes()
+    network, simulator = deployment.network, deployment.simulator
+    arrivals: dict[bytes, dict[str, float]] = {}
+    for peer_id, peer in deployment.peers.items():
+        peer.relay.subscribe(
+            lambda message, peer_id=peer_id: arrivals.setdefault(
+                message.payload, {}
+            ).setdefault(peer_id, simulator.now)
+        )
+    bytes_before = network.total_bytes(protocol="gossipsub")
+    sends_before = network.total_messages(protocol="gossipsub")
+    published: dict[bytes, tuple[str, float]] = {}
+    ids = deployment.peer_ids()
+    for round_index in range(3):
+        for publisher in ids[round_index * 4 : round_index * 4 + 4]:
+            payload = b"e19-fanout-%d-%s" % (degree, publisher.encode())
+            published[payload] = (publisher, simulator.now)
+            deployment.peers[publisher].publish(payload)
+        deployment.run(2.5)  # next epoch
+
+    # Complete, once-only delivery: the rule never costs a first copy.
+    for payload in published:
+        for peer_id, peer in deployment.peers.items():
+            count = sum(1 for m in peer.received if m.payload == payload)
+            assert count == 1, (degree, payload, peer_id, count)
+    latencies = [
+        when - published[payload][1]
+        for payload, by_peer in arrivals.items()
+        for peer_id, when in by_peer.items()
+        if peer_id != published[payload][0]
+    ]
+    deliveries = len(latencies)
+    assert deliveries == len(published) * (FANOUT_PEERS - 1)
+    stats = [peer.router_stats for peer in deployment.peers.values()]
+    return {
+        "degree": degree,
+        "deliveries": deliveries,
+        "bytes_per_delivery": round(
+            (network.total_bytes(protocol="gossipsub") - bytes_before) / deliveries, 2
+        ),
+        "sends_per_delivery": round(
+            (network.total_messages(protocol="gossipsub") - sends_before) / deliveries, 3
+        ),
+        "suppressed": sum(s.suppressed for s in stats),
+        "idontwant_sent": sum(s.idontwant_sent for s in stats),
+        "mean_first_delivery_s": round(sum(latencies) / deliveries, 6),
+    }
+
+
+def test_fanout_table_delivers_once_and_spares_holders(report_sink):
+    rows = [fanout_row(degree) for degree in FANOUT_DEGREES]
+    for row in rows:
+        # Deferred verdicts announce, and the announcements spare copies.
+        assert row["idontwant_sent"] > 0 and row["suppressed"] > 0, row
+
+    FANOUT_PATH.parent.mkdir(exist_ok=True)
+    FANOUT_PATH.write_text(
+        json.dumps({"experiment": "E19-fanout", "peers": FANOUT_PEERS, "rows": rows}, indent=2)
+        + "\n",
+        encoding="utf-8",
+    )
+    report = ExperimentReport(
+        experiment="E19-fanout",
+        claim="a pending verdict spares its holder every copy: complete, "
+        "once-only delivery at every fan-out",
+        headers=(
+            "degree",
+            "B/delivery",
+            "sends/delivery",
+            "suppressed",
+            "IDONTWANT sent",
+            "mean first delivery",
+        ),
+    )
+    for row in rows:
+        report.add_row(
+            row["degree"],
+            f"{row['bytes_per_delivery']:.0f}",
+            f"{row['sends_per_delivery']:.2f}",
+            row["suppressed"],
+            row["idontwant_sent"],
+            format_seconds(row["mean_first_delivery_s"]),
+        )
+    report.add_note(
+        f"{FANOUT_PEERS} peers, batch_size=4 over 2 lanes; gossipsub traffic "
+        f"after mesh formation over {rows[0]['deliveries']} deliveries per degree; "
+        f"artifact {FANOUT_PATH.name}"
     )
     report_sink(report)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -127,7 +128,7 @@ class PoWRelayPeer:
         self.simulator = simulator
         self.difficulty = difficulty
         self.hash_rate = hash_rate
-        self.rng = rng or random.Random(hash(peer_id) & 0xFFFFFFFF)
+        self.rng = rng or random.Random(zlib.crc32(peer_id.encode()))
         self.stats = PoWPeerStats()
         self.relay = WakuRelay(peer_id, network, simulator, rng=self.rng)
         self.relay.set_validator(self._validate)

@@ -2,6 +2,7 @@
 
 from repro.gossipsub.messages import (
     Graft,
+    IDontWant,
     IHave,
     IWant,
     PubSubMessage,
@@ -22,6 +23,7 @@ from repro.gossipsub.scoring import PeerScoreKeeper, ScoreParams
 
 __all__ = [
     "Graft",
+    "IDontWant",
     "IHave",
     "IWant",
     "PubSubMessage",

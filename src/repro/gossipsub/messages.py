@@ -3,7 +3,7 @@
 One :class:`RPC` envelope carries everything two peers exchange: full
 messages being published/relayed, IHAVE/IWANT gossip, and GRAFT/PRUNE mesh
 control — the protocol vocabulary of libp2p GossipSub v1.1 (reference [2]
-of the paper).
+of the paper) — plus v1.2's IDONTWANT.
 
 ``byte_size`` methods let the transport account bandwidth realistically;
 an RLN message bundle is larger than a bare payload by exactly the proof
@@ -67,6 +67,16 @@ class IWant:
 
 
 @dataclass(frozen=True)
+class IDontWant:
+    """Cancel (gossipsub v1.2): 'I hold these ids; do not send them to me'."""
+
+    msg_ids: tuple[bytes, ...]
+
+    def byte_size(self) -> int:
+        return _ENVELOPE_OVERHEAD + _ID_SIZE * len(self.msg_ids)
+
+
+@dataclass(frozen=True)
 class Graft:
     """Request to join the sender's mesh for a topic."""
 
@@ -104,6 +114,7 @@ class RPC:
     messages: tuple[PubSubMessage, ...] = ()
     ihave: tuple[IHave, ...] = ()
     iwant: tuple[IWant, ...] = ()
+    idontwant: tuple[IDontWant, ...] = ()
     graft: tuple[Graft, ...] = ()
     prune: tuple[Prune, ...] = ()
     subscriptions: tuple[Subscribe, ...] = ()
@@ -116,6 +127,7 @@ class RPC:
                 self.messages,
                 self.ihave,
                 self.iwant,
+                self.idontwant,
                 self.graft,
                 self.prune,
                 self.subscriptions,
@@ -130,6 +142,7 @@ class RPC:
             self.messages
             or self.ihave
             or self.iwant
+            or self.idontwant
             or self.graft
             or self.prune
             or self.subscriptions

@@ -7,6 +7,8 @@ GossipSub routing protocol" (§I):
 * per-topic **mesh** maintained between [D_lo, D_hi] around a target D,
 * **heartbeat** doing mesh balancing, score decay and IHAVE gossip,
 * **IHAVE/IWANT** lazy message pull for non-mesh neighbors,
+* **IDONTWANT** (v1.2): a message is never forwarded to a peer known to
+  hold it, and a peer whose verdict is pending says which ids it holds,
 * **validation hooks** with v1.1 semantics — ACCEPT relays, IGNORE drops
   silently (duplicates), REJECT drops *and* penalises the forwarding peer,
   which is how an RLN validator plugs in (§III-F: "the effect of their
@@ -20,6 +22,8 @@ receiver-anonymity property gossip routing gives WAKU-RELAY (§I).
 from __future__ import annotations
 
 import random
+import zlib
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -29,6 +33,7 @@ from repro.errors import NetworkError, NotConnected, UnknownPeer
 from repro.gossipsub.mcache import MessageCache, SeenCache
 from repro.gossipsub.messages import (
     Graft,
+    IDontWant,
     IHave,
     IWant,
     PubSubMessage,
@@ -58,8 +63,8 @@ class DeferredValidation(Promise[ValidationResult]):
     depends on work the validator has queued (batched proof verification,
     §III-F via the ingress pipeline).  The router parks the message and
     applies the usual accept/ignore/reject handling once :meth:`resolve`
-    fires; duplicates arriving meanwhile are dropped by the seen-cache
-    exactly as for a synchronous verdict.
+    fires; duplicates arriving meanwhile are dropped by the seen-cache (and
+    their senders spared the forward), as for a synchronous verdict.
     """
 
     __slots__ = ()
@@ -69,6 +74,10 @@ class DeferredValidation(Promise[ValidationResult]):
 Validator = Callable[[str, PubSubMessage], "ValidationResult | DeferredValidation"]
 #: (message) -> None
 DeliveryCallback = Callable[[PubSubMessage], None]
+
+#: Most ids one peer may name in IDONTWANTs for messages we have not seen
+#: yet; each such hint expires with the mcache window.
+MAX_EARLY_IDONTWANTS = 512
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,11 @@ class RouterStats:
     #: message); both stay 0 with scoring off.
     behaviour_penalties: int = 0
     invalid_penalties: int = 0
+    #: IDONTWANT frames sent and received, and forward copies skipped
+    #: because the target was known to hold the message.
+    idontwant_sent: int = 0
+    idontwant_received: int = 0
+    suppressed: int = 0
     #: Mesh size per topic as of the last heartbeat.
     mesh_size: dict[str, int] = field(default_factory=dict)
 
@@ -143,7 +157,7 @@ class GossipSubRouter:
         self.network = network
         self.simulator = simulator
         self.params = params or GossipSubParams()
-        self.rng = rng or random.Random(hash(peer_id) & 0xFFFFFFFF)
+        self.rng = rng or random.Random(zlib.crc32(peer_id.encode()))
         self.scoring = (
             PeerScoreKeeper(score_params) if score_params is not None else None
         )
@@ -176,6 +190,16 @@ class GossipSubRouter:
             history_length=self.params.mcache_length,
             gossip_length=self.params.mcache_gossip,
         )
+        #: msg id -> peers known to hold it: for a pending verdict, every
+        #: peer that sent a copy or an IDONTWANT; for an unseen id, the
+        #: IDONTWANT announcers.  :meth:`_forward` skips them.
+        self._holders: dict[bytes, set[str]] = {}
+        #: Messages deferred at this instant: one IDONTWANT per topic.
+        self._announce: list[PubSubMessage] = []
+        #: (time, id, announcer) of each unseen-id hint, oldest first,
+        #: and each announcer's count of live ones.
+        self._early: deque[tuple[float, bytes, str]] = deque()
+        self._early_count: dict[str, int] = {}
         #: Optional distributed-tracing hook (PR 9): called once per
         #: ACCEPTed message *before* it is cached, delivered and
         #: forwarded, returning the message to propagate — the RLN layer
@@ -338,11 +362,13 @@ class GossipSubRouter:
                 self._handle_prune(sender, prune)
         for message in rpc.messages:
             self._handle_message(sender, message)
-        if rpc.ihave or rpc.iwant:
+        if rpc.ihave or rpc.iwant or rpc.idontwant:
             for ihave in rpc.ihave:
                 self._handle_ihave(sender, ihave)
             for iwant in rpc.iwant:
                 self._handle_iwant(sender, iwant)
+            for idontwant in rpc.idontwant:
+                self._handle_idontwant(sender, idontwant)
 
     def _handle_subscription(self, sender: str, subscription: Subscribe) -> None:
         # Late joiners (connections established after start) learn our
@@ -404,8 +430,11 @@ class GossipSubRouter:
                 self.scoring.on_leave_mesh(sender, self.simulator.now)
 
     def _handle_message(self, sender: str, message: PubSubMessage) -> None:
-        if self._seen.witness(message.msg_id, self.simulator.now):
+        msg_id = message.msg_id
+        if self._seen.witness(msg_id, self.simulator.now):
             self.stats.duplicates += 1
+            if msg_id in self._holders:  # our verdict is pending
+                self._holders[msg_id].add(sender)
             return
         validator = self._validators.get(message.topic)
         if validator is None:
@@ -415,9 +444,12 @@ class GossipSubRouter:
             result = validator(sender, message)
         if isinstance(result, DeferredValidation):
             self.stats.deferred += 1
-            result.subscribe(
-                lambda verdict: self._apply_validation(sender, message, verdict)
-            )
+            self._holders.setdefault(msg_id, set()).add(sender)
+            if not self._announce:
+                self.simulator.schedule(0.0, self._announce_pending)
+            self._announce.append(message)
+            # A partial, not a closure: fewer objects live while it is pending.
+            result.subscribe(partial(self._apply_validation, sender, message))
             return
         self._apply_validation(sender, message, result)
 
@@ -425,6 +457,7 @@ class GossipSubRouter:
         self, sender: str, message: PubSubMessage, result: ValidationResult
     ) -> None:
         """Act on a validator verdict (immediately, or when a deferral fires)."""
+        holders = self._holders.pop(message.msg_id, ()) if self._holders else ()
         if result is ValidationResult.REJECT:
             self.stats.rejected += 1
             if self.scoring:
@@ -443,7 +476,7 @@ class GossipSubRouter:
             message = self._trace_rewriter(message)
         self._mcache.put(message)
         self._deliver_locally(message)
-        self._forward(message, exclude={sender})
+        self._forward(message, exclude={sender}, holders=holders)
 
     def _handle_ihave(self, sender: str, ihave: IHave) -> None:
         if self.scoring and not self.scoring.accepts_gossip(sender, self.simulator.now):
@@ -464,6 +497,33 @@ class GossipSubRouter:
             self.stats.iwant_served += len(found)
             self._send(sender, RPC(messages=tuple(found)))
 
+    def _handle_idontwant(self, sender: str, idontwant: IDontWant) -> None:
+        """Note ``sender`` as a holder: it only ever leaves its own forwards."""
+        self.stats.idontwant_received += 1
+        for msg_id in idontwant.msg_ids:
+            holders = self._holders.get(msg_id)
+            if holders is not None:
+                holders.add(sender)
+            elif msg_id not in self._seen:
+                # The announcer got the message first: keep the hint for
+                # one mcache window (an id already judged needs none).
+                count = self._early_count.get(sender, 0)
+                if count < MAX_EARLY_IDONTWANTS:
+                    self._early_count[sender] = count + 1
+                    self._early.append((self.simulator.now, msg_id, sender))
+                    self._holders[msg_id] = {sender}
+
+    def _announce_pending(self) -> None:
+        """One IDONTWANT per topic to the mesh: this instant's ids still pending."""
+        announce, self._announce = self._announce, []
+        held = self._holders
+        for topic in dict.fromkeys(m.topic for m in announce):
+            pending = tuple(m.msg_id for m in announce if m.topic == topic and m.msg_id in held)
+            mesh = self._mesh.get(topic)
+            if pending and mesh:
+                self.stats.idontwant_sent += len(mesh)
+                self._send_all(sorted(mesh), RPC(idontwant=(IDontWant(msg_ids=pending),)))
+
     # -- validation & delivery ------------------------------------------------------------
 
     def _deliver_locally(self, message: PubSubMessage) -> None:
@@ -473,11 +533,15 @@ class GossipSubRouter:
         for callback in list(self._callbacks.get(message.topic, [])):
             callback(message)
 
-    def _forward(self, message: PubSubMessage, *, exclude: set[str]) -> None:
-        """Relay to mesh peers (or all topic peers while the mesh is thin)."""
+    def _forward(self, message: PubSubMessage, *, exclude: set[str], holders=()) -> None:
+        """Relay to mesh peers (or topic peers while the mesh is thin) but not holders."""
         targets = self._mesh.get(message.topic, set()) - exclude
         if not targets:
             targets = self.topic_peers(message.topic) - exclude
+        if holders:  # after the fallback: a mesh holding it is not thin
+            kept = targets - holders
+            self.stats.suppressed += len(targets) - len(kept)
+            targets = kept
         peers = sorted(targets)
         if self.scoring:
             now = self.simulator.now
@@ -523,6 +587,13 @@ class GossipSubRouter:
             self.stats.mesh_size[topic] = len(mesh)
             self._emit_gossip(topic)
         self._mcache.shift()
+        horizon = now - self.params.mcache_length * self.params.heartbeat_interval
+        early = self._early
+        while early and early[0][0] <= horizon:
+            _, msg_id, sender = early.popleft()
+            self._early_count[sender] -= 1
+            if msg_id not in self._seen:
+                self._holders.pop(msg_id, None)
 
     def _fill_mesh(self, topic: str) -> None:
         mesh = self._mesh.setdefault(topic, set())

@@ -9,20 +9,25 @@ twice in one epoch and is slashed.  It runs in two shapes: inline
 (``batch_size=1``, zero crypto lanes, every verdict landing in the relay
 callback) and batched (``batch_size=4`` over two lanes).
 
-One SHA-256 per shape covers what every peer counted on the relay path:
+Each shape's record is split into three named parts, one SHA-256 each,
+so a change can state which part it may move:
 
-* ``ValidatorStats`` outcomes, ``proofs_verified`` and ``proofs_cached``;
-* ``PipelineStats`` (admitted, deferred, drops), ``PrefilterStats`` and
-  ``RateLimitStats``;
-* ``BatchVerifierStats`` plus the verifier's ``cache_hits``, ``verified``
-  and ``joined_in_flight``;
-* ``ExecutorStats`` per priority class and in total;
-* router and protocol stats;
+* ``checks`` — the fleet's pairing work and what every peer counted while
+  judging: ``ValidatorStats`` outcomes, ``proofs_verified`` and
+  ``proofs_cached``; ``PipelineStats`` (admitted, deferred, drops),
+  ``PrefilterStats`` and ``RateLimitStats``; ``BatchVerifierStats`` plus
+  the verifier's ``cache_hits``, ``verified`` and ``joined_in_flight``;
+  ``ExecutorStats`` per priority class and in total; protocol stats;
+* ``routing`` — how copies moved: router stats per peer, the bytes billed
+  per protocol and the simulator's processed-event count;
+* ``deliveries`` — what each peer delivered and when: its list of
+  (payload, simulated delivery time).
 
-and, fleet-wide, the pairing work done, the bytes billed per protocol and
-the simulator's processed-event count.  A change to how a receipt is
-checked, batched, executed or counted must leave both digests alone.
-They do not depend on ``PYTHONHASHSEED``.
+A change to how a receipt is checked, batched, executed or counted must
+leave ``checks`` and ``deliveries`` alone; only a change to which copies
+are sent may move ``routing``.  No part depends on ``PYTHONHASHSEED``
+(``tests/integration/test_hash_seed_independence.py`` runs them under
+three seeds).
 """
 
 import dataclasses
@@ -53,8 +58,18 @@ SHAPES = {
 }
 
 GOLDEN = {
-    "inline": "f352f2b1151e056dbcd0e2d1bdfab1f654e8c69d31479d1045dfb68765eb5227",
-    "batched": "313dd5fefe987b860a402ff5b0ede55cd67b194fc637d22cecf1e9a03cc4fc86",
+    "batched": {
+        "checks": "a241b65180f3234cdafe19303ccd2003272284d2ab3da23671dc882bd73585c7",
+        # Re-pinned when peers with a pending verdict began announcing
+        # what they hold (IDONTWANT) and being spared copies of it.
+        "routing": "74917c00c9a066bd4e54423c62c11ad3e04aa95ea9547396b1813703b474f3da",
+        "deliveries": "77c0183884cf8500bfe906ac444fdb63df28b0636245257fb81cfe65a7ff6f09",
+    },
+    "inline": {
+        "checks": "f5c56ed68ed4605e11f09102ec0b116c85b37aa0fe5950568dfb8d3e6ee7c396",
+        "routing": "4cd146258a6ff9e4145150de53f71ce3e554d5c501b65dcd322e43f4296bf0f3",
+        "deliveries": "f6e509fde7387e73793b5b3a7dded411bf80a2b10dc007ea38b460bf86f82e8c",
+    },
 }
 
 KINDS = ("garbage-proof", "unbound", "stale")
@@ -85,7 +100,7 @@ def forge(peer, payload: bytes, kind: str) -> WakuMessage:
     )
 
 
-def run_fleet(pipeline_config: PipelineConfig) -> tuple[RLNDeployment, dict]:
+def run_fleet(pipeline_config: PipelineConfig) -> tuple[RLNDeployment, dict, dict]:
     deployment = RLNDeployment.create(
         peer_count=8,
         degree=3,
@@ -95,9 +110,16 @@ def run_fleet(pipeline_config: PipelineConfig) -> tuple[RLNDeployment, dict]:
     )
     counter = deployment.prover.pairing_counter  # shared per process: take deltas
     before = dataclasses.asdict(counter)
+    ids = deployment.peer_ids()
+    deliveries: dict[str, list] = {peer_id: [] for peer_id in ids}
+    simulator = deployment.simulator
+    for peer_id in ids:
+        log = deliveries[peer_id]
+        deployment.peers[peer_id].relay.subscribe(
+            lambda message, log=log: log.append((message.payload.hex(), simulator.now))
+        )
     deployment.register_all()
     deployment.form_meshes()
-    ids = deployment.peer_ids()
     attacker, spammer = deployment.peers[ids[0]], deployment.peers[ids[5]]
     for number in range(4):
         for index, peer_id in enumerate(ids):
@@ -114,12 +136,12 @@ def run_fleet(pipeline_config: PipelineConfig) -> tuple[RLNDeployment, dict]:
     pairings = {
         name: value - before[name] for name, value in dataclasses.asdict(counter).items()
     }
-    return deployment, pairings
+    return deployment, pairings, deliveries
 
 
-def relay_record(deployment: RLNDeployment, pairings: dict) -> dict:
-    """Every relay-path counter of the fleet, as JSON-ready values."""
-    peers = {}
+def relay_record(deployment: RLNDeployment, pairings: dict, deliveries: dict) -> dict:
+    """The fleet's relay path as JSON-ready values, by named part."""
+    peers, routers = {}, {}
     for peer_id in deployment.peer_ids():
         peer = deployment.peers[peer_id]
         pipeline = peer.pipeline
@@ -151,26 +173,43 @@ def relay_record(deployment: RLNDeployment, pairings: dict) -> dict:
                 "service_seconds": executor.service_seconds,
                 "lane_busy_seconds": executor.lane_busy_seconds,
             },
-            "router": dataclasses.asdict(peer.router_stats),
             "protocol": dataclasses.asdict(peer.stats),
         }
+        # A counter still at zero is left out, so a router counter added
+        # later leaves the digest of a fleet that never ticks it alone.
+        routers[peer_id] = {
+            name: value
+            for name, value in dataclasses.asdict(peer.router_stats).items()
+            if value != 0
+        }
     return {
-        "peers": peers,
-        "pairings": pairings,
-        "bytes": deployment.network.protocol_bytes(),
-        "events": deployment.simulator.processed_events,
+        "checks": {"peers": peers, "pairings": pairings},
+        "routing": {
+            "routers": routers,
+            "bytes": deployment.network.protocol_bytes(),
+            "events": deployment.simulator.processed_events,
+        },
+        "deliveries": deliveries,
     }
 
 
-def relay_digest(record: dict) -> str:
-    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+def relay_digests(record: dict) -> dict[str, str]:
+    """One SHA-256 per named part of a :func:`relay_record`."""
+    return {
+        part: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+        for part, value in record.items()
+    }
+
+
+def shape_digests(shape: str) -> dict[str, str]:
+    return relay_digests(relay_record(*run_fleet(SHAPES[shape])))
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_relay_path_counters_are_pinned(shape):
-    deployment, pairings = run_fleet(SHAPES[shape])
-    record = relay_record(deployment, pairings)
-    peers = record["peers"].values()
+    deployment, pairings, deliveries = run_fleet(SHAPES[shape])
+    record = relay_record(deployment, pairings, deliveries)
+    peers = record["checks"]["peers"].values()
     # The run is the one the digest was taken from: every attack landed.
     outcomes = ValidationOutcome
     assert sum(p["outcomes"][outcomes.INVALID_PROOF.name] for p in peers) > 0
@@ -178,4 +217,8 @@ def test_relay_path_counters_are_pinned(shape):
     assert sum(p["outcomes"][outcomes.INVALID_EPOCH_GAP.name] for p in peers) > 0
     assert sum(p["ratelimit"]["limited_by_peer"] for p in peers) > 0
     assert deployment.total_spam_detected() > 0
-    assert relay_digest(record) == GOLDEN[shape]
+    assert relay_digests(record) == GOLDEN[shape]
+
+
+if __name__ == "__main__":  # pragma: no cover - reprints the pins
+    print(json.dumps({shape: shape_digests(shape) for shape in sorted(SHAPES)}, indent=4))

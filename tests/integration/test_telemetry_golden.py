@@ -2,23 +2,27 @@
 
 An 8-peer fleet under the production profile — crypto lanes, batching,
 a collector with head-sampled traces and the alert pack — runs four
-honest rounds and drains its exporters.  Two SHA-256 digests cover
+honest rounds and drains its exporters.  Three SHA-256 digests cover
 everything the telemetry path lets an operator see, split by what a
 change may move:
 
-* the **content** digest — what the collector folded and what the fleet
-  did: the merged fleet snapshot (``to_json``), every exemplar span's
-  fields beside its collector seq and peer, every assembled propagation
-  tree, every exporter's and the collector's own accounting, the
-  alert-transition log, the messages sent per protocol and the gossipsub
-  byte total.  A change to how spans are recorded, folded, drained or
-  encoded, or to how metric deltas are computed and folded, must leave
-  it alone;
+* the **content** digests, two named parts:
+
+  * ``collector`` — what the collector folded: the merged fleet snapshot
+    (``to_json``), every exemplar span's fields beside its collector seq
+    and peer, every assembled propagation tree, every exporter's and the
+    collector's own accounting, and the alert-transition log.  A change
+    to how spans are recorded, folded, drained or encoded, or to how
+    metric deltas are computed and folded, must leave it alone;
+  * ``network`` — what the fleet put on the wire: the messages sent per
+    protocol and the gossipsub byte total.  Only a change to which
+    copies are sent moves it;
+
 * the **wire** digest — how those objects are laid down in bytes: every
   exemplar's ``to_bytes()`` and the ``telemetry`` / ``telemetry-reply``
   byte totals.  Only a layout change moves it.
 
-Neither depends on ``PYTHONHASHSEED``.
+None depends on ``PYTHONHASHSEED``.
 """
 
 import dataclasses
@@ -31,7 +35,11 @@ from repro.core.deployment import RLNDeployment
 from repro.pipeline import PipelineConfig
 from repro.telemetry import CollectorOptions
 
-CONTENT = "62e9bda224c1d7adfdbbf6fa825e2cb0509c7e9f4cac4967d823dcfa6e6602e6"
+CONTENT = {
+    "collector": "c06aecfed6d47fdd0bbed208678480a94e6f700c18ad0750445d086ea0b7a728",
+    # Re-pinned with IDONTWANT (fewer gossipsub copies).
+    "network": "4a76d351603f199dab788b69daadfd844949795dc85ab62adda846fac63483a5",
+}
 WIRE = "1c630167fe33cd6e170c6d47bc939a4041f2fa1dcd440acb3fb56c419c7138c7"
 
 
@@ -68,23 +76,24 @@ class Digest:
         return self._hash.hexdigest()
 
 
-def content_digest(deployment: RLNDeployment) -> str:
+def content_digest(deployment: RLNDeployment) -> dict[str, str]:
     collector, network = deployment.collector, deployment.network
-    digest = Digest()
-    digest.feed("fleet", collector.fleet_snapshot().to_json().encode())
+    folded = Digest()
+    folded.feed("fleet", collector.fleet_snapshot().to_json().encode())
     for seq, peer, record in collector.recent_traces():
         # Fields by value: ``repr`` keeps every float exact (and -0.0).
-        digest.feed(f"exemplar {seq} {peer}", repr(tuple(record)).encode())
+        folded.feed(f"exemplar {seq} {peer}", repr(tuple(record)).encode())
     for tree in collector.assembler.trees():
-        digest.feed("tree", tree.to_json())
+        folded.feed("tree", tree.to_json())
     for peer_id in sorted(deployment.exporters):
-        digest.feed(f"exporter {peer_id}", dataclasses.asdict(deployment.exporters[peer_id].stats))
-    digest.feed("collector", dataclasses.asdict(collector.stats))
-    digest.feed("alerts", collector.alert_events())
+        folded.feed(f"exporter {peer_id}", dataclasses.asdict(deployment.exporters[peer_id].stats))
+    folded.feed("collector", dataclasses.asdict(collector.stats))
+    folded.feed("alerts", collector.alert_events())
+    wire = Digest()
     messages = {p: network.total_messages(protocol=p) for p in network.protocol_bytes()}
-    digest.feed("messages", messages)
-    digest.feed("gossipsub bytes", network.protocol_bytes()["gossipsub"])
-    return digest.hexdigest()
+    wire.feed("messages", messages)
+    wire.feed("gossipsub bytes", network.protocol_bytes()["gossipsub"])
+    return {"collector": folded.hexdigest(), "network": wire.hexdigest()}
 
 
 def wire_digest(deployment: RLNDeployment) -> str:
@@ -112,6 +121,7 @@ def test_production_fleet_telemetry_is_byte_identical():
     assert wire_digest(run_fleet()) == WIRE
 
 
-if __name__ == "__main__":  # pragma: no cover - reprints the two pins
+if __name__ == "__main__":  # pragma: no cover - reprints the pins
     fleet = run_fleet()
-    print(f'CONTENT = "{content_digest(fleet)}"\nWIRE = "{wire_digest(fleet)}"')
+    print(f"CONTENT = {json.dumps(content_digest(fleet), indent=4)}")
+    print(f'WIRE = "{wire_digest(fleet)}"')

@@ -1,0 +1,215 @@
+"""Unit tests for the router's holder rule and its IDONTWANT announcements.
+
+One router under test (``peer-p``) sits among scripted neighbours whose
+handlers only log the RPCs it sends them; the test hands it RPCs as if
+they came off the wire and resolves its deferred verdicts by hand.
+"""
+
+import random
+
+import networkx as nx
+
+from repro.crypto.hashing import message_id
+from repro.gossipsub.messages import RPC, Graft, IDontWant, PubSubMessage, Subscribe
+from repro.gossipsub.router import (
+    MAX_EARLY_IDONTWANTS,
+    DeferredValidation,
+    GossipSubRouter,
+    ValidationResult,
+)
+from repro.net.latency import ConstantLatency
+from repro.net.simulator import Simulator
+from repro.net.transport import Network
+
+from test_router import TOPIC, build as build_fleet, publish, start_all
+
+ACCEPT = ValidationResult.ACCEPT
+
+
+def scripted(neighbours="abcd", mesh=None, deferred=True):
+    """``peer-p`` subscribed beside ``neighbours``; ``mesh`` of them grafted."""
+    names = [f"peer-{n}" for n in neighbours]
+    simulator = Simulator()
+    graph = nx.Graph()
+    graph.add_edges_from(("peer-p", name) for name in names)
+    network = Network(simulator=simulator, graph=graph, latency=ConstantLatency(0.01))
+    router = GossipSubRouter("peer-p", network, simulator, rng=random.Random(1))
+    router.subscribe(TOPIC)
+    inbox = {name: [] for name in names}
+    for name in names:
+        network.register(name, lambda sender, rpc, box=inbox[name]: box.append(rpc))
+        router._on_rpc(name, RPC(subscriptions=(Subscribe(TOPIC, True),)))
+    for n in neighbours if mesh is None else mesh:
+        router._on_rpc(f"peer-{n}", RPC(graft=(Graft(TOPIC),)))
+    verdicts: dict[bytes, DeferredValidation] = {}
+
+    def validate(sender, message):
+        verdicts[message.msg_id] = DeferredValidation()
+        return verdicts[message.msg_id]
+
+    if deferred:
+        router.set_validator(TOPIC, validate)
+    return simulator, router, inbox, verdicts
+
+
+def message(payload: bytes) -> PubSubMessage:
+    return PubSubMessage(msg_id=message_id(payload, TOPIC), topic=TOPIC, payload=payload)
+
+
+def copies(inbox, peer):
+    return [m.msg_id for rpc in inbox[f"peer-{peer}"] for m in rpc.messages]
+
+
+def announcements(inbox, peer):
+    return [rpc.idontwant for rpc in inbox[f"peer-{peer}"] if rpc.idontwant]
+
+
+class TestHolders:
+    def test_a_pending_message_skips_peers_that_sent_a_copy_or_an_idontwant(self):
+        simulator, router, inbox, verdicts = scripted()
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        router._on_rpc("peer-b", RPC(messages=(m,)))  # a copy while pending
+        router._on_rpc("peer-c", RPC(idontwant=(IDontWant((m.msg_id,)),)))
+        verdicts[m.msg_id].resolve(ACCEPT)
+        simulator.run(1.0)
+        assert copies(inbox, "d") == [m.msg_id]
+        assert copies(inbox, "a") == copies(inbox, "b") == copies(inbox, "c") == []
+        assert router.stats.suppressed == 2
+        assert router.stats.idontwant_received == 1
+        assert router._holders == {}
+
+    def test_the_table_entry_goes_whatever_the_verdict(self):
+        for verdict in ValidationResult:
+            simulator, router, inbox, verdicts = scripted()
+            m = message(b"m")
+            router._on_rpc("peer-a", RPC(messages=(m,)))
+            router._on_rpc("peer-b", RPC(messages=(m,)))
+            verdicts[m.msg_id].resolve(verdict)
+            assert router._holders == {}, verdict
+
+    def test_an_idontwant_for_a_judged_id_leaves_no_state(self):
+        simulator, router, inbox, verdicts = scripted()
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        verdicts[m.msg_id].resolve(ACCEPT)
+        router._on_rpc("peer-b", RPC(idontwant=(IDontWant((m.msg_id,)),)))
+        assert router._holders == {}
+        router.heartbeat()
+        assert router._holders == {}
+
+    def test_an_early_idontwant_spares_the_announcer_when_the_message_comes(self):
+        simulator, router, inbox, verdicts = scripted(deferred=False)
+        m = message(b"m")
+        router._on_rpc("peer-c", RPC(idontwant=(IDontWant((m.msg_id,)),)))
+        router._on_rpc("peer-a", RPC(messages=(m,)))  # inline verdict
+        simulator.run(1.0)
+        assert copies(inbox, "b") == copies(inbox, "d") == [m.msg_id]
+        assert copies(inbox, "c") == []
+        assert router._holders == {}
+
+
+class TestAnnouncements:
+    def test_one_idontwant_per_instant_lists_the_ids_still_pending(self):
+        simulator, router, inbox, verdicts = scripted()
+        m1, m2, m3, m4 = (message(b"m%d" % i) for i in range(1, 5))
+        for m in (m1, m2, m3):
+            router._on_rpc("peer-a", RPC(messages=(m,)))
+        verdicts[m2.msg_id].resolve(ACCEPT)  # lands inside the instant
+        simulator.run(0.5)
+        for peer in "abcd":
+            assert announcements(inbox, peer) == [(IDontWant((m1.msg_id, m3.msg_id)),)]
+        router._on_rpc("peer-b", RPC(messages=(m4,)))
+        simulator.run(1.0)
+        for peer in "abcd":
+            assert announcements(inbox, peer)[1:] == [(IDontWant((m4.msg_id,)),)]
+        assert router.stats.idontwant_sent == 8
+
+    def test_ids_judged_within_their_instant_are_never_announced(self):
+        simulator, router, inbox, verdicts = scripted()
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        verdicts[m.msg_id].resolve(ACCEPT)
+        simulator.run(1.0)
+        assert all(announcements(inbox, peer) == [] for peer in "abcd")
+        assert router.stats.idontwant_sent == 0
+
+    def test_idontwant_bills_its_ids(self):
+        frame = IDontWant((b"\x01" * 32, b"\x02" * 32))
+        assert frame.byte_size() == 16 + 32 * 2
+        assert RPC(idontwant=(frame,)).byte_size() == 16 + frame.byte_size()
+        assert not RPC(idontwant=(frame,)).is_empty()
+
+    def test_an_inline_verdict_fleet_never_announces(self):
+        sim, network, routers = build_fleet(count=8)
+        start_all(sim, routers)
+        for index in range(5):
+            publish(routers["peer-00%d" % index], b"inline-%d" % index)
+        sim.run(sim.now + 2.0)
+        assert sum(r.stats.delivered for r in routers.values()) == 5 * 8
+        for router in routers.values():
+            stats = router.stats
+            assert (stats.idontwant_sent, stats.idontwant_received, stats.suppressed) == (0, 0, 0)
+            assert router._holders == {}
+
+
+class TestHostileAnnouncer:
+    def test_random_ids_leave_bounded_state_that_expires(self):
+        simulator, router, inbox, verdicts = scripted(neighbours="abch")
+        m = message(b"real")
+        rng = random.Random(5)
+        ids = (m.msg_id,) + tuple(rng.randbytes(32) for _ in range(100_000))
+        router._on_rpc("peer-h", RPC(idontwant=(IDontWant(ids),)))
+        assert len(router._holders) == MAX_EARLY_IDONTWANTS
+        assert all(holders == {"peer-h"} for holders in router._holders.values())
+
+        # The hostile peer only ever leaves its own forward.
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        verdicts[m.msg_id].resolve(ACCEPT)
+        simulator.run(1.0)
+        assert copies(inbox, "b") == copies(inbox, "c") == [m.msg_id]
+        assert copies(inbox, "h") == []
+        assert router.stats.suppressed == 1
+
+        window = router.params.mcache_length * router.params.heartbeat_interval
+        simulator.run(window - 0.5)
+        router.heartbeat()
+        assert len(router._holders) == MAX_EARLY_IDONTWANTS - 1  # minus the judged id
+        simulator.run(window)
+        router.heartbeat()
+        assert router._holders == {}
+        assert router._early_count["peer-h"] == 0
+        # With the window gone, the cap admits the sender's hints again.
+        router._on_rpc("peer-h", RPC(idontwant=(IDontWant(ids[-2:]),)))
+        assert len(router._holders) == 2
+
+
+class TestThinMeshFallback:
+    def test_fallback_fires_when_the_mesh_less_the_sender_is_empty(self):
+        simulator, router, inbox, verdicts = scripted(neighbours="abc", mesh="a")
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        verdicts[m.msg_id].resolve(ACCEPT)
+        simulator.run(1.0)
+        assert copies(inbox, "b") == copies(inbox, "c") == [m.msg_id]
+        assert router.stats.suppressed == 0
+
+    def test_fallback_targets_lose_their_holders_too(self):
+        simulator, router, inbox, verdicts = scripted(neighbours="abc", mesh="a")
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        router._on_rpc("peer-c", RPC(idontwant=(IDontWant((m.msg_id,)),)))
+        verdicts[m.msg_id].resolve(ACCEPT)
+        simulator.run(1.0)
+        assert copies(inbox, "b") == [m.msg_id]
+        assert copies(inbox, "c") == []
+
+    def test_a_mesh_that_holds_the_message_never_falls_back(self):
+        simulator, router, inbox, verdicts = scripted(neighbours="abc", mesh="ab")
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        router._on_rpc("peer-b", RPC(messages=(m,)))
+        verdicts[m.msg_id].resolve(ACCEPT)
+        simulator.run(1.0)
+        assert copies(inbox, "a") == copies(inbox, "b") == copies(inbox, "c") == []
+        assert router.stats.suppressed == 1
