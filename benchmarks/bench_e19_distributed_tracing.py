@@ -36,9 +36,7 @@ every honest bundle to every peer exactly once while peers with a
 pending verdict announce what they hold (IDONTWANT) and are spared those
 copies.  Gossipsub bytes and sends per delivery, copies suppressed,
 IDONTWANT frames sent and mean first-delivery time per degree go to
-``reports/E19-fanout.json``.  Above degree 6 the mesh a peer keeps
-follows the interpreter's string-hash order (mesh filling shuffles a
-list read out of a set), so those rows are exact per ``PYTHONHASHSEED``.
+``reports/E19-fanout.json``.
 """
 
 import json

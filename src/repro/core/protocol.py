@@ -388,7 +388,7 @@ class WakuRLNRelayPeer:
             return deferred
         if result.retryable:
             # Shed unjudged (rate limited): un-witness the id from the
-            # router's seen-cache too, so a later copy from any neighbour
+            # router's seen-cache, so a later copy from any neighbour
             # is validated once the bucket refills instead of being
             # suppressed as a duplicate for the whole seen TTL.
             self.relay.router.forget_seen(msg_id)
@@ -451,31 +451,18 @@ class WakuRLNRelayPeer:
             callback(evidence)
 
     def _on_rate_limit_overflow(self, sender: str) -> None:
-        """Token-bucket overflow: penalise the forwarder, and once the
-        overflows persist past the configured threshold, PRUNE it from the
-        mesh directly and back off its GRAFT attempts (ROADMAP:
-        rate-limit feedback into mesh management) instead of waiting for
-        behaviour penalties to accumulate."""
+        """Token-bucket overflow: a behaviour penalty for the forwarder.
+
+        Peer scoring is the one eviction: once the penalties sink the
+        sender's score, the next heartbeat drops it from the mesh and its
+        GRAFTs are refused (``mesh_eligible``).  Without scoring, the
+        bucket alone throttles it.
+        """
         scoring = self.relay.router.scoring
         if scoring is not None:
             scoring.on_behaviour_penalty(sender)
-        threshold = self.pipeline.config.prune_overflow_threshold
-        if threshold is None:
-            return
-        if self.pipeline.ratelimiter.peer_overflows(sender) >= threshold:
-            self.pipeline.ratelimiter.reset_peer_overflows(sender)
-            self.relay.router.prune_peer(self.relay.pubsub_topic, sender)
 
     # -- convenience ---------------------------------------------------------------------------------
-
-    def proof_checker(self):
-        """Shared proof checker for this peer's store/filter/lightpush roles.
-
-        The same object the relay pipeline asks at stage 4, so
-        service-path re-validation and relay validation share pairing
-        work both ways — verdicts already cached and checks still pending.
-        """
-        return self.pipeline.shared_checker()
 
     def witness_service(self):
         """Run the §IV-A resourceful role: serve witnesses & snapshots.

@@ -92,17 +92,10 @@ class GossipSubParams:
     mcache_length: int = 5
     mcache_gossip: int = 3
     seen_ttl: float = 120.0
-    #: How long a peer evicted via :meth:`GossipSubRouter.prune_peer`
-    #: stays out of the mesh: its GRAFTs are refused (with a behaviour
-    #: penalty, v1.1 backoff-violation semantics) and mesh filling skips
-    #: it until the backoff expires.
-    prune_backoff: float = 60.0
 
     def __post_init__(self) -> None:
         if not self.d_lo <= self.d <= self.d_hi:
             raise NetworkError("need d_lo <= d <= d_hi")
-        if self.prune_backoff < 0:
-            raise NetworkError("prune_backoff must be >= 0")
 
 
 @dataclass
@@ -119,11 +112,6 @@ class RouterStats:
     deferred: int = 0
     gossip_sent: int = 0
     iwant_served: int = 0
-    #: Peers evicted through :meth:`GossipSubRouter.prune_peer` (e.g.
-    #: persistent ingress rate-limit offenders).
-    pruned_peers: int = 0
-    #: GRAFT attempts refused because the sender was in prune backoff.
-    backoff_grafts_rejected: int = 0
     #: Peers added to a mesh (inbound GRAFT accepted, or mesh filling).
     grafts: int = 0
     #: Scoring penalties handed out, by P7 (behaviour) and P4 (invalid
@@ -164,12 +152,7 @@ class GossipSubRouter:
         self.stats = RouterStats()
         self.telemetry = resolve_telemetry(telemetry)
         stats, bind = self.stats, partial(self.telemetry.registry.bind, peer=peer_id)
-        bind("gossipsub_prunes_total", lambda: stats.pruned_peers)
         bind("gossipsub_grafts_total", lambda: stats.grafts)
-        bind(
-            "gossipsub_backoff_grafts_rejected_total",
-            lambda: stats.backoff_grafts_rejected,
-        )
         bind("gossipsub_penalties_total", lambda: stats.behaviour_penalties, kind="behaviour")
         bind(
             "gossipsub_penalties_total",
@@ -184,8 +167,6 @@ class GossipSubRouter:
         self._callbacks: dict[str, list[DeliveryCallback]] = {}
         self._seen = SeenCache(ttl=self.params.seen_ttl)
         self._announced_to: set[str] = set()
-        #: topic -> peer -> backoff expiry time (see :meth:`prune_peer`).
-        self._graft_backoff: dict[str, dict[str, float]] = {}
         self._mcache = MessageCache(
             history_length=self.params.mcache_length,
             gossip_length=self.params.mcache_gossip,
@@ -291,46 +272,6 @@ class GossipSubRouter:
         """
         self._seen.forget(msg_id)
 
-    def prune_peer(
-        self, topic: str, peer: str, *, backoff: float | None = None
-    ) -> None:
-        """Evict ``peer`` from our mesh for ``topic`` and back off its GRAFTs.
-
-        The direct-action arm of rate-limit feedback (ROADMAP): a
-        neighbour whose ingress token bucket keeps overflowing is removed
-        from the mesh immediately — instead of waiting for behaviour
-        penalties to accumulate past the scoring thresholds — and kept
-        out for ``backoff`` seconds (default
-        :attr:`GossipSubParams.prune_backoff`): mesh filling skips it and
-        its GRAFT attempts are refused with a penalty.
-        """
-        until = self.simulator.now + (
-            self.params.prune_backoff if backoff is None else backoff
-        )
-        self._graft_backoff.setdefault(topic, {})[peer] = until
-        self.stats.pruned_peers += 1
-        mesh = self._mesh.get(topic)
-        if mesh and peer in mesh:
-            mesh.remove(peer)
-            if self.scoring:
-                self.scoring.on_leave_mesh(peer, self.simulator.now)
-        self._send(peer, RPC(prune=(Prune(topic=topic),)))
-
-    def in_graft_backoff(self, topic: str, peer: str) -> bool:
-        """True while ``peer`` is barred from our mesh for ``topic``."""
-        by_peer = self._graft_backoff.get(topic)
-        if not by_peer:
-            return False
-        until = by_peer.get(peer)
-        if until is None:
-            return False
-        if until <= self.simulator.now:
-            del by_peer[peer]
-            if not by_peer:
-                del self._graft_backoff[topic]
-            return False
-        return True
-
     def mesh_peers(self, topic: str) -> set[str]:
         return set(self._mesh.get(topic, set()))
 
@@ -401,19 +342,12 @@ class GossipSubRouter:
         if topic not in self._topics:
             self._send(sender, RPC(prune=(Prune(topic=topic),)))
             return
-        if self.in_graft_backoff(topic, sender):
-            # Backoff violation (v1.1 semantics): refuse and penalise.
-            self.stats.backoff_grafts_rejected += 1
-            self._send(sender, RPC(prune=(Prune(topic=topic),)))
-            if self.scoring:
-                self.scoring.on_behaviour_penalty(sender)
-                self.stats.behaviour_penalties += 1
-            return
         if self.scoring and not self.scoring.mesh_eligible(sender, self.simulator.now):
+            # A peer scored below the mesh threshold may not join:
+            # refuse and penalise.
             self._send(sender, RPC(prune=(Prune(topic=topic),)))
-            if self.scoring:
-                self.scoring.on_behaviour_penalty(sender)
-                self.stats.behaviour_penalties += 1
+            self.scoring.on_behaviour_penalty(sender)
+            self.stats.behaviour_penalties += 1
             return
         mesh = self._mesh.setdefault(topic, set())
         if sender not in mesh:
@@ -598,11 +532,11 @@ class GossipSubRouter:
     def _fill_mesh(self, topic: str) -> None:
         mesh = self._mesh.setdefault(topic, set())
         now = self.simulator.now
+        # Sorted before the shuffle: set order follows PYTHONHASHSEED.
         candidates = [
             peer
-            for peer in self.topic_peers(topic)
+            for peer in sorted(self.topic_peers(topic))
             if peer not in mesh
-            and not self.in_graft_backoff(topic, peer)
             and (self.scoring is None or self.scoring.mesh_eligible(peer, now))
         ]
         self.rng.shuffle(candidates)
@@ -637,7 +571,7 @@ class GossipSubRouter:
         mesh = self._mesh.get(topic, set())
         candidates = [
             peer
-            for peer in self.topic_peers(topic)
+            for peer in sorted(self.topic_peers(topic))
             if peer not in mesh
             and (self.scoring is None or self.scoring.accepts_gossip(peer, now))
         ]

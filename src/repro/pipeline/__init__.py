@@ -28,12 +28,7 @@ from repro.pipeline.pipeline import (
     ValidationPipeline,
     Verdict,
 )
-from repro.pipeline.prefilter import (
-    DedupLRU,
-    Prefilter,
-    PrefilterOutcome,
-    PrefilterStats,
-)
+from repro.pipeline.prefilter import Prefilter, PrefilterOutcome, PrefilterStats
 from repro.pipeline.ratelimit import (
     BucketSpec,
     IngressRateLimiter,
@@ -55,7 +50,6 @@ __all__ = [
     "PipelineStats",
     "ValidationPipeline",
     "Verdict",
-    "DedupLRU",
     "Prefilter",
     "PrefilterOutcome",
     "PrefilterStats",

@@ -101,8 +101,7 @@ class BatchVerifierStats:
 class BatchVerifier:
     """Who runs a pairing check, when, and who remembers the verdict.
 
-    One per peer, built by its pipeline
-    (:meth:`~repro.pipeline.pipeline.ValidationPipeline.shared_checker`),
+    One per peer, built by its pipeline (``pipeline.batch_verifier``),
     which asks it on the relay path and hands it to the peer's
     :class:`~repro.waku.store.StoreNode`,
     :class:`~repro.waku.filter.FilterNode` and

@@ -4,7 +4,7 @@ Composes the routing decision of §III-F the way production gossip stacks
 layer ingress validation — cheap gates first, expensive ones batched:
 
 1. :class:`~repro.pipeline.prefilter.Prefilter` — framing/size/epoch-window
-   gates and a per-topic dedup LRU (no field arithmetic);
+   gates (no field arithmetic);
 2. :class:`~repro.pipeline.ratelimit.IngressRateLimiter` — token buckets
    per forwarding peer and per topic, feeding GossipSub behaviour
    penalties on overflow;
@@ -24,8 +24,10 @@ recorded in the wrapped validator's stats, so ``batch_size=1`` (the
 default) is observationally identical to calling
 ``BundleValidator.validate`` directly *for traffic below the token-bucket
 rates* — under a flood the buckets deliberately shed load the seed would
-have verified; pipeline-only drops (size, dedup, rate limit) are counted
-in :class:`PipelineStats` alone.
+have verified; pipeline-only drops (framing, size, rate limit) are
+counted in :class:`PipelineStats` alone.  Message ids are deduplicated
+once, by the router's seen-cache, before :meth:`ValidationPipeline.validate`
+is called.
 """
 
 from __future__ import annotations
@@ -82,11 +84,6 @@ class PipelineConfig:
     #: lanes, so relay callbacks return immediately and verdicts resolve
     #: at simulated completion time.
     workers: int = 0
-    #: PRUNE a peer from the mesh once its token bucket has overflowed
-    #: this many times (ROADMAP: rate-limit feedback into mesh
-    #: management); ``None`` keeps the seed behaviour of only feeding
-    #: ``on_behaviour_penalty``.
-    prune_overflow_threshold: int | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -95,11 +92,6 @@ class PipelineConfig:
             raise ProtocolError("batch_deadline must be positive")
         if self.workers < 0:
             raise ProtocolError("workers must be >= 0")
-        if (
-            self.prune_overflow_threshold is not None
-            and self.prune_overflow_threshold < 1
-        ):
-            raise ProtocolError("prune_overflow_threshold must be >= 1 (or None)")
 
 
 @dataclass(frozen=True)
@@ -111,8 +103,8 @@ class Verdict:
     evidence: SpamEvidence | None = None
     stage: str = ""
     cached: bool = False
-    #: The bundle was shed unjudged (rate limiting): callers should also
-    #: un-witness its id from their own dedup layers so a retry can land.
+    #: The bundle was shed unjudged (rate limiting): callers should
+    #: un-witness its id from their seen-cache so a retry can land.
     retryable: bool = False
 
 
@@ -136,7 +128,6 @@ _SHARED_VERDICTS = [
     for outcome in ValidationOutcome
 ]
 _RATE_LIMITED = Verdict(ValidationResult.IGNORE, None, stage="ratelimit", retryable=True)
-_DUPLICATE_ID = Verdict(ValidationResult.IGNORE, None, stage="prefilter")
 _GATE_REJECT = Verdict(ValidationResult.REJECT, None, stage="prefilter")
 #: The seed outcome per prefilter gate slot (``None``: a pipeline-only drop).
 _GATE_OUTCOMES = [
@@ -253,8 +244,8 @@ class ValidationPipeline:
         with this peer's own span.  Untraced, it is a local root.
         """
         trace = self.tracer.begin(parent=trace_parent, key=msg_id)
-        # Stage 1 — stateless gates and dedup (no field arithmetic).
-        gate = self.prefilter.check(message, local_epoch, msg_id, topic)
+        # Stage 1 — stateless gates (no field arithmetic).
+        gate = self.prefilter.check(message, local_epoch)
         trace.mark(tracing.PREFILTER)
         if gate is not PrefilterOutcome.PASS:
             verdict = self._gate_verdict(gate)
@@ -272,11 +263,9 @@ class ValidationPipeline:
                 and self._on_rate_limit_penalty is not None
             ):
                 self._on_rate_limit_penalty(sender)
-            # The bundle was never judged: un-witness its id so a later
+            # The bundle was never judged: ``retryable`` tells the caller
+            # to un-witness its id (the router's seen-cache), so a later
             # retry (once the bucket refills) is not mistaken for a replay.
-            # ``retryable`` tells the caller to do the same for its own
-            # dedup layer (the router's seen-cache).
-            self.prefilter.dedup.forget(topic, msg_id)
             self._count_drop("ratelimit")
             self.tracer.finish(trace)
             # IGNORE, not REJECT — the router must not stack an
@@ -297,11 +286,10 @@ class ValidationPipeline:
             # is already pending for this (statement, proof) on any of the
             # peer's paths, then the pairing check.  A straight re-broadcast
             # does not reach this point (an identical wire message has an
-            # identical msg_id, which the router's seen-cache and the
-            # stage-1 dedup LRU suppress); the same proof rewrapped under a
-            # different content_topic does, and joins.  Whoever paid, the
-            # nullifier log still runs on the verdict, so a second copy
-            # lands as DUPLICATE.
+            # identical msg_id, which the router's seen-cache suppresses);
+            # the same proof rewrapped under a different content_topic
+            # does, and joins.  Whoever paid, the nullifier log still runs
+            # on the verdict, so a second copy lands as DUPLICATE.
             proof_verdict, fresh = self.batch_verifier.check(
                 message.rate_limit_proof, priority=Priority.RELAY, trace=trace
             )
@@ -362,17 +350,6 @@ class ValidationPipeline:
         """Re-enable batching and worker lanes after :meth:`close`."""
         self.batch_verifier.reopen()
 
-    def shared_checker(self) -> BatchVerifier:
-        """The proof verifier the relay path above asks at stage 4.
-
-        Hand it to the peer's store/filter/lightpush nodes: they share
-        verdicts — landed and still pending — with the relay path in both
-        directions, and any fresh pairing work they need goes through the
-        same executor at SERVICE priority, so heavy query load cannot
-        starve relay verdicts.
-        """
-        return self.batch_verifier
-
     # -- helpers ----------------------------------------------------------------
 
     def _count_drop(self, stage: str) -> None:
@@ -393,7 +370,7 @@ class ValidationPipeline:
             # Gates that exist in the seed vocabulary keep its accounting.
             return self._finish(outcome, None, "prefilter")
         self._count_drop("prefilter")
-        return _DUPLICATE_ID if gate is PrefilterOutcome.DUPLICATE_ID else _GATE_REJECT
+        return _GATE_REJECT
 
     def _settle(
         self,

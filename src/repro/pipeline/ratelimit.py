@@ -5,8 +5,10 @@ RLN's proof-of-membership rate limit (one message per member per epoch,
 much verification work a single forwarding peer or topic can demand in the
 first place.  That is the layer §IV's security analysis leaves to "peer
 scoring": a neighbour that exceeds its budget is throttled before the
-pairing check, and each overflow feeds a GossipSub behaviour penalty so a
-persistent offender is eventually pruned and graylisted.
+pairing check, and each overflow feeds a GossipSub behaviour penalty.
+With scoring on, a persistent offender's score falls until the mesh
+heartbeat prunes it and its GRAFTs are refused; with scoring off, its
+bucket alone caps the verification work it can demand.
 
 The buckets are deterministic and allocation-free on the hot path: fixed
 ``__slots__``, refill computed from the simulator clock handed in by the
@@ -112,10 +114,6 @@ class IngressRateLimiter:
         self.stats = RateLimitStats()
         self._peer_buckets: dict[str, TokenBucket] = {}
         self._topic_buckets: dict[str, TokenBucket] = {}
-        #: Per-peer overflow counts since the last reset — the persistence
-        #: signal mesh management reads to decide a PRUNE (ROADMAP:
-        #: rate-limit feedback into mesh management).
-        self._peer_overflows: dict[str, int] = {}
 
     def allow(
         self, peer: str, topic: str, now: float, cost: float = 1.0
@@ -127,7 +125,6 @@ class IngressRateLimiter:
                 bucket = self._peer_buckets[peer] = TokenBucket(self.peer_spec, now)
             if not bucket.allow(now, cost):
                 self.stats.limited_by_peer += 1
-                self._peer_overflows[peer] = self._peer_overflows.get(peer, 0) + 1
                 return RateLimitVerdict.PEER_LIMITED
         if self.topic_spec is not None:
             bucket = self._topic_buckets.get(topic)
@@ -157,17 +154,8 @@ class IngressRateLimiter:
         ]
         for peer in stale:
             del self._peer_buckets[peer]
-            self._peer_overflows.pop(peer, None)
         return len(stale)
 
     def peer_level(self, peer: str, now: float) -> float | None:
         bucket = self._peer_buckets.get(peer)
         return None if bucket is None else bucket.level(now)
-
-    def peer_overflows(self, peer: str) -> int:
-        """Overflow count for ``peer`` since the last reset."""
-        return self._peer_overflows.get(peer, 0)
-
-    def reset_peer_overflows(self, peer: str) -> None:
-        """Zero a peer's overflow count (after mesh management acted on it)."""
-        self._peer_overflows.pop(peer, None)

@@ -1,7 +1,7 @@
 """Stage names for span marks (see :mod:`repro.telemetry.disttrace`).
 
 A bundle's span is marked at relay ingress and through its whole path —
-prefilter → dedup/ratelimit → cheap checks → batch enqueue → flush →
+prefilter → ratelimit → cheap checks → batch enqueue → flush →
 executor lane dispatch → pairing verdict → resolve — and a revocation
 span from evidence → commit-reveal → ``MemberRemoved`` → accepted-window
 collapse.

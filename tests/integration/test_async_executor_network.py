@@ -3,7 +3,7 @@
 Worker-lane deployments must deliver the same traffic and convict the same
 spammers as the synchronous default — only the *timing* moves: relay
 callbacks return immediately and verdicts land at simulated completion.
-Also covers the rate-limit -> mesh-management feedback end to end.
+Also covers a rate-limit flood evicted by peer scoring, end to end.
 """
 
 from repro.core.config import RLNConfig
@@ -93,48 +93,40 @@ class TestWorkerLaneDeployment:
 
 class TestRateLimitMeshFeedback:
     def test_persistent_overflow_prunes_the_offender(self):
-        # Tiny per-peer budget + a low prune threshold: a neighbour that
-        # keeps flooding past its bucket is PRUNEd from the mesh directly
-        # (not merely penalised) and backed off.
-        # Scoring off: the prune feedback must act on its own, not lean on
-        # graylisting (which would silence the flood before the threshold).
+        # Tiny per-peer budget: every overflow of a flooding neighbour's
+        # bucket is a behaviour penalty.  Peer scoring is the one eviction:
+        # the heartbeat drops the offender from the mesh, and it stays out
+        # (mesh filling skips it, its GRAFTs are refused) while its score
+        # is negative.
         dep = make_deployment(
-            PipelineConfig(
-                peer_bucket=BucketSpec(capacity=4.0, refill_per_second=0.1),
-                prune_overflow_threshold=8,
-            ),
+            PipelineConfig(peer_bucket=BucketSpec(capacity=4.0, refill_per_second=0.1)),
             seed=75,
+            scoring=True,
             auto_slash=False,
         )
         attacker = dep.peer("peer-000")
+        penalised_by = set()
+        for name, peer in dep.peers.items():
+            scoring = peer.relay.router.scoring
+            penalise = scoring.on_behaviour_penalty
+
+            def record(sender, name=name, penalise=penalise):
+                if sender == attacker.peer_id:
+                    penalised_by.add(name)
+                penalise(sender)
+
+            scoring.on_behaviour_penalty = record
         for i in range(40):
             attacker.publish(b"flood-%d" % i, force=True)
             dep.run(0.2)
         dep.run(2.0)
-        pruned_by = [
-            name
-            for name, peer in dep.peers.items()
-            if name != attacker.peer_id
-            and peer.relay.router.in_graft_backoff(
-                peer.relay.pubsub_topic, attacker.peer_id
-            )
-        ]
-        assert pruned_by  # at least one mesh neighbour acted
-        for name in pruned_by:
-            router = dep.peer(name).relay.router
-            assert attacker.peer_id not in router.mesh_peers(
-                dep.peer(name).relay.pubsub_topic
-            )
-            assert router.stats.pruned_peers >= 1
-
-    def test_default_config_never_prunes(self):
-        dep = make_deployment(seed=76, scoring=True)
-        attacker = dep.peer("peer-000")
-        for i in range(10):
-            attacker.publish(b"burst-%d" % i, force=True)
-            dep.run(0.1)
-        dep.run(2.0)
-        assert all(
-            peer.relay.router.stats.pruned_peers == 0
-            for peer in dep.peers.values()
-        )
+        assert penalised_by  # at least one neighbour's bucket overflowed
+        for _ in range(5):  # and the offender is not re-grafted
+            for name in sorted(penalised_by):
+                router = dep.peer(name).relay.router
+                topic = dep.peer(name).relay.pubsub_topic
+                assert attacker.peer_id not in router.mesh_peers(topic)
+                assert not router.scoring.mesh_eligible(
+                    attacker.peer_id, dep.simulator.now
+                )
+            dep.run(1.0)

@@ -3,10 +3,14 @@
 A router or PoW peer built without ``rng=`` seeds its own generator from
 its peer id; that seed fixes the heartbeat phase and every mesh shuffle,
 so it must not come from ``hash()``, which is salted per interpreter.
+A router with more mesh candidates than it needs shuffles them, so it
+must shuffle them from a hash-independent (sorted) order.
 Each hash seed runs in a fresh interpreter, which reports the first
 heartbeat offset of a default-seeded router and of a default-seeded PoW
-peer, plus the named-part digests of both relay-golden shapes
-(``test_relay_stats_golden.py``); all three interpreters must agree.
+peer, the meshes (and processed events) of a 16-peer, degree-10 fleet
+after ``form_meshes()``, and the named-part digests of both relay-golden
+shapes (``test_relay_stats_golden.py``); all three interpreters must
+agree.
 """
 
 import json
@@ -24,6 +28,7 @@ import networkx as nx
 
 import test_relay_stats_golden as golden
 from repro.baselines.pow import PoWRelayPeer
+from repro.core.deployment import RLNDeployment
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.waku.relay import WakuRelay
@@ -41,9 +46,20 @@ def first_heartbeat(build):
     return beats[0]
 
 
+def dense_meshes():
+    fleet = RLNDeployment.create(peer_count=16, degree=10, seed=7)
+    fleet.form_meshes()
+    meshes = {
+        peer_id: sorted(peer.relay.router.mesh_peers(peer.relay.pubsub_topic))
+        for peer_id, peer in fleet.peers.items()
+    }
+    return {"meshes": meshes, "events": fleet.simulator.processed_events}
+
+
 print(json.dumps({
     "router": first_heartbeat(lambda net, sim: WakuRelay("peer-000", net, sim)),
     "pow": first_heartbeat(lambda net, sim: PoWRelayPeer("peer-000", net, sim).relay),
+    "meshes": dense_meshes(),
     "golden": {shape: golden.shape_digests(shape) for shape in sorted(golden.SHAPES)},
 }))
 """
@@ -67,7 +83,5 @@ def probe(hash_seed: str) -> dict:
 
 def test_default_rngs_and_relay_goldens_ignore_the_hash_seed():
     runs = {seed: probe(seed) for seed in ("0", "1", "2")}
-    assert runs["0"]["golden"] == runs["1"]["golden"] == runs["2"]["golden"]
-    for kind in ("router", "pow"):
-        offsets = {seed: run[kind] for seed, run in runs.items()}
-        assert len(set(offsets.values())) == 1, (kind, offsets)
+    for kind in ("router", "pow", "meshes", "golden"):
+        assert runs["0"][kind] == runs["1"][kind] == runs["2"][kind], kind

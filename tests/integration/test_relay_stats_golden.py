@@ -58,15 +58,17 @@ SHAPES = {
 }
 
 GOLDEN = {
+    # ``checks`` re-pinned when the prefilter lost its dedup gate; the only
+    # key gone is ``prefilter_dropped["DUPLICATE_ID"]``, 0 on every peer.
     "batched": {
-        "checks": "a241b65180f3234cdafe19303ccd2003272284d2ab3da23671dc882bd73585c7",
+        "checks": "376765ef2428637487167047f12ba89e34c94d6f7d4723b413d7ddeaa84bcfa5",
         # Re-pinned when peers with a pending verdict began announcing
         # what they hold (IDONTWANT) and being spared copies of it.
         "routing": "74917c00c9a066bd4e54423c62c11ad3e04aa95ea9547396b1813703b474f3da",
         "deliveries": "77c0183884cf8500bfe906ac444fdb63df28b0636245257fb81cfe65a7ff6f09",
     },
     "inline": {
-        "checks": "f5c56ed68ed4605e11f09102ec0b116c85b37aa0fe5950568dfb8d3e6ee7c396",
+        "checks": "0c065af24a9ab1e60a83f28b664050c73f891ea1e98b6e0453c1bf8f49ef3586",
         "routing": "4cd146258a6ff9e4145150de53f71ce3e554d5c501b65dcd322e43f4296bf0f3",
         "deliveries": "f6e509fde7387e73793b5b3a7dded411bf80a2b10dc007ea38b460bf86f82e8c",
     },

@@ -35,12 +35,16 @@ from repro.core.deployment import RLNDeployment
 from repro.pipeline import PipelineConfig
 from repro.telemetry import CollectorOptions
 
+# ``collector`` and WIRE re-pinned when the router's prune-backoff arm
+# went; the only difference is 16 series no longer exported, all 0:
+# ``gossipsub_prunes_total`` and ``gossipsub_backoff_grafts_rejected_total``
+# (telemetry bytes 54 573 -> 53 957).
 CONTENT = {
-    "collector": "c06aecfed6d47fdd0bbed208678480a94e6f700c18ad0750445d086ea0b7a728",
+    "collector": "1f0ab1bb733df7afaafc6359b412394ba91ca566f5a84f4785a8937b45cfd22f",
     # Re-pinned with IDONTWANT (fewer gossipsub copies).
     "network": "4a76d351603f199dab788b69daadfd844949795dc85ab62adda846fac63483a5",
 }
-WIRE = "1c630167fe33cd6e170c6d47bc939a4041f2fa1dcd440acb3fb56c419c7138c7"
+WIRE = "62c427f5454eae3695b0124e753962e7b0713da5b8273c5d7770b7eaa74c8d45"
 
 
 @lru_cache(maxsize=1)

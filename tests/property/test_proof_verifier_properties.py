@@ -119,7 +119,7 @@ def test_every_check_lands_once_with_the_provers_verdict(
         simulator,
         PipelineConfig(batch_size=batch_size, workers=workers),
     )
-    checker = pipeline.shared_checker()
+    checker = pipeline.batch_verifier
     answers = []  # (pool index, bool | Promise, fresh, class, trail)
     seen: set[tuple[bytes, bytes]] = set()
     for op, arg in ops:

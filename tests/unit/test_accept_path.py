@@ -76,7 +76,7 @@ class TestStraightThrough:
         self, rln_env, promises_made
     ):
         pipeline = make_pipeline(rln_env)
-        checker = pipeline.shared_checker()
+        checker = pipeline.batch_verifier
         checker._in_flight = spy = SpyDict()
         honest = rln_env.make_message(b"honest")
         fresh = [
@@ -108,7 +108,7 @@ class TestStraightThrough:
         self, rln_env, promises_made, config
     ):
         pipeline = make_pipeline(rln_env, **config)
-        checker = pipeline.shared_checker()
+        checker = pipeline.batch_verifier
         checker._in_flight = spy = SpyDict()
         bundle = rln_env.make_message(b"in-flight").rate_limit_proof
         first, fresh = checker.check(bundle, priority=Priority.RELAY)

@@ -32,10 +32,6 @@ KEPT_FOR = {
     # Behaviour only a fleet-level test can reach, no narrower seam.
     "peer_bucket": "a forwarder overflowing its bucket through the real router",
     "topic_bucket": "switched off so the same test isolates the per-peer bucket",
-    "prune_overflow_threshold": (
-        "the only mesh-level response to a rate-limit flood; needs a workload "
-        "before anyone decides default-or-delete"
-    ),
     "backup": "exporter failover needs two collectors on one network",
     "funding_wei": "Figure 2: a peer that cannot afford the deposit",
     "start": "frame-size properties over a wired fleet that never ticks",

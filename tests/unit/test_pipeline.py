@@ -89,8 +89,8 @@ class TestVerdictCache:
         stats = pipeline.validator.stats
         pipeline.validate("p", message, EPOCH, b"first-id")
         assert (stats.proofs_verified, stats.proofs_cached) == (1, 0)
-        # The same bundle again under a different message id (the dedup LRU
-        # only catches identical ids): the verdict comes from the cache.
+        # The same bundle again, here under a different message id: the
+        # verdict comes from the cache.
         verdict = pipeline.validate("p", message, EPOCH, b"second-id")
         assert (stats.proofs_verified, stats.proofs_cached) == (1, 1)
         assert verdict.cached
@@ -171,8 +171,8 @@ class TestRateLimit:
         throttled = rln_env.make_message(b"throttled", epoch=EPOCH + 1)
         dropped = pipeline.validate("p", throttled, EPOCH + 1, b"retry-id", now=0.0)
         assert dropped.action is ValidationResult.IGNORE
-        # The unjudged id was forgotten: the retry is validated, not
-        # silently treated as a dedup replay.
+        # The pipeline keeps no per-id state: once the bucket refills, the
+        # retry is validated, not treated as a replay.
         retried = pipeline.validate("p", throttled, EPOCH + 1, b"retry-id", now=5.0)
         assert retried.outcome is ValidationOutcome.VALID
 
@@ -212,12 +212,23 @@ class TestPrefilterIntegration:
         assert sum(pipeline.validator.stats.outcomes.values()) == 0
 
     def test_duplicate_id_ignored_silently(self, rln_env):
+        # A repeated id that got past the router's seen-cache (expired, or
+        # un-witnessed after a rate-limit shed) is judged once more: the
+        # proof verdict comes from the cache and the nullifier log calls
+        # it a DUPLICATE — IGNORE, no penalty, no pairing work.
         pipeline = make_pipeline(rln_env)
+        stats = pipeline.validator.stats
         message = rln_env.make_message(b"dup")
         pipeline.validate("p", message, EPOCH, b"same")
+        counter = rln_env.prover.pairing_counter
+        before = counter.evaluations
         verdict = pipeline.validate("p", message, EPOCH, b"same")
         assert verdict.action is ValidationResult.IGNORE
-        assert verdict.outcome is None
+        assert verdict.outcome is ValidationOutcome.DUPLICATE
+        assert verdict.cached and verdict.stage == "verdict-cache"
+        assert counter.evaluations == before
+        assert stats.count(ValidationOutcome.DUPLICATE) == 1
+        assert (stats.proofs_verified, stats.proofs_cached) == (1, 1)
 
 
 class TestDeferredPath:

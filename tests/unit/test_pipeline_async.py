@@ -128,7 +128,7 @@ class TestWorkerLaneEquivalence:
 class TestPriorityClasses:
     def test_relay_flushes_overtake_queued_service_checks(self, rln_env):
         pipeline, simulator = make_pipeline(rln_env, workers=1)
-        checker = pipeline.shared_checker()
+        checker = pipeline.batch_verifier
         order = []
 
         # Occupy the single lane with a relay verdict...
@@ -148,12 +148,11 @@ class TestPriorityClasses:
         assert classes[Priority.SERVICE].completed == 1
 
     def test_two_service_paths_share_one_in_flight_table(self, rln_env):
-        # A peer's store, filter and lightpush nodes each ask the pipeline
-        # for "the" checker; the same proof arriving on two of them before
-        # the first verdict lands must cost one pairing job, not two.
+        # A peer's store, filter and lightpush nodes all hold the
+        # pipeline's one verifier; the same proof arriving on two of them
+        # before the first verdict lands must cost one pairing job, not two.
         pipeline, simulator = make_pipeline(rln_env, workers=1)
-        store_path, lightpush_path = pipeline.shared_checker(), pipeline.shared_checker()
-        assert store_path is lightpush_path
+        store_path = lightpush_path = pipeline.batch_verifier
         message = rln_env.make_message(b"raced")
         counter = rln_env.prover.pairing_counter
         counter.reset()
@@ -173,7 +172,7 @@ class TestPriorityClasses:
         # that verdict, not pay for its own (8 evaluations before the
         # relay and service paths shared one front door).
         pipeline, simulator = make_pipeline(rln_env, batch_size=8, workers=0)
-        checker = pipeline.shared_checker()
+        checker = pipeline.batch_verifier
         message = rln_env.make_message(b"parked")
         counter = rln_env.prover.pairing_counter
         counter.reset()
@@ -192,7 +191,7 @@ class TestPriorityClasses:
         # The other direction: the proof is on a lane for the store path
         # when its relay copy arrives.
         pipeline, simulator = make_pipeline(rln_env, workers=1, batch_size=1)
-        checker = pipeline.shared_checker()
+        checker = pipeline.batch_verifier
         message = rln_env.make_message(b"in-flight")
         counter = rln_env.prover.pairing_counter
         counter.reset()
@@ -212,7 +211,7 @@ class TestPriorityClasses:
 
     def test_service_cache_hit_skips_the_queue(self, rln_env):
         pipeline, simulator = make_pipeline(rln_env, workers=1)
-        checker = pipeline.shared_checker()
+        checker = pipeline.batch_verifier
         message = rln_env.make_message(b"warm")
         pending = pipeline.validate("p", message, EPOCH, b"a")
         simulator.run_until_idle()
@@ -260,7 +259,7 @@ class TestCloseAndReopen:
 
     def test_close_pins_shared_checkers_inline_too(self, rln_env):
         pipeline, simulator = make_pipeline(rln_env, workers=1)
-        checker = pipeline.shared_checker()
+        checker = pipeline.batch_verifier
         pipeline.close()
         # A service-path check landing after stop() must resolve inline —
         # the checker holds the same (now pinned) executor, so no lane

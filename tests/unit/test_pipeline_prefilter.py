@@ -1,11 +1,10 @@
-"""Unit tests for pipeline stage 1: stateless gates and the dedup LRU."""
+"""Unit tests for pipeline stage 1: the stateless gates."""
 
 import pytest
 
 from repro.crypto.field import FieldElement
 from repro.core.messages import RateLimitProof
-from repro.errors import ProtocolError
-from repro.pipeline.prefilter import DedupLRU, Prefilter, PrefilterOutcome
+from repro.pipeline.prefilter import Prefilter, PrefilterOutcome
 from repro.waku.message import WakuMessage
 from repro.zksnark.groth16 import Proof
 
@@ -27,102 +26,56 @@ def fake_message(payload: bytes = b"hello", epoch: int = EPOCH) -> WakuMessage:
 
 @pytest.fixture()
 def prefilter() -> Prefilter:
-    return Prefilter(max_epoch_gap=2, max_payload_bytes=64, dedup_capacity=4)
+    return Prefilter(max_epoch_gap=2, max_payload_bytes=64)
 
 
 class TestGates:
     def test_well_formed_bundle_passes(self, prefilter):
-        assert prefilter.check(fake_message(), EPOCH, b"id1", "t") is PrefilterOutcome.PASS
+        assert prefilter.check(fake_message(), EPOCH) is PrefilterOutcome.PASS
         assert prefilter.stats.passed == 1
 
     def test_non_waku_message_malformed(self, prefilter):
-        assert prefilter.check(object(), EPOCH, b"id", "t") is PrefilterOutcome.MALFORMED
+        assert prefilter.check(object(), EPOCH) is PrefilterOutcome.MALFORMED
 
     def test_non_bytes_payload_malformed(self, prefilter):
         bad = WakuMessage.__new__(WakuMessage)
         object.__setattr__(bad, "payload", "not-bytes")
         object.__setattr__(bad, "content_topic", "t")
         object.__setattr__(bad, "rate_limit_proof", None)
-        assert prefilter.check(bad, EPOCH, b"id", "t") is PrefilterOutcome.MALFORMED
+        assert prefilter.check(bad, EPOCH) is PrefilterOutcome.MALFORMED
 
     def test_missing_proof_dropped(self, prefilter):
         bare = WakuMessage(payload=b"x", content_topic="t")
-        assert prefilter.check(bare, EPOCH, b"id", "t") is PrefilterOutcome.MISSING_PROOF
+        assert prefilter.check(bare, EPOCH) is PrefilterOutcome.MISSING_PROOF
 
     def test_oversized_payload_dropped_before_epoch_check(self, prefilter):
         # 65 bytes > the 64-byte ceiling; the stale epoch must not matter,
         # the size gate fires first (per-byte work is what it protects).
         big = fake_message(payload=b"x" * 65, epoch=EPOCH - 100)
-        assert prefilter.check(big, EPOCH, b"id", "t") is PrefilterOutcome.TOO_LARGE
+        assert prefilter.check(big, EPOCH) is PrefilterOutcome.TOO_LARGE
 
     def test_epoch_window_both_directions(self, prefilter):
         past = fake_message(epoch=EPOCH - 3)
         future = fake_message(epoch=EPOCH + 3)
         edge = fake_message(epoch=EPOCH - 2)
-        assert prefilter.check(past, EPOCH, b"a", "t") is PrefilterOutcome.STALE_EPOCH
-        assert prefilter.check(future, EPOCH, b"b", "t") is PrefilterOutcome.STALE_EPOCH
-        assert prefilter.check(edge, EPOCH, b"c", "t") is PrefilterOutcome.PASS
+        assert prefilter.check(past, EPOCH) is PrefilterOutcome.STALE_EPOCH
+        assert prefilter.check(future, EPOCH) is PrefilterOutcome.STALE_EPOCH
+        assert prefilter.check(edge, EPOCH) is PrefilterOutcome.PASS
 
-    def test_duplicate_id_dropped(self, prefilter):
+    def test_gates_keep_no_per_message_state(self, prefilter):
+        # Repeated ids are the router's seen-cache's business: the same
+        # bundle passes the gates every time it is checked.
         message = fake_message()
-        assert prefilter.check(message, EPOCH, b"same", "t") is PrefilterOutcome.PASS
-        assert (
-            prefilter.check(message, EPOCH, b"same", "t")
-            is PrefilterOutcome.DUPLICATE_ID
-        )
-
-    def test_same_id_different_topics_independent(self, prefilter):
-        message = fake_message()
-        assert prefilter.check(message, EPOCH, b"id", "t1") is PrefilterOutcome.PASS
-        assert prefilter.check(message, EPOCH, b"id", "t2") is PrefilterOutcome.PASS
-
-    def test_dropped_message_not_witnessed(self, prefilter):
-        # A stale-epoch drop happens before the dedup stage, so the same id
-        # arriving later (inside the window) is not mistaken for a replay.
-        stale = fake_message(epoch=EPOCH - 50)
-        prefilter.check(stale, EPOCH, b"id", "t")
-        fresh = fake_message()
-        assert prefilter.check(fresh, EPOCH, b"id", "t") is PrefilterOutcome.PASS
+        assert prefilter.check(message, EPOCH) is PrefilterOutcome.PASS
+        assert prefilter.check(message, EPOCH) is PrefilterOutcome.PASS
+        assert prefilter.stats.passed == 2
 
     def test_stats_per_gate(self, prefilter):
-        prefilter.check(fake_message(), EPOCH, b"1", "t")
-        prefilter.check(fake_message(epoch=EPOCH - 9), EPOCH, b"2", "t")
-        prefilter.check(WakuMessage(payload=b"", content_topic="t"), EPOCH, b"3", "t")
+        prefilter.check(fake_message(), EPOCH)
+        prefilter.check(fake_message(epoch=EPOCH - 9), EPOCH)
+        prefilter.check(WakuMessage(payload=b"", content_topic="t"), EPOCH)
         stats = prefilter.stats
         assert stats.passed == 1
         assert stats.dropped[PrefilterOutcome.STALE_EPOCH] == 1
         assert stats.dropped[PrefilterOutcome.MISSING_PROOF] == 1
         assert stats.total_dropped() == 2
-
-
-class TestDedupLRU:
-    def test_capacity_validated(self):
-        with pytest.raises(ProtocolError):
-            DedupLRU(0)
-
-    def test_eviction_at_capacity(self):
-        lru = DedupLRU(3)
-        for i in range(3):
-            assert not lru.witness("t", b"%d" % i)
-        assert not lru.witness("t", b"3")  # evicts b"0"
-        assert lru.evictions == 1
-        assert lru.size("t") == 3
-        assert not lru.seen("t", b"0")
-        assert lru.seen("t", b"3")
-
-    def test_witness_refreshes_recency(self):
-        lru = DedupLRU(2)
-        lru.witness("t", b"a")
-        lru.witness("t", b"b")
-        assert lru.witness("t", b"a")  # refresh: b"a" becomes most recent
-        lru.witness("t", b"c")  # evicts b"b", not b"a"
-        assert lru.seen("t", b"a")
-        assert not lru.seen("t", b"b")
-
-    def test_capacity_is_per_topic(self):
-        lru = DedupLRU(2)
-        for topic in ("t1", "t2"):
-            lru.witness(topic, b"a")
-            lru.witness(topic, b"b")
-        assert lru.evictions == 0
-        assert lru.size("t1") == 2 and lru.size("t2") == 2

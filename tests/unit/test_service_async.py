@@ -55,7 +55,7 @@ def env(rln_env):
         sim,
         PipelineConfig(workers=1),
     )
-    checker = pipeline.shared_checker()
+    checker = pipeline.batch_verifier
     names = sorted(relays)
     return sim, network, relays, names, pipeline, checker
 

@@ -66,7 +66,7 @@ class TestSharedProofChecker:
 
     def test_pipeline_warms_the_shared_cache(self, rln_env):
         """A verdict computed by the relay pipeline is visible to service
-        paths through shared_checker() without further pairing work."""
+        paths through pipeline.batch_verifier without further pairing work."""
         validator = rln_env.make_validator()
         pipeline = ValidationPipeline(validator, rln_env.prover, Simulator())
         message = rln_env.make_message(b"hello")
@@ -76,7 +76,7 @@ class TestSharedProofChecker:
             "peer-a", message, RLN_TEST_EPOCH, b"m1", topic="t"
         )
         assert verdict.action is ValidationResult.ACCEPT
-        shared = pipeline.shared_checker()
+        shared = pipeline.batch_verifier
         counter = rln_env.prover.pairing_counter
         counter.reset()
         assert shared.check_deferred(message).value is True
@@ -89,7 +89,7 @@ class TestSharedProofChecker:
         validator = rln_env.make_validator()
         pipeline = ValidationPipeline(validator, rln_env.prover, Simulator())
         message = rln_env.make_message(b"hello")
-        assert pipeline.shared_checker().check_deferred(message).value is True
+        assert pipeline.batch_verifier.check_deferred(message).value is True
         from tests.conftest import RLN_TEST_EPOCH
 
         counter = rln_env.prover.pairing_counter
