@@ -6,14 +6,18 @@ Each driver runs in its own interpreter under a ``sys.settrace`` hook that
 records the first line of every ``src/repro`` function it sees called and
 returns ``None`` (no line tracing).  The drivers are the four e2e workloads
 at smoke size, every ``examples/*.py`` and every ``benchmarks/bench_*.py``
-(with ``-k "not 1000000"``, as CI runs them).  Work done in a driver's own
-subprocesses is not seen.
+(with ``-k "not 1000000"``, as CI runs them, and ``--benchmark-disable``:
+pytest-benchmark pauses ``sys.settrace`` around a timed call, a disabled
+benchmark runs its target once, traced).  Work done in a driver's own
+subprocesses is not seen.  A driver that runs past ``DRIVER_TIMEOUT_S`` is
+killed and recorded as failed (exit 124, ``"timed_out": true``).
 
 ``REACH.json`` lists the drivers (with their exit status), the number of
-functions ``src/repro`` defines, and per module the functions no driver
-called: qualified name and ``[first, last]`` line span.  A decorated
-function's first line is its first decorator's, as on its code object.
-The run takes about five minutes on one core.
+functions ``src/repro`` defines, and per module the qualified names of the
+functions some driver called.  Names, not line numbers: an edit that only
+moves code leaves the file as it is.  ``tests/unit/test_reachability.py``
+reads it; every function it does not name needs a reason row there.
+A run takes 420-450 s on one core of a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
@@ -89,7 +94,9 @@ def probe(kind: str, target: str, out: pathlib.Path) -> int:
         else:
             import pytest
 
-            status = int(pytest.main([target, "-q", "-k", "not 1000000", "-p", "no:cacheprovider"]))
+            status = int(pytest.main(
+                [target, "-q", "-k", "not 1000000", "-p", "no:cacheprovider", "--benchmark-disable"]
+            ))
     except SystemExit as stop:
         status = stop.code if isinstance(stop.code, int) else int(stop.code is not None)
     finally:
@@ -108,36 +115,33 @@ def collect(out: pathlib.Path) -> dict:
         for kind, target in drivers():
             sink = pathlib.Path(scratch) / "reached.json"
             print(f"== {kind} {target}", file=sys.stderr, flush=True)
-            done = subprocess.run(
-                [sys.executable, __file__, "--probe", kind, target, "--reached", str(sink)],
-                cwd=ROOT, env=env, stdout=subprocess.DEVNULL, timeout=DRIVER_TIMEOUT_S,
-            )
+            run = {"kind": kind, "target": target}
+            try:
+                done = subprocess.run(
+                    [sys.executable, __file__, "--probe", kind, target, "--reached", str(sink)],
+                    cwd=ROOT, env=env, stdout=subprocess.DEVNULL, timeout=DRIVER_TIMEOUT_S,
+                )
+                run["exit"] = done.returncode
+            except subprocess.TimeoutExpired:
+                run.update(exit=124, timed_out=True)
             if sink.exists():
                 reached.update((f, line) for f, line in json.loads(sink.read_text()))
                 sink.unlink()
-            runs.append({"kind": kind, "target": target, "exit": done.returncode})
+            runs.append(run)
     hit = {(pathlib.Path(f).relative_to(ROOT / "src").as_posix(), line) for f, line in reached}
     modules = {}
-    total = unreached_lines = 0
+    total = unreached = unreached_lines = 0
     for module, rows in functions().items():
         total += len(rows)
-        missed = [
-            {"qualname": name, "lines": [first, last]}
-            for name, first, last in rows
-            if (module, first) not in hit
-        ]
-        unreached_lines += sum(m["lines"][1] - m["lines"][0] + 1 for m in missed)
-        if missed:
-            modules[module] = {"functions": len(rows), "unreached": missed}
-    record = {
-        "drivers": runs,
-        "functions": total,
-        "unreached": sum(len(m["unreached"]) for m in modules.values()),
-        "unreached_lines": unreached_lines,
-        "modules": modules,
-    }
+        names = sorted({name for name, first, _ in rows if (module, first) in hit})
+        missed = [(first, last) for name, first, last in rows if (module, first) not in hit]
+        unreached += len(missed)
+        unreached_lines += sum(last - first + 1 for first, last in missed)
+        if names:
+            modules[module] = names
+    record = {"drivers": runs, "functions": total, "reached": modules}
     out.write_text(json.dumps(record, indent=1) + "\n")
-    return record
+    return {**record, "unreached": unreached, "unreached_lines": unreached_lines}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -148,11 +152,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.probe:
         return probe(*args.probe, args.reached)
+    start = time.perf_counter()
     record = collect(args.out)
     failed = [d for d in record["drivers"] if d["exit"] != 0]
     print(
         f"{record['functions']} functions, {record['unreached']} unreached "
-        f"({record['unreached_lines']} lines); {len(failed)} driver(s) failed -> {args.out}"
+        f"({record['unreached_lines']} lines); {len(failed)} driver(s) failed -> {args.out} "
+        f"in {time.perf_counter() - start:.0f} s"
     )
     return 1 if failed else 0
 

@@ -28,7 +28,8 @@ def main() -> None:
     print("== heterogeneous peers: full, storage-limited, bandwidth-limited ==\n")
     config = RLNConfig(epoch_length=5.0, max_epoch_gap=2, tree_depth=20)
     dep = RLNDeployment.create(peer_count=8, degree=4, seed=77, config=config)
-    dep.register_all()
+    # peer-007 joins the group later, after the light view exists.
+    dep.register_all([p for p in dep.peer_ids() if p != "peer-007"])
     dep.form_meshes()
 
     # -- storage-limited tier -------------------------------------------------
@@ -64,11 +65,14 @@ def main() -> None:
             )
         dep.run(config.epoch_length + 0.5)
 
-    # Membership keeps changing while the light view follows along.
-    dep.register_all()  # no-op for existing, but run the sync machinery
+    # Membership keeps changing: a late registration reaches the light view
+    # only as an update announcement, which moves its path and root.
+    root_before = view.root
+    dep.register_all(["peer-007"])
+    assert view.root != root_before
     assert view.root == dep.peer("peer-000").group.root
-    print("storage-limited peer stayed in sync through "
-          f"{dep.contract.member_count()} member events: root matches\n")
+    print("storage-limited peer followed a late registration "
+          f"({dep.contract.member_count()} members): root matches\n")
 
     print(f"phone received {len(phone.received)} pushed readings "
           f"(bandwidth: only {TOPIC})")

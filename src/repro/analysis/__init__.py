@@ -4,10 +4,8 @@ from repro.analysis.metrics import (
     DeliveryTracker,
     LatencySummary,
     NullifierMapLoad,
-    SpamContainment,
     mean,
     nullifier_map_load,
-    spam_containment,
 )
 from repro.analysis.reporting import (
     ExperimentReport,
@@ -20,10 +18,8 @@ __all__ = [
     "DeliveryTracker",
     "LatencySummary",
     "NullifierMapLoad",
-    "SpamContainment",
     "mean",
     "nullifier_map_load",
-    "spam_containment",
     "ExperimentReport",
     "format_bytes",
     "format_seconds",

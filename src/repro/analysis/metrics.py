@@ -7,67 +7,10 @@ the reproduction maintains.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis.reporting import percentile
-
-
-@dataclass(frozen=True)
-class SpamContainment:
-    """How far spam travelled and what it cost the network."""
-
-    spam_published: int
-    spam_deliveries: int  # sum over peers of spam messages delivered to apps
-    honest_published: int
-    honest_deliveries: int
-    peer_count: int
-
-    @property
-    def spam_reach(self) -> float:
-        """Average fraction of peers each spam message reached."""
-        if self.spam_published == 0 or self.peer_count == 0:
-            return 0.0
-        return self.spam_deliveries / (self.spam_published * self.peer_count)
-
-    @property
-    def honest_reach(self) -> float:
-        if self.honest_published == 0 or self.peer_count == 0:
-            return 0.0
-        return self.honest_deliveries / (self.honest_published * self.peer_count)
-
-    @property
-    def containment_factor(self) -> float:
-        """honest_reach / spam_reach — higher means better containment."""
-        if self.spam_reach == 0:
-            return math.inf
-        return self.honest_reach / self.spam_reach
-
-
-def spam_containment(
-    peers: Mapping[str, object],
-    *,
-    is_spam_payload,
-    spam_published: int,
-    honest_published: int,
-) -> SpamContainment:
-    """Compute containment from peers exposing a ``received`` message list."""
-    spam_deliveries = 0
-    honest_deliveries = 0
-    for peer in peers.values():
-        for message in getattr(peer, "received", []):
-            if is_spam_payload(message.payload):
-                spam_deliveries += 1
-            else:
-                honest_deliveries += 1
-    return SpamContainment(
-        spam_published=spam_published,
-        spam_deliveries=spam_deliveries,
-        honest_published=honest_published,
-        honest_deliveries=honest_deliveries,
-        peer_count=len(peers),
-    )
 
 
 @dataclass(frozen=True)
@@ -133,9 +76,6 @@ class DeliveryTracker:
         latencies = self.latencies(payload)
         return max(latencies) if latencies else None
 
-    def summary(self, payload: bytes) -> LatencySummary:
-        return LatencySummary.of(self.latencies(payload))
-
 
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean; 0.0 for an empty sequence."""
@@ -158,20 +98,6 @@ class NullifierMapLoad:
     entries_pruned: int
     #: Largest any single peer's map ever grew.
     peak_entries: int
-
-    @property
-    def mean_retained(self) -> float:
-        if self.peer_count == 0:
-            return 0.0
-        return self.entries_retained / self.peer_count
-
-    @property
-    def prune_ratio(self) -> float:
-        """Fraction of all observed entries the window pruning reclaimed."""
-        total = self.entries_retained + self.entries_pruned
-        if total == 0:
-            return 0.0
-        return self.entries_pruned / total
 
 
 def nullifier_map_load(stats: Iterable[object]) -> NullifierMapLoad:

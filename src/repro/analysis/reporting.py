@@ -151,6 +151,3 @@ class ExperimentReport:
         for note in self.notes:
             parts.append(f"note: {note}")
         return "\n".join(parts)
-
-    def print(self) -> None:
-        print("\n" + self.render())

@@ -91,7 +91,3 @@ class PlainRelayPeer:
             self.stats.flagged += 1
             return ValidationResult.REJECT
         return ValidationResult.ACCEPT
-
-    @property
-    def scoring(self):
-        return self.relay.router.scoring

@@ -16,8 +16,8 @@ event simulator does this in network experiments; tests call
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.chain.gas import GasMeter, intrinsic_gas
 from repro.errors import ChainError, ContractError, InsufficientFunds, OutOfGas
@@ -241,10 +241,6 @@ class Blockchain:
     def receipt(self, tx_id: int) -> Receipt | None:
         """Receipt of a mined transaction, or None while still pending."""
         return self._receipts.get(tx_id)
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._mempool)
 
     # -- mining -------------------------------------------------------------------------
 

@@ -95,12 +95,6 @@ class RLNMembershipContract(Contract):
     def is_member(self, pk: FieldElement | int) -> bool:
         return int(pk) in self._index_of_pk
 
-    def index_of(self, pk: FieldElement | int) -> int:
-        try:
-            return self._index_of_pk[int(pk)]
-        except KeyError:
-            raise NotRegistered(f"commitment {int(pk)} is not a member") from None
-
     # -- registration -----------------------------------------------------------
 
     def call_register(self, ctx: CallContext, *, pk: int) -> int:

@@ -185,7 +185,3 @@ class SemaphoreContract(Contract):
     def signals_since(self, block_number: int) -> list[StoredSignal]:
         """Signals mined at or after ``block_number`` (a reader's poll)."""
         return [s for s in self.signal_log if s.block_number >= block_number]
-
-    @property
-    def root(self) -> FieldElement:
-        return self.tree.root

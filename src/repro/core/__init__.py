@@ -2,7 +2,7 @@
 
 from repro.core.config import RLNConfig, compute_max_epoch_gap
 from repro.core.deployment import RLNDeployment
-from repro.core.epoch import epoch_gap, epoch_of, epoch_start, external_nullifier
+from repro.core.epoch import epoch_gap, external_nullifier
 from repro.core.membership import GroupManager
 from repro.core.messages import RateLimitProof
 from repro.core.nullifier_log import (
@@ -20,8 +20,6 @@ __all__ = [
     "compute_max_epoch_gap",
     "RLNDeployment",
     "epoch_gap",
-    "epoch_of",
-    "epoch_start",
     "external_nullifier",
     "GroupManager",
     "RateLimitProof",

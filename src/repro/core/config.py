@@ -9,7 +9,7 @@ knobs (prover backend, acceptable-root window).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chain.blockchain import WEI
 from repro.crypto.merkle import DEFAULT_DEPTH
@@ -87,16 +87,3 @@ class RLNConfig:
             raise ProtocolError("deposit must be positive")
         if self.root_window < 1:
             raise ProtocolError("root_window must be >= 1")
-
-    @classmethod
-    def for_network(
-        cls,
-        *,
-        epoch_length: float = 30.0,
-        network_delay: float = 6.0,
-        clock_asynchrony: float = 0.0,
-        **kwargs,
-    ) -> "RLNConfig":
-        """Build a config with Thr derived from the §III-F formula."""
-        gap = compute_max_epoch_gap(network_delay, clock_asynchrony, epoch_length)
-        return cls(epoch_length=epoch_length, max_epoch_gap=gap, **kwargs)

@@ -17,20 +17,6 @@ from repro.crypto.field import FieldElement
 from repro.errors import ProtocolError
 
 
-def epoch_of(unix_time: float, epoch_length: float) -> int:
-    """The epoch containing ``unix_time`` for epoch length ``T``."""
-    if epoch_length <= 0:
-        raise ProtocolError("epoch length must be positive")
-    if unix_time < 0:
-        raise ProtocolError("unix time must be non-negative")
-    return int(unix_time // epoch_length)
-
-
-def epoch_start(epoch: int, epoch_length: float) -> float:
-    """Unix time at which ``epoch`` begins."""
-    return epoch * epoch_length
-
-
 def external_nullifier(epoch: int) -> FieldElement:
     """The epoch as the field element fed to the RLN derivations."""
     if epoch < 0:

@@ -213,9 +213,6 @@ class GroupManager:
             witness = self._witness = (root, proof)
         return witness[1]
 
-    def merkle_proof_at(self, index: int) -> MerkleProof:
-        return self.tree.proof(index)
-
     # -- shard geometry ---------------------------------------------------------------
 
     def shard_of(self, index: int) -> int:

@@ -107,9 +107,6 @@ class NullifierLog:
         )
         return NullifierOutcome.SPAM, evidence
 
-    def lookup(self, epoch: int, internal_nullifier: FieldElement) -> NullifierRecord | None:
-        return self._by_epoch.get(epoch, {}).get(internal_nullifier.value)
-
     def prune_before(self, oldest_kept_epoch: int) -> int:
         """Drop all epochs older than ``oldest_kept_epoch``; returns count."""
         if self._oldest is None or self._oldest >= oldest_kept_epoch:
@@ -134,6 +131,3 @@ class NullifierLog:
             for epoch_map in self._by_epoch.values()
             for record in epoch_map.values()
         )
-
-    def epochs_tracked(self) -> list[int]:
-        return sorted(self._by_epoch)

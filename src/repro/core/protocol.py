@@ -35,7 +35,7 @@ experiments can *be* the spammer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.chain.blockchain import Blockchain
@@ -274,19 +274,13 @@ class WakuRLNRelayPeer:
             return False
         return self.contract.is_member(self.identity.pk)
 
-    @property
-    def member_index(self) -> int | None:
-        if self.identity is None or not self.registered:
-            return None
-        return self.group.index_of(self.identity.pk)
-
     # -- clock / epoch (§III-D) ---------------------------------------------------------
 
     def unix_now(self) -> float:
         return self.clock.unix_time(self.simulator.now)
 
     def current_epoch(self) -> int:
-        # core.epoch.epoch_of(unix_now()) in one frame, run per receipt; not
+        # floor(unix_now() / T) (§III-D) in one frame, run per receipt; not
         # cached on the simulated time, as the clock's offset may change.
         clock = self.clock
         unix_time = clock.genesis_unix + self.simulator.now + clock.offset
@@ -557,10 +551,6 @@ class WakuRLNRelayPeer:
     @property
     def router_stats(self):
         return self.relay.stats
-
-    @property
-    def validator_stats(self):
-        return self.validator.stats
 
     @property
     def pipeline_stats(self):

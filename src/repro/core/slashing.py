@@ -18,7 +18,7 @@ too late.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.chain.blockchain import Blockchain
@@ -150,9 +150,6 @@ class Slasher:
                     # is already gone.
                     attempt.state = SlashState.FAILED
                     attempt.failure_reason = f"reveal failed: {receipt.error}"
-
-    def rewarded_total(self) -> int:
-        return sum(a.reward for a in self.attempts)
 
     def pending(self) -> list[SlashAttempt]:
         return [

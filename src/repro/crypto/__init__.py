@@ -5,7 +5,7 @@ DESIGN.md §2 for how the simulated pieces map to the paper's artefacts.
 """
 
 from repro.crypto.field import FIELD_BYTES, FIELD_MODULUS, FieldElement, ZERO, ONE
-from repro.crypto.poseidon import poseidon_hash, poseidon2
+from repro.crypto.poseidon import poseidon_hash
 from repro.crypto.engine import (
     PoseidonEngine,
     available_backends,
@@ -42,7 +42,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "poseidon_hash",
-    "poseidon2",
     "PoseidonEngine",
     "available_backends",
     "default_engine",

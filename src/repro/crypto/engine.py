@@ -37,13 +37,13 @@ picks gmpy2 when importable, else the int engine.  :func:`use_backend`
 overrides the default for a scope — the per-backend arms of benchmark E18
 and the equivalence tests run under it.
 
-The batched API (:meth:`PoseidonEngine.hash_many`,
-:meth:`PoseidonEngine.permute_many`) amortises parameter-table lookups; the
-Merkle layer (``MerkleTree.from_leaves``, shard rebuilds, checkpoint
-replay) feeds whole levels through it via the existing hasher-injection
-seam: each engine's :attr:`~PoseidonEngine.hash2` is a plain function
-carrying an ``engine`` attribute, so tree code can detect an engine-backed
-hasher and batch, while foreign hashers keep the seed's per-node path.
+The batched :meth:`PoseidonEngine.hash_many` amortises parameter-table
+lookups; the Merkle layer (``MerkleTree.from_leaves``, shard rebuilds,
+checkpoint replay) feeds whole levels through it via the existing
+hasher-injection seam: each engine's :attr:`~PoseidonEngine.hash2` is a
+plain function carrying an ``engine`` attribute, so tree code can detect
+an engine-backed hasher and batch, while foreign hashers keep the seed's
+per-node path.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ class EngineStats:
 class PoseidonEngine:
     """Common surface of every backend.
 
-    ``permute``/``hash``/``hash2`` mirror the reference module's
-    signatures and return :class:`FieldElement` so engines slot straight
-    into the hasher-injection seam; ``hash_many``/``permute_many`` are the
-    batched entry points the tree builders drive whole levels through.
+    ``hash``/``hash2`` mirror the reference module's signatures and
+    return :class:`FieldElement` so engines slot straight into the
+    hasher-injection seam; ``hash_many`` is the batched entry point the
+    tree builders drive whole levels through.
     """
 
     backend = "abstract"
@@ -125,9 +125,6 @@ class PoseidonEngine:
     def _make_hash2(self) -> Callable[..., FieldElement]:
         raise NotImplementedError
 
-    def permute(self, state: Sequence[FieldElement | int]) -> list[FieldElement]:
-        raise NotImplementedError
-
     def hash(self, inputs: Sequence[FieldElement | int]) -> FieldElement:
         raise NotImplementedError
 
@@ -137,11 +134,6 @@ class PoseidonEngine:
         self, pairs: Sequence[tuple[FieldElement | int, FieldElement | int]]
     ) -> list[FieldElement]:
         """Two-to-one compress every pair; one parameter lookup total."""
-        raise NotImplementedError
-
-    def permute_many(
-        self, states: Sequence[Sequence[FieldElement | int]]
-    ) -> list[list[FieldElement]]:
         raise NotImplementedError
 
     # -- integration hooks --------------------------------------------------
@@ -174,14 +166,6 @@ class ReferenceEngine(PoseidonEngine):
 
         return hash2
 
-    def permute(self, state: Sequence[FieldElement | int]) -> list[FieldElement]:
-        start = time.perf_counter()
-        params = poseidon_params(len(state))
-        out = poseidon_permutation([FieldElement(x) for x in state], params)
-        self.stats.permutations += 1
-        self.stats.seconds += time.perf_counter() - start
-        return out
-
     def hash(self, inputs: Sequence[FieldElement | int]) -> FieldElement:
         start = time.perf_counter()
         digest = poseidon_hash(inputs)
@@ -196,21 +180,6 @@ class ReferenceEngine(PoseidonEngine):
         start = time.perf_counter()
         out = [poseidon_hash([FieldElement(l), FieldElement(r)]) for l, r in pairs]
         self.stats.hashes += len(out)
-        self.stats.permutations += len(out)
-        self.stats.batched_calls += 1
-        self.stats.seconds += time.perf_counter() - start
-        return out
-
-    def permute_many(
-        self, states: Sequence[Sequence[FieldElement | int]]
-    ) -> list[list[FieldElement]]:
-        start = time.perf_counter()
-        out = [
-            poseidon_permutation(
-                [FieldElement(x) for x in state], poseidon_params(len(state))
-            )
-            for state in states
-        ]
         self.stats.permutations += len(out)
         self.stats.batched_calls += 1
         self.stats.seconds += time.perf_counter() - start
@@ -312,14 +281,8 @@ def _factor_partial(t: int) -> tuple:
     return rc, mds, m_pre, e_pre, stages, rc_adj, half, params.total_rounds
 
 
-def _emit_source(
-    t: int,
-    name: str,
-    use_table: bool,
-    capacity: int | None = None,
-    squeeze: bool = False,
-) -> tuple[str, list[int]]:
-    """Generate the fully unrolled straight-line permutation for width ``t``.
+def _emit_source(t: int, name: str, use_table: bool) -> tuple[str, list[int]]:
+    """Generate the fully unrolled ``t-1``-input sponge compressor.
 
     Every round constant and matrix coefficient is embedded as a literal
     (or, for backends with a non-int native type, an index into a constant
@@ -331,13 +294,13 @@ def _emit_source(
     just to add a constant, and each lane takes exactly one ``%`` per
     round.
 
-    ``capacity`` pins lane 0's input to a known constant (the sponge's
-    capacity/arity lane) and emits a ``t-1``-argument function with the
-    whole first-round lane-0 S-box constant-folded at generation time.
-    ``squeeze`` emits only output lane 0 (the sponge discards the rest)
-    and returns it bare.  The hash paths use both; ``permute`` uses
-    neither.
+    Lane 0's input is the sponge's capacity/arity lane, the constant
+    ``t-1``: the function takes the other ``t-1`` lanes and the whole
+    first-round lane-0 S-box is constant-folded at generation time.  Only
+    output lane 0 is computed in the last round (the sponge discards the
+    rest) and it is returned bare.
     """
+    capacity = t - 1
     rc, mds, m_pre, e_pre, stages, rc_adj, half, total = _factor_partial(t)
     consts: list[int] = []
     if use_table:
@@ -346,8 +309,7 @@ def _emit_source(
             return f"K[{len(consts) - 1}]"
     else:
         cr = repr
-    lane_lo = 0 if capacity is None else 1
-    args = ", ".join(f"s{i}" for i in range(lane_lo, t))
+    args = ", ".join(f"s{i}" for i in range(1, t))
     tail = ", p, K=_K, pw=pow):" if use_table else ", p, pw=pow):"
     lines = [f"def {name}({args}{tail}"]
     emit = lines.append
@@ -369,7 +331,7 @@ def _emit_source(
         fold0 = None
         for i in range(t):
             if r == 0:
-                if i == 0 and capacity is not None:
+                if i == 0:
                     # Lane 0 is the constant capacity lane: the whole
                     # first-round S-box evaluates at generation time.
                     x = (capacity + rc[0][0]) % _P
@@ -379,7 +341,7 @@ def _emit_source(
             else:
                 emit(f"    a{i} = pw({cur[i]}, 5, p)")
         extra = next_const(r)
-        rows = 1 if squeeze and r == total - 1 else t
+        rows = 1 if r == total - 1 else t
         new = [f"{prefix}{r}_{i}" for i in range(t)]
         for i in range(rows):
             jlo = 0
@@ -421,7 +383,7 @@ def _emit_source(
         cur = new
     for r in range(half + k, total):
         full_round("h", r, mds)
-    emit(f"    return {cur[0]}" if squeeze else f"    return ({', '.join(cur)})")
+    emit(f"    return {cur[0]}")
     return "\n".join(lines), consts
 
 
@@ -479,11 +441,9 @@ class IntEngine(PoseidonEngine):
 
     # -- the hot loop -------------------------------------------------------
 
-    def _compile(
-        self, t: int, capacity: int | None = None, squeeze: bool = False
-    ) -> Callable:
-        name = f"_poseidon_t{t}" if capacity is None else f"_poseidon_t{t}_c{capacity}"
-        src, consts = _emit_source(t, name, self._use_const_table, capacity, squeeze)
+    def _compile(self, t: int) -> Callable:
+        name = f"_poseidon_t{t}_c{t - 1}"
+        src, consts = _emit_source(t, name, self._use_const_table)
         namespace: dict = {}
         if self._use_const_table:
             namespace["_K"] = tuple(self._convert(c) for c in consts)
@@ -494,38 +454,23 @@ class IntEngine(PoseidonEngine):
         fn = namespace[name]
         # One-time oracle check: the sparse factorisation is an algebraic
         # identity, but never trust a rewrite — one reference permutation
-        # per variant pins the compiled code bit-for-bit before first use.
-        probe = [1337 + 7 * i for i in range(t)]
-        if capacity is not None:
-            probe[0] = capacity
-        expect = [
-            e.value
-            for e in poseidon_permutation(
-                [FieldElement(x) for x in probe], poseidon_params(t)
-            )
-        ]
-        lanes = probe if capacity is None else probe[1:]
-        raw = fn(*lanes, self._pnative)
-        got = [int(raw)] if squeeze else [int(x) for x in raw]
-        if got != expect[: len(got)]:  # pragma: no cover - a codegen bug
+        # per width pins the compiled code bit-for-bit before first use.
+        probe = [t - 1] + [1337 + 7 * i for i in range(1, t)]
+        expect = poseidon_permutation(
+            [FieldElement(x) for x in probe], poseidon_params(t)
+        )[0].value
+        if int(fn(*probe[1:], self._pnative)) != expect:  # pragma: no cover - a codegen bug
             raise CryptoError(f"poseidon codegen self-check failed for t={t}")
-        self._compiled[(t, capacity, squeeze)] = fn
+        self._compiled[t] = fn
         return fn
 
     def _fixed(self, n: int) -> Callable:
         """The ``n``-input sponge compressor: width ``n+1``, capacity lane
         pinned to ``n``, only the output lane materialised."""
-        fn = self._compiled.get((n + 1, n, True))
+        fn = self._compiled.get(n + 1)
         if fn is None:
-            fn = self._compile(n + 1, n, True)
+            fn = self._compile(n + 1)
         return fn
-
-    def _permute_raw(self, state: Sequence, t: int) -> tuple:
-        """Permute ``t`` backend-native ints; returns the new lanes."""
-        fn = self._compiled.get((t, None, False))
-        if fn is None:
-            fn = self._compile(t)
-        return fn(*state, self._pnative)
 
     def _make_hash2(self) -> Callable[..., FieldElement]:
         stats = self.stats
@@ -533,9 +478,9 @@ class IntEngine(PoseidonEngine):
 
         def hash2(left: FieldElement | int, right: FieldElement | int) -> FieldElement:
             start = time.perf_counter()
-            fn = engine._compiled.get((3, 2, True))
+            fn = engine._compiled.get(3)
             if fn is None:
-                fn = engine._compile(3, 2, True)
+                fn = engine._compile(3)
             digest = FieldElement(
                 int(fn(_to_int(left), _to_int(right), engine._pnative))
             )
@@ -545,17 +490,6 @@ class IntEngine(PoseidonEngine):
             return digest
 
         return hash2
-
-    def permute(self, state: Sequence[FieldElement | int]) -> list[FieldElement]:
-        t = len(state)
-        if t not in _SUPPORTED_WIDTHS:
-            raise CryptoError(f"unsupported Poseidon width t={t}")
-        start = time.perf_counter()
-        raw = self._permute_raw([_to_int(x) for x in state], t)
-        out = [FieldElement(int(x)) for x in raw]
-        self.stats.permutations += 1
-        self.stats.seconds += time.perf_counter() - start
-        return out
 
     def hash(self, inputs: Sequence[FieldElement | int]) -> FieldElement:
         n = len(inputs)
@@ -586,22 +520,6 @@ class IntEngine(PoseidonEngine):
         self.stats.seconds += time.perf_counter() - start
         return out
 
-    def permute_many(
-        self, states: Sequence[Sequence[FieldElement | int]]
-    ) -> list[list[FieldElement]]:
-        start = time.perf_counter()
-        out: list[list[FieldElement]] = []
-        for state in states:
-            t = len(state)
-            if t not in _SUPPORTED_WIDTHS:
-                raise CryptoError(f"unsupported Poseidon width t={t}")
-            raw = self._permute_raw([_to_int(x) for x in state], t)
-            out.append([FieldElement(int(x)) for x in raw])
-        self.stats.permutations += len(out)
-        self.stats.batched_calls += 1
-        self.stats.seconds += time.perf_counter() - start
-        return out
-
 
 class Gmpy2Engine(IntEngine):
     """mpz-backed variant: identical schedule, gmpy2 limb arithmetic."""
@@ -620,8 +538,6 @@ class Gmpy2Engine(IntEngine):
     def _convert(self, value: int):
         return _mpz(value)
 
-
-_SUPPORTED_WIDTHS = frozenset(range(2, 10))
 
 _ENGINE_CLASSES: dict[str, type[PoseidonEngine]] = {
     "reference": ReferenceEngine,

@@ -129,7 +129,3 @@ class Identity:
     def export_commitment(self) -> bytes:
         """32-byte identity commitment encoding (the paper's 32 B pk)."""
         return self.pk.to_bytes()
-
-    @classmethod
-    def from_secret_bytes(cls, data: bytes) -> "Identity":
-        return cls.from_secret(FieldElement.from_bytes(data))

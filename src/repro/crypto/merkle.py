@@ -393,10 +393,6 @@ class MerkleTree:
 
     # -- accounting (experiment E4) --------------------------------------------
 
-    def stored_node_count(self) -> int:
-        """Number of explicitly materialised (non-zero-hash) nodes."""
-        return len(self._nodes)
-
     def storage_bytes(self) -> int:
         """Bytes needed to persist the materialised nodes.
 

@@ -171,7 +171,3 @@ def poseidon_hash(inputs: Sequence[FieldElement | int]) -> FieldElement:
     state = [FieldElement(n)] + [FieldElement(x) for x in inputs]
     return poseidon_permutation(state, params)[0]
 
-
-def poseidon2(left: FieldElement | int, right: FieldElement | int) -> FieldElement:
-    """Two-to-one compression used for Merkle-tree nodes."""
-    return poseidon_hash([FieldElement(left), FieldElement(right)])

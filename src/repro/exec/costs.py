@@ -48,11 +48,6 @@ class CryptoCostModel:
         if self.submit_overhead_seconds < 0:
             raise ProtocolError("submit_overhead_seconds must be >= 0")
 
-    @property
-    def seconds_per_verify(self) -> float:
-        """One classical 4-pairing check (the paper's ~30 ms)."""
-        return PAIRINGS_PER_VERIFY * self.seconds_per_pairing
-
     def seconds_for_pairings(self, evaluations: int) -> float:
         """Modeled seconds for ``evaluations`` pairing evaluations."""
         return evaluations * self.seconds_per_pairing

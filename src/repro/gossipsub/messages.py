@@ -12,7 +12,7 @@ metadata the paper's §III-E enumerates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.codec import size_of

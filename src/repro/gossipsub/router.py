@@ -272,9 +272,6 @@ class GossipSubRouter:
         """
         self._seen.forget(msg_id)
 
-    def mesh_peers(self, topic: str) -> set[str]:
-        return set(self._mesh.get(topic, set()))
-
     def topic_peers(self, topic: str) -> set[str]:
         """Neighbors known to be subscribed to ``topic``."""
         return {
@@ -282,10 +279,6 @@ class GossipSubRouter:
             for peer, topics in self._peer_topics.items()
             if topic in topics and self.network.connected(self.peer_id, peer)
         }
-
-    @property
-    def subscriptions(self) -> set[str]:
-        return set(self._topics)
 
     # -- inbound RPC handling -----------------------------------------------------------
 
@@ -551,9 +544,10 @@ class GossipSubRouter:
     def _shrink_mesh(self, topic: str) -> None:
         mesh = self._mesh[topic]
         now = self.simulator.now
-        # Keep the best-scored peers; prune the rest down to D.
+        # Keep the best-scored peers; prune the rest down to D.  Ranked from
+        # name order: set order (the key draws, the ties) follows PYTHONHASHSEED.
         ranked = sorted(
-            mesh,
+            sorted(mesh),
             key=lambda p: self.scoring.score(p, now) if self.scoring else self.rng.random(),
             reverse=True,
         )

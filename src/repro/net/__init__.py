@@ -5,7 +5,6 @@ from repro.net.clock import DriftModel, PeerClock
 from repro.net.latency import (
     ConstantLatency,
     LatencyModel,
-    LogNormalLatency,
     UniformLatency,
     dissemination_bound,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "PeerClock",
     "ConstantLatency",
     "LatencyModel",
-    "LogNormalLatency",
     "UniformLatency",
     "dissemination_bound",
     "erdos_renyi",

@@ -60,32 +60,6 @@ class UniformLatency:
         return self.high
 
 
-@dataclass(frozen=True)
-class LogNormalLatency:
-    """Heavy-tailed latency (median ``median``, shape ``sigma``), truncated.
-
-    Internet RTT distributions are famously log-normal-ish; the truncation
-    keeps NetworkDelay bounded so Thr stays finite.
-    """
-
-    median: float = 0.08
-    sigma: float = 0.5
-    cap: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.median <= 0 or self.sigma < 0 or self.cap < self.median:
-            raise NetworkError("invalid log-normal parameters")
-
-    def sample(self, src: str, dst: str, rng: random.Random) -> float:
-        import math
-
-        value = self.median * math.exp(rng.gauss(0.0, self.sigma))
-        return min(value, self.cap)
-
-    def worst_case(self) -> float:
-        return self.cap
-
-
 def dissemination_bound(
     latency: LatencyModel, peer_count: int, mesh_degree: int
 ) -> float:

@@ -27,7 +27,7 @@ like a timeout: the provider is abandoned and the next one is tried.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import NetworkError
@@ -49,9 +49,6 @@ class RequestFailure:
 
     reason: str
     attempts: tuple[str, ...] = ()
-
-    def byte_size(self) -> int:  # pragma: no cover - never sent on the wire
-        return 16 + len(self.reason)
 
 
 @dataclass

@@ -57,10 +57,6 @@ class TrafficStats:
         return sum(t.messages_sent for t in self.per_protocol.values())
 
     @property
-    def messages_received(self) -> int:
-        return sum(t.messages_received for t in self.per_protocol.values())
-
-    @property
     def bytes_sent(self) -> int:
         return sum(t.bytes_sent for t in self.per_protocol.values())
 

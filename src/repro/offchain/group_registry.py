@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.crypto.field import FieldElement, ZERO
+from repro.crypto.field import FieldElement
 from repro.crypto.identity import derive_commitment
 from repro.crypto.merkle import MerkleTree
 from repro.errors import ProtocolError
@@ -100,9 +100,9 @@ class DistributedGroupManager:
     :meth:`merkle_proof`); a light member never calls those — its index
     is derivable from the replicated snapshot (:meth:`member_index`: pure
     ordering, zero hashing) and its authentication path comes from a
-    :class:`~repro.witness.client.WitnessClient` via
-    :meth:`merkle_proof_via` — fetched from resourceful peers and
-    verified against an accepted root, never trusted.
+    :class:`~repro.witness.client.WitnessClient` — fetched from
+    resourceful peers and verified against an accepted root, never
+    trusted.
     """
 
     def __init__(
@@ -237,24 +237,3 @@ class DistributedGroupManager:
         """Authentication path for a live member in the replicated tree."""
         index = self.member_index(pk)
         return self.build_tree().proof(index)
-
-    def merkle_proof_via(
-        self,
-        client,
-        pk: FieldElement,
-        on_done: Callable[[object], None],
-        on_error: Callable[[object], None] | None = None,
-    ) -> None:
-        """A light member's authentication path: fetched, verified, delivered.
-
-        ``client`` is a :class:`~repro.witness.client.WitnessClient`
-        (duck-typed to keep this module free of a witness dependency);
-        the client verifies the fetched path against its accepted-root
-        window — and against ``pk`` itself, so a path for a stale or
-        re-occupied slot fails over instead of reaching the prover —
-        before ``on_done`` ever sees it.  A full replica may still prefer
-        fetching over an O(group) local tree build.
-        """
-        client.witness(
-            self.member_index(pk), on_done, on_error, expected_leaf=pk
-        )

@@ -28,7 +28,7 @@ failed; either way its concurrency slot frees and the lookup moves on, so
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
@@ -179,10 +179,6 @@ class KademliaNode:
 
     def closest_contacts(self, target: int, count: int) -> list[str]:
         return sorted(self._contacts, key=lambda p: distance(node_id(p), target))[:count]
-
-    @property
-    def contact_count(self) -> int:
-        return len(self._contacts)
 
     # -- public API ------------------------------------------------------------
 
@@ -339,9 +335,6 @@ class KademliaNode:
             self._storage[key] = (merged, merged_version)
         elif version > current_version:
             self._storage[key] = (value, version)
-
-    def stored_keys(self) -> list[bytes]:
-        return list(self._storage)
 
     def _send(self, peer: str, message: Any, protocol: str = PROTOCOL) -> None:
         try:

@@ -256,10 +256,6 @@ class BatchVerifier:
             verdict.resolve(landed)
         return verdict
 
-    @property
-    def pending_jobs(self) -> int:
-        return len(self._pending)
-
     # -- flushing ---------------------------------------------------------------
 
     def _on_deadline(self) -> None:

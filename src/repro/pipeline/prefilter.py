@@ -55,15 +55,6 @@ class PrefilterStats:
     #: Drops per gate, indexed by :attr:`PrefilterOutcome.slot` (PASS stays 0).
     counts: list[int] = field(default_factory=lambda: [0] * len(PrefilterOutcome))
 
-    @property
-    def dropped(self) -> dict[PrefilterOutcome, int]:
-        """Drops per gate, every gate but PASS present."""
-        return {
-            outcome: self.counts[outcome.slot]
-            for outcome in PrefilterOutcome
-            if outcome is not PrefilterOutcome.PASS
-        }
-
     def total_dropped(self) -> int:
         return sum(self.counts)
 

@@ -155,7 +155,3 @@ class IngressRateLimiter:
         for peer in stale:
             del self._peer_buckets[peer]
         return len(stale)
-
-    def peer_level(self, peer: str, now: float) -> float | None:
-        bucket = self._peer_buckets.get(peer)
-        return None if bucket is None else bucket.level(now)

@@ -214,9 +214,6 @@ class SlashingCoordinator:
             else:
                 self.stats.races_lost += 1
 
-    def pending(self) -> list[RevocationCase]:
-        return [case for case in self.cases if not case.settled]
-
     def _fee_of(self, tx_id: int | None) -> int:
         if tx_id is None:
             return 0

@@ -120,10 +120,6 @@ class RevocationTracker:
         span.mark(WINDOW_COLLAPSE)
         self._tracer.finish(span)
 
-    @property
-    def watching(self) -> tuple[str, ...]:
-        return tuple(self._watching)
-
     # -- results -----------------------------------------------------------------
 
     @property

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.messages import RateLimitProof
-from repro.crypto.field import FIELD_BYTES
 from repro.crypto.identity import Identity
-from repro.zksnark.groth16 import PROOF_SIZE, Proof, ProvingKey, VerifyingKey
+from repro.zksnark.groth16 import ProvingKey, VerifyingKey
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,3 @@ def measure_sizes(
         message_metadata=bundle.byte_size(),
     )
 
-
-def expected_sizes() -> dict[str, int]:
-    """Static expectations the tests assert against."""
-    return {
-        "secret_key": FIELD_BYTES,
-        "identity_commitment": FIELD_BYTES,
-        "proof": PROOF_SIZE,
-    }

@@ -134,9 +134,6 @@ class Telemetry:
     def snapshot(self) -> TelemetrySnapshot:
         return TelemetrySnapshot.of(self.registry)
 
-    def render_prometheus(self) -> str:
-        return render_prometheus(self.snapshot())
-
 
 class NullTelemetry:
     """The disabled hub: shared no-op registry and tracer, empty snapshot."""
@@ -155,9 +152,6 @@ class NullTelemetry:
 
     def snapshot(self) -> TelemetrySnapshot:
         return TelemetrySnapshot({})
-
-    def render_prometheus(self) -> str:
-        return render_prometheus(TelemetrySnapshot({}))
 
 
 NULL_TELEMETRY = NullTelemetry()

@@ -344,14 +344,6 @@ class RuleEngine:
     def value(self, name: str) -> float:
         return self._states[name].value
 
-    def active(self) -> list[str]:
-        """Names of rules currently pending or firing, sorted."""
-        return sorted(
-            name
-            for name, s in self._states.items()
-            if s.state in (PENDING, FIRING)
-        )
-
     def firing(self) -> list[str]:
         return sorted(
             name for name, s in self._states.items() if s.state == FIRING

@@ -285,9 +285,6 @@ class CollectorPeer:
     def peers(self) -> list[str]:
         return sorted(self._states)
 
-    def resources(self) -> dict[str, dict[str, str]]:
-        return {peer: dict(attrs) for peer, attrs in self._resources.items()}
-
     def peer_snapshot(self, peer: str) -> TelemetrySnapshot:
         """One peer's reconstructed cumulative snapshot."""
         return TelemetrySnapshot.from_collected(self._states.get(peer, {}))
@@ -394,13 +391,6 @@ class CollectorPeer:
             self.simulator.now, self._alert_states(), health=self.health
         )
 
-    def stop_alerting(self) -> None:
-        """Cancel the evaluation ticker (lets a drained simulator idle)."""
-        self._take_due_sample(even_now=True)
-        if self._stop_evaluation is not None:
-            self._stop_evaluation()
-            self._stop_evaluation = None
-
     def firing(self) -> list[str]:
         """Names of currently firing alerts (empty without an engine)."""
         self._take_due_sample(even_now=True)
@@ -414,11 +404,6 @@ class CollectorPeer:
     def health_report(self) -> dict:
         """Fleet liveness now: score, status counts, per-peer rows."""
         return self.health.report(self.simulator.now)
-
-    @property
-    def last_trace_seq(self) -> int:
-        """The newest exemplar's collector seq (a poller's next cursor)."""
-        return self._next_trace_seq - 1
 
     def recent_traces(
         self, kind: str | None = None, *, since_seq: int = 0

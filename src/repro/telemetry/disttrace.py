@@ -195,10 +195,6 @@ class SpanRecord(tuple, Framed):
     def __getnewargs__(self) -> tuple:
         return (*self[:10], self.marks)
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_SPAN_FIELDS, self))
-        return f"SpanRecord({fields})"
-
     @property
     def marks(self) -> Marks:
         """The ``(stage, simulated-time)`` trail, in mark order."""
@@ -676,14 +672,6 @@ class PropagationTree:
         return duplicates
 
     # -- latency -----------------------------------------------------------------
-
-    def hop_latency(self, span: SpanRecord) -> float:
-        """Parent span start to this span's start: queueing + transit."""
-        parent = self.spans.get(span.parent_id)
-        return span.start - (parent.start if parent else self.root.start)
-
-    def per_hop_latencies(self) -> list[tuple[int, float]]:
-        return [(span.hop, self.hop_latency(span)) for span in self.relay_spans()]
 
     @property
     def end_to_end(self) -> float:

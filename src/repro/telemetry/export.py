@@ -172,9 +172,6 @@ class TelemetrySnapshot:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TelemetrySnapshot) and self.data == other.data
 
-    def __repr__(self) -> str:
-        return f"TelemetrySnapshot({len(self.data)} metrics)"
-
 
 def _escape_label_value(value: str) -> str:
     """Prometheus text exposition escaping: ``\\``, ``"`` and newline.

@@ -60,9 +60,6 @@ CollectedState = Mapping[str, dict]
 class _Any:
     """Sentinel matcher: the label must be present, any value."""
 
-    def __repr__(self) -> str:  # pragma: no cover - repr only
-        return "ANY"
-
 
 ANY = _Any()
 
@@ -284,10 +281,6 @@ class SeriesRing:
             return 0.0
         return max(0.0, newest[1] - oldest[1]) / elapsed
 
-    @property
-    def latest(self) -> tuple[float, float] | None:
-        return self.points[-1] if self.points else None
-
 
 # -- the expression vocabulary ------------------------------------------------
 
@@ -322,9 +315,6 @@ class Expr:
     def register(self, querier: "FleetQuerier") -> None:
         """Install whatever rings/samplers this expression needs."""
         return None
-
-    def __repr__(self) -> str:  # pragma: no cover - repr only
-        return self.key
 
 
 class Instant(Expr):

@@ -213,10 +213,6 @@ class Histogram:
 
     # -- exact readouts (benchmark waterfalls) ------------------------------
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def percentile(self, q: float) -> float:
         """Linear-interpolated quantile over the retained samples.
 
@@ -384,7 +380,6 @@ class NullHistogram:
     total = 0.0
     minimum = 0.0
     maximum = 0.0
-    mean = 0.0
     p50 = p90 = p99 = 0.0
 
     def observe(self, value: float) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -306,11 +306,6 @@ class ShardSyncManager:
         self.stats.home_events += 1
 
     # -- committing ------------------------------------------------------------
-
-    @property
-    def dirty_shards(self) -> int:
-        """Shard roots recorded but not yet folded into the top tree."""
-        return len(self._pending)
 
     def commit(self) -> FieldElement:
         """Fold pending shard roots into the top tree; return the new root.

@@ -75,9 +75,6 @@ class FilterNode:
         relay.subscribe(self._on_relayed_message)
         network.register(relay.peer_id, self._on_request, protocol=PROTOCOL)
 
-    def subscriber_count(self) -> int:
-        return len(self._filters)
-
     def _on_request(self, sender: str, request: FilterSubscribeRequest) -> None:
         if not isinstance(request, FilterSubscribeRequest):
             return

@@ -17,7 +17,6 @@ from repro.witness.client import (
     WitnessCache,
     WitnessCacheStats,
     WitnessClient,
-    verify_witness,
 )
 from repro.witness.member import LightMember
 from repro.witness.messages import (
@@ -43,5 +42,4 @@ __all__ = [
     "WitnessResponse",
     "WitnessService",
     "WitnessServiceStats",
-    "verify_witness",
 ]

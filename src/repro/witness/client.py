@@ -51,30 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.validator import RootAcceptor
 
 
-def verify_witness(
-    proof: MerkleProof,
-    *,
-    index: int,
-    depth: int,
-    accepted: "RootAcceptor",
-    leaf: FieldElement | None = None,
-    hasher: NodeHasher | None = None,
-) -> bool:
-    """The client-side acceptance decision for one fetched path.
-
-    Structural checks bind the path to the requested slot (index, depth,
-    and the path-bit expansion of the index), then the fold must land on
-    a currently-accepted root.  ``leaf`` additionally binds the path to
-    an expected leaf value — a member fetching *its own* witness passes
-    its identity commitment, so a genuine-but-wrong path (the slot was
-    zeroed or re-occupied) is rejected here instead of blowing up in the
-    prover.  ``hasher`` overrides the Poseidon fold for accounting-only
-    trees (benchmarks); production callers leave it.
-    """
-    root = checked_fold(proof, index=index, depth=depth, leaf=leaf, hasher=hasher)
-    return root is not None and accepted.is_acceptable_root(root)
-
-
 def checked_fold(
     proof: MerkleProof,
     *,
@@ -83,10 +59,17 @@ def checked_fold(
     leaf: FieldElement | None = None,
     hasher: NodeHasher | None = None,
 ) -> FieldElement | None:
-    """:func:`verify_witness`'s structural half: bind the path to the
-    slot, then fold it — returning the folded root (for the caller to
-    judge against its accepted window, and to reuse, e.g. as a cache
-    key) or ``None`` when the path fails a structural check."""
+    """The client-side check of one fetched path, short of the root window.
+
+    Structural checks bind the path to the requested slot (index, depth,
+    and the path-bit expansion of the index); ``leaf`` additionally binds
+    it to an expected leaf value — a member fetching *its own* witness
+    passes its identity commitment, so a genuine-but-wrong path (the slot
+    was zeroed or re-occupied) is rejected here instead of blowing up in
+    the prover.  Returns the folded root, for the caller to judge against
+    its accepted window and to reuse (e.g. as a cache key), or ``None``
+    when a structural check fails.  ``hasher`` overrides the Poseidon
+    fold for accounting-only trees (benchmarks)."""
     if proof.index != index or proof.depth != depth:
         return None
     if leaf is not None and proof.leaf != leaf:
@@ -153,9 +136,6 @@ class WitnessCache:
 
     def put(self, index: int, proof: MerkleProof, root: FieldElement) -> None:
         self._entries[index] = (proof, root)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self._entries)
 
     def invalidate(self) -> tuple[int, ...]:
         """Drop every entry; returns the indices that need a refresh."""
@@ -438,10 +418,6 @@ class WitnessClient:
             if event.update.new_leaf != ZERO:
                 self._revoked.discard(event.update.index)
         self.on_tree_update(event)
-
-    def revoked_indices(self) -> frozenset[int]:
-        """Slots this client has observed deleted (its own pins only)."""
-        return frozenset(self._revoked)
 
     def _fail_if_revoked(
         self,

@@ -25,7 +25,6 @@ from repro.zksnark.groth16 import (
 )
 from repro.zksnark.prover import (
     NativeProver,
-    reset_shared_provers,
     shared_prover,
 )
 from repro.zksnark.trusted_setup import (
@@ -58,7 +57,6 @@ __all__ = [
     "single_pairing_check",
     "NativeProver",
     "RLNProver",
-    "reset_shared_provers",
     "shared_prover",
     "Ceremony",
     "Contribution",

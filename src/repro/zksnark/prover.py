@@ -78,7 +78,3 @@ def shared_prover(depth: int, backend: str = "native") -> RLNProver:
         _SHARED[key] = _BACKENDS[backend](depth)
     return _SHARED[key]
 
-
-def reset_shared_provers() -> None:
-    """Drop all cached provers (used by tests to isolate trusted setups)."""
-    _SHARED.clear()

@@ -18,7 +18,7 @@ The representation follows the usual circuit-compiler layout:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.errors import ConstraintViolation, SnarkError

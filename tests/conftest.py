@@ -18,6 +18,7 @@ from repro.chain.blockchain import Blockchain, WEI
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
 from repro.core.membership import GroupManager
+from repro.core.protocol import WakuRLNRelayPeer
 from repro.core.validator import BundleValidator
 from repro.crypto.engine import default_engine
 from repro.crypto.identity import Identity
@@ -41,6 +42,17 @@ hypothesis_settings.register_profile(
 #: an arbitrary-but-realistic epoch number (re-exported from the shared
 #: test-support module so benchmarks use the same value).
 RLN_TEST_EPOCH = testing.RLN_TEST_EPOCH
+
+
+def epoch_at(unix_time: float, epoch_length: float) -> int:
+    """The §III-D epoch a peer whose clock reads ``unix_time`` publishes and
+    validates in: :meth:`WakuRLNRelayPeer.current_epoch` on a bare peer."""
+    peer = SimpleNamespace(
+        clock=SimpleNamespace(genesis_unix=unix_time, offset=0.0),
+        simulator=SimpleNamespace(now=0.0),
+        config=RLNConfig(epoch_length=epoch_length),
+    )
+    return WakuRLNRelayPeer.current_epoch(peer)
 
 
 def two_level_reference(leaves, depth, shard_depth):

@@ -125,7 +125,7 @@ class TestRateLimitMeshFeedback:
             for name in sorted(penalised_by):
                 router = dep.peer(name).relay.router
                 topic = dep.peer(name).relay.pubsub_topic
-                assert attacker.peer_id not in router.mesh_peers(topic)
+                assert attacker.peer_id not in set(router._mesh.get(topic, ()))
                 assert not router.scoring.mesh_eligible(
                     attacker.peer_id, dep.simulator.now
                 )

@@ -71,12 +71,12 @@ class TestFigure1:
         # does not need gas consumption."  Publishing must not create any
         # chain transaction.
         dep = deployment
-        pending_before = dep.chain.pending_count
+        pending_before = len(dep.chain._mempool)
         receipts_before = len(dep.chain._receipts)
         dep.run(dep.config.epoch_length + 1)  # fresh epoch for peer-000
         dep.peer("peer-000").publish(b"free message")
         dep.run(2.0)
-        assert dep.chain.pending_count == pending_before
+        assert len(dep.chain._mempool) == pending_before
         assert len(dep.chain._receipts) == receipts_before
 
     def test_anonymity_no_identity_on_wire(self, deployment):

@@ -65,8 +65,8 @@ class TestFigure2:
             order.append(peer)
             dep.run(dep.chain.block_interval * 1.5)
         for expected_index, peer in enumerate(order):
-            assert peer.member_index == expected_index
-            assert dep.contract.index_of(peer.identity.pk) == expected_index
+            assert peer.group.index_of(peer.identity.pk) == expected_index
+            assert dep.contract.commitment_list().index(peer.identity.pk.value) == expected_index
 
     def test_cannot_register_twice(self, deployment):
         dep = deployment

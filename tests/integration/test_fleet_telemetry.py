@@ -66,7 +66,7 @@ def test_fleet_snapshot_equals_offline_merge():
     assert collector.stats.lost_batches == 0
     assert_snapshots_match(collector.fleet_snapshot(), offline_merge(deployment))
     # Resource attributes rode every batch.
-    resources = collector.resources()
+    resources = collector._resources
     assert resources["peer-000"] == {"peer": "peer-000", "role": "full", "shard": "-1"}
     # The fleet exposition renders without blowing up on real label values.
     assert "# TYPE trace_stage_seconds histogram" in collector.render_prometheus()

@@ -9,14 +9,14 @@ import pytest
 
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
-from repro.zksnark.prover import reset_shared_provers
+from repro.zksnark import prover as provers
 
 DEPTH = 4  # small circuit: proving is ~100 ms per message
 
 
 @pytest.fixture(scope="module")
 def deployment():
-    reset_shared_provers()
+    provers._SHARED.clear()
     config = RLNConfig(
         epoch_length=30.0, max_epoch_gap=2, tree_depth=DEPTH, prover_backend="groth16"
     )

@@ -5,12 +5,14 @@ its peer id; that seed fixes the heartbeat phase and every mesh shuffle,
 so it must not come from ``hash()``, which is salted per interpreter.
 A router with more mesh candidates than it needs shuffles them, so it
 must shuffle them from a hash-independent (sorted) order.
-Each hash seed runs in a fresh interpreter, which reports the first
-heartbeat offset of a default-seeded router and of a default-seeded PoW
-peer, the meshes (and processed events) of a 16-peer, degree-10 fleet
-after ``form_meshes()``, and the named-part digests of both relay-golden
-shapes (``test_relay_stats_golden.py``); all three interpreters must
-agree.
+A mesh grown past ``d_hi`` is ranked from a sorted order for the same
+reason.  Each hash seed runs in a fresh interpreter, which reports the
+first heartbeat offset of a default-seeded router and of a default-seeded
+PoW peer, the meshes (and processed events) of a 16-peer, degree-10 fleet
+after ``form_meshes()``, the mesh a default-seeded router shrinks to once
+its whole 15-peer neighbourhood is grafted, and the named-part digests of
+both relay-golden shapes (``test_relay_stats_golden.py``); all three
+interpreters must agree.
 """
 
 import json
@@ -50,13 +52,28 @@ def dense_meshes():
     fleet = RLNDeployment.create(peer_count=16, degree=10, seed=7)
     fleet.form_meshes()
     meshes = {
-        peer_id: sorted(peer.relay.router.mesh_peers(peer.relay.pubsub_topic))
+        peer_id: sorted(peer.relay.router._mesh[peer.relay.pubsub_topic])
         for peer_id, peer in fleet.peers.items()
     }
     return {"meshes": meshes, "events": fleet.simulator.processed_events}
 
 
+def shrunk_mesh():
+    simulator = Simulator()
+    network = Network(simulator, nx.complete_graph([f"peer-{i:03d}" for i in range(16)]))
+    routers = [WakuRelay(peer, network, simulator).router for peer in sorted(network.graph)]
+    for router in routers:
+        router.subscribe("t")
+        router.start()
+    simulator.run(3.0)
+    router = routers[0]
+    router._mesh["t"] = router.topic_peers("t")
+    router.heartbeat()
+    return sorted(router._mesh["t"])
+
+
 print(json.dumps({
+    "shrink": shrunk_mesh(),
     "router": first_heartbeat(lambda net, sim: WakuRelay("peer-000", net, sim)),
     "pow": first_heartbeat(lambda net, sim: PoWRelayPeer("peer-000", net, sim).relay),
     "meshes": dense_meshes(),
@@ -83,5 +100,5 @@ def probe(hash_seed: str) -> dict:
 
 def test_default_rngs_and_relay_goldens_ignore_the_hash_seed():
     runs = {seed: probe(seed) for seed in ("0", "1", "2")}
-    for kind in ("router", "pow", "meshes", "golden"):
+    for kind in ("router", "pow", "meshes", "shrink", "golden"):
         assert runs["0"][kind] == runs["1"][kind] == runs["2"][kind], kind

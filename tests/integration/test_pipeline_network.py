@@ -89,7 +89,7 @@ class TestFloodAbsorption:
 
         assert counter.evaluations == 0
         drops = sum(
-            peer.pipeline.prefilter.stats.dropped[PrefilterOutcome.STALE_EPOCH]
+            peer.pipeline.prefilter.stats.counts[PrefilterOutcome.STALE_EPOCH.slot]
             for peer in dep.peers.values()
         )
         assert drops > 0

@@ -41,6 +41,7 @@ from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.core.epoch import external_nullifier
 from repro.pipeline import PipelineConfig
+from repro.pipeline.prefilter import PrefilterOutcome
 from repro.pipeline.ratelimit import BucketSpec
 from repro.waku.message import WakuMessage
 from repro.zksnark.groth16 import Proof
@@ -159,7 +160,9 @@ def relay_record(deployment: RLNDeployment, pairings: dict, deliveries: dict) ->
             "drops": pipeline.stats.drops,
             "prefilter_passed": pipeline.prefilter.stats.passed,
             "prefilter_dropped": {
-                o.name: n for o, n in pipeline.prefilter.stats.dropped.items()
+                o.name: pipeline.prefilter.stats.counts[o.slot]
+                for o in PrefilterOutcome
+                if o is not PrefilterOutcome.PASS
             },
             "ratelimit": dataclasses.asdict(pipeline.ratelimiter.stats),
             "batches": dataclasses.asdict(verifier.stats),

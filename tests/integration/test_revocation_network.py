@@ -106,7 +106,7 @@ class TestRevocationEndToEnd:
 
         # --- network-wide exclusion ----------------------------------------
         summary = tracker.summary()
-        assert tracker.watching == ()
+        assert not tracker._watching
         assert summary["revocation_latency"] is not None
         assert summary["chain_latency"] > 0
         assert summary["propagation_latency"] is not None
@@ -182,7 +182,7 @@ class TestRevocationEndToEnd:
             tree_depth=DEPTH,
         )
         anchor.group.on_shard_update(client.on_shard_event)
-        index = spammer.member_index
+        index = spammer.group.index_of(spammer.identity.pk)
         got = []
         client.witness(index, got.append, expected_leaf=spammer.identity.pk)
         dep.run(3.0)
@@ -198,7 +198,7 @@ class TestRevocationEndToEnd:
         # The client pinned to the dead slot saw the ShardRemoval: the
         # slot is revoked, acquisitions fail locally without burning
         # provider round trips.
-        assert client.revoked_indices() == frozenset({index})
+        assert client._revoked == {index}
         attempts_before = client.dispatcher.stats.attempts
         failures = []
         client.witness(index, got.append, failures.append)

@@ -103,12 +103,12 @@ class TestLightMemberPublishes:
             m.payload == b"hello from a treeless member" for m in receiver.received
         )
         valid_counts = sum(
-            p.validator_stats.count(ValidationOutcome.VALID)
+            p.validator.stats.count(ValidationOutcome.VALID)
             for p in dep.peers.values()
         )
         assert valid_counts >= 1
         invalid_counts = sum(
-            p.validator_stats.count(ValidationOutcome.INVALID_PROOF)
+            p.validator.stats.count(ValidationOutcome.INVALID_PROOF)
             for p in dep.peers.values()
         )
         assert invalid_counts == 0

@@ -168,7 +168,7 @@ def test_end_of_instant_sampling_equals_sampling_after_every_fold(schedule):
         for step in steps:
             sim.schedule_at(now, partial(deliver, step))
     sim.run(now + 1.0)
-    collector.stop_alerting()
+    collector._take_due_sample(even_now=True)
 
     assert collector.alert_events() == twin.event_log()
     assert collector.firing() == twin.firing()

@@ -1,9 +1,8 @@
 """Property-based backend-equivalence suite for the Poseidon engine.
 
 Every backend available in this interpreter (reference, int, and gmpy2 when
-installed) must be *bit-identical* on random states: same permutation
-outputs, same sponge digests, same Merkle roots, same zkSNARK witness
-vectors.  A divergence anywhere would fork a deployed network's view of the
+installed) must be *bit-identical* on random inputs: same sponge digests,
+same Merkle roots, same zkSNARK witness vectors.  A divergence anywhere would fork a deployed network's view of the
 membership tree, so the property is the strongest form of the golden-vector
 guarantee.
 """
@@ -14,26 +13,14 @@ from hypothesis import strategies as st
 from repro.crypto.engine import available_backends, get_engine, use_backend
 from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.poseidon import poseidon_hash, poseidon_params, poseidon_permutation
+from repro.crypto.poseidon import poseidon_hash
 from repro.zksnark.gadgets import poseidon_hash_gadget
 from repro.zksnark.r1cs import ConstraintSystem, LinearCombination
 
 BACKENDS = available_backends()
 
 field_ints = st.integers(min_value=0, max_value=FIELD_MODULUS - 1)
-widths = st.integers(min_value=2, max_value=9)
 arities = st.integers(min_value=1, max_value=8)
-
-
-@given(widths, st.data())
-@settings(max_examples=40, deadline=None)
-def test_permutation_equivalence(t, data):
-    state = [
-        FieldElement(data.draw(field_ints, label=f"lane{i}")) for i in range(t)
-    ]
-    expected = poseidon_permutation(state, poseidon_params(t))
-    for backend in BACKENDS:
-        assert get_engine(backend).permute(state) == expected, backend
 
 
 @given(arities, st.data())

@@ -72,7 +72,7 @@ def test_mesh_degree_within_bounds_after_heartbeats(peer_count, seed):
     sim, routers = build_network(peer_count, 5, seed)
     sim.run(sim.now + 10.0)  # many heartbeats
     for router in routers.values():
-        mesh = router.mesh_peers(TOPIC)
+        mesh = set(router._mesh.get(TOPIC, ()))
         assert len(mesh) <= router.params.d_hi
         # Mesh peers are always actual neighbors subscribed to the topic.
         for peer in mesh:

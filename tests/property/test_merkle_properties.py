@@ -158,7 +158,7 @@ def test_trees_sharing_a_memo_hasher_equal_independent_trees(
     for replica in replicas:
         assert replica.root == reference.root
         assert replica.hash_ops == reference.hash_ops
-        assert replica.stored_node_count() == reference.stored_node_count()
+        assert replica.storage_bytes() == reference.storage_bytes()
         assert list(replica.leaves()) == list(reference.leaves())
         for index in range(reference.leaf_count):
             assert replica.proof(index) == reference.proof(index)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import compute_max_epoch_gap
-from repro.core.epoch import epoch_gap, epoch_of, external_nullifier
+from repro.core.epoch import epoch_gap, external_nullifier
 from repro.core.nullifier_log import NullifierLog, NullifierOutcome
 from repro.core.protocol import build_message
 from repro.crypto.field import FIELD_MODULUS, FieldElement
@@ -15,6 +15,7 @@ from repro.crypto.poseidon import poseidon_hash
 from repro.crypto.shamir import Share, recover_secret
 from repro.zksnark.prover import NativeProver
 from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness
+from tests.conftest import epoch_at
 
 
 field_values = st.integers(min_value=0, max_value=FIELD_MODULUS - 1).map(FieldElement)
@@ -27,7 +28,7 @@ class TestEpochProperties:
         st.floats(min_value=0.001, max_value=3600, allow_nan=False),
     )
     def test_epoch_monotone_in_time(self, t, length):
-        assert epoch_of(t, length) <= epoch_of(t + length, length)
+        assert epoch_at(t, length) <= epoch_at(t + length, length)
 
     @given(
         st.integers(min_value=0, max_value=10**9),
@@ -37,9 +38,9 @@ class TestEpochProperties:
         # Times inside [e*T, (e+1)*T) map to epoch e, up to one float ulp
         # at the boundary (e*T may round below the true product).
         start = e * length
-        assert epoch_of(start, length) in (e - 1, e)
-        assert epoch_of(start + length / 2, length) == e
-        assert epoch_of(start + length * 0.999, length) in (e, e + 1)
+        assert epoch_at(start, length) in (e - 1, e)
+        assert epoch_at(start + length / 2, length) == e
+        assert epoch_at(start + length * 0.999, length) in (e, e + 1)
 
     @given(
         st.floats(min_value=0, max_value=1e4, allow_nan=False),

@@ -6,7 +6,8 @@ The witness subsystem's two tentpole invariants, over random forests:
   authentication path (the client cannot tell sharded serving happened);
 * any tampering with a :class:`WitnessResponse` — a perturbed sibling, a
   substituted index, a stale root — is rejected by the client's
-  verify-against-accepted-root decision.  The server is never trusted.
+  :func:`~repro.witness.client.checked_fold` (the structural checks, then
+  the fold) against the accepted root.  The server is never trusted.
 """
 
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from repro.crypto.field import FieldElement
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.treesync import ShardedMerkleForest, splice
-from repro.witness import verify_witness
+from repro.witness.client import checked_fold
 
 DEPTH = 6
 SHARD_DEPTH = 2
@@ -26,16 +27,6 @@ leaves_strategy = st.lists(
     max_size=40,
     unique=True,
 )
-
-
-class OneRootWindow:
-    """An acceptor recognising exactly the current root (window of 1)."""
-
-    def __init__(self, root: FieldElement) -> None:
-        self.root = root
-
-    def is_acceptable_root(self, root: FieldElement) -> bool:
-        return root == self.root
 
 
 def spliced_witness(forest, index):
@@ -63,12 +54,7 @@ def test_served_witness_is_node_identical_to_flat_proof(values, data):
     index = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
     served = spliced_witness(forest, index)
     assert served == flat.proof(index)
-    assert verify_witness(
-        served,
-        index=index,
-        depth=DEPTH,
-        accepted=OneRootWindow(flat.root),
-    )
+    assert checked_fold(served, index=index, depth=DEPTH) == flat.root
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,12 +74,7 @@ def test_tampered_sibling_is_always_rejected(values, data):
         siblings=tuple(siblings),
         path_bits=served.path_bits,
     )
-    assert not verify_witness(
-        forged,
-        index=index,
-        depth=DEPTH,
-        accepted=OneRootWindow(flat.root),
-    )
+    assert checked_fold(forged, index=index, depth=DEPTH) != flat.root
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,12 +94,7 @@ def test_substituted_index_is_always_rejected(values, data):
     if other is None:
         return  # single-member tree has no other slot to substitute
     substituted = spliced_witness(forest, other)
-    assert not verify_witness(
-        substituted,
-        index=index,
-        depth=DEPTH,
-        accepted=OneRootWindow(flat.root),
-    )
+    assert checked_fold(substituted, index=index, depth=DEPTH) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,12 +111,7 @@ def test_stale_root_is_always_rejected(values, extra, data):
     flat.append(FieldElement(extra))
     forest.append(FieldElement(extra))
     assert forest.root == flat.root
-    assert not verify_witness(
-        stale,
-        index=index,
-        depth=DEPTH,
-        accepted=OneRootWindow(flat.root),
-    )
+    assert checked_fold(stale, index=index, depth=DEPTH) != flat.root
 
 
 @settings(max_examples=60, deadline=None)

@@ -293,4 +293,5 @@ def test_default_rule_pack_quiet_on_empty_fleet():
     engine = RuleEngine(rules, slos_)
     for i in range(20):
         assert engine.evaluate(i * 0.5, [{}]) == []
-    assert engine.active() == []
+    assert engine.firing() == []
+    assert all(engine.state(rule.name) == "inactive" for rule in rules)

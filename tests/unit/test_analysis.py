@@ -1,16 +1,8 @@
 """Unit tests for metrics and reporting."""
 
-import math
-
 import pytest
 
-from repro.analysis.metrics import (
-    DeliveryTracker,
-    LatencySummary,
-    SpamContainment,
-    mean,
-    spam_containment,
-)
+from repro.analysis.metrics import DeliveryTracker, LatencySummary, mean
 from repro.analysis.reporting import (
     ExperimentReport,
     format_bytes,
@@ -18,43 +10,6 @@ from repro.analysis.reporting import (
     format_table,
 )
 from repro.net.simulator import Simulator
-
-
-class FakePeer:
-    def __init__(self, payloads):
-        self.received = [type("M", (), {"payload": p})() for p in payloads]
-
-
-class TestSpamContainment:
-    def test_reach_fractions(self):
-        peers = {
-            "a": FakePeer([b"SPAM1", b"ok"]),
-            "b": FakePeer([b"ok"]),
-        }
-        containment = spam_containment(
-            peers,
-            is_spam_payload=lambda p: p.startswith(b"SPAM"),
-            spam_published=1,
-            honest_published=1,
-        )
-        assert containment.spam_reach == 0.5
-        assert containment.honest_reach == 1.0
-        assert containment.containment_factor == 2.0
-
-    def test_zero_spam_gives_infinite_containment(self):
-        containment = SpamContainment(
-            spam_published=5,
-            spam_deliveries=0,
-            honest_published=1,
-            honest_deliveries=2,
-            peer_count=2,
-        )
-        assert containment.spam_reach == 0.0
-        assert math.isinf(containment.containment_factor)
-
-    def test_empty_network(self):
-        containment = SpamContainment(0, 0, 0, 0, 0)
-        assert containment.spam_reach == 0.0 and containment.honest_reach == 0.0
 
 
 class TestLatencySummary:

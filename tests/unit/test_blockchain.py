@@ -73,7 +73,7 @@ class TestDeployment:
 class TestTransactions:
     def test_pending_until_mined(self, chain):
         tx = chain.send_transaction("alice", "counter", "increment")
-        assert chain.pending_count == 1
+        assert len(chain._mempool) == 1
         assert chain.receipt(tx) is None
         chain.mine_block()
         receipt = chain.receipt(tx)

@@ -76,7 +76,7 @@ class TestPlainPeer:
             if n in victims
         ]
         assert any(
-            v.scoring.graylisted("peer-000", sim.now) for v in neighbors
+            v.relay.router.scoring.graylisted("peer-000", sim.now) for v in neighbors
         )
 
 

@@ -83,7 +83,7 @@ def run_instant(order):
     for name in order:
         sim.schedule_at(1.0, arrivals[name])
     sim.run(2.0)
-    collector.stop_alerting()
+    collector._take_due_sample(even_now=True)
     return collector
 
 
@@ -102,7 +102,7 @@ def test_same_instant_arrival_order_does_not_reach_the_rings():
     # four folds, one retransmission, one malformed request, five acks
     # (the malformed request gets none).
     latest = {
-        name: first.engine.querier.ring(Instant(name).key).latest
+        name: first.engine.querier.ring(Instant(name).key).points[-1]
         for name in SELF_METRICS
     }
     assert latest == {
@@ -125,7 +125,7 @@ def test_a_later_instant_s_loss_stays_out_of_the_earlier_point():
     # seq 2 and 3 never arrive: the gap is observed at t=1.0, not before.
     sim.schedule_at(1.0, partial(collector._on_export, a, request(a, 4)))
     sim.run(2.0)
-    collector.stop_alerting()
+    collector._take_due_sample(even_now=True)
     ring = collector.engine.querier.ring(Instant("collector_lost_batches_total").key)
     assert list(ring.points) == [(0.5, 0), (1.0, 2)]
 
@@ -138,4 +138,4 @@ def test_readers_see_a_fold_without_an_evaluation_tick():
         sim.run(0.75)  # the evaluation ticker (every 100 s) has not run
         assert collector.engine.evaluations == 0
         getattr(collector, read)()
-        assert collector.engine.querier.ring(key).latest == (0.5, 7)
+        assert collector.engine.querier.ring(key).points[-1] == (0.5, 7)

@@ -21,7 +21,7 @@ from repro.crypto.engine import (
 )
 from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.poseidon import poseidon_hash, poseidon_params, poseidon_permutation
+from repro.crypto.poseidon import poseidon_hash
 from repro.errors import CryptoError
 from repro.telemetry.registry import MetricsRegistry, NULL_REGISTRY
 
@@ -92,16 +92,6 @@ def test_hash_matches_reference(backend):
 
 
 @pytest.mark.parametrize("backend", available_backends())
-def test_permute_matches_reference(backend):
-    engine = get_engine(backend)
-    for t in range(2, 10):
-        state = [FieldElement(FIELD_MODULUS - 1 - i) for i in range(t)]
-        assert engine.permute(state) == poseidon_permutation(
-            state, poseidon_params(t)
-        )
-
-
-@pytest.mark.parametrize("backend", available_backends())
 def test_hash2_matches_poseidon2(backend):
     engine = get_engine(backend)
     left, right = FieldElement(7), FieldElement(FIELD_MODULUS - 2)
@@ -120,23 +110,16 @@ def test_batched_api_matches_singles(backend):
         (FieldElement(2 * i + 1), FieldElement(2 * i + 2)) for i in range(17)
     ]
     assert engine.hash_many(pairs) == [engine.hash2(l, r) for l, r in pairs]
-    states = [[FieldElement(i + j) for j in range(3)] for i in range(5)]
-    assert engine.permute_many(states) == [engine.permute(s) for s in states]
 
 
 def test_batched_api_empty():
     engine = get_engine("int")
     assert engine.hash_many([]) == []
-    assert engine.permute_many([]) == []
 
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_width_and_arity_validation(backend):
     engine = get_engine(backend)
-    with pytest.raises(CryptoError):
-        engine.permute([FieldElement(1)])
-    with pytest.raises(CryptoError):
-        engine.permute([FieldElement(i) for i in range(10)])
     with pytest.raises(CryptoError):
         engine.hash([])
     with pytest.raises(CryptoError):

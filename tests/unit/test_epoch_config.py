@@ -3,30 +3,31 @@
 import pytest
 
 from repro.core.config import RLNConfig, compute_max_epoch_gap
-from repro.core.epoch import epoch_gap, epoch_of, epoch_start, external_nullifier
+from repro.core.epoch import epoch_gap, external_nullifier
 from repro.crypto.field import FieldElement
 from repro.errors import ProtocolError
+from tests.conftest import epoch_at
 
 
 class TestEpoch:
     def test_paper_example(self):
         # §III-D: UnixTime 1644810116, T = 30 s -> epoch 54827003.
-        assert epoch_of(1_644_810_116, 30) == 54_827_003
+        assert epoch_at(1_644_810_116, 30) == 54_827_003
 
     def test_boundary(self):
-        assert epoch_of(59.999, 30) == 1
-        assert epoch_of(60.0, 30) == 2
+        assert epoch_at(59.999, 30) == 1
+        assert epoch_at(60.0, 30) == 2
 
     def test_epoch_start_inverse(self):
-        assert epoch_start(epoch_of(12345, 30), 30) <= 12345
+        assert epoch_at(12345, 30) * 30 <= 12345 < (epoch_at(12345, 30) + 1) * 30
 
     def test_zero_length_rejected(self):
         with pytest.raises(ProtocolError):
-            epoch_of(100, 0)
+            epoch_at(100, 0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ProtocolError):
-            epoch_of(-1, 30)
+            epoch_at(-1, 30)
 
     def test_external_nullifier_is_field_element(self):
         assert external_nullifier(54_827_003) == FieldElement(54_827_003)
@@ -61,12 +62,6 @@ class TestConfig:
         config = RLNConfig()
         assert config.epoch_length == 30.0
         assert config.tree_depth == 20
-
-    def test_for_network_derives_thr(self):
-        config = RLNConfig.for_network(
-            epoch_length=10.0, network_delay=12.0, clock_asynchrony=3.0
-        )
-        assert config.max_epoch_gap == 2
 
     @pytest.mark.parametrize(
         "kwargs",

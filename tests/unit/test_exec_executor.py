@@ -33,7 +33,7 @@ class TestCostModel:
     def test_anchored_to_the_papers_verify_figure(self):
         assert SECONDS_PER_VERIFY == pytest.approx(0.030)
         assert SECONDS_PER_PAIRING == pytest.approx(0.030 / PAIRINGS_PER_VERIFY)
-        assert DEFAULT_COST_MODEL.seconds_per_verify == pytest.approx(0.030)
+        assert PAIRINGS_PER_VERIFY * DEFAULT_COST_MODEL.seconds_per_pairing == pytest.approx(0.030)
 
     def test_batch_follows_the_n_plus_3_rule(self):
         model = CryptoCostModel(seconds_per_pairing=0.001)

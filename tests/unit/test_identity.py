@@ -40,7 +40,7 @@ class TestIdentity:
 
     def test_secret_bytes_roundtrip(self):
         identity = Identity.from_secret(0xDEADBEEF)
-        restored = Identity.from_secret_bytes(identity.export_secret())
+        restored = Identity.from_secret(FieldElement.from_bytes(identity.export_secret()))
         assert restored == identity
 
     def test_export_sizes_are_32_bytes(self):

@@ -53,7 +53,7 @@ class TestBootstrap:
     def test_contacts_learned_transitively(self):
         sim, nodes = build_dht()
         # After bootstrap lookups every node knows more than its seeds.
-        assert all(n.contact_count >= 2 for n in nodes.values())
+        assert all(len(n._contacts) >= 2 for n in nodes.values())
 
     def test_closest_contacts_sorted(self):
         _, nodes = build_dht()
@@ -88,7 +88,7 @@ class TestPutGet:
         sim, nodes = build_dht(config=DHTConfig(replication=4))
         nodes["peer-001"].put(b"replicated", 42, version=1)
         sim.run(sim.now + 5)
-        holders = [n for n in nodes.values() if b"replicated" in n.stored_keys()]
+        holders = [n for n in nodes.values() if b"replicated" in n._storage]
         assert len(holders) >= 2
 
     def test_higher_version_wins(self):

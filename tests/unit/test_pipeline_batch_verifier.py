@@ -95,7 +95,7 @@ class TestBatchVerifier:
         verdicts = check_all(verifier, make_bundles(rln_env, 4))
         # The fourth check flushed: every promise landed before it returned.
         assert [verdict.value for verdict in verdicts] == [True] * 4
-        assert verifier.pending_jobs == 0
+        assert len(verifier._pending) == 0
         assert verifier.stats.size_flushes == 1
         assert verifier.stats.deadline_flushes == 0
 
@@ -156,7 +156,7 @@ class TestBatchVerifier:
         verifier.flush()
         assert verdict.value is True
         verifier.flush()  # idempotent on empty queue
-        assert verifier.pending_jobs == 0
+        assert len(verifier._pending) == 0
 
 
 class TestCallbackIsolation:
@@ -182,7 +182,7 @@ class TestCallbackIsolation:
             relay(verifier, bundles[2])
         delivered.append(("c", relay(verifier, bundles[2])))
         assert delivered == [("boom", True), ("b", True), ("c", True)]
-        assert verifier.pending_jobs == 0
+        assert len(verifier._pending) == 0
         assert verifier.stats.size_flushes == 1
 
     def test_the_checker_caches_the_flushing_job_when_a_hook_raises(self, rln_env):

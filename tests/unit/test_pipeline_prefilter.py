@@ -76,6 +76,6 @@ class TestGates:
         prefilter.check(WakuMessage(payload=b"", content_topic="t"), EPOCH)
         stats = prefilter.stats
         assert stats.passed == 1
-        assert stats.dropped[PrefilterOutcome.STALE_EPOCH] == 1
-        assert stats.dropped[PrefilterOutcome.MISSING_PROOF] == 1
+        assert stats.counts[PrefilterOutcome.STALE_EPOCH.slot] == 1
+        assert stats.counts[PrefilterOutcome.MISSING_PROOF.slot] == 1
         assert stats.total_dropped() == 2

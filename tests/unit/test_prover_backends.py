@@ -18,7 +18,8 @@ from repro.exec.executor import Priority
 from repro.net.simulator import Simulator
 from repro.pipeline.batch_verifier import BatchVerifier
 from repro.zksnark.groth16 import Groth16, Proof, setup
-from repro.zksnark.prover import NativeProver, reset_shared_provers, shared_prover
+from repro.zksnark import prover as prover_registry
+from repro.zksnark.prover import NativeProver, shared_prover
 from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness, circuit_shape
 
 DEPTH = 4
@@ -346,7 +347,7 @@ class TestSkeleton:
 
 class TestSharedRegistry:
     def test_singleton_per_depth_and_backend(self):
-        reset_shared_provers()
+        prover_registry._SHARED.clear()
         a = shared_prover(DEPTH, "native")
         b = shared_prover(DEPTH, "native")
         assert a is b
@@ -354,9 +355,9 @@ class TestSharedRegistry:
         assert c is not a
 
     def test_groth16_backend_is_the_circuit_prover(self):
-        reset_shared_provers()
+        prover_registry._SHARED.clear()
         assert type(shared_prover(DEPTH, "groth16")) is Groth16
-        reset_shared_provers()
+        prover_registry._SHARED.clear()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ProvingError):
@@ -365,7 +366,7 @@ class TestSharedRegistry:
     def test_shared_prover_proofs_interoperate(self, case):
         # Two peers using the shared prover verify each other's proofs —
         # one trusted setup per network.
-        reset_shared_provers()
+        prover_registry._SHARED.clear()
         public, witness = case
         peer_a = shared_prover(DEPTH, "native")
         peer_b = shared_prover(DEPTH, "native")

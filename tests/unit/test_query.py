@@ -215,7 +215,7 @@ def test_ring_bounded_capacity():
     for i in range(10):
         ring.note(float(i), float(i))
     assert len(ring.points) == 4
-    assert ring.latest == (9.0, 9.0)
+    assert ring.points[-1] == (9.0, 9.0)
 
 
 # -- expressions --------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_a_pass_walks_the_states_once(monkeypatch):
     # six drops_total entries and three sends_total ones were candidates;
     # no sampler looked at another sampler's series
     assert sorted(calls) == ["drops_total"] * 6 + ["sends_total"] * 3
-    assert querier.ring(Instant("drops_total", stage="verify").key).latest == (1.0, 6)
+    assert querier.ring(Instant("drops_total", stage="verify").key).points[-1] == (1.0, 6)
 
 
 def test_an_slo_selects_its_histograms_once_per_pass(monkeypatch):
@@ -86,8 +86,8 @@ def test_an_slo_selects_its_histograms_once_per_pass(monkeypatch):
     engine.sample(1.0, [{"lat": histogram}])
     assert selections == ["lat"]  # fast and slow window, bad and total: one merge
     fast = BadFraction("lat", 5.0, 5.0)
-    assert engine.querier.ring(fast._bad_key).latest == (1.0, 4)
-    assert engine.querier.ring(fast._total_key).latest == (1.0, 10)
+    assert engine.querier.ring(fast._bad_key).points[-1] == (1.0, 4)
+    assert engine.querier.ring(fast._total_key).points[-1] == (1.0, 10)
 
 
 def test_ring_window_walk_equals_the_copying_reference():

@@ -69,7 +69,7 @@ class TestCoordinator:
         assert coordinator.stats.rewards_wei == contract.deposit
         assert coordinator.stats.gas_spent_wei > 0
         assert coordinator.stats.net_wei < contract.deposit
-        assert coordinator.pending() == []
+        assert all(case.settled for case in coordinator.cases)
 
     def test_duplicate_evidence_opens_one_case(self, env):
         simulator, chain, contract, spammer = env
@@ -175,7 +175,7 @@ class TestTracker:
         assert summary["network_wide_at"] is not None
         assert summary["chain_latency"] > 0
         assert summary["revocation_latency"] >= summary["chain_latency"] - tracker.poll_interval
-        assert tracker.watching == ()
+        assert not tracker._watching
         manager.close()
 
     def test_watch_on_already_excluded_view_stamps_immediately(self, env):

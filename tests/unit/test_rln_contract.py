@@ -55,7 +55,7 @@ class TestRegistration:
         assert receipt.success
         assert contract.commitment_list() == [identity.pk.value]
         assert contract.is_member(identity.pk)
-        assert contract.index_of(identity.pk) == 0
+        assert contract.commitment_list().index(identity.pk.value) == 0
 
     def test_registration_event(self, env):
         chain, contract = env
@@ -314,7 +314,7 @@ class TestIndexStability:
             members[2].pk.value,
             members[3].pk.value,
         ]
-        assert contract.index_of(members[3].pk) == 3
+        assert contract.commitment_list().index(members[3].pk.value) == 3
 
 
 class TestUnifiedRemovalEvent:

@@ -63,7 +63,7 @@ class TestMeshFormation:
         start_all(sim, routers, warmup=5.0)
         params = next(iter(routers.values())).params
         for router in routers.values():
-            mesh = router.mesh_peers(TOPIC)
+            mesh = set(router._mesh.get(TOPIC, ()))
             assert len(mesh) >= 1
             assert len(mesh) <= params.d_hi
 
@@ -204,4 +204,25 @@ class TestUnsubscribe:
         sim.run(sim.now + 2.0)
         assert leaver.stats.delivered == 0
         for router in routers.values():
-            assert "peer-004" not in router.mesh_peers(TOPIC)
+            assert "peer-004" not in set(router._mesh.get(TOPIC, ()))
+
+
+class TestMeshShrink:
+    def test_mesh_grafted_past_d_hi_shrinks_to_d_keeping_the_best_scored(self):
+        params = GossipSubParams(d=2, d_lo=1, d_hi=3)
+        sim, _, routers = build(count=7, scoring=True, params=params)
+        start_all(sim, routers)
+        router = routers["peer-000"]
+        grafted = sorted(set(routers) - {"peer-000"})
+        mesh = router._mesh[TOPIC]
+        for peer in grafted:
+            if peer not in mesh:
+                mesh.add(peer)
+                router.scoring.on_join_mesh(peer, sim.now)
+        for peer, deliveries in (("peer-005", 3), ("peer-002", 1)):
+            for _ in range(deliveries):
+                router.scoring.on_first_delivery(peer)
+        assert len(mesh) == 6 > params.d_hi
+        router.heartbeat()
+        assert router._mesh[TOPIC] == {"peer-002", "peer-005"}
+        assert router.stats.mesh_size[TOPIC] == params.d

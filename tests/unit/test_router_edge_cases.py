@@ -58,7 +58,7 @@ class TestGraylisting:
         victim.scoring.on_invalid_message("peer-000")  # below accept threshold
         network.send("peer-000", "peer-002", RPC(graft=(Graft(topic=TOPIC),)))
         sim.run(sim.now + 1.0)
-        assert "peer-000" not in victim.mesh_peers(TOPIC)
+        assert "peer-000" not in set(victim._mesh.get(TOPIC, ()))
 
 
 class TestLifecycle:
@@ -102,12 +102,12 @@ class TestMeshRepair:
         sim, network, routers = build(count=6)
         router = routers["peer-000"]
         sim.run(sim.now + 3.0)
-        mesh_before = router.mesh_peers(TOPIC)
+        mesh_before = set(router._mesh.get(TOPIC, ()))
         assert mesh_before
         victim = sorted(mesh_before)[0]
         network.disconnect("peer-000", victim)
         sim.run(sim.now + 3.0)  # heartbeats prune the dead link
-        assert victim not in router.mesh_peers(TOPIC)
+        assert victim not in set(router._mesh.get(TOPIC, ()))
 
     def test_publish_works_while_mesh_forming(self):
         # Immediately after start (no heartbeat yet), publish falls back to

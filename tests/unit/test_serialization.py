@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.messages import RateLimitProof
-from repro.crypto.field import FieldElement
+from repro.crypto.field import FIELD_BYTES, FieldElement
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleTree
-from repro.serialization import expected_sizes, measure_sizes
+from repro.serialization import measure_sizes
 from repro.zksnark.groth16 import setup
 from repro.zksnark.prover import NativeProver
 from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness
@@ -37,9 +37,8 @@ def sizes():
 
 class TestArtifactSizes:
     def test_keys_are_32_bytes(self, sizes):
-        expected = expected_sizes()
-        assert sizes.secret_key == expected["secret_key"] == 32
-        assert sizes.identity_commitment == expected["identity_commitment"] == 32
+        assert sizes.secret_key == FIELD_BYTES == 32
+        assert sizes.identity_commitment == FIELD_BYTES
 
     def test_proof_is_128_bytes(self, sizes):
         assert sizes.proof == 128

@@ -56,7 +56,7 @@ class TestCommitReveal:
         slasher.settle()
         assert attempt.state is SlashState.REWARDED
         assert attempt.reward == 1 * WEI
-        assert slasher.rewarded_total() == 1 * WEI
+        assert sum(a.reward for a in slasher.attempts) == 1 * WEI
         assert not contract.is_member(spammer.pk)
 
     def test_reveal_before_commit_mined_returns_none(self, env):

@@ -145,7 +145,7 @@ def test_histogram_percentiles_are_exact():
     assert histogram.p50 == exact_percentile(samples, 0.5)
     assert histogram.maximum == max(samples)
     assert histogram.minimum == min(samples)
-    assert histogram.mean == pytest.approx(sum(samples) / len(samples))
+    assert histogram.total == pytest.approx(sum(samples)) and histogram.count == len(samples)
     # Percentiles stay exact across interleaved observes (lazy re-sort).
     histogram.observe(0.0001)
     assert histogram.p50 == exact_percentile(samples + [0.0001], 0.5)
@@ -154,7 +154,7 @@ def test_histogram_percentiles_are_exact():
 def test_empty_histogram_reads_zero():
     histogram = MetricsRegistry().histogram("h")
     assert histogram.p50 == 0.0 and histogram.p99 == 0.0
-    assert histogram.mean == 0.0
+    assert histogram.total == 0.0 and histogram.count == 0
     assert math.isinf(histogram.minimum)
     assert histogram.extremes() == (0.0, 0.0)
     registry = MetricsRegistry()

@@ -8,7 +8,7 @@ tree over their roots, sharing no node with the tree under test.
 
 import pytest
 
-from repro.crypto.field import FieldElement, ZERO
+from repro.crypto.field import FIELD_BYTES, FieldElement, ZERO
 from repro.crypto.merkle import MerkleTree
 from repro.errors import MerkleError, TreeFullError
 from repro.treesync import ShardedMerkleForest, splice
@@ -187,7 +187,7 @@ class TestLazyMaterialization:
     def test_empty_forest_allocates_nothing(self):
         _, forest = build_pair()
         assert forest.shard_roots() == {}
-        assert forest.stored_node_count() == 0
+        assert forest.storage_bytes() == 0
 
     def test_only_touched_shards_materialize(self):
         _, forest = build_pair()
@@ -208,7 +208,7 @@ class TestLazyMaterialization:
         assert forest.peer_storage_bytes(0) < forest.storage_bytes()
         # One shard plus the top tree, the shard root counted once.
         shards, top = assert_matches_reference(forest)
-        per_node = forest.storage_bytes() // forest.stored_node_count()
+        per_node = FIELD_BYTES + 8
         assert forest.peer_storage_bytes(0) == (
             shards[0].storage_bytes() + top.storage_bytes() - per_node
         )

@@ -81,7 +81,7 @@ class TestLiveFeed:
         for i in range(8):  # all land in shard 1: foreign
             register(chain, contract, 0x300 + i)
         assert view.hash_ops == base  # zero compressions before commit
-        assert view.dirty_shards == 1
+        assert len(view._pending) == 1
         assert view.root == manager.root  # one commit folds the burst
         assert view.stats.foreign_events == 8
 

@@ -182,7 +182,7 @@ class TestPipeline:
         assert validator.log.entry_count() == 1
         newer = make_message(prover, manager, identity, b"future", epoch=EPOCH + 10)
         validator.validate(newer, EPOCH + 10, b"l2")
-        assert EPOCH not in validator.log.epochs_tracked()
+        assert EPOCH not in validator.log._by_epoch
 
     def test_stats_counters(self, env, prover):
         _, _, manager, validator, identity = env

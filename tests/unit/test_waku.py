@@ -236,10 +236,10 @@ class TestFilter:
         client = FilterClient("peer-002", network)
         client.subscribe("peer-000", ("t",))
         sim.run(sim.now + 1.0)
-        assert node.subscriber_count() == 1
+        assert len(node._filters) == 1
         client.unsubscribe("peer-000", ("t",))
         sim.run(sim.now + 1.0)
-        assert node.subscriber_count() == 0
+        assert len(node._filters) == 0
         relays["peer-001"].publish(WakuMessage(payload=b"late", content_topic="t"))
         sim.run(sim.now + 2.0)
         assert client.received == []

@@ -29,8 +29,8 @@ from repro.witness import (
     WitnessRequest,
     WitnessResponse,
     WitnessService,
-    verify_witness,
 )
+from repro.witness.client import checked_fold
 
 from tests.conftest import two_level_reference
 
@@ -85,7 +85,7 @@ def make_client(env, *, executor=None, providers=None, timeout=0.2, rounds=2,
 class TestWireRoundtrips:
     def test_witness_messages_roundtrip(self, env):
         _, _, _, manager, _ = env
-        proof = manager.merkle_proof_at(5)
+        proof = manager.tree.proof(5)
         request = WitnessRequest(request_id=9, index=5)
         assert WitnessRequest.from_bytes(request.to_bytes()) == request
         response = WitnessResponse(request_id=9, found=True, seq=12, proof=proof)
@@ -120,7 +120,7 @@ class TestWitnessFetch:
         got = []
         client.witness(5, got.append)
         sim.run(2.0)
-        assert got and got[0] == manager.merkle_proof_at(5)
+        assert got and got[0] == manager.tree.proof(5)
         assert got[0].verify(manager.root)
         assert service.stats.witnesses_served == 1
         # The served bytes are the path a shard-scoped peer would splice
@@ -138,7 +138,7 @@ class TestWitnessFetch:
         got = []
         client.witness(5, got.append)
         sim.run(2.0)
-        assert got and got[0] == manager.merkle_proof_at(5)
+        assert got and got[0] == manager.tree.proof(5)
         assert service.stats.witnesses_served == 1
         other.close()
 
@@ -200,7 +200,7 @@ class TestWitnessFetch:
         client.witness(5, got.append)
         sim.run(2.0)
         # The evil provider's answer was rejected; the honest one won.
-        assert got and got[0] == manager.merkle_proof_at(5)
+        assert got and got[0] == manager.tree.proof(5)
         assert client.dispatcher.stats.rejected == 1
         assert client.cache.stats.rejected == 1
 
@@ -244,8 +244,8 @@ class TestWitnessFetch:
         got_light = []
         light_client.witness(5, got_light.append)
         sim.run(3.0)
-        assert got_own and got_own[0] == manager.merkle_proof_at(3)
-        assert got_light and got_light[0] == manager.merkle_proof_at(5)
+        assert got_own and got_own[0] == manager.tree.proof(3)
+        assert got_light and got_light[0] == manager.tree.proof(5)
 
 
 class TestServiceExecutorPriority:
@@ -405,25 +405,23 @@ class TestSnapshots:
 class TestVerifyWitness:
     def test_structural_checks(self, env):
         _, _, _, manager, _ = env
-        proof = manager.merkle_proof_at(5)
+        proof = manager.tree.proof(5)
 
         class Window:
             def is_acceptable_root(self, root):
                 return root == manager.root
 
-        accept = Window()
-        assert verify_witness(proof, index=5, depth=DEPTH, accepted=accept)
+        # The client's decision: the checked fold, then the root window.
+        assert Window().is_acceptable_root(checked_fold(proof, index=5, depth=DEPTH))
         # Another member's (valid!) witness must not pass for index 5.
-        other = manager.merkle_proof_at(6)
-        assert not verify_witness(other, index=5, depth=DEPTH, accepted=accept)
+        other = manager.tree.proof(6)
+        assert checked_fold(other, index=5, depth=DEPTH) is None
         # Wrong depth is rejected before any hashing.
-        assert not verify_witness(proof, index=5, depth=DEPTH + 1, accepted=accept)
+        assert checked_fold(proof, index=5, depth=DEPTH + 1) is None
 
 
 class TestLightDistributedManager:
-    def test_merkle_proof_via_asks_the_client_for_the_members_own_slot(
-        self, monkeypatch
-    ):
+    def test_member_index_is_the_slot_to_fetch(self, monkeypatch):
         from repro.crypto.field import FieldElement
         from repro.crypto.identity import derive_commitment
         from repro.offchain.group_registry import (
@@ -431,14 +429,6 @@ class TestLightDistributedManager:
             GroupSnapshot,
             MembershipRecord,
         )
-
-        class StubClient:
-            def __init__(self):
-                self.calls = []
-
-            def witness(self, index, on_done, on_error, *, expected_leaf):
-                self.calls.append((index, expected_leaf))
-                on_done(("path-for", index))
 
         sks = [FieldElement(v) for v in (11, 22, 33)]
         pks = [derive_commitment(sk) for sk in sks]
@@ -452,11 +442,8 @@ class TestLightDistributedManager:
                 for i, pk in enumerate(pks)
             )
         )
-        client, delivered = StubClient(), []
-        manager.merkle_proof_via(client, pks[2], delivered.append)
-        assert client.calls == [(2, pks[2])]
-        assert delivered == [("path-for", 2)]
-        # A removed member has no slot to ask for; nothing reaches the client.
+        assert manager.member_index(pks[2]) == 2
+        # A removed member has no slot to fetch a witness for.
         manager.snapshot = manager.snapshot.merge(
             GroupSnapshot(
                 records=frozenset(
@@ -465,9 +452,8 @@ class TestLightDistributedManager:
             )
         )
         with pytest.raises(ProtocolError, match="removed"):
-            manager.merkle_proof_via(client, pks[2], delivered.append)
-        manager.merkle_proof_via(client, pks[1], delivered.append)
-        assert client.calls == [(2, pks[2]), (1, pks[1])]
+            manager.member_index(pks[2])
+        assert manager.member_index(pks[1]) == 1
 
 
 class TestRevocationHandling:
@@ -507,7 +493,7 @@ class TestRevocationHandling:
         assert got
         attempts_before = client.dispatcher.stats.attempts
         self.slash(env, members[victim_index])
-        assert client.revoked_indices() == frozenset({victim_index})
+        assert client._revoked == {victim_index}
         assert client.cache.stats.revocations_observed == 1
         failures = []
         client.witness(victim_index, got.append, failures.append)
@@ -549,7 +535,7 @@ class TestRevocationHandling:
         client.witness(7, lambda p: None, expected_leaf=members[7].pk)
         sim.run(sim.now + 5.0)
         self.slash(env, members[1])  # someone else's slot
-        assert client.revoked_indices() == frozenset()
+        assert not client._revoked
         # The cache was still invalidated (every path crossed the change).
         sim.run(sim.now + 5.0)
         assert client.cache.stats.invalidations >= 1
