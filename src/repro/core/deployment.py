@@ -171,11 +171,11 @@ class RLNDeployment:
             # never counts them as neighbors and relay behaviour stays
             # bit-identical — while the telemetry channel still rides the
             # same Network, its bytes billed and separable per protocol.
-            rules, slos = (), ()
-            if collector.alerting:
-                rules, slos = default_rule_pack(
-                    evaluation_interval=collector.evaluation_interval
-                )
+            rules = (
+                default_rule_pack(evaluation_interval=collector.evaluation_interval)
+                if collector.alerting
+                else ()
+            )
             names = ["collector-0"] + (["collector-1"] if collector.backup else [])
             for name in names:
                 network.add_peer(name, [])
@@ -184,7 +184,6 @@ class RLNDeployment:
                     network,
                     simulator,
                     rules=rules,
-                    slos=slos,
                     evaluation_interval=collector.evaluation_interval,
                     export_interval=collector.interval,
                 )

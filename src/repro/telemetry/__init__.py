@@ -33,64 +33,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.telemetry.export import (
-    TelemetrySnapshot,
-    render_prometheus,
-    write_snapshot,
-)
-from repro.telemetry.registry import (
-    DEFAULT_BUCKETS,
-    DEFAULT_SAMPLE_CAPACITY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-    NullRegistry,
-    metric_key,
-)
-from repro.telemetry.disttrace import (
-    DistTracer,
-    NULL_DISTTRACER,
-    NULL_TRACE,
-    NullDistTracer,
-    NullTrace,
-    PropagationTree,
-    SpanContext,
-    SpanRecord,
-    TraceAssembler,
-)
-from repro.telemetry.otlp import (
-    TELEMETRY_PROTOCOL,
-    TELEMETRY_REPLY_PROTOCOL,
-    TelemetryBatch,
-)
-from repro.telemetry.exporter import TelemetryExporter
-from repro.telemetry.alerts import (
-    AlertEvent,
-    AlertRule,
-    RuleEngine,
-    SLO,
-    default_rule_pack,
-)
-from repro.telemetry.health import HealthMonitor, PeerLiveness
-from repro.telemetry.query import (
-    ANY,
-    BadFraction,
-    Combined,
-    FleetQuerier,
-    HealthCount,
-    HealthScore,
-    Instant,
-    Quantile,
-    Rate,
-    SeriesRing,
-    select,
-)
 from repro.telemetry.collector import CollectorOptions, CollectorPeer
+from repro.telemetry.disttrace import DistTracer, NULL_DISTTRACER, NullDistTracer
+from repro.telemetry.export import TelemetrySnapshot
+from repro.telemetry.registry import MetricsRegistry, NULL_REGISTRY
 
 
 class Telemetry:
@@ -163,56 +109,11 @@ def resolve(telemetry: "Telemetry | NullTelemetry | None") -> "Telemetry | NullT
 
 
 __all__ = [
-    "ANY",
-    "AlertEvent",
-    "AlertRule",
-    "BadFraction",
     "CollectorOptions",
     "CollectorPeer",
-    "Combined",
-    "Counter",
-    "FleetQuerier",
-    "HealthCount",
-    "HealthMonitor",
-    "HealthScore",
-    "Instant",
-    "PeerLiveness",
-    "Quantile",
-    "Rate",
-    "RuleEngine",
-    "SLO",
-    "SeriesRing",
-    "default_rule_pack",
-    "select",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_SAMPLE_CAPACITY",
-    "DistTracer",
-    "NULL_DISTTRACER",
-    "NullDistTracer",
-    "PropagationTree",
-    "SpanContext",
-    "SpanRecord",
-    "TraceAssembler",
-    "TELEMETRY_PROTOCOL",
-    "TELEMETRY_REPLY_PROTOCOL",
-    "TelemetryBatch",
-    "TelemetryExporter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "NULL_REGISTRY",
     "NULL_TELEMETRY",
-    "NULL_TRACE",
-    "NullRegistry",
     "NullTelemetry",
-    "NullTrace",
     "Telemetry",
     "TelemetrySnapshot",
-    "metric_key",
-    "render_prometheus",
     "resolve",
-    "write_snapshot",
 ]

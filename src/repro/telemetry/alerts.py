@@ -1,49 +1,65 @@
-"""Deterministic alerting on the simulated clock: rules, SLOs, lifecycle.
+"""Deterministic alerting on the simulated clock: expressions, rules, lifecycle.
 
 The collector reconstructs the fleet's registries exactly; this module
-turns that state into decisions.  Two rule shapes:
+turns that state into decisions.  It has three parts:
 
-* :class:`AlertRule` — a threshold on any query expression
-  (:mod:`repro.telemetry.query`), with a ``for_duration`` dwell before
-  firing and a separate **clear threshold** for hysteresis, so a value
-  oscillating around the fire threshold cannot flap fire↔resolve;
-* :class:`SLO` — multi-window multi-burn-rate budget alerting (the SRE
-  workbook shape): the fraction of observations blowing an objective is
-  read over a *fast* and a *slow* window, and the rule fires only when
-  **both** windows burn the error budget faster than their factors — a
-  short spike trips neither, a sustained regression trips both quickly.
-  An SLO compiles down to an :class:`AlertRule` over a scalarized
-  expression, so one lifecycle/state machine serves both.
+* **Expressions** — what a rule reads, each through one method,
+  ``read(view)`` over a :class:`FleetView`.  :class:`Instant` aggregates
+  (sum/max/avg) the entries of one or more metric names, selected by
+  label matchers, across the collector's per-peer states *without*
+  materializing a fleet merge (summing entries across states is the
+  merge).  :class:`Rate` and :class:`BadFraction` are windowed: their
+  sources are sampled into bounded :class:`SeriesRing`\\ s of
+  ``(sim_time, value)`` points and they read the rings.
+  :class:`BurnRate` is multi-window multi-burn-rate budget alerting (the
+  SRE workbook shape) over two bad fractions, and :class:`HealthCount`
+  bridges into the liveness classifier (:mod:`repro.telemetry.health`),
+  so "a peer went silent" is an expression like any other.
+* :class:`AlertRule` — ``expr op threshold`` with a ``for_duration``
+  dwell before firing and a separate **clear threshold** for hysteresis,
+  so a value oscillating around the fire threshold cannot flap
+  fire↔resolve.  Every rule has this one shape; a burn-rate objective is
+  an :class:`AlertRule` on a :class:`BurnRate`.
+* :class:`RuleEngine` — owns the rings and their samplers, and is
+  evaluated by the collector on a fixed ``evaluation_interval`` of
+  simulated time.  Transitions land in a bounded :class:`AlertEvent` log
+  with exact simulated timestamps, and an
+  ``ALERTS{alertname,severity,alertstate}`` gauge is rendered into the
+  fleet Prometheus exposition, so alert state is itself scrapeable.
 
-The engine (:class:`RuleEngine`) is evaluated by the collector on a
-fixed ``evaluation_interval`` of simulated time.  Everything is
-deterministic: no wall clock, no RNG, state transitions recorded in a
-bounded :class:`AlertEvent` log with exact simulated timestamps, and an
-``ALERTS{alertname,severity,alertstate}`` gauge rendered into the fleet
-Prometheus exposition so alert state is itself scrapeable telemetry.
+Everything evaluates on the *simulated* clock and touches no RNG: two
+runs folding the same batches at the same times produce bit-identical
+results, which is what lets E20 assert exact detection latencies.
+
+Sampling: :meth:`RuleEngine.sample` is the eager primitive — it writes
+the points of the ``now`` it is handed, from the states it is handed.
+Points at the same simulated instant **coalesce** (last write wins),
+which is what makes evaluation independent of the order same-time
+batches folded in — the property suite pins this.  *When* it is called
+is the collector's discipline, stated in :mod:`repro.telemetry.collector`:
+one ring point per series per simulated instant, taken when the instant
+is over.  A pass walks the states **once**, into a :class:`GroupedStates`
+bucketed by the metric names registered expressions select, and every
+selection then reads its bucket through :func:`select_many` — so a pass
+costs the stored entries once plus the few each rule matches, not
+rules × peers × entries.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from repro.telemetry.query import (
-    BadFraction,
-    CollectedState,
-    Combined,
-    Expr,
-    FleetQuerier,
-    FleetView,
-    HealthCount,
-    Instant,
-    Rate,
-)
 from repro.telemetry.registry import metric_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.health import HealthMonitor
+
+#: A ``collect()``-shaped mapping (metric key -> entry dict): the shape
+#: shared by live registries, collector per-peer states and snapshots.
+CollectedState = Mapping[str, dict]
 
 #: Lifecycle states (Prometheus vocabulary plus an explicit inactive).
 INACTIVE = "inactive"
@@ -51,12 +67,393 @@ PENDING = "pending"
 FIRING = "firing"
 RESOLVED = "resolved"
 
+#: Points one :class:`SeriesRing` keeps; the widest window of the rule
+#: pack (60 evaluation intervals) needs a fraction of them.
+RING_CAPACITY = 512
+
 _OPS = {
     ">": lambda v, t: v > t,
     ">=": lambda v, t: v >= t,
     "<": lambda v, t: v < t,
     "<=": lambda v, t: v <= t,
 }
+
+
+# -- selection and aggregation ------------------------------------------------
+
+
+def _matches(entry: dict, name: str, matchers: "tuple[tuple[str, object], ...]") -> bool:
+    if entry["name"] != name:
+        return False
+    labels = entry["labels"]
+    for key, want in matchers:
+        if labels.get(key) != want:
+            return False
+    return True
+
+
+def _freeze(matchers: Mapping[str, object]) -> "tuple[tuple[str, object], ...]":
+    return tuple(sorted(matchers.items(), key=lambda item: item[0]))
+
+
+class GroupedStates(tuple):
+    """A states tuple that also carries its entries bucketed by name.
+
+    Built once per sampling / evaluation pass by :meth:`RuleEngine.view`;
+    ``by_name`` holds a bucket for exactly the metric names it was asked
+    for (an empty list when no state has the name), so a missing key
+    means "not grouped — scan".
+    """
+
+    by_name: dict[str, list[dict]]
+
+    def __new__(
+        cls, states: Iterable[CollectedState], names: Iterable[str]
+    ) -> "GroupedStates":
+        self = super().__new__(cls, states)
+        by_name: dict[str, list[dict]] = {name: [] for name in names}
+        if by_name:
+            for state in self:
+                for entry in state.values():
+                    bucket = by_name.get(entry["name"])
+                    if bucket is not None:
+                        bucket.append(entry)
+        self.by_name = by_name
+        return self
+
+
+def select_many(
+    states: tuple[CollectedState, ...],
+    name: str,
+    matchers: "tuple[tuple[str, object], ...]",
+) -> list[dict]:
+    """Every entry matching ``name`` + label matchers, across all states —
+    the one scan every selection goes through.  Duplicate keys across
+    states are *not* merged (additive aggregation wants them all).
+    Reads the ``name`` bucket of a :class:`GroupedStates`; any other
+    tuple of states (or an ungrouped name) is walked whole."""
+    candidates: "Iterable[dict] | None" = None
+    if isinstance(states, GroupedStates):
+        candidates = states.by_name.get(name)
+    if candidates is None:
+        candidates = (entry for state in states for entry in state.values())
+    return [entry for entry in candidates if _matches(entry, name, matchers)]
+
+
+def _scalar(entry: dict, field_name: str) -> float:
+    """One entry's scalar: ``value`` for counters/gauges, any summary
+    field (``count``/``sum``/``min``/``max``) for histograms."""
+    if field_name == "value" and entry["kind"] == "histogram":
+        raise ValueError(
+            f"histogram {entry['name']!r} has no 'value'; ask for "
+            "field='count', 'sum', 'min' or 'max'"
+        )
+    return entry[field_name]
+
+
+def aggregate(
+    entries: Sequence[dict],
+    agg: str = "sum",
+    *,
+    field_name: str = "value",
+    default: float = 0.0,
+) -> float:
+    """Fold a selection to one number; ``default`` when nothing matched."""
+    if agg not in ("sum", "max", "avg"):
+        raise ValueError(f"unknown aggregation {agg!r}")
+    if not entries:
+        return default
+    values = [_scalar(entry, field_name) for entry in entries]
+    if agg == "sum":
+        return sum(values)
+    if agg == "max":
+        return max(values)
+    return sum(values) / len(values)
+
+
+def count_over(entries: Sequence[dict], objective: float) -> tuple[float, float]:
+    """``(bad, total)`` observation counts: *bad* is everything recorded
+    above ``objective`` seconds, conservatively bucket-quantised (an
+    observation in a bucket whose upper bound exceeds the objective
+    counts as bad)."""
+    bad = 0.0
+    total = 0.0
+    for entry in entries:
+        bounds = list(entry["le"])
+        good_buckets = bisect_right(bounds, objective)
+        good = sum(entry["buckets"][:good_buckets])
+        total += entry["count"]
+        bad += entry["count"] - good
+    return bad, total
+
+
+# -- windowed series ----------------------------------------------------------
+
+
+class SeriesRing:
+    """A bounded ring of ``(sim_time, value)`` points for one series.
+
+    Points at the same simulated instant **replace** the previous one —
+    within one instant the cumulative value after all folds is
+    order-independent, so coalescing makes every windowed read
+    order-independent too.
+    """
+
+    __slots__ = ("points",)
+
+    def __init__(self) -> None:
+        self.points: deque[tuple[float, float]] = deque(maxlen=RING_CAPACITY)
+
+    def note(self, time: float, value: float) -> None:
+        if self.points and self.points[-1][0] == time:
+            self.points[-1] = (time, value)
+        else:
+            self.points.append((time, value))
+
+    def _ends(
+        self, window: float, now: float
+    ) -> "tuple[tuple[float, float], tuple[float, float]] | None":
+        """The oldest and newest point inside the window, or ``None`` when
+        fewer than two are.  The ring is time-ordered, so this walks back
+        from the newest point and stops at the cutoff."""
+        cutoff = now - window
+        oldest = None
+        inside = 0
+        for point in reversed(self.points):
+            if point[0] < cutoff:
+                break
+            oldest = point
+            inside += 1
+        if inside < 2:
+            return None
+        return oldest, self.points[-1]
+
+    def delta(self, window: float, now: float) -> float:
+        """Increase over the window (clamped at 0 for monotone series)."""
+        ends = self._ends(window, now)
+        if ends is None:
+            return 0.0
+        return max(0.0, ends[1][1] - ends[0][1])
+
+    def rate(self, window: float, now: float) -> float:
+        """Per-second increase over the window's observed span."""
+        ends = self._ends(window, now)
+        if ends is None:
+            return 0.0
+        oldest, newest = ends
+        elapsed = newest[0] - oldest[0]
+        if elapsed <= 0:
+            return 0.0
+        return max(0.0, newest[1] - oldest[1]) / elapsed
+
+
+# -- the expressions ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FleetView:
+    """Everything one pass reads: now, the grouped states, rings, health."""
+
+    now: float
+    states: GroupedStates
+    rings: Mapping[str, SeriesRing]
+    health: "HealthMonitor | None"
+
+
+class Expr:
+    """One alert expression.
+
+    ``key`` is its stable identity (ring keys and reprs derive from it),
+    and every subclass defines ``read(view) -> float``, its value in a
+    :class:`FleetView`.
+    """
+
+    key: str
+
+    def register(self, engine: "RuleEngine") -> None:
+        """Install the samplers and name groups this expression reads."""
+        return None
+
+
+class Instant(Expr):
+    """``agg(name{matchers})`` over the current state — sum by default.
+
+    With several names it aggregates the entries of all of them (the
+    exporter-loss rule adds two loss counters this way).
+    """
+
+    def __init__(
+        self,
+        *names: str,
+        agg: str = "sum",
+        field: str = "value",
+        default: float = 0.0,
+        **matchers: object,
+    ) -> None:
+        if not names:
+            raise ValueError("Instant needs at least one metric name")
+        aggregate((), agg)  # validate eagerly
+        self.names = names
+        self.agg = agg
+        self.field = field
+        self.default = default
+        self.matchers = _freeze(matchers)
+        inner = ",".join(f"{k}={v}" for k, v in self.matchers)
+        self.key = f"{agg}({'+'.join(names)}{{{inner}}}.{field})"
+
+    def read(self, view: FleetView) -> float:
+        entries: list[dict] = []
+        for name in self.names:
+            entries += select_many(view.states, name, self.matchers)
+        return aggregate(
+            entries, self.agg, field_name=self.field, default=self.default
+        )
+
+    def register(self, engine: "RuleEngine") -> None:
+        for name in self.names:
+            engine.group_by(name)
+
+
+class Rate(Expr):
+    """``rate(source[window])``: per-second increase of a sampled series.
+
+    The source's :meth:`Instant.read` is sampled into a
+    :class:`SeriesRing` by every :meth:`RuleEngine.sample`, and the rate
+    reads the ring.  Only an :class:`Instant` can be a source: a windowed
+    expression has no value to sample until its own rings are written.
+    """
+
+    def __init__(self, source: Instant, window: float) -> None:
+        if not isinstance(source, Instant):
+            raise TypeError(
+                f"{type(source).__name__} is not an Instant; it cannot be sampled"
+            )
+        if window <= 0:
+            raise ValueError("rate window must be positive")
+        self.source = source
+        self.window = window
+        self.key = f"rate({source.key},{window:g}s)"
+
+    def register(self, engine: "RuleEngine") -> None:
+        self.source.register(engine)
+        engine.add_sampler(self.source.key, self.source.read)
+
+    def read(self, view: FleetView) -> float:
+        ring = view.rings.get(self.source.key)
+        if ring is None:
+            return 0.0
+        return ring.rate(self.window, view.now)
+
+
+class BadFraction(Expr):
+    """Fraction of histogram observations above ``objective`` in a window.
+
+    Two rings (bad count, total count) are fed by one sampler from the
+    selected histograms; the value is ``Δbad / Δtotal`` over the window —
+    0.0 with no traffic, so an idle fleet never burns budget.
+    """
+
+    def __init__(
+        self, name: str, objective: float, window: float, **matchers: object
+    ) -> None:
+        if window <= 0:
+            raise ValueError("window must be positive")
+        self.name = name
+        self.objective = objective
+        self.window = window
+        self.matchers = _freeze(matchers)
+        inner = ",".join(f"{k}={v}" for k, v in self.matchers)
+        selector = f"{name}{{{inner}}}"
+        self.key = f"bad_fraction({selector}>{objective:g},{window:g}s)"
+        self._bad_key = f"{selector}#bad>{objective:g}"
+        self._total_key = f"{selector}#count"
+
+    def _counts(self, view: FleetView) -> tuple[float, float]:
+        return count_over(
+            select_many(view.states, self.name, self.matchers), self.objective
+        )
+
+    def register(self, engine: "RuleEngine") -> None:
+        engine.group_by(self.name)
+        engine.add_sampler((self._bad_key, self._total_key), self._counts)
+
+    def read(self, view: FleetView) -> float:
+        bad_ring = view.rings.get(self._bad_key)
+        total_ring = view.rings.get(self._total_key)
+        if bad_ring is None or total_ring is None:
+            return 0.0
+        total = total_ring.delta(self.window, view.now)
+        if total <= 0:
+            return 0.0
+        return min(1.0, bad_ring.delta(self.window, view.now) / total)
+
+
+class BurnRate(Expr):
+    """A multi-window burn rate of one latency histogram's error budget.
+
+    ``objective``: the latency bound (seconds) an observation must meet;
+    ``budget``: the tolerated fraction of observations missing it.  The
+    burn rate of a window is ``bad_fraction / budget`` — 1.0 means the
+    budget is being spent exactly as provisioned.  The value is
+    ``min(fast/fast_burn, slow/slow_burn)``: it reaches 1.0 only when the
+    fast window burns >= ``fast_burn`` AND the slow window >=
+    ``slow_burn``, so a rule ``>= 1.0`` on it ignores a short spike and
+    trips quickly on a sustained regression (the slow window *is* the
+    dwell).
+    """
+
+    def __init__(
+        self,
+        metric: str,
+        objective: float,
+        *,
+        budget: float = 0.1,
+        fast_window: float = 5.0,
+        slow_window: float = 30.0,
+        fast_burn: float = 6.0,
+        slow_burn: float = 3.0,
+        **matchers: object,
+    ) -> None:
+        if not 0.0 < budget <= 1.0:
+            raise ValueError("budget must be in (0, 1]")
+        if fast_window >= slow_window:
+            raise ValueError("fast_window must be shorter than slow_window")
+        if fast_burn <= 0 or slow_burn <= 0:
+            raise ValueError("fast_burn and slow_burn must be positive")
+        self.budget = budget
+        self.fast_burn = fast_burn
+        self.slow_burn = slow_burn
+        self.fast = BadFraction(metric, objective, fast_window, **matchers)
+        self.slow = BadFraction(metric, objective, slow_window, **matchers)
+        self.key = (
+            f"burn({self.fast.key}/{fast_burn:g},{self.slow.key}/{slow_burn:g},"
+            f"{budget:g})"
+        )
+
+    def register(self, engine: "RuleEngine") -> None:
+        self.fast.register(engine)
+        self.slow.register(engine)
+
+    def read(self, view: FleetView) -> float:
+        burn_fast = self.fast.read(view) / self.budget
+        burn_slow = self.slow.read(view) / self.budget
+        return min(burn_fast / self.fast_burn, burn_slow / self.slow_burn)
+
+
+class HealthCount(Expr):
+    """How many peers the liveness classifier puts in ``status`` now."""
+
+    def __init__(self, status: str) -> None:
+        self.status = status
+        self.key = f"health_count({status})"
+
+    def read(self, view: FleetView) -> float:
+        if view.health is None:
+            return 0.0
+        return float(view.health.counts(view.now).get(self.status, 0))
+
+
+# -- rules --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -77,7 +474,6 @@ class AlertRule:
     clear_threshold: float | None = None
     severity: str = "warning"
     description: str = ""
-    labels: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
@@ -89,6 +485,11 @@ class AlertRule:
             raise ValueError(
                 f"clear_threshold {clear} breaches {self.op} {self.threshold}; "
                 "it must sit on the non-breaching side"
+            )
+        if isinstance(self.expr, BurnRate) and clear is not None and clear <= 0:
+            raise ValueError(
+                "a burn rate is never below 0, so a clear_threshold <= 0 "
+                "never resolves"
             )
 
     def _breach_at(self, value: float, threshold: float) -> bool:
@@ -106,86 +507,6 @@ class AlertRule:
         """
         clear = self.threshold if self.clear_threshold is None else self.clear_threshold
         return not self._breach_at(value, clear)
-
-
-@dataclass(frozen=True)
-class SLO:
-    """A multi-window burn-rate objective over one latency histogram.
-
-    ``objective``: the latency bound (seconds) an observation must meet;
-    ``budget``: the tolerated fraction of observations missing it.  The
-    burn rate of a window is ``bad_fraction / budget`` — 1.0 means the
-    budget is being spent exactly as provisioned.  Fire when the fast
-    window burns >= ``fast_burn`` AND the slow window burns >=
-    ``slow_burn``; the scalarized expression is
-    ``min(fast/fast_burn, slow/slow_burn)`` against threshold 1.0, and
-    hysteresis clears at ``clear_ratio``.
-    """
-
-    name: str
-    metric: str
-    objective: float
-    budget: float = 0.1
-    fast_window: float = 5.0
-    slow_window: float = 30.0
-    fast_burn: float = 6.0
-    slow_burn: float = 3.0
-    clear_ratio: float = 0.9
-    severity: str = "critical"
-    description: str = ""
-    matchers: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.budget <= 1.0:
-            raise ValueError("budget must be in (0, 1]")
-        if self.fast_window >= self.slow_window:
-            raise ValueError("fast_window must be shorter than slow_window")
-        if not 0.0 < self.clear_ratio <= 1.0:
-            raise ValueError("clear_ratio must be in (0, 1]")
-
-    def compile(self) -> AlertRule:
-        expr = _BurnRate(self)
-        return AlertRule(
-            name=self.name,
-            expr=expr,
-            op=">=",
-            threshold=1.0,
-            for_duration=0.0,  # the slow window *is* the dwell
-            clear_threshold=self.clear_ratio,
-            severity=self.severity,
-            description=self.description
-            or (
-                f"{self.metric} > {self.objective:g}s burning the "
-                f"{self.budget:.0%} budget at >= {self.fast_burn:g}x (fast) "
-                f"and {self.slow_burn:g}x (slow)"
-            ),
-            labels={"slo": self.name},
-        )
-
-
-class _BurnRate(Expr):
-    """``min(burn_fast/fast_burn, burn_slow/slow_burn)`` for one SLO."""
-
-    def __init__(self, slo: SLO) -> None:
-        self.slo = slo
-        self.fast = BadFraction(
-            slo.metric, slo.objective, slo.fast_window, **dict(slo.matchers)
-        )
-        self.slow = BadFraction(
-            slo.metric, slo.objective, slo.slow_window, **dict(slo.matchers)
-        )
-        self.key = f"burn({slo.name})"
-
-    def register(self, querier: FleetQuerier) -> None:
-        self.fast.register(querier)
-        self.slow.register(querier)
-
-    def instant(self, view: FleetView) -> float:
-        burn_fast = self.fast.instant(view) / self.slo.budget
-        burn_slow = self.slow.instant(view) / self.slo.budget
-        return min(
-            burn_fast / self.slo.fast_burn, burn_slow / self.slo.slow_burn
-        )
 
 
 @dataclass(frozen=True)
@@ -227,50 +548,90 @@ class _RuleState:
 class RuleEngine:
     """Evaluates every rule against the collector's state on a cadence.
 
-    Driven by the owner with :meth:`sample` and :meth:`evaluate`; both
-    are eager, pure functions of ``(now, states)``, so unit tests drive
-    the engine standalone with hand-built state mappings, sampling as
-    often as they like (points at one instant coalesce).  The
-    :class:`~repro.telemetry.collector.CollectorPeer` samples once per
-    simulated instant that folded something, when that instant is over
-    (its module docstring states the discipline), and evaluates every
-    ``evaluation_interval`` of simulated time.
+    Owns one ring per windowed series and the sampler that feeds it;
+    samplers are interned by series key, so two rules watching the same
+    series share one ring.  Driven by the owner with :meth:`sample` and
+    :meth:`evaluate`; both are eager, pure functions of ``(now, states)``,
+    so unit tests drive the engine standalone with hand-built state
+    mappings, sampling as often as they like (points at one instant
+    coalesce).  The :class:`~repro.telemetry.collector.CollectorPeer`
+    samples once per simulated instant that folded something, when that
+    instant is over (its module docstring states the discipline), and
+    evaluates every ``evaluation_interval`` of simulated time.
     """
 
     def __init__(
-        self,
-        rules: Sequence[AlertRule] = (),
-        slos: Sequence[SLO] = (),
-        *,
-        event_capacity: int = 1024,
-        ring_capacity: int = 512,
+        self, rules: Sequence[AlertRule] = (), *, event_capacity: int = 1024
     ) -> None:
-        compiled = list(rules) + [slo.compile() for slo in slos]
-        names = [rule.name for rule in compiled]
+        names = [rule.name for rule in rules]
         dupes = {name for name in names if names.count(name) > 1}
         if dupes:
             raise ValueError(f"duplicate alert names: {sorted(dupes)}")
-        self.querier = FleetQuerier(ring_capacity=ring_capacity)
+        self._rings: dict[str, SeriesRing] = {}
+        self._samplers: dict["str | tuple[str, ...]", Callable] = {}
+        #: Metric names some registered expression selects — what a
+        #: pass buckets the states by.
+        self._names: set[str] = set()
         self._states: dict[str, _RuleState] = {}
-        for rule in compiled:
-            self.querier.register(rule.expr)
+        for rule in rules:
+            rule.expr.register(self)
             self._states[rule.name] = _RuleState(rule)
         self.events: deque[AlertEvent] = deque(maxlen=event_capacity)
         self.evaluations = 0
 
+    # -- what expressions register ------------------------------------------
+
+    def group_by(self, name: str) -> None:
+        """Bucket entries named ``name`` in every pass's grouping."""
+        self._names.add(name)
+
+    def add_sampler(
+        self,
+        key: "str | tuple[str, ...]",
+        read: "Callable[[FleetView], float | tuple[float, ...]]",
+    ) -> None:
+        """``read(view)`` feeds the ring named ``key``; with a tuple of
+        keys it returns one value per key — one selection, several
+        series."""
+        if key in self._samplers:
+            return
+        self._samplers[key] = read
+        for ring_key in key if isinstance(key, tuple) else (key,):
+            self._rings[ring_key] = SeriesRing()
+
     # -- driving ------------------------------------------------------------
 
-    def sample(
-        self, now: float, states: "CollectedState | Iterable[CollectedState]"
-    ) -> None:
+    def view(
+        self,
+        now: float,
+        states: Iterable[CollectedState],
+        *,
+        health: "HealthMonitor | None" = None,
+    ) -> FleetView:
+        """What expressions read at ``now``: ``states`` bucketed by the
+        registered names (as is if already grouped) — one walk that every
+        selection of the pass then shares."""
+        if not isinstance(states, GroupedStates):
+            states = GroupedStates(states, self._names)
+        return FleetView(now, states, self._rings, health)
+
+    def sample(self, now: float, states: Iterable[CollectedState]) -> None:
         """Record one ring point per windowed series at ``now`` — the
         eager primitive; a same-instant call replaces the point."""
-        self.querier.sample(now, states)
+        view = self.view(now, states)
+        rings = self._rings
+        for key, read in self._samplers.items():
+            value = read(view)
+            if isinstance(key, tuple):
+                for ring_key, part in zip(key, value):
+                    rings[ring_key].note(now, part)
+            else:
+                rings[key].note(now, value)
 
     def evaluate(
         self,
         now: float,
-        states: "CollectedState | Iterable[CollectedState]",
+        states: Iterable[CollectedState],
         *,
         health: "HealthMonitor | None" = None,
     ) -> list[AlertEvent]:
@@ -279,9 +640,8 @@ class RuleEngine:
         Samples first (idempotent at equal simulated time — ring points
         coalesce), so standalone callers need no separate fold hook.
         """
-        states = self.querier.grouped(states)
-        self.querier.sample(now, states)
-        view = self.querier.view(now, states, health=health)
+        view = self.view(now, states, health=health)
+        self.sample(now, view.states)
         transitions: list[AlertEvent] = []
         for state in self._states.values():
             event = self._step(state, now, view)
@@ -293,7 +653,7 @@ class RuleEngine:
 
     def _step(self, s: _RuleState, now: float, view: FleetView) -> AlertEvent | None:
         rule = s.rule
-        value = rule.expr.instant(view)
+        value = rule.expr.read(view)
         s.value = value
         if s.state == FIRING:
             # Hysteresis: only a value past the *clear* threshold resolves.
@@ -373,37 +733,28 @@ class RuleEngine:
 # -- the built-in RLN rule pack ----------------------------------------------
 
 
-def default_rule_pack(
-    *,
-    evaluation_interval: float = 0.5,
-    spam_rate_threshold: float = 1.0,
-    queue_depth_threshold: float = 16.0,
-    hit_ratio_floor: float = 0.5,
-    revocation_objective: float = 25.0,
-    revocation_budget: float = 0.1,
-) -> tuple[list[AlertRule], list[SLO]]:
+def default_rule_pack(*, evaluation_interval: float = 0.5) -> list[AlertRule]:
     """The rules an RLN fleet ships with, scaled to the evaluation cadence.
 
     * **rln-spam-flood** — fleet-wide rate of bundles rejected at the
-      verify stage (invalid proofs *and* convicted spam) exceeds
-      ``spam_rate_threshold``/s, sustained for two intervals;
+      verify stage (invalid proofs *and* convicted spam) exceeds 1/s,
+      sustained for two intervals; clears at 0.5/s;
     * **rln-peer-silent** — the liveness classifier declares any peer
       silent (no folds for ~10 intervals);
     * **rln-witness-hit-ratio** — fleet average witness-cache hit ratio
-      degrades below ``hit_ratio_floor`` (defaults to 1.0 when no light
-      members exist, so witness-less fleets never breach); clears only
-      on recovery past 0.75;
+      degrades below 0.5 (defaults to 1.0 when no light members exist,
+      so witness-less fleets never breach); clears only on recovery past
+      0.75;
     * **rln-executor-saturation** — any executor's queue depth exceeds
-      ``queue_depth_threshold``, sustained; clears below 1/4 of it;
+      16, sustained; clears below 4;
     * **rln-exporter-loss** — telemetry batches are being lost anywhere
       (exporter drop-oldest or collector-observed seq gaps);
-    * **rln-revocation-lag** (SLO) — network-wide exclusion traces blow
-      the ``revocation_objective`` (the E15 end-to-end figure is ~23 s)
-      more often than the error budget tolerates, on fast/slow burn
-      windows.
+    * **rln-revocation-lag** — network-wide exclusion traces blow the
+      25 s objective (the E15 end-to-end figure is ~23 s) more often than
+      a 10 % error budget tolerates, on fast/slow burn windows.
     """
     interval = evaluation_interval
-    rules = [
+    return [
         AlertRule(
             name="rln-spam-flood",
             expr=Rate(
@@ -411,9 +762,9 @@ def default_rule_pack(
                 window=5 * interval,
             ),
             op=">",
-            threshold=spam_rate_threshold,
+            threshold=1.0,
             for_duration=2 * interval,
-            clear_threshold=spam_rate_threshold / 2,
+            clear_threshold=0.5,
             severity="critical",
             description="fleet-wide invalid-proof/spam rejection rate",
         ),
@@ -431,7 +782,7 @@ def default_rule_pack(
             name="rln-witness-hit-ratio",
             expr=Instant("witness_cache_hit_ratio", agg="avg", default=1.0),
             op="<",
-            threshold=hit_ratio_floor,
+            threshold=0.5,
             for_duration=5 * interval,
             clear_threshold=0.75,
             severity="warning",
@@ -441,20 +792,17 @@ def default_rule_pack(
             name="rln-executor-saturation",
             expr=Instant("executor_queue_depth", agg="max"),
             op=">",
-            threshold=queue_depth_threshold,
+            threshold=16.0,
             for_duration=2 * interval,
-            clear_threshold=queue_depth_threshold / 4,
+            clear_threshold=4.0,
             severity="warning",
             description="crypto executor queue saturation",
         ),
         AlertRule(
             name="rln-exporter-loss",
             expr=Rate(
-                Combined(
-                    [
-                        Instant("telemetry_dropped_batches_total"),
-                        Instant("collector_lost_batches_total"),
-                    ]
+                Instant(
+                    "telemetry_dropped_batches_total", "collector_lost_batches_total"
                 ),
                 window=5 * interval,
             ),
@@ -464,20 +812,22 @@ def default_rule_pack(
             severity="warning",
             description="telemetry export batches being lost",
         ),
-    ]
-    slos = [
-        SLO(
+        AlertRule(
             name="rln-revocation-lag",
-            metric="trace_total_seconds",
-            objective=revocation_objective,
-            budget=revocation_budget,
-            fast_window=10 * interval,
-            slow_window=60 * interval,
-            fast_burn=6.0,
-            slow_burn=3.0,
+            expr=BurnRate(
+                "trace_total_seconds",
+                25.0,
+                budget=0.1,
+                fast_window=10 * interval,
+                slow_window=60 * interval,
+                fast_burn=6.0,
+                slow_burn=3.0,
+                kind="revocation-network",
+            ),
+            op=">=",
+            threshold=1.0,
+            clear_threshold=0.9,
             severity="critical",
             description="spam-detection to network-wide exclusion latency",
-            matchers={"kind": "revocation-network"},
         ),
     ]
-    return rules, slos

@@ -56,7 +56,7 @@ from typing import Any, Callable, Sequence
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.telemetry import tracing
-from repro.telemetry.alerts import AlertRule, RuleEngine, SLO
+from repro.telemetry.alerts import AlertRule, RuleEngine
 from repro.telemetry.disttrace import SpanRecord, TraceAssembler
 from repro.telemetry.export import TelemetrySnapshot, render_prometheus
 from repro.telemetry.health import HealthMonitor
@@ -172,7 +172,6 @@ class CollectorPeer:
         *,
         trace_capacity: int = 1024,
         rules: Sequence[AlertRule] = (),
-        slos: Sequence[SLO] = (),
         evaluation_interval: float = 0.5,
         export_interval: float = 1.0,
     ) -> None:
@@ -198,8 +197,8 @@ class CollectorPeer:
         #: The simulated instant whose ring points are still owed: set by
         #: a fold, settled by :meth:`_take_due_sample`.
         self._sample_due: float | None = None
-        if rules or slos:
-            self.engine = RuleEngine(rules, slos)
+        if rules:
+            self.engine = RuleEngine(rules)
             self.evaluation_interval = evaluation_interval
             self._stop_evaluation = simulator.every(
                 evaluation_interval, self._evaluate

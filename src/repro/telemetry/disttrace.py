@@ -58,6 +58,7 @@ from operator import itemgetter, sub
 from struct import Struct
 from typing import Callable, Iterator, NamedTuple
 
+from repro.analysis.reporting import summarize
 from repro.codec import Framed, Reader, Symbol, Symbols, Wire, Writer, varint
 from repro.errors import ProtocolError
 from repro.telemetry.registry import (
@@ -825,17 +826,12 @@ class TraceAssembler:
         return out
 
     def quantiles(self) -> dict[str, float | int]:
-        """Fleet publish→verdict p50/p99 from assembled traces."""
-        samples = sorted(self.latencies())
-        if not samples:
-            return {"count": 0, "p50": 0.0, "p99": 0.0, "max": 0.0}
-
-        def at(q: float) -> float:
-            return samples[min(len(samples) - 1, int(q * len(samples)))]
-
+        """Fleet publish→verdict p50/p99 from assembled traces (the shared
+        :func:`~repro.analysis.reporting.percentile` definition)."""
+        stats = summarize(self.latencies())
         return {
-            "count": len(samples),
-            "p50": at(0.50),
-            "p99": at(0.99),
-            "max": samples[-1],
+            "count": stats.count,
+            "p50": stats.p50,
+            "p99": stats.p99,
+            "max": stats.maximum,
         }

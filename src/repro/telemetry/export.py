@@ -65,8 +65,7 @@ def _bucket_quantile(le: list[float], buckets: list[int], count: int, q: float) 
 def merge_histogram_into(mine: dict, entry: dict) -> None:
     """Add histogram ``entry``'s additive fields into ``mine``, in place.
 
-    The one histogram merge (snapshot merge and fleet queries both fold
-    with it).  An empty side's ``min``/``max`` are the exporter's 0.0
+    What :meth:`TelemetrySnapshot.merge` folds histograms with.  An empty side's ``min``/``max`` are the exporter's 0.0
     placeholders, not observations — every eagerly interned series on a
     peer that recorded nothing has them — so they never enter the result.
     """

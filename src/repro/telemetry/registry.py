@@ -18,7 +18,7 @@ p2p metrics registries:
   benchmark waterfalls — bucket quantiles are estimates, exact ones are
   what the paper-facing tables print);
 * the whole surface has a **zero-cost disabled mode**:
-  :data:`NULL_REGISTRY` hands out shared no-op singletons whose methods
+  :data:`NULL_REGISTRY` hands out one shared no-op metric whose writes
   do nothing and its ``bind`` registers nothing, so code instruments
   unconditionally and a disabled run stays bit-identical to the seed
   (the E16 overhead arm pins this).
@@ -339,59 +339,24 @@ class MetricsRegistry:
         return out
 
 
-class NullCounter:
-    """Shared do-nothing counter for the disabled path."""
+class NullMetric:
+    """The shared do-nothing metric of the disabled path, for every kind:
+    writes are ignored and every reading (value, count, quantile) is 0."""
 
     __slots__ = ()
-    kind = "counter"
-    name = ""
-    labels: dict[str, str] = {}
-    value = 0
-
-    def inc(self, amount: int | float = 1) -> None:
-        return None
-
-
-class NullGauge:
-    """Shared do-nothing gauge for the disabled path."""
-
-    __slots__ = ()
-    kind = "gauge"
-    name = ""
-    labels: dict[str, str] = {}
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        return None
-
-    def add(self, delta: float) -> None:
-        return None
-
-
-class NullHistogram:
-    """Shared do-nothing histogram (every quantile reads 0) for the disabled path."""
-
-    __slots__ = ()
-    kind = "histogram"
     name = ""
     labels: dict[str, str] = {}
     bounds: tuple[float, ...] = ()
-    count = 0
-    total = 0.0
-    minimum = 0.0
-    maximum = 0.0
-    p50 = p90 = p99 = 0.0
+    value = count = 0
+    total = minimum = maximum = p50 = p90 = p99 = 0.0
 
-    def observe(self, value: float) -> None:
+    def _ignore(self, *args: float) -> None:
         return None
 
-    def percentile(self, q: float) -> float:
-        return 0.0
+    inc = set = add = observe = _ignore
 
 
-NULL_COUNTER = NullCounter()
-NULL_GAUGE = NullGauge()
-NULL_HISTOGRAM = NullHistogram()
+NULL_METRIC = NullMetric()
 
 
 class NullRegistry:
@@ -403,14 +368,14 @@ class NullRegistry:
     overhead arm shows is within noise of the seed.
     """
 
-    def counter(self, name: str, **labels: str) -> NullCounter:
-        return NULL_COUNTER
+    def counter(self, name: str, **labels: str) -> NullMetric:
+        return NULL_METRIC
 
-    def gauge(self, name: str, **labels: str) -> NullGauge:
-        return NULL_GAUGE
+    def gauge(self, name: str, **labels: str) -> NullMetric:
+        return NULL_METRIC
 
-    def histogram(self, name: str, **labels: str) -> NullHistogram:
-        return NULL_HISTOGRAM
+    def histogram(self, name: str, **labels: str) -> NullMetric:
+        return NULL_METRIC
 
     def bind(self, name: str, read, kind: str = "counter", /, **labels: str) -> None:
         return None

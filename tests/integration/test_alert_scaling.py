@@ -9,15 +9,15 @@ quadratic: ≈ 2× the passes and ≈ 4× the matcher calls for 2× the peers.
 """
 
 from repro.core.deployment import RLNDeployment
-from repro.telemetry import CollectorOptions, query
+from repro.telemetry import CollectorOptions, alerts
 
 SIMULATED_SECONDS = 10.0
 
 
 def alerting_cost(peer_count, monkeypatch):
     counts = {"passes": 0, "matches": 0}
-    real_sample = query.FleetQuerier.sample
-    real_matches = query._matches
+    real_sample = alerts.RuleEngine.sample
+    real_matches = alerts._matches
 
     def counted_sample(self, now, states):
         counts["passes"] += 1
@@ -36,8 +36,8 @@ def alerting_cost(peer_count, monkeypatch):
     deployment.register_all()
     deployment.form_meshes()
     with monkeypatch.context() as patch:
-        patch.setattr(query.FleetQuerier, "sample", counted_sample)
-        patch.setattr(query, "_matches", counted_matches)
+        patch.setattr(alerts.RuleEngine, "sample", counted_sample)
+        patch.setattr(alerts, "_matches", counted_matches)
         deployment.run(SIMULATED_SECONDS)
     collector = deployment.collector
     assert collector.stats.lost_batches == 0 and collector.firing() == []

@@ -21,8 +21,7 @@ The two invariants the alerting stack stands on:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.alerts import FIRING, RESOLVED, AlertRule, RuleEngine
-from repro.telemetry.query import Instant, Rate
+from repro.telemetry.alerts import FIRING, RESOLVED, AlertRule, Instant, Rate, RuleEngine
 from repro.telemetry.registry import metric_key
 
 PEERS = ("peer-a", "peer-b", "peer-c")
@@ -84,7 +83,7 @@ def run_interleaving(streams, orders):
         events += engine.evaluate(float(t), list(states.values()))
     rings = {
         key: list(ring.points)
-        for key, ring in engine.querier._rings.items()
+        for key, ring in engine._rings.items()
     }
     return [e.to_dict() for e in events], rings, engine.state("spam")
 

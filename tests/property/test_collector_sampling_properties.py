@@ -27,10 +27,9 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
-from repro.telemetry.alerts import AlertRule, RuleEngine
+from repro.telemetry.alerts import AlertRule, Instant, Rate, RuleEngine
 from repro.telemetry.collector import CollectorPeer
 from repro.telemetry.otlp import CounterDelta, ExportRequest, TelemetryBatch
-from repro.telemetry.query import Combined, Instant, Rate
 
 PEERS = ("peer-a", "peer-b", "peer-c")
 TICK = 0.25
@@ -48,11 +47,8 @@ def rules():
         AlertRule(
             name="loss",
             expr=Rate(
-                Combined(
-                    [
-                        Instant("telemetry_dropped_batches_total"),
-                        Instant("collector_lost_batches_total"),
-                    ]
+                Instant(
+                    "telemetry_dropped_batches_total", "collector_lost_batches_total"
                 ),
                 window=1.0,
             ),
@@ -105,7 +101,7 @@ schedule_strategy = st.lists(
 
 
 def ring_points(engine):
-    return {key: list(ring.points) for key, ring in engine.querier._rings.items()}
+    return {key: list(ring.points) for key, ring in engine._rings.items()}
 
 
 @given(schedule=schedule_strategy)

@@ -34,12 +34,13 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
-from repro.telemetry import MetricsRegistry, Telemetry, TelemetrySnapshot
+from repro.telemetry import Telemetry, TelemetrySnapshot
 from repro.telemetry.collector import CollectorPeer, fold_delta
 from repro.telemetry.disttrace import NO_PARENT, DistTracer, SpanRecord
 from repro.telemetry.export import TelemetrySnapshot as Snapshot
 from repro.telemetry.exporter import TelemetryExporter
 from repro.telemetry.otlp import TelemetryBatch
+from repro.telemetry.registry import MetricsRegistry
 from tests.delta_oracle import compute_deltas
 from tests.property.wire_strategies import batches, finite, label_text, span_records
 

@@ -22,7 +22,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry import MetricsRegistry, TelemetrySnapshot
+from repro.telemetry import TelemetrySnapshot
+from repro.telemetry.registry import MetricsRegistry
 
 #: A small, shared metric vocabulary so streams collide on keys (the
 #: interesting case) while still exercising disjoint metrics.

@@ -6,8 +6,8 @@ The lifecycle contract under test:
   back without an event);
 * hysteresis: once firing, only a value past the *clear* threshold
   resolves — values oscillating inside the band keep the alert firing;
-* SLO burn-rate rules fire only when the fast AND slow windows both
-  exceed their burn factors, and resolve at ``clear_ratio``;
+* burn-rate (SLO) rules fire only when the fast AND slow windows both
+  exceed their burn factors, and resolve at their clear threshold;
 * transitions land in a bounded event log with exact simulated times,
   and pending/firing rules render as ``ALERTS{...}`` gauge entries;
 * the built-in RLN pack is well-formed and default-quiet.
@@ -21,11 +21,13 @@ from repro.telemetry.alerts import (
     PENDING,
     RESOLVED,
     AlertRule,
+    BurnRate,
+    HealthCount,
+    Instant,
+    Rate,
     RuleEngine,
-    SLO,
     default_rule_pack,
 )
-from repro.telemetry.query import Instant
 from repro.telemetry.registry import metric_key
 
 
@@ -159,11 +161,9 @@ def test_zero_threshold_rule_resolves():
 # -- SLO burn rates -----------------------------------------------------------
 
 
-def slo(**kw):
+def slo(clear_ratio=0.9, **kw):
+    """The burn-rate rule shape: fire on >= 1.0, clear below ``clear_ratio``."""
     defaults = dict(
-        name="lat-slo",
-        metric="lat",
-        objective=5.0,
         budget=0.1,
         fast_window=2.0,
         slow_window=10.0,
@@ -171,7 +171,14 @@ def slo(**kw):
         slow_burn=3.0,
     )
     defaults.update(kw)
-    return SLO(**defaults)
+    return AlertRule(
+        name="lat-slo",
+        expr=BurnRate("lat", 5.0, **defaults),
+        op=">=",
+        threshold=1.0,
+        clear_threshold=clear_ratio,
+        severity="critical",
+    )
 
 
 def test_slo_validation():
@@ -181,10 +188,21 @@ def test_slo_validation():
         slo(fast_window=10.0, slow_window=10.0)
     with pytest.raises(ValueError):
         slo(clear_ratio=0.0)
+    with pytest.raises(ValueError):
+        slo(clear_ratio=1.0)
+
+
+@pytest.mark.parametrize("factor", ["fast_burn", "slow_burn"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_a_burn_factor_must_be_positive(factor, value):
+    # A factor <= 0 used to construct fine and divide by zero on the
+    # first evaluation, inside the collector's evaluation ticker.
+    with pytest.raises(ValueError):
+        BurnRate("m", 1.0, **{factor: value})
 
 
 def test_slo_fires_only_when_both_windows_burn():
-    engine = RuleEngine(slos=[slo()])
+    engine = RuleEngine([slo()])
     # 100% bad traffic: burn = 1.0/0.1 = 10x — over both 6x and 3x.
     buckets_total = 0
     events = []
@@ -198,7 +216,7 @@ def test_slo_fires_only_when_both_windows_burn():
 
 
 def test_slo_short_spike_does_not_fire():
-    engine = RuleEngine(slos=[slo()])
+    engine = RuleEngine([slo()])
     # long good history, then one bad window shorter than the slow burn
     good = 0
     events = []
@@ -212,7 +230,7 @@ def test_slo_short_spike_does_not_fire():
 
 
 def test_slo_resolves_at_clear_ratio():
-    engine = RuleEngine(slos=[slo()])
+    engine = RuleEngine([slo()])
     bad = 0
     for i in range(4):
         bad += 5
@@ -273,24 +291,48 @@ def test_alerts_entries_empty_when_quiet():
 
 
 def test_default_rule_pack_shape():
-    rules, slos_ = default_rule_pack(evaluation_interval=0.5)
-    names = [r.name for r in rules] + [s.name for s in slos_]
-    assert names == [
-        "rln-spam-flood",
-        "rln-peer-silent",
-        "rln-witness-hit-ratio",
-        "rln-executor-saturation",
-        "rln-exporter-loss",
-        "rln-revocation-lag",
+    rules = default_rule_pack(evaluation_interval=0.5)
+    shape = [
+        (r.name, r.op, r.threshold, r.clear_threshold, r.for_duration, r.severity,
+         r.description)
+        for r in rules
     ]
+    assert shape == [
+        ("rln-spam-flood", ">", 1.0, 0.5, 1.0, "critical",
+         "fleet-wide invalid-proof/spam rejection rate"),
+        ("rln-peer-silent", ">=", 1.0, 0.0, 0.0, "critical",
+         "a peer stopped exporting telemetry"),
+        ("rln-witness-hit-ratio", "<", 0.5, 0.75, 2.5, "warning",
+         "light-member witness cache degradation"),
+        ("rln-executor-saturation", ">", 16.0, 4.0, 1.0, "warning",
+         "crypto executor queue saturation"),
+        ("rln-exporter-loss", ">", 0.0, None, 0.0, "warning",
+         "telemetry export batches being lost"),
+        ("rln-revocation-lag", ">=", 1.0, 0.9, 0.0, "critical",
+         "spam-detection to network-wide exclusion latency"),
+    ]
+    spam, silent, witness, saturation, loss, lag = (r.expr for r in rules)
+    assert isinstance(spam, Rate) and spam.window == 2.5
+    assert spam.source.key == "sum(pipeline_drops_total{stage=verify}.value)"
+    assert isinstance(silent, HealthCount) and silent.status == "silent"
+    assert witness.key == "avg(witness_cache_hit_ratio{}.value)" and witness.default == 1.0
+    assert saturation.key == "max(executor_queue_depth{}.value)"
+    assert isinstance(loss, Rate) and loss.window == 2.5
+    assert loss.source.names == (
+        "telemetry_dropped_batches_total", "collector_lost_batches_total"
+    )
+    assert isinstance(lag, BurnRate)
+    assert (lag.budget, lag.fast_burn, lag.slow_burn) == (0.1, 6.0, 3.0)
+    assert (lag.fast.window, lag.slow.window, lag.fast.objective) == (5.0, 30.0, 25.0)
+    assert lag.fast.matchers == (("kind", "revocation-network"),)
     # the pack must construct a valid engine
-    engine = RuleEngine(rules, slos_)
+    engine = RuleEngine(rules)
     assert engine.firing() == []
 
 
 def test_default_rule_pack_quiet_on_empty_fleet():
-    rules, slos_ = default_rule_pack()
-    engine = RuleEngine(rules, slos_)
+    rules = default_rule_pack()
+    engine = RuleEngine(rules)
     for i in range(20):
         assert engine.evaluate(i * 0.5, [{}]) == []
     assert engine.firing() == []

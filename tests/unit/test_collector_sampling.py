@@ -13,10 +13,9 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
-from repro.telemetry.alerts import AlertRule
+from repro.telemetry.alerts import AlertRule, Instant, Rate
 from repro.telemetry.collector import CollectorPeer
 from repro.telemetry.otlp import CounterDelta, ExportRequest, TelemetryBatch
-from repro.telemetry.query import Instant, Rate
 
 SELF_METRICS = (
     "collector_acks_sent_total",
@@ -63,7 +62,7 @@ def request(peer, seq, drops=1):
 def rings(collector):
     return {
         key: list(ring.points)
-        for key, ring in collector.engine.querier._rings.items()
+        for key, ring in collector.engine._rings.items()
     }
 
 
@@ -102,7 +101,7 @@ def test_same_instant_arrival_order_does_not_reach_the_rings():
     # four folds, one retransmission, one malformed request, five acks
     # (the malformed request gets none).
     latest = {
-        name: first.engine.querier.ring(Instant(name).key).points[-1]
+        name: first.engine._rings[Instant(name).key].points[-1]
         for name in SELF_METRICS
     }
     assert latest == {
@@ -126,7 +125,7 @@ def test_a_later_instant_s_loss_stays_out_of_the_earlier_point():
     sim.schedule_at(1.0, partial(collector._on_export, a, request(a, 4)))
     sim.run(2.0)
     collector._take_due_sample(even_now=True)
-    ring = collector.engine.querier.ring(Instant("collector_lost_batches_total").key)
+    ring = collector.engine._rings[Instant("collector_lost_batches_total").key]
     assert list(ring.points) == [(0.5, 0), (1.0, 2)]
 
 
@@ -138,4 +137,4 @@ def test_readers_see_a_fold_without_an_evaluation_tick():
         sim.run(0.75)  # the evaluation ticker (every 100 s) has not run
         assert collector.engine.evaluations == 0
         getattr(collector, read)()
-        assert collector.engine.querier.ring(key).points[-1] == (0.5, 7)
+        assert collector.engine._rings[key].points[-1] == (0.5, 7)

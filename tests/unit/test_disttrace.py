@@ -35,13 +35,14 @@ import struct
 
 import pytest
 
+from repro.analysis.reporting import percentile
 from repro.codec import Writer, varint
 from repro.errors import ProtocolError
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
-from repro.telemetry import MetricsRegistry, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.collector import CollectorPeer
 from repro.telemetry.disttrace import (
     NO_PARENT,
@@ -53,6 +54,7 @@ from repro.telemetry.disttrace import (
 )
 from repro.telemetry.exporter import TelemetryExporter
 from repro.telemetry.otlp import TelemetryBatch
+from repro.telemetry.registry import MetricsRegistry
 from repro.witness.messages import WitnessRequest
 
 
@@ -514,6 +516,23 @@ def test_assembler_quantiles_over_relay_spans():
     assert q["count"] == 3
     assert q["max"] == pytest.approx(0.30)
     assert 0.0 < q["p50"] <= q["p99"] <= q["max"]
+
+
+def test_assembler_quantiles_use_the_shared_percentile():
+    # Two relay spans, publish->verdict 0.25 s and 0.75 s: the shared
+    # linear-interpolated p50 is their midpoint, not the upper sample.
+    assembler = TraceAssembler()
+    assembler.add(make_span(span_id=1, start=0.0, end=0.1))
+    for span_id, end in ((2, 0.25), (3, 0.75)):
+        assembler.add(
+            make_span(span_id=span_id, parent_id=1, seq=span_id, kind="bundle",
+                      hop=1, peer=f"peer-00{span_id}", start=0.05, end=end)
+        )
+    q = assembler.quantiles()
+    assert q["count"] == 2
+    assert q["p50"] == pytest.approx(0.5)
+    assert q["p99"] == pytest.approx(percentile([0.25, 0.75], 0.99))
+    assert q["max"] == 0.75
 
 
 def test_duplicate_delivery_detection():

@@ -15,7 +15,7 @@ from repro.exec.executor import (
     SynchronousCryptoExecutor,
 )
 from repro.net.simulator import Simulator
-from repro.telemetry import MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry
 from repro.zksnark.groth16 import PAIRINGS_PER_VERIFY, PairingCounter
 
 

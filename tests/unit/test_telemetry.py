@@ -19,24 +19,17 @@ import math
 import pytest
 
 from repro.analysis.reporting import percentile as exact_percentile
-from repro.telemetry import (
-    DEFAULT_BUCKETS,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-    NULL_DISTTRACER,
-    NULL_TELEMETRY,
-    NULL_TRACE,
-    DistTracer,
-    MetricsRegistry,
-    Telemetry,
-    TelemetrySnapshot,
-    metric_key,
-    render_prometheus,
-    resolve,
-)
+from repro.telemetry import NULL_TELEMETRY, Telemetry, TelemetrySnapshot, resolve
 from repro.telemetry import tracing
+from repro.telemetry.disttrace import NULL_DISTTRACER, NULL_TRACE, DistTracer
+from repro.telemetry.export import render_prometheus
+from repro.telemetry.registry import (
+    DEFAULT_BUCKETS,
+    NULL_METRIC,
+    NULL_REGISTRY,
+    MetricsRegistry,
+    metric_key,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +181,17 @@ def test_negative_only_histogram_reports_its_own_maximum():
 
 
 def test_null_registry_hands_out_shared_singletons():
-    assert NULL_REGISTRY.counter("a", x="1") is NULL_COUNTER
-    assert NULL_REGISTRY.counter("b") is NULL_COUNTER
-    assert NULL_REGISTRY.gauge("c") is NULL_GAUGE
-    assert NULL_REGISTRY.histogram("d") is NULL_HISTOGRAM
-    NULL_COUNTER.inc(5)
-    NULL_GAUGE.set(3.0)
-    NULL_HISTOGRAM.observe(1.0)
-    assert NULL_COUNTER.value == 0
-    assert NULL_GAUGE.value == 0.0
-    assert NULL_HISTOGRAM.count == 0 and NULL_HISTOGRAM.p99 == 0.0
+    assert NULL_REGISTRY.counter("a", x="1") is NULL_METRIC
+    assert NULL_REGISTRY.counter("b") is NULL_METRIC
+    assert NULL_REGISTRY.gauge("c") is NULL_METRIC
+    assert NULL_REGISTRY.histogram("d") is NULL_METRIC
+    NULL_METRIC.inc(5)
+    NULL_METRIC.inc()
+    NULL_METRIC.set(3.0)
+    NULL_METRIC.add(-1.0)
+    NULL_METRIC.observe(1.0)
+    assert NULL_METRIC.value == 0
+    assert NULL_METRIC.count == 0 and NULL_METRIC.p99 == 0.0
     assert NULL_REGISTRY.bind("e_total", lambda: 1, peer="p") is None
     assert NULL_REGISTRY.collect() == {} and NULL_REGISTRY.metrics() == {}
 
