@@ -248,14 +248,14 @@ def test_disabled_telemetry_is_bit_identical(envs, report_sink, benchmark):
     report = ExperimentReport(
         experiment="E16-overhead",
         claim="telemetry never moves a modeled figure; disabled runs ride "
-        "shared no-op singletons",
+        "one shared no-op object",
         headers=("arm", "modeled figures", "wall time"),
     )
     report.add_row("telemetry=None (seed)", "baseline", format_seconds(seed_wall))
     report.add_row("telemetry=Telemetry()", "bit-identical", format_seconds(traced_wall))
     report.add_note(
         "disabled instrumentation is an attribute load plus an empty "
-        "method call per site (NULL_REGISTRY/NULL_TRACE singletons); "
+        "method call per site (the one DISABLED object); "
         "enabled tracing stamps the simulated clock, so modeled time is "
         "untouched either way"
     )

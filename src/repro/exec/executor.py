@@ -43,7 +43,8 @@ from repro.errors import ProtocolError
 from repro.exec.costs import CryptoCostModel
 from repro.net.promise import Promise
 from repro.net.simulator import EventHandle, Simulator
-from repro.telemetry.registry import MetricsRegistry, NullRegistry, NULL_REGISTRY
+from repro.telemetry.disttrace import DISABLED, Disabled
+from repro.telemetry.registry import MetricsRegistry
 from repro.zksnark.groth16 import PairingCounter
 
 
@@ -172,7 +173,7 @@ class SimulatedCryptoExecutor:
         *,
         counter: PairingCounter | None = None,
         cost_model: CryptoCostModel | None = None,
-        registry: "MetricsRegistry | NullRegistry | None" = None,
+        registry: "MetricsRegistry | Disabled" = DISABLED,
         peer: str = "",
     ) -> None:
         if workers < 0:
@@ -188,18 +189,17 @@ class SimulatedCryptoExecutor:
         # Queue depth and busy lanes are bound gauges (both read 0 with
         # zero lanes); the wait and service histograms are handles interned
         # once per class — no-ops with telemetry off (an inline job skips them).
-        reg = NULL_REGISTRY if registry is None else registry
-        self._observed = not isinstance(reg, NullRegistry)
-        reg.bind("executor_queue_depth", lambda: self.queued_jobs, "gauge", peer=peer)
-        reg.bind("executor_busy_lanes", lambda: self.busy_lanes, "gauge", peer=peer)
+        self._observed = registry.enabled
+        registry.bind("executor_queue_depth", lambda: self.queued_jobs, "gauge", peer=peer)
+        registry.bind("executor_busy_lanes", lambda: self.busy_lanes, "gauge", peer=peer)
         self._wait = {
-            p: reg.histogram(
+            p: registry.histogram(
                 "executor_queue_wait_seconds", peer=peer, priority=p.name.lower()
             )
             for p in Priority
         }
         self._service = {
-            p: reg.histogram(
+            p: registry.histogram(
                 "executor_service_seconds", peer=peer, priority=p.name.lower()
             )
             for p in Priority
@@ -363,7 +363,7 @@ class SynchronousCryptoExecutor(SimulatedCryptoExecutor):
         *,
         counter: PairingCounter | None = None,
         cost_model: CryptoCostModel | None = None,
-        registry: "MetricsRegistry | NullRegistry | None" = None,
+        registry: "MetricsRegistry | Disabled" = DISABLED,
         peer: str = "",
     ) -> None:
         super().__init__(

@@ -37,8 +37,8 @@ from repro.exec.executor import CryptoExecutor, Priority, SynchronousCryptoExecu
 from repro.net.promise import Promise
 from repro.net.simulator import EventHandle, Simulator
 from repro.pipeline.lru import BoundedLRU
-from repro.telemetry.registry import MetricsRegistry, NullRegistry, NULL_REGISTRY
-from repro.telemetry.disttrace import NULL_TRACE, ActiveSpan, NullTrace
+from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.disttrace import DISABLED, ActiveSpan, Disabled
 from repro.telemetry.tracing import (
     BATCH_ENQUEUE, BATCH_FLUSH, LANE_DISPATCH, PAIRING, VERDICT_CACHE,
 )
@@ -79,7 +79,7 @@ class VerificationJob(NamedTuple):
     verdict: Promise[bool]
     #: The bundle's span, riding along so flush/dispatch/pairing marks
     #: land on the right waterfall (the shared no-op when telemetry is off).
-    trace: "ActiveSpan | NullTrace" = NULL_TRACE
+    trace: "ActiveSpan | Disabled" = DISABLED
 
 
 @dataclass
@@ -119,7 +119,7 @@ class BatchVerifier:
         deadline: float = 0.05,
         executor: CryptoExecutor | None = None,
         cache: BoundedLRU[bytes, bool] | None = None,
-        registry: "MetricsRegistry | NullRegistry | None" = None,
+        registry: "MetricsRegistry | Disabled" = DISABLED,
         peer: str = "",
     ) -> None:
         if batch_size < 1:
@@ -143,12 +143,11 @@ class BatchVerifier:
             counter=prover.pairing_counter
         )
         self.cache = BoundedLRU(VERDICT_CACHE_CAPACITY) if cache is None else cache
-        reg = NULL_REGISTRY if registry is None else registry
-        self._m_batch_size = reg.histogram(
+        self._m_batch_size = registry.histogram(
             "batch_flush_size", peer=peer, buckets=_BATCH_SIZE_BUCKETS
         )
         #: With telemetry off, a check that lands now calls no histogram.
-        self._observed = not isinstance(reg, NullRegistry)
+        self._observed = registry.enabled
         self.stats = BatchVerifierStats()
         #: Verdicts served from the cache (no pairing work).
         self.cache_hits = 0
@@ -173,7 +172,7 @@ class BatchVerifier:
         bundle: RateLimitProof,
         *,
         priority: Priority = Priority.SERVICE,
-        trace: "ActiveSpan | NullTrace" = NULL_TRACE,
+        trace: "ActiveSpan | Disabled" = DISABLED,
     ) -> "tuple[bool | Promise[bool], bool]":
         """The verdict for one bundle, and whether it is *fresh*.
 
@@ -310,7 +309,7 @@ class BatchVerifier:
 
     # -- verification -----------------------------------------------------------
 
-    def _land(self, key: bytes, ok: bool, trace: "ActiveSpan | NullTrace") -> None:
+    def _land(self, key: bytes, ok: bool, trace: "ActiveSpan | Disabled") -> None:
         """Book one verdict that just came out of a pairing check."""
         trace.mark(PAIRING)
         self.cache.put(key, ok)

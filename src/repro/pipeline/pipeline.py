@@ -51,9 +51,9 @@ from repro.pipeline.ratelimit import (
     RateLimitStats,
     RateLimitVerdict,
 )
-from repro.telemetry import NullTelemetry, Telemetry, resolve as resolve_telemetry
+from repro.telemetry import Telemetry, resolve as resolve_telemetry
 from repro.telemetry import tracing
-from repro.telemetry.disttrace import ActiveSpan, NullTrace
+from repro.telemetry.disttrace import ActiveSpan, Disabled
 from repro.waku.message import WakuMessage
 from repro.zksnark.prover import RLNProver
 
@@ -169,7 +169,7 @@ class ValidationPipeline:
         config: PipelineConfig | None = None,
         *,
         on_rate_limit_penalty: Callable[[str], None] | None = None,
-        telemetry: "Telemetry | NullTelemetry | None" = None,
+        telemetry: "Telemetry | Disabled | None" = None,
         peer_id: str = "",
     ) -> None:
         self.validator = validator
@@ -379,7 +379,7 @@ class ValidationPipeline:
         msg_id: bytes,
         proof_ok: bool,
         fresh: bool,
-        trace: ActiveSpan | NullTrace,
+        trace: ActiveSpan | Disabled,
     ) -> Verdict:
         """Stage 5 on a proof verdict that landed after :meth:`validate`
         returned, and the bundle's span closed."""

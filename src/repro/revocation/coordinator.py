@@ -44,7 +44,7 @@ from repro.core.slashing import SlashAttempt, SlashState, Slasher
 from repro.crypto.field import FieldElement
 from repro.net.simulator import Simulator
 from repro.telemetry import resolve as resolve_telemetry
-from repro.telemetry.disttrace import ActiveSpan, NullTrace
+from repro.telemetry.disttrace import ActiveSpan, Disabled
 from repro.telemetry.tracing import COMMIT_REVEAL, MEMBER_REMOVED
 
 
@@ -145,7 +145,7 @@ class SlashingCoordinator:
         self._tracer = self.telemetry.disttracer(
             account, clock=lambda: simulator.now
         )
-        self._case_spans: dict[tuple[int, int], ActiveSpan | NullTrace] = {}
+        self._case_spans: dict[tuple[int, int], ActiveSpan | Disabled] = {}
         self.cases: list[RevocationCase] = []
         self._case_by_key: dict[tuple[int, int], RevocationCase] = {}
         self._accounted: set[int] = set()

@@ -4,7 +4,7 @@ One :class:`Telemetry` object per simulation run bundles the three
 surfaces the subsystems share:
 
 * a :class:`~repro.telemetry.registry.MetricsRegistry` of interned
-  Counter/Gauge/Histogram handles (``name{label=value}`` keys);
+  counters, bound gauges and histograms (``name{label=value}`` keys);
 * per-peer :class:`~repro.telemetry.disttrace.DistTracer` ring buffers
   minting spans that ride a bundle from relay ingress to verdict (and
   evidence to network-wide exclusion) stamping the *simulated* clock —
@@ -14,9 +14,10 @@ surfaces the subsystems share:
   artifact + Prometheus text).
 
 Everything is opt-in: every component takes ``telemetry=None`` and falls
-back to :data:`NULL_TELEMETRY`, whose registry and tracers are shared
-no-op singletons — the disabled path does no formatting, no allocation,
-no storage, keeping seed behavior bit-identical (E16's overhead arm).
+back to :data:`DISABLED`, one object that is also its own registry,
+tracer, span and metric — the disabled path does no formatting, no
+allocation, no storage, keeping seed behavior bit-identical (E16's
+overhead arm).
 
 Typical benchmark wiring::
 
@@ -34,9 +35,9 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.telemetry.collector import CollectorOptions, CollectorPeer
-from repro.telemetry.disttrace import DistTracer, NULL_DISTTRACER, NullDistTracer
+from repro.telemetry.disttrace import DISABLED, Disabled, DistTracer
 from repro.telemetry.export import TelemetrySnapshot
-from repro.telemetry.registry import MetricsRegistry, NULL_REGISTRY
+from repro.telemetry.registry import MetricsRegistry
 
 
 class Telemetry:
@@ -44,11 +45,8 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(
-        self, *, trace_capacity: int = 256, trace_sample: float = 0.0
-    ) -> None:
+    def __init__(self, *, trace_sample: float = 0.0) -> None:
         self.registry = MetricsRegistry()
-        self.trace_capacity = trace_capacity
         #: Head-sampling probability for cross-peer traces.  0.0 (default)
         #: mints no span contexts: zero wire overhead and bit-identical
         #: relay behaviour; the sampling RNG is per-peer and dedicated, so
@@ -68,7 +66,6 @@ class Telemetry:
                 registry=self.registry,
                 sample=self.trace_sample,
                 clock=clock,
-                capacity=self.trace_capacity,
             )
         elif clock is not None:
             dist.clock = clock
@@ -81,38 +78,14 @@ class Telemetry:
         return TelemetrySnapshot.of(self.registry)
 
 
-class NullTelemetry:
-    """The disabled hub: shared no-op registry and tracer, empty snapshot."""
-
-    enabled = False
-    registry = NULL_REGISTRY
-    trace_sample = 0.0
-
-    def disttracer(
-        self, peer_id: str, *, clock: Callable[[], float] | None = None
-    ) -> NullDistTracer:
-        return NULL_DISTTRACER
-
-    def disttracers(self) -> dict[str, DistTracer]:
-        return {}
-
-    def snapshot(self) -> TelemetrySnapshot:
-        return TelemetrySnapshot({})
-
-
-NULL_TELEMETRY = NullTelemetry()
-
-
-def resolve(telemetry: "Telemetry | NullTelemetry | None") -> "Telemetry | NullTelemetry":
+def resolve(telemetry: "Telemetry | Disabled | None") -> "Telemetry | Disabled":
     """The ``telemetry=None`` seam every constructor funnels through."""
-    return NULL_TELEMETRY if telemetry is None else telemetry
+    return DISABLED if telemetry is None else telemetry
 
 
 __all__ = [
     "CollectorOptions",
     "CollectorPeer",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
     "Telemetry",
     "TelemetrySnapshot",
     "resolve",

@@ -72,6 +72,9 @@ from repro.telemetry.otlp import (
     TELEMETRY_REPLY_PROTOCOL,
 )
 
+#: Marked spans the collector keeps as waterfall exemplars.
+EXEMPLAR_CAPACITY = 1024
+
 
 @dataclass(frozen=True)
 class CollectorOptions:
@@ -115,6 +118,22 @@ class CollectorStats:
     malformed: int = 0
     #: Per-peer cumulative drops the batch headers self-reported.
     reported_drops: dict[str, int] = field(default_factory=dict)
+
+
+def _clashes(state: dict[str, dict], deltas: Sequence[MetricDelta]) -> bool:
+    """Whether a delta's kind or histogram bounds differ from its series' in
+    ``state`` or in an earlier delta of ``deltas`` — :func:`fold_delta`
+    would raise on it, or fold it into the wrong kind of series."""
+    shapes: dict[str, tuple] = {}
+    for delta in deltas:
+        key, kind = delta.key, delta.kind
+        shape = (kind, delta.bounds if kind == "histogram" else ())
+        if key not in shapes:
+            entry = state.get(key)
+            shapes[key] = shape if entry is None else (entry["kind"], tuple(entry.get("le", ())))
+        if shapes[key] != shape:
+            return True
+    return False
 
 
 def fold_delta(state: dict[str, dict], delta: MetricDelta) -> None:
@@ -170,7 +189,6 @@ class CollectorPeer:
         network: Network,
         simulator: Simulator,
         *,
-        trace_capacity: int = 1024,
         rules: Sequence[AlertRule] = (),
         evaluation_interval: float = 0.5,
         export_interval: float = 1.0,
@@ -208,8 +226,8 @@ class CollectorPeer:
         #: from the newest (``_next_trace_seq - 1``); the monotone seq lets
         #: pollers resume where they left off instead of re-reading the
         #: whole ring (see :meth:`recent_traces`).
-        self._exemplars: deque[SpanRecord] = deque(maxlen=trace_capacity)
-        self._exemplar_peers: deque[str] = deque(maxlen=trace_capacity)
+        self._exemplars: deque[SpanRecord] = deque(maxlen=EXEMPLAR_CAPACITY)
+        self._exemplar_peers: deque[str] = deque(maxlen=EXEMPLAR_CAPACITY)
         self._next_trace_seq = 1
         #: Propagation-tree assembly from exported spans.
         self.assembler = TraceAssembler()
@@ -230,6 +248,10 @@ class CollectorPeer:
             # A retransmission of something already folded (the ack was
             # lost or late): acknowledge again, never double-count.
             self.stats.duplicates += 1
+        elif _clashes(self._states.get(batch.peer, {}), batch.metrics):
+            # Refused whole, like any malformed request: no fold, no ack.
+            self.stats.malformed += 1
+            return
         else:
             lost = batch.seq - last - 1
             if lost > 0:

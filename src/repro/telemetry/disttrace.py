@@ -41,9 +41,10 @@ waits, pairing service time), not Python wall time.
 The two wire types declare their byte layouts on :mod:`repro.codec`
 (``SpanRecord``'s as a symbol-table ``Framed`` body), like every other.
 
-Like the registry, the tracer has a no-op twin
-(:data:`NULL_DISTTRACER` / :data:`NULL_TRACE`) so instrumentation is
-unconditional and a disabled run does no work and allocates nothing.
+Telemetry off is one object, :data:`DISABLED` (a :class:`Disabled`):
+it stands in for the hub, its registry, every tracer, span and metric,
+so instrumentation is unconditional and a disabled run does no work and
+allocates nothing.
 """
 
 from __future__ import annotations
@@ -61,13 +62,8 @@ from typing import Callable, Iterator, NamedTuple
 from repro.analysis.reporting import summarize
 from repro.codec import Framed, Reader, Symbol, Symbols, Wire, Writer, varint
 from repro.errors import ProtocolError
-from repro.telemetry.registry import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
-)
+from repro.telemetry.export import TelemetrySnapshot
+from repro.telemetry.registry import Counter, Histogram, MetricsRegistry
 from repro.telemetry.tracing import EVIDENCE, INGRESS
 
 #: The head-sampled root span's kind.
@@ -77,6 +73,13 @@ PUBLISH = "publish"
 NO_PARENT = 0
 
 Marks = tuple[tuple[str, float], ...]
+
+#: A tracer's bounds: finished spans kept for the exporter (a longer burst
+#: between two ticks is a ``seq`` gap), forwarded contexts kept for the
+#: trace rewriter, and live revocation-case contexts.
+RING_CAPACITY = 256
+ROUTE_CAPACITY = 4096
+REVOCATION_CAPACITY = 256
 
 _CONTEXT_HEAD = Struct(">QH")
 _STAMP = Struct(">d")
@@ -327,32 +330,62 @@ class ActiveSpan:
         self.stamps.append(self._clock())
 
 
-class NullTrace:
-    """Shared do-nothing span for the disabled path."""
+class Disabled:
+    """Telemetry off (``resolve(None)``): one object for the hub, its registry,
+    every tracer, span and metric.  Requests answer with the object, hot
+    calls are empty with fixed signatures, readings are zero or empty, so
+    nothing is formatted, stored or allocated (E16's overhead arm)."""
 
     __slots__ = ()
 
-    def mark(self, stage: str) -> None:
+    enabled = False
+    value = count = 0
+    p50 = p90 = p99 = 0.0
+    registry = property(lambda self: self)
+    clock = staticmethod(lambda: 0.0)
+
+    def observe(self, value: object = None) -> None:
+        """Every call that answers nothing: writes, marks, ``finish``, the
+        route-table reads, and ``begin_publish`` (never sampled)."""
         return None
 
+    inc = mark = finish = begin_publish = outbound_context = revocation_context = observe
 
-NULL_TRACE = NullTrace()
+    def begin(self, kind: str = "bundle", *, parent=None, key=None) -> Disabled:
+        return self
+
+    def _self(self, name: str, /, **labels: object) -> Disabled:
+        return self
+
+    counter = gauge = histogram = disttracer = _self
+
+    def _ignore(self, *args: object, **kwargs: object) -> None:  # the cold writes
+        return None
+
+    bind = link = set_revocation_context = _ignore
+
+    def _empty(self, *args: object) -> dict:
+        return {}
+
+    metrics = collect = disttracers = finished_since = _empty
+
+    def snapshot(self) -> TelemetrySnapshot:
+        return TelemetrySnapshot({})
+
+
+DISABLED = Disabled()
 
 
 class DistTracer:
     """One peer's span mint, ring buffer, and route table."""
 
-    enabled = True
-
     def __init__(
         self,
         peer_id: str,
         *,
-        registry: "MetricsRegistry | NullRegistry" = NULL_REGISTRY,
+        registry: "MetricsRegistry | Disabled" = DISABLED,
         sample: float = 0.0,
         clock: Callable[[], float] | None = None,
-        capacity: int = 256,
-        route_capacity: int = 4096,
     ) -> None:
         if not 0.0 <= sample <= 1.0:
             raise ProtocolError(f"trace_sample must be in [0, 1], got {sample}")
@@ -370,16 +403,15 @@ class DistTracer:
         self._mint = itertools.count()
         self._local = itertools.count(1)
         self._seq = itertools.count()
-        self._ring: deque[SpanRecord] = deque(maxlen=capacity)
+        self._ring: deque[SpanRecord] = deque(maxlen=RING_CAPACITY)
         #: msg_id -> the context *this* peer forwards (its own span as
         #: parent), written at ingress, read by the router's rewriter.
+        #: Both bounded tables evict first-in-first-out, in dict order; a
+        #: key set again keeps its slot.
         self._outbound: dict[bytes, SpanContext] = {}
-        self._outbound_order: deque[bytes] = deque()
-        self._route_capacity = route_capacity
         #: Live revocation-case contexts, keyed by whatever the caller
         #: uses to correlate (the evidence's (nullifier, epoch) case).
         self._revocations: dict[object, SpanContext] = {}
-        self._revocation_order: deque[object] = deque()
         #: Contexts the rewriter could not resolve (route table evicted):
         #: the trace is truncated rather than misattributed.
         self.rewrites_missed = 0
@@ -443,10 +475,8 @@ class DistTracer:
                 parent.child_hop(), parent.origin, self.clock,
             )
             if key is not None:
-                if key not in self._outbound:
-                    self._outbound_order.append(key)
-                    if len(self._outbound_order) > self._route_capacity:
-                        self._outbound.pop(self._outbound_order.popleft(), None)
+                if key not in self._outbound and len(self._outbound) >= ROUTE_CAPACITY:
+                    del self._outbound[next(iter(self._outbound))]  # the oldest
                 self._outbound[key] = span.context
         span.stages.append(INGRESS if kind == "bundle" else EVIDENCE)
         span.stamps.append(span.start)
@@ -538,10 +568,8 @@ class DistTracer:
     # -- revocation correlation --------------------------------------------------
 
     def set_revocation_context(self, key: object, ctx: SpanContext) -> None:
-        if key not in self._revocations:
-            self._revocation_order.append(key)
-            if len(self._revocation_order) > 256:
-                self._revocations.pop(self._revocation_order.popleft(), None)
+        if key not in self._revocations and len(self._revocations) >= REVOCATION_CAPACITY:
+            del self._revocations[next(iter(self._revocations))]  # the oldest
         self._revocations[key] = ctx
 
     def revocation_context(self, key: object) -> SpanContext | None:
@@ -569,43 +597,6 @@ class DistTracer:
             fresh.append(record)
         fresh.reverse()
         return fresh
-
-
-class NullDistTracer:
-    """The disabled twin: mints nothing, routes nothing, keeps nothing."""
-
-    enabled = False
-    sample = 0.0
-    peer_id = ""
-    rewrites_missed = 0
-    clock = staticmethod(lambda: 0.0)
-
-    def begin_publish(self) -> None:
-        return None
-
-    def begin(self, kind: str = "bundle", *, parent=None, key=None) -> NullTrace:
-        return NULL_TRACE
-
-    def finish(self, span: object) -> None:
-        return None
-
-    def link(self, parent: object, **kwargs: object) -> None:
-        return None
-
-    def outbound_context(self, key: object) -> None:
-        return None
-
-    def set_revocation_context(self, key: object, ctx: object) -> None:
-        return None
-
-    def revocation_context(self, key: object) -> None:
-        return None
-
-    def recent(self, kind: str | None = None) -> tuple[SpanRecord, ...]:
-        return ()
-
-
-NULL_DISTTRACER = NullDistTracer()
 
 
 # -- assembly (collector side) -------------------------------------------------

@@ -26,11 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from repro.telemetry.registry import (
-    MetricsRegistry,
-    NullRegistry,
-    metric_key,
-)
+from repro.telemetry.registry import MetricsRegistry, metric_key
 
 #: Quantiles every snapshot histogram entry carries (bucket estimates).
 SNAPSHOT_QUANTILES = (0.50, 0.90, 0.99)
@@ -91,7 +87,7 @@ class TelemetrySnapshot:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def of(cls, registry: MetricsRegistry | NullRegistry) -> "TelemetrySnapshot":
+    def of(cls, registry: MetricsRegistry) -> "TelemetrySnapshot":
         return cls.from_collected(registry.collect())
 
     @classmethod

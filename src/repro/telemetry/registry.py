@@ -1,4 +1,4 @@
-"""The metrics registry: Counter / Gauge / Histogram keyed by name{labels}.
+"""The metrics registry: counters, bound gauges and histograms keyed by name{labels}.
 
 Every subsystem counts its events in its own ``*Stats`` object
 (``ValidatorStats``, ``TreeSyncStats``, ``CoordinatorStats``, …) — one
@@ -11,20 +11,20 @@ p2p metrics registries:
 * :meth:`MetricsRegistry.bind` interns a counter or gauge whose ``value``
   is *read* from its owner (``lambda: stats.x``) whenever anyone looks:
   no second store that could disagree with the figure a benchmark
-  prints.  Only histograms are written to directly;
+  prints.  Every gauge is bound; only histograms are written to directly;
 * :class:`Histogram` keeps **fixed log-spaced buckets** (for the
   Prometheus/snapshot export, where merging across peers must stay
   additive) *and* the raw sample stream (for exact p50/p90/p99/max in
   benchmark waterfalls — bucket quantiles are estimates, exact ones are
   what the paper-facing tables print);
 * the whole surface has a **zero-cost disabled mode**:
-  :data:`NULL_REGISTRY` hands out one shared no-op metric whose writes
-  do nothing and its ``bind`` registers nothing, so code instruments
-  unconditionally and a disabled run stays bit-identical to the seed
-  (the E16 overhead arm pins this).
+  :data:`~repro.telemetry.disttrace.DISABLED` stands in for the registry
+  and every metric it would hand out — writes do nothing, ``bind``
+  registers nothing — so code instruments unconditionally and a disabled
+  run stays bit-identical to the seed (the E16 overhead arm pins this).
 
 Telemetry is *off by default* everywhere: every constructor takes
-``telemetry=None`` and falls back to the null objects.
+``telemetry=None`` and falls back to that one object.
 """
 
 from __future__ import annotations
@@ -74,25 +74,6 @@ class Counter:
 
     def inc(self, amount: int | float = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (queue depth, mesh size, occupancy…)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: Mapping[str, str]) -> None:
-        self.name = name
-        self.labels = dict(labels)
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class BoundMetric:
@@ -238,16 +219,15 @@ class Histogram:
         return self.percentile(0.99)
 
 
-Metric = Counter | Gauge | BoundMetric | Histogram
+Metric = Counter | BoundMetric | Histogram
 
 
 class MetricsRegistry:
     """Interned metrics by canonical key; the enabled half of the seam."""
 
-    def __init__(self, *, buckets: Iterable[float] | None = None) -> None:
-        self._default_buckets = (
-            DEFAULT_BUCKETS if buckets is None else tuple(sorted(buckets))
-        )
+    enabled = True
+
+    def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
 
     def _intern(self, cls, name: str, labels: Mapping[str, str], **kwargs):
@@ -283,8 +263,12 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: str) -> Counter:
         return self._intern(Counter, name, labels)
 
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._intern(Gauge, name, labels)
+    def gauge(self, name: str, **labels: str) -> BoundMetric:
+        """The gauge bound as ``name{labels}``: a gauge is only ever bound."""
+        metric = self._metrics.get(metric_key(name, labels))
+        if metric is None or metric.kind != "gauge":
+            raise TypeError(f"no gauge is bound as {metric_key(name, labels)!r}")
+        return metric
 
     def histogram(
         self,
@@ -298,7 +282,7 @@ class MetricsRegistry:
             Histogram,
             name,
             labels,
-            buckets=buckets or self._default_buckets,
+            buckets=buckets or None,
             sample_capacity=sample_capacity,
         )
 
@@ -337,54 +321,3 @@ class MetricsRegistry:
                 entry["value"] = metric.value
             out[key] = entry
         return out
-
-
-class NullMetric:
-    """The shared do-nothing metric of the disabled path, for every kind:
-    writes are ignored and every reading (value, count, quantile) is 0."""
-
-    __slots__ = ()
-    name = ""
-    labels: dict[str, str] = {}
-    bounds: tuple[float, ...] = ()
-    value = count = 0
-    total = minimum = maximum = p50 = p90 = p99 = 0.0
-
-    def _ignore(self, *args: float) -> None:
-        return None
-
-    inc = set = add = observe = _ignore
-
-
-NULL_METRIC = NullMetric()
-
-
-class NullRegistry:
-    """The disabled registry: every request returns a shared no-op.
-
-    No keys are formatted, nothing is stored, ``bind`` drops its reader
-    — a disabled run pays the owner's plain ``stats.x += 1`` per event
-    and an empty method call per histogram observation, which the E16
-    overhead arm shows is within noise of the seed.
-    """
-
-    def counter(self, name: str, **labels: str) -> NullMetric:
-        return NULL_METRIC
-
-    def gauge(self, name: str, **labels: str) -> NullMetric:
-        return NULL_METRIC
-
-    def histogram(self, name: str, **labels: str) -> NullMetric:
-        return NULL_METRIC
-
-    def bind(self, name: str, read, kind: str = "counter", /, **labels: str) -> None:
-        return None
-
-    def metrics(self) -> dict[str, Metric]:
-        return {}
-
-    def collect(self) -> dict[str, dict]:
-        return {}
-
-
-NULL_REGISTRY = NullRegistry()

@@ -26,6 +26,8 @@ wire types at once by the matrix in ``test_wire_properties.py``):
 """
 
 import random
+import weakref
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +42,7 @@ from repro.telemetry.disttrace import NO_PARENT, DistTracer, SpanRecord
 from repro.telemetry.export import TelemetrySnapshot as Snapshot
 from repro.telemetry.exporter import TelemetryExporter
 from repro.telemetry.otlp import TelemetryBatch
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry, metric_key
 from tests.delta_oracle import compute_deltas
 from tests.property.wire_strategies import batches, finite, label_text, span_records
 
@@ -103,12 +105,29 @@ event_streams = st.lists(
 )
 
 
+#: Per registry, the owners its bound gauges read.
+OWNERS: "weakref.WeakKeyDictionary[MetricsRegistry, dict[str, list]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def gauge_owner(registry: MetricsRegistry, name: str, **labels: str) -> list:
+    """The one-slot owner a gauge reads (every gauge is bound): bound the
+    first time a registry asks for the series."""
+    owners = OWNERS.setdefault(registry, {})
+    key = metric_key(name, labels)
+    if key not in owners:
+        cell = owners[key] = [0.0]
+        registry.bind(name, lambda: cell[0], "gauge", **labels)
+    return owners[key]
+
+
 def record(registry: MetricsRegistry, event) -> None:
     kind, label, value = event
     if kind == "counter":
         registry.counter("events_total", peer=label).inc(value)
     elif kind == "gauge":
-        registry.gauge("depth", peer=label).set(float(value))
+        gauge_owner(registry, "depth", peer=label)[0] = float(value)
     else:
         registry.histogram("wait_seconds", peer=label).observe(value / 10.0)
 
@@ -242,13 +261,14 @@ def test_exporter_ticks_equal_the_collect_diff_oracle(steps):
         if kind == "inc":
             registry.counter("events_total", peer=step[1]).inc(step[2])
         elif kind == "set":
-            registry.gauge("depth", peer=step[1]).set(step[2])
+            gauge_owner(registry, "depth", peer=step[1])[0] = step[2]
         elif kind == "bound":
             owned[step[1]] += step[2]
         elif kind == "observe":
             histograms[step[1]].observe(step[2])
         elif kind == "intern":
-            getattr(registry, step[1])(f"idle_{step[1]}", peer=step[2])
+            intern = partial(gauge_owner, registry) if step[1] == "gauge" else getattr(registry, step[1])
+            intern(f"idle_{step[1]}", peer=step[2])
         else:
             current = registry.collect()
             expected = compute_deltas(current, previous)

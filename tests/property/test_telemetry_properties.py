@@ -11,8 +11,8 @@ stream, so merging the snapshots of two disjoint streams must
   bucket-derived quantile estimates), and up to float
   addition-reordering rounding for the ``sum``/``value`` accumulators.
 
-Event vocabulary: counter increments, gauge deltas (``add``, the
-mergeable gauge operation), histogram observations and histograms
+Event vocabulary: counter increments, gauge deltas (the owner of a
+bound gauge adding, the mergeable gauge operation), histogram observations and histograms
 interned without an observation — the operations the instrumented
 subsystems actually perform.
 """
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry import TelemetrySnapshot
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry, metric_key
 
 #: A small, shared metric vocabulary so streams collide on keys (the
 #: interesting case) while still exercising disjoint metrics.
@@ -63,11 +63,16 @@ events = st.lists(
 
 
 def record(registry: MetricsRegistry, stream) -> None:
+    gauges: dict[str, list] = {}  # what each bound gauge reads
     for kind, name, labels, value in stream:
         if kind == "counter":
             registry.counter(name, **labels).inc(value)
         elif kind == "gauge":
-            registry.gauge(name, **labels).add(float(value))
+            key = metric_key(name, labels)
+            if key not in gauges:
+                cell = gauges[key] = [0.0]
+                registry.bind(name, lambda cell=cell: cell[0], "gauge", **labels)
+            gauges[key][0] += float(value)
         elif kind == "histogram":
             registry.histogram(name, buckets=BUCKETS, **labels).observe(value)
         else:

@@ -23,7 +23,8 @@ from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.poseidon import poseidon_hash
 from repro.errors import CryptoError
-from repro.telemetry.registry import MetricsRegistry, NULL_REGISTRY
+from repro.telemetry import resolve
+from repro.telemetry.registry import MetricsRegistry
 
 
 # -- selection ---------------------------------------------------------------
@@ -162,4 +163,4 @@ def test_publish_engine_telemetry_mirrors_counters():
 
 
 def test_publish_engine_telemetry_null_registry_is_noop():
-    publish_engine_telemetry(NULL_REGISTRY)  # must not raise or allocate
+    publish_engine_telemetry(resolve(None).registry)  # must not raise or allocate

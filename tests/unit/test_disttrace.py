@@ -46,6 +46,9 @@ from repro.telemetry import Telemetry
 from repro.telemetry.collector import CollectorPeer
 from repro.telemetry.disttrace import (
     NO_PARENT,
+    REVOCATION_CAPACITY,
+    RING_CAPACITY,
+    ROUTE_CAPACITY,
     DistTracer,
     SpanContext,
     SpanRecord,
@@ -219,13 +222,14 @@ def test_finish_folds_each_delta_into_its_stage_in_mark_order():
 
 
 def test_finished_since_reads_back_from_the_newest_to_a_cursor():
-    tracer = DistTracer("peer-000", capacity=4)
-    for _ in range(6):
+    tracer = DistTracer("peer-000")
+    last = RING_CAPACITY + 1
+    for _ in range(last + 1):
         tracer.finish(tracer.begin("bundle"))
-    # seqs 2..5 are in the ring; 0 and 1 were evicted.
-    assert [r.seq for r in tracer.finished_since(3)] == [4, 5]
-    assert [r.seq for r in tracer.finished_since(5)] == []
-    assert [r.seq for r in tracer.finished_since(-1)] == [2, 3, 4, 5]
+    # seqs 2..last are in the ring; 0 and 1 were evicted.
+    assert [r.seq for r in tracer.finished_since(last - 2)] == [last - 1, last]
+    assert [r.seq for r in tracer.finished_since(last)] == []
+    assert [r.seq for r in tracer.finished_since(-1)] == list(range(2, last + 1))
 
 
 def test_witness_request_trace_rides_as_trailing_bytes():
@@ -318,12 +322,27 @@ def test_untraced_begin_is_a_local_root_outside_the_route_table():
 
 
 def test_route_table_is_bounded_drop_oldest():
-    dist = DistTracer("peer-001", route_capacity=2)
+    dist = DistTracer("peer-001")
     parent = make_context(hop=0)
-    for key in (b"a", b"b", b"c"):
+    keys = [b"%d" % index for index in range(ROUTE_CAPACITY + 1)]
+    for key in keys:
         dist.begin(parent=parent, key=key)
-    assert dist.outbound_context(b"a") is None
-    assert dist.outbound_context(b"c") is not None
+    assert dist.outbound_context(keys[0]) is None
+    assert dist.outbound_context(keys[1]) is not None
+    assert dist.outbound_context(keys[-1]) is not None
+
+
+def test_revocation_table_is_bounded_and_a_key_set_again_keeps_its_slot():
+    dist = DistTracer("peer-001")
+    for index in range(REVOCATION_CAPACITY):
+        dist.set_revocation_context(index, make_context(span_id=index + 1))
+    # Setting the oldest key again moves its context, not its slot.
+    dist.set_revocation_context(0, make_context(span_id=999))
+    assert dist.revocation_context(0).span_id == 999
+    dist.set_revocation_context("new", make_context())
+    assert dist.revocation_context(0) is None  # still the oldest: evicted
+    assert dist.revocation_context(1) is not None
+    assert dist.revocation_context("new") is not None
 
 
 # -- exporter cursor discipline ------------------------------------------------
@@ -361,22 +380,20 @@ def test_exporter_drains_spans_once_each():
 
 
 def test_span_ring_eviction_racing_cursor_counts_spans_missed():
-    # A tracer ring smaller than the burst between two ticks loses
-    # spans — local roots and sampled ones share it; the cursor sees the
-    # seq gap and owns up to it.
-    sim, telemetry, exporter, collector = build_fleet(
-        trace_sample=1.0, trace_capacity=2
-    )
+    # A burst between two ticks longer than the tracer ring loses spans —
+    # local roots and sampled ones share it; the cursor sees the seq gap
+    # and owns up to it.
+    sim, telemetry, exporter, collector = build_fleet(trace_sample=1.0)
     dist = telemetry.disttracer("peer-000", clock=lambda: sim.now)
     for _ in range(3):
         dist.finish(dist.begin("bundle"))
-    for _ in range(2):
+    for _ in range(RING_CAPACITY):
         dist.finish(dist.begin_publish())
     exporter.export()
     sim.run_until_idle()
     assert exporter.stats.spans_missed == 3  # seqs 0-2 evicted unseen
-    assert exporter.stats.spans_exported == 2
-    assert collector.assembler.span_count == 2
+    assert exporter.stats.spans_exported == exporter.max_spans_per_batch
+    assert collector.assembler.span_count == exporter.max_spans_per_batch
 
 
 def test_spans_over_batch_bound_truncate_but_cursor_advances():

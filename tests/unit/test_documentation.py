@@ -118,3 +118,29 @@ def test_readme_metric_catalog_lists_exactly_the_registered_series():
     assert len(registered) > 40  # the walk found the call sites at all
     assert registered - catalogued == set(), "registered but missing from the README"
     assert catalogued - registered == set(), "in the README but registered nowhere"
+
+
+# -- one test module per source module --------------------------------------------
+
+#: Unit-test modules whose stem names no module or package under
+#: ``src/repro``, and what each covers.
+COVERS = {
+    "accept_path": "pipeline/batch_verifier.py: the inline accept path and shared verdicts",
+    "documentation": "every module: docstrings, __all__, metric catalog, this layout",
+    "e2e_seams": "the src methods benchmarks/e2e/trace.py wraps by name",
+    "options_audit": "every defaulted option: set by a driver or kept for a reason",
+    "query": "telemetry/alerts.py: the expressions rules read",
+    "query_grouping": "telemetry/alerts.py: one grouped pass per evaluation",
+    "reachability": "every function: reached by a driver or kept; package budgets",
+    "rln_v2": "zksnark/rln_circuit.py: RLN-v2's message_limit",
+    "verdict_sharing": "pipeline/batch_verifier.py: one verdict per proof across services",
+}
+
+
+def test_every_unit_test_module_names_what_it_covers():
+    source = ROOT / "src" / "repro"
+    names = {p.stem for p in source.rglob("*.py")} | {p.name for p in source.iterdir() if p.is_dir()}
+    stems = {p.stem.removeprefix("test_") for p in (ROOT / "tests" / "unit").glob("test_*.py")}
+    named = {s for s in stems if any(s == n or s.startswith(n + "_") for n in names)}
+    assert stems - named - set(COVERS) == set(), "name the module, or add a COVERS row"
+    assert set(COVERS) <= stems - named, "a COVERS row for a gone or module-named file"

@@ -31,7 +31,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, resolve
 from repro.telemetry.collector import CollectorPeer, fold_delta
 from repro.telemetry.disttrace import NO_PARENT, SpanRecord
 from repro.telemetry.exporter import TelemetryExporter
@@ -184,7 +184,7 @@ def test_export_envelope_round_trips():
 def test_compute_deltas_first_sight_exports_zero():
     registry = Telemetry().registry
     registry.counter("events_total")
-    registry.gauge("depth")
+    registry.bind("depth", lambda: 0.0, "gauge")
     registry.histogram("wait_seconds")
     deltas = compute_deltas(registry.collect(), {})
     assert {d.key for d in deltas} == {"events_total", "depth", "wait_seconds"}
@@ -194,14 +194,15 @@ def test_compute_deltas_first_sight_exports_zero():
 def test_compute_deltas_skips_unchanged_and_diffs_counters():
     registry = Telemetry().registry
     counter = registry.counter("events_total")
-    gauge = registry.gauge("depth")
+    depth = [0.0]
+    registry.bind("depth", lambda: depth[0], "gauge")
     counter.inc(3)
     previous = registry.collect()
     counter.inc(2)
     deltas = compute_deltas(registry.collect(), previous)
     assert [d.key for d in deltas] == ["events_total"]  # gauge unchanged
     assert deltas[0].delta == 2
-    gauge.set(9.0)
+    depth[0] = 9.0
     deltas = compute_deltas(registry.collect(), registry.collect())
     assert deltas == ()
 
@@ -241,9 +242,11 @@ def test_fold_reconstructs_collect_state_exactly():
     state: dict[str, dict] = {}
     previous: dict[str, dict] = {}
     rng = random.Random(5)
+    depth = [0.0]
+    registry.bind("depth", lambda: depth[0], "gauge")
     for _ in range(10):
         registry.counter("events_total", peer="a").inc(rng.randrange(5))
-        registry.gauge("depth").set(rng.random())
+        depth[0] = rng.random()
         registry.histogram("wait_seconds").observe(rng.random())
         current = registry.collect()
         for delta in compute_deltas(current, previous):
@@ -278,10 +281,8 @@ def build(*, collectors=("collector-0",), queue_limit=16, interval=1.0, rounds=2
 def test_exporter_requires_enabled_telemetry_and_a_collector():
     sim = Simulator()
     network = Network(simulator=sim, graph=full_mesh(2), rng=random.Random(0))
-    from repro.telemetry import NULL_TELEMETRY
-
     with pytest.raises(ProtocolError):
-        TelemetryExporter("peer-000", NULL_TELEMETRY, network, sim, collectors=["peer-001"])
+        TelemetryExporter("peer-000", resolve(None), network, sim, collectors=["peer-001"])
     with pytest.raises(ProtocolError):
         TelemetryExporter("peer-000", Telemetry(), network, sim, collectors=[])
 
@@ -316,6 +317,35 @@ def test_collector_dedups_retransmitted_seq():
     assert collector.stats.duplicates == 1
     assert collector.stats.acks_sent == 2
     assert collector.peer_snapshot(exporter.peer_id).value("events_total") == 4
+
+
+def histogram_delta(name, le=None, index=0):
+    return HistogramDelta(name, (), 1, 1.0, 1.0, 1.0, ((index, 1),), le=le)
+
+
+CLASHES = {
+    # Each folded before the check: KeyError 'count', IndexError, a
+    # counter delta silently added into a gauge, KeyError 'count'.
+    "histogram-on-a-counter": ([CounterDelta("x", (), 1)], [histogram_delta("x")]),
+    "other-bounds": (
+        [histogram_delta("x", le=(1.0, 2.0))],
+        [histogram_delta("x", le=(1.0, 2.0, 3.0, 4.0), index=4)],
+    ),
+    "counter-on-a-gauge": ([GaugeValue("x", (), 5)], [CounterDelta("x", (), 1)]),
+    "within-one-batch": ([], [CounterDelta("x", (), 1), histogram_delta("x")]),
+}
+
+
+@pytest.mark.parametrize("held, clashing", CLASHES.values(), ids=CLASHES.keys())
+def test_collector_refuses_a_batch_whose_delta_clashes_with_its_series(held, clashing):
+    sim, network, _, exporter, (collector,) = build()
+    collector._on_export(exporter.peer_id, ExportRequest(1, make_batch(held, seq=1)))
+    before = collector.peer_snapshot("peer-000")
+    collector._on_export(exporter.peer_id, ExportRequest(2, make_batch(clashing, seq=2)))
+    # Refused whole, like any malformed request: nothing folded, no ack.
+    assert collector.stats.malformed == 1
+    assert collector.stats.acks_sent == 1 and collector.stats.batches == 1
+    assert collector.peer_snapshot("peer-000") == before
 
 
 def test_collector_counts_sequence_gaps_as_lost_batches():

@@ -119,9 +119,6 @@ KEPT_FOR = {
     ),
     "telemetry/collector.py:CollectorPeer.recent_traces": "waterfall() over exemplars",
     "telemetry/disttrace.py:SpanRecord.stages": "the collector's waterfall",
-    "telemetry/registry.py:Gauge.__init__": "MetricsRegistry.gauge()",
-    "telemetry/registry.py:Gauge.add": "a registered gauge's writer",
-    "telemetry/registry.py:Gauge.set": "a registered gauge's writer",
     "treesync/sync.py:ShardSyncManager.sync_from_store.<locals>.seq_floor_reached.<locals>.check": (
         "store backfill reaching the sequence floor"
     ),
@@ -159,16 +156,11 @@ KEPT_FOR = {
     "crypto/engine.py:_emit_source.<locals>.cr": (
         "the gmpy2 engine CI's gmpy2 job runs: constants through a K table"
     ),
-    # -- The disabled-hub no-ops (telemetry off).
-    "telemetry/__init__.py:NullTelemetry.disttracers": "no-op of the disabled hub",
-    "telemetry/__init__.py:NullTelemetry.snapshot": "no-op of the disabled hub",
-    "telemetry/disttrace.py:NullDistTracer.link": "no-op of the disabled hub",
-    "telemetry/disttrace.py:NullDistTracer.recent": "no-op of the disabled hub",
-    "telemetry/disttrace.py:NullDistTracer.set_revocation_context": "no-op of the disabled hub",
-    "telemetry/registry.py:NullRegistry.collect": "no-op of the disabled hub",
-    "telemetry/registry.py:NullRegistry.counter": "no-op of the disabled hub",
-    "telemetry/registry.py:NullRegistry.gauge": "no-op of the disabled hub",
-    "telemetry/registry.py:NullRegistry.metrics": "no-op of the disabled hub",
+    # -- The disabled hub (telemetry off): readings no driver takes while off.
+    "telemetry/disttrace.py:Disabled._empty": (
+        "empty readings while off: metrics, collect, disttracers, finished_since"
+    ),
+    "telemetry/disttrace.py:Disabled.snapshot": "the empty snapshot while off",
     # -- §IV-A light surfaces ROADMAP Ledger v2 (c') will drive.
     "core/protocol.py:WakuRLNRelayPeer.witness_service": (
         "the §IV-A resourceful role: serve witnesses and snapshots"
@@ -329,10 +321,10 @@ BUDGET = {
     "gossipsub": 1029,
     "net": 1021,
     "offchain": 609,
-    "pipeline": 1127,
+    "pipeline": 1126,
     "repro": 625,
     "revocation": 449,
-    "telemetry": 3833,
+    "telemetry": 3748,
     "treesync": 1374,
     "waku": 871,
     "witness": 1007,

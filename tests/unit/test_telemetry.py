@@ -6,7 +6,7 @@ The load-bearing guarantees:
   value equal to a bound lands in that bound's bucket) and percentiles
   read from the live object are *exact* (shared linear interpolation
   from :mod:`repro.analysis.reporting`, not bucket estimates);
-* the disabled path is an identity: shared no-op singletons, nothing
+* the disabled path is an identity: one shared no-op object, nothing
   stored, nothing formatted;
 * traces stamp the injected clock and fold spans into the shared stage
   histograms, skipped stages producing no spans at all;
@@ -14,22 +14,19 @@ The load-bearing guarantees:
   standard Prometheus text format.
 """
 
+import ast
+import inspect
 import math
+import pathlib
 
 import pytest
 
 from repro.analysis.reporting import percentile as exact_percentile
-from repro.telemetry import NULL_TELEMETRY, Telemetry, TelemetrySnapshot, resolve
+from repro.telemetry import Telemetry, TelemetrySnapshot, resolve
 from repro.telemetry import tracing
-from repro.telemetry.disttrace import NULL_DISTTRACER, NULL_TRACE, DistTracer
+from repro.telemetry.disttrace import DISABLED, RING_CAPACITY, ActiveSpan, Disabled, DistTracer
 from repro.telemetry.export import render_prometheus
-from repro.telemetry.registry import (
-    DEFAULT_BUCKETS,
-    NULL_METRIC,
-    NULL_REGISTRY,
-    MetricsRegistry,
-    metric_key,
-)
+from repro.telemetry.registry import DEFAULT_BUCKETS, MetricsRegistry, metric_key
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +99,15 @@ def test_rebinding_replaces_the_reader_in_place_and_checks_the_kind():
 
 
 def test_gauge_set_and_add():
-    gauge = MetricsRegistry().gauge("depth")
-    gauge.set(7.0)
-    gauge.add(-2.0)
+    # A gauge is bound: its owner sets and adds, the series reads it.
+    registry, stats = MetricsRegistry(), {"depth": 0.0}
+    registry.bind("depth", lambda: stats["depth"], "gauge")
+    gauge = registry.gauge("depth")
+    stats["depth"] = 7.0
+    stats["depth"] += -2.0
     assert gauge.value == 5.0
+    with pytest.raises(TypeError):
+        registry.gauge("unbound")
 
 
 def test_histogram_bucket_boundaries_le_semantics():
@@ -181,31 +183,56 @@ def test_negative_only_histogram_reports_its_own_maximum():
 
 
 def test_null_registry_hands_out_shared_singletons():
-    assert NULL_REGISTRY.counter("a", x="1") is NULL_METRIC
-    assert NULL_REGISTRY.counter("b") is NULL_METRIC
-    assert NULL_REGISTRY.gauge("c") is NULL_METRIC
-    assert NULL_REGISTRY.histogram("d") is NULL_METRIC
-    NULL_METRIC.inc(5)
-    NULL_METRIC.inc()
-    NULL_METRIC.set(3.0)
-    NULL_METRIC.add(-1.0)
-    NULL_METRIC.observe(1.0)
-    assert NULL_METRIC.value == 0
-    assert NULL_METRIC.count == 0 and NULL_METRIC.p99 == 0.0
-    assert NULL_REGISTRY.bind("e_total", lambda: 1, peer="p") is None
-    assert NULL_REGISTRY.collect() == {} and NULL_REGISTRY.metrics() == {}
+    registry = DISABLED.registry
+    assert registry is DISABLED
+    assert registry.counter("a", x="1") is DISABLED
+    assert registry.counter("b") is DISABLED
+    assert registry.gauge("c") is DISABLED
+    assert registry.histogram("d") is DISABLED
+    DISABLED.inc(5)
+    DISABLED.inc()
+    DISABLED.observe(1.0)
+    assert DISABLED.value == 0
+    assert DISABLED.count == 0 and DISABLED.p99 == 0.0
+    assert registry.bind("e_total", lambda: 1, peer="p") is None
+    assert registry.collect() == {} and registry.metrics() == {}
 
 
 def test_resolve_defaults_to_the_null_hub():
-    assert resolve(None) is NULL_TELEMETRY
+    assert resolve(None) is DISABLED
+    assert not DISABLED.enabled and Telemetry.enabled and MetricsRegistry.enabled
     telemetry = Telemetry()
     assert resolve(telemetry) is telemetry
-    assert NULL_TELEMETRY.disttracer("anyone") is NULL_DISTTRACER
-    assert NULL_TELEMETRY.snapshot().data == {}
-    assert NULL_DISTTRACER.begin() is NULL_TRACE
-    NULL_TRACE.mark("anything")
-    assert NULL_DISTTRACER.finish(NULL_TRACE) is None
-    assert NULL_DISTTRACER.recent() == ()
+    assert DISABLED.disttracer("anyone") is DISABLED
+    assert DISABLED.snapshot().data == {}
+    assert DISABLED.begin() is DISABLED
+    DISABLED.mark("anything")
+    assert DISABLED.finish(DISABLED) is None
+    assert DISABLED.disttracers() == {}
+
+
+def test_the_disabled_object_keeps_up_with_what_it_stands_in_for():
+    calls = [
+        node
+        for path in (pathlib.Path(__file__).resolve().parents[2] / "src" / "repro").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    ]
+    called = {call.func.attr for call in calls if isinstance(call.func, ast.Attribute)}
+    # Every method src/ calls on a hub, registry, tracer or span exists when off too.
+    for cls in (Telemetry, MetricsRegistry, DistTracer, ActiveSpan):
+        public = {name for name, value in vars(cls).items() if inspect.isfunction(value)}
+        missing = {name for name in public & called if not name.startswith("_")}
+        assert missing <= set(dir(Disabled)), f"{cls.__name__}: {missing - set(dir(Disabled))}"
+    # The hot no-ops take fixed arguments: no tuple or dict built per call.
+    for name in ("mark", "observe", "inc", "begin", "finish"):
+        kinds = {p.kind for p in inspect.signature(getattr(Disabled, name)).parameters.values()}
+        assert not kinds & {inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD}, name
+    # ``enabled`` is the one on/off test: nothing asks for the class.
+    assert not [
+        call for call in calls
+        if getattr(call.func, "id", "") == "isinstance" and "Disabled" in ast.unparse(call)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +328,8 @@ def test_finish_resolves_each_series_once_per_tracer():
 
 
 def test_tracer_ring_is_bounded():
-    tracer = DistTracer("p1", registry=MetricsRegistry(), capacity=4)
-    records = [tracer.finish(tracer.begin()) for _ in range(6)]
+    tracer = DistTracer("p1", registry=MetricsRegistry())
+    records = [tracer.finish(tracer.begin()) for _ in range(RING_CAPACITY + 2)]
     assert tracer.recent() == tuple(records[2:])
     assert tracer.recent("revocation") == ()
 
@@ -326,7 +353,7 @@ def test_telemetry_caches_tracers_per_peer():
 def _sample_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("events_total", peer="p1").inc(3)
-    registry.gauge("depth", peer="p1").set(2.0)
+    registry.bind("depth", lambda: 2.0, "gauge", peer="p1")
     histogram = registry.histogram("latency_seconds", peer="p1", buckets=(0.1, 1.0))
     for value in (0.05, 0.5, 0.7, 2.0):
         histogram.observe(value)
@@ -346,7 +373,7 @@ def test_snapshot_json_roundtrip():
 def test_snapshot_merge_rejects_mismatches():
     a = TelemetrySnapshot.of(_sample_registry())
     other = MetricsRegistry()
-    other.gauge("events_total", peer="p1")
+    other.bind("events_total", lambda: 0.0, "gauge", peer="p1")
     with pytest.raises(ValueError):
         a.merge(TelemetrySnapshot.of(other))
     rebucketed = MetricsRegistry()
