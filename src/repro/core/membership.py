@@ -47,13 +47,12 @@ drops it.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 from repro.chain.blockchain import Blockchain, Event
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.crypto.field import FieldElement, ZERO
-from repro.crypto.merkle import MerkleProof, MerkleTree, NodeHasher
+from repro.crypto.merkle import MerkleProof, MerkleTree, NodeHasher, RootWindow
 from repro.crypto.optimized_merkle import TreeUpdate
 from repro.errors import NotRegistered, SyncError
 from repro.treesync.forest import allocated_shard_roots, resolve_shard_depth
@@ -83,8 +82,7 @@ class GroupManager:
         #: Shard geometry used to *tag* announcements (0 on a depth-1 tree,
         #: which has no level to split at: every leaf is its own "shard").
         self.shard_depth = resolve_shard_depth(tree_depth, shard_depth)
-        self._recent_roots: deque[FieldElement] = deque(maxlen=root_window)
-        self._push_root()
+        self._window = RootWindow(root_window, [self.tree.root])
         self._index_of_pk: dict[int, int] = {}
         self._update_listeners: list[Callable[[TreeUpdate], None]] = []
         self._shard_listeners: list[
@@ -121,7 +119,7 @@ class GroupManager:
         # so a zero slot means registered-then-removed) — a bootstrapped
         # manager must agree on seq with peers that watched from genesis.
         self.event_seq = len(leaves) + sum(1 for leaf in leaves if leaf == ZERO)
-        self._push_root(collapse=True)
+        self._window.push(self.tree.root, collapse=True)
 
     def _on_event(self, event: Event) -> None:
         if event.contract != self.contract.address:
@@ -148,7 +146,7 @@ class GroupManager:
         applied_index = self.tree.append(pk)
         assert applied_index == index
         self._index_of_pk[pk.value] = index
-        self._push_root()
+        self._window.push(self.tree.root)
         self._notify(index, pk, path)
 
     def _delete_at(self, index: int) -> None:
@@ -164,15 +162,8 @@ class GroupManager:
         # instead of riding the window until it ages out.  Honest members
         # with in-flight proofs against an evicted root simply refresh
         # their witness and republish — the price of prompt revocation.
-        self._push_root(collapse=True)
+        self._window.push(self.tree.root, collapse=True)
         self._notify(index, ZERO, path, removed_leaf=leaf)
-
-    def _push_root(self, *, collapse: bool = False) -> None:
-        if collapse:
-            self._recent_roots.clear()
-        self._recent_roots.append(self.tree.root)
-        #: The window's root values, rebuilt on every change: one probe.
-        self._root_values = {root.value for root in self._recent_roots}
 
     # -- queries --------------------------------------------------------------------
 
@@ -182,10 +173,10 @@ class GroupManager:
 
     def recent_roots(self) -> list[FieldElement]:
         """Most recent roots, newest last (the validator's window)."""
-        return list(self._recent_roots)
+        return self._window.roots()
 
     def is_acceptable_root(self, root: FieldElement) -> bool:
-        return root.value in self._root_values
+        return root.value in self._window.values
 
     def member_count(self) -> int:
         return self.tree.member_count

@@ -26,8 +26,9 @@ owned by it and never by this module) ask N times and compute once.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.crypto.engine import default_engine
 from repro.crypto.field import FIELD_BYTES, FieldElement, ZERO
@@ -391,6 +392,12 @@ class MerkleTree:
                 return index
         raise MerkleError("leaf not present in tree")
 
+    def copy(self) -> "MerkleTree":
+        """An independent tree with this one's nodes, slots and ``hash_ops``."""
+        twin = object.__new__(MerkleTree)
+        vars(twin).update(vars(self), _nodes=dict(self._nodes), _free=list(self._free))
+        return twin
+
     # -- accounting (experiment E4) --------------------------------------------
 
     def storage_bytes(self) -> int:
@@ -471,6 +478,34 @@ class MerkleTree:
             for i, parent in enumerate(above):
                 self._set(level + 1, i, parent)
             current = above
+
+
+class RootWindow:
+    """The accepted-root window (§III-F item 2): recent roots, newest last.
+
+    ``values`` is the set of their field values, rebuilt on every change,
+    so an acceptance check is one set probe by value, never by identity.
+    """
+
+    def __init__(self, size: int | None, roots: Iterable[FieldElement]) -> None:
+        self._roots: deque[FieldElement] = deque(roots, maxlen=size)
+        self.values = {root.value for root in self._roots}
+
+    def push(self, root: FieldElement, *, collapse: bool = False) -> None:
+        """Admit ``root`` as the newest.  ``collapse`` first drops every
+        older root: after a removal, paths over a tree that still held the
+        member stop validating now instead of when they age out."""
+        if collapse:
+            self._roots.clear()
+        if not self._roots or self._roots[-1] != root:
+            self._roots.append(root)
+            self.values = {value.value for value in self._roots}
+
+    def roots(self) -> list[FieldElement]:
+        return list(self._roots)
+
+    def copy(self) -> "RootWindow":
+        return RootWindow(self._roots.maxlen, self._roots)
 
 
 def verify_proof(root: FieldElement, proof: MerkleProof) -> None:

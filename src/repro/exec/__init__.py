@@ -11,7 +11,6 @@ from repro.exec.costs import (
     CryptoCostModel,
 )
 from repro.exec.executor import (
-    CryptoExecutor,
     ExecutorStats,
     Priority,
     PriorityClassStats,
@@ -21,7 +20,6 @@ from repro.exec.executor import (
 
 __all__ = [
     "CryptoCostModel",
-    "CryptoExecutor",
     "DEFAULT_COST_MODEL",
     "ExecutorStats",
     "Priority",

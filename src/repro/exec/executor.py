@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable
 
 from repro.errors import ProtocolError
 from repro.exec.costs import CryptoCostModel
@@ -82,7 +82,7 @@ class ExecutorStats:
     classes: dict[Priority, PriorityClassStats] = field(
         default_factory=lambda: {p: PriorityClassStats() for p in Priority}
     )
-    #: Jobs whose result was delivered early by :meth:`CryptoExecutor.drain`.
+    #: Jobs whose result :meth:`SimulatedCryptoExecutor.drain` delivered early.
     jobs_drained: int = 0
     #: Modeled crypto seconds executed in the caller's stack (see above).
     inline_seconds: float = 0.0
@@ -102,41 +102,6 @@ class ExecutorStats:
         return sum(cls.submitted for cls in self.classes.values())
 
 
-@runtime_checkable
-class CryptoExecutor(Protocol):
-    """The seam every validation layer submits pairing work through."""
-
-    stats: ExecutorStats
-    workers: int
-    inline: bool  # a submit runs in the caller's stack right now
-
-    def submit(
-        self,
-        work: Callable[..., Any],
-        on_done: Callable[..., None] | None = None,
-        *,
-        priority: Priority = Priority.RELAY,
-        args: tuple[Any, ...] = (),
-    ) -> Any:
-        """Run ``work(*args)``: its result if it ran inline, else a promise
-        of it; ``on_done(*args, result)``, if given, fires on completion."""
-
-    def drain(self) -> None:
-        """Deliver every outstanding result now (peer shutdown path)."""
-
-    def pin_synchronous(self) -> None:
-        """Run every subsequent submit inline in the caller (peer stopped).
-
-        Every holder of this executor — the batch verifier *and* the
-        proof checker handed to store/filter/lightpush — degrades to
-        inline verification at once: a stopped peer never schedules
-        crypto to fire at a later simulated time.
-        """
-
-    def unpin(self) -> None:
-        """Undo :meth:`pin_synchronous` (peer restart)."""
-
-
 @dataclass
 class _SimJob:
     priority: Priority
@@ -147,7 +112,8 @@ class _SimJob:
 
 
 class SimulatedCryptoExecutor:
-    """The one :class:`CryptoExecutor`: ``workers`` lanes on the simulator.
+    """The seam every validation layer submits pairing work through:
+    ``workers`` lanes on the simulator.
 
     A free lane takes the oldest job of the strongest non-empty priority
     class, executes its crypto immediately (the pairing checks are cheap
@@ -222,6 +188,8 @@ class SimulatedCryptoExecutor:
         priority: Priority = Priority.RELAY,
         args: tuple[Any, ...] = (),
     ) -> Any:
+        """Run ``work(*args)``: its result if it ran inline, else a promise
+        of it; ``on_done(*args, result)``, if given, fires on completion."""
         if self.inline:
             return self._run_inline(work, args, on_done, priority)
         self.stats.classes[priority].submitted += 1
@@ -345,9 +313,17 @@ class SimulatedCryptoExecutor:
             # (lanes freed), so the loop terminates once queues are empty.
 
     def pin_synchronous(self) -> None:
+        """Run every subsequent submit inline in the caller (peer stopped).
+
+        Every holder of this executor — the batch verifier *and* the
+        proof checker handed to store/filter/lightpush — degrades to
+        inline verification at once: a stopped peer never schedules
+        crypto to fire at a later simulated time.
+        """
         self.inline = True
 
     def unpin(self) -> None:
+        """Undo :meth:`pin_synchronous` (peer restart)."""
         self.inline = self.workers == 0
 
 

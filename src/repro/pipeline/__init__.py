@@ -12,7 +12,6 @@ import repro.core  # noqa: F401  (import-order guard, see above)
 
 from repro.exec.costs import CryptoCostModel
 from repro.exec.executor import (
-    CryptoExecutor,
     Priority,
     SimulatedCryptoExecutor,
     SynchronousCryptoExecutor,
@@ -40,7 +39,6 @@ from repro.pipeline.ratelimit import (
 __all__ = [
     "BatchVerifier",
     "CryptoCostModel",
-    "CryptoExecutor",
     "Priority",
     "SimulatedCryptoExecutor",
     "SynchronousCryptoExecutor",

@@ -33,7 +33,8 @@ from typing import NamedTuple, Sequence
 
 from repro.core.messages import RateLimitProof
 from repro.errors import ProtocolError
-from repro.exec.executor import CryptoExecutor, Priority, SynchronousCryptoExecutor
+from repro.exec.executor import Priority, SimulatedCryptoExecutor
+from repro.exec.executor import SynchronousCryptoExecutor
 from repro.net.promise import Promise
 from repro.net.simulator import EventHandle, Simulator
 from repro.pipeline.lru import BoundedLRU
@@ -117,7 +118,7 @@ class BatchVerifier:
         *,
         batch_size: int = 1,
         deadline: float = 0.05,
-        executor: CryptoExecutor | None = None,
+        executor: SimulatedCryptoExecutor | None = None,
         cache: BoundedLRU[bytes, bool] | None = None,
         registry: "MetricsRegistry | Disabled" = DISABLED,
         peer: str = "",
@@ -139,7 +140,7 @@ class BatchVerifier:
         # service checks at their own, both on this one executor so the
         # classes queue against each other; the inline default keeps the
         # pre-executor behaviour (verdicts land before flush() returns).
-        self.executor: CryptoExecutor = executor or SynchronousCryptoExecutor(
+        self.executor = executor or SynchronousCryptoExecutor(
             counter=prover.pairing_counter
         )
         self.cache = BoundedLRU(VERDICT_CACHE_CAPACITY) if cache is None else cache

@@ -24,15 +24,21 @@ event.  :class:`ShardSyncManager` is the sharded answer:
 from __future__ import annotations
 
 import time
-from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.codec import size_of
 from repro.crypto.field import FieldElement, ZERO
 from repro.crypto.engine import default_engine
-from repro.crypto.merkle import MerkleProof, MerkleTree, NodeHasher, zero_hashes
+from repro.crypto.merkle import (
+    MerkleProof,
+    MerkleTree,
+    NodeHasher,
+    RootWindow,
+    zero_hashes,
+)
 from repro.errors import (
     InconsistentTreeUpdate,
     MerkleError,
@@ -70,6 +76,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 #: built on it.
 SnapshotFetch = Callable[[int, Callable[[object], object]], None]
 
+#: Whole re-syncs :meth:`ShardSyncManager.sync_from_store` runs when every
+#: snapshot was cut past the archived events (a registration raced the
+#: fetch) — bounded so a registration flood cannot loop a peer forever.
+SNAPSHOT_RETRIES = 2
+
 
 @dataclass
 class TreeSyncStats:
@@ -84,8 +95,8 @@ class TreeSyncStats:
     #: Member deletions folded into this view (home replay or foreign
     #: digest recording) — the E15 revocation-propagation surface.
     removals_applied: int = 0
-    #: Writes undone after a failed cross-check: a home-shard replay, a
-    #: commit fold, or a whole snapshot adoption.
+    #: Writes undone after a failed cross-check: a live home-shard event,
+    #: a commit fold, or a whole recovery attempt that wrote anything.
     rollbacks: int = 0
 
 
@@ -137,14 +148,12 @@ class ShardSyncManager:
         #: authenticated snapshot: their full updates are not needed (the
         #: store aged them out), their digests suffice.
         self._snapshot_floor = 0
-        #: Compressions spent on shards this view no longer holds (a
-        #: snapshot restore replaces the shard object; the counter must
-        #: stay monotone for E12/E14 accounting).
+        #: Compressions spent on trees this view no longer holds (a
+        #: snapshot replaces the shard, an aborted attempt drops its
+        #: copies): :attr:`hash_ops` never goes down.
         self._retired_hash_ops = 0
         self._announced_root: FieldElement | None = None
-        self._recent_roots: deque[FieldElement] = deque(maxlen=root_window)
-        self._recent_roots.append(self.top.root)
-        self._root_values: set[int] = {self.top.root.value}
+        self._window = RootWindow(root_window, [self.top.root])
         #: A removal was folded since the last successful commit: the
         #: accepted-root window must collapse to the post-removal root
         #: (stale witnesses crossing the dead leaf stop validating now).
@@ -197,17 +206,12 @@ class ShardSyncManager:
             and item.shard_id == self.home_shard
             and item.seq > self._snapshot_floor
         ):
-            if isinstance(item, ShardRemoval):
-                assert self.shard is not None
-                self._remove_home(item)
-            elif isinstance(item, ShardUpdate):
-                assert self.shard is not None
-                self._write_home(item)
-            else:
+            if not isinstance(item, (ShardUpdate, ShardRemoval)):
                 raise SyncError(
                     "home-shard events need the full ShardUpdate or "
                     "ShardRemoval, not a digest"
                 )
+            self._replay_home(item)
             self._pending[self.home_shard] = self.shard.root
         else:
             digest = item.digest() if isinstance(item, ShardUpdate) else item
@@ -226,75 +230,50 @@ class ShardSyncManager:
             self.stats.foreign_events += 1
             if isinstance(item, ShardRemoval):
                 self.stats.removals_applied += 1
-        if isinstance(item, ShardRemoval):
-            self._collapse_window = True
+                self._collapse_window = True
         self.stats.bytes_consumed += item.byte_size()
         self.seq = item.seq
         self._announced_root = item.new_global_root
 
-    def _write_home(self, item: ShardUpdate) -> None:
-        """Replay one home-shard leaf write and cross-check the shard root."""
-        assert self.home_shard is not None and self.shard is not None
-        if item.update.index >> self.shard_depth != self.home_shard:
-            raise SyncError(
-                f"update index {item.update.index} is not in home shard "
-                f"{self.home_shard}"
-            )
-        local = item.update.index & (self.shard_capacity - 1)
-        old_leaf = self.shard.leaf(local)
-        if old_leaf == item.update.new_leaf:
-            # A genuine event always changes the leaf (register: zero ->
-            # pk, removal: pk -> zero); a no-op write is a forged attempt
-            # to squat the sequence number without tripping a root check.
-            raise InconsistentTreeUpdate(
-                "update does not change the leaf; every membership event "
-                "changes its slot"
-            )
-        self._replay_home(local, old_leaf, item.update.new_leaf, item.new_shard_root)
+    def _replay_home(self, item: "ShardUpdate | ShardRemoval") -> None:
+        """Replay one home-shard event; keep its leaf write only if the
+        shard then folds to the announced shard root.
 
-    def _remove_home(self, item: ShardRemoval) -> None:
-        """Replay one home-shard deletion (a zero write, no path needed).
-
-        The removal must name both an occupied slot and the commitment
-        that occupies it — a forged removal cannot blank a slot whose
-        content the forger does not know — and the post-removal shard
-        root is cross-checked exactly like a registration's.
+        Each event names its slot, the leaf it expects to find there and
+        the leaf it writes.  A registration expects anything but the leaf
+        it writes: a genuine event always changes its slot, and a no-op
+        write is a forged attempt to squat the sequence number without
+        tripping a root check.  A removal writes the zero leaf and needs
+        no path, but must name the commitment that occupies the slot — a
+        forged removal cannot blank a slot whose content the forger does
+        not know.
         """
         assert self.home_shard is not None and self.shard is not None
-        if item.index >> self.shard_depth != self.home_shard:
+        removal = isinstance(item, ShardRemoval)
+        if removal:
+            kind, index, expected, leaf = "removal", item.index, item.removed_leaf, ZERO
+        else:
+            update = item.update
+            kind, index, expected, leaf = "update", update.index, None, update.new_leaf
+        if index >> self.shard_depth != self.home_shard:
             raise SyncError(
-                f"removal index {item.index} is not in home shard "
-                f"{self.home_shard}"
+                f"{kind} index {index} is not in home shard {self.home_shard}"
             )
-        local = item.index & (self.shard_capacity - 1)
+        local = index & (self.shard_capacity - 1)
         old_leaf = self.shard.leaf(local)
-        if old_leaf == ZERO:
+        if old_leaf == leaf:
             raise InconsistentTreeUpdate(
-                "removal targets an empty slot; every deletion zeroes an "
-                "occupied leaf"
+                "removal targets an empty slot; every deletion zeroes an occupied leaf"
+                if removal
+                else "update does not change the leaf; every membership event "
+                "changes its slot"
             )
-        if old_leaf != item.removed_leaf:
+        if expected is not None and old_leaf != expected:
             raise InconsistentTreeUpdate(
                 "removal names a different commitment than the slot holds"
             )
-        self._replay_home(local, old_leaf, ZERO, item.new_shard_root)
-        self.stats.removals_applied += 1
-        # Local to the replay, not just to apply(): a removal replayed
-        # from the store archive must collapse the window too.
-        self._collapse_window = True
-
-    def _replay_home(
-        self,
-        local: int,
-        old_leaf: FieldElement,
-        new_leaf: FieldElement,
-        announced_root: FieldElement,
-    ) -> None:
-        """Write one home-shard leaf; keep it only if the shard then folds
-        to the announced shard root."""
-        assert self.shard is not None
-        self.shard.write_leaf(local, new_leaf)
-        if self.shard.root != announced_root:
+        self.shard.write_leaf(local, leaf)
+        if self.shard.root != item.new_shard_root:
             # Roll the write back before rejecting: a forged announcement
             # must not poison the shard (the genuine event for this seq
             # still has to apply cleanly).
@@ -304,6 +283,11 @@ class ShardSyncManager:
                 "announced shard root does not match the locally replayed shard"
             )
         self.stats.home_events += 1
+        if removal:
+            # Here, not in apply(): a removal replayed from the store
+            # archive must collapse the window too.
+            self.stats.removals_applied += 1
+            self._collapse_window = True
 
     # -- committing ------------------------------------------------------------
 
@@ -343,12 +327,8 @@ class ShardSyncManager:
                 "committed top-tree root does not match the announced global root"
             )
         self._pending.clear()
-        if self._collapse_window:
-            self._recent_roots.clear()
-            self._collapse_window = False
-        if not self._recent_roots or self._recent_roots[-1] != root:
-            self._recent_roots.append(root)
-            self._root_values = {value.value for value in self._recent_roots}
+        self._window.push(root, collapse=self._collapse_window)
+        self._collapse_window = False
         self.stats.commits += 1
         return root
 
@@ -361,7 +341,7 @@ class ShardSyncManager:
 
     def recent_roots(self) -> list[FieldElement]:
         """Most recent committed roots, newest last (the validator's window)."""
-        return list(self._recent_roots)
+        return self._window.roots()
 
     def is_acceptable_root(self, root: FieldElement) -> bool:
         """Validator root acceptance (the §III-F item-2 check).
@@ -375,7 +355,7 @@ class ShardSyncManager:
                 self.commit()
             except InconsistentTreeUpdate:
                 return False
-        return root.value in self._root_values
+        return root.value in self._window.values
 
     # -- witnesses -------------------------------------------------------------
 
@@ -454,7 +434,6 @@ class ShardSyncManager:
         page_size: int = 64,
         snapshot_fetch: "SnapshotFetch | None" = None,
         on_done: Callable[[FieldElement], None] | None = None,
-        _snapshot_retries: int = 2,
     ) -> None:
         """Recover missed epochs from a store node: checkpoint, then deltas.
 
@@ -479,6 +458,10 @@ class ShardSyncManager:
         original :class:`~repro.errors.InconsistentTreeUpdate` propagates,
         exactly as before.
 
+        The replay and every snapshot adoption each run as one
+        :meth:`_attempt`: a refused one leaves the view as it found it, so
+        the next provider (or the next sync) starts where this one did.
+
         A light view (``home_shard=None``) skips the home topic entirely.
 
         A store query that goes unanswered (:mod:`repro.waku.store`'s
@@ -486,7 +469,7 @@ class ShardSyncManager:
         the simulator step that noticed, like every other failure here.
         """
         state: dict[str, object] = {}
-        initial_seq = self.seq
+        retries = SNAPSHOT_RETRIES
 
         def store_failed(failure: RequestFailure) -> None:
             raise SyncError(
@@ -567,11 +550,12 @@ class ShardSyncManager:
             home_updates = state["home"]
             ordered = sorted(digests, key=lambda d: d.seq)
             try:
-                root = self._replay_archive(
-                    checkpoint,  # type: ignore[arg-type]
-                    home_updates,  # type: ignore[arg-type]
-                    ordered,
-                )
+                with self._attempt():
+                    root = self._replay_archive(
+                        checkpoint,  # type: ignore[arg-type]
+                        home_updates,  # type: ignore[arg-type]
+                        ordered,
+                    )
             except SyncError:
                 if (
                     snapshot_fetch is None
@@ -581,40 +565,33 @@ class ShardSyncManager:
                     raise
                 # Home-topic history aged out of store retention: fetch an
                 # authenticated shard snapshot instead of the lost replay.
-                # Returning False (snapshot failed authentication) tells
-                # the fetcher to fail over to its next provider.  The
-                # trigger is deliberately broad — aged-out history and a
-                # forged digest both surface as InconsistentTreeUpdate, so
+                # Returning False (snapshot refused) tells the fetcher to
+                # fail over to its next provider.  The trigger is
+                # deliberately broad — aged-out history and a forged
+                # digest both surface as InconsistentTreeUpdate, so
                 # narrowing it would strand genuine late joiners; when a
-                # snapshot cannot cure the failure, every adoption fails
-                # its cross-check and rejection[-1] re-raises below, at
-                # the cost of the wasted provider round trips.
+                # snapshot cannot cure the failure, every adoption is
+                # refused and rejection[-1] re-raises below, at the cost
+                # of the wasted provider round trips.
                 rejection: list[SyncError] = []
 
                 def have_snapshot(snapshot: object | None) -> object:
+                    nonlocal retries
                     if snapshot is None:
                         # Every provider exhausted.  One benign cause: a
                         # registration raced the fetch, so every (honest)
                         # snapshot was cut past the digests this pass
                         # collected — re-run the whole sync so the store
-                        # queries see the newer events, bounded so a
-                        # registration flood cannot loop us forever.
-                        if _snapshot_retries > 0 and any(
+                        # queries see the newer events.
+                        if retries > 0 and any(
                             isinstance(error, SnapshotAheadOfArchive)
                             for error in rejection
                         ):
-                            self.sync_from_store(
-                                client,
-                                store_peer,
-                                page_size=page_size,
-                                snapshot_fetch=snapshot_fetch,
-                                on_done=on_done,
-                                _snapshot_retries=_snapshot_retries - 1,
-                            )
+                            retries -= 1
+                            fetch_checkpoint()
                             return True
                         # Surface the most informative error — the last
-                        # authentication failure if any snapshot was
-                        # delivered at all.
+                        # refusal if any snapshot was delivered at all.
                         if rejection:
                             raise rejection[-1]
                         raise SyncError(
@@ -622,58 +599,14 @@ class ShardSyncManager:
                             "and no snapshot provider answered"
                         )
                     try:
-                        rebuilt = self._authenticate_snapshot(
-                            checkpoint,
-                            snapshot,
-                            home_updates,  # type: ignore[arg-type]
-                            ordered,
-                            initial_seq=initial_seq,
-                        )
+                        with self._attempt():
+                            root = self._adopt_snapshot(
+                                checkpoint,
+                                snapshot,
+                                home_updates,  # type: ignore[arg-type]
+                                ordered,
+                            )
                     except SyncError as error:
-                        rejection.append(error)
-                        return False
-                    # Adoption can still fail — the final commit
-                    # cross-check is what catches a snapshot colluding
-                    # with a forged digest — so snapshot the view's state
-                    # and roll back on failure: the next provider must
-                    # start from a clean view, not a half-adopted one.
-                    prior = (
-                        self.shard,
-                        self.seq,
-                        self._snapshot_floor,
-                        dict(self._pending),
-                        self._announced_root,
-                        self._retired_hash_ops,
-                        self._collapse_window,
-                    )
-                    prior_stats = vars(self.stats).copy()
-                    try:
-                        root = self._adopt_snapshot(
-                            checkpoint,
-                            snapshot,
-                            rebuilt,
-                            home_updates,  # type: ignore[arg-type]
-                            ordered,
-                        )
-                    except SyncError as error:
-                        (
-                            self.shard,
-                            self.seq,
-                            self._snapshot_floor,
-                            pending,
-                            self._announced_root,
-                            self._retired_hash_ops,
-                            self._collapse_window,
-                        ) = prior
-                        self._pending.clear()
-                        self._pending.update(pending)
-                        # The replayed deltas' event/byte counters must
-                        # roll back too, or a failed-over adoption
-                        # double-counts the window in E12/E14 traffic —
-                        # all but the rollbacks themselves.
-                        vars(self.stats).update(
-                            prior_stats, rollbacks=self.stats.rollbacks + 1
-                        )
                         rejection.append(error)
                         return False
                     if on_done is not None:
@@ -685,13 +618,45 @@ class ShardSyncManager:
             if on_done is not None:
                 on_done(root)
 
-        query(
-            content_topics=(CHECKPOINT_TOPIC,),
-            page_size=1,
-            descending=True,
-            limit=1,
-            on_complete=have_checkpoint,
-        )
+        def fetch_checkpoint() -> None:
+            query(
+                content_topics=(CHECKPOINT_TOPIC,),
+                page_size=1,
+                descending=True,
+                limit=1,
+                on_complete=have_checkpoint,
+            )
+
+        fetch_checkpoint()
+
+    @contextmanager
+    def _attempt(self) -> Iterator[None]:
+        """One recovery attempt as a transaction over this view.
+
+        Inside it, writes land on copies of the shard, the top tree, the
+        pending roots and the root window, so the originals are the saved
+        state; a :class:`SyncError` out of the block puts every field back
+        before it propagates.  Every stat returns to its value at the
+        start except ``rollbacks``, which counts the abort once if the
+        attempt wrote anything or moved the frontier.  :attr:`hash_ops`
+        keeps the compressions the attempt spent: work done is not undone.
+        """
+        fields, stats = dict(vars(self)), vars(self.stats).copy()
+        hash_ops = self.hash_ops
+        if self.shard is not None:
+            self.shard = self.shard.copy()
+        self.top = self.top.copy()
+        self._pending = dict(self._pending)
+        self._window = self._window.copy()
+        try:
+            yield
+        except SyncError:
+            spent = self.hash_ops - hash_ops
+            undone = spent > 0 or self.seq != fields["seq"]
+            vars(self).update(fields)
+            self._retired_hash_ops += spent
+            vars(self.stats).update(stats, rollbacks=stats["rollbacks"] + undone)
+            raise
 
     def _replay_archive(
         self,
@@ -705,10 +670,7 @@ class ShardSyncManager:
             # (foreign events in that range are subsumed by the checkpoint).
             for update in home_updates:
                 if self.seq < update.seq <= checkpoint.seq:
-                    if isinstance(update, ShardRemoval):
-                        self._remove_home(update)
-                    else:
-                        self._write_home(update)
+                    self._replay_home(update)
                     self.stats.bytes_consumed += update.byte_size()
             self.restore(checkpoint)
         root = self._replay_deltas(home_updates, digests)
@@ -735,26 +697,26 @@ class ShardSyncManager:
 
     # -- snapshot fallback (home topic aged out of store retention) -------------
 
-    def _authenticate_snapshot(
+    def _adopt_snapshot(
         self,
         checkpoint: TreeCheckpoint,
         snapshot: object,
         home_updates: "Sequence[ShardUpdate | ShardRemoval]",
         digests: "Sequence[ShardRootDigest | ShardRemoval]",
-        *,
-        initial_seq: int | None = None,
-    ) -> MerkleTree:
-        """Verify a fetched snapshot without touching any state.
+    ) -> FieldElement:
+        """Authenticate a fetched snapshot, install it, replay the deltas.
 
         Trust model: the snapshot server is *never* trusted.  The shard
         tree is rebuilt locally from the snapshot's leaves and its root
         must equal the root this view's own accepted stream — the
         checkpoint entry, advanced by any home-shard digests up to the
-        snapshot's seq — commits to.  Raises :class:`SyncError` (or the
-        :class:`InconsistentTreeUpdate` subclass for a bad fold) on any
-        mismatch, so the caller can fail over to another provider with
-        the view untouched; returns the rebuilt shard for
-        :meth:`_adopt_snapshot`.
+        snapshot's seq — commits to.  The final :meth:`commit` then
+        cross-checks the whole top tree against the announced global
+        root, so a forged snapshot cannot survive even if it colludes
+        with a forged digest (the roots would not fold together).  Raises
+        :class:`SyncError` (or the :class:`InconsistentTreeUpdate`
+        subclass for a bad fold) on any mismatch; the caller's
+        :meth:`_attempt` undoes whatever was installed.
         """
         assert self.home_shard is not None
         shard_id = getattr(snapshot, "shard_id", None)
@@ -768,12 +730,9 @@ class ShardSyncManager:
             or leaves is None
         ):
             raise SyncError("snapshot geometry does not match this view")
-        # Compare against the frontier this sync *started* from: a failed
-        # partial replay may have advanced self.seq past the checkpoint.
-        floor = self.seq if initial_seq is None else initial_seq
-        if checkpoint.seq < floor:
+        if checkpoint.seq < self.seq:
             raise SyncError(
-                f"checkpoint seq {checkpoint.seq} is older than local seq {floor}"
+                f"checkpoint seq {checkpoint.seq} is older than local seq {self.seq}"
             )
         if snapshot_seq < checkpoint.seq:
             raise InconsistentTreeUpdate(
@@ -817,37 +776,17 @@ class ShardSyncManager:
                 "snapshot does not fold to the shard root the accepted "
                 "checkpoint+digest stream commits to"
             )
-        return rebuilt
-
-    def _adopt_snapshot(
-        self,
-        checkpoint: TreeCheckpoint,
-        snapshot: object,
-        rebuilt: MerkleTree,
-        home_updates: "Sequence[ShardUpdate | ShardRemoval]",
-        digests: "Sequence[ShardRootDigest | ShardRemoval]",
-    ) -> FieldElement:
-        """Install an authenticated snapshot and replay the deltas.
-
-        The final :meth:`commit` cross-checks the whole top tree against
-        the announced global root, so a forged snapshot cannot survive
-        even if it colludes with a forged digest (the roots would not
-        fold together).
-        """
-        assert self.home_shard is not None
         if self.shard is not None:
             self._retired_hash_ops += self.shard.hash_ops
         self.shard = rebuilt
-        self._snapshot_floor = int(getattr(snapshot, "seq"))
-        # A clean restore: pending state from before the failed replay (or
-        # from a partial one) is superseded by the checkpoint wholesale.
+        self._snapshot_floor = snapshot_seq
+        # A clean restore: pending state is superseded by the checkpoint
+        # wholesale.
         self._pending.clear()
         self._install_checkpoint(checkpoint)
         # Post-checkpoint events replay as usual; home events at or below
         # the snapshot floor are consumed as digests (apply() knows).
         root = self._replay_deltas(home_updates, digests)
-        # Accounted only once the whole adoption survived its commit
-        # cross-check — a rolled-back attempt is not a restore.
         self.stats.checkpoints_restored += 1
         self.stats.snapshots_restored += 1
         self.stats.bytes_consumed += size_of(snapshot, 0)
@@ -857,7 +796,8 @@ class ShardSyncManager:
 
     @property
     def hash_ops(self) -> int:
-        """Compressions performed by this peer (home shard + top tree)."""
+        """Compressions performed by this peer (home shard + top tree),
+        aborted recovery attempts included: it never goes down."""
         shard_ops = 0 if self.shard is None else self.shard.hash_ops
         return shard_ops + self.top.hash_ops + self._retired_hash_ops
 

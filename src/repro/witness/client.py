@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.crypto.merkle import MerkleProof, NodeHasher
 from repro.errors import NetworkError, ProtocolError
-from repro.exec.executor import CryptoExecutor, Priority
+from repro.exec.executor import Priority, SimulatedCryptoExecutor
 from repro.net.request import RequestDispatcher, RequestFailure
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
@@ -168,7 +168,7 @@ class WitnessClient:
         root_acceptor: "RootAcceptor",
         *,
         tree_depth: int,
-        executor: CryptoExecutor | None = None,
+        executor: SimulatedCryptoExecutor | None = None,
         timeout: float = 0.5,
         rounds: int = 2,
         hasher: NodeHasher | None = None,
@@ -261,7 +261,7 @@ class WitnessClient:
             return
         cached = self.cache.get(index)
         if cached is not None:
-            # Freshness safety net: even if no one wired on_tree_update, a
+            # Freshness safety net: even if no one wired on_shard_event, a
             # stale path is never served from the cache.  The local window
             # is not enough — a lazily-committed light view can still
             # accept a root the network's per-event validators already
@@ -390,13 +390,18 @@ class WitnessClient:
     # -- invalidation & background refresh --------------------------------------
 
     def on_shard_event(self, event: object = None) -> None:
-        """Removal-aware feed hook: prefer wiring this over
-        :meth:`on_tree_update` (``manager.on_shard_update(client.on_shard_event)``).
+        """Tree moved: drop every cached witness and refresh in background.
 
-        Every tree change invalidates every cached witness — a single
-        leaf write perturbs each other leaf's path at their common-
-        ancestor level, and the fold lands on the old root either way —
-        so the generic invalidate-and-refresh runs for any event.  A
+        Wire this to the view's update feed
+        (``manager.on_shard_update(client.on_shard_event)``).  Every tree
+        change invalidates every cached witness — a single leaf write
+        perturbs each other leaf's path at their common-ancestor level,
+        and the fold lands on the old root either way — so the
+        invalidate-and-refresh runs for any event.  Refresh jobs ride the
+        executor's BACKGROUND class, the weakest priority — they only run
+        on lanes relay verdicts and service traffic left idle.  With no
+        executor the refresh happens immediately (a pure light client with
+        no crypto pipeline of its own).  A
         :class:`~repro.treesync.messages.ShardRemoval` does more:
 
         * if the removed slot carries this client's expected-leaf pin
@@ -417,7 +422,10 @@ class WitnessClient:
         elif isinstance(event, ShardUpdate):
             if event.update.new_leaf != ZERO:
                 self._revoked.discard(event.update.index)
-        self.on_tree_update(event)
+        self._generation += 1
+        stale = self.cache.invalidate()
+        for index in stale:
+            self._schedule_refresh(index)
 
     def _fail_if_revoked(
         self,
@@ -433,22 +441,6 @@ class WitnessClient:
                 RequestFailure(reason=f"leaf {index} was revoked (member removed)")
             )
         return True
-
-    def on_tree_update(self, _event: object = None) -> None:
-        """Tree moved: drop every cached witness and refresh in background.
-
-        Wire this (or the removal-aware :meth:`on_shard_event`) to the
-        view's update feed (e.g.
-        ``manager.on_shard_update(client.on_shard_event)``).  Refresh jobs
-        ride the executor's BACKGROUND class, the weakest priority — they
-        only run on lanes relay verdicts and service traffic left idle.
-        With no executor the refresh happens immediately (a pure light
-        client with no crypto pipeline of its own).
-        """
-        self._generation += 1
-        stale = self.cache.invalidate()
-        for index in stale:
-            self._schedule_refresh(index)
 
     def _schedule_refresh(self, index: int) -> None:
         if index in self._revoked:

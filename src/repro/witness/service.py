@@ -23,7 +23,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.crypto.field import ZERO
-from repro.exec.executor import CryptoExecutor, Priority
+from repro.exec.executor import Priority, SimulatedCryptoExecutor
 from repro.net.transport import Network
 from repro.telemetry import resolve as resolve_telemetry
 from repro.witness.messages import (
@@ -69,7 +69,7 @@ class WitnessService:
         manager: "GroupManager",
         network: Network,
         *,
-        executor: CryptoExecutor | None = None,
+        executor: SimulatedCryptoExecutor | None = None,
         priority: Priority = Priority.SERVICE,
         telemetry=None,
     ) -> None:

@@ -7,6 +7,7 @@ full WAKU-RLN-RELAY deployment announcing a shard geometry.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,15 +17,17 @@ from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.core.membership import GroupManager
+from repro.crypto.field import ZERO, FieldElement
 from repro.errors import SyncError
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
 from repro.treesync import CHECKPOINT_TOPIC, ShardSyncManager, TreeSyncPublisher
-from repro.treesync.messages import TreeCheckpoint
+from repro.treesync.messages import DIGEST_TOPIC, ShardRootDigest, TreeCheckpoint
 from repro.waku.relay import WakuRelay
 from repro.waku.store import HistoryQuery, StoreClient, StoreNode
+from repro.witness.messages import SnapshotResponse
 
 DEPTH = 8
 SHARD_DEPTH = 3
@@ -320,3 +323,126 @@ class TestRemovalRecovery:
         # the gap contained a removal this view never saw.
         assert not view.is_acceptable_root(stale_root)
         assert view.recent_roots() == [manager.root]
+
+
+#: Home shard of the refused-attempt cases: slots 16..23, seqs 17..24.
+HOME = 2
+BOGUS = FieldElement(0xBAD)
+
+
+def forge_checkpoint(message):
+    """The seq-32 checkpoint names a wrong root for the home shard."""
+    if message.content_topic != CHECKPOINT_TOPIC:
+        return message
+    checkpoint = TreeCheckpoint.from_bytes(message.payload)
+    if checkpoint.seq != 32:
+        return message
+    roots = tuple(
+        (shard, BOGUS if shard == HOME else root)
+        for shard, root in checkpoint.shard_roots
+    )
+    forged = replace(checkpoint, shard_roots=roots)
+    return replace(message, payload=forged.to_bytes())
+
+
+def forge_foreign_digest(message):
+    """Seq 40's digest moves foreign shard 4 to a root nobody built; the
+    global root it carries stays honest, so only the commit's cross-check
+    can catch it."""
+    if message.content_topic != DIGEST_TOPIC:
+        return message
+    digest = ShardRootDigest.from_bytes(message.payload)
+    if digest.seq != 40:
+        return message
+    forged = replace(digest, new_shard_root=BOGUS)
+    return replace(message, payload=forged.to_bytes())
+
+
+class TestRefusedAttemptLeavesTheView:
+    """A recovery attempt the view refuses is undone as a whole: the view
+    ends exactly as it began (bar the ``rollbacks`` counter), so the next
+    attempt against an honest store recovers it like a fresh peer."""
+
+    # ``rollbacks``: one per aborted attempt that wrote anything — the
+    # last case aborts its replay, then its snapshot adoption.
+    @pytest.mark.parametrize(
+        "forge, retention, snapshot, rollbacks",
+        [
+            pytest.param(
+                forge_checkpoint, 1000, False, 1, id="forged-checkpoint-wedge"
+            ),
+            pytest.param(
+                forge_foreign_digest, 1000, False, 1, id="forged-foreign-root"
+            ),
+            # 37 messages keep events 23..40: the home replay starts two
+            # registrations short of the shard the checkpoint names.
+            pytest.param(None, 37, False, 1, id="home-aged-out-no-snapshot"),
+            pytest.param(
+                forge_foreign_digest, 37, True, 2, id="snapshot-fails-commit"
+            ),
+        ],
+    )
+    def test_refused_attempt_leaves_the_view_as_it_was(
+        self, net, group, forge, retention, snapshot, rollbacks
+    ):
+        sim, network, relays = net
+        chain, contract, manager = group
+        names = sorted(relays)
+        honest = StoreNode(relays[names[0]], network, capacity=1000)
+        hostile = StoreNode(relays[names[2]], network, capacity=retention)
+        tamper = forge or (lambda message: message)
+        TreeSyncPublisher(manager, honest.archive, checkpoint_interval=16)
+        TreeSyncPublisher(
+            manager, lambda message: hostile.archive(tamper(message)),
+            checkpoint_interval=16,
+        )
+        events = []
+        manager.on_shard_update(events.append)
+        for i in range(40):
+            testing.register_member(chain, contract, 0x6000 + i)
+
+        # The view followed the live feed through seq 20, then went offline.
+        view = ShardSyncManager(
+            home_shard=HOME, depth=DEPTH, shard_depth=SHARD_DEPTH
+        )
+        for event in events[:20]:
+            view.apply(event)
+        view.commit()
+
+        def state():
+            stats = {k: v for k, v in vars(view.stats).items() if k != "rollbacks"}
+            leaves = [view.shard.leaf(i) for i in range(1 << SHARD_DEPTH)]
+            return view.seq, view.recent_roots(), leaves, stats
+
+        before = state()
+        assert before[2][:4].count(ZERO) == 0  # slots 16..19 are members
+
+        honest_snapshot = SnapshotResponse(
+            request_id=0,
+            found=True,
+            shard_id=HOME,
+            shard_depth=SHARD_DEPTH,
+            seq=manager.event_seq,
+            leaves=tuple(
+                (i, manager.tree.leaf(HOME * 8 + i)) for i in range(8)
+            ),
+        )
+
+        def fetch(shard_id, deliver):
+            if deliver(honest_snapshot) is False:
+                deliver(None)  # no other provider
+
+        client = StoreClient(names[1], network)
+        view.sync_from_store(
+            client, names[2], snapshot_fetch=fetch if snapshot else None
+        )
+        with pytest.raises(SyncError):
+            sim.run(sim.now + 10.0)
+        assert state() == before
+        assert view.stats.rollbacks == rollbacks
+
+        roots = []
+        view.sync_from_store(client, names[0], on_done=roots.append)
+        sim.run(sim.now + 10.0)
+        assert roots == [manager.root]
+        assert view.seq == manager.event_seq

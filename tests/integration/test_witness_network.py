@@ -76,7 +76,7 @@ class TestLightMemberPublishes:
             view,
             tree_depth=DEPTH,
         )
-        serving.group.on_shard_update(client.on_tree_update)
+        serving.group.on_shard_update(client.on_shard_event)
         member = LightMember(
             identity,
             index,

@@ -137,12 +137,6 @@ KEPT_FOR = {
     "crypto/engine.py:PoseidonEngine.hash_many": (
         "base-class declaration MerkleTree.from_leaves calls; every engine overrides it"
     ),
-    "exec/executor.py:CryptoExecutor.drain": "the executor protocol BatchVerifier.close calls",
-    "exec/executor.py:CryptoExecutor.pin_synchronous": (
-        "the executor protocol BatchVerifier.close calls"
-    ),
-    "exec/executor.py:CryptoExecutor.submit": "the executor protocol the pipeline calls",
-    "exec/executor.py:CryptoExecutor.unpin": "the executor protocol BatchVerifier.reopen calls",
     "net/latency.py:LatencyModel.sample": "the latency protocol Network.send calls",
     "net/latency.py:LatencyModel.worst_case": "the latency protocol dissemination_bound calls",
     "zksnark/groth16.py:RLNProver._check_statement": "base-class declaration prove() calls",
@@ -199,7 +193,6 @@ KEPT_FOR = {
     "witness/client.py:WitnessClient.on_shard_event": (
         "refresh handler: the removal-aware update feed"
     ),
-    "witness/client.py:WitnessClient.on_tree_update": "refresh handler: the plain update feed",
     "witness/client.py:WitnessClient.prefetch": (
         "LightMember.prefetch_witness warms the cache through it"
     ),
@@ -315,19 +308,19 @@ BUDGET = {
     "analysis": 296,
     "baselines": 432,
     "chain": 975,
-    "core": 2040,
-    "crypto": 2084,
-    "exec": 469,
+    "core": 2031,
+    "crypto": 2119,
+    "exec": 443,
     "gossipsub": 1029,
     "net": 1021,
     "offchain": 609,
-    "pipeline": 1126,
+    "pipeline": 1125,
     "repro": 625,
     "revocation": 449,
     "telemetry": 3748,
-    "treesync": 1374,
+    "treesync": 1314,
     "waku": 871,
-    "witness": 1007,
+    "witness": 999,
     "zksnark": 1410,
 }
 

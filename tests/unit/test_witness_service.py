@@ -269,7 +269,7 @@ class TestInvalidationAndBackgroundRefresh:
         executor = SimulatedCryptoExecutor(sim, 1)
         telemetry = Telemetry()
         client = make_client(env, executor=executor, telemetry=telemetry)
-        manager.on_shard_update(client.on_tree_update)
+        manager.on_shard_update(client.on_shard_event)
         client.witness(5, lambda proof: None)
         sim.run(2.0)
         old = client.cache.get(5)
@@ -296,7 +296,7 @@ class TestInvalidationAndBackgroundRefresh:
         sim, network, names, manager, _ = env
         WitnessService(names[0], manager, network)
         client = make_client(env)
-        manager.on_shard_update(client.on_tree_update)
+        manager.on_shard_update(client.on_shard_event)
         old_root = manager.root
         got = []
         client.witness(5, got.append)  # request departs at t=0
@@ -314,7 +314,7 @@ class TestInvalidationAndBackgroundRefresh:
         assert fresh.verify(manager.root)
 
     def test_unwired_client_never_serves_a_stale_cache_hit(self, env):
-        """Even without on_tree_update wiring, a cached path whose root
+        """Even without on_shard_event wiring, a cached path whose root
         is no longer the acceptor's current root is treated as a miss."""
         sim, network, names, manager, _ = env
         WitnessService(names[0], manager, network)
@@ -335,7 +335,7 @@ class TestInvalidationAndBackgroundRefresh:
         sim, network, names, manager, _ = env
         WitnessService(names[0], manager, network)
         client = make_client(env)
-        manager.on_shard_update(client.on_tree_update)
+        manager.on_shard_update(client.on_shard_event)
         client.witness(5, lambda proof: None)
         sim.run(2.0)
         testing.register_member(manager.chain, manager.contract, 0xABD)
