@@ -19,8 +19,8 @@ With the default ``PipelineConfig()`` (``batch_size=1``, ``workers=0``)
 validation is synchronous and observationally identical to the seed's
 direct ``BundleValidator`` hook for traffic below the ingress
 token-bucket rates (under a flood the buckets shed load the seed would
-have verified); larger batch sizes defer verdicts through the router's
-:class:`~repro.gossipsub.router.DeferredValidation` until the batch
+have verified); larger batch sizes defer verdicts through a
+:class:`~repro.net.promise.Promise` the router parks on until the batch
 flushes on its size-or-deadline trigger, and ``workers >= 1`` gives the
 pipeline's :class:`~repro.exec.executor.SimulatedCryptoExecutor` that
 many worker lanes (zero is the same class running inline) so relay
@@ -52,7 +52,7 @@ from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleProof, NodeHasher
 from repro.errors import ProtocolError, RegistrationError
 from repro.gossipsub.messages import PubSubMessage
-from repro.gossipsub.router import DeferredValidation, ValidationResult
+from repro.gossipsub.router import ValidationResult
 from repro.gossipsub.scoring import ScoreParams
 from repro.net.clock import PeerClock
 from repro.net.promise import Promise
@@ -219,7 +219,7 @@ class WakuRLNRelayPeer:
 
     def stop(self) -> None:
         # Drain the pending verification batch (resolving its parked
-        # DeferredValidations and cancelling the deadline event) so a
+        # verdict promises and cancelling the deadline event) so a
         # stopped peer neither drops bundles unjudged nor wakes up later
         # to verify them; in-flight RPCs that arrive after this point are
         # validated synchronously, never batched.
@@ -357,7 +357,7 @@ class WakuRLNRelayPeer:
 
     def _validate(
         self, sender: str, pubsub_message: PubSubMessage
-    ) -> "ValidationResult | DeferredValidation":
+    ) -> "ValidationResult | Promise[ValidationResult]":
         # No framing pre-check here: the pipeline's stage-1 prefilter
         # classifies a non-WakuMessage payload as MALFORMED (-> REJECT).
         payload = pubsub_message.payload
@@ -373,7 +373,7 @@ class WakuRLNRelayPeer:
             trace_parent=trace_parent,
         )
         if isinstance(result, Promise):
-            deferred = DeferredValidation()
+            deferred: Promise[ValidationResult] = Promise()
             result.subscribe(
                 lambda verdict: deferred.resolve(
                     self._apply_verdict(verdict, msg_id=msg_id)

@@ -19,7 +19,8 @@ One class, :class:`SimulatedCryptoExecutor`, whatever the lane count:
   :class:`~repro.zksnark.groth16.PairingCounter` and the
   :class:`~repro.exec.costs.CryptoCostModel`.
 * ``workers=0`` — no lanes: every submit runs inline and returns the
-  result itself (a lane job returns a promise of it).  This is the pinned
+  result itself (a lane submit returns ``None``; its ``on_done`` fires at
+  simulated completion).  This is the pinned
   default; with it, every verdict, stat, and event ordering is
   bit-identical to the pre-executor code.  It is also the state a stopped
   peer's executor is pinned to (:meth:`SimulatedCryptoExecutor.pin_synchronous`).
@@ -41,8 +42,7 @@ from typing import Any, Callable
 
 from repro.errors import ProtocolError
 from repro.exec.costs import CryptoCostModel
-from repro.net.promise import Promise
-from repro.net.simulator import EventHandle, Simulator
+from repro.net.simulator import Simulator
 from repro.telemetry.disttrace import DISABLED, Disabled
 from repro.telemetry.registry import MetricsRegistry
 from repro.zksnark.groth16 import PairingCounter
@@ -102,15 +102,6 @@ class ExecutorStats:
         return sum(cls.submitted for cls in self.classes.values())
 
 
-@dataclass
-class _SimJob:
-    priority: Priority
-    work: Callable[..., Any]
-    args: tuple[Any, ...]
-    landed: Promise[Any]
-    submitted_at: float
-
-
 class SimulatedCryptoExecutor:
     """The seam every validation layer submits pairing work through:
     ``workers`` lanes on the simulator.
@@ -154,7 +145,7 @@ class SimulatedCryptoExecutor:
         self.stats.lane_busy_seconds = [0.0] * workers
         # Queue depth and busy lanes are bound gauges (both read 0 with
         # zero lanes); the wait and service histograms are handles interned
-        # once per class — no-ops with telemetry off (an inline job skips them).
+        # once per class — and skipped with telemetry off.
         self._observed = registry.enabled
         registry.bind("executor_queue_depth", lambda: self.queued_jobs, "gauge", peer=peer)
         registry.bind("executor_busy_lanes", lambda: self.busy_lanes, "gauge", peer=peer)
@@ -170,10 +161,11 @@ class SimulatedCryptoExecutor:
             )
             for p in Priority
         }
-        self._queues: dict[Priority, deque[_SimJob]] = {p: deque() for p in Priority}
+        #: Per class, FIFO of (work, args, on_done, submitted_at).
+        self._queues: dict[Priority, deque[tuple[Any, ...]]] = {p: deque() for p in Priority}
         self._idle_lanes: list[int] = list(range(workers))
-        #: lane -> (completion event handle, deliver closure) while busy.
-        self._in_flight: dict[int, tuple[EventHandle, Callable[[], None]]] = {}
+        #: lane -> (completion handle, priority, wait, on_done, args, result).
+        self._in_flight: dict[int, tuple[Any, ...]] = {}
         #: Submits run in the caller's stack: always with zero lanes, and
         #: while pinned (peer stopped) with any.
         self.inline = workers == 0
@@ -188,50 +180,45 @@ class SimulatedCryptoExecutor:
         priority: Priority = Priority.RELAY,
         args: tuple[Any, ...] = (),
     ) -> Any:
-        """Run ``work(*args)``: its result if it ran inline, else a promise
-        of it; ``on_done(*args, result)``, if given, fires on completion."""
-        if self.inline:
-            return self._run_inline(work, args, on_done, priority)
+        """Run ``work(*args)``: its result if it ran inline, else ``None``;
+        ``on_done(*args, result)``, if given, fires on completion."""
         self.stats.classes[priority].submitted += 1
-        self.stats.inline_seconds += self.cost_model.submit_overhead_seconds
-        landed: Promise[Any] = Promise()
-        if on_done is not None:
-            landed.subscribe(lambda result: on_done(*args, result))
-        self._queues[priority].append(_SimJob(priority, work, args, landed, self.simulator.now))
-        self._dispatch_idle_lanes()
-        return landed
-
-    def _run_inline(
-        self,
-        work: Callable[..., Any],
-        args: tuple[Any, ...],
-        on_done: Callable[..., None] | None,
-        priority: Priority,
-    ) -> Any:
-        """Run ``work(*args)`` in the caller's stack and return its result,
-        leaving a lane job's stats: zero wait, modeled pairing time charged
-        to the caller (no lane busy time: a stopped peer has no occupancy)."""
-        stats, counter = self.stats, self.counter
-        cls = stats.classes[priority]
-        cls.submitted += 1
-        before = counter.evaluations if counter is not None else 0
-        try:
-            result = work(*args)
-        finally:
-            if counter is not None:
-                modeled = self.cost_model.seconds_for_pairings(
-                    counter.evaluations - before
-                )
-                stats.inline_seconds += modeled
-                stats.service_seconds += modeled
-                if self._observed:
-                    self._service[priority].observe(modeled)
-            if self._observed:
-                self._wait[priority].observe(0.0)
-            cls.completed += 1
+        if not self.inline:
+            self.stats.inline_seconds += self.cost_model.submit_overhead_seconds
+            self._queues[priority].append((work, args, on_done, self.simulator.now))
+            self._dispatch_idle_lanes()
+            return None
+        # Zero wait, the modeled pairing time charged to the caller, and no
+        # lane busy time (a stopped peer has no occupancy).
+        result, service = self._execute(priority, work, args, 0.0)
+        self.stats.inline_seconds += service
+        self._finish(priority, 0.0)
         if on_done is not None:
             on_done(*args, result)
         return result
+
+    def _execute(
+        self, priority: Priority, work: Callable[..., Any], args: tuple[Any, ...], wait: float
+    ) -> tuple[Any, float]:
+        """Run ``work(*args)`` and book its service time — the pairings it
+        executed on the shared counter; returns ``(result, service)``."""
+        counter = self.counter
+        before = counter.evaluations if counter is not None else 0
+        result = work(*args)
+        service = self.cost_model.seconds_for_pairings(
+            counter.evaluations - before if counter is not None else 0
+        )
+        self.stats.service_seconds += service
+        if self._observed:
+            self._wait[priority].observe(wait)
+            self._service[priority].observe(service)
+        return result, service
+
+    def _finish(self, priority: Priority, wait: float) -> None:
+        cls = self.stats.classes[priority]
+        cls.completed += 1
+        cls.queue_delay_total += wait
+        cls.queue_delay_max = max(cls.queue_delay_max, wait)
 
     @property
     def queued_jobs(self) -> int:
@@ -243,54 +230,35 @@ class SimulatedCryptoExecutor:
 
     # -- lane machinery ------------------------------------------------------
 
-    def _next_job(self) -> _SimJob | None:
-        for priority in Priority:
-            queue = self._queues[priority]
-            if queue:
-                return queue.popleft()
-        return None
-
     def _dispatch_idle_lanes(self) -> None:
-        while self._idle_lanes:
-            job = self._next_job()
-            if job is None:
+        """Run the oldest job of the strongest non-empty class on each idle
+        lane now, and schedule its completion one service time later."""
+        queues, idle = self._queues, self._idle_lanes
+        while idle:
+            for priority in Priority:
+                if queues[priority]:
+                    break
+            else:
                 return
-            lane = self._idle_lanes.pop()
-            self._dispatch(lane, job)
+            work, args, on_done, submitted_at = queues[priority].popleft()
+            lane = idle.pop()
+            wait = self.simulator.now - submitted_at
+            result, service = self._execute(priority, work, args, wait)
+            self.stats.lane_busy_seconds[lane] += service
+            handle = self.simulator.schedule(service, lambda lane=lane: self._complete(lane))
+            self._in_flight[lane] = (handle, priority, wait, on_done, args, result)
 
-    def _dispatch(self, lane: int, job: _SimJob) -> None:
-        now = self.simulator.now
-        queue_delay = now - job.submitted_at
-        before = self.counter.evaluations if self.counter is not None else 0
-        result = job.work(*job.args)
-        evaluations = (
-            self.counter.evaluations - before if self.counter is not None else 0
-        )
-        service = self.cost_model.seconds_for_pairings(evaluations)
-        self.stats.service_seconds += service
-        self.stats.lane_busy_seconds[lane] += service
-        self._wait[job.priority].observe(queue_delay)
-        self._service[job.priority].observe(service)
-        delivered = False
-
-        def deliver() -> None:
-            nonlocal delivered
-            if delivered:
-                return
-            delivered = True
-            self._in_flight.pop(lane, None)
-            cls = self.stats.classes[job.priority]
-            cls.completed += 1
-            cls.queue_delay_total += queue_delay
-            cls.queue_delay_max = max(cls.queue_delay_max, queue_delay)
-            try:
-                job.landed.resolve(result)
-            finally:
-                self._idle_lanes.append(lane)
-                self._dispatch_idle_lanes()
-
-        handle = self.simulator.schedule(service, deliver)
-        self._in_flight[lane] = (handle, deliver)
+    def _complete(self, lane: int) -> None:
+        """Land ``lane``'s job: finish it, call its ``on_done``, then free
+        the lane and refill it."""
+        _, priority, wait, on_done, args, result = self._in_flight.pop(lane)
+        try:
+            self._finish(priority, wait)
+            if on_done is not None:
+                on_done(*args, result)
+        finally:
+            self._idle_lanes.append(lane)
+            self._dispatch_idle_lanes()
 
     # -- shutdown ------------------------------------------------------------
 
@@ -298,19 +266,18 @@ class SimulatedCryptoExecutor:
         """Deliver every in-flight and queued result at the current instant.
 
         Used by a stopping peer: parked verdicts must land *now*, not at a
-        simulated time the peer will never reach.  In-flight completions
-        are delivered early (their events cancelled); queued jobs run
-        inline in priority order.  Nothing is ever outstanding with zero
-        lanes.
+        simulated time the peer will never reach.  Each pass completes, in
+        lane order, the jobs in flight when it began (their events
+        cancelled); a freed lane takes the next queued job, which the next
+        pass completes.  Nothing is ever outstanding with zero lanes.
         """
         while self._in_flight or self.queued_jobs:
-            in_flight = sorted(self._in_flight.items())
-            for lane, (handle, deliver) in in_flight:
-                handle.cancel()
+            for lane, entry in sorted(self._in_flight.items()):
+                if self._in_flight.get(lane) is not entry:
+                    continue  # completed by an on_done of this pass
+                entry[0].cancel()
                 self.stats.jobs_drained += 1
-                deliver()  # frees the lane; may dispatch + re-fill _in_flight
-            # Any still-queued jobs were dispatched by the deliveries above
-            # (lanes freed), so the loop terminates once queues are empty.
+                self._complete(lane)
 
     def pin_synchronous(self) -> None:
         """Run every subsequent submit inline in the caller (peer stopped).

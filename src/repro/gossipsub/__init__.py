@@ -12,7 +12,6 @@ from repro.gossipsub.messages import (
 )
 from repro.gossipsub.mcache import MessageCache, SeenCache
 from repro.gossipsub.router import (
-    DeferredValidation,
     GossipSubParams,
     GossipSubRouter,
     RouterStats,
@@ -32,7 +31,6 @@ __all__ = [
     "Subscribe",
     "MessageCache",
     "SeenCache",
-    "DeferredValidation",
     "GossipSubParams",
     "GossipSubRouter",
     "RouterStats",

@@ -56,22 +56,11 @@ class ValidationResult(Enum):
     REJECT = "reject"
 
 
-class DeferredValidation(Promise[ValidationResult]):
-    """A validator's promise of a verdict delivered later.
-
-    Returned instead of a :class:`ValidationResult` when the verdict
-    depends on work the validator has queued (batched proof verification,
-    §III-F via the ingress pipeline).  The router parks the message and
-    applies the usual accept/ignore/reject handling once :meth:`resolve`
-    fires; duplicates arriving meanwhile are dropped by the seen-cache (and
-    their senders spared the forward), as for a synchronous verdict.
-    """
-
-    __slots__ = ()
-
-
-#: (from_peer, message) -> ValidationResult (or a DeferredValidation promise)
-Validator = Callable[[str, PubSubMessage], "ValidationResult | DeferredValidation"]
+#: (from_peer, message) -> ValidationResult, or a Promise of one when the
+#: verdict waits on queued work (batched proof verification, §III-F).  The
+#: router parks the message until it resolves; duplicates arriving meanwhile
+#: are dropped by the seen-cache, as for a synchronous verdict.
+Validator = Callable[[str, PubSubMessage], "ValidationResult | Promise[ValidationResult]"]
 #: (message) -> None
 DeliveryCallback = Callable[[PubSubMessage], None]
 
@@ -369,7 +358,7 @@ class GossipSubRouter:
         else:
             self.stats.validations += 1
             result = validator(sender, message)
-        if isinstance(result, DeferredValidation):
+        if isinstance(result, Promise):
             self.stats.deferred += 1
             self._holders.setdefault(msg_id, set()).add(sender)
             if not self._announce:

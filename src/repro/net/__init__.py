@@ -8,14 +8,7 @@ from repro.net.latency import (
     UniformLatency,
     dissemination_bound,
 )
-from repro.net.topology import (
-    erdos_renyi,
-    full_mesh,
-    peer_names,
-    random_regular,
-    small_world,
-    star,
-)
+from repro.net.topology import full_mesh, peer_names, random_regular
 from repro.net.request import (
     PendingRequest,
     RequestDispatcher,
@@ -37,12 +30,9 @@ __all__ = [
     "LatencyModel",
     "UniformLatency",
     "dissemination_bound",
-    "erdos_renyi",
     "full_mesh",
     "peer_names",
     "random_regular",
-    "small_world",
-    "star",
     "Network",
     "TrafficStats",
 ]

@@ -2,8 +2,7 @@
 
 The WAKU-RELAY layer maintains "a constant number of direct
 connections/neighbors" per peer (§I), which a random regular graph models
-exactly.  Small-world and Erdős–Rényi generators are provided for
-sensitivity experiments.
+exactly.
 """
 
 from __future__ import annotations
@@ -47,29 +46,6 @@ def random_regular(count: int, degree: int, seed: int = 0) -> nx.Graph:
     return _relabel(graph, peer_names(count))
 
 
-def small_world(count: int, degree: int, rewire_p: float = 0.1, seed: int = 0) -> nx.Graph:
-    """Watts–Strogatz small-world overlay."""
-    if degree % 2:
-        degree += 1
-    graph = nx.connected_watts_strogatz_graph(count, degree, rewire_p, seed=seed)
-    return _relabel(graph, peer_names(count))
-
-
-def erdos_renyi(count: int, mean_degree: float, seed: int = 0) -> nx.Graph:
-    """G(n, p) with p chosen for the requested mean degree; made connected."""
-    if count < 2:
-        raise NetworkError("need at least two peers")
-    p = min(1.0, mean_degree / (count - 1))
-    graph = nx.gnp_random_graph(count, p, seed=seed)
-    graph = _ensure_connected(graph, random.Random(seed))
-    return _relabel(graph, peer_names(count))
-
-
 def full_mesh(count: int) -> nx.Graph:
     """Complete graph — tiny deterministic tests only."""
     return _relabel(nx.complete_graph(count), peer_names(count))
-
-
-def star(count: int) -> nx.Graph:
-    """Hub-and-spoke — used to test invalid-proof containment at one hop."""
-    return _relabel(nx.star_graph(count - 1), peer_names(count))

@@ -18,11 +18,7 @@ import random
 from typing import Callable
 
 from repro.gossipsub.messages import PubSubMessage
-from repro.gossipsub.router import (
-    DeferredValidation,
-    GossipSubRouter,
-    ValidationResult,
-)
+from repro.gossipsub.router import GossipSubRouter, Validator
 from repro.gossipsub.scoring import ScoreParams
 from repro.net.simulator import Simulator
 from repro.net.transport import Network, ProtocolTraffic
@@ -86,16 +82,11 @@ class WakuRelay:
         else:
             self._content_callbacks.setdefault(content_topic, []).append(callback)
 
-    def set_validator(
-        self,
-        validator: Callable[
-            [str, PubSubMessage], "ValidationResult | DeferredValidation"
-        ],
-    ) -> None:
+    def set_validator(self, validator: Validator) -> None:
         """Install a pubsub validator (WAKU-RLN-RELAY's hook, §III-F).
 
-        The validator may return a :class:`DeferredValidation` to park the
-        message until a batched verification verdict arrives.
+        The validator may return a :class:`~repro.net.promise.Promise` to
+        park the message until a batched verification verdict arrives.
         """
         self.router.set_validator(self.pubsub_topic, validator)
 

@@ -6,7 +6,7 @@ from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.errors import ProtocolError
 from repro.net.clock import DriftModel
-from repro.net.topology import small_world
+from repro.net.topology import random_regular
 
 DEPTH = 8
 
@@ -23,7 +23,7 @@ class TestCreate:
         assert len(dep.peers) == 5
 
     def test_custom_graph_respected(self):
-        graph = small_world(8, 4, seed=3)
+        graph = random_regular(8, 4, seed=3)
         dep = RLNDeployment.create(
             peer_count=0, graph=graph, seed=3, config=RLNConfig(tree_depth=DEPTH)
         )

@@ -129,8 +129,6 @@ COVERS = {
     "documentation": "every module: docstrings, __all__, metric catalog, this layout",
     "e2e_seams": "the src methods benchmarks/e2e/trace.py wraps by name",
     "options_audit": "every defaulted option: set by a driver or kept for a reason",
-    "query": "telemetry/alerts.py: the expressions rules read",
-    "query_grouping": "telemetry/alerts.py: one grouped pass per evaluation",
     "reachability": "every function: reached by a driver or kept; package budgets",
     "rln_v2": "zksnark/rln_circuit.py: RLN-v2's message_limit",
     "verdict_sharing": "pipeline/batch_verifier.py: one verdict per proof across services",

@@ -185,6 +185,27 @@ class TestSimulatedExecutor:
         sim.run_until_idle()
         assert delivered == ["x", "y", "z"]
 
+    def test_drain_from_a_completing_jobs_on_done_delivers_each_job_once(self):
+        # A peer stopped by a verdict hook: the first job to land drains the
+        # executor from inside its own on_done.
+        sim, counter, executor = self.make(2)
+        landed = []
+
+        def on_done(name):
+            landed.append((name, sim.now))
+            if name == "j0":
+                executor.drain()
+
+        for index in range(5):
+            executor.submit(pairing_work(counter, 4, f"j{index}"), on_done)
+        sim.run_until_idle()
+        assert sorted(name for name, _ in landed) == [f"j{i}" for i in range(5)]
+        assert all(at == pytest.approx(0.03) for _, at in landed)
+        assert executor.stats.jobs_drained == 4
+        assert executor.stats.classes[Priority.RELAY].completed == 5
+        assert executor.busy_lanes == 0 and executor.queued_jobs == 0
+        assert sim.pending_events == 0
+
     def test_pin_synchronous_runs_submits_inline(self):
         sim, counter, executor = self.make(1)
         executor.pin_synchronous()

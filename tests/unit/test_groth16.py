@@ -29,6 +29,13 @@ def statement(system):
     return public, witness
 
 
+@pytest.fixture(scope="module")
+def batch(system, statement):
+    """Groth16 proofs are randomised: 32 distinct proofs of the statement."""
+    public, witness = statement
+    return [(public, system.prove(public, witness)) for _ in range(32)]
+
+
 class TestSetup:
     def test_keys_share_circuit_shape(self):
         pk, vk = setup(DEPTH)
@@ -154,13 +161,11 @@ class TestProofFormat:
 
 class TestBatchVerify:
     def test_batched_32_fewer_pairings_than_32_individual_verifies(
-        self, system, statement
+        self, system, batch
     ):
         from repro.zksnark.groth16 import BATCH_FIXED_PAIRINGS, PAIRINGS_PER_VERIFY
 
-        public, witness = statement
-        # Groth16 proofs are randomised: 32 distinct proofs of the statement.
-        jobs = [(public, system.prove(public, witness)) for _ in range(32)]
+        jobs = batch
         counter = system.pairing_counter
 
         counter.reset()
@@ -175,10 +180,9 @@ class TestBatchVerify:
         assert batched == 32 + BATCH_FIXED_PAIRINGS
         assert batched < individual
 
-    def test_batch_rejects_if_any_member_forged(self, system, statement):
-        public, witness = statement
-        jobs = [(public, system.prove(public, witness)) for _ in range(7)]
-        jobs.append((public, Proof(a=bytes(32), b=bytes(64), c=bytes(32))))
+    def test_batch_rejects_if_any_member_forged(self, system, statement, batch):
+        public, _ = statement
+        jobs = batch[:7] + [(public, Proof(a=bytes(32), b=bytes(64), c=bytes(32)))]
         assert not system.verify_batch(jobs)
 
     def test_empty_batch_accepts(self, system):

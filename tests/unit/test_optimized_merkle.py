@@ -167,9 +167,7 @@ class TestOptimizedView:
 class TestStorageClaim:
     def test_logarithmic_vs_linear(self):
         # §IV: 67 MB full tree vs O(log N) optimized view at depth 20.
-        tree = MerkleTree(depth=20)
-        for value in range(1, 1001):
-            tree.append(FieldElement(value))
+        tree = MerkleTree.from_leaves([FieldElement(v) for v in range(1, 1001)], depth=20)
         view = OptimizedMerkleView(tree.proof(0), tree.root)
         assert view.storage_bytes() < 1024  # well under a KiB
         assert tree.storage_bytes() > 100 * view.storage_bytes()

@@ -282,7 +282,7 @@ class TestIngressRateLimit:
 class TestBatchedShutdown:
     def test_stop_drains_pending_batch(self):
         # A bundle parked behind a partial batch must be judged (and its
-        # DeferredValidation resolved) during stop(), not dropped or
+        # verdict promise resolved) during stop(), not dropped or
         # verified by a deadline event firing after shutdown.
         from repro.gossipsub.messages import PubSubMessage
         from repro.pipeline.pipeline import PipelineConfig

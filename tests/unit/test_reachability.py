@@ -279,9 +279,6 @@ KEPT_FOR = {
     "net/simulator.py:EventHandle.cancelled": "test_simulator.TestCancellation (3 tests)",
     "net/simulator.py:EventHandle.time": "test_simulator",
     "net/simulator.py:Simulator.pending_events": "queue depth: 10 tests",
-    "net/topology.py:erdos_renyi": "test_net_models (2 tests)",
-    "net/topology.py:small_world": "test_net_models, test_deployment (2 tests)",
-    "net/topology.py:star": "test_net_models (1 test)",
     "net/transport.py:Network.disconnect": (
         "fault injection: test_failure_injection, test_router_edge_cases, test_transport (4 tests)"
     ),
@@ -310,16 +307,16 @@ BUDGET = {
     "chain": 975,
     "core": 2031,
     "crypto": 2119,
-    "exec": 443,
-    "gossipsub": 1029,
-    "net": 1021,
+    "exec": 410,
+    "gossipsub": 1016,
+    "net": 987,
     "offchain": 609,
     "pipeline": 1125,
     "repro": 625,
     "revocation": 449,
     "telemetry": 3748,
     "treesync": 1314,
-    "waku": 871,
+    "waku": 862,
     "witness": 999,
     "zksnark": 1410,
 }

@@ -7,9 +7,10 @@ import pytest
 from repro.crypto.hashing import message_id
 from repro.gossipsub.messages import RPC, Graft, PubSubMessage
 from repro.errors import ReproError
-from repro.gossipsub.router import DeferredValidation, GossipSubRouter, ValidationResult
+from repro.gossipsub.router import GossipSubRouter, ValidationResult
 from repro.gossipsub.scoring import ScoreParams
 from repro.net.latency import ConstantLatency
+from repro.net.promise import Promise
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
@@ -129,7 +130,7 @@ class TestMeshRepair:
 
 class TestDeferredValidation:
     def test_multiple_subscribers_all_fire(self):
-        deferred = DeferredValidation()
+        deferred = Promise()
         seen = []
         deferred.subscribe(lambda r: seen.append(("a", r)))
         deferred.subscribe(lambda r: seen.append(("b", r)))
@@ -143,7 +144,7 @@ class TestDeferredValidation:
         assert seen[-1] == ("c", ValidationResult.ACCEPT)
 
     def test_double_resolve_raises(self):
-        deferred = DeferredValidation()
+        deferred = Promise()
         deferred.resolve(ValidationResult.ACCEPT)
         with pytest.raises(ReproError):
             deferred.resolve(ValidationResult.REJECT)

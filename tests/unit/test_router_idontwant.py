@@ -13,11 +13,11 @@ from repro.crypto.hashing import message_id
 from repro.gossipsub.messages import RPC, Graft, IDontWant, PubSubMessage, Subscribe
 from repro.gossipsub.router import (
     MAX_EARLY_IDONTWANTS,
-    DeferredValidation,
     GossipSubRouter,
     ValidationResult,
 )
 from repro.net.latency import ConstantLatency
+from repro.net.promise import Promise
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 
@@ -41,10 +41,10 @@ def scripted(neighbours="abcd", mesh=None, deferred=True):
         router._on_rpc(name, RPC(subscriptions=(Subscribe(TOPIC, True),)))
     for n in neighbours if mesh is None else mesh:
         router._on_rpc(f"peer-{n}", RPC(graft=(Graft(TOPIC),)))
-    verdicts: dict[bytes, DeferredValidation] = {}
+    verdicts: dict[bytes, Promise] = {}
 
     def validate(sender, message):
-        verdicts[message.msg_id] = DeferredValidation()
+        verdicts[message.msg_id] = Promise()
         return verdicts[message.msg_id]
 
     if deferred:
