@@ -15,16 +15,16 @@ Figure 1 of the paper composes the system:
   peer's own :class:`~repro.core.slashing.Slasher`) racing commit-reveal
   slashing when the validator produces spam evidence (``auto_slash``).
 
-With the default ``PipelineConfig()`` (``batch_size=1``, ``workers=0``)
-validation is synchronous and observationally identical to the seed's
-direct ``BundleValidator`` hook for traffic below the ingress
-token-bucket rates (under a flood the buckets shed load the seed would
-have verified); larger batch sizes defer verdicts through a
-:class:`~repro.net.promise.Promise` the router parks on until the batch
-flushes on its size-or-deadline trigger, and ``workers >= 1`` gives the
-pipeline's :class:`~repro.exec.executor.SimulatedCryptoExecutor` that
-many worker lanes (zero is the same class running inline) so relay
-callbacks return immediately even when a flush fires.
+The relay hook *is* the pipeline: the router acts on each verdict's
+``action``, and the pipeline itself reports spam evidence and un-witnesses
+the ids it sheds.  With the default ``PipelineConfig()`` (``batch_size=1``,
+``workers=0``) validation is synchronous and observationally identical to
+the seed's direct ``BundleValidator`` hook below the ingress token-bucket
+rates (a flood's excess is shed, not verified as the seed did); larger batch
+sizes defer verdicts through a :class:`~repro.net.promise.Promise` the
+router parks on until the batch flushes on its size-or-deadline trigger,
+and ``workers >= 1`` gives the pipeline's crypto executor that many worker
+lanes, so relay callbacks return immediately even when a flush fires.
 
 Publishing (§III-E) derives the epoch from the peer's own (possibly
 drifting) clock, enforces the local one-message-per-epoch discipline, and
@@ -46,13 +46,12 @@ from repro.core.membership import GroupManager
 from repro.core.messages import RateLimitProof
 from repro.core.nullifier_log import SpamEvidence
 from repro.core.slashing import Slasher
-from repro.core.validator import BundleValidator, ValidationOutcome
+from repro.core.validator import BundleValidator
 from repro.crypto.field import FieldElement
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleProof, NodeHasher
 from repro.errors import ProtocolError, RegistrationError
 from repro.gossipsub.messages import PubSubMessage
-from repro.gossipsub.router import ValidationResult
 from repro.gossipsub.scoring import ScoreParams
 from repro.net.clock import PeerClock
 from repro.net.promise import Promise
@@ -175,7 +174,8 @@ class WakuRLNRelayPeer:
             self.prover,
             simulator,
             pipeline_config or PipelineConfig(),
-            on_rate_limit_penalty=self._on_rate_limit_overflow,
+            on_shed=self._on_shed,
+            on_spam=self.report_spam,
             telemetry=self.telemetry,
             peer_id=peer_id,
         )
@@ -357,38 +357,19 @@ class WakuRLNRelayPeer:
 
     def _validate(
         self, sender: str, pubsub_message: PubSubMessage
-    ) -> "ValidationResult | Promise[ValidationResult]":
+    ) -> "Verdict | Promise[Verdict]":
         # No framing pre-check here: the pipeline's stage-1 prefilter
         # classifies a non-WakuMessage payload as MALFORMED (-> REJECT).
         payload = pubsub_message.payload
-        trace_parent = getattr(payload, "trace", None)
-        msg_id = pubsub_message.msg_id
-        result = self.pipeline.validate(
+        return self.pipeline.validate(
             sender,
             payload,
             self.current_epoch(),
-            msg_id,
+            pubsub_message.msg_id,
             topic=pubsub_message.topic,
             now=self.simulator.now,
-            trace_parent=trace_parent,
+            trace_parent=getattr(payload, "trace", None),
         )
-        if isinstance(result, Promise):
-            deferred: Promise[ValidationResult] = Promise()
-            result.subscribe(
-                lambda verdict: deferred.resolve(
-                    self._apply_verdict(verdict, msg_id=msg_id)
-                )
-            )
-            return deferred
-        if result.retryable:
-            # Shed unjudged (rate limited): un-witness the id from the
-            # router's seen-cache, so a later copy from any neighbour
-            # is validated once the bucket refills instead of being
-            # suppressed as a duplicate for the whole seen TTL.
-            self.relay.router.forget_seen(msg_id)
-        if result.outcome is not ValidationOutcome.SPAM:
-            return result.action
-        return self._apply_verdict(result, msg_id=msg_id)
 
     def _rewrite_trace(self, pubsub_message: PubSubMessage) -> PubSubMessage:
         """Re-stamp an accepted message's span context with our own span.
@@ -412,18 +393,7 @@ class WakuRLNRelayPeer:
             pubsub_message.msg_id, pubsub_message.topic, payload.with_trace(outbound)
         )
 
-    def _apply_verdict(
-        self, verdict: Verdict, *, msg_id: bytes | None = None
-    ) -> ValidationResult:
-        """Run the spam side effects of a pipeline verdict; return the action."""
-        if verdict.outcome is ValidationOutcome.SPAM:
-            assert verdict.evidence is not None
-            self.report_spam(verdict.evidence, msg_id=msg_id)
-        return verdict.action
-
-    def report_spam(
-        self, evidence: SpamEvidence, *, msg_id: bytes | None = None
-    ) -> None:
+    def report_spam(self, evidence: SpamEvidence, msg_id: bytes | None = None) -> None:
         """Count one conviction and feed it to every ``on_spam`` subscriber.
 
         ``msg_id`` names the convicting message: if its validation span
@@ -432,9 +402,7 @@ class WakuRLNRelayPeer:
         coordinator's revocation span hangs from.
         """
         self.stats.spam_detected += 1
-        parent = (
-            self.disttracer.outbound_context(msg_id) if msg_id is not None else None
-        )
+        parent = self.disttracer.outbound_context(msg_id)
         if parent is not None:
             now = self.simulator.now
             ectx = self.disttracer.link(parent, kind="evidence", start=now, end=now)
@@ -444,17 +412,19 @@ class WakuRLNRelayPeer:
         for callback in list(self._spam_callbacks):
             callback(evidence)
 
-    def _on_rate_limit_overflow(self, sender: str) -> None:
-        """Token-bucket overflow: a behaviour penalty for the forwarder.
+    def _on_shed(self, sender: str, msg_id: bytes, penalise: bool) -> None:
+        """Un-witness an id the token buckets shed unjudged, so a retry can
+        land; a per-peer overflow (``penalise``) is a behaviour penalty.
 
         Peer scoring is the one eviction: once the penalties sink the
         sender's score, the next heartbeat drops it from the mesh and its
         GRAFTs are refused (``mesh_eligible``).  Without scoring, the
         bucket alone throttles it.
         """
-        scoring = self.relay.router.scoring
-        if scoring is not None:
-            scoring.on_behaviour_penalty(sender)
+        router = self.relay.router
+        if penalise and router.scoring is not None:
+            router.scoring.on_behaviour_penalty(sender)
+        router.forget_seen(msg_id)
 
     # -- convenience ---------------------------------------------------------------------------------
 

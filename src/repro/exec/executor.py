@@ -269,9 +269,21 @@ class SimulatedCryptoExecutor:
         simulated time the peer will never reach.  Each pass completes, in
         lane order, the jobs in flight when it began (their events
         cancelled); a freed lane takes the next queued job, which the next
-        pass completes.  Nothing is ever outstanding with zero lanes.
+        pass completes.  Nothing is ever outstanding with zero lanes.  A
+        job queued while nothing is in flight waits on lanes held by
+        completing jobs (an ``on_done`` called this drain): it runs here,
+        lane-less, and lands at once.
         """
         while self._in_flight or self.queued_jobs:
+            if not self._in_flight:
+                priority = next(p for p in Priority if self._queues[p])
+                work, args, on_done, submitted_at = self._queues[priority].popleft()
+                wait = self.simulator.now - submitted_at
+                result, _ = self._execute(priority, work, args, wait)
+                self._finish(priority, wait)
+                self.stats.jobs_drained += 1
+                if on_done is not None:
+                    on_done(*args, result)
             for lane, entry in sorted(self._in_flight.items()):
                 if self._in_flight.get(lane) is not entry:
                     continue  # completed by an on_done of this pass

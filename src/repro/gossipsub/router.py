@@ -55,12 +55,17 @@ class ValidationResult(Enum):
     IGNORE = "ignore"
     REJECT = "reject"
 
+    def __init__(self, value: str) -> None:
+        #: A member is its own verdict: the router acts on ``verdict.action``.
+        self.action = self
 
-#: (from_peer, message) -> ValidationResult, or a Promise of one when the
-#: verdict waits on queued work (batched proof verification, §III-F).  The
+
+#: (from_peer, message) -> a verdict, or a Promise of one when the verdict
+#: waits on queued work (batched proof verification, §III-F).  A verdict is
+#: anything whose ``action`` is a ValidationResult, a member included.  The
 #: router parks the message until it resolves; duplicates arriving meanwhile
 #: are dropped by the seen-cache, as for a synchronous verdict.
-Validator = Callable[[str, PubSubMessage], "ValidationResult | Promise[ValidationResult]"]
+Validator = Callable[[str, PubSubMessage], Any]
 #: (message) -> None
 DeliveryCallback = Callable[[PubSubMessage], None]
 
@@ -195,7 +200,7 @@ class GossipSubRouter:
         )
         self._started = True
         if self._topics:
-            self._announce_subscriptions(self._topics, subscribe=True)
+            self._announce_subscriptions(self._topics)
 
     def stop(self) -> None:
         if self._stop_heartbeat is not None:
@@ -213,18 +218,8 @@ class GossipSubRouter:
         if callback is not None:
             self._callbacks.setdefault(topic, []).append(callback)
         if new and self._started:
-            self._announce_subscriptions({topic}, subscribe=True)
+            self._announce_subscriptions({topic})
             self._fill_mesh(topic)
-
-    def unsubscribe(self, topic: str) -> None:
-        if topic not in self._topics:
-            return
-        self._topics.remove(topic)
-        for peer in self._mesh.pop(topic, set()):
-            self._send(peer, RPC(prune=(Prune(topic=topic),)))
-        self._callbacks.pop(topic, None)
-        if self._started:
-            self._announce_subscriptions({topic}, subscribe=False)
 
     def set_validator(self, topic: str, validator: Validator) -> None:
         """Install the message validator for a topic (the RLN hook)."""
@@ -354,25 +349,24 @@ class GossipSubRouter:
             return
         validator = self._validators.get(message.topic)
         if validator is None:
-            result = ValidationResult.ACCEPT
+            verdict = ValidationResult.ACCEPT
         else:
             self.stats.validations += 1
-            result = validator(sender, message)
-        if isinstance(result, Promise):
+            verdict = validator(sender, message)
+        if isinstance(verdict, Promise):
             self.stats.deferred += 1
             self._holders.setdefault(msg_id, set()).add(sender)
             if not self._announce:
                 self.simulator.schedule(0.0, self._announce_pending)
             self._announce.append(message)
             # A partial, not a closure: fewer objects live while it is pending.
-            result.subscribe(partial(self._apply_validation, sender, message))
+            verdict.subscribe(partial(self._apply_validation, sender, message))
             return
-        self._apply_validation(sender, message, result)
+        self._apply_validation(sender, message, verdict)
 
-    def _apply_validation(
-        self, sender: str, message: PubSubMessage, result: ValidationResult
-    ) -> None:
-        """Act on a validator verdict (immediately, or when a deferral fires)."""
+    def _apply_validation(self, sender: str, message: PubSubMessage, verdict: Any) -> None:
+        """Act on a verdict's ``action`` (immediately, or when a deferral fires)."""
+        result = verdict.action
         holders = self._holders.pop(message.msg_id, ()) if self._holders else ()
         if result is ValidationResult.REJECT:
             self.stats.rejected += 1
@@ -565,8 +559,8 @@ class GossipSubRouter:
 
     # -- helpers ---------------------------------------------------------------------------------
 
-    def _announce_subscriptions(self, topics: set[str], *, subscribe: bool) -> None:
-        subs = tuple(Subscribe(topic=t, subscribe=subscribe) for t in sorted(topics))
+    def _announce_subscriptions(self, topics: set[str]) -> None:
+        subs = tuple(Subscribe(topic=t, subscribe=True) for t in sorted(topics))
         for neighbor in self.network.neighbors(self.peer_id):
             self._announced_to.add(neighbor)
             self._send(neighbor, RPC(subscriptions=subs))

@@ -28,6 +28,12 @@ have verified; pipeline-only drops (framing, size, rate limit) are
 counted in :class:`PipelineStats` alone.  Message ids are deduplicated
 once, by the router's seen-cache, before :meth:`ValidationPipeline.validate`
 is called.
+
+Every judged bundle is concluded in one place, inline or when a deferred
+proof verdict lands: its outcome is booked, its span finished, spam
+evidence handed to ``on_spam`` — and a bundle shed unjudged by the buckets
+is reported to ``on_shed`` — before the :class:`Verdict` goes back to the
+router, which acts on its ``action``.
 """
 
 from __future__ import annotations
@@ -96,16 +102,11 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class Verdict:
-    """The pipeline's final word on one bundle."""
+    """The pipeline's final word on one bundle; the router acts on ``action``."""
 
     action: ValidationResult
     outcome: ValidationOutcome | None  # None for pipeline-only drops
     evidence: SpamEvidence | None = None
-    stage: str = ""
-    cached: bool = False
-    #: The bundle was shed unjudged (rate limiting): callers should
-    #: un-witness its id from their seen-cache so a retry can land.
-    retryable: bool = False
 
 
 #: The router action per §III-F outcome (the rest are rejected).
@@ -114,21 +115,14 @@ _ACTIONS = {
     ValidationOutcome.DUPLICATE: ValidationResult.IGNORE,
 }
 #: Every evidence-free verdict is a shared frozen instance, found by outcome
-#: slot, then stage (only a verdict the cache served is ``cached``); the
-#: pipeline-only drops are named below.  Only a verdict carrying spam
-#: evidence is built per bundle.
+#: slot; the pipeline-only drops are named below.  Only a verdict carrying
+#: spam evidence is built per bundle.
 _SHARED_VERDICTS = [
-    {
-        stage: Verdict(
-            _ACTIONS.get(outcome, ValidationResult.REJECT), outcome, stage=stage,
-            cached=stage == "verdict-cache",
-        )
-        for stage in ("prefilter", "cheap-checks", "verify", "verdict-cache")
-    }
+    Verdict(_ACTIONS.get(outcome, ValidationResult.REJECT), outcome)
     for outcome in ValidationOutcome
 ]
-_RATE_LIMITED = Verdict(ValidationResult.IGNORE, None, stage="ratelimit", retryable=True)
-_GATE_REJECT = Verdict(ValidationResult.REJECT, None, stage="prefilter")
+_RATE_LIMITED = Verdict(ValidationResult.IGNORE, None)
+_GATE_REJECT = Verdict(ValidationResult.REJECT, None)
 #: The seed outcome per prefilter gate slot (``None``: a pipeline-only drop).
 _GATE_OUTCOMES = [
     {
@@ -168,7 +162,8 @@ class ValidationPipeline:
         simulator: Simulator | None = None,
         config: PipelineConfig | None = None,
         *,
-        on_rate_limit_penalty: Callable[[str], None] | None = None,
+        on_shed: Callable[[str, bytes, bool], None] | None = None,
+        on_spam: Callable[[SpamEvidence, bytes], None] | None = None,
         telemetry: "Telemetry | Disabled | None" = None,
         peer_id: str = "",
     ) -> None:
@@ -218,7 +213,8 @@ class ValidationPipeline:
             peer=peer_id,
         )
         self.stats = PipelineStats(ratelimit=self.ratelimiter.stats)
-        self._on_rate_limit_penalty = on_rate_limit_penalty
+        self._on_shed = on_shed
+        self._on_spam = on_spam
 
     # -- the decision -----------------------------------------------------------
 
@@ -248,86 +244,63 @@ class ValidationPipeline:
         gate = self.prefilter.check(message, local_epoch)
         trace.mark(tracing.PREFILTER)
         if gate is not PrefilterOutcome.PASS:
-            verdict = self._gate_verdict(gate)
+            outcome = _GATE_OUTCOMES[gate.slot]
+            if outcome is not None:
+                # Gates that exist in the seed vocabulary keep its accounting.
+                return self._conclude(outcome, None, "prefilter", msg_id, trace)
+            self._count_drop("prefilter")
             self.tracer.finish(trace)
-            return verdict
+            return _GATE_REJECT
 
-        # Stage 2 — token buckets; per-peer overflow feeds a GossipSub
-        # behaviour penalty (a shared topic-bucket denial is aggregate
-        # back-pressure, not the forwarder's fault — no penalty).
+        # Stage 2 — token buckets.  A shed bundle is IGNOREd, not REJECTed
+        # (its validity was never checked: no invalid-message penalty), and
+        # ``on_shed`` may un-witness its id so a retry lands once the bucket
+        # refills.  Only a per-peer overflow asks for a behaviour penalty: a
+        # shared topic-bucket denial is aggregate back-pressure.
         admission = self.ratelimiter.allow(sender, topic, now)
         trace.mark(tracing.RATELIMIT)
         if admission is not RateLimitVerdict.ALLOWED:
-            if (
-                admission is RateLimitVerdict.PEER_LIMITED
-                and self._on_rate_limit_penalty is not None
-            ):
-                self._on_rate_limit_penalty(sender)
-            # The bundle was never judged: ``retryable`` tells the caller
-            # to un-witness its id (the router's seen-cache), so a later
-            # retry (once the bucket refills) is not mistaken for a replay.
             self._count_drop("ratelimit")
             self.tracer.finish(trace)
-            # IGNORE, not REJECT — the router must not stack an
-            # invalid-message penalty on content whose validity was never
-            # checked.
+            if self._on_shed is not None:
+                self._on_shed(sender, msg_id, admission is RateLimitVerdict.PEER_LIMITED)
             return _RATE_LIMITED
 
         assert isinstance(message, WakuMessage)
         validator = self.validator
-        evidence = None
         # Stage 3 — root recognition and payload binding (§III-F items 2-3).
         outcome = validator.classify_cheap(message)
         trace.mark(tracing.CHEAP_CHECKS)
         if outcome is not None:
-            stage = "cheap-checks"
+            return self._conclude(outcome, None, "cheap-checks", msg_id, trace)
+        # Stage 4 — the verdict's one front door: cache, then whatever is
+        # already pending for this (statement, proof) on any of the peer's
+        # paths, then the pairing check.  A straight re-broadcast does not
+        # reach this point (an identical wire message has an identical
+        # msg_id, which the router's seen-cache suppresses); the same proof
+        # rewrapped under a different content_topic does, and joins.
+        # Whoever paid, the nullifier log still runs on the verdict, so a
+        # second copy lands as DUPLICATE.
+        proof_verdict, fresh = self.batch_verifier.check(
+            message.rate_limit_proof, priority=Priority.RELAY, trace=trace
+        )
+        if fresh:
+            validator.stats.proofs_verified += 1
         else:
-            # Stage 4 — the verdict's one front door: cache, then whatever
-            # is already pending for this (statement, proof) on any of the
-            # peer's paths, then the pairing check.  A straight re-broadcast
-            # does not reach this point (an identical wire message has an
-            # identical msg_id, which the router's seen-cache suppresses);
-            # the same proof rewrapped under a different content_topic
-            # does, and joins.  Whoever paid, the nullifier log still runs
-            # on the verdict, so a second copy lands as DUPLICATE.
-            proof_verdict, fresh = self.batch_verifier.check(
-                message.rate_limit_proof, priority=Priority.RELAY, trace=trace
-            )
-            if fresh:
-                validator.stats.proofs_verified += 1
-            else:
-                validator.stats.proofs_cached += 1
-            if isinstance(proof_verdict, Promise):
-                if not proof_verdict.resolved:
-                    pending: Promise[Verdict] = Promise()
-                    proof_verdict.subscribe(
-                        lambda ok: pending.resolve(
-                            self._settle(message, local_epoch, msg_id, ok, fresh, trace)
-                        )
+            validator.stats.proofs_cached += 1
+        if isinstance(proof_verdict, Promise):
+            if not proof_verdict.resolved:
+                pending: Promise[Verdict] = Promise()
+                proof_verdict.subscribe(
+                    lambda ok: pending.resolve(
+                        self._settle(message, local_epoch, msg_id, ok, fresh, trace)
                     )
-                    self.stats.deferred += 1
-                    return pending
-                # A size-triggered flush ran inline.
-                proof_verdict = proof_verdict.value
-            # Stage 5 on the landed verdict (a cache hit, or a check run
-            # inline): the nullifier-map rate check (§III-F item 3).
-            outcome, evidence = validator.classify_after_proof(
-                message, local_epoch, msg_id, proof_verdict
-            )
-            stage = "verify" if fresh else "verdict-cache"
-            if fresh:
-                trace.mark(tracing.RESOLVE)
-        if evidence is None:  # _finish, spelled out for what settles here
-            validator.stats.counts[outcome.slot] += 1
-            if outcome is ValidationOutcome.VALID:
-                self.stats.admitted += 1
-            else:
-                self._count_drop(stage)
-            verdict = _SHARED_VERDICTS[outcome.slot][stage]
-        else:
-            verdict = self._finish(outcome, evidence, stage)
-        self.tracer.finish(trace)
-        return verdict
+                )
+                self.stats.deferred += 1
+                return pending
+            # A size-triggered flush ran inline.
+            proof_verdict = proof_verdict.value
+        return self._settle(message, local_epoch, msg_id, proof_verdict, fresh, trace)
 
     def close(self) -> None:
         """Drain pending crypto and pin the pipeline to synchronous mode.
@@ -364,14 +337,6 @@ class ValidationPipeline:
             )
         drops[stage] += 1
 
-    def _gate_verdict(self, gate: PrefilterOutcome) -> Verdict:
-        outcome = _GATE_OUTCOMES[gate.slot]
-        if outcome is not None:
-            # Gates that exist in the seed vocabulary keep its accounting.
-            return self._finish(outcome, None, "prefilter")
-        self._count_drop("prefilter")
-        return _GATE_REJECT
-
     def _settle(
         self,
         message: WakuMessage,
@@ -381,28 +346,35 @@ class ValidationPipeline:
         fresh: bool,
         trace: ActiveSpan | Disabled,
     ) -> Verdict:
-        """Stage 5 on a proof verdict that landed after :meth:`validate`
-        returned, and the bundle's span closed."""
+        """Stage 5 on a landed proof verdict (inline, or after
+        :meth:`validate` returned): the nullifier-map rate check (§III-F
+        item 3)."""
         outcome, evidence = self.validator.classify_after_proof(
             message, local_epoch, msg_id, proof_ok
         )
-        verdict = self._finish(outcome, evidence, "verify" if fresh else "verdict-cache")
         if fresh:
             trace.mark(tracing.RESOLVE)
-        self.tracer.finish(trace)
-        return verdict
+        stage = "verify" if fresh else "verdict-cache"
+        return self._conclude(outcome, evidence, stage, msg_id, trace)
 
-    def _finish(
-        self, outcome: ValidationOutcome, evidence: SpamEvidence | None, stage: str
+    def _conclude(
+        self,
+        outcome: ValidationOutcome,
+        evidence: SpamEvidence | None,
+        stage: str,
+        msg_id: bytes,
+        trace: ActiveSpan | Disabled,
     ) -> Verdict:
+        """Book a judged bundle's outcome, close its span, hand spam
+        evidence to ``on_spam`` and return the verdict."""
         self.validator.stats.counts[outcome.slot] += 1
         if outcome is ValidationOutcome.VALID:
             self.stats.admitted += 1
         else:
             self._count_drop(stage)
+        self.tracer.finish(trace)
         if evidence is None:
-            return _SHARED_VERDICTS[outcome.slot][stage]
-        action = _ACTIONS.get(outcome, ValidationResult.REJECT)
-        return Verdict(
-            action, outcome, evidence, stage=stage, cached=stage == "verdict-cache"
-        )
+            return _SHARED_VERDICTS[outcome.slot]
+        if self._on_spam is not None:
+            self._on_spam(evidence, msg_id)
+        return Verdict(ValidationResult.REJECT, outcome, evidence)

@@ -93,8 +93,10 @@ class TestStraightThrough:
             assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
         # A cache hit does no work at all.
         before = work_done(pipeline)
-        assert pipeline.validate("p", honest, EPOCH, b"d").cached
+        cached = pipeline.validator.stats.proofs_cached
+        pipeline.validate("p", honest, EPOCH, b"d")
         assert work_done(pipeline) == before
+        assert pipeline.validator.stats.proofs_cached == cached + 1
         # The front door itself answers with the value, on either class.
         for priority in (Priority.RELAY, Priority.SERVICE):
             bundle = rln_env.make_message(b"direct-%d" % priority).rate_limit_proof
@@ -130,15 +132,12 @@ def expected_action(outcome: ValidationOutcome) -> ValidationResult:
 
 class TestSharedVerdicts:
     def test_every_shared_verdict_equals_a_freshly_built_one(self):
-        assert len(_SHARED_VERDICTS) == len(ValidationOutcome)
+        # One instance per outcome, whichever stage concluded the bundle.
+        assert len(_SHARED_VERDICTS) == len(ValidationOutcome) == 8
+        assert len({id(shared) for shared in _SHARED_VERDICTS}) == 8
         for outcome in ValidationOutcome:
-            for stage, shared in _SHARED_VERDICTS[outcome.slot].items():
-                assert shared == Verdict(
-                    expected_action(outcome),
-                    outcome,
-                    stage=stage,
-                    cached=stage == "verdict-cache",
-                )
+            shared = _SHARED_VERDICTS[outcome.slot]
+            assert shared == Verdict(expected_action(outcome), outcome)
 
     def test_the_pipeline_hands_out_the_shared_instances(self, rln_env):
         pipeline = make_pipeline(rln_env)
@@ -160,15 +159,13 @@ class TestSharedVerdicts:
         emitted = set()
         for index, message in enumerate(stream):
             verdict = pipeline.validate("p", message, EPOCH, b"id-%d" % index)
-            assert verdict == Verdict(
-                expected_action(verdict.outcome),
-                verdict.outcome,
-                stage=verdict.stage,
-                cached=verdict.cached,
-            )
-            assert verdict is _SHARED_VERDICTS[verdict.outcome.slot][verdict.stage]
+            assert verdict == Verdict(expected_action(verdict.outcome), verdict.outcome)
+            assert verdict is _SHARED_VERDICTS[verdict.outcome.slot]
             emitted.add(verdict.outcome)
         assert emitted == set(ValidationOutcome) - {ValidationOutcome.SPAM}
+        assert pipeline.stats.drops == {
+            "verdict-cache": 2, "verify": 1, "prefilter": 2, "cheap-checks": 2
+        }
 
     def test_spam_verdicts_carry_their_own_evidence(self, rln_env):
         pipeline = make_pipeline(rln_env)
@@ -182,7 +179,7 @@ class TestSharedVerdicts:
         ]
         assert verdicts[0].outcome is ValidationOutcome.VALID
         first, second = verdicts[1:]
-        shared = {id(verdict) for row in _SHARED_VERDICTS for verdict in row.values()}
+        shared = {id(verdict) for verdict in _SHARED_VERDICTS}
         for verdict, message in zip((first, second), signals[1:]):
             assert verdict.outcome is ValidationOutcome.SPAM
             assert id(verdict) not in shared

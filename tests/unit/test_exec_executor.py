@@ -1,5 +1,7 @@
 """Unit tests for the crypto executor lanes, priorities, and cost model."""
 
+import threading
+
 import pytest
 
 from repro.errors import ProtocolError
@@ -203,6 +205,36 @@ class TestSimulatedExecutor:
         assert all(at == pytest.approx(0.03) for _, at in landed)
         assert executor.stats.jobs_drained == 4
         assert executor.stats.classes[Priority.RELAY].completed == 5
+        assert executor.busy_lanes == 0 and executor.queued_jobs == 0
+        assert sim.pending_events == 0
+
+    def test_drain_from_on_done_with_every_lane_held_delivers_the_queue_now(self):
+        # The only lane is still held by the job whose on_done drains: the
+        # queued jobs must land at the drain instant, not spin the drain.
+        sim, counter, executor = self.make(1)
+        landed = []
+
+        def on_done(name):
+            landed.append((name, sim.now))
+            if name == "j0":
+                executor.drain()
+
+        for index in range(3):
+            executor.submit(pairing_work(counter, 4, f"j{index}"), on_done)
+        runner = threading.Thread(target=sim.run, args=(10.0,), daemon=True)
+        runner.start()
+        runner.join(timeout=5.0)
+        spun = runner.is_alive()
+        if spun:  # empty the queue so the drain, and the thread, can end
+            for queue in executor._queues.values():
+                queue.clear()
+            runner.join()
+        assert not spun, "drain spun with every lane held"
+        drain_at = 4 * SECONDS_PER_PAIRING
+        assert [name for name, _ in landed] == ["j0", "j1", "j2"]
+        assert all(at == pytest.approx(drain_at) for _, at in landed)
+        assert executor.stats.jobs_drained == 2
+        assert executor.stats.classes[Priority.RELAY].completed == 3
         assert executor.busy_lanes == 0 and executor.queued_jobs == 0
         assert sim.pending_events == 0
 

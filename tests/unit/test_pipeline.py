@@ -93,7 +93,7 @@ class TestVerdictCache:
         # verdict comes from the cache.
         verdict = pipeline.validate("p", message, EPOCH, b"second-id")
         assert (stats.proofs_verified, stats.proofs_cached) == (1, 1)
-        assert verdict.cached
+        assert pipeline.stats.drops == {"verdict-cache": 1}
         # The nullifier log still runs: same share twice is a duplicate.
         assert verdict.outcome is ValidationOutcome.DUPLICATE
 
@@ -106,8 +106,9 @@ class TestVerdictCache:
         )
         verdict = pipeline.validate("p", bad, EPOCH, b"b2")
         assert verdict.outcome is ValidationOutcome.INVALID_PROOF
-        assert verdict.cached
-        assert pipeline.validator.stats.proofs_verified == 1
+        assert pipeline.stats.drops == {"verify": 1, "verdict-cache": 1}
+        stats = pipeline.validator.stats
+        assert (stats.proofs_verified, stats.proofs_cached) == (1, 1)
 
     def test_cache_bounded_lru(self, rln_env):
         checker = BatchVerifier(rln_env.prover, cache=BoundedLRU(2))
@@ -126,7 +127,9 @@ class TestRateLimit:
             topic_bucket=None,
         )
         pipeline = make_pipeline(
-            rln_env, config, on_rate_limit_penalty=penalized.append
+            rln_env,
+            config,
+            on_shed=lambda sender, _, penalise: penalise and penalized.append(sender),
         )
         for i in range(3):
             verdict = pipeline.validate(
@@ -151,7 +154,9 @@ class TestRateLimit:
             topic_bucket=BucketSpec(capacity=1.0, refill_per_second=0.001),
         )
         pipeline = make_pipeline(
-            rln_env, config, on_rate_limit_penalty=penalized.append
+            rln_env,
+            config,
+            on_shed=lambda sender, _, penalise: penalise and penalized.append(sender),
         )
         pipeline.validate("alice", rln_env.make_message(b"a"), EPOCH, b"1", now=0.0)
         verdict = pipeline.validate(
@@ -225,7 +230,7 @@ class TestPrefilterIntegration:
         verdict = pipeline.validate("p", message, EPOCH, b"same")
         assert verdict.action is ValidationResult.IGNORE
         assert verdict.outcome is ValidationOutcome.DUPLICATE
-        assert verdict.cached and verdict.stage == "verdict-cache"
+        assert pipeline.stats.drops == {"verdict-cache": 1}
         assert counter.evaluations == before
         assert stats.count(ValidationOutcome.DUPLICATE) == 1
         assert (stats.proofs_verified, stats.proofs_cached) == (1, 1)

@@ -207,7 +207,7 @@ class TestPriorityClasses:
         # The relay copy paid no pairing work: accounted like a cache hit.
         stats = pipeline.validator.stats
         assert (stats.proofs_verified, stats.proofs_cached) == (0, 1)
-        assert relay.value.cached and pipeline.stats.deferred == 1
+        assert checker.joined_in_flight == 1 and pipeline.stats.deferred == 1
 
     def test_service_cache_hit_skips_the_queue(self, rln_env):
         pipeline, simulator = make_pipeline(rln_env, workers=1)

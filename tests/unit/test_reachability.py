@@ -98,14 +98,14 @@ KEPT_FOR = {
     "chain/rln_contract.py:RLNMembershipContract.call_claim_withdrawal": (
         "contract entry point dispatched by name: §IV-B delayed-withdrawal payout"
     ),
-    "core/protocol.py:WakuRLNRelayPeer._on_rate_limit_overflow": (
-        "a forwarder overflowing its token bucket"
+    "core/protocol.py:WakuRLNRelayPeer._on_shed": (
+        "a bundle the token buckets shed: un-witness its id, penalise a forwarder's overflow"
     ),
     "gossipsub/mcache.py:SeenCache._expire": "seen-cache expiry after seen_ttl",
     "gossipsub/mcache.py:SeenCache._reset_oldest": "seen-cache expiry",
     "gossipsub/mcache.py:SeenCache.forget": "forget_seen's body",
     "gossipsub/router.py:GossipSubRouter._shrink_mesh": "heartbeat: a mesh grafted past d_hi",
-    "gossipsub/router.py:GossipSubRouter.forget_seen": "a rate-limited receipt un-witnesses its id",
+    "gossipsub/router.py:GossipSubRouter.forget_seen": "_on_shed: a rate-limited receipt un-witnesses its id",
     "net/latency.py:ConstantLatency.worst_case": "dissemination_bound()",
     "net/request.py:RequestDispatcher.request.<locals>.attempt.<locals>.on_timeout": (
         "a request timeout"
@@ -271,7 +271,6 @@ KEPT_FOR = {
     "crypto/shamir.py:split_secret": (
         "test_shamir.TestGeneralShamir, test_shamir_properties (9 tests): t-of-n Shamir, §II-C"
     ),
-    "gossipsub/router.py:GossipSubRouter.unsubscribe": "test_router.TestUnsubscribe (1 test)",
     "net/clock.py:DriftModel.asynchrony_bound": (
         "test_net_models.TestClock (1 test): §III-F ClockAsynchrony"
     ),
@@ -305,13 +304,13 @@ BUDGET = {
     "analysis": 296,
     "baselines": 432,
     "chain": 975,
-    "core": 2031,
+    "core": 2001,
     "crypto": 2119,
-    "exec": 410,
-    "gossipsub": 1016,
+    "exec": 422,
+    "gossipsub": 1010,
     "net": 987,
     "offchain": 609,
-    "pipeline": 1125,
+    "pipeline": 1097,
     "repro": 625,
     "revocation": 449,
     "telemetry": 3748,

@@ -193,20 +193,6 @@ class TestGossip:
         assert all(not rpc.iwant for rpc in got)
 
 
-class TestUnsubscribe:
-    def test_unsubscribe_prunes_and_stops_delivery(self):
-        sim, _, routers = build(count=5)
-        start_all(sim, routers)
-        leaver = routers["peer-004"]
-        leaver.unsubscribe(TOPIC)
-        sim.run(sim.now + 2.0)
-        publish(routers["peer-000"], b"after-leave")
-        sim.run(sim.now + 2.0)
-        assert leaver.stats.delivered == 0
-        for router in routers.values():
-            assert "peer-004" not in set(router._mesh.get(TOPIC, ()))
-
-
 class TestMeshShrink:
     def test_mesh_grafted_past_d_hi_shrinks_to_d_keeping_the_best_scored(self):
         params = GossipSubParams(d=2, d_lo=1, d_hi=3)

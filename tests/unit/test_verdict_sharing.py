@@ -98,7 +98,7 @@ class TestSharedProofChecker:
             "peer-a", message, RLN_TEST_EPOCH, b"m1", topic="t"
         )
         assert verdict.action is ValidationResult.ACCEPT
-        assert verdict.cached
+        assert pipeline.batch_verifier.cache_hits == 1
         assert counter.evaluations == 0
         assert validator.stats.proofs_cached == 1
 
