@@ -20,11 +20,11 @@ under honest+flood load:
   (exact per-trace figures, not bucket estimates), and the assembled
   trees are dropped as JSON artifacts (``reports/E19-*.traces.json``).
 * **sampling off is free** — ``trace_sample=0.0`` (the default) mints
-  no cross-peer span: every record stays a local root (the per-peer
-  waterfall exemplars), none reaches the assembler, and every relay-side
-  figure (per-peer gossipsub traffic, total relay bytes, deliveries) is
-  bit-identical to a collector-less run — the context is simply absent
-  from the wire, not an empty placeholder.
+  no cross-peer span: every span stays a local root, folded into the
+  stage histograms and never archived, none reaches the assembler, and
+  every relay-side figure (per-peer gossipsub traffic, total relay
+  bytes, deliveries) is bit-identical to a collector-less run — the
+  context is simply absent from the wire, not an empty placeholder.
 
 The silent-arm guard is written to ``reports/E19-guard.json`` so CI can
 fail the build if a cross-peer span or a context byte ever leaks into an
@@ -243,18 +243,18 @@ def test_sample_zero_is_wire_silent_and_bit_identical(report_sink):
     drive(silent)
     silent.flush_telemetry()
 
-    # Zero cross-peer spans minted, exported, or assembled: every record
-    # is a local root (the per-peer waterfall exemplars), no publish was
-    # sampled and no message carried a context for a child to hang from.
+    # Zero cross-peer spans minted, exported, or assembled: every span
+    # was a local root, folded and dropped, so every tracer's ring is
+    # empty; no publish was sampled and no message carried a context for
+    # a child to hang from.
     collector = silent.collector
     assert collector is not None
     assert collector.assembler.span_count == 0
     spans_exported = collector.stats.spans
     assert spans_exported == 0
     assert all(
-        record.local
+        telemetry.disttracer(peer_id).recent() == ()
         for peer_id, telemetry in silent.telemetries.items()
-        for record in telemetry.disttracer(peer_id).recent()
     )
     assert all(
         message.trace is None

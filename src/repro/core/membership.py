@@ -142,7 +142,7 @@ class GroupManager:
                 f"registration event index {index} skips local frontier "
                 f"{self.tree.leaf_count}"
             )
-        path = self.tree.proof(index)
+        path = self._announced_path(index)
         applied_index = self.tree.append(pk)
         assert applied_index == index
         self._index_of_pk[pk.value] = index
@@ -153,7 +153,7 @@ class GroupManager:
         leaf = self.tree.leaf(index)
         if leaf == ZERO:
             return  # already deleted
-        path = self.tree.proof(index)
+        path = self._announced_path(index)
         self.tree.delete(index)
         self._index_of_pk.pop(leaf.value, None)
         # A removal collapses the window: every root that still contained
@@ -243,11 +243,16 @@ class GroupManager:
         """
         self._shard_listeners.append(listener)
 
+    def _announced_path(self, index: int) -> MerkleProof | None:
+        """The pre-change path an announcement carries; none without a listener."""
+        listening = self._update_listeners or self._shard_listeners
+        return self.tree.proof(index) if listening else None
+
     def _notify(
         self,
         index: int,
         new_leaf: FieldElement,
-        path: MerkleProof,
+        path: MerkleProof | None,
         *,
         removed_leaf: FieldElement | None = None,
     ) -> None:
@@ -262,8 +267,11 @@ class GroupManager:
         unchanged (those consumers need the path either way), but the
         shard channel carries a :class:`ShardRemoval` so shard-scoped and
         light consumers learn that a leaf *died*, not merely changed.
+        Without a listener (``path`` is ``None``) only ``event_seq`` moves.
         """
         self.event_seq += 1
+        if path is None:
+            return
         update = TreeUpdate(
             index=index, new_leaf=new_leaf, path=path, new_root=self.tree.root
         )

@@ -39,17 +39,17 @@ instant plus one per evaluation, however many peers folded.
 The collector answers fleet questions the process-local registries
 cannot: :meth:`render_prometheus` re-renders the whole deployment's
 metrics as one text exposition, and :meth:`waterfall` rebuilds the
-per-stage trace waterfall (p50/p99 bucket estimates) network-wide.  The
-one exported span stream is routed by content: a marked
-:class:`~repro.telemetry.disttrace.SpanRecord` is a waterfall exemplar
-(bounded ring), a ``publish`` root or parented one a node of the
-:class:`~repro.telemetry.disttrace.TraceAssembler`'s propagation trees.
+per-stage trace waterfall (p50/p99 bucket estimates) network-wide from
+the merged ``trace_stage_seconds`` histograms.  Every exported
+:class:`~repro.telemetry.disttrace.SpanRecord` is a ``publish`` root, a
+parented hop or a linked leaf, and becomes a node of the
+:class:`~repro.telemetry.disttrace.TraceAssembler`'s propagation trees:
+a local root never leaves its peer, and one that arrives anyway is not
+assembled.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -57,7 +57,7 @@ from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.telemetry import tracing
 from repro.telemetry.alerts import AlertRule, RuleEngine
-from repro.telemetry.disttrace import SpanRecord, TraceAssembler
+from repro.telemetry.disttrace import TraceAssembler
 from repro.telemetry.export import TelemetrySnapshot, render_prometheus
 from repro.telemetry.health import HealthMonitor
 from repro.telemetry.registry import metric_key
@@ -71,9 +71,6 @@ from repro.telemetry.otlp import (
     TELEMETRY_PROTOCOL,
     TELEMETRY_REPLY_PROTOCOL,
 )
-
-#: Marked spans the collector keeps as waterfall exemplars.
-EXEMPLAR_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,6 @@ class CollectorStats:
 
     batches: int = 0
     metrics_applied: int = 0
-    #: Marked spans kept as waterfall exemplars.
-    traces: int = 0
     #: Publish roots and parented spans handed to the assembler.
     spans: int = 0
     #: Retransmissions (seq already folded) — acked, not re-applied.
@@ -221,14 +216,6 @@ class CollectorPeer:
             self._stop_evaluation = simulator.every(
                 evaluation_interval, self._evaluate
             )
-        #: The exemplar ring: each record beside the peer whose batch
-        #: carried it.  An entry's collector seq is its place counted back
-        #: from the newest (``_next_trace_seq - 1``); the monotone seq lets
-        #: pollers resume where they left off instead of re-reading the
-        #: whole ring (see :meth:`recent_traces`).
-        self._exemplars: deque[SpanRecord] = deque(maxlen=EXEMPLAR_CAPACITY)
-        self._exemplar_peers: deque[str] = deque(maxlen=EXEMPLAR_CAPACITY)
-        self._next_trace_seq = 1
         #: Propagation-tree assembly from exported spans.
         self.assembler = TraceAssembler()
         network.register(peer_id, self._on_export, protocol=TELEMETRY_PROTOCOL)
@@ -292,11 +279,8 @@ class CollectorPeer:
             fold_delta(state, delta)
         self.stats.metrics_applied += len(batch.metrics)
         for span in batch.spans:
-            if span.stamps:
-                self._exemplars.append(span)
-                self._exemplar_peers.append(batch.peer)
-                self._next_trace_seq += 1
-                self.stats.traces += 1
+            # A local root never leaves its peer; one that arrives anyway
+            # belongs to no tree.
             if not span.local:
                 self.assembler.add(span)
                 self.stats.spans += 1
@@ -426,44 +410,14 @@ class CollectorPeer:
         """Fleet liveness now: score, status counts, per-peer rows."""
         return self.health.report(self.simulator.now)
 
-    def recent_traces(
-        self, kind: str | None = None, *, since_seq: int = 0
-    ) -> tuple[tuple[int, str, SpanRecord], ...]:
-        """Recent (seq, peer, trace) exemplars, oldest first.
-
-        ``since_seq`` returns only exemplars newer than a previously seen
-        collector seq, so a benchmark polling every interval reads each
-        exemplar once instead of re-scanning the whole deque.  The seq is
-        monotone across the ring's evictions: a poller that fell behind
-        sees the gap in the numbering.
-        """
-        first = self._next_trace_seq - len(self._exemplars)
-        items: "tuple[tuple[int, str, SpanRecord], ...]" = tuple(
-            zip(itertools.count(first), self._exemplar_peers, self._exemplars)
-        )
-        if since_seq > 0:
-            items = tuple(item for item in items if item[0] > since_seq)
-        if kind is not None:
-            items = tuple(item for item in items if item[2].kind == kind)
-        return items
-
     def waterfall(
-        self,
-        kind: str = "bundle",
-        stages: tuple[str, ...] | None = None,
-        *,
-        exemplars: int = 0,
-        since_seq: int = 0,
+        self, kind: str = "bundle", stages: tuple[str, ...] | None = None
     ) -> list[dict]:
         """Fleet-wide per-stage waterfall rows from the merged histograms.
 
         Quantiles are the snapshot's deterministic bucket estimates — the
         additive representation cannot carry exact order statistics
         across the wire; rows are ``{stage, count, p50, p90, p99, max}``.
-        ``exemplars > 0`` attaches up to that many per-stage exemplar
-        durations drawn from the newest trace records — filtered by
-        ``since_seq`` like :meth:`recent_traces`, so repeated polls don't
-        re-walk the whole exemplar ring.
         """
         if stages is None:
             stages = (
@@ -471,32 +425,18 @@ class CollectorPeer:
                 if kind == "bundle"
                 else tracing.REVOCATION_STAGE_ORDER
             )
-        # deque(maxlen=exemplars) keeps only the newest N durations in
-        # O(1) per append (the list version popped the head each time —
-        # O(n²) across a large exemplar ring).
-        stage_exemplars: dict[str, deque[float]] = {}
-        if exemplars > 0:
-            for _seq, _peer, record in self.recent_traces(kind, since_seq=since_seq):
-                for stage, duration in record.stages():
-                    durations = stage_exemplars.get(stage)
-                    if durations is None:
-                        durations = stage_exemplars[stage] = deque(maxlen=exemplars)
-                    durations.append(duration)
         fleet = self.fleet_snapshot()
         rows: list[dict] = []
         for stage in stages:
             entry = fleet.histogram("trace_stage_seconds", kind=kind, stage=stage)
             if entry is None or entry["count"] == 0:
                 continue
-            row = {
+            rows.append({
                 "stage": stage,
                 "count": entry["count"],
                 "p50": entry["quantiles"]["p50"],
                 "p90": entry["quantiles"]["p90"],
                 "p99": entry["quantiles"]["p99"],
                 "max": entry["max"],
-            }
-            if exemplars > 0:
-                row["exemplars"] = tuple(stage_exemplars.get(stage, ()))
-            rows.append(row)
+            })
         return rows

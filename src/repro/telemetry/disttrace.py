@@ -20,18 +20,21 @@ waits, pairing service time), not Python wall time.
   (probability ``sample``; the decision rides the wire, downstream peers
   honour it regardless of their own rate).  ``begin`` opens a markable
   span — the child of an inbound context, or a *local* root when the
-  bundle arrived untraced — and ``finish`` archives it and folds its
-  stage deltas into the registry's ``trace_stage_seconds{kind,stage}``
-  histograms, which is where the E-benches read an exact stage-latency
-  waterfall from.  ``link`` attaches unmarked leaf spans (witness
-  fetches, spam evidence) to any live context.  Sampling draws from a
+  bundle arrived untraced — and ``finish`` folds its stage deltas into
+  the registry's ``trace_stage_seconds{kind,stage}`` histograms, which
+  is where the E-benches read an exact stage-latency waterfall from,
+  and archives it if it belongs to a propagation tree.  A local root is
+  folded and dropped: its timings leave the peer only as histograms.
+  ``link`` attaches unmarked leaf spans (witness fetches, spam evidence)
+  to any live context.  Sampling draws from a
   **dedicated** per-peer RNG — never the router's — so enabling tracing
   perturbs no mesh shuffle, and ``sample=0.0`` puts no context on any
   message: zero wire bytes, bit-identical seed behaviour.
 * :class:`SpanRecord` — the finished-span wire type shipped in
   :class:`~repro.telemetry.otlp.TelemetryBatch` (bounded per tick,
   drop-oldest, per-tracer cursor — the same discipline as metric
-  deltas).
+  deltas): publish roots, parented hops and linked leaves, never a
+  local root.
 * :class:`TraceAssembler` — the collector side: stitch per-peer spans
   into rooted :class:`PropagationTree` objects and answer the questions
   merged histograms cannot — per-hop latency, fan-out degree, duplicate
@@ -39,7 +42,9 @@ waits, pairing service time), not Python wall time.
   publish→verdict latency *per assembled trace*.
 
 The two wire types declare their byte layouts on :mod:`repro.codec`
-(``SpanRecord``'s as a symbol-table ``Framed`` body), like every other.
+(``SpanRecord``'s as a symbol-table ``Framed`` body), like every other;
+a span always carries its ids in full, since a local root, whose ids
+its peer implies, never travels.
 
 Telemetry off is one object, :data:`DISABLED` (a :class:`Disabled`):
 it stands in for the hub, its registry, every tracer, span and metric,
@@ -54,10 +59,9 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter, sub
+from operator import itemgetter
 from struct import Struct
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from repro.analysis.reporting import summarize
 from repro.codec import Framed, Reader, Symbol, Symbols, Wire, Writer, varint
@@ -85,19 +89,10 @@ _CONTEXT_HEAD = Struct(">QH")
 _STAMP = Struct(">d")
 
 
-@lru_cache(maxsize=4096)
 def local_prefix(peer_id: str) -> int:
     """High 64 bits of every local-root trace id ``peer_id`` mints (its
-    sampling seed): the wire recomputes it rather than carry the id."""
+    sampling seed)."""
     return int.from_bytes(hashlib.sha256(peer_id.encode()).digest()[:8], "big") << 64
-
-
-def _is_local_root(ids: tuple) -> bool:
-    """Whether a span's ids are what :meth:`DistTracer.begin` gives an untraced bundle."""
-    trace_id, span_id, parent_id, _, peer, origin, kind, hop = ids
-    return parent_id == NO_PARENT and kind != PUBLISH and hop == 0 and origin == peer and (
-        trace_id == local_prefix(peer) | span_id
-    )
 
 
 # -- wire types ---------------------------------------------------------------
@@ -146,14 +141,14 @@ class SpanRecord(tuple, Framed):
 
     ``seq`` is the minting peer's local monotone counter (the exporter's
     cursor key — ring eviction shows up as a ``seq`` gap); ``parent_id``
-    is :data:`NO_PARENT` for a root: a sampled ``publish``, or a local
-    span whose bundle arrived untraced.
+    is :data:`NO_PARENT` for a sampled ``publish`` root (and for a local
+    root, which its tracer never archives).
 
     Fields: ``trace_id``, ``span_id``, ``parent_id``, ``seq`` and
     ``hop`` (ints); ``peer``, ``origin`` and ``kind`` (strs); ``start``
     and ``end`` (simulated seconds); ``stage_path`` and ``stamps``.  An
     immutable slotted record (a tuple, fields by name) with no
-    per-instance ``__dict__``: every span a peer finishes is one, and the
+    per-instance ``__dict__``: every span a peer archives is one, and the
     rings and the collector keep thousands.  Its marks are built with
     ``marks=`` and read back as :attr:`marks` — ``(stage,
     simulated-time)`` pairs — but held as two tuples: ``stage_path``,
@@ -211,22 +206,15 @@ class SpanRecord(tuple, Framed):
     @property
     def local(self) -> bool:
         """A local root: its bundle arrived untraced, so it belongs to no
-        propagation tree (a sampled ``publish`` root does)."""
+        propagation tree (a sampled ``publish`` root does) and its tracer
+        never archives it."""
         return self.parent_id == NO_PARENT and self.kind != PUBLISH
 
-    def stages(self) -> Iterator[tuple[str, float]]:
-        """Consecutive-mark deltas: this span's (stage, seconds) waterfall."""
-        stamps = self.stamps
-        return zip(
-            itertools.islice(self.stage_path, 1, None),
-            map(sub, itertools.islice(stamps, 1, None), stamps),
-        )
-
     def _write_body(self, w: Writer, refs: Symbols) -> None:
-        """Flags (local root 1, end repeats 2), seq, span id, peer, kind;
-        unless a local root, trace id (16 bytes), parent (8), hop, origin;
-        start; the stages, counted; a mask with bit i set when stamp i's bytes
-        equal the one before (start, for the first); the stamps not masked."""
+        """Flags (end repeats 2; the other bits reserved), seq, span id,
+        peer, kind, trace id (16 bytes), parent (8), hop, origin; start; the
+        stages, counted; a mask with bit i set when stamp i's bytes equal
+        the one before (start, for the first); the stamps not masked."""
         trace_id, span_id, parent_id, seq, peer, origin, kind, hop, start, end, path, stamps = self
         pack = _STAMP.pack
         previous = first = pack(start)
@@ -239,12 +227,9 @@ class SpanRecord(tuple, Framed):
                 kept.append(packed)
                 previous, value = packed, stamp
             bit <<= 1
-        local, count = parent_id == NO_PARENT and _is_local_root(self[:8]), len(stamps)
-        w += bytes((local | (mask >> count) << 1,)), varint(seq), varint(span_id), refs[peer]
-        w.raw(refs[kind])
-        if not local:
-            w += trace_id.to_bytes(16, "big") + parent_id.to_bytes(8, "big"), varint(hop)
-            w.raw(refs[origin])
+        count = len(stamps)
+        w += bytes(((mask >> count) << 1,)), varint(seq), varint(span_id), refs[peer], refs[kind]
+        w += trace_id.to_bytes(16, "big") + parent_id.to_bytes(8, "big"), varint(hop), refs[origin]
         w += first, varint(count)
         w.extend(map(refs.__getitem__, path))
         w.raw(varint(mask & ~(1 << count), count))
@@ -253,15 +238,12 @@ class SpanRecord(tuple, Framed):
     @classmethod
     def _read_body(cls, r: Reader, symbol: Symbol) -> "SpanRecord":
         (flags,) = r.raw(1)
+        if flags & ~2:
+            raise ProtocolError(f"span flags {flags:#04x} set a reserved bit")
         seq, span_id, peer, kind = r.varint(), r.varint(), symbol(), symbol()
-        if flags & 1:
-            trace_id, parent_id, hop, origin = local_prefix(peer) | span_id, NO_PARENT, 0, peer
-        else:
-            trace_id, parent_id = int.from_bytes(r.raw(16), "big"), int.from_bytes(r.raw(8), "big")
-            hop, origin = r.varint(), symbol()
+        trace_id, parent_id = int.from_bytes(r.raw(16), "big"), int.from_bytes(r.raw(8), "big")
+        hop, origin = r.varint(), symbol()
         fields = (trace_id, span_id, parent_id, seq, peer, origin, kind, hop)
-        if flags >> 2 or (flags & 1) != _is_local_root(fields):
-            raise ProtocolError(f"span flags {flags:#04x} are not the ones its ids call for")
         times = [r.raw(8)]
         path = tuple(symbol() for _ in range(r.varint()))
         mask = r.varint(len(path)) | (flags >> 1) << len(path)
@@ -273,11 +255,6 @@ class SpanRecord(tuple, Framed):
         start, *stamps, end = (value for (value,) in _STAMP.iter_unpack(b"".join(times)))
         return tuple.__new__(cls, (*fields, start, end, path, tuple(stamps)))
 
-
-_SPAN_FIELDS = (
-    "trace_id", "span_id", "parent_id", "seq", "peer", "origin", "kind", "hop",
-    "start", "end", "stage_path", "stamps",
-)
 
 #: A stage path and the histograms its consecutive-mark deltas fold into.
 _Path = tuple[tuple[str, ...], tuple[Histogram, ...]]
@@ -461,7 +438,8 @@ class DistTracer:
         trace rewriter forwards: it carries *this* peer's new span id, so
         downstream spans attach to the true causal parent.  Without one
         the span is a *local* root — never in the route table, never on
-        a relayed message — so an unsampled bundle costs no wire bytes.
+        a relayed message, never archived — so an unsampled bundle costs
+        no wire bytes beyond its histograms.
         """
         if parent is None:
             number = next(self._local)
@@ -482,24 +460,28 @@ class DistTracer:
         span.stamps.append(span.start)
         return span
 
-    def finish(self, span: ActiveSpan) -> SpanRecord:
-        """Close ``span`` now: archive its record, fold its stage deltas.
+    def finish(self, span: ActiveSpan) -> SpanRecord | None:
+        """Close ``span`` now: fold its stage deltas, archive its record.
 
         Publish roots are head-sampled, so they are archived but never
         folded — the stage histograms count every bundle, not a sample.
+        A local root is folded but not archived (``None``): it belongs to
+        no propagation tree, so the histograms are all it has to tell.
         The fold is one pass over the marks, in mark order: each
         consecutive-mark delta goes to its stage's histogram.
         """
         kind, start, end, stamps = span.kind, span.start, self.clock(), tuple(span.stamps)
         path, series = self._path(kind, tuple(span.stages))
-        # Stored fields as they are: there are no ``marks`` pairs to split.
-        record = tuple.__new__(SpanRecord, (
-            span.trace_id, span.span_id, span.parent_id, next(self._seq),
-            self.peer_id, span.origin, kind, span.hop, start, end, path, stamps,
-        ))
-        self._ring.append(record)
-        if kind == PUBLISH:
-            return record
+        record = None
+        if span.parent_id != NO_PARENT or kind == PUBLISH:
+            # Stored fields as they are: there are no ``marks`` pairs to split.
+            record = tuple.__new__(SpanRecord, (
+                span.trace_id, span.span_id, span.parent_id, next(self._seq),
+                self.peer_id, span.origin, kind, span.hop, start, end, path, stamps,
+            ))
+            self._ring.append(record)
+            if kind == PUBLISH:
+                return record
         if stamps:
             previous = stamps[0]
             for histogram, stamp in zip(series, itertools.islice(stamps, 1, None)):

@@ -30,10 +30,10 @@ reports:
   sustained outage turns into drop-oldest, not memory growth.
 
 Finished spans (:class:`~repro.telemetry.disttrace.SpanRecord`) are
-exported once each, bounded per batch: marked ones are the collector's
-waterfall *exemplars*, parented ones its propagation-tree nodes.  The
-aggregated per-stage histograms already ride the metric path, so the
-collector never double-counts a span.
+exported once each, bounded per batch, as the collector's
+propagation-tree nodes.  Local roots never leave their peer: their
+timings ride the metric path as the per-stage histograms, the only
+copy the collector sees.
 """
 
 from __future__ import annotations

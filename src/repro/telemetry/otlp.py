@@ -10,9 +10,8 @@ snapshot:
 
 * :class:`TelemetryBatch` — one export interval's worth of metric deltas
   and finished :class:`~repro.telemetry.disttrace.SpanRecord` spans
-  (waterfall exemplars and propagation-tree nodes in one list — the
-  aggregated per-stage histograms ride the metric path, so the collector
-  never double-counts a span), stamped with the peer's **resource
+  (propagation-tree nodes only — a local root's timings ride the metric
+  path as the per-stage histograms and never travel as a span), stamped with the peer's **resource
   attributes** (peer id, role ``full``/``light``/``witness-provider``,
   shard id) and a per-peer monotone ``seq`` so the collector can dedup
   retransmissions and *see* drop-oldest losses as sequence gaps;
@@ -32,9 +31,9 @@ Every type serialises to bytes through :mod:`repro.codec`; the simulated
 network carries the dataclasses and bills ``byte_size() ==
 len(to_bytes())``, so the E17 telemetry/relay byte ratio reflects honest
 wire cost.  A batch does not repeat itself: each of its strings sits once
-in its symbol table, counts, ids and integer deltas are varints, a local
-root carries no trace id, a repeated span stamp is one bit, and the 33
-default bucket bounds are a one-byte flag.
+in its symbol table, counts, ids and integer deltas are varints, a
+repeated span stamp is one bit, and the 33 default bucket bounds are a
+one-byte flag.
 """
 
 from __future__ import annotations

@@ -127,27 +127,26 @@ def test_one_span_per_validation_at_every_sampling_rate(trace_sample):
     for record in records:
         assert SpanRecord.from_bytes(record.to_bytes()) == record
 
-    # Local roots never leave their peer: every context a peer forwarded
-    # belongs to a sampled trace the collector can root at a publish span.
-    local = {r.trace_id for r in records if r.local}
+    # Local roots never leave their peer: no tracer archives one, and
+    # every context a peer forwarded belongs to a sampled trace the
+    # collector can root at a publish span.
+    assert not any(record.local for record in records)
     forwarded = {
         message.trace.trace_id
         for peer in traced.peers.values()
         for message in peer.received
         if message.trace is not None
     }
-    assert forwarded.isdisjoint(local)
     assert forwarded <= set(collector.assembler.trace_ids())
-    assert collector.assembler.span_count == len(records) - len(
-        [r for r in records if r.trace_id in local]
-    )
+    assert collector.assembler.span_count == len(records)
     sampled = {r.peer for r in records if r.kind == "publish"}
     if trace_sample == 0.25:
         assert 0 < len(sampled) < len(traced.peers)  # both kinds of bundle span
     if trace_sample == 1.0:
-        assert len(sampled) == len(traced.peers) and not local
+        assert len(sampled) == len(traced.peers)
     if trace_sample == 0.0:
         assert not forwarded and collector.assembler.span_count == 0
+        assert exported == 0
         plain = fleet()
         assert (
             plain.network.protocol_bytes()["gossipsub"]

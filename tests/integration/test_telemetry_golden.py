@@ -9,9 +9,8 @@ change may move:
 * the **content** digests, two named parts:
 
   * ``collector`` — what the collector folded: the merged fleet snapshot
-    (``to_json``), every exemplar span's fields beside its collector seq
-    and peer, every assembled propagation tree, every exporter's and the
-    collector's own accounting, and the alert-transition log.  A change
+    (``to_json``), every assembled propagation tree, every exporter's and
+    the collector's own accounting, and the alert-transition log.  A change
     to how spans are recorded, folded, drained or encoded, or to how
     metric deltas are computed and folded, must leave it alone;
   * ``network`` — what the fleet put on the wire: the messages sent per
@@ -19,8 +18,8 @@ change may move:
     copies are sent moves it;
 
 * the **wire** digest — how those objects are laid down in bytes: every
-  exemplar's ``to_bytes()`` and the ``telemetry`` / ``telemetry-reply``
-  byte totals.  Only a layout change moves it.
+  assembled span's ``to_bytes()`` and the ``telemetry`` /
+  ``telemetry-reply`` byte totals.  Only a layout change moves it.
 
 None depends on ``PYTHONHASHSEED``.
 """
@@ -35,16 +34,18 @@ from repro.core.deployment import RLNDeployment
 from repro.pipeline import PipelineConfig
 from repro.telemetry import CollectorOptions
 
-# ``collector`` and WIRE re-pinned when the router's prune-backoff arm
-# went; the only difference is 16 series no longer exported, all 0:
-# ``gossipsub_prunes_total`` and ``gossipsub_backoff_grafts_rejected_total``
-# (telemetry bytes 54 573 -> 53 957).
+# ``collector`` and WIRE re-pinned when local roots stopped leaving their
+# peer.  The fleet snapshot, the trees and the alert log hash as before;
+# what moved: the exemplar fields and ``CollectorStats.traces`` are gone,
+# each exporter ships 9 spans instead of 28-30, tree spans keep every
+# field but ``seq`` (a local root no longer takes one), and telemetry
+# bytes fell 53 957 -> 47 348.
 CONTENT = {
-    "collector": "1f0ab1bb733df7afaafc6359b412394ba91ca566f5a84f4785a8937b45cfd22f",
+    "collector": "bff10fd191840e9ea132aac10af566a8aea78dd5bd9dad9eb2d448daefb38ee1",
     # Re-pinned with IDONTWANT (fewer gossipsub copies).
     "network": "4a76d351603f199dab788b69daadfd844949795dc85ab62adda846fac63483a5",
 }
-WIRE = "62c427f5454eae3695b0124e753962e7b0713da5b8273c5d7770b7eaa74c8d45"
+WIRE = "81ec622b0a5d3873e4d488550df451775173d00c31fe3452b3df896544cdd6e4"
 
 
 @lru_cache(maxsize=1)
@@ -84,9 +85,6 @@ def content_digest(deployment: RLNDeployment) -> dict[str, str]:
     collector, network = deployment.collector, deployment.network
     folded = Digest()
     folded.feed("fleet", collector.fleet_snapshot().to_json().encode())
-    for seq, peer, record in collector.recent_traces():
-        # Fields by value: ``repr`` keeps every float exact (and -0.0).
-        folded.feed(f"exemplar {seq} {peer}", repr(tuple(record)).encode())
     for tree in collector.assembler.trees():
         folded.feed("tree", tree.to_json())
     for peer_id in sorted(deployment.exporters):
@@ -102,8 +100,10 @@ def content_digest(deployment: RLNDeployment) -> dict[str, str]:
 
 def wire_digest(deployment: RLNDeployment) -> str:
     digest = Digest()
-    for seq, peer, record in deployment.collector.recent_traces():
-        digest.feed(f"exemplar {seq} {peer}", record.to_bytes())
+    assembler = deployment.collector.assembler
+    for trace_id in assembler.trace_ids():
+        for span in assembler.spans(trace_id):
+            digest.feed(f"span {span.peer} {span.seq}", span.to_bytes())
     protocol_bytes = deployment.network.protocol_bytes()
     for protocol in ("telemetry", "telemetry-reply"):
         digest.feed(f"{protocol} bytes", protocol_bytes[protocol])
@@ -114,9 +114,9 @@ def test_production_fleet_telemetry_content_is_unchanged():
     deployment = run_fleet()
     collector = deployment.collector
     # The run is the one the digests were taken from: traces were
-    # sampled, exemplars and trees reached the collector, nothing was lost.
+    # sampled, trees reached the collector, nothing was lost.
     assert collector.stats.lost_batches == 0
-    assert collector.recent_traces() and collector.assembler.trees()
+    assert collector.assembler.trees()
     assert collector.firing() == []
     assert content_digest(deployment) == CONTENT
 

@@ -80,14 +80,22 @@ def test_span_record_wire_round_trip_identity(record):
 )
 def test_local_root_span_wire_round_trip_identity(peer, kind, marks):
     # What a live tracer mints for an untraced bundle, not a hand-built
-    # record: a clock replaying the generated stamps drives begin → finish.
+    # span: a clock replaying the generated stamps drives begin → finish.
     stamps = iter([0.0] + [stamp for _, stamp in marks] + [0.0])
     tracer = DistTracer(peer, clock=lambda: next(stamps))
     span = tracer.begin(kind)
     for stage, _ in marks:
         span.mark(stage)
-    record = tracer.finish(span)
-    assert record.parent_id == NO_PARENT and record.peer == record.origin == peer
+    # Folded and dropped: the tracer archives nothing it could export.
+    assert tracer.finish(span) is None and tracer.recent() == ()
+    # Should one arrive anyway, it decodes to itself, ids in full, and is
+    # recognisably local (the collector assembles no local root).
+    record = SpanRecord(
+        span.trace_id, span.span_id, span.parent_id, 0, peer, span.origin, kind,
+        span.hop, span.start, 0.0, marks=tuple(zip(span.stages, span.stamps)),
+    )
+    assert record.local and record.parent_id == NO_PARENT
+    assert record.peer == record.origin == peer
     assert len(record.marks) == len(marks) + 1
     assert SpanRecord.from_bytes(record.to_bytes()) == record
     assert record.byte_size() == len(record.to_bytes())

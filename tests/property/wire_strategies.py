@@ -13,7 +13,7 @@ from repro.core.messages import RateLimitProof
 from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.merkle import MerkleProof
 from repro.crypto.optimized_merkle import TreeUpdate
-from repro.telemetry.disttrace import NO_PARENT, SpanContext, SpanRecord, local_prefix
+from repro.telemetry.disttrace import SpanContext, SpanRecord
 from repro.telemetry.otlp import (
     CounterDelta,
     ExportAck,
@@ -202,17 +202,13 @@ span_kinds = st.sampled_from(
 @st.composite
 def _span_records(draw, text=label_text):
     """Any span — and, drawn on purpose rather than by chance, the shapes
-    the wire writes short: a local root (ids implied by its peer; a
-    ``publish`` kind keeps the long form), runs of repeated stamps with
-    0.0 beside -0.0 (equal, but not the same bytes), and an end that
-    repeats the last stamp."""
+    the wire writes short: runs of repeated stamps with 0.0 beside -0.0
+    (equal, but not the same bytes), and an end that repeats the last
+    stamp."""
     peer, span_id, kind = draw(text), draw(u64), draw(span_kinds)
-    if draw(st.booleans()):
-        trace_id, parent_id, origin, hop = local_prefix(peer) | span_id, NO_PARENT, peer, 0
-    else:
-        trace_id = draw(st.integers(min_value=0, max_value=2**128 - 1))
-        parent_id, origin = draw(u64), draw(text)
-        hop = draw(st.integers(min_value=0, max_value=2**16 - 1))
+    trace_id = draw(st.integers(min_value=0, max_value=2**128 - 1))
+    parent_id, origin = draw(u64), draw(text)
+    hop = draw(st.integers(min_value=0, max_value=2**16 - 1))
     start = draw(finite)
     stamp = st.sampled_from((start, 0.0, -0.0, draw(finite))) | finite
     marks = draw(

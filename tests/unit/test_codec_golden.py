@@ -10,7 +10,10 @@ vectors (it must equal the encoded length for every ``Wire`` type).
 The six telemetry vectors (``SpanRecord`` to ``ExportRequest``) were
 re-pinned when their layout moved to per-frame symbol tables, varints,
 id-free local roots and one-bit repeated stamps; the local-root span and
-the production-shaped batch were added then.
+the production-shaped batch were added then.  Both were re-pinned once
+more when local roots stopped leaving their peer: the id-free layout
+went (a local-root-shaped span now carries its ids in full) and the
+production batch carries only its sampled span.
 """
 
 import pytest
@@ -71,10 +74,10 @@ BATCH = TelemetryBatch(
     ),
     spans=(SPAN,),
 )
-#: What a production batch mostly carries: a local root (its ids implied
-#: by its peer, two of three stamps repeats, the end a repeat too), a
-#: sampled relay span, a stage histogram and an integer counter, sharing
-#: one symbol table.
+#: A local-root-shaped span (two of three stamps repeats, the end a
+#: repeat too): no tracer exports one, and it carries its ids in full.
+#: A production batch carries a sampled relay span, a stage histogram
+#: and an integer counter, sharing one symbol table.
 LOCAL_ROOT = SpanRecord(
     trace_id=local_prefix("peer-001") | 300, span_id=300, parent_id=0, seq=8,
     peer="peer-001", origin="peer-001", kind="bundle", hop=0, start=3.0, end=3.25,
@@ -95,7 +98,7 @@ PRODUCTION_BATCH = TelemetryBatch(
             0.5, 0.25, 0.25, ((10, 2),),
         ),
     ),
-    spans=(LOCAL_ROOT, SAMPLED),
+    spans=(SAMPLED,),
 )
 BUNDLE = RateLimitProof(
     share_x=F(10), share_y=F(11), internal_nullifier=F(12), epoch=54321, root=F(13),
@@ -163,9 +166,9 @@ GOLDEN: dict[str, str] = {
     "CounterDelta": "050c6576656e74735f746f74616c046b696e6402c3a90470656572017043000201020304000e",
     "GaugeValue": "0105646570746847000001c004000000000000",
     "HistogramDelta": "030c776169745f7365636f6e647304706565720170480001010201023fd00000000000003fe0000000000000033fe80000000000003fc00000000000003fe00000000000000200010202",
-    "SpanRecord-local-root": "0508706565722d3030310662756e646c6507696e67726573730970726566696c74657207766572646963740308ac02000140080000000000000302030403400a000000000000",
+    "SpanRecord-local-root": "0508706565722d3030310662756e646c6507696e67726573730970726566696c74657207766572646963740208ac0200017637e5c0c2506de8000000000000012c0000000000000000000040080000000000000302030403400a000000000000",
     "TelemetryBatch": "0f08706565722d3030310466756c6c0c6576656e74735f746f74616c046b696e6402c3a9047065657201700564657074680c776169745f7365636f6e647301680b666c6f61745f746f74616c0662756e646c6508706565722d30303007696e67726573730776657264696374000101044029000000000000010543020203040506000e47070001c004000000000000480801050601023fd00000000000003fe0000000000000033fe80000000000003fc00000000000003fe0000000000000020001020248090000013ff00000000000003ff00000000000003ff0000000000000012101430a00013fe00000000000000102070b000b800000000000000000000000000000050000000000000000020c3ff8000000000000020d0e014002000000000000",
-    "TelemetryBatch-production": "0c08706565722d3030310466756c6c157472616365735f66696e69736865645f746f74616c046b696e640662756e646c6504706565721374726163655f73746167655f7365636f6e6473057374616765077665726469637407696e67726573730970726566696c74657208706565722d303030000101c801402a00000000000000024302020304050000054806020304070800023fe00000000000003fd00000000000003fd0000000000000010a02020308ac020004400800000000000003090a0803400a00000000000000098180808080808080800100040123456789abcdef00112233445566771122334455667788010b400c00000000000002090801400e0000000000004010000000000000",
+    "TelemetryBatch-production": "0b08706565722d3030310466756c6c157472616365735f66696e69736865645f746f74616c046b696e640662756e646c6504706565721374726163655f73746167655f7365636f6e6473057374616765077665726469637408706565722d30303007696e6772657373000101c801402a00000000000000024302020304050000054806020304070800023fe00000000000003fd00000000000003fd0000000000000010a020100098180808080808080800100040123456789abcdef001122334455667711223344556677880109400c000000000000020a0801400e0000000000004010000000000000",
     "ExportRequest": "8080808080200f08706565722d3030310466756c6c0c6576656e74735f746f74616c046b696e6402c3a9047065657201700564657074680c776169745f7365636f6e647301680b666c6f61745f746f74616c0662756e646c6508706565722d30303007696e67726573730776657264696374000101044029000000000000010543020203040506000e47070001c004000000000000480801050601023fd00000000000003fe0000000000000033fe80000000000003fc00000000000003fe0000000000000020001020248090000013ff00000000000003ff00000000000003ff0000000000000012101430a00013fe00000000000000102070b000b800000000000000000000000000000050000000000000000020c3ff8000000000000020d0e014002000000000000",
     "ExportAck": "0000010000000000000000000000000401",
     "WakuMessage": "00010000000568656c6c6f00112f726c6e2f312f636861742f70726f746f000000000001e24001",

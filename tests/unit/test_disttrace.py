@@ -3,9 +3,9 @@
 The load-bearing guarantees:
 
 * :class:`SpanContext` / :class:`SpanRecord` round-trip the wire exactly
-  and reject trailing bytes; a local root travels as a flag and its peer,
-  a repeated stamp as one mask bit (bytes compared, so -0.0 survives),
-  and every other spelling of those is refused;
+  and reject trailing bytes; a span carries its ids in full (flags bit 0
+  is reserved), a repeated stamp travels as one mask bit (bytes compared,
+  so -0.0 survives), and every other spelling of those is refused;
 * head sampling is decided once at the root: ``sample=0.0`` mints
   nothing (and costs nothing on the message), downstream peers honour an
   inbound context regardless of their own rate, and the sampling RNG is
@@ -13,18 +13,16 @@ The load-bearing guarantees:
 * the relay rewrite hook re-stamps contexts with the forwarding peer's
   own span, strips (never misattributes) when the route table lost the
   entry, and leaves untraced messages untouched;
-* an untraced bundle's span is a *local* root: recorded, folded and
-  exported like any other, but never in the route table and never in a
-  propagation tree;
+* an untraced bundle's span is a *local* root: folded like any other,
+  but never archived or exported, never in the route table and never in
+  a propagation tree;
 * the exporter drains spans behind one per-tracer cursor — ring eviction
   racing the cursor surfaces as ``spans_missed``, bounded batches as
   ``spans_truncated`` — and ``close()`` rescues cursor-stranded spans
   with ``close_flush_*`` accounting (shutdown strands nothing);
 * the collector's :class:`TraceAssembler` stitches rooted trees, flags
   incompleteness, dedups retransmissions, and answers fan-out /
-  duplicate-delivery / critical-path / quantile questions;
-* ``recent_traces`` / ``waterfall`` honour ``since_seq`` so pollers
-  resume from a cursor instead of re-reading the ring.
+  duplicate-delivery / critical-path / quantile questions.
 """
 
 import copy
@@ -99,11 +97,11 @@ def test_span_record_round_trip_with_marks():
         SpanRecord.from_bytes(record.to_bytes() + b"!")
 
 
-def span_frame(*, flags, kind="bundle", full=None, marks=0, mask=0, kept=(), end=2.0):
-    """A standalone span frame built field by field — peer "p", seq 1, span
-    id 5, start 1.0 — so a test can write what the encoder never does.
-    ``full`` is (trace id, parent, hop) for the long form; ``kept`` are
-    the stamps written out, ``end`` is None when flagged as repeating."""
+def span_frame(*, flags, kind="bundle", ids=(7 << 64, 9, 1), marks=0, mask=0, kept=(), end=2.0):
+    """A standalone span frame built field by field — peer and origin "p",
+    seq 1, span id 5, start 1.0 — so a test can write what the encoder
+    never does.  ``ids`` are (trace id, parent, hop); ``kept`` are the
+    stamps written out, ``end`` is None when flagged as repeating."""
 
     def body(w, refs):
         w.raw(bytes([flags]))
@@ -111,12 +109,11 @@ def span_frame(*, flags, kind="bundle", full=None, marks=0, mask=0, kept=(), end
         w.raw(varint(5))
         w.raw(refs["p"])
         w.raw(refs[kind])
-        if full is not None:
-            trace_id, parent_id, hop = full
-            w.raw(trace_id.to_bytes(16, "big"))
-            w.pack(">Q", parent_id)
-            w.raw(varint(hop))
-            w.raw(refs["p"])
+        trace_id, parent_id, hop = ids
+        w.raw(trace_id.to_bytes(16, "big"))
+        w.pack(">Q", parent_id)
+        w.raw(varint(hop))
+        w.raw(refs["p"])
         w.pack(">d", 1.0)
         w.raw(varint(marks))
         w.extend(refs["verdict"] for _ in range(marks))
@@ -130,33 +127,18 @@ def span_frame(*, flags, kind="bundle", full=None, marks=0, mask=0, kept=(), end
     return writer.getvalue()
 
 
-def test_a_local_root_travels_as_a_flag_and_its_peer():
-    local = DistTracer("p").finish(DistTracer("p").begin())
-    # The tracer's own local root: no trace id, parent, hop or origin.
-    assert local.trace_id == local_prefix("p") | local.span_id
-    assert len(local.to_bytes()) < 40
-    record = SpanRecord(
-        trace_id=local_prefix("p") | 5, span_id=5, parent_id=NO_PARENT, seq=1,
-        peer="p", origin="p", kind="bundle", hop=0, start=1.0, end=2.0,
-    )
-    assert record.to_bytes() == span_frame(flags=1)
-    # A sampled span (or a publish root) keeps the long form.
-    sampled = SpanRecord(*record[:2], 9, *record[3:10])
-    assert sampled.to_bytes() == span_frame(flags=0, full=(record.trace_id, 9, 0))
-
-
 @pytest.mark.parametrize(
     "data",
     [
-        span_frame(flags=0, full=(local_prefix("p") | 5, NO_PARENT, 0)),
-        span_frame(flags=1, kind="publish"),
-        span_frame(flags=1 | 4),
-        span_frame(flags=1, marks=1, kept=(1.0,)),
-        span_frame(flags=1, end=1.0),
-        span_frame(flags=1, marks=1, mask=2, kept=()),
+        span_frame(flags=1, ids=(local_prefix("p") | 5, NO_PARENT, 0)),
+        span_frame(flags=1, kind="publish", ids=(local_prefix("p") | 5, NO_PARENT, 0)),
+        span_frame(flags=4),
+        span_frame(flags=0, marks=1, kept=(1.0,)),
+        span_frame(flags=0, end=1.0),
+        span_frame(flags=0, marks=1, mask=2, kept=()),
     ],
     ids=[
-        "local-root-in-full", "publish-as-local-root", "reserved-flag",
+        "local-root-flag", "publish-as-local-root", "reserved-flag",
         "repeated-stamp-in-full", "repeated-end-in-full", "mask-past-the-marks",
     ],
 )
@@ -184,7 +166,7 @@ def test_span_records_are_slotted_and_share_their_stage_path():
     tracer = DistTracer("peer-000", clock=lambda: now[0])
     records = []
     for _ in range(2):
-        span = tracer.begin("bundle")
+        span = tracer.begin("bundle", parent=make_context())
         for stage in ("prefilter", "pairing"):
             now[0] += 0.5
             span.mark(stage)
@@ -225,7 +207,7 @@ def test_finished_since_reads_back_from_the_newest_to_a_cursor():
     tracer = DistTracer("peer-000")
     last = RING_CAPACITY + 1
     for _ in range(last + 1):
-        tracer.finish(tracer.begin("bundle"))
+        tracer.finish(tracer.begin("bundle", parent=make_context()))
     # seqs 2..last are in the ring; 0 and 1 were evicted.
     assert [r.seq for r in tracer.finished_since(last - 2)] == [last - 1, last]
     assert [r.seq for r in tracer.finished_since(last)] == []
@@ -301,23 +283,26 @@ def test_child_registers_outbound_context_with_own_span_id():
 def test_untraced_begin_is_a_local_root_outside_the_route_table():
     registry = MetricsRegistry()
     dist = DistTracer("peer-001", registry=registry, sample=1.0)
-    first = dist.finish(dist.begin(key=b"m1"))
-    second = dist.finish(dist.begin("revocation", key=b"m2"))
+    first = dist.begin(key=b"m1")
+    second = dist.begin("revocation", key=b"m2")
     # Never forwarded: the rewriter finds nothing to stamp on the message.
     assert dist.outbound_context(b"m1") is None
     assert dist.outbound_context(b"m2") is None
-    for record in (first, second):
-        assert record.parent_id == NO_PARENT and record.hop == 0
-        assert record.peer == record.origin == "peer-001"
+    for span in (first, second):
+        assert span.parent_id == NO_PARENT and span.hop == 0
+        assert span.origin == "peer-001"
     assert first.trace_id != second.trace_id
-    assert first.marks[0][0] == "ingress" and second.marks[0][0] == "evidence"
+    assert first.stages[0] == "ingress" and second.stages[0] == "evidence"
     # Another peer's local ids never collide with this one's.
-    neighbour = DistTracer("peer-002")
-    assert neighbour.finish(neighbour.begin()).trace_id != first.trace_id
-    # Local roots fold like every span; sampled publish roots do not.
+    assert DistTracer("peer-002").begin().trace_id != first.trace_id
+    # Local roots fold like every span, then are dropped: never archived.
+    assert dist.finish(first) is None and dist.finish(second) is None
+    assert dist.recent() == ()
     assert registry.counter("traces_finished_total", kind="bundle").value == 1
     assert registry.counter("traces_finished_total", kind="revocation").value == 1
-    dist.finish(dist.begin_publish())
+    # Sampled publish roots are archived, never folded.
+    root = dist.finish(dist.begin_publish())
+    assert dist.recent() == (root,)
     assert not any("publish" in key for key in registry.collect())
 
 
@@ -381,12 +366,12 @@ def test_exporter_drains_spans_once_each():
 
 def test_span_ring_eviction_racing_cursor_counts_spans_missed():
     # A burst between two ticks longer than the tracer ring loses spans —
-    # local roots and sampled ones share it; the cursor sees the seq gap
+    # relay hops and sampled roots share it; the cursor sees the seq gap
     # and owns up to it.
     sim, telemetry, exporter, collector = build_fleet(trace_sample=1.0)
     dist = telemetry.disttracer("peer-000", clock=lambda: sim.now)
     for _ in range(3):
-        dist.finish(dist.begin("bundle"))
+        dist.finish(dist.begin("bundle", parent=make_context()))
     for _ in range(RING_CAPACITY):
         dist.finish(dist.begin_publish())
     exporter.export()
@@ -416,21 +401,20 @@ def test_spans_over_batch_bound_truncate_but_cursor_advances():
 def test_close_flushes_cursor_stranded_traces_and_spans():
     # A peer shutting down mid-interval must not strand finished spans
     # behind the cursor; close() proves the rescue in close_flush_* and
-    # the collector actually receives them — the local bundle span as a
-    # waterfall exemplar, the publish root as a tree node.
+    # the collector actually receives them — the relay hop and the
+    # publish root, both as tree nodes.
     sim, telemetry, exporter, collector = build_fleet(trace_sample=1.0)
     dist = telemetry.disttracer("peer-000", clock=lambda: sim.now)
     exporter.export()  # a normal tick first (baseline cursors)
     sim.run_until_idle()
-    dist.finish(dist.begin("bundle"))
+    dist.finish(dist.begin("bundle", parent=make_context()))
     dist.finish(dist.begin_publish())
     exporter.close()
     sim.run_until_idle()
     assert exporter.stats.close_flush_batches == 1
     assert exporter.stats.close_flush_spans == 2
-    assert collector.stats.traces == 1 and collector.stats.spans == 1
-    assert len(collector.recent_traces("bundle")) == 1
-    assert collector.assembler.span_count == 1
+    assert collector.stats.spans == 2
+    assert collector.assembler.span_count == 2
     # Idempotent: nothing new, nothing rescued twice.
     exporter.close()
     sim.run_until_idle()
@@ -441,8 +425,9 @@ def test_close_flushes_cursor_stranded_traces_and_spans():
 
 
 def test_batch_spans_field_round_trips_and_is_small_when_empty():
-    local = DistTracer("peer-000").finish(DistTracer("peer-000").begin())
-    spans = (make_span(), make_span(span_id=3, parent_id=2, seq=1, hop=1), local)
+    tracer = DistTracer("peer-000")
+    traced = tracer.finish(tracer.begin(parent=make_context()))
+    spans = (make_span(), make_span(span_id=3, parent_id=2, seq=1, hop=1), traced)
     with_spans = TelemetryBatch(
         peer="p", role="full", shard=-1, seq=1, time=0.0,
         dropped_batches=0, metrics=(), spans=spans,
@@ -562,41 +547,3 @@ def test_duplicate_delivery_detection():
     )
     tree = assembler.tree(1)
     assert tree.duplicate_deliveries == 1  # peer-001 judged it twice
-
-
-# -- collector since_seq cursors ----------------------------------------------
-
-
-def test_recent_traces_since_seq_resumes_from_cursor():
-    sim, telemetry, exporter, collector = build_fleet()
-    tracer = telemetry.disttracer("peer-000", clock=lambda: sim.now)
-    tracer.finish(tracer.begin("bundle"))
-    exporter.export()
-    sim.run_until_idle()
-    first = collector.recent_traces("bundle")
-    assert len(first) == 1
-    cursor = collector._next_trace_seq - 1
-    assert collector.recent_traces("bundle", since_seq=cursor) == ()
-    tracer.finish(tracer.begin("bundle"))
-    exporter.export()
-    sim.run_until_idle()
-    fresh = collector.recent_traces("bundle", since_seq=cursor)
-    assert len(fresh) == 1 and fresh[0][0] == cursor + 1
-
-
-def test_waterfall_exemplars_honour_since_seq():
-    sim, telemetry, exporter, collector = build_fleet()
-    tracer = telemetry.disttracer("peer-000", clock=lambda: sim.now)
-    trace = tracer.begin("bundle")
-    sim.run(sim.now + 0.002)
-    trace.mark("verdict")
-    tracer.finish(trace)
-    exporter.export()
-    sim.run_until_idle()
-    rows = collector.waterfall("bundle", stages=("verdict",), exemplars=4)
-    assert rows and len(rows[0]["exemplars"]) == 1
-    cursor = collector._next_trace_seq - 1
-    rows = collector.waterfall(
-        "bundle", stages=("verdict",), exemplars=4, since_seq=cursor
-    )
-    assert rows[0]["exemplars"] == ()  # already polled; histogram remains

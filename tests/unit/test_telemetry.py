@@ -24,7 +24,9 @@ import pytest
 from repro.analysis.reporting import percentile as exact_percentile
 from repro.telemetry import Telemetry, TelemetrySnapshot, resolve
 from repro.telemetry import tracing
-from repro.telemetry.disttrace import DISABLED, RING_CAPACITY, ActiveSpan, Disabled, DistTracer
+from repro.telemetry.disttrace import (
+    DISABLED, RING_CAPACITY, ActiveSpan, Disabled, DistTracer, SpanContext,
+)
 from repro.telemetry.export import render_prometheus
 from repro.telemetry.registry import DEFAULT_BUCKETS, MetricsRegistry, metric_key
 
@@ -252,7 +254,7 @@ def test_trace_spans_are_consecutive_mark_deltas():
     clock = ManualClock()
     registry = MetricsRegistry()
     tracer = DistTracer("p1", registry=registry, clock=clock)
-    trace = tracer.begin()
+    trace = tracer.begin(parent=SpanContext(trace_id=1, span_id=2, hop=0, origin="p0"))
     clock.now = 0.010
     trace.mark(tracing.PREFILTER)
     # cheap-checks / verdict-cache skipped entirely: no zero-length spans.
@@ -262,7 +264,12 @@ def test_trace_spans_are_consecutive_mark_deltas():
     trace.mark(tracing.RESOLVE)
     record = tracer.finish(trace)
 
-    assert dict(record.stages()) == {
+    folded = {
+        entry["labels"]["stage"]: entry["sum"]
+        for entry in registry.collect().values()
+        if entry["name"] == "trace_stage_seconds"
+    }
+    assert folded == {
         tracing.PREFILTER: pytest.approx(0.010),
         tracing.PAIRING: pytest.approx(0.020),
         tracing.RESOLVE: pytest.approx(0.001),
@@ -329,7 +336,10 @@ def test_finish_resolves_each_series_once_per_tracer():
 
 def test_tracer_ring_is_bounded():
     tracer = DistTracer("p1", registry=MetricsRegistry())
-    records = [tracer.finish(tracer.begin()) for _ in range(RING_CAPACITY + 2)]
+    parent = SpanContext(trace_id=1, span_id=2, hop=0, origin="p0")
+    records = [
+        tracer.finish(tracer.begin(parent=parent)) for _ in range(RING_CAPACITY + 2)
+    ]
     assert tracer.recent() == tuple(records[2:])
     assert tracer.recent("revocation") == ()
 
