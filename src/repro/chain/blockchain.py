@@ -34,6 +34,9 @@ DEFAULT_GAS_LIMIT = 1_000_000
 #: Account credited with gas fees (keeps total value conserved).
 COINBASE = "coinbase"
 
+#: ``Event.contract`` of the marker ending each block that emitted events.
+BLOCK_END = "<block-end>"
+
 
 @dataclass(frozen=True)
 class Event:
@@ -133,6 +136,8 @@ class Blockchain:
         self._events: list[Event] = []
         self._tx_ids = itertools.count(1)
         self._subscribers: list[Callable[[Event], None]] = []
+        #: Events emitted since the last :data:`BLOCK_END` marker.
+        self._unsealed = False
 
     # -- accounts -------------------------------------------------------------
 
@@ -161,29 +166,19 @@ class Blockchain:
         self._contracts[contract.address] = contract
         return contract
 
-    def contract(self, address: str) -> Contract:
-        try:
-            return self._contracts[address]
-        except KeyError:
-            raise ChainError(f"no contract at {address!r}") from None
-
     # -- events ----------------------------------------------------------------------
 
     def emit(self, contract: str, name: str, data: dict[str, Any]) -> None:
         """Called by contracts during execution to log an event."""
-        event = Event(
-            contract=contract,
-            name=name,
-            data=dict(data),
-            block_number=self.block_number + 1,  # event lands in the next block
-            timestamp=self.time,
-        )
+        event = Event(contract, name, dict(data), self.block_number + 1, self.time)
         self._events.append(event)
+        self._unsealed = True
         for subscriber in list(self._subscribers):
             subscriber(event)
 
     def subscribe(self, callback: Callable[[Event], None]) -> Callable[[], None]:
-        """Register an event callback; returns an unsubscribe function."""
+        """Register an event callback; returns an unsubscribe function.
+        It sees each event when emitted, then a :data:`BLOCK_END` marker."""
         self._subscribers.append(callback)
 
         def unsubscribe() -> None:
@@ -263,6 +258,11 @@ class Blockchain:
         pending, self._mempool = self._mempool, []
         for tx in pending:
             receipts.append(self._execute(tx))
+        if self._unsealed:  # the marker (not logged) ends a block that emitted
+            self._unsealed = False
+            marker = Event(BLOCK_END, "BlockEnd", {}, self.block_number, self.time)
+            for subscriber in list(self._subscribers):
+                subscriber(marker)
         return receipts
 
     def _execute(self, tx: Transaction) -> Receipt:

@@ -61,8 +61,8 @@ class RLNConfig:
     #: Proof backend: "native" (fast, statement-equivalent) or "groth16"
     #: (full R1CS pipeline).  See repro.zksnark.prover.
     prover_backend: str = "native"
-    #: How many recent tree roots a validator accepts (tolerates peers whose
-    #: tree sync lags by a few membership events).
+    #: How many recent tree roots a validator accepts — one per block that
+    #: changed the tree, so it tolerates peers a few blocks behind.
     root_window: int = 5
     #: Unix time corresponding to simulated time zero — anchors epoch
     #: numbering (the paper's example uses UnixTime 1644810116).

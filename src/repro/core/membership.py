@@ -8,17 +8,24 @@ the contract's ordered list into a tree and applying its events:
   event both the slash and withdraw paths emit, so one listener handles
   revocation regardless of cause).
 
+A block's events are one transaction, applied at the chain's ``BLOCK_END``
+marker by one :meth:`~repro.crypto.merkle.MerkleTree.apply`; the window
+gains **one root per block**, as Waku's RLN-relay keeps it
+(https://rfc.vac.dev/spec/17/) — a registrant learns its index only after
+its block, so nobody holds a mid-block root.  A replica with announcement
+listeners applies each event alone, so announcements stay per event.
+
 A removal is treated as a *security* event: besides zeroing the leaf, the
-manager collapses its accepted-root window to the post-removal root, so
-proofs built on any tree that still contained the removed member stop
-validating immediately instead of surviving until the window ages out —
-the §III-F economic argument only closes if a slashed spammer is ejected
-everywhere, at once.
+manager collapses its accepted-root window to the block's root, so proofs
+built on any tree that still contained the removed member stop validating
+immediately instead of surviving until the window ages out — the §III-F
+economic argument only closes if a slashed spammer is ejected everywhere,
+at once.
 
 "Publishing peers must always stay in sync with the latest state of the
 group" (§III-C) — :meth:`GroupManager.assert_synced` cross-checks the local
 root against a rebuild from the contract list, and the validator side keeps
-a window of recent roots so proofs generated one event behind still verify.
+a window of recent roots so proofs generated a block behind still verify.
 
 The manager also implements the hybrid architecture of §IV-A: it produces
 :class:`~repro.crypto.optimized_merkle.TreeUpdate` announcements that
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.chain.blockchain import Blockchain, Event
+from repro.chain.blockchain import BLOCK_END, Blockchain, Event
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.crypto.field import FieldElement, ZERO
 from repro.crypto.merkle import MerkleProof, MerkleTree, NodeHasher, RootWindow
@@ -84,6 +91,8 @@ class GroupManager:
         self.shard_depth = resolve_shard_depth(tree_depth, shard_depth)
         self._window = RootWindow(root_window, [self.tree.root])
         self._index_of_pk: dict[int, int] = {}
+        #: This block's tree events, applied at its BLOCK_END marker.
+        self._block: list[Event] = []
         self._update_listeners: list[Callable[[TreeUpdate], None]] = []
         self._shard_listeners: list[
             Callable[[ShardUpdate | ShardRemoval], None]
@@ -122,48 +131,65 @@ class GroupManager:
         self._window.push(self.tree.root, collapse=True)
 
     def _on_event(self, event: Event) -> None:
-        if event.contract != self.contract.address:
+        """Queue this contract's tree events; apply them at ``BLOCK_END``, or
+        one by one while listeners (added between blocks) need announcing.
+        ``MemberRemoved`` is the one deletion event slash and withdraw emit."""
+        if event.contract == self.contract.address:
+            if event.name not in ("MemberRegistered", "MemberRemoved"):
+                return
+            self._block.append(event)
+            if not (self._update_listeners or self._shard_listeners):
+                return
+        elif event.contract != BLOCK_END or not self._block:
             return
-        if event.name == "MemberRegistered":
-            self._insert_at(event.data["index"], FieldElement(event.data["pk"]))
-        elif event.name == "MemberRemoved":
-            # The unified deletion event: slash and withdraw both land
-            # here, so revocation needs exactly one handler.  (The
-            # cause-specific MemberSlashed/MemberWithdrawn events carry
-            # economics for other observers and are ignored for sync —
-            # handling them too would be a harmless no-op second delete.)
-            self._delete_at(event.data["index"])
+        events, self._block = self._block, []
+        self._apply(events)
 
-    def _insert_at(self, index: int, pk: FieldElement) -> None:
-        if index < self.tree.leaf_count:
-            return  # already applied (bootstrap overlapped with live events)
-        if index != self.tree.leaf_count:
-            raise SyncError(
-                f"registration event index {index} skips local frontier "
-                f"{self.tree.leaf_count}"
-            )
-        path = self._announced_path(index)
-        applied_index = self.tree.append(pk)
-        assert applied_index == index
-        self._index_of_pk[pk.value] = index
-        self._window.push(self.tree.root)
-        self._notify(index, pk, path)
+    def _apply(self, events: list[Event]) -> None:
+        """Apply a block's events as one tree write, or raise having moved nothing.
 
-    def _delete_at(self, index: int) -> None:
-        leaf = self.tree.leaf(index)
-        if leaf == ZERO:
-            return  # already deleted
-        path = self._announced_path(index)
-        self.tree.delete(index)
-        self._index_of_pk.pop(leaf.value, None)
-        # A removal collapses the window: every root that still contained
-        # this member stops being acceptable *now*, so the removed
-        # member's stale witnesses are rejected against the current root
-        # instead of riding the window until it ages out.  Honest members
-        # with in-flight proofs against an evicted root simply refresh
-        # their witness and republish — the price of prompt revocation.
-        self._window.push(self.tree.root, collapse=True)
-        self._notify(index, ZERO, path, removed_leaf=leaf)
+        Each event is checked against the tree as the earlier ones leave it
+        before anything is written.  Then the tree, the index map and
+        ``event_seq`` move, and the window admits the block's one root,
+        collapsing to it if the block removed anyone (honest members with
+        in-flight proofs against an evicted root refresh and republish).
+        """
+        frontier = self.tree.leaf_count
+        writes: dict[int, FieldElement] = {}
+        changes: list[tuple[int, FieldElement, FieldElement]] = []  # index, old, new
+        for event in events:
+            index = event.data["index"]
+            if event.name == "MemberRemoved":
+                old = writes[index] if index in writes else self.tree.leaf(index)
+                new = ZERO
+                if old == ZERO:
+                    continue  # already deleted
+            elif index < frontier:
+                continue  # already applied (bootstrap overlapped with live events)
+            elif index != frontier:
+                raise SyncError(
+                    f"registration event index {index} skips local frontier {frontier}"
+                )
+            else:
+                old, new = ZERO, FieldElement(event.data["pk"])
+                frontier += 1
+            writes[index] = new
+            changes.append((index, old, new))
+        if not changes:
+            return
+        listening = self._update_listeners or self._shard_listeners
+        path = self.tree.proof(changes[0][0]) if listening else None  # then k = 1
+        self.tree.apply(writes.items())
+        for index, old, new in changes:
+            if new is ZERO:
+                self._index_of_pk.pop(old.value, None)
+            else:
+                self._index_of_pk[new.value] = index
+        self.event_seq += len(changes)
+        removed = any(new is ZERO for _index, _old, new in changes)
+        self._window.push(self.tree.root, collapse=removed)
+        if path is not None:
+            self._notify(*changes[0], path)
 
     # -- queries --------------------------------------------------------------------
 
@@ -243,60 +269,35 @@ class GroupManager:
         """
         self._shard_listeners.append(listener)
 
-    def _announced_path(self, index: int) -> MerkleProof | None:
-        """The pre-change path an announcement carries; none without a listener."""
-        listening = self._update_listeners or self._shard_listeners
-        return self.tree.proof(index) if listening else None
-
     def _notify(
-        self,
-        index: int,
-        new_leaf: FieldElement,
-        path: MerkleProof | None,
-        *,
-        removed_leaf: FieldElement | None = None,
+        self, index: int, old: FieldElement, new: FieldElement, path: MerkleProof
     ) -> None:
-        """Package one applied event for both announcement channels.
+        """Package the one event just applied for both announcement channels.
 
-        ``path`` is the pre-change authentication path (captured before the
-        tree mutated); the update carries the post-change root so consumers
-        can reject forged announcements
-        (:class:`~repro.errors.InconsistentTreeUpdate`).  ``removed_leaf``
-        marks the event as a deletion: the legacy
-        :class:`~repro.crypto.optimized_merkle.TreeUpdate` channel is
+        ``path`` is the pre-change authentication path; the update carries
+        the post-change root so consumers can reject forged announcements
+        (:class:`~repro.errors.InconsistentTreeUpdate`).  A deletion keeps
+        the :class:`~repro.crypto.optimized_merkle.TreeUpdate` channel
         unchanged (those consumers need the path either way), but the
         shard channel carries a :class:`ShardRemoval` so shard-scoped and
         light consumers learn that a leaf *died*, not merely changed.
-        Without a listener (``path`` is ``None``) only ``event_seq`` moves.
         """
-        self.event_seq += 1
-        if path is None:
-            return
-        update = TreeUpdate(
-            index=index, new_leaf=new_leaf, path=path, new_root=self.tree.root
-        )
+        update = TreeUpdate(index=index, new_leaf=new, path=path, new_root=self.tree.root)
         for listener in list(self._update_listeners):
             listener(update)
         if self._shard_listeners:
             shard_id = self.shard_of(index)
-            announcement: ShardUpdate | ShardRemoval
-            if removed_leaf is not None:
-                announcement = ShardRemoval(
-                    seq=self.event_seq,
-                    shard_id=shard_id,
-                    index=index,
-                    removed_leaf=removed_leaf,
-                    new_shard_root=self.shard_root(shard_id),
-                    new_global_root=self.tree.root,
-                )
-            else:
-                announcement = ShardUpdate(
-                    seq=self.event_seq,
-                    shard_id=shard_id,
-                    update=update,
-                    new_shard_root=self.shard_root(shard_id),
-                    new_global_root=self.tree.root,
-                )
+            tags = dict(
+                seq=self.event_seq,
+                shard_id=shard_id,
+                new_shard_root=self.shard_root(shard_id),
+                new_global_root=self.tree.root,
+            )
+            announcement: ShardUpdate | ShardRemoval = (
+                ShardRemoval(index=index, removed_leaf=old, **tags)
+                if new is ZERO
+                else ShardUpdate(update=update, **tags)
+            )
             for listener in list(self._shard_listeners):
                 listener(announcement)
 

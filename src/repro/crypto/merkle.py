@@ -16,12 +16,18 @@ The tree is sparse-aware: untouched subtrees are represented by precomputed
 "zero hashes", so memory grows with the number of occupied leaves, not with
 2^depth.
 
+Every mutation is one :meth:`MerkleTree.apply`: write the slots, then
+rehash each dirty node once, level by level — k writes cost
+Σ_l |{i >> l}| ≤ 2k + depth compressions, not k·depth, which is what lets a
+replica apply a whole block of membership events at once.
+
 Work is counted twice, on purpose.  :attr:`MerkleTree.hash_ops` is the
-*logical* per-replica count — every two-to-one compression the tree asked
-for.  ``EngineStats.hashes`` is the *physical* count — what the process
-computed.  They agree for a standalone tree; replicas that share a
-:class:`MemoHasher` (one per :class:`~repro.core.deployment.RLNDeployment`,
-owned by it and never by this module) ask N times and compute once.
+*logical* per-replica count — every two-to-one compression the tree
+performed (it falls when writes share ancestors).  ``EngineStats.hashes``
+is the *physical* count — what the process computed.  They agree for a
+standalone tree; replicas that share a :class:`MemoHasher` (one per
+:class:`~repro.core.deployment.RLNDeployment`, owned by it and never by
+this module) ask N times and compute once.
 """
 
 from __future__ import annotations
@@ -221,7 +227,8 @@ class MerkleTree:
         return self._nodes.get((level, index), self._zeros[level])
 
     def _set(self, level: int, index: int, value: FieldElement) -> None:
-        if value == self._zeros[level]:
+        zero = self._zeros[level]
+        if value is zero or value == zero:
             self._nodes.pop((level, index), None)
         else:
             self._nodes[(level, index)] = value
@@ -257,13 +264,11 @@ class MerkleTree:
             raise MerkleError("cannot insert the zero leaf (reserved for empty)")
         if self._free:
             index = min(self._free)
-            self._free.remove(index)
         elif self._next_index < self.capacity:
             index = self._next_index
-            self._next_index += 1
         else:
             raise TreeFullError(f"tree of depth {self.depth} is full")
-        self._update_leaf(index, leaf)
+        self.apply(((index, leaf),))
         return index
 
     def append(self, leaf: FieldElement) -> int:
@@ -278,8 +283,7 @@ class MerkleTree:
         if self._next_index >= self.capacity:
             raise TreeFullError(f"tree of depth {self.depth} is full")
         index = self._next_index
-        self._next_index += 1
-        self._update_leaf(index, leaf)
+        self.apply(((index, leaf),))
         return index
 
     def delete(self, index: int) -> None:
@@ -287,8 +291,7 @@ class MerkleTree:
         self._check_index(index)
         if self._get(0, index) == self._empty:
             raise MerkleError(f"leaf {index} is already empty")
-        self._update_leaf(index, self._empty)
-        self._free.append(index)
+        self.apply(((index, self._empty),))
 
     def update(self, index: int, leaf: FieldElement) -> None:
         """Overwrite an occupied leaf in place."""
@@ -297,46 +300,64 @@ class MerkleTree:
             raise MerkleError("use delete() to clear a leaf")
         if self._get(0, index) == self._empty:
             raise MerkleError(f"leaf {index} is empty; use insert()")
-        self._update_leaf(index, leaf)
-
-    def _update_leaf(self, index: int, leaf: FieldElement) -> None:
-        """The one leaf-write/rehash loop: every mutation ends here."""
-        self._set(0, index, leaf)
-        node_index = index
-        for level in range(self.depth):
-            sibling_index = node_index ^ 1
-            sibling = self._get(level, sibling_index)
-            node = self._get(level, node_index)
-            if node_index & 1:
-                parent = self._hash(sibling, node)
-            else:
-                parent = self._hash(node, sibling)
-            self.hash_ops += 1
-            node_index >>= 1
-            self._set(level + 1, node_index, parent)
+        self.apply(((index, leaf),))
 
     def write_leaf(self, index: int, leaf: FieldElement) -> None:
-        """Low-level slot write: allocate through ``index``, then set it.
+        """One slot write: :meth:`apply` of ``(index, leaf)`` alone."""
+        self.apply(((index, leaf),))
 
-        Shard-scoped peers replay announced writes with this — a home
-        shard addressed by shard-local slot, a top tree addressed by shard
-        id: slots skipped over by the allocation stay empty (and
-        reusable), and writing the empty leaf clears an occupied slot.
-        Bookkeeping ends up exactly as the equivalent
-        ``append``/``insert``/``delete`` sequence would have left it.
+    def apply(self, writes: Iterable[tuple[int, FieldElement]]) -> None:
+        """Write every ``(index, leaf)`` in order, then rehash each dirty
+        node once: the one leaf-write/rehash loop every mutation ends in.
+
+        Slot bookkeeping ends up exactly as the equivalent
+        ``append``/``insert``/``delete`` sequence would have left it:
+        allocation runs through the highest index written, slots skipped
+        over stay empty (and reusable), and writing the empty leaf frees an
+        occupied slot.  Shard-scoped peers replay announced writes with
+        this — a home shard addressed by shard-local slot, a top tree by
+        shard id.  The rehash then climbs level by level over the distinct
+        parents of the dirty nodes, so k writes cost
+        Σ_l |{i >> l}| ≤ 2k + depth compressions instead of k·depth, in
+        one ``hash_many`` per level when the hasher is engine-backed.
         """
-        self._check_index(index)
-        if index >= self._next_index:
-            self._free.extend(range(self._next_index, index))
-            self._next_index = index + 1
-            currently_free = False
-        else:
-            currently_free = self._get(0, index) == self._empty
-        if leaf == self._empty and not currently_free:
-            self._free.append(index)
-        elif leaf != self._empty and currently_free:
-            self._free.remove(index)
-        self._update_leaf(index, leaf)
+        dirty: set[int] = set()
+        for index, leaf in writes:
+            self._check_index(index)
+            if index >= self._next_index:
+                self._free.extend(range(self._next_index, index))
+                self._next_index = index + 1
+                was_free = False
+            else:
+                was_free = self._get(0, index) == self._empty
+            if leaf == self._empty:
+                if not was_free:
+                    self._free.append(index)
+            elif was_free:
+                self._free.remove(index)
+            self._set(0, index, leaf)
+            dirty.add(index)
+        if not dirty:
+            return
+        # Engine-backed hashers batch whole levels through hash_many, which
+        # amortises the per-call parameter lookup and wrapper overhead.
+        engine = getattr(self._hash, "engine", None)
+        get = self._nodes.get
+        for level in range(self.depth):
+            parents = {index >> 1 for index in dirty}
+            zero = self._zeros[level]
+            pairs = [
+                (get((level, 2 * i), zero), get((level, 2 * i + 1), zero))
+                for i in parents
+            ]
+            if engine is not None:
+                above = engine.hash_many(pairs)
+            else:
+                above = [self._hash(left, right) for left, right in pairs]
+            self.hash_ops += len(pairs)
+            for i, parent in zip(parents, above):
+                self._set(level + 1, i, parent)
+            dirty = parents
 
     # -- proofs ---------------------------------------------------------------
 
@@ -441,43 +462,11 @@ class MerkleTree:
         return tree
 
     def _load(self, leaves: Sequence[FieldElement]) -> None:
-        """Bulk-fill a freshly constructed tree (:meth:`from_leaves`' body)."""
+        """Bulk-fill a freshly constructed tree (:meth:`from_leaves`' body):
+        every slot in order, zero leaves as freed slots, one :meth:`apply`."""
         if len(leaves) > self.capacity:
             raise TreeFullError(f"{len(leaves)} leaves exceed capacity {self.capacity}")
-        current: list[FieldElement] = []
-        for index, leaf in enumerate(leaves):
-            # Allocate strictly sequentially so index alignment with the
-            # contract's ordered list is preserved even across deleted slots.
-            if leaf == self._empty:
-                self._free.append(index)
-            else:
-                self._nodes[(0, index)] = leaf
-            current.append(leaf)
-        self._next_index = len(leaves)
-        # Engine-backed hashers batch whole levels through hash_many, which
-        # amortises the per-call parameter lookup and wrapper overhead.
-        engine = getattr(self._hash, "engine", None)
-        width = len(current)
-        for level in range(self.depth):
-            if width == 0:
-                break
-            width = (width + 1) // 2
-            zero = self._zeros[level]
-            pairs = [
-                (
-                    current[2 * i],
-                    current[2 * i + 1] if 2 * i + 1 < len(current) else zero,
-                )
-                for i in range(width)
-            ]
-            if engine is not None:
-                above = engine.hash_many(pairs)
-            else:
-                above = [self._hash(left, right) for left, right in pairs]
-            self.hash_ops += width
-            for i, parent in enumerate(above):
-                self._set(level + 1, i, parent)
-            current = above
+        self.apply(enumerate(leaves))
 
 
 class RootWindow:

@@ -294,14 +294,15 @@ class ShardSyncManager:
     def commit(self) -> FieldElement:
         """Fold pending shard roots into the top tree; return the new root.
 
-        Called at validation/witness time, not per event — k events across
-        d distinct shards cost d·``top_depth`` compressions, amortised
-        ~0 when events cluster (the E12 claim).  Cross-checks the result
-        against the latest announced global root; on a mismatch (a forged
-        foreign digest slipped into the window) the fold is rolled back so
-        the view stays at its last good commit, and the peer should
-        recover via :meth:`sync_from_store` (a later event or checkpoint
-        for the poisoned shard supersedes the forged root).
+        Called at validation/witness time, not per event, as one
+        :meth:`MerkleTree.apply` — k events across d distinct shards cost
+        each dirty top-tree node once, at most d·``top_depth``
+        compressions, amortised ~0 when events cluster (the E12 claim).
+        Cross-checks the result against the latest announced global root;
+        on a mismatch (a forged foreign digest slipped into the window) the
+        fold is rolled back so the view stays at its last good commit, and
+        the peer should recover via :meth:`sync_from_store` (a later event
+        or checkpoint for the poisoned shard supersedes the forged root).
 
         If the committed span contained a :class:`ShardRemoval`, the
         accepted-root window collapses to the post-removal root: proofs
@@ -310,15 +311,11 @@ class ShardSyncManager:
         same place new roots enter the window — so a removal that fails
         its cross-check never evicts good roots).
         """
-        previous = {
-            shard_id: self.top.leaf(shard_id) for shard_id in self._pending
-        }
-        for shard_id in sorted(self._pending):
-            self.top.write_leaf(shard_id, self._pending[shard_id])
+        previous = [(shard_id, self.top.leaf(shard_id)) for shard_id in self._pending]
+        self.top.apply(self._pending.items())
         root = self.top.root
         if self._announced_root is not None and root != self._announced_root:
-            for shard_id, value in previous.items():
-                self.top.write_leaf(shard_id, value)
+            self.top.apply(previous)
             # _pending is kept: a genuine later recording can supersede it.
             # _collapse_window is kept too: the removal still awaits its
             # successful commit.

@@ -264,7 +264,7 @@ class WitnessClient:
             # Freshness safety net: even if no one wired on_shard_event, a
             # stale path is never served from the cache.  The local window
             # is not enough — a lazily-committed light view can still
-            # accept a root the network's per-event validators already
+            # accept a root the network's per-block validators already
             # expired — so a hit must fold to the acceptor's *current*
             # root when it exposes one (no hashing: the fold was recorded
             # at put time), falling back to the window check otherwise.

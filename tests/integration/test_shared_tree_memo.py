@@ -32,11 +32,15 @@ class TestHashBudget:
     def test_register_all_hashes_each_node_once_for_the_fleet(self, engine_hashes):
         first = deployment()
         spent = engine_hashes(first.register_all)
-        # N events x d levels for the whole fleet (N^2 x d = 1280 without
-        # the memo), plus two commitment hashes per generated identity.
-        assert spent <= PEERS * DEPTH + 2 * PEERS
-        # ... while every replica walked every event through its own tree.
-        assert {p.group.tree.hash_ops for p in first.peers.values()} == {PEERS * DEPTH}
+        # One block of PEERS registrations: each replica rehashes every
+        # distinct dirty ancestor once, sum over levels of |{i >> l}| (24 for
+        # 8 consecutive leaves at depth 20, against PEERS * DEPTH = 160 a
+        # path per event), and the fleet computes each of them once, plus
+        # two commitment hashes per generated identity.
+        block = sum(len({i >> level for i in range(PEERS)}) for level in range(1, DEPTH + 1))
+        assert block == 24
+        assert spent <= block + 2 * PEERS
+        assert {p.group.tree.hash_ops for p in first.peers.values()} == {block}
         assert len({p.group.root for p in first.peers.values()}) == 1
 
         # A second fleet in the same process pays its own way: nothing is

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chain.blockchain import (
+    BLOCK_END,
     Blockchain,
     CallContext,
     COINBASE,
@@ -34,9 +35,14 @@ class Counter(Contract):
 
 
 @pytest.fixture()
-def chain():
+def counter():
+    return Counter()
+
+
+@pytest.fixture()
+def chain(counter):
     chain = Blockchain(block_interval=12.0)
-    chain.deploy(Counter())
+    chain.deploy(counter)
     chain.fund("alice", 10 * WEI)
     return chain
 
@@ -64,21 +70,24 @@ class TestDeployment:
         with pytest.raises(ChainError):
             chain.deploy(Counter())
 
-    def test_contract_lookup(self, chain):
-        assert chain.contract("counter").address == "counter"
+    def test_contract_lookup(self, chain, counter):
+        # A call addressed to "counter" runs on the deployed object.
+        chain.send_transaction("alice", "counter", "increment")
+        chain.mine_block()
+        assert counter.address == "counter" and counter.value == 1
         with pytest.raises(ChainError):
-            chain.contract("missing")
+            chain.send_transaction("alice", "missing", "increment")
 
 
 class TestTransactions:
-    def test_pending_until_mined(self, chain):
+    def test_pending_until_mined(self, chain, counter):
         tx = chain.send_transaction("alice", "counter", "increment")
         assert len(chain._mempool) == 1
         assert chain.receipt(tx) is None
         chain.mine_block()
         receipt = chain.receipt(tx)
         assert receipt is not None and receipt.success
-        assert chain.contract("counter").value == 1
+        assert counter.value == 1
 
     def test_unknown_contract_rejected_immediately(self, chain):
         with pytest.raises(ChainError):
@@ -90,7 +99,7 @@ class TestTransactions:
         receipt = chain.receipt(tx)
         assert not receipt.success and "unknown method" in receipt.error
 
-    def test_revert_restores_value(self, chain):
+    def test_revert_restores_value(self, chain, counter):
         before = chain.balance_of("alice")
         tx = chain.send_transaction("alice", "counter", "fail", value=2 * WEI)
         chain.mine_block()
@@ -99,7 +108,7 @@ class TestTransactions:
         # Value returned; only gas was lost.
         lost = before - chain.balance_of("alice")
         assert lost == receipt.gas_used  # gas_price = 1 wei
-        assert chain.contract("counter").balance == 0
+        assert counter.balance == 0
 
     def test_insufficient_funds_fails(self, chain):
         tx = chain.send_transaction("alice", "counter", "increment", value=100 * WEI)
@@ -119,11 +128,11 @@ class TestTransactions:
         chain.mine_block()
         assert chain.balance_of(COINBASE) > 0
 
-    def test_execution_order_within_block(self, chain):
+    def test_execution_order_within_block(self, chain, counter):
         chain.send_transaction("alice", "counter", "increment", {"by": 1})
         chain.send_transaction("alice", "counter", "increment", {"by": 10})
         chain.mine_block()
-        assert chain.contract("counter").value == 11
+        assert counter.value == 11
 
 
 class TestMining:
@@ -162,12 +171,20 @@ class TestEvents:
         seen = []
         unsubscribe = chain.subscribe(seen.append)
         chain.send_transaction("alice", "counter", "increment")
+        chain.send_transaction("alice", "counter", "increment")
         chain.mine_block()
-        assert len(seen) == 1
+        # Each event in order, then the block's one end marker.
+        assert [(e.contract, e.name) for e in seen] == [
+            ("counter", "Incremented"),
+            ("counter", "Incremented"),
+            (BLOCK_END, "BlockEnd"),
+        ]
+        chain.mine_block()  # a block that emits nothing sends no marker
+        assert len(seen) == 3
         unsubscribe()
         chain.send_transaction("alice", "counter", "increment")
         chain.mine_block()
-        assert len(seen) == 1
+        assert len(seen) == 3
 
     def test_filter_by_name(self, chain):
         chain.send_transaction("alice", "counter", "increment")
@@ -176,15 +193,13 @@ class TestEvents:
 
 
 class TestContractPay:
-    def test_pay_moves_value(self, chain):
+    def test_pay_moves_value(self, chain, counter):
         chain.send_transaction("alice", "counter", "increment", value=3 * WEI)
         chain.mine_block()
-        contract = chain.contract("counter")
-        chain.contract_pay(contract, "bob", 1 * WEI)
+        chain.contract_pay(counter, "bob", 1 * WEI)
         assert chain.balance_of("bob") == 1 * WEI
-        assert contract.balance == 2 * WEI
+        assert counter.balance == 2 * WEI
 
-    def test_overdraw_rejected(self, chain):
-        contract = chain.contract("counter")
+    def test_overdraw_rejected(self, chain, counter):
         with pytest.raises(ContractError):
-            chain.contract_pay(contract, "bob", 1)
+            chain.contract_pay(counter, "bob", 1)

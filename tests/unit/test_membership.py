@@ -161,3 +161,50 @@ class TestHybridArchitecture:
         assert view.proof().verify(manager.root)
         # The light peer's storage stays logarithmic.
         assert view.storage_bytes() < manager.tree.storage_bytes()
+
+
+class TestBlockIsOneTransaction:
+    def test_a_block_that_skips_the_frontier_changes_nothing(self, env):
+        chain, contract, manager = env
+        members = [Identity.from_secret(500 + i) for i in range(2)]
+        for member in members:
+            register(chain, contract, member)
+
+        def state():
+            return (
+                manager.root,
+                list(manager.tree.leaves()),
+                manager.tree.leaf_count,
+                manager.tree.hash_ops,
+                dict(manager._index_of_pk),
+                manager.recent_roots(),
+                manager.event_seq,
+            )
+
+        before = state()
+        # One block: a removal, two registrations at the frontier, then a
+        # third that skips slot 4.  Applied one by one, the first three would
+        # land before the fourth raised.
+        chain.emit(contract.address, "MemberRemoved", {"index": 0, "pk": members[0].pk.value})
+        for index in (2, 3, 5):
+            pk = Identity.from_secret(600 + index).pk.value
+            chain.emit(contract.address, "MemberRegistered", {"index": index, "pk": pk})
+        with pytest.raises(SyncError, match="skips local frontier 4"):
+            chain.mine_block()
+        assert state() == before
+
+    def test_a_block_admits_one_root_and_counts_every_event(self, env):
+        chain, contract, manager = env
+        members = [Identity.from_secret(700 + i) for i in range(3)]
+        seq, hash_ops = manager.event_seq, manager.tree.hash_ops
+        for member in members:
+            chain.send_transaction(
+                "funder", contract.address, "register",
+                {"pk": member.pk.value}, value=contract.deposit,
+            )
+        chain.mine_block()
+        assert manager.event_seq == seq + 3
+        assert manager.recent_roots()[-2:] == [MerkleTree(DEPTH).root, manager.root]
+        # Slots 0-2 share their ancestors above level 1: 2 + 1 + ... + 1.
+        assert manager.tree.hash_ops - hash_ops == 2 + (DEPTH - 1)
+        manager.assert_synced()

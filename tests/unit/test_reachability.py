@@ -239,9 +239,6 @@ KEPT_FOR = {
     "baselines/pow.py:mint": "test_pow.TestHashcash (6 tests)",
     "baselines/pow.py:raise_if_insufficient": "test_pow.TestHashcash (6 tests)",
     "baselines/pow.py:verify": "test_pow.TestHashcash (6 tests)",
-    "chain/blockchain.py:Blockchain.contract": (
-        "test_blockchain (6 tests): contract lookup by address"
-    ),
     "chain/blockchain.py:Blockchain.events": (
         "event-log query: test_blockchain, test_rln_contract, test_anonymity (9 tests)"
     ),
@@ -302,8 +299,8 @@ BUDGET = {
     "analysis": 296,
     "baselines": 432,
     "chain": 975,
-    "core": 2009,
-    "crypto": 2119,
+    "core": 2010,
+    "crypto": 2108,
     "exec": 422,
     "gossipsub": 1010,
     "net": 987,
@@ -312,7 +309,7 @@ BUDGET = {
     "repro": 625,
     "revocation": 449,
     "telemetry": 3669,
-    "treesync": 1314,
+    "treesync": 1311,
     "waku": 862,
     "witness": 999,
     "zksnark": 1410,
