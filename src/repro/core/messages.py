@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.codec import Reader, Wire, Writer
 from repro.crypto.field import FIELD_BYTES, FieldElement
 from repro.crypto.hashing import hash_message_to_field
 from repro.crypto.shamir import Share
@@ -26,7 +27,7 @@ from repro.core.epoch import external_nullifier
 
 
 @dataclass(frozen=True)
-class RateLimitProof:
+class RateLimitProof(Wire):
     """§III-E metadata: share, nullifier, epoch, root, and the proof.
 
     One bundle object is judged by every peer it reaches, so it remembers
@@ -44,6 +45,19 @@ class RateLimitProof:
     epoch: int
     root: FieldElement
     proof: Proof
+
+    def _write(self, w: Writer) -> None:
+        w.field(self.share_x)
+        w.field(self.share_y)
+        w.field(self.internal_nullifier)
+        w.pack(">Q", self.epoch)
+        w.field(self.root)
+        w.raw(self.proof.serialize())
+
+    @classmethod
+    def _read(cls, r: Reader) -> "RateLimitProof":
+        fields = r.field(), r.field(), r.field(), r.unpack(">Q")[0], r.field()
+        return cls(*fields, Proof.deserialize(r.raw(PROOF_SIZE)))
 
     @property
     def share(self) -> Share:

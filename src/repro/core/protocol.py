@@ -389,9 +389,7 @@ class WakuRLNRelayPeer:
         outbound = self.disttracer.outbound_context(pubsub_message.msg_id)
         if outbound is None:
             self.disttracer.rewrites_missed += 1
-        return PubSubMessage(
-            pubsub_message.msg_id, pubsub_message.topic, payload.with_trace(outbound)
-        )
+        return pubsub_message.with_payload(payload.with_trace(outbound))
 
     def report_spam(self, evidence: SpamEvidence, msg_id: bytes | None = None) -> None:
         """Count one conviction and feed it to every ``on_spam`` subscriber.

@@ -25,9 +25,11 @@ offset  size  field
 ...     128   proof pi (A || B || C)
 ```
 
-Written and read through :mod:`repro.codec`: field elements must be
-canonical, unknown flag bits and trailing bytes are refused, and every
-malformed input is one :class:`~repro.errors.ProtocolError`.
+The proof section is :class:`~repro.core.messages.RateLimitProof`'s own
+encoding, which the message id covers.  Written and read through
+:mod:`repro.codec`: field elements must be canonical, unknown flag bits
+and trailing bytes are refused, and every malformed input is one
+:class:`~repro.errors.ProtocolError`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.codec import Reader, Writer
 from repro.core.messages import RateLimitProof
 from repro.errors import ProtocolError
 from repro.waku.message import WakuMessage
-from repro.zksnark.groth16 import PROOF_SIZE, Proof
+from repro.zksnark.groth16 import PROOF_SIZE
 
 WIRE_VERSION = 1
 
@@ -66,12 +68,7 @@ def encode_message(message: WakuMessage) -> bytes:
     w.str(message.content_topic)
     w.pack(">QB", max(0, int(message.timestamp * 1000)), flags)
     if proof is not None:
-        w.field(proof.share_x)
-        w.field(proof.share_y)
-        w.field(proof.internal_nullifier)
-        w.pack(">Q", proof.epoch)
-        w.field(proof.root)
-        w.raw(proof.proof.serialize())
+        proof._write(w)
     return w.getvalue()
 
 
@@ -86,16 +83,7 @@ def decode_message(data: bytes) -> WakuMessage:
     timestamp_ms, flags = r.unpack(">QB")
     if flags & ~(_FLAG_EPHEMERAL | _FLAG_PROOF):
         raise ProtocolError(f"unknown flag bits {flags:#04x}")
-    proof = None
-    if flags & _FLAG_PROOF:
-        proof = RateLimitProof(
-            share_x=r.field(),
-            share_y=r.field(),
-            internal_nullifier=r.field(),
-            epoch=r.unpack(">Q")[0],
-            root=r.field(),
-            proof=Proof.deserialize(r.raw(PROOF_SIZE)),
-        )
+    proof = RateLimitProof._read(r) if flags & _FLAG_PROOF else None
     r.end()
     return WakuMessage(
         payload=payload,

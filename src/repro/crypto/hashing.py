@@ -2,8 +2,8 @@
 
 Poseidon (:mod:`repro.crypto.poseidon`) handles everything *inside* the
 circuit; this module handles everything outside it: hashing message payloads
-to field elements (``x = H(m)``, §II-B), deriving message ids for the
-GossipSub seen-cache, and the commit-and-reveal commitments used during
+to field elements (``x = H(m)``, §II-B), deriving the message ids the
+GossipSub router dedups by, and the commit-and-reveal commitments used during
 slashing.  All byte hashing is SHA-256 with an explicit domain tag so that
 digests from different contexts can never collide.
 """
@@ -17,8 +17,8 @@ from repro.crypto.field import FieldElement, element_from_hash
 #: Domain tags.  Each context gets its own prefix.
 DOMAIN_MESSAGE = b"waku-rln-relay:message"
 DOMAIN_MESSAGE_ID = b"waku-rln-relay:message-id"
+DOMAIN_MALFORMED_ID = b"waku-rln-relay:malformed-message-id"
 DOMAIN_COMMITMENT = b"waku-rln-relay:commit-reveal"
-DOMAIN_PROOF = b"waku-rln-relay:proof-transcript"
 
 
 def tagged_sha256(domain: bytes, *parts: bytes) -> bytes:
@@ -41,6 +41,10 @@ def hash_message_to_field(payload: bytes) -> FieldElement:
     return element_from_hash(tagged_sha256(DOMAIN_MESSAGE, payload))
 
 
-def message_id(payload: bytes, topic: str) -> bytes:
-    """Stable 32-byte id used by the GossipSub seen-cache and WAKU-STORE."""
-    return tagged_sha256(DOMAIN_MESSAGE_ID, topic.encode("utf-8"), payload)
+def message_id(payload: bytes, topic: str, *parts: bytes) -> bytes:
+    """The GossipSub id of ``payload`` (and ``parts``) on ``topic``; a payload
+    that is not bytes (hostile) is hashed by ``repr`` under its own tag."""
+    domain = DOMAIN_MESSAGE_ID
+    if not isinstance(payload, (bytes, bytearray)):
+        domain, payload = DOMAIN_MALFORMED_ID, repr(payload).encode("utf-8", "backslashreplace")
+    return tagged_sha256(domain, topic.encode("utf-8"), payload, *parts)

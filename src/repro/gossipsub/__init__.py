@@ -1,4 +1,4 @@
-"""GossipSub substrate: router, mesh, gossip, message caches, peer scoring."""
+"""GossipSub substrate: router, mesh, gossip, message table, peer scoring."""
 
 from repro.gossipsub.messages import (
     Graft,
@@ -10,7 +10,6 @@ from repro.gossipsub.messages import (
     RPC,
     Subscribe,
 )
-from repro.gossipsub.mcache import MessageCache, SeenCache
 from repro.gossipsub.router import (
     GossipSubParams,
     GossipSubRouter,
@@ -29,8 +28,6 @@ __all__ = [
     "Prune",
     "RPC",
     "Subscribe",
-    "MessageCache",
-    "SeenCache",
     "GossipSubParams",
     "GossipSubRouter",
     "RouterStats",

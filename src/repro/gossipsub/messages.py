@@ -13,9 +13,11 @@ metadata the paper's §III-E enumerates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from repro.codec import size_of
+from repro.crypto.hashing import message_id
 
 _ENVELOPE_OVERHEAD = 16
 _ID_SIZE = 32
@@ -25,18 +27,31 @@ _ID_SIZE = 32
 class PubSubMessage:
     """An application message travelling through the mesh.
 
-    ``payload`` is either raw bytes or a protocol object exposing
-    ``byte_size()`` (the RLN bundle does); ``msg_id`` is content-derived so
-    the message carries no publisher identity — the anonymity property
-    WAKU-RELAY inherits from gossip routing (§I).
+    ``payload`` is raw bytes or an object with ``byte_size()`` (the RLN
+    bundle).  No id and no publisher identity travel — the anonymity
+    WAKU-RELAY inherits from gossip routing (§I): receivers derive :attr:`msg_id`.
     """
 
-    msg_id: bytes
     topic: str
     payload: Any
 
+    @cached_property
+    def msg_id(self) -> bytes:
+        """``payload.message_id(topic)`` for a payload with its own id (a
+        Waku message's covers its RLN bundle), else
+        :func:`~repro.crypto.hashing.message_id`.  Remembered, like the
+        size: the one (frozen) object is relayed by every peer."""
+        derive = getattr(self.payload, "message_id", None)
+        return derive(self.topic) if callable(derive) else message_id(self.payload, self.topic)
+
+    def with_payload(self, payload: Any) -> "PubSubMessage":
+        """A copy carrying ``payload`` (a re-stamped trace) under this id."""
+        copy = PubSubMessage(self.topic, payload)
+        copy.__dict__["msg_id"] = self.msg_id
+        return copy
+
     def byte_size(self) -> int:
-        # Remembered: the one (frozen) object is relayed by every peer.
+        # The id term stays billed, though receivers derive the id.
         size = self.__dict__.get("_size")
         if size is None:
             size = _ENVELOPE_OVERHEAD + _ID_SIZE + len(self.topic)
@@ -119,31 +134,21 @@ class RPC:
     prune: tuple[Prune, ...] = ()
     subscriptions: tuple[Subscribe, ...] = ()
 
+    def _groups(self) -> tuple[tuple, ...]:
+        return (
+            self.messages, self.ihave, self.iwant, self.idontwant,
+            self.graft, self.prune, self.subscriptions,
+        )
+
     def byte_size(self) -> int:
         total = self.__dict__.get("_size")
         if total is None:
             total = _ENVELOPE_OVERHEAD
-            for group in (
-                self.messages,
-                self.ihave,
-                self.iwant,
-                self.idontwant,
-                self.graft,
-                self.prune,
-                self.subscriptions,
-            ):
+            for group in self._groups():
                 for item in group:
                     total += item.byte_size()
             object.__setattr__(self, "_size", total)
         return total
 
     def is_empty(self) -> bool:
-        return not (
-            self.messages
-            or self.ihave
-            or self.iwant
-            or self.idontwant
-            or self.graft
-            or self.prune
-            or self.subscriptions
-        )
+        return not any(self._groups())

@@ -15,22 +15,20 @@ GossipSub routing protocol" (§I):
   attack is ... easily addressable by leveraging peer scoring"),
 * optional **peer scoring** (the baseline defence of experiment E8).
 
-Messages carry no publisher identity; ids are content-derived — the
-receiver-anonymity property gossip routing gives WAKU-RELAY (§I).
+Messages carry no publisher identity and no id: a receiver derives it
+(:attr:`PubSubMessage.msg_id`) and keeps one ``MessageTable`` record per id.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Any, Callable
 
 from repro.errors import NetworkError, NotConnected, UnknownPeer
-from repro.gossipsub.mcache import MessageCache, SeenCache
 from repro.gossipsub.messages import (
     Graft,
     IDontWant,
@@ -41,6 +39,7 @@ from repro.gossipsub.messages import (
     RPC,
     Subscribe,
 )
+from repro.gossipsub.msgtable import MessageTable
 from repro.gossipsub.scoring import PeerScoreKeeper, ScoreParams
 from repro.net.promise import Promise
 from repro.net.simulator import Simulator
@@ -64,14 +63,10 @@ class ValidationResult(Enum):
 #: waits on queued work (batched proof verification, §III-F).  A verdict is
 #: anything whose ``action`` is a ValidationResult, a member included.  The
 #: router parks the message until it resolves; duplicates arriving meanwhile
-#: are dropped by the seen-cache, as for a synchronous verdict.
+#: are dropped as already witnessed, as for a synchronous verdict.
 Validator = Callable[[str, PubSubMessage], Any]
 #: (message) -> None
 DeliveryCallback = Callable[[PubSubMessage], None]
-
-#: Most ids one peer may name in IDONTWANTs for messages we have not seen
-#: yet; each such hint expires with the mcache window.
-MAX_EARLY_IDONTWANTS = 512
 
 
 @dataclass(frozen=True)
@@ -83,9 +78,6 @@ class GossipSubParams:
     d_hi: int = 12
     d_lazy: int = 6
     heartbeat_interval: float = 1.0
-    mcache_length: int = 5
-    mcache_gossip: int = 3
-    seen_ttl: float = 120.0
 
     def __post_init__(self) -> None:
         if not self.d_lo <= self.d <= self.d_hi:
@@ -159,29 +151,14 @@ class GossipSubRouter:
         self._peer_topics: dict[str, set[str]] = {}
         self._validators: dict[str, Validator] = {}
         self._callbacks: dict[str, list[DeliveryCallback]] = {}
-        self._seen = SeenCache(ttl=self.params.seen_ttl)
         self._announced_to: set[str] = set()
-        self._mcache = MessageCache(
-            history_length=self.params.mcache_length,
-            gossip_length=self.params.mcache_gossip,
-        )
-        #: msg id -> peers known to hold it: for a pending verdict, every
-        #: peer that sent a copy or an IDONTWANT; for an unseen id, the
-        #: IDONTWANT announcers.  :meth:`_forward` skips them.
-        self._holders: dict[bytes, set[str]] = {}
+        self._table = MessageTable()
         #: Messages deferred at this instant: one IDONTWANT per topic.
         self._announce: list[PubSubMessage] = []
-        #: (time, id, announcer) of each unseen-id hint, oldest first,
-        #: and each announcer's count of live ones.
-        self._early: deque[tuple[float, bytes, str]] = deque()
-        self._early_count: dict[str, int] = {}
         #: Optional distributed-tracing hook (PR 9): called once per
-        #: ACCEPTed message *before* it is cached, delivered and
-        #: forwarded, returning the message to propagate — the RLN layer
-        #: uses it to re-stamp the payload's span context with this
-        #: peer's own span, so mcache copies and IWANT re-serves carry
-        #: the true causal parent.  ``None`` (the default, and the whole
-        #: disabled path) touches nothing.
+        #: ACCEPTed message before it is kept, delivered and forwarded, it
+        #: returns the message to propagate (the RLN layer re-stamps the
+        #: span context with this peer's span).  ``None`` touches nothing.
         self._trace_rewriter: Callable[[PubSubMessage], PubSubMessage] | None = None
         self._started = False
         self._stop_heartbeat: Callable[[], None] | None = None
@@ -231,16 +208,17 @@ class GossipSubRouter:
         """Install the per-hop span-context re-stamp hook (PR 9)."""
         self._trace_rewriter = rewriter
 
-    def publish(self, topic: str, payload: Any, msg_id: bytes) -> PubSubMessage:
+    def publish(self, topic: str, payload: Any) -> PubSubMessage:
         """Publish a message authored by this peer."""
         if topic not in self._topics:
             raise NetworkError(f"{self.peer_id} is not subscribed to {topic!r}")
-        message = PubSubMessage(msg_id=msg_id, topic=topic, payload=payload)
+        message = PubSubMessage(topic, payload)
         self.stats.published += 1
-        self._seen.witness(msg_id, self.simulator.now)
-        self._mcache.put(message)
+        self._table.witness(message.msg_id, self.simulator.now, self.peer_id)
+        holders = self._table.settle(message.msg_id)
+        self._table.keep(message)
         self._deliver_locally(message)
-        self._forward(message, exclude={self.peer_id})
+        self._forward(message, exclude={self.peer_id}, holders=holders)
         return message
 
     # -- mesh / membership views ---------------------------------------------------------
@@ -249,12 +227,10 @@ class GossipSubRouter:
         """Un-witness an id whose message was dropped without being judged.
 
         A validator that sheds load (ingress rate limiting) returns IGNORE
-        without ever checking the content; forgetting the id lets a later
-        copy from any neighbour — or an IHAVE/IWANT re-fetch — be validated
-        once there is budget again, instead of being suppressed as a
-        duplicate for the whole seen-cache TTL.
+        without checking the content; forgetting the id lets a later copy
+        or an IHAVE/IWANT re-fetch be validated once there is budget again.
         """
-        self._seen.forget(msg_id)
+        self._table.pop(msg_id, None)
 
     def topic_peers(self, topic: str) -> set[str]:
         """Neighbors known to be subscribed to ``topic``."""
@@ -277,7 +253,7 @@ class GossipSubRouter:
             for graft in rpc.graft:
                 self._handle_graft(sender, graft)
             for prune in rpc.prune:
-                self._handle_prune(sender, prune)
+                self._leave_mesh(prune.topic, sender)
         for message in rpc.messages:
             self._handle_message(sender, message)
         if rpc.ihave or rpc.iwant or rpc.idontwant:
@@ -308,11 +284,7 @@ class GossipSubRouter:
             topics.add(subscription.topic)
         else:
             topics.discard(subscription.topic)
-            mesh = self._mesh.get(subscription.topic)
-            if mesh and sender in mesh:
-                mesh.remove(sender)
-                if self.scoring:
-                    self.scoring.on_leave_mesh(sender, self.simulator.now)
+            self._leave_mesh(subscription.topic, sender)
 
     def _handle_graft(self, sender: str, graft: Graft) -> None:
         topic = graft.topic
@@ -333,19 +305,16 @@ class GossipSubRouter:
             if self.scoring:
                 self.scoring.on_join_mesh(sender, self.simulator.now)
 
-    def _handle_prune(self, sender: str, prune: Prune) -> None:
-        mesh = self._mesh.get(prune.topic)
-        if mesh and sender in mesh:
-            mesh.remove(sender)
+    def _leave_mesh(self, topic: str, peer: str) -> None:
+        mesh = self._mesh.get(topic)
+        if mesh and peer in mesh:
+            mesh.remove(peer)
             if self.scoring:
-                self.scoring.on_leave_mesh(sender, self.simulator.now)
+                self.scoring.on_leave_mesh(peer, self.simulator.now)
 
     def _handle_message(self, sender: str, message: PubSubMessage) -> None:
-        msg_id = message.msg_id
-        if self._seen.witness(msg_id, self.simulator.now):
+        if self._table.witness(message.msg_id, self.simulator.now, sender):
             self.stats.duplicates += 1
-            if msg_id in self._holders:  # our verdict is pending
-                self._holders[msg_id].add(sender)
             return
         validator = self._validators.get(message.topic)
         if validator is None:
@@ -355,7 +324,7 @@ class GossipSubRouter:
             verdict = validator(sender, message)
         if isinstance(verdict, Promise):
             self.stats.deferred += 1
-            self._holders.setdefault(msg_id, set()).add(sender)
+            self._table.pend(message.msg_id, sender)
             if not self._announce:
                 self.simulator.schedule(0.0, self._announce_pending)
             self._announce.append(message)
@@ -367,7 +336,7 @@ class GossipSubRouter:
     def _apply_validation(self, sender: str, message: PubSubMessage, verdict: Any) -> None:
         """Act on a verdict's ``action`` (immediately, or when a deferral fires)."""
         result = verdict.action
-        holders = self._holders.pop(message.msg_id, ()) if self._holders else ()
+        holders = self._table.settle(message.msg_id)
         if result is ValidationResult.REJECT:
             self.stats.rejected += 1
             if self.scoring:
@@ -381,10 +350,10 @@ class GossipSubRouter:
             self.scoring.on_first_delivery(sender)
         if self._trace_rewriter is not None:
             # Re-stamp the span context with *this* peer's span before the
-            # message is cached or forwarded, so downstream hops (and
-            # IWANT re-serves out of mcache) name the true causal parent.
+            # message is kept or forwarded, so downstream hops (and IWANT
+            # re-serves out of the table) name the true causal parent.
             message = self._trace_rewriter(message)
-        self._mcache.put(message)
+        self._table.keep(message)
         self._deliver_locally(message)
         self._forward(message, exclude={sender}, holders=holders)
 
@@ -393,16 +362,14 @@ class GossipSubRouter:
             return
         if ihave.topic not in self._topics:
             return
-        wanted = tuple(i for i in ihave.msg_ids if i not in self._seen)
+        get = self._table.get
+        wanted = tuple(i for i in ihave.msg_ids if (r := get(i)) is None or r.seen_at is None)
         if wanted:
             self._send(sender, RPC(iwant=(IWant(msg_ids=wanted),)))
 
     def _handle_iwant(self, sender: str, iwant: IWant) -> None:
-        found = []
-        for msg_id in iwant.msg_ids:
-            message = self._mcache.get(msg_id)
-            if message is not None:
-                found.append(message)
+        get = self._table.get
+        found = [r.message for i in iwant.msg_ids if (r := get(i)) and r.message is not None]
         if found:
             self.stats.iwant_served += len(found)
             self._send(sender, RPC(messages=tuple(found)))
@@ -411,24 +378,15 @@ class GossipSubRouter:
         """Note ``sender`` as a holder: it only ever leaves its own forwards."""
         self.stats.idontwant_received += 1
         for msg_id in idontwant.msg_ids:
-            holders = self._holders.get(msg_id)
-            if holders is not None:
-                holders.add(sender)
-            elif msg_id not in self._seen:
-                # The announcer got the message first: keep the hint for
-                # one mcache window (an id already judged needs none).
-                count = self._early_count.get(sender, 0)
-                if count < MAX_EARLY_IDONTWANTS:
-                    self._early_count[sender] = count + 1
-                    self._early.append((self.simulator.now, msg_id, sender))
-                    self._holders[msg_id] = {sender}
+            self._table.note(msg_id, sender)
 
     def _announce_pending(self) -> None:
         """One IDONTWANT per topic to the mesh: this instant's ids still pending."""
         announce, self._announce = self._announce, []
-        held = self._holders
+        get = self._table.get
         for topic in dict.fromkeys(m.topic for m in announce):
-            pending = tuple(m.msg_id for m in announce if m.topic == topic and m.msg_id in held)
+            ids = (m.msg_id for m in announce if m.topic == topic)
+            pending = tuple(i for i in ids if (r := get(i)) and r.holders is not None)
             mesh = self._mesh.get(topic)
             if pending and mesh:
                 self.stats.idontwant_sent += len(mesh)
@@ -464,7 +422,7 @@ class GossipSubRouter:
     # -- heartbeat ---------------------------------------------------------------------------
 
     def heartbeat(self) -> None:
-        """Mesh balancing, score decay, gossip emission, mcache rotation."""
+        """Mesh balancing, score decay, gossip emission, window rotation."""
         now = self.simulator.now
         if self.scoring:
             self.scoring.decay_scores()
@@ -477,9 +435,7 @@ class GossipSubRouter:
                     self.scoring is None or self.scoring.mesh_eligible(peer, now)
                 )
                 if not connected or not eligible:
-                    mesh.remove(peer)
-                    if self.scoring:
-                        self.scoring.on_leave_mesh(peer, now)
+                    self._leave_mesh(topic, peer)
                     if connected:
                         self._send(peer, RPC(prune=(Prune(topic=topic),)))
             if len(mesh) < self.params.d_lo:
@@ -496,14 +452,7 @@ class GossipSubRouter:
                 )
             self.stats.mesh_size[topic] = len(mesh)
             self._emit_gossip(topic)
-        self._mcache.shift()
-        horizon = now - self.params.mcache_length * self.params.heartbeat_interval
-        early = self._early
-        while early and early[0][0] <= horizon:
-            _, msg_id, sender = early.popleft()
-            self._early_count[sender] -= 1
-            if msg_id not in self._seen:
-                self._holders.pop(msg_id, None)
+        self._table.shift()
 
     def _fill_mesh(self, topic: str) -> None:
         mesh = self._mesh.setdefault(topic, set())
@@ -535,13 +484,11 @@ class GossipSubRouter:
             reverse=True,
         )
         for peer in ranked[self.params.d :]:
-            mesh.remove(peer)
-            if self.scoring:
-                self.scoring.on_leave_mesh(peer, now)
+            self._leave_mesh(topic, peer)
             self._send(peer, RPC(prune=(Prune(topic=topic),)))
 
     def _emit_gossip(self, topic: str) -> None:
-        ids = self._mcache.gossip_ids(topic)
+        ids = self._table.gossip(topic)
         if not ids:
             return
         now = self.simulator.now

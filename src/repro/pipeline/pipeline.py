@@ -13,7 +13,7 @@ layer ingress validation — cheap gates first, expensive ones batched:
 4. the peer's one :class:`~repro.pipeline.batch_verifier.BatchVerifier`,
    shared with its store/filter/lightpush roles — a **proof-verdict
    cache** keyed by (statement, proof) hash, so a re-broadcast of an
-   already-judged bundle (e.g. after root churn or seen-cache expiry)
+   already-judged bundle (e.g. after root churn or seen TTL expiry)
    never re-verifies; a table of the checks still pending, so one that is
    being judged right now is joined; and batched Groth16 verification
    with per-proof fallback, flushing on size-or-deadline;
@@ -25,9 +25,9 @@ default) is observationally identical to calling
 ``BundleValidator.validate`` directly *for traffic below the token-bucket
 rates* — under a flood the buckets deliberately shed load the seed would
 have verified; pipeline-only drops (framing, size, rate limit) are
-counted in :class:`PipelineStats` alone.  Message ids are deduplicated
-once, by the router's seen-cache, before :meth:`ValidationPipeline.validate`
-is called.
+counted in :class:`PipelineStats` alone.  Message ids (which cover the
+bundle) are deduplicated once, by the router's message table, before
+:meth:`ValidationPipeline.validate` is called.
 
 Every judged bundle is concluded in one place, inline or when a deferred
 proof verdict lands: its outcome is booked, its span finished, spam
@@ -276,9 +276,9 @@ class ValidationPipeline:
         # Stage 4 — the verdict's one front door: cache, then whatever is
         # already pending for this (statement, proof) on any of the peer's
         # paths, then the pairing check.  A straight re-broadcast does not
-        # reach this point (an identical wire message has an identical
-        # msg_id, which the router's seen-cache suppresses); the same proof
-        # rewrapped under a different content_topic does, and joins.
+        # reach this point (the receiver's msg_id covers payload, content
+        # topic and bundle, and the router's table drops a witnessed id);
+        # the same proof under a different content_topic does, and joins.
         # Whoever paid, the nullifier log still runs on the verdict, so a
         # second copy lands as DUPLICATE.
         proof_verdict, fresh = self.batch_verifier.check(

@@ -13,10 +13,10 @@ that fails these gates costs a routing peer only integer comparisons:
 * **epoch window** — §III-F item 1: more than ``Thr`` epochs from the local
   clock's epoch in either direction is dropped (integer subtraction only).
 
-Message ids are not deduplicated here: the router's seen-cache drops a
-repeated id before the validator runs, and a repeat that still gets
-through (after seen-cache expiry) is judged ``DUPLICATE`` by the
-nullifier log from the cached proof verdict.
+Message ids are not deduplicated here: the router's message table drops
+a witnessed id (derived over payload, content topic and bundle) before
+the validator runs, and a repeat after the seen TTL is judged
+``DUPLICATE`` by the nullifier log from the cached proof verdict.
 """
 
 from __future__ import annotations

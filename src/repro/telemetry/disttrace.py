@@ -13,8 +13,7 @@ waits, pairing service time), not Python wall time.
   :class:`~repro.waku.message.WakuMessage` through GossipSub forwarding.
   Each relay hop re-stamps the context with its *own* span id before
   forwarding, so the receiver's span always points at the true causal
-  parent (including mcache/IWANT re-serves, which serve the re-stamped
-  copy).
+  parent (including IWANT re-serves, which serve the re-stamped copy).
 * :class:`DistTracer` — one peer's span mint and ring buffer.
   ``begin_publish`` decides **head sampling** once, at the root
   (probability ``sample``; the decision rides the wire, downstream peers
@@ -635,7 +634,7 @@ class PropagationTree:
     @property
     def duplicate_deliveries(self) -> int:
         """Relay spans beyond the first per peer — a peer that judged the
-        same bundle twice (seen-cache expiry, IWANT refetch)."""
+        same bundle twice (seen TTL expiry, IWANT refetch)."""
         seen: set[str] = set()
         duplicates = 0
         for span in self.relay_spans():

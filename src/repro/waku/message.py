@@ -11,10 +11,11 @@ typed as ``Any`` here because the proof structure lives in
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
-from repro.codec import size_of
+from repro.codec import Wire, size_of
 from repro.crypto.hashing import message_id
 from repro.net.promise import Promise
 
@@ -36,17 +37,21 @@ class WakuMessage:
     ephemeral: bool = False
     rate_limit_proof: Any = None
     #: Optional distributed-tracing envelope extension (PR 9): the
-    #: sender's :class:`~repro.telemetry.disttrace.SpanContext`.  NOT
-    #: part of :meth:`message_id` (ids are content-derived, so every
-    #: relay hop re-stamping the context leaves message identity — and
-    #: seen-cache dedup — untouched); ``None`` costs zero wire bytes.
+    #: sender's :class:`~repro.telemetry.disttrace.SpanContext`.  Not
+    #: part of :meth:`message_id`: every relay hop re-stamps it, and the
+    #: copy keeps its id; ``None`` costs zero wire bytes.
     trace: "SpanContext | None" = None
 
     def message_id(self, pubsub_topic: str = DEFAULT_PUBSUB_TOPIC) -> bytes:
-        """Deterministic 32-byte id (content-addressed; no sender identity)."""
-        return message_id(
-            self.payload + self.content_topic.encode("utf-8"), pubsub_topic
-        )
+        """The id a receiver derives: pubsub topic, payload, content topic and
+        the bundle's wire bytes (§III-E's proof section, if it has one) — all
+        §III-F judges; not ``timestamp``, ``ephemeral`` or ``trace``."""
+        proof = self.rate_limit_proof
+        try:  # a bundle whose fields do not encode is junk: hostile input
+            section = proof.to_bytes() if isinstance(proof, Wire) else b""
+        except (AttributeError, TypeError, OverflowError, struct.error):
+            section = b""
+        return message_id(self.payload, pubsub_topic, self.content_topic.encode("utf-8"), section)
 
     def byte_size(self) -> int:
         size = self.__dict__.get("_size")

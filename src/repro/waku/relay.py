@@ -5,7 +5,7 @@ privacy-preserving pubsub over GossipSub.  The thin layer consists of:
 
 * Waku-specific message framing (:class:`repro.waku.message.WakuMessage`),
 * content-topic demultiplexing on top of the single pubsub mesh,
-* anonymity-preserving defaults (content-derived message ids, no sender
+* anonymity-preserving defaults (receiver-derived message ids, no sender
   attribution in the wire format).
 
 WAKU-RLN-RELAY (:mod:`repro.core.protocol`) extends this class with proof
@@ -67,9 +67,7 @@ class WakuRelay:
 
     def publish(self, message: WakuMessage) -> PubSubMessage:
         """Publish a Waku message into the mesh."""
-        return self.router.publish(
-            self.pubsub_topic, message, message.message_id(self.pubsub_topic)
-        )
+        return self.router.publish(self.pubsub_topic, message)
 
     # -- subscriptions ------------------------------------------------------------
 

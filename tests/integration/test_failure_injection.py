@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
-from repro.crypto.hashing import message_id
 from repro.gossipsub.router import GossipSubParams, GossipSubRouter
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
@@ -43,7 +42,7 @@ class TestPacketLoss:
             routers[peer].start()
         sim.run(5.0)
         payload = b"lossy"
-        routers["peer-000"].publish("t", payload, message_id(payload, "t"))
+        routers["peer-000"].publish("t", payload)
         # Enough time for several heartbeats of gossip repair.
         sim.run(sim.now + 20.0)
         delivered = sum(r.stats.delivered for r in routers.values())

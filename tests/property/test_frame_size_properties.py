@@ -30,7 +30,7 @@ def rebuilt(frame):
 
 
 def enveloped(message: WakuMessage) -> RPC:
-    carried = PubSubMessage(msg_id=bytes(32), topic="/waku/2/test", payload=message)
+    carried = PubSubMessage(topic="/waku/2/test", payload=message)
     return RPC(messages=(carried,), ihave=(IHave("/waku/2/test", (bytes(32),)),))
 
 

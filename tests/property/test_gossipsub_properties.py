@@ -6,8 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hashing import message_id
-from repro.gossipsub.mcache import SeenCache
+from repro.gossipsub.msgtable import SEEN_TTL, MessageTable
 from repro.gossipsub.router import GossipSubRouter
 from repro.net.latency import UniformLatency
 from repro.net.simulator import Simulator
@@ -53,7 +52,7 @@ def test_every_message_delivered_exactly_once_everywhere(
     for i in range(publisher_count):
         payload = f"msg-{seed}-{i}".encode()
         payloads.append(payload)
-        routers[names[i % peer_count]].publish(TOPIC, payload, message_id(payload, TOPIC))
+        routers[names[i % peer_count]].publish(TOPIC, payload)
         sim.run(sim.now + 0.5)
     sim.run(sim.now + 8.0)
     # Exactly-once delivery at every peer for every message.
@@ -85,11 +84,10 @@ def test_message_ids_never_delivered_twice(seed):
     sim, routers = build_network(8, 4, seed)
     names = sorted(routers)
     payload = b"replay-me"
-    msg_id = message_id(payload, TOPIC)
-    routers[names[0]].publish(TOPIC, payload, msg_id)
+    routers[names[0]].publish(TOPIC, payload)
     sim.run(sim.now + 5.0)
-    # Re-publishing the same id from another peer is absorbed by seen-caches.
-    routers[names[1]].publish(TOPIC, payload, msg_id)
+    # Re-publishing the same id from another peer is absorbed by the tables.
+    routers[names[1]].publish(TOPIC, payload)
     sim.run(sim.now + 5.0)
     for router in routers.values():
         assert router.stats.delivered <= 2  # once per unique id per peer; the
@@ -118,7 +116,9 @@ class ScanningSeenCache:
 
 
 @given(
-    ttl=st.sampled_from([0.0, 1.0, 5.0]),
+    # Steps are in units of SEEN_TTL / ttl: the step-to-TTL ratios of a 1 s
+    # and a 5 s TTL, and of a tiny one that keeps only the same instant.
+    ttl=st.sampled_from([0.001, 1.0, 5.0]),
     ops=st.lists(
         st.tuples(
             st.sampled_from(["witness", "forget"]),
@@ -130,16 +130,17 @@ class ScanningSeenCache:
 )
 @settings(max_examples=150, deadline=None)
 def test_seen_cache_expires_exactly_what_a_full_scan_expires(ttl, ops):
-    # The cache only walks its entries when its oldest timestamp says one
+    # The table only walks its records when its oldest timestamp says one
     # can have expired; it must answer as a scan on every call would.
-    cache, reference = SeenCache(ttl=ttl), ScanningSeenCache(ttl)
+    table, reference = MessageTable(), ScanningSeenCache(SEEN_TTL)
     now = 0.0
     for op, msg_id, step in ops:
-        now += step
+        now += step * SEEN_TTL / ttl
         if op == "witness":
-            assert cache.witness(msg_id, now) == reference.witness(msg_id, now)
+            duplicate = table.witness(msg_id, now, "peer-a")
+            assert duplicate == reference.witness(msg_id, now)
         else:
-            cache.forget(msg_id)
+            table.pop(msg_id, None)
             reference.entries.pop(msg_id, None)
-        assert len(cache) == len(reference.entries)
-        assert all((m in cache) == (m in reference.entries) for m, _, _ in ops)
+        assert len(table) == len(reference.entries)
+        assert all((table.get(m) is not None) == (m in reference.entries) for m, _, _ in ops)

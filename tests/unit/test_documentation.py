@@ -128,6 +128,7 @@ COVERS = {
     "accept_path": "pipeline/batch_verifier.py: the inline accept path and shared verdicts",
     "documentation": "every module: docstrings, __all__, metric catalog, this layout",
     "e2e_seams": "the src methods benchmarks/e2e/trace.py wraps by name",
+    "mcache": "gossipsub/msgtable.py: the message table's seen TTL and mcache windows",
     "options_audit": "every defaulted option: set by a driver or kept for a reason",
     "reachability": "every function: reached by a driver or kept; package budgets",
     "rln_v2": "zksnark/rln_circuit.py: RLN-v2's message_limit",

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.baselines.pow import PoWStamp
 from repro.crypto.field import FieldElement
 from repro.core.messages import RateLimitProof
+from repro.gossipsub.messages import PubSubMessage
 from repro.pipeline.prefilter import Prefilter, PrefilterOutcome
 from repro.waku.message import WakuMessage
 from repro.zksnark.groth16 import Proof
@@ -24,6 +26,13 @@ def fake_message(payload: bytes = b"hello", epoch: int = EPOCH) -> WakuMessage:
     return WakuMessage(payload=payload, content_topic="t", rate_limit_proof=bundle)
 
 
+def derived_id(payload: object) -> bytes:
+    """The id a receiving router derives; hostile payloads must not raise."""
+    msg_id = PubSubMessage(topic="/waku/2/test", payload=payload).msg_id
+    assert len(msg_id) == 32
+    return msg_id
+
+
 @pytest.fixture()
 def prefilter() -> Prefilter:
     return Prefilter(max_epoch_gap=2, max_payload_bytes=64)
@@ -36,6 +45,10 @@ class TestGates:
 
     def test_non_waku_message_malformed(self, prefilter):
         assert prefilter.check(object(), EPOCH) is PrefilterOutcome.MALFORMED
+        # Each also gets an id, none of them an honest bytes payload's.
+        for payload in (object(), "hello", memoryview(b"hello"), 7, None, [b"hello"]):
+            assert prefilter.check(payload, EPOCH) is PrefilterOutcome.MALFORMED
+            assert derived_id(payload) != derived_id(b"hello")
 
     def test_non_bytes_payload_malformed(self, prefilter):
         bad = WakuMessage.__new__(WakuMessage)
@@ -43,10 +56,17 @@ class TestGates:
         object.__setattr__(bad, "content_topic", "t")
         object.__setattr__(bad, "rate_limit_proof", None)
         assert prefilter.check(bad, EPOCH) is PrefilterOutcome.MALFORMED
+        good = WakuMessage(payload=b"not-bytes", content_topic="t")
+        assert derived_id(bad) != derived_id(good)
 
     def test_missing_proof_dropped(self, prefilter):
         bare = WakuMessage(payload=b"x", content_topic="t")
         assert prefilter.check(bare, EPOCH) is PrefilterOutcome.MISSING_PROOF
+        # A bundle that is no RLN bundle adds nothing to the id.
+        for bundle in (PoWStamp(nonce=1, difficulty=8), object(), "proof"):
+            stamped = bare.with_proof(bundle)
+            assert prefilter.check(stamped, EPOCH) is PrefilterOutcome.MISSING_PROOF
+            assert derived_id(stamped) == derived_id(bare)
 
     def test_oversized_payload_dropped_before_epoch_check(self, prefilter):
         # 65 bytes > the 64-byte ceiling; the stale epoch must not matter,
@@ -61,6 +81,10 @@ class TestGates:
         assert prefilter.check(past, EPOCH) is PrefilterOutcome.STALE_EPOCH
         assert prefilter.check(future, EPOCH) is PrefilterOutcome.STALE_EPOCH
         assert prefilter.check(edge, EPOCH) is PrefilterOutcome.PASS
+        # Epochs no u64 carries: the bundle does not encode, yet gets an id.
+        for epoch in (-1, 1 << 64):
+            assert prefilter.check(fake_message(epoch=epoch), EPOCH) is PrefilterOutcome.STALE_EPOCH
+            assert derived_id(fake_message(epoch=epoch)) != derived_id(fake_message())
 
     def test_gates_keep_no_per_message_state(self, prefilter):
         # Repeated ids are the router's seen-cache's business: the same

@@ -244,7 +244,6 @@ class TestIngressRateLimit:
         sender, receiver = dep.peer("peer-000"), dep.peer("peer-001")
         message = sender._build_message(b"throttled", "t", sender.current_epoch())
         pubsub = PubSubMessage(
-            msg_id=message.message_id(receiver.relay.pubsub_topic),
             topic=receiver.relay.pubsub_topic,
             payload=message,
         )
@@ -254,8 +253,8 @@ class TestIngressRateLimit:
         )
         receiver.relay.router._handle_message("peer-000", pubsub)
         assert message.payload not in [m.payload for m in receiver.received]
-        # The unjudged id was forgotten in the router's seen-cache too.
-        assert pubsub.msg_id not in receiver.relay.router._seen
+        # The unjudged id was forgotten in the router's message table too.
+        assert receiver.relay.router._table.get(pubsub.msg_id) is None
 
         dep.run(2.0)  # refill
         receiver.relay.router._handle_message("peer-000", pubsub)
@@ -300,7 +299,6 @@ class TestBatchedShutdown:
         sender, receiver = dep.peer("peer-000"), dep.peer("peer-001")
         message = sender._build_message(b"parked", "t", sender.current_epoch())
         pubsub = PubSubMessage(
-            msg_id=message.message_id(receiver.relay.pubsub_topic),
             topic=receiver.relay.pubsub_topic,
             payload=message,
         )
@@ -318,7 +316,6 @@ class TestBatchedShutdown:
         author = dep.peer("peer-002")
         late = author._build_message(b"late", "t", author.current_epoch())
         late_pubsub = PubSubMessage(
-            msg_id=late.message_id(receiver.relay.pubsub_topic),
             topic=receiver.relay.pubsub_topic,
             payload=late,
         )
@@ -332,7 +329,6 @@ class TestBatchedShutdown:
         author3 = dep.peer("peer-003")
         fresh = author3._build_message(b"fresh", "t", author3.current_epoch())
         fresh_pubsub = PubSubMessage(
-            msg_id=fresh.message_id(receiver.relay.pubsub_topic),
             topic=receiver.relay.pubsub_topic,
             payload=fresh,
         )

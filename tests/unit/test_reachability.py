@@ -41,6 +41,7 @@ KEPT_FOR = {
     "codec.py:flag": "decoder: a flag byte other than 0/1 refused",
     "core/wire.py:decode_message": "decoder: a Waku message with its RLN bundle off the wire",
     "core/wire.py:encode_message": "encoder of `decode_message`",
+    "core/messages.py:RateLimitProof._read": "decode_message's proof section",
     "crypto/commitments.py:open_or_raise": (
         "refusal: a revealed opening that does not match its commitment"
     ),
@@ -101,9 +102,7 @@ KEPT_FOR = {
     "core/protocol.py:WakuRLNRelayPeer._on_shed": (
         "a bundle the token buckets shed: un-witness its id, penalise a forwarder's overflow"
     ),
-    "gossipsub/mcache.py:SeenCache._expire": "seen-cache expiry after seen_ttl",
-    "gossipsub/mcache.py:SeenCache._reset_oldest": "seen-cache expiry",
-    "gossipsub/mcache.py:SeenCache.forget": "forget_seen's body",
+    "gossipsub/msgtable.py:MessageTable._expire": "an id witnessed SEEN_TTL (120 s) ago expires",
     "gossipsub/router.py:GossipSubRouter._shrink_mesh": "heartbeat: a mesh grafted past d_hi",
     "gossipsub/router.py:GossipSubRouter.forget_seen": "_on_shed: a rate-limited receipt un-witnesses its id",
     "net/latency.py:ConstantLatency.worst_case": "dissemination_bound()",
@@ -214,8 +213,6 @@ KEPT_FOR = {
     "crypto/field.py:FieldElement.__repr__": "repr: what a failing assertion prints",
     "crypto/field.py:FieldElement.__rsub__": "operator protocol: int - field element",
     "crypto/field.py:FieldElement.__rtruediv__": "operator protocol: int / field element",
-    "gossipsub/mcache.py:MessageCache.__len__": "container protocol: len() of the message cache",
-    "gossipsub/mcache.py:SeenCache.__len__": "container protocol: len() of the seen-cache",
     "pipeline/lru.py:BoundedLRU.__len__": "container protocol: len() of a verdict cache",
     "telemetry/disttrace.py:SpanRecord.__getnewargs__": (
         "copy/pickle of a tuple record: rebuilt from its marks"
@@ -300,17 +297,17 @@ BUDGET = {
     "baselines": 432,
     "chain": 975,
     "core": 2010,
-    "crypto": 2108,
+    "crypto": 2112,
     "exec": 422,
-    "gossipsub": 1010,
+    "gossipsub": 1009,
     "net": 987,
     "offchain": 609,
     "pipeline": 1097,
     "repro": 625,
     "revocation": 449,
-    "telemetry": 3669,
+    "telemetry": 3668,
     "treesync": 1311,
-    "waku": 862,
+    "waku": 865,
     "witness": 999,
     "zksnark": 1410,
 }

@@ -48,7 +48,7 @@ def start_all(sim, routers, warmup=3.0):
 
 
 def publish(router, payload: bytes):
-    return router.publish(TOPIC, payload, message_id(payload, TOPIC))
+    return router.publish(TOPIC, payload)
 
 
 class TestParams:

@@ -48,7 +48,7 @@ class TestGraylisting:
         network.send(
             "peer-000",
             "peer-001",
-            RPC(messages=(PubSubMessage(msg_id=message_id(payload, TOPIC), topic=TOPIC, payload=payload),)),
+            RPC(messages=(PubSubMessage(topic=TOPIC, payload=payload),)),
         )
         sim.run(sim.now + 1.0)
         assert victim.stats.delivered == delivered_before
@@ -69,7 +69,7 @@ class TestLifecycle:
         router.start()
         router.start()
         payload = b"still fine"
-        router.publish(TOPIC, payload, message_id(payload, TOPIC))
+        router.publish(TOPIC, payload)
         sim.run(sim.now + 2.0)
         assert sum(r.stats.delivered for r in routers.values()) == len(routers)
 
@@ -87,13 +87,13 @@ class TestLifecycle:
         receiver = routers["peer-001"]
         receiver.set_validator(TOPIC, lambda s, m: ValidationResult.REJECT)
         payload1 = b"rejected"
-        routers["peer-000"].publish(TOPIC, payload1, message_id(payload1, TOPIC))
+        routers["peer-000"].publish(TOPIC, payload1)
         sim.run(sim.now + 2.0)
         assert receiver.stats.rejected >= 1
         assert receiver.stats.delivered == 0
         receiver.set_validator(TOPIC, lambda s, m: ValidationResult.ACCEPT)
         payload2 = b"accepted"
-        routers["peer-000"].publish(TOPIC, payload2, message_id(payload2, TOPIC))
+        routers["peer-000"].publish(TOPIC, payload2)
         sim.run(sim.now + 2.0)
         assert receiver.stats.delivered >= 1
 
@@ -123,7 +123,7 @@ class TestMeshRepair:
             routers[peer].start()
         sim.run(0.2)  # subscriptions exchanged; no heartbeat yet
         payload = b"early"
-        routers["peer-000"].publish(TOPIC, payload, message_id(payload, TOPIC))
+        routers["peer-000"].publish(TOPIC, payload)
         sim.run(sim.now + 2.0)
         assert sum(r.stats.delivered for r in routers.values()) == 4
 
@@ -166,7 +166,7 @@ class TestForgetSeen:
         victim.set_validator(TOPIC, shedding_validator)
         payload = b"shed me"
         mid = message_id(payload, TOPIC)
-        rpc = RPC(messages=(PubSubMessage(msg_id=mid, topic=TOPIC, payload=payload),))
+        rpc = RPC(messages=(PubSubMessage(topic=TOPIC, payload=payload),))
         network.send("peer-000", "peer-001", rpc)
         sim.run(sim.now + 1.0)
         network.send("peer-000", "peer-001", rpc)

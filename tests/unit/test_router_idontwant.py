@@ -9,13 +9,9 @@ import random
 
 import networkx as nx
 
-from repro.crypto.hashing import message_id
 from repro.gossipsub.messages import RPC, Graft, IDontWant, PubSubMessage, Subscribe
-from repro.gossipsub.router import (
-    MAX_EARLY_IDONTWANTS,
-    GossipSubRouter,
-    ValidationResult,
-)
+from repro.gossipsub.msgtable import MAX_EARLY_IDONTWANTS, MCACHE_LENGTH
+from repro.gossipsub.router import GossipSubRouter, ValidationResult
 from repro.net.latency import ConstantLatency
 from repro.net.promise import Promise
 from repro.net.simulator import Simulator
@@ -53,7 +49,7 @@ def scripted(neighbours="abcd", mesh=None, deferred=True):
 
 
 def message(payload: bytes) -> PubSubMessage:
-    return PubSubMessage(msg_id=message_id(payload, TOPIC), topic=TOPIC, payload=payload)
+    return PubSubMessage(topic=TOPIC, payload=payload)
 
 
 def copies(inbox, peer):
@@ -62,6 +58,11 @@ def copies(inbox, peer):
 
 def announcements(inbox, peer):
     return [rpc.idontwant for rpc in inbox[f"peer-{peer}"] if rpc.idontwant]
+
+
+def held(router):
+    """The ids whose holders the router keeps: pending verdicts and hints."""
+    return {i for i, record in router._table.items() if record.holders is not None}
 
 
 class TestHolders:
@@ -77,7 +78,7 @@ class TestHolders:
         assert copies(inbox, "a") == copies(inbox, "b") == copies(inbox, "c") == []
         assert router.stats.suppressed == 2
         assert router.stats.idontwant_received == 1
-        assert router._holders == {}
+        assert held(router) == set()
 
     def test_the_table_entry_goes_whatever_the_verdict(self):
         for verdict in ValidationResult:
@@ -86,7 +87,7 @@ class TestHolders:
             router._on_rpc("peer-a", RPC(messages=(m,)))
             router._on_rpc("peer-b", RPC(messages=(m,)))
             verdicts[m.msg_id].resolve(verdict)
-            assert router._holders == {}, verdict
+            assert held(router) == set(), verdict
 
     def test_an_idontwant_for_a_judged_id_leaves_no_state(self):
         simulator, router, inbox, verdicts = scripted()
@@ -94,9 +95,9 @@ class TestHolders:
         router._on_rpc("peer-a", RPC(messages=(m,)))
         verdicts[m.msg_id].resolve(ACCEPT)
         router._on_rpc("peer-b", RPC(idontwant=(IDontWant((m.msg_id,)),)))
-        assert router._holders == {}
+        assert held(router) == set()
         router.heartbeat()
-        assert router._holders == {}
+        assert held(router) == set()
 
     def test_an_early_idontwant_spares_the_announcer_when_the_message_comes(self):
         simulator, router, inbox, verdicts = scripted(deferred=False)
@@ -106,7 +107,7 @@ class TestHolders:
         simulator.run(1.0)
         assert copies(inbox, "b") == copies(inbox, "d") == [m.msg_id]
         assert copies(inbox, "c") == []
-        assert router._holders == {}
+        assert held(router) == set()
 
 
 class TestAnnouncements:
@@ -150,7 +151,7 @@ class TestAnnouncements:
         for router in routers.values():
             stats = router.stats
             assert (stats.idontwant_sent, stats.idontwant_received, stats.suppressed) == (0, 0, 0)
-            assert router._holders == {}
+            assert held(router) == set()
 
 
 class TestHostileAnnouncer:
@@ -160,8 +161,8 @@ class TestHostileAnnouncer:
         rng = random.Random(5)
         ids = (m.msg_id,) + tuple(rng.randbytes(32) for _ in range(100_000))
         router._on_rpc("peer-h", RPC(idontwant=(IDontWant(ids),)))
-        assert len(router._holders) == MAX_EARLY_IDONTWANTS
-        assert all(holders == {"peer-h"} for holders in router._holders.values())
+        assert len(held(router)) == len(router._table) == MAX_EARLY_IDONTWANTS
+        assert all(r.holders == {"peer-h"} for r in router._table.values())
 
         # The hostile peer only ever leaves its own forward.
         router._on_rpc("peer-a", RPC(messages=(m,)))
@@ -171,17 +172,17 @@ class TestHostileAnnouncer:
         assert copies(inbox, "h") == []
         assert router.stats.suppressed == 1
 
-        window = router.params.mcache_length * router.params.heartbeat_interval
-        simulator.run(window - 0.5)
+        # The hints live for the mcache window: MCACHE_LENGTH heartbeats.
+        for _ in range(MCACHE_LENGTH - 1):
+            router.heartbeat()
+        assert len(held(router)) == MAX_EARLY_IDONTWANTS - 1  # minus the judged id
         router.heartbeat()
-        assert len(router._holders) == MAX_EARLY_IDONTWANTS - 1  # minus the judged id
-        simulator.run(window)
-        router.heartbeat()
-        assert router._holders == {}
-        assert router._early_count["peer-h"] == 0
+        assert held(router) == set()
+        assert len(router._table) == 1  # the judged id stays witnessed
+        assert router._table._hints["peer-h"] == 0
         # With the window gone, the cap admits the sender's hints again.
         router._on_rpc("peer-h", RPC(idontwant=(IDontWant(ids[-2:]),)))
-        assert len(router._holders) == 2
+        assert len(held(router)) == 2
 
 
 class TestThinMeshFallback:

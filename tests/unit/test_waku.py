@@ -1,9 +1,13 @@
 """Unit tests for the Waku protocol family: message, relay, store, filter."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.core.messages import RateLimitProof
+from repro.crypto.field import FieldElement
+from repro.gossipsub.messages import PubSubMessage
 from repro.gossipsub.router import ValidationResult
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
@@ -12,6 +16,7 @@ from repro.net.transport import Network
 from repro.waku.filter import FilterClient, FilterNode, MessagePush
 from repro.waku.message import DEFAULT_PUBSUB_TOPIC, WakuMessage
 from repro.waku.relay import WakuRelay
+from repro.telemetry.disttrace import SpanContext
 from repro.waku.store import (
     MAX_PAGE_SIZE,
     HistoryQuery,
@@ -19,6 +24,7 @@ from repro.waku.store import (
     StoreClient,
     StoreNode,
 )
+from repro.zksnark.groth16 import Proof
 
 
 def build(count=5, seed=4):
@@ -43,6 +49,31 @@ class TestWakuMessage:
         b = WakuMessage(payload=b"x", content_topic="t", timestamp=99.0)
         # Timestamp does not enter the id (no metadata linkage).
         assert a.message_id() == b.message_id()
+        # Nor do the ephemeral flag or the per-hop trace context.
+        trace = SpanContext(trace_id=1, span_id=2, hop=0, origin="peer-000")
+        assert WakuMessage(payload=b"x", content_topic="t", ephemeral=True).message_id() == a.message_id()
+        assert a.with_trace(trace).message_id() == a.message_id()
+
+    def test_message_id_covers_every_bundle_field(self):
+        bundle = RateLimitProof(
+            FieldElement(1), FieldElement(2), FieldElement(3), 7, FieldElement(4),
+            Proof(a=bytes(32), b=bytes(64), c=bytes(32)),
+        )
+        a = WakuMessage(payload=b"x", content_topic="t", rate_limit_proof=bundle)
+        changed = [
+            replace(bundle, share_x=FieldElement(9)),
+            replace(bundle, share_y=FieldElement(9)),
+            replace(bundle, internal_nullifier=FieldElement(9)),
+            replace(bundle, epoch=8),
+            replace(bundle, root=FieldElement(9)),
+            replace(bundle, proof=Proof(a=bytes(31) + b"\x01", b=bytes(64), c=bytes(32))),
+        ]
+        ids = {a.with_proof(other).message_id() for other in changed}
+        assert len(ids) == len(changed) and a.message_id() not in ids
+        assert a.message_id() != WakuMessage(payload=b"x", content_topic="t").message_id()
+        # A re-stamped copy travels under its original's id, not re-derived.
+        carried = PubSubMessage(topic="/t", payload=a)
+        assert carried.with_payload(b"re-stamped").msg_id == carried.msg_id == a.message_id("/t")
 
     def test_message_id_distinguishes_content_topic(self):
         a = WakuMessage(payload=b"x", content_topic="t1")
