@@ -1,0 +1,127 @@
+"""What an idle fleet costs the host: CPU ms and events per simulated second.
+
+    python3 benchmarks/probes/idle_cost.py [--peers 20 40] [--windows 5] [--seed 11]
+
+A fleet of WAKU-RLN-RELAY peers registers, forms its meshes, settles for
+20 simulated seconds and then runs with no traffic at all.  Each of
+``--windows`` windows of 40 simulated seconds is timed with the
+process's CPU clock (``time.process_time``: what this interpreter
+burned, whoever else shares the machine), and the simulator's processed
+events are counted.  Two profiles, built as the e2e benchmark builds
+them (``benchmarks/e2e/harness.py``): the paper profile (flat trees,
+inline crypto, telemetry off) and the collector profile
+``production_fleet`` runs (sharded trees, two crypto lanes with batches
+of 8, one collector with ``CollectorOptions(interval=1.0,
+trace_sample=0.25, alerting=True)``).  On an idle collector-profile
+fleet everything above the paper profile's floor is telemetry: each
+peer's exporter tick and heartbeat round trip, and the collector's fold
+and alert passes.  Each row is the median over the windows; each
+(profile, size) runs in its own interpreter.  The last line is the rows
+as JSON.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import random
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+WINDOW_S = 40.0
+SETTLE_S = 20.0
+PROFILES = ("paper", "production")
+
+
+def build(profile: str, peers: int, seed: int):
+    """A registered, meshed fleet under ``profile``, as the e2e harness builds it."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.core.config import RLNConfig
+    from repro.core.deployment import RLNDeployment
+    from repro.crypto.identity import Identity
+    from repro.net.latency import ConstantLatency
+    from repro.pipeline import PipelineConfig
+    from repro.telemetry import CollectorOptions
+
+    production = profile == "production"
+    dep = RLNDeployment.create(
+        peer_count=peers,
+        degree=min(6, peers - 1),
+        seed=seed,
+        config=RLNConfig(
+            epoch_length=1.0,
+            max_epoch_gap=2,
+            tree_depth=20,
+            tree_backend="sharded" if production else "flat",
+        ),
+        latency=ConstantLatency(0.05),
+        block_interval=12.0,
+        pipeline_config=(
+            PipelineConfig(workers=2, batch_size=8, batch_deadline=0.05) if production else None
+        ),
+        collector=(
+            CollectorOptions(interval=1.0, trace_sample=0.25, alerting=True) if production else None
+        ),
+    )
+    secrets = random.Random(f"identities-{seed}")
+    for peer in dep.peers.values():
+        peer.identity = Identity.from_secret(secrets.getrandbits(248) + 1)
+    dep.register_all()
+    dep.form_meshes()
+    dep.run(SETTLE_S)
+    return dep
+
+
+def measure(profile: str, peers: int, windows: int, seed: int) -> dict:
+    """One (profile, size), in this interpreter."""
+    dep = build(profile, peers, seed)
+    simulator = dep.simulator
+    host_ms: list[float] = []
+    events: list[float] = []
+    for _ in range(windows):
+        before, start = simulator.processed_events, time.process_time()
+        dep.run(WINDOW_S)
+        host_ms.append((time.process_time() - start) * 1000 / WINDOW_S)
+        events.append((simulator.processed_events - before) / WINDOW_S)
+    return {
+        "profile": profile,
+        "peers": peers,
+        "host_ms_per_sim_s": round(statistics.median(host_ms), 3),
+        "events_per_sim_s": round(statistics.median(events), 3),
+        "windows": windows,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--peers", type=int, nargs="+", default=[20, 40])
+    parser.add_argument("--windows", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--one", choices=PROFILES, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.one:
+        print(json.dumps(measure(args.one, args.peers[0], args.windows, args.seed)))
+        return 0
+    rows = []
+    print(f"{'profile':>11} {'peers':>6} {'host ms / sim s':>16} {'events / sim s':>15}")
+    for peers in args.peers:
+        for profile in PROFILES:
+            child = subprocess.run(
+                [sys.executable, __file__, "--one", profile, "--peers", str(peers),
+                 "--windows", str(args.windows), "--seed", str(args.seed)],
+                check=True, capture_output=True, text=True,
+            )
+            row = json.loads(child.stdout.strip().splitlines()[-1])
+            rows.append(row)
+            print(f"{row['profile']:>11} {row['peers']:>6} {row['host_ms_per_sim_s']:>16.3f} "
+                  f"{row['events_per_sim_s']:>15.3f}")
+    print(json.dumps(rows))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

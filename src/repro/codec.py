@@ -39,6 +39,7 @@ from __future__ import annotations
 import struct
 from collections import defaultdict
 from functools import lru_cache
+from itertools import count
 from typing import Any, Callable, TypeVar
 
 from repro.crypto.field import FIELD_BYTES, FIELD_MODULUS, FieldElement
@@ -93,7 +94,8 @@ def _symbol(value: str) -> bytes:
 
 
 #: A frame's table as written: ``symbols[text]`` is the varint referring to
-#: ``text``, a new one appended.  As read, ``symbol()`` reads a reference.
+#: ``text``, a new one appended (counted apart: a factory reading the table
+#: would make it a reference cycle).  As read, ``symbol()`` reads a reference.
 Symbols = dict[str, bytes]
 Symbol = Callable[[], str]
 
@@ -133,7 +135,7 @@ class Writer(list):
         reference from ``symbols``; the table it filled goes in front."""
         slot = len(self)
         self.append(b"")
-        symbols: Symbols = defaultdict(lambda: varint(len(symbols)))
+        symbols: Symbols = defaultdict(map(varint, count()).__next__)
         body(self, symbols)
         self[slot] = varint(len(symbols)) + b"".join(map(_symbol, symbols))
 

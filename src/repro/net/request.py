@@ -164,10 +164,7 @@ class RequestDispatcher:
         total_rounds = self.rounds if rounds is None else rounds
         pending = PendingRequest()
         self.stats.requests += 1
-        plan = [
-            provider for _ in range(total_rounds) for provider in providers
-        ]
-        attempted: list[str] = []
+        plan = [provider for _ in range(total_rounds) for provider in providers]
 
         def settle(result: Any) -> None:
             # ``attempt`` reaches itself through its closure; dropping that
@@ -188,12 +185,11 @@ class RequestDispatcher:
                             f"no provider answered acceptably after "
                             f"{len(plan)} attempts"
                         ),
-                        attempts=tuple(attempted),
+                        attempts=tuple(plan),
                     )
                 )
                 return
             provider = plan[cursor]
-            attempted.append(provider)
             request_id = next(self._request_ids)
             self.stats.attempts += 1
             timer: EventHandle | None = None

@@ -38,18 +38,20 @@ which is what makes evaluation independent of the order same-time
 batches folded in — the property suite pins this.  *When* it is called
 is the collector's discipline, stated in :mod:`repro.telemetry.collector`:
 one ring point per series per simulated instant, taken when the instant
-is over.  A pass walks the states **once**, into a :class:`GroupedStates`
-bucketed by the metric names registered expressions select, and every
-selection then reads its bucket through :func:`select_many` — so a pass
-costs the stored entries once plus the few each rule matches, not
-rules × peers × entries.
+is over.  Expressions read the states through a :class:`StateIndex`,
+every entry bucketed by name in walk order, and each selection filters
+its name's bucket (:func:`select_many`).  The collector keeps its index
+as it folds — a new entry joins its bucket, an updated one is changed in
+place — so a pass regroups nothing: it costs the few entries each rule's
+names hold, not the stored entries, nor rules × peers × entries.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import ge, gt, itemgetter, le, lt
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.telemetry.registry import metric_key
@@ -71,12 +73,9 @@ RESOLVED = "resolved"
 #: pack (60 evaluation intervals) needs a fraction of them.
 RING_CAPACITY = 512
 
-_OPS = {
-    ">": lambda v, t: v > t,
-    ">=": lambda v, t: v >= t,
-    "<": lambda v, t: v < t,
-    "<=": lambda v, t: v <= t,
-}
+_TIME = itemgetter(0)
+
+_OPS = {">": gt, ">=": ge, "<": lt, "<=": le}
 
 
 # -- selection and aggregation ------------------------------------------------
@@ -96,48 +95,60 @@ def _freeze(matchers: Mapping[str, object]) -> "tuple[tuple[str, object], ...]":
     return tuple(sorted(matchers.items(), key=lambda item: item[0]))
 
 
-class GroupedStates(tuple):
-    """A states tuple that also carries its entries bucketed by name.
+class StateIndex:
+    """Collected states as selections read them: every entry bucketed by
+    name, each bucket in walk order (state rank, then the entry's place in
+    its state) — the order a full walk of the states meets them, so float
+    aggregates stay bit-identical.
 
-    Built once per sampling / evaluation pass by :meth:`RuleEngine.view`;
-    ``by_name`` holds a bucket for exactly the metric names it was asked
-    for (an empty list when no state has the name), so a missing key
-    means "not grouped — scan".
+    The collector keeps one for its life and reports each entry its folds
+    create (:meth:`added`); entries change in place, so a pass regroups
+    nothing.  A standalone engine indexes the states it is handed, afresh
+    on each pass (:meth:`of`).
     """
 
-    by_name: dict[str, list[dict]]
+    __slots__ = ("_buckets",)
 
-    def __new__(
-        cls, states: Iterable[CollectedState], names: Iterable[str]
-    ) -> "GroupedStates":
-        self = super().__new__(cls, states)
-        by_name: dict[str, list[dict]] = {name: [] for name in names}
-        if by_name:
-            for state in self:
-                for entry in state.values():
-                    bucket = by_name.get(entry["name"])
-                    if bucket is not None:
-                        bucket.append(entry)
-        self.by_name = by_name
-        return self
+    def __init__(self) -> None:
+        #: name -> (orders, entries), the two lists kept parallel.
+        self._buckets: dict[str, tuple[list[tuple], list[dict]]] = {}
+
+    @classmethod
+    def of(cls, states: Iterable[CollectedState]) -> "StateIndex":
+        index = cls()
+        for rank, state in enumerate(states):
+            for place, entry in enumerate(state.values()):
+                index.added((rank, place), entry)
+        return index
+
+    def added(self, order: tuple, entry: dict) -> None:
+        """``entry`` is new; ``order`` places it in the walk."""
+        bucket = self._buckets.get(entry["name"])
+        if bucket is None:
+            bucket = self._buckets[entry["name"]] = ([], [])
+        orders, entries = bucket
+        at = bisect_right(orders, order)
+        orders.insert(at, order)
+        entries.insert(at, entry)
+
+    def bucket(self, name: str) -> list[dict]:
+        """Every entry named ``name``, in walk order."""
+        bucket = self._buckets.get(name)
+        return [] if bucket is None else bucket[1]
 
 
 def select_many(
-    states: tuple[CollectedState, ...],
+    states: "StateIndex | Iterable[CollectedState]",
     name: str,
     matchers: "tuple[tuple[str, object], ...]",
 ) -> list[dict]:
     """Every entry matching ``name`` + label matchers, across all states —
-    the one scan every selection goes through.  Duplicate keys across
-    states are *not* merged (additive aggregation wants them all).
-    Reads the ``name`` bucket of a :class:`GroupedStates`; any other
-    tuple of states (or an ungrouped name) is walked whole."""
-    candidates: "Iterable[dict] | None" = None
-    if isinstance(states, GroupedStates):
-        candidates = states.by_name.get(name)
-    if candidates is None:
-        candidates = (entry for state in states for entry in state.values())
-    return [entry for entry in candidates if _matches(entry, name, matchers)]
+    the one filter every selection goes through, over the name's bucket
+    (plain states are indexed first).  Duplicate keys across states are
+    *not* merged (additive aggregation wants them all)."""
+    if not isinstance(states, StateIndex):
+        states = StateIndex.of(states)
+    return [entry for entry in states.bucket(name) if _matches(entry, name, matchers)]
 
 
 def _scalar(entry: dict, field_name: str) -> float:
@@ -214,19 +225,13 @@ class SeriesRing:
         self, window: float, now: float
     ) -> "tuple[tuple[float, float], tuple[float, float]] | None":
         """The oldest and newest point inside the window, or ``None`` when
-        fewer than two are.  The ring is time-ordered, so this walks back
-        from the newest point and stops at the cutoff."""
-        cutoff = now - window
-        oldest = None
-        inside = 0
-        for point in reversed(self.points):
-            if point[0] < cutoff:
-                break
-            oldest = point
-            inside += 1
-        if inside < 2:
+        fewer than two are.  The ring is time-ordered, so the oldest is
+        found by bisection, not by walking the window."""
+        points = self.points
+        oldest = bisect_left(points, now - window, key=_TIME)
+        if len(points) - oldest < 2:
             return None
-        return oldest, self.points[-1]
+        return points[oldest], points[-1]
 
     def delta(self, window: float, now: float) -> float:
         """Increase over the window (clamped at 0 for monotone series)."""
@@ -252,10 +257,10 @@ class SeriesRing:
 
 @dataclass(frozen=True)
 class FleetView:
-    """Everything one pass reads: now, the grouped states, rings, health."""
+    """Everything one pass reads: now, the indexed states, rings, health."""
 
     now: float
-    states: GroupedStates
+    states: StateIndex
     rings: Mapping[str, SeriesRing]
     health: "HealthMonitor | None"
 
@@ -271,7 +276,7 @@ class Expr:
     key: str
 
     def register(self, engine: "RuleEngine") -> None:
-        """Install the samplers and name groups this expression reads."""
+        """Install the samplers this expression reads."""
         return None
 
 
@@ -309,10 +314,6 @@ class Instant(Expr):
             entries, self.agg, field_name=self.field, default=self.default
         )
 
-    def register(self, engine: "RuleEngine") -> None:
-        for name in self.names:
-            engine.group_by(name)
-
 
 class Rate(Expr):
     """``rate(source[window])``: per-second increase of a sampled series.
@@ -335,7 +336,6 @@ class Rate(Expr):
         self.key = f"rate({source.key},{window:g}s)"
 
     def register(self, engine: "RuleEngine") -> None:
-        self.source.register(engine)
         engine.add_sampler(self.source.key, self.source.read)
 
     def read(self, view: FleetView) -> float:
@@ -374,7 +374,6 @@ class BadFraction(Expr):
         )
 
     def register(self, engine: "RuleEngine") -> None:
-        engine.group_by(self.name)
         engine.add_sampler((self._bad_key, self._total_key), self._counts)
 
     def read(self, view: FleetView) -> float:
@@ -520,15 +519,7 @@ class AlertEvent:
     severity: str
     description: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "alertname": self.alertname,
-            "state": self.state,
-            "value": self.value,
-            "severity": self.severity,
-            "description": self.description,
-        }
+    to_dict = asdict
 
 
 class _RuleState:
@@ -548,16 +539,11 @@ class _RuleState:
 class RuleEngine:
     """Evaluates every rule against the collector's state on a cadence.
 
-    Owns one ring per windowed series and the sampler that feeds it;
-    samplers are interned by series key, so two rules watching the same
-    series share one ring.  Driven by the owner with :meth:`sample` and
-    :meth:`evaluate`; both are eager, pure functions of ``(now, states)``,
-    so unit tests drive the engine standalone with hand-built state
-    mappings, sampling as often as they like (points at one instant
-    coalesce).  The :class:`~repro.telemetry.collector.CollectorPeer`
-    samples once per simulated instant that folded something, when that
-    instant is over (its module docstring states the discipline), and
-    evaluates every ``evaluation_interval`` of simulated time.
+    Owns one ring per windowed series and the sampler that feeds it,
+    interned by series key (rules watching one series share its ring).
+    :meth:`sample` and :meth:`evaluate` are eager, pure functions of
+    ``(now, states)``: tests drive an engine standalone with hand-built
+    states; the collector keeps the discipline its module docstring states.
     """
 
     def __init__(
@@ -569,9 +555,6 @@ class RuleEngine:
             raise ValueError(f"duplicate alert names: {sorted(dupes)}")
         self._rings: dict[str, SeriesRing] = {}
         self._samplers: dict["str | tuple[str, ...]", Callable] = {}
-        #: Metric names some registered expression selects — what a
-        #: pass buckets the states by.
-        self._names: set[str] = set()
         self._states: dict[str, _RuleState] = {}
         for rule in rules:
             rule.expr.register(self)
@@ -580,10 +563,6 @@ class RuleEngine:
         self.evaluations = 0
 
     # -- what expressions register ------------------------------------------
-
-    def group_by(self, name: str) -> None:
-        """Bucket entries named ``name`` in every pass's grouping."""
-        self._names.add(name)
 
     def add_sampler(
         self,
@@ -604,18 +583,19 @@ class RuleEngine:
     def view(
         self,
         now: float,
-        states: Iterable[CollectedState],
+        states: "StateIndex | Iterable[CollectedState]",
         *,
         health: "HealthMonitor | None" = None,
     ) -> FleetView:
-        """What expressions read at ``now``: ``states`` bucketed by the
-        registered names (as is if already grouped) — one walk that every
-        selection of the pass then shares."""
-        if not isinstance(states, GroupedStates):
-            states = GroupedStates(states, self._names)
+        """What expressions read at ``now``: ``states`` indexed (as is if
+        already a :class:`StateIndex`)."""
+        if not isinstance(states, StateIndex):
+            states = StateIndex.of(states)
         return FleetView(now, states, self._rings, health)
 
-    def sample(self, now: float, states: Iterable[CollectedState]) -> None:
+    def sample(
+        self, now: float, states: "StateIndex | Iterable[CollectedState]"
+    ) -> None:
         """Record one ring point per windowed series at ``now`` — the
         eager primitive; a same-instant call replaces the point."""
         view = self.view(now, states)
@@ -631,7 +611,7 @@ class RuleEngine:
     def evaluate(
         self,
         now: float,
-        states: Iterable[CollectedState],
+        states: "StateIndex | Iterable[CollectedState]",
         *,
         health: "HealthMonitor | None" = None,
     ) -> list[AlertEvent]:

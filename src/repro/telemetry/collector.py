@@ -50,13 +50,14 @@ assembled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.telemetry import tracing
-from repro.telemetry.alerts import AlertRule, RuleEngine
+from repro.telemetry.alerts import AlertRule, RuleEngine, StateIndex
 from repro.telemetry.disttrace import TraceAssembler
 from repro.telemetry.export import TelemetrySnapshot, render_prometheus
 from repro.telemetry.health import HealthMonitor
@@ -135,35 +136,19 @@ def fold_delta(state: dict[str, dict], delta: MetricDelta) -> None:
     """Apply one wire delta to a peer's cumulative collected-shape state."""
     key = delta.key
     entry = state.get(key)
+    if entry is None:
+        entry = state[key] = {"name": delta.name, "kind": delta.kind, "labels": dict(delta.labels)}
+        if delta.kind == "counter":
+            entry["value"] = 0
+        elif delta.kind == "histogram":
+            bounds = list(delta.bounds)
+            entry.update(count=0, le=bounds, buckets=[0] * (len(bounds) + 1))
     if isinstance(delta, CounterDelta):
-        if entry is None:
-            entry = state[key] = {
-                "name": delta.name,
-                "kind": "counter",
-                "labels": dict(delta.labels),
-                "value": 0,
-            }
         entry["value"] += delta.delta
     elif isinstance(delta, GaugeValue):
-        if entry is None:
-            entry = state[key] = {
-                "name": delta.name,
-                "kind": "gauge",
-                "labels": dict(delta.labels),
-            }
         entry["value"] = delta.value
     else:
         assert isinstance(delta, HistogramDelta)
-        if entry is None:
-            bounds = list(delta.bounds)
-            entry = state[key] = {
-                "name": delta.name,
-                "kind": "histogram",
-                "labels": dict(delta.labels),
-                "count": 0,
-                "le": bounds,
-                "buckets": [0] * (len(bounds) + 1),
-            }
         entry["count"] += delta.count_delta
         buckets = entry["buckets"]
         for index, bucket_delta in delta.bucket_deltas:
@@ -210,12 +195,30 @@ class CollectorPeer:
         #: The simulated instant whose ring points are still owed: set by
         #: a fold, settled by :meth:`_take_due_sample`.
         self._sample_due: float | None = None
+        #: What rules read — every peer's state, then the self-metrics —
+        #: indexed as entries appear; entries change in place.
+        self._index = StateIndex()
         if rules:
             self.engine = RuleEngine(rules)
             self.evaluation_interval = evaluation_interval
             self._stop_evaluation = simulator.every(
                 evaluation_interval, self._evaluate
             )
+        #: ``CollectorStats`` as collected-shape counters (:meth:`self_metrics`),
+        #: built once and kept level: ``(field, entry)`` pairs that
+        #: :meth:`_restate` writes, and a reported-drops entry per peer
+        #: that its folds write.
+        self._self_state: dict[str, dict] = {}
+        self._reported: dict[str, dict] = {}
+        counter = self._self_entry
+        self._counted = [
+            ("batches", counter("collector_batches_total")),
+            ("lost_batches", counter("collector_lost_batches_total")),
+            ("duplicates", counter("collector_duplicates_total")),
+            ("gaps", counter("collector_gaps_total")),
+            ("malformed", counter("collector_malformed_total")),
+            ("acks_sent", counter("collector_acks_sent_total")),
+        ]
         #: Propagation-tree assembly from exported spans.
         self.assembler = TraceAssembler()
         network.register(peer_id, self._on_export, protocol=TELEMETRY_PROTOCOL)
@@ -274,9 +277,18 @@ class CollectorPeer:
             "shard": str(batch.shard),
         }
         self.stats.reported_drops[batch.peer] = batch.dropped_batches
+        if batch.peer not in self._reported:
+            counter = self._self_entry
+            self._reported[batch.peer] = counter("collector_reported_drops_total", peer=batch.peer)
+        self._reported[batch.peer]["value"] = batch.dropped_batches
         state = self._states.setdefault(batch.peer, {})
         for delta in batch.metrics:
+            size = len(state)
             fold_delta(state, delta)
+            if len(state) > size:
+                # A new series: walked after every earlier peer, and after its own.
+                rank = list(self._states).index(batch.peer)
+                self._index.added((rank, size), state[delta.key])
         self.stats.metrics_applied += len(batch.metrics)
         for span in batch.spans:
             # A local root never leaves its peer; one that arrives anyway
@@ -318,31 +330,24 @@ class CollectorPeer:
         ``collector_*_total`` counters labeled with the collector's id
         (plus the exporting peer for self-reported drops), injected into
         the exposition and the rule-engine view — never into
-        :meth:`fleet_snapshot`.
+        :meth:`fleet_snapshot`.  The entries are live (read-only by
+        convention): a pass reads them where they are.
         """
-        base = {"collector": self.peer_id}
-        out: dict[str, dict] = {}
+        self._restate()
+        return dict(self._self_state)
 
-        def counter(name: str, value: int, extra: dict[str, str] | None = None):
-            labels = dict(base)
-            if extra:
-                labels.update(extra)
-            out[metric_key(name, labels)] = {
-                "name": name,
-                "kind": "counter",
-                "labels": labels,
-                "value": value,
-            }
+    def _self_entry(self, name: str, **extra: str) -> dict:
+        labels = {"collector": self.peer_id, **extra}
+        entry = {"name": name, "kind": "counter", "labels": labels, "value": 0}
+        self._self_state[metric_key(name, labels)] = entry
+        # Walk order: after every peer's state.
+        self._index.added((math.inf, len(self._self_state) - 1), entry)
+        return entry
 
-        counter("collector_batches_total", self.stats.batches)
-        counter("collector_lost_batches_total", self.stats.lost_batches)
-        counter("collector_duplicates_total", self.stats.duplicates)
-        counter("collector_gaps_total", self.stats.gaps)
-        counter("collector_malformed_total", self.stats.malformed)
-        counter("collector_acks_sent_total", self.stats.acks_sent)
-        for peer, drops in sorted(self.stats.reported_drops.items()):
-            counter("collector_reported_drops_total", drops, {"peer": peer})
-        return out
+    def _restate(self) -> None:
+        """Bring the counted entries level with ``stats``."""
+        for counted, entry in self._counted:
+            entry["value"] = getattr(self.stats, counted)
 
     def render_prometheus(self) -> str:
         """The whole deployment as one Prometheus text exposition.
@@ -363,11 +368,10 @@ class CollectorPeer:
 
     # -- alerting & liveness ---------------------------------------------------
 
-    def _alert_states(self) -> "list[dict[str, dict]]":
-        """What rules see: every peer's state plus the self-metrics."""
-        states: "list[dict[str, dict]]" = list(self._states.values())
-        states.append(self.self_metrics())
-        return states
+    def _alert_states(self) -> StateIndex:
+        """What rules see, with the self-metrics brought up to date."""
+        self._restate()
+        return self._index
 
     def _take_due_sample(self, *, even_now: bool = False) -> None:
         """Write the ring points a fold left owing, at that fold's instant.

@@ -343,7 +343,7 @@ class Disabled:
     def _empty(self, *args: object) -> dict:
         return {}
 
-    metrics = collect = disttracers = finished_since = _empty
+    changed = collect = disttracers = finished_since = _empty
 
     def snapshot(self) -> TelemetrySnapshot:
         return TelemetrySnapshot({})
@@ -635,14 +635,8 @@ class PropagationTree:
     def duplicate_deliveries(self) -> int:
         """Relay spans beyond the first per peer — a peer that judged the
         same bundle twice (seen TTL expiry, IWANT refetch)."""
-        seen: set[str] = set()
-        duplicates = 0
-        for span in self.relay_spans():
-            if span.peer in seen:
-                duplicates += 1
-            else:
-                seen.add(span.peer)
-        return duplicates
+        relay = self.relay_spans()
+        return len(relay) - len({span.peer for span in relay})
 
     # -- latency -----------------------------------------------------------------
 
@@ -694,14 +688,11 @@ class PropagationTree:
             "hop": span.hop,
             "start": span.start,
             "end": span.end,
-            "children": [
-                self._json_node(child)
-                for child in sorted(
-                    self.children.get(span.span_id, ()),
-                    key=lambda s: (s.start, s.peer),
-                )
-            ],
+            "children": [self._json_node(child) for child in self._children(span)],
         }
+
+    def _children(self, span: SpanRecord) -> list[SpanRecord]:
+        return sorted(self.children.get(span.span_id, ()), key=lambda s: (s.start, s.peer))
 
     def render(self) -> str:
         """Human-readable propagation tree (the example's output)."""
@@ -713,9 +704,7 @@ class PropagationTree:
                 f"{'  ' * depth}{span.peer:<12} {span.kind:<14} hop={span.hop} "
                 f"+{latency * 1e3:7.2f}ms  ({span.duration * 1e3:.2f}ms)"
             )
-            for child in sorted(
-                self.children.get(span.span_id, ()), key=lambda s: (s.start, s.peer)
-            ):
+            for child in self._children(span):
                 walk(child, depth + 1)
 
         walk(self.root, 0)

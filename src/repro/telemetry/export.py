@@ -58,6 +58,14 @@ def _bucket_quantile(le: list[float], buckets: list[int], count: int, q: float) 
     return le[-1] if le else 0.0
 
 
+def _quantiles(entry: dict) -> dict[str, float]:
+    """A histogram entry's ``SNAPSHOT_QUANTILES``, keyed ``p50``…"""
+    return {
+        f"p{int(q * 100)}": _bucket_quantile(entry["le"], entry["buckets"], entry["count"], q)
+        for q in SNAPSHOT_QUANTILES
+    }
+
+
 def merge_histogram_into(mine: dict, entry: dict) -> None:
     """Add histogram ``entry``'s additive fields into ``mine``, in place.
 
@@ -106,12 +114,7 @@ class TelemetrySnapshot:
             if copied["kind"] == "histogram":
                 copied["le"] = list(entry["le"])
                 copied["buckets"] = list(entry["buckets"])
-                copied["quantiles"] = {
-                    f"p{int(q * 100)}": _bucket_quantile(
-                        copied["le"], copied["buckets"], copied["count"], q
-                    )
-                    for q in SNAPSHOT_QUANTILES
-                }
+                copied["quantiles"] = _quantiles(copied)
             out[key] = copied
         return cls(out)
 
@@ -144,12 +147,7 @@ class TelemetrySnapshot:
                 raise ValueError(f"cannot merge {key!r}: {mine['kind']} vs {entry['kind']}")
             if mine["kind"] == "histogram":
                 merge_histogram_into(mine, entry)
-                mine["quantiles"] = {
-                    f"p{int(q * 100)}": _bucket_quantile(
-                        mine["le"], mine["buckets"], mine["count"], q
-                    )
-                    for q in SNAPSHOT_QUANTILES
-                }
+                mine["quantiles"] = _quantiles(mine)
             else:
                 mine["value"] += entry["value"]
         return TelemetrySnapshot(merged)

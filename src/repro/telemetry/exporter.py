@@ -14,9 +14,9 @@ reports:
   a self-reported ``telemetry_dropped_batches_total`` counter that rides
   the next batch like any other metric.
 * **Delta temporality with exact reconstruction.**  Each tick diffs the
-  live registry against what the previous ticks exported, series by
-  series (:class:`~repro.telemetry.otlp.DeltaTracker`: an idle histogram
-  costs one comparison); the additive fields
+  series that may have moved — the bound ones, and the written ones
+  written since the last tick — against what it last exported
+  (:class:`~repro.telemetry.otlp.DeltaTracker`); the additive fields
   travel as integer deltas and the non-additive ones as absolutes, so a
   collector that receives every batch holds the peer's snapshot
   *exactly* — and one that missed a dropped batch is wrong only by that
@@ -134,10 +134,10 @@ class TelemetryExporter:
         self.max_spans_per_batch = max_spans_per_batch
         #: With ``heartbeat=True`` an idle tick still sends an *empty*
         #: batch (seq advancing, no deltas), so the collector's liveness
-        #: classifier (PR 10) can tell "nothing changed" from "peer is
-        #: gone" — the telemetry push doubles as the heartbeat, no
-        #: separate protocol.  Default off: idle peers stay wire-silent
-        #: and PR 7's byte accounting is unchanged.
+        #: classifier can tell "nothing changed" from "peer is gone" — the
+        #: push doubles as the heartbeat.  Off, an idle peer is wire-silent;
+        #: ``RLNDeployment.create`` turns it on with ``alerting=True``, so
+        #: every peer of such a fleet sends one batch per interval.
         self.heartbeat = heartbeat
         self.stats = ExporterStats()
         self.dispatcher = RequestDispatcher(
@@ -172,11 +172,7 @@ class TelemetryExporter:
     def export(self) -> TelemetryBatch | None:
         """One tick: diff the registry, enqueue the delta, pump the queue."""
         self.stats.ticks += 1
-        batch = self._build_batch(force=self.heartbeat)
-        if batch is not None:
-            self._enqueue(batch)
-        self._pump()
-        return batch
+        return self._push(self._build_batch(force=self.heartbeat))
 
     def flush(self) -> None:
         """Build and enqueue whatever changed right now (final drain aid).
@@ -185,10 +181,7 @@ class TelemetryExporter:
         request can complete; :attr:`pending` reports whether anything is
         still unacked.
         """
-        batch = self._build_batch()
-        if batch is not None:
-            self._enqueue(batch)
-        self._pump()
+        self._push(self._build_batch())
 
     @property
     def pending(self) -> bool:
@@ -206,17 +199,15 @@ class TelemetryExporter:
         if self._stop is not None:
             self._stop()
             self._stop = None
-        batch = self._build_batch()
+        batch = self._push(self._build_batch())
         if batch is not None:
             self.stats.close_flush_batches += 1
             self.stats.close_flush_spans += len(batch.spans)
-            self._enqueue(batch)
-        self._pump()
 
     # -- building --------------------------------------------------------------
 
     def _build_batch(self, *, force: bool = False) -> TelemetryBatch | None:
-        metrics = self._deltas.deltas(self.telemetry.registry.metrics())
+        metrics = self._deltas.deltas(self.telemetry.registry.changed())
         spans = self._drain_spans()
         if not metrics and not spans:
             if not force:
@@ -264,11 +255,15 @@ class TelemetryExporter:
 
     # -- queueing / sending ----------------------------------------------------
 
-    def _enqueue(self, batch: TelemetryBatch) -> None:
-        if len(self._queue) >= self.queue_limit:
-            self._queue.popleft()
-            self.stats.batches_dropped += 1
-        self._queue.append(batch)
+    def _push(self, batch: TelemetryBatch | None) -> TelemetryBatch | None:
+        """Queue ``batch`` (dropping the oldest when full), then pump."""
+        if batch is not None:
+            if len(self._queue) >= self.queue_limit:
+                self._queue.popleft()
+                self.stats.batches_dropped += 1
+            self._queue.append(batch)
+        self._pump()
+        return batch
 
     def _pump(self) -> None:
         if self._inflight or not self._queue:

@@ -27,7 +27,7 @@ per-peer rows plus a fleet score in [0, 1].
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 HEALTHY = "healthy"
 STALE = "stale"
@@ -55,27 +55,12 @@ class PeerLiveness:
     lost_batches: int
     reported_drops: int
 
-    def to_dict(self) -> dict:
-        return {
-            "peer": self.peer,
-            "status": self.status,
-            "last_fold": self.last_fold,
-            "age": self.age,
-            "batches": self.batches,
-            "recent_transitions": self.recent_transitions,
-            "lost_batches": self.lost_batches,
-            "reported_drops": self.reported_drops,
-        }
+    to_dict = asdict
 
 
 class _PeerState:
     __slots__ = (
-        "last_fold",
-        "batches",
-        "lost_batches",
-        "reported_drops",
-        "base_status",
-        "transitions",
+        "last_fold", "batches", "lost_batches", "reported_drops", "base_status", "transitions",
     )
 
     def __init__(self, now: float, transition_capacity: int) -> None:

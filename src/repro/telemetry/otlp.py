@@ -1,17 +1,14 @@
 """OTLP-style telemetry wire types: delta-temporality batches on the wire.
 
-PR 6 made telemetry *pull-only and process-local*: each peer holds its own
-registry and nothing aggregates across the fleet.  This module is the wire
-half of the push path — the shapes a
-:class:`~repro.telemetry.exporter.TelemetryExporter` sends over the
-simulated network's ``telemetry`` protocol channel and a
+The shapes a :class:`~repro.telemetry.exporter.TelemetryExporter` sends
+over the simulated network's ``telemetry`` channel and a
 :class:`~repro.telemetry.collector.CollectorPeer` folds into a fleet
 snapshot:
 
 * :class:`TelemetryBatch` — one export interval's worth of metric deltas
   and finished :class:`~repro.telemetry.disttrace.SpanRecord` spans
   (propagation-tree nodes only — a local root's timings ride the metric
-  path as the per-stage histograms and never travel as a span), stamped with the peer's **resource
+  path as the per-stage histograms), stamped with the peer's **resource
   attributes** (peer id, role ``full``/``light``/``witness-provider``,
   shard id) and a per-peer monotone ``seq`` so the collector can dedup
   retransmissions and *see* drop-oldest losses as sequence gaps;
@@ -28,12 +25,12 @@ snapshot:
   attempt matching, seq echo in the ack).
 
 Every type serialises to bytes through :mod:`repro.codec`; the simulated
-network carries the dataclasses and bills ``byte_size() ==
-len(to_bytes())``, so the E17 telemetry/relay byte ratio reflects honest
-wire cost.  A batch does not repeat itself: each of its strings sits once
-in its symbol table, counts, ids and integer deltas are varints, a
-repeated span stamp is one bit, and the 33 default bucket bounds are a
-one-byte flag.
+network carries the dataclasses and bills ``byte_size() == len(to_bytes())``
+(an ack's and an empty batch's without encoding them), so the E17
+telemetry/relay byte ratio reflects honest wire cost.  A batch does not
+repeat itself: each of its strings sits once in its symbol table, counts,
+ids and integer deltas are varints, a repeated span stamp is one bit, and
+the 33 default bucket bounds are a one-byte flag.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import gt, ne
 from struct import Struct
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.codec import Framed, Reader, Symbol, Symbols, Wire, Writer, flag, svarint, varint
 from repro.errors import ProtocolError
@@ -73,6 +70,7 @@ def labels_of(mapping: Mapping[str, str]) -> Labels:
 _FLOAT = Struct(">Bd")
 _DOUBLE = Struct(">d")
 _HISTOGRAM_TOTALS = Struct(">ddd")
+_ACK = Struct(">QQB")
 
 
 def _write_number(w: Writer, value: int | float) -> None:
@@ -251,13 +249,14 @@ class DeltaTracker:
     """Delta temporality against the live registry: one exporter's memory
     of what it last sent, per series.
 
-    :meth:`deltas` walks the live metric objects and emits a series when
-    it changed since its last export — or on **first sight** (even at
-    zero), so the collector's key set matches the peer's registry exactly
-    and the fleet snapshot can equal the offline merge field for field.
-    Registries never remove metrics, so keys only ever appear.  A
-    histogram whose ``count`` did not move is skipped without looking at
-    its buckets; one that moved diffs only its buckets, sparsely.
+    :meth:`deltas` looks at the series it is handed (a tick hands it
+    :meth:`~repro.telemetry.registry.MetricsRegistry.changed`) and emits
+    one when it changed since its last export — or on **first sight**
+    (even at zero), so the collector's key set matches the peer's
+    registry exactly and the fleet snapshot can equal the offline merge
+    field for field.  Registries never remove metrics, so keys only ever
+    appear.  A histogram whose ``count`` did not move is skipped without
+    looking at its buckets; one that moved diffs only its buckets, sparsely.
     """
 
     __slots__ = ("_exported",)
@@ -265,33 +264,33 @@ class DeltaTracker:
     def __init__(self) -> None:
         self._exported: dict[str, _Exported] = {}
 
-    def deltas(self, metrics: Mapping[str, Metric]) -> tuple[MetricDelta, ...]:
-        """The wire deltas since the previous call, in ``metrics`` order."""
+    def deltas(self, series: Iterable[tuple[str, Metric]]) -> tuple[MetricDelta, ...]:
+        """The wire deltas of ``(key, metric)`` pairs, in ``series`` order."""
         out: list[MetricDelta] = []
         exported = self._exported
-        for key, metric in metrics.items():
-            series = exported.get(key)
-            first = series is None
+        for key, metric in series:
+            sent = exported.get(key)
+            first = sent is None
             if first:
-                series = exported[key] = _Exported(metric)
+                sent = exported[key] = _Exported(metric)
             kind = metric.kind
             if kind == "counter":
                 value = metric.value
-                delta = value - series.value
-                series.value = value
+                delta = value - sent.value
+                sent.value = value
                 if first or delta != 0:
-                    out.append(CounterDelta(metric.name, series.labels, delta))
+                    out.append(CounterDelta(metric.name, sent.labels, delta))
             elif kind == "gauge":
                 value = metric.value
-                changed = first or value != series.value
-                series.value = value
+                changed = first or value != sent.value
+                sent.value = value
                 if changed:
-                    out.append(GaugeValue(metric.name, series.labels, value))
+                    out.append(GaugeValue(metric.name, sent.labels, value))
             else:
                 count = metric.count
-                if not first and count == series.value:
+                if not first and count == sent.value:
                     continue
-                buckets, last = metric.bucket_counts, series.buckets
+                buckets, last = metric.bucket_counts, sent.buckets
                 moved = tuple(
                     (index, buckets[index] - last[index])
                     for index in compress(range(len(buckets)), map(ne, buckets, last))
@@ -300,11 +299,11 @@ class DeltaTracker:
                 low, high = metric.extremes()
                 out.append(
                     HistogramDelta(
-                        metric.name, series.labels, count - series.value,
-                        metric.total, low, high, moved, series.le,
+                        metric.name, sent.labels, count - sent.value,
+                        metric.total, low, high, moved, sent.le,
                     )
                 )
-                series.value = count
+                sent.value = count
         return tuple(out)
 
 
@@ -343,6 +342,14 @@ class TelemetryBatch(Framed):
         for span in self.spans:
             span._write_body(w, refs)
 
+    def byte_size(self) -> int:
+        if self.metrics or self.spans:
+            return len(self.to_bytes())
+        # A heartbeat is not encoded to be billed: it is its peer's empty
+        # template with ``seq`` and the drop count as varints.
+        size = _empty_size(self.peer, self.role, self.shard)
+        return size + len(varint(self.seq)) + len(varint(self.dropped_batches))
+
     @classmethod
     def _read_body(cls, r: Reader, symbol: Symbol) -> "TelemetryBatch":
         peer, role = symbol(), symbol()
@@ -350,6 +357,12 @@ class TelemetryBatch(Framed):
         metrics = tuple(_Metric._read_body(r, symbol) for _ in range(r.varint()))
         spans = tuple(SpanRecord._read_body(r, symbol) for _ in range(r.varint()))
         return cls(peer, role, shard, seq, time, dropped, metrics, spans)
+
+
+@lru_cache(maxsize=4096)
+def _empty_size(peer: str, role: str, shard: int) -> int:
+    """Bytes of an empty batch from ``peer``, less its two varints."""
+    return len(TelemetryBatch(peer, role, shard, 0, 0.0, 0, ()).to_bytes()) - 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,6 +375,9 @@ class ExportRequest(Wire):
     def _write(self, w: Writer) -> None:
         w.raw(varint(self.request_id))
         self.batch._write(w)
+
+    def byte_size(self) -> int:
+        return len(varint(self.request_id)) + self.batch.byte_size()
 
     @classmethod
     def _read(cls, r: Reader) -> "ExportRequest":
@@ -377,7 +393,10 @@ class ExportAck(Wire):
     accepted: bool = True
 
     def _write(self, w: Writer) -> None:
-        w.pack(">QQB", self.request_id, self.seq, self.accepted)
+        w.raw(_ACK.pack(self.request_id, self.seq, self.accepted))
+
+    def byte_size(self) -> int:
+        return _ACK.size  # a fixed layout, billed without encoding
 
     @classmethod
     def _read(cls, r: Reader) -> "ExportAck":

@@ -63,7 +63,7 @@ def metric_key(name: str, labels: Mapping[str, str]) -> str:
 class Counter:
     """A monotonically increasing count (events, drops, bytes…)."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "value", "key", "written")
 
     kind = "counter"
 
@@ -71,9 +71,11 @@ class Counter:
         self.name = name
         self.labels = dict(labels)
         self.value = 0
+        self.key, self.written = name, {}  # where a write is marked: see ``changed``
 
     def inc(self, amount: int | float = 1) -> None:
         self.value += amount
+        self.written[self.key] = True
 
 
 class BoundMetric:
@@ -127,6 +129,8 @@ class Histogram:
         "_samples",
         "_sorted_at",
         "_reservoir_rng",
+        "key",
+        "written",
     )
 
     kind = "histogram"
@@ -163,6 +167,7 @@ class Histogram:
         #: observation may have changed them.
         self._sorted_at = 0
         self._reservoir_rng: random.Random | None = None
+        self.key, self.written = name, {}  # as a Counter's
 
     def observe(self, value: float) -> None:
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
@@ -185,6 +190,7 @@ class Histogram:
             slot = self._reservoir_rng.randrange(count)
             if slot < self.sample_capacity:
                 self._samples[slot] = value
+        self.written[self.key] = True
 
     def extremes(self) -> tuple[float, float]:
         """``(min, max)`` as exports carry them: ``(0.0, 0.0)`` when empty."""
@@ -229,12 +235,19 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
+        #: The written series marked since :meth:`changed`, and each bound
+        #: series' reader and the value :meth:`changed` last read.
+        self._written: dict[str, bool] = {}
+        self._readers: dict[str, Callable[[], float]] = {}
+        self._seen: dict[str, object] = {}
 
     def _intern(self, cls, name: str, labels: Mapping[str, str], **kwargs):
         key = metric_key(name, labels)
         metric = self._metrics.get(key)
         if metric is None:
             metric = self._metrics[key] = cls(name, labels, **kwargs)
+            metric.key, metric.written = key, self._written
+            self._written[key] = True  # first sight
         elif metric.kind != cls.kind:
             raise TypeError(
                 f"metric {key!r} is a {metric.kind}, requested {cls.kind}"
@@ -259,6 +272,8 @@ class MetricsRegistry:
         if existing is not None and existing.kind != kind:
             raise TypeError(f"metric {key!r} is a {existing.kind}, bound as {kind}")
         self._metrics[key] = BoundMetric(name, labels, kind, read)
+        self._readers[key] = read
+        self._seen.pop(key, None)  # reported afresh
 
     def counter(self, name: str, **labels: str) -> Counter:
         return self._intern(Counter, name, labels)
@@ -288,16 +303,29 @@ class MetricsRegistry:
 
     # -- reading ------------------------------------------------------------
 
-    def metrics(self) -> dict[str, Metric]:
-        """Live metric objects by canonical key (read-only by convention)."""
-        return dict(self._metrics)
+    def changed(self) -> list[tuple[str, Metric]]:
+        """``(key, metric)`` for every series that moved since the previous
+        call, in registration order: written series written (or registered)
+        since, bound series whose value is not the one last read.  One
+        reader per registry (its peer's exporter); an idle call reads the
+        bound series and no written one."""
+        values = {key: read() for key, read in self._readers.items()}
+        seen, moved = self._seen, self._written
+        if values != seen:
+            moved.update((k, True) for k, v in values.items() if k not in seen or seen[k] != v)
+            self._seen = values
+        if not moved:
+            return []
+        out = [(key, metric) for key, metric in self._metrics.items() if key in moved]
+        moved.clear()
+        return out
 
     def collect(self) -> "dict[str, dict]":
         """One atomic read of every metric into plain JSON-able dicts.
 
         The snapshot path's read: bound series are read from their owners
         here, in the same pass as the histograms.  (The push exporter
-        diffs the live objects of :meth:`metrics` instead, so an idle
+        diffs the live objects :meth:`changed` names instead, so an idle
         series costs it no copy.)
         """
         out: dict[str, dict] = {}

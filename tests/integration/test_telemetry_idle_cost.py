@@ -1,0 +1,165 @@
+"""A budget, in counted work, on what an idle collector-profile fleet costs.
+
+Counts, not seconds, as ``test_alert_scaling.py`` does.  Over 20 idle
+simulated seconds of a fleet with the profile ``production_fleet`` runs
+(two crypto lanes, batches of 8, one alerting collector with head
+sampling), at 8 and 16 peers:
+
+* an exporter tick reads the bound series and no written one (counter or
+  histogram), and hands the delta tracker nothing: no written series was
+  written, and no bound series moved;
+* a rule pass regroups nothing: no entry is indexed, no index is built,
+  and every pass asks the matcher about the same few entries — the ones
+  whose names its rules select, not every stored entry;
+* the collector's self-metric entries are the ones built before the
+  window, updated in place: no pass builds one;
+* the simulation's own work is pinned: the same events per simulated
+  second, whatever the telemetry path costs the host.
+
+And the telemetry round trip leaves no cyclic garbage: an idle fleet run
+with the cyclic collector off leaves nothing for it to find.
+"""
+
+import gc
+
+import pytest
+
+from repro.core.deployment import RLNDeployment
+from repro.pipeline import PipelineConfig
+from repro.telemetry import CollectorOptions, alerts
+from repro.telemetry.otlp import DeltaTracker
+from repro.telemetry.registry import BoundMetric
+
+IDLE_SECONDS = 20.0
+
+#: Simulator events over the idle window: every exporter tick, delivery,
+#: timer and evaluation.  A cheaper idle path must not change them.
+EVENTS = {8: 691, 16: 1339}
+
+
+def idle_fleet(peers: int) -> RLNDeployment:
+    deployment = RLNDeployment.create(
+        peer_count=peers,
+        degree=4,
+        seed=7,
+        pipeline_config=PipelineConfig(workers=2, batch_size=8, batch_deadline=0.05),
+        collector=CollectorOptions(interval=1.0, trace_sample=0.25, alerting=True),
+    )
+    deployment.register_all()
+    deployment.form_meshes()
+    deployment.run(5.0)  # the last set-up deltas land
+    return deployment
+
+
+def watched(cls: type, reads: list) -> type:
+    """``cls`` with every attribute read of an instance recorded."""
+
+    def __getattribute__(self, name):
+        reads.append((cls.__name__, name))
+        return object.__getattribute__(self, name)
+
+    return type(cls.__name__, (cls,), {"__slots__": (), "__getattribute__": __getattribute__})
+
+
+def idle_work(peers: int, monkeypatch) -> dict:
+    deployment = idle_fleet(peers)
+    collector = deployment.collector
+    work = {
+        "ticks": 0, "handed": [], "written_reads": [], "passes": 0, "matches": [],
+        "indexed": 0, "built": 0,
+    }
+    real_deltas = DeltaTracker.deltas
+    real_sample = alerts.RuleEngine.sample
+    real_matches = alerts._matches
+    real_added = alerts.StateIndex.added
+    real_entry = type(collector)._self_entry
+
+    def deltas(self, series):
+        work["ticks"] += 1
+        work["handed"] += series
+        return real_deltas(self, series)
+
+    def sample(self, now, states):
+        work["passes"] += 1
+        work["matches"].append(0)
+        return real_sample(self, now, states)
+
+    def matches(entry, name, matchers):
+        work["matches"][-1] += 1
+        return real_matches(entry, name, matchers)
+
+    def added(self, order, entry):
+        work["indexed"] += 1
+        return real_added(self, order, entry)
+
+    def built(self, name, **labels):
+        work["built"] += 1
+        return real_entry(self, name, **labels)
+
+    entries = dict(collector._self_state)
+    events = deployment.simulator.processed_events
+    written = [
+        metric
+        for telemetry in deployment.telemetries.values()
+        for metric in telemetry.registry._metrics.values()
+        if not isinstance(metric, BoundMetric)
+    ]
+    kinds = {cls: watched(cls, work["written_reads"]) for cls in {type(m) for m in written}}
+    for metric in written:
+        metric.__class__ = kinds[type(metric)]
+    with monkeypatch.context() as patch:
+        patch.setattr(DeltaTracker, "deltas", deltas)
+        patch.setattr(alerts.RuleEngine, "sample", sample)
+        patch.setattr(alerts, "_matches", matches)
+        patch.setattr(alerts.StateIndex, "added", added)
+        patch.setattr(alerts.StateIndex, "of", classmethod(lambda cls, s: pytest.fail("regrouped")))
+        patch.setattr(type(collector), "_self_entry", built)
+        deployment.run(IDLE_SECONDS)
+    for metric in written:
+        metric.__class__ = type(metric).__base__
+    work["events"] = deployment.simulator.processed_events - events
+    work["stored"] = sum(len(state) for state in collector._states.values())
+    # the entries a pass reads are the very objects it read before
+    assert collector._self_state == entries
+    assert all(collector._self_state[key] is entry for key, entry in entries.items())
+    assert collector.stats.lost_batches == 0 and collector.firing() == []
+    return work
+
+
+@pytest.mark.parametrize("peers", sorted(EVENTS))
+def test_an_idle_tick_and_pass_cost_only_what_moved(peers, monkeypatch):
+    work = idle_work(peers, monkeypatch)
+    # every peer ticked every second, read no written series, and had no
+    # series to diff
+    assert work["ticks"] >= peers * IDLE_SECONDS
+    assert work["written_reads"] == []
+    assert work["handed"] == []
+    # one sample per fold instant and one per evaluation, none indexing
+    assert 0 < work["passes"] <= 3.5 * IDLE_SECONDS
+    assert work["indexed"] == 0 and work["built"] == 0
+    # each pass filters the same selected buckets (a sample's, or an
+    # evaluation's): a small fraction of the stored entries
+    assert len(set(work["matches"])) <= 2
+    assert 0 < 4 * max(work["matches"]) <= work["stored"]
+    assert work["events"] == EVENTS[peers]
+
+
+def test_the_pass_work_grows_with_the_selected_entries_only(monkeypatch):
+    small = max(idle_work(8, monkeypatch)["matches"])
+    large = max(idle_work(16, monkeypatch)["matches"])
+    # the selected names hold a few entries per peer, plus the
+    # collector's own: twice the peers, at most twice the matcher calls
+    assert 0 < large <= 2 * small
+
+
+def test_the_idle_round_trip_leaves_no_cyclic_garbage():
+    deployment = idle_fleet(8)
+    gc.collect()
+    gc.disable()
+    try:
+        deployment.run(30.0)
+        assert deployment.collector.stats.batches > 0
+        leftover = gc.collect()
+    finally:
+        gc.enable()
+    assert leftover == 0

@@ -9,7 +9,9 @@ agree on every ring, the whole alert event log and the firing set — over
 random per-peer batch streams with sequence gaps (so
 ``collector_lost_batches_total`` moves), same-instant orderings,
 retransmissions, malformed requests, mid-instant reads and interleaved
-evaluation ticks.
+evaluation ticks.  The twin indexes the collector's states afresh on every
+pass, so it is also the reference for the index and the self-metric
+entries the collector keeps current as it folds.
 
 The rules read peer series and ``collector_lost_batches_total`` only:
 ``collector_acks_sent_total`` / ``_duplicates_total`` / ``_malformed_total``
@@ -63,6 +65,11 @@ def rules():
     ]
 
 
+def fresh_states(collector):
+    """Every peer's state and the self-metrics, for the twin to index anew."""
+    return [*collector._states.values(), collector.self_metrics()]
+
+
 class MirroredCollector(CollectorPeer):
     """Every evaluation — the ticker's or the test's — also steps the twin."""
 
@@ -70,9 +77,7 @@ class MirroredCollector(CollectorPeer):
 
     def _evaluate(self) -> None:
         super()._evaluate()
-        self.twin.evaluate(
-            self.simulator.now, self._alert_states(), health=self.health
-        )
+        self.twin.evaluate(self.simulator.now, fresh_states(self), health=self.health)
 
 
 fold = st.tuples(
@@ -144,7 +149,7 @@ def test_end_of_instant_sampling_equals_sampling_after_every_fold(schedule):
             )
             collector._on_export(sender, ExportRequest(1, batch))
             # the reference discipline: one eager sample after every fold
-            twin.sample(sim.now, collector._alert_states())
+            twin.sample(sim.now, fresh_states(collector))
         elif kind == "duplicate":
             batch = TelemetryBatch(
                 peer=step[1], role="full", shard=0, seq=last_seq[step[1]],

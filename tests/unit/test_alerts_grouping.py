@@ -1,4 +1,4 @@
-"""One pass groups, every selection reads its group — same answers as the scan."""
+"""Selections read the name buckets of a state index — same answers as the scan."""
 
 import pytest
 
@@ -8,11 +8,12 @@ from repro.telemetry.alerts import (
     AlertRule,
     BadFraction,
     BurnRate,
-    GroupedStates,
     Instant,
     Rate,
     RuleEngine,
     SeriesRing,
+    StateIndex,
+    _matches,
     select_many,
 )
 from repro.telemetry.registry import metric_key
@@ -49,10 +50,19 @@ def fleet():
 )
 def test_a_grouped_selection_equals_the_scan(name, matchers):
     states = fleet()
-    scanned = select_many(states, name, matchers)
-    # grouped by the name, grouped by another name (falls back), by both
-    for names in ({name}, {"sends_total"}, {name, "drops_total"}, set()):
-        assert select_many(GroupedStates(states, names), name, matchers) == scanned
+    scanned = [
+        entry
+        for state in states
+        for entry in state.values()
+        if _matches(entry, name, matchers)
+    ]
+    assert select_many(states, name, matchers) == scanned
+    # entries reported in any order land in walk order
+    index = StateIndex()
+    for rank, state in reversed(list(enumerate(states))):
+        for place, entry in reversed(list(enumerate(state.values()))):
+            index.added((rank, place), entry)
+    assert select_many(index, name, matchers) == scanned
 
 
 def test_a_pass_walks_the_states_once(monkeypatch):

@@ -227,12 +227,13 @@ def test_delta_tracker_skips_idle_series_and_sends_moved_buckets_only():
     histogram = registry.histogram("wait_seconds")
     registry.counter("events_total")
     tracker = DeltaTracker()
-    first = tracker.deltas(registry.metrics())
+    first = tracker.deltas(registry.changed())
     assert {d.key for d in first} == {"wait_seconds", "events_total"}
-    assert tracker.deltas(registry.metrics()) == ()  # an idle tick sends nothing
+    assert registry.changed() == []  # an idle tick reads no written series
+    assert tracker.deltas(registry.changed()) == ()  # and sends nothing
     histogram.observe(0.5)
     histogram.observe(0.5)
-    (delta,) = tracker.deltas(registry.metrics())
+    (delta,) = tracker.deltas(registry.changed())
     assert delta.count_delta == 2 and len(delta.bucket_deltas) == 1
     assert (delta.min_total, delta.max_total) == (0.5, 0.5)
 
