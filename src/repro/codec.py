@@ -284,6 +284,12 @@ class Wire:
         return len(self.to_bytes())
 
 
+def memo_slots(*names: str) -> type:
+    """Slots for a frozen dataclass's memos: not fields, so ``==``, ``hash``
+    and ``dataclasses.replace`` ignore them and a copy starts empty."""
+    return type("MemoSlots", (), {"__slots__": names})
+
+
 class Framed(Wire):
     """A wire type whose body (``_write_body`` / ``_read_body``) is framed
     with its own symbol table; inside another frame it shares that one's."""

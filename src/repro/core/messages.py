@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.codec import Reader, Wire, Writer
+from repro.codec import Reader, Wire, Writer, memo_slots
 from repro.crypto.field import FIELD_BYTES, FieldElement
 from repro.crypto.hashing import hash_message_to_field
 from repro.crypto.shamir import Share
@@ -26,15 +26,15 @@ from repro.zksnark.rln_circuit import RLNPublicInputs
 from repro.core.epoch import external_nullifier
 
 
-@dataclass(frozen=True)
-class RateLimitProof(Wire):
+@dataclass(frozen=True, slots=True)
+class RateLimitProof(Wire, memo_slots("_share", "_public", "_payload_match", "_verdict_key")):
     """§III-E metadata: share, nullifier, epoch, root, and the proof.
 
     One bundle object is judged by every peer it reaches, so it remembers
     what it derives — ``share``, ``public_inputs()``, the last
     ``matches_payload`` answer and (see
     :func:`~repro.pipeline.batch_verifier.verdict_key`) its verdict-cache
-    key — in the frozen instance's ``__dict__``.  The memos are not
+    key — in declared slots; it has no ``__dict__``.  The memos are not
     fields: ``==`` and ``hash`` ignore them and ``dataclasses.replace``
     (so :meth:`forged_copy`) starts clean.
     """
@@ -61,7 +61,7 @@ class RateLimitProof(Wire):
 
     @property
     def share(self) -> Share:
-        share = self.__dict__.get("_share")
+        share = getattr(self, "_share", None)
         if share is None:
             share = Share(x=self.share_x, y=self.share_y)
             object.__setattr__(self, "_share", share)
@@ -69,7 +69,7 @@ class RateLimitProof(Wire):
 
     def public_inputs(self) -> RLNPublicInputs:
         """Reassemble the zkSNARK statement this bundle claims."""
-        public = self.__dict__.get("_public")
+        public = getattr(self, "_public", None)
         if public is None:
             public = RLNPublicInputs(
                 x=self.share_x,
@@ -89,7 +89,7 @@ class RateLimitProof(Wire):
         last ``(payload, answer)`` pair is remembered: a relayed bundle is
         asked about the same payload by every receiver.
         """
-        last = self.__dict__.get("_payload_match")
+        last = getattr(self, "_payload_match", None)
         if last is not None and last[0] == payload:
             return last[1]
         matches = hash_message_to_field(payload) == self.share_x

@@ -190,7 +190,7 @@ class WakuRLNRelayPeer:
         # allocation-free and bit-identical.
         self.disttracer = self.pipeline.tracer
         if self.telemetry.enabled:
-            self.relay.set_trace_rewriter(self._rewrite_trace)
+            self.relay.router.trace_rewriter = self._rewrite_trace
 
         self.received: list[WakuMessage] = []
         self.relay.subscribe(self.received.append)

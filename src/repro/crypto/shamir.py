@@ -24,7 +24,7 @@ from repro.crypto.field import FieldElement
 from repro.errors import ShamirError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Share:
     """One evaluation point (x, y) of a sharing polynomial."""
 

@@ -13,46 +13,47 @@ metadata the paper's §III-E enumerates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any
 
-from repro.codec import size_of
+from repro.codec import memo_slots, size_of
 from repro.crypto.hashing import message_id
 
 _ENVELOPE_OVERHEAD = 16
 _ID_SIZE = 32
 
 
-@dataclass(frozen=True)
-class PubSubMessage:
+@dataclass(frozen=True, slots=True)
+class PubSubMessage(memo_slots("msg_id", "_size")):
     """An application message travelling through the mesh.
 
     ``payload`` is raw bytes or an object with ``byte_size()`` (the RLN
     bundle).  No id and no publisher identity travel — the anonymity
-    WAKU-RELAY inherits from gossip routing (§I): receivers derive :attr:`msg_id`.
+    WAKU-RELAY inherits from gossip routing (§I): receivers derive
+    ``msg_id``, remembered in a slot like the size: one object, every peer.
     """
 
     topic: str
     payload: Any
 
-    @cached_property
-    def msg_id(self) -> bytes:
-        """``payload.message_id(topic)`` for a payload with its own id (a
-        Waku message's covers its RLN bundle), else
-        :func:`~repro.crypto.hashing.message_id`.  Remembered, like the
-        size: the one (frozen) object is relayed by every peer."""
+    def __getattr__(self, name: str) -> bytes:
+        """An empty ``msg_id`` slot's first read: ``payload.message_id(topic)``
+        (a Waku message's covers its RLN bundle), else :func:`message_id`."""
+        if name != "msg_id":
+            raise AttributeError(name)
         derive = getattr(self.payload, "message_id", None)
-        return derive(self.topic) if callable(derive) else message_id(self.payload, self.topic)
+        msg_id = derive(self.topic) if callable(derive) else message_id(self.payload, self.topic)
+        object.__setattr__(self, "msg_id", msg_id)
+        return msg_id
 
     def with_payload(self, payload: Any) -> "PubSubMessage":
         """A copy carrying ``payload`` (a re-stamped trace) under this id."""
         copy = PubSubMessage(self.topic, payload)
-        copy.__dict__["msg_id"] = self.msg_id
+        object.__setattr__(copy, "msg_id", self.msg_id)
         return copy
 
     def byte_size(self) -> int:
         # The id term stays billed, though receivers derive the id.
-        size = self.__dict__.get("_size")
+        size = getattr(self, "_size", None)
         if size is None:
             size = _ENVELOPE_OVERHEAD + _ID_SIZE + len(self.topic)
             size += size_of(self.payload, 64)

@@ -1,4 +1,7 @@
-"""One record per message id: what a GossipSub router knows about it.
+"""One entry per message id: what a GossipSub router knows about it.
+
+An id judged with nothing else to know maps to its witness time (a
+``float``); an id the router still acts on maps to a :class:`Record`:
 
 * a **hinted** id (named by an IDONTWANT before any copy) has no
   ``seen_at``; its ``holders`` are the announcers;
@@ -32,7 +35,7 @@ MAX_EARLY_IDONTWANTS = 512
 
 @dataclass(slots=True)
 class Record:
-    """What the router knows about one id (see the module docstring)."""
+    """An id the router still acts on (see the module docstring)."""
 
     seen_at: float | None
     holders: set[str] | None = None
@@ -41,8 +44,8 @@ class Record:
     window: int | None = None
 
 
-class MessageTable(dict[bytes, Record]):
-    """id -> record (witnessed ids in witness order), and the expiry orders."""
+class MessageTable(dict[bytes, "float | Record"]):
+    """id -> witness time or record (in witness order), and expiry orders."""
 
     __slots__ = ("_windows", "_tick", "_hints", "_oldest")
 
@@ -53,67 +56,85 @@ class MessageTable(dict[bytes, Record]):
         self._tick = 0
         #: Announcer -> hinted records it holds a place in.
         self._hints: dict[str, int] = {}
-        #: ``seen_at`` of the oldest witnessed record, or lower.
+        #: Witness time of the oldest witnessed id, or lower.
         self._oldest = float("inf")
+
+    def seen(self, msg_id: bytes) -> bool:
+        """True if a copy of ``msg_id`` was witnessed (not only hinted)."""
+        entry = self.get(msg_id)
+        return entry is not None and (type(entry) is not Record or entry.seen_at is not None)
+
+    def kept(self, msg_id: bytes) -> PubSubMessage | None:
+        """The accepted message an IWANT is served, while it is kept."""
+        return entry.message if type(entry := self.get(msg_id)) is Record else None
+
+    def holders(self, msg_id: bytes) -> set[str] | None:
+        """Who holds ``msg_id`` while it is hinted or pending, else None."""
+        return entry.holders if type(entry := self.get(msg_id)) is Record else None
 
     def witness(self, msg_id: bytes, now: float, holder: str) -> bool:
         """A copy of ``msg_id`` came from ``holder`` at ``now``; True if
         the id was witnessed already (a duplicate)."""
         if self._oldest < now - SEEN_TTL:
             self._expire(now)
-        record = self.get(msg_id)
-        if record is None:
-            self[msg_id] = Record(now)
-        elif record.seen_at is not None:
-            if record.holders is not None:  # our verdict is pending
-                record.holders.add(holder)
+        entry = self.get(msg_id)
+        if entry is None:
+            self[msg_id] = now
+        elif type(entry) is not Record:  # judged
+            return True
+        elif entry.seen_at is not None:
+            if entry.holders is not None:  # our verdict is pending
+                entry.holders.add(holder)
             return True
         else:  # a hint came true: its holders stay, their places free up
-            for announcer in record.holders:
+            for announcer in entry.holders:
                 self._hints[announcer] -= 1
-            self._windows[self._tick - record.window].remove(msg_id)
+            self._windows[self._tick - entry.window].remove(msg_id)
             del self[msg_id]  # to the end of the witnessed order
-            record.seen_at, record.window = now, None
-            record.holders.add(holder)
-            self[msg_id] = record
+            self[msg_id] = Record(now, entry.holders | {holder})
         if self._oldest > now:
             self._oldest = now
         return False
 
     def pend(self, msg_id: bytes, holder: str) -> None:
         """Our verdict on ``msg_id`` waits; ``holder`` sent the copy."""
-        self[msg_id].holders = (self[msg_id].holders or set()) | {holder}
+        entry = self[msg_id]
+        if type(entry) is not Record:
+            self[msg_id] = Record(entry, {holder})
+        else:  # a hint came true
+            entry.holders.add(holder)
 
     def note(self, msg_id: bytes, holder: str) -> None:
         """``holder`` says it has ``msg_id`` (an IDONTWANT)."""
-        record = self.get(msg_id)
-        if record is not None and record.seen_at is not None:
-            if record.holders is not None:  # pending; a judged id needs no hint
-                record.holders.add(holder)
-            return
+        entry = self.get(msg_id)
+        if entry is not None and (type(entry) is not Record or entry.seen_at is not None):
+            if type(entry) is Record and entry.holders is not None:  # pending
+                entry.holders.add(holder)
+            return  # a judged id needs no hint
         count = self._hints.get(holder, 0)
         if count < MAX_EARLY_IDONTWANTS:
-            if record is None:
-                record = self[msg_id] = Record(None, set(), window=self._tick)
+            if entry is None:
+                entry = self[msg_id] = Record(None, set(), window=self._tick)
                 self._windows[0].append(msg_id)
-            if holder not in record.holders:
-                record.holders.add(holder)
+            if holder not in entry.holders:
+                entry.holders.add(holder)
                 self._hints[holder] = count + 1
 
     def settle(self, msg_id: bytes) -> set[str] | tuple[()]:
         """The verdict on ``msg_id`` landed: who holds the message."""
-        record = self.get(msg_id)
-        if record is None or record.holders is None:
+        entry = self.get(msg_id)
+        if type(entry) is not Record or entry.holders is None:
             return ()
-        holders, record.holders = record.holders, None
-        return holders
+        self[msg_id] = entry.seen_at  # a pending id is kept only after this
+        return entry.holders
 
     def keep(self, message: PubSubMessage) -> None:
         """Keep an accepted message in the current window."""
-        record = self.get(message.msg_id)
-        if record is not None and record.message is None:
-            record.message, record.window = message, self._tick
-            self._windows[0].append(message.msg_id)
+        msg_id = message.msg_id
+        entry = self.get(msg_id)
+        if entry is not None and type(entry) is not Record:  # settled, not kept
+            self[msg_id] = Record(entry, message=message, window=self._tick)
+            self._windows[0].append(msg_id)
 
     def gossip(self, topic: str) -> list[bytes]:
         """Accepted ids on ``topic`` in the newest :data:`MCACHE_GOSSIP`
@@ -123,8 +144,8 @@ class MessageTable(dict[bytes, Record]):
             msg_id
             for age, window in enumerate(islice(self._windows, MCACHE_GOSSIP))
             for msg_id in window
-            if (record := get(msg_id)) and record.window == self._tick - age
-            and record.message is not None and record.message.topic == topic
+            if type(entry := get(msg_id)) is Record and entry.window == self._tick - age
+            and entry.message is not None and entry.message.topic == topic
         ]
 
     def shift(self) -> None:
@@ -133,23 +154,25 @@ class MessageTable(dict[bytes, Record]):
         self._windows.appendleft([])
         if len(self._windows) > MCACHE_LENGTH:
             for msg_id in self._windows.pop():
-                record = self.get(msg_id)
-                if record is None or record.window != self._tick - MCACHE_LENGTH:
+                entry = self.get(msg_id)
+                if type(entry) is not Record or entry.window != self._tick - MCACHE_LENGTH:
                     continue
-                record.window = record.message = None
-                if record.seen_at is None:  # a hint no copy followed
-                    for announcer in record.holders:
-                        self._hints[announcer] -= 1
-                    del self[msg_id]
+                if entry.seen_at is not None:
+                    self[msg_id] = entry.seen_at
+                    continue
+                for announcer in entry.holders:  # a hint no copy followed
+                    self._hints[announcer] -= 1
+                del self[msg_id]
 
     def _expire(self, now: float) -> None:
         stale = []
         self._oldest = float("inf")
-        for msg_id, record in self.items():
-            if record.seen_at is None:
+        for msg_id, entry in self.items():
+            seen_at = entry.seen_at if type(entry) is Record else entry
+            if seen_at is None:
                 continue
-            if record.seen_at >= now - SEEN_TTL:
-                self._oldest = record.seen_at
+            if seen_at >= now - SEEN_TTL:
+                self._oldest = seen_at
                 break
             stale.append(msg_id)
         for msg_id in stale:

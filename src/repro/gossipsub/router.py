@@ -16,7 +16,7 @@ GossipSub routing protocol" (§I):
 * optional **peer scoring** (the baseline defence of experiment E8).
 
 Messages carry no publisher identity and no id: a receiver derives it
-(:attr:`PubSubMessage.msg_id`) and keeps one ``MessageTable`` record per id.
+(:attr:`PubSubMessage.msg_id`) and keeps one ``MessageTable`` entry per id.
 """
 
 from __future__ import annotations
@@ -155,11 +155,11 @@ class GossipSubRouter:
         self._table = MessageTable()
         #: Messages deferred at this instant: one IDONTWANT per topic.
         self._announce: list[PubSubMessage] = []
-        #: Optional distributed-tracing hook (PR 9): called once per
-        #: ACCEPTed message before it is kept, delivered and forwarded, it
-        #: returns the message to propagate (the RLN layer re-stamps the
-        #: span context with this peer's span).  ``None`` touches nothing.
-        self._trace_rewriter: Callable[[PubSubMessage], PubSubMessage] | None = None
+        #: Optional distributed-tracing hook, set by the RLN layer: called
+        #: once per ACCEPTed message before it is kept, delivered and
+        #: forwarded, it returns the message to propagate (re-stamped with
+        #: this peer's span context).  ``None`` touches nothing.
+        self.trace_rewriter: Callable[[PubSubMessage], PubSubMessage] | None = None
         self._started = False
         self._stop_heartbeat: Callable[[], None] | None = None
 
@@ -201,12 +201,6 @@ class GossipSubRouter:
     def set_validator(self, topic: str, validator: Validator) -> None:
         """Install the message validator for a topic (the RLN hook)."""
         self._validators[topic] = validator
-
-    def set_trace_rewriter(
-        self, rewriter: "Callable[[PubSubMessage], PubSubMessage] | None"
-    ) -> None:
-        """Install the per-hop span-context re-stamp hook (PR 9)."""
-        self._trace_rewriter = rewriter
 
     def publish(self, topic: str, payload: Any) -> PubSubMessage:
         """Publish a message authored by this peer."""
@@ -348,11 +342,11 @@ class GossipSubRouter:
             return
         if self.scoring:
             self.scoring.on_first_delivery(sender)
-        if self._trace_rewriter is not None:
+        if self.trace_rewriter is not None:
             # Re-stamp the span context with *this* peer's span before the
             # message is kept or forwarded, so downstream hops (and IWANT
             # re-serves out of the table) name the true causal parent.
-            message = self._trace_rewriter(message)
+            message = self.trace_rewriter(message)
         self._table.keep(message)
         self._deliver_locally(message)
         self._forward(message, exclude={sender}, holders=holders)
@@ -362,14 +356,14 @@ class GossipSubRouter:
             return
         if ihave.topic not in self._topics:
             return
-        get = self._table.get
-        wanted = tuple(i for i in ihave.msg_ids if (r := get(i)) is None or r.seen_at is None)
+        seen = self._table.seen
+        wanted = tuple(i for i in ihave.msg_ids if not seen(i))
         if wanted:
             self._send(sender, RPC(iwant=(IWant(msg_ids=wanted),)))
 
     def _handle_iwant(self, sender: str, iwant: IWant) -> None:
-        get = self._table.get
-        found = [r.message for i in iwant.msg_ids if (r := get(i)) and r.message is not None]
+        kept = self._table.kept
+        found = [m for i in iwant.msg_ids if (m := kept(i)) is not None]
         if found:
             self.stats.iwant_served += len(found)
             self._send(sender, RPC(messages=tuple(found)))
@@ -383,10 +377,10 @@ class GossipSubRouter:
     def _announce_pending(self) -> None:
         """One IDONTWANT per topic to the mesh: this instant's ids still pending."""
         announce, self._announce = self._announce, []
-        get = self._table.get
+        holders = self._table.holders
         for topic in dict.fromkeys(m.topic for m in announce):
             ids = (m.msg_id for m in announce if m.topic == topic)
-            pending = tuple(i for i in ids if (r := get(i)) and r.holders is not None)
+            pending = tuple(i for i in ids if holders(i) is not None)
             mesh = self._mesh.get(topic)
             if pending and mesh:
                 self.stats.idontwant_sent += len(mesh)

@@ -10,12 +10,6 @@ The production-shaped front end of the §III-F routing decision — see
 # acyclic regardless of which package an application imports first.
 import repro.core  # noqa: F401  (import-order guard, see above)
 
-from repro.exec.costs import CryptoCostModel
-from repro.exec.executor import (
-    Priority,
-    SimulatedCryptoExecutor,
-    SynchronousCryptoExecutor,
-)
 from repro.pipeline.batch_verifier import (
     BatchVerifier,
     BatchVerifierStats,
@@ -38,10 +32,6 @@ from repro.pipeline.ratelimit import (
 
 __all__ = [
     "BatchVerifier",
-    "CryptoCostModel",
-    "Priority",
-    "SimulatedCryptoExecutor",
-    "SynchronousCryptoExecutor",
     "BatchVerifierStats",
     "VerificationJob",
     "PipelineConfig",

@@ -61,7 +61,7 @@ def verdict_key(bundle: RateLimitProof) -> bytes:
     Remembered on the frozen bundle, which every receiver shares (a
     ``replace`` of any field, the proof included, starts clean).
     """
-    key = bundle.__dict__.get("_verdict_key")
+    key = getattr(bundle, "_verdict_key", None)
     if key is None:
         key = hashlib.sha256(
             bundle.public_inputs().serialize() + bundle.proof.serialize()

@@ -1,13 +1,11 @@
 """A bounded least-recently-used map: the proof-verdict cache's store.
 
-A recency-ordered bounded map that evicts the least-recently-touched
-entry when an insertion exceeds capacity.
-"""
+Recency is the ``dict``'s own order (a hit is re-inserted at the end): an
+entry costs its dict slot and no link."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Generic, TypeVar
+from typing import TypeVar
 
 from repro.errors import ProtocolError
 
@@ -15,35 +13,28 @@ K = TypeVar("K")
 V = TypeVar("V")
 
 
-class BoundedLRU(Generic[K, V]):
+class BoundedLRU(dict[K, V]):
     """Recency-ordered map; inserting past ``capacity`` evicts the oldest."""
 
-    __slots__ = ("capacity", "_entries")
+    __slots__ = ("capacity",)
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ProtocolError("LRU capacity must be >= 1")
+        super().__init__()
         self.capacity = capacity
-        self._entries: OrderedDict[K, V] = OrderedDict()
 
     def get(self, key: K) -> V | None:
-        """Return the value for ``key`` (refreshing its recency), else None.
-
-        A ``None`` value reads as absent and is not refreshed.
-        """
-        value = self._entries.get(key)
+        """Return the value for ``key`` (refreshing its recency), else None;
+        a ``None`` value reads as absent."""
+        value = self.pop(key, None)
         if value is not None:
-            self._entries.move_to_end(key)
+            self[key] = value
         return value
 
     def put(self, key: K, value: V) -> None:
         """Insert ``key`` as most recent, evicting the oldest past capacity."""
-        entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-        entries[key] = value
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        self.pop(key, None)
+        self[key] = value
+        if len(self) > self.capacity:
+            del self[next(iter(self))]

@@ -229,15 +229,15 @@ class SlashingCoordinator:
         if self._pumping:
             return
         self._pumping = True
+        self.simulator.schedule(self.chain.block_interval * 1.05, self._pump_step)
 
-        def pump() -> None:
-            self.settle()
-            if self.slasher.pending():
-                self.simulator.schedule(self.chain.block_interval, pump)
-            else:
-                self._pumping = False
-
-        self.simulator.schedule(self.chain.block_interval * 1.05, pump)
+    def _pump_step(self) -> None:
+        # A method, not a closure over itself: a pump leaves no cycle.
+        self.settle()
+        if self.slasher.pending():
+            self.simulator.schedule(self.chain.block_interval, self._pump_step)
+        else:
+            self._pumping = False
 
     # -- chain watching ----------------------------------------------------------
 

@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
-from repro.codec import Wire, size_of
+from repro.codec import Wire, memo_slots, size_of
 from repro.crypto.hashing import message_id
 from repro.net.promise import Promise
 
@@ -27,9 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 DEFAULT_PUBSUB_TOPIC = "/waku/2/default-waku/proto"
 
 
-@dataclass(frozen=True)
-class WakuMessage:
-    """One application message."""
+@dataclass(frozen=True, slots=True)
+class WakuMessage(memo_slots("_size")):
+    """One application message (its wire size remembered in a slot)."""
 
     payload: bytes
     content_topic: str
@@ -54,7 +54,7 @@ class WakuMessage:
         return message_id(self.payload, pubsub_topic, self.content_topic.encode("utf-8"), section)
 
     def byte_size(self) -> int:
-        size = self.__dict__.get("_size")
+        size = getattr(self, "_size", None)
         if size is None:
             size = len(self.payload) + len(self.content_topic) + 8 + 1
             proof = self.rate_limit_proof

@@ -88,12 +88,6 @@ class WakuRelay:
         """
         self.router.set_validator(self.pubsub_topic, validator)
 
-    def set_trace_rewriter(
-        self, rewriter: "Callable[[PubSubMessage], PubSubMessage] | None"
-    ) -> None:
-        """Install the per-hop span-context re-stamp hook (PR 9)."""
-        self.router.set_trace_rewriter(rewriter)
-
     # -- internals ----------------------------------------------------------------
 
     def _on_pubsub_message(self, pubsub_message: PubSubMessage) -> None:

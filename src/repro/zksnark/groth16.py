@@ -91,7 +91,7 @@ class PairingCounter:
         self.batch_checks = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proof:
     """A rate-limit proof: three simulated group elements totalling 128 B."""
 

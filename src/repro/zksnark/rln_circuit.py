@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.codec import memo_slots
 from repro.crypto.field import FieldElement
 from repro.crypto.hashing import hash_message_to_field
 from repro.crypto.identity import Identity
@@ -72,8 +73,8 @@ def message_id_in_range(message_id: int | None, message_limit: int | None) -> bo
     return message_id is not None and 0 <= message_id < message_limit
 
 
-@dataclass(frozen=True)
-class RLNPublicInputs:
+@dataclass(frozen=True, slots=True)
+class RLNPublicInputs(memo_slots("_serialized")):
     """The statement a rate-limit proof attests to (§II-B public inputs).
 
     ``message_limit`` is the group-wide RLN-v2 parameter; ``None`` is the
@@ -96,7 +97,7 @@ class RLNPublicInputs:
     def serialize(self) -> bytes:
         # Memoized: the ingress pipeline serializes the same statement for
         # the verdict-cache key and again inside the pairing check.
-        cached = self.__dict__.get("_serialized")
+        cached = getattr(self, "_serialized", None)
         if cached is None:
             cached = b"".join(value.to_bytes() for value in self.as_list())
             if self.message_limit is not None:

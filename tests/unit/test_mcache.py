@@ -14,13 +14,11 @@ def msg(i: int, topic: str = "t") -> PubSubMessage:
 
 
 def seen(table: MessageTable, msg_id: bytes) -> bool:
-    record = table.get(msg_id)
-    return record is not None and record.seen_at is not None
+    return table.seen(msg_id)
 
 
 def kept(table: MessageTable, msg_id: bytes) -> PubSubMessage | None:
-    record = table.get(msg_id)
-    return None if record is None else record.message
+    return table.kept(msg_id)
 
 
 def accept(table: MessageTable, message: PubSubMessage, now: float = 0.0) -> None:
@@ -146,7 +144,7 @@ class TestRecords:
         table.note(b"p" * 32, "peer-c")
         assert table.get(b"p" * 32).holders == {"peer-a", "peer-b", "peer-c"}
         assert table.settle(b"p" * 32) == {"peer-a", "peer-b", "peer-c"}
-        assert table.get(b"p" * 32).holders is None
+        assert table.holders(b"p" * 32) is None
         table.note(b"p" * 32, "peer-d")  # a judged id takes no hint
         assert table.settle(b"p" * 32) == ()
         assert table._hints == {}

@@ -62,7 +62,7 @@ def announcements(inbox, peer):
 
 def held(router):
     """The ids whose holders the router keeps: pending verdicts and hints."""
-    return {i for i, record in router._table.items() if record.holders is not None}
+    return {i for i in router._table if router._table.holders(i) is not None}
 
 
 class TestHolders:
