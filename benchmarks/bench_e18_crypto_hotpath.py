@@ -1,23 +1,26 @@
-"""E18 — the raw-speed crypto hot path: engine backends, measured.
+"""E18 — the raw-speed crypto hot path: the Poseidon engine against the reference.
 
-Three figures per backend, one bit-identity gate:
+``repro.crypto.poseidon`` is the reference implementation (``FieldElement``
+arithmetic, one object per lane per round); the engine is the
+code-generated plain-int permutation behind every ``hasher=None`` seam.
+Three figures, one bit-identity gate:
 
-* **hashes/sec** — two-to-one Poseidon compressions through the batched
-  engine API.  Backends are measured in *interleaved paired chunks* (a
-  reference chunk immediately followed by each fast-backend chunk, many
-  rounds) so CPU-frequency drift hits all arms alike; the speedup gate
-  asserts on the best paired round (the least noise-contaminated one) and
-  the table reports the median.
+* **hashes/sec** — two-to-one Poseidon compressions, the engine's batched
+  API against ``poseidon_hash`` per pair.  The two are measured in
+  *interleaved paired chunks* (a reference chunk immediately followed by
+  an engine chunk, many rounds) so CPU-frequency drift hits both arms
+  alike; the speedup gate asserts on the best paired round (the least
+  noise-contaminated one) and the table reports the median.
 * **depth-20 ``from_leaves``** — the peer-bootstrap path (E12's
-  million-member rows), per backend.
+  million-member rows), engine against a ``poseidon_hash`` node hasher.
 * **prover wall time** — one full Groth16 ``prove`` (R1CS compile +
-  witness generation + satisfaction check), per backend; witness
-  generation rides the Poseidon gadget's concrete fast path.
+  witness generation + satisfaction check); witness generation rides the
+  Poseidon gadget's concrete fast path.
 
 The bit-identity gate is asserted, not eyeballed: Merkle roots, forest
-roots, spliced witnesses, full R1CS witness vectors, public-input
-serializations, and fixed-randomness proof transcripts must be equal
-across every backend available in the interpreter.
+roots and spliced witnesses must be equal under both hashers; the
+statement's ``pk``, ``a1`` and ``phi`` must equal ``poseidon_hash`` of
+their inputs, and the circuit's witness must satisfy it.
 
 Results land in ``reports/E18-crypto.json`` (plus the rendered table and
 a telemetry snapshot carrying the ``crypto_*`` engine counters).
@@ -29,19 +32,15 @@ import statistics
 import time
 
 from repro.analysis.reporting import ExperimentReport, format_seconds
-from repro.crypto.engine import (
-    available_backends,
-    get_engine,
-    publish_engine_telemetry,
-    use_backend,
-)
+from repro.crypto.engine import default_engine, publish_engine_telemetry
 from repro.crypto.field import FieldElement
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleTree
+from repro.crypto.poseidon import poseidon_hash
 from repro.telemetry import Telemetry
 from repro.treesync.forest import ShardedMerkleForest
 from repro.treesync.witness import splice
-from repro.zksnark.groth16 import Groth16, _pairing_tag
+from repro.zksnark.groth16 import Groth16
 from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness, synthesize
 
 ARTIFACT = pathlib.Path(__file__).parent / "reports" / "E18-crypto.json"
@@ -59,138 +58,123 @@ BUILD_LEAVES = 1024
 PROVER_DEPTH = 10
 
 
-def _measure_chunk(engine, pairs) -> float:
+def reference_hash2(left: FieldElement, right: FieldElement) -> FieldElement:
+    """The reference node hasher: ``poseidon_hash`` of one pair."""
+    return poseidon_hash([left, right])
+
+
+def _reference_many(pairs) -> list[FieldElement]:
+    return [poseidon_hash([left, right]) for left, right in pairs]
+
+
+def _measure_chunk(hash_many, pairs) -> float:
     start = time.perf_counter()
-    engine.hash_many(pairs)
+    hash_many(pairs)
     return time.perf_counter() - start
 
 
+def _forest_and_splice(leaves, hasher):
+    """A forest rebuild and a spliced witness (the treesync seam)."""
+    forest = ShardedMerkleForest(depth=8, shard_depth=4, hasher=hasher)
+    for leaf in leaves[:24]:
+        forest.append(leaf)
+    proof = splice(
+        forest.shard_proof(13),
+        forest.top_proof(forest.shard_of(13)),
+        hasher=forest.node_hasher,
+    )
+    return forest.root, (proof.siblings, proof.path_bits, proof.leaf)
+
+
 def test_e18_crypto_hotpath(report_sink, snapshot_sink):
-    backends = available_backends()
-    fast_backends = [name for name in backends if name != "reference"]
+    engine = default_engine()
+    arms = {"reference": _reference_many, "engine": engine.hash_many}
     pairs = [(FieldElement(2 * i + 1), FieldElement(2 * i + 2)) for i in range(CHUNK)]
-    reference = get_engine("reference")
-    for name in backends:  # warm up compiled permutations and parameter caches
-        get_engine(name).hash_many(pairs[:4])
+    engine.hash_many(pairs[:4])  # warm up the compiled permutation
 
     # -- hashes/sec: interleaved paired chunks ------------------------------
-    ratios: dict[str, list[float]] = {name: [] for name in fast_backends}
-    rates: dict[str, list[float]] = {name: [] for name in backends}
+    rates: dict[str, list[float]] = {name: [] for name in arms}
+    ratios: list[float] = []
     for _ in range(ROUNDS):
-        ref_seconds = _measure_chunk(reference, pairs)
+        ref_seconds = _measure_chunk(arms["reference"], pairs)
+        seconds = _measure_chunk(arms["engine"], pairs)
         rates["reference"].append(CHUNK / ref_seconds)
-        for name in fast_backends:
-            seconds = _measure_chunk(get_engine(name), pairs)
-            rates[name].append(CHUNK / seconds)
-            ratios[name].append(ref_seconds / seconds)
+        rates["engine"].append(CHUNK / seconds)
+        ratios.append(ref_seconds / seconds)
 
-    # -- depth-20 from_leaves and prover wall time, per backend -------------
+    # -- depth-20 from_leaves, forest roots and spliced paths, per hasher ---
     leaves = [FieldElement(i + 1) for i in range(BUILD_LEAVES)]
+    hashers = {"reference": reference_hash2, "engine": None}
     build_seconds: dict[str, float] = {}
     build_roots: dict[str, FieldElement] = {}
-    prove_seconds: dict[str, float] = {}
-    witness_vectors: dict[str, tuple] = {}
-    statements: dict[str, bytes] = {}
-    transcripts: dict[str, bytes] = {}
-    forest_roots: dict[str, FieldElement] = {}
-    spliced: dict[str, tuple] = {}
+    forests: dict[str, tuple] = {}
+    for name, hasher in hashers.items():
+        start = time.perf_counter()
+        tree = MerkleTree.from_leaves(leaves, depth=BUILD_DEPTH, hasher=hasher)
+        build_seconds[name] = time.perf_counter() - start
+        build_roots[name] = tree.root
+        forests[name] = _forest_and_splice(leaves, hasher)
 
+    # -- one Groth16 prove; the statement's hashes against the reference ----
     identity = Identity.from_secret(0xE18)
-    # One trusted setup shared by every arm: all peers of one deployment
-    # share an SRS, and the transcript gate needs a common secret_tau.
     prover = Groth16(PROVER_DEPTH)
-    for name in backends:
-        with use_backend(name):
-            start = time.perf_counter()
-            tree = MerkleTree.from_leaves(leaves, depth=BUILD_DEPTH)
-            build_seconds[name] = time.perf_counter() - start
-            build_roots[name] = tree.root
-
-            # Forest rebuild + witness splicing (the treesync seam).
-            forest = ShardedMerkleForest(depth=8, shard_depth=4)
-            for leaf in leaves[:24]:
-                forest.append(leaf)
-            forest_roots[name] = forest.root
-            proof = splice(
-                forest.shard_proof(13),
-                forest.top_proof(forest.shard_of(13)),
-                hasher=forest.node_hasher,
-            )
-            spliced[name] = (proof.siblings, proof.path_bits, proof.leaf)
-
-            # Full Groth16 pipeline: one prove, plus deterministic
-            # transcript pieces for the bit-identity gate (a Proof's a/b
-            # are random, so the gate fixes them and compares the tag).
-            member_tree = MerkleTree(depth=PROVER_DEPTH)
-            index = member_tree.insert(identity.pk)
-            public = RLNPublicInputs.for_message(
-                identity, b"e18", FieldElement(7), member_tree.root
-            )
-            witness = RLNWitness(
-                identity=identity, merkle_proof=member_tree.proof(index)
-            )
-            start = time.perf_counter()
-            proof_obj = prover.prove(public, witness)
-            prove_seconds[name] = time.perf_counter() - start
-            assert prover.verify(public, proof_obj)
-
-            cs = synthesize(PROVER_DEPTH, public, witness)
-            witness_vectors[name] = tuple(w.value for w in cs.full_witness())
-            statements[name] = public.serialize()
-            transcripts[name] = _pairing_tag(
-                prover.proving_key.params,
-                public.serialize(),
-                b"\x11" * 32,
-                b"\x22" * 64,
-            )
+    member_tree = MerkleTree(depth=PROVER_DEPTH)
+    index = member_tree.insert(identity.pk)
+    epoch = FieldElement(7)
+    public = RLNPublicInputs.for_message(identity, b"e18", epoch, member_tree.root)
+    witness = RLNWitness(identity=identity, merkle_proof=member_tree.proof(index))
+    start = time.perf_counter()
+    proof = prover.prove(public, witness)
+    prove_seconds = time.perf_counter() - start
+    assert prover.verify(public, proof)
 
     # -- bit-identity gate: asserted, not eyeballed -------------------------
-    assert len(set(build_roots.values())) == 1, build_roots
-    assert len(set(forest_roots.values())) == 1, forest_roots
-    assert len(set(spliced.values())) == 1, "spliced witnesses diverged"
-    assert len(set(witness_vectors.values())) == 1, "R1CS witness vectors diverged"
-    assert len(set(statements.values())) == 1, "statement serializations diverged"
-    assert len(set(transcripts.values())) == 1, "proof transcripts diverged"
+    assert build_roots["engine"] == build_roots["reference"], build_roots
+    assert forests["engine"][0] == forests["reference"][0], "forest roots diverged"
+    assert forests["engine"][1] == forests["reference"][1], "spliced witnesses diverged"
+    a1 = poseidon_hash([identity.sk, epoch])
+    assert identity.pk == poseidon_hash([identity.sk]), "pk != H(sk)"
+    assert identity.epoch_secrets(epoch).slope == a1, "a1 != H(sk, epoch)"
+    assert public.internal_nullifier == poseidon_hash([a1]), "phi != H(a1)"
+    synthesize(PROVER_DEPTH, public, witness).check_satisfied()
 
     # -- the speed gate -----------------------------------------------------
-    best_int = max(ratios["int"])
-    median_int = statistics.median(ratios["int"])
-    assert best_int >= MIN_INT_SPEEDUP, (
-        f"int backend best-of-{ROUNDS} speedup {best_int:.2f}x over reference "
+    best = max(ratios)
+    median = statistics.median(ratios)
+    assert best >= MIN_INT_SPEEDUP, (
+        f"engine best-of-{ROUNDS} speedup {best:.2f}x over poseidon_hash "
         f"is below the {MIN_INT_SPEEDUP}x gate (all rounds: "
-        f"{[round(r, 2) for r in ratios['int']]})"
+        f"{[round(r, 2) for r in ratios]})"
     )
 
     report = ExperimentReport(
         experiment="E18",
-        claim=f"engine int backend ≥{MIN_INT_SPEEDUP}x reference hashes/sec, "
+        claim=f"the engine ≥{MIN_INT_SPEEDUP}x poseidon_hash hashes/sec, "
         "bit-identical outputs on every seam",
         headers=(
-            "backend",
+            "hasher",
             "hashes/sec (median)",
             "speedup (median/best)",
             f"from_leaves d{BUILD_DEPTH}x{BUILD_LEAVES}",
-            f"groth16 prove d{PROVER_DEPTH}",
         ),
     )
-    for name in backends:
-        if name == "reference":
-            speedup = "1.00x / 1.00x"
-        else:
-            speedup = (
-                f"{statistics.median(ratios[name]):.2f}x / {max(ratios[name]):.2f}x"
-            )
+    for name in arms:
+        speedup = f"{median:.2f}x / {best:.2f}x" if name == "engine" else "1.00x / 1.00x"
         report.add_row(
             name,
             f"{statistics.median(rates[name]):,.0f}",
             speedup,
             format_seconds(build_seconds[name]),
-            format_seconds(prove_seconds[name]),
         )
     report.add_note(
         f"interleaved paired chunks ({CHUNK} hashes x {ROUNDS} rounds); the "
-        "gate asserts on the best round, the table reports medians; "
-        "roots/witnesses/transcripts asserted equal across backends"
+        "gate asserts on the best round, the table reports medians; roots, "
+        "forest roots and spliced witnesses asserted equal under both hashers"
+    )
+    report.add_note(
+        f"groth16 prove d{PROVER_DEPTH}: {format_seconds(prove_seconds)}; the "
+        "statement's pk, a1 and phi equal poseidon_hash of their inputs and "
+        "the witness satisfies the circuit"
     )
     report_sink(report)
 
@@ -203,23 +187,19 @@ def test_e18_crypto_hotpath(report_sink, snapshot_sink):
         json.dumps(
             {
                 "experiment": "E18",
-                "backends": list(backends),
                 "hashes_per_second_median": {
                     name: statistics.median(values) for name, values in rates.items()
                 },
                 "speedup_over_reference": {
-                    name: {
-                        "median": statistics.median(values),
-                        "best": max(values),
-                        "rounds": values,
-                    }
-                    for name, values in ratios.items()
+                    "median": median,
+                    "best": best,
+                    "rounds": ratios,
                 },
                 "from_leaves_seconds": build_seconds,
                 "groth16_prove_seconds": prove_seconds,
                 "bit_identical": True,
-                "gate": {"min_int_speedup": MIN_INT_SPEEDUP, "best_int": best_int,
-                         "median_int": median_int},
+                "gate": {"min_int_speedup": MIN_INT_SPEEDUP, "best_int": best,
+                         "median_int": median},
             },
             indent=2,
         )

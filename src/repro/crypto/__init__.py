@@ -6,15 +6,7 @@ DESIGN.md §2 for how the simulated pieces map to the paper's artefacts.
 
 from repro.crypto.field import FIELD_BYTES, FIELD_MODULUS, FieldElement, ZERO, ONE
 from repro.crypto.poseidon import poseidon_hash
-from repro.crypto.engine import (
-    PoseidonEngine,
-    available_backends,
-    default_engine,
-    engine_stats,
-    get_engine,
-    publish_engine_telemetry,
-    use_backend,
-)
+from repro.crypto.engine import PoseidonEngine, default_engine, publish_engine_telemetry
 from repro.crypto.merkle import DEFAULT_DEPTH, MerkleProof, MerkleTree, verify_proof
 from repro.crypto.optimized_merkle import OptimizedMerkleView, TreeUpdate
 from repro.crypto.shamir import (
@@ -43,12 +35,8 @@ __all__ = [
     "ONE",
     "poseidon_hash",
     "PoseidonEngine",
-    "available_backends",
     "default_engine",
-    "engine_stats",
-    "get_engine",
     "publish_engine_telemetry",
-    "use_backend",
     "DEFAULT_DEPTH",
     "MerkleProof",
     "MerkleTree",

@@ -1,46 +1,35 @@
-"""Batched, allocation-free Poseidon engines — the wall-clock crypto hot path.
+"""The Poseidon engine — the wall-clock crypto hot path.
 
 The simulated cost model (:mod:`repro.exec.costs`) prices pairings honestly,
 but every *wall-clock* figure — the end-to-end benchmark, the E1/E5/E12
-benchmarks, prover witness generation — pays pure-python Poseidon
-where each ``poseidon_permutation`` call allocates hundreds of
-:class:`~repro.crypto.field.FieldElement` objects (t lanes × ~64 rounds ×
-add/S-box/MDS).  This module removes that interpreter overhead without
-touching a single emitted bit:
+benchmarks, prover witness generation — pays for Poseidon in the
+interpreter, and the reference :func:`~repro.crypto.poseidon.poseidon_permutation`
+allocates hundreds of :class:`~repro.crypto.field.FieldElement` objects
+per call (t lanes × ~64 rounds × add/S-box/MDS).  :class:`PoseidonEngine`
+removes that overhead without touching a single emitted bit: the
+permutation fully unrolled over plain python ints, a code-generated
+straight-line function per width with the round constants and matrix
+coefficients embedded as literals, the S-box as a single
+``pow(x, 5, p)`` call, lazy modular reduction (constant additions ride
+unreduced into the next reduction; one ``%`` per matrix output lane), and
+the partial-round segment rewritten through the Poseidon paper's
+sparse-matrix factorisation (Appendix B): each partial round costs one
+S-box plus ``2t-1`` multiplications instead of the dense ``t²`` MDS
+product.  The factorisation is an *exact* algebraic identity — each
+compiled width is self-checked against the reference permutation before
+first use — so outputs stay bit-for-bit equal.  No lists, no
+``FieldElement``s: the only allocations are the integers themselves and
+the caller-facing wrappers at the end.
 
-* :class:`ReferenceEngine` — today's ``FieldElement`` code, unchanged, for
-  baselines and as the bit-identity oracle;
-* :class:`IntEngine` — the permutation fully unrolled over plain python
-  ints: a code-generated straight-line function per width with the round
-  constants and matrix coefficients embedded as literals, the S-box as a
-  single ``pow(x, 5, p)`` call, lazy modular reduction (constant
-  additions ride unreduced into the next reduction; one ``%`` per matrix
-  output lane), and the partial-round segment rewritten through the
-  Poseidon paper's sparse-matrix factorisation (Appendix B): each partial
-  round costs one S-box plus ``2t-1`` multiplications instead of the
-  dense ``t²`` MDS product.  The factorisation is an *exact* algebraic
-  identity — the tables are self-checked against the reference
-  permutation at build time — so outputs stay bit-for-bit equal.  No
-  lists, no ``FieldElement``s: the only allocations are the integers
-  themselves and the caller-facing wrappers at the end;
-* :class:`Gmpy2Engine` — the same schedule over ``gmpy2.mpz`` limbs,
-  auto-detected and optional (the container may not ship gmpy2; nothing
-  here imports it unconditionally).
-
-Every engine produces **bit-identical digests** (pinned by the golden
-vectors in ``tests/unit/test_poseidon_vectors.py`` and the hypothesis
-equivalence suite), so backends are freely interchangeable mid-deployment.
-
-Selection: ``REPRO_CRYPTO_BACKEND`` (``reference`` / ``int`` / ``gmpy2`` /
-``auto``) or an explicit :func:`get_engine` call; ``auto`` (the default)
-picks gmpy2 when importable, else the int engine.  :func:`use_backend`
-overrides the default for a scope — the per-backend arms of benchmark E18
-and the equivalence tests run under it.
+:mod:`repro.crypto.poseidon` stays the one reference implementation: the
+golden vectors in ``tests/unit/test_poseidon_vectors.py``, the hypothesis
+suite and benchmark E18 hold the engine to it.  There is one engine per
+process, :func:`default_engine`, behind every ``hasher=None`` seam.
 
 The batched :meth:`PoseidonEngine.hash_many` amortises parameter-table
 lookups; the Merkle layer (``MerkleTree.from_leaves``, shard rebuilds,
 checkpoint replay) feeds whole levels through it via the existing
-hasher-injection seam: each engine's :attr:`~PoseidonEngine.hash2` is a
+hasher-injection seam: the engine's :attr:`~PoseidonEngine.hash2` is a
 plain function carrying an ``engine`` attribute, so tree code can detect
 an engine-backed hasher and batch, while foreign hashers keep the seed's
 per-node path.
@@ -48,32 +37,18 @@ per-node path.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.poseidon import (
     PoseidonParams,
-    poseidon_hash,
     poseidon_params,
     poseidon_permutation,
 )
 from repro.errors import CryptoError
-
-#: Environment variable naming the default backend.
-ENV_BACKEND = "REPRO_CRYPTO_BACKEND"
-
-try:  # pragma: no cover - exercised only where gmpy2 is installed
-    from gmpy2 import mpz as _mpz
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover
-    _mpz = None
-    HAVE_GMPY2 = False
 
 _P = FIELD_MODULUS
 
@@ -94,96 +69,7 @@ class EngineStats:
     """
 
     hashes: int = 0
-    permutations: int = 0
-    batched_calls: int = 0
     seconds: float = 0.0
-
-
-class PoseidonEngine:
-    """Common surface of every backend.
-
-    ``hash``/``hash2`` mirror the reference module's signatures and
-    return :class:`FieldElement` so engines slot straight into the
-    hasher-injection seam; ``hash_many`` is the batched entry point the
-    tree builders drive whole levels through.
-    """
-
-    backend = "abstract"
-
-    def __init__(self) -> None:
-        self.stats = EngineStats()
-        # A stable plain-function handle (never a rebound method) so
-        # ``zero_hashes``' module cache and ``lru_cache`` users key on one
-        # object per engine; the attribute lets tree code find the engine
-        # behind an injected hasher and switch to the batched API.
-        hash2 = self._make_hash2()
-        hash2.engine = self  # type: ignore[attr-defined]
-        self.hash2: Callable[[FieldElement | int, FieldElement | int], FieldElement] = hash2
-
-    # -- single-shot API ----------------------------------------------------
-
-    def _make_hash2(self) -> Callable[..., FieldElement]:
-        raise NotImplementedError
-
-    def hash(self, inputs: Sequence[FieldElement | int]) -> FieldElement:
-        raise NotImplementedError
-
-    # -- batched API --------------------------------------------------------
-
-    def hash_many(
-        self, pairs: Sequence[tuple[FieldElement | int, FieldElement | int]]
-    ) -> list[FieldElement]:
-        """Two-to-one compress every pair; one parameter lookup total."""
-        raise NotImplementedError
-
-    # -- integration hooks --------------------------------------------------
-
-    def int_params(self, t: int):
-        """Backend-native ``(round_constants, mds, half_full, total)``
-        integer tables, or ``None`` when the backend has no fast integer
-        path (the reference engine).  The zkSNARK gadgets use these to
-        generate Poseidon witness values without evaluating symbolic
-        linear combinations."""
-        return None
-
-
-class ReferenceEngine(PoseidonEngine):
-    """The seed implementation behind the engine surface — the oracle
-    every other backend is pinned bit-identical to."""
-
-    backend = "reference"
-
-    def _make_hash2(self) -> Callable[..., FieldElement]:
-        stats = self.stats
-
-        def hash2(left: FieldElement | int, right: FieldElement | int) -> FieldElement:
-            start = time.perf_counter()
-            digest = poseidon_hash([FieldElement(left), FieldElement(right)])
-            stats.hashes += 1
-            stats.permutations += 1
-            stats.seconds += time.perf_counter() - start
-            return digest
-
-        return hash2
-
-    def hash(self, inputs: Sequence[FieldElement | int]) -> FieldElement:
-        start = time.perf_counter()
-        digest = poseidon_hash(inputs)
-        self.stats.hashes += 1
-        self.stats.permutations += 1
-        self.stats.seconds += time.perf_counter() - start
-        return digest
-
-    def hash_many(
-        self, pairs: Sequence[tuple[FieldElement | int, FieldElement | int]]
-    ) -> list[FieldElement]:
-        start = time.perf_counter()
-        out = [poseidon_hash([FieldElement(l), FieldElement(r)]) for l, r in pairs]
-        self.stats.hashes += len(out)
-        self.stats.permutations += len(out)
-        self.stats.batched_calls += 1
-        self.stats.seconds += time.perf_counter() - start
-        return out
 
 
 def _mat_mul(a: list, b) -> list:
@@ -235,7 +121,7 @@ def _factor_partial(t: int) -> tuple:
     instead of ``t²``.  Round constants fold the same way — lane-0
     constants materialise per stage, linear-lane constants accumulate into
     an offset vector that re-enters through the first post-segment round's
-    constants.  The rewrite is an exact identity; :meth:`IntEngine._compile`
+    constants.  The rewrite is an exact identity; :meth:`PoseidonEngine._compile`
     self-checks the generated code against ``poseidon_permutation``.
 
     Returns ``(rc, mds, m_pre, e_pre, stages, rc_adj, half_full, total)``
@@ -281,15 +167,13 @@ def _factor_partial(t: int) -> tuple:
     return rc, mds, m_pre, e_pre, stages, rc_adj, half, params.total_rounds
 
 
-def _emit_source(t: int, name: str, use_table: bool) -> tuple[str, list[int]]:
+def _emit_source(t: int, name: str) -> str:
     """Generate the fully unrolled ``t-1``-input sponge compressor.
 
-    Every round constant and matrix coefficient is embedded as a literal
-    (or, for backends with a non-int native type, an index into a constant
-    tuple ``K`` bound as a default argument).  S-boxes are single
-    ``pow(x, 5, p)`` calls (CPython's modular pow beats an explicit
-    square-square-multiply chain here): each round's constant additions
-    are merged (numerically, mod p) into the previous round's
+    Every round constant and matrix coefficient is embedded as a literal.
+    S-boxes are single ``pow(x, 5, p)`` calls (CPython's modular pow beats
+    an explicit square-square-multiply chain here): each round's constant
+    additions are merged (numerically, mod p) into the previous round's
     matrix-output reductions, so apart from round 0 no statement exists
     just to add a constant, and each lane takes exactly one ``%`` per
     round.
@@ -302,16 +186,8 @@ def _emit_source(t: int, name: str, use_table: bool) -> tuple[str, list[int]]:
     """
     capacity = t - 1
     rc, mds, m_pre, e_pre, stages, rc_adj, half, total = _factor_partial(t)
-    consts: list[int] = []
-    if use_table:
-        def cr(v: int) -> str:
-            consts.append(v)
-            return f"K[{len(consts) - 1}]"
-    else:
-        cr = repr
     args = ", ".join(f"s{i}" for i in range(1, t))
-    tail = ", p, K=_K, pw=pow):" if use_table else ", p, pw=pow):"
-    lines = [f"def {name}({args}{tail}"]
+    lines = [f"def {name}({args}, p, pw=pow):"]
     emit = lines.append
     cur = [f"s{i}" for i in range(t)]
     k = len(stages)
@@ -337,7 +213,7 @@ def _emit_source(t: int, name: str, use_table: bool) -> tuple[str, list[int]]:
                     x = (capacity + rc[0][0]) % _P
                     fold0 = pow(x, 5, _P)
                     continue
-                emit(f"    a{i} = pw({cur[i]} + {cr(rc[0][i])}, 5, p)")
+                emit(f"    a{i} = pw({cur[i]} + {rc[0][i]}, 5, p)")
             else:
                 emit(f"    a{i} = pw({cur[i]}, 5, p)")
         extra = next_const(r)
@@ -349,9 +225,9 @@ def _emit_source(t: int, name: str, use_table: bool) -> tuple[str, list[int]]:
             if fold0 is not None:
                 const = (const + mat[i][0] * fold0) % _P
                 jlo = 1
-            terms = [f"{cr(mat[i][j])} * a{j}" for j in range(jlo, t)]
+            terms = [f"{mat[i][j]} * a{j}" for j in range(jlo, t)]
             if const:
-                terms.append(cr(const))
+                terms.append(repr(const))
             emit(f"    {new[i]} = ({' + '.join(terms)}) % p")
         cur = new
 
@@ -363,11 +239,11 @@ def _emit_source(t: int, name: str, use_table: bool) -> tuple[str, list[int]]:
         # fold that round's (adjusted) constants in here.
         post = rc_adj if si == k - 1 else None
         new = [f"g{si}_{i}" for i in range(t)]
-        terms = [f"{cr(s00)} * v"]
-        terms += [f"{cr(w[j])} * {cur[j + 1]}" for j in range(t - 1)]
+        terms = [f"{s00} * v"]
+        terms += [f"{w[j]} * {cur[j + 1]}" for j in range(t - 1)]
         c0 = (lane0_const + (post[0] if post else 0)) % _P
         if c0:
-            terms.append(cr(c0))
+            terms.append(repr(c0))
         emit(f"    {new[0]} = ({' + '.join(terms)}) % p")
         for j in range(1, t):
             # Linear lanes ride unreduced across the whole segment (every
@@ -375,20 +251,20 @@ def _emit_source(t: int, name: str, use_table: bool) -> tuple[str, list[int]]:
             # stay ~k·p², well inside cheap big-int range) and take one
             # ``%`` at segment exit.
             cj = post[j] if post else 0
-            tail = f" + {cr(cj)}" if cj else ""
+            tail = f" + {cj}" if cj else ""
             if si == k - 1:
-                emit(f"    {new[j]} = ({cr(col[j - 1])} * v + {cur[j]}{tail}) % p")
+                emit(f"    {new[j]} = ({col[j - 1]} * v + {cur[j]}{tail}) % p")
             else:
-                emit(f"    {new[j]} = {cr(col[j - 1])} * v + {cur[j]}{tail}")
+                emit(f"    {new[j]} = {col[j - 1]} * v + {cur[j]}{tail}")
         cur = new
     for r in range(half + k, total):
         full_round("h", r, mds)
     emit(f"    return {cur[0]}")
-    return "\n".join(lines), consts
+    return "\n".join(lines)
 
 
-class IntEngine(PoseidonEngine):
-    """Plain-int permutation, code-generated per width.
+class PoseidonEngine:
+    """Plain-int Poseidon, code-generated per width.
 
     :func:`_emit_source` unrolls the whole permutation into one
     straight-line function — literal constants, inline S-box chains, lazy
@@ -396,59 +272,64 @@ class IntEngine(PoseidonEngine):
     width and :meth:`_compile` verifies against the reference oracle
     before first use.  No lists, no per-round allocation, no
     ``FieldElement`` until the caller-facing wrappers at the end.
+
+    ``hash``/``hash2`` mirror the reference module's signatures and
+    return :class:`FieldElement` so the engine slots straight into the
+    hasher-injection seam; ``hash_many`` is the batched entry point the
+    tree builders drive whole levels through.
     """
 
-    backend = "int"
-    #: Whether generated code reads constants from a ``K`` tuple instead of
-    #: literals (backends whose native int type isn't ``int``).
-    _use_const_table = False
-
     def __init__(self) -> None:
-        super().__init__()
+        self.stats = EngineStats()
         #: Per-width integer tables: t -> (rc, mds, half_full, total).
         self._tables: dict[int, tuple] = {}
         #: Per-width compiled straight-line permutations.
         self._compiled: dict[int, Callable] = {}
-        self._pnative = self._convert(_P)
+        stats = self.stats
+        compiled = self._compiled
 
-    # -- table management ---------------------------------------------------
+        def hash2(left: FieldElement | int, right: FieldElement | int) -> FieldElement:
+            start = time.perf_counter()
+            fn = compiled.get(3)
+            if fn is None:
+                fn = self._compile(3)
+            digest = FieldElement(fn(_to_int(left), _to_int(right), _P))
+            stats.hashes += 1
+            stats.seconds += time.perf_counter() - start
+            return digest
 
-    def _convert(self, value: int):
-        """Backend-native integer type (overridden by the gmpy2 engine)."""
-        return value
+        # A stable plain-function handle (never a rebound method) so
+        # ``zero_hashes``' module cache and ``lru_cache`` users key on one
+        # object; the attribute lets tree code find the engine behind an
+        # injected hasher and switch to the batched API.
+        hash2.engine = self  # type: ignore[attr-defined]
+        self.hash2: Callable[[FieldElement | int, FieldElement | int], FieldElement] = hash2
 
-    def _load(self, t: int) -> tuple:
+    # -- integration hooks --------------------------------------------------
+
+    def int_params(self, t: int) -> tuple:
+        """The ``(round_constants, mds, half_full, total)`` integer tables
+        of width ``t``.  The zkSNARK gadgets use these to generate Poseidon
+        witness values without evaluating symbolic linear combinations."""
         tables = self._tables.get(t)
         if tables is None:
             params: PoseidonParams = poseidon_params(t)
-            rc = tuple(
-                tuple(self._convert(c.value) for c in row)
-                for row in params.round_constants
-            )
-            mds = tuple(
-                tuple(self._convert(c.value) for c in row) for row in params.mds
-            )
             tables = self._tables[t] = (
-                rc,
-                mds,
+                tuple(tuple(c.value for c in row) for row in params.round_constants),
+                tuple(tuple(c.value for c in row) for row in params.mds),
                 params.full_rounds // 2,
                 params.total_rounds,
             )
         return tables
 
-    def int_params(self, t: int):
-        return self._load(t)
-
     # -- the hot loop -------------------------------------------------------
 
     def _compile(self, t: int) -> Callable:
         name = f"_poseidon_t{t}_c{t - 1}"
-        src, consts = _emit_source(t, name, self._use_const_table)
+        src = _emit_source(t, name)
         namespace: dict = {}
-        if self._use_const_table:
-            namespace["_K"] = tuple(self._convert(c) for c in consts)
         exec(  # noqa: S102 - compiling our own generated arithmetic
-            compile(src, f"<poseidon-codegen t={t} backend={self.backend}>", "exec"),
+            compile(src, f"<poseidon-codegen t={t}>", "exec"),
             namespace,
         )
         fn = namespace[name]
@@ -459,7 +340,7 @@ class IntEngine(PoseidonEngine):
         expect = poseidon_permutation(
             [FieldElement(x) for x in probe], poseidon_params(t)
         )[0].value
-        if int(fn(*probe[1:], self._pnative)) != expect:  # pragma: no cover - a codegen bug
+        if fn(*probe[1:], _P) != expect:  # pragma: no cover - a codegen bug
             raise CryptoError(f"poseidon codegen self-check failed for t={t}")
         self._compiled[t] = fn
         return fn
@@ -472,159 +353,64 @@ class IntEngine(PoseidonEngine):
             fn = self._compile(n + 1)
         return fn
 
-    def _make_hash2(self) -> Callable[..., FieldElement]:
-        stats = self.stats
-        engine = self
-
-        def hash2(left: FieldElement | int, right: FieldElement | int) -> FieldElement:
-            start = time.perf_counter()
-            fn = engine._compiled.get(3)
-            if fn is None:
-                fn = engine._compile(3)
-            digest = FieldElement(
-                int(fn(_to_int(left), _to_int(right), engine._pnative))
-            )
-            stats.hashes += 1
-            stats.permutations += 1
-            stats.seconds += time.perf_counter() - start
-            return digest
-
-        return hash2
-
     def hash(self, inputs: Sequence[FieldElement | int]) -> FieldElement:
         n = len(inputs)
         if not 1 <= n <= 8:
             raise CryptoError(f"poseidon_hash supports 1..8 inputs, got {n}")
         start = time.perf_counter()
         fn = self._fixed(n)
-        digest = FieldElement(
-            int(fn(*(_to_int(x) for x in inputs), self._pnative))
-        )
+        digest = FieldElement(fn(*(_to_int(x) for x in inputs), _P))
         self.stats.hashes += 1
-        self.stats.permutations += 1
         self.stats.seconds += time.perf_counter() - start
         return digest
 
     def hash_many(
         self, pairs: Sequence[tuple[FieldElement | int, FieldElement | int]]
     ) -> list[FieldElement]:
+        """Two-to-one compress every pair; one table lookup total."""
         start = time.perf_counter()
         fn = self._fixed(2)
-        p = self._pnative
-        out = [
-            FieldElement(int(fn(_to_int(l), _to_int(r), p))) for l, r in pairs
-        ]
+        out = [FieldElement(fn(_to_int(l), _to_int(r), _P)) for l, r in pairs]
         self.stats.hashes += len(out)
-        self.stats.permutations += len(out)
-        self.stats.batched_calls += 1
         self.stats.seconds += time.perf_counter() - start
         return out
 
 
-class Gmpy2Engine(IntEngine):
-    """mpz-backed variant: identical schedule, gmpy2 limb arithmetic."""
-
-    backend = "gmpy2"
-    _use_const_table = True
-
-    def __init__(self) -> None:
-        if not HAVE_GMPY2:
-            raise CryptoError(
-                "gmpy2 backend requested but gmpy2 is not installed "
-                "(pip install 'waku-rln-relay-repro[fast]')"
-            )
-        super().__init__()
-
-    def _convert(self, value: int):
-        return _mpz(value)
-
-
-_ENGINE_CLASSES: dict[str, type[PoseidonEngine]] = {
-    "reference": ReferenceEngine,
-    "int": IntEngine,
-    "gmpy2": Gmpy2Engine,
-}
-
-_ENGINES: dict[str, PoseidonEngine] = {}
-
-#: Explicit in-process override (``use_backend``); beats the env var.
-_OVERRIDE: str | None = None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backends constructible in this interpreter."""
-    names = ["reference", "int"]
-    if HAVE_GMPY2:
-        names.append("gmpy2")
-    return tuple(names)
-
-
-def _resolve(backend: str | None) -> str:
-    if backend is None:
-        backend = _OVERRIDE or os.environ.get(ENV_BACKEND, "").strip().lower() or "auto"
-    backend = backend.lower()
-    if backend == "auto":
-        return "gmpy2" if HAVE_GMPY2 else "int"
-    if backend not in _ENGINE_CLASSES:
-        raise CryptoError(
-            f"unknown crypto backend {backend!r}; expected one of "
-            f"{sorted(_ENGINE_CLASSES)} or 'auto'"
-        )
-    return backend
-
-
-def get_engine(backend: str | None = None) -> PoseidonEngine:
-    """The process-wide engine for ``backend`` (singleton per backend).
-
-    ``None`` resolves the default: a :func:`use_backend` override, then
-    ``$REPRO_CRYPTO_BACKEND``, then ``auto`` (gmpy2 when available, else
-    the int engine).
-    """
-    name = _resolve(backend)
-    engine = _ENGINES.get(name)
-    if engine is None:
-        engine = _ENGINES[name] = _ENGINE_CLASSES[name]()
-    return engine
+_ENGINE = PoseidonEngine()
 
 
 def default_engine() -> PoseidonEngine:
-    """The engine behind every ``hasher=None`` seam."""
-    return get_engine(None)
+    """The process's one engine, behind every ``hasher=None`` seam."""
+    return _ENGINE
+
+
+# ``use_backend`` and ``engine_stats`` stay only because ``benchmarks/e2e``
+# imports them; "int" is the one name they accept.  That harness drops them
+# in a ``benchmark`` PR, which may then delete both.
 
 
 @contextmanager
 def use_backend(backend: str) -> Iterator[PoseidonEngine]:
-    """Scope the default backend (benchmark arms, equivalence tests)."""
-    global _OVERRIDE
-    previous = _OVERRIDE
-    _OVERRIDE = _resolve(backend)
-    try:
-        yield get_engine(None)
-    finally:
-        _OVERRIDE = previous
+    """Yield the engine; ``"int"`` is the only backend."""
+    if backend != "int":
+        raise CryptoError(f"unknown crypto backend {backend!r}; the one engine is 'int'")
+    yield _ENGINE
 
 
 def engine_stats() -> dict[str, EngineStats]:
-    """Stats of every engine instantiated so far, by backend name."""
-    return {name: engine.stats for name, engine in _ENGINES.items()}
+    """The engine's stats under its one name, ``"int"``."""
+    return {"int": _ENGINE.stats}
 
 
 def publish_engine_telemetry(registry) -> None:
-    """Bind engine work counters into a metrics registry.
+    """Bind the engine's work counters into a metrics registry.
 
-    Binds ``crypto_hashes_total{backend=}``,
-    ``crypto_permutations_total{backend=}`` and
-    ``crypto_hash_seconds{backend=}`` to the :class:`EngineStats` of every
-    engine that has done work, so benchmark snapshots (E16/E18) expose
-    the hot path without the engines holding per-peer registry handles —
-    engines are process-global, so per-peer *export* attribution would
+    Binds ``crypto_hashes_total`` and ``crypto_hash_seconds`` to
+    :class:`EngineStats`, so benchmark snapshots (E16/E18) expose the hot
+    path without the engine holding per-peer registry handles — the
+    engine is process-global, so per-peer *export* attribution would
     multi-count; bind only into report-time registries.
     """
-    for name, engine in _ENGINES.items():
-        stats = engine.stats
-        if stats.permutations == 0:
-            continue
-        bind = partial(registry.bind, backend=name)
-        bind("crypto_hashes_total", lambda stats=stats: stats.hashes)
-        bind("crypto_permutations_total", lambda stats=stats: stats.permutations)
-        bind("crypto_hash_seconds", lambda stats=stats: stats.seconds)
+    stats = _ENGINE.stats
+    registry.bind("crypto_hashes_total", lambda: stats.hashes)
+    registry.bind("crypto_hash_seconds", lambda: stats.seconds)

@@ -79,10 +79,9 @@ class MemoHasher:
 
 
 #: Zero-subtree ladders, one growing list per hasher (``None`` keys the
-#: canonical Poseidon ladder, shared by every engine backend — they are
-#: bit-identical by construction).  Rungs are extended on demand and shared
-#: across every depth, so tree/forest construction stops recomputing the
-#: same 20-deep ladder per instantiation.
+#: canonical Poseidon ladder, the engine's).  Rungs are extended on demand
+#: and shared across every depth, so tree/forest construction stops
+#: recomputing the same 20-deep ladder per instantiation.
 _ZERO_LADDERS: dict[NodeHasher | None, list[FieldElement]] = {}
 
 #: Bound on distinct ad-hoc hashers we keep ladders for (tests that inject

@@ -39,14 +39,12 @@ def sbox_gadget(cs: ConstraintSystem, x: LC, tag: str, value: int | None = None)
         x2 = cs.multiply(x, x, f"{tag}:x2")
         x4 = cs.multiply(x2, x2, f"{tag}:x4")
         return cs.multiply(x4, x, f"{tag}:x5")
-    # int() guards against backend-native integer types (gmpy2 mpz) leaking
-    # into FieldElement internals.
     v2 = value * value % FIELD_MODULUS
     v4 = v2 * v2 % FIELD_MODULUS
-    x2 = cs.multiply(x, x, f"{tag}:x2", value=FieldElement(int(v2)))
-    x4 = cs.multiply(x2, x2, f"{tag}:x4", value=FieldElement(int(v4)))
+    x2 = cs.multiply(x, x, f"{tag}:x2", value=FieldElement(v2))
+    x4 = cs.multiply(x2, x2, f"{tag}:x4", value=FieldElement(v4))
     return cs.multiply(
-        x4, x, f"{tag}:x5", value=FieldElement(int(v4 * value % FIELD_MODULUS))
+        x4, x, f"{tag}:x5", value=FieldElement(v4 * value % FIELD_MODULUS)
     )
 
 
@@ -94,10 +92,10 @@ def poseidon_permutation_gadget(
 ) -> list[LC]:
     """Constrain one Poseidon permutation; returns the output state LCs.
 
-    When the inputs carry concrete assignments and the active crypto engine
-    exposes integer parameter tables, the whole permutation's witness values
-    are computed natively up front (one int pipeline instead of re-evaluating
-    every post-MDS linear combination three times per S-box).
+    When the inputs carry concrete assignments, the whole permutation's
+    witness values are computed natively up front from the engine's integer
+    tables (one int pipeline instead of re-evaluating every post-MDS linear
+    combination three times per S-box).
     """
     t = params.t
     if len(state) != t:
@@ -105,15 +103,12 @@ def poseidon_permutation_gadget(
     lanes = list(state)
     half_full = params.full_rounds // 2
     total = params.total_rounds
-    concrete: list[list[int]] | None = None
-    tables = default_engine().int_params(t)
-    if tables is not None:
-        try:
-            inputs = [cs.value_of(lane).value for lane in state]
-        except SnarkError:
-            inputs = None
-        if inputs is not None:
-            concrete = _concrete_rounds(inputs, tables, t)
+    try:
+        inputs = [cs.value_of(lane).value for lane in state]
+    except SnarkError:
+        concrete = None
+    else:
+        concrete = _concrete_rounds(inputs, default_engine().int_params(t), t)
     for round_index in range(total):
         constants = params.round_constants[round_index]
         lanes = [lanes[i] + LC.constant(constants[i]) for i in range(t)]

@@ -5,7 +5,9 @@ component that uses them.  An option stays on one of them if a benchmark
 or an example sets it (any keyword argument of that name under
 ``benchmarks/`` or ``examples/``) or if it is in ``KEPT_FOR`` with its
 reason.  A component keeps whatever parameter its own unit tests need;
-the layers above it do not forward that parameter for them.
+the layers above it do not forward that parameter for them.  No module
+under ``src/repro`` reads a switch from the environment: that is an
+option no benchmark, example or config object shows.
 
 Reads source files only — nothing is imported, ``benchmarks/e2e`` included.
 """
@@ -96,6 +98,36 @@ def test_every_forwarded_option_is_set_by_a_workload_or_kept_for_a_reason():
 def test_kept_for_names_only_live_options():
     live = {name for spec in SURFACES.values() for name in options(*spec)}
     assert set(KEPT_FOR) <= live, sorted(set(KEPT_FOR) - live)
+
+
+#: Names through which a module can read a switch from the environment.
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads() -> list[str]:
+    """``file:line`` of every ``os.environ`` / ``os.getenv`` use under
+    ``src/repro``, attribute access and ``from os import`` alike."""
+    src = ROOT / "src" / "repro"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & ENVIRONMENT_READS:
+                found.append(f"{path.relative_to(src)}:{node.lineno}")
+    return found
+
+
+def test_no_module_reads_a_switch_from_the_environment():
+    reads = environment_reads()
+    assert not reads, (
+        f"{reads}: a switch read from the environment is an option no "
+        "benchmark, example or config object shows. Pass it as a parameter."
+    )
 
 
 if __name__ == "__main__":

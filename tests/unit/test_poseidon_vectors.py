@@ -7,9 +7,7 @@ a deployed network.  These pinned digests catch such a change immediately.
 repro.crypto.poseidon on why they differ from circomlib's.)
 """
 
-import pytest
-
-from repro.crypto.engine import available_backends, get_engine
+from repro.crypto.engine import default_engine
 from repro.crypto.field import FieldElement
 from repro.crypto.poseidon import poseidon_hash, poseidon_params, poseidon_permutation
 
@@ -21,7 +19,7 @@ VECTORS = {
 }
 
 #: Sponge digests for every supported arity (state widths t = 2..9) on the
-#: canonical inputs [1, ..., n].  A backend swap or constant drift at any
+#: canonical inputs [1, ..., n].  An engine rewrite or constant drift at any
 #: width can never silently change commitments.
 ARITY_VECTORS = {
     1: 0x27D446269D4D4131665A73DD5859B2F7170740992FCD91588B08B67C189BF2A3,
@@ -71,10 +69,9 @@ def test_pinned_permutation_vectors_reference():
         assert out[0].value == expected, f"permutation width t={t} changed"
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_pinned_vectors_all_backends(backend):
-    """Every engine backend must reproduce the exact pinned digests."""
-    engine = get_engine(backend)
+def test_pinned_arity_vectors_engine():
+    """The engine must reproduce the exact pinned digests."""
+    engine = default_engine()
     for n, expected in ARITY_VECTORS.items():
         digest = engine.hash([FieldElement(i + 1) for i in range(n)])
-        assert digest.value == expected, f"{backend}: arity {n} digest drifted"
+        assert digest.value == expected, f"engine: arity {n} digest drifted"

@@ -131,26 +131,9 @@ KEPT_FOR = {
     "core/validator.py:RootAcceptor.is_acceptable_root": (
         "the RootAcceptor protocol the validator and witness client call"
     ),
-    "crypto/engine.py:PoseidonEngine._make_hash2": (
-        "base-class declaration __init__ calls; every engine overrides it"
-    ),
-    "crypto/engine.py:PoseidonEngine.hash": "base-class declaration; every engine overrides it",
-    "crypto/engine.py:PoseidonEngine.hash_many": (
-        "base-class declaration MerkleTree.from_leaves calls; every engine overrides it"
-    ),
     "net/latency.py:LatencyModel.sample": "the latency protocol Network.send calls",
     "net/latency.py:LatencyModel.worst_case": "the latency protocol dissemination_bound calls",
     "zksnark/groth16.py:RLNProver._check_statement": "base-class declaration prove() calls",
-    # -- The gmpy2 engine: CI's gmpy2 job runs it, no driver does.
-    "crypto/engine.py:Gmpy2Engine.__init__": (
-        "the gmpy2 engine CI's gmpy2 job runs: constants through a K table"
-    ),
-    "crypto/engine.py:Gmpy2Engine._convert": (
-        "the gmpy2 engine CI's gmpy2 job runs: constants through a K table"
-    ),
-    "crypto/engine.py:_emit_source.<locals>.cr": (
-        "the gmpy2 engine CI's gmpy2 job runs: constants through a K table"
-    ),
     # -- The disabled hub (telemetry off): readings no driver takes while off.
     "telemetry/disttrace.py:Disabled._empty": (
         "empty readings while off: metrics, collect, disttracers, finished_since"
@@ -210,6 +193,7 @@ KEPT_FOR = {
     ),
     # -- Operator, container and copy protocol of value types: what a test's
     # ==, len(), copy, pickle or failing assertion calls.
+    "crypto/field.py:FieldElement.__hash__": "hash protocol: a field element in a test's set or dict",
     "crypto/field.py:FieldElement.__index__": (
         "operator protocol: a field element as a sequence index"
     ),
@@ -303,7 +287,7 @@ BUDGET = {
     "baselines": 432,
     "chain": 975,
     "core": 2010,
-    "crypto": 2112,
+    "crypto": 1885,
     "exec": 422,
     "gossipsub": 1027,
     "net": 983,
@@ -315,7 +299,7 @@ BUDGET = {
     "treesync": 1311,
     "waku": 859,
     "witness": 999,
-    "zksnark": 1411,
+    "zksnark": 1406,
 }
 
 
