@@ -21,8 +21,10 @@ from repro.core.membership import GroupManager
 from repro.core.protocol import WakuRLNRelayPeer
 from repro.core.validator import BundleValidator
 from repro.crypto.engine import default_engine
+from repro.crypto.field import FieldElement
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleTree, zero_hashes
+from repro.crypto.poseidon import poseidon_params, poseidon_permutation
 from repro.waku.message import WakuMessage
 from repro.zksnark.groth16 import Groth16
 from repro.zksnark.prover import NativeProver
@@ -71,6 +73,28 @@ def two_level_reference(leaves, depth, shard_depth):
     for shard_id, shard in enumerate(shards):
         top.write_leaf(shard_id, shard.root)
     return shards, top
+
+
+class PermutationSponge:
+    """The fixed-length Poseidon sponge restated directly over
+    :func:`poseidon_permutation` (state ``[n, x_1, ..., x_n]``, output lane
+    0), with the engine's ``hash``/``hash2`` surface.  Arity checks come
+    from the parameter tables alone (``poseidon_params`` knows t = 2..9)."""
+
+    def hash(self, inputs) -> FieldElement:
+        n = len(inputs)
+        state = [FieldElement(n)] + [FieldElement(x) for x in inputs]
+        return poseidon_permutation(state, poseidon_params(n + 1))[0]
+
+    def hash2(self, left, right) -> FieldElement:
+        return self.hash([left, right])
+
+
+@pytest.fixture(params=["int", "reference"])
+def poseidon_hasher(request):
+    """Each Poseidon implementation behind the engine's surface: ``int`` is
+    the engine, ``reference`` a :class:`PermutationSponge`."""
+    return default_engine() if request.param == "int" else PermutationSponge()
 
 
 @pytest.fixture(scope="session")

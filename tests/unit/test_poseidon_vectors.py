@@ -7,7 +7,6 @@ a deployed network.  These pinned digests catch such a change immediately.
 repro.crypto.poseidon on why they differ from circomlib's.)
 """
 
-from repro.crypto.engine import default_engine
 from repro.crypto.field import FieldElement
 from repro.crypto.poseidon import poseidon_hash, poseidon_params, poseidon_permutation
 
@@ -69,9 +68,9 @@ def test_pinned_permutation_vectors_reference():
         assert out[0].value == expected, f"permutation width t={t} changed"
 
 
-def test_pinned_arity_vectors_engine():
-    """The engine must reproduce the exact pinned digests."""
-    engine = default_engine()
+def test_pinned_vectors_all_backends(poseidon_hasher):
+    """The engine and the permutation-level sponge reproduce the exact
+    pinned digests."""
     for n, expected in ARITY_VECTORS.items():
-        digest = engine.hash([FieldElement(i + 1) for i in range(n)])
-        assert digest.value == expected, f"engine: arity {n} digest drifted"
+        digest = poseidon_hasher.hash([FieldElement(i + 1) for i in range(n)])
+        assert digest.value == expected, f"arity {n} digest drifted"
