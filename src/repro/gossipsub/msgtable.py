@@ -3,8 +3,9 @@
 An id judged with nothing else to know maps to its witness time (a
 ``float``); an id the router still acts on maps to a :class:`Record`:
 
-* a **hinted** id (named by an IDONTWANT before any copy) has no
-  ``seen_at``; its ``holders`` are the announcers;
+* a **hinted** id (named by an IDONTWANT or IHAVE before any copy) has
+  no ``seen_at``; its ``holders`` are the announcers; ``asked`` (lazy
+  push's ANNOUNCED state) names the one an IWANT went to, and when;
 * a **pending** id (witnessed, verdict not landed) has ``holders``: the
   peers that sent a copy or an IDONTWANT, whom the forward skips;
 * an **accepted** id holds its ``message`` for IWANT and IHAVE while it
@@ -42,12 +43,14 @@ class Record:
     message: PubSubMessage | None = None
     #: The number of the window that lists the id (hinted or accepted there).
     window: int | None = None
+    #: A hinted id's fetch: (announcer asked, window number of the ask).
+    asked: tuple[str, int] | None = None
 
 
 class MessageTable(dict[bytes, "float | Record"]):
     """id -> witness time or record (in witness order), and expiry orders."""
 
-    __slots__ = ("_windows", "_tick", "_hints", "_oldest")
+    __slots__ = ("_windows", "_tick", "_hints", "_oldest", "_asked")
 
     def __init__(self) -> None:
         super().__init__()
@@ -58,6 +61,8 @@ class MessageTable(dict[bytes, "float | Record"]):
         self._hints: dict[str, int] = {}
         #: Witness time of the oldest witnessed id, or lower.
         self._oldest = float("inf")
+        #: Hinted ids an announcer was asked for, in ask order (some since seen).
+        self._asked: dict[bytes, None] = {}
 
     def seen(self, msg_id: bytes) -> bool:
         """True if a copy of ``msg_id`` was witnessed (not only hinted)."""
@@ -104,13 +109,14 @@ class MessageTable(dict[bytes, "float | Record"]):
         else:  # a hint came true
             entry.holders.add(holder)
 
-    def note(self, msg_id: bytes, holder: str) -> None:
-        """``holder`` says it has ``msg_id`` (an IDONTWANT)."""
+    def note(self, msg_id: bytes, holder: str) -> Record | None:
+        """``holder`` says it has ``msg_id`` (an IDONTWANT or IHAVE); the
+        record while the id is only hinted and ``holder`` has a place in it."""
         entry = self.get(msg_id)
         if entry is not None and (type(entry) is not Record or entry.seen_at is not None):
             if type(entry) is Record and entry.holders is not None:  # pending
                 entry.holders.add(holder)
-            return  # a judged id needs no hint
+            return None  # a judged id needs no hint
         count = self._hints.get(holder, 0)
         if count < MAX_EARLY_IDONTWANTS:
             if entry is None:
@@ -119,6 +125,39 @@ class MessageTable(dict[bytes, "float | Record"]):
             if holder not in entry.holders:
                 entry.holders.add(holder)
                 self._hints[holder] = count + 1
+        return entry if entry is not None and holder in entry.holders else None
+
+    def ask(self, msg_ids: tuple[bytes, ...], announcer: str) -> list[bytes]:
+        """An IHAVE: ``announcer`` holds ``msg_ids``; those unseen that nobody
+        was asked for yet are returned, and ``announcer`` marked asked."""
+        wanted = []
+        for msg_id in msg_ids:
+            entry = self.get(msg_id)
+            if type(entry) is float or entry is not None and entry.holders is None:
+                continue  # judged or kept: nothing to note
+            entry = self.note(msg_id, announcer)
+            if entry is not None and entry.asked is None:
+                entry.asked = (announcer, self._tick)
+                self._asked[msg_id] = None
+                wanted.append(msg_id)
+        return wanted
+
+    def unmet(self) -> list[tuple[bytes, str, str]]:
+        """``(id, asked, next)`` for each ask older than the current window
+        whose copy never came; ``next`` (id order, wrapping) is asked now."""
+        unmet, asked_for, self._asked = [], self._asked, {}
+        for msg_id in asked_for:
+            entry = self.get(msg_id)
+            if type(entry) is not Record or entry.seen_at is not None:
+                continue  # the copy came, or the hint expired
+            self._asked[msg_id] = None
+            peer, tick = entry.asked
+            if tick < self._tick:
+                ranked = sorted(entry.holders)
+                after = next((p for p in ranked if p > peer), ranked[0])
+                entry.asked = (after, self._tick)
+                unmet.append((msg_id, peer, after))
+        return unmet
 
     def settle(self, msg_id: bytes) -> set[str] | tuple[()]:
         """The verdict on ``msg_id`` landed: who holds the message."""

@@ -5,8 +5,11 @@ paper) sufficient for WAKU-RELAY to be "a thin layer over the libp2p
 GossipSub routing protocol" (§I):
 
 * per-topic **mesh** maintained between [D_lo, D_hi] around a target D,
+* **eager and lazy push**: a relay sends the copy to ``d_eager`` mesh
+  targets and an IHAVE to the rest; a publisher floods (§III: ``d_eager = d``),
 * **heartbeat** doing mesh balancing, score decay and IHAVE gossip,
-* **IHAVE/IWANT** lazy message pull for non-mesh neighbors,
+* **IHAVE/IWANT** lazy pull: an id still unseen at the end of the instant
+  is asked of one announcer, and of the next if a window passes without it,
 * **IDONTWANT** (v1.2): a message is never forwarded to a peer known to
   hold it, and a peer whose verdict is pending says which ids it holds,
 * **validation hooks** with v1.1 semantics — ACCEPT relays, IGNORE drops
@@ -78,10 +81,14 @@ class GossipSubParams:
     d_hi: int = 12
     d_lazy: int = 6
     heartbeat_interval: float = 1.0
+    #: Mesh targets a relayed message goes to in full; the rest get an IHAVE.
+    d_eager: int = 3
 
     def __post_init__(self) -> None:
         if not self.d_lo <= self.d <= self.d_hi:
             raise NetworkError("need d_lo <= d <= d_hi")
+        if self.d_eager < 1:
+            raise NetworkError("need d_eager >= 1")
 
 
 @dataclass
@@ -96,7 +103,10 @@ class RouterStats:
     ignored: int = 0
     validations: int = 0
     deferred: int = 0
+    #: IHAVE and IWANT frames sent; asks the announcer asked never met.
     gossip_sent: int = 0
+    iwant_sent: int = 0
+    broken_promises: int = 0
     iwant_served: int = 0
     #: Peers added to a mesh (inbound GRAFT accepted, or mesh filling).
     grafts: int = 0
@@ -153,8 +163,15 @@ class GossipSubRouter:
         self._callbacks: dict[str, list[DeliveryCallback]] = {}
         self._announced_to: set[str] = set()
         self._table = MessageTable()
-        #: Messages deferred at this instant: one IDONTWANT per topic.
-        self._announce: list[PubSubMessage] = []
+        #: Mesh peer -> eager rank, per topic, kept until the mesh changes.
+        self._rank: dict[str, dict[str, tuple[int, str]]] = {}
+        #: This instant's outbox, sent by ``_flush`` at its end: deferred
+        #: (message, sender)s, per topic the lazy ids and their lazy peers,
+        #: and IWANT ids per peer.
+        self._announce: list[tuple[PubSubMessage, str]] = []
+        self._lazy: dict[str, tuple[list[bytes], set[str]]] = {}
+        self._fetch: dict[str, list[bytes]] = {}
+        self._flush_due = False
         #: Optional distributed-tracing hook, set by the RLN layer: called
         #: once per ACCEPTed message before it is kept, delivered and
         #: forwarded, it returns the message to propagate (re-stamped with
@@ -212,7 +229,7 @@ class GossipSubRouter:
         holders = self._table.settle(message.msg_id)
         self._table.keep(message)
         self._deliver_locally(message)
-        self._forward(message, exclude={self.peer_id}, holders=holders)
+        self._forward(message, exclude={self.peer_id}, holders=holders, flood=True)
         return message
 
     # -- mesh / membership views ---------------------------------------------------------
@@ -295,6 +312,7 @@ class GossipSubRouter:
         mesh = self._mesh.setdefault(topic, set())
         if sender not in mesh:
             mesh.add(sender)
+            self._rank.pop(topic, None)
             self.stats.grafts += 1
             if self.scoring:
                 self.scoring.on_join_mesh(sender, self.simulator.now)
@@ -303,6 +321,7 @@ class GossipSubRouter:
         mesh = self._mesh.get(topic)
         if mesh and peer in mesh:
             mesh.remove(peer)
+            self._rank.pop(topic, None)
             if self.scoring:
                 self.scoring.on_leave_mesh(peer, self.simulator.now)
 
@@ -319,9 +338,8 @@ class GossipSubRouter:
         if isinstance(verdict, Promise):
             self.stats.deferred += 1
             self._table.pend(message.msg_id, sender)
-            if not self._announce:
-                self.simulator.schedule(0.0, self._announce_pending)
-            self._announce.append(message)
+            self._flush_later()
+            self._announce.append((message, sender))
             # A partial, not a closure: fewer objects live while it is pending.
             verdict.subscribe(partial(self._apply_validation, sender, message))
             return
@@ -352,14 +370,16 @@ class GossipSubRouter:
         self._forward(message, exclude={sender}, holders=holders)
 
     def _handle_ihave(self, sender: str, ihave: IHave) -> None:
+        """Note the announcer; an id nobody was asked for is fetched from it
+        at the end of the instant, unless a copy has come by then."""
         if self.scoring and not self.scoring.accepts_gossip(sender, self.simulator.now):
             return
         if ihave.topic not in self._topics:
             return
-        seen = self._table.seen
-        wanted = tuple(i for i in ihave.msg_ids if not seen(i))
+        wanted = self._table.ask(ihave.msg_ids, sender)
         if wanted:
-            self._send(sender, RPC(iwant=(IWant(msg_ids=wanted),)))
+            self._flush_later()
+            self._fetch.setdefault(sender, []).extend(wanted)
 
     def _handle_iwant(self, sender: str, iwant: IWant) -> None:
         kept = self._table.kept
@@ -374,17 +394,38 @@ class GossipSubRouter:
         for msg_id in idontwant.msg_ids:
             self._table.note(msg_id, sender)
 
-    def _announce_pending(self) -> None:
-        """One IDONTWANT per topic to the mesh: this instant's ids still pending."""
+    def _flush_later(self) -> None:
+        if not self._flush_due:
+            self._flush_due = True
+            self.simulator.schedule(0.0, self._flush)
+
+    def _flush(self) -> None:
+        """End of the instant: one IDONTWANT per topic to the mesh (the ids
+        deferred now and still pending, spared a peer that sent the copy of
+        every one), one IHAVE per topic to the lazy peers (every id announced
+        now), then the IWANTs."""
+        self._flush_due = False
         announce, self._announce = self._announce, []
         holders = self._table.holders
-        for topic in dict.fromkeys(m.topic for m in announce):
-            ids = (m.msg_id for m in announce if m.topic == topic)
-            pending = tuple(i for i in ids if holders(i) is not None)
-            mesh = self._mesh.get(topic)
-            if pending and mesh:
-                self.stats.idontwant_sent += len(mesh)
-                self._send_all(sorted(mesh), RPC(idontwant=(IDontWant(msg_ids=pending),)))
+        for topic in dict.fromkeys(m.topic for m, _ in announce):
+            pending = {m.msg_id: s for m, s in announce if m.topic == topic and holders(m.msg_id)}
+            senders = set(pending.values())  # one: it sent every id listed
+            spared = senders if len(senders) == 1 else set()
+            peers = sorted(self._mesh.get(topic, set()) - spared)
+            if pending and peers:
+                self.stats.idontwant_sent += len(peers)
+                self._send_all(peers, RPC(idontwant=(IDontWant(msg_ids=tuple(pending)),)))
+        lazy, self._lazy = self._lazy, {}
+        for topic, (ids, peers) in lazy.items():
+            # One frame and one send: a peer also sees the instant's other
+            # lazy ids, 32 B each, which it holds or is being sent anyway.
+            self.stats.gossip_sent += len(peers)
+            self._send_all(sorted(peers), RPC(ihave=(IHave(topic=topic, msg_ids=tuple(ids)),)))
+        fetch, self._fetch = self._fetch, {}
+        for peer, listed in fetch.items():
+            if wanted := tuple(i for i in listed if not self._table.seen(i)):
+                self.stats.iwant_sent += 1
+                self._send(peer, RPC(iwant=(IWant(msg_ids=wanted),)))
 
     # -- validation & delivery ------------------------------------------------------------
 
@@ -395,23 +436,51 @@ class GossipSubRouter:
         for callback in list(self._callbacks.get(message.topic, [])):
             callback(message)
 
-    def _forward(self, message: PubSubMessage, *, exclude: set[str], holders=()) -> None:
-        """Relay to mesh peers (or topic peers while the mesh is thin) but not holders."""
-        targets = self._mesh.get(message.topic, set()) - exclude
+    def _forward(
+        self, message: PubSubMessage, *, exclude: set[str], holders=(), flood: bool = False
+    ) -> None:
+        """Relay to mesh peers (or topic peers while the mesh is thin) but not
+        holders: the full copy to the first ``d_eager`` in eager order (to
+        all if ``flood`` or the mesh is thin), an IHAVE to the rest."""
+        topic = message.topic
+        targets = self._mesh.get(topic, set()) - exclude
         if not targets:
-            targets = self.topic_peers(message.topic) - exclude
+            targets = self.topic_peers(topic) - exclude
+            flood = True
         if holders:  # after the fallback: a mesh holding it is not thin
             kept = targets - holders
             self.stats.suppressed += len(targets) - len(kept)
             targets = kept
-        peers = sorted(targets)
         if self.scoring:
             now = self.simulator.now
-            peers = [peer for peer in peers if self.scoring.accepts_publish(peer, now)]
+            targets = {peer for peer in targets if self.scoring.accepts_publish(peer, now)}
+        d_eager = self.params.d_eager
+        if flood or len(targets) <= d_eager:
+            peers = sorted(targets)
+        else:
+            ranked = sorted(targets, key=self._eager_order(topic).__getitem__)
+            peers = ranked[:d_eager]
+            queued = self._lazy.get(topic)
+            if queued is None:
+                self._flush_later()
+                queued = self._lazy[topic] = ([], set())
+            queued[0].append(message.msg_id)
+            queued[1].update(ranked[d_eager:])
         if peers:
             self.stats.forwarded += len(peers)
             # One immutable envelope, sized once, handed over in one send.
             self._send_all(peers, RPC(messages=(message,)))
+
+    def _eager_order(self, topic: str) -> dict[str, tuple[int, str]]:
+        """Mesh peer -> its eager rank, a hash of (this peer, mesh peer) kept
+        until the mesh changes: no ``PYTHONHASHSEED`` and no ``rng`` draw."""
+        order = self._rank.get(topic)
+        if order is None:
+            me = self.peer_id
+            order = self._rank[topic] = {
+                peer: (zlib.crc32(f"{me}>{peer}".encode()), peer) for peer in self._mesh[topic]
+            }
+        return order
 
     # -- heartbeat ---------------------------------------------------------------------------
 
@@ -446,6 +515,14 @@ class GossipSubRouter:
                 )
             self.stats.mesh_size[topic] = len(mesh)
             self._emit_gossip(topic)
+        for msg_id, asked, peer in self._table.unmet():
+            # A broken promise: v1.1's P7 behaviour penalty, and the next ask.
+            self.stats.broken_promises += 1
+            if self.scoring:
+                self.scoring.on_behaviour_penalty(asked)
+                self.stats.behaviour_penalties += 1
+            self._flush_later()
+            self._fetch.setdefault(peer, []).append(msg_id)
         self._table.shift()
 
     def _fill_mesh(self, topic: str) -> None:
@@ -462,6 +539,7 @@ class GossipSubRouter:
         while len(mesh) < self.params.d and candidates:
             peer = candidates.pop()
             mesh.add(peer)
+            self._rank.pop(topic, None)
             self.stats.grafts += 1
             if self.scoring:
                 self.scoring.on_join_mesh(peer, now)

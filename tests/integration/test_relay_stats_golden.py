@@ -64,8 +64,11 @@ GOLDEN = {
     "batched": {
         "checks": "376765ef2428637487167047f12ba89e34c94d6f7d4723b413d7ddeaa84bcfa5",
         # Re-pinned when peers with a pending verdict began announcing
-        # what they hold (IDONTWANT) and being spared copies of it.
-        "routing": "74917c00c9a066bd4e54423c62c11ad3e04aa95ea9547396b1813703b474f3da",
+        # what they hold (IDONTWANT) and being spared copies of it, and
+        # again when that IDONTWANT stopped going to the peer that sent
+        # the copy of every id it lists.  The degree-3 meshes never exceed
+        # ``d_eager``, so lazy push moves neither shape.
+        "routing": "00469f814c0b818779f1e34534be6be752341db8933ddde8d6cb0a5a2b6358b7",
         "deliveries": "77c0183884cf8500bfe906ac444fdb63df28b0636245257fb81cfe65a7ff6f09",
     },
     "inline": {

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gossipsub.msgtable import SEEN_TTL, MessageTable
-from repro.gossipsub.router import GossipSubRouter
+from repro.gossipsub.router import GossipSubParams, GossipSubRouter
 from repro.net.latency import UniformLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import random_regular
@@ -16,7 +16,7 @@ from repro.net.transport import Network
 TOPIC = "prop-topic"
 
 
-def build_network(peer_count: int, degree: int, seed: int):
+def build_network(peer_count: int, degree: int, seed: int, params=None):
     sim = Simulator()
     if (peer_count * degree) % 2:
         degree += 1
@@ -29,7 +29,9 @@ def build_network(peer_count: int, degree: int, seed: int):
     )
     routers = {}
     for i, peer in enumerate(sorted(graph.nodes)):
-        routers[peer] = GossipSubRouter(peer, network, sim, rng=random.Random(seed + i))
+        routers[peer] = GossipSubRouter(
+            peer, network, sim, params=params, rng=random.Random(seed + i)
+        )
         routers[peer].subscribe(TOPIC)
         routers[peer].start()
     sim.run(5.0)
@@ -60,6 +62,26 @@ def test_every_message_delivered_exactly_once_everywhere(
     assert total == publisher_count * peer_count
     for router in routers.values():
         assert router.stats.duplicates >= 0  # duplicates absorbed, not delivered
+
+
+@given(
+    peer_count=st.integers(min_value=9, max_value=14),
+    degree=st.integers(min_value=3, max_value=8),
+    d_eager=st.integers(min_value=1, max_value=GossipSubParams().d),
+    seed=st.integers(min_value=0, max_value=1000),
+    publisher_count=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=12, deadline=None)
+def test_every_eager_fan_out_reaches_every_connected_subscriber(
+    peer_count, degree, d_eager, seed, publisher_count
+):
+    params = GossipSubParams(d_eager=d_eager)
+    sim, routers = build_network(peer_count, degree, seed, params)
+    names = sorted(routers)
+    for i in range(publisher_count):
+        routers[names[i]].publish(TOPIC, f"lazy-{seed}-{i}".encode())
+    sim.run(sim.now + 8.0)
+    assert sum(r.stats.delivered for r in routers.values()) == publisher_count * peer_count
 
 
 @given(

@@ -22,14 +22,16 @@ from test_router import TOPIC, build as build_fleet, publish, start_all
 ACCEPT = ValidationResult.ACCEPT
 
 
-def scripted(neighbours="abcd", mesh=None, deferred=True):
+def scripted(neighbours="abcd", mesh=None, deferred=True, **router_options):
     """``peer-p`` subscribed beside ``neighbours``; ``mesh`` of them grafted."""
     names = [f"peer-{n}" for n in neighbours]
     simulator = Simulator()
     graph = nx.Graph()
     graph.add_edges_from(("peer-p", name) for name in names)
     network = Network(simulator=simulator, graph=graph, latency=ConstantLatency(0.01))
-    router = GossipSubRouter("peer-p", network, simulator, rng=random.Random(1))
+    router = GossipSubRouter(
+        "peer-p", network, simulator, rng=random.Random(1), **router_options
+    )
     router.subscribe(TOPIC)
     inbox = {name: [] for name in names}
     for name in names:
@@ -118,13 +120,34 @@ class TestAnnouncements:
             router._on_rpc("peer-a", RPC(messages=(m,)))
         verdicts[m2.msg_id].resolve(ACCEPT)  # lands inside the instant
         simulator.run(0.5)
-        for peer in "abcd":
+        assert announcements(inbox, "a") == []  # it sent both
+        for peer in "bcd":
             assert announcements(inbox, peer) == [(IDontWant((m1.msg_id, m3.msg_id)),)]
         router._on_rpc("peer-b", RPC(messages=(m4,)))
         simulator.run(1.0)
+        for peer in "acd":
+            assert announcements(inbox, peer)[-1] == (IDontWant((m4.msg_id,)),)
+        assert announcements(inbox, "b")[1:] == []
+        assert router.stats.idontwant_sent == 6
+
+    def test_a_peer_that_sent_every_listed_id_is_not_told(self):
+        simulator, router, inbox, verdicts = scripted()
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        simulator.run(0.5)
+        assert announcements(inbox, "a") == []
+        for peer in "bcd":
+            assert announcements(inbox, peer) == [(IDontWant((m.msg_id,)),)]
+        assert router.stats.idontwant_sent == 3
+
+    def test_a_peer_that_sent_only_some_listed_ids_is_still_told(self):
+        simulator, router, inbox, verdicts = scripted()
+        m1, m2 = message(b"m1"), message(b"m2")
+        router._on_rpc("peer-a", RPC(messages=(m1,)))
+        router._on_rpc("peer-b", RPC(messages=(m2,)))
+        simulator.run(0.5)
         for peer in "abcd":
-            assert announcements(inbox, peer)[1:] == [(IDontWant((m4.msg_id,)),)]
-        assert router.stats.idontwant_sent == 8
+            assert announcements(inbox, peer) == [(IDontWant((m1.msg_id, m2.msg_id)),)]
 
     def test_ids_judged_within_their_instant_are_never_announced(self):
         simulator, router, inbox, verdicts = scripted()
