@@ -7,7 +7,8 @@ degree, with GossipSub's mesh degree ``d`` set to the same number (so the
 degree is the relay fan-out), registers, forms its meshes and runs
 ``honest_steady``'s load: every peer publishes once per 1-s epoch, all at
 the same instant, over constant 50 ms links.  A relay pushes the full
-copy to ``d_eager`` mesh targets and announces the id to the rest (IHAVE);
+copy to ``D_EAGER`` mesh targets (``d_eager`` here, patched into
+``repro.gossipsub.router``) and announces the id to the rest (IHAVE);
 ``d_eager = d`` is §III's flood.  For each (degree, ``d_eager``) this
 prints, over the measured rounds (set-up traffic excluded):
 
@@ -34,6 +35,7 @@ if str(ROOT / "src") not in sys.path:
 
 from repro.core.config import RLNConfig  # noqa: E402
 from repro.core.deployment import RLNDeployment  # noqa: E402
+from repro.gossipsub import router as router_module  # noqa: E402
 from repro.gossipsub.router import GossipSubParams  # noqa: E402
 from repro.net.latency import ConstantLatency  # noqa: E402
 
@@ -44,12 +46,13 @@ D_EAGERS = (1, 2, 3, 4)
 DRAIN_S = 3.0
 
 
-def params(degree: int, d_eager: int) -> GossipSubParams:
-    """Mesh degree ``degree`` (bounds widened to hold it), ``d_eager`` of it eager."""
-    return GossipSubParams(d=degree, d_lo=min(4, degree), d_hi=max(12, degree), d_eager=d_eager)
+def params(degree: int) -> GossipSubParams:
+    """Mesh degree ``degree``, its bounds widened to hold it."""
+    return GossipSubParams(d=degree, d_lo=min(4, degree), d_hi=max(12, degree))
 
 
 def measure(degree: int, d_eager: int, seed: int, rounds: int) -> dict:
+    router_module.D_EAGER = d_eager
     dep = RLNDeployment.create(
         peer_count=PEERS,
         degree=degree,
@@ -59,7 +62,7 @@ def measure(degree: int, d_eager: int, seed: int, rounds: int) -> dict:
     )
     routers = [peer.relay.router for peer in dep.peers.values()]
     for router in routers:
-        router.params = params(degree, d_eager)
+        router.params = params(degree)
     dep.register_all()
     dep.form_meshes()
     simulator, network = dep.simulator, dep.network

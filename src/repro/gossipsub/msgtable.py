@@ -5,7 +5,8 @@ An id judged with nothing else to know maps to its witness time (a
 
 * a **hinted** id (named by an IDONTWANT or IHAVE before any copy) has
   no ``seen_at``; its ``holders`` are the announcers; ``asked`` (lazy
-  push's ANNOUNCED state) names the one an IWANT went to, and when;
+  push's ANNOUNCED state) lists the IHAVE announcers, the first asked by
+  an IWANT, and the window of that ask;
 * a **pending** id (witnessed, verdict not landed) has ``holders``: the
   peers that sent a copy or an IDONTWANT, whom the forward skips;
 * an **accepted** id holds its ``message`` for IWANT and IHAVE while it
@@ -43,14 +44,15 @@ class Record:
     message: PubSubMessage | None = None
     #: The number of the window that lists the id (hinted or accepted there).
     window: int | None = None
-    #: A hinted id's fetch: (announcer asked, window number of the ask).
-    asked: tuple[str, int] | None = None
+    #: A hinted id's fetch: (window number of the ask, IHAVE announcers in
+    #: ask order, the first the one asked).
+    asked: tuple[int, tuple[str, ...]] | None = None
 
 
 class MessageTable(dict[bytes, "float | Record"]):
     """id -> witness time or record (in witness order), and expiry orders."""
 
-    __slots__ = ("_windows", "_tick", "_hints", "_oldest", "_asked")
+    __slots__ = ("_windows", "_tick", "_hints", "_oldest")
 
     def __init__(self) -> None:
         super().__init__()
@@ -61,8 +63,6 @@ class MessageTable(dict[bytes, "float | Record"]):
         self._hints: dict[str, int] = {}
         #: Witness time of the oldest witnessed id, or lower.
         self._oldest = float("inf")
-        #: Hinted ids an announcer was asked for, in ask order (some since seen).
-        self._asked: dict[bytes, None] = {}
 
     def seen(self, msg_id: bytes) -> bool:
         """True if a copy of ``msg_id`` was witnessed (not only hinted)."""
@@ -129,34 +129,38 @@ class MessageTable(dict[bytes, "float | Record"]):
 
     def ask(self, msg_ids: tuple[bytes, ...], announcer: str) -> list[bytes]:
         """An IHAVE: ``announcer`` holds ``msg_ids``; those unseen that nobody
-        was asked for yet are returned, and ``announcer`` marked asked."""
+        was asked for yet are returned, ``announcer`` the one asked."""
         wanted = []
         for msg_id in msg_ids:
             entry = self.get(msg_id)
             if type(entry) is float or entry is not None and entry.holders is None:
                 continue  # judged or kept: nothing to note
             entry = self.note(msg_id, announcer)
-            if entry is not None and entry.asked is None:
-                entry.asked = (announcer, self._tick)
-                self._asked[msg_id] = None
+            if entry is None:
+                continue  # seen, or no place left for the announcer
+            if entry.asked is None:
+                entry.asked = (self._tick, (announcer,))
                 wanted.append(msg_id)
+            elif announcer not in entry.asked[1]:
+                entry.asked = (entry.asked[0], entry.asked[1] + (announcer,))
         return wanted
 
     def unmet(self) -> list[tuple[bytes, str, str]]:
-        """``(id, asked, next)`` for each ask older than the current window
-        whose copy never came; ``next`` (id order, wrapping) is asked now."""
-        unmet, asked_for, self._asked = [], self._asked, {}
-        for msg_id in asked_for:
-            entry = self.get(msg_id)
-            if type(entry) is not Record or entry.seen_at is not None:
-                continue  # the copy came, or the hint expired
-            self._asked[msg_id] = None
-            peer, tick = entry.asked
-            if tick < self._tick:
-                ranked = sorted(entry.holders)
-                after = next((p for p in ranked if p > peer), ranked[0])
-                entry.asked = (after, self._tick)
-                unmet.append((msg_id, peer, after))
+        """``(id, asked, next)`` for each hinted id asked for before the
+        current window whose copy never came; ``next``, the IHAVE announcer
+        after ``asked`` (wrapping), is asked now."""
+        unmet = []
+        get = self.get
+        for age, window in enumerate(self._windows):
+            for msg_id in window:
+                entry = get(msg_id)
+                if type(entry) is not Record or entry.asked is None:
+                    continue  # accepted, or only named by IDONTWANTs
+                tick, announcers = entry.asked
+                if tick < self._tick and entry.window == self._tick - age:
+                    turn = announcers[1:] + announcers[:1]
+                    entry.asked = (self._tick, turn)
+                    unmet.append((msg_id, announcers[0], turn[0]))
         return unmet
 
     def settle(self, msg_id: bytes) -> set[str] | tuple[()]:

@@ -5,8 +5,8 @@ paper) sufficient for WAKU-RELAY to be "a thin layer over the libp2p
 GossipSub routing protocol" (§I):
 
 * per-topic **mesh** maintained between [D_lo, D_hi] around a target D,
-* **eager and lazy push**: a relay sends the copy to ``d_eager`` mesh
-  targets and an IHAVE to the rest; a publisher floods (§III: ``d_eager = d``),
+* **eager and lazy push**: a relay sends the copy to :data:`D_EAGER` mesh
+  targets and an IHAVE to the rest; a publisher floods (§III: ``D_EAGER = d``),
 * **heartbeat** doing mesh balancing, score decay and IHAVE gossip,
 * **IHAVE/IWANT** lazy pull: an id still unseen at the end of the instant
   is asked of one announcer, and of the next if a window passes without it,
@@ -71,6 +71,9 @@ Validator = Callable[[str, PubSubMessage], Any]
 #: (message) -> None
 DeliveryCallback = Callable[[PubSubMessage], None]
 
+#: Mesh targets a relayed message goes to in full; the rest get an IHAVE.
+D_EAGER = 3
+
 
 @dataclass(frozen=True)
 class GossipSubParams:
@@ -81,14 +84,10 @@ class GossipSubParams:
     d_hi: int = 12
     d_lazy: int = 6
     heartbeat_interval: float = 1.0
-    #: Mesh targets a relayed message goes to in full; the rest get an IHAVE.
-    d_eager: int = 3
 
     def __post_init__(self) -> None:
         if not self.d_lo <= self.d <= self.d_hi:
             raise NetworkError("need d_lo <= d <= d_hi")
-        if self.d_eager < 1:
-            raise NetworkError("need d_eager >= 1")
 
 
 @dataclass
@@ -163,8 +162,6 @@ class GossipSubRouter:
         self._callbacks: dict[str, list[DeliveryCallback]] = {}
         self._announced_to: set[str] = set()
         self._table = MessageTable()
-        #: Mesh peer -> eager rank, per topic, kept until the mesh changes.
-        self._rank: dict[str, dict[str, tuple[int, str]]] = {}
         #: This instant's outbox, sent by ``_flush`` at its end: deferred
         #: (message, sender)s, per topic the lazy ids and their lazy peers,
         #: and IWANT ids per peer.
@@ -312,7 +309,6 @@ class GossipSubRouter:
         mesh = self._mesh.setdefault(topic, set())
         if sender not in mesh:
             mesh.add(sender)
-            self._rank.pop(topic, None)
             self.stats.grafts += 1
             if self.scoring:
                 self.scoring.on_join_mesh(sender, self.simulator.now)
@@ -321,7 +317,6 @@ class GossipSubRouter:
         mesh = self._mesh.get(topic)
         if mesh and peer in mesh:
             mesh.remove(peer)
-            self._rank.pop(topic, None)
             if self.scoring:
                 self.scoring.on_leave_mesh(peer, self.simulator.now)
 
@@ -440,7 +435,7 @@ class GossipSubRouter:
         self, message: PubSubMessage, *, exclude: set[str], holders=(), flood: bool = False
     ) -> None:
         """Relay to mesh peers (or topic peers while the mesh is thin) but not
-        holders: the full copy to the first ``d_eager`` in eager order (to
+        holders: the full copy to the first :data:`D_EAGER` in eager order (to
         all if ``flood`` or the mesh is thin), an IHAVE to the rest."""
         topic = message.topic
         targets = self._mesh.get(topic, set()) - exclude
@@ -454,33 +449,24 @@ class GossipSubRouter:
         if self.scoring:
             now = self.simulator.now
             targets = {peer for peer in targets if self.scoring.accepts_publish(peer, now)}
-        d_eager = self.params.d_eager
-        if flood or len(targets) <= d_eager:
+        if flood or len(targets) <= D_EAGER:
             peers = sorted(targets)
         else:
-            ranked = sorted(targets, key=self._eager_order(topic).__getitem__)
-            peers = ranked[:d_eager]
+            # Eager order: a hash of (this peer, target), so no rng draw and
+            # no PYTHONHASHSEED dependence.
+            me = self.peer_id
+            ranked = sorted(targets, key=lambda p: (zlib.crc32(f"{me}>{p}".encode()), p))
+            peers = ranked[:D_EAGER]
             queued = self._lazy.get(topic)
             if queued is None:
                 self._flush_later()
                 queued = self._lazy[topic] = ([], set())
             queued[0].append(message.msg_id)
-            queued[1].update(ranked[d_eager:])
+            queued[1].update(ranked[D_EAGER:])
         if peers:
             self.stats.forwarded += len(peers)
             # One immutable envelope, sized once, handed over in one send.
             self._send_all(peers, RPC(messages=(message,)))
-
-    def _eager_order(self, topic: str) -> dict[str, tuple[int, str]]:
-        """Mesh peer -> its eager rank, a hash of (this peer, mesh peer) kept
-        until the mesh changes: no ``PYTHONHASHSEED`` and no ``rng`` draw."""
-        order = self._rank.get(topic)
-        if order is None:
-            me = self.peer_id
-            order = self._rank[topic] = {
-                peer: (zlib.crc32(f"{me}>{peer}".encode()), peer) for peer in self._mesh[topic]
-            }
-        return order
 
     # -- heartbeat ---------------------------------------------------------------------------
 
@@ -539,7 +525,6 @@ class GossipSubRouter:
         while len(mesh) < self.params.d and candidates:
             peer = candidates.pop()
             mesh.add(peer)
-            self._rank.pop(topic, None)
             self.stats.grafts += 1
             if self.scoring:
                 self.scoring.on_join_mesh(peer, now)

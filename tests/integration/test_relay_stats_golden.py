@@ -67,7 +67,7 @@ GOLDEN = {
         # what they hold (IDONTWANT) and being spared copies of it, and
         # again when that IDONTWANT stopped going to the peer that sent
         # the copy of every id it lists.  The degree-3 meshes never exceed
-        # ``d_eager``, so lazy push moves neither shape.
+        # ``D_EAGER``, so lazy push moves neither shape.
         "routing": "00469f814c0b818779f1e34534be6be752341db8933ddde8d6cb0a5a2b6358b7",
         "deliveries": "77c0183884cf8500bfe906ac444fdb63df28b0636245257fb81cfe65a7ff6f09",
     },

@@ -2,11 +2,13 @@
 topologies, latencies, and publish schedules."""
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gossipsub.msgtable import SEEN_TTL, MessageTable
+from repro.gossipsub import router as router_module
 from repro.gossipsub.router import GossipSubParams, GossipSubRouter
 from repro.net.latency import UniformLatency
 from repro.net.simulator import Simulator
@@ -16,7 +18,7 @@ from repro.net.transport import Network
 TOPIC = "prop-topic"
 
 
-def build_network(peer_count: int, degree: int, seed: int, params=None):
+def build_network(peer_count: int, degree: int, seed: int):
     sim = Simulator()
     if (peer_count * degree) % 2:
         degree += 1
@@ -29,9 +31,7 @@ def build_network(peer_count: int, degree: int, seed: int, params=None):
     )
     routers = {}
     for i, peer in enumerate(sorted(graph.nodes)):
-        routers[peer] = GossipSubRouter(
-            peer, network, sim, params=params, rng=random.Random(seed + i)
-        )
+        routers[peer] = GossipSubRouter(peer, network, sim, rng=random.Random(seed + i))
         routers[peer].subscribe(TOPIC)
         routers[peer].start()
     sim.run(5.0)
@@ -75,12 +75,12 @@ def test_every_message_delivered_exactly_once_everywhere(
 def test_every_eager_fan_out_reaches_every_connected_subscriber(
     peer_count, degree, d_eager, seed, publisher_count
 ):
-    params = GossipSubParams(d_eager=d_eager)
-    sim, routers = build_network(peer_count, degree, seed, params)
-    names = sorted(routers)
-    for i in range(publisher_count):
-        routers[names[i]].publish(TOPIC, f"lazy-{seed}-{i}".encode())
-    sim.run(sim.now + 8.0)
+    with mock.patch.object(router_module, "D_EAGER", d_eager):
+        sim, routers = build_network(peer_count, degree, seed)
+        names = sorted(routers)
+        for i in range(publisher_count):
+            routers[names[i]].publish(TOPIC, f"lazy-{seed}-{i}".encode())
+        sim.run(sim.now + 8.0)
     assert sum(r.stats.delivered for r in routers.values()) == publisher_count * peer_count
 
 

@@ -289,7 +289,7 @@ BUDGET = {
     "core": 2010,
     "crypto": 1885,
     "exec": 422,
-    "gossipsub": 1144,
+    "gossipsub": 1133,
     "net": 983,
     "offchain": 609,
     "pipeline": 1078,

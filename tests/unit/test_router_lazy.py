@@ -9,12 +9,12 @@ real routers over a star or a random regular graph.
 import random
 
 import networkx as nx
-import pytest
 
 from repro.core.deployment import RLNDeployment
-from repro.errors import NetworkError
-from repro.gossipsub.messages import RPC, IHave, Prune
-from repro.gossipsub.router import GossipSubParams, GossipSubRouter
+from repro.gossipsub import router as router_module
+from repro.gossipsub.messages import RPC, IDontWant, IHave, Prune
+from repro.gossipsub.msgtable import MCACHE_LENGTH
+from repro.gossipsub.router import D_EAGER, GossipSubParams, GossipSubRouter
 from repro.gossipsub.scoring import ScoreParams
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
@@ -55,7 +55,7 @@ class TestEagerAndLazy:
         simulator.run(1.0)
         full = [n for n in "bcdef" if copies(inbox, n) == [m.msg_id]]
         lazy = [n for n in "bcdef" if announced(inbox, n) == [(m.msg_id,)]]
-        assert len(full) == router.params.d_eager == 3
+        assert len(full) == D_EAGER == 3
         assert sorted(full + lazy) == list("bcdef")
         assert copies(inbox, "a") == announced(inbox, "a") == []
         assert router.stats.forwarded == 3 and router.stats.gossip_sent == 2
@@ -80,17 +80,19 @@ class TestEagerAndLazy:
         frames = [inbox[f"peer-{n}"][-1] for n in lazy]
         assert frames[0] is frames[1]  # one frame, handed over in one send
 
-    def test_the_eager_order_is_kept_until_the_mesh_changes(self):
+    def test_the_eager_peers_stay_the_same_until_the_mesh_changes(self):
         simulator, router, inbox, _ = scripted(neighbours="abcdef", deferred=False)
-        first = router._eager_order(TOPIC)
-        assert sorted(first) == [f"peer-{n}" for n in "abcdef"]
-        assert router._eager_order(TOPIC) is first
-        router._on_rpc("peer-c", RPC(prune=(Prune(TOPIC),)))
-        assert list(router._eager_order(TOPIC)) == [p for p in first if p != "peer-c"]
-
-    def test_d_eager_is_at_least_one(self):
-        with pytest.raises(NetworkError):
-            GossipSubParams(d_eager=0)
+        m1, m2, m3 = message(b"m1"), message(b"m2"), message(b"m3")
+        router._on_rpc("peer-a", RPC(messages=(m1,)))
+        router._on_rpc("peer-a", RPC(messages=(m2,)))
+        simulator.run(1.0)
+        eager = [n for n in "bcdef" if copies(inbox, n)]
+        assert all(copies(inbox, n) == [m1.msg_id, m2.msg_id] for n in eager)
+        router._on_rpc(f"peer-{eager[0]}", RPC(prune=(Prune(TOPIC),)))
+        router._on_rpc("peer-a", RPC(messages=(m3,)))
+        simulator.run(2.0)
+        now = [n for n in "bcdef" if m3.msg_id in copies(inbox, n)]
+        assert len(now) == D_EAGER and set(eager[1:]) < set(now)
 
 
 class TestFetch:
@@ -130,11 +132,40 @@ class TestFetch:
         assert all_iwants(inbox) == [("peer-b", (m.msg_id,))]
         router.heartbeat()  # a whole window without the copy: broken
         simulator.run(simulator.now + 0.01)
-        assert iwants(inbox, "c") == [(m.msg_id,)]  # the next in id order
+        assert iwants(inbox, "c") == [(m.msg_id,)]  # the next announcer
         assert router.stats.broken_promises == 1
         assert router.stats.behaviour_penalties == 1
         assert router.scoring.score("peer-b", simulator.now) < 0
         assert router.scoring.score("peer-c", simulator.now) >= 0
+
+    def test_an_idontwant_holder_is_neither_asked_nor_penalised(self):
+        simulator, router, inbox = scored()
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(idontwant=(IDontWant((m.msg_id,)),)))
+        router._on_rpc("peer-b", ihave(m))
+        simulator.run(0.5)
+        for _ in range(2):
+            router.heartbeat()
+            simulator.run(simulator.now + 0.01)
+        assert iwants(inbox, "a") == []  # it made no promise
+        assert iwants(inbox, "b") == [(m.msg_id,), (m.msg_id,)]
+        assert router.stats.broken_promises == router.stats.behaviour_penalties == 1
+        assert router.scoring.score("peer-a", simulator.now) >= 0
+        assert router.scoring.score("peer-b", simulator.now) < 0
+
+    def test_an_expired_hint_named_again_by_an_idontwant_is_not_an_ask(self):
+        simulator, router, inbox = scored()
+        fake = message(b"never-sent")
+        router._on_rpc("peer-a", ihave(fake))
+        simulator.run(0.5)
+        for _ in range(MCACHE_LENGTH):  # the hint expires in the last one
+            router.heartbeat()
+        assert router._table.holders(fake.msg_id) is None
+        router._on_rpc("peer-b", RPC(idontwant=(IDontWant((fake.msg_id,)),)))
+        router.heartbeat()
+        simulator.run(simulator.now + 0.5)
+        assert iwants(inbox, "b") == []
+        assert router.stats.broken_promises == MCACHE_LENGTH - 1
 
     def test_a_kept_promise_costs_nothing(self):
         simulator, router, inbox = scored()
@@ -186,19 +217,18 @@ class TestFleet:
         sim.run(sim.now + 2.0)
         leaves = [routers["peer-%03d" % i] for i in range(2, 7)]
         served = [r for r in leaves if r.stats.delivered == 1]
-        assert len(served) == len(leaves) - hub.params.d_eager == 2
+        assert len(served) == len(leaves) - D_EAGER == 2
         assert all(r._table.seen(m.msg_id) for r in served)
         assert hub.stats.iwant_served == 2
         assert sum(r.stats.iwant_sent for r in served) == 2
 
-    def test_d_eager_d_forwards_exactly_what_the_flood_did(self):
+    def test_d_eager_d_forwards_exactly_what_the_flood_did(self, monkeypatch):
         # Per-router forward counts of this fleet before lazy push existed.
         flood = [25, 20, 12, 13, 20, 24, 21, 16, 20, 21, 20, 24]
         counts = {}
-        for d_eager in (GossipSubParams().d, GossipSubParams().d_eager):
-            sim, network, routers = build(
-                count=12, degree=7, seed=3, params=GossipSubParams(d_eager=d_eager)
-            )
+        for d_eager in (GossipSubParams().d, D_EAGER):
+            monkeypatch.setattr(router_module, "D_EAGER", d_eager)
+            sim, network, routers = build(count=12, degree=7, seed=3)
             start_all(sim, routers)
             for i in range(4):
                 publish(routers["peer-%03d" % (3 * i)], b"flood-%d" % i)
@@ -209,7 +239,7 @@ class TestFleet:
             if d_eager == GossipSubParams().d:
                 assert all(r.stats.iwant_sent == 0 for r in routers.values())
         assert counts[GossipSubParams().d] == flood
-        assert sum(counts[GossipSubParams().d_eager]) < sum(flood)
+        assert sum(counts[D_EAGER]) < sum(flood)
 
     def test_a_fetched_copy_names_the_serving_peer_as_its_causal_parent(self):
         graph = nx.relabel_nodes(nx.star_graph(6), {i: "peer-%03d" % i for i in range(7)})
@@ -227,7 +257,7 @@ class TestFleet:
             for peer_id in dep.peer_ids()
             if dep.peer(peer_id).relay.router.stats.iwant_sent
         ]
-        assert len(fetchers) == 6 - 1 - hub.params.d_eager == 2
+        assert len(fetchers) == 6 - 1 - D_EAGER == 2
         assert hub.stats.iwant_served == 2
         assembler = dep.collector.assembler
         (trace_id,) = assembler.trace_ids()
