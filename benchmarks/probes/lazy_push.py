@@ -6,16 +6,19 @@ A fleet of 20 WAKU-RLN-RELAY peers on a random regular graph of the given
 degree, with GossipSub's mesh degree ``d`` set to the same number (so the
 degree is the relay fan-out), registers, forms its meshes and runs
 ``honest_steady``'s load: every peer publishes once per 1-s epoch, all at
-the same instant, over constant 50 ms links.  A relay pushes the full
-copy to ``D_EAGER`` mesh targets (``d_eager`` here, patched into
-``repro.gossipsub.router``) and announces the id to the rest (IHAVE);
-``d_eager = d`` is §III's flood.  For each (degree, ``d_eager``) this
-prints, over the measured rounds (set-up traffic excluded):
+the same instant, over constant 50 ms links, then again over E7's
+``UniformLatency(0.02, 0.2)`` links (where a fetch waits the 200 ms link
+bound).  A relay pushes the full copy to ``D_EAGER`` mesh targets
+(``d_eager`` here, patched into ``repro.gossipsub.router``) and announces
+the id to the rest (IHAVE); ``d_eager = d`` is §III's flood.  For each
+(links, degree, ``d_eager``) this prints, over the measured rounds (set-up
+traffic excluded):
 
 * ``B/delivery``: gossipsub bytes per delivery, publishers' own included,
 * the simulated delivery latency's mean and p99 (publish to delivery),
 * ``sends``: gossipsub copies sent (``net.sends``),
 * ``iwants``: IWANT frames sent, i.e. fetches of an announced id,
+* ``served``: copies sent in answer to an IWANT,
 * ``dups``: copies a router received for an id it had witnessed.
 
 The last line is the rows as JSON.  It exits 1 if any message missed a
@@ -37,11 +40,13 @@ from repro.core.config import RLNConfig  # noqa: E402
 from repro.core.deployment import RLNDeployment  # noqa: E402
 from repro.gossipsub import router as router_module  # noqa: E402
 from repro.gossipsub.router import GossipSubParams  # noqa: E402
-from repro.net.latency import ConstantLatency  # noqa: E402
+from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency  # noqa: E402
 
 PEERS = 20
 DEGREES = (6, 8, 12)
 D_EAGERS = (1, 2, 3, 4)
+#: Constant links, then E7's random ones.
+LINKS = {"const": ConstantLatency(0.05), "uniform": UniformLatency(0.02, 0.2)}
 #: Simulated seconds that let the last round reach everyone.
 DRAIN_S = 3.0
 
@@ -51,14 +56,16 @@ def params(degree: int) -> GossipSubParams:
     return GossipSubParams(d=degree, d_lo=min(4, degree), d_hi=max(12, degree))
 
 
-def measure(degree: int, d_eager: int, seed: int, rounds: int) -> dict:
+def measure(
+    latency: LatencyModel, degree: int, d_eager: int, seed: int, rounds: int
+) -> dict:
     router_module.D_EAGER = d_eager
     dep = RLNDeployment.create(
         peer_count=PEERS,
         degree=degree,
         seed=seed,
         config=RLNConfig(epoch_length=1.0, max_epoch_gap=2),
-        latency=ConstantLatency(0.05),
+        latency=latency,
     )
     routers = [peer.relay.router for peer in dep.peers.values()]
     for router in routers:
@@ -75,6 +82,7 @@ def measure(degree: int, d_eager: int, seed: int, rounds: int) -> dict:
         network.total_bytes(protocol="gossipsub"),
         network.total_messages(protocol="gossipsub"),
         sum(r.stats.iwant_sent for r in routers),
+        sum(r.stats.iwant_served for r in routers),
         sum(r.stats.duplicates for r in routers),
     )
     sent_at: dict[bytes, float] = {}
@@ -89,9 +97,10 @@ def measure(degree: int, d_eager: int, seed: int, rounds: int) -> dict:
         network.total_bytes(protocol="gossipsub"),
         network.total_messages(protocol="gossipsub"),
         sum(r.stats.iwant_sent for r in routers),
+        sum(r.stats.iwant_served for r in routers),
         sum(r.stats.duplicates for r in routers),
     )
-    gossip_bytes, sends, iwants, dups = (b - a for a, b in zip(before, after))
+    gossip_bytes, sends, iwants, served, dups = (b - a for a, b in zip(before, after))
     latencies = sorted(when - sent_at[p] for p, _, when in deliveries if p in sent_at)
     received = {(p, peer_id) for p, peer_id, _ in deliveries if p in sent_at}
     return {
@@ -103,6 +112,7 @@ def measure(degree: int, d_eager: int, seed: int, rounds: int) -> dict:
         "delivery_p99_s": latencies[min(len(latencies) - 1, int(0.99 * len(latencies)))],
         "sends": sends,
         "iwants": iwants,
+        "served": served,
         "duplicates": dups,
     }
 
@@ -114,31 +124,36 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
     rows = []
-    print(
-        f"{'degree':>6} {'d_eager':>7} {'B/delivery':>10} {'mean s':>7} {'p99 s':>6}"
-        f" {'sends':>7} {'iwants':>6} {'dups':>7}"
-    )
-    for degree in args.degrees:
-        for d_eager in sorted({*D_EAGERS, degree}):
-            runs = [measure(degree, d_eager, seed, args.rounds) for seed in args.seeds]
-            row = {
-                "degree": degree,
-                "d_eager": d_eager,
-                "missing": sum(r["missing"] for r in runs),
-                **{
-                    key: sum(r[key] for r in runs) / len(runs)
-                    for key in (
-                        "bytes_per_delivery", "delivery_mean_s", "delivery_p99_s",
-                        "sends", "iwants", "duplicates",
-                    )
-                },
-            }
-            rows.append(row)
-            print(
-                f"{degree:>6} {d_eager:>7} {row['bytes_per_delivery']:>10.1f}"
-                f" {row['delivery_mean_s']:>7.4f} {row['delivery_p99_s']:>6.3f}"
-                f" {row['sends']:>7.0f} {row['iwants']:>6.0f} {row['duplicates']:>7.0f}"
-            )
+    for links, latency in LINKS.items():
+        print(
+            f"{'links':>7} {'degree':>6} {'d_eager':>7} {'B/delivery':>10} {'mean s':>7}"
+            f" {'p99 s':>6} {'sends':>7} {'iwants':>6} {'served':>6} {'dups':>7}"
+        )
+        for degree in args.degrees:
+            for d_eager in sorted({*D_EAGERS, degree}):
+                runs = [
+                    measure(latency, degree, d_eager, seed, args.rounds) for seed in args.seeds
+                ]
+                row = {
+                    "links": links,
+                    "degree": degree,
+                    "d_eager": d_eager,
+                    "missing": sum(r["missing"] for r in runs),
+                    **{
+                        key: sum(r[key] for r in runs) / len(runs)
+                        for key in (
+                            "bytes_per_delivery", "delivery_mean_s", "delivery_p99_s",
+                            "sends", "iwants", "served", "duplicates",
+                        )
+                    },
+                }
+                rows.append(row)
+                print(
+                    f"{links:>7} {degree:>6} {d_eager:>7} {row['bytes_per_delivery']:>10.1f}"
+                    f" {row['delivery_mean_s']:>7.4f} {row['delivery_p99_s']:>6.3f}"
+                    f" {row['sends']:>7.0f} {row['iwants']:>6.0f} {row['served']:>6.0f}"
+                    f" {row['duplicates']:>7.0f}"
+                )
     print(json.dumps(rows))
     return 0 if all(row["missing"] == 0 for row in rows) else 1
 

@@ -10,7 +10,8 @@ An id judged with nothing else to know maps to its witness time (a
 * a **pending** id (witnessed, verdict not landed) has ``holders``: the
   peers that sent a copy or an IDONTWANT, whom the forward skips;
 * an **accepted** id holds its ``message`` for IWANT and IHAVE while it
-  is younger than :data:`MCACHE_LENGTH` heartbeats.
+  is younger than :data:`MCACHE_LENGTH` heartbeats, and counts the copies
+  each asking peer was served.
 
 A witnessed id stays for :data:`SEEN_TTL` seconds whatever the verdict:
 its id covers the judged bytes (:attr:`PubSubMessage.msg_id`), so a later
@@ -31,6 +32,9 @@ from repro.gossipsub.messages import PubSubMessage
 SEEN_TTL = 120.0
 MCACHE_LENGTH = 5
 MCACHE_GOSSIP = 3
+#: Most copies of one kept message served to one peer (v1.1's
+#: ``GossipRetransmission``): a 48-B IWANT must not buy copies without end.
+GOSSIP_RETRANSMISSION = 3
 #: Most hinted ids one announcer may hold a place in at a time.
 MAX_EARLY_IDONTWANTS = 512
 
@@ -47,6 +51,8 @@ class Record:
     #: A hinted id's fetch: (window number of the ask, IHAVE announcers in
     #: ask order, the first the one asked).
     asked: tuple[int, tuple[str, ...]] | None = None
+    #: An accepted id's copies served per asking peer.
+    served: dict[str, int] | None = None
 
 
 class MessageTable(dict[bytes, "float | Record"]):
@@ -72,6 +78,15 @@ class MessageTable(dict[bytes, "float | Record"]):
     def kept(self, msg_id: bytes) -> PubSubMessage | None:
         """The accepted message an IWANT is served, while it is kept."""
         return entry.message if type(entry := self.get(msg_id)) is Record else None
+
+    def serve(self, msg_id: bytes, peer: str) -> PubSubMessage | None:
+        """:meth:`kept`, for at most :data:`GOSSIP_RETRANSMISSION` IWANTs of ``peer``."""
+        if (message := self.kept(msg_id)) is None:
+            return None
+        entry = self[msg_id]
+        served = entry.served = entry.served or {}
+        served[peer] = count = served.get(peer, 0) + 1
+        return message if count <= GOSSIP_RETRANSMISSION else None
 
     def holders(self, msg_id: bytes) -> set[str] | None:
         """Who holds ``msg_id`` while it is hinted or pending, else None."""
@@ -102,7 +117,7 @@ class MessageTable(dict[bytes, "float | Record"]):
         return False
 
     def pend(self, msg_id: bytes, holder: str) -> None:
-        """Our verdict on ``msg_id`` waits; ``holder`` sent the copy."""
+        """Our verdict on ``msg_id``, or its forward, waits; ``holder`` sent the copy."""
         entry = self[msg_id]
         if type(entry) is not Record:
             self[msg_id] = Record(entry, {holder})

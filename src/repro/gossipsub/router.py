@@ -5,11 +5,16 @@ paper) sufficient for WAKU-RELAY to be "a thin layer over the libp2p
 GossipSub routing protocol" (§I):
 
 * per-topic **mesh** maintained between [D_lo, D_hi] around a target D,
-* **eager and lazy push**: a relay sends the copy to :data:`D_EAGER` mesh
-  targets and an IHAVE to the rest; a publisher floods (§III: ``D_EAGER = d``),
+* **eager and lazy push**: a relay forwards once per instant, after every
+  copy of it was read: the copy to the first :data:`D_EAGER` mesh targets
+  in a fixed order and an IHAVE to the rest, each skipping the peers that
+  hold it (their slots are not refilled); each lazy peer's IHAVE lists the
+  ids it was lazy for; a publisher floods (§III: ``D_EAGER = d``),
 * **heartbeat** doing mesh balancing, score decay and IHAVE gossip,
-* **IHAVE/IWANT** lazy pull: an id still unseen at the end of the instant
-  is asked of one announcer, and of the next if a window passes without it,
+* **IHAVE/IWANT** lazy pull: an id still unseen one link latency
+  (``worst_case()``) after its IHAVE's instant is asked of one announcer,
+  and of the next if a window passes without it; a peer is served one
+  kept message at most ``GOSSIP_RETRANSMISSION`` times,
 * **IDONTWANT** (v1.2): a message is never forwarded to a peer known to
   hold it, and a peer whose verdict is pending says which ids it holds,
 * **validation hooks** with v1.1 semantics — ACCEPT relays, IGNORE drops
@@ -162,11 +167,13 @@ class GossipSubRouter:
         self._callbacks: dict[str, list[DeliveryCallback]] = {}
         self._announced_to: set[str] = set()
         self._table = MessageTable()
-        #: This instant's outbox, sent by ``_flush`` at its end: deferred
-        #: (message, sender)s, per topic the lazy ids and their lazy peers,
-        #: and IWANT ids per peer.
+        #: This instant's outbox, sent by ``_flush`` at its end: accepted and
+        #: deferred (message, sender)s, lazy ids per topic and peer, and ids
+        #: to ask per peer one link latency later (``_wait``) or now.
+        self._land: list[tuple[PubSubMessage, str]] = []
         self._announce: list[tuple[PubSubMessage, str]] = []
-        self._lazy: dict[str, tuple[list[bytes], set[str]]] = {}
+        self._lazy: dict[str, dict[str, list[bytes]]] = {}
+        self._wait: dict[str, list[bytes]] = {}
         self._fetch: dict[str, list[bytes]] = {}
         self._flush_due = False
         #: Optional distributed-tracing hook, set by the RLN layer: called
@@ -338,12 +345,17 @@ class GossipSubRouter:
             # A partial, not a closure: fewer objects live while it is pending.
             verdict.subscribe(partial(self._apply_validation, sender, message))
             return
-        self._apply_validation(sender, message, verdict)
+        self._apply_validation(sender, message, verdict, inline=True)
 
-    def _apply_validation(self, sender: str, message: PubSubMessage, verdict: Any) -> None:
-        """Act on a verdict's ``action`` (immediately, or when a deferral fires)."""
+    def _apply_validation(
+        self, sender: str, message: PubSubMessage, verdict: Any, inline: bool = False
+    ) -> None:
+        """Act on a verdict's ``action`` (``inline``, or when a deferral
+        fires): deliver an accepted message now, and keep and forward it now
+        (a deferral) or at the end of the instant (an inline verdict)."""
         result = verdict.action
-        holders = self._table.settle(message.msg_id)
+        if result is not ValidationResult.ACCEPT:
+            self._table.settle(message.msg_id)
         if result is ValidationResult.REJECT:
             self.stats.rejected += 1
             if self.scoring:
@@ -360,13 +372,24 @@ class GossipSubRouter:
             # message is kept or forwarded, so downstream hops (and IWANT
             # re-serves out of the table) name the true causal parent.
             message = self.trace_rewriter(message)
-        self._table.keep(message)
+        if inline:  # the keep and forward wait for the instant's other copies
+            self._table.pend(message.msg_id, sender)
+            self._flush_later()
+            self._land.append((message, sender))
+            self._deliver_locally(message)
+            return
         self._deliver_locally(message)
+        self._relay(message, sender)
+
+    def _relay(self, message: PubSubMessage, sender: str) -> None:
+        """Keep an accepted message and forward it past its holders."""
+        holders = self._table.settle(message.msg_id)
+        self._table.keep(message)
         self._forward(message, exclude={sender}, holders=holders)
 
     def _handle_ihave(self, sender: str, ihave: IHave) -> None:
         """Note the announcer; an id nobody was asked for is fetched from it
-        at the end of the instant, unless a copy has come by then."""
+        one link latency after the instant, unless a copy has come by then."""
         if self.scoring and not self.scoring.accepts_gossip(sender, self.simulator.now):
             return
         if ihave.topic not in self._topics:
@@ -374,11 +397,11 @@ class GossipSubRouter:
         wanted = self._table.ask(ihave.msg_ids, sender)
         if wanted:
             self._flush_later()
-            self._fetch.setdefault(sender, []).extend(wanted)
+            self._wait.setdefault(sender, []).extend(wanted)
 
     def _handle_iwant(self, sender: str, iwant: IWant) -> None:
-        kept = self._table.kept
-        found = [m for i in iwant.msg_ids if (m := kept(i)) is not None]
+        serve = self._table.serve
+        found = [m for i in iwant.msg_ids if (m := serve(i, sender)) is not None]
         if found:
             self.stats.iwant_served += len(found)
             self._send(sender, RPC(messages=tuple(found)))
@@ -394,11 +417,21 @@ class GossipSubRouter:
             self._flush_due = True
             self.simulator.schedule(0.0, self._flush)
 
+    def _fetch_due(self, due: dict[str, list[bytes]]) -> None:
+        """Ask for ``due`` (announced one link latency ago) at this instant's end."""
+        for peer, ids in due.items():
+            self._fetch.setdefault(peer, []).extend(ids)
+        self._flush_later()
+
     def _flush(self) -> None:
-        """End of the instant: one IDONTWANT per topic to the mesh (the ids
-        deferred now and still pending, spared a peer that sent the copy of
-        every one), one IHAVE per topic to the lazy peers (every id announced
-        now), then the IWANTs."""
+        """End of the instant: keep and forward what was accepted inline (past
+        every peer whose copy, IHAVE or IDONTWANT came by now), one IDONTWANT
+        per topic to the mesh (the ids deferred now and still pending, spared
+        a peer that sent the copy of every one), the IHAVEs, then the IWANTs;
+        ids announced now and still unseen are asked one link latency later."""
+        land, self._land = self._land, []
+        for message, sender in land:
+            self._relay(message, sender)  # its lazy ids go out below
         self._flush_due = False
         announce, self._announce = self._announce, []
         holders = self._table.holders
@@ -411,14 +444,24 @@ class GossipSubRouter:
                 self.stats.idontwant_sent += len(peers)
                 self._send_all(peers, RPC(idontwant=(IDontWant(msg_ids=tuple(pending)),)))
         lazy, self._lazy = self._lazy, {}
-        for topic, (ids, peers) in lazy.items():
-            # One frame and one send: a peer also sees the instant's other
-            # lazy ids, 32 B each, which it holds or is being sent anyway.
-            self.stats.gossip_sent += len(peers)
-            self._send_all(sorted(peers), RPC(ihave=(IHave(topic=topic, msg_ids=tuple(ids)),)))
+        for topic, listed in lazy.items():
+            # Peers lazy for the same ids share one frame and one send.
+            frames: dict[tuple[bytes, ...], list[str]] = {}
+            for peer, ids in listed.items():
+                frames.setdefault(tuple(ids), []).append(peer)
+            for ids, peers in frames.items():
+                self.stats.gossip_sent += len(peers)
+                self._send_all(sorted(peers), RPC(ihave=(IHave(topic=topic, msg_ids=ids),)))
+        seen = self._table.seen
+        wait, self._wait = self._wait, {}
+        due = {p: u for p, ids in wait.items() if (u := [i for i in ids if not seen(i)])}
+        if due:  # Plumtree's timer, bounded by the link bound NetworkDelay uses
+            self.simulator.schedule(
+                self.network.latency.worst_case(), partial(self._fetch_due, due)
+            )
         fetch, self._fetch = self._fetch, {}
         for peer, listed in fetch.items():
-            if wanted := tuple(i for i in listed if not self._table.seen(i)):
+            if wanted := tuple(i for i in listed if not seen(i)):
                 self.stats.iwant_sent += 1
                 self._send(peer, RPC(iwant=(IWant(msg_ids=wanted),)))
 
@@ -434,35 +477,35 @@ class GossipSubRouter:
     def _forward(
         self, message: PubSubMessage, *, exclude: set[str], holders=(), flood: bool = False
     ) -> None:
-        """Relay to mesh peers (or topic peers while the mesh is thin) but not
-        holders: the full copy to the first :data:`D_EAGER` in eager order (to
-        all if ``flood`` or the mesh is thin), an IHAVE to the rest."""
+        """Relay to mesh peers (or topic peers while the mesh is thin): the
+        full copy to the first :data:`D_EAGER` in eager order (to all if
+        ``flood`` or the mesh is thin), an IHAVE to the rest, then drop the
+        holders from both: a holder's slot is not refilled."""
         topic = message.topic
         targets = self._mesh.get(topic, set()) - exclude
-        if not targets:
+        if not targets:  # before the holders go: a mesh holding it is not thin
             targets = self.topic_peers(topic) - exclude
             flood = True
-        if holders:  # after the fallback: a mesh holding it is not thin
-            kept = targets - holders
-            self.stats.suppressed += len(targets) - len(kept)
-            targets = kept
         if self.scoring:
             now = self.simulator.now
             targets = {peer for peer in targets if self.scoring.accepts_publish(peer, now)}
         if flood or len(targets) <= D_EAGER:
-            peers = sorted(targets)
+            peers, lazy = sorted(targets), ()
         else:
             # Eager order: a hash of (this peer, target), so no rng draw and
             # no PYTHONHASHSEED dependence.
             me = self.peer_id
             ranked = sorted(targets, key=lambda p: (zlib.crc32(f"{me}>{p}".encode()), p))
-            peers = ranked[:D_EAGER]
-            queued = self._lazy.get(topic)
-            if queued is None:
-                self._flush_later()
-                queued = self._lazy[topic] = ([], set())
-            queued[0].append(message.msg_id)
-            queued[1].update(ranked[D_EAGER:])
+            peers, lazy = ranked[:D_EAGER], ranked[D_EAGER:]
+        if holders:
+            peers = [peer for peer in peers if peer not in holders]
+            lazy = [peer for peer in lazy if peer not in holders]
+            self.stats.suppressed += len(targets) - len(peers) - len(lazy)
+        if lazy:
+            self._flush_later()
+            queued = self._lazy.setdefault(topic, {})
+            for peer in lazy:
+                queued.setdefault(peer, []).append(message.msg_id)
         if peers:
             self.stats.forwarded += len(peers)
             # One immutable envelope, sized once, handed over in one send.

@@ -71,10 +71,16 @@ GOLDEN = {
         "routing": "00469f814c0b818779f1e34534be6be752341db8933ddde8d6cb0a5a2b6358b7",
         "deliveries": "77c0183884cf8500bfe906ac444fdb63df28b0636245257fb81cfe65a7ff6f09",
     },
+    # Re-pinned when an inline verdict's forward moved to the end of its
+    # instant, past every peer whose copy came in that instant: fewer
+    # copies (``routing``); each peer delivers the same (payload, time)
+    # pairs, in another order within an instant (``deliveries``); so
+    # peer-007's bucket sees receipts in another order and sheds two more
+    # that a later copy re-validates (``checks``: ``ratelimit`` 28 -> 30).
     "inline": {
-        "checks": "0c065af24a9ab1e60a83f28b664050c73f891ea1e98b6e0453c1bf8f49ef3586",
-        "routing": "4cd146258a6ff9e4145150de53f71ce3e554d5c501b65dcd322e43f4296bf0f3",
-        "deliveries": "f6e509fde7387e73793b5b3a7dded411bf80a2b10dc007ea38b460bf86f82e8c",
+        "checks": "bf37d2dc342c72551ad84fa0479688cdbb30825e7fd048fd443cba5f43a3f1ad",
+        "routing": "aa78badc135eaff35d115a94f12afd8aa54bc7ed06e92e2231350802d53d92ed",
+        "deliveries": "861439d2716d54e55454c71c1e7bb77ba5fbd0c2c13e629a90a739e5aafd6915",
     },
 }
 

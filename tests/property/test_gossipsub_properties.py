@@ -70,18 +70,28 @@ def test_every_message_delivered_exactly_once_everywhere(
     d_eager=st.integers(min_value=1, max_value=GossipSubParams().d),
     seed=st.integers(min_value=0, max_value=1000),
     publisher_count=st.integers(min_value=1, max_value=4),
+    drop=st.sampled_from([0.0, 0.1]),
 )
 @settings(max_examples=12, deadline=None)
 def test_every_eager_fan_out_reaches_every_connected_subscriber(
-    peer_count, degree, d_eager, seed, publisher_count
+    peer_count, degree, d_eager, seed, publisher_count, drop
 ):
+    """Lost copies, IHAVEs and IWANTs are recovered: by the fetch one link
+    latency after an IHAVE, and by the heartbeat's gossip and re-asks.
+
+    Under loss one delivery of the example may still miss: about 1 % of
+    lossy examples lose one (all of a degree-3 peer's copies lost, and no
+    IHAVE goes to mesh peers; or every ask lost before the hint and the
+    announcers' mcache expire), at any ``D_EAGER``, the flood's included."""
     with mock.patch.object(router_module, "D_EAGER", d_eager):
         sim, routers = build_network(peer_count, degree, seed)
         names = sorted(routers)
+        routers[names[0]].network.drop_probability = drop  # once the meshes formed
         for i in range(publisher_count):
             routers[names[i]].publish(TOPIC, f"lazy-{seed}-{i}".encode())
         sim.run(sim.now + 8.0)
-    assert sum(r.stats.delivered for r in routers.values()) == publisher_count * peer_count
+    missed = publisher_count * peer_count - sum(r.stats.delivered for r in routers.values())
+    assert missed == 0 if drop == 0 else 0 <= missed <= 1
 
 
 @given(

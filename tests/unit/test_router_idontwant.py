@@ -173,8 +173,10 @@ class TestAnnouncements:
         assert sum(r.stats.delivered for r in routers.values()) == 5 * 8
         for router in routers.values():
             stats = router.stats
-            assert (stats.idontwant_sent, stats.idontwant_received, stats.suppressed) == (0, 0, 0)
+            assert (stats.idontwant_sent, stats.idontwant_received) == (0, 0)
             assert held(router) == set()
+        # The forward waits for the instant's other copies: their senders are skipped.
+        assert sum(r.stats.suppressed for r in routers.values()) > 0
 
 
 class TestHostileAnnouncer:

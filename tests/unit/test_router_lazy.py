@@ -1,5 +1,6 @@
-"""Unit tests for lazy push: eager copies to ``d_eager`` mesh targets, IHAVE
-to the rest, one IWANT per announced id, re-asked when a promise breaks.
+"""Unit tests for lazy push: eager copies to ``D_EAGER`` mesh targets, IHAVE
+to the rest, both decided once per instant past the holders; one IWANT per
+announced id, one link latency later, re-asked when a promise breaks.
 
 Scripted tests put one router (``peer-p``) among neighbours that only log
 what it sends them (``test_router_idontwant.scripted``); fleet tests run
@@ -12,8 +13,8 @@ import networkx as nx
 
 from repro.core.deployment import RLNDeployment
 from repro.gossipsub import router as router_module
-from repro.gossipsub.messages import RPC, IDontWant, IHave, Prune
-from repro.gossipsub.msgtable import MCACHE_LENGTH
+from repro.gossipsub.messages import RPC, IDontWant, IHave, IWant, Prune
+from repro.gossipsub.msgtable import GOSSIP_RETRANSMISSION, MCACHE_LENGTH
 from repro.gossipsub.router import D_EAGER, GossipSubParams, GossipSubRouter
 from repro.gossipsub.scoring import ScoreParams
 from repro.net.latency import ConstantLatency
@@ -94,6 +95,30 @@ class TestEagerAndLazy:
         now = [n for n in "bcdef" if m3.msg_id in copies(inbox, n)]
         assert len(now) == D_EAGER and set(eager[1:]) < set(now)
 
+    def test_two_same_instant_senders_get_no_copy_and_their_slot_stays_empty(self):
+        # Eager order from peer-p: c, b, f, then d, e (a is the sender).
+        simulator, router, inbox, _ = scripted(neighbours="abcdef", deferred=False)
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))  # the inline verdict
+        router._on_rpc("peer-b", RPC(messages=(m,)))  # a copy, same instant
+        simulator.run(1.0)
+        assert [n for n in "abcdef" if copies(inbox, n)] == ["c", "f"]
+        assert [n for n in "abcdef" if announced(inbox, n)] == ["d", "e"]  # d not promoted
+        assert router.stats.forwarded == 2 and router.stats.suppressed == 1
+
+    def test_each_lazy_peer_hears_only_the_ids_it_was_lazy_for(self):
+        # Eager from peer-p: c, b, f past a; c, f, d past b.  Lazy: d, e; a, e.
+        simulator, router, inbox, _ = scripted(neighbours="abcdef", deferred=False)
+        m1, m2 = message(b"m1"), message(b"m2")
+        router._on_rpc("peer-a", RPC(messages=(m1,)))
+        router._on_rpc("peer-b", RPC(messages=(m2,)))
+        simulator.run(1.0)
+        assert announced(inbox, "d") == [(m1.msg_id,)]
+        assert announced(inbox, "e") == [(m1.msg_id, m2.msg_id)]
+        assert announced(inbox, "a") == [(m2.msg_id,)]
+        assert all(announced(inbox, n) == [] for n in "bcf")
+        assert router.stats.gossip_sent == 3
+
 
 class TestFetch:
     def test_k_announcers_of_one_id_produce_one_iwant(self):
@@ -109,6 +134,7 @@ class TestFetch:
         assert router.stats.iwant_sent == 1
 
     def test_a_later_forward_skips_the_announcers(self):
+        # Eager order from peer-p past a: c, b, d, then e.
         simulator, router, inbox, _ = scripted(neighbours="abcde", deferred=False)
         m = message(b"m")
         for n in "bcd":
@@ -116,9 +142,32 @@ class TestFetch:
         router._on_rpc("peer-a", RPC(messages=(m,)))  # the copy, same instant
         simulator.run(1.0)
         assert all_iwants(inbox) == []  # it came before the instant ended
-        assert copies(inbox, "e") == [m.msg_id]
         assert all(copies(inbox, n) == announced(inbox, n) == [] for n in "abcd")
-        assert router.stats.suppressed == 3
+        # The announcers' eager slots are not refilled: e stays lazy.
+        assert copies(inbox, "e") == [] and announced(inbox, "e") == [(m.msg_id,)]
+        assert router.stats.suppressed == 3 and router.stats.forwarded == 0
+
+    def test_a_copy_within_one_link_latency_of_the_ihave_is_never_asked(self):
+        simulator, router, inbox, _ = scripted(neighbours="abc", deferred=False)
+        m = message(b"m")
+        wait = router.network.latency.worst_case()
+        router._on_rpc("peer-a", ihave(m))
+        simulator.schedule(wait, lambda: router._on_rpc("peer-b", RPC(messages=(m,))))
+        simulator.run(1.0)
+        assert all_iwants(inbox) == [] and router.stats.iwant_sent == 0
+        assert router.stats.delivered == 1
+
+    def test_an_id_whose_copy_never_comes_is_asked_once_after_one_link_latency(self):
+        simulator, router, inbox, _ = scripted(neighbours="abc", deferred=False)
+        m = message(b"m")
+        wait = router.network.latency.worst_case()
+        router._on_rpc("peer-a", ihave(m))
+        simulator.run(wait / 2)
+        assert router.stats.iwant_sent == 0
+        simulator.run(wait)
+        assert router.stats.iwant_sent == 1
+        simulator.run(0.9)  # no heartbeat: the re-ask waits for a broken promise
+        assert all_iwants(inbox) == [("peer-a", (m.msg_id,))]
 
     def test_an_unmet_promise_is_reasked_of_the_next_announcer(self):
         simulator, router, inbox = scored()
@@ -166,6 +215,19 @@ class TestFetch:
         simulator.run(simulator.now + 0.5)
         assert iwants(inbox, "b") == []
         assert router.stats.broken_promises == MCACHE_LENGTH - 1
+
+    def test_a_peer_is_served_one_message_at_most_gossip_retransmission_times(self):
+        simulator, router, inbox, _ = scripted(neighbours="abc", deferred=False)
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        simulator.run(0.5)
+        before = len(copies(inbox, "b"))
+        for _ in range(10):
+            router._on_rpc("peer-b", RPC(iwant=(IWant((m.msg_id,)),)))
+        router._on_rpc("peer-c", RPC(iwant=(IWant((m.msg_id,)),)))
+        simulator.run(1.0)
+        assert len(copies(inbox, "b")) - before == GOSSIP_RETRANSMISSION == 3
+        assert router.stats.iwant_served == GOSSIP_RETRANSMISSION + 1
 
     def test_a_kept_promise_costs_nothing(self):
         simulator, router, inbox = scored()
@@ -222,15 +284,30 @@ class TestFleet:
         assert hub.stats.iwant_served == 2
         assert sum(r.stats.iwant_sent for r in served) == 2
 
-    def test_d_eager_d_forwards_exactly_what_the_flood_did(self, monkeypatch):
-        # Per-router forward counts of this fleet before lazy push existed.
+    def test_d_eager_d_delivers_when_the_flood_did_with_no_more_copies(self, monkeypatch):
+        # This fleet's flood before lazy push existed: per-router forward
+        # counts, and each message's delivery instant per router in 10-ms hops.
         flood = [25, 20, 12, 13, 20, 24, 21, 16, 20, 21, 20, 24]
+        flood_hops = [
+            [0, 1, 2, 2, 1, 1, 1, 1, 2, 1, 1, 2],
+            [2, 1, 2, 0, 2, 2, 1, 2, 2, 1, 2, 1],
+            [1, 1, 2, 1, 1, 2, 0, 2, 1, 2, 1, 2],
+            [1, 2, 1, 1, 2, 1, 2, 1, 1, 0, 2, 2],
+        ]
         counts = {}
         for d_eager in (GossipSubParams().d, D_EAGER):
             monkeypatch.setattr(router_module, "D_EAGER", d_eager)
             sim, network, routers = build(count=12, degree=7, seed=3)
             start_all(sim, routers)
+            delivered: dict[bytes, dict[str, float]] = {}
+            for name, router in routers.items():
+                router.subscribe(
+                    TOPIC,
+                    lambda m, name=name: delivered.setdefault(m.payload, {}).update({name: sim.now}),
+                )
+            sent = {}
             for i in range(4):
+                sent[b"flood-%d" % i] = sim.now
                 publish(routers["peer-%03d" % (3 * i)], b"flood-%d" % i)
                 sim.run(sim.now + 0.5)
             sim.run(sim.now + 3.0)
@@ -238,8 +315,13 @@ class TestFleet:
             counts[d_eager] = [routers[p].stats.forwarded for p in sorted(routers)]
             if d_eager == GossipSubParams().d:
                 assert all(r.stats.iwant_sent == 0 for r in routers.values())
-        assert counts[GossipSubParams().d] == flood
-        assert sum(counts[D_EAGER]) < sum(flood)
+                hops = [
+                    [round((delivered[p][name] - sent[p]) / 0.01) for name in sorted(routers)]
+                    for p in sorted(sent)
+                ]
+                assert hops == flood_hops
+        assert all(now <= then for now, then in zip(counts[GossipSubParams().d], flood))
+        assert sum(counts[D_EAGER]) < sum(counts[GossipSubParams().d]) < sum(flood)
 
     def test_a_fetched_copy_names_the_serving_peer_as_its_causal_parent(self):
         graph = nx.relabel_nodes(nx.star_graph(6), {i: "peer-%03d" % i for i in range(7)})
