@@ -64,7 +64,7 @@ def build(members: int, *, collector: bool) -> RLNDeployment:
         config=config,
         # Staged validation (E16 shape) so the waterfall has real queueing
         # and pairing durations, not an all-inline instant.
-        pipeline_config=PipelineConfig(workers=2, batch_size=4, batch_deadline=0.04),
+        pipeline_config=PipelineConfig(workers=2, batch_size=4),
         collector=CollectorOptions(interval=1.0) if collector else None,
     )
 

@@ -77,7 +77,7 @@ def build(members: int, *, collector: bool, trace_sample: float = 0.0) -> RLNDep
         config=config,
         # Staged validation (E16 shape) so hop spans carry real queueing
         # and pairing marks, not an all-inline instant.
-        pipeline_config=PipelineConfig(workers=2, batch_size=4, batch_deadline=0.04),
+        pipeline_config=PipelineConfig(workers=2, batch_size=4),
         collector=(
             CollectorOptions(interval=1.0, trace_sample=trace_sample)
             if collector
@@ -315,7 +315,7 @@ def fanout_row(degree: int) -> dict:
         degree=degree,
         seed=19,
         config=RLNConfig(tree_depth=SCALES[10_000], epoch_length=2.0),
-        pipeline_config=PipelineConfig(workers=2, batch_size=4, batch_deadline=0.04),
+        pipeline_config=PipelineConfig(workers=2, batch_size=4),
     )
     deployment.register_all()
     deployment.form_meshes()

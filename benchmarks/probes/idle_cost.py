@@ -61,7 +61,7 @@ def build(profile: str, peers: int, seed: int):
         latency=ConstantLatency(0.05),
         block_interval=12.0,
         pipeline_config=(
-            PipelineConfig(workers=2, batch_size=8, batch_deadline=0.05) if production else None
+            PipelineConfig(workers=2, batch_size=8) if production else None
         ),
         collector=(
             CollectorOptions(interval=1.0, trace_sample=0.25, alerting=True) if production else None

@@ -19,8 +19,13 @@ traffic excluded):
 * ``sends``: gossipsub copies sent (``net.sends``),
 * ``iwants``: IWANT frames sent, i.e. fetches of an announced id,
 * ``served``: copies sent in answer to an IWANT,
+* ``wasted``: served copies that reached a router which had witnessed the
+  id by then (counted by wrapping two router methods, no ``src/`` counter),
 * ``dups``: copies a router received for an id it had witnessed.
 
+Each links model ends with one row (``pipeline`` ``prod``) for the
+production pipeline profile, ``workers=2, batch_size=8``, at the first
+degree and the router's own ``D_EAGER``; the other rows verify inline.
 The last line is the rows as JSON.  It exits 1 if any message missed a
 peer.  Standard library only.
 """
@@ -39,8 +44,9 @@ if str(ROOT / "src") not in sys.path:
 from repro.core.config import RLNConfig  # noqa: E402
 from repro.core.deployment import RLNDeployment  # noqa: E402
 from repro.gossipsub import router as router_module  # noqa: E402
-from repro.gossipsub.router import GossipSubParams  # noqa: E402
+from repro.gossipsub.router import GossipSubParams, GossipSubRouter  # noqa: E402
 from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency  # noqa: E402
+from repro.pipeline import PipelineConfig  # noqa: E402
 
 PEERS = 20
 DEGREES = (6, 8, 12)
@@ -49,6 +55,39 @@ D_EAGERS = (1, 2, 3, 4)
 LINKS = {"const": ConstantLatency(0.05), "uniform": UniformLatency(0.02, 0.2)}
 #: Simulated seconds that let the last round reach everyone.
 DRAIN_S = 3.0
+#: The rows' verification: inline, or the production profile's lanes and batches.
+PIPELINES = {"inline": None, "prod": PipelineConfig(workers=2, batch_size=8)}
+#: Served copies (a reply to an IWANT) that found their id witnessed.
+WASTED = [0]
+
+
+def count_wasted() -> None:
+    """Wrap ``_handle_iwant`` to tag the RPCs it sends and ``_on_rpc`` to
+    count a tagged RPC's messages the receiver had witnessed.  Call it
+    before any router starts: the network holds the bound ``_on_rpc``."""
+    served: dict[int, object] = {}  # id -> RPC, kept alive so ids stay unique
+    handle_iwant, on_rpc = GossipSubRouter._handle_iwant, GossipSubRouter._on_rpc
+
+    def tagging_iwant(self, sender, iwant):
+        send = self._send
+
+        def tagging_send(peer, rpc):
+            served[id(rpc)] = rpc
+            send(peer, rpc)
+
+        self._send = tagging_send
+        try:
+            handle_iwant(self, sender, iwant)
+        finally:
+            del self._send  # back to the class's _send
+
+    def counting_on_rpc(self, sender, rpc):
+        if served.get(id(rpc)) is rpc:
+            WASTED[0] += sum(self._table.seen(m.msg_id) for m in rpc.messages)
+        on_rpc(self, sender, rpc)
+
+    GossipSubRouter._handle_iwant = tagging_iwant
+    GossipSubRouter._on_rpc = counting_on_rpc
 
 
 def params(degree: int) -> GossipSubParams:
@@ -57,7 +96,12 @@ def params(degree: int) -> GossipSubParams:
 
 
 def measure(
-    latency: LatencyModel, degree: int, d_eager: int, seed: int, rounds: int
+    latency: LatencyModel,
+    degree: int,
+    d_eager: int,
+    seed: int,
+    rounds: int,
+    pipeline: PipelineConfig | None = None,
 ) -> dict:
     router_module.D_EAGER = d_eager
     dep = RLNDeployment.create(
@@ -66,6 +110,7 @@ def measure(
         seed=seed,
         config=RLNConfig(epoch_length=1.0, max_epoch_gap=2),
         latency=latency,
+        pipeline_config=pipeline,
     )
     routers = [peer.relay.router for peer in dep.peers.values()]
     for router in routers:
@@ -83,6 +128,7 @@ def measure(
         network.total_messages(protocol="gossipsub"),
         sum(r.stats.iwant_sent for r in routers),
         sum(r.stats.iwant_served for r in routers),
+        WASTED[0],
         sum(r.stats.duplicates for r in routers),
     )
     sent_at: dict[bytes, float] = {}
@@ -98,9 +144,12 @@ def measure(
         network.total_messages(protocol="gossipsub"),
         sum(r.stats.iwant_sent for r in routers),
         sum(r.stats.iwant_served for r in routers),
+        WASTED[0],
         sum(r.stats.duplicates for r in routers),
     )
-    gossip_bytes, sends, iwants, served, dups = (b - a for a, b in zip(before, after))
+    gossip_bytes, sends, iwants, served, wasted, dups = (
+        b - a for a, b in zip(before, after)
+    )
     latencies = sorted(when - sent_at[p] for p, _, when in deliveries if p in sent_at)
     received = {(p, peer_id) for p, peer_id, _ in deliveries if p in sent_at}
     return {
@@ -113,6 +162,7 @@ def measure(
         "sends": sends,
         "iwants": iwants,
         "served": served,
+        "wasted": wasted,
         "duplicates": dups,
     }
 
@@ -123,37 +173,47 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--degrees", type=int, nargs="+", default=list(DEGREES))
     parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
+    count_wasted()
+    default_eager = router_module.D_EAGER
     rows = []
     for links, latency in LINKS.items():
         print(
-            f"{'links':>7} {'degree':>6} {'d_eager':>7} {'B/delivery':>10} {'mean s':>7}"
-            f" {'p99 s':>6} {'sends':>7} {'iwants':>6} {'served':>6} {'dups':>7}"
+            f"{'links':>7} {'pipeline':>8} {'degree':>6} {'d_eager':>7} {'B/delivery':>10}"
+            f" {'mean s':>7} {'p99 s':>6} {'sends':>7} {'iwants':>6} {'served':>6}"
+            f" {'wasted':>6} {'dups':>7}"
         )
-        for degree in args.degrees:
-            for d_eager in sorted({*D_EAGERS, degree}):
-                runs = [
-                    measure(latency, degree, d_eager, seed, args.rounds) for seed in args.seeds
-                ]
-                row = {
-                    "links": links,
-                    "degree": degree,
-                    "d_eager": d_eager,
-                    "missing": sum(r["missing"] for r in runs),
-                    **{
-                        key: sum(r[key] for r in runs) / len(runs)
-                        for key in (
-                            "bytes_per_delivery", "delivery_mean_s", "delivery_p99_s",
-                            "sends", "iwants", "served", "duplicates",
-                        )
-                    },
-                }
-                rows.append(row)
-                print(
-                    f"{links:>7} {degree:>6} {d_eager:>7} {row['bytes_per_delivery']:>10.1f}"
-                    f" {row['delivery_mean_s']:>7.4f} {row['delivery_p99_s']:>6.3f}"
-                    f" {row['sends']:>7.0f} {row['iwants']:>6.0f} {row['served']:>6.0f}"
-                    f" {row['duplicates']:>7.0f}"
-                )
+        cases = [
+            ("inline", degree, d_eager)
+            for degree in args.degrees
+            for d_eager in sorted({*D_EAGERS, degree})
+        ] + [("prod", args.degrees[0], default_eager)]
+        for pipeline, degree, d_eager in cases:
+            runs = [
+                measure(latency, degree, d_eager, seed, args.rounds, PIPELINES[pipeline])
+                for seed in args.seeds
+            ]
+            row = {
+                "links": links,
+                "pipeline": pipeline,
+                "degree": degree,
+                "d_eager": d_eager,
+                "missing": sum(r["missing"] for r in runs),
+                **{
+                    key: sum(r[key] for r in runs) / len(runs)
+                    for key in (
+                        "bytes_per_delivery", "delivery_mean_s", "delivery_p99_s",
+                        "sends", "iwants", "served", "wasted", "duplicates",
+                    )
+                },
+            }
+            rows.append(row)
+            print(
+                f"{links:>7} {pipeline:>8} {degree:>6} {d_eager:>7}"
+                f" {row['bytes_per_delivery']:>10.1f} {row['delivery_mean_s']:>7.4f}"
+                f" {row['delivery_p99_s']:>6.3f} {row['sends']:>7.0f} {row['iwants']:>6.0f}"
+                f" {row['served']:>6.0f} {row['wasted']:>6.0f} {row['duplicates']:>7.0f}"
+            )
+    router_module.D_EAGER = default_eager
     print(json.dumps(rows))
     return 0 if all(row["missing"] == 0 for row in rows) else 1
 

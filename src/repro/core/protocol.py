@@ -22,9 +22,9 @@ the ids it sheds.  With the default ``PipelineConfig()`` (``batch_size=1``,
 the seed's direct ``BundleValidator`` hook below the ingress token-bucket
 rates (a flood's excess is shed, not verified as the seed did); larger batch
 sizes defer verdicts through a :class:`~repro.net.promise.Promise` the
-router parks on until the batch flushes on its size-or-deadline trigger,
-and ``workers >= 1`` gives the pipeline's crypto executor that many worker
-lanes, so relay callbacks return immediately even when a flush fires.
+router parks on until the batch, handed to a lane once one can take it,
+lands, and ``workers >= 1`` gives the pipeline's crypto executor that many
+worker lanes, so relay callbacks return immediately even when a batch runs.
 
 Publishing (§III-E) derives the epoch from the peer's own (possibly
 drifting) clock, enforces the local one-message-per-epoch discipline, and
@@ -219,7 +219,7 @@ class WakuRLNRelayPeer:
 
     def stop(self) -> None:
         # Drain the pending verification batch (resolving its parked
-        # verdict promises and cancelling the deadline event) so a
+        # verdict promises and calling off its wait for a lane) so a
         # stopped peer neither drops bundles unjudged nor wakes up later
         # to verify them; in-flight RPCs that arrive after this point are
         # validated synchronously, never batched.

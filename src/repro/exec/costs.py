@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
-from repro.zksnark.groth16 import BATCH_FIXED_PAIRINGS, PAIRINGS_PER_VERIFY
+from repro.zksnark.groth16 import PAIRINGS_PER_VERIFY
 
 #: The paper's §IV verification figure: ~30 ms per classical check.
 SECONDS_PER_VERIFY = 0.030
@@ -51,12 +51,6 @@ class CryptoCostModel:
     def seconds_for_pairings(self, evaluations: int) -> float:
         """Modeled seconds for ``evaluations`` pairing evaluations."""
         return evaluations * self.seconds_per_pairing
-
-    def batch_verify_seconds(self, batch_size: int) -> float:
-        """One RLC multi-pairing over ``batch_size`` proofs (N + 3 rule)."""
-        if batch_size <= 0:
-            return 0.0
-        return (batch_size + BATCH_FIXED_PAIRINGS) * self.seconds_per_pairing
 
 
 #: Shared default instance — importing sites that only *read* the model

@@ -169,6 +169,9 @@ class SimulatedCryptoExecutor:
         #: Submits run in the caller's stack: always with zero lanes, and
         #: while pinned (peer stopped) with any.
         self.inline = workers == 0
+        #: Called once, then cleared, the next time a lane frees, before the
+        #: lane takes a queued job: a batcher's cue to hand its window over.
+        self.on_lane_free: Callable[[], None] | None = None
 
     # -- submission ----------------------------------------------------------
 
@@ -228,6 +231,11 @@ class SimulatedCryptoExecutor:
     def busy_lanes(self) -> int:
         return len(self._in_flight)
 
+    @property
+    def idle(self) -> bool:
+        """True if a job submitted now would start now."""
+        return self.inline or bool(self._idle_lanes)
+
     # -- lane machinery ------------------------------------------------------
 
     def _dispatch_idle_lanes(self) -> None:
@@ -250,7 +258,7 @@ class SimulatedCryptoExecutor:
 
     def _complete(self, lane: int) -> None:
         """Land ``lane``'s job: finish it, call its ``on_done``, then free
-        the lane and refill it."""
+        the lane, signal ``on_lane_free`` and refill it."""
         _, priority, wait, on_done, args, result = self._in_flight.pop(lane)
         try:
             self._finish(priority, wait)
@@ -258,6 +266,9 @@ class SimulatedCryptoExecutor:
                 on_done(*args, result)
         finally:
             self._idle_lanes.append(lane)
+            hook, self.on_lane_free = self.on_lane_free, None
+            if hook is not None:
+                hook()
             self._dispatch_idle_lanes()
 
     # -- shutdown ------------------------------------------------------------

@@ -16,7 +16,9 @@ GossipSub routing protocol" (§I):
   and of the next if a window passes without it; a peer is served one
   kept message at most ``GOSSIP_RETRANSMISSION`` times,
 * **IDONTWANT** (v1.2): a message is never forwarded to a peer known to
-  hold it, and a peer whose verdict is pending says which ids it holds,
+  hold it, and a peer whose verdict is pending says which ids it holds; a
+  deferred verdict's forward waits one link latency past its first copy,
+  so the IDONTWANTs sent in that copy's instant have come,
 * **validation hooks** with v1.1 semantics — ACCEPT relays, IGNORE drops
   silently (duplicates), REJECT drops *and* penalises the forwarding peer,
   which is how an RLN validator plugs in (§III-F: "the effect of their
@@ -343,16 +345,19 @@ class GossipSubRouter:
             self._flush_later()
             self._announce.append((message, sender))
             # A partial, not a closure: fewer objects live while it is pending.
-            verdict.subscribe(partial(self._apply_validation, sender, message))
+            due = self.simulator.now + self.network.latency.worst_case()
+            verdict.subscribe(partial(self._apply_validation, sender, message, due=due))
             return
-        self._apply_validation(sender, message, verdict, inline=True)
+        self._apply_validation(sender, message, verdict)
 
     def _apply_validation(
-        self, sender: str, message: PubSubMessage, verdict: Any, inline: bool = False
+        self, sender: str, message: PubSubMessage, verdict: Any, due: float | None = None
     ) -> None:
-        """Act on a verdict's ``action`` (``inline``, or when a deferral
-        fires): deliver an accepted message now, and keep and forward it now
-        (a deferral) or at the end of the instant (an inline verdict)."""
+        """Act on a verdict's ``action`` (inline, or when a deferral fires):
+        deliver an accepted message now, and keep and forward it at the end
+        of the instant (an inline verdict) or, a deferral, at once or at the
+        end of instant ``due`` (one link latency after its first copy, when
+        the IDONTWANTs of that copy's instant have come) if that is later."""
         result = verdict.action
         if result is not ValidationResult.ACCEPT:
             self._table.settle(message.msg_id)
@@ -372,14 +377,21 @@ class GossipSubRouter:
             # message is kept or forwarded, so downstream hops (and IWANT
             # re-serves out of the table) name the true causal parent.
             message = self.trace_rewriter(message)
-        if inline:  # the keep and forward wait for the instant's other copies
+        if due is None:  # the keep and forward wait for the instant's other copies
             self._table.pend(message.msg_id, sender)
-            self._flush_later()
-            self._land.append((message, sender))
+            self._land_later(message, sender)
             self._deliver_locally(message)
             return
         self._deliver_locally(message)
-        self._relay(message, sender)
+        if due > self.simulator.now:
+            self.simulator.schedule_at(due, partial(self._land_later, message, sender))
+        else:
+            self._relay(message, sender)
+
+    def _land_later(self, message: PubSubMessage, sender: str) -> None:
+        """Keep and forward ``message`` (its id pending) at this instant's end."""
+        self._flush_later()
+        self._land.append((message, sender))
 
     def _relay(self, message: PubSubMessage, sender: str) -> None:
         """Keep an accepted message and forward it past its holders."""
@@ -424,11 +436,12 @@ class GossipSubRouter:
         self._flush_later()
 
     def _flush(self) -> None:
-        """End of the instant: keep and forward what was accepted inline (past
-        every peer whose copy, IHAVE or IDONTWANT came by now), one IDONTWANT
-        per topic to the mesh (the ids deferred now and still pending, spared
-        a peer that sent the copy of every one), the IHAVEs, then the IWANTs;
-        ids announced now and still unseen are asked one link latency later."""
+        """End of the instant: keep and forward what was accepted inline or
+        held (past every peer whose copy, IHAVE or IDONTWANT came by now), one
+        IDONTWANT per topic to the mesh (the ids deferred now and still
+        pending, spared a peer that sent the copy of every one), the IHAVEs,
+        then the IWANTs; ids announced now and still unseen are asked one link
+        latency later."""
         land, self._land = self._land, []
         for message, sender in land:
             self._relay(message, sender)  # its lazy ids go out below

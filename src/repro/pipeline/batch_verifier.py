@@ -12,12 +12,14 @@ Relay-class work accumulates in a window and is verified N proofs at a
 time with a single random-linear-combination multi-pairing
 (:meth:`repro.zksnark.groth16.Groth16.verify_batch`): N + 3 pairing
 evaluations instead of 4N, the saving experiment E11 measures.  The
-window flushes on a **size-or-deadline** trigger: at ``batch_size`` jobs,
-synchronously inside the check that filled it, or when the deadline event
-on the net simulator fires, so a lone job is never stranded waiting for
-company.  ``batch_size=1`` degenerates to the seed's immediate per-proof
-verification — same verdicts, same pairing count, zero latency — which is
-what the equivalence tests pin down.
+window is **work-conserving**: it goes to the executor as soon as a lane
+can take it — at the end of the simulated instant its first job arrived
+if a lane is idle (the inline executor always is), else the moment a lane
+frees — ``batch_size`` jobs at a time.  A batch is what queued while the
+lanes were busy; no job waits while a lane idles.  ``batch_size=1``
+degenerates to the seed's immediate per-proof verification — same
+verdicts, same pairing count, zero latency — which is what the
+equivalence tests pin down.
 
 When a batch fails, the RLC check only says "at least one forged proof is
 present"; the verifier falls back to per-proof checks over the batch and
@@ -36,7 +38,7 @@ from repro.errors import ProtocolError
 from repro.exec.executor import Priority, SimulatedCryptoExecutor
 from repro.exec.executor import SynchronousCryptoExecutor
 from repro.net.promise import Promise
-from repro.net.simulator import EventHandle, Simulator
+from repro.net.simulator import Simulator
 from repro.pipeline.lru import BoundedLRU
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.disttrace import DISABLED, ActiveSpan, Disabled
@@ -89,8 +91,6 @@ class BatchVerifierStats:
 
     jobs_submitted: int = 0
     batches_verified: int = 0
-    size_flushes: int = 0
-    deadline_flushes: int = 0
     fallback_verifications: int = 0
     forged_proofs_isolated: int = 0
     #: Indices of the forged members within the *most recently failed*
@@ -117,7 +117,6 @@ class BatchVerifier:
         simulator: Simulator | None = None,
         *,
         batch_size: int = 1,
-        deadline: float = 0.05,
         executor: SimulatedCryptoExecutor | None = None,
         cache: BoundedLRU[bytes, bool] | None = None,
         registry: "MetricsRegistry | Disabled" = DISABLED,
@@ -125,17 +124,14 @@ class BatchVerifier:
     ) -> None:
         if batch_size < 1:
             raise ProtocolError("batch_size must be >= 1")
-        if deadline <= 0:
-            raise ProtocolError("batch deadline must be positive")
         if batch_size > 1 and simulator is None:
             raise ProtocolError(
-                "batching (batch_size > 1) needs a simulator for the "
-                "deadline trigger"
+                "batching (batch_size > 1) needs a simulator to close the "
+                "window at the end of an instant"
             )
         self.prover = prover
         self.simulator = simulator
         self.batch_size = batch_size
-        self.deadline = deadline
         # Window flushes run at RELAY class (the mesh is waiting on them),
         # service checks at their own, both on this one executor so the
         # classes queue against each other; the inline default keeps the
@@ -163,7 +159,6 @@ class BatchVerifier:
         #: proof into two identical pairing jobs.
         self._in_flight: dict[bytes, Promise[bool]] = {}
         self._pending: list[VerificationJob] = []
-        self._deadline_handle: EventHandle | None = None
         self._closed = False
 
     # -- the one way in ---------------------------------------------------------
@@ -185,11 +180,10 @@ class BatchVerifier:
         as a flushed batch of one.  Otherwise a ``Priority.RELAY`` job
         joins the window, any other class goes to a lane, and the verdict
         is a promise in the in-flight table for the next request of the
-        same proof to join (resolved on return if the job filled the
-        window and the flush ran inline).  ``fresh`` is true only for the
-        request that enqueued the pairing work.  ``trace`` is the
-        bundle's span, marked ``verdict-cache``, or ``batch-enqueue`` and
-        what follows.
+        same proof to join (never resolved on return).  ``fresh`` is true
+        only for the request that enqueued the pairing work.  ``trace`` is
+        the bundle's span, marked ``verdict-cache``, or ``batch-enqueue``
+        and what follows.
         """
         key = verdict_key(bundle)
         cached = self.cache.get(key)
@@ -209,8 +203,6 @@ class BatchVerifier:
                 stats = self.stats
                 stats.jobs_submitted += 1
                 stats.batches_verified += 1
-                if self.batch_size == 1:  # not a closed window's late arrival
-                    stats.size_flushes += 1
                 if self._observed:
                     self._m_batch_size.observe(1.0)
                 trace.mark(BATCH_FLUSH)
@@ -230,14 +222,9 @@ class BatchVerifier:
             )
         else:
             self.stats.jobs_submitted += 1
+            if not self._pending:  # a new window: offered to a lane at the instant's end
+                self.simulator.schedule(0.0, self._pull)
             self._pending.append(job)
-            if len(self._pending) >= self.batch_size:
-                self.stats.size_flushes += 1
-                self.flush()
-            elif self._deadline_handle is None:
-                self._deadline_handle = self.simulator.schedule(
-                    self.deadline, self._on_deadline
-                )
         return verdict, True
 
     def check_deferred(self, message: WakuMessage) -> Promise[bool] | None:
@@ -258,27 +245,32 @@ class BatchVerifier:
 
     # -- flushing ---------------------------------------------------------------
 
-    def _on_deadline(self) -> None:
-        self._deadline_handle = None
-        if self._pending:
-            self.stats.deadline_flushes += 1
-            self.flush()
+    def _pull(self) -> None:
+        """Hand the window to the executor while a lane can take it,
+        ``batch_size`` jobs at a time; what is left waits for the next lane
+        to free.  The inline executor takes it all (a verdict hook raising
+        from one batch leaves the rest to the next instant's end)."""
+        executor = self.executor
+        try:
+            while self._pending and executor.idle:
+                self._submit()
+        finally:
+            if self._pending and executor.inline:
+                self.simulator.schedule(0.0, self._pull)
+            elif self._pending:
+                executor.on_lane_free = self._pull
 
     def flush(self) -> None:
-        """Hand the pending batch to the executor; verdicts land on completion.
+        """Hand the whole window to the executor now, ``batch_size`` jobs a
+        batch, lane or not; verdicts land on completion (before this returns
+        with the inline executor)."""
+        self.executor.on_lane_free = None
+        while self._pending:
+            self._submit()
 
-        Zero lanes: the pairing work runs inline and every verdict is
-        delivered before this returns — the seed behaviour.  Worker
-        lanes: the batch is only *enqueued* and the job promises resolve
-        at simulated completion time.
-        """
-        if self._deadline_handle is not None:
-            self._deadline_handle.cancel()
-            self._deadline_handle = None
-        jobs = self._pending
-        if not jobs:
-            return
-        self._pending = []
+    def _submit(self) -> None:
+        size = self.batch_size
+        jobs, self._pending = self._pending[:size], self._pending[size:]
         self.stats.batches_verified += 1
         self._m_batch_size.observe(float(len(jobs)))
         for job in jobs:
@@ -290,13 +282,14 @@ class BatchVerifier:
     def close(self) -> None:
         """Drain pending crypto and pin the verifier to inline checks.
 
-        Called when the owning peer stops: the window is flushed, every
-        queued/in-flight executor job delivers its verdict *now*, and any
-        check that still trickles in afterwards (the network keeps
-        delivering in-flight RPCs) is verified inline instead of arming
-        the batch deadline or waking worker lanes — a stopped peer never
-        wakes up later to do crypto.  Pinning the executor itself covers
-        the service paths too, which hold this same verifier.
+        Called when the owning peer stops: the window is flushed (a wait
+        for a lane is called off), every queued/in-flight executor job
+        delivers its verdict *now*, and any check that still trickles in
+        afterwards (the network keeps delivering in-flight RPCs) is
+        verified inline instead of opening a window or waking worker
+        lanes — a stopped peer never wakes up later to do crypto.  Pinning
+        the executor itself covers the service paths too, which hold this
+        same verifier.
         """
         self._closed = True
         self.flush()

@@ -16,7 +16,8 @@ layer ingress validation — cheap gates first, expensive ones batched:
    already-judged bundle (e.g. after root churn or seen TTL expiry)
    never re-verifies; a table of the checks still pending, so one that is
    being judged right now is joined; and batched Groth16 verification
-   with per-proof fallback, flushing on size-or-deadline;
+   with per-proof fallback, a batch leaving as soon as a crypto lane can
+   take it;
 5. the nullifier-map rate check (§III-F item 3) once the verdict lands.
 
 Outcomes that exist in the seed's :class:`ValidationOutcome` vocabulary are
@@ -69,14 +70,18 @@ class PipelineConfig:
     """Knobs of the staged pipeline; defaults preserve seed behaviour.
 
     ``batch_size=1`` verifies synchronously like the seed; larger values
-    defer verdicts until the batch fills or ``batch_deadline`` simulated
-    seconds pass.  The default bucket specs are deliberately generous —
-    honest traffic (one message per member per epoch) never trips them;
-    they exist to bound the *verification* work a misbehaving forwarder
-    can demand.
+    defer relay verdicts to a batch of at most that many proofs, handed to
+    a lane at the end of the instant or when one frees.  The default
+    bucket specs are deliberately generous — honest traffic (one message
+    per member per epoch) never trips them; they exist to bound the
+    *verification* work a misbehaving forwarder can demand.
     """
 
     batch_size: int = 1
+    #: Unread: a batch waits for a free lane, never for a timer.  The field
+    #: stays accepted and validated only because ``benchmarks/e2e`` passes
+    #: it; that harness drops it in a ``benchmark`` PR, which may then
+    #: delete the field.
     batch_deadline: float = 0.05
     peer_bucket: BucketSpec | None = field(
         default_factory=lambda: BucketSpec(capacity=256.0, refill_per_second=64.0)
@@ -177,14 +182,6 @@ class ValidationPipeline:
         registry = self.telemetry.registry
         registry.bind("pipeline_admitted_total", lambda: self.stats.admitted, peer=peer_id)
         registry.bind("pipeline_deferred_total", lambda: self.stats.deferred, peer=peer_id)
-        # A verdict resolves against the local epoch captured at submit
-        # time; a deadline spanning epochs would accept bundles the rest of
-        # the network is already rejecting as out-of-window.
-        if self.config.batch_deadline >= validator.config.epoch_length:
-            raise ProtocolError(
-                f"batch_deadline ({self.config.batch_deadline}s) must be "
-                f"shorter than the epoch length ({validator.config.epoch_length}s)"
-            )
         self.prefilter = Prefilter(max_epoch_gap=validator.config.max_epoch_gap)
         self.ratelimiter = IngressRateLimiter(
             peer_spec=self.config.peer_bucket,
@@ -207,7 +204,6 @@ class ValidationPipeline:
             prover,
             simulator,
             batch_size=self.config.batch_size,
-            deadline=self.config.batch_deadline,
             executor=self.executor,
             registry=registry,
             peer=peer_id,
@@ -289,17 +285,14 @@ class ValidationPipeline:
         else:
             validator.stats.proofs_cached += 1
         if isinstance(proof_verdict, Promise):
-            if not proof_verdict.resolved:
-                pending: Promise[Verdict] = Promise()
-                proof_verdict.subscribe(
-                    lambda ok: pending.resolve(
-                        self._settle(message, local_epoch, msg_id, ok, fresh, trace)
-                    )
+            pending: Promise[Verdict] = Promise()
+            proof_verdict.subscribe(
+                lambda ok: pending.resolve(
+                    self._settle(message, local_epoch, msg_id, ok, fresh, trace)
                 )
-                self.stats.deferred += 1
-                return pending
-            # A size-triggered flush ran inline.
-            proof_verdict = proof_verdict.value
+            )
+            self.stats.deferred += 1
+            return pending
         return self._settle(message, local_epoch, msg_id, proof_verdict, fresh, trace)
 
     def close(self) -> None:

@@ -4,7 +4,7 @@ Every traced activity — a bundle's trip through the §III-F pipeline, a
 publish, a witness fetch, a slashing case — is a *span*: ids, a kind, a
 start/end and a trail of (stage, simulated-time) marks.  Marks stamp the
 *simulated* clock, so stage durations measure exactly the queueing and
-service delays the discrete-event model charges (batch deadlines, lane
+service delays the discrete-event model charges (batch windows, lane
 waits, pairing service time), not Python wall time.
 
 * :class:`SpanContext` — the compact wire extension (128-bit trace id,

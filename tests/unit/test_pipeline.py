@@ -237,40 +237,41 @@ class TestPrefilterIntegration:
 
 
 class TestDeferredPath:
-    def test_partial_batch_defers_until_deadline(self, rln_env):
+    def test_partial_batch_defers_to_the_instant_end(self, rln_env):
         simulator = Simulator()
         pipeline = ValidationPipeline(
             rln_env.make_validator(),
             rln_env.prover,
             simulator,
-            PipelineConfig(batch_size=4, batch_deadline=0.05),
+            PipelineConfig(batch_size=4),
         )
         result = pipeline.validate("p", rln_env.make_message(b"solo"), EPOCH, b"1")
         assert isinstance(result, Promise)
         assert not result.resolved
         assert pipeline.stats.deferred == 1
-        simulator.run(until=0.1)
+        simulator.run(until=0.0)  # the inline executor is always free
         assert result.resolved
         assert result.value.outcome is ValidationOutcome.VALID
 
-    def test_full_batch_resolves_synchronously(self, rln_env):
+    def test_a_full_batch_resolves_at_the_instant_end(self, rln_env):
+        simulator = Simulator()
         pipeline = ValidationPipeline(
             rln_env.make_validator(),
             rln_env.prover,
-            Simulator(),
-            PipelineConfig(batch_size=2, batch_deadline=0.05),
+            simulator,
+            PipelineConfig(batch_size=2),
         )
         first = pipeline.validate("p", rln_env.make_message(b"a"), EPOCH, b"1")
-        assert isinstance(first, Promise)
-        # The second job fills the batch: its verdict (and the first's)
-        # lands inside the validate() call.
+        # Filling the batch does not close it: both wait for the instant's end.
         second = pipeline.validate(
             "p", rln_env.make_message(b"b", epoch=EPOCH + 1), EPOCH, b"2"
         )
-        assert isinstance(second, Verdict)
-        assert first.resolved
+        assert isinstance(first, Promise) and isinstance(second, Promise)
+        assert not first.resolved and not second.resolved
+        simulator.run(until=0.0)
         assert first.value.outcome is ValidationOutcome.VALID
-        assert second.outcome is ValidationOutcome.VALID
+        assert second.value.outcome is ValidationOutcome.VALID
+        assert pipeline.batch_verifier.stats.batches_verified == 1
 
     def test_duplicate_inside_batch_window_classifies_as_duplicate(self, rln_env):
         # Through the router this cannot happen (identical bundle implies
@@ -282,7 +283,7 @@ class TestDeferredPath:
             rln_env.make_validator(),
             rln_env.prover,
             simulator,
-            PipelineConfig(batch_size=8, batch_deadline=0.05),
+            PipelineConfig(batch_size=8),
         )
         message = rln_env.make_message(b"twin")
         first = pipeline.validate("p", message, EPOCH, b"id-a")
@@ -291,26 +292,13 @@ class TestDeferredPath:
         assert first.value.outcome is ValidationOutcome.VALID
         assert second.value.outcome is ValidationOutcome.DUPLICATE
 
-    def test_batch_deadline_spanning_epochs_rejected(self, rln_env):
-        # epoch_length is 30s in the test config: a 60s deadline would
-        # resolve verdicts against a stale local epoch.
-        from repro.errors import ProtocolError
-
-        with pytest.raises(ProtocolError):
-            ValidationPipeline(
-                rln_env.make_validator(),
-                rln_env.prover,
-                Simulator(),
-                PipelineConfig(batch_size=8, batch_deadline=60.0),
-            )
-
     def test_subscriber_fires_on_late_resolution(self, rln_env):
         simulator = Simulator()
         pipeline = ValidationPipeline(
             rln_env.make_validator(),
             rln_env.prover,
             simulator,
-            PipelineConfig(batch_size=4, batch_deadline=0.05),
+            PipelineConfig(batch_size=4),
         )
         result = pipeline.validate("p", rln_env.make_message(b"sub"), EPOCH, b"1")
         landed = []

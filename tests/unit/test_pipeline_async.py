@@ -131,9 +131,12 @@ class TestPriorityClasses:
         checker = pipeline.batch_verifier
         order = []
 
-        # Occupy the single lane with a relay verdict...
+        # Occupy the single lane with a relay verdict (its window goes to
+        # the idle lane at the end of the instant)...
         first = pipeline.validate("p", rln_env.make_message(b"one"), EPOCH, b"a")
         first.subscribe(lambda v: order.append("relay-1"))
+        simulator.run(until=simulator.now)
+        assert pipeline.executor.busy_lanes == 1
         # ...queue a service-path re-validation...
         service = checker.check_deferred(rln_env.make_message(b"svc"))
         service.subscribe(lambda ok: order.append("service"))

@@ -280,9 +280,9 @@ class TestIngressRateLimit:
 
 class TestBatchedShutdown:
     def test_stop_drains_pending_batch(self):
-        # A bundle parked behind a partial batch must be judged (and its
+        # A bundle parked in the batch window must be judged (and its
         # verdict promise resolved) during stop(), not dropped or
-        # verified by a deadline event firing after shutdown.
+        # verified by an event firing after shutdown.
         from repro.gossipsub.messages import PubSubMessage
         from repro.pipeline.pipeline import PipelineConfig
 
@@ -292,7 +292,7 @@ class TestBatchedShutdown:
             degree=2,
             seed=19,
             config=config,
-            pipeline_config=PipelineConfig(batch_size=4, batch_deadline=0.2),
+            pipeline_config=PipelineConfig(batch_size=4),
         )
         dep.register_all()
         dep.form_meshes(4.0)
@@ -310,7 +310,7 @@ class TestBatchedShutdown:
         assert message.payload in [m.payload for m in receiver.received]
 
         # An RPC already in flight when stop() ran still arrives; it must
-        # be judged synchronously, never parked behind a re-armed deadline.
+        # be judged synchronously, never parked in a re-opened window.
         # (Authored by another member — a second bundle from `sender` in
         # the same epoch would be judged SPAM, not delivered.)
         author = dep.peer("peer-002")

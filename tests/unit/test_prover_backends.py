@@ -335,11 +335,13 @@ class TestSkeleton:
         assert prover.pairing_counter.evaluations == 4 + 3
 
         prover.pairing_counter.reset()
-        verifier = BatchVerifier(prover, Simulator(), batch_size=4)
+        simulator = Simulator()
+        verifier = BatchVerifier(prover, simulator, batch_size=4)
         verdicts = [
             verifier.check(Claim(public, proof), priority=Priority.RELAY)[0]
             for public, proof in jobs
         ]
+        simulator.run(until=0.0)  # the window leaves at the instant's end
         assert [verdict.value for verdict in verdicts] == [True, True, False, True]
         assert verifier.stats.forged_indices == [forged_at]
         assert prover.pairing_counter.evaluations == 4 + 3 + 4 * 4

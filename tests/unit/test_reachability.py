@@ -287,11 +287,11 @@ BUDGET = {
     "chain": 975,
     "core": 2010,
     "crypto": 1885,
-    "exec": 422,
-    "gossipsub": 1191,
+    "exec": 427,
+    "gossipsub": 1204,
     "net": 983,
     "offchain": 609,
-    "pipeline": 1078,
+    "pipeline": 1064,
     "repro": 633,
     "revocation": 449,
     "telemetry": 3666,

@@ -89,6 +89,7 @@ class TestHolders:
             router._on_rpc("peer-a", RPC(messages=(m,)))
             router._on_rpc("peer-b", RPC(messages=(m,)))
             verdicts[m.msg_id].resolve(verdict)
+            simulator.run(1.0)  # an accepted id is held until its forward
             assert held(router) == set(), verdict
 
     def test_an_idontwant_for_a_judged_id_leaves_no_state(self):
@@ -96,6 +97,7 @@ class TestHolders:
         m = message(b"m")
         router._on_rpc("peer-a", RPC(messages=(m,)))
         verdicts[m.msg_id].resolve(ACCEPT)
+        simulator.run(1.0)  # judged and forwarded
         router._on_rpc("peer-b", RPC(idontwant=(IDontWant((m.msg_id,)),)))
         assert held(router) == set()
         router.heartbeat()
@@ -120,9 +122,11 @@ class TestAnnouncements:
             router._on_rpc("peer-a", RPC(messages=(m,)))
         verdicts[m2.msg_id].resolve(ACCEPT)  # lands inside the instant
         simulator.run(0.5)
-        assert announcements(inbox, "a") == []  # it sent both
+        assert announcements(inbox, "a") == []  # it sent every one
+        # m2's forward waits a link latency: it is announced with the rest.
         for peer in "bcd":
-            assert announcements(inbox, peer) == [(IDontWant((m1.msg_id, m3.msg_id)),)]
+            ids = (m1.msg_id, m2.msg_id, m3.msg_id)
+            assert announcements(inbox, peer) == [(IDontWant(ids),)]
         router._on_rpc("peer-b", RPC(messages=(m4,)))
         simulator.run(1.0)
         for peer in "acd":
@@ -149,14 +153,53 @@ class TestAnnouncements:
         for peer in "abcd":
             assert announcements(inbox, peer) == [(IDontWant((m1.msg_id, m2.msg_id)),)]
 
-    def test_ids_judged_within_their_instant_are_never_announced(self):
+    def test_an_id_judged_within_its_instant_is_announced_while_its_forward_waits(self):
         simulator, router, inbox, verdicts = scripted()
         m = message(b"m")
         router._on_rpc("peer-a", RPC(messages=(m,)))
         verdicts[m.msg_id].resolve(ACCEPT)
         simulator.run(1.0)
-        assert all(announcements(inbox, peer) == [] for peer in "abcd")
-        assert router.stats.idontwant_sent == 0
+        assert announcements(inbox, "a") == []
+        for peer in "bcd":
+            assert announcements(inbox, peer) == [(IDontWant((m.msg_id,)),)]
+        assert router.stats.idontwant_sent == 3
+
+    def test_an_early_deferred_verdict_delivers_now_and_holds_its_forward(self):
+        # The link latency is 0.01 s: the forward lands at 0.01, after the
+        # IDONTWANTs the mesh sent in the first copy's instant.
+        simulator, router, inbox, verdicts = scripted()
+        delivered = []
+        router.subscribe(TOPIC, lambda msg: delivered.append(simulator.now))
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        simulator.run(0.002)
+        verdicts[m.msg_id].resolve(ACCEPT)
+        assert delivered == [0.002]  # local delivery is not held
+        simulator.run(0.005)
+        assert all(copies(inbox, peer) == [] for peer in "abcd")
+        assert m.msg_id in held(router)
+        # peer-c's IDONTWANT, sent in the first copy's instant, comes in
+        # at 0.01, in the instant the hold ends.
+        simulator.schedule_at(
+            0.01,
+            lambda: router._on_rpc("peer-c", RPC(idontwant=(IDontWant((m.msg_id,)),))),
+        )
+        simulator.run(1.0)
+        assert copies(inbox, "b") == copies(inbox, "d") == [m.msg_id]
+        assert copies(inbox, "a") == copies(inbox, "c") == []
+        assert router.stats.suppressed == 1
+        assert delivered == [0.002] and held(router) == set()
+
+    def test_a_verdict_landing_after_the_hold_forwards_at_once(self):
+        simulator, router, inbox, verdicts = scripted()
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        simulator.run(0.05)
+        verdicts[m.msg_id].resolve(ACCEPT)
+        assert router.stats.forwarded == 3  # sent inside resolve()
+        assert held(router) == set()
+        simulator.run(1.0)
+        assert copies(inbox, "b") == copies(inbox, "c") == copies(inbox, "d") == [m.msg_id]
 
     def test_idontwant_bills_its_ids(self):
         frame = IDontWant((b"\x01" * 32, b"\x02" * 32))
