@@ -21,6 +21,8 @@ traffic excluded):
 * ``served``: copies sent in answer to an IWANT,
 * ``wasted``: served copies that reached a router which had witnessed the
   id by then (counted by wrapping two router methods, no ``src/`` counter),
+* ``idw``: IDONTWANT ids sent, one per (id, receiving peer) (counted by
+  wrapping the router's ``_send_all``),
 * ``dups``: copies a router received for an id it had witnessed.
 
 Each links model ends with one row (``pipeline`` ``prod``) for the
@@ -59,6 +61,8 @@ DRAIN_S = 3.0
 PIPELINES = {"inline": None, "prod": PipelineConfig(workers=2, batch_size=8)}
 #: Served copies (a reply to an IWANT) that found their id witnessed.
 WASTED = [0]
+#: IDONTWANT ids sent, counted once per receiving peer.
+IDW = [0]
 
 
 def count_wasted() -> None:
@@ -88,6 +92,17 @@ def count_wasted() -> None:
 
     GossipSubRouter._handle_iwant = tagging_iwant
     GossipSubRouter._on_rpc = counting_on_rpc
+
+
+def count_idontwant_ids() -> None:
+    """Wrap ``_send_all`` to count the IDONTWANT ids each send carries, per peer."""
+    send_all = GossipSubRouter._send_all
+
+    def counting_send_all(self, peers, rpc):
+        IDW[0] += len(peers) * sum(len(frame.msg_ids) for frame in rpc.idontwant)
+        send_all(self, peers, rpc)
+
+    GossipSubRouter._send_all = counting_send_all
 
 
 def params(degree: int) -> GossipSubParams:
@@ -129,6 +144,7 @@ def measure(
         sum(r.stats.iwant_sent for r in routers),
         sum(r.stats.iwant_served for r in routers),
         WASTED[0],
+        IDW[0],
         sum(r.stats.duplicates for r in routers),
     )
     sent_at: dict[bytes, float] = {}
@@ -145,9 +161,10 @@ def measure(
         sum(r.stats.iwant_sent for r in routers),
         sum(r.stats.iwant_served for r in routers),
         WASTED[0],
+        IDW[0],
         sum(r.stats.duplicates for r in routers),
     )
-    gossip_bytes, sends, iwants, served, wasted, dups = (
+    gossip_bytes, sends, iwants, served, wasted, idw, dups = (
         b - a for a, b in zip(before, after)
     )
     latencies = sorted(when - sent_at[p] for p, _, when in deliveries if p in sent_at)
@@ -163,6 +180,7 @@ def measure(
         "iwants": iwants,
         "served": served,
         "wasted": wasted,
+        "idontwant_ids": idw,
         "duplicates": dups,
     }
 
@@ -174,13 +192,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
     count_wasted()
+    count_idontwant_ids()
     default_eager = router_module.D_EAGER
     rows = []
     for links, latency in LINKS.items():
         print(
             f"{'links':>7} {'pipeline':>8} {'degree':>6} {'d_eager':>7} {'B/delivery':>10}"
             f" {'mean s':>7} {'p99 s':>6} {'sends':>7} {'iwants':>6} {'served':>6}"
-            f" {'wasted':>6} {'dups':>7}"
+            f" {'wasted':>6} {'idw':>6} {'dups':>7}"
         )
         cases = [
             ("inline", degree, d_eager)
@@ -202,7 +221,8 @@ def main(argv: list[str] | None = None) -> int:
                     key: sum(r[key] for r in runs) / len(runs)
                     for key in (
                         "bytes_per_delivery", "delivery_mean_s", "delivery_p99_s",
-                        "sends", "iwants", "served", "wasted", "duplicates",
+                        "sends", "iwants", "served", "wasted", "idontwant_ids",
+                        "duplicates",
                     )
                 },
             }
@@ -211,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{links:>7} {pipeline:>8} {degree:>6} {d_eager:>7}"
                 f" {row['bytes_per_delivery']:>10.1f} {row['delivery_mean_s']:>7.4f}"
                 f" {row['delivery_p99_s']:>6.3f} {row['sends']:>7.0f} {row['iwants']:>6.0f}"
-                f" {row['served']:>6.0f} {row['wasted']:>6.0f} {row['duplicates']:>7.0f}"
+                f" {row['served']:>6.0f} {row['wasted']:>6.0f} {row['idontwant_ids']:>6.0f}"
+                f" {row['duplicates']:>7.0f}"
             )
     router_module.D_EAGER = default_eager
     print(json.dumps(rows))

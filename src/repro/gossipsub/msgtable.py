@@ -72,8 +72,11 @@ class MessageTable(dict[bytes, "float | Record"]):
 
     def seen(self, msg_id: bytes) -> bool:
         """True if a copy of ``msg_id`` was witnessed (not only hinted)."""
-        entry = self.get(msg_id)
-        return entry is not None and (type(entry) is not Record or entry.seen_at is not None)
+        return self.seen_at(msg_id) is not None
+
+    def seen_at(self, msg_id: bytes) -> float | None:
+        """When the first copy of ``msg_id`` was witnessed, or None."""
+        return entry.seen_at if type(entry := self.get(msg_id)) is Record else entry
 
     def kept(self, msg_id: bytes) -> PubSubMessage | None:
         """The accepted message an IWANT is served, while it is kept."""

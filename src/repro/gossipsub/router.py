@@ -12,13 +12,14 @@ GossipSub routing protocol" (§I):
   ids it was lazy for; a publisher floods (§III: ``D_EAGER = d``),
 * **heartbeat** doing mesh balancing, score decay and IHAVE gossip,
 * **IHAVE/IWANT** lazy pull: an id still unseen one link latency
-  (``worst_case()``) after its IHAVE's instant is asked of one announcer,
-  and of the next if a window passes without it; a peer is served one
-  kept message at most ``GOSSIP_RETRANSMISSION`` times,
+  (``worst_case()``) plus our longest recent forward lag after its IHAVE's
+  instant is asked of one announcer, and of the next if a window passes
+  without it; a peer is served one kept message at most
+  ``GOSSIP_RETRANSMISSION`` times,
 * **IDONTWANT** (v1.2): a message is never forwarded to a peer known to
-  hold it, and a peer whose verdict is pending says which ids it holds; a
-  deferred verdict's forward waits one link latency past its first copy,
-  so the IDONTWANTs sent in that copy's instant have come,
+  hold it; with verdicts pending, each mesh peer hears the pending ids it
+  is not known to hold; a deferred forward waits one link latency past
+  its first copy, so the IDONTWANTs of that copy's instant have come,
 * **validation hooks** with v1.1 semantics — ACCEPT relays, IGNORE drops
   silently (duplicates), REJECT drops *and* penalises the forwarding peer,
   which is how an RLN validator plugs in (§III-F: "the effect of their
@@ -169,15 +170,16 @@ class GossipSubRouter:
         self._callbacks: dict[str, list[DeliveryCallback]] = {}
         self._announced_to: set[str] = set()
         self._table = MessageTable()
-        #: This instant's outbox, sent by ``_flush`` at its end: accepted and
-        #: deferred (message, sender)s, lazy ids per topic and peer, and ids
-        #: to ask per peer one link latency later (``_wait``) or now.
+        #: This instant's outbox, sent by ``_flush`` at its end: accepted
+        #: (message, sender)s, deferred messages, lazy ids per topic and peer,
+        #: and ids to ask per peer after the fetch delay (``_wait``) or now.
         self._land: list[tuple[PubSubMessage, str]] = []
-        self._announce: list[tuple[PubSubMessage, str]] = []
+        self._announce: list[PubSubMessage] = []
         self._lazy: dict[str, dict[str, list[bytes]]] = {}
         self._wait: dict[str, list[bytes]] = {}
         self._fetch: dict[str, list[bytes]] = {}
         self._flush_due = False
+        self._lag = [0.0, 0.0]  # longest first-copy -> forward delay, this window and the last
         #: Optional distributed-tracing hook, set by the RLN layer: called
         #: once per ACCEPTed message before it is kept, delivered and
         #: forwarded, it returns the message to propagate (re-stamped with
@@ -343,7 +345,7 @@ class GossipSubRouter:
             self.stats.deferred += 1
             self._table.pend(message.msg_id, sender)
             self._flush_later()
-            self._announce.append((message, sender))
+            self._announce.append(message)
             # A partial, not a closure: fewer objects live while it is pending.
             due = self.simulator.now + self.network.latency.worst_case()
             verdict.subscribe(partial(self._apply_validation, sender, message, due=due))
@@ -394,7 +396,10 @@ class GossipSubRouter:
         self._land.append((message, sender))
 
     def _relay(self, message: PubSubMessage, sender: str) -> None:
-        """Keep an accepted message and forward it past its holders."""
+        """Keep an accepted message, note its lag (for the fetch timer) and
+        forward it past its holders."""
+        if (seen_at := self._table.seen_at(message.msg_id)) is not None:
+            self._lag[0] = max(self._lag[0], self.simulator.now - seen_at)
         holders = self._table.settle(message.msg_id)
         self._table.keep(message)
         self._forward(message, exclude={sender}, holders=holders)
@@ -437,41 +442,35 @@ class GossipSubRouter:
 
     def _flush(self) -> None:
         """End of the instant: keep and forward what was accepted inline or
-        held (past every peer whose copy, IHAVE or IDONTWANT came by now), one
-        IDONTWANT per topic to the mesh (the ids deferred now and still
-        pending, spared a peer that sent the copy of every one), the IHAVEs,
-        then the IWANTs; ids announced now and still unseen are asked one link
-        latency later."""
+        held (past every peer whose copy, IHAVE or IDONTWANT came by now),
+        the IDONTWANTs (each mesh peer's list: the ids deferred now and still
+        pending that it is not known to hold), the IHAVEs, then the IWANTs;
+        ids announced now and still unseen are asked one link latency plus
+        our longest first-copy -> forward delay of two windows later."""
         land, self._land = self._land, []
         for message, sender in land:
             self._relay(message, sender)  # its lazy ids go out below
         self._flush_due = False
         announce, self._announce = self._announce, []
-        holders = self._table.holders
-        for topic in dict.fromkeys(m.topic for m, _ in announce):
-            pending = {m.msg_id: s for m, s in announce if m.topic == topic and holders(m.msg_id)}
-            senders = set(pending.values())  # one: it sent every id listed
-            spared = senders if len(senders) == 1 else set()
-            peers = sorted(self._mesh.get(topic, set()) - spared)
-            if pending and peers:
-                self.stats.idontwant_sent += len(peers)
-                self._send_all(peers, RPC(idontwant=(IDontWant(msg_ids=tuple(pending)),)))
+        for topic in dict.fromkeys(m.topic for m in announce):
+            held = {m.msg_id: self._table.holders(m.msg_id) for m in announce if m.topic == topic}
+            mesh = sorted(self._mesh.get(topic, ()))
+            self.stats.idontwant_sent += self._send_lists(
+                ((p, tuple(i for i, h in held.items() if h and p not in h)) for p in mesh),
+                lambda ids: RPC(idontwant=(IDontWant(msg_ids=ids),)),
+            )
         lazy, self._lazy = self._lazy, {}
-        for topic, listed in lazy.items():
-            # Peers lazy for the same ids share one frame and one send.
-            frames: dict[tuple[bytes, ...], list[str]] = {}
-            for peer, ids in listed.items():
-                frames.setdefault(tuple(ids), []).append(peer)
-            for ids, peers in frames.items():
-                self.stats.gossip_sent += len(peers)
-                self._send_all(sorted(peers), RPC(ihave=(IHave(topic=topic, msg_ids=ids),)))
+        for topic, queued in lazy.items():
+            self.stats.gossip_sent += self._send_lists(
+                ((peer, tuple(ids)) for peer, ids in queued.items()),
+                lambda ids: RPC(ihave=(IHave(topic=topic, msg_ids=ids),)),
+            )
         seen = self._table.seen
         wait, self._wait = self._wait, {}
         due = {p: u for p, ids in wait.items() if (u := [i for i in ids if not seen(i)])}
-        if due:  # Plumtree's timer, bounded by the link bound NetworkDelay uses
-            self.simulator.schedule(
-                self.network.latency.worst_case(), partial(self._fetch_due, due)
-            )
+        if due:  # Plumtree's timer: the link bound NetworkDelay uses, plus our lag
+            delay = self.network.latency.worst_case() + max(self._lag)
+            self.simulator.schedule(delay, partial(self._fetch_due, due))
         fetch, self._fetch = self._fetch, {}
         for peer, listed in fetch.items():
             if wanted := tuple(i for i in listed if not seen(i)):
@@ -566,6 +565,7 @@ class GossipSubRouter:
             self._flush_later()
             self._fetch.setdefault(peer, []).append(msg_id)
         self._table.shift()
+        self._lag = [0.0, self._lag[0]]
 
     def _fill_mesh(self, topic: str) -> None:
         mesh = self._mesh.setdefault(topic, set())
@@ -628,6 +628,17 @@ class GossipSubRouter:
     def _send(self, peer: str, rpc: RPC) -> None:
         if not rpc.is_empty():
             self._send_all([peer], rpc)
+
+    def _send_lists(self, listed, frame: Callable[[tuple[bytes, ...]], RPC]) -> int:
+        """Send ``frame(ids)`` for each ``(peer, ids)`` with ids, one frame and
+        one send per distinct list; returns the number of peers sent one."""
+        groups: dict[tuple[bytes, ...], list[str]] = {}
+        for peer, ids in listed:
+            if ids:
+                groups.setdefault(ids, []).append(peer)
+        for ids, peers in groups.items():
+            self._send_all(sorted(peers), frame(ids))
+        return sum(map(len, groups.values()))
 
     def _send_all(self, peers: list[str], rpc: RPC) -> None:
         """Send ``rpc`` to every one of ``peers`` still linked to us."""

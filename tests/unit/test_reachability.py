@@ -288,7 +288,7 @@ BUDGET = {
     "core": 2010,
     "crypto": 1885,
     "exec": 427,
-    "gossipsub": 1204,
+    "gossipsub": 1218,
     "net": 983,
     "offchain": 609,
     "pipeline": 1064,

@@ -9,7 +9,7 @@ import random
 
 import networkx as nx
 
-from repro.gossipsub.messages import RPC, Graft, IDontWant, PubSubMessage, Subscribe
+from repro.gossipsub.messages import RPC, Graft, IDontWant, IHave, PubSubMessage, Subscribe
 from repro.gossipsub.msgtable import MAX_EARLY_IDONTWANTS, MCACHE_LENGTH
 from repro.gossipsub.router import GossipSubRouter, ValidationResult
 from repro.net.latency import ConstantLatency
@@ -144,14 +144,40 @@ class TestAnnouncements:
             assert announcements(inbox, peer) == [(IDontWant((m.msg_id,)),)]
         assert router.stats.idontwant_sent == 3
 
-    def test_a_peer_that_sent_only_some_listed_ids_is_still_told(self):
+    def test_each_peer_is_told_only_the_pending_ids_it_is_not_known_to_hold(self):
         simulator, router, inbox, verdicts = scripted()
         m1, m2 = message(b"m1"), message(b"m2")
         router._on_rpc("peer-a", RPC(messages=(m1,)))
         router._on_rpc("peer-b", RPC(messages=(m2,)))
         simulator.run(0.5)
-        for peer in "abcd":
+        assert announcements(inbox, "a") == [(IDontWant((m2.msg_id,)),)]
+        assert announcements(inbox, "b") == [(IDontWant((m1.msg_id,)),)]
+        for peer in "cd":
             assert announcements(inbox, peer) == [(IDontWant((m1.msg_id, m2.msg_id)),)]
+        assert inbox["peer-c"][-1] is inbox["peer-d"][-1]  # one frame, one send
+        assert router.stats.idontwant_sent == 4
+
+    def test_an_ihave_announcer_of_a_pending_id_is_not_told_it(self):
+        simulator, router, inbox, verdicts = scripted()
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        router._on_rpc("peer-b", RPC(ihave=(IHave(TOPIC, (m.msg_id,)),)))
+        simulator.run(0.5)
+        assert announcements(inbox, "a") == announcements(inbox, "b") == []
+        for peer in "cd":
+            assert announcements(inbox, peer) == [(IDontWant((m.msg_id,)),)]
+        assert router.stats.idontwant_sent == 2 and router.stats.iwant_sent == 0
+
+    def test_an_idontwant_sender_of_a_pending_id_is_not_told_it(self):
+        simulator, router, inbox, verdicts = scripted()
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        router._on_rpc("peer-c", RPC(idontwant=(IDontWant((m.msg_id,)),)))
+        simulator.run(0.5)
+        assert announcements(inbox, "a") == announcements(inbox, "c") == []
+        for peer in "bd":
+            assert announcements(inbox, peer) == [(IDontWant((m.msg_id,)),)]
+        assert router.stats.idontwant_sent == 2
 
     def test_an_id_judged_within_its_instant_is_announced_while_its_forward_waits(self):
         simulator, router, inbox, verdicts = scripted()

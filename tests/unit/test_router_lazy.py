@@ -15,7 +15,7 @@ from repro.core.deployment import RLNDeployment
 from repro.gossipsub import router as router_module
 from repro.gossipsub.messages import RPC, IDontWant, IHave, IWant, Prune
 from repro.gossipsub.msgtable import GOSSIP_RETRANSMISSION, MCACHE_LENGTH
-from repro.gossipsub.router import D_EAGER, GossipSubParams, GossipSubRouter
+from repro.gossipsub.router import D_EAGER, GossipSubParams, GossipSubRouter, ValidationResult
 from repro.gossipsub.scoring import ScoreParams
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
@@ -24,6 +24,8 @@ from repro.telemetry import CollectorOptions
 
 from test_router import TOPIC, build, publish, start_all
 from test_router_idontwant import copies, message, scripted
+
+ACCEPT = ValidationResult.ACCEPT
 
 
 def ihave(*messages) -> RPC:
@@ -168,6 +170,24 @@ class TestFetch:
         assert router.stats.iwant_sent == 1
         simulator.run(0.9)  # no heartbeat: the re-ask waits for a broken promise
         assert all_iwants(inbox) == [("peer-a", (m.msg_id,))]
+
+    def test_the_ask_waits_out_the_routers_own_forward_lag_for_two_heartbeats(self):
+        simulator, router, inbox, verdicts = scripted(neighbours="abc")
+        link = router.network.latency.worst_case()
+        m = message(b"m")
+        router._on_rpc("peer-a", RPC(messages=(m,)))
+        simulator.run(0.05)
+        verdicts[m.msg_id].resolve(ACCEPT)  # past the hold: forwarded at once, L = 0.05
+        for heartbeats, wait in enumerate((link + 0.05, link + 0.05, link)):
+            if heartbeats:
+                router.heartbeat()  # the second re-asks the first hint now
+                simulator.run(simulator.now)
+            hint, start, sent = message(b"h%d" % heartbeats), simulator.now, router.stats.iwant_sent
+            router._on_rpc("peer-b", ihave(hint))
+            simulator.run(start + wait - 0.001)
+            assert router.stats.iwant_sent == sent, heartbeats
+            simulator.run(start + wait + 0.001)
+            assert router.stats.iwant_sent == sent + 1, heartbeats
 
     def test_an_unmet_promise_is_reasked_of_the_next_announcer(self):
         simulator, router, inbox = scored()
