@@ -4,9 +4,7 @@ from repro.baselines.pow import (
     PoWRelayPeer,
     PoWStamp,
     expected_mint_seconds,
-    mint,
     sample_attempts,
-    verify,
 )
 from repro.baselines.plain_peer import PlainRelayPeer, SpamClassifier
 from repro.baselines.botnet import SPAM_PREFIX, BotArmy, BotArmyStats
@@ -15,9 +13,7 @@ __all__ = [
     "PoWRelayPeer",
     "PoWStamp",
     "expected_mint_seconds",
-    "mint",
     "sample_attempts",
-    "verify",
     "PlainRelayPeer",
     "SpamClassifier",
     "SPAM_PREFIX",

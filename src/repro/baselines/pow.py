@@ -12,29 +12,27 @@ critique, which experiment E8 quantifies:
 * a well-resourced spammer buys messaging rate linearly with compute — no
   identification, no removal, no stake at risk.
 
-Both a *real* hashcash miner (used by the unit tests and small demos) and
-a *sampled* miner (geometric attempt count, converted to simulated minting
-delay through the device's hash rate) are provided; network experiments
-use the sampled miner so a 2^20 difficulty doesn't burn wall-clock CPU.
+Minting is modelled, not performed: the attempt count is drawn from its
+geometric law and converted to a simulated minting delay through the
+device's hash rate, so a 2^20 difficulty costs no wall-clock CPU.
+Validators check the stamp's declared difficulty.
 """
 
 from __future__ import annotations
 
-import hashlib
+import math
 import random
 import zlib
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import ProtocolError, ValidationError
+from repro.errors import ProtocolError
 from repro.gossipsub.messages import PubSubMessage
 from repro.gossipsub.router import ValidationResult
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.waku.message import WakuMessage
 from repro.waku.relay import WakuRelay
-
-_DOMAIN = b"whisper-pow"
 
 
 @dataclass(frozen=True)
@@ -48,43 +46,14 @@ class PoWStamp:
         return 12
 
 
-def _digest(payload: bytes, nonce: int) -> int:
-    data = _DOMAIN + nonce.to_bytes(8, "big") + payload
-    return int.from_bytes(hashlib.sha256(data).digest(), "big")
-
-
-def mint(payload: bytes, difficulty: int, *, max_attempts: int = 1 << 26) -> tuple[PoWStamp, int]:
-    """Real hashcash: find a nonce with ``difficulty`` leading zero bits.
-
-    Returns the stamp and the number of attempts it took.
-    """
-    if not 0 <= difficulty <= 64:
-        raise ProtocolError("difficulty must be in [0, 64]")
-    target = 1 << (256 - difficulty)
-    nonce = 0
-    while nonce < max_attempts:
-        if _digest(payload, nonce) < target:
-            return PoWStamp(nonce=nonce, difficulty=difficulty), nonce + 1
-        nonce += 1
-    raise ProtocolError(f"no nonce found within {max_attempts} attempts")
-
-
-def verify(payload: bytes, stamp: PoWStamp) -> bool:
-    """Check a stamp (one hash — verification is cheap, like the paper's)."""
-    target = 1 << (256 - stamp.difficulty)
-    return _digest(payload, stamp.nonce) < target
-
-
 def sample_attempts(difficulty: int, rng: random.Random) -> int:
-    """Sample how many attempts minting would take (geometric law)."""
-    p = 2.0 ** (-difficulty)
-    attempts = 1
-    # Inverse-CDF sampling; loop-free.
-    import math
+    """Sample how many attempts minting would take (geometric law).
 
+    Inverse-CDF sampling, loop-free; one ``rng.random()`` draw per call.
+    """
+    p = 2.0 ** (-difficulty)
     u = rng.random()
-    attempts = max(1, int(math.ceil(math.log(1.0 - u) / math.log(1.0 - p)))) if p < 1 else 1
-    return attempts
+    return max(1, int(math.ceil(math.log(1.0 - u) / math.log(1.0 - p)))) if p < 1 else 1
 
 
 def expected_mint_seconds(difficulty: int, hash_rate: float) -> float:
@@ -156,8 +125,8 @@ class PoWRelayPeer:
         delay = attempts / self.hash_rate
         self.stats.hash_attempts_total += attempts
         self.stats.mint_seconds_total += delay
-        # The stamp itself is faked (we did not really grind); validators in
-        # simulated mode check the declared difficulty instead.
+        # The stamp itself is faked (we did not really grind); validators
+        # check the declared difficulty instead.
         stamp = PoWStamp(nonce=attempts, difficulty=self.difficulty)
         message = WakuMessage(
             payload=payload,
@@ -186,9 +155,3 @@ class PoWRelayPeer:
             self.stats.dropped_invalid += 1
             return ValidationResult.REJECT
         return ValidationResult.ACCEPT
-
-
-def raise_if_insufficient(stamp: PoWStamp, payload: bytes, difficulty: int) -> None:
-    """Strict (real-hash) verification used by the unit tests."""
-    if stamp.difficulty < difficulty or not verify(payload, stamp):
-        raise ValidationError("insufficient proof of work")

@@ -9,14 +9,7 @@ from repro.crypto.poseidon import poseidon_hash
 from repro.crypto.engine import PoseidonEngine, default_engine, publish_engine_telemetry
 from repro.crypto.merkle import DEFAULT_DEPTH, MerkleProof, MerkleTree, verify_proof
 from repro.crypto.optimized_merkle import OptimizedMerkleView, TreeUpdate
-from repro.crypto.shamir import (
-    Share,
-    recover_secret,
-    recover_slope,
-    reconstruct_secret,
-    rln_share,
-    split_secret,
-)
+from repro.crypto.shamir import Share, recover_secret, rln_share
 from repro.crypto.identity import (
     EpochSecrets,
     Identity,
@@ -45,10 +38,7 @@ __all__ = [
     "TreeUpdate",
     "Share",
     "recover_secret",
-    "recover_slope",
-    "reconstruct_secret",
     "rln_share",
-    "split_secret",
     "EpochSecrets",
     "Identity",
     "derive_commitment",

@@ -130,10 +130,6 @@ class ProtocolError(ReproError):
     """Base class for WAKU-RLN-RELAY protocol violations."""
 
 
-class ValidationError(ProtocolError):
-    """A message bundle failed routing validation."""
-
-
 class RegistrationError(ProtocolError):
     """Peer registration with the membership contract failed."""
 

@@ -86,17 +86,6 @@ class LinearCombination:
 
     __rmul__ = __mul__
 
-    # -- evaluation -----------------------------------------------------------
-
-    def evaluate(self, witness: list[FieldElement]) -> FieldElement:
-        acc = 0
-        for var, coeff in self.terms.items():
-            acc += coeff.value * witness[var].value
-        return FieldElement(acc)
-
-    def is_constant(self) -> bool:
-        return all(var == 0 for var in self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -167,11 +156,6 @@ class ConstraintSystem:
         index = self.allocate(value)
         self.num_public += 1
         return index
-
-    def assign(self, index: int, value: FieldElement) -> None:
-        if index == 0:
-            raise SnarkError("variable 0 is the fixed constant ONE")
-        self._assignment[index] = FieldElement(value)
 
     def value_of(self, lc: LinearCombination) -> FieldElement:
         """Evaluate an LC against the current (possibly partial) assignment."""
@@ -244,10 +228,6 @@ class ConstraintSystem:
                 raise SnarkError(f"variable w{index} is unassigned")
             witness.append(self._assignment[index])
         return witness
-
-    def public_inputs(self) -> list[FieldElement]:
-        """Values of the public-input block (excluding the constant)."""
-        return [self._assignment[i] for i in range(1, self.num_public + 1)]
 
     # -- satisfaction -----------------------------------------------------------------
 

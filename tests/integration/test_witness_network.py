@@ -30,6 +30,7 @@ from repro.net.topology import full_mesh
 from repro.net.transport import Network
 from repro.telemetry import Telemetry
 from repro.treesync import ShardSyncManager, TreeSyncPublisher
+from repro.waku.lightpush import LightPushClient, LightPushNode
 from repro.waku.relay import WakuRelay
 from repro.waku.store import StoreClient, StoreNode
 from repro.witness import LightMember, SnapshotResponse, WitnessClient, WitnessService
@@ -41,7 +42,10 @@ SHARD_DEPTH = 3
 class TestLightMemberPublishes:
     """A member that never holds a tree publishes through the real mesh."""
 
-    def test_light_member_publishes_rln_valid_traffic(self):
+    @pytest.mark.parametrize("sink", ["relay", "lightpush"])
+    def test_light_member_publishes_rln_valid_traffic(self, sink):
+        """The publish sink is a full peer's relay, or a 19/LIGHTPUSH push
+        to a full peer that checks the proof with its own verifier."""
         config = RLNConfig(
             epoch_length=30.0,
             max_epoch_gap=2,
@@ -86,12 +90,24 @@ class TestLightMemberPublishes:
         )
         assert view.shard is None  # truly no shard held anywhere
 
+        if sink == "relay":
+            publish = serving.relay.publish
+        else:
+            pusher = dep.peer("peer-001")
+            node = LightPushNode(
+                pusher.relay, dep.network, proof_checker=pusher.pipeline.batch_verifier
+            )
+            push_client = LightPushClient("light-member", dep.network)
+
+            def publish(message):
+                push_client.push("peer-001", message)
+
         epoch = serving.current_epoch()
         published = []
         member.publish(
             b"hello from a treeless member",
             epoch,
-            serving.relay.publish,
+            publish,
             on_published=published.append,
         )
         dep.run(4.0)
@@ -113,6 +129,8 @@ class TestLightMemberPublishes:
         )
         assert invalid_counts == 0
         assert service.stats.witnesses_served == 1
+        if sink == "lightpush":
+            assert node.served == 1
 
     def test_warm_cache_publish_needs_no_fetch(self):
         config = RLNConfig(

@@ -32,7 +32,6 @@ class TestHierarchy:
             (errors.NotRegistered, errors.ContractError),
             (errors.UnknownPeer, errors.NetworkError),
             (errors.NotConnected, errors.NetworkError),
-            (errors.ValidationError, errors.ProtocolError),
             (errors.RegistrationError, errors.ProtocolError),
             (errors.SyncError, errors.ProtocolError),
         ],

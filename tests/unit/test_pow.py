@@ -4,51 +4,12 @@ import random
 
 import pytest
 
-from repro.baselines.pow import (
-    PoWRelayPeer,
-    PoWStamp,
-    expected_mint_seconds,
-    mint,
-    raise_if_insufficient,
-    sample_attempts,
-    verify,
-)
-from repro.errors import ProtocolError, ValidationError
+from repro.baselines.pow import PoWRelayPeer, PoWStamp, expected_mint_seconds, sample_attempts
+from repro.errors import ProtocolError
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
-
-
-class TestHashcash:
-    def test_mint_verify_roundtrip(self):
-        stamp, attempts = mint(b"message", difficulty=8)
-        assert verify(b"message", stamp)
-        assert attempts >= 1
-
-    def test_stamp_bound_to_payload(self):
-        stamp, _ = mint(b"message", difficulty=8)
-        assert not verify(b"other", stamp)
-
-    def test_zero_difficulty_always_passes(self):
-        stamp, attempts = mint(b"x", difficulty=0)
-        assert attempts == 1
-
-    def test_difficulty_bounds(self):
-        with pytest.raises(ProtocolError):
-            mint(b"x", difficulty=65)
-
-    def test_mint_attempt_cap(self):
-        with pytest.raises(ProtocolError):
-            mint(b"x", difficulty=40, max_attempts=10)
-
-    def test_strict_check(self):
-        stamp, _ = mint(b"x", difficulty=8)
-        raise_if_insufficient(stamp, b"x", 8)
-        with pytest.raises(ValidationError):
-            raise_if_insufficient(stamp, b"x", 30)
-        with pytest.raises(ValidationError):
-            raise_if_insufficient(stamp, b"y", 8)
 
 
 class TestCostModel:

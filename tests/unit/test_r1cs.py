@@ -11,8 +11,7 @@ LC = LinearCombination
 
 class TestLinearCombination:
     def test_constant(self):
-        lc = LC.constant(5)
-        assert lc.evaluate([FieldElement(1)]) == FieldElement(5)
+        assert ConstraintSystem().value_of(LC.constant(5)) == FieldElement(5)
 
     def test_zero_constant_has_no_terms(self):
         assert len(LC.constant(0)) == 0
@@ -33,18 +32,15 @@ class TestLinearCombination:
         assert len(LC.variable(1) * 0) == 0
 
     def test_subtraction_with_constant(self):
-        lc = 10 - LC.variable(1)
-        witness = [FieldElement(1), FieldElement(4)]
-        assert lc.evaluate(witness) == FieldElement(6)
+        cs = ConstraintSystem()
+        lc = 10 - LC.variable(cs.allocate(FieldElement(4)))
+        assert cs.value_of(lc) == FieldElement(6)
 
     def test_evaluate(self):
-        lc = LC.variable(1, 2) + LC.variable(2, 3) + 7
-        witness = [FieldElement(1), FieldElement(10), FieldElement(100)]
-        assert lc.evaluate(witness) == FieldElement(2 * 10 + 3 * 100 + 7)
-
-    def test_is_constant(self):
-        assert LC.constant(5).is_constant()
-        assert not LC.variable(1).is_constant()
+        cs = ConstraintSystem()
+        a, b = cs.allocate(FieldElement(10)), cs.allocate(FieldElement(100))
+        lc = LC.variable(a, 2) + LC.variable(b, 3) + 7
+        assert cs.value_of(lc) == FieldElement(2 * 10 + 3 * 100 + 7)
 
 
 class TestConstraintSystem:
@@ -67,12 +63,10 @@ class TestConstraintSystem:
         cs = ConstraintSystem()
         cs.allocate_public(FieldElement(3))
         cs.allocate_public(FieldElement(4))
-        assert cs.public_inputs() == [FieldElement(3), FieldElement(4)]
-
-    def test_cannot_reassign_constant(self):
-        cs = ConstraintSystem()
-        with pytest.raises(SnarkError):
-            cs.assign(0, FieldElement(2))
+        cs.allocate(FieldElement(5))
+        # The public block is w1..w_num_public, right after the constant.
+        assert cs.num_public == 2
+        assert cs.full_witness()[1 : cs.num_public + 1] == [FieldElement(3), FieldElement(4)]
 
     def test_multiplication_gate(self):
         cs = ConstraintSystem()

@@ -1,16 +1,9 @@
-"""Unit tests for Shamir secret sharing and RLN share algebra."""
+"""Unit tests for the RLN share line (threshold-2 Shamir)."""
 
 import pytest
 
 from repro.crypto.field import FieldElement
-from repro.crypto.shamir import (
-    Share,
-    recover_secret,
-    recover_slope,
-    reconstruct_secret,
-    rln_share,
-    split_secret,
-)
+from repro.crypto.shamir import Share, recover_secret, rln_share
 from repro.errors import ShamirError
 
 
@@ -26,12 +19,6 @@ class TestRLNShares:
         s2 = rln_share(sk, a1, FieldElement(2))
         assert recover_secret(s1, s2) == sk
 
-    def test_recover_slope(self):
-        sk, a1 = FieldElement(10), FieldElement(3)
-        s1 = rln_share(sk, a1, FieldElement(4))
-        s2 = rln_share(sk, a1, FieldElement(9))
-        assert recover_slope(s1, s2) == a1
-
     def test_order_independent_recovery(self):
         sk, a1 = FieldElement(42), FieldElement(4242)
         s1 = rln_share(sk, a1, FieldElement(11))
@@ -43,8 +30,6 @@ class TestRLNShares:
         other = Share(x=FieldElement(1), y=FieldElement(3))
         with pytest.raises(ShamirError):
             recover_secret(share, other)
-        with pytest.raises(ShamirError):
-            recover_slope(share, other)
 
     def test_one_share_reveals_nothing_definite(self):
         # Any candidate secret is consistent with a single share: for every
@@ -63,58 +48,3 @@ class TestRLNShares:
         s2 = rln_share(sk, FieldElement(200), FieldElement(2))
         assert recover_secret(s1, s2) != sk
 
-    def test_as_tuple(self):
-        share = Share(x=FieldElement(1), y=FieldElement(2))
-        assert share.as_tuple() == (1, 2)
-
-
-class TestGeneralShamir:
-    def test_split_and_reconstruct(self):
-        secret = FieldElement(123123123)
-        shares = split_secret(secret, threshold=3, share_count=5)
-        assert reconstruct_secret(shares[:3]) == secret
-        assert reconstruct_secret(shares[1:4]) == secret
-        assert reconstruct_secret(shares) == secret
-
-    def test_degree1_matches_rln(self):
-        secret = FieldElement(55)
-        coefficient = FieldElement(66)
-        shares = split_secret(secret, threshold=2, share_count=2, coefficients=[coefficient])
-        assert recover_secret(shares[0], shares[1]) == secret
-        assert shares[0].y == rln_share(secret, coefficient, shares[0].x).y
-
-    def test_below_threshold_gives_wrong_secret(self):
-        secret = FieldElement(999)
-        shares = split_secret(
-            secret,
-            threshold=3,
-            share_count=4,
-            coefficients=[FieldElement(123), FieldElement(456)],
-        )
-        # Interpolating a degree-2 polynomial from 2 points as if it were a
-        # line lands elsewhere.
-        assert recover_secret(shares[0], shares[1]) != secret
-
-    def test_threshold_validation(self):
-        with pytest.raises(ShamirError):
-            split_secret(FieldElement(1), threshold=1, share_count=3)
-        with pytest.raises(ShamirError):
-            split_secret(FieldElement(1), threshold=3, share_count=2)
-
-    def test_coefficient_count_validated(self):
-        with pytest.raises(ShamirError):
-            split_secret(
-                FieldElement(1), threshold=3, share_count=3, coefficients=[FieldElement(1)]
-            )
-
-    def test_reconstruct_needs_two_shares(self):
-        with pytest.raises(ShamirError):
-            reconstruct_secret([Share(x=FieldElement(1), y=FieldElement(1))])
-
-    def test_reconstruct_rejects_duplicate_x(self):
-        shares = [
-            Share(x=FieldElement(1), y=FieldElement(1)),
-            Share(x=FieldElement(1), y=FieldElement(2)),
-        ]
-        with pytest.raises(ShamirError):
-            reconstruct_secret(shares)
