@@ -10,9 +10,7 @@ GossipSub routing protocol" (§I):
   in a fixed order and an IHAVE to the rest, each skipping the peers that
   hold it (their slots are not refilled); each lazy peer's IHAVE lists the
   ids it was lazy for; a publisher floods (§III: ``D_EAGER = d``),
-* **heartbeat** doing mesh balancing, score decay and IHAVE gossip: kept
-  ids to non-mesh peers, and to each peer the ids that a forward no other
-  IHAVE covers (all eager, or a mesh below ``d_lo``) sent it,
+* **heartbeat** doing mesh balancing, score decay and IHAVE gossip,
 * **IHAVE/IWANT** lazy pull: an id still unseen one link latency
   (``worst_case()``) plus our longest recent forward lag after its IHAVE's
   instant is asked of one announcer, and of the next if a window passes
@@ -180,8 +178,6 @@ class GossipSubRouter:
         self._lazy: dict[str, dict[str, list[bytes]]] = {}
         self._wait: dict[str, list[bytes]] = {}
         self._fetch: dict[str, list[bytes]] = {}
-        #: Per topic and target, the ids this window's uncovered forwards sent.
-        self._uncovered: dict[str, dict[str, list[bytes]]] = {}
         self._flush_due = False
         self._lag = [0.0, 0.0]  # longest first-copy -> forward delay, this window and the last
         #: Optional distributed-tracing hook, set by the RLN layer: called
@@ -498,19 +494,15 @@ class GossipSubRouter:
         ``flood`` or the mesh is thin), an IHAVE to the rest, then drop the
         holders from both: a holder's slot is not refilled."""
         topic = message.topic
-        mesh = self._mesh.get(topic, set())
-        targets = mesh - exclude
+        targets = self._mesh.get(topic, set()) - exclude
         if not targets:  # before the holders go: a mesh holding it is not thin
             targets = self.topic_peers(topic) - exclude
             flood = True
         if self.scoring:
             now = self.simulator.now
             targets = {peer for peer in targets if self.scoring.accepts_publish(peer, now)}
-        # No other IHAVE covers a lost copy or IHAVE of a forward with no lazy
-        # target or from a mesh below d_lo: the next heartbeat repeats it.
-        announce = len(mesh) < self.params.d_lo
         if flood or len(targets) <= D_EAGER:
-            peers, lazy, announce = sorted(targets), (), True
+            peers, lazy = sorted(targets), ()
         else:
             # Eager order: a hash of (this peer, target), so no rng draw and
             # no PYTHONHASHSEED dependence.
@@ -521,10 +513,6 @@ class GossipSubRouter:
             peers = [peer for peer in peers if peer not in holders]
             lazy = [peer for peer in lazy if peer not in holders]
             self.stats.suppressed += len(targets) - len(peers) - len(lazy)
-        if announce:
-            uncovered = self._uncovered.setdefault(topic, {})
-            for peer in (*peers, *lazy):
-                uncovered.setdefault(peer, []).append(message.msg_id)
         if lazy:
             self._flush_later()
             queued = self._lazy.setdefault(topic, {})
@@ -613,18 +601,10 @@ class GossipSubRouter:
             self._send(peer, RPC(prune=(Prune(topic=topic),)))
 
     def _emit_gossip(self, topic: str) -> None:
-        """IHAVE the uncovered ids to the peers they went to, and the gossip
-        ids to up to ``d_lazy`` non-mesh peers."""
-        now = self.simulator.now
-        if uncovered := self._uncovered.pop(topic, None):
-            self.stats.gossip_sent += self._send_lists(
-                ((peer, tuple(ids)) for peer, ids in uncovered.items()
-                 if self.scoring is None or self.scoring.accepts_gossip(peer, now)),
-                lambda ids: RPC(ihave=(IHave(topic=topic, msg_ids=ids),)),
-            )
         ids = self._table.gossip(topic)
         if not ids:
             return
+        now = self.simulator.now
         mesh = self._mesh.get(topic, set())
         candidates = [
             peer

@@ -68,7 +68,7 @@ GOLDEN = {
     # 1 385 events (1 156), the same 325 deliveries, mean time 22.701 s
     # (22.742 s).  ``size_flushes`` and ``deadline_flushes`` are gone.
     "batched": {
-        "checks": "5a5697ac1c92c7ef8b0e111d032d900ff8dd33c816c85232661ea74f9b828406",
+        "checks": "33824b1b74dcd6b449e7a8e1f4950cad7e6c613d86669995815e0911474247c9",
         # Re-pinned when peers with a pending verdict began announcing
         # what they hold (IDONTWANT) and being spared copies of it, and
         # again when that IDONTWANT stopped going to the peer that sent
@@ -77,14 +77,8 @@ GOLDEN = {
         # each mesh peer's IDONTWANT began listing only the ids it is not
         # known to hold: 227 frames (256), 503 forwards (487), 81 duplicates
         # (65), 220 250 gossipsub bytes (224 202), 1 512 events (1 385);
-        # ``checks`` and ``deliveries`` unchanged.  Re-pinned with
-        # ``checks`` when each heartbeat began announcing again the ids
-        # that forwards no other IHAVE covers sent (every forward in a
-        # degree-3 mesh): 109 more IHAVE frames, 272 691 gossipsub bytes
-        # (220 250), 1 642 events (1 512); 81 shed bundles are fetched and
-        # validated again, 72 shed again by the sender's bucket and 9
-        # rejected; ``deliveries`` unchanged.
-        "routing": "b4eff6ed86c1c4ad659efdb313acb489d021a232b62aa941c0eacb30d350f1cb",
+        # ``checks`` and ``deliveries`` unchanged.
+        "routing": "4ba2727edcf9656c3f6b666e2425a4d42e1e66e0a6bbf98e9d339859c7c17196",
         "deliveries": "f54825ccc4963a6ad9db353bbd2c3c0c9aff1760aca17fa8d0f5d9b2c8bc4322",
     },
     # Re-pinned when an inline verdict's forward moved to the end of its
@@ -95,15 +89,10 @@ GOLDEN = {
     # that a later copy re-validates (``checks``: ``ratelimit`` 28 -> 30).
     # ``checks`` re-pinned again when ``size_flushes`` and
     # ``deadline_flushes`` left ``BatchVerifierStats``: the parent's record
-    # without those two keys hashes to this digest.  ``checks`` and
-    # ``routing`` re-pinned when each heartbeat began announcing again the
-    # ids that forwards no other IHAVE covers sent: 110 more IHAVE frames,
-    # 330 783 gossipsub bytes (269 156), 1 039 events (906); 81 shed
-    # bundles are fetched and validated again, 78 shed again and 3
-    # rejected; ``deliveries`` unchanged.
+    # without those two keys hashes to this digest.
     "inline": {
-        "checks": "faa21534e226c5d33888f98d730bca1cf7e105b931334c92a9204ed89dc6a3fb",
-        "routing": "c8a30d56e97fe77ec329c5f3efefeca12c293c8ba493048bf683b549aa4af83e",
+        "checks": "e8f496b6e860c8b75e8ee1b38f4a03ac9827c5d1198caf085faca4f315a08984",
+        "routing": "aa78badc135eaff35d115a94f12afd8aa54bc7ed06e92e2231350802d53d92ed",
         "deliveries": "861439d2716d54e55454c71c1e7bb77ba5fbd0c2c13e629a90a739e5aafd6915",
     },
 }

@@ -47,11 +47,8 @@ CONTENT = {
     "collector": "847255aeb491c82a80a2c414c15c4e17752f69894ce238c51a180017e3181e50",
     # Re-pinned with IDONTWANT (fewer gossipsub copies), and when each mesh
     # peer's IDONTWANT began listing only the ids it is not known to hold:
-    # the same 516 gossipsub messages, 135 780 bytes (144 996).  Re-pinned
-    # when each heartbeat began announcing again the ids that forwards no
-    # other IHAVE covers sent (every forward in this degree-3 fleet): 612
-    # gossipsub messages (516), 150 564 bytes (135 780).
-    "network": "3a66178e8abd7f786a18f5300d548ec973eba08738b172ab4a2e5fb7c9388533",
+    # the same 516 gossipsub messages, 135 780 bytes (144 996).
+    "network": "0871f4ed3e97748a8a1a7e0ed388d73bf671a9fa0bc85ce24cce7aa7c31b90fc",
 }
 WIRE = "e33ad8d71582dc10a125ac69964a6045770b554d586126dd2d0fced752ccfb89"
 

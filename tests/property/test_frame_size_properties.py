@@ -94,18 +94,16 @@ def fleet_run(monkeypatch, telemetry):
 #: message's span context through the router's trace rewriter — the
 #: ``production_fleet`` path.  Re-pinned (from 240 532 / 262 132 B over 650
 #: sends) when a relay began forwarding at the end of the instant, skipping
-#: every peer whose copy reached it in that instant; and again (from
-#: 183 508 / 199 924 B over 506 sends) when each heartbeat began announcing
-#: again the ids that forwards no other IHAVE covers sent: 96 IHAVE sends.
+#: every peer whose copy reached it in that instant.
 @pytest.mark.parametrize(
-    "traced, billed", [(False, 203_668), (True, 220_084)], ids=["untraced", "traced"]
+    "traced, billed", [(False, 183_508), (True, 199_924)], ids=["untraced", "traced"]
 )
 def test_a_fleet_is_billed_the_parents_integers(monkeypatch, traced, billed):
     telemetry = Telemetry(trace_sample=1.0) if traced else None
     dep, sent = fleet_run(monkeypatch, telemetry)
     assert dep.network.total_bytes() == billed
     assert dep.network.protocol_bytes() == {"gossipsub": billed}
-    assert dep.network.total_messages() == len(sent) == 602
+    assert dep.network.total_messages() == len(sent) == 506
     # ... and what was billed is what frames built from scratch weigh.
     assert sum(rebuilt(rpc).byte_size() for rpc in sent) == billed
     hops = {

@@ -217,7 +217,7 @@ BUDGET = {
     "core": 2010,
     "crypto": 1786,
     "exec": 427,
-    "gossipsub": 1238,
+    "gossipsub": 1218,
     "net": 983,
     "offchain": 609,
     "pipeline": 1064,
