@@ -42,6 +42,7 @@ from repro.core.deployment import RLNDeployment
 from repro.errors import ProtocolError
 from repro.pipeline.pipeline import PipelineConfig
 from repro.telemetry import CollectorOptions, TelemetrySnapshot
+from repro.testing import inbox
 
 #: members -> tree depth: capacity 2^14 / 2^17 / 2^20 (E16 convention).
 SCALES = {10_000: 14, 100_000: 17, 1_000_000: 20}
@@ -69,8 +70,12 @@ def build(members: int, *, collector: bool) -> RLNDeployment:
     )
 
 
-def drive(deployment: RLNDeployment) -> None:
-    """Honest+flood load: honest publishers plus a double-spend spammer."""
+def drive(deployment: RLNDeployment) -> list[list]:
+    """Honest+flood load: honest publishers plus a double-spend spammer.
+
+    Returns each peer's inbox of what its relay delivered.
+    """
+    inboxes = [inbox(peer) for peer in deployment.peers.values()]
     deployment.register_all()
     deployment.form_meshes()
     for index, publisher in enumerate(("peer-000", "peer-001", "peer-002")):
@@ -80,6 +85,7 @@ def drive(deployment: RLNDeployment) -> None:
     spammer.publish(b"e17-spam-a")
     spammer.publish(b"e17-spam-b", force=True)  # the flood half: epoch reuse
     deployment.run(5.0)
+    return inboxes
 
 
 def offline_merge(deployment: RLNDeployment) -> TelemetrySnapshot:
@@ -173,7 +179,7 @@ def test_disabled_collector_keeps_the_wire_clean(report_sink):
     plain = build(10_000, collector=False)
     observed = build(10_000, collector=True)
     drive(plain)
-    drive(observed)
+    inboxes = drive(observed)
     observed.flush_telemetry()
 
     leaked = telemetry_bytes(plain)
@@ -191,7 +197,7 @@ def test_disabled_collector_keeps_the_wire_clean(report_sink):
     relay_bytes = observed.network.protocol_bytes()["gossipsub"]
     assert plain.network.protocol_bytes()["gossipsub"] == relay_bytes
     ratio = telemetry_bytes(observed) / relay_bytes
-    deliveries = sum(len(peer.received) for peer in observed.peers.values())
+    deliveries = sum(len(got) for got in inboxes)
     per_delivery = telemetry_bytes(observed) / deliveries
     assert per_delivery <= BYTES_PER_DELIVERY_BOUND, (
         f"telemetry bytes per delivery {per_delivery:.1f} > {BYTES_PER_DELIVERY_BOUND:.1f}"

@@ -49,6 +49,7 @@ from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.pipeline.pipeline import PipelineConfig
 from repro.telemetry import CollectorOptions
+from repro.testing import inbox
 
 #: members -> tree depth: capacity 2^14 / 2^17 (E16/E17 convention).
 SCALES = {10_000: 14, 100_000: 17}
@@ -86,8 +87,12 @@ def build(members: int, *, collector: bool, trace_sample: float = 0.0) -> RLNDep
     )
 
 
-def drive(deployment: RLNDeployment) -> None:
-    """Honest+flood load: honest publishers plus a double-spend spammer."""
+def drive(deployment: RLNDeployment) -> dict[str, list]:
+    """Honest+flood load: honest publishers plus a double-spend spammer.
+
+    Returns each peer's inbox of what its relay delivered, by peer id.
+    """
+    inboxes = {peer_id: inbox(peer) for peer_id, peer in deployment.peers.items()}
     deployment.register_all()
     deployment.form_meshes()
     for publisher, payload in HONEST:
@@ -97,14 +102,15 @@ def drive(deployment: RLNDeployment) -> None:
     spammer.publish(b"e19-spam-a")
     spammer.publish(b"e19-spam-b", force=True)  # the flood half: epoch reuse
     deployment.run(5.0)
+    return inboxes
 
 
-def receivers_of(deployment: RLNDeployment, payload: bytes) -> set[str]:
+def receivers_of(inboxes: dict[str, list], payload: bytes) -> set[str]:
     """The routers' delivery record: which peers delivered this payload."""
     return {
         peer_id
-        for peer_id, peer in deployment.peers.items()
-        if any(m.payload == payload for m in peer.received)
+        for peer_id, delivered in inboxes.items()
+        if any(m.payload == payload for m in delivered)
     }
 
 
@@ -118,10 +124,10 @@ def trees_by_origin(deployment: RLNDeployment) -> dict[str, list]:
     return by_origin
 
 
-def assert_matches_delivery_record(tree, deployment, origin, payload) -> None:
+def assert_matches_delivery_record(tree, inboxes, origin, payload) -> None:
     """The tree IS the delivery record: hop for hop, peer for peer."""
     assert tree.complete, payload
-    receivers = receivers_of(deployment, payload)
+    receivers = receivers_of(inboxes, payload)
     assert origin in receivers  # local delivery at the publisher
     relay = tree.relay_spans()
     # One relay span per non-origin delivery (the origin's local delivery
@@ -140,7 +146,7 @@ def assert_matches_delivery_record(tree, deployment, origin, payload) -> None:
 @pytest.mark.parametrize("members", sorted(SCALES))
 def test_every_delivery_assembles_into_one_rooted_tree(members, report_sink):
     deployment = build(members, collector=True, trace_sample=1.0)
-    drive(deployment)
+    inboxes = drive(deployment)
     deployment.flush_telemetry()
     collector = deployment.collector
     assert collector is not None and collector.stats.lost_batches == 0
@@ -156,7 +162,7 @@ def test_every_delivery_assembles_into_one_rooted_tree(members, report_sink):
         assert deployment.delivery_count(payload) == PEERS, payload
         assert len(by_origin[publisher]) == 1, publisher
         assert_matches_delivery_record(
-            by_origin[publisher][0], deployment, publisher, payload
+            by_origin[publisher][0], inboxes, publisher, payload
         )
 
     # The flood half: the spammer's two publishes are two traces.  Both
@@ -240,7 +246,7 @@ def test_sample_zero_is_wire_silent_and_bit_identical(report_sink):
     plain = build(10_000, collector=False)
     silent = build(10_000, collector=True, trace_sample=0.0)
     drive(plain)
-    drive(silent)
+    inboxes = drive(silent)
     silent.flush_telemetry()
 
     # Zero cross-peer spans minted, exported, or assembled: every span
@@ -258,8 +264,8 @@ def test_sample_zero_is_wire_silent_and_bit_identical(report_sink):
     )
     assert all(
         message.trace is None
-        for peer in silent.peers.values()
-        for message in peer.received
+        for delivered in inboxes.values()
+        for message in delivered
     )
 
     # Relay figures bit-identical: the SpanContext is absent from the
@@ -321,6 +327,7 @@ def fanout_row(degree: int) -> dict:
     deployment.form_meshes()
     network, simulator = deployment.network, deployment.simulator
     arrivals: dict[bytes, dict[str, float]] = {}
+    inboxes = {peer_id: inbox(peer) for peer_id, peer in deployment.peers.items()}
     for peer_id, peer in deployment.peers.items():
         peer.relay.subscribe(
             lambda message, peer_id=peer_id: arrivals.setdefault(
@@ -340,8 +347,8 @@ def fanout_row(degree: int) -> dict:
 
     # Complete, once-only delivery: the rule never costs a first copy.
     for payload in published:
-        for peer_id, peer in deployment.peers.items():
-            count = sum(1 for m in peer.received if m.payload == payload)
+        for peer_id, delivered in inboxes.items():
+            count = sum(1 for m in delivered if m.payload == payload)
             assert count == 1, (degree, payload, peer_id, count)
     latencies = [
         when - published[payload][1]

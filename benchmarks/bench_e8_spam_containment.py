@@ -31,16 +31,16 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import random_regular
 from repro.net.transport import Network
+from repro.testing import inbox
 
 PEERS = 16
 SPAM_TARGET = 30  # messages the spammer tries to land
 ATTACK_SECONDS = 120.0
 
 
-def spam_received(peers) -> int:
+def spam_received(inboxes) -> int:
     return sum(
-        sum(1 for m in p.received if m.payload.startswith(SPAM_PREFIX))
-        for p in peers.values()
+        sum(1 for m in got if m.payload.startswith(SPAM_PREFIX)) for got in inboxes
     )
 
 
@@ -55,13 +55,14 @@ def arm_none() -> dict:
     for p in peers.values():
         p.start()
     sim.run(3.0)
+    inboxes = [inbox(p) for p in peers.values()]
     for i in range(SPAM_TARGET):
         peers["peer-000"].publish(SPAM_PREFIX + b"%d" % i)
         sim.run(sim.now + ATTACK_SECONDS / SPAM_TARGET)
     sim.run(sim.now + 5)
     return {
         "arm": "no defence",
-        "spam_delivered": spam_received(peers),
+        "spam_delivered": spam_received(inboxes),
         "attacker_cost": "0",
         "spammer_removed": "no",
     }
@@ -80,6 +81,7 @@ def arm_pow() -> dict:
         )
         peers[n].start()
     sim.run(3.0)
+    inboxes = [inbox(p) for p in peers.values()]
     for i in range(SPAM_TARGET):
         peers["peer-000"].publish(SPAM_PREFIX + b"%d" % i)
         sim.run(sim.now + ATTACK_SECONDS / SPAM_TARGET)
@@ -87,7 +89,7 @@ def arm_pow() -> dict:
     honest_mint = expected_mint_seconds(difficulty, 1e5)
     return {
         "arm": f"PoW (difficulty {difficulty})",
-        "spam_delivered": spam_received(peers),
+        "spam_delivered": spam_received(inboxes),
         "attacker_cost": f"{expected_mint_seconds(difficulty, 1e8) * SPAM_TARGET:.2f}s CPU",
         "spammer_removed": "no",
         "honest_burden": f"{honest_mint:.2f}s mint per phone message",
@@ -109,6 +111,7 @@ def arm_scoring() -> dict:
     for p in peers.values():
         p.start()
     sim.run(3.0)
+    inboxes = [inbox(p) for p in peers.values()]
     army = BotArmy(
         network=network,
         simulator=sim,
@@ -122,7 +125,7 @@ def arm_scoring() -> dict:
     army.halt()
     return {
         "arm": "peer scoring + bot army",
-        "spam_delivered": spam_received(peers),
+        "spam_delivered": spam_received(inboxes),
         "attacker_cost": f"{army.stats.bots_spawned} free identities",
         "spammer_removed": f"{army.stats.bots_retired} graylisted, all replaced",
     }
@@ -136,6 +139,7 @@ def arm_rln() -> dict:
     dep.register_all()
     dep.form_meshes(5.0)
     spammer = dep.peer("peer-000")
+    honest = [inbox(p) for n, p in dep.peers.items() if n != "peer-000"]
     deposit_eth = dep.contract.deposit / WEI
     sent = 0
     for i in range(SPAM_TARGET):
@@ -146,10 +150,9 @@ def arm_rln() -> dict:
             break  # slashed out of the group
         dep.run(ATTACK_SECONDS / SPAM_TARGET)
     dep.run(6 * dep.chain.block_interval)
-    honest_peers = {n: p for n, p in dep.peers.items() if n != "peer-000"}
     return {
         "arm": "WAKU-RLN-RELAY",
-        "spam_delivered": spam_received(honest_peers),
+        "spam_delivered": spam_received(honest),
         "attacker_cost": f"{deposit_eth:.0f} ETH slashed",
         "spammer_removed": "yes" if not dep.contract.is_member(spammer.identity.pk) else "no",
         "messages_attempted": sent,

@@ -10,7 +10,9 @@ proof, two bind another payload and one is ten epochs stale.  In the first
 round ``peer-002`` signals twice in one epoch and is slashed.  After the
 slash settles the fleet runs :data:`MCACHE_LENGTH` more heartbeats, so
 every accepted message has aged out of the gossip windows and each relay
-holds only what it keeps per judged message id.
+holds only what it keeps per judged message id.  Peers keep no delivery
+history, so no delivered bundle (the attacker's forged ones included: it
+delivers them to itself) outlives the windows.
 
 The probe prints:
 

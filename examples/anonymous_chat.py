@@ -16,6 +16,7 @@ Run:  python examples/anonymous_chat.py
 """
 
 from repro.core import RLNConfig, RLNDeployment
+from repro.testing import inbox
 from repro.waku.filter import FilterClient, FilterNode
 from repro.waku.store import HistoryQuery, StoreClient, StoreNode
 
@@ -36,6 +37,8 @@ def main() -> None:
     phone = FilterClient("phone", room.network)
     phone.subscribe("peer-001", (CHAT_TOPIC,))
     room.run(1.0)
+    # Peers keep no history: peer-005's app holds what it was delivered.
+    app = inbox(room.peer("peer-005"))
 
     script = [
         ("peer-002", b"anyone here?"),
@@ -48,7 +51,7 @@ def main() -> None:
         room.run(1.5)  # > 1 epoch between an author's messages
 
     print("room transcript as each peer's app saw it (peer-005):")
-    for message in room.peer("peer-005").received:
+    for message in app:
         if message.content_topic == CHAT_TOPIC:
             print(f"   <anon> {message.payload.decode()}")
 

@@ -26,15 +26,15 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import random_regular
 from repro.net.transport import Network
+from repro.testing import inbox
 
 PEERS = 12
 SPAM_BURST = 20
 
 
-def spam_count(peers) -> int:
+def spam_count(inboxes) -> int:
     return sum(
-        sum(1 for m in p.received if m.payload.startswith(SPAM_PREFIX))
-        for p in peers.values()
+        sum(1 for m in got if m.payload.startswith(SPAM_PREFIX)) for got in inboxes
     )
 
 
@@ -55,11 +55,12 @@ def plain_network(seed, scoring=False, classifier=None):
 
 def arm_none():
     sim, _, peers = plain_network(11)
+    inboxes = [inbox(p) for p in peers.values()]
     for i in range(SPAM_BURST):
         peers["peer-000"].publish(SPAM_PREFIX + b"%d" % i)
         sim.run(sim.now + 1)
     sim.run(sim.now + 5)
-    return ("no defence", spam_count(peers), "nothing")
+    return ("no defence", spam_count(inboxes), "nothing")
 
 
 def arm_pow():
@@ -73,6 +74,7 @@ def arm_pow():
                                 rng=random.Random(12 + i))
         peers[n].start()
     sim.run(3.0)
+    inboxes = [inbox(p) for p in peers.values()]
     for i in range(SPAM_BURST):
         peers["peer-000"].publish(SPAM_PREFIX + b"%d" % i)
         sim.run(sim.now + 1)
@@ -80,7 +82,7 @@ def arm_pow():
     cpu = expected_mint_seconds(16, 1e8) * SPAM_BURST
     return (
         "proof-of-work",
-        spam_count(peers),
+        spam_count(inboxes),
         f"{cpu:.2f}s server CPU (a phone would need "
         f"{expected_mint_seconds(16, 1e5):.1f}s PER honest message)",
     )
@@ -90,6 +92,7 @@ def arm_scoring():
     rng = random.Random(5)
     classifier = lambda m: m.payload.startswith(SPAM_PREFIX) and rng.random() < 0.6
     sim, net, peers = plain_network(13, scoring=True, classifier=classifier)
+    inboxes = [inbox(p) for p in peers.values()]
     army = BotArmy(network=net, simulator=sim, targets=sorted(peers)[:5],
                    send_interval=1.0, messages_before_rotation=10, rng=random.Random(14))
     army.launch(bot_count=1)
@@ -97,7 +100,7 @@ def arm_scoring():
     army.halt()
     return (
         "peer scoring",
-        spam_count(peers),
+        spam_count(inboxes),
         f"{army.stats.bots_spawned} identities (free) — "
         f"{army.stats.bots_retired} graylisted and simply replaced",
     )
@@ -109,6 +112,7 @@ def arm_rln():
     dep.register_all()
     dep.form_meshes()
     spammer = dep.peer("peer-000")
+    honest = [inbox(p) for n, p in dep.peers.items() if n != "peer-000"]
     for i in range(SPAM_BURST):
         try:
             spammer.publish(SPAM_PREFIX + b"%d" % i, force=True)
@@ -116,7 +120,6 @@ def arm_rln():
             break
         dep.run(1.0)
     dep.run(6 * dep.chain.block_interval)
-    honest = {n: p for n, p in dep.peers.items() if n != "peer-000"}
     removed = not dep.contract.is_member(spammer.identity.pk)
     return (
         "WAKU-RLN-RELAY",

@@ -63,8 +63,6 @@ class PlainRelayPeer:
         )
         if classifier is not None:
             self.relay.set_validator(self._validate)
-        self.received: list[WakuMessage] = []
-        self.relay.subscribe(self.received.append)
 
     def start(self) -> None:
         self.relay.start()

@@ -101,8 +101,6 @@ class PoWRelayPeer:
         self.stats = PoWPeerStats()
         self.relay = WakuRelay(peer_id, network, simulator, rng=self.rng)
         self.relay.set_validator(self._validate)
-        self.received: list[WakuMessage] = []
-        self.relay.subscribe(self.received.append)
 
     def start(self) -> None:
         self.relay.start()

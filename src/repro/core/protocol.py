@@ -192,8 +192,6 @@ class WakuRLNRelayPeer:
         if self.telemetry.enabled:
             self.relay.router.trace_rewriter = self._rewrite_trace
 
-        self.received: list[WakuMessage] = []
-        self.relay.subscribe(self.received.append)
         self._spam_callbacks: list[Callable[[SpamEvidence], None]] = []
         self._published_epochs: dict[int, int] = {}
         self._registration_tx: int | None = None

@@ -1,10 +1,15 @@
-"""Test and benchmark support: the shared §III-E bundle-minting flow.
+"""Test and benchmark support: the shared §III-E bundle-minting flow and
+delivery inboxes.
 
 The unit-test fixtures (``tests/conftest.py``) and the experiment
 harnesses (``benchmarks/``) both need a registered member that can mint
 honest proof bundles: the registration transaction lives here, and
 :func:`mint_bundle` is :func:`repro.core.protocol.build_message` fed
 from a group manager.
+
+Peers keep no delivery history.  To know *how many* peers got a payload,
+read :meth:`~repro.core.deployment.RLNDeployment.delivery_count`; to see
+the messages, subscribe an :func:`inbox` before publishing.
 """
 
 from __future__ import annotations
@@ -65,3 +70,11 @@ def mint_bundle(
         prover=prover,
         content_topic=content_topic,
     )
+
+
+def inbox(peer) -> list[WakuMessage]:
+    """A list that ``peer``'s relay appends each delivery to from now on
+    (``peer``: an RLN peer or either baseline peer)."""
+    messages: list[WakuMessage] = []
+    peer.relay.subscribe(messages.append)
+    return messages

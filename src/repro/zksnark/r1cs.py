@@ -120,6 +120,7 @@ class ConstraintSystem:
     """
 
     num_public: int = 0
+    num_constraints: int = 0
     constraints: list[Constraint] = dataclass_field(default_factory=list)
     _num_vars: int = 1  # variable 0 is the constant ONE
     _assignment: dict[int, FieldElement] = dataclass_field(default_factory=dict)
@@ -132,10 +133,6 @@ class ConstraintSystem:
     @property
     def num_variables(self) -> int:
         return self._num_vars
-
-    @property
-    def num_constraints(self) -> int:
-        return len(self.constraints)
 
     def allocate(self, value: FieldElement | None = None) -> int:
         """Allocate a new auxiliary variable, optionally assigning a value."""
@@ -179,6 +176,7 @@ class ConstraintSystem:
         self.constraints.append(
             Constraint(a=_as_lc(a), b=_as_lc(b), c=_as_lc(c), annotation=annotation)
         )
+        self.num_constraints += 1
 
     def enforce_equal(
         self,
@@ -263,3 +261,11 @@ class ConstraintSystem:
         except (ConstraintViolation, SnarkError):
             return False
         return True
+
+
+class ConstraintCounter(ConstraintSystem):
+    """A sink that counts each ``enforce`` and stores nothing: a builder run
+    over it yields the system's shape without holding the system."""
+
+    def enforce(self, a, b, c, annotation: str = "") -> None:
+        self.num_constraints += 1

@@ -54,7 +54,7 @@ from repro.zksnark.gadgets import (
     poseidon_hash_gadget,
     rln_share_gadget,
 )
-from repro.zksnark.r1cs import ConstraintSystem, LinearCombination
+from repro.zksnark.r1cs import ConstraintCounter, ConstraintSystem, LinearCombination
 
 LC = LinearCombination
 
@@ -160,10 +160,15 @@ def synthesize(
 
     With ``public`` and ``witness`` given, the returned system carries a
     full assignment (compile + witness generation in one pass); without
-    them it is purely symbolic, which is what setup-time key generation
-    uses to learn the circuit shape.  ``message_limit`` is a fixed circuit
-    parameter (RLN-v2); ``None`` compiles the paper's circuit.
+    them it is purely symbolic.  Either way every constraint is stored
+    (:func:`circuit_shape` only counts them).  ``message_limit`` is a fixed
+    circuit parameter (RLN-v2); ``None`` compiles the paper's circuit.
     """
+    return _build(ConstraintSystem(), depth, public, witness, message_limit)
+
+
+def _build(cs, depth, public, witness, message_limit) -> ConstraintSystem:
+    """Emit the RLN circuit into ``cs``; :func:`synthesize`'s arguments."""
     limited = message_limit is not None
     if limited and not 1 <= message_limit <= (1 << MESSAGE_ID_BITS):
         raise SnarkError(f"message_limit must be in [1, 2^{MESSAGE_ID_BITS}]")
@@ -175,7 +180,6 @@ def synthesize(
         )
     if witness is not None and (witness.message_id is not None) != limited:
         raise ProvingError("a message id is witnessed exactly when a limit is set")
-    cs = ConstraintSystem()
 
     # -- public block (order is part of the verification key) ---------------
     names = PUBLIC_INPUT_ORDER + ("message_limit",) if limited else PUBLIC_INPUT_ORDER
@@ -244,10 +248,11 @@ class CircuitShape:
 
 @lru_cache(maxsize=16)
 def circuit_shape(depth: int, message_limit: int | None = None) -> CircuitShape:
-    """Shape of the depth-``depth`` RLN circuit (cached; symbolic compile)."""
+    """Shape of the depth-``depth`` RLN circuit (cached): :func:`synthesize`'s
+    builder run symbolically over a ``ConstraintCounter``, storing nothing."""
     if not 1 <= depth <= 32:
         raise SnarkError(f"depth must be in [1, 32], got {depth}")
-    cs = synthesize(depth, message_limit=message_limit)
+    cs = _build(ConstraintCounter(), depth, None, None, message_limit)
     return CircuitShape(
         depth=depth,
         num_constraints=cs.num_constraints,

@@ -11,6 +11,7 @@ from repro.core.deployment import RLNDeployment
 from repro.gossipsub.scoring import ScoreParams
 from repro.pipeline.pipeline import PipelineConfig
 from repro.pipeline.ratelimit import BucketSpec
+from repro.testing import inbox
 
 DEPTH = 8
 
@@ -59,6 +60,7 @@ class TestWorkerLaneDeployment:
             dep = make_deployment(
                 PipelineConfig(workers=workers, batch_size=4), seed=73
             )
+            inboxes = {name: inbox(peer) for name, peer in dep.peers.items()}
             dep.peer("peer-001").publish(b"hello")
             dep.run(3.0)
             spammer = dep.peer("peer-004")
@@ -71,7 +73,7 @@ class TestWorkerLaneDeployment:
                     name: (
                         dict(peer.validator.stats.outcomes),
                         peer.stats.spam_detected,
-                        sorted(m.payload for m in peer.received),
+                        sorted(m.payload for m in inboxes[name]),
                     )
                     for name, peer in dep.peers.items()
                 }

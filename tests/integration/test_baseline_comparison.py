@@ -18,15 +18,15 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import random_regular
 from repro.net.transport import Network
+from repro.testing import inbox
 
 DEPTH = 8
 PEERS = 10
 
 
-def spam_received(peers) -> int:
+def spam_received(inboxes) -> int:
     return sum(
-        sum(1 for m in p.received if m.payload.startswith(SPAM_PREFIX))
-        for p in peers.values()
+        sum(1 for m in got if m.payload.startswith(SPAM_PREFIX)) for got in inboxes
     )
 
 
@@ -98,12 +98,13 @@ class TestPoWArm:
             )
             peers[name].start()
         sim.run(3.0)
+        inboxes = [inbox(p) for p in peers.values()]
         for i in range(20):
             peers["peer-000"].publish(SPAM_PREFIX + b"%d" % i)
         sim.run(sim.now + 30)
         # All 20 spam messages delivered network-wide: PoW cannot stop a
         # well-resourced spammer, only identify... nothing.
-        assert spam_received(peers) >= 19 * (len(peers) - 1)
+        assert spam_received(inboxes) >= 19 * (len(peers) - 1)
 
 
 class TestScoringArm:
@@ -125,6 +126,7 @@ class TestScoringArm:
         for victim in victims.values():
             victim.start()
         sim.run(3.0)
+        inboxes = [inbox(v) for v in victims.values()]
         army = BotArmy(
             network=network,
             simulator=sim,
@@ -138,7 +140,7 @@ class TestScoringArm:
         army.halt()
         # Bots were burned and replaced, and spam kept landing.
         assert army.stats.bots_retired >= 2
-        assert spam_received(victims) > 20
+        assert spam_received(inboxes) > 20
 
 
 class TestNoDefenceArm:
@@ -155,7 +157,8 @@ class TestNoDefenceArm:
         for peer in peers.values():
             peer.start()
         sim.run(3.0)
+        inboxes = [inbox(p) for p in peers.values()]
         for i in range(10):
             peers["peer-000"].publish(SPAM_PREFIX + b"%d" % i)
         sim.run(sim.now + 10)
-        assert spam_received(peers) == 10 * len(peers)
+        assert spam_received(inboxes) == 10 * len(peers)

@@ -17,6 +17,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import random_regular
 from repro.net.transport import Network
+from repro.testing import inbox
 
 DEPTH = 8
 
@@ -73,11 +74,13 @@ class TestChurn:
             for neighbor in list(dep.network.neighbors(victim)):
                 dep.network.disconnect(victim, neighbor)
         dep.run(10.0)  # heartbeats notice the dead links and re-graft
+        survivors = [
+            inbox(p) for n, p in dep.peers.items() if n not in ("peer-003", "peer-007")
+        ]
         dep.peer("peer-000").publish(b"after the crash")
         dep.run(5.0)
-        survivors = [p for n, p in dep.peers.items() if n not in ("peer-003", "peer-007")]
         delivered = sum(
-            any(m.payload == b"after the crash" for m in p.received) for p in survivors
+            any(m.payload == b"after the crash" for m in got) for got in survivors
         )
         assert delivered == len(survivors)
 
@@ -138,15 +141,14 @@ class TestPartition:
         for a, b in cut:
             dep.network.disconnect(a, b)
         dep.run(5.0)
+        inboxes = {n: inbox(dep.peer(n)) for n in names}
         dep.peer(names[0]).publish(b"inside partition A")
         dep.run(5.0)
         a_got = sum(
-            any(m.payload == b"inside partition A" for m in dep.peer(n).received)
-            for n in half_a
+            any(m.payload == b"inside partition A" for m in inboxes[n]) for n in half_a
         )
         b_got = sum(
-            any(m.payload == b"inside partition A" for m in dep.peer(n).received)
-            for n in half_b
+            any(m.payload == b"inside partition A" for m in inboxes[n]) for n in half_b
         )
         assert a_got == 5 and b_got == 0
         # Heal: restore the cut edges; meshes re-graft on heartbeats.

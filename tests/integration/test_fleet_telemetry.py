@@ -23,6 +23,7 @@ from repro.core.deployment import RLNDeployment
 from repro.errors import ProtocolError
 from repro.telemetry import CollectorOptions, Telemetry, TelemetrySnapshot
 from repro.telemetry.disttrace import SpanRecord
+from repro.testing import inbox
 
 
 def drive(deployment: RLNDeployment) -> None:
@@ -98,17 +99,18 @@ def test_enabling_collector_does_not_perturb_relay_behaviour():
 
 @pytest.mark.parametrize("trace_sample", [0.0, 0.25, 1.0])
 def test_one_span_per_validation_at_every_sampling_rate(trace_sample):
-    def fleet(**kwargs) -> RLNDeployment:
+    def fleet(**kwargs) -> tuple[RLNDeployment, list]:
         deployment = RLNDeployment.create(peer_count=8, degree=4, seed=12, **kwargs)
         deployment.register_all()
         deployment.form_meshes()
+        inboxes = [inbox(peer) for peer in deployment.peers.values()]
         for peer_id, peer in deployment.peers.items():
             peer.publish(peer_id.encode())
             deployment.run(1.0)
         deployment.run(4.0)
-        return deployment
+        return deployment, inboxes
 
-    traced = fleet(collector=CollectorOptions(trace_sample=trace_sample))
+    traced, inboxes = fleet(collector=CollectorOptions(trace_sample=trace_sample))
     traced.flush_telemetry()
     collector = traced.collector
     validations = sum(p.router_stats.validations for p in traced.peers.values())
@@ -133,8 +135,8 @@ def test_one_span_per_validation_at_every_sampling_rate(trace_sample):
     assert not any(record.local for record in records)
     forwarded = {
         message.trace.trace_id
-        for peer in traced.peers.values()
-        for message in peer.received
+        for delivered in inboxes
+        for message in delivered
         if message.trace is not None
     }
     assert forwarded <= set(collector.assembler.trace_ids())
@@ -147,7 +149,7 @@ def test_one_span_per_validation_at_every_sampling_rate(trace_sample):
     if trace_sample == 0.0:
         assert not forwarded and collector.assembler.span_count == 0
         assert exported == 0
-        plain = fleet()
+        plain, _ = fleet()
         assert (
             plain.network.protocol_bytes()["gossipsub"]
             == traced.network.protocol_bytes()["gossipsub"]

@@ -13,6 +13,7 @@ from repro.core.validator import ValidationOutcome
 from repro.gossipsub.router import ValidationResult
 from repro.pipeline.pipeline import PipelineConfig
 from repro.pipeline.prefilter import PrefilterOutcome
+from repro.testing import inbox
 from repro.waku.message import WakuMessage
 
 DEPTH = 8
@@ -147,6 +148,7 @@ class TestBatchedDeployment:
             if use_seed_hook:
                 for peer in dep.peers.values():
                     install_seed_validator(peer)
+            inboxes = {name: inbox(peer) for name, peer in dep.peers.items()}
             publisher = dep.peer("peer-004")
             publisher.publish(b"hello")
             dep.run(3.0)
@@ -161,7 +163,7 @@ class TestBatchedDeployment:
                         dict(peer.validator.stats.outcomes),
                         peer.validator.stats.proofs_verified,
                         peer.stats.spam_detected,
-                        sorted(m.payload for m in peer.received),
+                        sorted(m.payload for m in inboxes[name]),
                     )
                     for name, peer in dep.peers.items()
                 }

@@ -194,11 +194,11 @@ class TestShardedDeployment:
         dep = RLNDeployment.create(peer_count=6, degree=3, seed=12, config=config)
         dep.register_all()
         dep.form_meshes(5.0)
+        delivered = testing.inbox(dep.peer("peer-004"))
         sender = dep.peer("peer-001")
         sender.publish(b"over the forest")
         dep.run(3.0)
-        receiver = dep.peer("peer-004")
-        assert any(m.payload == b"over the forest" for m in receiver.received)
+        assert any(m.payload == b"over the forest" for m in delivered)
 
     def test_flat_and_sharded_managers_share_roots(self):
         """Whatever the frozen ``tree_backend`` field carries, managers

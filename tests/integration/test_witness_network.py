@@ -102,6 +102,7 @@ class TestLightMemberPublishes:
             def publish(message):
                 push_client.push("peer-001", message)
 
+        delivered = testing.inbox(dep.peer("peer-004"))
         epoch = serving.current_epoch()
         published = []
         member.publish(
@@ -114,10 +115,7 @@ class TestLightMemberPublishes:
         assert published and member.published == 1
         # The mesh delivered it, and remote validators judged it VALID
         # through the unchanged §III-F pipeline.
-        receiver = dep.peer("peer-004")
-        assert any(
-            m.payload == b"hello from a treeless member" for m in receiver.received
-        )
+        assert any(m.payload == b"hello from a treeless member" for m in delivered)
         valid_counts = sum(
             p.validator.stats.count(ValidationOutcome.VALID)
             for p in dep.peers.values()
@@ -170,6 +168,7 @@ class TestLightMemberPublishes:
         member.prefetch_witness()
         dep.run(2.0)
         fetches_before = client.dispatcher.stats.attempts
+        delivered = testing.inbox(dep.peer("peer-002"))
         member.publish(
             b"warm cache", serving.current_epoch(), serving.relay.publish
         )
@@ -179,9 +178,7 @@ class TestLightMemberPublishes:
         assert client.dispatcher.stats.attempts == fetches_before
         assert client.cache.stats.hits == 1
         dep.run(3.0)
-        assert any(
-            m.payload == b"warm cache" for m in dep.peer("peer-002").received
-        )
+        assert any(m.payload == b"warm cache" for m in delivered)
 
 
 @pytest.fixture()

@@ -11,6 +11,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import random_regular
 from repro.net.transport import Network
+from repro.testing import inbox
 
 
 def build_victims(count=8, scoring=False, classifier=None, seed=21):
@@ -39,11 +40,11 @@ def build_victims(count=8, scoring=False, classifier=None, seed=21):
 class TestPlainPeer:
     def test_no_defence_relays_everything(self):
         sim, _, victims = build_victims()
+        inboxes = [inbox(v) for v in victims.values()]
         victims["peer-000"].publish(SPAM_PREFIX + b"junk")
         sim.run(sim.now + 3)
         delivered = sum(
-            any(m.payload.startswith(SPAM_PREFIX) for m in v.received)
-            for v in victims.values()
+            any(m.payload.startswith(SPAM_PREFIX) for m in got) for got in inboxes
         )
         assert delivered == len(victims)
 
@@ -51,12 +52,11 @@ class TestPlainPeer:
         sim, _, victims = build_victims(
             classifier=lambda m: m.payload.startswith(SPAM_PREFIX)
         )
+        others = [inbox(v) for n, v in victims.items() if n != "peer-000"]
         victims["peer-000"].publish(SPAM_PREFIX + b"junk")
         sim.run(sim.now + 3)
-        others = [v for n, v in victims.items() if n != "peer-000"]
         assert all(
-            not any(m.payload.startswith(SPAM_PREFIX) for m in v.received)
-            for v in others
+            not any(m.payload.startswith(SPAM_PREFIX) for m in got) for got in others
         )
 
     def test_censorship_false_positive_pruned(self):
@@ -97,14 +97,14 @@ class TestBotArmy:
             messages_before_rotation=12,
             rng=random.Random(77),
         )
+        inboxes = [inbox(v) for v in victims.values()]
         army.launch(bot_count=2)
         sim.run(sim.now + 90)
         army.halt()
         assert army.stats.bots_retired >= 2  # identities were burned...
         assert army.stats.bots_spawned > army.stats.bots_retired - 1  # ...and replaced
         spam_delivered = sum(
-            sum(1 for m in v.received if m.payload.startswith(SPAM_PREFIX))
-            for v in victims.values()
+            sum(1 for m in got if m.payload.startswith(SPAM_PREFIX)) for got in inboxes
         )
         # The paper's point: rotation keeps spam flowing through scoring.
         assert spam_delivered > 0

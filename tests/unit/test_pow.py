@@ -10,6 +10,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.topology import full_mesh
 from repro.net.transport import Network
+from repro.testing import inbox
 
 
 class TestCostModel:
@@ -59,12 +60,11 @@ class TestPoWPeer:
 
     def test_publish_after_minting_delay(self):
         sim, peers = self.build()
+        inboxes = [inbox(p) for p in peers.values()]
         delay = peers["peer-000"].publish(b"stamped")
         assert delay > 0
         sim.run(sim.now + delay + 5)
-        assert all(
-            any(m.payload == b"stamped" for m in p.received) for p in peers.values()
-        )
+        assert all(any(m.payload == b"stamped" for m in got) for got in inboxes)
 
     def test_underpowered_stamp_rejected(self):
         sim, peers = self.build(difficulty=12)
@@ -76,10 +76,11 @@ class TestPoWPeer:
             content_topic="t",
             rate_limit_proof=PoWStamp(nonce=1, difficulty=4),
         )
+        others = [p for name, p in peers.items() if name != "peer-000"]
+        inboxes = [inbox(p) for p in others]
         peers["peer-000"].relay.publish(cheap)
         sim.run(sim.now + 3)
-        others = [p for name, p in peers.items() if name != "peer-000"]
-        assert all(not any(m.payload == b"cheap" for m in p.received) for p in others)
+        assert all(not any(m.payload == b"cheap" for m in got) for got in inboxes)
         assert sum(p.stats.dropped_invalid for p in others) >= 1
 
     def test_mint_accounting(self):

@@ -1,10 +1,15 @@
 """Unit tests for the WakuRLNRelayPeer protocol node (small deployments)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.errors import ProtocolError, RegistrationError
+from repro.gossipsub.msgtable import MCACHE_LENGTH
+from repro.testing import inbox
 
 DEPTH = 8
 
@@ -86,6 +91,27 @@ class TestPublish:
             peer.publish(b"refused")
         peer.publish(b"forced", force=True)
         assert peer._published_epochs[peer.current_epoch()] == 2
+
+
+class TestDeliveryTally:
+    def test_no_peer_keeps_a_delivered_message(self, deployment):
+        message = deployment.peer("peer-000").publish(b"transient")
+        delivered = weakref.ref(message)
+        del message
+        heartbeat = deployment.peer("peer-000").relay.router.params.heartbeat_interval
+        deployment.run((MCACHE_LENGTH + 1) * heartbeat)
+        gc.collect()
+        assert delivered() is None
+        assert deployment.delivery_count(b"transient") == 6
+
+    def test_a_payload_delivered_in_two_epochs_counts_each_peer_once(self, deployment):
+        peer = deployment.peer("peer-001")
+        peer.publish(b"twice")
+        deployment.run(deployment.config.epoch_length + 1)
+        peer.publish(b"twice")
+        deployment.run(3.0)
+        assert peer.stats.published == 2
+        assert deployment.delivery_count(b"twice") == 6
 
 
 class TestSpamHandling:
@@ -242,6 +268,7 @@ class TestIngressRateLimit:
 
         dep = self._deployment()
         sender, receiver = dep.peer("peer-000"), dep.peer("peer-001")
+        delivered = inbox(receiver)
         message = sender._build_message(b"throttled", "t", sender.current_epoch())
         pubsub = PubSubMessage(
             topic=receiver.relay.pubsub_topic,
@@ -252,13 +279,13 @@ class TestIngressRateLimit:
             "peer-000", receiver.relay.pubsub_topic, dep.simulator.now
         )
         receiver.relay.router._handle_message("peer-000", pubsub)
-        assert message.payload not in [m.payload for m in receiver.received]
+        assert message.payload not in [m.payload for m in delivered]
         # The unjudged id was forgotten in the router's message table too.
         assert receiver.relay.router._table.get(pubsub.msg_id) is None
 
         dep.run(2.0)  # refill
         receiver.relay.router._handle_message("peer-000", pubsub)
-        assert message.payload in [m.payload for m in receiver.received]
+        assert message.payload in [m.payload for m in delivered]
 
     def test_departed_peer_buckets_pruned(self):
         dep = self._deployment()
@@ -297,6 +324,7 @@ class TestBatchedShutdown:
         dep.register_all()
         dep.form_meshes(4.0)
         sender, receiver = dep.peer("peer-000"), dep.peer("peer-001")
+        delivered = inbox(receiver)
         message = sender._build_message(b"parked", "t", sender.current_epoch())
         pubsub = PubSubMessage(
             topic=receiver.relay.pubsub_topic,
@@ -304,10 +332,10 @@ class TestBatchedShutdown:
         )
         receiver.relay.router._handle_message("peer-000", pubsub)
         assert len(receiver.pipeline.batch_verifier._pending) == 1
-        assert message.payload not in [m.payload for m in receiver.received]
+        assert message.payload not in [m.payload for m in delivered]
         receiver.stop()
         assert len(receiver.pipeline.batch_verifier._pending) == 0
-        assert message.payload in [m.payload for m in receiver.received]
+        assert message.payload in [m.payload for m in delivered]
 
         # An RPC already in flight when stop() ran still arrives; it must
         # be judged synchronously, never parked in a re-opened window.
@@ -321,7 +349,7 @@ class TestBatchedShutdown:
         )
         receiver.relay.router._handle_message("peer-000", late_pubsub)
         assert len(receiver.pipeline.batch_verifier._pending) == 0
-        assert late.payload in [m.payload for m in receiver.received]
+        assert late.payload in [m.payload for m in delivered]
 
         # Restarting the peer re-enables batching: a new bundle parks
         # behind the batch again instead of verifying synchronously.

@@ -212,22 +212,22 @@ KEPT_FOR = {
 
 BUDGET = {
     "analysis": 296,
-    "baselines": 391,
+    "baselines": 387,
     "chain": 975,
-    "core": 2010,
+    "core": 2023,
     "crypto": 1786,
     "exec": 427,
     "gossipsub": 1218,
     "net": 983,
     "offchain": 609,
     "pipeline": 1064,
-    "repro": 629,
+    "repro": 642,
     "revocation": 449,
     "telemetry": 3666,
     "treesync": 1311,
-    "waku": 859,
+    "waku": 860,
     "witness": 999,
-    "zksnark": 1386,
+    "zksnark": 1401,
 }
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the RLN circuit (statement of §II-B)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.crypto.engine import default_engine
@@ -94,12 +96,25 @@ class TestSynthesize:
         cs = synthesize(DEPTH)
         assert cs.num_constraints > 0
 
-    def test_shape_matches_synthesis(self):
+    def test_shape_matches_synthesis(self, setup):
+        # The counted shape equals a system that stores every constraint.
+        _, _, witness, public = setup
         shape = circuit_shape(DEPTH)
-        cs = synthesize(DEPTH)
-        assert shape.num_constraints == cs.num_constraints
+        cs = synthesize(DEPTH, public=public, witness=witness)
+        assert shape.num_constraints == cs.num_constraints == len(cs.constraints)
         assert shape.num_variables == cs.num_variables
-        assert shape.num_public == 5
+        assert shape.num_public == cs.num_public == 5
+
+    def test_shape_is_counted_without_storing_the_circuit(self):
+        # Storing depth 20's 5 579 constraints peaks at ~9.4 MiB.
+        tracemalloc.start()
+        try:
+            shape = circuit_shape.__wrapped__(20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shape.num_constraints == 5579
+        assert peak < 1 << 20
 
     def test_constraints_grow_with_depth(self):
         assert circuit_shape(6).num_constraints > circuit_shape(4).num_constraints
