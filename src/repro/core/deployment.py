@@ -63,8 +63,8 @@ class RLNDeployment:
     exporters: dict[str, TelemetryExporter] = field(default_factory=dict)
     collectors: dict[str, CollectorPeer] = field(default_factory=dict)
     #: payload -> bitmask of the peers (bit i: the i-th of :attr:`peers`)
-    #: whose relay delivered it, filled by one relay subscription per peer
-    #: (wired in :meth:`create`); it holds no message.
+    #: whose relay delivered it, one relay subscription per peer (wired in
+    #: :meth:`create`); no message, but never pruned: one entry per payload.
     _deliveries: dict[bytes, int] = field(default_factory=dict, init=False, repr=False)
 
     # -- construction -----------------------------------------------------------

@@ -27,10 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 DEFAULT_PUBSUB_TOPIC = "/waku/2/default-waku/proto"
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@dataclass(frozen=True, slots=True)
 class WakuMessage(memo_slots("_size")):
-    """One application message (its wire size remembered in a slot;
-    weak-referenceable, so a test can see that nothing keeps one alive)."""
+    """One application message (its wire size remembered in a slot)."""
 
     payload: bytes
     content_topic: str

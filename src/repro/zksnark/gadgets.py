@@ -49,17 +49,13 @@ def sbox_gadget(cs: ConstraintSystem, x: LC, tag: str, value: int | None = None)
 
 
 def _mds_mix(state: list[LC], params: PoseidonParams) -> list[LC]:
-    """Linear layer — free in R1CS, folded into the LCs (summed as plain
-    ints, reduced once per term: per-term field arithmetic tripled a compile)."""
-    lanes = [[(var, c.value) for var, c in lane.terms.items()] for lane in state]
+    """Linear layer — free in R1CS, folded into the LCs."""
     mixed: list[LC] = []
     for row in params.mds:
-        sums: dict[int, int] = {}
-        for coeff, lane in zip(row, lanes):
-            k = coeff.value
-            for var, c in lane:
-                sums[var] = sums.get(var, 0) + k * c
-        mixed.append(LC(sums))
+        acc = LC()
+        for coeff, lane in zip(row, state):
+            acc = acc + lane * coeff
+        mixed.append(acc)
     return mixed
 
 

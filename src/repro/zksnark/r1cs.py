@@ -120,7 +120,6 @@ class ConstraintSystem:
     """
 
     num_public: int = 0
-    num_constraints: int = 0
     constraints: list[Constraint] = dataclass_field(default_factory=list)
     _num_vars: int = 1  # variable 0 is the constant ONE
     _assignment: dict[int, FieldElement] = dataclass_field(default_factory=dict)
@@ -176,7 +175,6 @@ class ConstraintSystem:
         self.constraints.append(
             Constraint(a=_as_lc(a), b=_as_lc(b), c=_as_lc(c), annotation=annotation)
         )
-        self.num_constraints += 1
 
     def enforce_equal(
         self,
@@ -266,6 +264,8 @@ class ConstraintSystem:
 class ConstraintCounter(ConstraintSystem):
     """A sink that counts each ``enforce`` and stores nothing: a builder run
     over it yields the system's shape without holding the system."""
+
+    num_constraints = 0
 
     def enforce(self, a, b, c, annotation: str = "") -> None:
         self.num_constraints += 1

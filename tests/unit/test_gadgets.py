@@ -33,7 +33,7 @@ class TestSbox:
     def test_costs_three_constraints(self):
         cs = ConstraintSystem()
         sbox_gadget(cs, alloc(cs, 2), "t")
-        assert cs.num_constraints == 3
+        assert len(cs.constraints) == 3
 
 
 class TestPoseidonGadget:

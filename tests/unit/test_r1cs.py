@@ -131,5 +131,5 @@ class TestConstraintSystem:
         cs = ConstraintSystem()
         a = LC.variable(cs.allocate(FieldElement(2)))
         cs.multiply(a, a)
-        assert cs.num_constraints == 1
+        assert len(cs.constraints) == 1
         assert cs.num_variables == 3  # ONE, a, product

@@ -225,9 +225,9 @@ BUDGET = {
     "revocation": 449,
     "telemetry": 3666,
     "treesync": 1311,
-    "waku": 860,
+    "waku": 859,
     "witness": 999,
-    "zksnark": 1401,
+    "zksnark": 1397,
 }
 
 
