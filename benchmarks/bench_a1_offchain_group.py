@@ -10,8 +10,7 @@ import random
 
 import pytest
 
-from repro.analysis.metrics import LatencySummary
-from repro.analysis.reporting import ExperimentReport, format_seconds
+from repro.analysis.reporting import ExperimentReport, format_seconds, summarize
 from repro.chain.blockchain import Blockchain, WEI
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.crypto.identity import Identity
@@ -103,8 +102,8 @@ def measurements():
 def test_dht_registration_avoids_mining_delay(measurements, report_sink, benchmark):
     onchain, dht = measurements
     assert len(onchain) == REGISTRATIONS and len(dht) == REGISTRATIONS
-    on = LatencySummary.of(onchain)
-    off = LatencySummary.of(dht)
+    on = summarize(onchain)
+    off = summarize(dht)
     report = ExperimentReport(
         experiment="A1",
         claim="registration latency: membership contract vs DHT group management (§IV-A)",

@@ -14,6 +14,7 @@ Three knobs the paper's design fixes, each measured with the knob removed:
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.analysis.reporting import ExperimentReport
 from repro.chain.blockchain import Blockchain, WEI
 from repro.chain.rln_contract import RLNMembershipContract
@@ -130,6 +131,7 @@ def root_window_drop_rate(window: int) -> float:
     dep = RLNDeployment.create(peer_count=10, degree=4, seed=140 + window, config=config)
     dep.register_all()
     dep.form_meshes(4.0)
+    tracker = DeliveryTracker(dep)
     drops = 0
     publishes = 6
     for i in range(publishes):
@@ -147,7 +149,7 @@ def root_window_drop_rate(window: int) -> float:
         )
         dep.chain.mine_block()  # root rotates before most validations run
         dep.run(3.0)
-        if dep.delivery_count(message.payload) < 10:
+        if tracker.delivery_count(message.payload) < 10:
             drops += 1
     return drops / publishes
 
@@ -163,13 +165,14 @@ def multi_registration_throughput(k: int) -> tuple[int, float]:
     dep = RLNDeployment.create(peer_count=8, degree=4, seed=150 + k, config=config)
     dep.register_all()
     dep.form_meshes(4.0)
+    tracker = DeliveryTracker(dep)
     attacker_peers = dep.peer_ids()[:k]
     delivered = 0
     for i, name in enumerate(attacker_peers):
         payload = b"multi-%d" % i
         dep.peer(name).publish(payload)
         dep.run(2.0)
-        delivered += 1 if dep.delivery_count(payload) == 8 else 0
+        delivered += 1 if tracker.delivery_count(payload) == 8 else 0
     stake = k * dep.contract.deposit / WEI
     return delivered, stake
 

@@ -31,7 +31,6 @@ import random
 import pytest
 
 from repro import testing
-from repro.analysis.metrics import nullifier_map_load
 from repro.analysis.reporting import ExperimentReport, format_bytes, format_seconds
 from repro.chain.blockchain import Blockchain, WEI
 from repro.chain.rln_contract import RLNMembershipContract
@@ -40,7 +39,7 @@ from repro.core.deployment import RLNDeployment
 from repro.core.epoch import external_nullifier
 from repro.core.messages import RateLimitProof
 from repro.core.nullifier_log import NullifierLog
-from repro.core.validator import BundleValidator, ValidationOutcome, ValidatorStats
+from repro.core.validator import BundleValidator, ValidationOutcome
 from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleTree
@@ -292,9 +291,7 @@ def test_revocation_propagation_at_scale(report_sink, members):
     per_entry = log.storage_bytes() / sample
     window_epochs = 2
     map_bytes_at_scale = per_entry * members * window_epochs
-    # As in BundleValidator: the stats object reads the log through.
-    load = nullifier_map_load([ValidatorStats(log=log)])
-    assert load.peak_entries == sample
+    assert log.peak_entries == sample
 
     # --- the latency model: chain-bound, not size-bound -------------------
     detection = 2 * LINK_LATENCY  # second signal reaches a neighbor

@@ -159,7 +159,7 @@ def test_every_delivery_assembles_into_one_rooted_tree(members, report_sink):
     # The tentpole assertion: every honest publish is exactly one
     # complete rooted tree matching the routers' delivery records.
     for publisher, payload in HONEST:
-        assert deployment.delivery_count(payload) == PEERS, payload
+        assert len(receivers_of(inboxes, payload)) == PEERS, payload
         assert len(by_origin[publisher]) == 1, publisher
         assert_matches_delivery_record(
             by_origin[publisher][0], inboxes, publisher, payload
@@ -245,7 +245,7 @@ def test_sample_zero_is_wire_silent_and_bit_identical(report_sink):
     """The default-off arm: no cross-peer span anywhere, relay untouched."""
     plain = build(10_000, collector=False)
     silent = build(10_000, collector=True, trace_sample=0.0)
-    drive(plain)
+    plain_inboxes = drive(plain)
     inboxes = drive(silent)
     silent.flush_telemetry()
 
@@ -280,7 +280,7 @@ def test_sample_zero_is_wire_silent_and_bit_identical(report_sink):
     relay_silent = silent.network.protocol_bytes()["gossipsub"]
     assert relay_plain == relay_silent
     for _, payload in HONEST:
-        assert plain.delivery_count(payload) == silent.delivery_count(payload)
+        assert receivers_of(plain_inboxes, payload) == receivers_of(inboxes, payload)
 
     GUARD_PATH.parent.mkdir(exist_ok=True)
     GUARD_PATH.write_text(

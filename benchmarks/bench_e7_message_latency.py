@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from repro.analysis.metrics import DeliveryTracker, LatencySummary, mean
-from repro.analysis.reporting import ExperimentReport, format_seconds
+from repro.analysis.metrics import DeliveryTracker
+from repro.analysis.reporting import ExperimentReport, format_seconds, summarize
 from repro.chain.blockchain import Blockchain, WEI
 from repro.chain.semaphore_contract import SemaphoreContract
 from repro.core.config import RLNConfig
@@ -35,9 +35,7 @@ def run_offchain() -> list[float]:
     )
     dep.register_all()
     dep.form_meshes(5.0)
-    tracker = DeliveryTracker(dep.simulator)
-    for peer in dep.peers.values():
-        peer.relay.subscribe(tracker.on_delivery(peer.peer_id))
+    tracker = DeliveryTracker(dep)
     times = []
     for i in range(MESSAGES):
         publisher = dep.peer(dep.peer_ids()[i % PEERS])
@@ -94,8 +92,8 @@ def measurements():
 
 def test_offchain_beats_onchain(measurements, report_sink, benchmark):
     offchain, onchain = measurements
-    off = LatencySummary.of(offchain)
-    on = LatencySummary.of(onchain)
+    off = summarize(offchain)
+    on = summarize(onchain)
     report = ExperimentReport(
         experiment="E7",
         claim="off-chain relay vs on-chain store latency (§III-A adjustment 2)",
@@ -123,4 +121,4 @@ def test_offchain_beats_onchain(measurements, report_sink, benchmark):
     assert on.mean > 5 * off.mean
     assert off.maximum < 2.0  # multi-hop of sub-second links
 
-    benchmark.pedantic(lambda: mean(offchain), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: summarize(offchain), rounds=1, iterations=1)

@@ -9,6 +9,7 @@ below) the formula's value, while larger Thr only grows the spam window.
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.analysis.reporting import ExperimentReport
 from repro.core.config import RLNConfig, compute_max_epoch_gap
 from repro.core.deployment import RLNDeployment
@@ -37,6 +38,7 @@ def run_arm(thr: int, *, max_offset: float, seed: int) -> float:
     )
     dep.register_all()
     dep.form_meshes(5.0)
+    tracker = DeliveryTracker(dep)
     publishers = dep.peer_ids()
     for i in range(MESSAGES):
         dep.peer(publishers[i % PEERS]).publish(b"honest-%d" % i, force=True)
@@ -44,7 +46,7 @@ def run_arm(thr: int, *, max_offset: float, seed: int) -> float:
     dep.run(5.0)
     expected = MESSAGES * PEERS
     delivered = sum(
-        dep.delivery_count(b"honest-%d" % i) for i in range(MESSAGES)
+        tracker.delivery_count(b"honest-%d" % i) for i in range(MESSAGES)
     )
     dropped_for_gap = sum(
         p.validator.stats.count(ValidationOutcome.INVALID_EPOCH_GAP)

@@ -30,6 +30,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
+from repro.analysis.metrics import DeliveryTracker  # noqa: E402
 from repro.core.deployment import RLNDeployment  # noqa: E402
 from repro.crypto.field import FieldElement  # noqa: E402
 from repro.gossipsub.messages import PubSubMessage  # noqa: E402
@@ -67,23 +68,25 @@ def make_tamperer(router, field: str) -> None:
     router._forward = tampering_forward
 
 
-def scenario(seed: int, field: str | None) -> RLNDeployment:
-    """The fleet after carrying its messages; ``field=None``: no tamperer."""
+def scenario(seed: int, field: str | None) -> tuple[RLNDeployment, DeliveryTracker]:
+    """The fleet after carrying its messages, and its delivery record;
+    ``field=None``: no tamperer."""
     dep = RLNDeployment.create(peer_count=PEERS, degree=DEGREE, seed=seed)
     dep.register_all()
     dep.form_meshes()
+    tracker = DeliveryTracker(dep)
     if field is not None:
         make_tamperer(dep.peer(TAMPERER).relay.router, field)
     publishers = [name for name in dep.peer_ids() if name != TAMPERER]
     for publisher, payload in zip(publishers, PAYLOADS):
         dep.peer(publisher).publish(payload)
     dep.run(10.0)
-    return dep
+    return dep, tracker
 
 
 def deliveries(seed: int, field: str | None) -> int:
-    dep = scenario(seed, field)
-    return sum(dep.delivery_count(payload) for payload in PAYLOADS)
+    _, tracker = scenario(seed, field)
+    return sum(tracker.delivery_count(payload) for payload in PAYLOADS)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,6 +20,7 @@ Run:  python examples/light_clients.py
 """
 
 from repro import testing
+from repro.analysis.metrics import DeliveryTracker
 from repro.analysis.reporting import format_bytes
 from repro.chain.blockchain import WEI
 from repro.core import RLNConfig, RLNDeployment
@@ -39,6 +40,7 @@ def main() -> None:
           "treeless ==\n")
     config = RLNConfig(epoch_length=5.0, max_epoch_gap=2, tree_depth=20)
     dep = RLNDeployment.create(peer_count=8, degree=4, seed=77, config=config)
+    tracker = DeliveryTracker(dep)
     serving = dep.peer("peer-000")
     # The treeless member's whole tree-shaped state: a digest-fed light view
     # (top tree only, no shard, no leaves) that follows peer-000's group.
@@ -118,7 +120,7 @@ def main() -> None:
         assert push_node.served == served + 1 and acks[-1].accepted
         # Every relay delivered it: peer-001 after its lightpush proof check,
         # each of the others after its validator judged it VALID.
-        assert dep.delivery_count(payload) == len(dep.peers)
+        assert tracker.delivery_count(payload) == len(dep.peers)
         assert verdicts(ValidationOutcome.VALID) == valid + len(dep.peers) - 1
         assert not verdicts(ValidationOutcome.INVALID_PROOF)
 

@@ -8,6 +8,7 @@ watches the protocol detect, contain, and economically punish it.
 Run:  python examples/quickstart.py
 """
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.chain.blockchain import WEI
 from repro.core import RLNConfig, RLNDeployment
 from repro.core.slashing import SlashState
@@ -29,12 +30,15 @@ def main() -> None:
     print(f"registered members : {deployment.contract.member_count()}")
     roots = {p.group.root.value for p in deployment.peers.values()}
     print(f"synced tree roots  : {len(roots)} distinct (must be 1)\n")
+    # The deployment keeps no delivery record; a tracker subscribes to
+    # every peer's relay and counts which peers got each payload.
+    tracker = DeliveryTracker(deployment)
 
     # 3. Honest publishing: one message per epoch, proof attached, free.
     alice = deployment.peer("peer-000")
     alice.publish(b"hello, spam-free world")
     deployment.run(3.0)
-    print(f"honest delivery    : {deployment.delivery_count(b'hello, spam-free world')}/10 peers")
+    print(f"honest delivery    : {tracker.delivery_count(b'hello, spam-free world')}/10 peers")
 
     # 4. Spam: a second message in the same epoch. Routing peers spot the
     #    nullifier collision, drop the message, and recover the secret key.
@@ -43,7 +47,7 @@ def main() -> None:
     deployment.run(2.0)
     eve.publish(b"BUY NOW!!!", force=True)
     deployment.run(2.0)
-    print(f"spam delivery      : {deployment.delivery_count(b'BUY NOW!!!')}/10 peers "
+    print(f"spam delivery      : {tracker.delivery_count(b'BUY NOW!!!')}/10 peers "
           "(1 = only Eve's own app)")
     print(f"detections         : {deployment.total_spam_detected()} routing peers saw the collision")
 

@@ -1,12 +1,6 @@
 """Experiment metrics and report rendering."""
 
-from repro.analysis.metrics import (
-    DeliveryTracker,
-    LatencySummary,
-    NullifierMapLoad,
-    mean,
-    nullifier_map_load,
-)
+from repro.analysis.metrics import DeliveryTracker
 from repro.analysis.reporting import (
     ExperimentReport,
     format_bytes,
@@ -16,10 +10,6 @@ from repro.analysis.reporting import (
 
 __all__ = [
     "DeliveryTracker",
-    "LatencySummary",
-    "NullifierMapLoad",
-    "mean",
-    "nullifier_map_load",
     "ExperimentReport",
     "format_bytes",
     "format_seconds",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 
 import networkx as nx
 
@@ -36,7 +35,6 @@ from repro.pipeline.pipeline import PipelineConfig
 from repro.telemetry import CollectorOptions, CollectorPeer, Telemetry
 from repro.telemetry.alerts import default_rule_pack
 from repro.telemetry.exporter import TelemetryExporter
-from repro.waku.message import WakuMessage
 from repro.zksnark.prover import RLNProver, shared_prover
 
 
@@ -62,10 +60,6 @@ class RLNDeployment:
     telemetries: dict[str, Telemetry] = field(default_factory=dict)
     exporters: dict[str, TelemetryExporter] = field(default_factory=dict)
     collectors: dict[str, CollectorPeer] = field(default_factory=dict)
-    #: payload -> bitmask of the peers (bit i: the i-th of :attr:`peers`)
-    #: whose relay delivered it, one relay subscription per peer (wired in
-    #: :meth:`create`); no message, but never pruned: one entry per payload.
-    _deliveries: dict[bytes, int] = field(default_factory=dict, init=False, repr=False)
 
     # -- construction -----------------------------------------------------------
 
@@ -219,8 +213,6 @@ class RLNDeployment:
             exporters=exporters,
             collectors=collectors,
         )
-        for index, peer in enumerate(peers.values()):
-            peer.relay.subscribe(partial(deployment._delivered, 1 << index))
         if start:
             deployment.start_all()
         return deployment
@@ -298,20 +290,6 @@ class RLNDeployment:
         return sorted(self.peers)
 
     # -- measurements ----------------------------------------------------------------------
-
-    def _delivered(self, bit: int, message: WakuMessage) -> None:
-        tally = self._deliveries
-        tally[message.payload] = tally.get(message.payload, 0) | bit
-
-    def delivery_count(self, msg_payload: bytes) -> int:
-        """How many distinct peers' relays delivered ``msg_payload``.
-
-        Read from the deployment's tally: a peer keeps no delivery history.
-        A peer that got the payload twice (say, in two epochs) counts once.
-        For the messages themselves, subscribe :func:`repro.testing.inbox`
-        before publishing.
-        """
-        return self._deliveries.get(msg_payload, 0).bit_count()
 
     def total_spam_detected(self) -> int:
         return sum(p.stats.spam_detected for p in self.peers.values())

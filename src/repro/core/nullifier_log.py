@@ -61,13 +61,9 @@ class SpamEvidence:
 class NullifierLog:
     """Per-epoch index of internal nullifiers to shares.
 
-    Keeps live telemetry alongside the records: ``entry_count`` (an O(1)
-    incremental counter), ``peak_entries`` (the high-water mark — the
+    Keeps ``peak_entries``, the high-water mark of live entries: the
     §III-F "does not have to capture the entire history" claim made
-    measurable), and ``pruned_total`` (entries the epoch-window pruning
-    reclaimed).  :class:`~repro.core.validator.ValidatorStats` reads them
-    through, so the analysis layer can aggregate the map's memory story
-    across a network.
+    measurable (E15's memory table).
     """
 
     def __init__(self) -> None:
@@ -76,7 +72,6 @@ class NullifierLog:
         self._oldest: int | None = None
         self._entries = 0
         self.peak_entries = 0
-        self.pruned_total = 0
 
     def observe(
         self,
@@ -117,11 +112,7 @@ class NullifierLog:
             removed += len(self._by_epoch.pop(epoch))
         self._oldest = min(self._by_epoch, default=None)
         self._entries -= removed
-        self.pruned_total += removed
         return removed
-
-    def entry_count(self) -> int:
-        return self._entries
 
     def storage_bytes(self) -> int:
         """Approximate retained map memory: every record plus its

@@ -71,35 +71,17 @@ class ValidatorStats:
     verdicts served from the pipeline's proof-verdict cache without any
     pairing evaluation; the seed's conflation of the two hid exactly the
     saving experiment E10/E11 measures.
-
-    The ``nullifier_*`` figures are read straight from the validator's
-    :class:`~repro.core.nullifier_log.NullifierLog` — the §III-F argument
-    that the map "does not have to capture the entire history" as numbers
-    the analysis layer aggregates at 1M members (E15's memory table).
     """
 
     #: Count per outcome, indexed by :attr:`ValidationOutcome.slot`.
     counts: list[int] = field(default_factory=lambda: [0] * len(ValidationOutcome))
     proofs_verified: int = 0
     proofs_cached: int = 0
-    log: NullifierLog = field(default_factory=NullifierLog, repr=False)
 
     @property
     def outcomes(self) -> dict[ValidationOutcome, int]:
         """Count per outcome, every outcome present."""
         return {outcome: self.counts[outcome.slot] for outcome in ValidationOutcome}
-
-    @property
-    def nullifiers_pruned(self) -> int:
-        return self.log.pruned_total
-
-    @property
-    def nullifier_entries(self) -> int:
-        return self.log.entry_count()
-
-    @property
-    def nullifier_peak_entries(self) -> int:
-        return self.log.peak_entries
 
     def record(self, outcome: ValidationOutcome) -> None:
         self.counts[outcome.slot] += 1
@@ -121,7 +103,7 @@ class BundleValidator:
         self.prover = prover
         self.group = group
         self.log = NullifierLog()
-        self.stats = ValidatorStats(log=self.log)
+        self.stats = ValidatorStats()
 
     def validate(
         self, message: WakuMessage, local_epoch: int, msg_id: bytes

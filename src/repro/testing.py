@@ -7,9 +7,9 @@ honest proof bundles: the registration transaction lives here, and
 :func:`mint_bundle` is :func:`repro.core.protocol.build_message` fed
 from a group manager.
 
-Peers keep no delivery history.  To know *how many* peers got a payload,
-read :meth:`~repro.core.deployment.RLNDeployment.delivery_count`; to see
-the messages, subscribe an :func:`inbox` before publishing.
+Neither peers nor the deployment keep a delivery history.  To count the
+peers that got a payload, build a :class:`~repro.analysis.DeliveryTracker`
+before publishing; to see the messages, subscribe an :func:`inbox`.
 """
 
 from __future__ import annotations

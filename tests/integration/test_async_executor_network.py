@@ -6,6 +6,7 @@ callbacks return immediately and verdicts land at simulated completion.
 Also covers a rate-limit flood evicted by peer scoring, end to end.
 """
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.gossipsub.scoring import ScoreParams
@@ -37,10 +38,11 @@ def make_deployment(
 class TestWorkerLaneDeployment:
     def test_async_network_still_delivers(self):
         dep = make_deployment(PipelineConfig(workers=2, batch_size=4), seed=72)
+        tracker = DeliveryTracker(dep)
         publisher = dep.peer("peer-002")
         publisher.publish(b"async hello")
         dep.run(10.0)
-        assert dep.delivery_count(b"async hello") == len(dep.peers)
+        assert tracker.delivery_count(b"async hello") == len(dep.peers)
         # Every relay verdict was deferred through the executor.
         deferred = sum(p.router_stats.deferred for p in dep.peers.values())
         assert deferred > 0
@@ -82,6 +84,7 @@ class TestWorkerLaneDeployment:
 
     def test_stopped_peer_leaves_no_crypto_behind(self):
         dep = make_deployment(PipelineConfig(workers=2, batch_size=8), seed=74)
+        tracker = DeliveryTracker(dep)
         publisher = dep.peer("peer-000")
         publisher.publish(b"parting shot")
         dep.run(0.2)  # in flight: some verdicts still queued on lanes
@@ -90,7 +93,7 @@ class TestWorkerLaneDeployment:
         assert victim.crypto_executor.busy_lanes == 0
         assert victim.crypto_executor.queued_jobs == 0
         dep.run(10.0)  # the rest of the network settles normally
-        assert dep.delivery_count(b"parting shot") >= len(dep.peers) - 1
+        assert tracker.delivery_count(b"parting shot") >= len(dep.peers) - 1
 
 
 class TestRateLimitMeshFeedback:

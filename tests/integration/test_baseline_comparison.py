@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.baselines.botnet import SPAM_PREFIX, BotArmy
 from repro.baselines.plain_peer import PlainRelayPeer
 from repro.baselines.pow import PoWRelayPeer, expected_mint_seconds
@@ -38,6 +39,7 @@ class TestRLNArm:
         dep = RLNDeployment.create(peer_count=PEERS, degree=4, seed=61, config=config)
         dep.register_all()
         dep.form_meshes(5.0)
+        tracker = DeliveryTracker(dep)
         spammer = dep.peer("peer-009")
         delivered = []
         for i in range(6):
@@ -47,7 +49,7 @@ class TestRLNArm:
             except Exception:
                 break  # slashed: cannot publish at all any more
             dep.run(3.0)
-            delivered.append(dep.delivery_count(payload))
+            delivered.append(tracker.delivery_count(payload))
         dep.run(6 * dep.chain.block_interval)
         # First message flooded; every subsequent one contained; eventually
         # the spammer lost membership and its deposit.

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.gossipsub.router import GossipSubParams, GossipSubRouter
@@ -57,9 +58,10 @@ class TestPacketLoss:
         dep.network.drop_probability = 0.1
         dep.register_all()
         dep.form_meshes(5.0)
+        tracker = DeliveryTracker(dep)
         dep.peer("peer-000").publish(b"through the noise")
         dep.run(25.0)
-        assert dep.delivery_count(b"through the noise") >= 9
+        assert tracker.delivery_count(b"through the noise") >= 9
 
 
 class TestChurn:
@@ -91,6 +93,7 @@ class TestChurn:
         dep = RLNDeployment.create(peer_count=8, degree=4, seed=204, config=config)
         dep.register_all(dep.peer_ids()[:7])  # one peer stays out
         dep.form_meshes(5.0)
+        tracker = DeliveryTracker(dep)
         dep.peer("peer-000").publish(b"early traffic")
         dep.run(3.0)
         late = dep.peer(dep.peer_ids()[7])
@@ -99,7 +102,7 @@ class TestChurn:
         assert late.group.root == dep.peer("peer-000").group.root
         late.publish(b"late but legit")
         dep.run(3.0)
-        assert dep.delivery_count(b"late but legit") == 8
+        assert tracker.delivery_count(b"late but legit") == 8
 
     def test_spam_detection_survives_detector_crash(self):
         """If some detectors crash before slashing completes, any surviving
@@ -142,6 +145,7 @@ class TestPartition:
             dep.network.disconnect(a, b)
         dep.run(5.0)
         inboxes = {n: inbox(dep.peer(n)) for n in names}
+        tracker = DeliveryTracker(dep)
         dep.peer(names[0]).publish(b"inside partition A")
         dep.run(5.0)
         a_got = sum(
@@ -157,4 +161,4 @@ class TestPartition:
         dep.run(10.0)
         dep.peer(names[1]).publish(b"after healing")
         dep.run(5.0)
-        assert dep.delivery_count(b"after healing") == 10
+        assert tracker.delivery_count(b"after healing") == 10

@@ -6,6 +6,7 @@ spam detection -> key recovery -> commit-reveal slashing -> reward.
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.core.slashing import SlashState
@@ -26,10 +27,11 @@ class TestFigure1:
     def test_complete_flow(self, deployment):
         dep = deployment
         # --- honest publishing round --------------------------------------
+        tracker = DeliveryTracker(dep)
         alice = dep.peer("peer-000")
         alice.publish(b"figure-1 honest message")
         dep.run(3.0)
-        assert dep.delivery_count(b"figure-1 honest message") == 10
+        assert tracker.delivery_count(b"figure-1 honest message") == 10
 
         # --- spam round ----------------------------------------------------
         spammer = dep.peer("peer-007")
@@ -39,7 +41,7 @@ class TestFigure1:
         dep.run(2.0)
 
         # Second message stopped at the spammer's direct connections.
-        assert dep.delivery_count(b"spam-b") == 1
+        assert tracker.delivery_count(b"spam-b") == 1
         assert dep.total_spam_detected() >= 1
 
         # --- economic consequences -----------------------------------------

@@ -7,6 +7,7 @@ distinction, and slashing initiation.
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.core.messages import RateLimitProof
@@ -34,6 +35,7 @@ def outcome_total(dep, outcome: ValidationOutcome) -> int:
 class TestEpochGap:
     def test_past_epoch_message_dropped(self, deployment):
         dep = deployment
+        tracker = DeliveryTracker(dep)
         # A peer whose clock is far behind produces out-of-window epochs.
         laggard = dep.peer("peer-002")
         laggard.clock = PeerClock(
@@ -41,11 +43,12 @@ class TestEpochGap:
         )
         laggard.publish(b"from the past", force=True)
         dep.run(3.0)
-        assert dep.delivery_count(b"from the past") == 1  # only its own app
+        assert tracker.delivery_count(b"from the past") == 1  # only its own app
         assert outcome_total(dep, ValidationOutcome.INVALID_EPOCH_GAP) >= 1
 
     def test_small_gap_tolerated(self, deployment):
         dep = deployment
+        tracker = DeliveryTracker(dep)
         slightly_off = dep.peer("peer-003")
         slightly_off.clock = PeerClock(
             offset=-0.9 * dep.config.epoch_length,
@@ -53,7 +56,7 @@ class TestEpochGap:
         )
         slightly_off.publish(b"slightly late")
         dep.run(3.0)
-        assert dep.delivery_count(b"slightly late") == 8
+        assert tracker.delivery_count(b"slightly late") == 8
 
 
 class TestInvalidProof:
@@ -61,6 +64,7 @@ class TestInvalidProof:
         # §IV: "the effect of their attack is limited to their direct
         # connections and will not impact the entire network".
         dep = deployment
+        tracker = DeliveryTracker(dep)
         attacker = dep.peer("peer-004")
         epoch = attacker.current_epoch()
         honest = attacker._build_message(b"will corrupt", "t", epoch)
@@ -88,7 +92,7 @@ class TestInvalidProof:
         }
         assert validators_hit  # someone saw it
         assert validators_hit <= neighbors
-        assert dep.delivery_count(b"will corrupt") == 1  # attacker's own app
+        assert tracker.delivery_count(b"will corrupt") == 1  # attacker's own app
 
 
 class TestDuplicateVsSpam:

@@ -19,6 +19,7 @@ import math
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.core.deployment import RLNDeployment
 from repro.errors import ProtocolError
 from repro.telemetry import CollectorOptions, Telemetry, TelemetrySnapshot
@@ -86,10 +87,11 @@ def test_default_off_means_zero_telemetry_bytes():
 def test_enabling_collector_does_not_perturb_relay_behaviour():
     plain = RLNDeployment.create(peer_count=6, degree=3, seed=7)
     observed = RLNDeployment.create(peer_count=6, degree=3, seed=7, collector=True)
+    plain_tracker, observed_tracker = DeliveryTracker(plain), DeliveryTracker(observed)
     drive(plain)
     drive(observed)
-    assert plain.delivery_count(b"figure-1") == observed.delivery_count(b"figure-1")
-    assert plain.delivery_count(b"figure-2") == observed.delivery_count(b"figure-2")
+    for payload in (b"figure-1", b"figure-2"):
+        assert plain_tracker.delivery_count(payload) == observed_tracker.delivery_count(payload)
     for peer_id in plain.peer_ids():
         assert (
             plain.peers[peer_id].relay.traffic()

@@ -26,10 +26,11 @@ from repro.waku.message import WakuMessage  # noqa: E402
 from repro.zksnark.rln_circuit import RLNPublicInputs  # noqa: E402
 
 #: Bytes the flood may leave allocated per (judged id, relay).  A bare
-#: witness time and one verdict-cache slot read ~178; every peer keeping
-#: its delivered bundles read ~355; a record per id, an ``OrderedDict``
-#: link per verdict and a ``__dict__`` per memo-holding object read ~554.
-RETAINED_BYTES_PER_ID = 250
+#: witness time and one verdict-cache slot read ~163; a deployment-wide
+#: delivery tally read ~178; every peer keeping its delivered bundles
+#: read ~355; a record per id, an ``OrderedDict`` link per verdict and a
+#: ``__dict__`` per memo-holding object read ~554.
+RETAINED_BYTES_PER_ID = 200
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ across peers, proofs verified on route, spam still detected).
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.zksnark import prover as provers
@@ -29,19 +30,21 @@ def deployment():
 class TestGroth16Network:
     def test_publish_and_deliver_with_real_circuit(self, deployment):
         dep = deployment
+        tracker = DeliveryTracker(dep)
         dep.peer("peer-000").publish(b"zk message")
         dep.run(3.0)
-        assert dep.delivery_count(b"zk message") == 4
+        assert tracker.delivery_count(b"zk message") == 4
         # Proofs really were verified on route.
         verified = sum(p.validator.stats.proofs_verified for p in dep.peers.values())
         assert verified >= 3
 
     def test_spam_detected_with_real_circuit(self, deployment):
         dep = deployment
+        tracker = DeliveryTracker(dep)
         spammer = dep.peer("peer-003")
         spammer.publish(b"g16-a", force=True)
         dep.run(2.0)
         spammer.publish(b"g16-b", force=True)
         dep.run(2.0)
         assert dep.total_spam_detected() >= 1
-        assert dep.delivery_count(b"g16-b") == 1
+        assert tracker.delivery_count(b"g16-b") == 1

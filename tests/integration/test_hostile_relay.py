@@ -22,9 +22,9 @@ from benchmarks.probes import tamper  # noqa: E402
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("field", tamper.FIELDS)
 def test_a_tampered_copy_censors_no_honest_one(field, seed):
-    dep = tamper.scenario(seed, field)
+    dep, tracker = tamper.scenario(seed, field)
     every = tamper.PEERS * tamper.MESSAGES
-    assert sum(dep.delivery_count(payload) for payload in tamper.PAYLOADS) == every
+    assert sum(tracker.delivery_count(payload) for payload in tamper.PAYLOADS) == every
     # The tampered copies really went out and were refused on their own ids.
     routers = [peer.relay.router for peer in dep.peers.values()]
     assert sum(r.stats.rejected + r.stats.ignored for r in routers) > 0

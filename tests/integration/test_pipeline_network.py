@@ -7,6 +7,7 @@ deliver, and deferred verdicts flow through the router correctly.
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.core.validator import ValidationOutcome
@@ -118,11 +119,12 @@ class TestFloodAbsorption:
 class TestBatchedDeployment:
     def test_batched_network_still_delivers(self):
         dep = make_deployment(PipelineConfig(batch_size=4), seed=43)
+        tracker = DeliveryTracker(dep)
         publisher = dep.peer("peer-002")
         publisher.publish(b"batched hello")
         # A window waits for no timer: each hop adds one verification.
         dep.run(10.0)
-        assert dep.delivery_count(b"batched hello") == len(dep.peers)
+        assert tracker.delivery_count(b"batched hello") == len(dep.peers)
         deferred = sum(p.router_stats.deferred for p in dep.peers.values())
         assert deferred > 0
 

@@ -9,6 +9,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.core.validator import ValidationOutcome
@@ -18,15 +19,17 @@ DEPTH = 8
 
 @pytest.fixture()
 def accepted():
-    """A fleet in which one valid bundle has been accepted by every peer."""
+    """A fleet in which one valid bundle has been accepted by every peer,
+    its delivery record, and the accepted message."""
     config = RLNConfig(epoch_length=30.0, max_epoch_gap=1, tree_depth=DEPTH)
     dep = RLNDeployment.create(peer_count=8, degree=4, seed=29, config=config)
     dep.register_all()
     dep.form_meshes(5.0)
+    tracker = DeliveryTracker(dep)
     message = dep.peer("peer-001").publish(b"the bound payload")
     dep.run(2.0)
-    assert dep.delivery_count(b"the bound payload") == len(dep.peers)
-    return dep, message
+    assert tracker.delivery_count(b"the bound payload") == len(dep.peers)
+    return dep, tracker, message
 
 
 def inject(dep, origin: str, message):
@@ -49,18 +52,18 @@ def inject(dep, origin: str, message):
 
 
 def test_a_proof_reattached_to_a_second_payload_mismatches_at_every_receiver(accepted):
-    dep, message = accepted
+    dep, tracker, message = accepted
     replay = dataclasses.replace(message, payload=b"a second payload")
     assert replay.rate_limit_proof is message.rate_limit_proof  # the very object
     deltas = inject(dep, "peer-005", replay)
     assert deltas  # someone received it
     for name, delta in deltas.items():
         assert set(delta) == {ValidationOutcome.PAYLOAD_MISMATCH}, name
-    assert dep.delivery_count(b"a second payload") == 1  # the injector's own app
+    assert tracker.delivery_count(b"a second payload") == 1  # the injector's own app
 
 
 def test_a_forged_proof_over_an_accepted_statement_is_never_a_cached_verdict(accepted):
-    dep, message = accepted
+    dep, _, message = accepted
     # Same payload and statement, a garbage proof, a new content topic (so
     # a new message id the seen-caches have not witnessed).
     forged = dataclasses.replace(

@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.core.epoch import external_nullifier
@@ -53,6 +54,7 @@ class TestHashBudget:
         dep = deployment()
         dep.register_all()
         dep.form_meshes()
+        tracker = DeliveryTracker(dep)
         peer = dep.peers["peer-000"]
         # a1 = H(sk, epoch) and phi = H(a1), nothing else: the fresh path
         # folds through the memo register_all filled, the prover asks the
@@ -65,7 +67,7 @@ class TestHashBudget:
         # A double-signal is a second point on the line just derived.
         assert engine_hashes(lambda: peer.publish(b"two too", force=True)) == 0
         dep.run(1.0)
-        assert dep.delivery_count(b"two") == PEERS
+        assert tracker.delivery_count(b"two") == PEERS
         assert dep.total_spam_detected() > 0
 
     def test_a_root_change_inside_a_deployment_costs_a_publisher_nothing(self, engine_hashes):
@@ -73,6 +75,7 @@ class TestHashBudget:
         ids = dep.peer_ids()
         dep.register_all(ids[:-1])
         dep.form_meshes()
+        tracker = DeliveryTracker(dep)
         peer, leaver = dep.peers[ids[0]], dep.peers[ids[1]]
         peer.publish(b"before")
         dep.run(1.0)
@@ -80,7 +83,7 @@ class TestHashBudget:
         dep.register_all(ids[-1:])  # MemberRegistered
         assert engine_hashes(lambda: peer.publish(b"after registration")) == 2
         dep.run(1.0)
-        assert dep.delivery_count(b"after registration") == PEERS
+        assert tracker.delivery_count(b"after registration") == PEERS
 
         dep.chain.send_transaction(
             leaver.peer_id,
@@ -92,7 +95,7 @@ class TestHashBudget:
         assert not leaver.registered
         assert engine_hashes(lambda: peer.publish(b"after removal")) == 2
         dep.run(1.0)
-        assert dep.delivery_count(b"after removal") == PEERS
+        assert tracker.delivery_count(b"after removal") == PEERS
 
     def test_a_manager_outside_a_deployment_folds_its_path_for_real(self, engine_hashes):
         dep = deployment()
@@ -113,6 +116,7 @@ class TestHashBudget:
         ids = dep.peer_ids()
         dep.register_all(ids[:-1])
         dep.form_meshes()
+        tracker = DeliveryTracker(dep)
         peer = dep.peers[ids[0]]
         dep.register_all(ids[-1:])  # a root change: the next path is fresh
         # Overflow through the real code path: the memo is at its limit,
@@ -122,7 +126,7 @@ class TestHashBudget:
         assert len(dep.tree_hasher._memo) == 1
         assert engine_hashes(lambda: peer.publish(b"cold")) == DEPTH + 2
         dep.run(1.0)
-        assert dep.delivery_count(b"cold") == PEERS
+        assert tracker.delivery_count(b"cold") == PEERS
 
     def test_a_tampered_fresh_path_is_hashed_for_real_and_refused(
         self, monkeypatch, engine_hashes
@@ -165,6 +169,7 @@ class TestStaleWitnessSafety:
         ids = dep.peer_ids()
         dep.register_all(ids[:-1])
         dep.form_meshes()
+        tracker = DeliveryTracker(dep)
         peer = dep.peers[ids[0]]
         peer.publish(b"before")
         dep.run(1.0)
@@ -176,7 +181,7 @@ class TestStaleWitnessSafety:
             fresh = peer.group.merkle_proof(peer.identity.pk)
             assert fresh is not stale and fresh.compute_root() == peer.group.root
             dep.run(1.0)
-            assert dep.delivery_count(payload) == PEERS
+            assert tracker.delivery_count(payload) == PEERS
 
         dep.register_all(ids[-1:])  # MemberRegistered
         assert stale.compute_root() != peer.group.root

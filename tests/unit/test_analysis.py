@@ -1,49 +1,92 @@
 """Unit tests for metrics and reporting."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.analysis.metrics import DeliveryTracker, LatencySummary, mean
+from repro.analysis.metrics import DeliveryTracker
 from repro.analysis.reporting import (
     ExperimentReport,
     format_bytes,
     format_seconds,
     format_table,
+    summarize,
 )
 from repro.net.simulator import Simulator
 
 
 class TestLatencySummary:
     def test_of_samples(self):
-        summary = LatencySummary.of([0.1, 0.2, 0.3, 0.4])
+        summary = summarize([0.1, 0.2, 0.3, 0.4])
         assert summary.count == 4
         assert summary.mean == pytest.approx(0.25)
         assert summary.p50 == pytest.approx(0.25)
         assert summary.maximum == 0.4
 
     def test_empty(self):
-        assert LatencySummary.of([]).count == 0
+        summary = summarize([])
+        assert summary.count == 0 and summary.mean == 0.0
 
-    def test_p95_near_top(self):
-        summary = LatencySummary.of(list(range(100)))
-        assert 90 <= summary.p95 <= 99
+
+class FakeRelay:
+    def __init__(self) -> None:
+        self.callbacks = []
+
+    def subscribe(self, callback) -> None:
+        self.callbacks.append(callback)
+
+    def deliver(self, payload: bytes) -> None:
+        for callback in self.callbacks:
+            callback(SimpleNamespace(payload=payload))
+
+
+def fleet(sim: Simulator, *peer_ids: str) -> SimpleNamespace:
+    """What a tracker reads of a deployment: its simulator and peers."""
+    return SimpleNamespace(
+        simulator=sim,
+        peers={peer_id: SimpleNamespace(relay=FakeRelay()) for peer_id in peer_ids},
+    )
 
 
 class TestDeliveryTracker:
     def test_latency_measurement(self):
         sim = Simulator()
-        tracker = DeliveryTracker(sim)
+        dep = fleet(sim, "peer-a")
+        tracker = DeliveryTracker(dep)
         tracker.mark_published(b"m")
-        callback = tracker.on_delivery("peer-a")
-        sim.schedule(0.5, lambda: callback(type("M", (), {"payload": b"m"})()))
+        sim.schedule(0.5, lambda: dep.peers["peer-a"].relay.deliver(b"m"))
         sim.run_until_idle()
         assert tracker.latencies(b"m") == [0.5]
         assert tracker.delivery_count(b"m") == 1
         assert tracker.dissemination_time(b"m") == 0.5
 
     def test_unknown_payload(self):
-        tracker = DeliveryTracker(Simulator())
+        tracker = DeliveryTracker(fleet(Simulator()))
         assert tracker.latencies(b"nope") == []
         assert tracker.dissemination_time(b"nope") is None
+        assert tracker.delivery_count(b"nope") == 0
+
+    def test_a_second_delivery_to_a_peer_keeps_the_first_time(self):
+        sim = Simulator()
+        dep = fleet(sim, "peer-a", "peer-b")
+        tracker = DeliveryTracker(dep)
+        tracker.mark_published(b"m")
+        sim.schedule(0.5, lambda: dep.peers["peer-a"].relay.deliver(b"m"))
+        sim.schedule(0.7, lambda: dep.peers["peer-b"].relay.deliver(b"m"))
+        # Republished later (say, in the next epoch): peer-a gets it again.
+        sim.schedule(30.0, lambda: dep.peers["peer-a"].relay.deliver(b"m"))
+        sim.run_until_idle()
+        assert sorted(tracker.latencies(b"m")) == [0.5, 0.7]
+        assert tracker.delivery_count(b"m") == 2
+        assert tracker.dissemination_time(b"m") == 0.7
+
+    def test_unmarked_payloads_are_counted_but_have_no_latency(self):
+        sim = Simulator()
+        dep = fleet(sim, "peer-a")
+        tracker = DeliveryTracker(dep)
+        dep.peers["peer-a"].relay.deliver(b"unmarked")
+        assert tracker.delivery_count(b"unmarked") == 1
+        assert tracker.latencies(b"unmarked") == []
 
 
 class TestReporting:
@@ -76,7 +119,3 @@ class TestReporting:
         report = ExperimentReport(experiment="E", claim="c", headers=("a", "b"))
         with pytest.raises(ValueError):
             report.add_row(1)
-
-    def test_mean_helper(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-        assert mean([]) == 0.0

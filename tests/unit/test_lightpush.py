@@ -81,6 +81,7 @@ class TestLightPush:
     def test_rln_protected_lightpush(self):
         """A light member pushes an RLN-proved message; the service node's
         §III-F validator gates it — valid proofs pass, spam is refused."""
+        from repro.analysis.metrics import DeliveryTracker
         from repro.core.config import RLNConfig
         from repro.core.deployment import RLNDeployment
 
@@ -88,6 +89,7 @@ class TestLightPush:
         dep = RLNDeployment.create(peer_count=6, degree=3, seed=32, config=config)
         dep.register_all()
         dep.form_meshes(4.0)
+        tracker = DeliveryTracker(dep)
         service_peer = dep.peer("peer-000")
 
         def rln_validator(message):
@@ -116,7 +118,7 @@ class TestLightPush:
         client.push("peer-000", message, on_response=responses.append)
         dep.run(3.0)
         assert responses and responses[0].accepted
-        assert dep.delivery_count(b"light and proved") >= 5
+        assert tracker.delivery_count(b"light and proved") >= 5
 
         # Second message same epoch: the service node refuses to relay spam.
         spam = author._build_message(b"light spam", "t", author.current_epoch())
@@ -124,4 +126,4 @@ class TestLightPush:
         client.push("peer-000", spam, on_response=responses.append)
         dep.run(3.0)
         assert responses and not responses[0].accepted
-        assert dep.delivery_count(b"light spam") == 0
+        assert tracker.delivery_count(b"light spam") == 0

@@ -92,7 +92,7 @@ class TestLookupPrune:
         log.observe(1, PHI, share(1, 2), b"x")
         log.observe(1, FieldElement(2), share(1, 2), b"y")
         log.observe(2, PHI, share(1, 2), b"z")
-        assert log.entry_count() == 3
+        assert log._entries == log.peak_entries == 3
 
     def test_pruned_spam_goes_undetected(self):
         # Documents the §III-F design point: outside the Thr window the
@@ -110,7 +110,7 @@ class NaiveLog:
 
     def __init__(self) -> None:
         self.by_epoch: dict[int, dict[int, Share]] = {}
-        self.pruned_total = self.peak = 0
+        self.peak = 0
 
     def entries(self) -> int:
         return sum(len(m) for m in self.by_epoch.values())
@@ -127,9 +127,7 @@ class NaiveLog:
 
     def prune_before(self, cutoff: int) -> int:
         stale = [e for e in self.by_epoch if e < cutoff]
-        removed = sum(len(self.by_epoch.pop(e)) for e in stale)
-        self.pruned_total += removed
-        return removed
+        return sum(len(self.by_epoch.pop(e)) for e in stale)
 
 
 @settings(max_examples=200, deadline=None)
@@ -156,9 +154,8 @@ def test_prune_shortcut_matches_a_naive_log(ops):
             assert outcome is naive.observe(epoch, phi, share(phi, y))
         else:
             assert log.prune_before(op[1]) == naive.prune_before(op[1])
-        assert log.entry_count() == naive.entries()
+        assert log._entries == naive.entries()
         assert log.peak_entries == naive.peak
-        assert log.pruned_total == naive.pruned_total
         assert sorted(log._by_epoch) == sorted(naive.by_epoch)
         # The shortcut's bookkeeping: a no-op prune is one comparison only
         # while this is exactly the oldest epoch held.

@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from repro.analysis.metrics import DeliveryTracker
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.errors import ProtocolError, RegistrationError
@@ -46,9 +47,10 @@ class TestRegistration:
 
 class TestPublish:
     def test_message_reaches_everyone(self, deployment):
+        tracker = DeliveryTracker(deployment)
         deployment.peer("peer-000").publish(b"hello all")
         deployment.run(3.0)
-        assert deployment.delivery_count(b"hello all") == 6
+        assert tracker.delivery_count(b"hello all") == 6
 
     def test_one_message_per_epoch_enforced(self, deployment):
         peer = deployment.peer("peer-001")
@@ -58,12 +60,13 @@ class TestPublish:
         assert peer.stats.publish_rate_limited == 1
 
     def test_next_epoch_allows_publishing(self, deployment):
+        tracker = DeliveryTracker(deployment)
         peer = deployment.peer("peer-001")
         peer.publish(b"epoch A")
         deployment.run(deployment.config.epoch_length + 1)
         peer.publish(b"epoch B")  # no exception
         deployment.run(3.0)
-        assert deployment.delivery_count(b"epoch B") == 6
+        assert tracker.delivery_count(b"epoch B") == 6
 
     def test_bundle_attached(self, deployment):
         message = deployment.peer("peer-002").publish(b"with proof")
@@ -94,7 +97,15 @@ class TestPublish:
 
 
 class TestDeliveryTally:
+    def test_a_new_deployment_subscribes_nothing_to_any_relay(self):
+        config = RLNConfig(tree_depth=DEPTH)
+        dep = RLNDeployment.create(peer_count=4, degree=2, seed=12, config=config)
+        for peer in dep.peers.values():
+            assert peer.relay._all_callbacks == [], peer.peer_id
+            assert peer.relay._content_callbacks == {}, peer.peer_id
+
     def test_no_peer_keeps_a_delivered_message(self, deployment):
+        tracker = DeliveryTracker(deployment)
         deployment.peer("peer-000").publish(b"transient")
         heartbeat = deployment.peer("peer-000").relay.router.params.heartbeat_interval
         deployment.run((MCACHE_LENGTH + 1) * heartbeat)
@@ -102,28 +113,30 @@ class TestDeliveryTally:
         assert not any(
             isinstance(o, WakuMessage) and o.payload == b"transient" for o in gc.get_objects()
         )
-        assert deployment.delivery_count(b"transient") == 6
+        assert tracker.delivery_count(b"transient") == 6
 
     def test_a_payload_delivered_in_two_epochs_counts_each_peer_once(self, deployment):
+        tracker = DeliveryTracker(deployment)
         peer = deployment.peer("peer-001")
         peer.publish(b"twice")
         deployment.run(deployment.config.epoch_length + 1)
         peer.publish(b"twice")
         deployment.run(3.0)
         assert peer.stats.published == 2
-        assert deployment.delivery_count(b"twice") == 6
+        assert tracker.delivery_count(b"twice") == 6
 
 
 class TestSpamHandling:
     def test_spam_contained_and_slashed(self, deployment):
+        tracker = DeliveryTracker(deployment)
         spammer = deployment.peer("peer-004")
         spammer.publish(b"innocent", force=True)
         deployment.run(2.0)
         spammer.publish(b"flood", force=True)
         deployment.run(2.0)
         # Honest message reached everyone, the flood only its publisher.
-        assert deployment.delivery_count(b"innocent") == 6
-        assert deployment.delivery_count(b"flood") == 1
+        assert tracker.delivery_count(b"innocent") == 6
+        assert tracker.delivery_count(b"flood") == 1
         assert deployment.total_spam_detected() >= 1
         # Let commit-reveal settle across blocks.
         deployment.run(5 * deployment.chain.block_interval)

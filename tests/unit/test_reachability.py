@@ -211,10 +211,10 @@ KEPT_FOR = {
 }
 
 BUDGET = {
-    "analysis": 296,
+    "analysis": 228,
     "baselines": 387,
     "chain": 975,
-    "core": 2023,
+    "core": 1974,
     "crypto": 1786,
     "exec": 427,
     "gossipsub": 1218,

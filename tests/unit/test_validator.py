@@ -179,7 +179,7 @@ class TestPipeline:
         _, _, manager, validator, identity = env
         message = make_message(prover, manager, identity, b"past")
         validator.validate(message, EPOCH, b"l1")
-        assert validator.log.entry_count() == 1
+        assert validator.log._entries == 1
         newer = make_message(prover, manager, identity, b"future", epoch=EPOCH + 10)
         validator.validate(newer, EPOCH + 10, b"l2")
         assert EPOCH not in validator.log._by_epoch
