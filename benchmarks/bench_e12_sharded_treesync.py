@@ -2,8 +2,8 @@
 
 The seed's §III-C tree sync makes every routing peer replay every
 membership event onto a full depth-20 tree: ``depth`` compressions and a
-full :class:`TreeUpdate` (path included) consumed per event, regardless of
-whether the peer will ever interact with that member.  The
+full :class:`TreeUpdate` (the pre-block path included) consumed per event,
+regardless of whether the peer will ever interact with that member.  The
 ``repro.treesync`` forest changes the exchange rate:
 
 * a **foreign**-shard event is consumed as a
@@ -25,10 +25,10 @@ hasher (the million-member rows would take hours over real Poseidon at
 import pytest
 
 from repro.analysis.reporting import ExperimentReport, format_bytes
-from repro.crypto.field import FIELD_MODULUS, FieldElement
+from repro.crypto.field import FIELD_MODULUS, FieldElement, ZERO
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.optimized_merkle import TreeUpdate
-from repro.treesync import ShardRootDigest, ShardSyncManager, ShardUpdate, ShardedMerkleForest
+from repro.treesync import ShardSyncManager, ShardUpdate, ShardedMerkleForest
 
 DEPTH = 20
 SHARD_DEPTH = 10
@@ -78,7 +78,7 @@ def test_sharded_vs_flat(report_sink, members):
     peer_hash_base = peer.hash_ops
     flat_hash_base = flat.hash_ops
 
-    # -- the event window: WINDOW fresh registrations ------------------------
+    # -- the event window: WINDOW fresh registrations, one per block ---------
     flat_traffic = 0
     peer_traffic = 0
     seq = members
@@ -92,13 +92,12 @@ def test_sharded_vs_flat(report_sink, members):
         shard_id = forest.shard_of(index)
         announcement = ShardUpdate(
             seq=seq,
-            shard_id=shard_id,
-            update=TreeUpdate(index=index, new_leaf=pk, path=path, new_root=flat.root),
-            new_shard_root=forest.shard_root(shard_id),
+            writes=((index, ZERO, pk),),
+            shard_roots=((shard_id, forest.shard_root(shard_id)),),
             new_global_root=forest.root,
         )
-        # Flat peer: consumes the full update (it replays the whole path).
-        flat_traffic += announcement.update.byte_size()
+        # Flat peer: consumes the path-carrying update (it replays the path).
+        flat_traffic += TreeUpdate(writes=((path, pk),), new_root=flat.root).byte_size()
         # Sharded peer: consumes the O(1) digest for this foreign shard.
         digest = announcement.digest()
         peer.apply(digest)
@@ -145,7 +144,7 @@ def test_sharded_vs_flat(report_sink, members):
         f"sharded peer spent {peer_per_event:.3f} hashes/event vs flat "
         f"{flat_per_event:.1f} — less than the required 10x saving"
     )
-    # Traffic shrinks by ~7x too (digest vs full path).
+    # Traffic shrinks by ~9x too (digest vs full path).
     assert peer_traffic * 5 <= flat_traffic
     # Storage: the sharded peer holds one shard + top tree, not the forest
     # (~8x at 10k where the home shard dominates, growing with the group).

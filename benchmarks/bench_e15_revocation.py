@@ -12,8 +12,9 @@ harness measures that pipeline in three arms:
   epoch) is shown dead against full, sharded, and light validators;
 * **propagation at scale (10k / 100k / 1M, both backends)** — what one
   removal costs each peer class: hash work (full tree vs home-shard
-  replay vs O(1) foreign digest), wire bytes (compact ShardRemoval vs a
-  full ShardUpdate), window collapse confirmed against the stale root,
+  replay vs O(1) foreign digest), wire bytes (the path-free ShardUpdate
+  and its digest vs a path-carrying TreeUpdate), window collapse
+  confirmed against the stale root,
   plus the §III-F nullifier-map memory story at scale; the end-to-end
   latency model on top is chain-bound, not size-bound;
 * **slash-race winner distribution** — several observers at different
@@ -40,14 +41,15 @@ from repro.core.epoch import external_nullifier
 from repro.core.messages import RateLimitProof
 from repro.core.nullifier_log import NullifierLog
 from repro.core.validator import BundleValidator, ValidationOutcome
-from repro.crypto.field import FIELD_MODULUS, FieldElement
+from repro.crypto.field import FIELD_MODULUS, FieldElement, ZERO
 from repro.crypto.identity import Identity
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.shamir import Share
 from repro.net.simulator import Simulator
 from repro.revocation import RevocationTracker, SlashingCoordinator
 from repro.telemetry import Telemetry
-from repro.treesync import ShardRemoval, ShardSyncManager, ShardedMerkleForest, ShardUpdate
+from repro.crypto.optimized_merkle import TreeUpdate
+from repro.treesync import ShardSyncManager, ShardedMerkleForest, ShardUpdate
 from repro.waku.message import WakuMessage
 from repro.zksnark.rln_circuit import RLNPublicInputs, RLNWitness
 
@@ -247,24 +249,24 @@ def test_revocation_propagation_at_scale(report_sink, members):
     victim_leaf = forest.leaf(victim)
     forest.delete(victim)
     flat_ops_before = flat.hash_ops
+    victim_path = flat.proof(victim)
     flat.delete(victim)  # the full-tree peer's replay
     full_cost = flat.hash_ops - flat_ops_before
     assert forest.root == flat.root
 
-    removal = ShardRemoval(
+    removal = ShardUpdate(
         seq=members + 1,
-        shard_id=0,
-        index=victim,
-        removed_leaf=victim_leaf,
-        new_shard_root=forest.shard_root(0),
+        writes=((victim, victim_leaf, ZERO),),
+        shard_roots=((0, forest.shard_root(0)),),
         new_global_root=forest.root,
     )
+    digest = removal.digest()
 
     home_ops_before = home_peer.hash_ops
     home_peer.apply(removal)
     home_apply_cost = home_peer.hash_ops - home_ops_before
     light_ops_before = light_peer.hash_ops
-    light_peer.apply(removal)
+    light_peer.apply(digest)
     light_apply_cost = light_peer.hash_ops - light_ops_before
     assert light_apply_cost == 0  # O(1): the E12 discipline holds for removals
     home_commit_cost = -home_peer.hash_ops + (home_peer.commit(), home_peer.hash_ops)[1]
@@ -276,10 +278,10 @@ def test_revocation_propagation_at_scale(report_sink, members):
         assert not view.is_acceptable_root(stale_root)
         assert view.recent_roots() == [forest.root]
 
-    # Wire cost: the compact removal vs what a full update would carry.
-    update_bytes = 20 + 3 * 32 + 10 + (1 + DEPTH) * 32  # ShardUpdate at DEPTH
+    # Wire cost: the path-free block and its digest vs the path-carrying
+    # announcement an O(log N) view needs.
+    update_bytes = TreeUpdate(writes=((victim_path, ZERO),), new_root=flat.root).byte_size()
     removal_bytes = removal.byte_size()
-    assert len(removal.to_bytes()) == removal_bytes
 
     # --- the §III-F nullifier-map memory story ---------------------------
     # One message per member per epoch, a two-epoch acceptance window:
@@ -296,7 +298,7 @@ def test_revocation_propagation_at_scale(report_sink, members):
     # --- the latency model: chain-bound, not size-bound -------------------
     detection = 2 * LINK_LATENCY  # second signal reaches a neighbor
     chain = 2.5 * BLOCK_INTERVAL  # commit next block, reveal the one after
-    propagation = GOSSIP_HOPS * LINK_LATENCY  # ShardRemoval gossip
+    propagation = GOSSIP_HOPS * LINK_LATENCY  # the block's ShardUpdate gossip
     modelled = detection + chain + propagation
 
     report = ExperimentReport(
@@ -309,7 +311,7 @@ def test_revocation_propagation_at_scale(report_sink, members):
         "wire bytes per removal",
         format_bytes(update_bytes),
         format_bytes(removal_bytes),
-        format_bytes(removal_bytes),
+        format_bytes(digest.byte_size()),
     )
     report.add_row(
         "stale root excluded", "window collapsed", "window collapsed", "window collapsed"
@@ -329,11 +331,12 @@ def test_revocation_propagation_at_scale(report_sink, members):
     )
     report_sink(report)
     # Acceptance: foreign cost never grows with the group; home replay is
-    # bounded by the shard, not the tree.
+    # bounded by the shard, not the tree; what a foreign peer receives is
+    # the O(1) digest.
     assert light_apply_cost + light_commit_cost <= DEPTH - SHARD_DEPTH
     assert home_apply_cost <= SHARD_DEPTH
     assert full_cost == DEPTH
-    assert removal_bytes < update_bytes / 6
+    assert digest.byte_size() < update_bytes / 6
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ the contract's ordered list into a tree and applying its events:
   revocation regardless of cause).
 
 A block's events are one transaction, applied at the chain's ``BLOCK_END``
-marker by one :meth:`~repro.crypto.merkle.MerkleTree.apply`; the window
-gains **one root per block**, as Waku's RLN-relay keeps it
-(https://rfc.vac.dev/spec/17/) — a registrant learns its index only after
-its block, so nobody holds a mid-block root.  A replica with announcement
-listeners applies each event alone, so announcements stay per event.
+marker by one :meth:`~repro.crypto.merkle.MerkleTree.apply` at every
+replica; the window gains **one root per block**, as Waku's RLN-relay keeps
+it (https://rfc.vac.dev/spec/17/) — a registrant learns its index only after
+its block, so nobody holds a mid-block root.  Listeners change nothing but
+what is built for them: one announcement per block.
 
 A removal is treated as a *security* event: besides zeroing the leaf, the
 manager collapses its accepted-root window to the block's root, so proofs
@@ -28,18 +28,20 @@ root against a rebuild from the contract list, and the validator side keeps
 a window of recent roots so proofs generated a block behind still verify.
 
 The manager also implements the hybrid architecture of §IV-A: it produces
-:class:`~repro.crypto.optimized_merkle.TreeUpdate` announcements that
+:class:`~repro.crypto.optimized_merkle.TreeUpdate` announcements (each
+written leaf's pre-block path, read only while such a listener exists) that
 storage-limited peers running :class:`OptimizedMerkleView` consume instead
 of holding the tree.
 
 The manager is a full replica: it holds the whole
 :class:`~repro.crypto.merkle.MerkleTree`.  Shards are levels of that tree
 (shard ``s`` is its node ``(shard_depth, s)``, see
-:mod:`repro.treesync.forest`), so every announcement is tagged with its
-shard id, shard root and sequence number as a
-:class:`~repro.treesync.messages.ShardUpdate` at no extra hashing, and
-shard-scoped peers (:class:`~repro.treesync.sync.ShardSyncManager`) can
-consume the O(1) digest for foreign shards.
+:mod:`repro.treesync.forest`), so a block's writes are announced with the
+roots of the shards they touched and the block's last event number as a
+path-free :class:`~repro.treesync.messages.ShardUpdate` at no extra
+hashing, and shard-scoped peers
+(:class:`~repro.treesync.sync.ShardSyncManager`) can consume the O(1)
+digest for foreign shards.
 
 Two things keep N in-process replicas from repeating each other's (and
 their own) hashing without sharing any state that could mask a divergence:
@@ -63,7 +65,7 @@ from repro.crypto.merkle import MerkleProof, MerkleTree, NodeHasher, RootWindow
 from repro.crypto.optimized_merkle import TreeUpdate
 from repro.errors import NotRegistered, SyncError
 from repro.treesync.forest import allocated_shard_roots, resolve_shard_depth
-from repro.treesync.messages import ShardRemoval, ShardUpdate, TreeCheckpoint
+from repro.treesync.messages import ShardUpdate, TreeCheckpoint
 
 
 class GroupManager:
@@ -94,9 +96,7 @@ class GroupManager:
         #: This block's tree events, applied at its BLOCK_END marker.
         self._block: list[Event] = []
         self._update_listeners: list[Callable[[TreeUpdate], None]] = []
-        self._shard_listeners: list[
-            Callable[[ShardUpdate | ShardRemoval], None]
-        ] = []
+        self._shard_listeners: list[Callable[[ShardUpdate], None]] = []
         #: Contiguous membership-event sequence number (0 = genesis); the
         #: shard-sync protocol orders announcements by it.
         self.event_seq = 0
@@ -131,19 +131,14 @@ class GroupManager:
         self._window.push(self.tree.root, collapse=True)
 
     def _on_event(self, event: Event) -> None:
-        """Queue this contract's tree events; apply them at ``BLOCK_END``, or
-        one by one while listeners (added between blocks) need announcing.
+        """Queue this contract's tree events; apply them at ``BLOCK_END``.
         ``MemberRemoved`` is the one deletion event slash and withdraw emit."""
         if event.contract == self.contract.address:
-            if event.name not in ("MemberRegistered", "MemberRemoved"):
-                return
-            self._block.append(event)
-            if not (self._update_listeners or self._shard_listeners):
-                return
-        elif event.contract != BLOCK_END or not self._block:
-            return
-        events, self._block = self._block, []
-        self._apply(events)
+            if event.name in ("MemberRegistered", "MemberRemoved"):
+                self._block.append(event)
+        elif event.contract == BLOCK_END and self._block:
+            events, self._block = self._block, []
+            self._apply(events)
 
     def _apply(self, events: list[Event]) -> None:
         """Apply a block's events as one tree write, or raise having moved nothing.
@@ -177,8 +172,11 @@ class GroupManager:
             changes.append((index, old, new))
         if not changes:
             return
-        listening = self._update_listeners or self._shard_listeners
-        path = self.tree.proof(changes[0][0]) if listening else None  # then k = 1
+        paths = (
+            [self.tree.proof(index) for index, _old, _new in changes]
+            if self._update_listeners
+            else None
+        )
         self.tree.apply(writes.items())
         for index, old, new in changes:
             if new is ZERO:
@@ -188,8 +186,7 @@ class GroupManager:
         self.event_seq += len(changes)
         removed = any(new is ZERO for _index, _old, new in changes)
         self._window.push(self.tree.root, collapse=removed)
-        if path is not None:
-            self._notify(*changes[0], path)
+        self._notify(changes, paths)
 
     # -- queries --------------------------------------------------------------------
 
@@ -258,45 +255,36 @@ class GroupManager:
         """Subscribe to TreeUpdate announcements (for OptimizedMerkleView)."""
         self._update_listeners.append(listener)
 
-    def on_shard_update(
-        self, listener: Callable[[ShardUpdate | ShardRemoval], None]
-    ) -> None:
-        """Subscribe to shard-tagged announcements (for ShardSyncManager).
-
-        Registrations arrive as :class:`ShardUpdate`; deletions as the
-        compact :class:`ShardRemoval` (no path — the zero leaf needs
-        none, and the removal semantics must survive the digest feed).
-        """
+    def on_shard_update(self, listener: Callable[[ShardUpdate], None]) -> None:
+        """Subscribe to shard-tagged announcements (for ShardSyncManager)."""
         self._shard_listeners.append(listener)
 
     def _notify(
-        self, index: int, old: FieldElement, new: FieldElement, path: MerkleProof
+        self,
+        changes: list[tuple[int, FieldElement, FieldElement]],
+        paths: list[MerkleProof] | None,
     ) -> None:
-        """Package the one event just applied for both announcement channels.
+        """Announce the block just applied, once on each channel.
 
-        ``path`` is the pre-change authentication path; the update carries
-        the post-change root so consumers can reject forged announcements
-        (:class:`~repro.errors.InconsistentTreeUpdate`).  A deletion keeps
-        the :class:`~repro.crypto.optimized_merkle.TreeUpdate` channel
-        unchanged (those consumers need the path either way), but the
-        shard channel carries a :class:`ShardRemoval` so shard-scoped and
-        light consumers learn that a leaf *died*, not merely changed.
+        ``paths`` are the written slots' pre-block paths; both
+        announcements carry the post-block root, so consumers can reject
+        forged ones (:class:`~repro.errors.InconsistentTreeUpdate`).
         """
-        update = TreeUpdate(index=index, new_leaf=new, path=path, new_root=self.tree.root)
-        for listener in list(self._update_listeners):
-            listener(update)
-        if self._shard_listeners:
-            shard_id = self.shard_of(index)
-            tags = dict(
-                seq=self.event_seq,
-                shard_id=shard_id,
-                new_shard_root=self.shard_root(shard_id),
-                new_global_root=self.tree.root,
+        root = self.tree.root
+        if paths is not None:
+            update = TreeUpdate(
+                writes=tuple(zip(paths, (new for _index, _old, new in changes))),
+                new_root=root,
             )
-            announcement: ShardUpdate | ShardRemoval = (
-                ShardRemoval(index=index, removed_leaf=old, **tags)
-                if new is ZERO
-                else ShardUpdate(update=update, **tags)
+            for listener in list(self._update_listeners):
+                listener(update)
+        if self._shard_listeners:
+            shards = sorted({self.shard_of(index) for index, _old, _new in changes})
+            announcement = ShardUpdate(
+                seq=self.event_seq,
+                writes=tuple(changes),
+                shard_roots=tuple((shard, self.shard_root(shard)) for shard in shards),
+                new_global_root=root,
             )
             for listener in list(self._shard_listeners):
                 listener(announcement)

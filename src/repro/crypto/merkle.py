@@ -301,10 +301,6 @@ class MerkleTree:
             raise MerkleError(f"leaf {index} is empty; use insert()")
         self.apply(((index, leaf),))
 
-    def write_leaf(self, index: int, leaf: FieldElement) -> None:
-        """One slot write: :meth:`apply` of ``(index, leaf)`` alone."""
-        self.apply(((index, leaf),))
-
     def apply(self, writes: Iterable[tuple[int, FieldElement]]) -> None:
         """Write every ``(index, leaf)`` in order, then rehash each dirty
         node once: the one leaf-write/rehash loop every mutation ends in.
@@ -336,8 +332,12 @@ class MerkleTree:
                 self._free.remove(index)
             self._set(0, index, leaf)
             dirty.add(index)
-        if not dirty:
-            return
+        if dirty:
+            self._rehash(dirty)
+
+    def _rehash(self, dirty: set[int]) -> None:
+        """Recompute every ancestor of the ``dirty`` leaves once, level by
+        level, from the nodes held (the zero ladder where none is)."""
         # Engine-backed hashers batch whole levels through hash_many, which
         # amortises the per-call parameter lookup and wrapper overhead.
         engine = getattr(self._hash, "engine", None)

@@ -3,65 +3,52 @@
 §IV notes that a full depth-20 tree costs each peer ~67 MB and cites the
 vacp2p "storage efficient merkle tree update" proposal, which lets a peer
 keep only O(log N) state: its own leaf, its own authentication path, and the
-current root.  When another member is inserted or deleted, the peer updates
+current root.  When other members are inserted or deleted, the peer updates
 its path and root from the *update announcement* alone, without storing the
 tree.
 
-The announcement must carry the changed leaf's pre-change authentication
+The announcement must carry each changed leaf's pre-change authentication
 path.  In the paper's hybrid architecture (§IV-A "Lowering the storage
 overhead per peer"), resourceful peers holding the full tree serve those
-paths; :meth:`repro.core.membership.GroupManager.update_announcement`
-produces them in this reproduction.
+paths; :meth:`repro.core.membership.GroupManager.on_update` produces one
+:class:`TreeUpdate` per block in this reproduction.
 
-The update rule: let ``c`` be the changed leaf index and ``m`` mine.  Their
-paths to the root merge at level ``L = divergence_level(c, m)`` — the level
-where the ancestors first coincide; one level below, the changed leaf's
-ancestor *is* my path's sibling.  Recomputing the changed leaf's ancestors
-from the announcement therefore yields both the new root and (at level
-``L-1``) my one affected sibling.
+The update rule: the changed leaves' paths and the view's own path together
+hold every node a block's rehash reads — each dirty node's other child is a
+sibling on some changed leaf's path — so the view writes the new leaves into
+a scratch tree of just those nodes and lets
+:class:`~repro.crypto.merkle.MerkleTree`'s own level-by-level rehash compute
+the new root and, where a dirty node is one of the view's siblings, its new
+value.  One write is the classic case: the changed leaf's ancestor one level
+below where the two paths merge *is* the view's sibling there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.engine import default_engine
 from repro.crypto.field import FIELD_BYTES, FieldElement
-from repro.crypto.merkle import MerkleProof
+from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import InconsistentTreeUpdate, MerkleError, SyncError
 
 
 @dataclass(frozen=True)
 class TreeUpdate:
-    """Announcement of one leaf change, broadcast alongside contract events.
+    """Announcement of one block's leaf changes.
 
-    ``path`` is the changed leaf's authentication path *before* the change
-    (its ``leaf`` field holds the old leaf value).  ``new_root`` is the
-    announcer's claimed post-change root; consumers recompute it locally
-    and reject announcements whose claim disagrees (``None`` on legacy
-    announcements skips the cross-check).
+    ``writes`` pairs each changed leaf's authentication path *before the
+    block* (its ``index`` is the slot, its ``leaf`` the pre-block value)
+    with the leaf written there, in block order.  ``new_root`` is the
+    announcer's post-block root; consumers recompute it locally and reject
+    announcements whose claim disagrees.
     """
 
-    index: int
-    new_leaf: FieldElement
-    path: MerkleProof
-    new_root: FieldElement | None = None
+    writes: tuple[tuple[MerkleProof, FieldElement], ...]
+    new_root: FieldElement
 
     def byte_size(self) -> int:
-        root_bytes = FIELD_BYTES if self.new_root is not None else 0
-        return 8 + FIELD_BYTES + root_bytes + self.path.byte_size()
-
-
-def divergence_level(a: int, b: int, depth: int) -> int:
-    """Lowest level at which the ancestors of leaves ``a`` and ``b`` coincide.
-
-    Equals ``depth`` minus the length of the common prefix of the two
-    index paths; 0 means a == b.
-    """
-    if a == b:
-        return 0
-    diff = a ^ b
-    return diff.bit_length()
+        paths = sum(path.byte_size() + FIELD_BYTES for path, _leaf in self.writes)
+        return paths + FIELD_BYTES
 
 
 class OptimizedMerkleView:
@@ -86,12 +73,11 @@ class OptimizedMerkleView:
 
     def proof(self) -> MerkleProof:
         """Current authentication path for the tracked member."""
-        bits = tuple((self.index >> level) & 1 for level in range(self.depth))
         return MerkleProof(
             leaf=self.leaf,
             index=self.index,
             siblings=tuple(self._siblings),
-            path_bits=bits,
+            path_bits=_bits(self.index, self.depth),
         )
 
     def storage_bytes(self) -> int:
@@ -101,50 +87,40 @@ class OptimizedMerkleView:
     # -- updates -----------------------------------------------------------
 
     def apply_update(self, update: TreeUpdate) -> None:
-        """Fold one announced leaf change into the local path and root."""
-        if update.path.depth != self.depth:
-            raise MerkleError("update path depth mismatch")
-        if update.index != update.path.index:
-            raise MerkleError("update index disagrees with its path")
-        if update.path.compute_root() != self.root:
-            raise SyncError(
-                "update announcement is inconsistent with the tracked root; "
-                "the local view is stale"
-            )
-        nodes = _replay(update, self.depth)
-        # The recomputed root is authoritative; an announcement claiming a
-        # different one is forged or corrupt and must not move the view
-        # (previously the recomputed value was trusted without this check).
-        if update.new_root is not None and nodes[self.depth] != update.new_root:
+        """Fold one block's announced leaf changes into the local path and root.
+
+        Every path must be its slot's path and fold to the tracked root, and
+        the rehash must reach the announced root; otherwise nothing moves.
+        """
+        paths = [path for path, _leaf in update.writes]
+        for path in paths:
+            index, depth = path.index, self.depth
+            if path.depth != depth or index >> depth or path.path_bits != _bits(index, depth):
+                raise MerkleError("update path is not a slot's path at this depth")
+            if path.compute_root() != self.root:
+                raise SyncError(
+                    "update announcement is inconsistent with the tracked root; "
+                    "the local view is stale"
+                )
+        scratch = MerkleTree(self.depth)
+        for path in (self.proof(), *paths):
+            scratch._set(0, path.index, path.leaf)
+            for level, sibling in enumerate(path.siblings):
+                scratch._set(level, (path.index >> level) ^ 1, sibling)
+        for path, leaf in update.writes:
+            scratch._set(0, path.index, leaf)
+        scratch._rehash({path.index for path in paths})
+        if scratch.root != update.new_root:
             raise InconsistentTreeUpdate(
                 "announced new root does not match the root recomputed from "
-                "the update's own path"
+                "the update's own paths"
             )
-        if update.index == self.index:
-            # Our own leaf changed (e.g. we were slashed): track the new value.
-            self.leaf = update.new_leaf
-            self.root = nodes[self.depth]
-            return
-        level = divergence_level(update.index, self.index, self.depth)
-        # One level below the merge point, the changed leaf's ancestor is our
-        # sibling.
-        self._siblings[level - 1] = nodes[level - 1]
-        self.root = nodes[self.depth]
+        self.leaf = scratch._get(0, self.index)
+        self._siblings = [
+            scratch._get(level, (self.index >> level) ^ 1) for level in range(self.depth)
+        ]
+        self.root = update.new_root
 
 
-def _replay(update: TreeUpdate, depth: int) -> list[FieldElement]:
-    """Ancestors of the changed leaf after the change, indexed by level.
-
-    ``result[0]`` is the new leaf, ``result[depth]`` the new root.
-    """
-    hash2 = default_engine().hash2
-    nodes = [update.new_leaf]
-    node_index = update.index
-    for level in range(depth):
-        sibling = update.path.siblings[level]
-        if node_index & 1:
-            nodes.append(hash2(sibling, nodes[-1]))
-        else:
-            nodes.append(hash2(nodes[-1], sibling))
-        node_index >>= 1
-    return nodes
+def _bits(index: int, depth: int) -> tuple[int, ...]:
+    return tuple((index >> level) & 1 for level in range(depth))

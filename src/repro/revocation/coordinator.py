@@ -25,8 +25,8 @@ role packaged for one peer:
    coordinator (:class:`CoordinatorStats`: rewards won, gas burned, net).
 
 Everything *after* the event — group managers zeroing the leaf, the
-:class:`~repro.treesync.messages.ShardRemoval` wire flow, window
-collapse, witness invalidation — rides the existing tree-sync and
+block's :class:`~repro.treesync.messages.ShardUpdate` and its zero write,
+window collapse, witness invalidation — rides the existing tree-sync and
 witness machinery; :class:`~repro.revocation.tracker.RevocationTracker`
 measures when each view actually excludes the spammer.
 """

@@ -3,10 +3,10 @@
 Revocation is only done when *every* peer class rejects the removed
 member: full-tree managers, shard-scoped and light
 :class:`~repro.treesync.sync.ShardSyncManager` views, witness caches.
-Each learns at a different moment (chain event subscription vs. gossiped
-:class:`~repro.treesync.messages.ShardRemoval` vs. background refresh),
-so the network-wide figure is a *max* over heterogeneous consumers —
-exactly what experiment E15 reports.
+Each learns at a different moment (chain event subscription vs. the
+gossiped :class:`~repro.treesync.messages.ShardUpdate` or its digest's
+removal flag vs. background refresh), so the network-wide figure is a
+*max* over heterogeneous consumers — exactly what experiment E15 reports.
 
 :class:`RevocationTracker` stamps the three stages:
 

@@ -14,7 +14,6 @@ from repro.treesync.forest import DEFAULT_SHARD_DEPTH, ShardedMerkleForest
 from repro.treesync.messages import (
     CHECKPOINT_TOPIC,
     DIGEST_TOPIC,
-    ShardRemoval,
     ShardRootDigest,
     ShardUpdate,
     TreeCheckpoint,
@@ -32,7 +31,6 @@ __all__ = [
     "CHECKPOINT_TOPIC",
     "DEFAULT_SHARD_DEPTH",
     "DIGEST_TOPIC",
-    "ShardRemoval",
     "ShardRootDigest",
     "ShardSyncManager",
     "ShardUpdate",

@@ -7,14 +7,15 @@ event.  :class:`ShardSyncManager` is the sharded answer:
 
 * the peer fully materialises only its *home shard* (a depth-``shard_depth``
   subtree) plus the small top tree over shard roots;
-* a home-shard event applies the leaf write locally (``shard_depth``
-  compressions) and cross-checks the announced shard root;
-* a **foreign**-shard event is consumed as a
+* a block's home-shard writes replay locally (one
+  :meth:`~repro.crypto.merkle.MerkleTree.apply`, at most ``shard_depth``
+  compressions per write) and cross-check the announced shard root;
+* every **foreign** shard a block touched is consumed from its
   :class:`~repro.treesync.messages.ShardRootDigest` — recording the new
   shard root is O(1), *zero* compressions; the top tree is rehashed once
-  per :meth:`commit` (at validation time), not once per event.  This
+  per :meth:`commit` (at validation time), not once per block.  This
   amortisation is the ≥10× per-event saving experiment E12 measures;
-* events carry a contiguous sequence number.  A gap raises
+* blocks carry the contiguous number of their last event.  A gap raises
   :class:`~repro.errors.TreeSyncGap`, and :meth:`sync_from_store` recovers
   by fetching the latest :class:`TreeCheckpoint` plus per-shard deltas
   from a Waku store node (13/WAKU2-STORE) — the checkpoint+delta fallback
@@ -52,7 +53,6 @@ from repro.treesync.forest import DEFAULT_SHARD_DEPTH, resolve_shard_depth
 from repro.treesync.messages import (
     CHECKPOINT_TOPIC,
     DIGEST_TOPIC,
-    ShardRemoval,
     ShardRootDigest,
     ShardUpdate,
     TreeCheckpoint,
@@ -86,14 +86,16 @@ SNAPSHOT_RETRIES = 2
 class TreeSyncStats:
     """Per-peer sync accounting (experiment E12's measurement surface)."""
 
+    #: Home-shard writes replayed, and foreign shard roots recorded (one
+    #: per shard a block touched).
     home_events: int = 0
     foreign_events: int = 0
     commits: int = 0
     checkpoints_restored: int = 0
     snapshots_restored: int = 0
     bytes_consumed: int = 0
-    #: Member deletions folded into this view (home replay or foreign
-    #: digest recording) — the E15 revocation-propagation surface.
+    #: Blocks that removed a member folded into this view (home replay or
+    #: foreign digest recording) — the E15 revocation-propagation surface.
     removals_applied: int = 0
     #: Writes undone after a failed cross-check: a live home-shard event,
     #: a commit fold, or a whole recovery attempt that wrote anything.
@@ -178,116 +180,91 @@ class ShardSyncManager:
 
     # -- event consumption -----------------------------------------------------
 
-    def apply(self, item: "ShardUpdate | ShardRemoval | ShardRootDigest") -> None:
-        """Fold one announced membership event into the local view.
+    def apply(self, item: "ShardUpdate | ShardRootDigest") -> None:
+        """Fold one announced block into the local view.
 
-        Events must arrive in contiguous ``seq`` order; replays are ignored
-        and a gap raises :class:`TreeSyncGap` (fall back to
-        :meth:`sync_from_store`).  Home-shard registrations need the full
-        :class:`ShardUpdate`; home-shard deletions arrive as the compact
-        :class:`ShardRemoval` (replayed as a zero write, cross-checked
-        the same way); foreign events of either kind are O(1) root
-        recordings — but a removal additionally schedules a root-window
+        Blocks must arrive in contiguous ``seq`` order (a block of k events
+        ends at its ``seq``); replays are ignored and a gap raises
+        :class:`TreeSyncGap` (fall back to :meth:`sync_from_store`).  The
+        home shard's writes need the full :class:`ShardUpdate` and are
+        replayed; every other shard the block touched records its root in
+        O(1); a block that removed anyone also schedules a root-window
         collapse for the next :meth:`commit`.
         """
         if item.seq <= self.seq:
             return  # already applied (store replay overlapped with live feed)
-        if item.seq != self.seq + 1:
+        if item.seq - item.events != self.seq:
             raise TreeSyncGap(
-                f"event seq {item.seq} skips local frontier {self.seq}; "
+                f"block ending at seq {item.seq} with {item.events} events does "
+                f"not start after local frontier {self.seq}; "
                 "checkpoint+delta sync required"
             )
-        if not 0 <= item.shard_id < (1 << self.top_depth):
-            # Rejected before anything is recorded: a forged id must not
-            # plant an entry commit() cannot fold.
-            raise SyncError(f"shard id {item.shard_id} out of range")
-        if (
-            self.home_shard is not None
-            and item.shard_id == self.home_shard
-            and item.seq > self._snapshot_floor
-        ):
-            if not isinstance(item, (ShardUpdate, ShardRemoval)):
-                raise SyncError(
-                    "home-shard events need the full ShardUpdate or "
-                    "ShardRemoval, not a digest"
-                )
-            self._replay_home(item)
-            self._pending[self.home_shard] = self.shard.root
-        else:
-            digest = item.digest() if isinstance(item, ShardUpdate) else item
-            # A genuine membership event always changes its shard's root
-            # (one leaf changed), so a digest re-announcing the root we
-            # already hold is a forged no-op trying to squat this seq.
-            current = self._pending.get(digest.shard_id)
+        roots = dict(item.shard_roots)
+        # Everything is checked before anything is recorded: a forged
+        # announcement must not plant an entry commit() cannot fold.
+        for shard_id, root in roots.items():
+            if not 0 <= shard_id < (1 << self.top_depth):
+                raise SyncError(f"shard id {shard_id} out of range")
+            # A block changes every shard it names, unless it withdrew a
+            # member it registered (the one genuine no-op): an unchanged
+            # root in a block that removed nobody is a forgery squatting
+            # this seq.
+            current = self._pending.get(shard_id)
             if current is None:
-                current = self.top.leaf(digest.shard_id)
-            if digest.new_shard_root == current:
+                current = self.top.leaf(shard_id)
+            if root == current and not item.removed:
                 raise InconsistentTreeUpdate(
-                    "digest announces no shard-root change; every membership "
-                    "event changes its shard's root"
+                    "announcement leaves a shard root unchanged but removed "
+                    "nobody; every other block changes each shard it names"
                 )
-            self._pending[digest.shard_id] = digest.new_shard_root
-            self.stats.foreign_events += 1
-            if isinstance(item, ShardRemoval):
-                self.stats.removals_applied += 1
-                self._collapse_window = True
+        replay = self.home_shard in roots and item.seq > self._snapshot_floor
+        if replay:
+            if not isinstance(item, ShardUpdate):
+                raise SyncError("home-shard blocks need the full ShardUpdate, not a digest")
+            self._replay_home(item)
+        self._pending.update(roots)
+        self.stats.foreign_events += len(roots) - replay
+        if item.removed:
+            self.stats.removals_applied += 1
+            self._collapse_window = True
         self.stats.bytes_consumed += item.byte_size()
         self.seq = item.seq
         self._announced_root = item.new_global_root
 
-    def _replay_home(self, item: "ShardUpdate | ShardRemoval") -> None:
-        """Replay one home-shard event; keep its leaf write only if the
-        shard then folds to the announced shard root.
+    def _replay_home(self, item: ShardUpdate) -> None:
+        """Replay a block's home-shard writes; keep them only if the shard
+        then folds to the announced shard root.
 
-        Each event names its slot, the leaf it expects to find there and
-        the leaf it writes.  A registration expects anything but the leaf
-        it writes: a genuine event always changes its slot, and a no-op
-        write is a forged attempt to squat the sequence number without
-        tripping a root check.  A removal writes the zero leaf and needs
-        no path, but must name the commitment that occupies the slot — a
-        forged removal cannot blank a slot whose content the forger does
-        not know.
+        Every write names the leaf it expects to find and must change it:
+        a forged removal cannot blank a slot whose content the forger does
+        not know, and a no-op write cannot squat a sequence number without
+        tripping a root check.
         """
         assert self.home_shard is not None and self.shard is not None
-        removal = isinstance(item, ShardRemoval)
-        if removal:
-            kind, index, expected, leaf = "removal", item.index, item.removed_leaf, ZERO
-        else:
-            update = item.update
-            kind, index, expected, leaf = "update", update.index, None, update.new_leaf
-        if index >> self.shard_depth != self.home_shard:
-            raise SyncError(
-                f"{kind} index {index} is not in home shard {self.home_shard}"
-            )
-        local = index & (self.shard_capacity - 1)
-        old_leaf = self.shard.leaf(local)
-        if old_leaf == leaf:
-            raise InconsistentTreeUpdate(
-                "removal targets an empty slot; every deletion zeroes an occupied leaf"
-                if removal
-                else "update does not change the leaf; every membership event "
-                "changes its slot"
-            )
-        if expected is not None and old_leaf != expected:
-            raise InconsistentTreeUpdate(
-                "removal names a different commitment than the slot holds"
-            )
-        self.shard.write_leaf(local, leaf)
-        if self.shard.root != item.new_shard_root:
-            # Roll the write back before rejecting: a forged announcement
-            # must not poison the shard (the genuine event for this seq
+        mask = self.shard_capacity - 1
+        held: dict[int, FieldElement] = {}
+        writes = [w for w in item.writes if w[0] >> self.shard_depth == self.home_shard]
+        for index, old, new in writes:
+            local = index & mask
+            found = held[local] if local in held else self.shard.leaf(local)
+            if found != old or old == new:
+                raise InconsistentTreeUpdate(
+                    f"write to slot {index} does not find the leaf it names, "
+                    "or does not change it"
+                )
+            held[local] = new
+        previous = [(local, self.shard.leaf(local)) for local in held]
+        self.shard.apply(held.items())
+        if self.shard.root != dict(item.shard_roots).get(self.home_shard):
+            # Roll the writes back before rejecting: a forged announcement
+            # must not poison the shard (the genuine block for this seq
             # still has to apply cleanly).
-            self.shard.write_leaf(local, old_leaf)
+            self.shard.apply(previous)
             self.stats.rollbacks += 1
             raise InconsistentTreeUpdate(
                 "announced shard root does not match the locally replayed shard"
             )
-        self.stats.home_events += 1
-        if removal:
-            # Here, not in apply(): a removal replayed from the store
-            # archive must collapse the window too.
-            self.stats.removals_applied += 1
-            self._collapse_window = True
+        self.stats.home_events += len(writes)
 
     # -- committing ------------------------------------------------------------
 
@@ -304,7 +281,7 @@ class ShardSyncManager:
         the peer should recover via :meth:`sync_from_store` (a later event
         or checkpoint for the poisoned shard supersedes the forged root).
 
-        If the committed span contained a :class:`ShardRemoval`, the
+        If the committed span contained a block that removed a member, the
         accepted-root window collapses to the post-removal root: proofs
         over any tree that still held the removed member become
         unacceptable immediately (the collapse is deferred to here — the
@@ -491,17 +468,14 @@ class ShardSyncManager:
 
             return check
 
-        def decode_each(messages: list[WakuMessage], *types: type) -> list:
-            """Every payload one of ``types`` decodes (strict decoders: at
-            most one does); undecodable payloads are skipped."""
+        def decode_each(messages: list[WakuMessage], cls: type) -> list:
+            """Every payload that decodes as ``cls``; the rest are skipped."""
             decoded = []
             for message in messages:
-                for cls in types:
-                    try:
-                        decoded.append(cls.from_bytes(message.payload))
-                    except ProtocolError:
-                        continue
-                    break
+                try:
+                    decoded.append(cls.from_bytes(message.payload))
+                except ProtocolError:
+                    continue
             return decoded
 
         def have_checkpoint(messages: list[WakuMessage]) -> None:
@@ -523,8 +497,7 @@ class ShardSyncManager:
             )
 
         def have_home(messages: list[WakuMessage]) -> None:
-            # The shard topic carries registrations and deletions.
-            updates = decode_each(messages, ShardUpdate, ShardRemoval)
+            updates = decode_each(messages, ShardUpdate)
             state["home"] = sorted(updates, key=lambda u: u.seq)
             checkpoint = state["checkpoint"]
             floor = max(
@@ -540,9 +513,7 @@ class ShardSyncManager:
             )
 
         def have_digests(messages: list[WakuMessage]) -> None:
-            # Removals travel the digest feed as themselves (their
-            # window-collapse semantics must survive projection).
-            digests = decode_each(messages, ShardRootDigest, ShardRemoval)
+            digests = decode_each(messages, ShardRootDigest)
             checkpoint = state["checkpoint"]
             home_updates = state["home"]
             ordered = sorted(digests, key=lambda d: d.seq)
@@ -658,8 +629,8 @@ class ShardSyncManager:
     def _replay_archive(
         self,
         checkpoint: TreeCheckpoint | None,
-        home_updates: "Sequence[ShardUpdate | ShardRemoval]",
-        digests: "Sequence[ShardRootDigest | ShardRemoval]",
+        home_updates: Sequence[ShardUpdate],
+        digests: Sequence[ShardRootDigest],
     ) -> FieldElement:
         started = time.perf_counter()
         if checkpoint is not None and checkpoint.seq > self.seq:
@@ -669,6 +640,7 @@ class ShardSyncManager:
                 if self.seq < update.seq <= checkpoint.seq:
                     self._replay_home(update)
                     self.stats.bytes_consumed += update.byte_size()
+                    self.stats.removals_applied += update.removed
             self.restore(checkpoint)
         root = self._replay_deltas(home_updates, digests)
         self._m_replay_seconds.observe(time.perf_counter() - started)
@@ -676,13 +648,13 @@ class ShardSyncManager:
 
     def _replay_deltas(
         self,
-        home_updates: "Sequence[ShardUpdate | ShardRemoval]",
-        digests: "Sequence[ShardRootDigest | ShardRemoval]",
+        home_updates: Sequence[ShardUpdate],
+        digests: Sequence[ShardRootDigest],
     ) -> FieldElement:
         """Apply everything past the current frontier in contiguous seq
         order (full home updates take precedence over their digests),
         then commit — the shared tail of both recovery paths."""
-        merged: dict[int, ShardUpdate | ShardRemoval | ShardRootDigest] = {}
+        merged: dict[int, ShardUpdate | ShardRootDigest] = {}
         for digest in digests:
             merged[digest.seq] = digest
         for update in home_updates:
@@ -698,8 +670,8 @@ class ShardSyncManager:
         self,
         checkpoint: TreeCheckpoint,
         snapshot: object,
-        home_updates: "Sequence[ShardUpdate | ShardRemoval]",
-        digests: "Sequence[ShardRootDigest | ShardRemoval]",
+        home_updates: Sequence[ShardUpdate],
+        digests: Sequence[ShardRootDigest],
     ) -> FieldElement:
         """Authenticate a fetched snapshot, install it, replay the deltas.
 
@@ -750,11 +722,8 @@ class ShardSyncManager:
         roots = dict(checkpoint.shard_roots)
         expected = roots.get(self.home_shard, self.empty_shard_root)
         for digest in digests:
-            if (
-                checkpoint.seq < digest.seq <= snapshot_seq
-                and digest.shard_id == self.home_shard
-            ):
-                expected = digest.new_shard_root
+            if checkpoint.seq < digest.seq <= snapshot_seq:
+                expected = dict(digest.shard_roots).get(self.home_shard, expected)
         # Rebuild locally; reject any snapshot that does not fold to it.
         full = [ZERO] * self.shard_capacity
         for local, leaf in leaves:
@@ -808,13 +777,12 @@ class TreeSyncPublisher:
     """Bridges a group manager's shard announcements onto Waku topics.
 
     A resourceful peer (the §IV-A hybrid role) holding the full tree runs
-    this: every membership event is published as a full
-    :class:`ShardUpdate` on its shard's topic and as a
-    :class:`ShardRootDigest` on the global digest topic, and every
-    ``checkpoint_interval`` events a :class:`TreeCheckpoint` is published
-    for store archival.  ``publish`` is any sink that accepts a
-    :class:`WakuMessage` — a relay's publish, or a store node's direct
-    ``archive``.
+    this: every block's :class:`ShardUpdate` is published on the topic of
+    each shard it touches and its :class:`ShardRootDigest` on the global
+    digest topic, and once ``checkpoint_interval`` events have passed
+    since the last one a :class:`TreeCheckpoint` is published for store
+    archival.  ``publish`` is any sink that accepts a :class:`WakuMessage`
+    — a relay's publish, or a store node's direct ``archive``.
     """
 
     def __init__(
@@ -832,34 +800,21 @@ class TreeSyncPublisher:
         self.checkpoint_interval = checkpoint_interval
         self._timestamp = timestamp or (lambda: 0.0)
         self._since_checkpoint = 0
-        self.updates_published = 0
-        self.removals_published = 0
         self.checkpoints_published = 0
         manager.on_shard_update(self._on_update)
 
-    def _on_update(self, update: "ShardUpdate | ShardRemoval") -> None:
-        now = self._timestamp()
+    def _on_update(self, update: ShardUpdate) -> None:
+        now, payload = self._timestamp(), update.to_bytes()
+        for shard_id, _root in update.shard_roots:
+            self.publish(
+                WakuMessage(payload=payload, content_topic=shard_topic(shard_id), timestamp=now)
+            )
         self.publish(
             WakuMessage(
-                payload=update.to_bytes(),
-                content_topic=shard_topic(update.shard_id),
-                timestamp=now,
+                payload=update.digest().to_bytes(), content_topic=DIGEST_TOPIC, timestamp=now
             )
         )
-        # A ShardRemoval is its own digest (same bytes on both topics):
-        # projecting it down to a plain ShardRootDigest would strip the
-        # removal semantics foreign peers need to collapse their windows.
-        self.publish(
-            WakuMessage(
-                payload=update.digest().to_bytes(),
-                content_topic=DIGEST_TOPIC,
-                timestamp=now,
-            )
-        )
-        self.updates_published += 1
-        if isinstance(update, ShardRemoval):
-            self.removals_published += 1
-        self._since_checkpoint += 1
+        self._since_checkpoint += update.events
         if self._since_checkpoint >= self.checkpoint_interval:
             self.publish_checkpoint()
 

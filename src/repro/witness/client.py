@@ -37,7 +37,7 @@ from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.telemetry import resolve as resolve_telemetry
 from repro.crypto.field import FieldElement, ZERO
-from repro.treesync.messages import ShardRemoval, ShardUpdate
+from repro.treesync.messages import ShardUpdate
 from repro.witness.messages import (
     WITNESS_PROTOCOL,
     WITNESS_REPLY_PROTOCOL,
@@ -93,7 +93,7 @@ class WitnessCacheStats:
     #: dispatcher's ``RequestStats.rejected`` additionally counts
     #: malformed/not-found replies).
     rejected: int = 0
-    #: ShardRemovals observed for a slot this client tracks as its own
+    #: Zero writes observed on a slot this client tracks as its own
     #: (the expected-leaf pin matched the removed commitment).
     revocations_observed: int = 0
     #: Witness acquisitions refused locally because the slot was revoked
@@ -187,7 +187,7 @@ class WitnessClient:
         #: Expected leaf per index (a member's own commitment), re-applied
         #: on background refreshes of that index.
         self._expected_leaf: dict[int, FieldElement] = {}
-        #: Leaf slots observed deleted (a ShardRemoval matched this
+        #: Leaf slots observed deleted (a zero write matched this
         #: client's expected-leaf pin): acquisitions fail fast instead of
         #: walking the provider list for a witness no honest server can
         #: produce, and background refreshes skip them.
@@ -252,8 +252,8 @@ class WitnessClient:
         record nothing — the whole point of the cache is that the publish
         path never waits).
 
-        A slot observed revoked (:meth:`on_shard_event` saw a
-        :class:`~repro.treesync.messages.ShardRemoval` matching the pin)
+        A slot observed revoked (:meth:`on_shard_event` saw a zero write
+        matching the pin)
         fails fast: no honest provider can serve a path for the pinned
         commitment any more, so walking the provider list would only burn
         timeouts before failing anyway."""
@@ -389,39 +389,36 @@ class WitnessClient:
 
     # -- invalidation & background refresh --------------------------------------
 
-    def on_shard_event(self, event: object = None) -> None:
-        """Tree moved: drop every cached witness and refresh in background.
+    def on_shard_event(self, event: ShardUpdate) -> None:
+        """A block moved the tree: drop every cached witness and refresh in background.
 
         Wire this to the view's update feed
         (``manager.on_shard_update(client.on_shard_event)``).  Every tree
         change invalidates every cached witness — a single leaf write
         perturbs each other leaf's path at their common-ancestor level,
         and the fold lands on the old root either way — so the
-        invalidate-and-refresh runs for any event.  Refresh jobs ride the
-        executor's BACKGROUND class, the weakest priority — they only run
-        on lanes relay verdicts and service traffic left idle.  With no
+        invalidate-and-refresh runs once for any block.  Refresh jobs ride
+        the executor's BACKGROUND class, the weakest priority — they only
+        run on lanes relay verdicts and service traffic left idle.  With no
         executor the refresh happens immediately (a pure light client with
-        no crypto pipeline of its own).  A
-        :class:`~repro.treesync.messages.ShardRemoval` does more:
+        no crypto pipeline of its own).  The block's writes do more:
 
-        * if the removed slot carries this client's expected-leaf pin
-          (the member's *own* commitment died there — it was slashed or
-          withdrew), the index is marked revoked: the pin is dropped, no
+        * a zero write naming this client's expected-leaf pin (the
+          member's *own* commitment died there — it was slashed or
+          withdrew) marks the index revoked: the pin is dropped, no
           background refresh is scheduled for it, and future acquisitions
           fail fast instead of hammering providers for a witness no
           honest server can produce;
-        * an update later re-occupying a revoked slot (possible in
+        * a non-zero write re-occupying a revoked slot (possible in
           registries that reuse freed slots) lifts the revocation.
         """
-        if isinstance(event, ShardRemoval):
-            pinned = self._expected_leaf.get(event.index)
-            if pinned is not None and pinned == event.removed_leaf:
-                self._revoked.add(event.index)
-                self._expected_leaf.pop(event.index, None)
+        for index, old, new in event.writes:
+            if new != ZERO:
+                self._revoked.discard(index)
+            elif self._expected_leaf.get(index) == old:
+                self._revoked.add(index)
+                del self._expected_leaf[index]
                 self.cache.stats.revocations_observed += 1
-        elif isinstance(event, ShardUpdate):
-            if event.update.new_leaf != ZERO:
-                self._revoked.discard(event.update.index)
         self._generation += 1
         stale = self.cache.invalidate()
         for index in stale:

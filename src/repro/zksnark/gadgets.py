@@ -49,13 +49,16 @@ def sbox_gadget(cs: ConstraintSystem, x: LC, tag: str, value: int | None = None)
 
 
 def _mds_mix(state: list[LC], params: PoseidonParams) -> list[LC]:
-    """Linear layer — free in R1CS, folded into the LCs."""
+    """Linear layer — free in R1CS, folded into the LCs as plain-int sums
+    (one reduction per term, by the ``LC`` they build)."""
     mixed: list[LC] = []
     for row in params.mds:
-        acc = LC()
+        terms: dict[int, int] = {}
         for coeff, lane in zip(row, state):
-            acc = acc + lane * coeff
-        mixed.append(acc)
+            scale = int(coeff)
+            for var, value in lane.terms.items():
+                terms[var] = terms.get(var, 0) + scale * value
+        mixed.append(LC(terms))
     return mixed
 
 

@@ -29,42 +29,37 @@ Coefficient = Union[int, FieldElement]
 class LinearCombination:
     """A sparse linear combination of R1CS variables.
 
-    Stored as ``{variable_index: coefficient}``.  Supports addition,
-    subtraction, and scaling; multiplying two combinations requires a
-    constraint, which is the circuit builder's job.
+    Stored as ``{variable_index: coefficient}``, coefficients plain ints
+    reduced mod p (never 0).  Supports addition, subtraction, and scaling;
+    multiplying two combinations requires a constraint, which is the
+    circuit builder's job.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, FieldElement] | None = None) -> None:
-        self.terms: dict[int, FieldElement] = {}
-        if terms:
-            for var, coeff in terms.items():
-                coeff = FieldElement(coeff)
-                if coeff:
-                    self.terms[var] = coeff
+    def __init__(self, terms: Mapping[int, Coefficient] | None = None) -> None:
+        self.terms: dict[int, int] = {}
+        for var, coeff in (terms or {}).items():
+            if coeff := int(coeff) % FIELD_MODULUS:
+                self.terms[var] = coeff
 
     @classmethod
     def constant(cls, value: Coefficient) -> "LinearCombination":
-        value = FieldElement(value)
-        return cls({0: value} if value else {})
+        return cls({0: value})
 
     @classmethod
     def variable(cls, index: int, coeff: Coefficient = 1) -> "LinearCombination":
-        return cls({index: FieldElement(coeff)})
+        return cls({index: coeff})
 
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "LinearCombination | Coefficient") -> "LinearCombination":
-        other = _as_lc(other)
         terms = dict(self.terms)
-        for var, coeff in other.terms.items():
-            merged = terms.get(var)
-            total = coeff if merged is None else merged + coeff
-            if total:
+        for var, coeff in _as_lc(other).terms.items():
+            if total := (terms.get(var, 0) + coeff) % FIELD_MODULUS:
                 terms[var] = total
-            elif var in terms:
-                del terms[var]
+            else:
+                terms.pop(var, None)
         result = LinearCombination()
         result.terms = terms
         return result
@@ -72,16 +67,16 @@ class LinearCombination:
     __radd__ = __add__
 
     def __sub__(self, other: "LinearCombination | Coefficient") -> "LinearCombination":
-        return self + (_as_lc(other) * FieldElement(-1))
+        return self + _as_lc(other) * -1
 
     def __rsub__(self, other: "LinearCombination | Coefficient") -> "LinearCombination":
-        return _as_lc(other) + (self * FieldElement(-1))
+        return _as_lc(other) + self * -1
 
     def __mul__(self, scalar: Coefficient) -> "LinearCombination":
-        scalar = FieldElement(scalar)
+        scalar = int(scalar) % FIELD_MODULUS
         result = LinearCombination()
         if scalar:
-            result.terms = {v: c * scalar for v, c in self.terms.items()}
+            result.terms = {v: c * scalar % FIELD_MODULUS for v, c in self.terms.items()}
         return result
 
     __rmul__ = __mul__
@@ -90,7 +85,7 @@ class LinearCombination:
         return len(self.terms)
 
     def __repr__(self) -> str:
-        parts = [f"{c.value}*w{v}" for v, c in sorted(self.terms.items())]
+        parts = [f"{c}*w{v}" for v, c in sorted(self.terms.items())]
         return "LC(" + " + ".join(parts or ["0"]) + ")"
 
 
@@ -159,7 +154,7 @@ class ConstraintSystem:
         for var, coeff in lc.terms.items():
             if var not in self._assignment:
                 raise SnarkError(f"variable w{var} is unassigned")
-            acc += coeff.value * self._assignment[var].value
+            acc += coeff * self._assignment[var].value
         return FieldElement(acc)
 
     # -- constraint emission -------------------------------------------------------
@@ -238,14 +233,13 @@ class ConstraintSystem:
         if witness[0] != FieldElement(1):
             raise ConstraintViolation("witness[0] must be the constant 1")
         # Plain-int evaluation: one .value unwrap per witness entry up
-        # front, then pure integer dot products — no FieldElement churn in
-        # the O(constraints x terms) loop.
+        # front, then pure integer dot products.
         values = [w.value for w in witness]
         modulus = FIELD_MODULUS
         for i, constraint in enumerate(self.constraints):
-            lhs_a = sum(c.value * values[v] for v, c in constraint.a.terms.items())
-            lhs_b = sum(c.value * values[v] for v, c in constraint.b.terms.items())
-            rhs = sum(c.value * values[v] for v, c in constraint.c.terms.items())
+            lhs_a = sum(c * values[v] for v, c in constraint.a.terms.items())
+            lhs_b = sum(c * values[v] for v, c in constraint.b.terms.items())
+            rhs = sum(c * values[v] for v, c in constraint.c.terms.items())
             if (lhs_a * lhs_b - rhs) % modulus:
                 label = constraint.annotation or f"constraint {i}"
                 lhs = lhs_a * lhs_b % modulus

@@ -71,7 +71,7 @@ def two_level_reference(leaves, depth, shard_depth):
     ]
     top = MerkleTree(depth - shard_depth, zeros=zero_hashes(depth)[shard_depth:])
     for shard_id, shard in enumerate(shards):
-        top.write_leaf(shard_id, shard.root)
+        top.apply(((shard_id, shard.root),))
     return shards, top
 
 

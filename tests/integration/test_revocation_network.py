@@ -1,8 +1,8 @@
 """End-to-end distributed revocation over a real deployment.
 
 Botnet double-signal -> multi-observer slash race -> unified
-``MemberRemoved`` -> every replica zeroes the leaf -> ShardRemoval
-flows to shard-scoped and light views -> every peer class rejects the
+``MemberRemoved`` -> every replica zeroes the leaf -> the block's zero
+write flows to shard-scoped and light views -> every peer class rejects the
 slashed member's *fresh* proofs against its locally-accepted roots.
 """
 
@@ -45,7 +45,7 @@ class TestRevocationEndToEnd:
         anchor = dep.peer("peer-000")  # an honest full peer
 
         # Shard-scoped and light views, fed from the anchor's manager
-        # (ShardRemoval on the home feed, its digest projection on the
+        # (the block's ShardUpdate on the home feed, its digest on the
         # light feed — what the two topics would carry).  Subscribed
         # before the first registration so the home shard replays.
         shard_view = ShardSyncManager(
@@ -195,7 +195,7 @@ class TestRevocationEndToEnd:
         assert not dep.contract.is_member(spammer.identity.pk)
         assert coordinator.stats.races_won == 1
 
-        # The client pinned to the dead slot saw the ShardRemoval: the
+        # The client pinned to the dead slot saw its zero write: the
         # slot is revoked, acquisitions fail locally without burning
         # provider round trips.
         assert client._revoked == {index}

@@ -354,7 +354,7 @@ def forge_foreign_digest(message):
     digest = ShardRootDigest.from_bytes(message.payload)
     if digest.seq != 40:
         return message
-    forged = replace(digest, new_shard_root=BOGUS)
+    forged = replace(digest, shard_roots=((4, BOGUS),))
     return replace(message, payload=forged.to_bytes())
 
 

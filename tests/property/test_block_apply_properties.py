@@ -11,7 +11,9 @@ After every block each replica must agree with the reference on root,
 leaves, member count, index map and ``event_seq``; its window must end
 with the block's root (and hold nothing else after a removal); and the
 block must have cost each replica one compression per distinct dirty
-ancestor.
+ancestor.  One replica has both announcement listeners and must meet the
+same assertions; a home-shard view, a light view and an O(log N) view fed
+by its announcements must each reach the reference root after every block.
 """
 
 from hypothesis import given, settings
@@ -21,9 +23,12 @@ from repro.chain.blockchain import Blockchain
 from repro.core.membership import GroupManager
 from repro.crypto.field import FieldElement, ZERO
 from repro.crypto.merkle import MerkleTree
+from repro.crypto.optimized_merkle import OptimizedMerkleView
 from repro.errors import NotRegistered
+from repro.treesync import ShardSyncManager
 
 DEPTH = 6
+SHARD_DEPTH = 3  # the announced replica's tags: eight 8-slot shards
 ADDRESS = "rln"
 TREE_EVENTS = ("MemberRegistered", "MemberRemoved")
 
@@ -101,10 +106,16 @@ def assert_agrees(replica: GroupManager, ref: Reference, live: set[int], gone: s
 @settings(max_examples=60, deadline=None)
 def test_a_block_applied_at_once_matches_the_event_by_event_replay(drawn):
     chain, ledger, ref = Blockchain(), Ledger(), Reference()
-    replicas = [GroupManager(chain, ledger, tree_depth=DEPTH, root_window=3)]
-    announced = GroupManager(chain, ledger, tree_depth=DEPTH, root_window=3)
-    announcements = []
-    announced.on_update(announcements.append)
+    announced = GroupManager(
+        chain, ledger, tree_depth=DEPTH, root_window=3, shard_depth=SHARD_DEPTH
+    )
+    replicas = [GroupManager(chain, ledger, tree_depth=DEPTH, root_window=3), announced]
+    home = ShardSyncManager(0, depth=DEPTH, shard_depth=SHARD_DEPTH)
+    light = ShardSyncManager(None, depth=DEPTH, shard_depth=SHARD_DEPTH)
+    path_view = OptimizedMerkleView(announced.tree.proof(0), announced.root)
+    announced.on_shard_update(home.apply)
+    announced.on_shard_update(lambda update: light.apply(update.digest()))
+    announced.on_update(path_view.apply_update)
     gone: set[int] = set()
     pks = iter(range(1, 1 << 20))
     for ops, join_at in drawn:
@@ -151,8 +162,7 @@ def test_a_block_applied_at_once_matches_the_event_by_event_replay(drawn):
             assert window[-1] == replica.root
             if removed and replica is not joiner:
                 assert window == [replica.root]
-        # A replica with a listener applies and announces each event alone.
-        assert_agrees(announced, ref, live, gone)
-        assert len(announcements) == ref.event_seq
-        if announcements:
-            assert announcements[-1].new_root == ref.tree.root
+        for view in (home, light, path_view):
+            assert view.root == ref.tree.root
+        assert home.seq == light.seq == ref.event_seq
+        assert path_view.proof().verify(ref.tree.root)

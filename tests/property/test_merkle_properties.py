@@ -91,14 +91,14 @@ def test_optimized_view_tracks_arbitrary_update_sequences(leaves, data):
             )
             if index == tracked or tree.leaf(index) == ZERO:
                 continue
-        update = TreeUpdate(index=index, new_leaf=new_leaf, path=tree.proof(index))
+        path = tree.proof(index)
         if index >= tree.leaf_count:
             tree.append(new_leaf)
         elif tree.leaf(index) == ZERO:
             continue
         else:
             tree.update(index, new_leaf)
-        view.apply_update(update)
+        view.apply_update(TreeUpdate(writes=((path, new_leaf),), new_root=tree.root))
         assert view.root == tree.root
         assert view.proof().verify(tree.root)
 
@@ -123,7 +123,7 @@ def _apply(tree: MerkleTree, op: str, slot: int, leaf: FieldElement) -> None:
         if tree.leaf_count and tree.leaf(slot % tree.leaf_count) != ZERO:
             tree.delete(slot % tree.leaf_count)
     else:
-        tree.write_leaf(slot, ZERO if op == "clear" else leaf)
+        tree.apply(((slot, ZERO if op == "clear" else leaf),))
 
 
 @pytest.mark.parametrize("memo_limit", [None, 4])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.field import FIELD_MODULUS, FieldElement, ZERO
 from repro.crypto.merkle import MerkleTree
-from repro.treesync import ShardRemoval, ShardedMerkleForest
+from repro.treesync import ShardRootDigest, ShardUpdate, ShardedMerkleForest
 
 DEPTH = 6
 SHARD_DEPTH = 2
@@ -104,14 +104,15 @@ field_values = st.integers(min_value=0, max_value=FIELD_MODULUS - 1).map(FieldEl
 def test_shard_removal_wire_round_trip(
     seq, shard_id, index, removed_leaf, shard_root, global_root
 ):
-    removal = ShardRemoval(
+    """A removal is a zero write; the block and its digest both say so."""
+    removal = ShardUpdate(
         seq=seq,
-        shard_id=shard_id,
-        index=index,
-        removed_leaf=removed_leaf,
-        new_shard_root=shard_root,
+        writes=((index, removed_leaf, ZERO),),
+        shard_roots=((shard_id, shard_root),),
         new_global_root=global_root,
     )
     encoded = removal.to_bytes()
     assert len(encoded) == removal.byte_size()
-    assert ShardRemoval.from_bytes(encoded) == removal
+    assert ShardUpdate.from_bytes(encoded) == removal
+    digest = ShardRootDigest.from_bytes(removal.digest().to_bytes())
+    assert digest.removed and digest.events == 1

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.field import FieldElement, ZERO
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.optimized_merkle import TreeUpdate
 from repro.treesync import (
-    ShardRemoval,
     ShardSyncManager,
     ShardUpdate,
     ShardedMerkleForest,
@@ -147,29 +145,12 @@ def test_sync_manager_fed_the_announcements_commits_to_the_same_root(ops, home):
         (index,) = changed
         seq += 1
         shard_id = forest.shard_of(index)
-        if after[index] == ZERO:
-            item = ShardRemoval(
-                seq=seq,
-                shard_id=shard_id,
-                index=index,
-                removed_leaf=before[index],
-                new_shard_root=forest.shard_root(shard_id),
-                new_global_root=forest.root,
-            )
-        else:
-            item = ShardUpdate(
-                seq=seq,
-                shard_id=shard_id,
-                # The path is dead weight to a shard-scoped consumer.
-                update=TreeUpdate(
-                    index=index,
-                    new_leaf=after[index],
-                    path=forest.proof(index),
-                    new_root=forest.root,
-                ),
-                new_shard_root=forest.shard_root(shard_id),
-                new_global_root=forest.root,
-            )
+        item = ShardUpdate(
+            seq=seq,
+            writes=((index, before[index], after[index]),),
+            shard_roots=((shard_id, forest.shard_root(shard_id)),),
+            new_global_root=forest.root,
+        )
         view.apply(item if shard_id == home else item.digest())
         before = after
         assert view.root == forest.root

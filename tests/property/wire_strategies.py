@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.core.messages import RateLimitProof
 from repro.crypto.field import FIELD_MODULUS, FieldElement
 from repro.crypto.merkle import MerkleProof
-from repro.crypto.optimized_merkle import TreeUpdate
 from repro.telemetry.disttrace import SpanContext, SpanRecord
 from repro.telemetry.otlp import (
     CounterDelta,
@@ -23,12 +22,7 @@ from repro.telemetry.otlp import (
     TelemetryBatch,
 )
 from repro.telemetry.registry import DEFAULT_BUCKETS
-from repro.treesync.messages import (
-    ShardRemoval,
-    ShardRootDigest,
-    ShardUpdate,
-    TreeCheckpoint,
-)
+from repro.treesync.messages import ShardRootDigest, ShardUpdate, TreeCheckpoint
 from repro.waku.message import WakuMessage
 from repro.witness.messages import (
     SnapshotRequest,
@@ -58,35 +52,23 @@ def proofs(draw):
     )
 
 
+sparse = st.lists(st.tuples(u32, fields), max_size=4).map(tuple)
 digests = st.builds(
-    ShardRootDigest, seq=u64, shard_id=u32, new_shard_root=fields, new_global_root=fields
-)
-removals = st.builds(
-    ShardRemoval,
+    ShardRootDigest,
     seq=u64,
-    shard_id=u32,
-    index=u64,
-    removed_leaf=fields,
-    new_shard_root=fields,
+    events=u32,
+    removed=st.booleans(),
+    shard_roots=sparse,
     new_global_root=fields,
 )
-
-
-@st.composite
-def updates(draw):
-    path, root = draw(proofs()), draw(fields)
-    return ShardUpdate(
-        seq=draw(u64),
-        shard_id=draw(u32),
-        update=TreeUpdate(
-            index=path.index, new_leaf=draw(fields), path=path, new_root=root
-        ),
-        new_shard_root=draw(fields),
-        new_global_root=root,
-    )
-
-
-sparse = st.lists(st.tuples(u32, fields), max_size=4).map(tuple)
+#: A block: one or more ``(index, old_leaf, new_leaf)`` writes.
+updates = st.builds(
+    ShardUpdate,
+    seq=u64,
+    writes=st.lists(st.tuples(u64, fields, fields), min_size=1, max_size=4).map(tuple),
+    shard_roots=sparse,
+    new_global_root=fields,
+)
 checkpoints = st.builds(
     TreeCheckpoint,
     seq=u64,

@@ -14,6 +14,11 @@ the production-shaped batch were added then.  Both were re-pinned once
 more when local roots stopped leaving their peer: the id-free layout
 went (a local-root-shaped span now carries its ids in full) and the
 production batch carries only its sampled span.
+
+The tree-sync announcements became one record per block: ``ShardUpdate``
+(writes as index, old leaf, new leaf; the touched shards' roots; no path)
+and ``ShardRootDigest`` (event count, removal flag, the same roots) were
+re-pinned then, and ``ShardRemoval`` went (a removal is a zero write).
 """
 
 import pytest
@@ -22,7 +27,6 @@ from repro.core.messages import RateLimitProof
 from repro.core.wire import decode_message, encode_message
 from repro.crypto.field import FieldElement
 from repro.crypto.merkle import MerkleProof
-from repro.crypto.optimized_merkle import TreeUpdate
 from repro.telemetry.disttrace import SpanContext, SpanRecord, local_prefix
 from repro.telemetry.otlp import (
     CounterDelta,
@@ -32,12 +36,7 @@ from repro.telemetry.otlp import (
     HistogramDelta,
     TelemetryBatch,
 )
-from repro.treesync.messages import (
-    ShardRemoval,
-    ShardRootDigest,
-    ShardUpdate,
-    TreeCheckpoint,
-)
+from repro.treesync.messages import ShardRootDigest, ShardUpdate, TreeCheckpoint
 from repro.waku.message import WakuMessage
 from repro.witness.messages import (
     SnapshotRequest,
@@ -107,15 +106,11 @@ BUNDLE = RateLimitProof(
 
 VALUES = {
     "ShardRootDigest": ShardRootDigest(
-        seq=9, shard_id=2, new_shard_root=F(100), new_global_root=F(200)
-    ),
-    "ShardRemoval": ShardRemoval(
-        seq=10, shard_id=1, index=70, removed_leaf=F(7), new_shard_root=F(8),
-        new_global_root=F(9),
+        seq=9, events=2, removed=True, shard_roots=((2, F(100)),), new_global_root=F(200)
     ),
     "ShardUpdate": ShardUpdate(
-        seq=11, shard_id=0, new_shard_root=F(300), new_global_root=F(400),
-        update=TreeUpdate(index=5, new_leaf=F(0xBB), path=PATH, new_root=F(400)),
+        seq=11, writes=((5, F(0), F(0xBB)), (70, F(7), F(0))),
+        shard_roots=((0, F(300)), (1, F(8))), new_global_root=F(400),
     ),
     "TreeCheckpoint": TreeCheckpoint(
         seq=12, depth=20, shard_depth=10, leaf_count=1025,
@@ -151,9 +146,8 @@ VALUES = {
 }
 
 GOLDEN: dict[str, str] = {
-    "ShardRootDigest": "000000000000000900000002000000000000000000000000000000000000000000000000000000000000006400000000000000000000000000000000000000000000000000000000000000c8",
-    "ShardRemoval": "000000000000000a000000010000000000000046000000000000000000000000000000000000000000000000000000000000000700000000000000000000000000000000000000000000000000000000000000080000000000000000000000000000000000000000000000000000000000000009",
-    "ShardUpdate": "000000000000000b00000000000000000000000500000000000000000000000000000000000000000000000000000000000000bb000000000000000000000000000000000000000000000000000000000000012c00000000000000000000000000000000000000000000000000000000000001900000000000000005000300000000000000000000000000000000000000000000000000000000000000aa000000000000000000000000000000000000000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000020000000000000000000000000000000000000000000000000000000000000003",
+    "ShardRootDigest": "000000000000000900000002010000000100000002000000000000000000000000000000000000000000000000000000000000006400000000000000000000000000000000000000000000000000000000000000c8",
+    "ShardUpdate": "000000000000000b000000020000000000000005000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000bb0000000000000046000000000000000000000000000000000000000000000000000000000000000700000000000000000000000000000000000000000000000000000000000000000000000200000000000000000000000000000000000000000000000000000000000000000000012c0000000100000000000000000000000000000000000000000000000000000000000000080000000000000000000000000000000000000000000000000000000000000190",
     "TreeCheckpoint": "000000000000000c140a0000000000000401000000020000000000000000000000000000000000000000000000000000000000000000000003e80000000100000000000000000000000000000000000000000000000000000000000003e900000000000000000000000000000000000000000000000000000000000003ea",
     "WitnessRequest": "00000000000000010000000000000002",
     "WitnessRequest-traced": "000000000000000100000000000000020123456789abcdef0011223344556677000000000000006300030008706565722d303037",

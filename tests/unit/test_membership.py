@@ -208,3 +208,38 @@ class TestBlockIsOneTransaction:
         # Slots 0-2 share their ancestors above level 1: 2 + 1 + ... + 1.
         assert manager.tree.hash_ops - hash_ops == 2 + (DEPTH - 1)
         manager.assert_synced()
+
+    def test_a_listener_leaves_the_window_as_a_replica_without_one(
+        self, env, native_prover
+    ):
+        """A block of more registrations than the window holds moves a
+        replica with announcement listeners by one root, as it moves one
+        without: a bundle built on the pre-block root is still acceptable."""
+        from repro import testing
+        from repro.core.config import RLNConfig
+        from repro.core.validator import BundleValidator
+
+        chain, contract, plain = env
+        listened = GroupManager(chain, contract, tree_depth=DEPTH, root_window=4)
+        listened.on_update(lambda update: None)
+        listened.on_shard_update(lambda update: None)
+        member = Identity.from_secret(800)
+        register(chain, contract, member)
+        pre_block = listened.root
+        bundle = testing.mint_bundle(
+            member, b"pre-block", testing.RLN_TEST_EPOCH, listened, native_prover
+        )
+        for i in range(6):  # more than root_window=4
+            chain.send_transaction(
+                "funder", contract.address, "register",
+                {"pk": Identity.from_secret(810 + i).pk.value}, value=contract.deposit,
+            )
+        chain.mine_block()
+        assert listened.recent_roots() == plain.recent_roots()
+        assert listened.recent_roots()[-2:] == [pre_block, listened.root]
+        config = RLNConfig(epoch_length=30.0, max_epoch_gap=2, tree_depth=DEPTH)
+        for manager in (listened, plain):
+            assert manager.is_acceptable_root(pre_block)
+            validator = BundleValidator(config, native_prover, manager)
+            assert validator.classify_cheap(bundle) is None
+        listened.close()

@@ -291,11 +291,11 @@ class TestLevels:
         top = MerkleTree(depth=3, zeros=zero_hashes(5)[2:])
         assert top.root == MerkleTree(depth=5).root  # empty = all-empty shards
         for node in range(5):  # the five allocated level-2 nodes
-            top.write_leaf(node, tree.subtree_root(2, node))
+            top.apply(((node, tree.subtree_root(2, node)),))
         assert top.root == tree.root
         assert top.proof(4) == tree.path(2, 4, 3)
         # Writing the empty leaf (an emptied subtree) frees the slot again.
-        top.write_leaf(4, zero_hashes(5)[2])
+        top.apply(((4, zero_hashes(5)[2]),))
         assert top.member_count == 4
         trimmed = MerkleTree.from_leaves(list(tree.leaves())[:16], depth=5)
         assert top.root == trimmed.root

@@ -1,14 +1,12 @@
 """Unit tests for the O(log N)-storage Merkle view (paper reference [18])."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.field import FieldElement, ZERO
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.optimized_merkle import (
-    OptimizedMerkleView,
-    TreeUpdate,
-    divergence_level,
-)
+from repro.crypto.optimized_merkle import OptimizedMerkleView, TreeUpdate
 from repro.errors import InconsistentTreeUpdate, MerkleError, SyncError
 
 
@@ -21,30 +19,53 @@ def build_pair(depth: int = 5, members: int = 6, track: int = 2):
     return tree, view
 
 
-def announce(tree: MerkleTree, index: int, new_leaf: FieldElement) -> TreeUpdate:
-    """Capture the pre-change path, then apply the change to the full tree."""
-    path = tree.proof(index)
-    if new_leaf == ZERO:
-        tree.delete(index)
-    elif index >= tree.leaf_count:
-        assert tree.append(new_leaf) == index
-    else:
-        tree.update(index, new_leaf)
-    return TreeUpdate(index=index, new_leaf=new_leaf, path=path, new_root=tree.root)
+def announce(tree: MerkleTree, index: int, new_leaf: FieldElement, *more) -> TreeUpdate:
+    """Capture the pre-block paths, then apply the block to the full tree.
+
+    ``more`` continues the block: further ``index, new_leaf`` pairs."""
+    writes = [(index, new_leaf), *zip(more[::2], more[1::2])]
+    paths = [tree.proof(slot) for slot, _leaf in writes]
+    tree.apply(writes)
+    return TreeUpdate(
+        writes=tuple(zip(paths, (leaf for _slot, leaf in writes))), new_root=tree.root
+    )
+
+
+def moved_levels(view: OptimizedMerkleView, update: TreeUpdate) -> list[int]:
+    """Apply ``update``; the levels whose sibling it changed."""
+    before = view.proof().siblings
+    view.apply_update(update)
+    return [level for level, (old, new) in
+            enumerate(zip(before, view.proof().siblings)) if old != new]
 
 
 class TestDivergenceLevel:
+    """Where a written leaf's path meets the tracked one decides which of
+    the view's siblings moves: the one just below the merge level."""
+
     def test_same_index_is_zero(self):
-        assert divergence_level(5, 5, 4) == 0
+        tree, view = build_pair(depth=4, members=6, track=5)
+        assert moved_levels(view, announce(tree, 5, FieldElement(77))) == []
+        assert view.leaf == FieldElement(77)
 
     def test_adjacent_leaves(self):
-        assert divergence_level(0, 1, 4) == 1
+        tree, view = build_pair(depth=4, members=6, track=0)
+        assert moved_levels(view, announce(tree, 1, FieldElement(77))) == [0]
 
     def test_opposite_halves(self):
-        assert divergence_level(0, 8, 4) == 4
+        tree, view = build_pair(depth=4, members=6, track=0)
+        assert moved_levels(view, announce(tree, 8, FieldElement(77))) == [3]
 
     def test_symmetry(self):
-        assert divergence_level(3, 6, 4) == divergence_level(6, 3, 4)
+        """A block's writes to 3 and 6 fold to the same view in either order."""
+        results = []
+        for order in ((3, 6), (6, 3)):
+            tree, view = build_pair(depth=4, members=8, track=1)
+            a, b = order
+            view.apply_update(announce(tree, a, FieldElement(a + 90), b, FieldElement(b + 90)))
+            results.append((view.root, view.proof()))
+            assert view.root == tree.root
+        assert results[0] == results[1]
 
 
 class TestOptimizedView:
@@ -115,14 +136,14 @@ class TestOptimizedView:
         tree, view = build_pair(depth=5)
         other = MerkleTree(depth=4)
         other.append(FieldElement(1))
-        update = TreeUpdate(index=0, new_leaf=FieldElement(2), path=other.proof(0))
+        update = TreeUpdate(writes=((other.proof(0), FieldElement(2)),), new_root=other.root)
         with pytest.raises(MerkleError):
             view.apply_update(update)
 
     def test_index_path_mismatch_rejected(self):
         tree, view = build_pair()
-        path = tree.proof(1)
-        update = TreeUpdate(index=0, new_leaf=FieldElement(2), path=path)
+        path = replace(tree.proof(1), index=0)  # slot 1's path, claimed for slot 0
+        update = TreeUpdate(writes=((path, FieldElement(2)),), new_root=tree.root)
         with pytest.raises(MerkleError):
             view.apply_update(update)
 
@@ -132,10 +153,7 @@ class TestOptimizedView:
         # trusted blindly).
         tree, view = build_pair(members=6, track=2)
         update = TreeUpdate(
-            index=5,
-            new_leaf=FieldElement(9999),
-            path=tree.proof(5),
-            new_root=FieldElement(0xBAD),
+            writes=((tree.proof(5), FieldElement(9999)),), new_root=FieldElement(0xBAD)
         )
         old_root = view.root
         with pytest.raises(InconsistentTreeUpdate):
@@ -145,22 +163,32 @@ class TestOptimizedView:
     def test_forged_new_root_rejected_for_own_leaf(self):
         tree, view = build_pair(members=6, track=2)
         update = TreeUpdate(
-            index=2,
-            new_leaf=FieldElement(4242),
-            path=tree.proof(2),
-            new_root=FieldElement(0xBAD),
+            writes=((tree.proof(2), FieldElement(4242)),), new_root=FieldElement(0xBAD)
         )
         old_leaf = view.leaf
         with pytest.raises(InconsistentTreeUpdate):
             view.apply_update(update)
         assert view.leaf == old_leaf
 
-    def test_legacy_update_without_new_root_still_applies(self):
-        tree, view = build_pair(members=6, track=2)
-        path = tree.proof(5)
-        tree.update(5, FieldElement(9999))
-        legacy = TreeUpdate(index=5, new_leaf=FieldElement(9999), path=path)
-        view.apply_update(legacy)
+    def test_tracks_a_block_of_writes(self):
+        """One announcement per block: registrations, a deletion, the
+        tracked leaf's sibling and a slot written twice, folded at once."""
+        tree, view = build_pair(depth=5, members=6, track=2)
+        update = announce(
+            tree, 6, FieldElement(600), 7, FieldElement(700), 3, ZERO,
+            6, ZERO, 20, FieldElement(2000),
+        )
+        view.apply_update(update)
+        assert view.root == tree.root
+        assert view.proof() == tree.proof(2)
+
+    def test_a_stale_path_in_a_block_moves_nothing(self):
+        tree, view = build_pair(depth=5, members=6, track=2)
+        good = announce(tree, 6, FieldElement(600))
+        stale = replace(good, writes=good.writes + ((tree.proof(7), FieldElement(1)),))
+        with pytest.raises(SyncError):
+            view.apply_update(stale)
+        view.apply_update(good)
         assert view.root == tree.root
 
 

@@ -38,7 +38,6 @@ KEPT_FOR = {
     "codec.py:Wire.decode": "decoder entry point: one value at an offset",
     "codec.py:Writer.str": "encoder of `Reader.str`",
     "codec.py:_str_bytes": "the string encoder `Writer.str` writes through (a decoder's twin)",
-    "codec.py:flag": "decoder: a flag byte other than 0/1 refused",
     "core/wire.py:decode_message": "decoder: a Waku message with its RLN bundle off the wire",
     "core/wire.py:encode_message": "encoder of `decode_message`",
     "core/messages.py:RateLimitProof._read": "decode_message's proof section",
@@ -75,7 +74,6 @@ KEPT_FOR = {
     "telemetry/otlp.py:TelemetryBatch._read_body": "decoder: a telemetry batch",
     "telemetry/otlp.py:_Metric._read_body": "decoder: one metric delta in a batch",
     "telemetry/otlp.py:_read_number": "decoder: integer/float metric values",
-    "treesync/messages.py:ShardRemoval._read": "decoder: a shard removal announcement",
     "treesync/messages.py:ShardUpdate._read": "decoder: a shard update announcement",
     "witness/messages.py:SnapshotRequest._read": "decoder: a snapshot request",
     "witness/messages.py:SnapshotResponse._read": "decoder: a snapshot response",
@@ -214,8 +212,8 @@ BUDGET = {
     "analysis": 228,
     "baselines": 387,
     "chain": 975,
-    "core": 1974,
-    "crypto": 1786,
+    "core": 1962,
+    "crypto": 1762,
     "exec": 427,
     "gossipsub": 1218,
     "net": 983,
@@ -224,10 +222,10 @@ BUDGET = {
     "repro": 642,
     "revocation": 449,
     "telemetry": 3666,
-    "treesync": 1311,
+    "treesync": 1222,
     "waku": 859,
-    "witness": 999,
-    "zksnark": 1397,
+    "witness": 996,
+    "zksnark": 1394,
 }
 
 

@@ -251,11 +251,11 @@ class TestValidation:
 
 
 class TestWriteLeaf:
-    """The low-level MerkleTree primitive shard-scoped peers replay with."""
+    """One-slot ``MerkleTree.apply``: the write shard-scoped peers replay."""
 
     def test_skip_allocation_marks_intermediates_free(self):
         tree = MerkleTree(depth=4)
-        tree.write_leaf(5, FieldElement(42))
+        tree.apply(((5, FieldElement(42)),))
         assert tree.leaf_count == 6
         assert tree.member_count == 1
         # The skipped slots are reusable by insert().
@@ -263,8 +263,8 @@ class TestWriteLeaf:
 
     def test_write_zero_clears(self):
         tree = MerkleTree(depth=4)
-        tree.write_leaf(0, FieldElement(1))
-        tree.write_leaf(0, ZERO)
+        tree.apply(((0, FieldElement(1)),))
+        tree.apply(((0, ZERO),))
         assert tree.member_count == 0
         assert tree.root == MerkleTree(depth=4).root
 
@@ -274,8 +274,8 @@ class TestWriteLeaf:
         via_ops.append(FieldElement(2))
         via_ops.delete(0)
         via_writes = MerkleTree(depth=4)
-        via_writes.write_leaf(0, FieldElement(1))
-        via_writes.write_leaf(1, FieldElement(2))
-        via_writes.write_leaf(0, ZERO)
+        via_writes.apply(((0, FieldElement(1)),))
+        via_writes.apply(((1, FieldElement(2)),))
+        via_writes.apply(((0, ZERO),))
         assert via_writes.root == via_ops.root
         assert via_writes.member_count == via_ops.member_count

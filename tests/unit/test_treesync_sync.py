@@ -1,5 +1,7 @@
 """Unit tests for shard-scoped tree sync (repro.treesync.sync)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import testing
@@ -9,7 +11,7 @@ from repro.core.config import RLNConfig
 from repro.core.membership import GroupManager
 from repro.core.validator import BundleValidator, ValidationOutcome
 from repro.crypto.commitments import commit
-from repro.crypto.field import FIELD_MODULUS, FieldElement
+from repro.crypto.field import FIELD_MODULUS, FieldElement, ZERO
 from repro.errors import (
     InconsistentTreeUpdate,
     MerkleError,
@@ -17,7 +19,7 @@ from repro.errors import (
     SyncError,
     TreeSyncGap,
 )
-from repro.treesync import ShardRemoval, ShardRootDigest, ShardSyncManager, ShardUpdate
+from repro.treesync import ShardRootDigest, ShardSyncManager, ShardUpdate
 from repro.treesync.forest import resolve_shard_depth
 from tests.conftest import TEST_DEPTH, two_level_reference
 
@@ -132,13 +134,7 @@ class TestLiveFeed:
         updates: list[ShardUpdate] = []
         manager.on_shard_update(updates.append)
         register(chain, contract, 0x900)
-        forged = ShardUpdate(
-            seq=updates[0].seq,
-            shard_id=updates[0].shard_id,
-            update=updates[0].update,
-            new_shard_root=FieldElement(0xBAD),
-            new_global_root=updates[0].new_global_root,
-        )
+        forged = replace(updates[0], shard_roots=((0, FieldElement(0xBAD)),))
         with pytest.raises(InconsistentTreeUpdate):
             view.apply(forged)
         # The rejected write was rolled back: the genuine update for the
@@ -152,13 +148,7 @@ class TestLiveFeed:
         updates: list[ShardUpdate] = []
         manager.on_shard_update(updates.append)
         register(chain, contract, 0xA00)
-        forged = ShardUpdate(
-            seq=updates[0].seq,
-            shard_id=updates[0].shard_id,
-            update=updates[0].update,
-            new_shard_root=updates[0].new_shard_root,
-            new_global_root=FieldElement(0xBAD),
-        )
+        forged = replace(updates[0], new_global_root=FieldElement(0xBAD))
         view.apply(forged)  # foreign: recorded without hashing
         with pytest.raises(InconsistentTreeUpdate):
             view.commit()
@@ -352,11 +342,9 @@ class TestCommitRecovery:
         manager.on_shard_update(updates.append)
         register(chain, contract, 0x1600)
         good_root = view.commit()
-        forged = ShardUpdate(
-            seq=updates[0].seq,
-            shard_id=updates[0].shard_id,
-            update=updates[0].update,
-            new_shard_root=FieldElement(0xBAD),
+        forged = replace(
+            updates[0],
+            shard_roots=((0, FieldElement(0xBAD)),),
             new_global_root=FieldElement(0xBAD),
         )
         view.apply(forged)
@@ -391,10 +379,8 @@ class TestForgedAnnouncementHardening:
         manager.on_shard_update(updates.append)
         register(chain, contract, 0x1800)
         forged = updates[0].digest()
-        from dataclasses import replace
-
         with pytest.raises(SyncError):
-            view.apply(replace(forged, shard_id=999))
+            view.apply(replace(forged, shard_roots=((999, FieldElement(1)),)))
         # Nothing was recorded: the genuine update still applies, and the
         # validator hot path keeps working.
         view.apply(updates[0])
@@ -410,17 +396,7 @@ class TestForgedAnnouncementHardening:
         view.apply(updates[0])
         # Forged seq-2 event "writing" an untouched zero slot to zero,
         # announcing the (unchanged) current roots.
-        from dataclasses import replace
-        from repro.crypto.field import ZERO
-        from repro.crypto.optimized_merkle import TreeUpdate
-
-        noop = ShardUpdate(
-            seq=2,
-            shard_id=0,
-            update=TreeUpdate(index=5, new_leaf=ZERO, path=manager.tree.proof(5)),
-            new_shard_root=updates[0].new_shard_root,
-            new_global_root=updates[0].new_global_root,
-        )
+        noop = replace(updates[0], seq=2, writes=((5, ZERO, ZERO),))
         with pytest.raises(InconsistentTreeUpdate):
             view.apply(noop)
         assert view.seq == 1  # the seq was not consumed
@@ -436,12 +412,37 @@ class TestForgedAnnouncementHardening:
         register(chain, contract, 0x1A00)
         view.apply(updates[0])
         view.commit()
-        from dataclasses import replace
-
         stale = replace(updates[0].digest(), seq=2)  # re-announces held root
         with pytest.raises(InconsistentTreeUpdate):
             view.apply(stale)
         assert view.seq == 1
+
+    @pytest.mark.parametrize("home_shard", [0, 1, None])
+    def test_a_block_that_registers_and_withdraws_one_member_applies(
+        self, group, home_shard
+    ):
+        """The one genuine block that leaves every root as it was: it
+        removed someone, so it is no forged no-op."""
+        chain, contract, manager = group
+        view = ShardSyncManager(
+            home_shard=home_shard, depth=TEST_DEPTH, shard_depth=SHARD_DEPTH
+        )
+        updates: list[ShardUpdate] = []
+        manager.on_shard_update(updates.append)
+        manager.on_shard_update(
+            view.apply if home_shard == 0 else lambda update: view.apply(update.digest())
+        )
+        register(chain, contract, 0x1B00)
+        root = view.commit()
+        pk = FieldElement(0x1B01)
+        chain.emit(contract.address, "MemberRegistered", {"index": 1, "pk": pk.value})
+        chain.emit(contract.address, "MemberRemoved", {"index": 1, "pk": pk.value})
+        chain.mine_block()
+        assert updates[-1].writes == ((1, ZERO, pk), (1, pk, ZERO))
+        assert updates[-1].shard_roots == updates[0].shard_roots
+        assert view.seq == manager.event_seq == 3
+        assert view.commit() == root == manager.root
+        assert view.recent_roots() == [root]  # a removal still collapses
 
 
 class TestLightView:
@@ -502,7 +503,7 @@ class TestLightView:
 
 
 class TestShardRemoval:
-    """The compact removal artefact: wire shape, replay, window collapse."""
+    """A removal is a zero write: wire shape, replay, window collapse."""
 
     def _grow(self, chain, contract, manager, count, base=0x2000):
         return [register(chain, contract, base + i) for i in range(count)]
@@ -514,11 +515,11 @@ class TestShardRemoval:
         members = self._grow(chain, contract, manager, 3)
         slash(chain, contract, members[1])
         removal = events[-1]
-        assert isinstance(removal, ShardRemoval)
-        assert removal.index == 1
-        assert removal.removed_leaf == members[1].pk
+        assert removal.writes == ((1, members[1].pk, ZERO),)
+        assert removal.removed and removal.digest().removed
+        assert not events[0].removed
         assert removal.new_global_root == manager.root
-        assert removal.new_shard_root == manager.shard_root(0)
+        assert removal.shard_roots == ((0, manager.shard_root(0)),)
 
     def test_wire_round_trip_and_strict_length(self, group):
         chain, contract, manager = group
@@ -529,15 +530,26 @@ class TestShardRemoval:
         removal = events[-1]
         encoded = removal.to_bytes()
         assert len(encoded) == removal.byte_size()
-        assert ShardRemoval.from_bytes(encoded) == removal
-        # Strict length: a digest payload or a truncated removal must not
-        # mis-decode (removals share topics with updates and digests).
+        assert ShardUpdate.from_bytes(encoded) == removal
+        digest = removal.digest()
+        assert ShardRootDigest.from_bytes(digest.to_bytes()) == digest
+        # Strict length: a truncated or extended block is refused, and so
+        # is a write count larger than the bytes that follow.
+        for malformed in (
+            encoded[:-1],
+            encoded + b"\x00",
+            encoded[:8] + (2).to_bytes(4, "big") + encoded[12:],
+            encoded[:8] + (2**32 - 1).to_bytes(4, "big") + encoded[12:],
+        ):
+            with pytest.raises(ProtocolError):
+                ShardUpdate.from_bytes(malformed)
+        # The removal flag is a flag byte: 2 is not another spelling of 1.
+        flag_at = 12
+        assert digest.to_bytes()[flag_at] == 1
         with pytest.raises(ProtocolError):
-            ShardRemoval.from_bytes(encoded[:-1])
-        with pytest.raises(ProtocolError):
-            ShardRemoval.from_bytes(events[0].digest().to_bytes())
-        # And a removal is its own digest — same bytes on the digest feed.
-        assert removal.digest() is removal
+            ShardRootDigest.from_bytes(
+                digest.to_bytes()[:flag_at] + b"\x02" + digest.to_bytes()[flag_at + 1 :]
+            )
 
     def test_home_removal_replays_and_counts(self, group):
         chain, contract, manager = group
@@ -592,12 +604,10 @@ class TestShardRemoval:
         manager.on_shard_update(view.apply)
         members = self._grow(chain, contract, manager, 3)
         good_root = view.commit()
-        forged = ShardRemoval(
+        forged = ShardUpdate(
             seq=view.seq + 1,
-            shard_id=0,
-            index=1,
-            removed_leaf=FieldElement(0xBAD),  # not what slot 1 holds
-            new_shard_root=FieldElement(0xBAD),
+            writes=((1, FieldElement(0xBAD), ZERO),),  # not what slot 1 holds
+            shard_roots=((0, FieldElement(0xBAD)),),
             new_global_root=FieldElement(0xBAD),
         )
         with pytest.raises(InconsistentTreeUpdate):
@@ -614,12 +624,10 @@ class TestShardRemoval:
         manager.on_shard_update(view.apply)
         members = self._grow(chain, contract, manager, 2)
         slash(chain, contract, members[0])
-        forged = ShardRemoval(
+        forged = ShardUpdate(
             seq=view.seq + 1,
-            shard_id=0,
-            index=0,  # already zeroed
-            removed_leaf=members[0].pk,
-            new_shard_root=FieldElement(0xBAD),
+            writes=((0, members[0].pk, ZERO),),  # already zeroed
+            shard_roots=((0, FieldElement(0xBAD)),),
             new_global_root=FieldElement(0xBAD),
         )
         with pytest.raises(InconsistentTreeUpdate):
@@ -641,15 +649,8 @@ class TestShardRemoval:
         # receives was tampered with: the claimed global root is forged.
         slash(chain, contract, members[0])
         genuine = events[-1]
-        assert isinstance(genuine, ShardRemoval)
-        forged = ShardRemoval(
-            seq=genuine.seq,
-            shard_id=genuine.shard_id,
-            index=genuine.index,
-            removed_leaf=genuine.removed_leaf,
-            new_shard_root=genuine.new_shard_root,
-            new_global_root=FieldElement(0xBAD),
-        )
+        assert genuine.removed
+        forged = replace(genuine, new_global_root=FieldElement(0xBAD))
         view.apply(forged)
         with pytest.raises(InconsistentTreeUpdate):
             view.commit()

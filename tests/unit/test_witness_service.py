@@ -457,7 +457,7 @@ class TestLightDistributedManager:
 
 
 class TestRevocationHandling:
-    """ShardRemoval-aware invalidation: dead slots fail fast, the rest
+    """Removal-aware invalidation: dead slots fail fast, the rest
     refresh on BACKGROUND lanes as before."""
 
     def slash(self, env, member):
@@ -539,3 +539,26 @@ class TestRevocationHandling:
         # The cache was still invalidated (every path crossed the change).
         sim.run(sim.now + 5.0)
         assert client.cache.stats.invalidations >= 1
+
+    def test_one_block_revokes_and_a_later_write_lifts_it(self, env):
+        """A block's writes are read one by one: a zero write over the
+        pinned commitment revokes the slot, a later non-zero write to it
+        lifts the revocation, and a block invalidates the cache once."""
+        from repro.crypto.field import ZERO
+        from repro.treesync import ShardUpdate
+
+        sim, network, names, manager, members = env
+        WitnessService(names[0], manager, network)
+        client = make_client(env)
+        client.witness(5, lambda p: None, expected_leaf=members[5].pk)
+        sim.run(sim.now + 5.0)
+        roots = ((0, manager.shard_root(0)),)
+
+        def block(*writes):
+            return ShardUpdate(manager.event_seq, writes, roots, manager.root)
+
+        client.on_shard_event(block((5, members[5].pk, ZERO), (6, members[6].pk, ZERO)))
+        assert client._revoked == {5}  # slot 6 was never pinned here
+        assert client.cache.stats.invalidations == 1
+        client.on_shard_event(block((5, ZERO, FieldElement(0x5EED))))
+        assert not client._revoked
