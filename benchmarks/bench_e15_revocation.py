@@ -331,12 +331,11 @@ def test_revocation_propagation_at_scale(report_sink, members):
     )
     report_sink(report)
     # Acceptance: foreign cost never grows with the group; home replay is
-    # bounded by the shard, not the tree; what a foreign peer receives is
-    # the O(1) digest.
+    # bounded by the shard, not the tree.
     assert light_apply_cost + light_commit_cost <= DEPTH - SHARD_DEPTH
     assert home_apply_cost <= SHARD_DEPTH
     assert full_cost == DEPTH
-    assert digest.byte_size() < update_bytes / 6
+    assert removal_bytes < update_bytes / 6
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,33 @@ class MerkleTree:
         vars(twin).update(vars(self), _nodes=dict(self._nodes), _free=list(self._free))
         return twin
 
+    @classmethod
+    def from_paths(
+        cls,
+        paths: Sequence[MerkleProof],
+        writes: Iterable[tuple[int, FieldElement]],
+    ) -> "MerkleTree":
+        """The part of a tree that full-depth ``paths`` reveal (each leaf
+        and its siblings), with ``writes`` to those paths' slots applied.
+
+        Every node a rehash of those slots reads is a sibling on some
+        written slot's path, so the result's :attr:`root` and its
+        :meth:`proof` of any given path's slot are the whole tree's after
+        the writes.  Slot bookkeeping is not tracked.
+        """
+        tree = cls(paths[0].depth)
+        for path in paths:
+            tree._set(0, path.index, path.leaf)
+            for level, sibling in enumerate(path.siblings):
+                tree._set(level, (path.index >> level) ^ 1, sibling)
+        dirty = set()
+        for index, leaf in writes:
+            tree._set(0, index, leaf)
+            dirty.add(index)
+        if dirty:
+            tree._rehash(dirty)
+        return tree
+
     # -- accounting (experiment E4) --------------------------------------------
 
     def storage_bytes(self) -> int:

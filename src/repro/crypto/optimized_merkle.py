@@ -15,12 +15,12 @@ paths; :meth:`repro.core.membership.GroupManager.on_update` produces one
 
 The update rule: the changed leaves' paths and the view's own path together
 hold every node a block's rehash reads — each dirty node's other child is a
-sibling on some changed leaf's path — so the view writes the new leaves into
-a scratch tree of just those nodes and lets
-:class:`~repro.crypto.merkle.MerkleTree`'s own level-by-level rehash compute
-the new root and, where a dirty node is one of the view's siblings, its new
-value.  One write is the classic case: the changed leaf's ancestor one level
-below where the two paths merge *is* the view's sibling there.
+sibling on some changed leaf's path — so
+:meth:`~repro.crypto.merkle.MerkleTree.from_paths` rebuilds just those
+nodes, writes the new leaves and rehashes them level by level, giving the
+new root and the view's new path.  One write is the classic case: the
+changed leaf's ancestor one level below where the two paths merge *is* the
+view's sibling there.
 """
 
 from __future__ import annotations
@@ -102,23 +102,17 @@ class OptimizedMerkleView:
                     "update announcement is inconsistent with the tracked root; "
                     "the local view is stale"
                 )
-        scratch = MerkleTree(self.depth)
-        for path in (self.proof(), *paths):
-            scratch._set(0, path.index, path.leaf)
-            for level, sibling in enumerate(path.siblings):
-                scratch._set(level, (path.index >> level) ^ 1, sibling)
-        for path, leaf in update.writes:
-            scratch._set(0, path.index, leaf)
-        scratch._rehash({path.index for path in paths})
+        scratch = MerkleTree.from_paths(
+            (self.proof(), *paths),
+            [(path.index, leaf) for path, leaf in update.writes],
+        )
         if scratch.root != update.new_root:
             raise InconsistentTreeUpdate(
                 "announced new root does not match the root recomputed from "
                 "the update's own paths"
             )
-        self.leaf = scratch._get(0, self.index)
-        self._siblings = [
-            scratch._get(level, (self.index >> level) ^ 1) for level in range(self.depth)
-        ]
+        moved = scratch.proof(self.index)
+        self.leaf, self._siblings = moved.leaf, list(moved.siblings)
         self.root = update.new_root
 
 

@@ -6,11 +6,12 @@ Three artefacts flow between peers (§III-C, sharded):
   they made.  Each write names its global slot, the leaf it expects to
   find there and the leaf it leaves: a registration writes a commitment
   over the zero leaf, a deletion (slash or withdraw) writes the zero leaf
-  over the commitment that died.  No path travels: home-shard peers hold
-  their shard and replay the writes, and naming the old leaf keeps a
-  forger who does not know a slot's content from blanking it.  The update
-  also carries the post-block root of every shard the block touched and
-  the post-block global root, which the local replay is cross-checked
+  over the commitment that died, so the wire carries a removal flag and
+  the one non-zero leaf.  No path travels: home-shard peers hold their
+  shard and replay the writes, and naming the old leaf keeps a forger
+  who does not know a slot's content from blanking it.  The update also
+  carries the post-block root of every shard the block touched and the
+  post-block global root, which the local replay is cross-checked
   against;
 * :class:`ShardRootDigest` — the O(1) projection of a :class:`ShardUpdate`
   that peers *outside* its shards consume: the roots, the block's event
@@ -35,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codec import Reader, Wire, Writer, flag
+from repro.codec import Reader, Wire, Writer, flag, varint
 from repro.crypto.field import FieldElement, ZERO
+from repro.errors import ProtocolError
 
 #: ``(shard_id, root)`` pairs, in shard order.
 ShardRoots = tuple[tuple[int, FieldElement], ...]
@@ -55,14 +57,12 @@ CHECKPOINT_TOPIC = "/treesync/1/checkpoint/proto"
 
 
 def _write_roots(w: Writer, roots: ShardRoots) -> None:
-    w.pack(">I", len(roots))
     for shard_id, root in roots:
         w.pack(">I", shard_id)
         w.field(root)
 
 
-def _read_roots(r: Reader) -> ShardRoots:
-    (count,) = r.unpack(">I")
+def _read_roots(r: Reader, count: int) -> ShardRoots:
     return tuple((r.unpack(">I")[0], r.field()) for _ in range(count))
 
 
@@ -81,20 +81,27 @@ class ShardRootDigest(Wire):
     new_global_root: FieldElement
 
     def _write(self, w: Writer) -> None:
-        w.pack(">QIB", self.seq, self.events, self.removed)
+        w.pack(">Q", self.seq)
+        w.raw(varint(self.events, 32))
+        w.pack(">B", self.removed)
+        w.raw(varint(len(self.shard_roots), 32))
         _write_roots(w, self.shard_roots)
         w.field(self.new_global_root)
 
     @classmethod
     def _read(cls, r: Reader) -> "ShardRootDigest":
-        seq, events, removed = r.unpack(">QIB")
-        return cls(seq, events, flag(removed), _read_roots(r), r.field())
+        (seq,), events, (removed,) = r.unpack(">Q"), r.varint(32), r.unpack(">B")
+        return cls(seq, events, flag(removed), _read_roots(r, r.varint(32)), r.field())
 
 
 @dataclass(frozen=True)
 class ShardUpdate(Wire):
     """One block's tree writes, ``(index, old_leaf, new_leaf)`` in block
-    order, one per membership event, ending at event number ``seq``."""
+    order, one per membership event, ending at event number ``seq``.
+
+    Every write fills a zero slot or zeroes a full one, so only its
+    non-zero leaf travels, behind a removal flag byte.
+    """
 
     seq: int
     writes: tuple[tuple[int, FieldElement, FieldElement], ...]
@@ -116,19 +123,30 @@ class ShardUpdate(Wire):
         )
 
     def _write(self, w: Writer) -> None:
-        w.pack(">QI", self.seq, len(self.writes))
+        w.pack(">Q", self.seq)
+        w.raw(varint(len(self.writes), 32))
         for index, old, new in self.writes:
-            w.pack(">Q", index)
-            w.field(old)
-            w.field(new)
+            removal = new == ZERO
+            leaf, other = (old, new) if removal else (new, old)
+            if leaf == ZERO or other != ZERO:
+                raise ProtocolError(f"write to slot {index} neither fills nor zeroes it")
+            w.pack(">BQ", removal, index)
+            w.field(leaf)
+        w.raw(varint(len(self.shard_roots), 32))
         _write_roots(w, self.shard_roots)
         w.field(self.new_global_root)
 
     @classmethod
     def _read(cls, r: Reader) -> "ShardUpdate":
-        seq, count = r.unpack(">QI")
-        writes = tuple((r.unpack(">Q")[0], r.field(), r.field()) for _ in range(count))
-        return cls(seq, writes, _read_roots(r), r.field())
+        (seq,) = r.unpack(">Q")
+        writes = []
+        for _ in range(r.varint(32)):
+            removal, index = r.unpack(">BQ")
+            leaf = r.field()
+            if leaf == ZERO:
+                raise ProtocolError(f"write to slot {index} carries the zero leaf")
+            writes.append((index, leaf, ZERO) if flag(removal) else (index, ZERO, leaf))
+        return cls(seq, tuple(writes), _read_roots(r, r.varint(32)), r.field())
 
 
 @dataclass(frozen=True)
@@ -152,11 +170,12 @@ class TreeCheckpoint(Wire):
     global_root: FieldElement
 
     def _write(self, w: Writer) -> None:
-        w.pack(">QBBQ", self.seq, self.depth, self.shard_depth, self.leaf_count)
+        head = (self.seq, self.depth, self.shard_depth, self.leaf_count)
+        w.pack(">QBBQI", *head, len(self.shard_roots))
         _write_roots(w, self.shard_roots)
         w.field(self.global_root)
 
     @classmethod
     def _read(cls, r: Reader) -> "TreeCheckpoint":
-        head = r.unpack(">QBBQ")
-        return cls(*head, shard_roots=_read_roots(r), global_root=r.field())
+        *head, count = r.unpack(">QBBQI")
+        return cls(*head, shard_roots=_read_roots(r, count), global_root=r.field())

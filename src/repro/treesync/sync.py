@@ -201,22 +201,39 @@ class ShardSyncManager:
             )
         roots = dict(item.shard_roots)
         # Everything is checked before anything is recorded: a forged
-        # announcement must not plant an entry commit() cannot fold.
+        # announcement must not plant an entry commit() cannot fold, nor
+        # move the frontier further than a block could.  Each slot of a
+        # named shard is registered and zeroed at most once.
+        if not roots or len(roots) < len(item.shard_roots):
+            raise InconsistentTreeUpdate("a block names each shard it touched once")
+        if item.events > 2 * len(roots) * self.shard_capacity:
+            raise InconsistentTreeUpdate("more events than the named shards hold slots for")
+        writes = item.writes if isinstance(item, ShardUpdate) else None
+        if writes is not None and roots.keys() != {i >> self.shard_depth for i, _, _ in writes}:
+            raise InconsistentTreeUpdate("a block names exactly the shards its writes touch")
         for shard_id, root in roots.items():
             if not 0 <= shard_id < (1 << self.top_depth):
                 raise SyncError(f"shard id {shard_id} out of range")
-            # A block changes every shard it names, unless it withdrew a
-            # member it registered (the one genuine no-op): an unchanged
-            # root in a block that removed nobody is a forgery squatting
-            # this seq.
             current = self._pending.get(shard_id)
             if current is None:
                 current = self.top.leaf(shard_id)
-            if root == current and not item.removed:
+            if root != current:
+                continue
+            # Only registering members and withdrawing them again in one
+            # block leaves a root as it was: two events or more, one a
+            # removal.  Any other unchanged root is a forgery squatting
+            # this seq.
+            if writes is None:
+                events, removed = item.events, item.removed
+            else:
+                news = [new for i, _, new in writes if i >> self.shard_depth == shard_id]
+                events, removed = len(news), ZERO in news
+            if events < 2 or not removed:
                 raise InconsistentTreeUpdate(
-                    "announcement leaves a shard root unchanged but removed "
-                    "nobody; every other block changes each shard it names"
+                    "announcement leaves a shard root unchanged without "
+                    "registering and withdrawing a member in it"
                 )
+        size = item.byte_size()  # an unencodable write is refused here too
         replay = self.home_shard in roots and item.seq > self._snapshot_floor
         if replay:
             if not isinstance(item, ShardUpdate):
@@ -227,7 +244,7 @@ class ShardSyncManager:
         if item.removed:
             self.stats.removals_applied += 1
             self._collapse_window = True
-        self.stats.bytes_consumed += item.byte_size()
+        self.stats.bytes_consumed += size
         self.seq = item.seq
         self._announced_root = item.new_global_root
 

@@ -156,6 +156,40 @@ class TestStoreFallback:
             testing.register_member(chain, contract, 0x5000 + i)
         assert lagger.root == manager.root
 
+    @pytest.mark.parametrize("home_shard", [0, None])
+    def test_a_view_that_refused_a_shardless_digest_recovers(
+        self, net, group, home_shard
+    ):
+        """A digest naming no shard claims a thousand events on the current
+        root; the view refuses it where it stands, misses the next blocks,
+        and the store still brings it to the manager's root."""
+        sim, network, relays = net
+        chain, contract, manager = group
+        names = sorted(relays)
+        store = StoreNode(relays[names[0]], network, capacity=1000)
+        TreeSyncPublisher(manager, store.archive, checkpoint_interval=8)
+        updates = []
+        manager.on_shard_update(updates.append)
+        for i in range(10):
+            testing.register_member(chain, contract, 0x4800 + i)
+        view = ShardSyncManager(home_shard=home_shard, depth=DEPTH, shard_depth=SHARD_DEPTH)
+        for update in updates:
+            view.apply(update)
+        forged = ShardRootDigest(
+            seq=view.seq + 1000, events=1000, removed=False, shard_roots=(),
+            new_global_root=manager.root,
+        )
+        with pytest.raises(SyncError):
+            view.apply(forged)
+        assert view.seq == 10
+        for i in range(10):
+            testing.register_member(chain, contract, 0x4900 + i)
+        roots = []
+        view.sync_from_store(StoreClient(names[1], network), names[0], on_done=roots.append)
+        sim.run(sim.now + 5.0)
+        assert roots == [manager.root]
+        assert view.seq == manager.event_seq == 20
+
     def test_descending_checkpoint_query_is_single_message(self, net, group):
         sim, network, relays = net
         chain, contract, manager = group

@@ -97,7 +97,7 @@ field_values = st.integers(min_value=0, max_value=FIELD_MODULUS - 1).map(FieldEl
     seq=st.integers(min_value=1, max_value=2**64 - 1),
     shard_id=st.integers(min_value=0, max_value=2**32 - 1),
     index=st.integers(min_value=0, max_value=2**64 - 1),
-    removed_leaf=field_values,
+    removed_leaf=field_values.filter(lambda leaf: leaf != ZERO),
     shard_root=field_values,
     global_root=field_values,
 )

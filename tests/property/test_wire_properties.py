@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.codec import Wire
+from repro.codec import Wire, varint
 from repro.core.wire import PROOF_SECTION_SIZE, decode_message, encode_message
 from repro.crypto.field import FIELD_BYTES
 from repro.errors import ProtocolError, ReproError
@@ -164,8 +164,9 @@ def test_every_codec_holds_under_hostile_input(name, data):
     assert refused(row, encoded + suffix) or (open_ended and value.trace is None)
 
 
-#: One ``(index, old_leaf, new_leaf)`` write: a u64 and two field elements.
-WRITE_SIZE = 8 + 2 * FIELD_BYTES
+#: One write on the wire: a removal flag byte, the u64 slot and its
+#: non-zero leaf.
+WRITE_SIZE = 1 + 8 + FIELD_BYTES
 
 
 @given(update=ws.updates, extra=st.integers(min_value=1, max_value=2**32 - 1))
@@ -176,13 +177,15 @@ def test_a_write_count_past_the_bytes_that_follow_is_refused(update, extra):
 
     "What the bytes hold" is the count's writes plus the root-list count
     and global root that must follow them.  A raised count the bytes *can*
-    hold re-slices them (two 36-byte shard roots are one 72-byte write), so
-    it may decode; what decodes then has that many writes and is canonical.
+    hold re-slices them (shard roots and writes are both runs of fixed
+    fields), so it may decode; what decodes then has that many writes and
+    is canonical.
     """
     encoded = update.to_bytes()
     count = min(len(update.writes) + extra, 2**32 - 1)
-    forged = encoded[:8] + count.to_bytes(4, "big") + encoded[12:]
-    holds = count * WRITE_SIZE + 4 + FIELD_BYTES <= len(forged) - 12
+    rest = encoded[8 + len(varint(len(update.writes))) :]
+    forged = encoded[:8] + varint(count) + rest
+    holds = count * WRITE_SIZE + 1 + FIELD_BYTES <= len(rest)
     if not holds:
         with pytest.raises(ProtocolError):
             ShardUpdate.from_bytes(forged)

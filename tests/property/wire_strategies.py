@@ -10,7 +10,7 @@ that fails on one of them is a codec bug, not a strategy artefact.
 from hypothesis import strategies as st
 
 from repro.core.messages import RateLimitProof
-from repro.crypto.field import FIELD_MODULUS, FieldElement
+from repro.crypto.field import FIELD_MODULUS, FieldElement, ZERO
 from repro.crypto.merkle import MerkleProof
 from repro.telemetry.disttrace import SpanContext, SpanRecord
 from repro.telemetry.otlp import (
@@ -61,11 +61,19 @@ digests = st.builds(
     shard_roots=sparse,
     new_global_root=fields,
 )
-#: A block: one or more ``(index, old_leaf, new_leaf)`` writes.
+#: One ``(index, old_leaf, new_leaf)`` write: it fills a zero slot or
+#: zeroes a full one.
+writes = st.builds(
+    lambda index, leaf, removal: (index, leaf, ZERO) if removal else (index, ZERO, leaf),
+    u64,
+    fields.filter(lambda leaf: leaf != ZERO),
+    st.booleans(),
+)
+#: A block: one or more writes.
 updates = st.builds(
     ShardUpdate,
     seq=u64,
-    writes=st.lists(st.tuples(u64, fields, fields), min_size=1, max_size=4).map(tuple),
+    writes=st.lists(writes, min_size=1, max_size=4).map(tuple),
     shard_roots=sparse,
     new_global_root=fields,
 )

@@ -16,9 +16,10 @@ went (a local-root-shaped span now carries its ids in full) and the
 production batch carries only its sampled span.
 
 The tree-sync announcements became one record per block: ``ShardUpdate``
-(writes as index, old leaf, new leaf; the touched shards' roots; no path)
-and ``ShardRootDigest`` (event count, removal flag, the same roots) were
-re-pinned then, and ``ShardRemoval`` went (a removal is a zero write).
+(writes as a removal flag, the slot and its one non-zero leaf; the touched
+shards' roots; no path; varint counts) and ``ShardRootDigest`` (varint
+event count, removal flag, the same roots) were re-pinned then, and
+``ShardRemoval`` went (a removal is a zero write).
 """
 
 import pytest
@@ -146,8 +147,8 @@ VALUES = {
 }
 
 GOLDEN: dict[str, str] = {
-    "ShardRootDigest": "000000000000000900000002010000000100000002000000000000000000000000000000000000000000000000000000000000006400000000000000000000000000000000000000000000000000000000000000c8",
-    "ShardUpdate": "000000000000000b000000020000000000000005000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000bb0000000000000046000000000000000000000000000000000000000000000000000000000000000700000000000000000000000000000000000000000000000000000000000000000000000200000000000000000000000000000000000000000000000000000000000000000000012c0000000100000000000000000000000000000000000000000000000000000000000000080000000000000000000000000000000000000000000000000000000000000190",
+    "ShardRootDigest": "000000000000000902010100000002000000000000000000000000000000000000000000000000000000000000006400000000000000000000000000000000000000000000000000000000000000c8",
+    "ShardUpdate": "000000000000000b0200000000000000000500000000000000000000000000000000000000000000000000000000000000bb01000000000000004600000000000000000000000000000000000000000000000000000000000000070200000000000000000000000000000000000000000000000000000000000000000000012c0000000100000000000000000000000000000000000000000000000000000000000000080000000000000000000000000000000000000000000000000000000000000190",
     "TreeCheckpoint": "000000000000000c140a0000000000000401000000020000000000000000000000000000000000000000000000000000000000000000000003e80000000100000000000000000000000000000000000000000000000000000000000003e900000000000000000000000000000000000000000000000000000000000003ea",
     "WitnessRequest": "00000000000000010000000000000002",
     "WitnessRequest-traced": "000000000000000100000000000000020123456789abcdef0011223344556677000000000000006300030008706565722d303037",

@@ -7,6 +7,7 @@ import pytest
 from repro import testing
 from repro.chain.blockchain import Blockchain, WEI
 from repro.chain.rln_contract import RLNMembershipContract
+from repro.codec import varint
 from repro.core.config import RLNConfig
 from repro.core.membership import GroupManager
 from repro.core.validator import BundleValidator, ValidationOutcome
@@ -417,6 +418,69 @@ class TestForgedAnnouncementHardening:
             view.apply(stale)
         assert view.seq == 1
 
+    def test_a_removal_flag_does_not_let_a_digest_reannounce_held_roots(self, group):
+        chain, contract, manager = group
+        view = ShardSyncManager(home_shard=1, depth=TEST_DEPTH, shard_depth=SHARD_DEPTH)
+        updates: list[ShardUpdate] = []
+        manager.on_shard_update(updates.append)
+        register(chain, contract, 0x1A10)
+        view.apply(updates[0])
+        view.commit()
+        window = view.recent_roots()
+        stale = replace(updates[0].digest(), seq=2, removed=True)  # one event
+        with pytest.raises(InconsistentTreeUpdate):
+            view.apply(stale)
+        assert view.seq == 1
+        view.commit()
+        assert view.recent_roots() == window  # no collapse was scheduled
+
+    def test_a_digest_naming_no_shard_cannot_move_the_frontier(self, group):
+        chain, contract, manager = group
+        view = ShardSyncManager(home_shard=1, depth=TEST_DEPTH, shard_depth=SHARD_DEPTH)
+        updates: list[ShardUpdate] = []
+        manager.on_shard_update(updates.append)
+        register(chain, contract, 0x1A20)
+        view.apply(updates[0].digest())
+        forged = replace(updates[0].digest(), seq=1001, events=1000, shard_roots=())
+        with pytest.raises(InconsistentTreeUpdate):
+            view.apply(forged)
+        assert view.seq == 1
+        register(chain, contract, 0x1A21)
+        view.apply(updates[1].digest())  # the genuine next block still lands
+        assert view.root == manager.root
+
+    def test_a_digest_cannot_claim_more_events_than_its_shards_hold(self, group):
+        chain, contract, manager = group
+        view = ShardSyncManager(home_shard=None, depth=TEST_DEPTH, shard_depth=SHARD_DEPTH)
+        updates: list[ShardUpdate] = []
+        manager.on_shard_update(updates.append)
+        register(chain, contract, 0x1A30)
+        events = 2 * (1 << SHARD_DEPTH) + 1  # each slot registered and zeroed, and one more
+        with pytest.raises(InconsistentTreeUpdate):
+            view.apply(replace(updates[0].digest(), seq=events, events=events))
+        assert view.seq == 0
+        view.apply(updates[0].digest())
+        assert view.root == manager.root
+
+    def test_an_update_names_exactly_the_shards_its_writes_touch(self, group):
+        chain, contract, manager = group
+        view = ShardSyncManager(home_shard=1, depth=TEST_DEPTH, shard_depth=SHARD_DEPTH)
+        updates: list[ShardUpdate] = []
+        manager.on_shard_update(updates.append)
+        register(chain, contract, 0x1A40)
+        genuine = updates[0]
+        extra = genuine.shard_roots + ((1, FieldElement(5)),)
+        for forged in (
+            replace(genuine, shard_roots=extra),  # names a shard it does not write
+            replace(genuine, shard_roots=((1, FieldElement(5)),)),  # hides the one it does
+            replace(genuine, shard_roots=genuine.shard_roots * 2),  # names one twice
+        ):
+            with pytest.raises(InconsistentTreeUpdate):
+                view.apply(forged)
+            assert view.seq == 0 and not view._pending
+        view.apply(genuine)
+        assert view.root == manager.root
+
     @pytest.mark.parametrize("home_shard", [0, 1, None])
     def test_a_block_that_registers_and_withdraws_one_member_applies(
         self, group, home_shard
@@ -538,13 +602,25 @@ class TestShardRemoval:
         for malformed in (
             encoded[:-1],
             encoded + b"\x00",
-            encoded[:8] + (2).to_bytes(4, "big") + encoded[12:],
-            encoded[:8] + (2**32 - 1).to_bytes(4, "big") + encoded[12:],
+            encoded[:8] + varint(2) + encoded[9:],
+            encoded[:8] + varint(2**32 - 1) + encoded[9:],
         ):
             with pytest.raises(ProtocolError):
                 ShardUpdate.from_bytes(malformed)
-        # The removal flag is a flag byte: 2 is not another spelling of 1.
-        flag_at = 12
+        # A write is its removal flag, slot and non-zero leaf: the flag is 0
+        # or 1, and a zero leaf is no write.
+        assert encoded[9] == 1
+        for malformed in (
+            encoded[:9] + b"\x02" + encoded[10:],
+            encoded[:18] + bytes(32) + encoded[50:],
+        ):
+            with pytest.raises(ProtocolError):
+                ShardUpdate.from_bytes(malformed)
+        with pytest.raises(ProtocolError):
+            replace(removal, writes=((0, members[0].pk, members[1].pk),)).to_bytes()
+        # The digest's removal flag is a flag byte: 2 is not another
+        # spelling of 1.
+        flag_at = 9
         assert digest.to_bytes()[flag_at] == 1
         with pytest.raises(ProtocolError):
             ShardRootDigest.from_bytes(
