@@ -21,6 +21,10 @@ per verify):
   queueing; reported with CPU occupancy across 1/2/4/8 workers.
 * **verdict totals** — accepted/rejected counts must not move at all:
   concurrency relocates latency, never verdicts.
+* **production burst** — one instant's burst of 8 honest bundles into the
+  production profile's idle lanes (``workers=2``, ``batch_size=8``): the
+  window is split 4 + 4 across both lanes, so every verdict lands at
+  (4 + 3) pairings = 52.5 ms, not one batch of 8 on one lane at 82.5 ms.
 """
 
 from dataclasses import replace
@@ -52,6 +56,9 @@ FORGE_EVERY = 3
 ARRIVAL_INTERVAL = 0.002
 BATCH = 8
 WORKER_COUNTS = (1, 2, 4, 8)
+#: The production profile (``benchmarks/e2e``'s ``production_fleet``).
+PRODUCTION_WORKERS = 2
+BURST = 8
 
 
 class Env:
@@ -82,6 +89,10 @@ class Env:
                     )
                 )
             self.flood.append((i, message))
+        self.burst = [
+            (i, mint_bundle(self.identity, b"burst-%d" % i, EPOCH + i, self.manager, self.prover))
+            for i in range(BURST)
+        ]
 
     def pipeline(self, simulator: Simulator, config: PipelineConfig, telemetry=None):
         validator = BundleValidator(self.config, self.prover, self.manager)
@@ -128,8 +139,12 @@ class ArmResult:
         return accepted, rejected
 
 
-def run_arm(env: Env, workers: int, telemetry=None) -> ArmResult:
-    """Drive the fixed flood through a fresh pipeline at ``workers`` lanes."""
+def run_arm(
+    env: Env, workers: int, telemetry=None, flood=None, interval: float = ARRIVAL_INTERVAL
+) -> ArmResult:
+    """Drive ``flood`` (the fixed flood by default), one arrival per
+    ``interval``, through a fresh pipeline at ``workers`` lanes."""
+    flood = env.flood if flood is None else flood
     simulator = Simulator()
     pipeline = env.pipeline(
         simulator,
@@ -164,11 +179,11 @@ def run_arm(env: Env, workers: int, telemetry=None) -> ArmResult:
             slots[index] = verdict.action
             result.verdict_latency.append(simulator.now - submitted)
 
-    for index, message in env.flood:
-        simulator.schedule(index * ARRIVAL_INTERVAL, lambda i=index, m=message: arrive(i, m))
+    for index, message in flood:
+        simulator.schedule(index * interval, lambda i=index, m=message: arrive(i, m))
     simulator.run_until_idle()
-    assert len(slots) == ARRIVALS  # every verdict landed
-    result.actions = [slots[i] for i in range(ARRIVALS)]
+    assert len(slots) == len(flood)  # every verdict landed
+    result.actions = [slots[i] for i in range(len(flood))]
     result.occupancy = pipeline.executor.stats.occupancy(simulator.now)
     result.queue_delay_max = max(
         cls.queue_delay_max for cls in pipeline.executor.stats.classes.values()
@@ -217,6 +232,13 @@ def test_worker_lanes_unstall_the_relay_callback(env, report_sink, snapshot_sink
         # The acceptance bar: relay-callback latency drops >= 10x.
         assert sync.max_callback >= 10 * arm.max_callback
         assert sync.mean_callback >= 10 * arm.mean_callback
+
+    # The production profile's burst: one instant, both lanes idle, the
+    # window split 4 + 4 — each verdict after (4 + 3) pairings.
+    burst = run_arm(env, PRODUCTION_WORKERS, flood=env.burst, interval=0.0)
+    add_row(f"burst of {BURST} honest, workers={PRODUCTION_WORKERS}", burst)
+    assert burst.totals() == (BURST, 0)
+    assert burst.verdict_latency == pytest.approx([0.0525] * BURST)
 
     # More lanes drain the flood's queueing delay monotonically-ish; at
     # least the extremes must order correctly.

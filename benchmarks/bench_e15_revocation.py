@@ -40,6 +40,7 @@ from repro.core.deployment import RLNDeployment
 from repro.core.epoch import external_nullifier
 from repro.core.messages import RateLimitProof
 from repro.core.nullifier_log import NullifierLog
+from repro.core.slashing import Slasher
 from repro.core.validator import BundleValidator, ValidationOutcome
 from repro.crypto.field import FIELD_MODULUS, FieldElement, ZERO
 from repro.crypto.identity import Identity
@@ -356,8 +357,12 @@ def test_slash_race_distribution(report_sink):
     observers = [f"observer-{i}" for i in range(observer_count)]
     for name in observers:
         chain.fund(name, 100 * WEI)
+    keys = random.Random(0x5EC)  # the observers' nonce keys, apart from `rng`'s delays
     coordinators = [
-        SlashingCoordinator(name, chain, contract, simulator) for name in observers
+        SlashingCoordinator(
+            Slasher(name, chain, contract.address, keys.randbytes(32)), contract, simulator
+        )
+        for name in observers
     ]
 
     wins = {name: 0 for name in observers}

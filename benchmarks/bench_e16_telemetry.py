@@ -199,8 +199,9 @@ def test_stage_waterfall_across_scales(envs, report_sink, snapshot_sink, benchma
         wait = registry.histogram(
             "executor_queue_wait_seconds", peer="e16-relay", priority="relay"
         )
-        # A relay window waits for a free lane before it is queued, so the
-        # wait shows in the batch-flush stage, not in the lane queue.
+        # A relay window waits for a free lane before it is queued; the
+        # batch-flush stage shows that wait, and the executor books it as
+        # each batch's queue wait (from its oldest job's arrival).
         window = registry.histogram(
             "trace_stage_seconds", kind="bundle", stage=tracing.BATCH_FLUSH
         )
@@ -208,7 +209,7 @@ def test_stage_waterfall_across_scales(envs, report_sink, snapshot_sink, benchma
             f"depth {env.depth} (capacity {members}); {ARRIVALS} arrivals, "
             f"every {FORGE_EVERY}rd proof forged; {WORKERS} lanes, batch "
             f"{BATCH}; relay wait for a lane p99 {format_seconds(window.p99)} "
-            f"in the window, {format_seconds(wait.p99)} in the lane queue"
+            f"in the window, {format_seconds(wait.p99)} as the executor's queue wait"
         )
         report_sink(report)
         snapshot_sink(f"E16-{members}", telemetry.snapshot())

@@ -23,6 +23,7 @@ from repro.chain.blockchain import Blockchain, DEFAULT_BLOCK_INTERVAL, WEI
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
 from repro.core.protocol import WakuRLNRelayPeer
+from repro.crypto.field import FIELD_MODULUS
 from repro.crypto.merkle import MemoHasher
 from repro.errors import ProtocolError, RegistrationError
 from repro.gossipsub.scoring import ScoreParams
@@ -137,11 +138,13 @@ class RLNDeployment:
         tree_hasher = MemoHasher()
         peers: dict[str, WakuRLNRelayPeer] = {}
         telemetries: dict[str, Telemetry] = {}
-        for peer_id in sorted(graph.nodes):
+        peer_ids = sorted(graph.nodes)
+        # All clock offsets before any slasher key: a seed's offsets stay put.
+        offsets = [drift.sample_offset(rng) for _ in peer_ids]
+        slash_keys = [rng.randbytes(32) for _ in peer_ids]
+        for peer_id, offset, slash_key in zip(peer_ids, offsets, slash_keys):
             chain.fund(peer_id, funding_wei)
-            clock = PeerClock(
-                offset=drift.sample_offset(rng), genesis_unix=config.genesis_unix
-            )
+            clock = PeerClock(offset=offset, genesis_unix=config.genesis_unix)
             peer_telemetry = telemetry
             if collector is not None:
                 peer_telemetry = telemetries[peer_id] = Telemetry(
@@ -153,6 +156,7 @@ class RLNDeployment:
                 simulator=simulator,
                 chain=chain,
                 contract=contract,
+                slash_key=slash_key,
                 config=config,
                 prover=prover,
                 clock=clock,
@@ -238,7 +242,8 @@ class RLNDeployment:
         )
         for peer in targets:
             if peer.identity is None:
-                peer.create_identity()
+                # Seeded: a key, and the slashing calldata revealing it, never vary.
+                peer.create_identity(self.rng.randrange(1, FIELD_MODULUS))
             peer.request_registration()
         if settle:
             # One block to mine the registrations, a little margin for the

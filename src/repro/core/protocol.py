@@ -126,6 +126,7 @@ class WakuRLNRelayPeer:
         simulator: Simulator,
         chain: Blockchain,
         contract: RLNMembershipContract,
+        slash_key: bytes,
         config: RLNConfig | None = None,
         prover: RLNProver | None = None,
         clock: PeerClock | None = None,
@@ -179,7 +180,7 @@ class WakuRLNRelayPeer:
             telemetry=self.telemetry,
             peer_id=peer_id,
         )
-        self.slasher = Slasher(peer_id, chain, contract.address)
+        self.slasher = Slasher(peer_id, chain, contract.address, slash_key)
         self.relay.set_validator(self._validate)
         # The pipeline above already minted this peer's tracer
         # (simulator-clocked) through the hub.  The rewrite hook goes in
@@ -240,10 +241,11 @@ class WakuRLNRelayPeer:
 
     # -- registration (§III-B) ------------------------------------------------------
 
-    def create_identity(self) -> Identity:
+    def create_identity(self, secret: int | None = None) -> Identity:
+        """Take ``secret`` as this peer's key, or a fresh random one."""
         if self.identity is not None:
             raise RegistrationError("peer already has an identity")
-        self.identity = Identity.generate()
+        self.identity = Identity.generate() if secret is None else Identity.from_secret(secret)
         return self.identity
 
     def request_registration(self) -> int:
@@ -462,12 +464,7 @@ class WakuRLNRelayPeer:
 
         if self._slashing_coordinator is None:
             coordinator = SlashingCoordinator(
-                self.peer_id,
-                self.chain,
-                self.contract,
-                self.simulator,
-                slasher=self.slasher,
-                telemetry=self.telemetry,
+                self.slasher, self.contract, self.simulator, telemetry=self.telemetry
             )
             self._slashing_coordinator = coordinator
 

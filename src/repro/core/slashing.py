@@ -5,7 +5,8 @@ distinct shares under one internal nullifier — slashing proceeds:
 
 1. interpolate the two shares to recover the spammer's secret identity key
    (``sk = A(0)``, :func:`repro.crypto.shamir.recover_secret`);
-2. submit ``commit = H(sk, slasher_address, nonce)`` to the contract;
+2. submit ``commit = H(sk, slasher_address, nonce)`` to the contract, the
+   nonce hashed from the attempt number under the slasher's secret key;
 3. after the commit is mined, reveal ``(sk, nonce)``; the contract deletes
    the spammer's leaf and pays the slasher the spammer's whole stake.
 
@@ -25,8 +26,10 @@ from repro.chain.blockchain import Blockchain
 from repro.core.nullifier_log import SpamEvidence
 from repro.crypto.commitments import Opening, commit
 from repro.crypto.field import FieldElement
+from repro.crypto.hashing import DOMAIN_SLASH_NONCE, tagged_sha256
 from repro.crypto.identity import derive_commitment
 from repro.crypto.shamir import recover_secret
+from repro.errors import ProtocolError
 
 
 class SlashState(Enum):
@@ -60,15 +63,18 @@ def recover_spammer_key(evidence: SpamEvidence) -> FieldElement:
 
 
 class Slasher:
-    """Drives slashing for one peer account."""
+    """Drives slashing for one peer account.
 
-    def __init__(
-        self,
-        account: str,
-        chain: Blockchain,
-        contract_address: str,
-    ) -> None:
+    ``key`` (at least 16 secret bytes; a deployment draws each peer's from
+    its seeded rng) keys the commit nonces: unguessable, distinct per
+    attempt, and the same on every run of one seed.
+    """
+
+    def __init__(self, account: str, chain: Blockchain, contract_address: str, key: bytes) -> None:
+        if len(key) < 16:
+            raise ProtocolError("a slasher key must be at least 16 bytes")
         self.account = account
+        self._key = key
         self.chain = chain
         self.contract_address = contract_address
         self.attempts: list[SlashAttempt] = []
@@ -85,9 +91,8 @@ class Slasher:
             spammer_pk=derive_commitment(sk),
             state=SlashState.RECOVERED,
         )
-        commitment, opening = commit(
-            sk.to_bytes(), self.account.encode("utf-8")
-        )
+        nonce = tagged_sha256(DOMAIN_SLASH_NONCE, self._key, attempt.attempt_id.to_bytes(8, "big"))
+        commitment, opening = commit(sk.to_bytes(), self.account.encode("utf-8"), nonce=nonce)
         attempt.opening = opening
         attempt.commit_tx = self.chain.send_transaction(
             self.account,

@@ -19,6 +19,7 @@ DOMAIN_MESSAGE = b"waku-rln-relay:message"
 DOMAIN_MESSAGE_ID = b"waku-rln-relay:message-id"
 DOMAIN_MALFORMED_ID = b"waku-rln-relay:malformed-message-id"
 DOMAIN_COMMITMENT = b"waku-rln-relay:commit-reveal"
+DOMAIN_SLASH_NONCE = b"waku-rln-relay:slash-nonce"
 
 
 def tagged_sha256(domain: bytes, *parts: bytes) -> bytes:

@@ -17,15 +17,14 @@ One class, :class:`SimulatedCryptoExecutor`, whatever the lane count:
   immediately but *delivers the result at simulated completion time* —
   start + pairings × per-pairing cost, read from the shared
   :class:`~repro.zksnark.groth16.PairingCounter` and the
-  :class:`~repro.exec.costs.CryptoCostModel`.
+  :class:`~repro.exec.costs.CryptoCostModel`.  ``idle`` counts the lanes
+  free now, so a batcher can split its window across all of them.
 * ``workers=0`` — no lanes: every submit runs inline and returns the
   result itself (a lane submit returns ``None``; its ``on_done`` fires at
-  simulated completion).  This is the pinned
-  default; with it, every verdict, stat, and event ordering is
-  bit-identical to the pre-executor code.  It is also the state a stopped
-  peer's executor is pinned to (:meth:`SimulatedCryptoExecutor.pin_synchronous`).
-  :class:`SynchronousCryptoExecutor` is the zero-lane constructor, for
-  callers that have no simulator.
+  simulated completion); ``idle`` reads 1, the caller's stack.  This
+  default is bit-identical to the pre-executor code, and the state a
+  stopped peer's executor is pinned to (``pin_synchronous``).
+  :class:`SynchronousCryptoExecutor` is the zero-lane constructor.
 
 Priority is a *class*, not a number to tune: :attr:`Priority.RELAY` for
 verdicts the mesh is waiting on, :attr:`Priority.SERVICE` for
@@ -108,9 +107,8 @@ class SimulatedCryptoExecutor:
 
     A free lane takes the oldest job of the strongest non-empty priority
     class, executes its crypto immediately (the pairing checks are cheap
-    HMACs here), and
-    *delivers the result at simulated completion time*: dispatch +
-    pairings-executed × ``cost_model.seconds_per_pairing``.  The pairing
+    HMACs here), and *delivers the result at simulated completion time*:
+    dispatch + pairings-executed × ``cost_model.seconds_per_pairing``.  The pairing
     count is read as a delta on the shared ``counter``, so whatever the
     job actually did — one classical check, an RLC batch, a full fallback
     sweep — is what occupies the lane.  The caller's stack is only
@@ -149,19 +147,16 @@ class SimulatedCryptoExecutor:
         self._observed = registry.enabled
         registry.bind("executor_queue_depth", lambda: self.queued_jobs, "gauge", peer=peer)
         registry.bind("executor_busy_lanes", lambda: self.busy_lanes, "gauge", peer=peer)
+        classes = {p: p.name.lower() for p in Priority}
         self._wait = {
-            p: registry.histogram(
-                "executor_queue_wait_seconds", peer=peer, priority=p.name.lower()
-            )
-            for p in Priority
+            p: registry.histogram("executor_queue_wait_seconds", peer=peer, priority=c)
+            for p, c in classes.items()
         }
         self._service = {
-            p: registry.histogram(
-                "executor_service_seconds", peer=peer, priority=p.name.lower()
-            )
-            for p in Priority
+            p: registry.histogram("executor_service_seconds", peer=peer, priority=c)
+            for p, c in classes.items()
         }
-        #: Per class, FIFO of (work, args, on_done, submitted_at).
+        #: Per class, FIFO of (work, args, on_done, waiting since).
         self._queues: dict[Priority, deque[tuple[Any, ...]]] = {p: deque() for p in Priority}
         self._idle_lanes: list[int] = list(range(workers))
         #: lane -> (completion handle, priority, wait, on_done, args, result).
@@ -182,13 +177,16 @@ class SimulatedCryptoExecutor:
         *,
         priority: Priority = Priority.RELAY,
         args: tuple[Any, ...] = (),
+        since: float | None = None,
     ) -> Any:
         """Run ``work(*args)``: its result if it ran inline, else ``None``;
-        ``on_done(*args, result)``, if given, fires on completion."""
+        ``on_done(*args, result)``, if given, fires on completion.  A lane
+        job's wait runs from ``since`` (a batch's oldest job), else now."""
         self.stats.classes[priority].submitted += 1
         if not self.inline:
             self.stats.inline_seconds += self.cost_model.submit_overhead_seconds
-            self._queues[priority].append((work, args, on_done, self.simulator.now))
+            since = self.simulator.now if since is None else since
+            self._queues[priority].append((work, args, on_done, since))
             self._dispatch_idle_lanes()
             return None
         # Zero wait, the modeled pairing time charged to the caller, and no
@@ -232,9 +230,9 @@ class SimulatedCryptoExecutor:
         return len(self._in_flight)
 
     @property
-    def idle(self) -> bool:
-        """True if a job submitted now would start now."""
-        return self.inline or bool(self._idle_lanes)
+    def idle(self) -> int:
+        """How many jobs submitted now would start now (inline: one)."""
+        return 1 if self.inline else len(self._idle_lanes)
 
     # -- lane machinery ------------------------------------------------------
 

@@ -12,13 +12,13 @@ Relay-class work accumulates in a window and is verified N proofs at a
 time with a single random-linear-combination multi-pairing
 (:meth:`repro.zksnark.groth16.Groth16.verify_batch`): N + 3 pairing
 evaluations instead of 4N, the saving experiment E11 measures.  The
-window is **work-conserving**: it goes to the executor as soon as a lane
-can take it — at the end of the simulated instant its first job arrived
-if a lane is idle (the inline executor always is), else the moment a lane
-frees — ``batch_size`` jobs at a time.  A batch is what queued while the
-lanes were busy; no job waits while a lane idles.  ``batch_size=1``
-degenerates to the seed's immediate per-proof verification — same
-verdicts, same pairing count, zero latency — which is what the
+window is **work-conserving**: it leaves at the end of the simulated
+instant its first job arrived if a lane is idle (the inline executor
+counts as one), else the moment a lane frees, and it is split among every
+lane idle then — ceil(jobs left / idle lanes) a batch, at most
+``batch_size``, in arrival order — so no job waits while a lane idles.
+``batch_size=1`` degenerates to the seed's immediate per-proof
+verification (same verdicts, pairing count and latency), as the
 equivalence tests pin down.
 
 When a batch fails, the RLC check only says "at least one forged proof is
@@ -83,6 +83,8 @@ class VerificationJob(NamedTuple):
     #: The bundle's span, riding along so flush/dispatch/pairing marks
     #: land on the right waterfall (the shared no-op when telemetry is off).
     trace: "ActiveSpan | Disabled" = DISABLED
+    #: When a relay job joined the window (its batch's lane wait starts here).
+    arrived: float = 0.0
 
 
 @dataclass
@@ -132,10 +134,9 @@ class BatchVerifier:
         self.prover = prover
         self.simulator = simulator
         self.batch_size = batch_size
-        # Window flushes run at RELAY class (the mesh is waiting on them),
-        # service checks at their own, both on this one executor so the
-        # classes queue against each other; the inline default keeps the
-        # pre-executor behaviour (verdicts land before flush() returns).
+        # Window batches run at RELAY class (the mesh waits on them), service
+        # checks at their own, on this one executor so the classes queue
+        # against each other; the inline default lands verdicts in flush().
         self.executor = executor or SynchronousCryptoExecutor(
             counter=prover.pairing_counter
         )
@@ -153,10 +154,9 @@ class BatchVerifier:
         #: Requests that joined a check of the same proof already pending
         #: on this peer (no pairing work, no extra job).
         self.joined_in_flight = 0
-        #: key -> verdict promise of every check enqueued and not yet
-        #: landed, whichever path asked; the cache only fills at
-        #: completion, so this is what stops two paths racing the same
-        #: proof into two identical pairing jobs.
+        #: key -> verdict promise of every check enqueued and not yet landed,
+        #: whichever path asked; the cache only fills at completion, so this
+        #: stops two paths racing one proof into two identical pairing jobs.
         self._in_flight: dict[bytes, Promise[bool]] = {}
         self._pending: list[VerificationJob] = []
         self._closed = False
@@ -224,7 +224,7 @@ class BatchVerifier:
             self.stats.jobs_submitted += 1
             if not self._pending:  # a new window: offered to a lane at the instant's end
                 self.simulator.schedule(0.0, self._pull)
-            self._pending.append(job)
+            self._pending.append(job._replace(arrived=self.simulator.now))
         return verdict, True
 
     def check_deferred(self, message: WakuMessage) -> Promise[bool] | None:
@@ -246,14 +246,14 @@ class BatchVerifier:
     # -- flushing ---------------------------------------------------------------
 
     def _pull(self) -> None:
-        """Hand the window to the executor while a lane can take it,
-        ``batch_size`` jobs at a time; what is left waits for the next lane
-        to free.  The inline executor takes it all (a verdict hook raising
-        from one batch leaves the rest to the next instant's end)."""
+        """Split the window among the lanes idle now (see the module notes);
+        what is left waits for the next lane to free.  The inline executor
+        takes it all (a verdict hook raising from one batch leaves the rest
+        to the next instant's end)."""
         executor = self.executor
         try:
             while self._pending and executor.idle:
-                self._submit()
+                self._submit(-(-len(self._pending) // executor.idle))
         finally:
             if self._pending and executor.inline:
                 self.simulator.schedule(0.0, self._pull)
@@ -266,17 +266,18 @@ class BatchVerifier:
         with the inline executor)."""
         self.executor.on_lane_free = None
         while self._pending:
-            self._submit()
+            self._submit(self.batch_size)
 
-    def _submit(self) -> None:
-        size = self.batch_size
+    def _submit(self, size: int) -> None:
+        size = min(size, self.batch_size)
         jobs, self._pending = self._pending[:size], self._pending[size:]
         self.stats.batches_verified += 1
         self._m_batch_size.observe(float(len(jobs)))
         for job in jobs:
             job.trace.mark(BATCH_FLUSH)
         self.executor.submit(
-            self._verify, self._deliver, priority=Priority.RELAY, args=(jobs,)
+            self._verify, self._deliver, priority=Priority.RELAY, args=(jobs,),
+            since=jobs[0].arrived,
         )
 
     def close(self) -> None:

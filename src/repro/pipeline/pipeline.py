@@ -70,18 +70,17 @@ class PipelineConfig:
     """Knobs of the staged pipeline; defaults preserve seed behaviour.
 
     ``batch_size=1`` verifies synchronously like the seed; larger values
-    defer relay verdicts to a batch of at most that many proofs, handed to
-    a lane at the end of the instant or when one frees.  The default
+    defer relay verdicts to a window that leaves at the end of the instant
+    or when a lane frees, split across the idle lanes in batches of at
+    most that many proofs.  The default
     bucket specs are deliberately generous — honest traffic (one message
     per member per epoch) never trips them; they exist to bound the
     *verification* work a misbehaving forwarder can demand.
     """
 
     batch_size: int = 1
-    #: Unread: a batch waits for a free lane, never for a timer.  The field
-    #: stays accepted and validated only because ``benchmarks/e2e`` passes
-    #: it; that harness drops it in a ``benchmark`` PR, which may then
-    #: delete the field.
+    #: Unread (a batch waits for a lane, never for a timer); accepted and
+    #: validated only because ``benchmarks/e2e`` passes it.
     batch_deadline: float = 0.05
     peer_bucket: BucketSpec | None = field(
         default_factory=lambda: BucketSpec(capacity=256.0, refill_per_second=64.0)
@@ -92,8 +91,8 @@ class PipelineConfig:
     #: Crypto worker lanes.  0 (the default) verifies inline in the relay
     #: callback, bit-identical to the pre-executor path; >= 1 gives the
     #: :class:`~repro.exec.executor.SimulatedCryptoExecutor` that many
-    #: lanes, so relay callbacks return immediately and verdicts resolve
-    #: at simulated completion time.
+    #: lanes: relay callbacks return at once, a window's batches run on
+    #: every idle lane, and verdicts resolve at simulated completion time.
     workers: int = 0
 
     def __post_init__(self) -> None:

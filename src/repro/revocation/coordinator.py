@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from repro.chain.blockchain import Blockchain, Event
+from repro.chain.blockchain import Event
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.nullifier_log import SpamEvidence
 from repro.core.slashing import SlashAttempt, SlashState, Slasher
@@ -111,25 +111,24 @@ class SlashingCoordinator:
 
     Settlement is scheduled on the event simulator after every observed
     case, one block interval at a time, until no attempt is pending —
-    the unattended mode a routing peer runs.  A relay peer hands in the
-    ``slasher`` it already owns; standalone, the coordinator mints one.
+    the unattended mode a routing peer runs.  It races through the
+    ``slasher`` it is handed (a relay peer's own), whose account and chain
+    it acts for.
     """
 
     def __init__(
         self,
-        account: str,
-        chain: Blockchain,
+        slasher: Slasher,
         contract: RLNMembershipContract,
         simulator: Simulator,
         *,
-        slasher: Slasher | None = None,
         telemetry=None,
     ) -> None:
-        self.account = account
-        self.chain = chain
+        self.account = account = slasher.account
+        self.chain = slasher.chain
         self.contract = contract
         self.simulator = simulator
-        self.slasher = slasher or Slasher(account, chain, contract.address)
+        self.slasher = slasher
         self.stats = CoordinatorStats()
         self.telemetry = resolve_telemetry(telemetry)
         stats, bind = self.stats, partial(self.telemetry.registry.bind, peer=account)
@@ -151,7 +150,7 @@ class SlashingCoordinator:
         self._accounted: set[int] = set()
         self._pumping = False
         self._removed_callbacks: list[Callable[[RevocationCase], None]] = []
-        self._unsubscribe = chain.subscribe(self._on_event)
+        self._unsubscribe = self.chain.subscribe(self._on_event)
 
     def close(self) -> None:
         self._unsubscribe()

@@ -67,8 +67,14 @@ GOLDEN = {
     # batches (106), 789 pairings (774), 224 202 gossipsub bytes (231 268),
     # 1 385 events (1 156), the same 325 deliveries, mean time 22.701 s
     # (22.742 s).  ``size_flushes`` and ``deadline_flushes`` are gone.
+    # All three re-pinned when a window began being split among the idle
+    # lanes and a batch's lane wait began running from its oldest job's
+    # arrival: the same 264 jobs and outcomes in 157 batches (103), 915
+    # pairings (789), relay wait max 0.1725 s (0), 218 662 gossipsub bytes
+    # (220 250), 222 IDONTWANT frames (227), 77 duplicates (81), 1 611
+    # events (1 512), the same 325 deliveries, mean time 22.689 s (22.701 s).
     "batched": {
-        "checks": "33824b1b74dcd6b449e7a8e1f4950cad7e6c613d86669995815e0911474247c9",
+        "checks": "07ad0d5f10e2de65868d92f42df4905f0f5ca47aa1408ffb04582ebd262d588f",
         # Re-pinned when peers with a pending verdict began announcing
         # what they hold (IDONTWANT) and being spared copies of it, and
         # again when that IDONTWANT stopped going to the peer that sent
@@ -78,8 +84,8 @@ GOLDEN = {
         # known to hold: 227 frames (256), 503 forwards (487), 81 duplicates
         # (65), 220 250 gossipsub bytes (224 202), 1 512 events (1 385);
         # ``checks`` and ``deliveries`` unchanged.
-        "routing": "4ba2727edcf9656c3f6b666e2425a4d42e1e66e0a6bbf98e9d339859c7c17196",
-        "deliveries": "f54825ccc4963a6ad9db353bbd2c3c0c9aff1760aca17fa8d0f5d9b2c8bc4322",
+        "routing": "40ec72e1f79f2f18de739236bdb7c801aa4504816a4e110c27973dd76e4fbc45",
+        "deliveries": "2c6ef304a76b2644f3561111bcbabf2b281bec245bf0cbda64de44c17b638219",
     },
     # Re-pinned when an inline verdict's forward moved to the end of its
     # instant, past every peer whose copy came in that instant: fewer

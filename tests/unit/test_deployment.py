@@ -67,6 +67,7 @@ class TestCreate:
                 simulator=sim,
                 chain=chain,
                 contract=contract,
+                slash_key=bytes(32),
                 config=RLNConfig(tree_depth=DEPTH),
                 prover=NativeProver(DEPTH + 1),
             )

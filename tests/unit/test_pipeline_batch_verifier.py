@@ -6,6 +6,8 @@ from repro.errors import ProtocolError
 from repro.exec.executor import Priority, SimulatedCryptoExecutor
 from repro.net.simulator import Simulator
 from repro.pipeline.batch_verifier import BatchVerifier, verdict_key
+from repro.telemetry.disttrace import DISABLED
+from repro.telemetry.registry import MetricsRegistry
 from repro.zksnark.groth16 import (
     BATCH_FIXED_PAIRINGS,
     PAIRINGS_PER_VERIFY,
@@ -40,11 +42,11 @@ def end_instant(verifier):
     verifier.simulator.run(until=verifier.simulator.now)
 
 
-def laned(rln_env, workers: int, batch_size: int):
+def laned(rln_env, workers: int, batch_size: int, registry=DISABLED):
     """A verifier over ``workers`` simulated lanes, and its simulator."""
     simulator = Simulator()
     executor = SimulatedCryptoExecutor(
-        simulator, workers, counter=rln_env.prover.pairing_counter
+        simulator, workers, counter=rln_env.prover.pairing_counter, registry=registry
     )
     verifier = BatchVerifier(
         rln_env.prover, simulator, batch_size=batch_size, executor=executor
@@ -169,6 +171,24 @@ class TestBatchVerifier:
         assert verifier.executor.on_lane_free is None
         assert simulator.pending_events == 0
 
+    def test_a_window_waiting_on_busy_lanes_books_its_wait(self, rln_env):
+        registry = MetricsRegistry()
+        simulator, verifier = laned(rln_env, workers=2, batch_size=4, registry=registry)
+        first, second = make_bundles(rln_env, 2, b"service")
+        verifier.check(first)  # holds lane a until 0.03
+        simulator.run(until=0.01)
+        verifier.check(second)  # holds lane b until 0.04
+        simulator.run(until=0.02)
+        check_all(verifier, make_bundles(rln_env, 6))  # the window opens at 0.02
+        simulator.run(until=1.0)
+        # Four leave at 0.03 and two at 0.04, each batch waiting from the
+        # window's arrival, not from its hand-off.
+        relay = verifier.executor.stats.classes[Priority.RELAY]
+        assert relay.queue_delay_total == pytest.approx(0.01 + 0.02)
+        assert relay.queue_delay_max == pytest.approx(0.02)
+        wait = registry.histogram("executor_queue_wait_seconds", peer="", priority="relay")
+        assert wait.count == 2 and wait.maximum == pytest.approx(0.02)
+
     def test_close_while_the_window_waits_drains_it_and_disarms(self, rln_env):
         simulator, verifier = laned(rln_env, workers=1, batch_size=4)
         verifier.check(make_bundles(rln_env, 1, b"service")[0])  # holds the lane
@@ -232,6 +252,67 @@ class TestBatchVerifier:
         assert verdict.value is True
         verifier.flush()  # idempotent on empty queue
         assert len(verifier._pending) == 0
+
+
+class TestLaneSplit:
+    """A window is split among the lanes idle when it leaves: ceil(jobs
+    left / idle lanes) a batch, at most ``batch_size``, in arrival order."""
+
+    def window(self, rln_env, workers: int, jobs: int, batch_size: int = 8):
+        simulator, verifier = laned(rln_env, workers=workers, batch_size=batch_size)
+        verdicts = check_all(verifier, make_bundles(rln_env, jobs))
+        times = landing_times(simulator, verdicts)
+        simulator.run(until=1.0)
+        assert all(verdict.value is True for verdict in verdicts)
+        return verifier, times
+
+    def test_two_idle_lanes_take_a_window_of_six_as_three_and_three(self, rln_env):
+        verifier, times = self.window(rln_env, workers=2, jobs=6)
+        assert times == [pytest.approx(0.045)] * 6  # (3 + 3) pairings x 7.5 ms
+        assert verifier.stats.batches_verified == 2
+
+    def test_two_idle_lanes_take_a_window_of_eight_as_four_and_four(self, rln_env):
+        verifier, times = self.window(rln_env, workers=2, jobs=8)
+        assert times == [pytest.approx(0.0525)] * 8  # was one batch of 8 at 82.5 ms
+        assert verifier.stats.batches_verified == 2
+
+    def test_a_window_past_the_lanes_capacity_leaves_the_rest_for_a_freed_lane(
+        self, rln_env
+    ):
+        verifier, times = self.window(rln_env, workers=2, jobs=17)
+        service = verifier.executor.cost_model.seconds_for_pairings
+        full = service(8 + BATCH_FIXED_PAIRINGS)
+        # 8 + 8 at once; the 17th goes alone to the first lane to free.
+        assert times == [full] * 16 + [full + service(PAIRINGS_PER_VERIFY)]
+        assert verifier.stats.batches_verified == 3
+
+    def test_one_idle_lane_takes_the_window_as_one_batch(self, rln_env):
+        verifier, times = self.window(rln_env, workers=1, jobs=6)
+        assert times == [pytest.approx(0.0675)] * 6  # (6 + 3) pairings x 7.5 ms
+        assert verifier.stats.batches_verified == 1
+
+    def test_a_window_finding_one_of_two_lanes_idle_is_one_batch(self, rln_env):
+        simulator, verifier = laned(rln_env, workers=2, batch_size=8)
+        verifier.check(make_bundles(rln_env, 1, b"service")[0])  # holds one lane
+        verdicts = check_all(verifier, make_bundles(rln_env, 6))
+        times = landing_times(simulator, verdicts)
+        simulator.run(until=1.0)
+        assert times == [pytest.approx(0.0675)] * 6
+        assert verifier.stats.batches_verified == 1
+
+    def test_the_inline_executor_is_not_split(self, rln_env):
+        verifier = BatchVerifier(rln_env.prover, Simulator(), batch_size=8)
+        verdicts = check_all(verifier, make_bundles(rln_env, 6))
+        end_instant(verifier)
+        assert [verdict.value for verdict in verdicts] == [True] * 6
+        assert verifier.stats.batches_verified == 1
+
+    def test_a_closed_verifier_checks_each_job_inline(self, rln_env):
+        simulator, verifier = laned(rln_env, workers=2, batch_size=8)
+        verifier.close()
+        assert check_all(verifier, make_bundles(rln_env, 6)) == [True] * 6
+        assert verifier.stats.batches_verified == 6
+        assert simulator.pending_events == 0
 
 
 class TestCallbackIsolation:

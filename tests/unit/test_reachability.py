@@ -211,15 +211,15 @@ BUDGET = {
     "analysis": 228,
     "baselines": 387,
     "chain": 975,
-    "core": 1962,
-    "crypto": 1783,
-    "exec": 427,
+    "core": 1969,
+    "crypto": 1784,
+    "exec": 425,
     "gossipsub": 1218,
     "net": 983,
     "offchain": 609,
     "pipeline": 1064,
     "repro": 642,
-    "revocation": 449,
+    "revocation": 448,
     "telemetry": 3666,
     "treesync": 1258,
     "waku": 859,

@@ -11,7 +11,7 @@ from repro.chain.blockchain import Blockchain, WEI
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.membership import GroupManager
 from repro.core.nullifier_log import SpamEvidence
-from repro.core.slashing import SlashState
+from repro.core.slashing import SlashState, Slasher
 from repro.crypto.field import FieldElement
 from repro.crypto.identity import Identity
 from repro.net.simulator import Simulator
@@ -38,6 +38,11 @@ def env():
     return simulator, chain, contract, spammer
 
 
+def slasher_for(account: str, chain: Blockchain, contract) -> Slasher:
+    """``account``'s slasher, its nonce key fixed by the name."""
+    return Slasher(account, chain, contract.address, account.encode().ljust(32, b"."))
+
+
 def evidence_for(identity: Identity, epoch: int = 42) -> SpamEvidence:
     ext = FieldElement(epoch)
     return SpamEvidence(
@@ -52,7 +57,7 @@ class TestCoordinator:
     def test_evidence_to_removal_happy_path(self, env):
         simulator, chain, contract, spammer = env
         coordinator = SlashingCoordinator(
-            "observer-a", chain, contract, simulator
+            slasher_for("observer-a", chain, contract), contract, simulator
         )
         case = coordinator.observe(evidence_for(spammer))
         assert case is not None
@@ -74,7 +79,7 @@ class TestCoordinator:
     def test_duplicate_evidence_opens_one_case(self, env):
         simulator, chain, contract, spammer = env
         coordinator = SlashingCoordinator(
-            "observer-a", chain, contract, simulator
+            slasher_for("observer-a", chain, contract), contract, simulator
         )
         evidence = evidence_for(spammer)
         assert coordinator.observe(evidence) is not None
@@ -84,8 +89,12 @@ class TestCoordinator:
 
     def test_race_one_winner_loser_accounts_gas(self, env):
         simulator, chain, contract, spammer = env
-        first = SlashingCoordinator("observer-a", chain, contract, simulator)
-        second = SlashingCoordinator("observer-b", chain, contract, simulator)
+        first = SlashingCoordinator(
+            slasher_for("observer-a", chain, contract), contract, simulator
+        )
+        second = SlashingCoordinator(
+            slasher_for("observer-b", chain, contract), contract, simulator
+        )
         evidence = evidence_for(spammer)
         case_a = first.observe(evidence)
         case_b = second.observe(evidence)
@@ -112,13 +121,15 @@ class TestCoordinator:
     def test_close_unsubscribes_from_chain(self, env):
         simulator, chain, contract, spammer = env
         coordinator = SlashingCoordinator(
-            "observer-a", chain, contract, simulator
+            slasher_for("observer-a", chain, contract), contract, simulator
         )
         case = coordinator.observe(evidence_for(spammer))
         coordinator.close()
         # A rival finishes the job; the closed coordinator's chain watch
         # is gone, so the case never gets stamped.
-        rival = SlashingCoordinator("observer-b", chain, contract, simulator)
+        rival = SlashingCoordinator(
+            slasher_for("observer-b", chain, contract), contract, simulator
+        )
         rival.observe(evidence_for(spammer))
         simulator.run(simulator.now + 6 * chain.block_interval)
         assert not contract.is_member(spammer.pk)
@@ -142,7 +153,7 @@ class TestWindowCollapse:
         stale_roots = manager.recent_roots()
         assert len(stale_roots) > 1
         coordinator = SlashingCoordinator(
-            "observer-a", chain, contract, simulator
+            slasher_for("observer-a", chain, contract), contract, simulator
         )
         coordinator.observe(evidence_for(spammer))
         simulator.run(simulator.now + 5 * chain.block_interval)
@@ -161,7 +172,7 @@ class TestTracker:
         manager = GroupManager(chain, contract, tree_depth=DEPTH, root_window=5)
         tracker = RevocationTracker(simulator, poll_interval=0.5)
         coordinator = SlashingCoordinator(
-            "observer-a", chain, contract, simulator
+            slasher_for("observer-a", chain, contract), contract, simulator
         )
         coordinator.on_removed(tracker.removed_on_chain)
         stale_root = manager.root  # contains the spammer's leaf
