@@ -16,9 +16,10 @@ per-member — the scale knobs live in E17):
   with bit-identical event logs — alerting is deterministic, not
   best-effort.  The alert log is written to ``reports/E20-alerts.json``
   (a CI artifact);
-* **silent-peer arm** — liveness: stopping a peer (exporter closed, the
-  heartbeat stops) trips ``rln-peer-silent`` within ``silent_after``
-  plus one evaluation tick, and the health report names the peer;
+* **silent-peer arm** — liveness: stopping a peer (exporter closed: its
+  batches and its one-way idle heartbeats stop) trips ``rln-peer-silent``
+  within ``silent_after`` plus one evaluation tick, and the health report
+  names the peer;
 * **disabled arm (guard)** — a rules-free collector schedules no
   evaluation ticker, emits zero alert events and zero ``ALERTS``
   exposition bytes, and its relay traffic is bit-identical to a
@@ -114,8 +115,8 @@ def test_honest_arm_zero_false_positives(report_sink):
     report.add_row("peers healthy", report_data["counts"]["healthy"])
     report.add_row("rule evaluations", collector.engine.evaluations)
     report.add_note(
-        f"{PEERS} peers, export every {EXPORT_INTERVAL}s (heartbeats on), "
-        f"rules evaluated every {EVAL_INTERVAL}s over "
+        f"{PEERS} peers, export every {EXPORT_INTERVAL}s (one-way idle "
+        f"heartbeats on), rules evaluated every {EVAL_INTERVAL}s over "
         f"{collector.stats.batches} folded batches"
     )
     report_sink(report)
@@ -220,8 +221,8 @@ def test_silent_peer_arm_liveness(report_sink):
 
     report = ExperimentReport(
         experiment="E20-silent",
-        claim="a stopped peer is detected silent from heartbeat absence "
-        "alone (no extra liveness protocol)",
+        claim="a stopped peer is detected silent once its batches and "
+        "one-way idle heartbeats stop",
         headers=("figure", "value"),
     )
     report.add_row("peer stopped (sim s)", round(stop_time, 3))
@@ -230,9 +231,8 @@ def test_silent_peer_arm_liveness(report_sink):
     report.add_row("bound (s)", SILENT_DETECTION_BOUND)
     report.add_row("fleet score after", health["score"])
     report.add_note(
-        "silent_after = 10 x export interval; detection rides the "
-        "telemetry push itself — the exporter heartbeat is the liveness "
-        "signal"
+        "silent_after = 10 x export interval; a live peer is heard every "
+        "interval (a batch, or an unacked heartbeat frame when idle)"
     )
     report_sink(report)
 

@@ -14,8 +14,8 @@ inline crypto, telemetry off) and the collector profile
 of 8, one collector with ``CollectorOptions(interval=1.0,
 trace_sample=0.25, alerting=True)``).  On an idle collector-profile
 fleet everything above the paper profile's floor is telemetry: each
-peer's exporter tick and heartbeat round trip, and the collector's fold
-and alert passes.  Each row is the median over the windows; each
+peer's exporter tick and its one-way heartbeat, and the collector's
+liveness mark and alert passes.  Each row is the median over the windows; each
 (profile, size) runs in its own interpreter.  The last line is the rows
 as JSON.  Standard library only.
 """

@@ -140,7 +140,7 @@ def main() -> None:
     for line in alerts:
         print(f"  {line}")
 
-    watched.peer("peer-007").stop()     # exporter closes: heartbeat stops
+    watched.peer("peer-007").stop()     # exporter closes: heartbeats stop
     watched.run(8.0)
     health = fleet_collector.health_report()
     print(f"\nfleet health score : {health['score']:.2f}  "

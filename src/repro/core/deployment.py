@@ -197,9 +197,9 @@ class RLNDeployment:
                     role="full",
                     shard=-1,
                     interval=collector.interval,
-                    # Alerting turns the push stream into the liveness
-                    # heartbeat: idle ticks still send (empty) batches, so
-                    # a quiet peer is distinguishable from a dead one.
+                    # Alerting needs liveness: an idle tick with nothing
+                    # owed sends a one-way heartbeat, so a quiet peer is
+                    # distinguishable from a dead one.
                     heartbeat=collector.alerting,
                 )
         deployment = cls(

@@ -3,8 +3,9 @@
 A :class:`CollectorPeer` is the infrastructure node a production RLN fleet
 would run its observability pipeline on: it owns the ``telemetry``
 protocol channel on the simulated network, decodes
-:class:`~repro.telemetry.otlp.ExportRequest` pushes from every peer's
-:class:`~repro.telemetry.exporter.TelemetryExporter`, and folds the
+:class:`~repro.telemetry.otlp.ExportRequest` pushes (and idle peers'
+one-way :class:`~repro.telemetry.otlp.Heartbeat` frames) from every
+peer's :class:`~repro.telemetry.exporter.TelemetryExporter`, and folds the
 delta batches into **per-peer cumulative state** keyed by the batch's
 resource attributes.  Folding is deliberately mechanical:
 
@@ -67,6 +68,7 @@ from repro.telemetry.otlp import (
     ExportAck,
     ExportRequest,
     GaugeValue,
+    Heartbeat,
     HistogramDelta,
     MetricDelta,
     TELEMETRY_PROTOCOL,
@@ -88,10 +90,10 @@ class CollectorOptions:
     trace_sample: float = 0.0
     #: Install the built-in RLN alert pack
     #: (:func:`~repro.telemetry.alerts.default_rule_pack`) scaled to
-    #: ``evaluation_interval``, and turn the push stream into the
-    #: liveness heartbeat.  Off: no rule engine is constructed, no
-    #: evaluation ticker is scheduled, and the seed behaviour stays
-    #: bit-identical.
+    #: ``evaluation_interval``, and have an idle exporter send a one-way
+    #: liveness heartbeat each interval.  Off: no rule engine is
+    #: constructed, no evaluation ticker is scheduled, and the seed
+    #: behaviour stays bit-identical.
     alerting: bool = False
     #: Simulated seconds between rule-engine evaluation passes.
     evaluation_interval: float = 0.5
@@ -184,8 +186,8 @@ class CollectorPeer:
         #: PR 10 — ``waterfall``/``render_prometheus`` used to re-merge
         #: every peer's state on every call).
         self._fleet_cache: TelemetrySnapshot | None = None
-        #: Liveness classification from fold metadata — always on (it is
-        #: passive bookkeeping with zero wire or scheduling cost).
+        #: Liveness classification from fold and heartbeat times — always
+        #: on (it is passive bookkeeping with zero scheduling cost).
         self.health = HealthMonitor(interval=export_interval)
         #: The rule engine + its evaluation ticker exist only when rules
         #: were configured: a rule-less collector schedules nothing and
@@ -229,6 +231,11 @@ class CollectorPeer:
         # First, before any counter below moves: an earlier instant is
         # over, so its sample must not see this one's loss or duplicates.
         self._take_due_sample()
+        if isinstance(request, Heartbeat):
+            # Liveness only: nothing to fold, nothing to ack.
+            drops = self.stats.reported_drops.get(request.peer, 0)
+            self.health.observe(request.peer, self.simulator.now, reported_drops=drops)
+            return
         if not isinstance(request, ExportRequest):
             self.stats.malformed += 1
             return

@@ -28,6 +28,10 @@ reports:
   bounded rounds, failover down the collector list (primary then backup).
   A batch that exhausts every collector stays queued for the next tick;
   sustained outage turns into drop-oldest, not memory growth.
+  An idle tick that owes nothing sends, with ``heartbeat=True``, one
+  one-way :class:`~repro.telemetry.otlp.Heartbeat` to the first collector
+  in the list still in the topology: no seq, no queue entry, no timer,
+  no ack.
 
 Finished spans (:class:`~repro.telemetry.disttrace.SpanRecord`) are
 exported once each, bounded per batch, as the collector's
@@ -42,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.errors import ProtocolError
+from repro.errors import NetworkError, ProtocolError
 from repro.net.request import RequestDispatcher, RequestFailure
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
@@ -50,6 +54,7 @@ from repro.telemetry.disttrace import SpanRecord
 from repro.telemetry.otlp import (
     ExportAck,
     ExportRequest,
+    Heartbeat,
     TELEMETRY_PROTOCOL,
     TELEMETRY_REPLY_PROTOCOL,
     DeltaTracker,
@@ -70,7 +75,7 @@ class ExporterStats:
 
     ticks: int = 0
     batches_built: int = 0
-    #: Empty liveness batches (``heartbeat=True`` ticks with no deltas).
+    #: One-way ``Heartbeat`` frames sent (idle ticks owing nothing).
     heartbeats: int = 0
     batches_sent: int = 0
     #: Drop-oldest sheds; the ``telemetry_dropped_batches_total`` series.
@@ -132,12 +137,10 @@ class TelemetryExporter:
         self.interval = interval
         self.queue_limit = queue_limit
         self.max_spans_per_batch = max_spans_per_batch
-        #: With ``heartbeat=True`` an idle tick still sends an *empty*
-        #: batch (seq advancing, no deltas), so the collector's liveness
-        #: classifier can tell "nothing changed" from "peer is gone" — the
-        #: push doubles as the heartbeat.  Off, an idle peer is wire-silent;
-        #: ``RLNDeployment.create`` turns it on with ``alerting=True``, so
-        #: every peer of such a fleet sends one batch per interval.
+        #: An idle tick that owes nothing sends a ``Heartbeat``, so the
+        #: collector can tell "nothing changed" from "peer is gone" (a queued
+        #: or in-flight batch already says the peer is alive).  Off, an idle
+        #: peer is wire-silent; ``RLNDeployment.create`` sets it with ``alerting``.
         self.heartbeat = heartbeat
         self.stats = ExporterStats()
         self.dispatcher = RequestDispatcher(
@@ -172,7 +175,10 @@ class TelemetryExporter:
     def export(self) -> TelemetryBatch | None:
         """One tick: diff the registry, enqueue the delta, pump the queue."""
         self.stats.ticks += 1
-        return self._push(self._build_batch(force=self.heartbeat))
+        batch = self._build_batch()
+        if batch is None and self.heartbeat and not self.pending:
+            self._beat()
+        return self._push(batch)
 
     def flush(self) -> None:
         """Build and enqueue whatever changed right now (final drain aid).
@@ -206,13 +212,11 @@ class TelemetryExporter:
 
     # -- building --------------------------------------------------------------
 
-    def _build_batch(self, *, force: bool = False) -> TelemetryBatch | None:
+    def _build_batch(self) -> TelemetryBatch | None:
         metrics = self._deltas.deltas(self.telemetry.registry.changed())
         spans = self._drain_spans()
         if not metrics and not spans:
-            if not force:
-                return None
-            self.stats.heartbeats += 1
+            return None
         batch = TelemetryBatch(
             peer=self.peer_id,
             role=self.role,
@@ -254,6 +258,20 @@ class TelemetryExporter:
         return tuple(records)
 
     # -- queueing / sending ----------------------------------------------------
+
+    def _beat(self) -> None:
+        # Down the collector list, as every batch starts: the first one
+        # still in the topology hears it.
+        for collector in self.collectors:
+            try:
+                self.dispatcher.network.send(
+                    self.peer_id, collector, Heartbeat(self.peer_id),
+                    protocol=TELEMETRY_PROTOCOL, require_edge=False,
+                )
+            except NetworkError:
+                continue
+            self.stats.heartbeats += 1
+            return
 
     def _push(self, batch: TelemetryBatch | None) -> TelemetryBatch | None:
         """Queue ``batch`` (dropping the oldest when full), then pump."""

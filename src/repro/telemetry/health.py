@@ -1,14 +1,15 @@
 """Per-peer liveness from the collector's own export bookkeeping.
 
-The push pipeline (PR 7) already gives the collector everything a
-liveness system needs, for free: every folded batch carries the peer's
-id, a monotone ``seq`` (so gaps mean upstream loss), and the exporter's
+The push pipeline (PR 7) already gives the collector most of what a
+liveness system needs: every folded batch carries the peer's id, a
+monotone ``seq`` (so gaps mean upstream loss), and the exporter's
 self-reported cumulative drop count — and the fold itself happens at a
-known simulated instant.  :class:`HealthMonitor` turns that metadata
-into a classification, with **no extra wire traffic** (no heartbeats —
-the telemetry push *is* the heartbeat):
+known simulated instant.  Between batches, an idle exporter with
+``heartbeat`` on sends a one-way :class:`~repro.telemetry.otlp.Heartbeat`
+(its id alone, never acked).  :class:`HealthMonitor` turns when each
+peer was last heard from into a classification:
 
-* ``healthy`` — folded within ``stale_after`` seconds;
+* ``healthy`` — heard from within ``stale_after`` seconds;
 * ``stale`` — quiet for ``stale_after`` but not yet ``silent_after``;
 * ``silent`` — quiet past ``silent_after`` (crashed, stopped, or
   partitioned: :meth:`Peer.stop` closing the exporter looks exactly
@@ -18,10 +19,10 @@ the telemetry push *is* the heartbeat):
   Flapping overrides ``healthy``/``stale`` (a peer that *just* came
   back but has been bouncing is not healthy) but never ``silent``.
 
-Classification is a pure function of (fold history, ``now``) on the
-simulated clock — deterministic, and independent of the order
-same-instant batches folded in.  :meth:`report` is the operator view:
-per-peer rows plus a fleet score in [0, 1].
+Classification is a pure function of (fold and heartbeat history,
+``now``) on the simulated clock — deterministic, and independent of the
+order same-instant frames arrived in.  :meth:`report` is the operator
+view: per-peer rows plus a fleet score in [0, 1].
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class PeerLiveness:
     peer: str
     status: str
     last_fold: float
-    #: Seconds of simulated time since the last folded batch.
+    #: Seconds of simulated time since the peer was last heard from.
     age: float
+    #: Frames heard: folded batches and heartbeats.
     batches: int
     #: Status transitions observed inside the flap window.
     recent_transitions: int
@@ -108,7 +110,7 @@ class HealthMonitor:
         lost_batches: int = 0,
         reported_drops: int = 0,
     ) -> None:
-        """One folded batch from ``peer`` at simulated time ``now``.
+        """One folded batch (or heartbeat) from ``peer`` at simulated time ``now``.
 
         A return from quiet (the peer had already aged into
         stale/silent) is a status transition and feeds flap detection.

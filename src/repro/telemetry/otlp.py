@@ -22,12 +22,13 @@ snapshot:
   assertion rests on this;
 * :class:`ExportRequest` / :class:`ExportAck` — the
   :class:`~repro.net.request.RequestDispatcher` envelope (request id for
-  attempt matching, seq echo in the ack).
+  attempt matching, seq echo in the ack);
+* :class:`Heartbeat` — an idle peer's one-way liveness frame.
 
 Every type serialises to bytes through :mod:`repro.codec`; the simulated
 network carries the dataclasses and bills ``byte_size() == len(to_bytes())``
-(an ack's and an empty batch's without encoding them), so the E17
-telemetry/relay byte ratio reflects honest wire cost.  A batch does not
+(an ack's without encoding it), so the E17 telemetry/relay byte ratio
+reflects honest wire cost.  A batch does not
 repeat itself: each of its strings sits once in its symbol table, counts,
 ids and integer deltas are varints, a repeated span stamp is one bit, and
 the 33 default bucket bounds are a one-byte flag.
@@ -342,14 +343,6 @@ class TelemetryBatch(Framed):
         for span in self.spans:
             span._write_body(w, refs)
 
-    def byte_size(self) -> int:
-        if self.metrics or self.spans:
-            return len(self.to_bytes())
-        # A heartbeat is not encoded to be billed: it is its peer's empty
-        # template with ``seq`` and the drop count as varints.
-        size = _empty_size(self.peer, self.role, self.shard)
-        return size + len(varint(self.seq)) + len(varint(self.dropped_batches))
-
     @classmethod
     def _read_body(cls, r: Reader, symbol: Symbol) -> "TelemetryBatch":
         peer, role = symbol(), symbol()
@@ -359,10 +352,22 @@ class TelemetryBatch(Framed):
         return cls(peer, role, shard, seq, time, dropped, metrics, spans)
 
 
-@lru_cache(maxsize=4096)
-def _empty_size(peer: str, role: str, shard: int) -> int:
-    """Bytes of an empty batch from ``peer``, less its two varints."""
-    return len(TelemetryBatch(peer, role, shard, 0, 0.0, 0, ()).to_bytes()) - 2
+@dataclass(frozen=True, slots=True)
+class Heartbeat(Wire):
+    """An idle peer's one-way "still here": its id and nothing else.
+
+    No seq and no ack: it is never queued or retried, so a lost one costs
+    the collector's liveness view one interval of its silence budget.
+    """
+
+    peer: str
+
+    def _write(self, w: Writer) -> None:
+        w.str(self.peer)
+
+    @classmethod
+    def _read(cls, r: Reader) -> "Heartbeat":
+        return cls(r.str())
 
 
 @dataclass(frozen=True, slots=True)

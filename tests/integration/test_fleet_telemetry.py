@@ -163,18 +163,59 @@ def test_collector_and_shared_telemetry_are_mutually_exclusive():
         RLNDeployment.create(peer_count=4, collector=True, telemetry=Telemetry())
 
 
+def heard(deployment: RLNDeployment, collector: str) -> int:
+    """Telemetry frames (batches and heartbeats) delivered to ``collector``."""
+    channel = deployment.network.stats[collector].per_protocol.get("telemetry")
+    return channel.messages_received if channel else 0
+
+
 def test_backup_collector_joins_the_topology():
     deployment = RLNDeployment.create(
-        peer_count=4, degree=3, seed=3, collector=CollectorOptions(backup=True)
+        peer_count=4, degree=3, seed=3, collector=CollectorOptions(backup=True, alerting=True)
     )
     assert sorted(deployment.collectors) == ["collector-0", "collector-1"]
     assert "collector-1" in deployment.network.graph
     deployment.register_all()
     deployment.run(3.0)
     deployment.flush_telemetry()
-    # The primary answers first; the backup stays warm but idle.
-    assert deployment.collectors["collector-0"].stats.batches > 0
-    assert deployment.collectors["collector-1"].stats.batches == 0
+    deployment.run(5.0)
+    # The primary answers first, and hears the idle heartbeats too; the
+    # backup stays warm but idle.
+    primary, backup = deployment.collectors.values()
+    assert primary.stats.batches > 0
+    assert heard(deployment, "collector-0") > primary.stats.batches
+    assert backup.stats.batches == 0 and heard(deployment, "collector-1") == 0
+    assert backup.health.peers() == []
+
+
+def test_heartbeats_follow_a_failover_to_the_backup():
+    deployment = RLNDeployment.create(
+        peer_count=4, degree=3, seed=3, collector=CollectorOptions(backup=True, alerting=True)
+    )
+    deployment.register_all()
+    deployment.run(3.0)
+    deployment.flush_telemetry()
+    backup = deployment.collectors["collector-1"]
+    deployment.network.remove_peer("collector-0")
+    # Idle: within one tick (and its link delay) the backup hears every
+    # peer's heartbeat.
+    deployment.run(1.0 + deployment.network.latency.worst_case())
+    assert backup.stats.batches == 0
+    assert backup.health.peers() == sorted(deployment.peers)
+    # One data batch per peer fails over too; later idle heartbeats stay.
+    for telemetry in deployment.telemetries.values():
+        telemetry.registry.counter("failover_probe_total").inc()
+    deployment.run(1.5)
+    assert backup.stats.batches == len(deployment.peers)
+    silent_after = backup.health.silent_after
+    frames = heard(deployment, "collector-1")
+    deployment.run(silent_after + 2.0)
+    assert backup.stats.batches == len(deployment.peers)
+    assert heard(deployment, "collector-1") - frames >= len(deployment.peers) * silent_after
+    report = backup.health_report()
+    assert report["counts"] == {"healthy": len(deployment.peers)}
+    assert all(row["age"] < 1.5 for row in report["peers"])
+    assert "rln-peer-silent" not in backup.firing()
 
 
 def test_stop_closes_the_exporter_ticker():

@@ -48,14 +48,21 @@ from repro.telemetry import CollectorOptions
 # earlier) and fill other batch-size histogram buckets, telemetry bytes
 # 46 780 -> 47 036; the same 9 trees, no alert, none lost, ``network``
 # unchanged.
+# All three re-pinned when an idle tick's liveness became a one-way
+# ``Heartbeat`` instead of an empty, acked batch.  The fleet snapshot, the
+# 9 trees and the alert log hash as before; the accounting moved (the
+# collector folds 40 batches, not 232, and acks 40; each exporter builds
+# only its 5 data batches, and the drain ends 4 ticks sooner), and so did
+# the telemetry messages (240 -> 208 frames, 232 -> 40 replies) and bytes
+# (47 036 -> 42 516 sent, 3 944 -> 680 in replies).
 CONTENT = {
-    "collector": "bb564f65f8e50dffe8a7433f659881cd27cff4dd575eecba950f565585482f94",
+    "collector": "390258b37db977f3a64d1d9e83fe746ea3d0a4d1fbb7734d7922ba5ff0ab68cd",
     # Re-pinned with IDONTWANT (fewer gossipsub copies), and when each mesh
     # peer's IDONTWANT began listing only the ids it is not known to hold:
     # the same 516 gossipsub messages, 135 780 bytes (144 996).
-    "network": "0871f4ed3e97748a8a1a7e0ed388d73bf671a9fa0bc85ce24cce7aa7c31b90fc",
+    "network": "abc6024a2b3609a0c983a6805189ec6d798fce25560de61b7221310a7701aba1",
 }
-WIRE = "f162aa0ef85be48a879b8a375f8904b36e86216ac62d235eb74e2389698aa9a6"
+WIRE = "8001f483c54e2106cad46f1af00f443be4d1e90dc86b5f10b88d776cee7fa5ac"
 
 
 @lru_cache(maxsize=1)

@@ -13,6 +13,8 @@ sampling), at 8 and 16 peers:
   whose names its rules select, not every stored entry;
 * the collector's self-metric entries are the ones built before the
   window, updated in place: no pass builds one;
+* an idle peer's liveness is one one-way heartbeat per tick: exactly
+  one telemetry frame per peer per tick, and no reply;
 * the simulation's own work is pinned: the same events per simulated
   second, whatever the telemetry path costs the host.
 
@@ -32,9 +34,11 @@ from repro.telemetry.registry import BoundMetric
 
 IDLE_SECONDS = 20.0
 
-#: Simulator events over the idle window: every exporter tick, delivery,
-#: timer and evaluation.  A cheaper idle path must not change them.
-EVENTS = {8: 691, 16: 1339}
+#: Simulator events over the idle window: every exporter tick, heartbeat
+#: delivery and evaluation.  Pinned exactly: per peer and idle second that
+#: is one tick and one delivery, and a change to the idle path's events
+#: must re-pin them.
+EVENTS = {8: 531, 16: 1019}
 
 
 def idle_fleet(peers: int) -> RLNDeployment:
@@ -98,6 +102,9 @@ def idle_work(peers: int, monkeypatch) -> dict:
 
     entries = dict(collector._self_state)
     events = deployment.simulator.processed_events
+    network, exporters = deployment.network, deployment.exporters.values()
+    frames = {p: network.total_messages(protocol=p) for p in ("telemetry", "telemetry-reply")}
+    ticks = sum(exporter.stats.ticks for exporter in exporters)
     written = [
         metric
         for telemetry in deployment.telemetries.values()
@@ -118,6 +125,8 @@ def idle_work(peers: int, monkeypatch) -> dict:
     for metric in written:
         metric.__class__ = type(metric).__base__
     work["events"] = deployment.simulator.processed_events - events
+    work["frames"] = {p: network.total_messages(protocol=p) - n for p, n in frames.items()}
+    work["exporter_ticks"] = sum(exporter.stats.ticks for exporter in exporters) - ticks
     work["stored"] = sum(len(state) for state in collector._states.values())
     # the entries a pass reads are the very objects it read before
     assert collector._self_state == entries
@@ -141,6 +150,9 @@ def test_an_idle_tick_and_pass_cost_only_what_moved(peers, monkeypatch):
     # evaluation's): a small fraction of the stored entries
     assert len(set(work["matches"])) <= 2
     assert 0 < 4 * max(work["matches"]) <= work["stored"]
+    # one one-way frame per peer per tick, and nothing comes back
+    assert work["exporter_ticks"] == peers * IDLE_SECONDS
+    assert work["frames"] == {"telemetry": work["exporter_ticks"], "telemetry-reply": 0}
     assert work["events"] == EVENTS[peers]
 
 

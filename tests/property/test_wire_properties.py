@@ -70,7 +70,7 @@ def test_truncation_always_detected(payload, topic, cut):
         decode_message(truncated)
 
 
-# -- the hostile-input matrix: sixteen codecs, one standard -------------------
+# -- the hostile-input matrix: seventeen codecs, one standard -------------------
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,7 @@ MATRIX = {
     "TelemetryBatch": wire(ws.TelemetryBatch, ws.batches),
     "ExportRequest": wire(ws.ExportRequest, ws.export_requests),
     "ExportAck": wire(ws.ExportAck, ws.export_acks),
+    "Heartbeat": wire(ws.Heartbeat, ws.heartbeats),
     "WakuMessage": Row(ws.waku_messages, encode_message, decode_message),
 }
 

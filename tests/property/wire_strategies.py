@@ -18,6 +18,7 @@ from repro.telemetry.otlp import (
     ExportAck,
     ExportRequest,
     GaugeValue,
+    Heartbeat,
     HistogramDelta,
     TelemetryBatch,
 )
@@ -241,6 +242,7 @@ def _batches(draw):
 batches = _batches()
 export_requests = st.builds(ExportRequest, request_id=u64, batch=batches)
 export_acks = st.builds(ExportAck, request_id=u64, seq=u64, accepted=st.booleans())
+heartbeats = st.builds(Heartbeat, peer=label_text)
 
 # -- the §III-E bundle ----------------------------------------------------------
 

@@ -19,7 +19,9 @@ The load-bearing guarantees:
   ``telemetry_dropped_batches_total`` in the peer's own registry;
 * the collector dedups retransmitted seqs (ack again, never re-fold) and
   counts sequence gaps as lost batches;
-* pushes fail over to a backup collector through the shared dispatcher.
+* pushes fail over to a backup collector through the shared dispatcher;
+* an idle heartbeat is one one-way frame: it is never queued, so it
+  cannot evict data, and the collector only marks its peer alive.
 """
 
 import random
@@ -41,6 +43,7 @@ from repro.telemetry.otlp import (
     ExportAck,
     ExportRequest,
     GaugeValue,
+    Heartbeat,
     HistogramDelta,
     TelemetryBatch,
 )
@@ -259,7 +262,9 @@ def test_fold_reconstructs_collect_state_exactly():
 # -- exporter / collector over the simulated network --------------------------
 
 
-def build(*, collectors=("collector-0",), queue_limit=16, interval=1.0, rounds=2):
+def build(
+    *, collectors=("collector-0",), queue_limit=16, interval=1.0, rounds=2, heartbeat=False
+):
     sim = Simulator()
     graph = full_mesh(2 + len(collectors))
     network = Network(
@@ -271,7 +276,8 @@ def build(*, collectors=("collector-0",), queue_limit=16, interval=1.0, rounds=2
     exporter = TelemetryExporter(
         names[0], telemetry, network, sim,
         collectors=[names[int(c.split("-")[1]) + 2] for c in collectors],
-        interval=interval, queue_limit=queue_limit, rounds=rounds, start=False,
+        interval=interval, queue_limit=queue_limit, rounds=rounds, heartbeat=heartbeat,
+        start=False,
     )
     collector_peers = [
         CollectorPeer(names[i + 2], network, sim) for i in range(len(collectors))
@@ -383,6 +389,66 @@ def test_queue_drop_oldest_self_reports_into_registry():
     assert len(exporter._queue) <= 2
 
 
+def test_idle_heartbeats_never_evict_queued_data():
+    sim, network, telemetry, exporter, (collector,) = build(
+        queue_limit=4, rounds=1, heartbeat=True
+    )
+    network.remove_peer(collector.peer_id)
+    for _ in range(3):
+        telemetry.registry.counter("events_total").inc()
+        exporter.export()
+        sim.run(sim.now + 1.0)
+    for _ in range(6):
+        exporter.export()  # idle, but owing batches: it only retries them
+        sim.run(sim.now + 1.0)
+    assert exporter.stats.batches_dropped == 0 and exporter.stats.heartbeats == 0
+    increments = [
+        metric.delta
+        for batch in exporter._queue
+        for metric in batch.metrics
+        if metric.name == "events_total"
+    ]
+    assert increments == [1, 1, 1]
+
+
+def test_an_idle_tick_owing_nothing_sends_one_heartbeat_and_arms_nothing():
+    sim, network, telemetry, exporter, (collector,) = build(heartbeat=True)
+    telemetry.registry.counter("events_total").inc()
+    exporter.export()
+    sim.run_until_idle()
+    events, seq = sim.processed_events, exporter._next_seq
+    assert exporter.export() is None
+    assert not exporter.pending
+    sim.run_until_idle()
+    # one delivery, no timer, no ack; no seq taken, no batch built
+    assert sim.processed_events - events == 1
+    assert exporter.stats.heartbeats == 1 and exporter._next_seq == seq
+    assert network.total_messages(protocol="telemetry-reply") == 1
+    assert collector.stats.batches == collector.stats.acks_sent == 1
+
+
+def test_collector_hears_a_heartbeat_without_folding_or_acking():
+    sim, network, _, exporter, (collector,) = build()
+    collector._on_export(exporter.peer_id, ExportRequest(1, make_batch(seq=1)))
+    sim.run(5.0)
+    collector._on_export(exporter.peer_id, Heartbeat("peer-000"))
+    (row,) = collector.health_report()["peers"]
+    assert row["last_fold"] == 5.0 and row["batches"] == 2
+    assert collector.stats.batches == collector.stats.acks_sent == 1
+    assert collector.stats.malformed == 0 and collector.peers() == ["peer-000"]
+
+
+def test_heartbeat_round_trips_strictly_and_bills_its_bytes():
+    beat = Heartbeat("peer-007")
+    data = beat.to_bytes()
+    assert data == b"\x00\x08peer-007"
+    assert Heartbeat.from_bytes(data) == beat
+    assert beat.byte_size() == len(data)
+    for bad in (data + b"\x00", data[:-1], b"\x00\x01\xff"):
+        with pytest.raises(ProtocolError):
+            Heartbeat.from_bytes(bad)
+
+
 def test_push_fails_over_to_backup_collector():
     sim, network, telemetry, exporter, collectors = build(
         collectors=("collector-0", "collector-1")
@@ -395,6 +461,31 @@ def test_push_fails_over_to_backup_collector():
     assert exporter.stats.batches_sent == 1
     assert backup.stats.batches == 1
     assert backup.peer_snapshot(exporter.peer_id).value("events_total") == 2
+
+
+def test_a_timeout_against_the_primary_leaves_heartbeats_there():
+    sim, network, telemetry, exporter, (primary, backup) = build(
+        collectors=("collector-0", "collector-1"), heartbeat=True
+    )
+    counter = telemetry.registry.counter("events_total")
+    counter.inc()
+    exporter.export()
+    sim.run_until_idle()
+    # The primary swallows the next batch: it times out and fails over.
+    network.register(primary.peer_id, lambda sender, request: None, protocol="telemetry")
+    counter.inc()
+    exporter.export()
+    sim.run_until_idle()
+    assert primary.stats.batches == backup.stats.batches == 1
+    network.register(primary.peer_id, primary._on_export, protocol="telemetry")
+    for _ in range(int(primary.health.silent_after) + 2):
+        sim.run(sim.now + 1.0)
+        exporter.export()
+    sim.run_until_idle()
+    assert exporter.stats.heartbeats == int(primary.health.silent_after) + 2
+    (row,) = primary.health_report()["peers"]
+    assert row["status"] == "healthy" and row["age"] < 1.0
+    assert primary.stats.batches == backup.stats.batches == 1
 
 
 def test_exporter_drains_traces_once_each():
