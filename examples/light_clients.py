@@ -7,8 +7,8 @@ resources".  This example runs the four tiers side by side:
 * **full relay peers** — route, validate proofs, hold the whole tree;
 * **a storage-limited peer** — runs the protocol but keeps only the
   O(log N) optimised Merkle view (§IV-A / reference [18]), fed one update
-  announcement per block by a resourceful full replica that relays
-  nothing (the hybrid architecture);
+  announcement per block by the full peers' tree (the hybrid
+  architecture);
 * **a bandwidth-limited phone** — no mesh at all; 12/WAKU2-FILTER pushes
   it just the content topic it cares about, and 13/WAKU2-STORE backfills
   history when it comes online;
@@ -25,7 +25,6 @@ from repro.analysis.metrics import DeliveryTracker
 from repro.analysis.reporting import format_bytes
 from repro.chain.blockchain import WEI
 from repro.core import RLNConfig, RLNDeployment
-from repro.core.membership import GroupManager
 from repro.core.validator import ValidationOutcome
 from repro.crypto.optimized_merkle import OptimizedMerkleView
 from repro.treesync import ShardSyncManager
@@ -61,12 +60,9 @@ def main() -> None:
     view = OptimizedMerkleView(
         lite.group.merkle_proof(lite.identity.pk), lite.group.root
     )
-    # A resourceful full replica outside the relay fleet serves it each
-    # block's pre-block paths (the hybrid architecture).
-    announcer = GroupManager(
-        dep.chain, dep.contract, tree_depth=config.tree_depth, hasher=dep.tree_hasher
-    )
-    announcer.on_update(view.apply_update)
+    # The deployment's full tree serves it each block's pre-block paths
+    # (the hybrid architecture).
+    dep.group.on_update(view.apply_update)
 
     full_bytes = lite.group.tree.storage_bytes()
     print("storage-limited peer (optimised Merkle view, §IV-A):")

@@ -46,11 +46,11 @@ class RLNConfig:
     max_epoch_gap: int = 1
     #: Identity-commitment tree depth (§IV analyses depth 20).
     tree_depth: int = DEFAULT_DEPTH
-    #: Frozen and unread.  Every replica holds the one MerkleTree and the
-    #: "sharded forest" is a view of its levels, so both values build the
-    #: same deployment bit for bit.  The field stays accepted and validated
-    #: only because ``benchmarks/e2e`` passes it; that harness drops it in
-    #: a ``benchmark`` PR, which may then delete the field.
+    #: Frozen and unread.  A deployment's one GroupManager holds one
+    #: MerkleTree and the "sharded forest" is a view of its levels, so both
+    #: values build the same deployment bit for bit.  The field stays
+    #: accepted and validated only because ``benchmarks/e2e`` passes it;
+    #: that harness drops it in a ``benchmark`` PR, which may then delete it.
     tree_backend: str = "flat"
     #: Depth of one shard subtree (members per shard = 2^shard_depth), the
     #: geometry membership announcements are tagged with.  ``None``

@@ -4,7 +4,7 @@ Examples, integration tests and the network-scale benchmarks all need the
 same scaffolding — an event simulator, a chain with the membership contract
 and a mining ticker, a peer topology, a transport, and one
 :class:`~repro.core.protocol.WakuRLNRelayPeer` per node, all sharing one
-trusted setup.  :class:`RLNDeployment` builds it.
+trusted setup and one view of the contract.  :class:`RLNDeployment` builds it.
 
 >>> deployment = RLNDeployment.create(peer_count=10, seed=7)   # doctest: +SKIP
 >>> deployment.register_all()
@@ -22,6 +22,7 @@ import networkx as nx
 from repro.chain.blockchain import Blockchain, DEFAULT_BLOCK_INTERVAL, WEI
 from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
+from repro.core.membership import GroupManager
 from repro.core.protocol import WakuRLNRelayPeer
 from repro.crypto.field import FIELD_MODULUS
 from repro.crypto.merkle import MemoHasher
@@ -48,13 +49,12 @@ class RLNDeployment:
     contract: RLNMembershipContract
     graph: nx.Graph
     network: Network
+    #: The deployment's one view of its contract, shared by every peer.
+    group: GroupManager
     peers: dict[str, WakuRLNRelayPeer]
     config: RLNConfig
     prover: RLNProver
     rng: random.Random = field(default_factory=lambda: random.Random(0))
-    #: The one node-digest memo under every peer's identity tree (see
-    #: :meth:`create`); ``None`` for a deployment assembled by hand.
-    tree_hasher: MemoHasher | None = None
     #: Fleet-telemetry wiring (populated only with ``create(collector=…)``):
     #: one enabled :class:`~repro.telemetry.Telemetry` hub per peer, that
     #: peer's push exporter, and the collector node(s) (primary first).
@@ -96,13 +96,15 @@ class RLNDeployment:
         the wire.  Mutually exclusive with ``telemetry=`` (a shared hub
         cannot attribute per-peer resources).
 
-        The peers are replicas: each applies every contract event to its
-        own depth-``d`` tree.  ``create`` builds one
-        :class:`~repro.crypto.merkle.MemoHasher` and hands it to all of
-        them, so the fleet computes each node digest once, not once per
-        peer.  The deployment owns the memo — it is reachable only through
-        :attr:`tree_hasher` and the peers' trees and is freed with them;
-        a second deployment in the same process starts from an empty one.
+        Every peer subscribes to the same chain, which hands each event to
+        every subscriber in the same order, so one
+        :class:`~repro.core.membership.GroupManager` (:attr:`group`) follows
+        the contract for all of them: each event is applied once, not once
+        per peer.  Its tree hashes through a
+        :class:`~repro.crypto.merkle.MemoHasher` (``group.hasher``), where
+        a publisher's fresh path finds the digests the block's rehash
+        computed; it is freed with the deployment, and a second deployment
+        in the same process starts from an empty one.
         """
         config = config or RLNConfig()
         if collector is True:
@@ -135,7 +137,14 @@ class RLNDeployment:
         )
         prover = shared_prover(config.tree_depth, config.prover_backend)
         drift = drift or DriftModel(0.0)
-        tree_hasher = MemoHasher()
+        group = GroupManager(
+            chain,
+            contract,
+            tree_depth=config.tree_depth,
+            root_window=config.root_window,
+            shard_depth=config.shard_depth,
+            hasher=MemoHasher(),
+        )
         peers: dict[str, WakuRLNRelayPeer] = {}
         telemetries: dict[str, Telemetry] = {}
         peer_ids = sorted(graph.nodes)
@@ -154,8 +163,7 @@ class RLNDeployment:
                 peer_id,
                 network=network,
                 simulator=simulator,
-                chain=chain,
-                contract=contract,
+                group=group,
                 slash_key=slash_key,
                 config=config,
                 prover=prover,
@@ -165,7 +173,6 @@ class RLNDeployment:
                 pipeline_config=pipeline_config,
                 rng=random.Random(seed + 2 + len(peers)),
                 telemetry=peer_telemetry,
-                tree_hasher=tree_hasher,
             )
         collectors: dict[str, CollectorPeer] = {}
         exporters: dict[str, TelemetryExporter] = {}
@@ -208,11 +215,11 @@ class RLNDeployment:
             contract=contract,
             graph=graph,
             network=network,
+            group=group,
             peers=peers,
             config=config,
             prover=prover,
             rng=rng,
-            tree_hasher=tree_hasher,
             telemetries=telemetries,
             exporters=exporters,
             collectors=collectors,

@@ -9,8 +9,8 @@ the contract's ordered list into a tree and applying its events:
   revocation regardless of cause).
 
 A block's events are one transaction, applied at the chain's ``BLOCK_END``
-marker by one :meth:`~repro.crypto.merkle.MerkleTree.apply` at every
-replica; the window gains **one root per block**, as Waku's RLN-relay keeps
+marker by one :meth:`~repro.crypto.merkle.MerkleTree.apply` in each
+manager; the window gains **one root per block**, as Waku's RLN-relay keeps
 it (https://rfc.vac.dev/spec/17/) — a registrant learns its index only after
 its block, so nobody holds a mid-block root.  Listeners change nothing but
 what is built for them: one announcement per block.
@@ -43,15 +43,16 @@ hashing, and shard-scoped peers
 (:class:`~repro.treesync.sync.ShardSyncManager`) can consume the O(1)
 digest for foreign shards.
 
-Two things keep N in-process replicas from repeating each other's (and
-their own) hashing without sharing any state that could mask a divergence:
-``hasher=`` is the tree's two-to-one compression, which a deployment fills
-with one :class:`~repro.crypto.merkle.MemoHasher` for all its managers (the
-manager neither builds nor owns it; ``None`` is plain Poseidon); and
-:meth:`GroupManager.merkle_proof` hands back the path object it built last
-(and folded through that hasher) for as long as ``(index, root)`` is what it
-was built against — any registration, removal or slash moves the root and so
-drops it.
+A deployment follows its contract once: its peers subscribe to one chain,
+which hands every subscriber each event in the same order, so
+:meth:`~repro.core.deployment.RLNDeployment.create` builds one manager and
+gives every peer that object.  ``hasher=`` is the tree's two-to-one
+compression; a deployment passes a :class:`~repro.crypto.merkle.MemoHasher`
+(``None`` is plain Poseidon), which holds the digests each block's rehash
+computed.  :meth:`GroupManager.merkle_proof` keeps one path per member index
+for the current root, folded through that hasher, so each publisher's path
+is built once per root; any registration, removal or slash moves the root
+and drops them all.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from repro.treesync.messages import ShardUpdate, TreeCheckpoint
 
 
 class GroupManager:
-    """One peer's locally maintained view of the membership group."""
+    """The locally maintained view of the membership group (§III-C)."""
 
     def __init__(
         self,
@@ -83,11 +84,12 @@ class GroupManager:
     ) -> None:
         self.chain = chain
         self.contract = contract
-        self._hasher = hasher
+        self.hasher = hasher
         self.tree = MerkleTree(depth=tree_depth, hasher=hasher)
-        #: The last path :meth:`merkle_proof` built and the root it was
-        #: built under.
-        self._witness: tuple[FieldElement, MerkleProof] | None = None
+        #: The paths :meth:`merkle_proof` built, by index, and the root
+        #: they were built under.
+        self._witness_root: FieldElement | None = None
+        self._witnesses: dict[int, MerkleProof] = {}
         #: Shard geometry used to *tag* announcements (0 on a depth-1 tree,
         #: which has no level to split at: every leaf is its own "shard").
         self.shard_depth = resolve_shard_depth(tree_depth, shard_depth)
@@ -101,10 +103,7 @@ class GroupManager:
         #: shard-sync protocol orders announcements by it.
         self.event_seq = 0
         self._bootstrap()
-        self._unsubscribe = chain.subscribe(self._on_event)
-
-    def close(self) -> None:
-        self._unsubscribe()
+        chain.subscribe(self._on_event)
 
     # -- bootstrap & events -----------------------------------------------------
 
@@ -118,7 +117,7 @@ class GroupManager:
         if not leaves:
             return
         self.tree = MerkleTree.from_leaves(
-            leaves, depth=self.tree.depth, hasher=self._hasher
+            leaves, depth=self.tree.depth, hasher=self.hasher
         )
         for index, leaf in enumerate(leaves):
             if leaf != ZERO:
@@ -220,12 +219,13 @@ class GroupManager:
         :meth:`MerkleProof.compute_root` finds the fold done.
         """
         index, root = self.index_of(pk), self.tree.root
-        witness = self._witness
-        if witness is None or witness[0] != root or witness[1].index != index:
-            proof = self.tree.proof(index)
-            proof.compute_root(self._hasher)
-            witness = self._witness = (root, proof)
-        return witness[1]
+        if root != self._witness_root:
+            self._witness_root, self._witnesses = root, {}
+        proof = self._witnesses.get(index)
+        if proof is None:
+            proof = self._witnesses[index] = self.tree.proof(index)
+            proof.compute_root(self.hasher)
+        return proof
 
     # -- shard geometry ---------------------------------------------------------------
 

@@ -4,8 +4,8 @@
 Figure 1 of the paper composes the system:
 
 * a :class:`~repro.waku.relay.WakuRelay` endpoint (GossipSub underneath),
-* a :class:`~repro.core.membership.GroupManager` syncing the identity tree
-  from the membership contract's events (§III-C),
+* the deployment's :class:`~repro.core.membership.GroupManager`, the
+  identity tree synced from the membership contract's events (§III-C),
 * a :class:`~repro.core.validator.BundleValidator` implementing the §III-F
   routing decision, wrapped in a staged
   :class:`~repro.pipeline.pipeline.ValidationPipeline` (prefilter gates,
@@ -38,8 +38,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.chain.blockchain import Blockchain
-from repro.chain.rln_contract import RLNMembershipContract
 from repro.core.config import RLNConfig
 from repro.core.epoch import external_nullifier
 from repro.core.membership import GroupManager
@@ -49,7 +47,7 @@ from repro.core.slashing import Slasher
 from repro.core.validator import BundleValidator
 from repro.crypto.field import FieldElement
 from repro.crypto.identity import Identity
-from repro.crypto.merkle import MerkleProof, NodeHasher
+from repro.crypto.merkle import MerkleProof
 from repro.errors import ProtocolError, RegistrationError
 from repro.gossipsub.messages import PubSubMessage
 from repro.gossipsub.scoring import ScoreParams
@@ -124,8 +122,7 @@ class WakuRLNRelayPeer:
         *,
         network: Network,
         simulator: Simulator,
-        chain: Blockchain,
-        contract: RLNMembershipContract,
+        group: GroupManager,
         slash_key: bytes,
         config: RLNConfig | None = None,
         prover: RLNProver | None = None,
@@ -136,12 +133,12 @@ class WakuRLNRelayPeer:
         pipeline_config: PipelineConfig | None = None,
         rng: random.Random | None = None,
         telemetry=None,
-        tree_hasher: NodeHasher | None = None,
     ) -> None:
         self.peer_id = peer_id
         self.simulator = simulator
-        self.chain = chain
-        self.contract = contract
+        # The group's chain and contract are the peer's: one view of both.
+        self.chain = group.chain
+        self.contract = group.contract
         self.telemetry = resolve_telemetry(telemetry)
         self.config = config or RLNConfig()
         self.prover = prover or shared_prover(
@@ -161,14 +158,7 @@ class WakuRLNRelayPeer:
             rng=rng,
             telemetry=self.telemetry,
         )
-        self.group = GroupManager(
-            chain,
-            contract,
-            tree_depth=self.config.tree_depth,
-            root_window=self.config.root_window,
-            shard_depth=self.config.shard_depth,
-            hasher=tree_hasher,
-        )
+        self.group = group
         self.validator = BundleValidator(self.config, self.prover, self.group)
         self.pipeline = ValidationPipeline(
             self.validator,
@@ -180,7 +170,7 @@ class WakuRLNRelayPeer:
             telemetry=self.telemetry,
             peer_id=peer_id,
         )
-        self.slasher = Slasher(peer_id, chain, contract.address, slash_key)
+        self.slasher = Slasher(peer_id, self.chain, self.contract.address, slash_key)
         self.relay.set_validator(self._validate)
         # The pipeline above already minted this peer's tracer
         # (simulator-clocked) through the hub.  The rewrite hook goes in
@@ -231,7 +221,6 @@ class WakuRLNRelayPeer:
         if self._telemetry_exporter is not None:
             self._telemetry_exporter.close()
         self.relay.stop()
-        self.group.close()
 
     def _prune_ingress_buckets(self) -> None:
         """Drop token buckets of peers no longer subscribed to the topic."""

@@ -22,12 +22,12 @@ rehash each dirty node once, level by level — k writes cost
 replica apply a whole block of membership events at once.
 
 Work is counted twice, on purpose.  :attr:`MerkleTree.hash_ops` is the
-*logical* per-replica count — every two-to-one compression the tree
-performed (it falls when writes share ancestors).  ``EngineStats.hashes``
-is the *physical* count — what the process computed.  They agree for a
-standalone tree; replicas that share a :class:`MemoHasher` (one per
-:class:`~repro.core.deployment.RLNDeployment`, owned by it and never by
-this module) ask N times and compute once.
+*logical* count — every two-to-one compression the tree performed (it
+falls when writes share ancestors).  ``EngineStats.hashes`` is the
+*physical* count — what the process computed.  They agree for a tree's own
+rehash; a path folded through the tree's :class:`MemoHasher` (a
+deployment's, owned by it and never by this module) asks for ``depth``
+digests the rehash already computed, and computes none of them again.
 """
 
 from __future__ import annotations
@@ -53,14 +53,14 @@ _MEMO_LIMIT = 1 << 16
 class MemoHasher:
     """Content-addressed ``(left, right) → digest`` memo over Poseidon.
 
-    The in-process replicas of one deployment replay the same contract
-    event through their own trees and would each compute the same ``depth``
-    digests; sharing one of these as their ``hasher=`` computes each node
-    once.  Nothing but digests is shared — every tree keeps its own nodes,
-    its own rehash walk and its own :attr:`MerkleTree.hash_ops`, so a
-    replica can still diverge.  Bounded: cleared when full.  Whoever
-    builds it owns it; no module-level table holds it (it resolves to the
-    canonical zero ladder), so it is freed with its last tree.
+    A deployment's identity tree hashes through one of these, so a
+    publisher's fresh path (:meth:`MerkleProof.compute_root`) finds the
+    digests the block's rehash computed and computes none again.  Only
+    digests are kept — the tree keeps its nodes and its own
+    :attr:`MerkleTree.hash_ops` — and a pair the memo lacks is hashed for
+    real, so a tampered path still fails.  Bounded: cleared when full.
+    Whoever builds it owns it; no module-level table holds it (it resolves
+    to the canonical zero ladder), so it is freed with its last tree.
     """
 
     __slots__ = ("_memo", "__weakref__")

@@ -1,7 +1,7 @@
-"""One deployment, one node-digest memo: the replicas' identity trees ask
-for every digest (``hash_ops``) and the process computes each once
-(``EngineStats.hashes``) — without a stale witness, a cross-deployment
-replay or a leaked memo."""
+"""One deployment, one identity tree over one node-digest memo: a block
+costs the fleet one rehash of its dirty nodes, and a publisher's fresh path
+folds through the digests that rehash left in the memo — without a stale
+witness, a cross-deployment replay or a leaked memo."""
 
 import dataclasses
 import gc
@@ -33,11 +33,11 @@ class TestHashBudget:
     def test_register_all_hashes_each_node_once_for_the_fleet(self, engine_hashes):
         first = deployment()
         spent = engine_hashes(first.register_all)
-        # One block of PEERS registrations: each replica rehashes every
-        # distinct dirty ancestor once, sum over levels of |{i >> l}| (24 for
-        # 8 consecutive leaves at depth 20, against PEERS * DEPTH = 160 a
-        # path per event), and the fleet computes each of them once, plus
-        # two commitment hashes per generated identity.
+        # One block of PEERS registrations: the deployment's one tree
+        # rehashes every distinct dirty ancestor once, sum over levels of
+        # |{i >> l}| (24 for 8 consecutive leaves at depth 20, against
+        # PEERS * DEPTH = 160 a path per event), plus two commitment hashes
+        # per generated identity.
         block = sum(len({i >> level for i in range(PEERS)}) for level in range(1, DEPTH + 1))
         assert block == 24
         assert spent <= block + 2 * PEERS
@@ -47,7 +47,7 @@ class TestHashBudget:
         # A second fleet in the same process pays its own way: nothing is
         # replayed from the first one's memo.
         second = deployment()
-        assert second.tree_hasher is not first.tree_hasher
+        assert second.group.hasher is not first.group.hasher
         assert engine_hashes(second.register_all) == spent
 
     def test_a_publisher_on_an_unchanged_tree_keeps_its_witness(self, engine_hashes):
@@ -121,9 +121,9 @@ class TestHashBudget:
         dep.register_all(ids[-1:])  # a root change: the next path is fresh
         # Overflow through the real code path: the memo is at its limit,
         # so the next miss clears it.
-        monkeypatch.setattr(merkle, "_MEMO_LIMIT", len(dep.tree_hasher._memo))
-        dep.tree_hasher(FieldElement(1), FieldElement(2))
-        assert len(dep.tree_hasher._memo) == 1
+        monkeypatch.setattr(merkle, "_MEMO_LIMIT", len(dep.group.hasher._memo))
+        dep.group.hasher(FieldElement(1), FieldElement(2))
+        assert len(dep.group.hasher._memo) == 1
         assert engine_hashes(lambda: peer.publish(b"cold")) == DEPTH + 2
         dep.run(1.0)
         assert tracker.delivery_count(b"cold") == PEERS
@@ -156,7 +156,7 @@ class TestHashBudget:
     def test_a_dropped_deployment_frees_its_memo(self):
         dep = deployment(depth=8)
         dep.register_all()
-        memo = weakref.ref(dep.tree_hasher)
+        memo = weakref.ref(dep.group.hasher)
         assert len(memo()._memo) > 0
         del dep
         gc.collect()

@@ -252,7 +252,6 @@ class TestShardedDeployment:
         assert deployed.root == standalone.root
         assert deployed.recent_roots()[-1] == standalone.recent_roots()[-1]
         assert deployed.checkpoint().to_bytes() == standalone.checkpoint().to_bytes()
-        standalone.close()
 
 
 class TestBoundedCatchUp:

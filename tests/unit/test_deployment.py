@@ -50,6 +50,7 @@ class TestCreate:
         from repro.zksnark.prover import NativeProver
         from repro.chain.blockchain import Blockchain
         from repro.chain.rln_contract import RLNMembershipContract
+        from repro.core.membership import GroupManager
         from repro.core.protocol import WakuRLNRelayPeer
         from repro.net.simulator import Simulator
         from repro.net.topology import full_mesh
@@ -65,8 +66,7 @@ class TestCreate:
                 "peer-000",
                 network=network,
                 simulator=sim,
-                chain=chain,
-                contract=contract,
+                group=GroupManager(chain, contract, tree_depth=DEPTH),
                 slash_key=bytes(32),
                 config=RLNConfig(tree_depth=DEPTH),
                 prover=NativeProver(DEPTH + 1),

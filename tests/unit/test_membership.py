@@ -92,12 +92,6 @@ class TestSync:
             register(chain, contract, Identity.from_secret(100 + i))
         assert manager.root == other.root
 
-    def test_closed_manager_stops_following(self, env):
-        chain, contract, manager = env
-        manager.close()
-        register(chain, contract, Identity.from_secret(1))
-        assert manager.member_count() == 0
-
     def test_assert_synced_detects_divergence(self, env):
         chain, contract, manager = env
         register(chain, contract, Identity.from_secret(1))
@@ -242,4 +236,3 @@ class TestBlockIsOneTransaction:
             assert manager.is_acceptable_root(pre_block)
             validator = BundleValidator(config, native_prover, manager)
             assert validator.classify_cheap(bundle) is None
-        listened.close()

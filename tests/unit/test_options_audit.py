@@ -46,7 +46,6 @@ KEPT_FOR = {
     # Not options: what RLNDeployment.create builds once and hands each peer.
     "prover": "the deployment's one shared prover",
     "clock": "the peer's drift-sampled clock",
-    "tree_hasher": "the deployment's one node-digest memo",
 }
 
 

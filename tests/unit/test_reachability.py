@@ -210,7 +210,7 @@ BUDGET = {
     "analysis": 228,
     "baselines": 387,
     "chain": 975,
-    "core": 1969,
+    "core": 1965,
     "crypto": 1784,
     "exec": 425,
     "gossipsub": 1218,

@@ -163,7 +163,6 @@ class TestWindowCollapse:
         for root in stale_roots:
             assert not manager.is_acceptable_root(root)
         assert manager.recent_roots() == [manager.root]
-        manager.close()
 
 
 class TestTracker:
@@ -187,7 +186,6 @@ class TestTracker:
         assert summary["chain_latency"] > 0
         assert summary["revocation_latency"] >= summary["chain_latency"] - tracker.poll_interval
         assert not tracker._watching
-        manager.close()
 
     def test_watch_on_already_excluded_view_stamps_immediately(self, env):
         simulator, chain, contract, spammer = env
@@ -198,7 +196,6 @@ class TestTracker:
         )
         assert tracker.exclusions["view"] == simulator.now
         assert tracker.network_wide_at == simulator.now
-        manager.close()
 
     def test_first_detection_wins(self, env):
         simulator, chain, contract, spammer = env

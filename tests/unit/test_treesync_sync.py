@@ -233,7 +233,6 @@ class TestCheckpoint:
         assert checkpoint.shard_roots[2][1] == top.leaf(3)  # the empty-shard root
         assert checkpoint.global_root == top.root
         assert checkpoint.to_bytes() == defaulted.checkpoint().to_bytes()
-        defaulted.close()
 
     def test_restore_from_checkpoint(self, group):
         chain, contract, manager = group
@@ -277,7 +276,6 @@ class TestGeometryDefaults:
         chain.deploy(contract)
         manager = GroupManager(chain, contract, tree_depth=8)
         assert manager.shard_depth == 7
-        manager.close()
         assert resolve_shard_depth(8) == 7
         assert resolve_shard_depth(20) == 10
 
@@ -302,7 +300,6 @@ class TestGeometryDefaults:
         chain.deploy(contract)
         manager = GroupManager(chain, contract, tree_depth=1)
         assert manager.shard_depth == 0
-        manager.close()
 
 
 class TestWireSizes:
@@ -369,7 +366,6 @@ class TestCommitRecovery:
             shard_depth=SHARD_DEPTH,
         )
         assert late.event_seq == manager.event_seq
-        late.close()
 
 
 class TestForgedAnnouncementHardening:

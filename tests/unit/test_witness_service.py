@@ -140,7 +140,6 @@ class TestWitnessFetch:
         sim.run(2.0)
         assert got and got[0] == manager.tree.proof(5)
         assert service.stats.witnesses_served == 1
-        other.close()
 
     def test_cache_hit_is_local_and_counted(self, env):
         sim, network, names, manager, _ = env
