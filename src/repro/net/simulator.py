@@ -70,6 +70,9 @@ class Simulator:
         self._processed = 0
         #: Queued events neither run nor cancelled (``pending_events``).
         self._pending = 0
+        #: The handle :meth:`schedule_at` returned last; work due at its instant
+        #: may join it while nothing was scheduled since (``Network.send`` does).
+        self.last_scheduled: EventHandle | None = None
 
     # -- scheduling ------------------------------------------------------------
 
@@ -83,7 +86,7 @@ class Simulator:
         """Run ``callback`` at absolute simulated time ``when``."""
         if not when >= self.now:  # also refuses NaN
             raise NetworkError(f"cannot schedule at {when} < now {self.now}")
-        handle = EventHandle(when, callback, self)
+        handle = self.last_scheduled = EventHandle(when, callback, self)
         heapq.heappush(self._queue, (when, next(self._sequence), handle))
         self._pending += 1
         return handle

@@ -18,7 +18,7 @@ import networkx as nx
 from repro.codec import size_of
 from repro.errors import NotConnected, UnknownPeer
 from repro.net.latency import ConstantLatency, LatencyModel
-from repro.net.simulator import Simulator
+from repro.net.simulator import EventHandle, Simulator
 
 Handler = Callable[[str, Any], None]  # (sender, payload) -> None
 
@@ -81,6 +81,8 @@ class Network:
 
     def __post_init__(self) -> None:
         self._handlers: dict[tuple[str, str], Handler] = {}
+        self._batch: list | None = None  # the open delivery batch (see send)
+        self._event: EventHandle | None = None  # and its simulator event
         self.stats: dict[str, TrafficStats] = {
             peer: TrafficStats() for peer in self.graph.nodes
         }
@@ -158,16 +160,18 @@ class Network:
         to the sender and gets its own drop and latency draw, in target
         order — the draws a loop of single sends makes.
 
-        Consecutive targets whose sampled delays are equal share one
-        simulator event that delivers to each in order.  That is the
-        order separate events would run in: sends issued back to back
-        take consecutive ``(time, seq)`` heap slots and nothing can be
-        scheduled between them.  The event looks each target's handler
-        up as it reaches it (a handler may unregister a later member),
-        and a raising handler does not strand the rest: all are
-        delivered, then the first error is re-raised.  So
-        ``Simulator.processed_events`` counts delivery events, not
-        copies; ``total_messages()`` counts copies.
+        A copy joins the open delivery batch — one simulator event — if
+        due at its instant with nothing scheduled since its event
+        (:attr:`Simulator.last_scheduled`), whatever its call, sender or
+        protocol; else it opens a batch.  Separate events would run in the
+        same order: back-to-back sends take consecutive ``(time, seq)``
+        heap slots.  A batch closes as its event starts, so a handler's
+        send never joins it.  The event delivers in send order, looking
+        each handler up as it reaches it (a handler may unregister a
+        later target); a raising handler does not strand the rest: all
+        are delivered, then the first error is re-raised.  So
+        ``Simulator.processed_events`` counts delivery events, not copies;
+        ``total_messages()`` counts copies.
 
         ``require_edge=False`` models overlay protocols (e.g. a DHT) that
         dial any reachable peer directly instead of using mesh links.
@@ -189,35 +193,27 @@ class Network:
         sent.messages_sent += len(targets)
         sent.bytes_sent += size * len(targets)
         rng, drop, sample = self.rng, self.drop_probability, self.latency.sample
-        group: list[str] = []
-        group_delay = 0.0
+        now, batch, due = self.simulator.now, self._batch, None
+        if batch is not None and self.simulator.last_scheduled is self._event:
+            due = self._event.time
         for target in targets:
             if drop and rng.random() < drop:
                 continue
-            delay = sample(src, target, rng)
-            if group and delay != group_delay:
-                self._schedule_delivery(group_delay, src, group, payload, size, protocol)
-                group = []
-            group.append(target)
-            group_delay = delay
-        if group:
-            self._schedule_delivery(group_delay, src, group, payload, size, protocol)
+            when = now + sample(src, target, rng)
+            if when != due:
+                batch, due = self._open_batch(when), when
+            batch.append((src, target, payload, size, protocol))
 
-    def _schedule_delivery(
-        self,
-        delay: float,
-        src: str,
-        group: list[str],
-        payload: Any,
-        size: int,
-        protocol: str,
-    ) -> None:
-        """One simulator event delivering ``payload`` to every peer of ``group``."""
+    def _open_batch(self, when: float) -> list[tuple[str, str, Any, int, str]]:
+        """Schedule one delivery event at ``when``; return its entries."""
+        entries: list[tuple[str, str, Any, int, str]] = []
         handlers, stats = self._handlers, self.stats
 
         def deliver() -> None:
+            if self._batch is entries:
+                self._batch = None
             error: Exception | None = None
-            for dst in group:
+            for src, dst, payload, size, protocol in entries:
                 handler = handlers.get((dst, protocol))
                 if handler is None:
                     continue  # peer went offline before delivery
@@ -233,7 +229,8 @@ class Network:
             if error is not None:
                 raise error
 
-        self.simulator.schedule(delay, deliver)
+        self._batch, self._event = entries, self.simulator.schedule_at(when, deliver)
+        return entries
 
     # -- accounting ----------------------------------------------------------------
 

@@ -71,11 +71,7 @@ class RevocationCase:
     @property
     def won(self) -> bool | None:
         """True/False once the race settled; None while still racing."""
-        if self.attempt.state is SlashState.REWARDED:
-            return True
-        if self.attempt.state is SlashState.FAILED:
-            return False
-        return None
+        return self.attempt.state is SlashState.REWARDED if self.settled else None
 
     @property
     def chain_latency(self) -> float | None:
@@ -150,10 +146,14 @@ class SlashingCoordinator:
         self._accounted: set[int] = set()
         self._pumping = False
         self._removed_callbacks: list[Callable[[RevocationCase], None]] = []
-        self._unsubscribe = self.chain.subscribe(self._on_event)
+        #: Set while a case awaits its ``MemberRemoved``: only then does
+        #: this coordinator hear the chain, so idle ones cost it nothing.
+        self._unsubscribe: Callable[[], None] | None = None
 
     def close(self) -> None:
-        self._unsubscribe()
+        if self._unsubscribe is not None:
+            self._unsubscribe()
+        self._unsubscribe = lambda: None  # closed: never subscribes again
 
     # -- evidence intake -------------------------------------------------------
 
@@ -186,6 +186,8 @@ class SlashingCoordinator:
         )
         self._case_by_key[key] = case
         self.cases.append(case)
+        if self._unsubscribe is None:
+            self._unsubscribe = self.chain.subscribe(self._on_event)
         self.stats.cases += 1
         self._pump()
         return case
@@ -214,9 +216,7 @@ class SlashingCoordinator:
                 self.stats.races_lost += 1
 
     def _fee_of(self, tx_id: int | None) -> int:
-        if tx_id is None:
-            return 0
-        receipt = self.chain.receipt(tx_id)
+        receipt = None if tx_id is None else self.chain.receipt(tx_id)
         # Gas price is 1 wei/gas everywhere in the reproduction, so the
         # fee in wei is the gas used.
         return 0 if receipt is None else receipt.gas_used
@@ -241,9 +241,7 @@ class SlashingCoordinator:
     # -- chain watching ----------------------------------------------------------
 
     def _on_event(self, event: Event) -> None:
-        if event.contract != self.contract.address:
-            return
-        if event.name != "MemberRemoved":
+        if event.contract != self.contract.address or event.name != "MemberRemoved":
             return
         pk = event.data["pk"]
         for case in self.cases:
@@ -256,3 +254,6 @@ class SlashingCoordinator:
                     self._tracer.finish(span)
                 for callback in list(self._removed_callbacks):
                     callback(case)
+        if all(case.removed_at is not None for case in self.cases):
+            self._unsubscribe()
+            self._unsubscribe = None

@@ -92,20 +92,18 @@ class RevocationTracker:
         if name in self.exclusions or name in self._watching:
             return
 
-        def check() -> None:
-            if not acceptor.is_acceptable_root(stale_root):
-                self.exclusions[name] = self.simulator.now
-                cancel = self._watching.pop(name, None)
-                if cancel is not None:
-                    cancel()
-                self._maybe_finish_trace()
-
-        if not acceptor.is_acceptable_root(stale_root):
-            # Already excluded (e.g. the watch started after removal).
+        def check() -> bool:
+            if acceptor.is_acceptable_root(stale_root):
+                return False
             self.exclusions[name] = self.simulator.now
+            cancel = self._watching.pop(name, None)
+            if cancel is not None:
+                cancel()
             self._maybe_finish_trace()
-            return
-        self._watching[name] = self.simulator.every(self.poll_interval, check)
+            return True
+
+        if not check():  # else already excluded (the watch began after removal)
+            self._watching[name] = self.simulator.every(self.poll_interval, check)
 
     def _maybe_finish_trace(self) -> None:
         """Close the revocation span once the *last* watched view folds.

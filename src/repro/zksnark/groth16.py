@@ -209,10 +209,11 @@ def batch_pairing_check(
                                    * e(sum r_i C_i, delta),
 
     costing N + 3 pairing evaluations instead of 4N.  The simulation keeps
-    the soundness structure: each proof's tag is masked by a fresh random
-    coefficient (a keyed PRF) and the masked terms are accumulated; a batch
-    with any wrong proof cancels only with negligible probability, because
-    the coefficients are drawn after the proofs are fixed.
+    the soundness structure: 128-bit coefficients ``r_i`` are drawn once
+    per batch *after* the proofs are fixed, and the batch holds iff
+    ``sum r_i * (tag_i - c_i) == 0`` over the integers, ``tag_i`` being
+    the proof's simulated pairing product.  With any wrong proof in the
+    batch, that sum vanishes with probability at most 2^-128.
 
     Accepts iff every proof in the batch is valid (no culprit isolation —
     that is :class:`repro.pipeline.batch_verifier.BatchVerifier`'s job).
@@ -222,15 +223,12 @@ def batch_pairing_check(
     if counter is not None:
         counter.evaluations += len(jobs) + BATCH_FIXED_PAIRINGS
         counter.batch_checks += 1
+    coefficients = secrets.token_bytes(16 * len(jobs))
     accumulator = 0
-    for public, proof in jobs:
-        coefficient = secrets.token_bytes(16)
-        expected = _pairing_tag(params, public.serialize(), proof.a, proof.b)
-        accumulator ^= int.from_bytes(
-            hmac.new(coefficient, expected, hashlib.sha256).digest(), "big"
-        )
-        accumulator ^= int.from_bytes(
-            hmac.new(coefficient, proof.c, hashlib.sha256).digest(), "big"
+    for i, (public, proof) in enumerate(jobs):
+        tag = _pairing_tag(params, public.serialize(), proof.a, proof.b)
+        accumulator += int.from_bytes(coefficients[16 * i : 16 * i + 16], "big") * (
+            int.from_bytes(tag, "big") - int.from_bytes(proof.c, "big")
         )
     return accumulator == 0
 

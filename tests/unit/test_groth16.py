@@ -187,3 +187,26 @@ class TestBatchVerify:
 
     def test_empty_batch_accepts(self, system):
         assert system.verify_batch([])
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_one_forged_proof_at_any_position_fails_the_batch(self, system, batch, size):
+        from repro.zksnark.groth16 import BATCH_FIXED_PAIRINGS
+
+        counter = system.pairing_counter
+        counter.reset()
+        assert system.verify_batch(batch[:size])
+        assert counter.evaluations == size + BATCH_FIXED_PAIRINGS
+        for position in range(size):
+            public, proof = batch[position]
+            # The smallest forgery: c off by one in its last bit.
+            forged = Proof(a=proof.a, b=proof.b, c=proof.c[:-1] + bytes([proof.c[-1] ^ 1]))
+            jobs = batch[:position] + [(public, forged)] + batch[position + 1 : size]
+            assert not system.verify_batch(jobs)
+
+    def test_two_proofs_trading_c_fail_the_batch(self, system, batch):
+        (public, first), (_, second) = batch[0], batch[1]
+        jobs = [
+            (public, Proof(a=first.a, b=first.b, c=second.c)),
+            (public, Proof(a=second.a, b=second.b, c=first.c)),
+        ]
+        assert not system.verify_batch(jobs)

@@ -183,7 +183,6 @@ KEPT_FOR = {
     ),
     "net/request.py:PendingRequest.failed": "test_request_clients, test_net_request harnesses",
     "net/simulator.py:EventHandle.cancelled": "test_simulator.TestCancellation (3 tests)",
-    "net/simulator.py:EventHandle.time": "test_simulator",
     "net/simulator.py:Simulator.pending_events": "queue depth: 10 tests",
     "net/transport.py:Network.disconnect": (
         "fault injection: test_failure_injection, test_router_edge_cases, test_transport (4 tests)"
@@ -218,12 +217,12 @@ BUDGET = {
     "offchain": 609,
     "pipeline": 1064,
     "repro": 642,
-    "revocation": 448,
+    "revocation": 447,
     "telemetry": 3698,
     "treesync": 1258,
     "waku": 859,
     "witness": 996,
-    "zksnark": 1394,
+    "zksnark": 1392,
 }
 
 

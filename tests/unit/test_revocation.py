@@ -135,6 +135,24 @@ class TestCoordinator:
         assert not contract.is_member(spammer.pk)
         assert case.removed_at is None
 
+    def test_hears_the_chain_only_while_a_case_awaits_its_removal(self, env):
+        simulator, chain, contract, spammer = env
+        baseline = len(chain._subscribers)
+        coordinator = SlashingCoordinator(
+            slasher_for("observer-a", chain, contract), contract, simulator
+        )
+        assert len(chain._subscribers) == baseline  # idle: not subscribed
+        case = coordinator.observe(evidence_for(spammer))
+        coordinator.observe(evidence_for(spammer))  # a repeat subscribes nothing more
+        assert len(chain._subscribers) == baseline + 1
+        simulator.run(simulator.now + 5 * chain.block_interval)
+        assert case.removed_at is not None
+        assert len(chain._subscribers) == baseline  # the last case settled
+        coordinator.close()  # safe when not subscribed
+        coordinator.close()
+        assert coordinator.observe(evidence_for(spammer, epoch=43)) is not None
+        assert len(chain._subscribers) == baseline  # a closed one stays deaf
+
 
 class TestWindowCollapse:
     def test_removal_evicts_pre_removal_roots(self, env):

@@ -1,5 +1,6 @@
-"""``Network.send`` to a sequence of peers: one event per run of equal
-delays, every target checked before anything is billed or scheduled."""
+"""``Network.send`` to a sequence of peers: every target checked before
+anything is billed or scheduled; copies due at one instant, sent back to
+back (one call or several), share one event."""
 
 import random
 
@@ -123,3 +124,85 @@ def test_totals_are_sums_over_the_protocol_slices():
     assert net.protocol_bytes() == {"gossipsub": 12, "store": 2}
     with pytest.raises(AttributeError):
         sender.bytes_sent = 0  # the totals are derived, never written
+
+
+# -- one delivery batch across calls -------------------------------------------
+
+
+def test_back_to_back_sends_due_at_one_instant_share_one_event():
+    sim, net = network()
+    inbox = []
+    for peer in ("peer-001", "peer-002", "peer-003"):
+        for protocol in ("gossipsub", "store"):
+            net.register(
+                peer,
+                lambda s, p, peer=peer, protocol=protocol: inbox.append((peer, s, protocol, p)),
+                protocol=protocol,
+            )
+    net.send("peer-000", ["peer-001", "peer-002"], b"a")
+    net.send("peer-004", "peer-003", b"b", protocol="store")
+    net.send("peer-002", ["peer-003", "peer-001"], b"c")
+    assert sim.pending_events == 1
+    sim.run_until_idle()
+    assert sim.processed_events == 1
+    assert inbox == [
+        ("peer-001", "peer-000", "gossipsub", b"a"),
+        ("peer-002", "peer-000", "gossipsub", b"a"),
+        ("peer-003", "peer-004", "store", b"b"),
+        ("peer-003", "peer-002", "gossipsub", b"c"),
+        ("peer-001", "peer-002", "gossipsub", b"c"),
+    ]
+
+
+def test_an_event_scheduled_between_two_sends_keeps_its_place():
+    sim, net = network()
+    order = []
+    net.register("peer-001", lambda s, p: order.append(p))
+    net.send("peer-000", "peer-001", "A")
+    sim.schedule(0.1, lambda: order.append("X"))  # due at the same instant
+    net.send("peer-000", "peer-001", "B")
+    assert sim.pending_events == 3
+    sim.run_until_idle()
+    assert order == ["A", "X", "B"]
+
+
+def test_a_delay_zero_resend_from_a_delivery_is_delivered():
+    sim, net = network(ConstantLatency(0.0))
+    inbox = []
+
+    def relay(sender, payload):
+        inbox.append(("peer-001", payload))
+        if payload == b"ping":
+            net.send("peer-001", ["peer-002", "peer-003"], b"pong")
+
+    net.register("peer-001", relay)
+    for peer in ("peer-002", "peer-003"):
+        net.register(peer, lambda s, p, peer=peer: inbox.append((peer, p)))
+    net.send("peer-000", ["peer-001", "peer-002"], b"ping")
+    sim.run_until_idle()
+    assert inbox == [
+        ("peer-001", b"ping"),
+        ("peer-002", b"ping"),
+        ("peer-002", b"pong"),
+        ("peer-003", b"pong"),
+    ]
+    assert sim.processed_events == 2 and sim.now == 0.0
+
+
+def test_a_raising_first_entry_does_not_strand_later_sends():
+    sim, net = network()
+    inbox = []
+
+    def explode(sender, payload):
+        inbox.append(("peer-001", payload))
+        raise RuntimeError("handler bug")
+
+    net.register("peer-001", explode)
+    net.register("peer-002", lambda s, p: inbox.append(("peer-002", p)))
+    net.send("peer-000", "peer-001", b"x")
+    net.send("peer-003", "peer-002", b"y")
+    net.send("peer-004", "peer-001", b"z")
+    with pytest.raises(RuntimeError, match="handler bug"):
+        sim.run_until_idle()
+    assert inbox == [("peer-001", b"x"), ("peer-002", b"y"), ("peer-001", b"z")]
+    assert sim.pending_events == 0
