@@ -284,6 +284,21 @@ class Wire:
         return len(self.to_bytes())
 
 
+class Record(tuple):
+    """Mixin ahead of a ``namedtuple`` base: an immutable record built with
+    one ``tuple.__new__`` (a frozen dataclass pays an ``object.__setattr__``
+    per field), equal only to a record of its own type."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+
 def memo_slots(*names: str) -> type:
     """Slots for a frozen dataclass's memos: not fields, so ``==``, ``hash``
     and ``dataclasses.replace`` ignore them and a copy starts empty."""

@@ -7,15 +7,18 @@ of the paper) — plus v1.2's IDONTWANT.
 
 ``byte_size`` methods let the transport account bandwidth realistically;
 an RLN message bundle is larger than a bare payload by exactly the proof
-metadata the paper's §III-E enumerates.
+metadata the paper's §III-E enumerates.  The envelope and its control
+frames are :class:`~repro.codec.Record` tuples: every relayed copy builds
+an envelope and every instant's end builds IHAVE and IDONTWANT lists.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any
 
-from repro.codec import memo_slots, size_of
+from repro.codec import Record, memo_slots, size_of
 from repro.crypto.hashing import message_id
 
 _ENVELOPE_OVERHEAD = 16
@@ -61,95 +64,79 @@ class PubSubMessage(memo_slots("msg_id", "_size")):
         return size
 
 
-@dataclass(frozen=True)
-class IHave:
+class IHave(Record, namedtuple("IHave", "topic msg_ids")):
     """Gossip advertisement: 'I have these message ids on this topic'."""
 
-    topic: str
-    msg_ids: tuple[bytes, ...]
+    __slots__ = ()
 
     def byte_size(self) -> int:
         return _ENVELOPE_OVERHEAD + len(self.topic) + _ID_SIZE * len(self.msg_ids)
 
 
-@dataclass(frozen=True)
-class IWant:
+class IWant(Record, namedtuple("IWant", "msg_ids")):
     """Gossip request for full messages by id."""
 
-    msg_ids: tuple[bytes, ...]
+    __slots__ = ()
 
     def byte_size(self) -> int:
         return _ENVELOPE_OVERHEAD + _ID_SIZE * len(self.msg_ids)
 
 
-@dataclass(frozen=True)
-class IDontWant:
+class IDontWant(Record, namedtuple("IDontWant", "msg_ids")):
     """Cancel (gossipsub v1.2): 'I hold these ids; do not send them to me'."""
 
-    msg_ids: tuple[bytes, ...]
+    __slots__ = ()
 
     def byte_size(self) -> int:
         return _ENVELOPE_OVERHEAD + _ID_SIZE * len(self.msg_ids)
 
 
-@dataclass(frozen=True)
-class Graft:
+class Graft(Record, namedtuple("Graft", "topic")):
     """Request to join the sender's mesh for a topic."""
 
-    topic: str
+    __slots__ = ()
 
     def byte_size(self) -> int:
         return _ENVELOPE_OVERHEAD + len(self.topic)
 
 
-@dataclass(frozen=True)
-class Prune:
+class Prune(Record, namedtuple("Prune", "topic")):
     """Notification of removal from the sender's mesh for a topic."""
 
-    topic: str
+    __slots__ = ()
 
     def byte_size(self) -> int:
         return _ENVELOPE_OVERHEAD + len(self.topic)
 
 
-@dataclass(frozen=True)
-class Subscribe:
+class Subscribe(Record, namedtuple("Subscribe", "topic subscribe")):
     """Topic (un)subscription announcement."""
 
-    topic: str
-    subscribe: bool
+    __slots__ = ()
 
     def byte_size(self) -> int:
         return _ENVELOPE_OVERHEAD + len(self.topic) + 1
 
 
-@dataclass(frozen=True)
-class RPC:
-    """The envelope exchanged between neighbors."""
+_RPCFields = namedtuple(
+    "RPC", "messages ihave iwant idontwant graft prune subscriptions", defaults=((),) * 7
+)
 
-    messages: tuple[PubSubMessage, ...] = ()
-    ihave: tuple[IHave, ...] = ()
-    iwant: tuple[IWant, ...] = ()
-    idontwant: tuple[IDontWant, ...] = ()
-    graft: tuple[Graft, ...] = ()
-    prune: tuple[Prune, ...] = ()
-    subscriptions: tuple[Subscribe, ...] = ()
 
-    def _groups(self) -> tuple[tuple, ...]:
-        return (
-            self.messages, self.ihave, self.iwant, self.idontwant,
-            self.graft, self.prune, self.subscriptions,
-        )
+class RPC(Record, _RPCFields):
+    """The envelope exchanged between neighbors: seven groups, each a tuple
+    of its frames (``PubSubMessage``s, then ``IHave`` ... ``Subscribe``),
+    empty unless given."""
+
+    __slots__ = ()
 
     def byte_size(self) -> int:
-        total = self.__dict__.get("_size")
-        if total is None:
-            total = _ENVELOPE_OVERHEAD
-            for group in self._groups():
-                for item in group:
-                    total += item.byte_size()
-            object.__setattr__(self, "_size", total)
+        # Billed once per send: a relayed copy's message remembers its own.
+        total = _ENVELOPE_OVERHEAD
+        for group in self:
+            for item in group:
+                total += item.byte_size()
         return total
 
     def is_empty(self) -> bool:
-        return not any(self._groups())
+        return not any(self)

@@ -130,6 +130,23 @@ class RouterStats:
     mesh_size: dict[str, int] = field(default_factory=dict)
 
 
+class _EagerRank(dict):
+    """A relay's eager order: target -> ``(crc32("me>target"), target)``, a
+    hash of the pair, so no rng draw and no PYTHONHASHSEED dependence.
+    Computed on a target's first forward and kept: it depends on nothing
+    else, so mesh churn never makes an entry stale."""
+
+    __slots__ = ("me",)
+
+    def __init__(self, me: str) -> None:
+        super().__init__()
+        self.me = me
+
+    def __missing__(self, peer: str) -> tuple[int, str]:
+        rank = self[peer] = (zlib.crc32(f"{self.me}>{peer}".encode()), peer)
+        return rank
+
+
 class GossipSubRouter:
     """One peer's GossipSub state machine."""
 
@@ -170,6 +187,7 @@ class GossipSubRouter:
         self._callbacks: dict[str, list[DeliveryCallback]] = {}
         self._announced_to: set[str] = set()
         self._table = MessageTable()
+        self._eager_rank = _EagerRank(peer_id)
         #: This instant's outbox, sent by ``_flush`` at its end: accepted
         #: (message, sender)s, deferred messages, lazy ids per topic and peer,
         #: and ids to ask per peer after the fetch delay (``_wait``) or now.
@@ -504,10 +522,7 @@ class GossipSubRouter:
         if flood or len(targets) <= D_EAGER:
             peers, lazy = sorted(targets), ()
         else:
-            # Eager order: a hash of (this peer, target), so no rng draw and
-            # no PYTHONHASHSEED dependence.
-            me = self.peer_id
-            ranked = sorted(targets, key=lambda p: (zlib.crc32(f"{me}>{p}".encode()), p))
+            ranked = sorted(targets, key=self._eager_rank.__getitem__)
             peers, lazy = ranked[:D_EAGER], ranked[D_EAGER:]
         if holders:
             peers = [peer for peer in peers if peer not in holders]

@@ -134,8 +134,8 @@ class Simulator:
             self.now = when
             callback, event._callback = event._callback, None
             self._pending -= 1
+            self._processed += 1  # before the callback: one that raises still ran
             callback()
-            self._processed += 1
             return True
         return False
 

@@ -215,7 +215,8 @@ class BatchVerifier:
             return ok, True
         verdict: Promise[bool] = Promise()
         self._in_flight[key] = verdict
-        job = VerificationJob(key, bundle.public_inputs(), bundle.proof, verdict, trace)
+        arrived = self.simulator.now if relay else 0.0
+        job = VerificationJob(key, bundle.public_inputs(), bundle.proof, verdict, trace, arrived)
         if not relay:
             self.executor.submit(
                 self._verify, self._deliver, priority=priority, args=((job,),)
@@ -224,7 +225,7 @@ class BatchVerifier:
             self.stats.jobs_submitted += 1
             if not self._pending:  # a new window: offered to a lane at the instant's end
                 self.simulator.schedule(0.0, self._pull)
-            self._pending.append(job._replace(arrived=self.simulator.now))
+            self._pending.append(job)
         return verdict, True
 
     def check_deferred(self, message: WakuMessage) -> Promise[bool] | None:

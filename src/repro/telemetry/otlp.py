@@ -25,10 +25,11 @@ snapshot:
   attempt matching, seq echo in the ack);
 * :class:`Heartbeat` — an idle peer's one-way liveness frame.
 
-Every type serialises to bytes through :mod:`repro.codec`; the simulated
-network carries the dataclasses and bills ``byte_size() == len(to_bytes())``
-(an ack's without encoding it), so the E17 telemetry/relay byte ratio
-reflects honest wire cost.  A batch does not
+Every type is a :class:`~repro.codec.Record` (an immutable tuple with
+named fields: a tick builds thousands) and serialises to bytes through
+:mod:`repro.codec`; the simulated network carries the records and bills
+``byte_size() == len(to_bytes())`` (an ack's without encoding it), so the
+E17 telemetry/relay byte ratio reflects honest wire cost.  A batch does not
 repeat itself: each of its strings sits once in its symbol table, counts,
 ids and integer deltas are varints, a repeated span stamp is one bit, and
 the 33 default bucket bounds are a one-byte flag.
@@ -37,14 +38,16 @@ the 33 default bucket bounds are a one-byte flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from operator import gt, ne
 from struct import Struct
 from typing import Iterable, Mapping
 
-from repro.codec import Framed, Reader, Symbol, Symbols, Wire, Writer, flag, svarint, varint
+from repro.codec import (
+    Framed, Reader, Record, Symbol, Symbols, Wire, Writer, flag, svarint, varint,
+)
 from repro.errors import ProtocolError
 from repro.telemetry.disttrace import SpanRecord
 from repro.telemetry.registry import DEFAULT_BUCKETS, Metric, metric_key
@@ -128,14 +131,10 @@ def _series_key(name: str, labels: Labels) -> str:
     return metric_key(name, dict(labels))
 
 
-@dataclass(frozen=True, slots=True)
-class CounterDelta(_Metric):
-    """Counter increment since the previous exported batch."""
+class CounterDelta(Record, namedtuple("CounterDelta", "name labels delta"), _Metric):
+    """Counter increment (an int or a float) since the previous exported batch."""
 
-    name: str
-    labels: Labels
-    delta: int | float
-
+    __slots__ = ()
     kind = "counter"
     tag = b"C"
 
@@ -147,14 +146,10 @@ class CounterDelta(_Metric):
         return cls(name=name, labels=labels, delta=_read_number(r))
 
 
-@dataclass(frozen=True, slots=True)
-class GaugeValue(_Metric):
+class GaugeValue(Record, namedtuple("GaugeValue", "name labels value"), _Metric):
     """Gauge last-value (OTLP gauges are not additive; fold = replace)."""
 
-    name: str
-    labels: Labels
-    value: int | float
-
+    __slots__ = ()
     kind = "gauge"
     tag = b"G"
 
@@ -166,8 +161,14 @@ class GaugeValue(_Metric):
         return cls(name=name, labels=labels, value=_read_number(r))
 
 
-@dataclass(frozen=True, slots=True)
-class HistogramDelta(_Metric):
+_HistogramFields = namedtuple(
+    "HistogramDelta",
+    "name labels count_delta sum_total min_total max_total bucket_deltas le",
+    defaults=(None,),
+)
+
+
+class HistogramDelta(Record, _HistogramFields, _Metric):
     """Histogram window: delta buckets/count, cumulative sum/min/max.
 
     ``bucket_deltas`` is sparse — only buckets that moved travel, as
@@ -176,15 +177,7 @@ class HistogramDelta(_Metric):
     every standard histogram uses, so the 33 bounds almost never travel.
     """
 
-    name: str
-    labels: Labels
-    count_delta: int
-    sum_total: float
-    min_total: float
-    max_total: float
-    bucket_deltas: tuple[tuple[int, int], ...]
-    le: tuple[float, ...] | None = None
-
+    __slots__ = ()
     kind = "histogram"
     tag = b"H"
 
@@ -311,26 +304,23 @@ class DeltaTracker:
 # -- batches ------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class TelemetryBatch(Framed):
+_BatchFields = namedtuple(
+    "TelemetryBatch", "peer role shard seq time dropped_batches metrics spans", defaults=((),)
+)
+
+
+class TelemetryBatch(Record, _BatchFields, Framed):
     """One export interval: resource attributes + metric deltas + spans.
 
     ``seq`` is per-peer monotone from 1; ``dropped_batches`` is the
     exporter's cumulative drop-oldest count at build time (loss
     attribution for the collector without waiting for the next metric
-    delta to arrive).
+    delta to arrive).  ``metrics`` are :data:`MetricDelta`s; ``spans``
+    are finished :class:`SpanRecord`s, bounded per tick and
+    cursor-drained (empty is one wire byte).
     """
 
-    peer: str
-    role: str
-    shard: int
-    seq: int
-    time: float
-    dropped_batches: int
-    metrics: tuple[MetricDelta, ...]
-    #: Finished spans, bounded per tick and cursor-drained; empty is one
-    #: wire byte.
-    spans: tuple[SpanRecord, ...] = ()
+    __slots__ = ()
 
     def _write_body(self, w: Writer, refs: Symbols) -> None:
         """Peer and role (symbols), shard (zigzag), seq, time (f64), dropped
@@ -352,15 +342,14 @@ class TelemetryBatch(Framed):
         return cls(peer, role, shard, seq, time, dropped, metrics, spans)
 
 
-@dataclass(frozen=True, slots=True)
-class Heartbeat(Wire):
+class Heartbeat(Record, namedtuple("Heartbeat", "peer"), Wire):
     """An idle peer's one-way "still here": its id and nothing else.
 
     No seq and no ack: it is never queued or retried, so a lost one costs
     the collector's liveness view one interval of its silence budget.
     """
 
-    peer: str
+    __slots__ = ()
 
     def _write(self, w: Writer) -> None:
         w.str(self.peer)
@@ -370,12 +359,10 @@ class Heartbeat(Wire):
         return cls(r.str())
 
 
-@dataclass(frozen=True, slots=True)
-class ExportRequest(Wire):
+class ExportRequest(Record, namedtuple("ExportRequest", "request_id batch"), Wire):
     """Dispatcher envelope: the batch plus the attempt's request id."""
 
-    request_id: int
-    batch: TelemetryBatch
+    __slots__ = ()
 
     def _write(self, w: Writer) -> None:
         w.raw(varint(self.request_id))
@@ -389,13 +376,13 @@ class ExportRequest(Wire):
         return cls(request_id=r.varint(), batch=TelemetryBatch._read(r))
 
 
-@dataclass(frozen=True, slots=True)
-class ExportAck(Wire):
+_AckFields = namedtuple("ExportAck", "request_id seq accepted", defaults=(True,))
+
+
+class ExportAck(Record, _AckFields, Wire):
     """Collector acknowledgement: echoes the request id and batch seq."""
 
-    request_id: int
-    seq: int
-    accepted: bool = True
+    __slots__ = ()
 
     def _write(self, w: Writer) -> None:
         w.raw(_ACK.pack(self.request_id, self.seq, self.accepted))

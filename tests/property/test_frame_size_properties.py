@@ -1,7 +1,8 @@
-"""``RPC`` / ``PubSubMessage`` / ``WakuMessage`` remember ``byte_size()`` on
-the frozen instance: a frame derived from a sized one must weigh what an
-equal frame built from scratch weighs, and a fleet must be billed the
-integers it was billed when every send measured from scratch."""
+"""``PubSubMessage`` / ``WakuMessage`` remember ``byte_size()`` on the frozen
+instance and an ``RPC`` record sums its frames': a frame derived from a sized
+one must weigh what an equal frame built from scratch weighs, and a fleet
+must be billed the integers it was billed when every send measured from
+scratch."""
 
 import dataclasses
 
@@ -19,12 +20,12 @@ from tests.property import wire_strategies as ws
 
 def rebuilt(frame):
     """An equal frame built field by field: nothing inside remembers a size."""
-    if not isinstance(frame, (RPC, PubSubMessage, WakuMessage)):
+    if isinstance(frame, RPC):
+        return RPC(tuple(rebuilt(message) for message in frame.messages), *frame[1:])
+    if not isinstance(frame, (PubSubMessage, WakuMessage)):
         return frame
     values = {f.name: getattr(frame, f.name) for f in dataclasses.fields(frame)}
-    if isinstance(frame, RPC):
-        values["messages"] = tuple(rebuilt(message) for message in frame.messages)
-    elif isinstance(frame, PubSubMessage):
+    if isinstance(frame, PubSubMessage):
         values["payload"] = rebuilt(frame.payload)
     return type(frame)(**values)
 
@@ -57,7 +58,7 @@ def test_a_derived_frame_weighs_what_a_fresh_equal_frame_weighs(
         derived.append(message.with_proof(forged))
     for variant in derived:
         carried = dataclasses.replace(rpc.messages[0], payload=variant)
-        outer = dataclasses.replace(rpc, messages=(carried,))
+        outer = rpc._replace(messages=(carried,))
         for frame in (variant, carried, outer):
             assert frame.byte_size() == rebuilt(frame).byte_size()
     assert rpc.byte_size() == sized == rebuilt(rpc).byte_size()

@@ -8,12 +8,13 @@ real routers over a star or a random regular graph.
 """
 
 import random
+import zlib
 
 import networkx as nx
 
 from repro.core.deployment import RLNDeployment
 from repro.gossipsub import router as router_module
-from repro.gossipsub.messages import RPC, IDontWant, IHave, IWant, Prune
+from repro.gossipsub.messages import RPC, Graft, IDontWant, IHave, IWant, Prune, Subscribe
 from repro.gossipsub.msgtable import GOSSIP_RETRANSMISSION, MCACHE_LENGTH
 from repro.gossipsub.router import D_EAGER, GossipSubParams, GossipSubRouter, ValidationResult
 from repro.gossipsub.scoring import ScoreParams
@@ -96,6 +97,42 @@ class TestEagerAndLazy:
         simulator.run(2.0)
         now = [n for n in "bcdef" if m3.msg_id in copies(inbox, n)]
         assert len(now) == D_EAGER and set(eager[1:]) < set(now)
+
+    def test_the_remembered_eager_order_is_the_crc32_ranking_through_mesh_churn(self):
+        simulator, router, inbox, _ = scripted(neighbours="abcdef", deferred=False)
+        network = router.network
+        router.start()
+
+        def crc32_rank(peer):
+            return (zlib.crc32(f"peer-p>{peer}".encode()), peer)
+
+        def join(name):
+            network.add_peer(name, ["peer-p"])
+            inbox[name] = []
+            network.register(name, lambda sender, rpc, box=inbox[name]: box.append(rpc))
+            router._on_rpc(name, RPC(subscriptions=(Subscribe(TOPIC, True),)))
+            router._on_rpc(name, RPC(graft=(Graft(TOPIC),)))
+
+        def relay(payload):
+            """Relay one copy from a: its eager targets are the CRC32 ranking's first."""
+            m = message(payload)
+            targets = router._mesh[TOPIC] - {"peer-a"}
+            router._on_rpc("peer-a", RPC(messages=(m,)))
+            simulator.run(simulator.now + 0.5)
+            full = {name for name, box in inbox.items() if any(m in r.messages for r in box)}
+            assert full == set(sorted(targets, key=crc32_rank)[:D_EAGER])
+            assert all(router._eager_rank[peer] == crc32_rank(peer) for peer in targets)
+            return targets
+
+        relay(b"before")
+        join("peer-g")  # first seen after start()
+        assert "peer-g" in relay(b"newcomer")
+        network.remove_peer("peer-b")  # the next heartbeat drops it from the mesh
+        simulator.run(simulator.now + 1.5)
+        assert "peer-b" not in relay(b"left")
+        join("peer-b")  # and it comes back
+        assert "peer-b" in relay(b"back")
+        assert set(router._eager_rank) == {f"peer-{n}" for n in "bcdefg"}
 
     def test_two_same_instant_senders_get_no_copy_and_their_slot_stays_empty(self):
         # Eager order from peer-p: c, b, f, then d, e (a is the sender).

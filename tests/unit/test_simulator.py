@@ -192,3 +192,17 @@ class TestTicker:
         sim.schedule(1.0, lambda: None)
         sim.run_until_idle()
         assert sim.processed_events == 1
+
+    def test_an_event_whose_callback_raises_is_still_counted(self):
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("handler failed")
+
+        sim.schedule(1.0, boom)
+        sim.schedule(2.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.step()
+        assert sim.processed_events == 1 and sim.pending_events == 1
+        sim.run_until_idle()
+        assert sim.processed_events == 2 and sim.now == 2.0
