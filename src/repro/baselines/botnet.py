@@ -33,7 +33,6 @@ SPAM_PREFIX = b"SPAM:"
 class BotArmyStats:
     bots_spawned: int = 0
     bots_retired: int = 0
-    spam_sent: int = 0
 
 
 @dataclass
@@ -97,7 +96,6 @@ class BotArmy:
             n = next(sent)
             payload = SPAM_PREFIX + f"{bot_id}-{n}".encode("ascii")
             bot.publish(payload)
-            self.stats.spam_sent += 1
             if n >= self.messages_before_rotation:
                 self._retire(entry)
             else:

@@ -34,7 +34,6 @@ SpamClassifier = Callable[[WakuMessage], bool]
 @dataclass
 class PlainPeerStats:
     published: int = 0
-    flagged: int = 0
 
 
 class PlainRelayPeer:
@@ -86,6 +85,5 @@ class PlainRelayPeer:
             return ValidationResult.REJECT
         assert self.classifier is not None
         if self.classifier(message):
-            self.stats.flagged += 1
             return ValidationResult.REJECT
         return ValidationResult.ACCEPT

@@ -47,6 +47,7 @@ class RLNDeployment:
     simulator: Simulator
     chain: Blockchain
     contract: RLNMembershipContract
+    #: The generated topology; the live one is ``network.links``.
     graph: nx.Graph
     network: Network
     #: The deployment's one view of its contract, shared by every peer.

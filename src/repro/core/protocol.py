@@ -195,7 +195,7 @@ class WakuRLNRelayPeer:
 
     # -- lifecycle --------------------------------------------------------------
 
-    #: How often departed peers' ingress token buckets are swept.
+    #: How often refilled ingress token buckets are swept.
     BUCKET_PRUNE_INTERVAL = 30.0
 
     def start(self) -> None:
@@ -223,10 +223,9 @@ class WakuRLNRelayPeer:
         self.relay.stop()
 
     def _prune_ingress_buckets(self) -> None:
-        """Drop token buckets of peers no longer subscribed to the topic."""
-        alive = self.relay.router.topic_peers(self.relay.pubsub_topic)
-        alive.add(self.peer_id)
-        self.pipeline.ratelimiter.prune(alive, self.simulator.now)
+        """Drop the ingress token buckets that have refilled (they admit as
+        fresh ones would), whether their peer is still linked or gone."""
+        self.pipeline.ratelimiter.prune(self.simulator.now)
 
     # -- registration (§III-B) ------------------------------------------------------
 

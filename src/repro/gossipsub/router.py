@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Any, Callable
@@ -126,8 +126,6 @@ class RouterStats:
     idontwant_sent: int = 0
     idontwant_received: int = 0
     suppressed: int = 0
-    #: Mesh size per topic as of the last heartbeat.
-    mesh_size: dict[str, int] = field(default_factory=dict)
 
 
 class _EagerRank(dict):
@@ -234,7 +232,11 @@ class GossipSubRouter:
         """Join a topic; messages validated ACCEPT are delivered to callbacks."""
         new = topic not in self._topics
         self._topics.add(topic)
-        self._mesh.setdefault(topic, set())
+        mesh = self._mesh.setdefault(topic, set())
+        if new:
+            self.telemetry.registry.bind(
+                "gossipsub_mesh_size", mesh.__len__, "gauge", peer=self.peer_id, topic=topic
+            )
         if callback is not None:
             self._callbacks.setdefault(topic, []).append(callback)
         if new and self._started:
@@ -271,10 +273,11 @@ class GossipSubRouter:
 
     def topic_peers(self, topic: str) -> set[str]:
         """Neighbors known to be subscribed to ``topic``."""
+        topics = self._peer_topics
         return {
             peer
-            for peer, topics in self._peer_topics.items()
-            if topic in topics and self.network.connected(self.peer_id, peer)
+            for peer in self.network.links.get(self.peer_id, ())
+            if topic in topics.get(peer, ())
         }
 
     # -- inbound RPC handling -----------------------------------------------------------
@@ -545,31 +548,22 @@ class GossipSubRouter:
         now = self.simulator.now
         if self.scoring:
             self.scoring.decay_scores()
+        links = self.network.links.get(self.peer_id, set())
         for topic in self._topics:
             mesh = self._mesh.setdefault(topic, set())
-            # Drop mesh members that are no longer neighbors or score too low.
-            for peer in sorted(mesh):
-                connected = self.network.connected(self.peer_id, peer)
-                eligible = (
-                    self.scoring is None or self.scoring.mesh_eligible(peer, now)
-                )
-                if not connected or not eligible:
-                    self._leave_mesh(topic, peer)
-                    if connected:
+            # Drop mesh members that are no longer neighbors, then PRUNE
+            # those that score too low.
+            for peer in mesh - links:
+                self._leave_mesh(topic, peer)
+            if self.scoring:
+                for peer in sorted(mesh):
+                    if not self.scoring.mesh_eligible(peer, now):
+                        self._leave_mesh(topic, peer)
                         self._send(peer, RPC(prune=(Prune(topic=topic),)))
             if len(mesh) < self.params.d_lo:
                 self._fill_mesh(topic)
             elif len(mesh) > self.params.d_hi:
                 self._shrink_mesh(topic)
-            if topic not in self.stats.mesh_size:
-                self.telemetry.registry.bind(
-                    "gossipsub_mesh_size",
-                    lambda topic=topic: self.stats.mesh_size[topic],
-                    "gauge",
-                    peer=self.peer_id,
-                    topic=topic,
-                )
-            self.stats.mesh_size[topic] = len(mesh)
             self._emit_gossip(topic)
         for msg_id, asked, peer in self._table.unmet():
             # A broken promise: v1.1's P7 behaviour penalty, and the next ask.

@@ -27,20 +27,15 @@ class EventHandle:
     compares handles.
     """
 
-    __slots__ = ("_time", "_cancelled", "_callback", "_simulator")
+    __slots__ = ("_time", "_cancelled", "_callback")
 
-    def __init__(
-        self, time: float, callback: Callable[[], None], simulator: "Simulator"
-    ) -> None:
+    def __init__(self, time: float, callback: Callable[[], None]) -> None:
         self._time = time
         self._cancelled = False
         #: ``None`` once the event has run.
         self._callback: Callable[[], None] | None = callback
-        self._simulator = simulator
 
     def cancel(self) -> None:
-        if not self._cancelled and self._callback is not None:
-            self._simulator._pending -= 1
         self._cancelled = True
 
     @property
@@ -68,8 +63,6 @@ class Simulator:
         self._queue: list[tuple[float, int, EventHandle]] = []
         self._sequence = itertools.count()
         self._processed = 0
-        #: Queued events neither run nor cancelled (``pending_events``).
-        self._pending = 0
         #: The handle :meth:`schedule_at` returned last; work due at its instant
         #: may join it while nothing was scheduled since (``Network.send`` does).
         self.last_scheduled: EventHandle | None = None
@@ -86,9 +79,8 @@ class Simulator:
         """Run ``callback`` at absolute simulated time ``when``."""
         if not when >= self.now:  # also refuses NaN
             raise NetworkError(f"cannot schedule at {when} < now {self.now}")
-        handle = self.last_scheduled = EventHandle(when, callback, self)
+        handle = self.last_scheduled = EventHandle(when, callback)
         heapq.heappush(self._queue, (when, next(self._sequence), handle))
-        self._pending += 1
         return handle
 
     def every(
@@ -123,17 +115,21 @@ class Simulator:
 
     # -- execution --------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Process the next event; False when the queue is empty."""
-        while self._queue:
-            when, _, event = heapq.heappop(self._queue)
+    def step(self, until: float = float("inf")) -> bool:
+        """Process the next event due by ``until``; False when there is none."""
+        queue = self._queue
+        while queue:
+            when, _, event = queue[0]
             if event._cancelled:
+                heapq.heappop(queue)
                 continue
+            if when > until:
+                return False
+            heapq.heappop(queue)
             if when < self.now:
                 raise NetworkError("event queue went backwards in time")
             self.now = when
             callback, event._callback = event._callback, None
-            self._pending -= 1
             self._processed += 1  # before the callback: one that raises still ran
             callback()
             return True
@@ -143,34 +139,22 @@ class Simulator:
         """Process every event with time <= ``until``; clock ends at ``until``."""
         if until < self.now:
             raise NetworkError(f"cannot run until {until} < now {self.now}")
-        while self._queue:
-            when, _, head = self._queue[0]
-            if head._cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if when > until:
-                break
-            self.step()
+        while self.step(until):
+            pass
         self.now = until
 
     def run_until_idle(self, *, max_time: float = float("inf"), max_events: int = 10_000_000) -> None:
         """Drain the queue (bounded by ``max_time`` / ``max_events``)."""
         events = 0
-        while self._queue:
-            when, _, head = self._queue[0]
-            if head._cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if when > max_time:
-                break
-            self.step()
+        while self.step(max_time):
             events += 1
             if events > max_events:
                 raise NetworkError(f"exceeded {max_events} events; runaway ticker?")
 
     @property
     def pending_events(self) -> int:
-        return self._pending
+        """Queued events neither run nor cancelled."""
+        return sum(not event._cancelled for _, _, event in self._queue)
 
     @property
     def processed_events(self) -> int:

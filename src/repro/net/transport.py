@@ -1,19 +1,18 @@
 """Point-to-point transport over the event simulator.
 
-Sits between the topology graph and the GossipSub routers: delivers opaque
-payloads over graph edges with sampled latency, and accounts bandwidth per
+Sits between the topology and the GossipSub routers: delivers opaque
+payloads over links with sampled latency, and accounts bandwidth per
 peer — the resource the paper's spammers burn ("peers ... have to spend
 their resources e.g., computational power, bandwidth and storage capacity
-on processing spam messages", §I).
+on processing spam messages", §I).  :attr:`Network.links` is the live
+topology, copied once from the generated graph, which it never changes.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Callable, Sequence
-
-import networkx as nx
 
 from repro.codec import size_of
 from repro.errors import NotConnected, UnknownPeer
@@ -67,25 +66,25 @@ class TrafficStats:
 
 @dataclass
 class Network:
-    """Message passing restricted to topology edges.
+    """Message passing restricted to topology links (:attr:`links`, read
+    once from the networkx ``graph``: peer -> its linked peers).
 
     Payloads must expose a ``byte_size()`` method or define ``__len__`` for
     bandwidth accounting; anything else counts a flat overhead.
     """
 
     simulator: Simulator
-    graph: nx.Graph
+    graph: InitVar[Any]
     latency: LatencyModel = field(default_factory=ConstantLatency)
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     drop_probability: float = 0.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, graph: Any) -> None:
+        self.links: dict[str, set[str]] = {peer: set(adj) for peer, adj in graph.adj.items()}
         self._handlers: dict[tuple[str, str], Handler] = {}
         self._batch: list | None = None  # the open delivery batch (see send)
         self._event: EventHandle | None = None  # and its simulator event
-        self.stats: dict[str, TrafficStats] = {
-            peer: TrafficStats() for peer in self.graph.nodes
-        }
+        self.stats: dict[str, TrafficStats] = {peer: TrafficStats() for peer in self.links}
 
     # -- wiring ------------------------------------------------------------
 
@@ -96,7 +95,7 @@ class Network:
         request/response protocols (13/WAKU2-STORE, 12/WAKU2-FILTER) the
         way libp2p stream multiplexing does.
         """
-        if peer not in self.graph:
+        if peer not in self.links:
             raise UnknownPeer(f"{peer!r} is not in the topology")
         self._handlers[(peer, protocol)] = handler
 
@@ -105,39 +104,48 @@ class Network:
         return (peer, protocol) in self._handlers
 
     def add_peer(self, peer: str, neighbors: list[str]) -> None:
-        """Join a new peer to the topology at runtime.
+        """Join a new peer to the topology at runtime, linked to ``neighbors``;
+        an existing ``peer`` or an unknown neighbour changes nothing.
 
         Used by churn scenarios and by the bot-army attack, whose whole
         point (§I) is that fresh peer identities are free to mint.
         """
-        if peer in self.graph:
+        if peer in self.links:
             raise UnknownPeer(f"{peer!r} already exists")
-        self.graph.add_node(peer)
-        self.stats[peer] = TrafficStats()
         for neighbor in neighbors:
-            if neighbor not in self.graph:
+            if neighbor not in self.links:
                 raise UnknownPeer(f"neighbor {neighbor!r} does not exist")
-            self.graph.add_edge(peer, neighbor)
+        self.links[peer] = set()
+        self.stats.setdefault(peer, TrafficStats())  # a rejoin keeps its bill
+        for neighbor in neighbors:
+            self.connect(peer, neighbor)
 
     def remove_peer(self, peer: str) -> None:
         """Detach a peer (bot retirement / churn); stats are retained."""
-        if peer in self.graph:
-            self.graph.remove_node(peer)
+        for neighbor in self.links.pop(peer, set()) - {peer}:
+            self.links[neighbor].discard(peer)
         for key in [k for k in self._handlers if k[0] == peer]:
             del self._handlers[key]
 
     def neighbors(self, peer: str) -> list[str]:
-        if peer not in self.graph:
+        if peer not in self.links:
             raise UnknownPeer(f"{peer!r} is not in the topology")
-        return sorted(self.graph.neighbors(peer))
+        return sorted(self.links[peer])
 
     def connected(self, a: str, b: str) -> bool:
-        return self.graph.has_edge(a, b)
+        return b in self.links.get(a, ())
+
+    def connect(self, a: str, b: str) -> None:
+        """Link two peers of the topology (a join, or a healed cut)."""
+        if a not in self.links or b not in self.links:
+            raise UnknownPeer(f"unknown endpoint in {a!r} <-> {b!r}")
+        self.links[a].add(b)
+        self.links[b].add(a)
 
     def disconnect(self, a: str, b: str) -> None:
         """Tear down a link (used when peers prune/ban each other)."""
-        if self.graph.has_edge(a, b):
-            self.graph.remove_edge(a, b)
+        self.links.get(a, set()).discard(b)
+        self.links.get(b, set()).discard(a)
 
     # -- sending ---------------------------------------------------------------
 
@@ -177,7 +185,7 @@ class Network:
         dial any reachable peer directly instead of using mesh links.
         """
         targets = (dst,) if isinstance(dst, str) else dst
-        peers = self.graph._adj  # networkx's adjacency dict: one probe per copy
+        peers = self.links
         links = peers.get(src)
         if links is None:
             raise UnknownPeer(f"unknown endpoint in {src!r} -> {dst!r}")

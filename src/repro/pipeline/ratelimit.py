@@ -76,11 +76,6 @@ class TokenBucket:
             return True
         return False
 
-    def level(self, now: float) -> float:
-        """Current token level after refill (observability only)."""
-        self.allow(now, 0.0)
-        return self.tokens
-
 
 @dataclass
 class RateLimitStats:
@@ -136,22 +131,25 @@ class IngressRateLimiter:
         self.stats.allowed += 1
         return RateLimitVerdict.ALLOWED
 
-    def prune(self, peers_alive: set[str], now: float) -> int:
-        """Drop departed peers' buckets once fully refilled; returns count.
+    def prune(self, now: float) -> int:
+        """Drop every bucket refilled to capacity by ``now``; returns count.
 
-        A drained bucket still *remembers* misbehaviour: deleting it would
-        hand a briefly-disconnecting attacker a fresh full-capacity burst
-        on reconnect.  So departed peers' buckets are only swept once they
-        have refilled to capacity — at which point the bucket carries no
-        information and removal is free.  Memory stays bounded: any idle
-        bucket becomes sweepable after ``capacity / refill_per_second``
-        seconds.
+        A full bucket admits exactly as the fresh one :meth:`allow` creates
+        in its place, so a sweep changes no admission, whoever the bucket's
+        peer is, and it stores no refill.  A drained bucket still
+        *remembers* misbehaviour (deleting it would hand a
+        briefly-disconnecting attacker a fresh burst), so it stays until it
+        has refilled.  Memory stays bounded: any idle bucket becomes
+        sweepable after ``capacity / refill_per_second`` seconds.
         """
-        stale = [
-            peer
-            for peer, bucket in self._peer_buckets.items()
-            if peer not in peers_alive and bucket.level(now) >= bucket.capacity
-        ]
-        for peer in stale:
-            del self._peer_buckets[peer]
-        return len(stale)
+        swept = 0
+        for buckets in (self._peer_buckets, self._topic_buckets):
+            full = [
+                key
+                for key, b in buckets.items()
+                if b.tokens + (now - b.updated_at) * b.refill_per_second >= b.capacity
+            ]
+            for key in full:
+                del buckets[key]
+            swept += len(full)
+        return swept

@@ -525,14 +525,13 @@ class AlertEvent:
 class _RuleState:
     """Mutable lifecycle bookkeeping for one rule."""
 
-    __slots__ = ("rule", "state", "pending_since", "fired_at", "resolved_at", "value")
+    __slots__ = ("rule", "state", "pending_since", "fired_at", "value")
 
     def __init__(self, rule: AlertRule) -> None:
         self.rule = rule
         self.state = INACTIVE
         self.pending_since: float | None = None
         self.fired_at: float | None = None
-        self.resolved_at: float | None = None
         self.value = 0.0
 
 
@@ -639,7 +638,6 @@ class RuleEngine:
             # Hysteresis: only a value past the *clear* threshold resolves.
             if rule.cleared(value):
                 s.state = RESOLVED
-                s.resolved_at = now
                 s.pending_since = None
                 return self._event(now, rule, RESOLVED, value)
             return None

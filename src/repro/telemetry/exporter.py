@@ -82,7 +82,6 @@ class ExporterStats:
     batches_dropped: int = 0
     #: Requests that exhausted every collector (batch requeued).
     push_failures: int = 0
-    metrics_exported: int = 0
     spans_exported: int = 0
     #: Spans over ``max_spans_per_batch`` in one tick (cursor still
     #: advances — bounded batches, no silent stall).
@@ -229,7 +228,6 @@ class TelemetryExporter:
         )
         self._next_seq += 1
         self.stats.batches_built += 1
-        self.stats.metrics_exported += len(metrics)
         self.stats.spans_exported += len(spans)
         return batch
 

@@ -52,7 +52,6 @@ class LightMember:
         self.client = client
         self._timestamp = timestamp or (lambda: 0.0)
         self.published = 0
-        self.publish_failures = 0
 
     def prefetch_witness(self) -> None:
         """Warm the witness cache ahead of the first publish."""
@@ -111,7 +110,6 @@ class LightMember:
         def failed(failure: RequestFailure) -> None:
             if span is not None:
                 self.client.disttracer.finish(span)
-            self.publish_failures += 1
             if on_error is not None:
                 on_error(failure)
 

@@ -82,12 +82,10 @@ class PairingCounter:
     """
 
     evaluations: int = 0
-    single_checks: int = 0
     batch_checks: int = 0
 
     def reset(self) -> None:
         self.evaluations = 0
-        self.single_checks = 0
         self.batch_checks = 0
 
 
@@ -189,7 +187,6 @@ def single_pairing_check(
     """One classical verification equation (4 pairing evaluations)."""
     if counter is not None:
         counter.evaluations += PAIRINGS_PER_VERIFY
-        counter.single_checks += 1
     expected = _pairing_tag(params, public.serialize(), proof.a, proof.b)
     return hmac.compare_digest(expected, proof.c)
 

@@ -157,7 +157,7 @@ class TestPartition:
         assert a_got == 5 and b_got == 0
         # Heal: restore the cut edges; meshes re-graft on heartbeats.
         for a, b in cut:
-            dep.graph.add_edge(a, b)
+            dep.network.connect(a, b)
         dep.run(10.0)
         dep.peer(names[1]).publish(b"after healing")
         dep.run(5.0)

@@ -174,7 +174,7 @@ def test_backup_collector_joins_the_topology():
         peer_count=4, degree=3, seed=3, collector=CollectorOptions(backup=True, alerting=True)
     )
     assert sorted(deployment.collectors) == ["collector-0", "collector-1"]
-    assert "collector-1" in deployment.network.graph
+    assert "collector-1" in deployment.network.links
     deployment.register_all()
     deployment.run(3.0)
     deployment.flush_telemetry()

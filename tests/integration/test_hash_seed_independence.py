@@ -61,7 +61,7 @@ def dense_meshes():
 def shrunk_mesh():
     simulator = Simulator()
     network = Network(simulator, nx.complete_graph([f"peer-{i:03d}" for i in range(16)]))
-    routers = [WakuRelay(peer, network, simulator).router for peer in sorted(network.graph)]
+    routers = [WakuRelay(peer, network, simulator).router for peer in sorted(network.links)]
     for router in routers:
         router.subscribe("t")
         router.start()

@@ -74,7 +74,7 @@ GOLDEN = {
     # (220 250), 222 IDONTWANT frames (227), 77 duplicates (81), 1 611
     # events (1 512), the same 325 deliveries, mean time 22.689 s (22.701 s).
     "batched": {
-        "checks": "07ad0d5f10e2de65868d92f42df4905f0f5ca47aa1408ffb04582ebd262d588f",
+        "checks": "18a9021afad47fa48e8587c8c540c4c08cc2a960f9cfc0b62100d0a0f5a85bf4",
         # Re-pinned when peers with a pending verdict began announcing
         # what they hold (IDONTWANT) and being spared copies of it, and
         # again when that IDONTWANT stopped going to the peer that sent
@@ -87,7 +87,7 @@ GOLDEN = {
         # re-pinned when back-to-back sends due at one instant began
         # sharing one delivery event: 1 222 events (1 611) here, 583 (906)
         # inline; without ``events`` the record hashes as before.
-        "routing": "1355048388aea80980136eebfa73f71fb6f8879ed5e7ec1c9aa23a9262c3fb4f",
+        "routing": "793b06a8c275596eab36bd0fcf425693f0ea29491f6b591bf01ace17f9aaaee9",
         "deliveries": "2c6ef304a76b2644f3561111bcbabf2b281bec245bf0cbda64de44c17b638219",
     },
     # Re-pinned when an inline verdict's forward moved to the end of its
@@ -99,9 +99,13 @@ GOLDEN = {
     # ``checks`` re-pinned again when ``size_flushes`` and
     # ``deadline_flushes`` left ``BatchVerifierStats``: the parent's record
     # without those two keys hashes to this digest.
+    # Both shapes' ``checks`` and ``routing`` re-pinned when the write-only
+    # ``PairingCounter.single_checks`` and ``RouterStats.mesh_size`` (a
+    # per-heartbeat copy of each mesh's size) were deleted: the parent's
+    # record without those two keys hashes to these digests.
     "inline": {
-        "checks": "e8f496b6e860c8b75e8ee1b38f4a03ac9827c5d1198caf085faca4f315a08984",
-        "routing": "762af686a85f0a142141cc4aabb385810c953bf307c9dd1375f9737ead05209b",
+        "checks": "e058abb48fe15eab2f5b007cb1bf8101234881d57fa8f755c229eae35476a282",
+        "routing": "768d4e9d042cec9673485b181a7bf1c0ef3be6511f66c0dbe2932ea4ea3cba0c",
         "deliveries": "861439d2716d54e55454c71c1e7bb77ba5fbd0c2c13e629a90a739e5aafd6915",
     },
 }

@@ -79,7 +79,7 @@ def play(scenario, latency, drop: float, mode: str):
     evicted: list[str] = []
 
     def emit(src: str, targets: list[str], hop: int) -> None:
-        if src not in net.graph or not targets:
+        if src not in net.links or not targets:
             return
         payload = b"%s/%d/%d" % (src.encode(), hop, len(groups))
         groups[payload] = targets
@@ -94,7 +94,7 @@ def play(scenario, latency, drop: float, mode: str):
                 net._batch = None
 
     def echo_targets(me: str) -> list[str]:
-        return net.neighbors(me) if me in net.graph else []
+        return net.neighbors(me) if me in net.links else []
 
     def deferred(me: str, hop: int) -> None:
         # Logged, so a delivery that jumps this event shows in the log.
@@ -117,7 +117,7 @@ def play(scenario, latency, drop: float, mode: str):
             elif role == "evict" and not evicted:
                 group = groups[payload]
                 later = group[group.index(me) + 1:]
-                if later and later[-1] in net.graph and later[-1] != me:
+                if later and later[-1] in net.links and later[-1] != me:
                     evicted.append(later[-1])
                     net.remove_peer(later[-1])
 

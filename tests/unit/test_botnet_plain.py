@@ -117,7 +117,7 @@ class TestBotArmy:
         army.launch(bot_count=3)
         sim.run(sim.now + 5)
         army.halt()
-        bot_nodes = [n for n in network.graph.nodes if n.startswith("bot-")]
+        bot_nodes = [n for n in network.links if n.startswith("bot-")]
         assert bot_nodes == []
 
     def test_identity_cost_is_zero_stake(self):

@@ -133,6 +133,7 @@ COVERS = {
     "reachability": "every function: reached by a driver or kept; package budgets",
     "rln_v2": "zksnark/rln_circuit.py: RLN-v2's message_limit",
     "verdict_sharing": "pipeline/batch_verifier.py: one verdict per proof across services",
+    "write_only_state": "every attribute assigned under src/repro: read somewhere",
 }
 
 

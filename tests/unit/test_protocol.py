@@ -309,13 +309,23 @@ class TestIngressRateLimit:
         assert "ghost-peer" in limiter._peer_buckets
         dep.run(receiver.BUCKET_PRUNE_INTERVAL + 1.0)
         assert "ghost-peer" not in limiter._peer_buckets
-        # Live mesh neighbours' buckets survive the sweep.
-        alive = receiver.relay.router.topic_peers(receiver.relay.pubsub_topic)
-        for neighbour in alive:
-            limiter.allow(neighbour, receiver.relay.pubsub_topic, dep.simulator.now)
-        dep.run(receiver.BUCKET_PRUNE_INTERVAL + 1.0)
-        for neighbour in alive:
-            assert neighbour in limiter._peer_buckets
+        # The sweeps change no admission: over three more of them, forwarders
+        # on their own cadences get the verdicts of a limiter never swept.
+        from repro.pipeline.ratelimit import IngressRateLimiter
+
+        unswept = IngressRateLimiter(peer_spec=limiter.peer_spec, topic_spec=limiter.topic_spec)
+        topic = receiver.relay.pubsub_topic
+        forwarders = [*dep.network.neighbors(receiver.peer_id), "ghost-peer"]
+        cadences = dict(zip(forwarders, (3, 29, 110)))  # in 0.1 s ticks
+        swept = False
+        for tick in range(1, 1000):
+            dep.run(0.1)
+            for peer, every in cadences.items():
+                for _ in range(2 if tick % every == 0 else 0):
+                    now = dep.simulator.now
+                    assert limiter.allow(peer, topic, now) is unswept.allow(peer, topic, now)
+            swept |= len(limiter._peer_buckets) < len(unswept._peer_buckets)
+        assert swept and limiter.stats.limited_by_peer > 0
 
 
 class TestBatchedShutdown:

@@ -108,7 +108,6 @@ KEPT_FOR = {
     "net/request.py:RequestDispatcher.request.<locals>.attempt.<locals>.on_timeout": (
         "a request timeout"
     ),
-    "pipeline/ratelimit.py:TokenBucket.level": "prune() of a departed peer's bucket",
     "revocation/coordinator.py:RevocationCase.chain_latency": (
         "RevocationTracker.summary of a settled case"
     ),
@@ -187,7 +186,7 @@ KEPT_FOR = {
     "net/simulator.py:EventHandle.cancelled": "test_simulator.TestCancellation (3 tests)",
     "net/simulator.py:Simulator.pending_events": "queue depth: 10 tests",
     "net/transport.py:Network.disconnect": (
-        "fault injection: test_failure_injection, test_router_edge_cases, test_transport (4 tests)"
+        "fault injection: test_failure_injection, test_router_edge_cases, test_transport (5 tests)"
     ),
     "offchain/group_registry.py:DistributedGroupManager.member_count": (
         "test_group_registry, test_offchain_group"
@@ -209,22 +208,22 @@ KEPT_FOR = {
 
 BUDGET = {
     "analysis": 228,
-    "baselines": 387,
+    "baselines": 383,
     "chain": 975,
     "core": 1965,
     "crypto": 1784,
     "exec": 425,
-    "gossipsub": 1220,
-    "net": 983,
+    "gossipsub": 1214,
+    "net": 975,
     "offchain": 609,
-    "pipeline": 1065,
+    "pipeline": 1063,
     "repro": 657,
     "revocation": 447,
-    "telemetry": 3685,
+    "telemetry": 3681,
     "treesync": 1258,
     "waku": 859,
-    "witness": 996,
-    "zksnark": 1392,
+    "witness": 994,
+    "zksnark": 1389,
 }
 
 

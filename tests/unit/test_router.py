@@ -211,4 +211,26 @@ class TestMeshShrink:
         assert len(mesh) == 6 > params.d_hi
         router.heartbeat()
         assert router._mesh[TOPIC] == {"peer-002", "peer-005"}
-        assert router.stats.mesh_size[TOPIC] == params.d
+
+
+class TestMeshGauge:
+    def test_the_gauge_reads_the_mesh_itself_from_subscription_on(self):
+        from repro.gossipsub.messages import Prune
+        from repro.telemetry import Telemetry
+
+        sim, network, routers = build(count=5)
+        telemetry = Telemetry()
+        router = routers["peer-000"] = GossipSubRouter(
+            "peer-000", network, sim, telemetry=telemetry, rng=random.Random(1)
+        )
+        router.subscribe(TOPIC)
+        gauge = telemetry.registry.gauge("gossipsub_mesh_size", peer="peer-000", topic=TOPIC)
+        assert gauge.value == 0
+        start_all(sim, routers)
+        mesh = router._mesh[TOPIC]
+        assert gauge.value == len(mesh) > 0
+        # A PRUNE between heartbeats shows at once, not at the next heartbeat.
+        leaver = sorted(mesh)[0]
+        network.send(leaver, "peer-000", RPC(prune=(Prune(topic=TOPIC),)))
+        sim.run(sim.now + 0.01)
+        assert leaver not in mesh and gauge.value == len(mesh)

@@ -135,6 +135,23 @@ class TestDynamicTopology:
         with pytest.raises(UnknownPeer):
             network.add_peer("x", ["ghost"])
 
+    def test_a_refused_join_changes_nothing(self, net):
+        _, network = net
+        links = {peer: set(linked) for peer, linked in network.links.items()}
+        with pytest.raises(UnknownPeer):
+            network.add_peer("late", ["peer-000", "ghost"])
+        assert network.links == links and "late" not in network.stats
+        network.add_peer("late", ["peer-000"])  # a retry is a fresh join
+        assert network.neighbors("late") == ["peer-000"]
+
+    def test_a_rejoin_keeps_the_traffic_billed_before_it_left(self, net):
+        sim, network = net
+        network.add_peer("temp", ["peer-000"])
+        network.send("temp", "peer-000", b"abcd")
+        network.remove_peer("temp")
+        network.add_peer("temp", ["peer-001"])
+        assert network.stats["temp"].bytes_sent == 4 and network.total_messages() == 1
+
     def test_remove_peer_stops_delivery(self, net):
         sim, network = net
         network.add_peer("temp", ["peer-000"])
@@ -148,3 +165,17 @@ class TestDynamicTopology:
         network.disconnect("peer-000", "peer-001")
         with pytest.raises(NotConnected):
             network.send("peer-000", "peer-001", b"x")
+
+    def test_connect_heals_a_cut_link_both_ways(self, net):
+        sim, network = net
+        inbox = []
+        network.register("peer-000", lambda s, p: inbox.append(p))
+        network.disconnect("peer-000", "peer-001")
+        network.connect("peer-001", "peer-000")
+        assert network.connected("peer-000", "peer-001")
+        network.send("peer-001", "peer-000", b"back")
+        sim.run_until_idle()
+        assert inbox == [b"back"]
+        with pytest.raises(UnknownPeer):
+            network.connect("peer-000", "ghost")
+        assert "ghost" not in network.links
