@@ -15,8 +15,10 @@ of 8, one collector with ``CollectorOptions(interval=1.0,
 trace_sample=0.25, alerting=True)``).  On an idle collector-profile
 fleet everything above the paper profile's floor is telemetry: each
 peer's exporter tick and its one-way heartbeat, and the collector's
-liveness mark and alert passes.  Each row is the median over the windows; each
-(profile, size) runs in its own interpreter.  The last line is the rows
+liveness mark and alert passes.  Each row is the median over the windows,
+whole and divided by the peer count (host µs per peer per simulated
+second: whether an idle peer's cost stays flat from 20 to 40 peers reads
+off that column); each (profile, size) runs in its own interpreter.  The last line is the rows
 as JSON.  Standard library only.
 """
 
@@ -91,6 +93,7 @@ def measure(profile: str, peers: int, windows: int, seed: int) -> dict:
         "profile": profile,
         "peers": peers,
         "host_ms_per_sim_s": round(statistics.median(host_ms), 3),
+        "host_us_per_peer_sim_s": round(statistics.median(host_ms) * 1000 / peers, 2),
         "events_per_sim_s": round(statistics.median(events), 3),
         "windows": windows,
     }
@@ -107,7 +110,8 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(measure(args.one, args.peers[0], args.windows, args.seed)))
         return 0
     rows = []
-    print(f"{'profile':>11} {'peers':>6} {'host ms / sim s':>16} {'events / sim s':>15}")
+    print(f"{'profile':>11} {'peers':>6} {'host ms / sim s':>16} {'µs / peer / sim s':>18} "
+          f"{'events / sim s':>15}")
     for peers in args.peers:
         for profile in PROFILES:
             child = subprocess.run(
@@ -118,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
             row = json.loads(child.stdout.strip().splitlines()[-1])
             rows.append(row)
             print(f"{row['profile']:>11} {row['peers']:>6} {row['host_ms_per_sim_s']:>16.3f} "
-                  f"{row['events_per_sim_s']:>15.3f}")
+                  f"{row['host_us_per_peer_sim_s']:>18.2f} {row['events_per_sim_s']:>15.3f}")
     print(json.dumps(rows))
     return 0
 

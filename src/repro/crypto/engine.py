@@ -409,7 +409,7 @@ def publish_engine_telemetry(registry) -> None:
     :class:`EngineStats`, so benchmark snapshots (E16/E18) expose the hot
     path without the engine holding per-peer registry handles — the
     engine is process-global, so per-peer *export* attribution would
-    multi-count; bind only into report-time registries.
+    multi-count; bind only into report-time registries (never marked).
     """
     stats = _ENGINE.stats
     registry.bind("crypto_hashes_total", lambda: stats.hashes)

@@ -141,12 +141,15 @@ class SimulatedCryptoExecutor:
         self.cost_model = cost_model or CryptoCostModel()
         self.stats = ExecutorStats()
         self.stats.lane_busy_seconds = [0.0] * workers
-        # Queue depth and busy lanes are bound gauges (both read 0 with
-        # zero lanes); the wait and service histograms are handles interned
-        # once per class — and skipped with telemetry off.
+        # Queue depth and busy lanes are bound gauges (both read 0 with zero
+        # lanes, marked by each lane pass); the wait and service histograms
+        # are handles interned once per class — and skipped with telemetry off.
         self._observed = registry.enabled
-        registry.bind("executor_queue_depth", lambda: self.queued_jobs, "gauge", peer=peer)
-        registry.bind("executor_busy_lanes", lambda: self.busy_lanes, "gauge", peer=peer)
+        self._moved = registry.marker(
+            registry.bind("executor_queue_depth", lambda: self.queued_jobs, "gauge", peer=peer),
+            registry.bind("executor_busy_lanes", lambda: self.busy_lanes, "gauge", peer=peer),
+        )
+        self.served: Callable[[], None] = registry.marker()  # set by a closing pipeline
         classes = {p: p.name.lower() for p in Priority}
         self._wait = {
             p: registry.histogram("executor_queue_wait_seconds", peer=peer, priority=c)
@@ -210,6 +213,7 @@ class SimulatedCryptoExecutor:
             counter.evaluations - before if counter is not None else 0
         )
         self.stats.service_seconds += service
+        self.served()
         if self._observed:
             self._wait[priority].observe(wait)
             self._service[priority].observe(service)
@@ -238,7 +242,9 @@ class SimulatedCryptoExecutor:
 
     def _dispatch_idle_lanes(self) -> None:
         """Run the oldest job of the strongest non-empty class on each idle
-        lane now, and schedule its completion one service time later."""
+        lane now, and schedule its completion one service time later.  A job
+        queued or landed always passes here, so this marks queue and lanes."""
+        self._moved()
         queues, idle = self._queues, self._idle_lanes
         while idle:
             for priority in Priority:

@@ -137,6 +137,3 @@ class RPC(Record, _RPCFields):
             for item in group:
                 total += item.byte_size()
         return total
-
-    def is_empty(self) -> bool:
-        return not any(self)

@@ -209,6 +209,10 @@ class MessageTable(dict[bytes, "float | Record"]):
             and entry.message is not None and entry.message.topic == topic
         ]
 
+    def idle(self) -> bool:
+        """True if no window lists an id: nothing to gossip, re-ask or expire."""
+        return not any(self._windows)
+
     def shift(self) -> None:
         """Open a new window; the oldest's messages and unmet hints go."""
         self._tick += 1

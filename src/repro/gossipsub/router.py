@@ -164,19 +164,18 @@ class GossipSubRouter:
         self.simulator = simulator
         self.params = params or GossipSubParams()
         self.rng = rng or random.Random(zlib.crc32(peer_id.encode()))
-        self.scoring = (
-            PeerScoreKeeper(score_params) if score_params is not None else None
-        )
+        self.scoring = PeerScoreKeeper(score_params) if score_params is not None else None
         self.stats = RouterStats()
         self.telemetry = resolve_telemetry(telemetry)
-        stats, bind = self.stats, partial(self.telemetry.registry.bind, peer=peer_id)
-        bind("gossipsub_grafts_total", lambda: stats.grafts)
-        bind("gossipsub_penalties_total", lambda: stats.behaviour_penalties, kind="behaviour")
-        bind(
-            "gossipsub_penalties_total",
-            lambda: stats.invalid_penalties,
-            kind="invalid-message",
+        stats, registry = self.stats, self.telemetry.registry
+        bind = partial(registry.bind, peer=peer_id)
+        self._counted = registry.marker(
+            bind("gossipsub_grafts_total", lambda: stats.grafts),
+            bind("gossipsub_penalties_total", lambda: stats.behaviour_penalties, kind="behaviour"),
+            bind("gossipsub_penalties_total", lambda: stats.invalid_penalties,
+                 kind="invalid-message"),
         )
+        self._mesh_moved: dict[str, Callable[[], None]] = {}  # per topic, its size's mark
 
         self._topics: set[str] = set()
         self._mesh: dict[str, set[str]] = {}
@@ -234,9 +233,10 @@ class GossipSubRouter:
         self._topics.add(topic)
         mesh = self._mesh.setdefault(topic, set())
         if new:
-            self.telemetry.registry.bind(
+            registry = self.telemetry.registry
+            self._mesh_moved[topic] = registry.marker(registry.bind(
                 "gossipsub_mesh_size", mesh.__len__, "gauge", peer=self.peer_id, topic=topic
-            )
+            ))
         if callback is not None:
             self._callbacks.setdefault(topic, []).append(callback)
         if new and self._started:
@@ -273,12 +273,8 @@ class GossipSubRouter:
 
     def topic_peers(self, topic: str) -> set[str]:
         """Neighbors known to be subscribed to ``topic``."""
-        topics = self._peer_topics
-        return {
-            peer
-            for peer in self.network.links.get(self.peer_id, ())
-            if topic in topics.get(peer, ())
-        }
+        topics, links = self._peer_topics, self.network.links.get(self.peer_id, ())
+        return {peer for peer in links if topic in topics.get(peer, ())}
 
     # -- inbound RPC handling -----------------------------------------------------------
 
@@ -314,11 +310,7 @@ class GossipSubRouter:
             and self._topics
             and self.network.connected(self.peer_id, sender)
         ):
-            self._announced_to.add(sender)
-            subs = tuple(
-                Subscribe(topic=t, subscribe=True) for t in sorted(self._topics)
-            )
-            self._send(sender, RPC(subscriptions=subs))
+            self._announce_subscriptions(self._topics, [sender])
         topics = self._peer_topics.setdefault(sender, set())
         if subscription.subscribe:
             topics.add(subscription.topic)
@@ -337,18 +329,24 @@ class GossipSubRouter:
             self._send(sender, RPC(prune=(Prune(topic=topic),)))
             self.scoring.on_behaviour_penalty(sender)
             self.stats.behaviour_penalties += 1
+            self._counted()
             return
-        mesh = self._mesh.setdefault(topic, set())
-        if sender not in mesh:
-            mesh.add(sender)
-            self.stats.grafts += 1
-            if self.scoring:
-                self.scoring.on_join_mesh(sender, self.simulator.now)
+        if sender not in self._mesh[topic]:
+            self._join_mesh(topic, sender)
+
+    def _join_mesh(self, topic: str, peer: str) -> None:
+        self._mesh[topic].add(peer)
+        self.stats.grafts += 1
+        self._counted()
+        self._mesh_moved[topic]()
+        if self.scoring:
+            self.scoring.on_join_mesh(peer, self.simulator.now)
 
     def _leave_mesh(self, topic: str, peer: str) -> None:
         mesh = self._mesh.get(topic)
         if mesh and peer in mesh:
             mesh.remove(peer)
+            self._mesh_moved[topic]()
             if self.scoring:
                 self.scoring.on_leave_mesh(peer, self.simulator.now)
 
@@ -389,6 +387,7 @@ class GossipSubRouter:
             if self.scoring:
                 self.scoring.on_invalid_message(sender)
                 self.stats.invalid_penalties += 1
+                self._counted()
             return
         if result is ValidationResult.IGNORE:
             self.stats.ignored += 1
@@ -544,13 +543,24 @@ class GossipSubRouter:
     # -- heartbeat ---------------------------------------------------------------------------
 
     def heartbeat(self) -> None:
-        """Mesh balancing, score decay, gossip emission, window rotation."""
+        """Mesh balancing, score decay, gossip emission and re-asks, then
+        window rotation; only the rotation without scoring, with every mesh
+        linked and within ``[d_lo, d_hi]`` and no id in a window."""
+        links, params = self.network.links.get(self.peer_id, set()), self.params
+        if self.scoring or not self._table.idle() or not all(
+            params.d_lo <= len(mesh := self._mesh[t]) <= params.d_hi and mesh <= links
+            for t in self._topics
+        ):
+            self._maintain(links)
+        self._table.shift()
+        self._lag = [0.0, self._lag[0]]
+
+    def _maintain(self, links: set[str]) -> None:
         now = self.simulator.now
         if self.scoring:
             self.scoring.decay_scores()
-        links = self.network.links.get(self.peer_id, set())
         for topic in self._topics:
-            mesh = self._mesh.setdefault(topic, set())
+            mesh = self._mesh[topic]
             # Drop mesh members that are no longer neighbors, then PRUNE
             # those that score too low.
             for peer in mesh - links:
@@ -571,28 +581,27 @@ class GossipSubRouter:
             if self.scoring:
                 self.scoring.on_behaviour_penalty(asked)
                 self.stats.behaviour_penalties += 1
+                self._counted()
             self._flush_later()
             self._fetch.setdefault(peer, []).append(msg_id)
-        self._table.shift()
-        self._lag = [0.0, self._lag[0]]
+
+    def _outside_mesh(self, topic: str, gate: Callable[..., bool]) -> list[str]:
+        """The topic's peers outside its mesh that the scoring predicate
+        ``gate`` admits (all, without scoring), shuffled from name order
+        (set order follows PYTHONHASHSEED)."""
+        mesh, now, scoring = self._mesh[topic], self.simulator.now, self.scoring
+        peers = [
+            peer for peer in sorted(self.topic_peers(topic))
+            if peer not in mesh and (scoring is None or gate(scoring, peer, now))
+        ]
+        self.rng.shuffle(peers)
+        return peers
 
     def _fill_mesh(self, topic: str) -> None:
-        mesh = self._mesh.setdefault(topic, set())
-        now = self.simulator.now
-        # Sorted before the shuffle: set order follows PYTHONHASHSEED.
-        candidates = [
-            peer
-            for peer in sorted(self.topic_peers(topic))
-            if peer not in mesh
-            and (self.scoring is None or self.scoring.mesh_eligible(peer, now))
-        ]
-        self.rng.shuffle(candidates)
-        while len(mesh) < self.params.d and candidates:
+        candidates = self._outside_mesh(topic, PeerScoreKeeper.mesh_eligible)
+        while len(self._mesh[topic]) < self.params.d and candidates:
             peer = candidates.pop()
-            mesh.add(peer)
-            self.stats.grafts += 1
-            if self.scoring:
-                self.scoring.on_join_mesh(peer, now)
+            self._join_mesh(topic, peer)
             self._send(peer, RPC(graft=(Graft(topic=topic),)))
 
     def _shrink_mesh(self, topic: str) -> None:
@@ -613,30 +622,21 @@ class GossipSubRouter:
         ids = self._table.gossip(topic)
         if not ids:
             return
-        now = self.simulator.now
-        mesh = self._mesh.get(topic, set())
-        candidates = [
-            peer
-            for peer in sorted(self.topic_peers(topic))
-            if peer not in mesh
-            and (self.scoring is None or self.scoring.accepts_gossip(peer, now))
-        ]
-        self.rng.shuffle(candidates)
-        for peer in candidates[: self.params.d_lazy]:
+        for peer in self._outside_mesh(topic, PeerScoreKeeper.accepts_gossip)[:self.params.d_lazy]:
             self.stats.gossip_sent += 1
             self._send(peer, RPC(ihave=(IHave(topic=topic, msg_ids=tuple(ids)),)))
 
     # -- helpers ---------------------------------------------------------------------------------
 
-    def _announce_subscriptions(self, topics: set[str]) -> None:
+    def _announce_subscriptions(self, topics: set[str], peers: list[str] | None = None) -> None:
+        """Tell ``peers`` (by default every neighbour) we subscribe to ``topics``."""
         subs = tuple(Subscribe(topic=t, subscribe=True) for t in sorted(topics))
-        for neighbor in self.network.neighbors(self.peer_id):
+        for neighbor in self.network.neighbors(self.peer_id) if peers is None else peers:
             self._announced_to.add(neighbor)
             self._send(neighbor, RPC(subscriptions=subs))
 
     def _send(self, peer: str, rpc: RPC) -> None:
-        if not rpc.is_empty():
-            self._send_all([peer], rpc)
+        self._send_all([peer], rpc)
 
     def _send_lists(self, listed, frame: Callable[[tuple[bytes, ...]], RPC]) -> int:
         """Send ``frame(ids)`` for each ``(peer, ids)`` with ids, one frame and

@@ -109,13 +109,12 @@ class PeerScoreKeeper:
         time_in_mesh = counters.time_in_mesh
         if counters.in_mesh_since is not None:
             time_in_mesh += now - counters.in_mesh_since
-        time_in_mesh = min(time_in_mesh, params.time_in_mesh_cap)
-        score = 0.0
-        score += params.time_in_mesh_weight * time_in_mesh
-        score += params.first_delivery_weight * counters.first_deliveries
-        score += params.invalid_message_weight * counters.invalid_messages**2
-        score += params.behaviour_penalty_weight * counters.behaviour_penalty**2
-        return score
+        return (
+            params.time_in_mesh_weight * min(time_in_mesh, params.time_in_mesh_cap)
+            + params.first_delivery_weight * counters.first_deliveries
+            + params.invalid_message_weight * counters.invalid_messages**2
+            + params.behaviour_penalty_weight * counters.behaviour_penalty**2
+        )
 
     # -- threshold predicates ---------------------------------------------------------
 

@@ -132,6 +132,7 @@ class RequestDispatcher:
         #: telemetry collector are reached directly, not over mesh links).
         self.require_edge = require_edge
         self.stats = RequestStats()
+        self.on_attempt: Callable[[], None] = lambda: None  # an owner's mark, per attempt
         self._request_ids = itertools.count(1)
         #: request id -> (provider asked, delivery closure); dropped on
         #: timeout.  The provider pins who may answer this attempt.
@@ -192,6 +193,7 @@ class RequestDispatcher:
             provider = plan[cursor]
             request_id = next(self._request_ids)
             self.stats.attempts += 1
+            self.on_attempt()
             timer: EventHandle | None = None
 
             def on_timeout() -> None:

@@ -179,8 +179,11 @@ class ValidationPipeline:
         clock = (lambda: simulator.now) if simulator is not None else None
         self.tracer = self.telemetry.disttracer(peer_id or "pipeline", clock=clock)
         registry = self.telemetry.registry
-        registry.bind("pipeline_admitted_total", lambda: self.stats.admitted, peer=peer_id)
-        registry.bind("pipeline_deferred_total", lambda: self.stats.deferred, peer=peer_id)
+        self._moved = registry.marker(
+            registry.bind("pipeline_admitted_total", lambda: self.stats.admitted, peer=peer_id),
+            registry.bind("pipeline_deferred_total", lambda: self.stats.deferred, peer=peer_id),
+        )
+        self._dropped: dict[str, Callable[[], None]] = {}  # per stage, as ``_moved``
         self.prefilter = Prefilter(max_epoch_gap=validator.config.max_epoch_gap)
         self.ratelimiter = IngressRateLimiter(
             peer_spec=self.config.peer_bucket,
@@ -291,6 +294,7 @@ class ValidationPipeline:
                 )
             )
             self.stats.deferred += 1
+            self._moved()
             return pending
         return self._settle(message, local_epoch, msg_id, proof_verdict, fresh, trace)
 
@@ -304,12 +308,15 @@ class ValidationPipeline:
         self.batch_verifier.close()
         # From shutdown on, snapshots carry the run's utilisation summary
         # (queue depth and busy lanes read 0 by themselves: the drain
-        # emptied what they are bound to).
+        # emptied what they are bound to), marked wherever service is booked.
         stats = self.executor.stats
         elapsed = self.simulator.now if self.simulator is not None else 0.0
-        bind = partial(self.telemetry.registry.bind, peer=self.peer_id)
-        bind("executor_lane_occupancy", lambda: stats.occupancy(elapsed), "gauge")
-        bind("executor_service_seconds_total", lambda: stats.service_seconds, "gauge")
+        registry = self.telemetry.registry
+        bind = partial(registry.bind, peer=self.peer_id)
+        self.executor.served = registry.marker(
+            bind("executor_lane_occupancy", lambda: stats.occupancy(elapsed), "gauge"),
+            bind("executor_service_seconds_total", lambda: stats.service_seconds, "gauge"),
+        )
 
     def reopen(self) -> None:
         """Re-enable batching and worker lanes after :meth:`close`."""
@@ -321,13 +328,12 @@ class ValidationPipeline:
         drops = self.stats.drops
         if stage not in drops:
             drops[stage] = 0
-            self.telemetry.registry.bind(
-                "pipeline_drops_total",
-                lambda: drops[stage],
-                peer=self.peer_id,
-                stage=stage,
-            )
+            registry = self.telemetry.registry
+            self._dropped[stage] = registry.marker(registry.bind(
+                "pipeline_drops_total", lambda: drops[stage], peer=self.peer_id, stage=stage
+            ))
         drops[stage] += 1
+        self._dropped[stage]()
 
     def _settle(
         self,
@@ -362,6 +368,7 @@ class ValidationPipeline:
         self.validator.stats.counts[outcome.slot] += 1
         if outcome is ValidationOutcome.VALID:
             self.stats.admitted += 1
+            self._moved()
         else:
             self._count_drop(stage)
         self.tracer.finish(trace)

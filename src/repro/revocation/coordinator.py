@@ -127,12 +127,15 @@ class SlashingCoordinator:
         self.slasher = slasher
         self.stats = CoordinatorStats()
         self.telemetry = resolve_telemetry(telemetry)
-        stats, bind = self.stats, partial(self.telemetry.registry.bind, peer=account)
-        bind("slashing_cases_total", lambda: stats.cases)
-        bind("slashing_races_total", lambda: stats.races_won, outcome="won")
-        bind("slashing_races_total", lambda: stats.races_lost, outcome="lost")
-        bind("slashing_gas_spent_wei_total", lambda: stats.gas_spent_wei)
-        bind("slashing_rewards_wei_total", lambda: stats.rewards_wei)
+        stats, registry = self.stats, self.telemetry.registry
+        bind = partial(registry.bind, peer=account)
+        self._moved = registry.marker(  # called where a case opens or settles
+            bind("slashing_cases_total", lambda: stats.cases),
+            bind("slashing_races_total", lambda: stats.races_won, outcome="won"),
+            bind("slashing_races_total", lambda: stats.races_lost, outcome="lost"),
+            bind("slashing_gas_spent_wei_total", lambda: stats.gas_spent_wei),
+            bind("slashing_rewards_wei_total", lambda: stats.rewards_wei),
+        )
         #: Shared with the peer's protocol (same hub, same peer id), so
         #: the evidence context it registered under (nullifier, epoch) is
         #: visible here and the race joins the spam message's propagation
@@ -189,6 +192,7 @@ class SlashingCoordinator:
         if self._unsubscribe is None:
             self._unsubscribe = self.chain.subscribe(self._on_event)
         self.stats.cases += 1
+        self._moved()
         self._pump()
         return case
 
@@ -209,6 +213,7 @@ class SlashingCoordinator:
             self._accounted.add(attempt.attempt_id)
             gas = self._fee_of(attempt.commit_tx) + self._fee_of(attempt.reveal_tx)
             self.stats.gas_spent_wei += gas
+            self._moved()
             if attempt.state is SlashState.REWARDED:
                 self.stats.races_won += 1
                 self.stats.rewards_wei += attempt.reward

@@ -53,6 +53,9 @@ class Telemetry:
         #: any rate perturbs nothing outside tracing.
         self.trace_sample = trace_sample
         self._disttracers: dict[str, DistTracer] = {}
+        #: The tracers that archived a record since the exporter (one per
+        #: hub) last drained them.
+        self.fresh: dict[str, bool] = {}
 
     def disttracer(
         self, peer_id: str, *, clock: Callable[[], float] | None = None
@@ -67,12 +70,10 @@ class Telemetry:
                 sample=self.trace_sample,
                 clock=clock,
             )
+            dist.fresh = self.fresh
         elif clock is not None:
             dist.clock = clock
         return dist
-
-    def disttracers(self) -> dict[str, DistTracer]:
-        return dict(self._disttracers)
 
     def snapshot(self) -> TelemetrySnapshot:
         return TelemetrySnapshot.of(self.registry)

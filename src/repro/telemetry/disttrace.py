@@ -325,15 +325,16 @@ class Disabled:
         route-table reads, and ``begin_publish`` (never sampled)."""
         return None
 
-    inc = mark = finish = begin_publish = outbound_context = revocation_context = observe
+    inc = mark = __call__ = finish = begin_publish = observe
+    outbound_context = revocation_context = observe
 
     def begin(self, kind: str = "bundle", *, parent=None, key=None) -> Disabled:
         return self
 
-    def _self(self, name: str, /, **labels: object) -> Disabled:
+    def _self(self, *names: object, **labels: object) -> Disabled:
         return self
 
-    counter = gauge = histogram = disttracer = _self
+    counter = gauge = histogram = disttracer = marker = _self
 
     def _ignore(self, *args: object, **kwargs: object) -> None:  # the cold writes
         return None
@@ -343,7 +344,7 @@ class Disabled:
     def _empty(self, *args: object) -> dict:
         return {}
 
-    changed = collect = disttracers = finished_since = _empty
+    changed = collect = finished_since = _empty
 
     def snapshot(self) -> TelemetrySnapshot:
         return TelemetrySnapshot({})
@@ -367,6 +368,7 @@ class DistTracer:
             raise ProtocolError(f"trace_sample must be in [0, 1], got {sample}")
         self.peer_id = peer_id
         self.registry = registry
+        self.fresh: dict[str, bool] = {}  # marked per archived record; the hub's table
         self.sample = sample
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         #: Local roots take their ids from a counter under this peer's
@@ -479,6 +481,7 @@ class DistTracer:
                 self.peer_id, span.origin, kind, span.hop, start, end, path, stamps,
             ))
             self._ring.append(record)
+            self.fresh[self.peer_id] = True
             if kind == PUBLISH:
                 return record
         if stamps:
@@ -525,6 +528,7 @@ class DistTracer:
         """Record a linked leaf span (witness fetch, evidence, …) and
         return its context so follow-up work can hang further spans."""
         span_id = self._mint_id(8)
+        self.fresh[self.peer_id] = True
         self._ring.append(
             SpanRecord(
                 trace_id=parent.trace_id,

@@ -9,13 +9,11 @@ reports:
 * **It never backpressures the relay hot path** (on the simulated
   clock; its host cost is the tick's CPU).  The exporter's only touch on
   the instrumented subsystems is reading the registry's series; its
-  outbound queue is bounded and sheds
-  *oldest-first* when the collector is slow or dead, counting the loss in
-  a self-reported ``telemetry_dropped_batches_total`` counter that rides
-  the next batch like any other metric.
+  outbound queue is bounded and sheds *oldest-first* when the collector
+  is slow or dead, counting the loss in a self-reported
+  ``telemetry_dropped_batches_total`` counter that rides the next batch.
 * **Delta temporality with exact reconstruction.**  Each tick diffs the
-  series that may have moved — the bound ones, and the written ones
-  written since the last tick — against what it last exported
+  series written or marked since the last tick against what it last exported
   (:class:`~repro.telemetry.otlp.DeltaTracker`); the additive fields
   travel as integer deltas and the non-additive ones as absolutes, so a
   collector that receives every batch holds the peer's snapshot
@@ -157,11 +155,10 @@ class TelemetryExporter:
         #: Self-reported loss: a series of the peer's own registry, so it
         #: travels in the *next* batch's counter delta (and merges
         #: fleet-wide) like any other metric.
-        telemetry.registry.bind(
-            "telemetry_dropped_batches_total",
-            lambda: self.stats.batches_dropped,
-            peer=peer_id,
-        )
+        registry = telemetry.registry
+        self._dropped = registry.marker(registry.bind(
+            "telemetry_dropped_batches_total", lambda: self.stats.batches_dropped, peer=peer_id
+        ))
         self._deltas = DeltaTracker()
         self._span_cursor: dict[str, int] = {}
         self._next_seq = 1
@@ -232,7 +229,8 @@ class TelemetryExporter:
         return batch
 
     def _drain_spans(self) -> tuple[SpanRecord, ...]:
-        """Finished spans past each tracer's cursor.
+        """Finished spans past the cursor of each tracer that archived one
+        since the last drain (the hub's ``fresh``), in name order.
 
         The cursor keys on the per-tracer monotone ``seq``, ring eviction
         shows up as a gap counted in ``spans_missed``, and
@@ -240,14 +238,17 @@ class TelemetryExporter:
         advances (no silent stall).  Only the spans past the cursor are
         read, not the whole ring.
         """
+        marked = self.telemetry.fresh
+        if not marked:
+            return ()
         records: list[SpanRecord] = []
         room = self.max_spans_per_batch
         stats = self.stats
-        for tracer_id, dist in sorted(self.telemetry.disttracers().items()):
+        tracers, disttracer = sorted(marked), self.telemetry.disttracer
+        marked.clear()
+        for tracer_id in tracers:
             cursor = self._span_cursor.get(tracer_id, -1)
-            fresh = dist.finished_since(cursor)
-            if not fresh:
-                continue
+            fresh = disttracer(tracer_id).finished_since(cursor)  # never empty: marked
             stats.spans_missed += fresh[0].seq - cursor - 1
             self._span_cursor[tracer_id] = fresh[-1].seq
             taken = fresh[: max(0, room - len(records))]
@@ -277,6 +278,7 @@ class TelemetryExporter:
             if len(self._queue) >= self.queue_limit:
                 self._queue.popleft()
                 self.stats.batches_dropped += 1
+                self._dropped()
             self._queue.append(batch)
         self._pump()
         return batch

@@ -11,7 +11,8 @@ p2p metrics registries:
 * :meth:`MetricsRegistry.bind` interns a counter or gauge whose ``value``
   is *read* from its owner (``lambda: stats.x``) whenever anyone looks:
   no second store that could disagree with the figure a benchmark
-  prints.  Every gauge is bound; only histograms are written to directly;
+  prints, and no poll: the owner marks it (:meth:`MetricsRegistry.marker`)
+  where it moves.  Every gauge is bound; only histograms are written to;
 * :class:`Histogram` keeps **fixed log-spaced buckets** (for the
   Prometheus/snapshot export, where merging across peers must stay
   additive) *and* the raw sample stream (for exact p50/p90/p99/max in
@@ -33,6 +34,7 @@ import random
 import zlib
 from array import array
 from bisect import bisect_left
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from repro.analysis.reporting import percentile
@@ -235,11 +237,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
-        #: The written series marked since :meth:`changed`, and each bound
-        #: series' reader and the value :meth:`changed` last read.
+        #: The series written or marked since :meth:`changed`.
         self._written: dict[str, bool] = {}
-        self._readers: dict[str, Callable[[], float]] = {}
-        self._seen: dict[str, object] = {}
 
     def _intern(self, cls, name: str, labels: Mapping[str, str], **kwargs):
         key = metric_key(name, labels)
@@ -256,14 +255,15 @@ class MetricsRegistry:
 
     def bind(
         self, name: str, read: Callable[[], float], kind: str = "counter", /, **labels: str
-    ) -> None:
-        """Intern ``name{labels}`` as a series whose value is ``read()``.
+    ) -> str:
+        """Intern ``name{labels}`` as a series whose value is ``read()``; its key.
 
-        The owner keeps counting in its own ``*Stats`` object; the series
-        is looked up like any other (``counter(name, **labels).value``).
-        Binding a key again replaces the reader and keeps its place.
-        ``kind`` (``"counter"`` or ``"gauge"``) is positional-only because
-        ``kind=`` is also a label several series carry.
+        The owner keeps counting in its own ``*Stats`` object and marks the
+        series (:meth:`marker`) where it moves; the series is looked up like
+        any other (``counter(name, **labels).value``).  Binding a key again
+        replaces the reader, keeps its place and marks it.  ``kind``
+        (``"counter"`` or ``"gauge"``) is positional-only because ``kind=``
+        is also a label several series carry.
         """
         if kind not in ("counter", "gauge"):
             raise ValueError(f"cannot bind a {kind}")
@@ -272,8 +272,14 @@ class MetricsRegistry:
         if existing is not None and existing.kind != kind:
             raise TypeError(f"metric {key!r} is a {existing.kind}, bound as {kind}")
         self._metrics[key] = BoundMetric(name, labels, kind, read)
-        self._readers[key] = read
-        self._seen.pop(key, None)  # reported afresh
+        self._written[key] = True  # reported afresh
+        return key
+
+    def marker(self, *keys: str) -> Callable[[], None]:
+        """The call an owner makes where the bound series ``keys`` may have
+        moved: it marks each for the next :meth:`changed` (an unmoved one
+        costs that reader one comparison; a move left unmarked is lost)."""
+        return partial(self._written.update, dict.fromkeys(keys, True))
 
     def counter(self, name: str, **labels: str) -> Counter:
         return self._intern(Counter, name, labels)
@@ -304,16 +310,10 @@ class MetricsRegistry:
     # -- reading ------------------------------------------------------------
 
     def changed(self) -> list[tuple[str, Metric]]:
-        """``(key, metric)`` for every series that moved since the previous
-        call, in registration order: written series written (or registered)
-        since, bound series whose value is not the one last read.  One
-        reader per registry (its peer's exporter); an idle call reads the
-        bound series and no written one."""
-        values = {key: read() for key, read in self._readers.items()}
-        seen, moved = self._seen, self._written
-        if values != seen:
-            moved.update((k, True) for k, v in values.items() if k not in seen or seen[k] != v)
-            self._seen = values
+        """``(key, metric)`` for every series written, marked or registered
+        since the previous call, in registration order.  One reader per
+        registry (its peer's exporter); an idle call reads nothing."""
+        moved = self._written
         if not moved:
             return []
         out = [(key, metric) for key, metric in self._metrics.items() if key in moved]

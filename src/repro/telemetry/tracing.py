@@ -31,15 +31,8 @@ MEMBER_REMOVED = "member-removed"
 WINDOW_COLLAPSE = "window-collapse"
 
 BUNDLE_STAGE_ORDER = (
-    PREFILTER,
-    RATELIMIT,
-    CHEAP_CHECKS,
-    VERDICT_CACHE,
-    BATCH_ENQUEUE,
-    BATCH_FLUSH,
-    LANE_DISPATCH,
-    PAIRING,
-    RESOLVE,
+    PREFILTER, RATELIMIT, CHEAP_CHECKS, VERDICT_CACHE, BATCH_ENQUEUE, BATCH_FLUSH,
+    LANE_DISPATCH, PAIRING, RESOLVE,
 )
 
 REVOCATION_STAGE_ORDER = (COMMIT_REVEAL, MEMBER_REMOVED, WINDOW_COLLAPSE)

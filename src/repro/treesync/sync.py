@@ -164,14 +164,17 @@ class ShardSyncManager:
         self.telemetry = resolve_telemetry(telemetry)
         registry = self.telemetry.registry
         stats, bind = self.stats, partial(registry.bind, peer=peer_id)
-        bind("treesync_events_total", lambda: stats.home_events, kind="home")
-        bind("treesync_events_total", lambda: stats.foreign_events, kind="foreign")
-        bind("treesync_commits_total", lambda: stats.commits)
-        bind("treesync_rollbacks_total", lambda: stats.rollbacks)
-        bind("treesync_checkpoints_restored_total", lambda: stats.checkpoints_restored)
-        bind("treesync_snapshots_restored_total", lambda: stats.snapshots_restored)
-        bind("treesync_removals_total", lambda: stats.removals_applied)
-        bind("treesync_bytes_consumed_total", lambda: stats.bytes_consumed)
+        # Marked on entry to what moves a stat: apply, commit, restore, _attempt.
+        self._moved = registry.marker(
+            bind("treesync_events_total", lambda: stats.home_events, kind="home"),
+            bind("treesync_events_total", lambda: stats.foreign_events, kind="foreign"),
+            bind("treesync_commits_total", lambda: stats.commits),
+            bind("treesync_rollbacks_total", lambda: stats.rollbacks),
+            bind("treesync_checkpoints_restored_total", lambda: stats.checkpoints_restored),
+            bind("treesync_snapshots_restored_total", lambda: stats.snapshots_restored),
+            bind("treesync_removals_total", lambda: stats.removals_applied),
+            bind("treesync_bytes_consumed_total", lambda: stats.bytes_consumed),
+        )
         #: Wall-clock (not simulated) seconds: checkpoint replay is real
         #: local hash work, the one place wall time is the honest measure.
         self._m_replay_seconds = registry.histogram(
@@ -199,6 +202,7 @@ class ShardSyncManager:
                 f"not start after local frontier {self.seq}; "
                 "checkpoint+delta sync required"
             )
+        self._moved()
         roots = dict(item.shard_roots)
         # Everything is checked before anything is recorded: a forged
         # announcement must not plant an entry commit() cannot fold, nor
@@ -305,6 +309,7 @@ class ShardSyncManager:
         same place new roots enter the window — so a removal that fails
         its cross-check never evicts good roots).
         """
+        self._moved()
         previous = [(shard_id, self.top.leaf(shard_id)) for shard_id in self._pending]
         self.top.apply(self._pending.items())
         root = self.top.root
@@ -380,6 +385,7 @@ class ShardSyncManager:
         up to ``checkpoint.seq`` (from the home shard topic), and its root
         is cross-checked against the checkpoint's entry.
         """
+        self._moved()
         if checkpoint.depth != self.depth or checkpoint.shard_depth != self.shard_depth:
             raise SyncError("checkpoint geometry does not match this view")
         if checkpoint.seq < self.seq:
@@ -626,6 +632,7 @@ class ShardSyncManager:
         attempt wrote anything or moved the frontier.  :attr:`hash_ops`
         keeps the compressions the attempt spent: work done is not undone.
         """
+        self._moved()
         fields, stats = dict(vars(self)), vars(self.stats).copy()
         hash_ops = self.hash_ops
         if self.shard is not None:

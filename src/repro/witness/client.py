@@ -218,18 +218,19 @@ class WitnessClient:
         )
         cache, dispatch = self.cache.stats, self.dispatcher.stats
         bind = partial(registry.bind, peer=peer_id)
-        bind("witness_fetch_failures_total", lambda: cache.fetch_failures)
-        bind("witness_cache_hits_total", lambda: cache.hits)
-        bind("witness_cache_misses_total", lambda: cache.misses)
-        bind("witness_refreshes_total", lambda: cache.refreshes)
-        bind("witness_cache_hit_ratio", lambda: cache.hit_ratio, "gauge")
-        # Failovers are exact from dispatcher accounting: every attempt
-        # beyond a request's first one is, by construction, a failover
-        # (timeout, unreachable, or a tampered/rejected response).
-        bind(
-            "witness_failovers",
-            lambda: float(dispatch.attempts - dispatch.requests),
-            "gauge",
+        # Marked where a cache stat moves and, by the dispatcher, per attempt.
+        self._moved = self.dispatcher.on_attempt = registry.marker(
+            bind("witness_fetch_failures_total", lambda: cache.fetch_failures),
+            bind("witness_cache_hits_total", lambda: cache.hits),
+            bind("witness_cache_misses_total", lambda: cache.misses),
+            bind("witness_refreshes_total", lambda: cache.refreshes),
+            bind("witness_cache_hit_ratio", lambda: cache.hit_ratio, "gauge"),
+            # Failovers are exact from dispatcher accounting: every attempt
+            # beyond a request's first one is, by construction, a failover
+            # (timeout, unreachable, or a tampered/rejected response).
+            bind(
+                "witness_failovers", lambda: float(dispatch.attempts - dispatch.requests), "gauge"
+            ),
         )
 
     # -- witnesses -------------------------------------------------------------
@@ -289,9 +290,10 @@ class WitnessClient:
                 cached = None  # the slot moved under us: force a re-fetch
         if cached is not None:
             self.cache.stats.hits += 1
+            self._moved()
             on_done(cached)
             return
-        self.cache.stats.misses += 1
+        self.cache.stats.misses += 1  # marked by the fetch's first attempt
         self._fetch(
             index, on_done, on_error, expected_leaf=expected_leaf, trace=trace
         )
@@ -355,6 +357,7 @@ class WitnessClient:
         def settled(result: object) -> None:
             if isinstance(result, RequestFailure):
                 self.cache.stats.fetch_failures += 1
+                self._moved()
                 if on_error is not None:
                     on_error(result)
                 return
@@ -448,6 +451,7 @@ class WitnessClient:
 
         def refresh(_result: object = None) -> None:
             self.cache.stats.refreshes += 1
+            self._moved()
             self._fetch(index, lambda proof: None, None)
 
         if self.executor is None:

@@ -83,12 +83,13 @@ class WitnessService:
         #: Distributed tracing (PR 9): traced witness requests get a
         #: "witness-serve" span linked into the requester's trace.
         self.disttracer = self.telemetry.disttracer(peer_id)
-        stats, bind = self.stats, partial(self.telemetry.registry.bind, peer=peer_id)
-        bind("witness_served_total", lambda: stats.witnesses_served, kind="witness")
-        bind("witness_served_total", lambda: stats.snapshots_served, kind="snapshot")
-        bind("witness_service_misses_total", lambda: stats.witness_misses, kind="witness")
-        bind(
-            "witness_service_misses_total", lambda: stats.snapshot_misses, kind="snapshot"
+        stats, registry = self.stats, self.telemetry.registry
+        bind = partial(registry.bind, peer=peer_id)
+        self._moved = registry.marker(  # called where a request is answered
+            bind("witness_served_total", lambda: stats.witnesses_served, kind="witness"),
+            bind("witness_served_total", lambda: stats.snapshots_served, kind="snapshot"),
+            bind("witness_service_misses_total", lambda: stats.witness_misses, kind="witness"),
+            bind("witness_service_misses_total", lambda: stats.snapshot_misses, kind="snapshot"),
         )
         network.register(peer_id, self._on_request, protocol=WITNESS_PROTOCOL)
 
@@ -134,6 +135,7 @@ class WitnessService:
 
     def _build_witness(self, request: WitnessRequest) -> WitnessResponse:
         self.stats.witness_requests += 1
+        self._moved()  # served or missed, below
         tree = self.manager.tree
         if not 0 <= request.index < tree.leaf_count:
             self.stats.witness_misses += 1
@@ -149,6 +151,7 @@ class WitnessService:
 
     def _build_snapshot(self, request: SnapshotRequest) -> SnapshotResponse:
         self.stats.snapshot_requests += 1
+        self._moved()  # served or missed, below
         tree = self.manager.tree
         shard_depth = self.manager.shard_depth
         num_shards = 1 << (tree.depth - shard_depth)

@@ -122,9 +122,8 @@ def test_one_span_per_validation_at_every_sampling_rate(trace_sample):
 
     records = [
         record
-        for telemetry in traced.telemetries.values()
-        for tracer in telemetry.disttracers().values()
-        for record in tracer.recent()
+        for peer_id, telemetry in traced.telemetries.items()
+        for record in telemetry.disttracer(peer_id).recent()
     ]
     exported = sum(e.stats.spans_exported for e in traced.exporters.values())
     assert exported == len(records) and collector.stats.lost_batches == 0

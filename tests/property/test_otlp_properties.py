@@ -113,21 +113,28 @@ event_streams = st.lists(
 )
 
 
-#: Per registry, the owners its bound gauges read.
-OWNERS: "weakref.WeakKeyDictionary[MetricsRegistry, dict[str, list]]" = (
+#: Per registry, the owners its bound gauges read, and their marks.
+OWNERS: "weakref.WeakKeyDictionary[MetricsRegistry, dict[str, tuple]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def gauge_owner(registry: MetricsRegistry, name: str, **labels: str) -> list:
-    """The one-slot owner a gauge reads (every gauge is bound): bound the
-    first time a registry asks for the series."""
+def gauge_owner(registry: MetricsRegistry, name: str, **labels: str) -> tuple:
+    """The one-slot owner a gauge reads (every gauge is bound) and the
+    series' mark: bound the first time a registry asks for the series."""
     owners = OWNERS.setdefault(registry, {})
     key = metric_key(name, labels)
     if key not in owners:
-        cell = owners[key] = [0.0]
-        registry.bind(name, lambda: cell[0], "gauge", **labels)
+        cell = [0.0]
+        owners[key] = cell, registry.marker(registry.bind(name, lambda: cell[0], "gauge", **labels))
     return owners[key]
+
+
+def set_gauge(registry: MetricsRegistry, value: float, name: str, **labels: str) -> None:
+    """Move a bound gauge as its owner does: write the owner, mark the series."""
+    cell, mark = gauge_owner(registry, name, **labels)
+    cell[0] = value
+    mark()
 
 
 def record(registry: MetricsRegistry, event) -> None:
@@ -135,7 +142,7 @@ def record(registry: MetricsRegistry, event) -> None:
     if kind == "counter":
         registry.counter("events_total", peer=label).inc(value)
     elif kind == "gauge":
-        gauge_owner(registry, "depth", peer=label)[0] = float(value)
+        set_gauge(registry, float(value), "depth", peer=label)
     else:
         registry.histogram("wait_seconds", peer=label).observe(value / 10.0)
 
@@ -256,8 +263,12 @@ def test_exporter_ticks_equal_the_collect_diff_oracle(steps):
     )
     collector = CollectorPeer(collector_id, network, sim)
     owned = {"a": 0, "b": 0}
-    for label in owned:
-        registry.bind("owned_total", lambda label=label: owned[label], peer=label)
+    marks = {
+        label: registry.marker(
+            registry.bind("owned_total", lambda label=label: owned[label], peer=label)
+        )
+        for label in owned
+    }
     histograms = {
         "default": registry.histogram("wait_seconds"),
         "custom": registry.histogram("spread", buckets=(-1.0, 0.0, 0.5, 4.0)),
@@ -269,9 +280,10 @@ def test_exporter_ticks_equal_the_collect_diff_oracle(steps):
         if kind == "inc":
             registry.counter("events_total", peer=step[1]).inc(step[2])
         elif kind == "set":
-            gauge_owner(registry, "depth", peer=step[1])[0] = step[2]
+            set_gauge(registry, step[2], "depth", peer=step[1])
         elif kind == "bound":
             owned[step[1]] += step[2]
+            marks[step[1]]()
         elif kind == "observe":
             histograms[step[1]].observe(step[2])
         elif kind == "intern":

@@ -100,10 +100,10 @@ def test_gossip_frames_bill_their_envelope_and_ids():
     assert IWant(IDS).byte_size() == IDontWant(IDS).byte_size() == 16 + 64
     assert Graft(TOPIC).byte_size() == Prune(TOPIC).byte_size() == 16 + len(TOPIC)
     assert Subscribe(TOPIC, True).byte_size() == 16 + len(TOPIC) + 1
-    assert RPC().byte_size() == 16 and RPC().is_empty()
+    assert RPC().byte_size() == 16 and not any(RPC())
     relayed = RPC(messages=(message,))
     assert relayed.byte_size() == 16 + message.byte_size() == 16 + 48 + len(TOPIC) + 100
-    assert not relayed.is_empty()
+    assert any(relayed)
     control = RPC(ihave=(IHave(TOPIC, IDS),), iwant=(IWant(IDS),), graft=(Graft(TOPIC),))
     assert control.byte_size() == 16 + sum(f.byte_size() for g in control for f in g)
     assert control == RPC((), (IHave(TOPIC, IDS),), (IWant(IDS),), (), (Graft(TOPIC),))

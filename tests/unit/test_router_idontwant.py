@@ -8,14 +8,17 @@ they came off the wire and resolves its deferred verdicts by hand.
 import random
 
 import networkx as nx
+import pytest
 
-from repro.gossipsub.messages import RPC, Graft, IDontWant, IHave, PubSubMessage, Subscribe
-from repro.gossipsub.msgtable import MAX_EARLY_IDONTWANTS, MCACHE_LENGTH
+from repro.gossipsub.messages import RPC, Graft, IDontWant, IHave, IWant, PubSubMessage, Subscribe
+from repro.gossipsub.msgtable import MAX_EARLY_IDONTWANTS, MCACHE_GOSSIP, MCACHE_LENGTH
 from repro.gossipsub.router import GossipSubRouter, ValidationResult
+from repro.gossipsub.scoring import ScoreParams
 from repro.net.latency import ConstantLatency
 from repro.net.promise import Promise
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
+from repro.telemetry import Telemetry
 
 from test_router import TOPIC, build as build_fleet, publish, start_all
 
@@ -231,7 +234,7 @@ class TestAnnouncements:
         frame = IDontWant((b"\x01" * 32, b"\x02" * 32))
         assert frame.byte_size() == 16 + 32 * 2
         assert RPC(idontwant=(frame,)).byte_size() == 16 + frame.byte_size()
-        assert not RPC(idontwant=(frame,)).is_empty()
+        assert any(RPC(idontwant=(frame,)))
 
     def test_an_inline_verdict_fleet_never_announces(self):
         sim, network, routers = build_fleet(count=8)
@@ -308,3 +311,56 @@ class TestThinMeshFallback:
         simulator.run(1.0)
         assert copies(inbox, "a") == copies(inbox, "b") == copies(inbox, "c") == []
         assert router.stats.suppressed == 1
+
+
+class TestIdleHeartbeats:
+    def test_a_message_kept_after_idle_heartbeats_expires_on_time(self):
+        # A fresh router's window list is shorter than MCACHE_LENGTH, and an
+        # idle heartbeat (meshes full and linked, no id windowed) must grow
+        # it as a full one does: a message kept afterwards is served for
+        # MCACHE_LENGTH heartbeats and gossiped for MCACHE_GOSSIP.
+        simulator, router, inbox, _ = scripted("abcdef", mesh="abcd", deferred=False)
+        for _ in range(2):
+            assert router._table.idle()
+            router.heartbeat()
+            simulator.run(simulator.now + 1.0)
+        m = router.publish(TOPIC, b"m")
+        simulator.run(simulator.now + 0.5)
+        served, gossiped = [], []
+        for beat in range(MCACHE_LENGTH + 2):
+            asker = f"peer-{'abcdef'[beat % 6]}"  # each asks at most twice
+            before = len(inbox[asker])
+            router._on_rpc(asker, RPC(iwant=(IWant((m.msg_id,)),)))
+            simulator.run(simulator.now + 0.5)
+            served.append(any(rpc.messages for rpc in inbox[asker][before:]))
+            before = {name: len(rpcs) for name, rpcs in inbox.items()}
+            router.heartbeat()
+            simulator.run(simulator.now + 0.5)
+            gossiped.append(any(
+                m.msg_id in ihave.msg_ids
+                for name, rpcs in inbox.items()
+                for rpc in rpcs[before[name]:]
+                for ihave in rpc.ihave
+            ))
+        assert served == [True] * MCACHE_LENGTH + [False] * 2
+        assert gossiped == [True] * MCACHE_GOSSIP + [False] * (MCACHE_LENGTH + 2 - MCACHE_GOSSIP)
+        assert router._table.idle()
+
+    def test_a_broken_promise_marks_the_penalty_series(self):
+        telemetry = Telemetry()
+        simulator, router, _, _ = scripted(
+            "abcdef", mesh="abcd", deferred=False, score_params=ScoreParams(), telemetry=telemetry
+        )
+        registry = telemetry.registry
+        router._on_rpc("peer-e", RPC(ihave=(IHave(TOPIC, (b"u" * 32,)),)))  # never delivered
+        simulator.run(0.5)
+        for _ in range(3):
+            registry.changed()
+            before = router.stats.behaviour_penalties
+            router.heartbeat()
+            if router.stats.behaviour_penalties > before:
+                marked = {key for key, _ in registry.changed()}
+                assert "gossipsub_penalties_total{kind=behaviour,peer=peer-p}" in marked
+                return
+            simulator.run(simulator.now + 1.0)
+        pytest.fail("no promise was broken")

@@ -210,7 +210,6 @@ def test_resolve_defaults_to_the_null_hub():
     assert DISABLED.begin() is DISABLED
     DISABLED.mark("anything")
     assert DISABLED.finish(DISABLED) is None
-    assert DISABLED.disttracers() == {}
 
 
 def test_the_disabled_object_keeps_up_with_what_it_stands_in_for():
