@@ -408,8 +408,8 @@ class WakuRLNRelayPeer:
         bucket alone throttles it.
         """
         router = self.relay.router
-        if penalise and router.scoring is not None:
-            router.scoring.on_behaviour_penalty(sender)
+        if penalise:
+            router.penalise(sender)
         router.forget_seen(msg_id)
 
     # -- convenience ---------------------------------------------------------------------------------

@@ -247,12 +247,12 @@ class SimulatedCryptoExecutor:
         self._moved()
         queues, idle = self._queues, self._idle_lanes
         while idle:
-            for priority in Priority:
-                if queues[priority]:
+            for priority, queue in queues.items():  # strongest first, as built
+                if queue:
                     break
             else:
                 return
-            work, args, on_done, submitted_at = queues[priority].popleft()
+            work, args, on_done, submitted_at = queue.popleft()
             lane = idle.pop()
             wait = self.simulator.now - submitted_at
             result, service = self._execute(priority, work, args, wait)
@@ -291,7 +291,7 @@ class SimulatedCryptoExecutor:
         """
         while self._in_flight or self.queued_jobs:
             if not self._in_flight:
-                priority = next(p for p in Priority if self._queues[p])
+                priority = next(p for p, queue in self._queues.items() if queue)
                 work, args, on_done, submitted_at = self._queues[priority].popleft()
                 wait = self.simulator.now - submitted_at
                 result, _ = self._execute(priority, work, args, wait)

@@ -324,15 +324,19 @@ class GossipSubRouter:
             self._send(sender, RPC(prune=(Prune(topic=topic),)))
             return
         if self.scoring and not self.scoring.mesh_eligible(sender, self.simulator.now):
-            # A peer scored below the mesh threshold may not join:
-            # refuse and penalise.
+            # A peer scored below the mesh threshold may not join: refuse, penalise.
             self._send(sender, RPC(prune=(Prune(topic=topic),)))
-            self.scoring.on_behaviour_penalty(sender)
-            self.stats.behaviour_penalties += 1
-            self._counted()
+            self.penalise(sender)
             return
         if sender not in self._mesh[topic]:
             self._join_mesh(topic, sender)
+
+    def penalise(self, peer: str) -> None:
+        """Score, count and mark one P7 behaviour penalty (none without scoring)."""
+        if self.scoring:
+            self.scoring.on_behaviour_penalty(peer)
+            self.stats.behaviour_penalties += 1
+            self._counted()
 
     def _join_mesh(self, topic: str, peer: str) -> None:
         self._mesh[topic].add(peer)
@@ -578,10 +582,7 @@ class GossipSubRouter:
         for msg_id, asked, peer in self._table.unmet():
             # A broken promise: v1.1's P7 behaviour penalty, and the next ask.
             self.stats.broken_promises += 1
-            if self.scoring:
-                self.scoring.on_behaviour_penalty(asked)
-                self.stats.behaviour_penalties += 1
-                self._counted()
+            self.penalise(asked)
             self._flush_later()
             self._fetch.setdefault(peer, []).append(msg_id)
 

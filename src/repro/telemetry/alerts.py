@@ -3,47 +3,33 @@
 The collector reconstructs the fleet's registries exactly; this module
 turns that state into decisions.  It has three parts:
 
-* **Expressions** — what a rule reads, each through one method,
-  ``read(view)`` over a :class:`FleetView`.  :class:`Instant` aggregates
-  (sum/max/avg) the entries of one or more metric names, selected by
-  label matchers, across the collector's per-peer states *without*
-  materializing a fleet merge (summing entries across states is the
-  merge).  :class:`Rate` and :class:`BadFraction` are windowed: their
-  sources are sampled into bounded :class:`SeriesRing`\\ s of
-  ``(sim_time, value)`` points and they read the rings.
-  :class:`BurnRate` is multi-window multi-burn-rate budget alerting (the
-  SRE workbook shape) over two bad fractions, and :class:`HealthCount`
-  bridges into the liveness classifier (:mod:`repro.telemetry.health`),
-  so "a peer went silent" is an expression like any other.
+* **Expressions** — what a rule reads, through ``read(view)`` over a
+  :class:`FleetView`: :class:`Instant` aggregates selected entries across
+  the per-peer states without a fleet merge; :class:`Rate` and
+  :class:`BadFraction` read bounded :class:`SeriesRing` rings their sources
+  are sampled into; :class:`BurnRate` is multi-window multi-burn-rate
+  budget alerting; :class:`HealthCount` reads the liveness classifier
+  (:mod:`repro.telemetry.health`).
 * :class:`AlertRule` — ``expr op threshold`` with a ``for_duration``
-  dwell before firing and a separate **clear threshold** for hysteresis,
-  so a value oscillating around the fire threshold cannot flap
-  fire↔resolve.  Every rule has this one shape; a burn-rate objective is
-  an :class:`AlertRule` on a :class:`BurnRate`.
-* :class:`RuleEngine` — owns the rings and their samplers, and is
-  evaluated by the collector on a fixed ``evaluation_interval`` of
-  simulated time.  Transitions land in a bounded :class:`AlertEvent` log
-  with exact simulated timestamps, and an
-  ``ALERTS{alertname,severity,alertstate}`` gauge is rendered into the
-  fleet Prometheus exposition, so alert state is itself scrapeable.
+  dwell and a separate **clear threshold** (hysteresis): the one rule shape.
+* :class:`RuleEngine` — owns the rings and their samplers; the collector
+  evaluates it every ``evaluation_interval`` of simulated time.
+  Transitions land in a bounded :class:`AlertEvent` log, and an
+  ``ALERTS{alertname,severity,alertstate}`` gauge in the exposition.
 
 Everything evaluates on the *simulated* clock and touches no RNG: two
 runs folding the same batches at the same times produce bit-identical
 results, which is what lets E20 assert exact detection latencies.
 
-Sampling: :meth:`RuleEngine.sample` is the eager primitive — it writes
-the points of the ``now`` it is handed, from the states it is handed.
-Points at the same simulated instant **coalesce** (last write wins),
-which is what makes evaluation independent of the order same-time
-batches folded in — the property suite pins this.  *When* it is called
-is the collector's discipline, stated in :mod:`repro.telemetry.collector`:
-one ring point per series per simulated instant, taken when the instant
-is over.  Expressions read the states through a :class:`StateIndex`,
-every entry bucketed by name in walk order, and each selection filters
-its name's bucket (:func:`select_many`).  The collector keeps its index
-as it folds — a new entry joins its bucket, an updated one is changed in
-place — so a pass regroups nothing: it costs the few entries each rule's
-names hold, not the stored entries, nor rules × peers × entries.
+Sampling: :meth:`RuleEngine.sample` is the eager primitive; points at
+one simulated instant **coalesce** (last write wins), so evaluation does
+not depend on the order same-time batches folded in.  *When* it is
+called is the collector's discipline (:mod:`repro.telemetry.collector`).
+Expressions read a :class:`StateIndex` — entries bucketed by name in walk
+order — and each selection filters its name's bucket, so a pass costs
+the entries its rules' names hold, not rules × peers × entries; and the
+engine keeps each selection per index ``version``, so a pass over an
+index that has not moved selects nothing.
 """
 
 from __future__ import annotations
@@ -101,17 +87,19 @@ class StateIndex:
     its state) — the order a full walk of the states meets them, so float
     aggregates stay bit-identical.
 
-    The collector keeps one for its life and reports each entry its folds
-    create (:meth:`added`); entries change in place, so a pass regroups
-    nothing.  A standalone engine indexes the states it is handed, afresh
-    on each pass (:meth:`of`).
+    The collector keeps one for its life, reports each entry its folds
+    create (:meth:`added`) and changes entries in place.  ``version`` must
+    move whenever a selection's result may change: :meth:`added` moves it,
+    and a keeper writing an entry in place moves it too.  A standalone
+    engine indexes the states it is handed, afresh each pass (:meth:`of`).
     """
 
-    __slots__ = ("_buckets",)
+    __slots__ = ("_buckets", "version")
 
     def __init__(self) -> None:
         #: name -> (orders, entries), the two lists kept parallel.
         self._buckets: dict[str, tuple[list[tuple], list[dict]]] = {}
+        self.version = 0
 
     @classmethod
     def of(cls, states: Iterable[CollectedState]) -> "StateIndex":
@@ -123,13 +111,11 @@ class StateIndex:
 
     def added(self, order: tuple, entry: dict) -> None:
         """``entry`` is new; ``order`` places it in the walk."""
-        bucket = self._buckets.get(entry["name"])
-        if bucket is None:
-            bucket = self._buckets[entry["name"]] = ([], [])
-        orders, entries = bucket
+        orders, entries = self._buckets.setdefault(entry["name"], ([], []))
         at = bisect_right(orders, order)
         orders.insert(at, order)
         entries.insert(at, entry)
+        self.version += 1
 
     def bucket(self, name: str) -> list[dict]:
         """Every entry named ``name``, in walk order."""
@@ -543,6 +529,9 @@ class RuleEngine:
     :meth:`sample` and :meth:`evaluate` are eager, pure functions of
     ``(now, states)``: tests drive an engine standalone with hand-built
     states; the collector keeps the discipline its module docstring states.
+    Each selection (a sampler's, an :class:`Instant` rule's) is kept per
+    (index, :attr:`StateIndex.version`) in the engine, not in the shared
+    expressions: until the index moves, a pass selects nothing again.
     """
 
     def __init__(
@@ -560,6 +549,8 @@ class RuleEngine:
             self._states[rule.name] = _RuleState(rule)
         self.events: deque[AlertEvent] = deque(maxlen=event_capacity)
         self.evaluations = 0
+        #: Selections by sampler key or ``Instant`` rule, for ``_memo_of``'s (index, version).
+        self._memo, self._memo_of = {}, (None, 0)
 
     # -- what expressions register ------------------------------------------
 
@@ -587,10 +578,19 @@ class RuleEngine:
         health: "HealthMonitor | None" = None,
     ) -> FleetView:
         """What expressions read at ``now``: ``states`` indexed (as is if
-        already a :class:`StateIndex`)."""
+        already a :class:`StateIndex`); the memo is dropped if it moved."""
         if not isinstance(states, StateIndex):
             states = StateIndex.of(states)
+        if self._memo_of != (states, states.version):
+            self._memo, self._memo_of = {}, (states, states.version)
         return FleetView(now, states, self._rings, health)
+
+    def _selected(self, key, read: Callable, view: FleetView):
+        """``read(view)``, kept under ``key`` until the index moves."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = read(view)
+        return value
 
     def sample(
         self, now: float, states: "StateIndex | Iterable[CollectedState]"
@@ -600,7 +600,7 @@ class RuleEngine:
         view = self.view(now, states)
         rings = self._rings
         for key, read in self._samplers.items():
-            value = read(view)
+            value = self._selected(key, read, view)
             if isinstance(key, tuple):
                 for ring_key, part in zip(key, value):
                     rings[ring_key].note(now, part)
@@ -631,8 +631,11 @@ class RuleEngine:
         return transitions
 
     def _step(self, s: _RuleState, now: float, view: FleetView) -> AlertEvent | None:
-        rule = s.rule
-        value = rule.expr.read(view)
+        rule, expr = s.rule, s.rule.expr
+        if isinstance(expr, Instant):
+            value = self._selected(expr, expr.read, view)  # not by key: defaults differ
+        else:
+            value = expr.read(view)
         s.value = value
         if s.state == FIRING:
             # Hysteresis: only a value past the *clear* threshold resolves.
@@ -714,22 +717,14 @@ class RuleEngine:
 def default_rule_pack(*, evaluation_interval: float = 0.5) -> list[AlertRule]:
     """The rules an RLN fleet ships with, scaled to the evaluation cadence.
 
-    * **rln-spam-flood** — fleet-wide rate of bundles rejected at the
-      verify stage (invalid proofs *and* convicted spam) exceeds 1/s,
-      sustained for two intervals; clears at 0.5/s;
-    * **rln-peer-silent** — the liveness classifier declares any peer
-      silent (no folds for ~10 intervals);
-    * **rln-witness-hit-ratio** — fleet average witness-cache hit ratio
-      degrades below 0.5 (defaults to 1.0 when no light members exist,
-      so witness-less fleets never breach); clears only on recovery past
-      0.75;
-    * **rln-executor-saturation** — any executor's queue depth exceeds
-      16, sustained; clears below 4;
-    * **rln-exporter-loss** — telemetry batches are being lost anywhere
-      (exporter drop-oldest or collector-observed seq gaps);
-    * **rln-revocation-lag** — network-wide exclusion traces blow the
-      25 s objective (the E15 end-to-end figure is ~23 s) more often than
-      a 10 % error budget tolerates, on fast/slow burn windows.
+    Thresholds are in the rules; what they are for: verify-stage rejects
+    (invalid proofs *and* convicted spam) flooding the fleet; a peer the
+    liveness classifier declares silent; light members' witness cache
+    degrading (no light members reads 1.0, so it never breaches); an
+    executor queue saturating; telemetry batches lost anywhere (exporter
+    drop-oldest or collector-seen seq gaps); and network-wide exclusion
+    traces missing the 25 s objective (E15's end-to-end figure is ~23 s)
+    more often than a 10 % budget tolerates, on fast/slow burn windows.
     """
     interval = evaluation_interval
     return [

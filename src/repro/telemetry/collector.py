@@ -15,8 +15,8 @@ resource attributes.  Folding is deliberately mechanical:
   cumulative ``sum``/``min``/``max`` absolutes,
 
 so a peer whose every batch arrived is reconstructed *exactly*, and
-:meth:`fleet_snapshot` — PR 6's proven additive
-:meth:`~repro.telemetry.export.TelemetrySnapshot.merge` over the per-peer
+:meth:`fleet_snapshot` — the additive
+:meth:`~repro.telemetry.export.TelemetrySnapshot.merge` of the per-peer
 states — equals the offline merge of per-peer snapshots field for field
 (the E17 assertion).  Retransmissions are dedup'd by the per-peer
 ``seq`` (acked but not re-folded), and drop-oldest losses upstream show
@@ -34,8 +34,13 @@ other, the final point is exactly the one the instant's last fold would
 have left, and it sees *everything* delivered at that instant — later
 retransmissions and malformed requests included — in whatever order the
 network dispatched them.  So alerting costs one pass per distinct fold
-instant plus one per evaluation, however many peers folded.
-:meth:`RuleEngine.sample` stays the eager primitive underneath.
+instant plus one per evaluation, however many peers folded.  A pass
+reads the collector's long-lived
+:class:`~repro.telemetry.alerts.StateIndex`, whose ``version`` every
+request but a heartbeat moves (a fold, a retransmission or a malformed
+request may change an entry or a counted stat), as does every entry
+indexed: a pass after nothing but heartbeats selects nothing, and reads
+the liveness counts :meth:`HealthMonitor.counts` keeps.
 
 The collector answers fleet questions the process-local registries
 cannot: :meth:`render_prometheus` re-renders the whole deployment's
@@ -182,16 +187,13 @@ class CollectorPeer:
         self._states: dict[str, dict[str, dict]] = {}
         self._resources: dict[str, dict[str, str]] = {}
         self._last_seq: dict[str, int] = {}
-        #: Memoized fleet merge; invalidated by every fold (satellite of
-        #: PR 10 — ``waterfall``/``render_prometheus`` used to re-merge
-        #: every peer's state on every call).
+        #: Memoized fleet merge; invalidated by every fold.
         self._fleet_cache: TelemetrySnapshot | None = None
         #: Liveness classification from fold and heartbeat times — always
         #: on (it is passive bookkeeping with zero scheduling cost).
         self.health = HealthMonitor(interval=export_interval)
         #: The rule engine + its evaluation ticker exist only when rules
-        #: were configured: a rule-less collector schedules nothing and
-        #: stays event-for-event identical to the PR 7 collector.
+        #: were configured: a rule-less collector schedules nothing.
         self.engine: RuleEngine | None = None
         self._stop_evaluation: Callable[[], None] | None = None
         #: The simulated instant whose ring points are still owed: set by
@@ -236,6 +238,8 @@ class CollectorPeer:
             drops = self.stats.reported_drops.get(request.peer, 0)
             self.health.observe(request.peer, self.simulator.now, reported_drops=drops)
             return
+        # Anything else may change an entry or a counted stat.
+        self._index.version += 1
         if not isinstance(request, ExportRequest):
             self.stats.malformed += 1
             return
@@ -314,13 +318,10 @@ class CollectorPeer:
         return TelemetrySnapshot.from_collected(self._states.get(peer, {}))
 
     def fleet_snapshot(self) -> TelemetrySnapshot:
-        """Every peer's state, additively merged (PR 6 semantics).
+        """Every peer's state, additively merged; rebuilt only after a fold.
 
-        Memoized: the merge is rebuilt only after a fold changed some
-        peer's state, so back-to-back ``waterfall``/``render_prometheus``
-        calls between folds share one snapshot.  Collector self-metrics
-        are deliberately *not* in here — the E17 exactness contract is
-        that this equals the offline merge of per-peer snapshots.
+        Collector self-metrics are deliberately *not* in here — the E17
+        contract is that this equals the offline merge of per-peer snapshots.
         """
         if self._fleet_cache is None:
             fleet = TelemetrySnapshot({})
@@ -332,13 +333,11 @@ class CollectorPeer:
     def self_metrics(self) -> dict[str, dict]:
         """The collector's own bookkeeping as collected-shape entries.
 
-        This is what makes exporter loss *alertable* rather than merely
-        inspectable: ``CollectorStats`` re-rendered as
-        ``collector_*_total`` counters labeled with the collector's id
-        (plus the exporting peer for self-reported drops), injected into
-        the exposition and the rule-engine view — never into
-        :meth:`fleet_snapshot`.  The entries are live (read-only by
-        convention): a pass reads them where they are.
+        ``CollectorStats`` as ``collector_*_total`` counters labeled with
+        the collector's id (and the exporting peer for self-reported
+        drops), so exporter loss is alertable: in the exposition and the
+        rule engine's view, never in :meth:`fleet_snapshot`.  The entries
+        are live (read-only by convention).
         """
         self._restate()
         return dict(self._self_state)
@@ -368,28 +367,19 @@ class CollectorPeer:
         extra = self.self_metrics()
         if self.engine is not None:
             extra.update(self.engine.alerts_entries())
-        exposition = self.fleet_snapshot().merge(
-            TelemetrySnapshot.from_collected(extra)
-        )
+        exposition = self.fleet_snapshot().merge(TelemetrySnapshot.from_collected(extra))
         return render_prometheus(exposition)
 
     # -- alerting & liveness ---------------------------------------------------
 
-    def _alert_states(self) -> StateIndex:
-        """What rules see, with the self-metrics brought up to date."""
-        self._restate()
-        return self._index
-
     def _take_due_sample(self, *, even_now: bool = False) -> None:
         """Write the ring points a fold left owing, at that fold's instant.
 
-        A sample due at an instant that is over is that instant's final
-        point.  One due *now* is left alone — more may still land at this
-        instant — unless a reader wants the folds so far (``even_now``);
-        it then stays due, so the instant still gets its final point.
-        Nothing the sample reads has changed since the due instant: every
-        mutation of the states and the stats happens in
-        :meth:`_on_export`, which settles first.
+        One due *now* is left alone — more may still land at this instant —
+        unless a reader wants the folds so far (``even_now``); it then
+        stays due.  Nothing the sample reads has changed since the due
+        instant: :meth:`_on_export`, where every mutation happens, settles
+        first.
         """
         due = self._sample_due
         if due is None:
@@ -398,14 +388,14 @@ class CollectorPeer:
             self._sample_due = None
         elif not even_now:
             return
-        self.engine.sample(due, self._alert_states())
+        self._restate()
+        self.engine.sample(due, self._index)
 
     def _evaluate(self) -> None:
         assert self.engine is not None
         self._take_due_sample()
-        self.engine.evaluate(
-            self.simulator.now, self._alert_states(), health=self.health
-        )
+        self._restate()
+        self.engine.evaluate(self.simulator.now, self._index, health=self.health)
 
     def firing(self) -> list[str]:
         """Names of currently firing alerts (empty without an engine)."""

@@ -731,9 +731,7 @@ class TraceAssembler:
         self.duplicates = 0
 
     def add(self, record: SpanRecord) -> None:
-        spans = self._spans.get(record.trace_id)
-        if spans is None:
-            spans = self._spans[record.trace_id] = {}
+        spans = self._spans.setdefault(record.trace_id, {})
         if record.span_id in spans:
             self.duplicates += 1
             return

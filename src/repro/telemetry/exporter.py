@@ -139,6 +139,8 @@ class TelemetryExporter:
         #: or in-flight batch already says the peer is alive).  Off, an idle
         #: peer is wire-silent; ``RLNDeployment.create`` sets it with ``alerting``.
         self.heartbeat = heartbeat
+        #: The one frame every beat sends: it says nothing but the id.
+        self._heartbeat = Heartbeat(peer_id)
         self.stats = ExporterStats()
         self.dispatcher = RequestDispatcher(
             peer_id,
@@ -209,7 +211,8 @@ class TelemetryExporter:
     # -- building --------------------------------------------------------------
 
     def _build_batch(self) -> TelemetryBatch | None:
-        metrics = self._deltas.deltas(self.telemetry.registry.changed())
+        changed = self.telemetry.registry.changed()
+        metrics = self._deltas.deltas(changed) if changed else ()
         spans = self._drain_spans()
         if not metrics and not spans:
             return None
@@ -264,7 +267,7 @@ class TelemetryExporter:
         for collector in self.collectors:
             try:
                 self.dispatcher.network.send(
-                    self.peer_id, collector, Heartbeat(self.peer_id),
+                    self.peer_id, collector, self._heartbeat,
                     protocol=TELEMETRY_PROTOCOL, require_edge=False,
                 )
             except NetworkError:

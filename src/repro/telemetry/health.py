@@ -1,6 +1,6 @@
 """Per-peer liveness from the collector's own export bookkeeping.
 
-The push pipeline (PR 7) already gives the collector most of what a
+The push pipeline already gives the collector most of what a
 liveness system needs: every folded batch carries the peer's id, a
 monotone ``seq`` (so gaps mean upstream loss), and the exporter's
 self-reported cumulative drop count — and the fold itself happens at a
@@ -20,13 +20,21 @@ peer was last heard from into a classification:
   back but has been bouncing is not healthy) but never ``silent``.
 
 Classification is a pure function of (fold and heartbeat history,
-``now``) on the simulated clock — deterministic, and independent of the
-order same-instant frames arrived in.  :meth:`report` is the operator
-view: per-peer rows plus a fleet score in [0, 1].
+``now``) on the simulated clock, independent of the order same-instant
+frames arrived in.  :meth:`report` is the operator view: per-peer rows
+plus a fleet score in [0, 1].  :meth:`counts` — what an alert pass reads
+— keeps its answer until :attr:`HealthMonitor.version` moves (a peer
+added, a transition recorded by any caller) or ``now`` reaches a
+deadline: the oldest healthy fold ``+ stale_after``, stale fold ``+
+silent_after`` or in-window transition ``+ flap_window``.  Before then no
+``classify`` would record or change anything, so the answer is exact; a
+healthy peer's heartbeat moves nothing.  (A peer is never observed
+before its last fold.)
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import asdict, dataclass
 
@@ -99,6 +107,12 @@ class HealthMonitor:
         self.flap_threshold = flap_threshold
         self.flap_window = 60 * interval if flap_window is None else flap_window
         self._peers: dict[str, _PeerState] = {}
+        #: Moves when a peer is added or a transition is recorded.
+        self.version = 0
+        #: :meth:`counts`' ``(version, now, answer)``; oldest healthy fold,
+        #: stale fold and in-window transition then.
+        self._kept: tuple[int, float, dict[str, int]] | None = None
+        self._anchors = (math.inf, math.inf, math.inf)
 
     # -- feeding ------------------------------------------------------------
 
@@ -118,6 +132,7 @@ class HealthMonitor:
         state = self._peers.get(peer)
         if state is None:
             state = self._peers[peer] = _PeerState(now, 4 * self.flap_threshold)
+            self.version += 1
         else:
             # Age the base status *before* this fold so going quiet and
             # coming back counts as two transitions, not zero.
@@ -125,6 +140,7 @@ class HealthMonitor:
             if state.base_status != HEALTHY:
                 state.base_status = HEALTHY
                 state.transitions.append(now)
+                self.version += 1
         state.last_fold = now
         state.batches += 1
         state.lost_batches += lost_batches
@@ -142,6 +158,7 @@ class HealthMonitor:
         if aged != state.base_status:
             state.base_status = aged
             state.transitions.append(now)
+            self.version += 1
 
     # -- classification -----------------------------------------------------
 
@@ -176,21 +193,41 @@ class HealthMonitor:
         )
 
     def counts(self, now: float) -> dict[str, int]:
-        """``{status: peer count}`` over every known peer."""
-        out: dict[str, int] = {}
-        for peer in self._peers:
-            status = self.classify(peer, now)
-            out[status] = out.get(status, 0) + 1
-        return out
+        """``{status: peer count}`` over every known peer, kept until the
+        version moves or a deadline is due (module docstring)."""
+        if not self._holds(now):
+            out: dict[str, int] = {}
+            for peer in self._peers:
+                status = self.classify(peer, now)
+                out[status] = out.get(status, 0) + 1
+            self._kept = (self.version, now, out)
+            cutoff = now - self.flap_window
+            transitions = (t for s in self._peers.values() for t in s.transitions if t >= cutoff)
+            oldest = min(transitions, default=math.inf)
+            self._anchors = (self._oldest_fold(HEALTHY), self._oldest_fold(STALE), oldest)
+        return dict(self._kept[2])
+
+    def _oldest_fold(self, status: str) -> float:
+        folds = (s.last_fold for s in self._peers.values() if s.base_status == status)
+        return min(folds, default=math.inf)
+
+    def _holds(self, now: float) -> bool:
+        """Is every deadline still ahead?  Tested with ``classify``'s own
+        float expressions; a heartbeat moves a healthy fold unannounced, so
+        a due healthy deadline is looked up again first."""
+        if self._kept is None or self._kept[0] != self.version or now < self._kept[1]:
+            return False
+        healthy, stale, transition = self._anchors
+        if now - healthy >= self.stale_after:
+            healthy = self._oldest_fold(HEALTHY)
+            self._anchors = (healthy, stale, transition)
+        return (now - healthy < self.stale_after and now - stale < self.silent_after
+                and transition >= now - self.flap_window)
 
     def score(self, now: float) -> float:
         """Fleet liveness in [0, 1]; 1.0 when no peer has exported yet."""
-        if not self._peers:
-            return 1.0
-        total = sum(
-            _SCORES[self.classify(peer, now)] for peer in self._peers
-        )
-        return total / len(self._peers)
+        counts = self.counts(now).items()
+        return sum(_SCORES[s] * n for s, n in counts) / len(self._peers) if self._peers else 1.0
 
     def report(self, now: float) -> dict:
         """The operator view: score, status counts, per-peer rows."""

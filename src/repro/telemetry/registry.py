@@ -119,20 +119,8 @@ class Histogram:
     """
 
     __slots__ = (
-        "name",
-        "labels",
-        "bounds",
-        "bucket_counts",
-        "count",
-        "total",
-        "minimum",
-        "maximum",
-        "sample_capacity",
-        "_samples",
-        "_sorted_at",
-        "_reservoir_rng",
-        "key",
-        "written",
+        "name", "labels", "bounds", "bucket_counts", "count", "total", "minimum", "maximum",
+        "sample_capacity", "_samples", "_sorted_at", "_reservoir_rng", "key", "written",
     )
 
     kind = "histogram"
@@ -300,11 +288,7 @@ class MetricsRegistry:
         **labels: str,
     ) -> Histogram:
         return self._intern(
-            Histogram,
-            name,
-            labels,
-            buckets=buckets or None,
-            sample_capacity=sample_capacity,
+            Histogram, name, labels, buckets=buckets or None, sample_capacity=sample_capacity
         )
 
     # -- reading ------------------------------------------------------------
@@ -330,20 +314,12 @@ class MetricsRegistry:
         """
         out: dict[str, dict] = {}
         for key, metric in self._metrics.items():
-            entry: dict = {
-                "name": metric.name,
-                "kind": metric.kind,
-                "labels": dict(metric.labels),
-            }
+            entry: dict = {"name": metric.name, "kind": metric.kind, "labels": dict(metric.labels)}
             if isinstance(metric, Histogram):
                 low, high = metric.extremes()
                 entry.update(
-                    count=metric.count,
-                    sum=metric.total,
-                    min=low,
-                    max=high,
-                    le=list(metric.bounds),
-                    buckets=list(metric.bucket_counts),
+                    count=metric.count, sum=metric.total, min=low, max=high,
+                    le=list(metric.bounds), buckets=list(metric.bucket_counts),
                 )
             else:
                 entry["value"] = metric.value

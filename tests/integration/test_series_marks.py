@@ -27,7 +27,7 @@ from repro import testing
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.exec.executor import Priority
-from repro.gossipsub.scoring import ScoreParams
+from repro.gossipsub.scoring import PeerScoreKeeper, ScoreParams
 from repro.pipeline import PipelineConfig
 from repro.telemetry import CollectorOptions, Telemetry
 from repro.telemetry.registry import BoundMetric
@@ -96,7 +96,22 @@ def run_checked(deployment: RLNDeployment, seconds: float, moved: set[str]) -> N
 
 
 @pytest.fixture(scope="module")
-def fleet() -> tuple[RLNDeployment, set[str]]:
+def fleet() -> tuple[RLNDeployment, set[str], list[str]]:
+    """The scored fleet, the series families it moved, and every behaviour
+    penalty its score keepers were handed (by anyone)."""
+    handed: list[str] = []
+    real = PeerScoreKeeper.on_behaviour_penalty
+
+    def counted(keeper, peer):
+        handed.append(peer)
+        return real(keeper, peer)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PeerScoreKeeper, "on_behaviour_penalty", counted)
+        return (*scored_fleet(), handed)
+
+
+def scored_fleet() -> tuple[RLNDeployment, set[str]]:
     deployment = RLNDeployment.create(
         peer_count=8,
         degree=3,
@@ -149,13 +164,13 @@ def fleet() -> tuple[RLNDeployment, set[str]]:
 
 
 def test_the_scenario_moves_every_family(fleet):
-    deployment, moved = fleet
+    deployment, moved, _ = fleet
     assert set(MOVED) <= moved, sorted(set(MOVED) - moved)
     assert sum(peer.pipeline.stats.rate_limited for peer in deployment.peers.values()) > 0
 
 
 def test_the_collector_holds_a_fresh_read_of_every_bound_series(fleet):
-    fleet, _ = fleet
+    fleet, _, _ = fleet
     collector = fleet.collector
     assert collector.stats.lost_batches == 0
     stale = [
@@ -164,6 +179,18 @@ def test_the_collector_holds_a_fresh_read_of_every_bound_series(fleet):
         if collector._states[peer_id][key]["value"] != metric.value
     ]
     assert stale == []
+
+
+def test_every_behaviour_penalty_is_counted(fleet):
+    # rate-limit sheds, refused GRAFTs and broken promises alike: the
+    # series the collector holds is the number the keepers were handed
+    deployment, _, handed = fleet
+    assert sum(peer.pipeline.stats.rate_limited for peer in deployment.peers.values()) > 0
+    key = "gossipsub_penalties_total{kind=behaviour,peer=%s}"
+    counted = sum(
+        state[key % peer_id]["value"] for peer_id, state in deployment.collector._states.items()
+    )
+    assert counted == len(handed) > 0
 
 
 def test_a_shed_batch_is_marked():

@@ -213,13 +213,13 @@ BUDGET = {
     "core": 1965,
     "crypto": 1784,
     "exec": 431,
-    "gossipsub": 1214,
+    "gossipsub": 1215,
     "net": 977,
     "offchain": 609,
     "pipeline": 1070,
     "repro": 657,
     "revocation": 452,
-    "telemetry": 3681,
+    "telemetry": 3680,
     "treesync": 1265,
     "waku": 859,
     "witness": 1001,
