@@ -151,8 +151,6 @@ def test_every_delivery_assembles_into_one_rooted_tree(members, report_sink):
     collector = deployment.collector
     assert collector is not None and collector.stats.lost_batches == 0
     assert collector.assembler.duplicates == 0
-    for peer in deployment.peers.values():
-        assert peer.disttracer.rewrites_missed == 0, peer.peer_id
 
     by_origin = trees_by_origin(deployment)
 

@@ -2,8 +2,9 @@
 
 Collects every parameter the paper names: the epoch length ``T`` (§III-D),
 the maximum epoch gap ``Thr`` with its defining formula (§III-F), the tree
-depth (§IV), the membership deposit ``v`` (§III-B), and reproduction-side
-knobs (prover backend, acceptable-root window).
+depth (§IV) and reproduction-side knobs (prover backend, acceptable-root
+window).  The membership deposit ``v`` (§III-B) is the contract's
+:data:`~repro.chain.rln_contract.DEFAULT_DEPOSIT`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.chain.blockchain import WEI
 from repro.crypto.merkle import DEFAULT_DEPTH
 from repro.errors import MerkleError, ProtocolError
 from repro.treesync.forest import resolve_shard_depth
@@ -56,8 +56,6 @@ class RLNConfig:
     #: geometry membership announcements are tagged with.  ``None``
     #: resolves to min(10, tree_depth - 1).
     shard_depth: int | None = None
-    #: Membership deposit in wei (the paper's ``v`` Ether).
-    deposit: int = 1 * WEI
     #: Proof backend: "native" (fast, statement-equivalent) or "groth16"
     #: (full R1CS pipeline).  See repro.zksnark.prover.
     prover_backend: str = "native"
@@ -83,7 +81,5 @@ class RLNConfig:
             resolve_shard_depth(self.tree_depth, self.shard_depth)
         except MerkleError as exc:
             raise ProtocolError(str(exc)) from None
-        if self.deposit <= 0:
-            raise ProtocolError("deposit must be positive")
         if self.root_window < 1:
             raise ProtocolError("root_window must be >= 1")

@@ -120,7 +120,7 @@ class RLNDeployment:
         rng = random.Random(seed)
         simulator = Simulator()
         chain = Blockchain(block_interval=block_interval)
-        contract = RLNMembershipContract(deposit=config.deposit)
+        contract = RLNMembershipContract()
         chain.deploy(contract)
         # Keep chain time in lockstep with simulated time (two ticks per
         # block interval so mining lands promptly after the boundary).

@@ -18,12 +18,15 @@ argument for why the map "does not have to capture the entire history").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.crypto.field import FieldElement
 from repro.crypto.shamir import Share
+
+if TYPE_CHECKING:
+    from repro.telemetry.disttrace import SpanContext
 
 
 class NullifierOutcome(Enum):
@@ -50,12 +53,17 @@ class NullifierRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SpamEvidence:
-    """Two distinct shares under one nullifier — enough to recover sk."""
+    """Two distinct shares under one nullifier — enough to recover sk.
+
+    ``trace`` is the context of the ``evidence`` span a traced conviction
+    linked (the revocation span hangs from it): bookkeeping, neither
+    compared nor billed."""
 
     internal_nullifier: FieldElement
     epoch: int
     share_a: Share
     share_b: Share
+    trace: "SpanContext | None" = field(default=None, compare=False)
 
 
 class NullifierLog:

@@ -127,7 +127,6 @@ class WakuRLNRelayPeer:
         config: RLNConfig | None = None,
         prover: RLNProver | None = None,
         clock: PeerClock | None = None,
-        identity: Identity | None = None,
         score_params: ScoreParams | None = None,
         auto_slash: bool = True,
         pipeline_config: PipelineConfig | None = None,
@@ -147,7 +146,7 @@ class WakuRLNRelayPeer:
         if self.prover.depth != self.config.tree_depth:
             raise ProtocolError("prover depth does not match config tree depth")
         self.clock = clock or PeerClock(genesis_unix=self.config.genesis_unix)
-        self.identity = identity
+        self.identity: Identity | None = None  # create_identity / register
         self.stats = PeerProtocolStats()
 
         self.relay = WakuRelay(
@@ -173,15 +172,8 @@ class WakuRLNRelayPeer:
         self.slasher = Slasher(peer_id, self.chain, self.contract.address, slash_key)
         self.relay.set_validator(self._validate)
         # The pipeline above already minted this peer's tracer
-        # (simulator-clocked) through the hub.  The rewrite hook goes in
-        # whenever telemetry is live — inbound contexts are honoured
-        # regardless of the *local* sampling rate (head sampling: the
-        # root decides once) — and its first branch returns untraced
-        # messages unchanged, so trace_sample=0.0 keeps the relay path
-        # allocation-free and bit-identical.
+        # (simulator-clocked) through the hub.
         self.disttracer = self.pipeline.tracer
-        if self.telemetry.enabled:
-            self.relay.router.trace_rewriter = self._rewrite_trace
 
         self._spam_callbacks: list[Callable[[SpamEvidence], None]] = []
         self._published_epochs: dict[int, int] = {}
@@ -359,42 +351,11 @@ class WakuRLNRelayPeer:
             trace_parent=getattr(payload, "trace", None),
         )
 
-    def _rewrite_trace(self, pubsub_message: PubSubMessage) -> PubSubMessage:
-        """Re-stamp an accepted message's span context with our own span.
-
-        Called by the router just before an ACCEPTed message is cached
-        and forwarded: the outbound copy's parent must be *this* peer's
-        validation span (registered under the msg id when the pipeline
-        began it), not the span of whoever forwarded to us.  Untraced
-        messages pass through untouched — the trace_sample=0.0 fast path.
-        A traced message whose validation span was already evicted from
-        the route table is *stripped* instead of forwarded with a stale
-        parent: a truncated tree is honest, a mis-parented one is not.
-        """
-        payload = pubsub_message.payload
-        if getattr(payload, "trace", None) is None:
-            return pubsub_message
-        outbound = self.disttracer.outbound_context(pubsub_message.msg_id)
-        if outbound is None:
-            self.disttracer.rewrites_missed += 1
-        return pubsub_message.with_payload(payload.with_trace(outbound))
-
-    def report_spam(self, evidence: SpamEvidence, msg_id: bytes | None = None) -> None:
-        """Count one conviction and feed it to every ``on_spam`` subscriber.
-
-        ``msg_id`` names the convicting message: if its validation span
-        was traced, the evidence hand-off joins the propagation tree as a
-        child of that span, and its context is what the slashing
-        coordinator's revocation span hangs from.
-        """
+    def report_spam(self, evidence: SpamEvidence) -> None:
+        """Count one conviction and feed it to every ``on_spam`` subscriber
+        (a traced conviction's evidence carries its span context, which
+        the slashing coordinator's revocation span hangs from)."""
         self.stats.spam_detected += 1
-        parent = self.disttracer.outbound_context(msg_id)
-        if parent is not None:
-            now = self.simulator.now
-            ectx = self.disttracer.link(parent, kind="evidence", start=now, end=now)
-            self.disttracer.set_revocation_context(
-                (evidence.internal_nullifier.value, evidence.epoch), ectx
-            )
         for callback in list(self._spam_callbacks):
             callback(evidence)
 

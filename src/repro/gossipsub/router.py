@@ -10,7 +10,8 @@ GossipSub routing protocol" (§I):
   in a fixed order and an IHAVE to the rest, each skipping the peers that
   hold it (their slots are not refilled); each lazy peer's IHAVE lists the
   ids it was lazy for; a publisher floods (§III: ``D_EAGER = d``),
-* **heartbeat** doing mesh balancing, score decay and IHAVE gossip,
+* **heartbeat** doing mesh balancing, score decay and IHAVE gossip; a
+  pair that PRUNEd stays apart for :data:`PRUNE_BACKOFF` (v1.1),
 * **IHAVE/IWANT** lazy pull: an id still unseen one link latency
   (``worst_case()``) plus our longest recent forward lag after its IHAVE's
   instant is asked of one announcer, and of the next if a window passes
@@ -66,21 +67,29 @@ class ValidationResult(Enum):
     REJECT = "reject"
 
     def __init__(self, value: str) -> None:
-        #: A member is its own verdict: the router acts on ``verdict.action``.
+        #: A member is its own verdict, naming no payload to forward.
         self.action = self
+        self.forward = None
 
 
 #: (from_peer, message) -> a verdict, or a Promise of one when the verdict
 #: waits on queued work (batched proof verification, §III-F).  A verdict is
-#: anything whose ``action`` is a ValidationResult, a member included.  The
-#: router parks the message until it resolves; duplicates arriving meanwhile
-#: are dropped as already witnessed, as for a synchronous verdict.
+#: anything whose ``action`` is a ValidationResult, a member included, and
+#: whose ``forward`` is ``None`` or the payload an accepted message is
+#: kept, delivered and forwarded with instead of the one received (a
+#: traced hop's copy, re-stamped with its own span).  The router parks the
+#: message until it resolves; duplicates arriving meanwhile are dropped as
+#: already witnessed, as for a synchronous verdict.
 Validator = Callable[[str, PubSubMessage], Any]
 #: (message) -> None
 DeliveryCallback = Callable[[PubSubMessage], None]
 
 #: Mesh targets a relayed message goes to in full; the rest get an IHAVE.
 D_EAGER = 3
+
+#: Seconds after a PRUNE, sent or received, before that peer is GRAFTed
+#: again on that topic (the v1.1 spec's default backoff).
+PRUNE_BACKOFF = 60.0
 
 
 @dataclass(frozen=True)
@@ -195,11 +204,9 @@ class GossipSubRouter:
         self._fetch: dict[str, list[bytes]] = {}
         self._flush_due = False
         self._lag = [0.0, 0.0]  # longest first-copy -> forward delay, this window and the last
-        #: Optional distributed-tracing hook, set by the RLN layer: called
-        #: once per ACCEPTed message before it is kept, delivered and
-        #: forwarded, it returns the message to propagate (re-stamped with
-        #: this peer's span context).  ``None`` touches nothing.
-        self.trace_rewriter: Callable[[PubSubMessage], PubSubMessage] | None = None
+        #: (topic, peer) -> when its PRUNE backoff runs out; one entry per
+        #: pair ever PRUNEd, rewritten by the next PRUNE.
+        self._backoff: dict[tuple[str, str], float] = {}
         self._started = False
         self._stop_heartbeat: Callable[[], None] | None = None
 
@@ -290,6 +297,7 @@ class GossipSubRouter:
                 self._handle_graft(sender, graft)
             for prune in rpc.prune:
                 self._leave_mesh(prune.topic, sender)
+                self._backoff[prune.topic, sender] = self.simulator.now + PRUNE_BACKOFF
         for message in rpc.messages:
             self._handle_message(sender, message)
         if rpc.ihave or rpc.iwant or rpc.idontwant:
@@ -321,11 +329,11 @@ class GossipSubRouter:
     def _handle_graft(self, sender: str, graft: Graft) -> None:
         topic = graft.topic
         if topic not in self._topics:
-            self._send(sender, RPC(prune=(Prune(topic=topic),)))
+            self._prune(topic, sender)
             return
         if self.scoring and not self.scoring.mesh_eligible(sender, self.simulator.now):
             # A peer scored below the mesh threshold may not join: refuse, penalise.
-            self._send(sender, RPC(prune=(Prune(topic=topic),)))
+            self._prune(topic, sender)
             self.penalise(sender)
             return
         if sender not in self._mesh[topic]:
@@ -398,11 +406,10 @@ class GossipSubRouter:
             return
         if self.scoring:
             self.scoring.on_first_delivery(sender)
-        if self.trace_rewriter is not None:
-            # Re-stamp the span context with *this* peer's span before the
-            # message is kept or forwarded, so downstream hops (and IWANT
-            # re-serves out of the table) name the true causal parent.
-            message = self.trace_rewriter(message)
+        if verdict.forward is not None:
+            # The verdict's copy is kept and forwarded, so downstream hops
+            # (and IWANT re-serves out of the table) name its parent.
+            message = message.with_payload(verdict.forward)
         if due is None:  # the keep and forward wait for the instant's other copies
             self._table.pend(message.msg_id, sender)
             self._land_later(message, sender)
@@ -573,7 +580,7 @@ class GossipSubRouter:
                 for peer in sorted(mesh):
                     if not self.scoring.mesh_eligible(peer, now):
                         self._leave_mesh(topic, peer)
-                        self._send(peer, RPC(prune=(Prune(topic=topic),)))
+                        self._prune(topic, peer)
             if len(mesh) < self.params.d_lo:
                 self._fill_mesh(topic)
             elif len(mesh) > self.params.d_hi:
@@ -600,6 +607,9 @@ class GossipSubRouter:
 
     def _fill_mesh(self, topic: str) -> None:
         candidates = self._outside_mesh(topic, PeerScoreKeeper.mesh_eligible)
+        if self._backoff:
+            now, backoff = self.simulator.now, self._backoff
+            candidates = [peer for peer in candidates if backoff.get((topic, peer), now) <= now]
         while len(self._mesh[topic]) < self.params.d and candidates:
             peer = candidates.pop()
             self._join_mesh(topic, peer)
@@ -617,7 +627,12 @@ class GossipSubRouter:
         )
         for peer in ranked[self.params.d :]:
             self._leave_mesh(topic, peer)
-            self._send(peer, RPC(prune=(Prune(topic=topic),)))
+            self._prune(topic, peer)
+
+    def _prune(self, topic: str, peer: str) -> None:
+        """Send ``peer`` a PRUNE and back off GRAFTing it for :data:`PRUNE_BACKOFF`."""
+        self._backoff[topic, peer] = self.simulator.now + PRUNE_BACKOFF
+        self._send(peer, RPC(prune=(Prune(topic=topic),)))
 
     def _emit_gossip(self, topic: str) -> None:
         ids = self._table.gossip(topic)

@@ -39,7 +39,7 @@ router, which acts on its ``action``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -60,7 +60,7 @@ from repro.pipeline.ratelimit import (
 )
 from repro.telemetry import Telemetry, resolve as resolve_telemetry
 from repro.telemetry import tracing
-from repro.telemetry.disttrace import ActiveSpan, Disabled
+from repro.telemetry.disttrace import NO_PARENT, ActiveSpan, Disabled
 from repro.waku.message import WakuMessage
 from repro.zksnark.prover import RLNProver
 
@@ -106,11 +106,13 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class Verdict:
-    """The pipeline's final word on one bundle; the router acts on ``action``."""
+    """The pipeline's final word on one bundle; the router acts on ``action``,
+    forwarding ``forward`` (a traced hop's re-stamped copy) if it is set."""
 
     action: ValidationResult
     outcome: ValidationOutcome | None  # None for pipeline-only drops
     evidence: SpamEvidence | None = None
+    forward: WakuMessage | None = None
 
 
 #: The router action per §III-F outcome (the rest are rejected).
@@ -120,7 +122,7 @@ _ACTIONS = {
 }
 #: Every evidence-free verdict is a shared frozen instance, found by outcome
 #: slot; the pipeline-only drops are named below.  Only a verdict carrying
-#: spam evidence is built per bundle.
+#: spam evidence, or a traced hop's copy to forward, is built per bundle.
 _SHARED_VERDICTS = [
     Verdict(_ACTIONS.get(outcome, ValidationResult.REJECT), outcome)
     for outcome in ValidationOutcome
@@ -167,7 +169,7 @@ class ValidationPipeline:
         config: PipelineConfig | None = None,
         *,
         on_shed: Callable[[str, bytes, bool], None] | None = None,
-        on_spam: Callable[[SpamEvidence, bytes], None] | None = None,
+        on_spam: Callable[[SpamEvidence], None] | None = None,
         telemetry: "Telemetry | Disabled | None" = None,
         peer_id: str = "",
     ) -> None:
@@ -233,11 +235,11 @@ class ValidationPipeline:
 
         ``trace_parent`` is the inbound message's
         :class:`~repro.telemetry.disttrace.SpanContext`, if any: the
-        validation span becomes a child of the sender's hop, keyed by
-        ``msg_id`` so the relay layer can re-stamp the forwarded copy
-        with this peer's own span.  Untraced, it is a local root.
+        validation span becomes a child of the sender's hop, and an
+        accepting verdict names the copy to forward under this peer's own
+        span.  Untraced, it is a local root.
         """
-        trace = self.tracer.begin(parent=trace_parent, key=msg_id)
+        trace = self.tracer.begin(parent=trace_parent)
         # Stage 1 — stateless gates (no field arithmetic).
         gate = self.prefilter.check(message, local_epoch)
         trace.mark(tracing.PREFILTER)
@@ -245,7 +247,7 @@ class ValidationPipeline:
             outcome = _GATE_OUTCOMES[gate.slot]
             if outcome is not None:
                 # Gates that exist in the seed vocabulary keep its accounting.
-                return self._conclude(outcome, None, "prefilter", msg_id, trace)
+                return self._conclude(outcome, None, "prefilter", message, trace)
             self._count_drop("prefilter")
             self.tracer.finish(trace)
             return _GATE_REJECT
@@ -270,7 +272,7 @@ class ValidationPipeline:
         outcome = validator.classify_cheap(message)
         trace.mark(tracing.CHEAP_CHECKS)
         if outcome is not None:
-            return self._conclude(outcome, None, "cheap-checks", msg_id, trace)
+            return self._conclude(outcome, None, "cheap-checks", message, trace)
         # Stage 4 — the verdict's one front door: cache, then whatever is
         # already pending for this (statement, proof) on any of the peer's
         # paths, then the pairing check.  A straight re-broadcast does not
@@ -353,18 +355,20 @@ class ValidationPipeline:
         if fresh:
             trace.mark(tracing.RESOLVE)
         stage = "verify" if fresh else "verdict-cache"
-        return self._conclude(outcome, evidence, stage, msg_id, trace)
+        return self._conclude(outcome, evidence, stage, message, trace)
 
     def _conclude(
         self,
         outcome: ValidationOutcome,
         evidence: SpamEvidence | None,
         stage: str,
-        msg_id: bytes,
+        message: WakuMessage,
         trace: ActiveSpan | Disabled,
     ) -> Verdict:
         """Book a judged bundle's outcome, close its span, hand spam
-        evidence to ``on_spam`` and return the verdict."""
+        evidence to ``on_spam`` and return the verdict.  A traced hop's
+        context leaves with the work: on the copy an accepting verdict
+        forwards, or on the evidence, as an ``evidence`` leaf's."""
         self.validator.stats.counts[outcome.slot] += 1
         if outcome is ValidationOutcome.VALID:
             self.stats.admitted += 1
@@ -372,8 +376,16 @@ class ValidationPipeline:
         else:
             self._count_drop(stage)
         self.tracer.finish(trace)
+        traced = trace.parent_id != NO_PARENT
         if evidence is None:
+            if traced and outcome is ValidationOutcome.VALID:
+                forward = message.with_trace(trace.context)
+                return Verdict(ValidationResult.ACCEPT, outcome, None, forward)
             return _SHARED_VERDICTS[outcome.slot]
+        if traced:
+            now = self.tracer.clock()
+            linked = self.tracer.link(trace.context, kind="evidence", start=now, end=now)
+            evidence = replace(evidence, trace=linked)
         if self._on_spam is not None:
-            self._on_spam(evidence, msg_id)
+            self._on_spam(evidence)
         return Verdict(ValidationResult.REJECT, outcome, evidence)

@@ -172,11 +172,9 @@ class SlashingCoordinator:
         if key in self._case_by_key:
             return None
         # One span per case, evidence → commit-reveal → member-removed,
-        # hung under the evidence span the validation path registered for
-        # it (a local root if the convicting verdict was untraced).
-        span = self._tracer.begin(
-            "revocation", parent=self._tracer.revocation_context(key)
-        )
+        # hung under the evidence span the evidence carries (a local root
+        # if the convicting verdict was untraced).
+        span = self._tracer.begin("revocation", parent=evidence.trace)
         attempt = self.slasher.begin(evidence)  # Shamir recovery + commit
         span.mark(COMMIT_REVEAL)
         self._case_spans[key] = span

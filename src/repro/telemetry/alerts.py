@@ -597,8 +597,10 @@ class RuleEngine:
     ) -> None:
         """Record one ring point per windowed series at ``now`` — the
         eager primitive; a same-instant call replaces the point."""
-        view = self.view(now, states)
-        rings = self._rings
+        self._sample(self.view(now, states))
+
+    def _sample(self, view: FleetView) -> None:
+        now, rings = view.now, self._rings
         for key, read in self._samplers.items():
             value = self._selected(key, read, view)
             if isinstance(key, tuple):
@@ -620,7 +622,7 @@ class RuleEngine:
         coalesce), so standalone callers need no separate fold hook.
         """
         view = self.view(now, states, health=health)
-        self.sample(now, view.states)
+        self._sample(view)
         transitions: list[AlertEvent] = []
         for state in self._states.values():
             event = self._step(state, now, view)

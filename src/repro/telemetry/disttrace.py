@@ -11,9 +11,9 @@ waits, pairing service time), not Python wall time.
   the sender's 64-bit span id, the sender's hop count, the origin peer)
   minted at publish time and carried inside
   :class:`~repro.waku.message.WakuMessage` through GossipSub forwarding.
-  Each relay hop re-stamps the context with its *own* span id before
-  forwarding, so the receiver's span always points at the true causal
-  parent (including IWANT re-serves, which serve the re-stamped copy).
+  A relay hop's accepting verdict names the copy to forward, re-stamped
+  with the hop's *own* span, so the receiver's span always points at the
+  true causal parent (including IWANT re-serves, which serve that copy).
 * :class:`DistTracer` — one peer's span mint and ring buffer.
   ``begin_publish`` decides **head sampling** once, at the root
   (probability ``sample``; the decision rides the wire, downstream peers
@@ -23,9 +23,11 @@ waits, pairing service time), not Python wall time.
   the registry's ``trace_stage_seconds{kind,stage}`` histograms, which
   is where the E-benches read an exact stage-latency waterfall from,
   and archives it if it belongs to a propagation tree.  A local root is
-  folded and dropped: its timings leave the peer only as histograms.
-  ``link`` attaches unmarked leaf spans (witness fetches, spam evidence)
-  to any live context.  Sampling draws from a
+  folded and dropped, and mints no ids: its timings leave the peer only
+  as histograms.  ``link`` attaches unmarked leaf spans (witness
+  fetches, spam evidence) to any live context.  A context travels with
+  the work it describes — on the message, the verdict or the evidence —
+  so the tracer keeps no table to find a span again.  Sampling draws from a
   **dedicated** per-peer RNG — never the router's — so enabling tracing
   perturbs no mesh shuffle, and ``sample=0.0`` puts no context on any
   message: zero wire bytes, bit-identical seed behaviour.
@@ -42,8 +44,8 @@ waits, pairing service time), not Python wall time.
 
 The two wire types declare their byte layouts on :mod:`repro.codec`
 (``SpanRecord``'s as a symbol-table ``Framed`` body), like every other;
-a span always carries its ids in full, since a local root, whose ids
-its peer implies, never travels.
+a span always carries its ids in full, since a local root, which has
+none, never travels.
 
 Telemetry off is one object, :data:`DISABLED` (a :class:`Disabled`):
 it stands in for the hub, its registry, every tracer, span and metric,
@@ -77,20 +79,16 @@ NO_PARENT = 0
 
 Marks = tuple[tuple[str, float], ...]
 
-#: A tracer's bounds: finished spans kept for the exporter (a longer burst
-#: between two ticks is a ``seq`` gap), forwarded contexts kept for the
-#: trace rewriter, and live revocation-case contexts.
+#: Finished spans a tracer keeps for the exporter (a longer burst between
+#: two ticks is a ``seq`` gap).
 RING_CAPACITY = 256
-ROUTE_CAPACITY = 4096
-REVOCATION_CAPACITY = 256
 
 _CONTEXT_HEAD = Struct(">QH")
 _STAMP = Struct(">d")
 
 
 def local_prefix(peer_id: str) -> int:
-    """High 64 bits of every local-root trace id ``peer_id`` mints (its
-    sampling seed)."""
+    """``peer_id``'s 64-bit hash, shifted high (its sampling seed)."""
     return int.from_bytes(hashlib.sha256(peer_id.encode()).digest()[:8], "big") << 64
 
 
@@ -315,20 +313,19 @@ class Disabled:
     __slots__ = ()
 
     enabled = False
-    value = count = 0
+    value = count = parent_id = 0
     p50 = p90 = p99 = 0.0
     registry = property(lambda self: self)
     clock = staticmethod(lambda: 0.0)
 
     def observe(self, value: object = None) -> None:
-        """Every call that answers nothing: writes, marks, ``finish``, the
-        route-table reads, and ``begin_publish`` (never sampled)."""
+        """Every call that answers nothing: writes, marks, ``finish`` and
+        ``begin_publish`` (never sampled)."""
         return None
 
     inc = mark = __call__ = finish = begin_publish = observe
-    outbound_context = revocation_context = observe
 
-    def begin(self, kind: str = "bundle", *, parent=None, key=None) -> Disabled:
+    def begin(self, kind: str = "bundle", *, parent=None) -> Disabled:
         return self
 
     def _self(self, *names: object, **labels: object) -> Disabled:
@@ -339,7 +336,7 @@ class Disabled:
     def _ignore(self, *args: object, **kwargs: object) -> None:  # the cold writes
         return None
 
-    bind = link = set_revocation_context = _ignore
+    bind = link = _ignore
 
     def _empty(self, *args: object) -> dict:
         return {}
@@ -354,7 +351,7 @@ DISABLED = Disabled()
 
 
 class DistTracer:
-    """One peer's span mint, ring buffer, and route table."""
+    """One peer's span mint and ring buffer."""
 
     def __init__(
         self,
@@ -371,28 +368,12 @@ class DistTracer:
         self.fresh: dict[str, bool] = {}  # marked per archived record; the hub's table
         self.sample = sample
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
-        #: Local roots take their ids from a counter under this peer's
-        #: 64-bit prefix: unique fleet-wide without hashing per bundle,
-        #: and sampled traces keep the ids they would have had alone.
-        self._local_prefix = local_prefix(peer_id)
         # Dedicated sampling RNG: drawing from a shared router RNG would
         # perturb mesh shuffles and break every bit-identity comparison.
-        self._rng = random.Random(self._local_prefix >> 64)
+        self._rng = random.Random(local_prefix(peer_id) >> 64)
         self._mint = itertools.count()
-        self._local = itertools.count(1)
         self._seq = itertools.count()
         self._ring: deque[SpanRecord] = deque(maxlen=RING_CAPACITY)
-        #: msg_id -> the context *this* peer forwards (its own span as
-        #: parent), written at ingress, read by the router's rewriter.
-        #: Both bounded tables evict first-in-first-out, in dict order; a
-        #: key set again keeps its slot.
-        self._outbound: dict[bytes, SpanContext] = {}
-        #: Live revocation-case contexts, keyed by whatever the caller
-        #: uses to correlate (the evidence's (nullifier, epoch) case).
-        self._revocations: dict[object, SpanContext] = {}
-        #: Contexts the rewriter could not resolve (route table evicted):
-        #: the trace is truncated rather than misattributed.
-        self.rewrites_missed = 0
         #: What :meth:`finish` needs per kind: for each stage path a span
         #: took, the path itself (one shared tuple) and the histograms its
         #: consecutive-mark deltas fold into, in order; and the kind's
@@ -425,38 +406,23 @@ class DistTracer:
             self.peer_id, self.clock,
         )
 
-    def begin(
-        self,
-        kind: str = "bundle",
-        *,
-        parent: SpanContext | None = None,
-        key: bytes | None = None,
-    ) -> ActiveSpan:
+    def begin(self, kind: str = "bundle", *, parent: SpanContext | None = None) -> ActiveSpan:
         """Open a span at the current simulated instant.
 
-        With an inbound ``parent`` the span is that hop's child, and
-        ``key`` (the pubsub msg id) registers the context the router's
-        trace rewriter forwards: it carries *this* peer's new span id, so
-        downstream spans attach to the true causal parent.  Without one
-        the span is a *local* root — never in the route table, never on
-        a relayed message, never archived — so an unsampled bundle costs
+        With an inbound ``parent`` the span is that hop's child; its
+        :attr:`~ActiveSpan.context` carries *this* peer's new span id,
+        for whatever work the span hands on (a forwarded copy, evidence).
+        Without one the span is a *local* root — no ids, never on a
+        relayed message, never archived — so an unsampled bundle costs
         no wire bytes beyond its histograms.
         """
         if parent is None:
-            number = next(self._local)
-            span = ActiveSpan(
-                kind, self._local_prefix | number, number, NO_PARENT, 0,
-                self.peer_id, self.clock,
-            )
+            span = ActiveSpan(kind, 0, 0, NO_PARENT, 0, self.peer_id, self.clock)
         else:
             span = ActiveSpan(
                 kind, parent.trace_id, self._mint_id(8), parent.span_id,
                 parent.child_hop(), parent.origin, self.clock,
             )
-            if key is not None:
-                if key not in self._outbound and len(self._outbound) >= ROUTE_CAPACITY:
-                    del self._outbound[next(iter(self._outbound))]  # the oldest
-                self._outbound[key] = span.context
         span.stages.append(INGRESS if kind == "bundle" else EVIDENCE)
         span.stamps.append(span.start)
         return span
@@ -544,21 +510,6 @@ class DistTracer:
             )
         )
         return SpanContext(parent.trace_id, span_id, parent.hop, parent.origin)
-
-    # -- routing ----------------------------------------------------------------
-
-    def outbound_context(self, key: bytes) -> SpanContext | None:
-        return self._outbound.get(key)
-
-    # -- revocation correlation --------------------------------------------------
-
-    def set_revocation_context(self, key: object, ctx: SpanContext) -> None:
-        if key not in self._revocations and len(self._revocations) >= REVOCATION_CAPACITY:
-            del self._revocations[next(iter(self._revocations))]  # the oldest
-        self._revocations[key] = ctx
-
-    def revocation_context(self, key: object) -> SpanContext | None:
-        return self._revocations.get(key)
 
     # -- export -----------------------------------------------------------------
 

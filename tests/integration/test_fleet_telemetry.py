@@ -22,6 +22,7 @@ import pytest
 from repro.analysis.metrics import DeliveryTracker
 from repro.core.deployment import RLNDeployment
 from repro.errors import ProtocolError
+from repro.pipeline import PipelineConfig
 from repro.telemetry import CollectorOptions, Telemetry, TelemetrySnapshot
 from repro.telemetry.disttrace import SpanRecord
 from repro.testing import inbox
@@ -155,6 +156,45 @@ def test_one_span_per_validation_at_every_sampling_rate(trace_sample):
             plain.network.protocol_bytes()["gossipsub"]
             == traced.network.protocol_bytes()["gossipsub"]
         )
+
+
+def test_a_deferred_accept_forwards_under_the_forwarding_hop(monkeypatch):
+    # The production pipeline profile defers every relay verdict to a batch
+    # on a crypto lane; the verdict, landing later, names the copy to
+    # forward, and that copy's context is the forwarding peer's own span.
+    deployment = RLNDeployment.create(
+        peer_count=8, degree=4, seed=12,
+        pipeline_config=PipelineConfig(workers=2, batch_size=8),
+        collector=CollectorOptions(trace_sample=1.0),
+    )
+    deployment.register_all()
+    deployment.form_meshes()
+    copies = []  # (forwarding peer, its copy's context)
+    real_send = deployment.network.send
+
+    def send(src, dst, payload, **kwargs):
+        if kwargs.get("protocol", "gossipsub") == "gossipsub":
+            copies.extend((src, m.payload.trace) for m in payload.messages)
+        return real_send(src, dst, payload, **kwargs)
+
+    monkeypatch.setattr(deployment.network, "send", send)
+    for peer_id, peer in deployment.peers.items():
+        peer.publish(peer_id.encode())
+        deployment.run(1.0)
+    deployment.run(4.0)
+    deployment.flush_telemetry()
+    assert sum(p.router_stats.deferred for p in deployment.peers.values()) > 0
+    spans = {
+        (record.peer, record.trace_id): record
+        for peer_id, telemetry in deployment.telemetries.items()
+        for record in telemetry.disttracer(peer_id).recent()
+        if record.kind in ("bundle", "publish")
+    }
+    relayed = [(src, ctx) for src, ctx in copies if ctx.origin != src]
+    assert relayed and all(ctx is not None for _, ctx in copies)
+    for src, ctx in copies:
+        own = spans[src, ctx.trace_id]
+        assert (ctx.span_id, ctx.hop) == (own.span_id, own.hop), src
 
 
 def test_collector_and_shared_telemetry_are_mutually_exclusive():

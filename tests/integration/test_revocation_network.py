@@ -13,6 +13,7 @@ from repro.core.deployment import RLNDeployment
 from repro.core.epoch import external_nullifier
 from repro.core.messages import RateLimitProof
 from repro.core.validator import BundleValidator, ValidationOutcome
+from repro.pipeline import PipelineConfig
 from repro.revocation import RevocationTracker
 from repro.treesync import ShardSyncManager
 from repro.waku.message import WakuMessage
@@ -206,15 +207,15 @@ class TestRevocationEndToEnd:
         assert client.dispatcher.stats.attempts == attempts_before
 
 
-def test_traced_conviction_hangs_one_revocation_span_per_racing_coordinator():
-    """One timeline, one span: evidence → commit-reveal → member-removed
-    rides the spam message's propagation tree under the evidence leaf."""
+def traced_conviction(**options) -> RLNDeployment:
+    """A fully traced 8-peer fleet in which peer-007 double-signals and is
+    slashed."""
     from repro.telemetry import CollectorOptions
 
     config = RLNConfig(epoch_length=30.0, max_epoch_gap=2, tree_depth=DEPTH)
     dep = RLNDeployment.create(
         peer_count=8, degree=4, seed=7, config=config,
-        collector=CollectorOptions(trace_sample=1.0),
+        collector=CollectorOptions(trace_sample=1.0), **options,
     )
     dep.register_all()
     dep.form_meshes(5.0)
@@ -225,7 +226,12 @@ def test_traced_conviction_hangs_one_revocation_span_per_racing_coordinator():
     dep.run(6 * dep.chain.block_interval)
     dep.flush_telemetry()
     assert not dep.contract.is_member(spammer.identity.pk)
+    return dep
 
+
+def assert_revocations_hang_under_evidence(dep: RLNDeployment) -> None:
+    """Each racing coordinator's revocation span hangs under its own
+    evidence leaf, which hangs under the relay span that convicted."""
     racers = [p for p in dep.peers.values() if p.stats.slash_attempts]
     trees = [
         tree
@@ -237,8 +243,11 @@ def test_traced_conviction_hangs_one_revocation_span_per_racing_coordinator():
     revocations = [s for s in tree.spans.values() if s.kind == "revocation"]
     assert sorted(s.peer for s in revocations) == sorted(p.peer_id for p in racers)
     for span in revocations:
-        assert tree.spans[span.parent_id].kind == "evidence"
-        assert tree.spans[span.parent_id].peer == span.peer
+        evidence = tree.spans[span.parent_id]
+        assert evidence.kind == "evidence" and evidence.peer == span.peer
+        hop = tree.spans[evidence.parent_id]
+        assert hop.kind == "bundle" and hop.peer == span.peer
+        assert hop in tree.relay_spans() and evidence.start == hop.end
         assert [stage for stage, _ in span.marks] == [
             "evidence", "commit-reveal", "member-removed",
         ]
@@ -249,3 +258,17 @@ def test_traced_conviction_hangs_one_revocation_span_per_racing_coordinator():
     # The same spans fold into the per-peer revocation histograms.
     fleet = dep.collector.fleet_snapshot()
     assert fleet.value("traces_finished_total", kind="revocation") == len(racers)
+
+
+def test_traced_conviction_hangs_one_revocation_span_per_racing_coordinator():
+    """One timeline, one span: evidence → commit-reveal → member-removed
+    rides the spam message's propagation tree under the evidence leaf."""
+    assert_revocations_hang_under_evidence(traced_conviction())
+
+
+def test_a_batched_traced_conviction_hands_its_context_over_the_evidence():
+    """The production pipeline profile: the convicting verdict lands from
+    a crypto lane, and the evidence still carries the hop's context."""
+    dep = traced_conviction(pipeline_config=PipelineConfig(workers=2, batch_size=8))
+    assert sum(p.pipeline.stats.deferred for p in dep.peers.values()) > 0
+    assert_revocations_hang_under_evidence(dep)

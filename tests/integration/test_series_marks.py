@@ -7,13 +7,15 @@ exported.  An 8-peer collector-profile fleet, with peer scoring on so
 the penalty counters move too (but no graylisting, so the forgeries still
 reach the token buckets), runs honest traffic, forged bundles that
 overflow a neighbour's per-peer token bucket (a rate-limit shed), a lane
-backlog, a double signal that is slashed and a peer stop.  Two checks:
+backlog, a double signal that is slashed and a peer stop.  Three checks:
 
 * after every simulator event, each bound series either still reads what
   its peer's exporter last sent or is marked: an unmarked move is caught
   at the event that made it;
-* after the heartbeats stop and ``flush_telemetry()``, the collector's
-  state for each peer holds a fresh read of every bound series' owner.
+* after ``flush_telemetry()``, heartbeats still running, the collector's
+  state for each peer holds a fresh read of every bound series' owner;
+* a pair that PRUNEd waits out :data:`PRUNE_BACKOFF` before either side
+  GRAFTs the other again.
 
 The exporter's own series (its shed batches) moves only when a collector
 is gone, so a lone exporter checks it.  The owners no collector-profile
@@ -27,6 +29,7 @@ from repro import testing
 from repro.core.config import RLNConfig
 from repro.core.deployment import RLNDeployment
 from repro.exec.executor import Priority
+from repro.gossipsub.router import PRUNE_BACKOFF, GossipSubRouter
 from repro.gossipsub.scoring import PeerScoreKeeper, ScoreParams
 from repro.pipeline import PipelineConfig
 from repro.telemetry import CollectorOptions, Telemetry
@@ -96,19 +99,29 @@ def run_checked(deployment: RLNDeployment, seconds: float, moved: set[str]) -> N
 
 
 @pytest.fixture(scope="module")
-def fleet() -> tuple[RLNDeployment, set[str], list[str]]:
-    """The scored fleet, the series families it moved, and every behaviour
-    penalty its score keepers were handed (by anyone)."""
+def fleet() -> tuple[RLNDeployment, set[str], list[str], list[tuple[str, str, str, float]]]:
+    """The scored fleet, the series families it moved, every behaviour
+    penalty its score keepers were handed (by anyone), and every GRAFT and
+    PRUNE a router received, as (kind, sender, receiver, time)."""
     handed: list[str] = []
+    control: list[tuple[str, str, str, float]] = []
     real = PeerScoreKeeper.on_behaviour_penalty
+    real_rpc = GossipSubRouter._on_rpc
 
     def counted(keeper, peer):
         handed.append(peer)
         return real(keeper, peer)
 
+    def rpc(router, sender, message):
+        now = router.simulator.now
+        control.extend(("graft", sender, router.peer_id, now) for _ in message.graft)
+        control.extend(("prune", sender, router.peer_id, now) for _ in message.prune)
+        return real_rpc(router, sender, message)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PeerScoreKeeper, "on_behaviour_penalty", counted)
-        return (*scored_fleet(), handed)
+        patch.setattr(GossipSubRouter, "_on_rpc", rpc)
+        return (*scored_fleet(), handed, control)
 
 
 def scored_fleet() -> tuple[RLNDeployment, set[str]]:
@@ -155,22 +168,18 @@ def scored_fleet() -> tuple[RLNDeployment, set[str]]:
     # A stopped peer's pinned executor still books what it runs inline.
     deployment.peers[victim].pipeline.executor.submit(work)
     run_checked(deployment, 2.0, moved)
-    # Quiet the fleet for the final read: without a PRUNE backoff, a peer
-    # whose GRAFT is refused asks again (and is penalised) every heartbeat.
-    for peer in deployment.peers.values():
-        peer.relay.router.stop()
     deployment.flush_telemetry()
     return deployment, moved
 
 
 def test_the_scenario_moves_every_family(fleet):
-    deployment, moved, _ = fleet
+    deployment, moved, _, _ = fleet
     assert set(MOVED) <= moved, sorted(set(MOVED) - moved)
     assert sum(peer.pipeline.stats.rate_limited for peer in deployment.peers.values()) > 0
 
 
 def test_the_collector_holds_a_fresh_read_of_every_bound_series(fleet):
-    fleet, _, _ = fleet
+    fleet, _, _, _ = fleet
     collector = fleet.collector
     assert collector.stats.lost_batches == 0
     stale = [
@@ -184,13 +193,34 @@ def test_the_collector_holds_a_fresh_read_of_every_bound_series(fleet):
 def test_every_behaviour_penalty_is_counted(fleet):
     # rate-limit sheds, refused GRAFTs and broken promises alike: the
     # series the collector holds is the number the keepers were handed
-    deployment, _, handed = fleet
+    deployment, _, handed, _ = fleet
     assert sum(peer.pipeline.stats.rate_limited for peer in deployment.peers.values()) > 0
     key = "gossipsub_penalties_total{kind=behaviour,peer=%s}"
     counted = sum(
         state[key % peer_id]["value"] for peer_id, state in deployment.collector._states.items()
     )
     assert counted == len(handed) > 0
+
+
+def test_a_pruned_pair_waits_out_the_backoff(fleet):
+    # once a PRUNE (a refused GRAFT's among them) has landed, neither side
+    # GRAFTs the other before the backoff runs out, so PRUNEs and refusals
+    # per pair follow the clock, not the heartbeat count
+    deployment, _, _, control = fleet
+    lag, elapsed = deployment.network.latency.worst_case(), deployment.simulator.now
+    prunes: dict[tuple[str, str], list[float]] = {}
+    for kind, sender, receiver, now in control:
+        if kind == "prune":
+            prunes.setdefault((sender, receiver), []).append(now)
+    assert prunes
+    for (pruner, pruned), times in prunes.items():
+        assert len(times) <= 1 + elapsed // PRUNE_BACKOFF, (pruner, pruned, times)
+        early = [
+            (sender, now) for kind, sender, receiver, now in control
+            if kind == "graft" and {sender, receiver} == {pruner, pruned}
+            and any(t + lag <= now < t + PRUNE_BACKOFF for t in times)
+        ]
+        assert early == [], (pruner, pruned)
 
 
 def test_a_shed_batch_is_marked():

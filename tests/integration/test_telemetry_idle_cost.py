@@ -82,7 +82,7 @@ def idle_work(peers: int, monkeypatch) -> dict:
         "indexed": 0, "built": 0,
     }
     real_deltas = DeltaTracker.deltas
-    real_sample = alerts.RuleEngine.sample
+    real_sample = alerts.RuleEngine._sample
     real_matches = alerts._matches
     real_classify = HealthMonitor.classify
     real_added = alerts.StateIndex.added
@@ -97,10 +97,10 @@ def idle_work(peers: int, monkeypatch) -> dict:
         work["classified"] += 1
         return real_classify(self, peer, now)
 
-    def sample(self, now, states):
+    def sample(self, view):  # every pass samples first, an evaluation's too
         work["passes"] += 1
         work["matches"].append(0)
-        return real_sample(self, now, states)
+        return real_sample(self, view)
 
     def matches(entry, name, matchers):
         work["matches"][-1] += 1
@@ -130,7 +130,7 @@ def idle_work(peers: int, monkeypatch) -> dict:
         metric.__class__ = kinds[type(metric)]
     with monkeypatch.context() as patch:
         patch.setattr(DeltaTracker, "deltas", deltas)
-        patch.setattr(alerts.RuleEngine, "sample", sample)
+        patch.setattr(alerts.RuleEngine, "_sample", sample)
         patch.setattr(alerts, "_matches", matches)
         patch.setattr(HealthMonitor, "classify", classify)
         patch.setattr(alerts.StateIndex, "added", added)
@@ -176,19 +176,19 @@ def fold_work(peers: int, monkeypatch) -> tuple[list[int], int]:
     collector = deployment.collector
     batches = collector.stats.batches
     matches: list[int] = []
-    real_sample = alerts.RuleEngine.sample
+    real_sample = alerts.RuleEngine._sample
     real_matches = alerts._matches
 
-    def sample(self, now, states):
+    def sample(self, view):
         matches.append(0)
-        return real_sample(self, now, states)
+        return real_sample(self, view)
 
     def counted(entry, name, matchers):
         matches[-1] += 1
         return real_matches(entry, name, matchers)
 
     with monkeypatch.context() as patch:
-        patch.setattr(alerts.RuleEngine, "sample", sample)
+        patch.setattr(alerts.RuleEngine, "_sample", sample)
         patch.setattr(alerts, "_matches", counted)
         for number, peer in enumerate(deployment.peers.values()):
             peer.publish(b"fold|%d" % number)

@@ -91,8 +91,8 @@ def fleet_run(monkeypatch, telemetry):
 
 
 #: What the parent commit (every send sized from scratch, one envelope per
-#: target) billed for this run; traced, every relay hop re-stamps the
-#: message's span context through the router's trace rewriter — the
+#: target) billed for this run; traced, every relay hop forwards the copy
+#: its accepting verdict names, re-stamped with its own span — the
 #: ``production_fleet`` path.  Re-pinned (from 240 532 / 262 132 B over 650
 #: sends) when a relay began forwarding at the end of the instant, skipping
 #: every peer whose copy reached it in that instant.

@@ -10,12 +10,12 @@ The load-bearing guarantees:
   nothing (and costs nothing on the message), downstream peers honour an
   inbound context regardless of their own rate, and the sampling RNG is
   deterministic per peer (never the router's);
-* the relay rewrite hook re-stamps contexts with the forwarding peer's
-  own span, strips (never misattributes) when the route table lost the
-  entry, and leaves untraced messages untouched;
+* a child span's context carries the forwarding peer's own span id,
+  one hop down the sender's trace (the copy an accepting verdict names
+  is re-stamped with it);
 * an untraced bundle's span is a *local* root: folded like any other,
-  but never archived or exported, never in the route table and never in
-  a propagation tree;
+  but minting no ids and never archived, exported or in a propagation
+  tree;
 * the exporter drains spans behind one per-tracer cursor — ring eviction
   racing the cursor surfaces as ``spans_missed``, bounded batches as
   ``spans_truncated`` — and ``close()`` rescues cursor-stranded spans
@@ -44,9 +44,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.collector import CollectorPeer
 from repro.telemetry.disttrace import (
     NO_PARENT,
-    REVOCATION_CAPACITY,
     RING_CAPACITY,
-    ROUTE_CAPACITY,
     DistTracer,
     SpanContext,
     SpanRecord,
@@ -257,7 +255,7 @@ def test_downstream_child_ignores_local_sample_rate():
     # rate is 0.0 still opens child spans for inbound traced messages.
     dist = DistTracer("peer-001", sample=0.0)
     parent = make_context(hop=0)
-    span = dist.begin(parent=parent, key=b"m1")
+    span = dist.begin(parent=parent)
     span.mark("verdict")
     dist.finish(span)
     (record,) = dist.recent()
@@ -266,35 +264,31 @@ def test_downstream_child_ignores_local_sample_rate():
     assert [stage for stage, _ in record.marks] == ["ingress", "verdict"]
 
 
-# -- child spans, local roots & the route table ---------------------------------
+# -- child spans & local roots ----------------------------------------------------
 
 
-def test_child_registers_outbound_context_with_own_span_id():
+def test_child_context_carries_its_own_span_id():
     dist = DistTracer("peer-001", sample=0.0)
     parent = make_context(hop=0, span_id=99)
-    span = dist.begin(parent=parent, key=b"m1")
-    outbound = dist.outbound_context(b"m1")
-    assert outbound is not None and outbound == span.context
+    span = dist.begin(parent=parent)
+    outbound = span.context
     assert outbound.span_id == span.span_id != parent.span_id
     assert outbound.hop == 1 and outbound.trace_id == parent.trace_id
-    assert dist.outbound_context(b"other") is None
+    assert outbound.origin == parent.origin
 
 
-def test_untraced_begin_is_a_local_root_outside_the_route_table():
+def test_untraced_begin_is_a_local_root():
     registry = MetricsRegistry()
     dist = DistTracer("peer-001", registry=registry, sample=1.0)
-    first = dist.begin(key=b"m1")
-    second = dist.begin("revocation", key=b"m2")
-    # Never forwarded: the rewriter finds nothing to stamp on the message.
-    assert dist.outbound_context(b"m1") is None
-    assert dist.outbound_context(b"m2") is None
+    first = dist.begin()
+    second = dist.begin("revocation")
     for span in (first, second):
         assert span.parent_id == NO_PARENT and span.hop == 0
         assert span.origin == "peer-001"
-    assert first.trace_id != second.trace_id
+        # Never on a wire, so never given ids: the ring's mint is untouched.
+        assert span.trace_id == span.span_id == 0
+    assert next(dist._mint) == 0
     assert first.stages[0] == "ingress" and second.stages[0] == "evidence"
-    # Another peer's local ids never collide with this one's.
-    assert DistTracer("peer-002").begin().trace_id != first.trace_id
     # Local roots fold like every span, then are dropped: never archived.
     assert dist.finish(first) is None and dist.finish(second) is None
     assert dist.recent() == ()
@@ -304,30 +298,6 @@ def test_untraced_begin_is_a_local_root_outside_the_route_table():
     root = dist.finish(dist.begin_publish())
     assert dist.recent() == (root,)
     assert not any("publish" in key for key in registry.collect())
-
-
-def test_route_table_is_bounded_drop_oldest():
-    dist = DistTracer("peer-001")
-    parent = make_context(hop=0)
-    keys = [b"%d" % index for index in range(ROUTE_CAPACITY + 1)]
-    for key in keys:
-        dist.begin(parent=parent, key=key)
-    assert dist.outbound_context(keys[0]) is None
-    assert dist.outbound_context(keys[1]) is not None
-    assert dist.outbound_context(keys[-1]) is not None
-
-
-def test_revocation_table_is_bounded_and_a_key_set_again_keeps_its_slot():
-    dist = DistTracer("peer-001")
-    for index in range(REVOCATION_CAPACITY):
-        dist.set_revocation_context(index, make_context(span_id=index + 1))
-    # Setting the oldest key again moves its context, not its slot.
-    dist.set_revocation_context(0, make_context(span_id=999))
-    assert dist.revocation_context(0).span_id == 999
-    dist.set_revocation_context("new", make_context())
-    assert dist.revocation_context(0) is None  # still the oldest: evicted
-    assert dist.revocation_context(1) is not None
-    assert dist.revocation_context("new") is not None
 
 
 # -- exporter cursor discipline ------------------------------------------------

@@ -70,7 +70,6 @@ class TestConfig:
             {"max_epoch_gap": 0},
             {"tree_depth": 0},
             {"tree_depth": 33},
-            {"deposit": 0},
             {"root_window": 0},
             {"tree_backend": "bogus"},
             {"shard_depth": 0},

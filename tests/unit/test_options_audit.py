@@ -1,10 +1,10 @@
 """Tier-1 guard on the forwarding layers: no option nobody sets.
 
 The config objects and constructors below only carry values down to the
-component that uses them.  An option stays on one of them if a benchmark
-or an example sets it (any keyword argument of that name under
-``benchmarks/`` or ``examples/``) or if it is in ``KEPT_FOR`` with its
-reason.  A component keeps whatever parameter its own unit tests need;
+component that uses them.  An option stays on one of them if a call to
+that very surface sets it by keyword — under ``benchmarks/`` or
+``examples/``, or in the layer above it under ``src/repro`` forwarding a
+value a workload set — or if it is in ``KEPT_FOR`` with its reason.  A component keeps whatever parameter its own unit tests need;
 the layers above it do not forward that parameter for them.  No module
 under ``src/repro`` reads a switch from the environment: that is an
 option no benchmark, example or config object shows.
@@ -36,6 +36,7 @@ KEPT_FOR = {
     "topic_bucket": "switched off so the same test isolates the per-peer bucket",
     "backup": "exporter failover needs two collectors on one network",
     "funding_wei": "Figure 2: a peer that cannot afford the deposit",
+    "graph": "a fleet over a hand-built topology (a star, for the fetched copy's trace parent)",
     "start": "frame-size properties over a wired fleet that never ticks",
     "prover_backend": "the full Groth16 pipeline under a live mesh",
     "genesis_unix": "deployment setting: where epoch numbering is anchored",
@@ -70,23 +71,35 @@ def options(path: str, cls: str, method: str | None) -> list[str]:
     return names
 
 
-def keywords_set_by_workloads() -> set[str]:
-    used: set[str] = set()
-    for directory in ("benchmarks", "examples"):
+def callee(call: ast.Call) -> str | None:
+    """How a call names what it calls: ``Name`` or ``Name.attr`` (as the
+    ``SURFACES`` keys are spelled); ``None`` for anything else."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return None
+
+
+def keywords_set_per_surface() -> dict[str, set[str]]:
+    """Per ``SURFACES`` key, the keywords some call to it passes."""
+    used: dict[str, set[str]] = {surface: set() for surface in SURFACES}
+    for directory in ("benchmarks", "examples", "src/repro"):
         for path in (ROOT / directory).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.keyword) and node.arg:
-                    used.add(node.arg)
+                if isinstance(node, ast.Call) and callee(node) in used:
+                    used[callee(node)].update(k.arg for k in node.keywords if k.arg)
     return used
 
 
 def test_every_forwarded_option_is_set_by_a_workload_or_kept_for_a_reason():
-    used = keywords_set_by_workloads()
+    used = keywords_set_per_surface()
     unset = {
         f"{surface}.{name}"
         for surface, spec in SURFACES.items()
         for name in options(*spec)
-        if name not in used and name not in KEPT_FOR
+        if name not in used[surface] and name not in KEPT_FOR
     }
     assert not unset, (
         f"{sorted(unset)}: no benchmark or example sets these. Pass the value "

@@ -210,16 +210,16 @@ BUDGET = {
     "analysis": 228,
     "baselines": 383,
     "chain": 975,
-    "core": 1965,
+    "core": 1930,
     "crypto": 1784,
     "exec": 431,
-    "gossipsub": 1215,
+    "gossipsub": 1230,
     "net": 977,
     "offchain": 609,
-    "pipeline": 1070,
+    "pipeline": 1082,
     "repro": 657,
-    "revocation": 452,
-    "telemetry": 3680,
+    "revocation": 450,
+    "telemetry": 3633,
     "treesync": 1265,
     "waku": 859,
     "witness": 1001,
